@@ -1,9 +1,9 @@
-// Chaos coverage for the vectorized batch path: the core.batch fault point
-// fires at the batch kernel gate in both the engine's batched fold and the
-// hash-pivot's batched row access. Its contract differs from the other
-// points on the error kind — an injected kernel error must NOT fail the
-// query; the engine silently falls back to the scalar path and still
-// returns the exact result, counting the fallback. Panic and delay follow
+// Chaos coverage for the fold operator's gate: the core.batch fault point
+// fires before the engine's fold operator and before the hash pivot's
+// fan-out. Its contract differs from the other points on the error kind —
+// an injected error must NOT fail the query; execution silently falls back
+// to the sequential reference (hashAggregateSeq, or a one-worker pivot) and
+// still returns the exact result, counting the fallback. Panic and delay follow
 // the standard matrix contract: typed PCT206 containment and pure latency.
 // Run with -race; the CI chaos shard does.
 package chaos_test

@@ -34,22 +34,23 @@ const (
 	// JoinBuild fires inside buildSide.ensure, before the hash table of a
 	// join build side is constructed.
 	JoinBuild = "engine.join.build"
-	// AggWorker fires at the start of each parallel aggregation partition
-	// worker; HitN passes the worker index so faults can target worker k.
+	// AggWorker fires at the start of each partition worker of
+	// engine.FoldPartitions (GROUP BY folds and the hash pivot); HitN passes
+	// the worker index so faults can target worker k.
 	AggWorker = "engine.agg.worker"
-	// AggMerge fires at the start of the parallel aggregation merge, after
-	// every worker has finished.
+	// AggMerge fires at the start of that helper's merge, after every
+	// worker has finished.
 	AggMerge = "engine.agg.merge"
 	// PivotAlloc fires each time the native hash-pivot allocates a new
 	// group (the paper's "exceeds the maximum number of columns" failure
 	// neighborhood: per-group cell arrays are the pivot's big allocation).
 	PivotAlloc = "core.pivot.alloc"
-	// CoreBatch fires at the entry of every vectorized batch kernel
-	// (hash aggregate and hash pivot). An injected error does NOT fail
-	// the query: the kernel reports itself unavailable and execution
-	// silently falls back to the row-at-a-time scalar path (counted in
-	// batch.fallbacks). Panics propagate to the statement containment
-	// and surface as typed PCT206 errors.
+	// CoreBatch fires at the gate of the fold operator (hash aggregate)
+	// and of the hash pivot's fan-out. An injected error does NOT fail the
+	// query: execution silently falls back to the sequential reference —
+	// hashAggregateSeq for a GROUP BY, one worker for the pivot — counted
+	// in batch.fallbacks / batch.pivot.fallbacks. Panics propagate to the
+	// statement containment and surface as typed PCT206 errors.
 	CoreBatch = "core.batch"
 	// InsertSink fires before each row is appended to the staging table of
 	// an INSERT; After addresses the Nth row.

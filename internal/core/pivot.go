@@ -2,11 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/chaos"
@@ -113,66 +110,8 @@ func (p *Planner) emitPivotTable(plan *Plan, a *analysis, groupNames, valueNames
 	return fh, nil
 }
 
-// pivotRowBox adapts a reusable row buffer to expr.Row without per-call
-// interface boxing.
-type pivotRowBox struct{ vals []value.Value }
-
-// ColumnValue returns the i-th value.
-func (b *pivotRowBox) ColumnValue(i int) value.Value { return b.vals[i] }
-
-// lazyPivotRow adapts one stored row to expr.Row, materializing only the
-// cells the expression touches — the batched scan's view for WHERE and the
-// measure, mirroring engine/batch.go's lazyRow.
-type lazyPivotRow struct {
-	tab *storage.Table
-	r   int
-}
-
-func (l *lazyPivotRow) ColumnValue(i int) value.Value { return l.tab.Get(l.r, i) }
-
-// cellGetter reads one column cell, boxing only that cell. Typed getters
-// resolve the column vector once instead of per row.
-type cellGetter func(r int) value.Value
-
-// colGetter builds a typed cellGetter for one column of t.
-func colGetter(t *storage.Table, idx int) cellGetter {
-	if ints, isNull, ok := t.IntColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewInt(ints[r])
-		}
-	}
-	if flts, isNull, ok := t.FloatColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewFloat(flts[r])
-		}
-	}
-	if strs, isNull, ok := t.StringColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewString(strs[r])
-		}
-	}
-	if bools, isNull, ok := t.BoolColumn(idx); ok {
-		return func(r int) value.Value {
-			if isNull(r) {
-				return value.Null
-			}
-			return value.NewBool(bools[r])
-		}
-	}
-	return func(r int) value.Value { return t.Get(r, idx) }
-}
-
-// Pivot batch metrics: hash-pivot scans that ran with columnar row access
-// vs. ones pinned to the boxed-row path by an injected core.batch fault.
+// Pivot batch metrics: hash-pivot scans free to fan out vs. ones pinned to
+// one worker by SetBatch(false) or an injected core.batch fault.
 var (
 	mPivotBatch         = obs.Default.Counter("batch.pivot.folds")
 	mPivotBatchFallback = obs.Default.Counter("batch.pivot.fallbacks")
@@ -275,51 +214,57 @@ func (acc *pivotAcc) result() value.Value {
 	}
 }
 
-// pivotWorkers mirrors the engine's parallelism semantics (see
-// internal/engine/parallel.go): 0 → one worker per CPU gated by a
-// small-input threshold, 1 → sequential, n > 1 → n workers, capped by the
-// row count.
-func pivotWorkers(parallelism, rows int) int {
-	w := parallelism
-	switch {
-	case w == 1:
-		return 1
-	case w <= 0:
-		if rows < 8192 {
-			return 1
-		}
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > rows {
-		w = rows
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // pivotStride mirrors the engine's governor stride: governed pivot loops
 // check cancellation and budgets once per this many rows, bounding both the
 // hot-path overhead and the rows processed after a cancel.
 const pivotStride = 1024
 
+// pivotGroup is one output row under construction: its cells, one per BY
+// combination, and — in percentage mode — the row total they divide by.
+type pivotGroup struct {
+	keyVals []value.Value
+	cells   []pivotAcc
+	total   pivotAcc
+}
+
+// pivotPart is one partition's groups in local first-appearance order (the
+// engine.Partial the shared partition-and-merge works on).
+type pivotPart struct {
+	groups map[string]*pivotGroup
+	order  []string
+}
+
+// Len reports the partition's group count.
+func (p *pivotPart) Len() int { return len(p.order) }
+
+// Absorb merges the next-higher partition into p cell by cell.
+func (p *pivotPart) Absorb(from *pivotPart) error {
+	for _, k := range from.order {
+		g := from.groups[k]
+		tgt, ok := p.groups[k]
+		if !ok {
+			p.groups[k] = g
+			p.order = append(p.order, k)
+			continue
+		}
+		for i := range tgt.cells {
+			tgt.cells[i].merge(&g.cells[i])
+		}
+		tgt.total.merge(&g.total)
+	}
+	return nil
+}
+
 // runPivot scans F, hashing each row to its group and result column. For
 // percentage mode it also folds the per-group total and divides at emit
-// time, NULLing zero or all-NULL totals like the SQL plans do. With
-// parallelism != 1 the scan is partitioned into contiguous row ranges folded
-// by worker goroutines and merged in partition order, preserving the
-// sequential group order (same model as the engine's parallel aggregation).
-// span, when non-nil, receives the pivot's stage breakdown: a sequential fold
-// span or a concurrent partition fan-out with one child per worker plus a
-// merge span, then the emit span that writes FH.
+// time, NULLing zero or all-NULL totals like the SQL plans do. The scan runs
+// through engine.FoldPartitions — the engine's own partition-and-merge, so
+// worker count, spans, sibling cancellation, panic containment, and error
+// selection are the GROUP BY fold's — with cell-dispatch accumulators as the
+// per-partition state; the emit span then writes FH.
 //
-// Lifecycle mirrors the engine's governed aggregation: workers stride-check
-// ctx, group allocations are charged against MaxGroups across all workers, a
-// failing worker's panic is contained into a typed PCT206 error and cancels
-// its siblings, and error selection is deterministic — the lowest-numbered
-// partition's real error wins, sibling-cancel noise is reported only when
-// nothing else failed.
+// Workers stride-check their context, and group allocations are charged
+// against MaxGroups across all workers.
 func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCols []string,
 	call *expr.AggCall, combos []combo, where expr.Expr, pct bool, deflt *value.Value,
 	parallelism int, span *obs.Span) error {
@@ -337,16 +282,17 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		return err
 	}
 	schema := src.Schema()
-	names := schema.Names()
-	resolver := expr.SchemaResolver(names)
+	resolver := expr.SchemaResolver(schema.Names())
 
-	groupIdx := make([]int, len(groupCols))
+	// Grouping and BY columns are read through typed cell getters; WHERE and
+	// the measure evaluate against a lazy row view (one per worker).
+	groupGet := make([]func(int) value.Value, len(groupCols))
 	for i, g := range groupCols {
-		groupIdx[i] = schema.ColumnIndex(g)
+		groupGet[i] = src.CellGetter(schema.ColumnIndex(g))
 	}
-	byIdx := make([]int, len(call.By))
+	byGet := make([]func(int) value.Value, len(call.By))
 	for i, b := range call.By {
-		byIdx[i] = schema.ColumnIndex(b)
+		byGet[i] = src.CellGetter(schema.ColumnIndex(b))
 	}
 	var measure expr.Expr
 	if call.Arg != nil {
@@ -368,36 +314,14 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		colOf[value.EncodeKeyString(c.vals...)] = i
 	}
 
-	// Row-access strategy. The boxed path materializes every column of the
-	// row once per iteration; with vectorized execution enabled the scan
-	// reads only the cells it touches — typed getters for the grouping and
-	// BY columns, a lazy row view for WHERE and the measure. The values,
-	// evaluation order, and errors are identical either way. An injected
-	// core.batch fault pins the boxed path for this statement (the silent-
-	// fallback contract of the fault point).
-	batched := eng.BatchEnabled()
-	if batched {
-		if err := chaos.Hit(chaos.CoreBatch); err != nil {
-			batched = false
-		}
-	}
-	var groupGet, byGet []cellGetter
-	if batched {
+	// SetBatch(false) and an injected core.batch fault pin the scan to one
+	// worker, as they pin the engine's folds to the sequential reference
+	// (the silent-fallback contract of the fault point).
+	if eng.BatchEnabled() && chaos.Hit(chaos.CoreBatch) == nil {
 		mPivotBatch.Inc()
-		for _, gi := range groupIdx {
-			groupGet = append(groupGet, colGetter(src, gi))
-		}
-		for _, bi := range byIdx {
-			byGet = append(byGet, colGetter(src, bi))
-		}
 	} else {
 		mPivotBatchFallback.Inc()
-	}
-
-	type group struct {
-		keyVals []value.Value
-		cells   []pivotAcc
-		total   pivotAcc
+		parallelism = 1
 	}
 
 	fn := call.Fn
@@ -411,103 +335,73 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 	// totalGroups counts group allocations across every partition, charged
 	// against MaxGroups. Groups shared across partitions are counted once per
 	// partition — an over-approximation, same budget semantics as the
-	// engine's parallel aggregation.
+	// engine's fold.
 	var totalGroups int64
 
 	// scanPart folds the contiguous row range [lo, hi) into a private group
-	// map, returning the encoded keys in local first-appearance order. The
-	// bound expressions (pred, measure) are stateless under Eval and shared
-	// across workers; concurrent Table.Row reads are safe (the engine
+	// map. The bound expressions (pred, measure) are stateless under Eval and
+	// shared across workers; concurrent column reads are safe (the engine
 	// serializes writes per statement). sctx is the worker's view of the
-	// statement context — the fan-out's cancel context in the parallel case —
+	// statement context — the fan-out's cancel context when parallel —
 	// checked every pivotStride rows.
-	scanPart := func(sctx context.Context, lo, hi int) (map[string]*group, []string, error) {
-		groups := make(map[string]*group)
-		var order []string
-		var rowBuf []value.Value
-		var box pivotRowBox
-		lr := lazyPivotRow{tab: src}
+	scanPart := func(sctx context.Context, lo, hi int) (*pivotPart, error) {
+		part := &pivotPart{groups: make(map[string]*pivotGroup)}
+		view := src.NewRowView()
 		keyBuf := make([]byte, 0, 64)
 		byBuf := make([]byte, 0, 64)
 		for r := lo; r < hi; r++ {
 			if (r-lo)%pivotStride == 0 && r > lo {
 				if err := engine.CheckCtx(sctx); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
-			var rv expr.Row
-			if batched {
-				lr.r = r
-				rv = &lr
-			} else {
-				rowBuf = src.Row(r, rowBuf)
-				box.vals = rowBuf
-				rv = &box
-			}
+			view.Seek(r)
 			if pred != nil {
-				v, err := pred.Eval(rv)
+				v, err := pred.Eval(view)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if !v.Truthy() {
 					continue
 				}
 			}
 			keyBuf = keyBuf[:0]
-			if batched {
-				for _, get := range groupGet {
-					keyBuf = value.AppendKey(keyBuf, get(r))
-				}
-			} else {
-				for _, gi := range groupIdx {
-					keyBuf = value.AppendKey(keyBuf, rowBuf[gi])
-				}
+			for _, get := range groupGet {
+				keyBuf = value.AppendKey(keyBuf, get(r))
 			}
-			g, ok := groups[string(keyBuf)]
+			g, ok := part.groups[string(keyBuf)]
 			if !ok {
 				if err := chaos.Hit(chaos.PivotAlloc); err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 				if n := atomic.AddInt64(&totalGroups, 1); lim.MaxGroups > 0 && n > lim.MaxGroups {
-					return nil, nil, &engine.LimitError{
+					return nil, &engine.LimitError{
 						PCTCode:  diag.CodeGroupLimit,
 						Resource: "group",
 						Limit:    lim.MaxGroups,
 					}
 				}
-				g = &group{cells: make([]pivotAcc, len(combos))}
+				g = &pivotGroup{cells: make([]pivotAcc, len(combos))}
 				for i := range g.cells {
 					g.cells[i].fn = fn
 				}
 				g.total.fn = expr.AggSum
-				if batched {
-					for _, get := range groupGet {
-						g.keyVals = append(g.keyVals, get(r))
-					}
-				} else {
-					for _, gi := range groupIdx {
-						g.keyVals = append(g.keyVals, rowBuf[gi])
-					}
+				for _, get := range groupGet {
+					g.keyVals = append(g.keyVals, get(r))
 				}
 				k := string(keyBuf)
-				groups[k] = g
-				order = append(order, k)
+				part.groups[k] = g
+				part.order = append(part.order, k)
 			}
 			byBuf = byBuf[:0]
-			if batched {
-				for _, get := range byGet {
-					byBuf = value.AppendKey(byBuf, get(r))
-				}
-			} else {
-				for _, bi := range byIdx {
-					byBuf = value.AppendKey(byBuf, rowBuf[bi])
-				}
+			for _, get := range byGet {
+				byBuf = value.AppendKey(byBuf, get(r))
 			}
 			ci, ok := colOf[string(byBuf)]
 			if !ok {
 				// A combination outside the feedback snapshot (possible only if
 				// F changed between planning and execution).
-				return nil, nil, fmt.Errorf("core: row %d has a BY combination absent from the planned column layout", r)
+				return nil, fmt.Errorf("core: row %d has a BY combination absent from the planned column layout", r)
 			}
 			var mv value.Value
 			switch {
@@ -515,9 +409,9 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 				mv = value.NewInt(1)
 			case measure != nil:
 				var err error
-				mv, err = measure.Eval(rv)
+				mv, err = measure.Eval(view)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
 			}
 			if fn == expr.AggCount && !call.Star {
@@ -531,126 +425,17 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 				g.total.add(mv)
 			}
 		}
-		return groups, order, nil
+		return part, nil
 	}
 
-	nRows := src.NumRows()
-	workers := pivotWorkers(parallelism, nRows)
-	groups := make(map[string]*group)
-	var order []string
-	if workers <= 1 {
-		sp := span.NewChild("pivot fold")
-		groups, order, err = scanPart(ctx, 0, nRows)
-		sp.End()
-		if err != nil {
-			sp.Attr("error", err.Error())
-			return err
-		}
-		sp.SetRows(int64(nRows), int64(len(order)))
-	} else {
-		type part struct {
-			groups map[string]*group
-			order  []string
-			err    error
-		}
-		parts := make([]part, workers)
-		chunk := (nRows + workers - 1) / workers
-		fan := span.NewChild("partition fan-out")
-		if fan != nil {
-			fan.Concurrent = true
-			fan.AttrInt("workers", int64(workers))
-		}
-		// Workers run under a shared cancel context: the first failure —
-		// error, contained panic, or limit hit — stops the siblings within
-		// one stride instead of letting them fold to completion.
-		wctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if lo > nRows {
-				lo = nRows
-			}
-			if hi > nRows {
-				hi = nRows
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				var ws *obs.Span
-				if fan != nil {
-					ws = fan.NewChild(fmt.Sprintf("worker %d/%d", w+1, workers))
-				}
-				defer func() {
-					if r := recover(); r != nil {
-						parts[w].err = engine.NewPanicError(fmt.Sprintf("pivot worker %d/%d", w+1, workers), r)
-					}
-					if parts[w].err != nil {
-						ws.Attr("error", parts[w].err.Error())
-						cancel()
-					}
-					ws.End()
-					ws.SetRows(int64(hi-lo), int64(len(parts[w].order)))
-				}()
-				parts[w].groups, parts[w].order, parts[w].err = scanPart(wctx, lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		fan.End()
-		// Error selection is deterministic despite the cancel race: the
-		// lowest-numbered partition's real error wins; a sibling's
-		// cancellation is reported only when no real error exists.
-		var firstCancel, realErr error
-		for pi := range parts {
-			err := parts[pi].err
-			if err == nil {
-				continue
-			}
-			if isCancelled(err) {
-				if firstCancel == nil {
-					firstCancel = err
-				}
-				continue
-			}
-			realErr = err
-			break
-		}
-		if realErr == nil {
-			realErr = firstCancel
-		}
-		// Merge in ascending partition order: group order reproduces the
-		// sequential first-appearance order.
-		ms := span.NewChild("merge")
-		if realErr != nil {
-			ms.Attr("error", realErr.Error())
-			ms.End()
-			return realErr
-		}
-		partials := 0
-		for pi := range parts {
-			p := &parts[pi]
-			partials += len(p.order)
-			for _, k := range p.order {
-				g := p.groups[k]
-				tgt, ok := groups[k]
-				if !ok {
-					groups[k] = g
-					order = append(order, k)
-					continue
-				}
-				for i := range tgt.cells {
-					tgt.cells[i].merge(&g.cells[i])
-				}
-				tgt.total.merge(&g.total)
-			}
-		}
-		ms.End()
-		ms.SetRows(int64(partials), int64(len(order)))
+	part, _, err := engine.FoldPartitions(ctx, span, "pivot fold", parallelism, src.NumRows(), scanPart)
+	if err != nil {
+		return err
 	}
 
 	es := span.NewChild("emit " + fh)
 	out := make([]value.Value, 0, len(groupCols)+len(combos))
-	for ki, k := range order {
+	for ki, k := range part.order {
 		if ki > 0 && ki%pivotStride == 0 {
 			if err := engine.CheckCtx(ctx); err != nil {
 				es.Attr("error", err.Error())
@@ -658,7 +443,7 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 				return err
 			}
 		}
-		g := groups[k]
+		g := part.groups[k]
 		out = out[:0]
 		out = append(out, g.keyVals...)
 		total := g.total.result()
@@ -699,13 +484,6 @@ func runPivot(ctx context.Context, eng *engine.Engine, table, fh string, groupCo
 		}
 	}
 	es.End()
-	es.SetRows(int64(len(order)), int64(len(order)))
+	es.SetRows(int64(len(part.order)), int64(len(part.order)))
 	return nil
-}
-
-// isCancelled reports whether err is the engine's typed cancellation error —
-// the shape sibling workers fail with after a fan-out cancel.
-func isCancelled(err error) bool {
-	var c *engine.CancelledError
-	return errors.As(err, &c)
 }

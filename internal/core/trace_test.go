@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -102,6 +103,38 @@ func TestTracedHashPivotWorkers(t *testing.T) {
 	}
 	if pivot.Find("emit ") == nil {
 		t.Errorf("no emit span under pivot step:\n%s", pivot.Format())
+	}
+}
+
+// TestHashPivotSeqFallbackCounted: the pivot decides its worker count at the
+// engine's one decision site, so an auto-mode scan under the row threshold
+// counts in engine.agg.seq_fallback like any fold, and runs as one
+// "pivot fold".
+func TestHashPivotSeqFallbackCounted(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := newSalesPlanner(t)
+	sel, err := parseSelect(`SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Hpct.HashPivot = true
+	opts.Parallelism = 0
+	plan, err := p.Plan(sel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fallback := obs.Default.Counter("engine.agg.seq_fallback")
+	before := fallback.Value()
+	_, root, err := p.ExecuteTraced(plan)
+	if err != nil {
+		t.Fatalf("ExecuteTraced: %v", err)
+	}
+	if got := fallback.Value() - before; got != 1 {
+		t.Errorf("engine.agg.seq_fallback moved by %d, want 1", got)
+	}
+	if root.Find("pivot fold") == nil || root.Find("partition fan-out") != nil {
+		t.Errorf("want one sequential pivot fold:\n%s", root.Format())
 	}
 }
 

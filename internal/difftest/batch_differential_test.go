@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -9,17 +10,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/workload"
 )
 
-// CompareBatch proves the vectorized batch path equivalent to the scalar
-// fold on one query: the reference runs with batch kernels disabled at P=1,
-// every candidate runs with them enabled at each parallelism in ps. Results
-// must be identical by Equal's exact, kind-sensitive comparison, and errors
-// must be deterministic: if the scalar reference errors, every batch run
-// must error too (and vice versa). The engine is left with batch enabled.
+// CompareBatch proves the fold operator equivalent to the sequential
+// reference fold on one query: the reference runs with SetBatch(false) at
+// P=1, every candidate runs through the operator at each parallelism in ps.
+// Results must be identical by Equal's exact, kind-sensitive comparison, and
+// errors must be deterministic: if the reference errors, every operator run
+// must fail with the same error text (Run's "execute (P=n)" wrapper aside),
+// and vice versa. The engine is left with the operator enabled.
 func CompareBatch(p *core.Planner, sql string, opts core.Options, ps []int) error {
 	p.Eng.SetBatch(false)
 	ref, refErr := Run(p, sql, opts, 1)
@@ -30,7 +33,7 @@ func CompareBatch(p *core.Planner, sql string, opts core.Options, ps []int) erro
 			return fmt.Errorf("difftest: %s: batch P=%d err=%v, scalar err=%v", sql, par, err, refErr)
 		}
 		if refErr != nil {
-			if refErr.Error() != err.Error() {
+			if errors.Unwrap(refErr).Error() != errors.Unwrap(err).Error() {
 				return fmt.Errorf("difftest: %s: batch P=%d error %q, scalar error %q", sql, par, err, refErr)
 			}
 			continue
@@ -122,8 +125,8 @@ func primaryPlanner(t *testing.T) *core.Planner {
 	return core.NewPlanner(engine.New(cat))
 }
 
-// primaryShapes renders the eight primary queries' Vpct and Hpct SQL.
-func primaryShapes() []struct{ vpct, hpct string } {
+// primaryShapes renders the eight primary queries' Vpct, Hpct and Hagg SQL.
+func primaryShapes() []struct{ vpct, hpct, hagg string } {
 	type primary struct {
 		dataset, measure string
 		totals, by       []string
@@ -138,10 +141,10 @@ func primaryShapes() []struct{ vpct, hpct string } {
 		{"sales", "salesAmt", []string{"dweek", "monthNo"}, []string{"dept"}},
 		{"sales", "salesAmt", []string{"dweek", "monthNo"}, []string{"dept", "store"}},
 	}
-	var out []struct{ vpct, hpct string }
+	var out []struct{ vpct, hpct, hagg string }
 	for _, q := range primaries {
 		all := append(append([]string{}, q.totals...), q.by...)
-		var s struct{ vpct, hpct string }
+		var s struct{ vpct, hpct, hagg string }
 		if len(q.totals) == 0 {
 			s.vpct = fmt.Sprintf("SELECT %s, Vpct(%s) FROM %s GROUP BY %s",
 				strings.Join(q.by, ", "), q.measure, q.dataset, strings.Join(q.by, ", "))
@@ -155,6 +158,7 @@ func primaryShapes() []struct{ vpct, hpct string } {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
+		s.hagg = strings.Replace(s.hpct, "Hpct(", "sum(", 1)
 		out = append(out, s)
 	}
 	return out
@@ -175,21 +179,97 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 	}
 }
 
+// foldShapes are the plain GROUP BY shapes the operator covers beyond bare
+// column keys and arguments: computed keys (by select-list position), CASE
+// and arithmetic arguments, and arguments that fail on some or all rows —
+// sum() over a VARCHAR column, arithmetic on a VARCHAR inside an argument
+// reached only by some rows — whose error text must match the reference's at
+// every parallelism. Division by zero inside an argument is not an error in
+// this dialect (it yields NULL); the shape is here for that rule, under
+// order-insensitive aggregates because a partitioned sum of inexact
+// quotients may round differently.
+var foldShapes = []string{
+	"SELECT d1 + d2, sum(a), count(*) FROM f GROUP BY 1",
+	"SELECT CASE WHEN d2 = 0 THEN 'zero' ELSE d3 END, min(a), max(a) FROM f GROUP BY 1",
+	"SELECT d3, d1 * 10 + d2, count(DISTINCT a), avg(a) FROM f GROUP BY d3, 2",
+	"SELECT d1, sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(a * 2 + d2), avg(a - d1) FROM f GROUP BY d1",
+	"SELECT d1 + d2, sum(CASE WHEN d3 = 'x' THEN a END) FROM f WHERE d2 = 1 GROUP BY 1",
+	"SELECT d1, count(10 / d2), min(10 / d2), max(a / d2) FROM f GROUP BY d1",
+	"SELECT d1, sum(d3) FROM f GROUP BY d1",
+	"SELECT d1, count(*), sum(CASE WHEN d2 = 3 THEN a * d3 ELSE a END) FROM f GROUP BY d1",
+	"SELECT d1 + d2, max(a + d3) FROM f WHERE 10 / d2 > 2 GROUP BY 1",
+}
+
+// TestFoldOperatorCoversPrimaryShapes pins ROADMAP item 2's exit criterion:
+// the eight primary queries as Vpct, Hpct (CASE from F) and Hagg (CASE), a
+// computed-key GROUP BY and a join-fed GROUP BY all run every fold through
+// the operator — batch.fallbacks does not move, batch.folds does — and
+// return exactly the rows of the SetBatch(false) reference.
+func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
+	p := primaryPlanner(t)
+	type shape struct {
+		sql  string
+		opts core.Options
+	}
+	shapes := []shape{
+		{"SELECT age / 10, marstatus, sum(salary), count(*) FROM employee GROUP BY 1, marstatus", core.Options{}},
+		{"SELECT s.dweek, sum(s.salesAmt), count(*) FROM sales s, sales d WHERE s.transactionId = d.transactionId GROUP BY s.dweek", core.Options{}},
+	}
+	for _, q := range primaryShapes() {
+		shapes = append(shapes,
+			shape{q.vpct, core.DefaultOptions()},
+			shape{q.hpct, core.Options{}},
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}})
+	}
+	folds, fallbacks := obs.Default.Counter("batch.folds"), obs.Default.Counter("batch.fallbacks")
+	for _, sh := range shapes {
+		p.Eng.SetBatch(false)
+		ref, err := Run(p, sh.sql, sh.opts, 1)
+		p.Eng.SetBatch(true)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", sh.sql, err)
+		}
+		for _, par := range Parallelisms {
+			f0, fb0 := folds.Value(), fallbacks.Value()
+			got, err := Run(p, sh.sql, sh.opts, par)
+			if err != nil {
+				t.Fatalf("%s: P=%d: %v", sh.sql, par, err)
+			}
+			if d := fallbacks.Value() - fb0; d != 0 {
+				t.Errorf("%s: P=%d: batch.fallbacks moved by %d, want 0", sh.sql, par, d)
+			}
+			if d := folds.Value() - f0; d <= 0 {
+				t.Errorf("%s: P=%d: batch.folds moved by %d, want > 0", sh.sql, par, d)
+			}
+			if diff := Equal(ref, got); diff != "" {
+				t.Errorf("%s: P=%d diverges from the reference: %s", sh.sql, par, diff)
+			}
+		}
+	}
+}
+
 // TestDifferentialBatchRandomizedProperty runs seeded random fact tables —
 // NULLs in measures and dimensions, signed measures, string dimensions —
-// through the batch and scalar paths for every property query shape. On the
-// first divergence it shrinks the table with ddmin and fails with a
-// standalone SQL reproducer.
+// through the operator and the reference for every property query shape and
+// every fold shape. On the first divergence it shrinks the table with ddmin
+// and fails with a standalone SQL reproducer.
 func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	trials := 6
 	if testing.Short() {
 		trials = 2
 	}
+	queries := propertyQueries
+	for _, sql := range foldShapes {
+		queries = append(queries[:len(queries):len(queries)], struct {
+			sql  string
+			opts core.Options
+		}{sql, core.Options{}})
+	}
 	for trial := 0; trial < trials; trial++ {
 		rows := randTableRows(rng, 200+rng.Intn(400))
 		p := plannerFor(t, rows)
-		for qi, q := range propertyQueries {
+		for qi, q := range queries {
 			err := CompareBatch(p, q.sql, q.opts, Parallelisms)
 			if err == nil {
 				continue

@@ -278,13 +278,14 @@ type groupState struct {
 	accs    []accumulator
 }
 
-// hashAggregateSeq is the sequential aggregation fold: it consumes the input
+// hashAggregateSeq is the sequential reference fold (selected by
+// SetBatch(false) or a core.batch fault; see fold.go): it consumes the input
 // and produces one output row per group — the group-key values followed by
 // one aggregate result per spec. keyExprs are bound against the input
 // schema. With no keys, a single global group is produced even for empty
 // input (SQL semantics for aggregates without GROUP BY). Output rows follow
-// the first-appearance order of their groups in the input; the parallel path
-// (parallel.go) reproduces exactly this order.
+// the first-appearance order of their groups in the input; the fold operator
+// (fold.go) reproduces exactly this order at any parallelism.
 // gov, when non-nil, charges group creation against MaxGroups and checks
 // cancellation every govStride input rows (base-table inputs also check in
 // the scan; this covers materialized inputs).

@@ -23,8 +23,11 @@ var fuzzFoldSchema = storage.Schema{
 
 // fuzzFoldQueries sweep the five aggregates (sum, count, min, max, count
 // DISTINCT, plus avg) over int, float, string, and bool columns, the
-// int-key and string-key group paths, error-free and erroring WHERE
-// clauses, and shapes the batch planner must refuse (sum over bool).
+// int-key and string-key group paths, vectorized and interleaved WHERE
+// clauses, computed keys (by select-list position), CASE and arithmetic
+// arguments, and arguments that error on every row (sum over bool or
+// VARCHAR) or only on some (arithmetic on a VARCHAR behind a CASE arm),
+// whose error text must match the reference's.
 var fuzzFoldQueries = []string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -34,6 +37,11 @@ var fuzzFoldQueries = []string{
 	"SELECT d1, count(*) FROM f WHERE 10 / d2 > 2 GROUP BY d1",
 	"SELECT c, sum(a), min(d3) FROM f WHERE d1 IS NULL GROUP BY c",
 	"SELECT d1, sum(c) FROM f GROUP BY d1",
+	"SELECT d1 * 3 + d2, count(*), sum(a) FROM f GROUP BY 1",
+	"SELECT CASE WHEN c THEN d3 ELSE 'f' END, d2, min(b), max(a) FROM f GROUP BY 1, d2",
+	"SELECT d1, sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(a * 2 - d2), count(10 / d2) FROM f GROUP BY d1",
+	"SELECT d2, min(d3), sum(d3) FROM f GROUP BY d2",
+	"SELECT d1, count(a), sum(CASE WHEN d2 = 2 THEN a + d3 ELSE a END) FROM f WHERE d1 IS NOT NULL GROUP BY d1",
 }
 
 func fuzzFoldRow(rng *rand.Rand) []value.Value {
@@ -82,15 +90,16 @@ func fuzzResultDiff(a, b *Result) string {
 	return ""
 }
 
-// FuzzBatchFoldEquivalence proves batched folds ≡ scalar folds: a seeded
-// random typed table (NULLs included) runs one aggregation query with the
-// batch kernels off at P=1 (the reference) and on at a fuzzed parallelism;
-// results must be byte-identical and errors must match exactly.
+// FuzzBatchFoldEquivalence proves the fold operator ≡ the reference fold: a
+// seeded random typed table (NULLs included) runs one aggregation query
+// through the sequential reference at P=1 and through the operator at a
+// fuzzed parallelism; results must be byte-identical and errors must match
+// exactly.
 func FuzzBatchFoldEquivalence(f *testing.F) {
 	for q := range fuzzFoldQueries {
 		f.Add(int64(q)*7919+1, uint16(900+137*q), uint8(q), uint8(q%3))
 	}
-	f.Add(int64(-42), uint16(0), uint8(0), uint8(2))    // empty-ish table
+	f.Add(int64(-42), uint16(0), uint8(0), uint8(2))     // empty-ish table
 	f.Add(int64(1234), uint16(3000), uint8(5), uint8(1)) // many batches, erroring pred
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, q uint8, par uint8) {
 		rows := int(n) % 3000

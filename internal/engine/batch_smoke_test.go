@@ -6,9 +6,9 @@ import (
 	"repro/internal/storage"
 )
 
-// TestBatchPathFires pins that the demo-shaped GROUP BY actually takes the
-// vectorized path (guarding against silent eligibility regressions) and
-// that SetBatch(false) routes around it.
+// TestBatchPathFires pins that a GROUP BY runs through the fold operator
+// (batch.folds) and that SetBatch(false) routes it to the reference instead,
+// counted in batch.fallbacks.
 func TestBatchPathFires(t *testing.T) {
 	cat := storage.NewCatalog()
 	e := New(cat)
@@ -26,10 +26,13 @@ func TestBatchPathFires(t *testing.T) {
 		t.Fatalf("batch.folds went %d -> %d, want one vectorized fold", before, after)
 	}
 	e.SetBatch(false)
-	fallBefore := mBatchFolds.Value()
+	foldsBefore, fallbacksBefore := mBatchFolds.Value(), mBatchFallbacks.Value()
 	mustExec(`SELECT g, sum(v) FROM s GROUP BY g`)
-	if after := mBatchFolds.Value(); after != fallBefore {
-		t.Fatalf("SetBatch(false) still ran the batch kernel")
+	if after := mBatchFolds.Value(); after != foldsBefore {
+		t.Fatalf("SetBatch(false) still ran the fold operator")
+	}
+	if after := mBatchFallbacks.Value(); after != fallbacksBefore+1 {
+		t.Fatalf("batch.fallbacks went %d -> %d, want one reference fold", fallbacksBefore, after)
 	}
 	if !e.BatchEnabled() {
 		e.SetBatch(true)

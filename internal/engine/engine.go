@@ -39,8 +39,8 @@ type Engine struct {
 	// intro is the introspection state (nil = off); see introspect.go.
 	// Atomic so enabling/disabling races safely with statements in flight.
 	intro atomic.Pointer[introState]
-	// batchOff disables the vectorized aggregation fast path (batch.go).
-	// Stored inverted so the zero value is "batch on"; atomic for the same
+	// batchOff sends every fold to the sequential reference instead of the
+	// fold operator (fold.go). Stored inverted so the zero value is "on"; atomic for the same
 	// concurrent-submitter reason as par.
 	batchOff atomic.Bool
 	// virt maps lowercased names to registered read-only virtual relations
@@ -116,12 +116,13 @@ func (e *Engine) SetParallelism(p int) { e.par.Store(int32(p)) }
 // Parallelism returns the engine's default parallelism.
 func (e *Engine) Parallelism() int { return int(e.par.Load()) }
 
-// SetBatch toggles the vectorized batch-execution fast path (on by
-// default). Off forces every statement down the row-at-a-time scalar path
-// — the reference the differential suite and pctbench compare against.
+// SetBatch toggles the fold operator (on by default). Off sends every
+// GROUP BY to the row-at-a-time sequential reference fold, on one worker
+// whatever the parallelism — the reference the differential suite and
+// pctbench compare against.
 func (e *Engine) SetBatch(on bool) { e.batchOff.Store(!on) }
 
-// BatchEnabled reports whether the vectorized fast path is enabled.
+// BatchEnabled reports whether the fold operator is enabled.
 func (e *Engine) BatchEnabled() bool { return !e.batchOff.Load() }
 
 // Catalog returns the engine's catalog.

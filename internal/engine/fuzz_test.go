@@ -13,20 +13,20 @@ import (
 // stream, and arbitrary partition split points. Folding the whole stream
 // into one accumulator must agree exactly with folding each partition into
 // its own accumulator and merging the partials in partition order — the
-// invariant hashAggregateParallel relies on for every group.
+// invariant the partitioned fold (FoldPartitions) relies on for every group.
 //
 // Value construction keeps sums exact so equality can be asserted without
 // tolerance: integers are small, and floats are eighths (k/8) of bounded
 // magnitude, so every partial sum is exactly representable and no addition
 // order can round differently.
 func FuzzParallelMergeEquivalence(f *testing.F) {
-	f.Add([]byte{0x00, 0x01, 0x8a, 0x01, 0x94, 0x81, 0x9e})          // sum: ints with a split
-	f.Add([]byte{0x03, 0x04, 0x41, 0x84, 0x41, 0x02, 0x42})          // count distinct: dup across split
+	f.Add([]byte{0x00, 0x01, 0x8a, 0x01, 0x94, 0x81, 0x9e})             // sum: ints with a split
+	f.Add([]byte{0x03, 0x04, 0x41, 0x84, 0x41, 0x02, 0x42})             // count distinct: dup across split
 	f.Add([]byte{0x04, 0x03, 0x88, 0x83, 0x90, 0x00, 0x00, 0x01, 0x7f}) // avg: floats, a NULL, an int
-	f.Add([]byte{0x05, 0x04, 0x5a, 0x81, 0x05, 0x84, 0x41})          // min: strings vs ints across splits
-	f.Add([]byte{0x01, 0x00, 0x00, 0x80, 0x00, 0x80, 0x00})          // count(*): NULLs still count
-	f.Add([]byte{0x02, 0x03, 0x10})                                  // count(x): single float
-	f.Add([]byte{0x06})                                              // max: empty stream
+	f.Add([]byte{0x05, 0x04, 0x5a, 0x81, 0x05, 0x84, 0x41})             // min: strings vs ints across splits
+	f.Add([]byte{0x01, 0x00, 0x00, 0x80, 0x00, 0x80, 0x00})             // count(*): NULLs still count
+	f.Add([]byte{0x02, 0x03, 0x10})                                     // count(x): single float
+	f.Add([]byte{0x06})                                                 // max: empty stream
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -230,7 +230,7 @@ type hashJoin struct {
 	batchOK   bool
 	fastProbe int8
 	probeScan *tableScan
-	probeGet  []colGetter
+	probeGet  []func(row int) value.Value
 	curBuf    []value.Value
 }
 
@@ -263,7 +263,7 @@ func (j *hashJoin) initFastProbe() {
 		return
 	}
 	for _, p := range j.pairs {
-		j.probeGet = append(j.probeGet, columnGetter(scan.tab, p.leftIdx))
+		j.probeGet = append(j.probeGet, scan.tab.CellGetter(p.leftIdx))
 	}
 	j.probeScan = scan
 	j.fastProbe = 1

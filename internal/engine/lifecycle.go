@@ -41,10 +41,10 @@ type Limits struct {
 	// MaxPivotColumns caps horizontal (Hpct/Hagg) result columns; the core
 	// planner enforces it at plan time, before any evaluation runs.
 	MaxPivotColumns int
-	// MaxBytes caps the approximate bytes of materialized values. Parallel
-	// aggregation degrades to the sequential fold when its partial states
-	// would press the remaining budget (counted in engine.agg.budget_fallback)
-	// before the cap fails the statement.
+	// MaxBytes caps the approximate bytes of materialized values. A fan-out
+	// over a materialized input degrades to one worker when its partial
+	// states would press the remaining budget (counted in
+	// engine.agg.budget_fallback) before the cap fails the statement.
 	MaxBytes int64
 	// Timeout, when positive, is applied as a per-statement deadline.
 	Timeout time.Duration
@@ -157,8 +157,8 @@ func (e *LimitError) Code() string { return e.PCTCode }
 // goroutine, a native plan step, or the dispatch itself — contained into an
 // error so one poisoned statement cannot kill concurrent submitters.
 type PanicError struct {
-	// Point says where the panic was recovered ("statement", "partition
-	// worker 2/4", "pivot worker 1/8", "step ...").
+	// Point says where the panic was recovered ("statement dispatch",
+	// "partition worker 2/4", "step ...").
 	Point string
 	// Value is the recovered panic value.
 	Value any
@@ -178,7 +178,7 @@ func (e *PanicError) Code() string { return diag.CodePanic }
 // capturing the current stack and counting it in engine.panics. Exported for
 // the core package's native plan steps, which recover on their own
 // goroutines. Construction is the single counting site, so every containment
-// path — dispatch, partition worker, pivot worker, native step — bumps the
+// path — dispatch, partition worker, native step — bumps the
 // metric exactly once.
 func NewPanicError(point string, v any) *PanicError {
 	mPanics.Inc()
@@ -220,8 +220,8 @@ func newGovernor(ctx context.Context, lim Limits) *governor {
 // withCtx derives a governor under a different context (the per-fan-out
 // cancel context) that shares the statement's counters and limits.
 func (g *governor) withCtx(ctx context.Context) *governor {
-	if g == nil {
-		return nil
+	if g == nil || ctx == g.ctx {
+		return g
 	}
 	return &governor{ctx: ctx, lim: g.lim, c: g.c}
 }

@@ -82,7 +82,7 @@ func TestCancelBoundedRows(t *testing.T) {
 	}
 	specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum, Arg: expr.QCol("", "v")}, arg: argExpr}}
 
-	_, err = hashAggregateSeq(scan, []expr.Expr{keyExpr}, specs, gov)
+	_, err = hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov, batch: true})
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CancelledError", err)
@@ -213,24 +213,85 @@ func TestCancelledDMLLeavesTableUntouched(t *testing.T) {
 	}
 }
 
-// TestWorkerErrorDeterministic: with a governor installed, the parallel
-// fan-out reports the lowest partition's real error even though siblings are
-// cancelled racing it.
+// countPart is a minimal Partial for driving FoldPartitions directly.
+type countPart struct{ rows int }
+
+func (p *countPart) Len() int { return p.rows }
+
+func (p *countPart) Absorb(from *countPart) error {
+	p.rows += from.rows
+	return nil
+}
+
+// TestWorkerErrorDeterministic: the fan-out reports the lowest partition's
+// real error even though siblings are cancelled racing it, and a sibling
+// cancellation only when nothing else failed.
 func TestWorkerErrorDeterministic(t *testing.T) {
-	parts := []partResult{
-		{err: &CancelledError{cause: context.Canceled}},
-		{err: fmt.Errorf("boom in partition 2")},
-		{err: &CancelledError{cause: context.Canceled}},
+	defer leakcheck.Check(t)()
+	run := func(fail map[int]error) (*countPart, error) {
+		part, _, err := FoldPartitions(context.Background(), nil, "fold", 3, 30,
+			func(ctx context.Context, lo, hi int) (*countPart, error) {
+				if err := fail[lo/10]; err != nil {
+					return nil, err
+				}
+				return &countPart{rows: hi - lo}, nil
+			})
+		return part, err
 	}
-	if err := workerError(parts); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("workerError = %v, want the real error", err)
-	}
-	parts = []partResult{
-		{err: &CancelledError{cause: context.Canceled}},
-		{},
+	cancelled := &CancelledError{cause: context.Canceled}
+	_, err := run(map[int]error{0: cancelled, 1: fmt.Errorf("boom in partition 2"), 2: fmt.Errorf("boom in partition 3")})
+	if err == nil || !strings.Contains(err.Error(), "boom in partition 2") {
+		t.Errorf("FoldPartitions = %v, want the lowest partition's real error", err)
 	}
 	var ce *CancelledError
-	if err := workerError(parts); !errors.As(err, &ce) {
-		t.Errorf("workerError = %v, want the cancellation when nothing else failed", err)
+	if _, err := run(map[int]error{0: cancelled}); !errors.As(err, &ce) {
+		t.Errorf("FoldPartitions = %v, want the cancellation when nothing else failed", err)
+	}
+	part, err := run(nil)
+	if err != nil || part.rows != 30 {
+		t.Errorf("FoldPartitions = %+v, %v; want all 30 rows merged", part, err)
+	}
+}
+
+// TestFoldLimitsParity: a fold over a stored table never materializes its
+// input, so MaxRows/MaxBytes treat it the same at P=1 and P=8 — computed
+// arguments included — while a join-fed fold still pays for the copy it
+// needs to fan out, with the same typed codes as ever.
+func TestFoldLimitsParity(t *testing.T) {
+	defer leakcheck.Check(t)()
+	e := New(storage.NewCatalog())
+	tab := bigGroupTable(t, 3000)
+	e.Catalog().Put(tab)
+	mustExec(t, e, `CREATE TABLE dim (g INTEGER, w INTEGER);
+		INSERT INTO dim VALUES (0,1),(1,2),(2,3),(3,4),(4,5),(5,6),(6,7),(7,8)`)
+	tight := WithLimits(context.Background(), Limits{MaxRows: 100, MaxBytes: 4096})
+
+	const bare = "SELECT g, sum(v * 2 + g), count(*) FROM big WHERE v >= 0 GROUP BY g"
+	ref, err := e.ExecSQLCtxP(tight, bare, 1)
+	if err != nil {
+		t.Fatalf("P=1 under tight limits: %v", err)
+	}
+	got, err := e.ExecSQLCtxP(tight, bare, 8)
+	if err != nil {
+		t.Fatalf("P=8 under tight limits: %v (a stored table must not be materialized)", err)
+	}
+	sameResult(t, "bare-table fold P=8 vs P=1", ref, got)
+
+	const joined = "SELECT a.g, sum(a.v * b.w) FROM big a, dim b WHERE a.g = b.g GROUP BY a.g"
+	if _, err := e.ExecSQLCtxP(tight, joined, 1); err != nil {
+		t.Fatalf("join-fed fold at P=1 drains its input and must fit: %v", err)
+	}
+	for _, tc := range []struct {
+		lim  Limits
+		code string
+	}{
+		{Limits{MaxRows: 100}, diag.CodeRowLimit},
+		{Limits{MaxBytes: 4096}, diag.CodeByteBudget},
+	} {
+		_, err := e.ExecSQLCtxP(WithLimits(context.Background(), tc.lim), joined, 8)
+		var le *LimitError
+		if !errors.As(err, &le) || le.Code() != tc.code {
+			t.Errorf("join-fed fold at P=8 under %+v: err = %v, want %s", tc.lim, err, tc.code)
+		}
 	}
 }

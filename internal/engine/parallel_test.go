@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/expr"
@@ -335,4 +336,32 @@ func TestAccumulatorMergeSemantics(t *testing.T) {
 			t.Fatal("min ← max merge should fail")
 		}
 	})
+}
+
+// TestSeqFallbackCountedOnce pins engine.agg.seq_fallback to the one decision
+// site: an auto-mode (P=0) fold under the 8192-row threshold counts exactly
+// once whether a stored table or a join feeds it; forced and sequential
+// settings never count.
+func TestSeqFallbackCountedOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := newTestEngine(t)
+	const tableFed = "SELECT state, sum(salesAmt * 2) FROM sales GROUP BY state"
+	const joinFed = "SELECT a.state, count(*) FROM sales a, sales b WHERE a.RID = b.RID GROUP BY a.state"
+	for _, tc := range []struct {
+		sql  string
+		par  int
+		want int64
+	}{
+		{tableFed, 0, 1}, {joinFed, 0, 1},
+		{tableFed, 1, 0}, {joinFed, 1, 0},
+		{tableFed, 4, 0}, {joinFed, 4, 0},
+	} {
+		before := mAggSeqFallback.Value()
+		if _, err := e.ExecSQLP(tc.sql, tc.par); err != nil {
+			t.Fatal(err)
+		}
+		if got := mAggSeqFallback.Value() - before; got != tc.want {
+			t.Errorf("P=%d %s: engine.agg.seq_fallback moved by %d, want %d", tc.par, tc.sql, got, tc.want)
+		}
+	}
 }

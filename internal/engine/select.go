@@ -12,7 +12,7 @@ import (
 )
 
 // execSelect plans and runs a SELECT statement. ec.par governs the
-// aggregation path only (see parallel.go); scans, joins, windows, and sorts
+// aggregation path only (see fold.go); scans, joins, windows, and sorts
 // are unchanged by it. When ec.span is set the whole pipeline is
 // instrumented: operators record actual rows and cumulative times, and the
 // consumer stage (project / aggregate / window) attaches its operator
@@ -358,6 +358,10 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 
 	// Resolve group keys to bound expressions over the input schema.
 	keyExprs := make([]expr.Expr, len(sel.GroupBy))
+	// keyOfItem maps a select item named by GROUP BY position to its key
+	// slot: the item may be any expression, so it projects from the slot
+	// instead of being rebound column by column.
+	keyOfItem := make(map[int]int)
 	for i, g := range sel.GroupBy {
 		var raw expr.Expr
 		if g.Position > 0 {
@@ -368,6 +372,7 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 			if expr.HasAggregate(raw) {
 				return nil, fmt.Errorf("engine: GROUP BY position %d refers to an aggregate", g.Position)
 			}
+			keyOfItem[g.Position-1] = i
 		} else {
 			raw = expr.QCol(g.Qualifier, g.Column)
 		}
@@ -468,6 +473,10 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 
 	projected := make([]expr.Expr, len(items))
 	for i, it := range items {
+		if k, ok := keyOfItem[i]; ok {
+			projected[i] = &expr.SlotRef{Index: k, Label: it.Expr.String()}
+			continue
+		}
 		p, err := rebind(it.Expr)
 		if err != nil {
 			return nil, err

@@ -18,7 +18,7 @@ import (
 // and zero allocations.
 
 // execCtx threads per-statement execution state through the engine: the
-// parallelism setting (see parallel.go for its semantics) and the statement
+// parallelism setting (see fold.go for its semantics) and the statement
 // span child stages attach to (nil when tracing is off).
 type execCtx struct {
 	par  int
@@ -33,11 +33,11 @@ type execCtx struct {
 	inspect *selInspect
 	// rec is the statement's introspection record (nil when introspection is
 	// off or the statement is excluded by the self-observation guard); the
-	// parallel aggregation path marks it (see parallel.go).
+	// fold marks it when it fans out (see fold.go).
 	rec *stmtRec
-	// batch enables the vectorized aggregation fast path (batch.go);
-	// snapshotted from Engine.batch by runStatement so one statement never
-	// mixes paths.
+	// batch selects the fold operator over the sequential reference
+	// (fold.go); snapshotted from Engine.batchOff by runStatement so one
+	// statement never mixes paths.
 	batch bool
 }
 

@@ -401,3 +401,87 @@ func (t *Table) BoolColumn(col int) (vals []bool, isNull func(int) bool, ok bool
 func (t *Table) ColumnNulls(col int) func(int) bool {
 	return t.cols[col].nulls.get
 }
+
+// CellGetter returns a reader that boxes one cell of a column per call. The
+// column's type and vector are resolved here, once, where Get re-dispatches
+// on them for every cell — the saving that matters to loops touching a few
+// columns of many rows (folds, join probes, the hash pivot). The reader sees
+// the rows present when it was built; the engine serializes writers per
+// statement, so a statement's readers never outlive their snapshot.
+func (t *Table) CellGetter(col int) func(row int) value.Value {
+	c := t.cols[col]
+	nulls := &c.nulls
+	switch c.typ {
+	case TypeInt:
+		ints := c.ints
+		return func(r int) value.Value {
+			if nulls.get(r) {
+				return value.Null
+			}
+			return value.NewInt(ints[r])
+		}
+	case TypeFloat:
+		flts := c.flts
+		return func(r int) value.Value {
+			if nulls.get(r) {
+				return value.Null
+			}
+			return value.NewFloat(flts[r])
+		}
+	case TypeString:
+		strs := c.strs
+		return func(r int) value.Value {
+			if nulls.get(r) {
+				return value.Null
+			}
+			return value.NewString(strs[r])
+		}
+	default:
+		bools := c.bools
+		return func(r int) value.Value {
+			if nulls.get(r) {
+				return value.Null
+			}
+			return value.NewBool(bools[r])
+		}
+	}
+}
+
+// RowView is a lazy view of one stored row for expression evaluation (it
+// satisfies expr.Row): a cell is boxed through its column's CellGetter the
+// first time an expression reads it and cached until the view moves to
+// another row, so a 50-term CASE list over one column costs one typed read
+// per row, and columns no expression touches cost nothing. A view is
+// single-goroutine scratch; parallel workers each build their own.
+type RowView struct {
+	tab  *Table
+	row  int
+	get  []func(int) value.Value // per column, built on first use
+	vals []value.Value
+	at   []int // row each cached cell was read from; -1 = none
+}
+
+// NewRowView returns a view positioned on row 0.
+func (t *Table) NewRowView() *RowView {
+	n := len(t.cols)
+	v := &RowView{tab: t, get: make([]func(int) value.Value, n), vals: make([]value.Value, n), at: make([]int, n)}
+	for i := range v.at {
+		v.at[i] = -1
+	}
+	return v
+}
+
+// Seek moves the view to row r.
+func (v *RowView) Seek(r int) { v.row = r }
+
+// ColumnValue returns column i of the current row.
+func (v *RowView) ColumnValue(i int) value.Value {
+	if v.at[i] != v.row {
+		if v.get[i] == nil {
+			v.get[i] = v.tab.CellGetter(i)
+		}
+		v.vals[i] = v.get[i](v.row)
+		v.at[i] = v.row
+	}
+	return v.vals[i]
+}

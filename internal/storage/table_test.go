@@ -246,6 +246,48 @@ func TestRawColumnAccessors(t *testing.T) {
 	}
 }
 
+// TestCellGetterAndRowView: the typed getter and the lazy row view return
+// exactly what Get returns for every column type, NULLs included, and the
+// view follows Seek instead of serving a stale cached cell.
+func TestCellGetterAndRowView(t *testing.T) {
+	tb, err := NewTable("t", Schema{
+		{Name: "i", Type: TypeInt}, {Name: "f", Type: TypeFloat},
+		{Name: "s", Type: TypeString}, {Name: "b", Type: TypeBool},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]value.Value{
+		{value.NewInt(7), value.NewFloat(1.5), value.NewString("x"), value.NewBool(true)},
+		{value.Null, value.Null, value.Null, value.Null},
+		{value.NewInt(-1), value.NewFloat(0), value.NewString(""), value.NewBool(false)},
+	}
+	for _, r := range rows {
+		if _, err := tb.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b value.Value) bool {
+		return a.IsNull() == b.IsNull() && (a.IsNull() || a.Kind() == b.Kind() && value.Compare(a, b) == 0)
+	}
+	view := tb.NewRowView()
+	for c := 0; c < tb.NumCols(); c++ {
+		get := tb.CellGetter(c)
+		for _, r := range []int{0, 1, 2, 0} {
+			view.Seek(r)
+			want := tb.Get(r, c)
+			if got := get(r); !same(got, want) {
+				t.Errorf("CellGetter(%d)(%d) = %v, want %v", c, r, got, want)
+			}
+			for pass := 0; pass < 2; pass++ { // second read hits the cache
+				if got := view.ColumnValue(c); !same(got, want) {
+					t.Errorf("RowView row %d col %d (read %d) = %v, want %v", r, c, pass, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSchemaHelpers(t *testing.T) {
 	s := testSchema()
 	if s.ColumnIndex("CITY") != 1 {
