@@ -1,11 +1,11 @@
 // Chaos coverage for the fold operator's gate: the core.batch fault point
-// fires before the engine's fold operator and before the hash pivot's
-// fan-out. Its contract differs from the other points on the error kind —
-// an injected error must NOT fail the query; execution silently falls back
-// to the sequential reference (hashAggregateSeq, or a one-worker pivot) and
-// still returns the exact result, counting the fallback. Panic and delay follow
-// the standard matrix contract: typed PCT206 containment and pure latency.
-// Run with -race; the CI chaos shard does.
+// fires before the engine's fold operator — which also runs the hash pivot's
+// Fk step. Its contract differs from the other points on the error kind — an
+// injected error must NOT fail the query; execution silently falls back to
+// the sequential reference (hashAggregateSeq) and still returns the exact
+// result, counting the fallback. Panic and delay follow the standard matrix
+// contract: typed PCT206 containment and pure latency. Run with -race; the CI
+// chaos shard does.
 package chaos_test
 
 import (
@@ -21,15 +21,15 @@ import (
 	"repro/pctagg"
 )
 
-// batchScenario drives one batch kernel gate: the engine fold or the
-// hash-pivot scan. wantRows is the exact expected result, checked on the
-// error kind to prove the scalar fallback computed the real answer.
+// batchScenario drives the fold gate through one plan shape: a plain GROUP
+// BY or the hash pivot's Fk step. wantRows is the exact expected result,
+// checked on the error kind to prove the scalar fallback computed the real
+// answer.
 type batchScenario struct {
-	name        string
-	prep        func(db *pctagg.DB)
-	sql         string
-	wantRows    map[string]int64
-	fallbackCtr string
+	name     string
+	prep     func(db *pctagg.DB)
+	sql      string
+	wantRows map[string]int64
 }
 
 var batchScenarios = []batchScenario{
@@ -40,7 +40,6 @@ var batchScenarios = []batchScenario{
 			"CA": 13 + 3 + 67 + 23,
 			"TX": 5 + 35 + 10 + 14 + 53 + 32,
 		},
-		fallbackCtr: "batch.fallbacks",
 	},
 	{
 		name: "pivot",
@@ -52,7 +51,6 @@ var batchScenarios = []batchScenario{
 			"CA": 0, // presence-checked only; cross-tab cells checked below
 			"TX": 0,
 		},
-		fallbackCtr: "batch.pivot.fallbacks",
 	},
 }
 
@@ -74,7 +72,7 @@ func runBatchScenario(t *testing.T, sc batchScenario, kind string) {
 		f.Delay = 20 * time.Millisecond
 	}
 	panicsBefore := metricValue(t, db, "engine.panics")
-	fallbackBefore := metricValue(t, db, sc.fallbackCtr)
+	fallbackBefore := metricValue(t, db, "batch.fallbacks")
 	chaos.Enable()
 	defer chaos.Disable()
 	chaos.Arm(chaos.CoreBatch, f)
@@ -107,8 +105,8 @@ func runBatchScenario(t *testing.T, sc batchScenario, kind string) {
 				t.Errorf("fallback sum for %s = %v, want %d", state, r[1], want)
 			}
 		}
-		if after := metricValue(t, db, sc.fallbackCtr); after <= fallbackBefore {
-			t.Errorf("%s = %v, want > %v (the fallback must be counted)", sc.fallbackCtr, after, fallbackBefore)
+		if after := metricValue(t, db, "batch.fallbacks"); after <= fallbackBefore {
+			t.Errorf("batch.fallbacks = %v, want > %v (the fallback must be counted)", after, fallbackBefore)
 		}
 	case "panic":
 		if err == nil {

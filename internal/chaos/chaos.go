@@ -34,23 +34,24 @@ const (
 	// JoinBuild fires inside buildSide.ensure, before the hash table of a
 	// join build side is constructed.
 	JoinBuild = "engine.join.build"
-	// AggWorker fires at the start of each partition worker of
-	// engine.FoldPartitions (GROUP BY folds and the hash pivot); HitN passes
-	// the worker index so faults can target worker k.
+	// AggWorker fires at the start of each partition worker of the engine's
+	// fold fan-out; HitN passes the worker index so faults can target
+	// worker k.
 	AggWorker = "engine.agg.worker"
 	// AggMerge fires at the start of that helper's merge, after every
 	// worker has finished.
 	AggMerge = "engine.agg.merge"
-	// PivotAlloc fires each time the native hash-pivot allocates a new
-	// group (the paper's "exceeds the maximum number of columns" failure
-	// neighborhood: per-group cell arrays are the pivot's big allocation).
+	// PivotAlloc fires each time the hash pivot's placement step allocates
+	// a new FH row (the paper's "exceeds the maximum number of columns"
+	// failure neighborhood: per-row cell arrays are the pivot's big
+	// allocation).
 	PivotAlloc = "core.pivot.alloc"
-	// CoreBatch fires at the gate of the fold operator (hash aggregate)
-	// and of the hash pivot's fan-out. An injected error does NOT fail the
-	// query: execution silently falls back to the sequential reference —
-	// hashAggregateSeq for a GROUP BY, one worker for the pivot — counted
-	// in batch.fallbacks / batch.pivot.fallbacks. Panics propagate to the
-	// statement containment and surface as typed PCT206 errors.
+	// CoreBatch fires at the gate of the fold operator (every GROUP BY,
+	// SELECT DISTINCT and hash-pivot Fk step). An injected error does NOT
+	// fail the query: execution silently falls back to the sequential
+	// reference, hashAggregateSeq, counted in batch.fallbacks. Panics
+	// propagate to the statement containment and surface as typed PCT206
+	// errors.
 	CoreBatch = "core.batch"
 	// InsertSink fires before each row is appended to the staging table of
 	// an INSERT; After addresses the Nth row.

@@ -109,7 +109,11 @@ func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error
 			if opts.FromFV || len(terms) != 1 || len(extras) != 0 {
 				return nil, fmt.Errorf("core: HashPivot supports a single BY term evaluated directly from F")
 			}
-			return p.planHaggHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames)
+			if terms[0].call.Distinct {
+				return nil, fmt.Errorf("core: HashPivot does not support count(DISTINCT …)")
+			}
+			p.planHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames)
+			return plan, nil
 		}
 		var vals []hvalue
 		vi := 0

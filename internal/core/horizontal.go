@@ -133,7 +133,11 @@ func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error
 		if len(terms) != 1 {
 			return nil, fmt.Errorf("core: HashPivot supports a single Hpct term")
 		}
-		return p.planHpctHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames, extras, extraNames)
+		if len(extras) > 0 {
+			return nil, fmt.Errorf("core: HashPivot does not support extra aggregate terms")
+		}
+		p.planHashPivot(plan, a, terms[0].call, terms[0].combos, groupNames, valueNames)
+		return plan, nil
 	}
 
 	holder := p.emitHorizontalInserts(plan, a, a.table, groupNames, vals, extraVals,

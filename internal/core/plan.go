@@ -23,8 +23,8 @@ var (
 )
 
 // Step is one statement of a generated plan. Most steps are SQL text; a few
-// optional optimizations (the hash-pivot evaluation of CASE-style
-// transposition, which the paper describes as a query-optimizer change) run
+// (the hash pivot's O(1) placement of Fk rows into FH, which the paper
+// describes as a query-optimizer change, and summary-cache maintenance) run
 // as native steps because they cannot be expressed in standard SQL.
 type Step struct {
 	// Purpose says what the step does, for EXPLAIN-style display.
@@ -267,7 +267,8 @@ type HpctOptions struct {
 	Vpct VpctOptions
 	// HashPivot replaces the N-CASE-per-row evaluation with the O(1)
 	// hash-based search the paper proposes as a query-optimizer
-	// improvement. Runs as a native step.
+	// improvement: the fine aggregate Fk as SQL steps, then one native
+	// placement step.
 	HashPivot bool
 }
 

@@ -67,9 +67,10 @@ func TestExecuteTracedVertical(t *testing.T) {
 	})
 }
 
-// TestTracedHashPivotWorkers checks the native pivot step's span breakdown
-// under forced parallelism: a concurrent fan-out with one span per worker,
-// then merge and emit spans.
+// TestTracedHashPivotWorkers checks the hash-pivot plan's span breakdown
+// under forced parallelism: the Fk step is an ordinary fold — a concurrent
+// fan-out with one span per worker, then merge, under its aggregate span —
+// and the native step emits FH.
 func TestTracedHashPivotWorkers(t *testing.T) {
 	p := newSalesPlanner(t)
 	sel, err := parseSelect(`SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state`)
@@ -87,29 +88,32 @@ func TestTracedHashPivotWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExecuteTraced: %v", err)
 	}
-	pivot := root.Find("hash-pivot")
-	if pivot == nil {
-		t.Fatalf("no hash-pivot step span:\n%s", root.Format())
+	agg := root.Find("compute fine aggregate Fk").Find("aggregate")
+	if agg == nil {
+		t.Fatalf("no aggregate span under the Fk step:\n%s", root.Format())
 	}
-	fan := pivot.Find("partition fan-out")
+	fan := agg.Find("partition fan-out")
 	if fan == nil || !fan.Concurrent {
-		t.Fatalf("no concurrent fan-out under pivot step:\n%s", pivot.Format())
+		t.Fatalf("no concurrent fan-out under the Fk aggregate:\n%s", agg.Format())
 	}
 	if len(fan.Children) != 2 {
-		t.Errorf("pivot worker spans = %d, want 2:\n%s", len(fan.Children), pivot.Format())
+		t.Errorf("Fk worker spans = %d, want 2:\n%s", len(fan.Children), agg.Format())
 	}
-	if pivot.Find("merge") == nil {
-		t.Errorf("no merge span under pivot step:\n%s", pivot.Format())
+	if agg.Find("merge") == nil {
+		t.Errorf("no merge span under the Fk aggregate:\n%s", agg.Format())
 	}
-	if pivot.Find("emit ") == nil {
-		t.Errorf("no emit span under pivot step:\n%s", pivot.Format())
+	pivot := root.Find("hash-pivot")
+	if pivot == nil || pivot.Find("emit ") == nil {
+		t.Errorf("no emit span under the hash-pivot step:\n%s", root.Format())
+	}
+	if n := strings.Count(plan.SQL(), "-- (native step)"); n != 1 {
+		t.Errorf("plan shows %d native steps, want 1:\n%s", n, plan.SQL())
 	}
 }
 
-// TestHashPivotSeqFallbackCounted: the pivot decides its worker count at the
-// engine's one decision site, so an auto-mode scan under the row threshold
-// counts in engine.agg.seq_fallback like any fold, and runs as one
-// "pivot fold".
+// TestHashPivotSeqFallbackCounted: the pivot's scan of F is the Fk step's
+// fold, so in auto mode under the row threshold it counts in
+// engine.agg.seq_fallback like any fold and runs as one "fold".
 func TestHashPivotSeqFallbackCounted(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	p := newSalesPlanner(t)
@@ -133,8 +137,9 @@ func TestHashPivotSeqFallbackCounted(t *testing.T) {
 	if got := fallback.Value() - before; got != 1 {
 		t.Errorf("engine.agg.seq_fallback moved by %d, want 1", got)
 	}
-	if root.Find("pivot fold") == nil || root.Find("partition fan-out") != nil {
-		t.Errorf("want one sequential pivot fold:\n%s", root.Format())
+	fk := root.Find("compute fine aggregate Fk")
+	if fk.Find("fold") == nil || root.Find("partition fan-out") != nil {
+		t.Errorf("want one sequential fold under the Fk step:\n%s", root.Format())
 	}
 }
 

@@ -187,8 +187,20 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 // every parallelism. Division by zero inside an argument is not an error in
 // this dialect (it yields NULL); the shape is here for that rule, under
 // order-insensitive aggregates because a partitioned sum of inexact
-// quotients may round differently.
+// quotients may round differently. SELECT DISTINCT is a fold with keys and no
+// aggregates: bare and computed items, NULL keys, more keys than the
+// fixed-width group key holds, VARCHAR, a join-fed input, window and
+// aggregate output, and ORDER BY + LIMIT on top.
 var foldShapes = []string{
+	"SELECT DISTINCT d1 FROM f",
+	"SELECT DISTINCT d1 + d2, d3 FROM f",
+	"SELECT DISTINCT d1, d2, d3, a, d1 * 4 + d2 FROM f",
+	"SELECT DISTINCT d3 FROM f WHERE d2 = 1",
+	"SELECT DISTINCT d2, d3 FROM f WHERE a > 0 ORDER BY d3 DESC, d2 LIMIT 5",
+	"SELECT DISTINCT x.d1, y.d3 FROM f x, f y WHERE x.a = y.a",
+	"SELECT DISTINCT d1, sum(a) OVER (PARTITION BY d1), count(*) OVER (PARTITION BY d1, d2) FROM f",
+	"SELECT DISTINCT count(*) FROM f GROUP BY d1, d3",
+	"SELECT DISTINCT d3 + 1 FROM f",
 	"SELECT d1 + d2, sum(a), count(*) FROM f GROUP BY 1",
 	"SELECT CASE WHEN d2 = 0 THEN 'zero' ELSE d3 END, min(a), max(a) FROM f GROUP BY 1",
 	"SELECT d3, d1 * 10 + d2, count(DISTINCT a), avg(a) FROM f GROUP BY d3, 2",
@@ -201,10 +213,11 @@ var foldShapes = []string{
 }
 
 // TestFoldOperatorCoversPrimaryShapes pins ROADMAP item 2's exit criterion:
-// the eight primary queries as Vpct, Hpct (CASE from F) and Hagg (CASE), a
-// computed-key GROUP BY and a join-fed GROUP BY all run every fold through
-// the operator — batch.fallbacks does not move, batch.folds does — and
-// return exactly the rows of the SetBatch(false) reference.
+// the eight primary queries as Vpct, Hpct and Hagg (CASE from F, and the
+// hash pivot's Fk fold), a computed-key GROUP BY and a join-fed GROUP BY all
+// run every fold through the operator — batch.fallbacks does not move,
+// batch.folds does — and return exactly the rows of the SetBatch(false)
+// reference.
 func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 	p := primaryPlanner(t)
 	type shape struct {
@@ -219,7 +232,9 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 		shapes = append(shapes,
 			shape{q.vpct, core.DefaultOptions()},
 			shape{q.hpct, core.Options{}},
-			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}})
+			shape{q.hpct, core.Options{Hpct: core.HpctOptions{HashPivot: true}}},
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}}})
 	}
 	folds, fallbacks := obs.Default.Counter("batch.folds"), obs.Default.Counter("batch.fallbacks")
 	for _, sh := range shapes {

@@ -27,7 +27,9 @@ var fuzzFoldSchema = storage.Schema{
 // clauses, computed keys (by select-list position), CASE and arithmetic
 // arguments, and arguments that error on every row (sum over bool or
 // VARCHAR) or only on some (arithmetic on a VARCHAR behind a CASE arm),
-// whose error text must match the reference's.
+// whose error text must match the reference's. The DISTINCT shapes are folds
+// with keys and no aggregates: bare, computed and NULL keys, more than four
+// keys, VARCHAR, a join, window output, ORDER BY + LIMIT.
 var fuzzFoldQueries = []string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -42,6 +44,12 @@ var fuzzFoldQueries = []string{
 	"SELECT d1, sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(a * 2 - d2), count(10 / d2) FROM f GROUP BY d1",
 	"SELECT d2, min(d3), sum(d3) FROM f GROUP BY d2",
 	"SELECT d1, count(a), sum(CASE WHEN d2 = 2 THEN a + d3 ELSE a END) FROM f WHERE d1 IS NOT NULL GROUP BY d1",
+	"SELECT DISTINCT d1 FROM f",
+	"SELECT DISTINCT d3, b / 2 FROM f WHERE d2 = 1",
+	"SELECT DISTINCT d1, d2, d3, c, a - a FROM f",
+	"SELECT DISTINCT x.d1, y.d3 FROM f x, f y WHERE x.a = y.a AND y.d2 = 0",
+	"SELECT DISTINCT d3, sum(a) OVER (PARTITION BY d3), max(b) OVER (PARTITION BY d3, c) FROM f",
+	"SELECT DISTINCT d2, c FROM f WHERE 10 / d2 > 2 ORDER BY c DESC, d2 LIMIT 3",
 }
 
 func fuzzFoldRow(rng *rand.Rand) []value.Value {

@@ -13,7 +13,7 @@ import (
 // for quick iteration. The repository-level bench_test.go holds the
 // paper-table benchmarks.
 
-func benchEngine(b *testing.B, rows int) *Engine {
+func benchEngine(b testing.TB, rows int) *Engine {
 	b.Helper()
 	e := New(storage.NewCatalog())
 	if _, err := e.ExecSQL("CREATE TABLE f (g1 INTEGER, g2 INTEGER, d INTEGER, a INTEGER)"); err != nil {
@@ -106,5 +106,28 @@ func BenchmarkInsertSelect(b *testing.B) {
 		if _, err := e.ExecSQL(sql); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go under -race, where instrumentation
+// changes allocation counts.
+var raceEnabled bool
+
+// TestDistinctAllocBudget is the first allocation budget of ROADMAP item
+// 4(d): the Hpct feedback query's shape. DISTINCT folds straight over the
+// column vectors, so the statement allocates per group and per worker, never
+// per input row.
+func TestDistinctAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := benchEngine(t, 100_000)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := e.ExecSQL("SELECT DISTINCT d FROM f ORDER BY d"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Errorf("SELECT DISTINCT over 100k rows made %.0f allocations, budget 1000", allocs)
 	}
 }

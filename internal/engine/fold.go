@@ -15,11 +15,11 @@ import (
 	"repro/internal/value"
 )
 
-// The fold operator: every GROUP BY the engine runs in production goes
-// through the one row loop body in foldWorker.row — evaluate the key
-// expressions, find or create (and charge) the group, evaluate each
-// aggregate's argument and add it — whatever feeds it and however many
-// workers share the input.
+// The fold operator: every GROUP BY the engine runs in production — and
+// every SELECT DISTINCT, a fold with keys and no aggregates — goes through
+// the one row loop body in foldWorker.row — evaluate the key expressions,
+// find or create (and charge) the group, evaluate each aggregate's argument
+// and add it — whatever feeds it and however many workers share the input.
 //
 // Inputs. Keys and arguments are arbitrary bound expressions. Over a stored
 // table (a scan under zero or more filters) the operator reads the column
@@ -37,7 +37,7 @@ import (
 // per-row allocation; otherwise by the value.AppendKey bytes the reference
 // fold uses, so grouping is identical by construction.
 //
-// Parallelism. FoldPartitions splits the input into contiguous row ranges,
+// Parallelism. foldPartitions splits the input into contiguous row ranges,
 // folds each into a private foldPart, and merges them in ascending partition
 // order. A group's global first occurrence lies in its lowest-numbered
 // partition and rows keep their order within a partition, so that merge
@@ -76,24 +76,13 @@ func resolveWorkers(parallelism int) int {
 	return parallelism
 }
 
-// Partial is one partition's fold state as FoldPartitions sees it.
-type Partial[P any] interface {
-	// Len reports the groups folded so far.
-	Len() int
-	// Absorb folds the state of the next-higher partition into the
-	// receiver: groups new to the receiver append in from's order, shared
-	// groups merge accumulators.
-	Absorb(from P) error
-}
-
-// FoldPartitions is the engine's one partition-and-merge, shared by the
-// GROUP BY fold and the core package's hash pivot. It resolves parallelism
-// against the n input rows, runs fold over contiguous ranges of [0, n) — one
-// goroutine each — and merges the partials in ascending partition order into
-// partition 0's, which it returns together with the stage span it opened
-// under span: the seq-named span of a one-worker fold, or the concurrent
-// "partition fan-out" whose "worker i/N" children and "merge" sibling carry
-// the per-partition breakdown.
+// foldPartitions is the engine's one partition-and-merge. It resolves
+// parallelism against the n input rows, runs fold over contiguous ranges of
+// [0, n) — one goroutine each — and merges the partials in ascending
+// partition order into partition 0's, which it returns together with the
+// stage span it opened under span: the "fold" span of a one-worker fold, or
+// the concurrent "partition fan-out" whose "worker i/N" children and "merge"
+// sibling carry the per-partition breakdown.
 //
 // Workers run under a cancel context derived from ctx (nil = ungoverned):
 // the first failure — error, contained panic, limit hit — stops the siblings
@@ -101,10 +90,9 @@ type Partial[P any] interface {
 // lowest-numbered partition's real error wins, so a failing query reports
 // the same error however many workers raced past the failing row, and a
 // sibling's cancellation is reported only when nothing else failed.
-func FoldPartitions[P Partial[P]](ctx context.Context, span *obs.Span, seq string, parallelism, n int,
-	fold func(ctx context.Context, lo, hi int) (P, error)) (P, *obs.Span, error) {
+func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int,
+	fold func(ctx context.Context, lo, hi int) (*foldPart, error)) (*foldPart, *obs.Span, error) {
 
-	var none P
 	workers := resolveWorkers(parallelism)
 	if parallelism <= 0 && workers > 1 && n < autoParallelMinRows {
 		mAggSeqFallback.Inc()
@@ -115,14 +103,14 @@ func FoldPartitions[P Partial[P]](ctx context.Context, span *obs.Span, seq strin
 		workers = n
 	}
 	if workers <= 1 {
-		sp := span.NewChild(seq)
+		sp := span.NewChild("fold")
 		part, err := fold(ctx, 0, n)
 		sp.End()
 		if err != nil {
 			sp.Attr("error", err.Error())
-			return none, sp, err
+			return nil, sp, err
 		}
-		sp.SetRows(-1, int64(part.Len()))
+		sp.SetRows(-1, int64(len(part.order)))
 		return part, sp, nil
 	}
 
@@ -137,7 +125,7 @@ func FoldPartitions[P Partial[P]](ctx context.Context, span *obs.Span, seq strin
 		wctx, cancel = context.WithCancel(ctx)
 		defer cancel()
 	}
-	parts := make([]P, workers)
+	parts := make([]*foldPart, workers)
 	errs := make([]error, workers)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -158,7 +146,7 @@ func FoldPartitions[P Partial[P]](ctx context.Context, span *obs.Span, seq strin
 					ws.Attr("error", errs[w].Error())
 					cancel()
 				} else {
-					groups = parts[w].Len()
+					groups = len(parts[w].order)
 				}
 				ws.End()
 				ws.SetRows(int64(hi-lo), int64(groups))
@@ -179,16 +167,16 @@ func FoldPartitions[P Partial[P]](ctx context.Context, span *obs.Span, seq strin
 	}
 	partials := 0
 	for w := 0; w < workers && err == nil; w++ {
-		partials += parts[w].Len()
+		partials += len(parts[w].order)
 		if w > 0 {
-			err = parts[0].Absorb(parts[w])
+			err = parts[0].absorb(parts[w])
 		}
 	}
 	if err != nil {
 		ms.Attr("error", err.Error())
-		return none, fan, err
+		return nil, fan, err
 	}
-	ms.SetRows(int64(partials), int64(parts[0].Len()))
+	ms.SetRows(int64(partials), int64(len(parts[0].order)))
 	return parts[0], fan, nil
 }
 
@@ -339,7 +327,7 @@ func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 	if ec.gov != nil {
 		ctx = ec.gov.ctx
 	}
-	part, stage, err := FoldPartitions(ctx, ec.span, "fold", par, n, func(ctx context.Context, lo, hi int) (*foldPart, error) {
+	part, stage, err := foldPartitions(ctx, ec.span, par, n, func(ctx context.Context, lo, hi int) (*foldPart, error) {
 		return op.run(ec.gov.withCtx(ctx), lo, hi)
 	})
 	if stage != nil {
@@ -440,9 +428,6 @@ type foldPart struct {
 	passed   []int64
 }
 
-// Len reports the partition's group count.
-func (p *foldPart) Len() int { return len(p.order) }
-
 // find encodes a row's key values and returns its group, or nil. (Workers
 // encode a fixed-width key from the raw column vectors instead; the merge
 // re-encodes from a group's key values here.)
@@ -475,8 +460,9 @@ func (p *foldPart) insert(g *groupState) {
 	p.order = append(p.order, g)
 }
 
-// Absorb merges the next-higher partition into p.
-func (p *foldPart) Absorb(from *foldPart) error {
+// absorb merges the next-higher partition into p: groups new to p append in
+// from's order, shared groups merge accumulators.
+func (p *foldPart) absorb(from *foldPart) error {
 	for _, g := range from.order {
 		tgt := p.find(g.keyVals)
 		if tgt == nil {
@@ -530,7 +516,7 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 	} else {
 		part.strs = make(map[string]*groupState)
 		part.buf = batch.Default.GetBytes(64)
-		// Absorb re-encodes keys after this worker is done; it must not write
+		// absorb re-encodes keys after this worker is done; it must not write
 		// into a buffer already handed back.
 		defer func() {
 			batch.Default.PutBytes(part.buf)

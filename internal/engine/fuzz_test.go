@@ -13,7 +13,7 @@ import (
 // stream, and arbitrary partition split points. Folding the whole stream
 // into one accumulator must agree exactly with folding each partition into
 // its own accumulator and merging the partials in partition order — the
-// invariant the partitioned fold (FoldPartitions) relies on for every group.
+// invariant the partitioned fold (foldPartitions) relies on for every group.
 //
 // Value construction keeps sums exact so equality can be asserted without
 // tolerance: integers are small, and floats are eighths (k/8) of bounded

@@ -213,43 +213,33 @@ func TestCancelledDMLLeavesTableUntouched(t *testing.T) {
 	}
 }
 
-// countPart is a minimal Partial for driving FoldPartitions directly.
-type countPart struct{ rows int }
-
-func (p *countPart) Len() int { return p.rows }
-
-func (p *countPart) Absorb(from *countPart) error {
-	p.rows += from.rows
-	return nil
-}
-
 // TestWorkerErrorDeterministic: the fan-out reports the lowest partition's
 // real error even though siblings are cancelled racing it, and a sibling
 // cancellation only when nothing else failed.
 func TestWorkerErrorDeterministic(t *testing.T) {
 	defer leakcheck.Check(t)()
-	run := func(fail map[int]error) (*countPart, error) {
-		part, _, err := FoldPartitions(context.Background(), nil, "fold", 3, 30,
-			func(ctx context.Context, lo, hi int) (*countPart, error) {
+	run := func(fail map[int]error) (*foldPart, error) {
+		part, _, err := foldPartitions(context.Background(), nil, 3, 30,
+			func(ctx context.Context, lo, hi int) (*foldPart, error) {
 				if err := fail[lo/10]; err != nil {
 					return nil, err
 				}
-				return &countPart{rows: hi - lo}, nil
+				return &foldPart{consumed: int64(hi - lo)}, nil
 			})
 		return part, err
 	}
 	cancelled := &CancelledError{cause: context.Canceled}
 	_, err := run(map[int]error{0: cancelled, 1: fmt.Errorf("boom in partition 2"), 2: fmt.Errorf("boom in partition 3")})
 	if err == nil || !strings.Contains(err.Error(), "boom in partition 2") {
-		t.Errorf("FoldPartitions = %v, want the lowest partition's real error", err)
+		t.Errorf("foldPartitions = %v, want the lowest partition's real error", err)
 	}
 	var ce *CancelledError
 	if _, err := run(map[int]error{0: cancelled}); !errors.As(err, &ce) {
-		t.Errorf("FoldPartitions = %v, want the cancellation when nothing else failed", err)
+		t.Errorf("foldPartitions = %v, want the cancellation when nothing else failed", err)
 	}
 	part, err := run(nil)
-	if err != nil || part.rows != 30 {
-		t.Errorf("FoldPartitions = %+v, %v; want all 30 rows merged", part, err)
+	if err != nil || part.consumed != 30 {
+		t.Errorf("foldPartitions = %+v, %v; want all 30 rows merged", part, err)
 	}
 }
 

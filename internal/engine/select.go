@@ -84,18 +84,30 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 
 	var rows [][]value.Value
 	var consumer *obs.Span
-	attachOps := true // aggregate paths attach the operator subtree themselves
+	attachOps := true // fold paths attach the operator subtree themselves
+	stage := ec
 	switch {
 	case hasWindow(items):
 		consumer = ec.span.NewChild("window")
 		rows, err = e.execWindowSelect(sel, items, in, ec.gov)
-	case len(sel.GroupBy) > 0 || sel.Having != nil || anyAggregate(items):
+	case !isPlain:
 		consumer = ec.span.NewChild("aggregate")
 		attachOps = false
-		rows, err = e.execGroupSelect(sel, items, in, execCtx{par: ec.par, span: consumer, gov: ec.gov, rec: ec.rec, batch: ec.batch})
+		stage.span = consumer
+		rows, err = e.execGroupSelect(sel, items, in, stage)
+	case sel.Distinct:
+		// DISTINCT is a fold whose keys are the select items and which has
+		// no aggregates: nothing is materialized before the dedupe.
+		consumer = ec.span.NewChild("distinct")
+		attachOps = false
+		stage.span = consumer
+		var keys []expr.Expr
+		if keys, err = bindItems(items, in.schema()); err == nil {
+			rows, err = hashAggregate(in, keys, nil, stage)
+		}
 	default:
 		consumer = ec.span.NewChild("project")
-		rows, err = e.execPlainSelect(sel, items, in, ec.gov)
+		rows, err = e.execPlainSelect(items, in, ec.gov)
 	}
 	if consumer != nil {
 		consumer.End()
@@ -108,16 +120,22 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 		return nil, err
 	}
 
-	if sel.Distinct {
+	if sel.Distinct && !isPlain {
+		// Aggregate and window output dedupes through the same fold, keyed on
+		// every produced column. The rows are already in memory, so one
+		// worker drains them in place; a fan-out would copy them first.
 		sp := ec.span.NewChild("distinct")
+		keys := make([]expr.Expr, len(names))
+		for i := range keys {
+			keys[i] = &expr.SlotRef{Index: i}
+		}
 		before := len(rows)
-		rows, err = distinctRows(rows, ec.gov)
+		rows, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: 1, gov: ec.gov, batch: ec.batch})
+		sp.End()
 		if err != nil {
-			sp.End()
 			return nil, err
 		}
 		sp.SetRows(int64(before), int64(len(rows)))
-		sp.End()
 	}
 	if len(sel.OrderBy) > 0 {
 		sp := ec.span.NewChild("sort")
@@ -293,17 +311,26 @@ func hasWindow(items []sqlparse.SelectItem) bool {
 	return found
 }
 
-// execPlainSelect projects items per input row. The result buffer is
-// materialized state, so a non-nil governor charges it against MaxRows and
-// MaxBytes in govStride batches.
-func (e *Engine) execPlainSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, gov *governor) ([][]value.Value, error) {
+// bindItems binds the select items against the input schema.
+func bindItems(items []sqlparse.SelectItem, sch relSchema) ([]expr.Expr, error) {
 	bound := make([]expr.Expr, len(items))
 	for i, it := range items {
-		b, err := bindExpr(it.Expr, in.schema())
+		b, err := bindExpr(it.Expr, sch)
 		if err != nil {
 			return nil, err
 		}
 		bound[i] = b
+	}
+	return bound, nil
+}
+
+// execPlainSelect projects items per input row. The result buffer is
+// materialized state, so a non-nil governor charges it against MaxRows and
+// MaxBytes in govStride batches.
+func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, gov *governor) ([][]value.Value, error) {
+	bound, err := bindItems(items, in.schema())
+	if err != nil {
+		return nil, err
 	}
 	var rows [][]value.Value
 	var box rowBox
@@ -710,32 +737,6 @@ func evalWindowSorted(call *expr.AggCall, arg expr.Expr, partIdx []int,
 	}
 	*out = results
 	return nil
-}
-
-// distinctRows deduplicates rows preserving first-appearance order,
-// polling the governor every govStride rows so DISTINCT over a large
-// result stays cancellable.
-func distinctRows(rows [][]value.Value, gov *governor) ([][]value.Value, error) {
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	buf := make([]byte, 0, 64)
-	for i, r := range rows {
-		if i%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return nil, err
-			}
-		}
-		buf = buf[:0]
-		for _, v := range r {
-			buf = value.AppendKey(buf, v)
-		}
-		if _, dup := seen[string(buf)]; dup {
-			continue
-		}
-		seen[string(buf)] = struct{}{}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // orderRows sorts rows by the ORDER BY keys, resolving names against the

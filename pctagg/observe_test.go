@@ -154,8 +154,6 @@ func TestMetricNamesStable(t *testing.T) {
 		"batch.fallbacks",
 		"batch.fold.rows",
 		"batch.folds",
-		"batch.pivot.fallbacks",
-		"batch.pivot.folds",
 		"batch.pool.gets",
 		"batch.pool.hits",
 		"batch.pool.misses",
