@@ -551,11 +551,13 @@ func resolveGroupingSets(sel *sqlparse.Select, a *analysis, l *diag.List) {
 // sameColumnSet reports whether two grouping sets name the same columns,
 // ignoring order and case — (a, b) and (b, a) are the same lattice node.
 func sameColumnSet(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, x := range a {
-		if !containsFold(b, x) {
+	return len(a) == len(b) && containsAllFold(b, a)
+}
+
+// containsAllFold reports whether list names every column of sub.
+func containsAllFold(list, sub []string) bool {
+	for _, x := range sub {
+		if !containsFold(list, x) {
 			return false
 		}
 	}
@@ -698,20 +700,80 @@ func checkMeasure(e expr.Expr, schema storage.Schema, fallback diag.Span, l *dia
 	})
 }
 
-// byColsOf returns the totals grouping D1..Dj for a vertical term: the
-// GROUP BY columns minus the BY columns, in GROUP BY order. An empty BY
-// list means totals over all rows (j = 0).
-func (a *analysis) totalsColsOf(call *expr.AggCall) []string {
+// totalsOf returns the totals grouping D1..Dj of a vertical term over a
+// grouping set (the GROUP BY columns, or a lattice node's): the set minus the
+// BY columns, in set order. An empty BY list means totals over all rows
+// (j = 0).
+func totalsOf(set []string, call *expr.AggCall) []string {
 	if len(call.By) == 0 {
 		return nil
 	}
 	var out []string
-	for _, g := range a.groupCols {
+	for _, g := range set {
 		if !containsFold(call.By, g) {
 			out = append(out, g)
 		}
 	}
 	return out
+}
+
+// typeOf is the storage type of a column of F.
+func (a *analysis) typeOf(col string) storage.ColumnType {
+	return a.schema[a.schema.ColumnIndex(col)].Type
+}
+
+// colDefs renders the definitions of columns that copy cols of F under the
+// given names.
+func (a *analysis) colDefs(cols, names []string) []string {
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = colDef(names[i], a.typeOf(c))
+	}
+	return out
+}
+
+// outName proposes the output column name of a single-column select item:
+// the alias, else the grouping column, the measure of a percentage (the
+// paper's result tables title the percentage column with the measure name —
+// Table 2 heads it "salesAmt"), or the aggregate's own text.
+func (it item) outName() string {
+	switch {
+	case it.alias != "":
+		return it.alias
+	case it.kind == itemGroupCol:
+		return it.col
+	case it.kind == itemGrouping:
+		return "grouping(" + strings.Join(it.gcols, ", ") + ")"
+	case it.kind == itemPct:
+		if cr, ok := it.agg.Arg.(*expr.ColumnRef); ok {
+			return cr.Name
+		}
+		return "pct"
+	default:
+		return it.agg.String()
+	}
+}
+
+// itemType is the storage type of a select item's result column(s).
+func (a *analysis) itemType(it item) storage.ColumnType {
+	switch it.kind {
+	case itemGroupCol:
+		return a.typeOf(it.col)
+	case itemGrouping:
+		return storage.TypeInt
+	default:
+		return aggResultType(it.agg, a.schema)
+	}
+}
+
+// resultDefs renders the column list of a result table that holds one column
+// per select item, under the given names.
+func (a *analysis) resultDefs(names []string) string {
+	defs := make([]string, len(a.items))
+	for idx, it := range a.items {
+		defs[idx] = colDef(names[idx], a.itemType(it))
+	}
+	return strings.Join(defs, ", ")
 }
 
 func containsFold(list []string, s string) bool {

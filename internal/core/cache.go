@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
-	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/value"
 )
@@ -77,34 +76,6 @@ func (p *Planner) CacheStats() CacheStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.cstats
-}
-
-// mergeOp says how a summary column combines across disjoint row partitions.
-type mergeOp int
-
-const (
-	mergeAdd mergeOp = iota // sum, count
-	mergeMin
-	mergeMax
-)
-
-// mergeOpFor classifies an aggregate call for incremental maintenance.
-// DISTINCT and avg are not distributive over row partitions, so summaries
-// containing them rebuild on DML instead.
-func mergeOpFor(call *expr.AggCall) (mergeOp, bool) {
-	if call.Distinct {
-		return 0, false
-	}
-	switch call.Fn {
-	case expr.AggSum, expr.AggCount:
-		return mergeAdd, true
-	case expr.AggMin:
-		return mergeMin, true
-	case expr.AggMax:
-		return mergeMax, true
-	default:
-		return 0, false
-	}
 }
 
 // deltaMeta is everything needed to refresh a summary without replanning:

@@ -316,22 +316,48 @@ func TestHpctStrategiesAgree(t *testing.T) {
 		"SELECT store, Hpct(salesAmt BY dweek), sum(salesAmt) FROM daily GROUP BY store",
 		"SELECT Hpct(salesAmt BY dweek) FROM daily", // no GROUP BY: one row
 	}
-	for _, q := range queries {
-		var base *engine.Result
-		for _, opt := range []HpctOptions{
+	for qi, q := range queries {
+		opts := []HpctOptions{
 			{},
 			{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}},
 			{FromFV: true, Vpct: VpctOptions{FjFromF: true}},
-		} {
+		}
+		if qi != 1 { // the hash pivot takes no extra aggregates
+			opts = append(opts, HpctOptions{HashPivot: true})
+		}
+		var base *engine.Result
+		for _, opt := range opts {
 			p := newSalesPlanner(t)
+			// Store 8 has only NULL measures and store 9 sums to zero: every
+			// strategy must return their rows all-NULL.
+			mustExec(t, p.Eng, "INSERT INTO daily VALUES (8,'Mo',NULL), (8,'Tu',NULL), (9,'Mo',5), (9,'Tu',-5)")
 			res := runQuery(t, p, q, Options{Hpct: opt})
+			if qi != 2 {
+				for _, r := range res.Rows {
+					for _, v := range r[1:8] {
+						if void := r[0].Int() >= 8; void != v.IsNull() {
+							t.Errorf("%s %+v: store %v has percentage %v", q, opt, r[0], v)
+						}
+					}
+				}
+			}
 			if base == nil {
 				base = res
 				continue
 			}
-			sameResults(t, q, base, res)
+			sameResults(t, fmt.Sprintf("%s %+v", q, opt), base, res)
 		}
 	}
+}
+
+// TestVpctMissingPreUpdateVariant: with pre-processing the UPDATE variant's
+// result table is still Fk, so the final select must project Fk's own
+// columns.
+func TestVpctMissingPreUpdateVariant(t *testing.T) {
+	q := "SELECT store, dweek, Vpct(salesAmt BY dweek) FROM daily GROUP BY store, dweek"
+	upd := runQuery(t, newSalesPlanner(t), q, Options{Vpct: VpctOptions{UseUpdate: true, MissingRows: MissingPre}})
+	ins := runQuery(t, newSalesPlanner(t), q, Options{Vpct: VpctOptions{MissingRows: MissingPre}})
+	sameResults(t, "pre-processing, UPDATE vs INSERT", ins, upd)
 }
 
 func TestHpctHashPivotAgrees(t *testing.T) {
@@ -392,6 +418,45 @@ func TestHpctPartitioning(t *testing.T) {
 	p2 := newSalesPlanner(t)
 	base := runQuery(t, p2, hpctDaily, DefaultOptions())
 	sameResults(t, "partitioned", base, res)
+}
+
+// TestHaggMaxColumnsFit: the CASE plans share Hpct's fit check — a result
+// whose partitions could not hold the key and extra columns plus one value
+// column is rejected, anything else is partitioned.
+func TestHaggMaxColumnsFit(t *testing.T) {
+	cases := []struct {
+		q    string
+		max  int
+		want string // error fragment; "" = must plan, partitioned
+	}{
+		{"SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store", 1, "partitions cannot fit the 1 key/extra columns"},
+		{"SELECT store, sum(salesAmt BY dweek), sum(salesAmt) FROM daily GROUP BY store", 2, "partitions cannot fit the 2 key/extra columns"},
+		{"SELECT store, sum(salesAmt BY dweek), sum(salesAmt) FROM daily GROUP BY store", 3, ""},
+	}
+	for _, c := range cases {
+		for _, opts := range []HaggOptions{{}, {FromFV: true}} {
+			p := newSalesPlanner(t)
+			p.MaxColumns = c.max
+			plan, err := p.PlanSQL(c.q, Options{Hagg: opts})
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Errorf("MaxColumns=%d %+v %s: err = %v, want %q", c.max, opts, c.q, err, c.want)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("MaxColumns=%d %+v %s: %v", c.max, opts, c.q, err)
+			}
+			if len(plan.ResultTables) < 2 {
+				t.Errorf("MaxColumns=%d %+v: expected partitions, got %v", c.max, opts, plan.ResultTables)
+			}
+			res, err := p.Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, "partitioned Hagg", runQuery(t, newSalesPlanner(t), c.q, Options{Hagg: opts}), res)
+		}
+	}
 }
 
 func TestHaggFourStrategiesAgree(t *testing.T) {

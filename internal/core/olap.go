@@ -77,7 +77,7 @@ func (p *Planner) olapVertical(a *analysis, fineCols []string, hterm *expr.AggCa
 		for _, it := range a.items {
 			switch it.kind {
 			case itemPct:
-				sel = append(sel, renderTerm(it.agg.Arg.String(), a.totalsColsOf(it.agg)))
+				sel = append(sel, renderTerm(it.agg.Arg.String(), totalsOf(a.groupCols, it.agg)))
 			case itemVertAgg:
 				// Plain aggregates ride along as windows over the fine
 				// partition; DISTINCT collapses the duplicates.

@@ -25,9 +25,8 @@ import (
 
 // planHashPivot finishes a direct Hpct or Hagg plan with the Fk steps and the
 // native placement step.
-func (p *Planner) planHashPivot(plan *Plan, a *analysis, call *expr.AggCall, combos []combo,
-	groupNames, valueNames []string) {
-
+func (p *Planner) planHashPivot(plan *Plan, a *analysis, hl *hlayout) {
+	call, combos, groupNames, valueNames := hl.terms[0].call, hl.terms[0].combos, hl.groupNames, hl.valueNames
 	pct := call.Fn == expr.AggHpct
 	agg := call
 	if pct {
@@ -66,14 +65,14 @@ func (p *Planner) planHashPivot(plan *Plan, a *analysis, call *expr.AggCall, com
 		Step{Purpose: "create Fk", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fk, strings.Join(fkDefs, ", "))},
 		Step{Purpose: "compute fine aggregate Fk from F",
 			SQL: fmt.Sprintf("INSERT INTO %s SELECT %s, %s FROM %s%s GROUP BY %s",
-				fk, joinIdents(fine), p.haggSPJAggSQL(0, agg, false, nil), a.table, a.whereSQL(), joinIdents(fine))},
+				fk, joinIdents(fine), plainAggSQL(agg), a.table, a.whereSQL(), joinIdents(fine))},
 		Step{Purpose: "create FH", SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", fh, strings.Join(fhDefs, ", "), pkey)},
 		Step{Purpose: "hash-pivot Fk into FH (one O(1) column lookup per row)",
 			native: func(ctx context.Context, eng *engine.Engine, _ int, span *obs.Span) error {
 				return placePivot(ctx, eng, fk, fh, nGroup, combos, pct, deflt, span)
 			}},
 	)
-	p.finishHorizontalPlan(plan, a, groupNames, valueNames, nil, nil)
+	p.finishHorizontalPlan(plan, a, hl, nil)
 }
 
 // placePivot walks Fk — D1..Dk then the cell aggregate — once, hashing

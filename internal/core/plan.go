@@ -606,11 +606,14 @@ func quoteIdent(s string) string {
 func equalityChainNullSafe(a, b string, cols []string) string {
 	parts := make([]string, len(cols))
 	for i, c := range cols {
-		ac := a + "." + quoteIdent(c)
-		bc := b + "." + quoteIdent(c)
-		parts[i] = fmt.Sprintf("(%s = %s OR (%s IS NULL AND %s IS NULL))", ac, bc, ac, bc)
+		parts[i] = nullSafeEq(a+"."+quoteIdent(c), b+"."+quoteIdent(c))
 	}
 	return strings.Join(parts, " AND ")
+}
+
+// nullSafeEq renders one NULL-safe equality.
+func nullSafeEq(l, r string) string {
+	return fmt.Sprintf("(%s = %s OR (%s IS NULL AND %s IS NULL))", l, r, l, r)
 }
 
 // literalSQL renders a value as a SQL literal.
@@ -629,13 +632,30 @@ func whereSuffix(w expr.Expr) string {
 	return " WHERE " + w.String()
 }
 
-// joinIdents renders a comma list of identifiers.
-func joinIdents(cols []string) string {
+// quoteIdents quotes every identifier of a list.
+func quoteIdents(cols []string) []string {
 	out := make([]string, len(cols))
 	for i, c := range cols {
 		out[i] = quoteIdent(c)
 	}
-	return strings.Join(out, ", ")
+	return out
+}
+
+// joinIdents renders a comma list of identifiers.
+func joinIdents(cols []string) string { return strings.Join(quoteIdents(cols), ", ") }
+
+// selectSQL renders "SELECT sels FROM from" followed by the given clauses,
+// each "" or carrying its own leading space.
+func selectSQL(sels []string, from string, clauses ...string) string {
+	return "SELECT " + strings.Join(sels, ", ") + " FROM " + from + strings.Join(clauses, "")
+}
+
+// whereAll renders " WHERE c1 AND c2 …", or "" without conditions.
+func whereAll(conds []string) string {
+	if len(conds) == 0 {
+		return ""
+	}
+	return " WHERE " + strings.Join(conds, " AND ")
 }
 
 // qualified renders t.c identifiers as a comma list.

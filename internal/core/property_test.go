@@ -129,6 +129,8 @@ func TestPropertyHpctStrategiesAgreeOnRandomData(t *testing.T) {
 	}
 	for trial := 0; trial < 4; trial++ {
 		p := randPlanner(t, rng, 300+rng.Intn(400))
+		// A NULL-only group and a +5/-5 group: void totals, all-NULL rows.
+		mustExec(t, p.Eng, "INSERT INTO f VALUES (7, 0, 'x', NULL), (7, 1, 'y', NULL), (8, 0, 'x', 5), (8, 1, 'y', -5)")
 		for _, q := range queries {
 			base := runOn(t, p, q, Options{})
 			fv := runOn(t, p, q, Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}})

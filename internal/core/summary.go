@@ -1,0 +1,199 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/storage"
+)
+
+// vcol is one aggregate column of a summary.
+type vcol struct {
+	name  string
+	typ   storage.ColumnType
+	sel   string  // the aggregate over F that fills it
+	fold  string  // its re-aggregation over a finer summary; "" when not distributive
+	merge mergeOp // the same fold as a cell-by-cell merge
+}
+
+// summary is one aggregate table of a plan — Fk, an Fj, the lattice's FS or
+// a lattice node's roll-up: the group columns, then the aggregate columns.
+// It is the only place that knows a summary's column layout, its cache key
+// and its delta metadata, and materialize is the only place that builds or
+// reuses one.
+type summary struct {
+	what  string // "Fk", "Fj", "FS", "node summary": names the cache steps and the drop
+	table string // a fresh temp name, or the cached table after a hit
+	group []string
+	vals  []vcol
+
+	// Rendered once by defs and selects: the cache key, the delta metadata
+	// and the build statements all read them, on the plan path of every hit.
+	defList, selList []string
+}
+
+// fineSummary lays out the fine summary of a percentage query — Fk, or a
+// lattice's FS — over the given grouping: one column m1… per distinct
+// percentage measure (one per term under the UPDATE variant, where each term
+// overwrites its column with its own percentages), one column x1… per plain
+// aggregate, and a row count when there would be no value column at all (a
+// lattice of bare dimensions and GROUPING markers), so every node summary
+// stays a well-formed relation. The second result maps each aggregate select
+// item to the column that carries it.
+func fineSummary(a *analysis, what string, group []string, update bool) (*summary, map[int]string) {
+	s := &summary{what: what, group: group}
+	col := map[int]string{}
+	byMeasure := map[string]string{}
+	var extras []vcol
+	for idx, it := range a.items {
+		switch it.kind {
+		case itemPct:
+			mSQL := it.agg.Arg.String()
+			c, ok := byMeasure[mSQL]
+			if !ok || update {
+				c = fmt.Sprintf("m%d", len(s.vals)+1)
+				byMeasure[mSQL] = c
+				typ := exprType(it.agg.Arg, a.schema)
+				if update {
+					typ = storage.TypeFloat
+				}
+				s.vals = append(s.vals, vcol{name: c, typ: typ, sel: "sum(" + mSQL + ")", fold: "sum(" + c + ")", merge: mergeAdd})
+			}
+			col[idx] = c
+		case itemVertAgg:
+			v := vcol{name: fmt.Sprintf("x%d", len(extras)+1), typ: aggResultType(it.agg, a.schema), sel: it.agg.String()}
+			if pa, ok := partialOf(it.agg); ok && pa.distributive() {
+				v.fold, v.merge = pa.reagg([]string{v.name}, nil), pa.merge
+			}
+			col[idx] = v.name
+			extras = append(extras, v)
+		}
+	}
+	s.vals = append(s.vals, extras...)
+	if len(s.vals) == 0 {
+		s.vals = []vcol{{name: "cnt", typ: storage.TypeInt, sel: "count(*)", fold: "sum(cnt)", merge: mergeAdd}}
+	}
+	return s, col
+}
+
+// defs renders the summary's column definitions.
+func (s *summary) defs(a *analysis) []string {
+	if s.defList == nil {
+		s.defList = a.colDefs(s.group, s.group)
+		for _, v := range s.vals {
+			s.defList = append(s.defList, colDef(v.name, v.typ))
+		}
+	}
+	return s.defList
+}
+
+// selects renders the select list that computes the summary from F.
+func (s *summary) selects() []string {
+	if s.selList == nil {
+		s.selList = quoteIdents(s.group)
+		for _, v := range s.vals {
+			s.selList = append(s.selList, v.sel)
+		}
+	}
+	return s.selList
+}
+
+// rollup renders the select list that re-aggregates the summary's value
+// columns by a coarser grouping.
+func (s *summary) rollup(group []string) []string {
+	out := quoteIdents(group)
+	for _, v := range s.vals {
+		out = append(out, v.fold)
+	}
+	return out
+}
+
+// val returns the aggregate column of the given name.
+func (s *summary) val(name string) vcol {
+	for _, v := range s.vals {
+		if v.name == name {
+			return v
+		}
+	}
+	return vcol{}
+}
+
+// fromF is the query that computes the summary from the base table.
+func (s *summary) fromF(a *analysis) func() string {
+	return func() string { return selectSQL(s.selects(), a.table, a.whereSQL(), groupByClause(s.group)) }
+}
+
+// key is the structural cache key of a fine summary. The column layout is
+// part of it: two queries can share the select list yet assign different
+// column names (a measure reused as m1 in one and stored as x1 in the other),
+// and a layout mismatch would make the cached table's columns unresolvable
+// for the second plan. Vpct and lattice plans build their Fk and FS through
+// the same layout, so they share one cached summary.
+func (s *summary) key(a *analysis) string {
+	return fmt.Sprintf("fk|%s|%s|%s|%s|%s", a.table, a.whereSQL(),
+		joinIdents(s.group), strings.Join(s.selects(), ","), strings.Join(s.defs(a), ","))
+}
+
+// meta makes a cached summary incrementally maintainable: the statement
+// shape of its build, re-run over just the appended rows, and the per-column
+// merges. Every aggregate column must be distributive — one avg or DISTINCT
+// column and the result is nil, so DML rebuilds instead.
+func (s *summary) meta(a *analysis) *deltaMeta {
+	merges := make([]mergeOp, len(s.vals))
+	for i, v := range s.vals {
+		if v.fold == "" {
+			return nil
+		}
+		merges[i] = v.merge
+	}
+	return &deltaMeta{
+		base:    a.table,
+		where:   a.whereSQL(),
+		groupBy: groupByClause(s.group),
+		selects: strings.Join(s.selects(), ", "),
+		colDefs: strings.Join(s.defs(a), ", "),
+		nGroup:  len(s.group),
+		merges:  merges,
+	}
+}
+
+// materialize appends the steps that leave s.table holding the summary,
+// computed by query (rendered only when the summary has to be built: a hit
+// is the hot plan path), and reports how the cache answered. With an empty key
+// the table is private to the plan and dropped by its cleanup. Otherwise the
+// summary cache is consulted: a clean hit reuses the cached table as is, a
+// hit with pending appends refreshes it incrementally into s.table, and a
+// miss builds it between a capture and a publish step (cleanup abandons the
+// registration of a plan that never ran them).
+func (p *Planner) materialize(plan *Plan, a *analysis, s *summary, key, create, compute string, query func() string) cacheMode {
+	mode := cacheOff
+	var reg *summaryEntry
+	if key != "" {
+		s.table, mode, reg = p.cacheLookup(key, s.table, a.table, s.meta(a))
+	}
+	switch mode {
+	case cacheHitClean:
+		plan.cacheHits++
+		plan.Steps = append(plan.Steps, cacheHitStep(s.what, s.table))
+		return mode
+	case cacheHitDelta:
+		plan.cacheHits++
+		plan.Steps = append(plan.Steps, p.cacheDeltaStep(reg, s.table, s.what))
+		return mode
+	case cacheMiss:
+		plan.cacheRegs = append(plan.cacheRegs, reg)
+		plan.Steps = append(plan.Steps, p.cacheCaptureStep(reg, a.table))
+	default:
+		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop " + s.what, SQL: "DROP TABLE IF EXISTS " + s.table})
+	}
+	plan.Steps = append(plan.Steps,
+		Step{Purpose: create, SQL: fmt.Sprintf("CREATE TABLE %s (%s)", s.table, strings.Join(s.defs(a), ", "))},
+		Step{Purpose: compute, SQL: "INSERT INTO " + s.table + " " + query()})
+	if mode == cacheMiss {
+		plan.Steps = append(plan.Steps, p.cachePublishStep(reg, s.what))
+	}
+	return mode
+}
+
+// hit reports whether the cache served the summary, as is or refreshed.
+func (m cacheMode) hit() bool { return m == cacheHitClean || m == cacheHitDelta }

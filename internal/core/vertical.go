@@ -2,21 +2,193 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
-// vterm is one analyzed Vpct select item.
+// vterm is one Vpct term of a totals-and-divide node.
 type vterm struct {
-	itemIdx    int
 	call       *expr.AggCall
-	measure    expr.Expr // the A expression
-	totalsCols []string  // D1..Dj (GROUP BY minus BY); empty = all rows
-	measureCol string    // Fk column holding sum(A) for this term
-	fjTable    string
-	outName    string
+	measureCol string   // fine-summary column holding sum(A) for this term
+	totals     []string // D1..Dj: the node's grouping minus BY; empty = all rows
+	fj         string   // the term's totals table
+}
+
+// divide is the totals-and-divide node: the paper's second and third
+// statements over one fine summary — Fk in a plain Vpct plan, FS or its
+// roll-up at a lattice node. It emits one totals table Fj per Vpct term and
+// renders the division of the fine level by the totals, joined on the common
+// subkey. The zero-total rule lives in pct and nowhere else.
+type divide struct {
+	fine  *summary
+	terms []*vterm       // in select-list order
+	col   map[int]string // aggregate select item → fine-summary column
+}
+
+// newDivide collects the Vpct terms of the select list over a fine summary
+// grouped by set.
+func newDivide(a *analysis, fine *summary, set []string, col map[int]string) *divide {
+	d := &divide{fine: fine, col: col}
+	for idx, it := range a.items {
+		if it.kind == itemPct && it.agg.Fn == expr.AggVpct {
+			d.terms = append(d.terms, &vterm{call: it.agg, measureCol: col[idx], totals: totalsOf(set, it.agg)})
+		}
+	}
+	return d
+}
+
+// totalsOpts is what differs between the callers of emitTotals.
+type totalsOpts struct {
+	node    string    // lattice node label; "" in a plain Vpct plan
+	fromF   bool      // aggregate F instead of the fine summary (VpctOptions.FjFromF)
+	indexes bool      // index the fine summary and each Fj on the common subkey
+	key     string    // the fine summary's cache key; "" keeps every Fj private to the plan
+	mode    cacheMode // how the cache answered for the fine summary
+}
+
+// emitTotals emits the Fj table of every term. A plain Vpct plan picks the
+// smallest available source for each: with several terms the Fj aggregates
+// form a lattice, and a term whose totals grouping is a subset of an earlier
+// term's (same measure) aggregates that term's Fj instead of the larger fine
+// summary — the bottom-up partial aggregation the paper's future work likens
+// to association mining — else the fine summary, else F (per strategy). A
+// lattice node always aggregates its own summary.
+func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
+	for ti, t := range d.terms {
+		mSQL := t.call.Arg.String()
+		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, vals: []vcol{
+			{name: "A", typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(A)", merge: mergeAdd}}}
+		source, measure, where := d.fine.table, "sum("+quoteIdent(t.measureCol)+")", ""
+		create := fmt.Sprintf("create Fj for term %d", ti+1)
+		compute := fmt.Sprintf("compute coarse totals Fj from partial aggregate Fk (term %d)", ti+1)
+		if o.node != "" {
+			create = fmt.Sprintf("create Fj for lattice node %s (term %d)", o.node, ti+1)
+			compute = fmt.Sprintf("lattice node %s: totals Fj from the node summary (term %d)", o.node, ti+1)
+		} else if o.fromF {
+			source, measure, where = a.table, fj.vals[0].sel, a.whereSQL()
+			compute = fmt.Sprintf("compute coarse totals Fj from F (term %d)", ti+1)
+		} else if best := finerFj(d.terms[:ti], t); best >= 0 {
+			source, measure = d.terms[best].fj, fj.vals[0].fold
+			compute = fmt.Sprintf("compute coarse totals Fj from the finer Fj of term %d (lattice reuse)", best+1)
+		}
+		// A cached Fj's delta always re-aggregates the base rows directly (sum
+		// is distributive over any partition of F), whatever source the build
+		// itself reads from.
+		key := ""
+		if o.key != "" {
+			key = fmt.Sprintf("fj|%s|%s|%s|%s|%v", o.key, joinIdents(t.totals), mSQL, measure, o.fromF)
+		}
+		mode := p.materialize(plan, a, fj, key, create, compute, func() string {
+			return selectSQL(append(quoteIdents(t.totals), measure), source, where, groupByClause(t.totals))
+		})
+		t.fj = fj.table
+		if mode.hit() {
+			continue
+		}
+		if mode == cacheMiss && o.mode.hit() && source == d.fine.table {
+			// The paper's Fj-from-Fk derivation applied across statements: a
+			// fresh Fj rolled up from a cached Fk.
+			p.mu.Lock()
+			p.cstats.FjRollups++
+			p.mu.Unlock()
+			mCacheFjRollups.Inc()
+		}
+		if o.indexes && len(t.totals) > 0 {
+			// A clean-hit Fk already carries its subkey index from the plan
+			// that built it; re-indexing it every query would pile up
+			// duplicates.
+			if o.mode != cacheHitClean {
+				plan.Steps = append(plan.Steps, Step{Purpose: "index Fk on the common subkey",
+					SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixk"), d.fine.table, joinIdents(t.totals))})
+			}
+			plan.Steps = append(plan.Steps, Step{Purpose: "index Fj on the common subkey",
+				SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixj"), t.fj, joinIdents(t.totals))})
+		}
+	}
+}
+
+// finerFj picks, among the finished terms, the smallest Fj over the same
+// measure whose grouping covers t's; -1 when there is none.
+func finerFj(done []*vterm, t *vterm) int {
+	best := -1
+	for di, d := range done {
+		if d.call.Arg.String() != t.call.Arg.String() || !containsAllFold(d.totals, t.totals) {
+			continue
+		}
+		if best < 0 || len(d.totals) < len(done[best].totals) {
+			best = di
+		}
+	}
+	return best
+}
+
+// pct renders one term's division, the paper's FV.A = Fk.A / Fj.A: NULL when
+// the total is zero or NULL.
+func (d *divide) pct(t *vterm) string {
+	return fmt.Sprintf("CASE WHEN %s.A <> 0 THEN %s.%s / %s.A ELSE NULL END",
+		t.fj, d.fine.table, quoteIdent(t.measureCol), t.fj)
+}
+
+// subkey renders the join of the fine summary with one term's Fj.
+func (d *divide) subkey(t *vterm) string {
+	return equalityChainNullSafe(d.fine.table, t.fj, t.totals)
+}
+
+// join renders the FROM and WHERE of the division: the fine summary and
+// every Fj, joined on each term's common subkey.
+func (d *divide) join() string {
+	from := d.fine.table
+	var conds []string
+	for _, t := range d.terms {
+		from += ", " + t.fj
+		if len(t.totals) > 0 {
+			conds = append(conds, d.subkey(t))
+		}
+	}
+	return " FROM " + from + whereAll(conds)
+}
+
+// project renders the division's select list for the rows of one grouping
+// set (see projectItems). Columns are qualified whenever an Fj is joined in.
+func (d *divide) project(a *analysis, set []string) []string {
+	ref := quoteIdent
+	if len(d.terms) > 0 {
+		ref = func(c string) string { return d.fine.table + "." + quoteIdent(c) }
+	}
+	ti := -1
+	return projectItems(a, set, d.col, ref, func(int) []string {
+		ti++
+		return []string{d.pct(d.terms[ti])}
+	})
+}
+
+// projectItems renders the select list that lands the rows of one grouping
+// set in a result table laid out in select-list order: a dimension the set
+// rolled away is NULL, a percentage item expands to whatever pct renders for
+// it, a plain aggregate reads its summary column, and GROUPING() is the set's
+// marker literal. A plain Vpct plan is the case set = GROUP BY.
+func projectItems(a *analysis, set []string, col map[int]string, ref func(string) string, pct func(idx int) []string) []string {
+	var out []string
+	for idx, it := range a.items {
+		switch it.kind {
+		case itemGroupCol:
+			if containsFold(set, it.col) {
+				out = append(out, ref(it.col))
+			} else {
+				out = append(out, "NULL")
+			}
+		case itemPct:
+			out = append(out, pct(idx)...)
+		case itemVertAgg:
+			out = append(out, ref(col[idx]))
+		case itemGrouping:
+			out = append(out, strconv.Itoa(groupingMarker(it.gcols, set)))
+		}
+	}
+	return out
 }
 
 // planVertical generates the Vpct evaluation plan of Section 3.1:
@@ -30,461 +202,117 @@ type vterm struct {
 // term), as the paper prescribes.
 func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 	plan := &Plan{Class: ClassVertical}
-
-	// Gather terms. Fk measure columns are shared across terms with the
-	// same expression — except under the UPDATE variant, where each term
-	// overwrites its column with its own percentages and so needs its own.
-	type mcol struct{ sql, col string }
-	var terms []*vterm
-	measureCols := map[string]string{} // measure SQL → Fk column
-	var measureOrder []mcol
-	var extraAggs []int // item indexes of plain vertical aggregates
-	for idx, it := range a.items {
-		switch it.kind {
-		case itemPct:
-			if it.agg.Fn != expr.AggVpct {
-				return nil, fmt.Errorf("core: internal: %s in vertical plan", it.agg.Fn)
-			}
-			mSQL := it.agg.Arg.String()
-			col, ok := measureCols[mSQL]
-			if !ok || opts.UseUpdate {
-				col = fmt.Sprintf("m%d", len(measureOrder)+1)
-				measureCols[mSQL] = col
-				measureOrder = append(measureOrder, mcol{sql: mSQL, col: col})
-			}
-			terms = append(terms, &vterm{
-				itemIdx:    idx,
-				call:       it.agg,
-				measure:    it.agg.Arg,
-				totalsCols: a.totalsColsOf(it.agg),
-				measureCol: col,
-			})
-		case itemVertAgg:
-			extraAggs = append(extraAggs, idx)
-		}
-	}
-	if len(terms) == 0 {
+	fk, col := fineSummary(a, "Fk", a.groupCols, opts.UseUpdate)
+	d := newDivide(a, fk, a.groupCols, col)
+	if len(d.terms) == 0 {
 		return nil, fmt.Errorf("core: vertical plan without Vpct terms")
 	}
 	if opts.MissingRows != MissingNone {
-		if len(terms) != 1 {
+		if len(d.terms) != 1 {
 			return nil, fmt.Errorf("core: missing-row handling supports a single Vpct term")
 		}
-		if len(extraAggs) > 0 {
+		if len(col) > len(d.terms) { // col also maps the plain aggregates
 			return nil, fmt.Errorf("core: missing-row handling cannot be combined with other aggregate terms")
 		}
-		if len(terms[0].totalsCols) == 0 {
+		if len(d.terms[0].totals) == 0 {
 			return nil, fmt.Errorf("core: missing-row handling requires a BY clause (totals grouping)")
 		}
 	}
-
 	// Optional pre-processing: insert zero-measure rows into F for missing
 	// (D1..Dj) × (Dj+1..Dk) combinations before aggregating.
 	if opts.MissingRows == MissingPre {
-		if err := p.addMissingPreSteps(plan, a, terms[0]); err != nil {
+		if err := p.addMissingPreSteps(plan, a, d.terms[0]); err != nil {
 			return nil, err
 		}
 	}
 
-	// ---- Fk: the fine aggregate over D1..Dk ----
-	fk := p.temp("fk")
-	// Shared summaries never cover the UPDATE variant (it mutates Fk), nor
-	// virtual relations (their contents change between any two scans, and
-	// the DML hook that maintains cached summaries never fires for them).
-	shareable := p.shareSummaries && !opts.UseUpdate && !p.Eng.IsVirtualTable(a.table)
+	// Fk, then one Fj per term. Shared summaries never cover the UPDATE
+	// variant (it mutates Fk), nor virtual relations (their contents change
+	// between any two scans, and the DML hook that maintains cached summaries
+	// never fires for them).
+	fk.table = p.temp("fk")
+	key := ""
+	if p.shareSummaries && !opts.UseUpdate && !p.Eng.IsVirtualTable(a.table) {
+		key = fk.key(a)
+	}
+	mode := p.materialize(plan, a, fk, key, "create Fk", "compute fine aggregate Fk from F", fk.fromF(a))
+	p.emitTotals(plan, a, d, totalsOpts{fromF: opts.FjFromF, indexes: opts.SubkeyIndexes, key: key, mode: mode})
 
-	measureType := func(mSQL string) storage.ColumnType {
-		for _, t := range terms {
-			if t.measure.String() == mSQL {
-				if opts.UseUpdate {
-					// Percentages overwrite these columns in place.
-					return storage.TypeFloat
-				}
-				return exprType(t.measure, a.schema)
-			}
-		}
-		return storage.TypeFloat
-	}
-
-	var fkCols, fkSelect []string
-	for _, g := range a.groupCols {
-		fkCols = append(fkCols, colDef(g, a.schema[a.schema.ColumnIndex(g)].Type))
-		fkSelect = append(fkSelect, quoteIdent(g))
-	}
-	for _, m := range measureOrder {
-		fkCols = append(fkCols, colDef(m.col, measureType(m.sql)))
-		fkSelect = append(fkSelect, "sum("+m.sql+")")
-	}
-	extraCol := map[int]string{}
-	for n, idx := range extraAggs {
-		call := a.items[idx].agg
-		col := fmt.Sprintf("x%d", n+1)
-		extraCol[idx] = col
-		fkCols = append(fkCols, colDef(col, aggResultType(call, a.schema)))
-		fkSelect = append(fkSelect, call.String())
-	}
-	// The column layout is part of the key: two queries can share the select
-	// list yet assign different column names (a measure reused as m1 in one
-	// and stored as x1 in the other), and a layout mismatch would make the
-	// cached table's columns unresolvable for the second plan. Including the
-	// definitions also lets lattice plans (planLattice) share FS with Fk.
-	fkKey := fmt.Sprintf("fk|%s|%s|%s|%s|%s", a.table, whereSuffix(a.where),
-		joinIdents(a.groupCols), strings.Join(fkSelect, ","), strings.Join(fkCols, ","))
-	// Delta metadata makes the cached Fk incrementally maintainable: every
-	// aggregate column must be distributive (the measure sums always are;
-	// extra terms may not be — avg or DISTINCT keep meta nil, so DML
-	// rebuilds instead).
-	var fkMeta *deltaMeta
-	if shareable {
-		merges := make([]mergeOp, 0, len(measureOrder)+len(extraAggs))
-		for range measureOrder {
-			merges = append(merges, mergeAdd)
-		}
-		deltable := true
-		for _, idx := range extraAggs {
-			op, ok := mergeOpFor(a.items[idx].agg)
-			if !ok {
-				deltable = false
-				break
-			}
-			merges = append(merges, op)
-		}
-		if deltable {
-			fkMeta = &deltaMeta{
-				base:    a.table,
-				where:   whereSuffix(a.where),
-				groupBy: " GROUP BY " + joinIdents(a.groupCols),
-				selects: strings.Join(fkSelect, ", "),
-				colDefs: strings.Join(fkCols, ", "),
-				nGroup:  len(a.groupCols),
-				merges:  merges,
-			}
-		}
-	}
-	fkMode := cacheOff
-	var fkReg *summaryEntry
-	if shareable {
-		fk, fkMode, fkReg = p.cacheLookup(fkKey, fk, a.table, fkMeta)
-	} else {
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop Fk", SQL: "DROP TABLE IF EXISTS " + fk})
-	}
-	switch fkMode {
-	case cacheHitClean:
-		plan.cacheHits++
-		plan.Steps = append(plan.Steps, cacheHitStep("Fk", fk))
-	case cacheHitDelta:
-		plan.cacheHits++
-		plan.Steps = append(plan.Steps, p.cacheDeltaStep(fkReg, fk, "Fk"))
-	default:
-		if fkMode == cacheMiss {
-			plan.cacheRegs = append(plan.cacheRegs, fkReg)
-			plan.Steps = append(plan.Steps, p.cacheCaptureStep(fkReg, a.table))
-		}
-		plan.Steps = append(plan.Steps,
-			Step{Purpose: "create Fk", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fk, strings.Join(fkCols, ", "))},
-			Step{Purpose: "compute fine aggregate Fk from F",
-				SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s GROUP BY %s",
-					fk, strings.Join(fkSelect, ", "), a.table, whereSuffix(a.where), joinIdents(a.groupCols))},
-		)
-		if fkMode == cacheMiss {
-			plan.Steps = append(plan.Steps, p.cachePublishStep(fkReg, "Fk"))
-		}
-	}
-	fkFromCache := fkMode == cacheHitClean || fkMode == cacheHitDelta
-
-	// ---- Fj per term: the coarse totals over D1..Dj ----
-	// With several terms the Fj aggregates form a lattice: a term whose
-	// totals grouping is a subset of an earlier term's (same measure) can
-	// aggregate that term's Fj instead of the larger Fk — the bottom-up
-	// partial-aggregation the paper's future work likens to association
-	// mining.
-	type fjDone struct {
-		table      string
-		totalsCols []string
-		measureSQL string
-	}
-	var done []fjDone
-	for ti, t := range terms {
-		t.fjTable = p.temp("fj")
-		var fjCols, fjSelect []string
-		for _, g := range t.totalsCols {
-			fjCols = append(fjCols, colDef(g, a.schema[a.schema.ColumnIndex(g)].Type))
-			fjSelect = append(fjSelect, quoteIdent(g))
-		}
-		fjCols = append(fjCols, colDef("A", storage.TypeFloat))
-		groupClause := ""
-		if len(t.totalsCols) > 0 {
-			groupClause = " GROUP BY " + joinIdents(t.totalsCols)
-		}
-
-		// Pick the smallest available source: a finished Fj whose grouping
-		// covers this term's, else Fk, else F (per strategy).
-		source := fk
-		sourceMeasure := "sum(" + quoteIdent(t.measureCol) + ")"
-		purpose := fmt.Sprintf("compute coarse totals Fj from partial aggregate Fk (term %d)", ti+1)
-		if opts.FjFromF {
-			source = a.table
-			sourceMeasure = "sum(" + t.measure.String() + ")"
-			purpose = fmt.Sprintf("compute coarse totals Fj from F (term %d)", ti+1)
-		} else {
-			best := -1
-			for di, d := range done {
-				if d.measureSQL != t.measure.String() {
-					continue
-				}
-				covers := true
-				for _, c := range t.totalsCols {
-					if !containsFold(d.totalsCols, c) {
-						covers = false
-						break
-					}
-				}
-				if covers && (best < 0 || len(d.totalsCols) < len(done[best].totalsCols)) {
-					best = di
-				}
-			}
-			if best >= 0 {
-				source = done[best].table
-				sourceMeasure = "sum(A)"
-				purpose = fmt.Sprintf("compute coarse totals Fj from the finer Fj of term %d (lattice reuse)", best+1)
-			}
-		}
-		fjSelect = append(fjSelect, sourceMeasure)
-
-		fjKey := fmt.Sprintf("fj|%s|%s|%s|%s|%v", fkKey, joinIdents(t.totalsCols), t.measure.String(), sourceMeasure, opts.FjFromF)
-		// Fj's delta always re-aggregates the base rows directly (sum is
-		// distributive over any partition of F), whatever source the build
-		// itself reads from.
-		var fjMeta *deltaMeta
-		if shareable {
-			var fjDeltaSel []string
-			for _, g := range t.totalsCols {
-				fjDeltaSel = append(fjDeltaSel, quoteIdent(g))
-			}
-			fjDeltaSel = append(fjDeltaSel, "sum("+t.measure.String()+")")
-			fjMeta = &deltaMeta{
-				base:    a.table,
-				where:   whereSuffix(a.where),
-				groupBy: groupClause,
-				selects: strings.Join(fjDeltaSel, ", "),
-				colDefs: strings.Join(fjCols, ", "),
-				nGroup:  len(t.totalsCols),
-				merges:  []mergeOp{mergeAdd},
-			}
-		}
-		fjMode := cacheOff
-		var fjReg *summaryEntry
-		if shareable {
-			t.fjTable, fjMode, fjReg = p.cacheLookup(fjKey, t.fjTable, a.table, fjMeta)
-		} else {
-			plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop Fj", SQL: "DROP TABLE IF EXISTS " + t.fjTable})
-		}
-		whereClause := ""
-		if source == a.table {
-			whereClause = whereSuffix(a.where)
-		}
-		switch fjMode {
-		case cacheHitClean:
-			plan.cacheHits++
-			plan.Steps = append(plan.Steps, cacheHitStep("Fj", t.fjTable))
-		case cacheHitDelta:
-			plan.cacheHits++
-			plan.Steps = append(plan.Steps, p.cacheDeltaStep(fjReg, t.fjTable, "Fj"))
-		default:
-			if fjMode == cacheMiss {
-				plan.cacheRegs = append(plan.cacheRegs, fjReg)
-				plan.Steps = append(plan.Steps, p.cacheCaptureStep(fjReg, a.table))
-				if fkFromCache && source == fk {
-					// The paper's Fj-from-Fk derivation applied across
-					// statements: a fresh Fj rolled up from a cached Fk.
-					p.mu.Lock()
-					p.cstats.FjRollups++
-					p.mu.Unlock()
-					mCacheFjRollups.Inc()
-				}
-			}
-			plan.Steps = append(plan.Steps,
-				Step{Purpose: fmt.Sprintf("create Fj for term %d", ti+1),
-					SQL: fmt.Sprintf("CREATE TABLE %s (%s)", t.fjTable, strings.Join(fjCols, ", "))},
-				Step{Purpose: purpose,
-					SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s%s",
-						t.fjTable, strings.Join(fjSelect, ", "), source, whereClause, groupClause)},
-			)
-			if fjMode == cacheMiss {
-				plan.Steps = append(plan.Steps, p.cachePublishStep(fjReg, "Fj"))
-			}
-			if opts.SubkeyIndexes && len(t.totalsCols) > 0 {
-				// A clean-hit Fk already carries its subkey index from the
-				// plan that built it; re-indexing it every query would pile
-				// up duplicates.
-				if fkMode != cacheHitClean {
-					plan.Steps = append(plan.Steps,
-						Step{Purpose: "index Fk on the common subkey",
-							SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixk"), fk, joinIdents(t.totalsCols))},
-					)
-				}
-				plan.Steps = append(plan.Steps,
-					Step{Purpose: "index Fj on the common subkey",
-						SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixj"), t.fjTable, joinIdents(t.totalsCols))},
-				)
-			}
-		}
-		done = append(done, fjDone{table: t.fjTable, totalsCols: t.totalsCols, measureSQL: t.measure.String()})
-	}
-
-	// Output column names, in select-list order.
 	outNames := make([]string, len(a.items))
 	for idx, it := range a.items {
-		switch {
-		case it.alias != "":
-			outNames[idx] = it.alias
-		case it.kind == itemGroupCol:
-			outNames[idx] = it.col
-		case it.kind == itemPct:
-			// The paper's result tables title the percentage column with
-			// the measure name (Table 2 heads it "salesAmt").
-			if cr, ok := it.agg.Arg.(*expr.ColumnRef); ok {
-				outNames[idx] = cr.Name
-			} else {
-				outNames[idx] = "pct"
-			}
-		default:
-			outNames[idx] = it.agg.String()
-		}
+		outNames[idx] = it.outName()
 	}
 	outNames = uniqueNames(outNames)
-	for _, t := range terms {
-		t.outName = outNames[t.itemIdx]
-	}
 
-	// ---- FV: divide the two aggregation levels ----
-	var fv string
+	// FV: divide the two aggregation levels.
+	fv := fk.table
 	if opts.UseUpdate {
 		// FV = Fk, updated in place; one cross-table UPDATE per term.
-		fv = fk
-		for ti, t := range terms {
+		for ti, t := range d.terms {
 			where := ""
-			if len(t.totalsCols) > 0 {
-				where = " WHERE " + equalityChainNullSafe(fk, t.fjTable, t.totalsCols)
+			if len(t.totals) > 0 {
+				where = " WHERE " + d.subkey(t)
 			}
-			m := fk + "." + quoteIdent(t.measureCol)
 			plan.Steps = append(plan.Steps, Step{
 				Purpose: fmt.Sprintf("divide in place: UPDATE Fk with Fj totals (term %d)", ti+1),
-				SQL: fmt.Sprintf("UPDATE %s FROM %s SET %s = CASE WHEN %s.A <> 0 THEN %s / %s.A ELSE NULL END%s",
-					fk, t.fjTable, quoteIdent(t.measureCol), t.fjTable, m, t.fjTable, where),
+				SQL:     fmt.Sprintf("UPDATE %s FROM %s SET %s = %s%s", fv, t.fj, quoteIdent(t.measureCol), d.pct(t), where),
 			})
 		}
 	} else {
 		fv = p.temp("fv")
 		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FV", SQL: "DROP TABLE IF EXISTS " + fv})
-		var fvCols, fvSelect []string
-		for idx, it := range a.items {
-			name := outNames[idx]
-			switch it.kind {
-			case itemGroupCol:
-				fvCols = append(fvCols, colDef(name, a.schema[a.schema.ColumnIndex(it.col)].Type))
-				fvSelect = append(fvSelect, fk+"."+quoteIdent(it.col))
-			case itemPct:
-				fvCols = append(fvCols, colDef(name, storage.TypeFloat))
-				var t *vterm
-				for _, tt := range terms {
-					if tt.itemIdx == idx {
-						t = tt
-					}
-				}
-				m := fk + "." + quoteIdent(t.measureCol)
-				fvSelect = append(fvSelect, fmt.Sprintf(
-					"CASE WHEN %s.A <> 0 THEN %s / %s.A ELSE NULL END", t.fjTable, m, t.fjTable))
-			case itemVertAgg:
-				fvCols = append(fvCols, colDef(name, aggResultType(it.agg, a.schema)))
-				fvSelect = append(fvSelect, fk+"."+quoteIdent(extraCol[idx]))
-			}
-		}
-		from := []string{fk}
-		var conds []string
-		for _, t := range terms {
-			from = append(from, t.fjTable)
-			if len(t.totalsCols) > 0 {
-				conds = append(conds, equalityChainNullSafe(fk, t.fjTable, t.totalsCols))
-			}
-		}
-		where := ""
-		if len(conds) > 0 {
-			where = " WHERE " + strings.Join(conds, " AND ")
-		}
 		plan.Steps = append(plan.Steps,
-			Step{Purpose: "create FV", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fv, strings.Join(fvCols, ", "))},
+			Step{Purpose: "create FV", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fv, a.resultDefs(outNames))},
 			Step{Purpose: "compute FV: join Fk with Fj on the common subkey and divide",
-				SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s",
-					fv, strings.Join(fvSelect, ", "), strings.Join(from, ", "), where)},
+				SQL: fmt.Sprintf("INSERT INTO %s SELECT %s%s", fv, strings.Join(d.project(a, a.groupCols), ", "), d.join())},
 		)
 	}
-	plan.ResultTable = fv
-	plan.ResultTables = []string{fv}
-
 	// Optional post-processing: zero-fill missing combinations in FV.
 	if opts.MissingRows == MissingPost {
-		full, err := p.addMissingPostSteps(plan, a, terms[0], fv, outNames, opts.UseUpdate, extraCol)
-		if err != nil {
-			return nil, err
-		}
-		plan.ResultTable = full
-		plan.ResultTables = []string{full}
-		fv = full
+		fv = p.addMissingPostSteps(plan, a, d.terms[0], fv, outNames, opts.UseUpdate)
 	}
+	plan.ResultTable, plan.ResultTables = fv, []string{fv}
 
-	// ---- final projection ----
-	var finalCols []string
-	if opts.UseUpdate && opts.MissingRows == MissingNone {
-		// Result table is Fk: project its columns into select-list order
-		// under the output names.
-		for idx, it := range a.items {
-			var src string
-			switch it.kind {
-			case itemGroupCol:
-				src = quoteIdent(it.col)
-			case itemPct:
-				for _, t := range terms {
-					if t.itemIdx == idx {
-						src = quoteIdent(t.measureCol)
-					}
-				}
-			case itemVertAgg:
-				src = quoteIdent(extraCol[idx])
-			}
-			finalCols = append(finalCols, src+" AS "+quoteIdent(outNames[idx]))
-		}
-	} else {
-		for _, n := range outNames {
-			finalCols = append(finalCols, quoteIdent(n))
+	// Final projection. When the result table is Fk itself, its columns are
+	// projected into select-list order under the output names.
+	finalCols := quoteIdents(outNames)
+	if fv == fk.table {
+		finalCols = projectItems(a, a.groupCols, col, quoteIdent, func(idx int) []string { return []string{quoteIdent(col[idx])} })
+		for i := range finalCols {
+			finalCols[i] += " AS " + quoteIdent(outNames[i])
 		}
 	}
-	plan.FinalSelect = fmt.Sprintf("SELECT %s FROM %s%s%s",
-		strings.Join(finalCols, ", "), fv, orderClause(a, outNames), limitClause(a))
+	plan.FinalSelect = selectSQL(finalCols, fv, orderBySQL(a, defaultOrder(a, outNames)), limitClause(a))
 	return plan, nil
 }
 
-// orderClause renders the query's ORDER BY, defaulting to the GROUP BY
-// order the paper prescribes for displaying rows that add up to 100%
-// together.
-func orderClause(a *analysis, outNames []string) string {
-	if len(a.orderBy) > 0 {
-		parts := make([]string, len(a.orderBy))
-		for i, k := range a.orderBy {
-			parts[i] = k.String()
-		}
-		return " ORDER BY " + strings.Join(parts, ", ")
-	}
-	var parts []string
+// defaultOrder is the GROUP BY order the paper prescribes for displaying
+// rows that add up to 100% together: the grouping columns, in select-list
+// order, under their output names.
+func defaultOrder(a *analysis, outNames []string) []string {
+	var cols []string
 	for idx, it := range a.items {
 		if it.kind == itemGroupCol {
-			parts = append(parts, quoteIdent(outNames[idx]))
+			cols = append(cols, outNames[idx])
 		}
 	}
-	if len(parts) == 0 {
+	return cols
+}
+
+// orderBySQL renders the user's ORDER BY, or the default ordering when the
+// query has none.
+func orderBySQL(a *analysis, deflt []string) string {
+	cols := quoteIdents(deflt)
+	if len(a.orderBy) > 0 {
+		cols = make([]string, len(a.orderBy))
+		for i, k := range a.orderBy {
+			cols[i] = k.String()
+		}
+	}
+	if len(cols) == 0 {
 		return ""
 	}
-	return " ORDER BY " + strings.Join(parts, ", ")
+	return " ORDER BY " + strings.Join(cols, ", ")
 }
 
 func limitClause(a *analysis) string {
@@ -494,6 +322,34 @@ func limitClause(a *analysis) string {
 	return ""
 }
 
+// missingFrame emits what both missing-row treatments start from: the
+// distinct super-groups D1..Dj and the distinct BY combinations Dj+1..Dk of
+// F, plus a third temporary of the given kind for the caller to fill; plan
+// cleanup drops all three. side names the one of the two tables that holds a
+// grouping column.
+func (p *Planner) missingFrame(plan *Plan, a *analysis, t *vterm, third string) (sup, comb, extra string, side func(string) string) {
+	sup, comb, extra = p.temp("sup"), p.temp("comb"), p.temp(third)
+	for _, tmp := range []string{sup, comb, extra} {
+		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop missing-rows temp", SQL: "DROP TABLE IF EXISTS " + tmp})
+	}
+	plan.Steps = append(plan.Steps,
+		distinctStep(a, "distinct super-groups D1..Dj", sup, t.totals),
+		distinctStep(a, "distinct BY combinations Dj+1..Dk", comb, t.call.By))
+	return sup, comb, extra, func(col string) string {
+		if containsFold(t.totals, col) {
+			return sup
+		}
+		return comb
+	}
+}
+
+// distinctStep materializes the distinct combinations of cols in F.
+func distinctStep(a *analysis, purpose, table string, cols []string) Step {
+	return Step{Purpose: "missing rows: " + purpose,
+		SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
+			table, strings.Join(a.colDefs(cols, cols), ", "), table, joinIdents(cols), a.table, a.whereSQL())}
+}
+
 // addMissingPreSteps implements pre-processing: insert one zero-measure row
 // into F per missing (D1..Dj) × (Dj+1..Dk) combination. The measure must be
 // a plain column so the inserted rows carry measure 0; every other column
@@ -501,59 +357,24 @@ func limitClause(a *analysis) string {
 // skews Vpct(1) row counts, and can be expensive with high-dimensional
 // cubes.
 func (p *Planner) addMissingPreSteps(plan *Plan, a *analysis, t *vterm) error {
-	mcol, ok := t.measure.(*expr.ColumnRef)
+	mcol, ok := t.call.Arg.(*expr.ColumnRef)
 	if !ok {
-		return fmt.Errorf("core: pre-processing of missing rows requires the measure to be a plain column, not %s", t.measure)
+		return fmt.Errorf("core: pre-processing of missing rows requires the measure to be a plain column, not %s", t.call.Arg)
 	}
-	byCols := t.call.By
-	sup := p.temp("sup")
-	comb := p.temp("comb")
-	exist := p.temp("exist")
-	for _, tmp := range []string{sup, comb, exist} {
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop missing-rows temp", SQL: "DROP TABLE IF EXISTS " + tmp})
-	}
-	defCols := func(cols []string) string {
-		parts := make([]string, len(cols))
-		for i, c := range cols {
-			parts[i] = colDef(c, a.schema[a.schema.ColumnIndex(c)].Type)
-		}
-		return strings.Join(parts, ", ")
-	}
-	plan.Steps = append(plan.Steps,
-		Step{Purpose: "missing rows: distinct super-groups D1..Dj",
-			SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
-				sup, defCols(t.totalsCols), sup, joinIdents(t.totalsCols), a.table, whereSuffix(a.where))},
-		Step{Purpose: "missing rows: distinct BY combinations Dj+1..Dk",
-			SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
-				comb, defCols(byCols), comb, joinIdents(byCols), a.table, whereSuffix(a.where))},
-		Step{Purpose: "missing rows: existing D1..Dk combinations",
-			SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
-				exist, defCols(a.groupCols), exist, joinIdents(a.groupCols), a.table, whereSuffix(a.where))},
-	)
+	sup, comb, exist, side := p.missingFrame(plan, a, t, "exist")
+	plan.Steps = append(plan.Steps, distinctStep(a, "existing D1..Dk combinations", exist, a.groupCols))
 	// Insert a zero-measure row for each (sup × comb) absent from exist.
-	selectCols := make([]string, 0, len(a.groupCols)+1)
-	insertCols := make([]string, 0, len(a.groupCols)+1)
+	var selectCols, onParts []string
 	for _, g := range a.groupCols {
-		insertCols = append(insertCols, quoteIdent(g))
-		if containsFold(t.totalsCols, g) {
-			selectCols = append(selectCols, sup+"."+quoteIdent(g))
-		} else {
-			selectCols = append(selectCols, comb+"."+quoteIdent(g))
-		}
+		selectCols = append(selectCols, side(g)+"."+quoteIdent(g))
 	}
-	insertCols = append(insertCols, quoteIdent(mcol.Name))
-	selectCols = append(selectCols, "0")
-	onParts := make([]string, 0, len(a.groupCols))
-	for _, g := range t.totalsCols {
-		onParts = append(onParts, equalityChainNullSafe(exist, sup, []string{g}))
-	}
-	for _, g := range byCols {
-		onParts = append(onParts, equalityChainNullSafe(exist, comb, []string{g}))
+	for _, g := range append(append([]string{}, t.totals...), t.call.By...) {
+		onParts = append(onParts, equalityChainNullSafe(exist, side(g), []string{g}))
 	}
 	plan.Steps = append(plan.Steps, Step{
 		Purpose: "missing rows: insert zero-measure rows into F",
-		SQL: fmt.Sprintf("INSERT INTO %s (%s) SELECT %s FROM %s, %s LEFT OUTER JOIN %s ON %s WHERE %s.%s IS NULL",
-			a.table, strings.Join(insertCols, ", "), strings.Join(selectCols, ", "),
+		SQL: fmt.Sprintf("INSERT INTO %s (%s, %s) SELECT %s, 0 FROM %s, %s LEFT OUTER JOIN %s ON %s WHERE %s.%s IS NULL",
+			a.table, joinIdents(a.groupCols), quoteIdent(mcol.Name), strings.Join(selectCols, ", "),
 			sup, comb, exist, strings.Join(onParts, " AND "),
 			exist, quoteIdent(a.groupCols[0])),
 	})
@@ -563,86 +384,40 @@ func (p *Planner) addMissingPreSteps(plan *Plan, a *analysis, t *vterm) error {
 // addMissingPostSteps implements post-processing: build FVfull with one row
 // per (D1..Dj) × (Dj+1..Dk) combination, zero-filling percentages for
 // combinations absent from FV. Returns the full result table name.
-func (p *Planner) addMissingPostSteps(plan *Plan, a *analysis, t *vterm, fv string,
-	outNames []string, updateVariant bool, extraCol map[int]string) (string, error) {
-
-	byCols := t.call.By
-	sup := p.temp("sup")
-	comb := p.temp("comb")
-	full := p.temp("fvfull")
-	for _, tmp := range []string{sup, comb, full} {
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop missing-rows temp", SQL: "DROP TABLE IF EXISTS " + tmp})
-	}
-	defCols := func(cols []string) string {
-		parts := make([]string, len(cols))
-		for i, c := range cols {
-			parts[i] = colDef(c, a.schema[a.schema.ColumnIndex(c)].Type)
-		}
-		return strings.Join(parts, ", ")
-	}
-	plan.Steps = append(plan.Steps,
-		Step{Purpose: "missing rows: distinct super-groups D1..Dj",
-			SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
-				sup, defCols(t.totalsCols), sup, joinIdents(t.totalsCols), a.table, whereSuffix(a.where))},
-		Step{Purpose: "missing rows: distinct BY combinations Dj+1..Dk",
-			SQL: fmt.Sprintf("CREATE TABLE %s (%s); INSERT INTO %s SELECT DISTINCT %s FROM %s%s",
-				comb, defCols(byCols), comb, joinIdents(byCols), a.table, whereSuffix(a.where))},
-	)
-
-	// FVfull mirrors the user-facing result: group columns + percentage.
-	var fullCols, selectCols []string
-	for idx, it := range a.items {
-		name := outNames[idx]
-		switch it.kind {
-		case itemGroupCol:
-			fullCols = append(fullCols, colDef(name, a.schema[a.schema.ColumnIndex(it.col)].Type))
-			if containsFold(t.totalsCols, it.col) {
-				selectCols = append(selectCols, sup+"."+quoteIdent(it.col))
-			} else {
-				selectCols = append(selectCols, comb+"."+quoteIdent(it.col))
-			}
-		case itemPct:
-			fullCols = append(fullCols, colDef(name, storage.TypeFloat))
-			src := "v." + quoteIdent(name)
-			if updateVariant {
-				src = "v." + quoteIdent(t.measureCol)
-			}
-			selectCols = append(selectCols, "coalesce("+src+", 0)")
-		}
-	}
-	// Join FV on every group column: group cols that are totals columns
-	// come from sup, BY columns from comb.
-	// FV columns carry output names under the INSERT variant and original
+func (p *Planner) addMissingPostSteps(plan *Plan, a *analysis, t *vterm, fv string, outNames []string, updateVariant bool) string {
+	sup, comb, full, side := p.missingFrame(plan, a, t, "fvfull")
+	// FV columns carry output names under the INSERT variant and Fk's own
 	// names under the UPDATE variant.
-	nameOf := func(col string) string {
-		if updateVariant {
-			return col
-		}
-		for idx, it := range a.items {
-			if it.kind == itemGroupCol && strings.EqualFold(it.col, col) {
-				return outNames[idx]
+	fvName := map[string]string{}
+	var selectCols, onParts []string
+	for idx, it := range a.items {
+		switch {
+		case it.kind == itemGroupCol:
+			selectCols = append(selectCols, side(it.col)+"."+quoteIdent(it.col))
+			if lo := strings.ToLower(it.col); fvName[lo] == "" {
+				fvName[lo] = outNames[idx]
 			}
+		case updateVariant:
+			selectCols = append(selectCols, "coalesce(v."+quoteIdent(t.measureCol)+", 0)")
+		default:
+			selectCols = append(selectCols, "coalesce(v."+quoteIdent(outNames[idx])+", 0)")
 		}
-		return col
 	}
-	nullSafePair := func(left, lcol, right, rcol string) string {
-		l := left + "." + quoteIdent(lcol)
-		r := right + "." + quoteIdent(rcol)
-		return fmt.Sprintf("(%s = %s OR (%s IS NULL AND %s IS NULL))", l, r, l, r)
-	}
-	var onParts []string
-	for _, g := range t.totalsCols {
-		onParts = append(onParts, nullSafePair("v", nameOf(g), sup, g))
-	}
-	for _, g := range byCols {
-		onParts = append(onParts, nullSafePair("v", nameOf(g), comb, g))
+	// Join FV on every group column: totals columns come from sup, BY columns
+	// from comb.
+	for _, g := range append(append([]string{}, t.totals...), t.call.By...) {
+		name, ok := fvName[strings.ToLower(g)]
+		if updateVariant || !ok {
+			name = g
+		}
+		onParts = append(onParts, nullSafeEq("v."+quoteIdent(name), side(g)+"."+quoteIdent(g)))
 	}
 	plan.Steps = append(plan.Steps,
-		Step{Purpose: "create FVfull", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", full, strings.Join(fullCols, ", "))},
+		// FVfull mirrors the user-facing result: group columns + percentage.
+		Step{Purpose: "create FVfull", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", full, a.resultDefs(outNames))},
 		Step{Purpose: "missing rows: zero-fill absent combinations into FVfull",
 			SQL: fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s, %s LEFT OUTER JOIN %s v ON %s",
 				full, strings.Join(selectCols, ", "), sup, comb, fv, strings.Join(onParts, " AND "))},
 	)
-	_ = extraCol
-	return full, nil
+	return full
 }
