@@ -261,29 +261,18 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
-// ---- Ablation: CASE evaluation vs the proposed hash pivot ----
+// ---- Ablation: CASE arm by arm vs dimension dispatch vs the hash pivot ----
 
-func BenchmarkAblationHpctCASE(b *testing.B) {
+// runAblation times the four sales Hpct queries on one worker, so the
+// columns differ only in how a row finds its result column.
+func runAblation(b *testing.B, fold bool, hpct core.HpctOptions) {
 	s := benchSuite(b)
 	if err := s.Ensure("sales"); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, q := range s.PrimaryQueries()[4:] {
-			if _, err := s.TimeQuery(q.HpctSQL(), core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkAblationHpctHashPivot(b *testing.B) {
-	s := benchSuite(b)
-	if err := s.Ensure("sales"); err != nil {
-		b.Fatal(err)
-	}
-	opts := core.Options{Hpct: core.HpctOptions{HashPivot: true}}
+	defer s.Eng.SetBatch(s.Eng.BatchEnabled())
+	s.Eng.SetBatch(fold)
+	opts := core.Options{Parallelism: 1, Hpct: hpct}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range s.PrimaryQueries()[4:] {
@@ -292,4 +281,16 @@ func BenchmarkAblationHpctHashPivot(b *testing.B) {
 			}
 		}
 	}
+}
+
+// BenchmarkAblationHpctCASEReference folds the CASE plan arm by arm (the
+// reference fold): the paper's O(N) comparisons per row.
+func BenchmarkAblationHpctCASEReference(b *testing.B) { runAblation(b, false, core.HpctOptions{}) }
+
+// BenchmarkAblationHpctCASE is the same plan under the fold operator's
+// dimension dispatch: one lookup per row.
+func BenchmarkAblationHpctCASE(b *testing.B) { runAblation(b, true, core.HpctOptions{}) }
+
+func BenchmarkAblationHpctHashPivot(b *testing.B) {
+	runAblation(b, true, core.HpctOptions{HashPivot: true})
 }

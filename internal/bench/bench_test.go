@@ -93,8 +93,11 @@ func TestRunAblationPivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 || len(tab.Rows[0].Times) != 2 {
+	if len(tab.Rows) != 4 || len(tab.Rows[0].Times) != 3 {
 		t.Fatalf("table = %+v", tab)
+	}
+	if !s.Eng.BatchEnabled() {
+		t.Error("the ablation left the fold operator disabled")
 	}
 }
 

@@ -501,32 +501,42 @@ func (s *Suite) RunAblationShared() (*Table, error) {
 	return t, nil
 }
 
-// RunAblationPivot measures the paper's proposed query-optimizer change:
-// replacing the O(N)-per-row CASE evaluation with an O(1) hash lookup,
-// over the four sales Hpct queries.
+// RunAblationPivot measures the paper's proposed query-optimizer change —
+// replacing the O(N)-per-row CASE evaluation with an O(1) hash lookup — over
+// the four sales Hpct queries, three ways: the CASE plan folded arm by arm
+// (the reference fold, the paper's O(N) shape), the same plan with the fold's
+// dimension dispatch (the default), and the separate HashPivot plan. All
+// three run on one worker, so the only variable is how a row finds its
+// column.
 func (s *Suite) RunAblationPivot() (*Table, error) {
 	if err := s.Ensure("sales"); err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:  "Ablation: CASE evaluation vs hash-based pivot (Hpct direct from F)",
-		Header: []string{"CASE", "HashPivot"},
+		Title:  "Ablation: CASE evaluation arm by arm vs dimension dispatch vs hash-based pivot (Hpct direct from F, P=1)",
+		Header: []string{"CASE arm-by-arm", "CASE dispatched", "HashPivot"},
 	}
+	defer s.Eng.SetBatch(s.Eng.BatchEnabled())
 	for _, q := range s.PrimaryQueries()[4:] {
 		if s.skipQuery(q.Label()) {
 			continue
 		}
 		row := Row{Label: q.Label()}
-		d, err := s.TimeQuery(q.HpctSQL(), core.Options{})
-		if err != nil {
-			return nil, err
+		for _, col := range []struct {
+			fold bool
+			opts core.Options
+		}{
+			{false, core.Options{Parallelism: 1}},
+			{true, core.Options{Parallelism: 1}},
+			{true, core.Options{Parallelism: 1, Hpct: core.HpctOptions{HashPivot: true}}},
+		} {
+			s.Eng.SetBatch(col.fold)
+			d, err := s.TimeQuery(q.HpctSQL(), col.opts)
+			if err != nil {
+				return nil, err
+			}
+			row.Times = append(row.Times, d)
 		}
-		row.Times = append(row.Times, d)
-		d, err = s.TimeQuery(q.HpctSQL(), core.Options{Hpct: core.HpctOptions{HashPivot: true}})
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
 		t.Rows = append(t.Rows, row)
 		s.logf("ablation %-45s done\n", q.Label())
 	}

@@ -3,6 +3,7 @@ package difftest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -125,8 +126,15 @@ func primaryPlanner(t *testing.T) *core.Planner {
 	return core.NewPlanner(engine.New(cat))
 }
 
+// primaryShape is one primary query as Vpct, Hpct and Hagg SQL, with the
+// number of totals (GROUP BY) columns of the horizontal forms.
+type primaryShape struct {
+	vpct, hpct, hagg string
+	totals           int
+}
+
 // primaryShapes renders the eight primary queries' Vpct, Hpct and Hagg SQL.
-func primaryShapes() []struct{ vpct, hpct, hagg string } {
+func primaryShapes() []primaryShape {
 	type primary struct {
 		dataset, measure string
 		totals, by       []string
@@ -141,10 +149,10 @@ func primaryShapes() []struct{ vpct, hpct, hagg string } {
 		{"sales", "salesAmt", []string{"dweek", "monthNo"}, []string{"dept"}},
 		{"sales", "salesAmt", []string{"dweek", "monthNo"}, []string{"dept", "store"}},
 	}
-	var out []struct{ vpct, hpct, hagg string }
+	var out []primaryShape
 	for _, q := range primaries {
 		all := append(append([]string{}, q.totals...), q.by...)
-		var s struct{ vpct, hpct, hagg string }
+		s := primaryShape{totals: len(q.totals)}
 		if len(q.totals) == 0 {
 			s.vpct = fmt.Sprintf("SELECT %s, Vpct(%s) FROM %s GROUP BY %s",
 				strings.Join(q.by, ", "), q.measure, q.dataset, strings.Join(q.by, ", "))
@@ -191,7 +199,28 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 // aggregates: bare and computed items, NULL keys, more keys than the
 // fixed-width group key holds, VARCHAR, a join-fed input, window and
 // aggregate output, and ORDER BY + LIMIT on top.
+//
+// The dispatch shapes are sum(CASE WHEN <BY columns = constants> THEN … ELSE
+// 0|NULL END) families, which the operator routes with one lookup per row
+// where the reference walks every arm: an arm no row matches (0 under ELSE 0,
+// NULL under ELSE NULL), an IS NULL arm, two specs sharing a condition, two
+// families over different column lists, a VARCHAR sum and a VARCHAR product
+// reached only by a later row of one arm, negative constants with and without
+// a WHERE on one, a join-fed input, a global fold over no rows, and — beside
+// arms that dispatch — the shapes that must not: OR, IS NOT NULL, a FLOAT
+// literal against an INTEGER column, a non-zero ELSE, ELSE 0 under count.
 var foldShapes = []string{
+	"SELECT d1, sum(a), sum(CASE WHEN d2 = 0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 9 THEN a ELSE 0 END), sum(CASE WHEN d2 IS NULL THEN a ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d3, sum(CASE WHEN d2 = 9 THEN a ELSE NULL END), max(CASE WHEN d2 = 1 THEN a END), avg(CASE WHEN d2 = 2 THEN a END), count(CASE WHEN d2 = 1 THEN 1 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END) FROM f GROUP BY d3",
+	"SELECT d1, sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d3 = 'x' AND d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d3 = 'y' AND d2 IS NULL THEN a ELSE 0 END), count(*) FROM f GROUP BY d1",
+	"SELECT d1, sum(CASE WHEN d2 = 3 THEN d3 ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d1, count(*), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 3 THEN a * d3 ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d1, sum(CASE WHEN a = -1 THEN d2 ELSE 0 END), sum(CASE WHEN a = -5 THEN d2 ELSE 0 END), sum(CASE WHEN a = 3 THEN d2 ELSE 0 END) FROM f WHERE d2 = 1 GROUP BY d1",
+	"SELECT d1, sum(CASE WHEN a = -1 THEN d2 ELSE 0 END), sum(CASE WHEN a = -5 THEN d2 ELSE 0 END) FROM f WHERE a = -1 GROUP BY d1",
+	"SELECT x.d1, sum(CASE WHEN y.d2 = 0 THEN x.a ELSE 0 END), sum(CASE WHEN y.d2 = 1 THEN x.a ELSE 0 END), sum(CASE WHEN y.d2 IS NULL THEN x.a ELSE 0 END) FROM f x, f y WHERE x.a = y.a GROUP BY x.d1",
+	"SELECT sum(CASE WHEN d2 = 0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 9 THEN a ELSE 0 END), count(CASE WHEN d2 = 0 THEN 1 END) FROM f WHERE d1 = 7",
+	"SELECT d1, sum(CASE WHEN d2 = 1 OR d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1.0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 1 END), sum(CASE WHEN d2 IS NOT NULL THEN a ELSE 0 END), count(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END) FROM f GROUP BY d1",
+
 	"SELECT DISTINCT d1 FROM f",
 	"SELECT DISTINCT d1 + d2, d3 FROM f",
 	"SELECT DISTINCT d1, d2, d3, a, d1 * 4 + d2 FROM f",
@@ -217,24 +246,27 @@ var foldShapes = []string{
 // hash pivot's Fk fold), a computed-key GROUP BY and a join-fed GROUP BY all
 // run every fold through the operator — batch.fallbacks does not move,
 // batch.folds does — and return exactly the rows of the SetBatch(false)
-// reference.
+// reference. The CASE arms of the Hpct and Hagg forms dispatched: the plan's
+// one CASE fold, and each of its workers, carries dispatch=<arms>/1 with one
+// arm per result column beyond the grouping columns.
 func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 	p := primaryPlanner(t)
 	type shape struct {
 		sql  string
 		opts core.Options
+		keys int // ≥ 0: a CASE strategy straight from F with that many grouping columns, every other column an arm
 	}
 	shapes := []shape{
-		{"SELECT age / 10, marstatus, sum(salary), count(*) FROM employee GROUP BY 1, marstatus", core.Options{}},
-		{"SELECT s.dweek, sum(s.salesAmt), count(*) FROM sales s, sales d WHERE s.transactionId = d.transactionId GROUP BY s.dweek", core.Options{}},
+		{"SELECT age / 10, marstatus, sum(salary), count(*) FROM employee GROUP BY 1, marstatus", core.Options{}, -1},
+		{"SELECT s.dweek, sum(s.salesAmt), count(*) FROM sales s, sales d WHERE s.transactionId = d.transactionId GROUP BY s.dweek", core.Options{}, -1},
 	}
 	for _, q := range primaryShapes() {
 		shapes = append(shapes,
-			shape{q.vpct, core.DefaultOptions()},
-			shape{q.hpct, core.Options{}},
-			shape{q.hpct, core.Options{Hpct: core.HpctOptions{HashPivot: true}}},
-			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
-			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}}})
+			shape{q.vpct, core.DefaultOptions(), -1},
+			shape{q.hpct, core.Options{}, q.totals},
+			shape{q.hpct, core.Options{Hpct: core.HpctOptions{HashPivot: true}}, -1},
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}, q.totals},
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}}, -1})
 	}
 	folds, fallbacks := obs.Default.Counter("batch.folds"), obs.Default.Counter("batch.fallbacks")
 	for _, sh := range shapes {
@@ -259,8 +291,47 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 			if diff := Equal(ref, got); diff != "" {
 				t.Errorf("%s: P=%d diverges from the reference: %s", sh.sql, par, diff)
 			}
+			if sh.keys < 0 {
+				continue
+			}
+			want := fmt.Sprintf("%d/1", len(got.Columns)-sh.keys)
+			if spans := dispatchSpans(t, p, sh.sql, sh.opts, par); len(spans) == 0 {
+				t.Errorf("%s: P=%d: no fold span carries a dispatch attribute", sh.sql, par)
+			} else {
+				for _, sp := range spans {
+					if sp.val != want {
+						t.Errorf("%s: P=%d: %s has dispatch=%s, want %s", sh.sql, par, sp.name, sp.val, want)
+					}
+				}
+			}
 		}
 	}
+}
+
+type dispatchSpan struct{ name, val string }
+
+// dispatchSpans runs one traced execution and returns the fold and worker
+// spans that carry a dispatch attribute.
+func dispatchSpans(t *testing.T, p *core.Planner, sql string, opts core.Options, par int) []dispatchSpan {
+	t.Helper()
+	opts.Parallelism = par
+	plan, err := p.PlanSQL(sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, root, err := p.ExecuteTraced(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []dispatchSpan
+	root.Walk(func(sp *obs.Span) {
+		for _, a := range sp.Attrs {
+			if a.Key == "dispatch" {
+				out = append(out, dispatchSpan{sp.Name, a.Value})
+			}
+		}
+	})
+	return out
 }
 
 // TestDifferentialBatchRandomizedProperty runs seeded random fact tables —
@@ -295,6 +366,114 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 			minRows := MinimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
 				trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), q.sql)
+		}
+	}
+}
+
+// dispatchSchema and dispatchRows are the hand-built table of the directed
+// dispatch test: an INTEGER and a VARCHAR dimension with NULLs, an INTEGER
+// measure and a FLOAT one whose sums are exact. Per group k:
+//
+//	1  every row is d = 1 and b = -0.0: the arm skips nothing, so the sum
+//	   stays -0.0
+//	2  d = 1 rows of b = -0.0 beside a d = 2 row: one zero addend makes +0.0
+//	3  the d = 1 rows carry only NULL measures and another row is skipped: 0,
+//	   not NULL, under ELSE 0 — and NULL under ELSE NULL
+//	4  every row is d = 1 with NULL measures: NULL either way
+//	5  d is NULL or 2, measures mix signs; s is NULL on one row
+var dispatchSchema = storage.Schema{
+	{Name: "k", Type: storage.TypeInt},
+	{Name: "d", Type: storage.TypeInt},
+	{Name: "s", Type: storage.TypeString},
+	{Name: "a", Type: storage.TypeInt},
+	{Name: "b", Type: storage.TypeFloat},
+}
+
+func dispatchRows() [][]value.Value {
+	negZero := value.NewFloat(math.Copysign(0, -1))
+	i, f, str, null := value.NewInt, value.NewFloat, value.NewString, value.Null
+	return [][]value.Value{
+		{i(1), i(1), str("x"), i(4), negZero},
+		{i(2), i(1), str("x"), i(-3), negZero},
+		{i(3), i(1), str("y"), null, null},
+		{i(5), null, str("x"), i(7), f(2.5)},
+		{i(1), i(1), str("y"), i(6), negZero},
+		{i(2), i(2), str("y"), i(9), f(1.25)},
+		{i(4), i(1), str("x"), null, null},
+		{i(3), i(2), str("x"), i(2), f(-0.75)},
+		{i(5), i(2), null, i(-7), f(-2.5)},
+		{i(2), i(1), str("x"), i(1), negZero},
+		{i(3), i(1), str("x"), null, null},
+		{i(4), i(1), str("y"), null, null},
+		{i(5), null, str("y"), i(1), f(0.5)},
+	}
+}
+
+// TestDifferentialBatchDispatch runs the dimension dispatch over the
+// hand-built table — where each group pins one clause of the ELSE settlement
+// rule — as plain CASE folds over INTEGER, FLOAT and INTEGER-then-FLOAT
+// measures and as Hpct and Hagg plans, direct and from FV, one and two BY
+// lists per statement.
+func TestDifferentialBatchDispatch(t *testing.T) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("g", dispatchSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range dispatchRows() {
+		if _, err := tab.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	arms := func(then, els string) string {
+		return fmt.Sprintf("sum(CASE WHEN d = 1 THEN %s%s END), sum(CASE WHEN d = 2 THEN %s%s END), sum(CASE WHEN d IS NULL THEN %s%s END), sum(CASE WHEN d = 3 THEN %s%s END)",
+			then, els, then, els, then, els, then, els)
+	}
+	caseFV := core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}}
+	cases := []struct {
+		sql  string
+		opts core.Options
+	}{
+		{"SELECT k, " + arms("b", " ELSE 0") + " FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, " + arms("a", " ELSE 0") + " FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, " + arms("b", " ELSE NULL") + ", " + arms("a", "") + " FROM g GROUP BY k", core.Options{}},
+		{"SELECT s, " + arms("CASE WHEN a > 0 THEN a ELSE b END", " ELSE 0") + " FROM g GROUP BY s", core.Options{}},
+		{"SELECT " + arms("b", " ELSE 0") + " FROM g", core.Options{}},
+		{"SELECT k, sum(CASE WHEN s = 'x' AND d = 1 THEN b ELSE 0 END), sum(CASE WHEN s IS NULL AND d = 2 THEN b ELSE 0 END), sum(CASE WHEN s = 'y' AND d IS NULL THEN b ELSE 0 END) FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, Hpct(a BY d) FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, Hpct(b BY d) FROM g GROUP BY k", core.Options{Hpct: core.HpctOptions{FromFV: true}}},
+		{"SELECT k, Hpct(a BY d), Hpct(a BY s, d), count(*) FROM g GROUP BY k", core.Options{}},
+		{"SELECT Hpct(b BY s) FROM g", core.Options{}},
+		{"SELECT k, sum(b BY d), count(a BY d), min(a BY s) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+		{"SELECT k, sum(b BY d), count(a BY d), max(b BY s) FROM g GROUP BY k", caseFV},
+		{"SELECT k, count(* BY d), avg(b BY d) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+	}
+	for _, c := range cases {
+		if err := CompareBatch(p, c.sql, c.opts, Parallelisms); err != nil {
+			t.Error(err)
+		}
+	}
+	// The rule itself, not only agreement with the reference.
+	res, err := Run(p, "SELECT k, sum(CASE WHEN d = 1 THEN b ELSE 0 END), sum(CASE WHEN d = 1 THEN b ELSE NULL END) FROM g GROUP BY k ORDER BY k", core.Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"-0 -0", "+0 -0", "0 NULL", "NULL NULL", "0 NULL"}
+	for ri, row := range res.Rows {
+		var got []string
+		for _, v := range row[1:] {
+			switch {
+			case v.Kind() == value.KindFloat && math.Signbit(v.Float()):
+				got = append(got, "-0")
+			case v.Kind() == value.KindFloat:
+				got = append(got, "+0")
+			default:
+				got = append(got, v.String())
+			}
+		}
+		if g := strings.Join(got, " "); g != want[ri] {
+			t.Errorf("group k=%v: ELSE 0 / ELSE NULL arms = %s, want %s", row[0], g, want[ri])
 		}
 	}
 }

@@ -21,6 +21,7 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -38,7 +39,9 @@ var Parallelisms = []int{1, 2, 8}
 // Equal compares two results exactly and returns "" when identical, else a
 // description of the first difference. NULLs only match NULLs; numeric
 // values must compare equal AND have the same kind (an int64 17 is not a
-// float64 17 — a kind flip would mark a merge that demoted a sum).
+// float64 17 — a kind flip would mark a merge that demoted a sum), and a
+// float -0.0 is not +0.0 — the sign is all that tells a sum that met a zero
+// addend from one that did not.
 func Equal(a, b *engine.Result) string {
 	if len(a.Columns) != len(b.Columns) {
 		return fmt.Sprintf("column count %d vs %d", len(a.Columns), len(b.Columns))
@@ -60,7 +63,8 @@ func Equal(a, b *engine.Result) string {
 				return fmt.Sprintf("row %d col %s: %v vs %v", ri, a.Columns[ci], va, vb)
 			case va.IsNull():
 				// both NULL
-			case va.Kind() != vb.Kind() || value.Compare(va, vb) != 0:
+			case va.Kind() != vb.Kind() || value.Compare(va, vb) != 0 ||
+				va.Kind() == value.KindFloat && math.Signbit(va.Float()) != math.Signbit(vb.Float()):
 				return fmt.Sprintf("row %d col %s: %v (%v) vs %v (%v)",
 					ri, a.Columns[ci], va, va.Kind(), vb, vb.Kind())
 			}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,7 +30,14 @@ var fuzzFoldSchema = storage.Schema{
 // VARCHAR) or only on some (arithmetic on a VARCHAR behind a CASE arm),
 // whose error text must match the reference's. The DISTINCT shapes are folds
 // with keys and no aggregates: bare, computed and NULL keys, more than four
-// keys, VARCHAR, a join, window output, ORDER BY + LIMIT.
+// keys, VARCHAR, a join, window output, ORDER BY + LIMIT. The last block is
+// the dimension dispatch: CASE-arm families over INTEGER (fixed-width key),
+// VARCHAR and BOOLEAN (AppendKey) columns with an arm no row matches, IS NULL
+// arms, negative constants, ELSE 0 / ELSE NULL / no ELSE, FLOAT measures
+// (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
+// two families in one statement, arms whose THEN or sum() fails on some rows
+// only, arms under a WHERE, over a join and without GROUP BY, and shapes that
+// must not dispatch beside ones that do.
 var fuzzFoldQueries = []string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -50,6 +58,17 @@ var fuzzFoldQueries = []string{
 	"SELECT DISTINCT x.d1, y.d3 FROM f x, f y WHERE x.a = y.a AND y.d2 = 0",
 	"SELECT DISTINCT d3, sum(a) OVER (PARTITION BY d3), max(b) OVER (PARTITION BY d3, c) FROM f",
 	"SELECT DISTINCT d2, c FROM f WHERE 10 / d2 > 2 ORDER BY c DESC, d2 LIMIT 3",
+	"SELECT d1, sum(a), sum(CASE WHEN d2 = 0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 7 THEN a ELSE 0 END), sum(CASE WHEN d2 IS NULL THEN a ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d3, sum(CASE WHEN d2 = 1 THEN b ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END), min(CASE WHEN d2 = 1 THEN b ELSE NULL END), avg(CASE WHEN d2 = 2 THEN a END), count(CASE WHEN d2 = 1 THEN 1 END), max(CASE WHEN d2 = 9 THEN a END) FROM f GROUP BY d3",
+	"SELECT d1, sum(CASE WHEN d2 = 0 THEN CASE WHEN c THEN a ELSE b END ELSE 0 END), sum(CASE WHEN d2 = 1 THEN CASE WHEN c THEN b ELSE a END ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d2, sum(CASE WHEN d3 = 'x' AND c = TRUE THEN b ELSE 0 END), sum(CASE WHEN d3 = 'y' AND c = FALSE THEN b ELSE 0 END), sum(CASE WHEN d3 IS NULL AND c = TRUE THEN b ELSE 0 END), sum(CASE WHEN d1 = 1 THEN a ELSE 0 END), sum(CASE WHEN d1 = 4 THEN a ELSE 0 END) FROM f GROUP BY d2",
+	"SELECT d1, sum(CASE WHEN d2 = 1 THEN d3 ELSE 0 END), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d1, count(*), sum(CASE WHEN d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a + d3 ELSE 0 END) FROM f WHERE d1 IS NOT NULL GROUP BY d1",
+	"SELECT d1, sum(CASE WHEN a = -1 THEN b ELSE 0 END), sum(CASE WHEN a = -20 THEN b ELSE 0 END), sum(CASE WHEN a = 1 THEN b ELSE 0 END) FROM f WHERE d2 = 1 GROUP BY d1",
+	"SELECT d3, sum(CASE WHEN a = -3 THEN b ELSE 0 END), count(CASE WHEN a = 3 THEN b END) FROM f WHERE a = -3 GROUP BY d3",
+	"SELECT x.d1, sum(CASE WHEN y.d2 = 0 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 = 1 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 IS NULL THEN x.a ELSE 0 END) FROM f x, f y WHERE x.a = y.a AND y.d1 = 0 GROUP BY x.d1",
+	"SELECT sum(CASE WHEN d2 = 0 THEN b ELSE 0 END), sum(CASE WHEN d2 = 5 THEN b ELSE 0 END), count(CASE WHEN d2 = 0 THEN 1 END) FROM f",
+	"SELECT d1, sum(CASE WHEN d2 = 1 OR d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1.0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 1 END), sum(CASE WHEN d2 IS NOT NULL THEN b ELSE 0 END), sum(CASE WHEN b = 0.5 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END) FROM f GROUP BY d1",
 }
 
 func fuzzFoldRow(rng *rand.Rand) []value.Value {
@@ -65,8 +84,11 @@ func fuzzFoldRow(rng *rand.Rand) []value.Value {
 	if rng.Intn(8) == 0 {
 		row[3] = value.Null
 	}
-	if rng.Intn(8) == 0 {
+	switch rng.Intn(16) {
+	case 0, 1:
 		row[4] = value.Null
+	case 2:
+		row[4] = value.NewFloat(math.Copysign(0, -1))
 	}
 	if rng.Intn(12) == 0 {
 		row[rng.Intn(3)] = value.Null
@@ -75,7 +97,7 @@ func fuzzFoldRow(rng *rand.Rand) []value.Value {
 }
 
 // fuzzResultDiff compares two results exactly — same columns, rows, order,
-// value kinds — and returns "" when identical.
+// value kinds, float signs — and returns "" when identical.
 func fuzzResultDiff(a, b *Result) string {
 	if len(a.Columns) != len(b.Columns) {
 		return fmt.Sprintf("column count %d vs %d", len(a.Columns), len(b.Columns))
@@ -90,7 +112,8 @@ func fuzzResultDiff(a, b *Result) string {
 			case va.IsNull() != vb.IsNull():
 				return fmt.Sprintf("row %d col %d: %v vs %v", ri, ci, va, vb)
 			case va.IsNull():
-			case va.Kind() != vb.Kind() || value.Compare(va, vb) != 0:
+			case va.Kind() != vb.Kind() || value.Compare(va, vb) != 0 ||
+				va.Kind() == value.KindFloat && math.Signbit(va.Float()) != math.Signbit(vb.Float()):
 				return fmt.Sprintf("row %d col %d: %v (%v) vs %v (%v)", ri, ci, va, va.Kind(), vb, vb.Kind())
 			}
 		}

@@ -35,7 +35,7 @@ func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) 
 	emit := func(depth int, s string) {
 		lines = append(lines, strings.Repeat("  ", depth)+s)
 	}
-	depth := explainHeader(sel, items, emit, nil)
+	depth := explainHeader(sel, items, in.schema(), emit, nil)
 	if residualWhere != nil {
 		emit(depth, "Filter "+residualWhere.String())
 		depth++
@@ -73,7 +73,7 @@ func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, 
 	emit := func(depth int, s string) {
 		lines = append(lines, strings.Repeat("  ", depth)+s)
 	}
-	depth := explainHeader(sel, items, emit, root)
+	depth := explainHeader(sel, items, insp.in.schema(), emit, root)
 	// The residual WHERE filter is the pipeline root itself when present, so
 	// describeIter renders it (with actuals) — no separate header line here,
 	// unlike plain EXPLAIN which works from the unwrapped pipeline.
@@ -105,8 +105,10 @@ func spanActual(sp *obs.Span) string {
 // Distinct, and the consumer stage (window / hash aggregate / project) — and
 // returns the depth the pipeline starts at. When root is non-nil (EXPLAIN
 // ANALYZE) each line is annotated from the corresponding stage span, and the
-// parallel fold's worker and merge spans render under the HashAggregate.
-func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem,
+// parallel fold's worker and merge spans render under the HashAggregate. sch
+// is the FROM pipeline's schema: the HashAggregate line names the columns the
+// fold dispatches CASE arms on (dispatch.go), when it does.
+func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem, sch relSchema,
 	emit func(int, string), root *obs.Span) int {
 
 	depth := 0
@@ -158,6 +160,11 @@ func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem,
 		line := "HashAggregate keys=[" + strings.Join(keys, ", ") + "] aggs=[" + strings.Join(aggs, ", ") + "]"
 		if sel.Having != nil {
 			line += " having=" + sel.Having.String()
+		}
+		if specs, _, err := collectAggSpecs(items, sel.Having, sch); err == nil {
+			if d := dispatchColumns(specs, sch); d != "" {
+				line += " dispatch=[" + d + "]"
+			}
 		}
 		agg := root.Find("aggregate")
 		emit(depth, line+spanActual(agg))

@@ -410,53 +410,9 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 		keyExprs[i] = b
 	}
 
-	// Collect aggregate calls from items and HAVING, bind their arguments.
-	// Textually identical calls share one accumulator slot — percentage
-	// plans repeat sum(A) in every CASE column and would otherwise fold it
-	// N times per row.
-	var specs []aggSpec
-	slotOf := make(map[*expr.AggCall]int)
-	slotByText := make(map[string]int)
-	collect := func(root expr.Expr) error {
-		return expr.Walk(root, func(n expr.Expr) error {
-			call, ok := n.(*expr.AggCall)
-			if !ok {
-				return nil
-			}
-			if _, dup := slotOf[call]; dup {
-				return nil
-			}
-			text := call.String()
-			if slot, dup := slotByText[text]; dup {
-				slotOf[call] = slot
-				return nil
-			}
-			spec := aggSpec{call: call}
-			if call.Arg != nil {
-				b, err := bindExpr(call.Arg, inSch)
-				if err != nil {
-					return err
-				}
-				if expr.HasAggregate(b) {
-					return fmt.Errorf("engine: nested aggregate in %s", call)
-				}
-				spec.arg = b
-			}
-			slotOf[call] = len(specs)
-			slotByText[text] = len(specs)
-			specs = append(specs, spec)
-			return nil
-		})
-	}
-	for _, it := range items {
-		if err := collect(it.Expr); err != nil {
-			return nil, err
-		}
-	}
-	if sel.Having != nil {
-		if err := collect(sel.Having); err != nil {
-			return nil, err
-		}
+	specs, slotOf, err := collectAggSpecs(items, sel.Having, inSch)
+	if err != nil {
+		return nil, err
 	}
 
 	groupRows, err := hashAggregate(in, keyExprs, specs, ec)
@@ -548,6 +504,59 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 		rows = append(rows, out)
 	}
 	return rows, nil
+}
+
+// collectAggSpecs gathers the aggregate calls of a select list and HAVING
+// clause and binds their arguments over the input schema. Textually identical
+// calls share one accumulator slot — percentage plans repeat sum(A) in every
+// CASE column and would otherwise fold it N times per row. slotOf maps each
+// call node to its slot.
+func collectAggSpecs(items []sqlparse.SelectItem, having expr.Expr, inSch relSchema) ([]aggSpec, map[*expr.AggCall]int, error) {
+	var specs []aggSpec
+	slotOf := make(map[*expr.AggCall]int)
+	slotByText := make(map[string]int)
+	collect := func(root expr.Expr) error {
+		return expr.Walk(root, func(n expr.Expr) error {
+			call, ok := n.(*expr.AggCall)
+			if !ok {
+				return nil
+			}
+			if _, dup := slotOf[call]; dup {
+				return nil
+			}
+			text := call.String()
+			if slot, dup := slotByText[text]; dup {
+				slotOf[call] = slot
+				return nil
+			}
+			spec := aggSpec{call: call}
+			if call.Arg != nil {
+				b, err := bindExpr(call.Arg, inSch)
+				if err != nil {
+					return err
+				}
+				if expr.HasAggregate(b) {
+					return fmt.Errorf("engine: nested aggregate in %s", call)
+				}
+				spec.arg = b
+			}
+			slotOf[call] = len(specs)
+			slotByText[text] = len(specs)
+			specs = append(specs, spec)
+			return nil
+		})
+	}
+	for _, it := range items {
+		if err := collect(it.Expr); err != nil {
+			return nil, nil, err
+		}
+	}
+	if having != nil {
+		if err := collect(having); err != nil {
+			return nil, nil, err
+		}
+	}
+	return specs, slotOf, nil
 }
 
 // execWindowSelect evaluates ANSI OLAP window aggregates: each windowed call

@@ -85,21 +85,38 @@ func specialize(e expr.Expr) expr.Expr {
 	}
 }
 
-// tryEqConst recognizes bound-column = literal (either side) and returns a
+// tryEqConst recognizes bound-column = constant (either side) and returns a
 // direct evaluator, or nil.
 func tryEqConst(l, r expr.Expr) expr.Expr {
 	text := "(" + l.String() + " = " + r.String() + ")"
 	if c, ok := l.(*expr.ColumnRef); ok && c.Bound() {
-		if lit, ok := r.(*expr.Literal); ok {
-			return &eqConstFast{idx: c.Index, val: lit.Val, text: text}
+		if v, ok := constValue(r); ok {
+			return &eqConstFast{idx: c.Index, val: v, text: text}
 		}
 	}
 	if c, ok := r.(*expr.ColumnRef); ok && c.Bound() {
-		if lit, ok := l.(*expr.Literal); ok {
-			return &eqConstFast{idx: c.Index, val: lit.Val, text: text}
+		if v, ok := constValue(l); ok {
+			return &eqConstFast{idx: c.Index, val: v, text: text}
 		}
 	}
 	return nil
+}
+
+// constValue folds e to its constant when e is a literal or the negation of a
+// numeric one: the parser reads -3 as the unary minus of 3, and without the
+// fold a negative constant would miss every fast path a positive one takes.
+// The node itself is left in the tree, so rendered text does not change.
+func constValue(e expr.Expr) (value.Value, bool) {
+	switch n := e.(type) {
+	case *expr.Literal:
+		return n.Val, true
+	case *expr.UnaryOp:
+		if lit, ok := n.Operand.(*expr.Literal); ok && n.Op == "-" && lit.Val.IsNumeric() {
+			v, err := value.Neg(lit.Val)
+			return v, err == nil
+		}
+	}
+	return value.Null, false
 }
 
 // eqConstFast evaluates column = constant with SQL NULL semantics.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/sqlparse"
 	"repro/internal/value"
 )
 
@@ -185,5 +186,53 @@ func TestAndFastShortCircuit(t *testing.T) {
 	v, err = s3.Eval(rowView{value.Null, value.Null})
 	if err != nil || !v.IsNull() {
 		t.Errorf("unknown AND true = %v, %v", v, err)
+	}
+}
+
+// TestSpecializeNegativeConstant pins the fold of -<numeric literal>: the
+// parser reads `d = -3` as d = (-(3)), which must still become the column =
+// constant node — error-free, so a WHERE on it vectorizes and a CASE arm on it
+// dispatches — holding the negated value and rendering the text it was
+// written with. A negated non-numeric literal is left to fail at Eval.
+func TestSpecializeNegativeConstant(t *testing.T) {
+	for src, want := range map[string]value.Value{
+		"d = -3":   value.NewInt(-3),
+		"-3 = d":   value.NewInt(-3),
+		"d = -2.5": value.NewFloat(-2.5),
+	} {
+		raw, err := sqlparse.ParseExpr(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := expr.Bind(raw, expr.SchemaResolver([]string{"d"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := specialize(b)
+		eq, ok := s.(*eqConstFast)
+		if !ok {
+			t.Fatalf("%s: specialized to %T, want *eqConstFast", src, s)
+		}
+		if !predErrFree(s) {
+			t.Errorf("%s: not error-free", src)
+		}
+		if eq.val.Kind() != want.Kind() || value.Compare(eq.val, want) != 0 {
+			t.Errorf("%s: constant = %v (%v), want %v", src, eq.val, eq.val.Kind(), want)
+		}
+		if s.String() != b.String() {
+			t.Errorf("%s: text %q, want %q", src, s.String(), b.String())
+		}
+		for _, cell := range []value.Value{value.NewInt(-3), value.NewInt(3), value.NewFloat(-2.5), value.Null} {
+			want, _ := b.Eval(rowView{cell})
+			got, err := s.Eval(rowView{cell})
+			if err != nil || got.IsNull() != want.IsNull() || !got.IsNull() && got.Bool() != want.Bool() {
+				t.Errorf("%s at d=%v: %v, %v; generic %v", src, cell, got, err, want)
+			}
+		}
+	}
+	raw, _ := sqlparse.ParseExpr("d = -'x'")
+	b, _ := expr.Bind(raw, expr.SchemaResolver([]string{"d"}))
+	if _, ok := specialize(b).(*eqConstFast); ok {
+		t.Error("d = -'x' specialized to a constant compare")
 	}
 }
