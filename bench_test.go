@@ -114,7 +114,7 @@ func BenchmarkTable5FromF(b *testing.B) {
 }
 
 func BenchmarkTable5FromFV(b *testing.B) {
-	runHpct(b, core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}})
+	runHpct(b, core.Options{Hpct: core.HpctOptions{FromFV: true}})
 }
 
 // ---- Table 6: percentage aggregations vs OLAP extensions ----
@@ -130,10 +130,18 @@ func BenchmarkTable6Hpct(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	queries := s.PrimaryQueries()
+	advised := make([]core.Options, len(queries))
+	for i, q := range queries {
+		var err error
+		if advised[i], err = s.AdviseHpct(q); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, q := range s.PrimaryQueries() {
-			if _, err := s.TimeQuery(q.HpctSQL(), s.BestHpctOptions(q)); err != nil {
+		for qi, q := range queries {
+			if _, err := s.TimeQuery(q.HpctSQL(), advised[qi]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -261,18 +269,18 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 }
 
-// ---- Ablation: CASE arm by arm vs dimension dispatch vs the hash pivot ----
+// ---- Ablation: CASE arm by arm vs dimension dispatch ----
 
 // runAblation times the four sales Hpct queries on one worker, so the
 // columns differ only in how a row finds its result column.
-func runAblation(b *testing.B, fold bool, hpct core.HpctOptions) {
+func runAblation(b *testing.B, fold bool) {
 	s := benchSuite(b)
 	if err := s.Ensure("sales"); err != nil {
 		b.Fatal(err)
 	}
 	defer s.Eng.SetBatch(s.Eng.BatchEnabled())
 	s.Eng.SetBatch(fold)
-	opts := core.Options{Parallelism: 1, Hpct: hpct}
+	opts := core.Options{Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range s.PrimaryQueries()[4:] {
@@ -285,12 +293,8 @@ func runAblation(b *testing.B, fold bool, hpct core.HpctOptions) {
 
 // BenchmarkAblationHpctCASEReference folds the CASE plan arm by arm (the
 // reference fold): the paper's O(N) comparisons per row.
-func BenchmarkAblationHpctCASEReference(b *testing.B) { runAblation(b, false, core.HpctOptions{}) }
+func BenchmarkAblationHpctCASEReference(b *testing.B) { runAblation(b, false) }
 
 // BenchmarkAblationHpctCASE is the same plan under the fold operator's
 // dimension dispatch: one lookup per row.
-func BenchmarkAblationHpctCASE(b *testing.B) { runAblation(b, true, core.HpctOptions{}) }
-
-func BenchmarkAblationHpctHashPivot(b *testing.B) {
-	runAblation(b, true, core.HpctOptions{HashPivot: true})
-}
+func BenchmarkAblationHpctCASE(b *testing.B) { runAblation(b, true) }

@@ -479,8 +479,8 @@ func (sh *shell) meta(cmd string) bool {
 			s := db.GetStrategies()
 			fmt.Printf("vpct: coarseTotalsFromF=%v updateInPlace=%v subkeyIndexes=%v missingRows=%q\n",
 				s.Vpct.CoarseTotalsFromF, s.Vpct.UpdateInPlace, s.Vpct.SubkeyIndexes, s.Vpct.MissingRows)
-			fmt.Printf("hpct: fromVertical=%v hashPivot=%v\n", s.Hpct.FromVertical, s.Hpct.HashPivot)
-			fmt.Printf("hagg: spj=%v fromVertical=%v hashPivot=%v\n", s.Hagg.SPJ, s.Hagg.FromVertical, s.Hagg.HashPivot)
+			fmt.Printf("hpct: fromVertical=%v\n", s.Hpct.FromVertical)
+			fmt.Printf("hagg: spj=%v fromVertical=%v\n", s.Hagg.SPJ, s.Hagg.FromVertical)
 			return false
 		}
 		s := db.GetStrategies()
@@ -502,16 +502,12 @@ func (sh *shell) meta(cmd string) bool {
 				s.Vpct.MissingRows = parts[1]
 			case "hpct.fromfv":
 				s.Hpct.FromVertical = on
-			case "hpct.hashpivot":
-				s.Hpct.HashPivot = on
 			case "hagg.spj":
 				s.Hagg.SPJ = on
 			case "hagg.fromfv":
 				s.Hagg.FromVertical = on
-			case "hagg.hashpivot":
-				s.Hagg.HashPivot = on
 			default:
-				fmt.Fprintf(os.Stderr, "error: unknown knob %q (vpct.fjfromf, vpct.update, vpct.indexes, vpct.missing, hpct.fromfv, hpct.hashpivot, hagg.spj, hagg.fromfv, hagg.hashpivot)\n", parts[0])
+				fmt.Fprintf(os.Stderr, "error: unknown knob %q (vpct.fjfromf, vpct.update, vpct.indexes, vpct.missing, hpct.fromfv, hagg.spj, hagg.fromfv)\n", parts[0])
 				return false
 			}
 		}

@@ -93,7 +93,7 @@ func TestRunAblationPivot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 || len(tab.Rows[0].Times) != 3 {
+	if len(tab.Rows) != 4 || len(tab.Rows[0].Times) != 2 {
 		t.Fatalf("table = %+v", tab)
 	}
 	if !s.Eng.BatchEnabled() {
@@ -215,14 +215,27 @@ func TestRunAblationShared(t *testing.T) {
 	}
 }
 
+// TestBestHpctHeuristic pins the strategies the Hpct columns of Table 6, the
+// parallel table and the breakdown are timed on: the advisor's, which follow
+// |F|/|Fk| — sales by dweek alone pre-aggregates to seven rows, while dept,store
+// under dweek,monthNo keeps a fine grouping the size of F however many result
+// columns it has.
 func TestBestHpctHeuristic(t *testing.T) {
 	s := mustSuite(t)
-	qs := s.PrimaryQueries()
-	// dweek-only: direct; dept,store: from FV.
-	if s.BestHpctOptions(qs[4]).Hpct.FromFV {
-		t.Error("dweek query should advise direct")
+	if err := s.Ensure("sales"); err != nil {
+		t.Fatal(err)
 	}
-	if !s.BestHpctOptions(qs[7]).Hpct.FromFV {
-		t.Error("dept,store query should advise from FV")
+	qs := s.PrimaryQueries()
+	for _, tc := range []struct {
+		q      Query
+		fromFV bool
+	}{{qs[4], true}, {qs[7], false}} {
+		opts, err := s.AdviseHpct(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Hpct.FromFV != tc.fromFV {
+			t.Errorf("%s: advised FromFV = %v, want %v", tc.q.Label(), opts.Hpct.FromFV, tc.fromFV)
+		}
 	}
 }

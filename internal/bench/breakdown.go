@@ -42,7 +42,11 @@ func (s *Suite) RunBreakdown() ([]StageBreakdown, error) {
 		if err != nil {
 			return nil, err
 		}
-		hb, err := s.traceOne(q.Label()+" [Hpct]", q.HpctSQL(), s.BestHpctOptions(q))
+		hopts, err := s.AdviseHpct(q)
+		if err != nil {
+			return nil, err
+		}
+		hb, err := s.traceOne(q.Label()+" [Hpct]", q.HpctSQL(), hopts)
 		if err != nil {
 			return nil, err
 		}

@@ -129,58 +129,19 @@ func (s *Suite) CompanionQueries() []Query {
 	return out
 }
 
-// cardOf returns the configured cardinality of a dimension column, for the
-// Table 6 strategy heuristic.
-func (s *Suite) cardOf(col string) int {
-	c := s.Cfg.Cards
-	switch strings.ToLower(col) {
-	case "gender", "isex":
-		return 2
-	case "marstatus":
-		return 4
-	case "educat":
-		return 5
-	case "age":
-		return 100
-	case "dweek":
-		return c.Dweek
-	case "monthno":
-		return c.MonthNo
-	case "dept":
-		return c.Dept
-	case "store":
-		return c.Store
-	case "city":
-		return c.City
-	case "state":
-		return c.State
-	default:
-		return 10
-	}
-}
-
-func prod(s *Suite, cols []string) int {
-	p := 1
-	for _, c := range cols {
-		p *= s.cardOf(c)
-	}
-	return p
-}
-
 // bestVpct is the paper's recommended vertical strategy.
 func bestVpct() core.Options {
 	return core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true}}
 }
 
-// BestHpctOptions applies the paper's recommendation: compute FH directly from F
-// for at most two low-selectivity BY columns, and from FV when the
-// subgrouping is wide or the fine grouping is large.
-func (s *Suite) BestHpctOptions(q Query) core.Options {
-	fromFV := prod(s, q.by) >= 50 || prod(s, q.totals) >= 200
-	return core.Options{Hpct: core.HpctOptions{
-		FromFV: fromFV,
-		Vpct:   core.VpctOptions{SubkeyIndexes: true},
-	}}
+// AdviseHpct asks the planner's advisor how to evaluate q's Hpct form. It
+// scans F, so callers run it outside the timed region.
+func (s *Suite) AdviseHpct(q Query) (core.Options, error) {
+	sel, err := parseSelect(q.HpctSQL())
+	if err != nil {
+		return core.Options{}, err
+	}
+	return s.Planner.Advise(sel)
 }
 
 // ensureFor loads only the data sets that filtered-in queries reference.
@@ -261,7 +222,11 @@ func (s *Suite) RunTableParallel() (*Table, error) {
 		row := Row{Label: q.Label()}
 		vseq, vpar := bestVpct(), bestVpct()
 		vseq.Parallelism, vpar.Parallelism = 1, n
-		hseq, hpar := s.BestHpctOptions(q), s.BestHpctOptions(q)
+		hseq, err := s.AdviseHpct(q)
+		if err != nil {
+			return nil, err
+		}
+		hpar := hseq
 		hseq.Parallelism, hpar.Parallelism = 1, n
 		for _, run := range []struct {
 			sql  string
@@ -292,7 +257,7 @@ func (s *Suite) RunTable5() (*Table, error) {
 		Title:  "Table 5: query optimization strategies for Hpct()",
 		Header: []string{"from FV", "from F"},
 	}
-	fromFV := core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}}
+	fromFV := core.Options{Hpct: core.HpctOptions{FromFV: true}}
 	fromF := core.Options{}
 	for _, q := range s.PrimaryQueries() {
 		if s.skipQuery(q.Label()) {
@@ -332,7 +297,11 @@ func (s *Suite) RunTable6() (*Table, error) {
 			return nil, err
 		}
 		row.Times = append(row.Times, d)
-		d, err = s.TimeQuery(q.HpctSQL(), s.BestHpctOptions(q))
+		hopts, err := s.AdviseHpct(q)
+		if err != nil {
+			return nil, err
+		}
+		d, err = s.TimeQuery(q.HpctSQL(), hopts)
 		if err != nil {
 			return nil, err
 		}
@@ -503,18 +472,17 @@ func (s *Suite) RunAblationShared() (*Table, error) {
 
 // RunAblationPivot measures the paper's proposed query-optimizer change —
 // replacing the O(N)-per-row CASE evaluation with an O(1) hash lookup — over
-// the four sales Hpct queries, three ways: the CASE plan folded arm by arm
-// (the reference fold, the paper's O(N) shape), the same plan with the fold's
-// dimension dispatch (the default), and the separate HashPivot plan. All
-// three run on one worker, so the only variable is how a row finds its
-// column.
+// the four sales Hpct queries: the CASE plan folded arm by arm (the reference
+// fold, the paper's O(N) shape) and the same plan with the fold's dimension
+// dispatch (the default). Both run on one worker, so the only variable is how
+// a row finds its column.
 func (s *Suite) RunAblationPivot() (*Table, error) {
 	if err := s.Ensure("sales"); err != nil {
 		return nil, err
 	}
 	t := &Table{
-		Title:  "Ablation: CASE evaluation arm by arm vs dimension dispatch vs hash-based pivot (Hpct direct from F, P=1)",
-		Header: []string{"CASE arm-by-arm", "CASE dispatched", "HashPivot"},
+		Title:  "Ablation: CASE evaluation arm by arm vs dimension dispatch (Hpct direct from F, P=1)",
+		Header: []string{"CASE arm-by-arm", "CASE dispatched"},
 	}
 	defer s.Eng.SetBatch(s.Eng.BatchEnabled())
 	for _, q := range s.PrimaryQueries()[4:] {
@@ -522,16 +490,9 @@ func (s *Suite) RunAblationPivot() (*Table, error) {
 			continue
 		}
 		row := Row{Label: q.Label()}
-		for _, col := range []struct {
-			fold bool
-			opts core.Options
-		}{
-			{false, core.Options{Parallelism: 1}},
-			{true, core.Options{Parallelism: 1}},
-			{true, core.Options{Parallelism: 1, Hpct: core.HpctOptions{HashPivot: true}}},
-		} {
-			s.Eng.SetBatch(col.fold)
-			d, err := s.TimeQuery(q.HpctSQL(), col.opts)
+		for _, fold := range []bool{false, true} {
+			s.Eng.SetBatch(fold)
+			d, err := s.TimeQuery(q.HpctSQL(), core.Options{Parallelism: 1})
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,6 @@
 // Chaos coverage for the fold operator's gate: the core.batch fault point
-// fires before the engine's fold operator — which also runs the hash pivot's
-// Fk step. Its contract differs from the other points on the error kind — an
+// fires before the engine's fold operator, whichever shape it folds. Its
+// contract differs from the other points on the error kind — an
 // injected error must NOT fail the query; execution silently falls back to
 // the sequential reference (hashAggregateSeq) and still returns the exact
 // result, counting the fallback. Panic and delay follow the standard matrix
@@ -18,16 +18,14 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/diag"
 	"repro/internal/leakcheck"
-	"repro/pctagg"
 )
 
-// batchScenario drives the fold gate through one plan shape: a plain GROUP
-// BY or the hash pivot's Fk step. wantRows is the exact expected result,
-// checked on the error kind to prove the scalar fallback computed the real
-// answer.
+// batchScenario drives the fold gate through one fold shape: a plain GROUP
+// BY or an Hpct's dispatched CASE arms. wantRows is the exact expected
+// result, checked on the error kind to prove the scalar fallback computed the
+// real answer.
 type batchScenario struct {
 	name     string
-	prep     func(db *pctagg.DB)
 	sql      string
 	wantRows map[string]int64
 }
@@ -43,10 +41,7 @@ var batchScenarios = []batchScenario{
 	},
 	{
 		name: "pivot",
-		prep: func(db *pctagg.DB) {
-			db.SetStrategies(pctagg.Strategies{Hpct: pctagg.HpctStrategy{HashPivot: true}})
-		},
-		sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
+		sql:  "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
 		wantRows: map[string]int64{
 			"CA": 0, // presence-checked only; cross-tab cells checked below
 			"TX": 0,
@@ -57,9 +52,6 @@ var batchScenarios = []batchScenario{
 func runBatchScenario(t *testing.T, sc batchScenario, kind string) {
 	defer leakcheck.Check(t)()
 	db := chaosDB(t)
-	if sc.prep != nil {
-		sc.prep(db)
-	}
 	baseTables := strings.Join(db.Tables(), ",")
 
 	f := chaos.Fault{}

@@ -1,7 +1,7 @@
 // Package chaos is a deterministic fault-injection registry for lifecycle
 // testing. Production code marks the places where a long-running statement
-// can fail — join builds, partition workers, merges, pivot allocation, sink
-// writes — with a named fault point:
+// can fail — join builds, partition workers, merges, sink writes — with a
+// named fault point:
 //
 //	if err := chaos.Hit(chaos.JoinBuild); err != nil {
 //	    return err
@@ -41,17 +41,11 @@ const (
 	// AggMerge fires at the start of that helper's merge, after every
 	// worker has finished.
 	AggMerge = "engine.agg.merge"
-	// PivotAlloc fires each time the hash pivot's placement step allocates
-	// a new FH row (the paper's "exceeds the maximum number of columns"
-	// failure neighborhood: per-row cell arrays are the pivot's big
-	// allocation).
-	PivotAlloc = "core.pivot.alloc"
-	// CoreBatch fires at the gate of the fold operator (every GROUP BY,
-	// SELECT DISTINCT and hash-pivot Fk step). An injected error does NOT
-	// fail the query: execution silently falls back to the sequential
-	// reference, hashAggregateSeq, counted in batch.fallbacks. Panics
-	// propagate to the statement containment and surface as typed PCT206
-	// errors.
+	// CoreBatch fires at the gate of the fold operator (every GROUP BY and
+	// SELECT DISTINCT). An injected error does NOT fail the query: execution
+	// silently falls back to the sequential reference, hashAggregateSeq,
+	// counted in batch.fallbacks. Panics propagate to the statement
+	// containment and surface as typed PCT206 errors.
 	CoreBatch = "core.batch"
 	// InsertSink fires before each row is appended to the staging table of
 	// an INSERT; After addresses the Nth row.
@@ -82,7 +76,6 @@ var points = map[string]bool{
 	JoinBuild:      true,
 	AggWorker:      true,
 	AggMerge:       true,
-	PivotAlloc:     true,
 	CoreBatch:      true,
 	InsertSink:     true,
 	CacheDelta:     true,

@@ -41,8 +41,6 @@ func chaosDB(t *testing.T) *pctagg.DB {
 // scenario routes execution through one fault point.
 type scenario struct {
 	point string
-	// prep tweaks the DB (strategies) before the query runs.
-	prep func(db *pctagg.DB)
 	// sql is run via QueryTracedCtx.
 	sql string
 	// fault tweaks beyond the kind (worker targeting, After skips).
@@ -62,13 +60,6 @@ var scenarios = []scenario{
 	{
 		point: chaos.AggMerge,
 		sql:   "SELECT state, sum(salesAmt) FROM sales GROUP BY state",
-	},
-	{
-		point: chaos.PivotAlloc,
-		prep: func(db *pctagg.DB) {
-			db.SetStrategies(pctagg.Strategies{Hpct: pctagg.HpctStrategy{HashPivot: true}})
-		},
-		sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
 	},
 	{
 		point: chaos.InsertSink,
@@ -99,9 +90,6 @@ func metricValue(t *testing.T, db *pctagg.DB, name string) float64 {
 func runScenario(t *testing.T, sc scenario, kind string) {
 	defer leakcheck.Check(t)()
 	db := chaosDB(t)
-	if sc.prep != nil {
-		sc.prep(db)
-	}
 	baseTables := strings.Join(db.Tables(), ",")
 
 	f := chaos.Fault{}
@@ -253,7 +241,6 @@ func TestPointsRegistryClosed(t *testing.T) {
 		chaos.JoinBuild:      true,
 		chaos.AggWorker:      true,
 		chaos.AggMerge:       true,
-		chaos.PivotAlloc:     true,
 		chaos.CoreBatch:      true,
 		chaos.InsertSink:     true,
 		chaos.CacheDelta:     true,

@@ -1,91 +1,65 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sqlparse"
 )
 
-// Advise picks evaluation strategies for a percentage query following the
-// recommendations of the paper's Section 4:
+// fromFVRatio is the one measured constant of the advisor: a horizontal
+// query is advised from FV when |F| ≥ fromFVRatio·|Fk|. Since the fold routes
+// a row to its CASE arm with one lookup, the direct plan costs a·|F| at any
+// number of result columns, and from FV costs b·|F| for the plain-column fold
+// into Fk (b < a) plus c·|Fk| to write Fk, divide it and transpose it: it
+// pays iff |F|/|Fk| > c/(a−b), a ratio that does not depend on scale. The
+// value is measured over Table 5, DMKD Table 3 and probe queries between
+// their rows (EXPERIMENTS.md, "The advisor's constant"): from FV is behind or
+// tied up to a ratio of 71 and ahead from 86.
+const fromFVRatio = 80
+
+// Advise picks evaluation strategies for a percentage query from live table
+// statistics:
 //
-//   - Vpct: create identical indexes on the common subkey of Fj and Fk, use
-//     INSERT instead of UPDATE "specially when |FV| ≈ |F|", and compute Fj
-//     from Fk (sum is distributive).
-//   - Hpct: compute FH directly from F "when there are no more than two
-//     columns in the list Dj+1..Dk and each of them has low selectivity",
-//     and from FV "when there are three or more grouping columns or when
-//     the grouping columns have high selectivity".
-//   - Hagg: always CASE over SPJ, choosing the indirect (from FV) variant
-//     when the fine grouping is much smaller than F.
-//
-// Cardinalities come from live statistics: the number of distinct BY
-// combinations (N) is measured with the feedback query, and the fine
-// grouping size relative to |F| decides the pre-aggregation questions.
+//   - Vpct: the paper's Section 4 recommendations, which are the defaults —
+//     identical indexes on the common subkey of Fj and Fk, INSERT instead of
+//     UPDATE, and Fj computed from Fk (sum is distributive).
+//   - Hpct and Hagg: always CASE over SPJ, from FV when
+//     fromFVRatio·|Fk| ≤ |F| and directly from F otherwise. |Fk| — the
+//     distinct (D1..Dk) combinations under the query's WHERE — is measured
+//     with one feedback scan of F. The paper's own rule of thumb (from FV
+//     for three or more BY columns or many result columns) priced N CASE
+//     arms per row, a cost the fold no longer has.
 func (p *Planner) Advise(sel *sqlparse.Select) (Options, error) {
+	return p.AdviseCtx(context.Background(), sel)
+}
+
+// AdviseCtx is Advise with its feedback scan under ctx (see PlanCtx).
+func (p *Planner) AdviseCtx(ctx context.Context, sel *sqlparse.Select) (Options, error) {
 	a, err := p.analyze(sel)
 	if err != nil {
 		return Options{}, err
 	}
 	opts := DefaultOptions()
-	if a.class == ClassStandard {
-		return opts, nil
-	}
-
-	tab, err := p.Eng.ResolveTable(a.table)
-	if err != nil {
-		return Options{}, err
-	}
-	nRows := tab.NumRows()
-
-	// distinctCount measures |distinct cols| with the same feedback query
-	// horizontal planning runs.
-	distinctCount := func(cols []string) (int, error) {
-		if len(cols) == 0 {
-			return 1, nil
-		}
-		combos, err := p.feedbackCombos(a.table, cols, a.whereSQL())
-		if err != nil {
-			return 0, err
-		}
-		return len(combos), nil
-	}
-
 	switch a.class {
-	case ClassVertical:
-		// |Fk| ≈ |F| means the partial-aggregate reuse buys little but
-		// still never hurts; keep the defaults. The UPDATE variant is only
-		// attractive when disk for a third table is the constraint, which
-		// an advisor cannot see — the paper recommends INSERT, so we do.
+	case ClassStandard, ClassVertical:
+		// The UPDATE variant is only attractive when disk for a third table
+		// is the constraint, which an advisor cannot see.
 		return opts, nil
 
 	case ClassHorizontalPct, ClassHorizontalAgg:
-		var byCols []string
-		for _, it := range a.items {
-			if it.kind == itemPct || it.kind == itemHoriz {
-				byCols = it.agg.By
-				break
-			}
-		}
-		n, err := distinctCount(byCols)
+		tab, err := p.Eng.ResolveTable(a.table)
 		if err != nil {
 			return Options{}, err
 		}
-		fineCols := append(append([]string{}, a.groupCols...), byCols...)
-		fine, err := distinctCount(fineCols)
+		fk, err := p.feedbackCombos(ctx, a.table, a.fineGroup(), a.whereSQL())
 		if err != nil {
 			return Options{}, err
 		}
-		// From FV pays when the pre-aggregate is much smaller than F (the
-		// transposition then reads |Fk| rows instead of |F|), or when the
-		// subgrouping is wide/selective, matching the paper's rule of
-		// thumb.
-		fromFV := len(byCols) >= 3 || n >= 50 || (nRows > 0 && fine*4 <= nRows)
+		fromFV := fromFVRatio*len(fk) <= tab.NumRows()
 		if a.class == ClassHorizontalPct {
 			opts.Hpct.FromFV = fromFV
-			opts.Hpct.Vpct = VpctOptions{SubkeyIndexes: true}
 		} else {
-			opts.Hagg.Method = HaggCASE
 			opts.Hagg.FromFV = fromFV
 		}
 		return opts, nil

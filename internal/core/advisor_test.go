@@ -1,10 +1,11 @@
 package core
 
 import (
-	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -19,90 +20,112 @@ func TestAdviseVerticalDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Vpct.UseUpdate || opts.Vpct.FjFromF || !opts.Vpct.SubkeyIndexes {
-		t.Errorf("vertical advice = %+v", opts.Vpct)
+	if opts != DefaultOptions() {
+		t.Errorf("vertical advice = %+v, want the defaults", opts)
 	}
 }
 
-func TestAdviseHorizontalSelectivity(t *testing.T) {
-	// Low-cardinality BY over a large table → direct from F; wide BY →
-	// from FV.
+// advisePlanner loads f(g, d1, d2, d3, a) with rows rows cycling through gs
+// values of g and ds values of each d column (gs and ds coprime, so every
+// combination appears).
+func advisePlanner(t *testing.T, rows, gs, ds int) *Planner {
+	t.Helper()
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("f", storage.Schema{
 		{Name: "g", Type: storage.TypeInt},
-		{Name: "narrow", Type: storage.TypeInt},
-		{Name: "wide", Type: storage.TypeInt},
+		{Name: "d1", Type: storage.TypeInt},
+		{Name: "d2", Type: storage.TypeInt},
+		{Name: "d3", Type: storage.TypeInt},
 		{Name: "a", Type: storage.TypeInt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 4000; i++ {
-		tab.AppendRow([]value.Value{
-			value.NewInt(int64(rng.Intn(500))),
-			value.NewInt(int64(rng.Intn(3))),
-			value.NewInt(int64(rng.Intn(120))),
-			value.NewInt(int64(rng.Intn(10))),
-		})
+	for i := 0; i < rows; i++ {
+		d := value.NewInt(int64(i % ds))
+		if _, err := tab.AppendRow([]value.Value{value.NewInt(int64(i % gs)), d, d, d, value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := NewPlanner(engine.New(cat))
+	return NewPlanner(engine.New(cat))
+}
 
-	sel, _ := parseSelect("SELECT g, Hpct(a BY narrow) FROM f GROUP BY g")
-	opts, err := p.Advise(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// g(500) × narrow(3) ≈ 1500 fine groups of 4000 rows → fine*4 > n and
-	// N=3 < 50 → direct.
-	if opts.Hpct.FromFV {
-		t.Errorf("narrow BY should advise direct from F: %+v", opts.Hpct)
-	}
-
-	sel, _ = parseSelect("SELECT g, Hpct(a BY wide) FROM f GROUP BY g")
-	opts, err = p.Advise(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opts.Hpct.FromFV {
-		t.Errorf("wide BY should advise from FV: %+v", opts.Hpct)
-	}
-
-	sel, _ = parseSelect("SELECT g, sum(a BY wide) FROM f GROUP BY g")
-	opts, err = p.Advise(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Hagg.Method != HaggCASE || !opts.Hagg.FromFV {
-		t.Errorf("hagg advice = %+v", opts.Hagg)
+// TestAdviseHorizontalSelectivity pins the advisor's one horizontal rule —
+// from FV iff fromFVRatio·|Fk| ≤ |F| — on both sides of the constant, for
+// Hpct and Hagg alike, and that the number of BY columns and of result
+// columns no longer enters it: the wide and the three-column BY lists over a
+// large fine grouping were sent to FV by the paper's rule of thumb.
+func TestAdviseHorizontalSelectivity(t *testing.T) {
+	const rows = 6000
+	for _, tc := range []struct {
+		name   string
+		gs, ds int // |Fk| = gs·ds
+		sql    string
+		fromFV bool
+	}{
+		{"narrow BY, |F|/|Fk| = 1000", 2, 3, "SELECT g, Hpct(a BY d1) FROM f GROUP BY g", true},
+		{"narrow BY, |F|/|Fk| = 4", 500, 3, "SELECT g, Hpct(a BY d1) FROM f GROUP BY g", false},
+		{"N = 120 columns, |F|/|Fk| = 7", 7, 120, "SELECT g, Hpct(a BY d1) FROM f GROUP BY g", false},
+		{"three BY columns, |F|/|Fk| = 4", 500, 3, "SELECT g, Hpct(a BY d1, d2, d3) FROM f GROUP BY g", false},
+		{"three BY columns, |F|/|Fk| = 1000", 2, 3, "SELECT g, Hpct(a BY d1, d2, d3) FROM f GROUP BY g", true},
+		{"Hagg, N = 120 columns, |F|/|Fk| = 7", 7, 120, "SELECT g, sum(a BY d1) FROM f GROUP BY g", false},
+		{"Hagg, |F|/|Fk| = 1000", 2, 3, "SELECT g, sum(a BY d1) FROM f GROUP BY g", true},
+		{"at the constant", 1, rows / fromFVRatio, "SELECT Hpct(a BY d1) FROM f", true},
+		{"just under the constant", 1, rows/fromFVRatio + 1, "SELECT Hpct(a BY d1) FROM f", false},
+	} {
+		p := advisePlanner(t, rows, tc.gs, tc.ds)
+		sel, err := parseSelect(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := p.Advise(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := DefaultOptions()
+		if strings.Contains(tc.sql, "Hpct(") {
+			want.Hpct.FromFV = tc.fromFV
+		} else {
+			want.Hagg.FromFV = tc.fromFV
+		}
+		if opts != want {
+			t.Errorf("%s: advice = %+v, want %+v", tc.name, opts, want)
+		}
 	}
 }
 
+// TestAdviseSmallFineGroupingPrefersFV: FV is grouped by the union of every
+// term's BY columns, so that union — not the first term's list — is the |Fk|
+// the rule compares, and measuring it costs exactly one scan of F.
 func TestAdviseSmallFineGroupingPrefersFV(t *testing.T) {
-	// Tiny fine grouping over many rows → pre-aggregation wins even for a
-	// narrow BY list.
-	cat := storage.NewCatalog()
-	tab, _ := cat.Create("f", storage.Schema{
-		{Name: "g", Type: storage.TypeInt},
-		{Name: "d", Type: storage.TypeInt},
-		{Name: "a", Type: storage.TypeInt},
-	})
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 5000; i++ {
-		tab.AppendRow([]value.Value{
-			value.NewInt(int64(rng.Intn(2))),
-			value.NewInt(int64(rng.Intn(3))),
-			value.NewInt(int64(rng.Intn(10))),
-		})
+	const rows = 6000
+	p := advisePlanner(t, rows, 2, 3)
+	// (d1, g, d2) has 3·2 = 6 combinations: far under rows/fromFVRatio.
+	sel, err := parseSelect("SELECT sum(a BY d1), max(a BY g, d2) FROM f")
+	if err != nil {
+		t.Fatal(err)
 	}
-	p := NewPlanner(engine.New(cat))
-	sel, _ := parseSelect("SELECT g, Hpct(a BY d) FROM f GROUP BY g")
+	scanned := obs.Default.Counter("engine.rows.scanned")
+	before := scanned.Value()
 	opts, err := p.Advise(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !opts.Hpct.FromFV {
-		t.Errorf("6 fine groups over 5000 rows should advise from FV: %+v", opts.Hpct)
+	if d := scanned.Value() - before; d != rows {
+		t.Errorf("Advise scanned %d rows, want one scan of F = %d", d, rows)
+	}
+	if !opts.Hagg.FromFV {
+		t.Errorf("6 fine groups over %d rows should advise from FV: %+v", rows, opts.Hagg)
+	}
+
+	// The same two terms where the union makes every row its own group stay
+	// on F, although the first term's BY list alone (7 values) would not.
+	p = advisePlanner(t, rows, 499, 7)
+	if opts, err = p.Advise(sel); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Hagg.FromFV {
+		t.Errorf("a fine grouping as large as F should advise from F: %+v", opts.Hagg)
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/diag"
 	"repro/internal/expr"
 	"repro/internal/sqlparse"
@@ -70,7 +72,7 @@ func (p *Planner) Check(sel *sqlparse.Select) (*QueryShape, []diag.Diagnostic) {
 			Call:       it.agg,
 			Alias:      it.alias,
 			Pct:        it.kind == itemPct,
-			Horizontal: it.kind == itemHoriz || (it.kind == itemPct && it.agg.Fn == expr.AggHpct),
+			Horizontal: it.horizontal(),
 			Span:       it.aggSpan(),
 		})
 	}
@@ -85,7 +87,7 @@ func (p *Planner) CountDistinct(table string, cols []string, whereSQL string) (i
 	if len(cols) == 0 {
 		return 1, nil
 	}
-	combos, err := p.feedbackCombos(table, cols, whereSQL)
+	combos, err := p.feedbackCombos(context.Background(), table, cols, whereSQL)
 	if err != nil {
 		return 0, err
 	}

@@ -33,7 +33,7 @@ func TestConcurrentPercentageQueries(t *testing.T) {
 		{vpctSales, par(DefaultOptions(), 4), 4},
 		{hpctDaily, DefaultOptions(), 2},
 		{hpctDaily, Options{Hpct: HpctOptions{FromFV: true}}, 2},
-		{hpctDaily, par(Options{Hpct: HpctOptions{HashPivot: true}}, 3), 2},
+		{hpctDaily, par(DefaultOptions(), 3), 2},
 		{"SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
 			Options{Hagg: HaggOptions{Method: HaggSPJ}}, 2},
 		{"SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",

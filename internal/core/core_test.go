@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/diag"
 	"repro/internal/engine"
@@ -317,16 +315,8 @@ func TestHpctStrategiesAgree(t *testing.T) {
 		"SELECT Hpct(salesAmt BY dweek) FROM daily", // no GROUP BY: one row
 	}
 	for qi, q := range queries {
-		opts := []HpctOptions{
-			{},
-			{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}},
-			{FromFV: true, Vpct: VpctOptions{FjFromF: true}},
-		}
-		if qi != 1 { // the hash pivot takes no extra aggregates
-			opts = append(opts, HpctOptions{HashPivot: true})
-		}
 		var base *engine.Result
-		for _, opt := range opts {
+		for _, opt := range []HpctOptions{{}, {FromFV: true}} {
 			p := newSalesPlanner(t)
 			// Store 8 has only NULL measures and store 9 sums to zero: every
 			// strategy must return their rows all-NULL.
@@ -358,14 +348,6 @@ func TestVpctMissingPreUpdateVariant(t *testing.T) {
 	upd := runQuery(t, newSalesPlanner(t), q, Options{Vpct: VpctOptions{UseUpdate: true, MissingRows: MissingPre}})
 	ins := runQuery(t, newSalesPlanner(t), q, Options{Vpct: VpctOptions{MissingRows: MissingPre}})
 	sameResults(t, "pre-processing, UPDATE vs INSERT", ins, upd)
-}
-
-func TestHpctHashPivotAgrees(t *testing.T) {
-	p := newSalesPlanner(t)
-	base := runQuery(t, p, hpctDaily, DefaultOptions())
-	p2 := newSalesPlanner(t)
-	piv := runQuery(t, p2, hpctDaily, Options{Hpct: HpctOptions{HashPivot: true}})
-	sameResults(t, "hash pivot", base, piv)
 }
 
 func TestHpctWithTotalColumn(t *testing.T) {
@@ -546,176 +528,37 @@ func TestHaggCountDistinctDirect(t *testing.T) {
 	}
 }
 
-func TestHaggHashPivotAgrees(t *testing.T) {
-	for _, q := range []string{
-		"SELECT store, sum(salesAmt BY dweek) FROM daily GROUP BY store",
-		"SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
-	} {
-		p := newSalesPlanner(t)
-		base := runQuery(t, p, q, DefaultOptions())
-		p2 := newSalesPlanner(t)
-		piv := runQuery(t, p2, q, Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}})
-		sameResults(t, q, base, piv)
+// TestPlanningRunsUnderTheStatementContext: the feedback scan of F is a
+// statement of the query being planned. A cancelled context stops it with the
+// typed error before it reads a row, and Options.Limits govern it as they
+// govern the plan's steps.
+func TestPlanningRunsUnderTheStatementContext(t *testing.T) {
+	p := newSalesPlanner(t)
+	sel, err := parseSelect(hpctDaily)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestHashPivotErrorsMatchCASE: the hash pivot's scan of F is an ordinary
-// fold, so a measure or predicate that cannot be evaluated fails with the
-// CASE plan's own error — not silent NULLs, not a storage error at FH.
-func TestHashPivotErrorsMatchCASE(t *testing.T) {
-	rootCause := func(sql string, opts Options) string {
-		t.Helper()
-		p := newSalesPlanner(t)
-		mustExec(t, p.Eng, `CREATE TABLE named (store INTEGER, d VARCHAR, name VARCHAR)`)
-		mustExec(t, p.Eng, `INSERT INTO named VALUES (1,'Tu','a'),(1,'Mo','b'),(2,'Mo','c'),(2,'Tu','d')`)
-		plan, err := p.PlanSQL(sql, opts)
-		if err == nil {
-			_, err = p.Execute(plan)
-		}
-		if err == nil {
-			t.Fatalf("%s under %+v succeeded, want an error", sql, opts)
-		}
-		for next := errors.Unwrap(err); next != nil; next = errors.Unwrap(err) {
-			err = next
-		}
-		return err.Error()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	scanned := obs.Default.Counter("engine.rows.scanned")
+	before := scanned.Value()
+	var cancelled *engine.CancelledError
+	if _, err := p.PlanCtx(ctx, sel, DefaultOptions()); !errors.As(err, &cancelled) {
+		t.Errorf("PlanCtx under a cancelled context: err = %v, want a CancelledError", err)
 	}
-	hpct := Options{Hpct: HpctOptions{HashPivot: true}}
-	hagg := Options{Hagg: HaggOptions{Method: HaggCASE, HashPivot: true}}
-	for _, tc := range []struct {
-		sql   string
-		pivot Options
-		want  string
-	}{
-		{"SELECT store, Hpct(name BY d) FROM named GROUP BY store", hpct, "engine: sum() on VARCHAR"},
-		{"SELECT store, sum(name BY d) FROM named GROUP BY store", hagg, "engine: sum() on VARCHAR"},
-		// The first row fails d = 'Mo', so the error surfaces on a later one.
-		{"SELECT store, Hpct(store BY d) FROM named WHERE d = 'Mo' AND name + 1 > 0 GROUP BY store", hpct, "VARCHAR"},
-		{"SELECT store, sum(store BY d) FROM named WHERE d = 'Mo' AND name + 1 > 0 GROUP BY store", hagg, "VARCHAR"},
-	} {
-		cas, piv := rootCause(tc.sql, DefaultOptions()), rootCause(tc.sql, tc.pivot)
-		if cas != piv || !strings.Contains(cas, tc.want) {
-			t.Errorf("%s:\n  CASE plan:  %s\n  hash pivot: %s\n  want both to be the same %q error", tc.sql, cas, piv, tc.want)
-		}
+	if _, err := p.AdviseCtx(ctx, sel); !errors.As(err, &cancelled) {
+		t.Errorf("AdviseCtx under a cancelled context: err = %v, want a CancelledError", err)
 	}
-}
-
-// countdownCtx reports cancellation from its (after+1)-th Err call on, which
-// lands a cancel at a chosen governor check instead of a wall-clock moment.
-type countdownCtx struct {
-	context.Context
-	mu           sync.Mutex
-	calls, after int
-}
-
-func (c *countdownCtx) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.calls++; c.calls > c.after {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestHashPivotAccountingParity: the hash pivot's scan of F is the Fk
-// step's fold, so it shows up in the engine's counters and answers to the
-// governor exactly as the CASE plan's scan does.
-func TestHashPivotAccountingParity(t *testing.T) {
-	const nRows = 16 * 1024
-	newPlanner := func() *Planner {
-		eng := engine.New(storage.NewCatalog())
-		mustExec(t, eng, `CREATE TABLE f (g INTEGER, d INTEGER, a INTEGER)`)
-		tab, err := eng.Catalog().Get("f")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nRows; i++ {
-			if _, err := tab.AppendRow([]value.Value{value.NewInt(int64(i % 50)), value.NewInt(int64(i % 3)), value.NewInt(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return NewPlanner(eng)
-	}
-	type arm struct {
-		sql        string
-		cas, pivot Options
-	}
-	arms := []arm{
-		{"SELECT g, Hpct(a BY d) FROM f GROUP BY g", Options{}, Options{Hpct: HpctOptions{HashPivot: true}}},
-		{"SELECT g, max(a BY d) FROM f GROUP BY g", Options{}, Options{Hagg: HaggOptions{HashPivot: true}}},
+	if d := scanned.Value() - before; d != 0 {
+		t.Errorf("planning under a cancelled context scanned %d rows of F", d)
 	}
 
-	scanned, folds := obs.Default.Counter("engine.rows.scanned"), obs.Default.Counter("batch.folds")
-	for _, a := range arms {
-		p := newPlanner()
-		plan, err := p.PlanSQL(a.sql, a.pivot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s0, f0 := scanned.Value(), folds.Value()
-		if _, err := p.ExecuteSteps(plan); err != nil {
-			t.Fatal(err)
-		}
-		p.CleanupPlan(plan)
-		if d := scanned.Value() - s0; d != nRows {
-			t.Errorf("%s: engine.rows.scanned moved by %d over the build steps, want |F| = %d", a.sql, d, nRows)
-		}
-		if d := folds.Value() - f0; d < 1 {
-			t.Errorf("%s: batch.folds moved by %d, want >= 1", a.sql, d)
-		}
-	}
-
-	code := func(sql string, opts Options, ctx context.Context) string {
-		t.Helper()
-		p := newPlanner()
-		opts.Parallelism = 1
-		plan, err := p.PlanSQL(sql, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = p.ExecuteCtx(ctx, plan)
-		var coded interface{ Code() string }
-		if !errors.As(err, &coded) {
-			t.Fatalf("%s under %+v: err = %v, want a coded lifecycle error", sql, opts.Limits, err)
-		}
-		if left := p.Eng.Catalog().Names(); len(left) != 1 {
-			t.Errorf("%s: tables after the failed plan = %v, want only f", sql, left)
-		}
-		return coded.Code()
-	}
-	for _, a := range arms {
-		for _, tc := range []struct {
-			name string
-			lim  engine.Limits
-			ctx  func() context.Context
-			want string
-		}{
-			{name: "MaxRows", lim: engine.Limits{MaxRows: 10}, want: diag.CodeRowLimit},
-			{name: "MaxBytes", lim: engine.Limits{MaxBytes: 64}, want: diag.CodeByteBudget},
-			{name: "MaxGroups", lim: engine.Limits{MaxGroups: 10}, want: diag.CodeGroupLimit},
-			{name: "deadline", lim: engine.Limits{Timeout: time.Nanosecond}, want: diag.CodeDeadline},
-			// One check passes per statement start and per group created: eight
-			// in, the scan of F is under way in either plan.
-			{name: "mid-scan cancel", want: diag.CodeCancelled,
-				ctx: func() context.Context {
-					// A cancellable parent, never cancelled: statements are only
-					// governed under a context that can be.
-					parent, cancel := context.WithCancel(context.Background())
-					t.Cleanup(cancel)
-					return &countdownCtx{Context: parent, after: 8}
-				}},
-		} {
-			ctxOf := tc.ctx
-			if ctxOf == nil {
-				ctxOf = context.Background
-			}
-			cas, piv := a.cas, a.pivot
-			cas.Limits, piv.Limits = tc.lim, tc.lim
-			got, ref := code(a.sql, piv, ctxOf()), code(a.sql, cas, ctxOf())
-			if got != ref || got != tc.want {
-				t.Errorf("%s under %s: hash pivot %s, CASE plan %s, want %s", a.sql, tc.name, got, ref, tc.want)
-			}
-		}
+	// daily has seven dweek values: the feedback scan needs seven groups.
+	opts := DefaultOptions()
+	opts.Limits = engine.Limits{MaxGroups: 3}
+	var coded interface{ Code() string }
+	if _, err := p.Plan(sel, opts); !errors.As(err, &coded) || coded.Code() != diag.CodeGroupLimit {
+		t.Errorf("Plan under MaxGroups=3: err = %v, want %s from the feedback scan", err, diag.CodeGroupLimit)
 	}
 }
 
@@ -923,7 +766,7 @@ func TestHorizontalStrategiesAgreeWithWhere(t *testing.T) {
 		opts []Options
 	}{
 		{"SELECT store, Hpct(salesAmt BY dweek) FROM daily WHERE salesAmt > 7 GROUP BY store",
-			[]Options{{}, {Hpct: HpctOptions{FromFV: true}}, {Hpct: HpctOptions{HashPivot: true}}}},
+			[]Options{{}, {Hpct: HpctOptions{FromFV: true}}}},
 		{"SELECT store, sum(salesAmt BY dweek) FROM daily WHERE salesAmt > 7 GROUP BY store",
 			[]Options{
 				{Hagg: HaggOptions{Method: HaggCASE}},

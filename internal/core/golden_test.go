@@ -42,7 +42,7 @@ func TestGeneratedSQLGolden(t *testing.T) {
 			opts: Options{Vpct: VpctOptions{SubkeyIndexes: true, MissingRows: MissingPost}}},
 		{name: "hpct_direct", sql: hpctDaily, opts: DefaultOptions()},
 		{name: "hpct_from_fv", sql: hpctDaily,
-			opts: Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}}},
+			opts: Options{Hpct: HpctOptions{FromFV: true}}},
 		{name: "hagg_case", sql: haggDaily, opts: DefaultOptions()},
 		{name: "hagg_spj", sql: haggDaily, opts: Options{Hagg: HaggOptions{Method: HaggSPJ}}},
 
@@ -59,7 +59,7 @@ func TestGeneratedSQLGolden(t *testing.T) {
 			}},
 		{name: "hpct_from_fv_extras",
 			sql:  "SELECT store, Hpct(salesAmt BY dweek), avg(salesAmt), count(salesAmt), min(salesAmt) FROM daily GROUP BY store",
-			opts: Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}}},
+			opts: Options{Hpct: HpctOptions{FromFV: true}}},
 		{name: "hagg_case_from_fv_multi",
 			sql:  "SELECT store, sum(salesAmt BY dweek), avg(salesAmt BY dweek), count(*) FROM daily GROUP BY store",
 			opts: Options{Hagg: HaggOptions{FromFV: true}}},

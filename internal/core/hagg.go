@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -14,9 +15,9 @@ import (
 // CASE expressions — and SPJ — one filtered aggregate table per combination
 // assembled with left outer joins. Each runs either directly from F or
 // indirectly from the vertical pre-aggregate FV.
-func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error) {
+func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggOptions) (*Plan, error) {
 	plan := &Plan{Class: ClassHorizontalAgg}
-	hl, err := p.horizontalLayout(a)
+	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
 		return nil, err
 	}
@@ -43,16 +44,6 @@ func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error
 	case HaggCASE:
 		if err := hl.fit(p.MaxColumns); err != nil {
 			return nil, err
-		}
-		if opts.HashPivot {
-			if opts.FromFV || len(hl.terms) != 1 || len(hl.extras) != 0 {
-				return nil, fmt.Errorf("core: HashPivot supports a single BY term evaluated directly from F")
-			}
-			if hl.terms[0].call.Distinct {
-				return nil, fmt.Errorf("core: HashPivot does not support count(DISTINCT …)")
-			}
-			p.planHashPivot(plan, a, hl)
-			return plan, nil
 		}
 		var vals, extraVals []hvalue
 		for _, t := range hl.terms {
@@ -85,7 +76,7 @@ func (p *Planner) planHorizontalAgg(a *analysis, opts HaggOptions) (*Plan, error
 func (p *Planner) emitHaggFV(plan *Plan, a *analysis, hl *hlayout) (fv string, extraSel []string, err error) {
 	fv = p.temp("fvagg")
 	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FV", SQL: "DROP TABLE IF EXISTS " + fv})
-	fineGroup := hl.fineGroup(a)
+	fineGroup := a.fineGroup()
 	defs, sels := a.colDefs(fineGroup, fineGroup), quoteIdents(fineGroup)
 	for _, t := range hl.terms {
 		pa, ok := partialOf(t.call)

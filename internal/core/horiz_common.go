@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -17,11 +18,13 @@ type combo struct {
 }
 
 // feedbackCombos runs the feedback query the paper requires to lay out FH:
-// SELECT DISTINCT Dj+1..Dk FROM F, ordered for deterministic column order.
-func (p *Planner) feedbackCombos(table string, byCols []string, whereSQL string) ([]combo, error) {
+// SELECT DISTINCT Dj+1..Dk FROM F, ordered for deterministic column order. It
+// is a statement of the query being planned, so it runs under that query's
+// context.
+func (p *Planner) feedbackCombos(ctx context.Context, table string, byCols []string, whereSQL string) ([]combo, error) {
 	sql := fmt.Sprintf("SELECT DISTINCT %s FROM %s%s ORDER BY %s",
 		joinIdents(byCols), table, whereSQL, joinIdents(byCols))
-	res, err := p.Eng.ExecSQL(sql)
+	res, err := p.Eng.ExecSQLCtx(ctx, sql)
 	if err != nil {
 		return nil, fmt.Errorf("core: feedback query failed: %w", err)
 	}
@@ -121,14 +124,14 @@ type hlayout struct {
 // with the feedback process the paper describes — reading each term's
 // distinct BY combinations to define the result columns — and names every
 // column.
-func (p *Planner) horizontalLayout(a *analysis) (*hlayout, error) {
+func (p *Planner) horizontalLayout(ctx context.Context, a *analysis) (*hlayout, error) {
 	hl := &hlayout{}
 	for idx, it := range a.items {
 		switch {
 		case it.kind == itemVertAgg:
 			hl.extras = append(hl.extras, idx)
-		case it.kind == itemHoriz, it.kind == itemPct && it.agg.Fn == expr.AggHpct:
-			combos, err := p.feedbackCombos(a.table, it.agg.By, a.whereSQL())
+		case it.horizontal():
+			combos, err := p.feedbackCombos(ctx, a.table, it.agg.By, a.whereSQL())
 			if err != nil {
 				return nil, err
 			}
@@ -162,12 +165,22 @@ func (p *Planner) horizontalLayout(a *analysis) (*hlayout, error) {
 	return hl, nil
 }
 
-// fineGroup is the grouping a summary needs before it can be pivoted under
-// the layout: D1..Dj plus the union of every term's BY columns.
-func (hl *hlayout) fineGroup(a *analysis) []string {
+// horizontal reports a transposing term: Hpct, or a standard aggregate with
+// a BY list.
+func (it item) horizontal() bool {
+	return it.kind == itemHoriz || it.kind == itemPct && it.agg.Fn == expr.AggHpct
+}
+
+// fineGroup is the grouping a summary needs before it can be pivoted —
+// Fk's, and FV's in the from-FV strategies: D1..Dj plus the union of every
+// horizontal term's BY columns.
+func (a *analysis) fineGroup() []string {
 	group := append([]string{}, a.groupCols...)
-	for _, t := range hl.terms {
-		for _, b := range t.call.By {
+	for _, it := range a.items {
+		if !it.horizontal() {
+			continue
+		}
+		for _, b := range it.agg.By {
 			if !containsFold(group, b) {
 				group = append(group, b)
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/storage"
@@ -12,9 +13,9 @@ import (
 // first and transposing it. Either way the plan starts with the feedback
 // process the paper describes: reading the distinct BY combinations to
 // define FH's columns.
-func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error) {
+func (p *Planner) planHorizontalPct(ctx context.Context, a *analysis, opts HpctOptions) (*Plan, error) {
 	plan := &Plan{Class: ClassHorizontalPct}
-	hl, err := p.horizontalLayout(a)
+	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
 		return nil, err
 	}
@@ -24,20 +25,11 @@ func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error
 	if err := hl.fit(p.MaxColumns); err != nil {
 		return nil, err
 	}
-	switch {
-	case opts.FromFV && opts.HashPivot:
-		return nil, fmt.Errorf("core: HashPivot applies to the direct (from F) strategy")
-	case opts.FromFV && len(hl.terms) != 1:
-		return nil, fmt.Errorf("core: the from-FV strategy supports a single Hpct term; use the direct strategy for %d terms", len(hl.terms))
-	case opts.FromFV:
-		return p.planHpctFromFV(plan, a, hl, opts)
-	case opts.HashPivot && len(hl.terms) != 1:
-		return nil, fmt.Errorf("core: HashPivot supports a single Hpct term")
-	case opts.HashPivot && len(hl.extras) > 0:
-		return nil, fmt.Errorf("core: HashPivot does not support extra aggregate terms")
-	case opts.HashPivot:
-		p.planHashPivot(plan, a, hl)
-		return plan, nil
+	if opts.FromFV {
+		if len(hl.terms) != 1 {
+			return nil, fmt.Errorf("core: the from-FV strategy supports a single Hpct term; use the direct strategy for %d terms", len(hl.terms))
+		}
+		return p.planHpctFromFV(plan, a, hl)
 	}
 
 	// Direct strategy: one scan of F.
@@ -59,12 +51,12 @@ func (p *Planner) planHorizontalPct(a *analysis, opts HpctOptions) (*Plan, error
 
 // planHpctFromFV generates the indirect strategy: run the full vertical
 // percentage process into FV, then transpose FV by summing CASE terms.
-func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout, opts HpctOptions) (*Plan, error) {
+func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout) (*Plan, error) {
 	call, combos := hl.terms[0].call, hl.terms[0].combos
 	pctAlias := p.temp("pv")
 	// Embedded vertical query: group by D1..Dj plus the BY columns, with
 	// the BY columns as the Vpct subgrouping.
-	fineGroup := hl.fineGroup(a)
+	fineGroup := a.fineGroup()
 	sel := quoteIdents(fineGroup)
 	if len(a.groupCols) == 0 {
 		// j = 0: totals over all rows, expressed by omitting the BY clause.
@@ -84,10 +76,7 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout, opts Hpct
 		cols := p.carry(a, x, pa, "xp", &sel, nil)
 		extraVals = append(extraVals, hvalue{name: hl.extraNames[n], typ: aggResultType(x, a.schema), sel: pa.reagg(cols, nil)})
 	}
-	vopts := opts.Vpct
-	vopts.UseUpdate = false // the transpose step reads FV columns by name
-	vopts.MissingRows = MissingNone
-	sub, err := p.PlanSQL(selectSQL(sel, a.table, a.whereSQL(), " GROUP BY "+joinIdents(fineGroup)), Options{Vpct: vopts})
+	sub, err := p.PlanSQL(selectSQL(sel, a.table, a.whereSQL(), " GROUP BY "+joinIdents(fineGroup)), DefaultOptions())
 	if err != nil {
 		return nil, fmt.Errorf("core: embedded vertical plan: %w", err)
 	}

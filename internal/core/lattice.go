@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -29,8 +30,6 @@ func checkLattice(a *analysis, opts Options) error {
 		return fmt.Errorf("core: missing-row handling is not supported with GROUP BY %s", kw)
 	case a.class == ClassHorizontalPct && opts.Hpct.FromFV:
 		return fmt.Errorf("core: the from-FV strategy is not supported with GROUP BY %s; use the direct strategy", kw)
-	case a.class == ClassHorizontalPct && opts.Hpct.HashPivot:
-		return fmt.Errorf("core: HashPivot is not supported with GROUP BY %s", kw)
 	case len(a.sets) == 0:
 		return fmt.Errorf("core: internal: GROUP BY %s resolved to no grouping sets", kw)
 	case len(a.sets) > maxLatticeNodes:
@@ -67,12 +66,12 @@ func checkLattice(a *analysis, opts Options) error {
 // Rows land in a cross-tab table FC node by node, finest first, with NULL
 // filling the dimensions a node rolled away and GROUPING(d1, …) markers
 // materialized as integer literals per node.
-func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
+func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*Plan, error) {
 	if err := checkLattice(a, opts); err != nil {
 		return nil, err
 	}
 	plan := &Plan{Class: a.class}
-	hl, err := p.horizontalLayout(a)
+	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +79,7 @@ func (p *Planner) planLattice(a *analysis, opts Options) (*Plan, error) {
 	// FS: the finest summary, the lattice's only base-table scan. Virtual
 	// relations are never cached: no DML hook validates or maintains a summary
 	// over them.
-	fsGroup := hl.fineGroup(a)
+	fsGroup := a.fineGroup()
 	fs, col := fineSummary(a, "FS", fsGroup, false)
 	fs.table = p.temp("fs")
 	key := ""

@@ -22,10 +22,9 @@ var (
 	mPlanSteps      = obs.Default.Counter("core.steps")
 )
 
-// Step is one statement of a generated plan. Most steps are SQL text; a few
-// (the hash pivot's O(1) placement of Fk rows into FH, which the paper
-// describes as a query-optimizer change, and summary-cache maintenance) run
-// as native steps because they cannot be expressed in standard SQL.
+// Step is one statement of a generated plan. Most steps are SQL text;
+// summary-cache maintenance runs as native steps because it cannot be
+// expressed in standard SQL.
 type Step struct {
 	// Purpose says what the step does, for EXPLAIN-style display.
 	Purpose string
@@ -261,15 +260,15 @@ const (
 // HpctOptions are the horizontal-percentage strategy knobs of Table 5.
 type HpctOptions struct {
 	// FromFV computes FH from the vertical percentage table FV instead of
-	// directly from F.
+	// directly from F. The embedded vertical plan always uses
+	// DefaultOptions().Vpct.
 	FromFV bool
-	// Vpct configures the embedded vertical plan when FromFV is set.
+	// Vpct is ignored.
+	//
+	// Deprecated: it used to configure the embedded vertical plan. The field
+	// survives only because benchmark/trace.go, frozen outside benchmark-only
+	// PRs, names it in a composite literal; delete it with that literal.
 	Vpct VpctOptions
-	// HashPivot replaces the N-CASE-per-row evaluation with the O(1)
-	// hash-based search the paper proposes as a query-optimizer
-	// improvement: the fine aggregate Fk as SQL steps, then one native
-	// placement step.
-	HashPivot bool
 }
 
 // HaggMethod selects the companion paper's evaluation strategy.
@@ -291,31 +290,38 @@ type HaggOptions struct {
 	// FromFV aggregates from the vertical pre-aggregate FV instead of F
 	// (the indirect sub-strategy).
 	FromFV bool
-	// HashPivot applies the hash-based CASE shortcut (CASE method only).
-	HashPivot bool
 }
 
 // Plan analyzes the query and generates a plan using the given options.
 // Standard queries yield a single-step plan that runs the query as is.
 func (p *Planner) Plan(sel *sqlparse.Select, opts Options) (*Plan, error) {
+	return p.PlanCtx(context.Background(), sel, opts)
+}
+
+// PlanCtx is Plan under a context: the feedback scans horizontal planning
+// runs over F stop on ctx's cancellation or deadline with the typed
+// lifecycle errors, obey opts.Limits, and inherit ctx's introspection mark,
+// exactly as the plan's steps do under ExecuteCtx.
+func (p *Planner) PlanCtx(ctx context.Context, sel *sqlparse.Select, opts Options) (*Plan, error) {
 	a, err := p.analyze(sel)
 	if err != nil {
 		return nil, err
 	}
+	ctx = limitsCtx(ctx, opts.Limits)
 	var plan *Plan
 	switch {
 	case a.hasSets:
 		// ROLLUP/CUBE/GROUPING SETS plan the whole lattice from one finest
 		// summary, whatever the aggregate class.
-		plan, err = p.planLattice(a, opts)
+		plan, err = p.planLattice(ctx, a, opts)
 	case a.class == ClassStandard:
 		plan = &Plan{Class: ClassStandard, FinalSelect: sel.String()}
 	case a.class == ClassVertical:
 		plan, err = p.planVertical(a, opts.Vpct)
 	case a.class == ClassHorizontalPct:
-		plan, err = p.planHorizontalPct(a, opts.Hpct)
+		plan, err = p.planHorizontalPct(ctx, a, opts.Hpct)
 	case a.class == ClassHorizontalAgg:
-		plan, err = p.planHorizontalAgg(a, opts.Hagg)
+		plan, err = p.planHorizontalAgg(ctx, a, opts.Hagg)
 	default:
 		return nil, fmt.Errorf("core: unplannable class %v", a.class)
 	}
@@ -393,17 +399,18 @@ func (p *Planner) ExecuteTracedCtx(ctx context.Context, plan *Plan) (*engine.Res
 	return res, root, err
 }
 
-// planCtx attaches the plan's Limits to ctx when set, so every step — SQL
-// and native — resolves the same effective budget the plan was stamped with.
-func planCtx(ctx context.Context, plan *Plan) context.Context {
-	if plan.Limits != (engine.Limits{}) {
-		return engine.WithLimits(ctx, plan.Limits)
+// limitsCtx attaches a plan's Limits to ctx when set, so every statement the
+// plan runs — its feedback scans, its SQL and native steps — resolves the
+// same effective budget.
+func limitsCtx(ctx context.Context, lim engine.Limits) context.Context {
+	if lim != (engine.Limits{}) {
+		return engine.WithLimits(ctx, lim)
 	}
 	return ctx
 }
 
 func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {
-	ctx = planCtx(ctx, plan)
+	ctx = limitsCtx(ctx, plan.Limits)
 	res, err := p.executeStepsIn(ctx, plan, root)
 	if err != nil {
 		p.cleanupIn(ctx, plan, root)
@@ -432,7 +439,7 @@ func (p *Planner) ExecuteSteps(plan *Plan) (*engine.Result, error) {
 
 // ExecuteStepsCtx is ExecuteSteps under a context (see ExecuteCtx).
 func (p *Planner) ExecuteStepsCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
-	return p.executeStepsIn(planCtx(ctx, plan), plan, nil)
+	return p.executeStepsIn(limitsCtx(ctx, plan.Limits), plan, nil)
 }
 
 func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {

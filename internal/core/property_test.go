@@ -133,14 +133,9 @@ func TestPropertyHpctStrategiesAgreeOnRandomData(t *testing.T) {
 		mustExec(t, p.Eng, "INSERT INTO f VALUES (7, 0, 'x', NULL), (7, 1, 'y', NULL), (8, 0, 'x', 5), (8, 1, 'y', -5)")
 		for _, q := range queries {
 			base := runOn(t, p, q, Options{})
-			fv := runOn(t, p, q, Options{Hpct: HpctOptions{FromFV: true, Vpct: VpctOptions{SubkeyIndexes: true}}})
+			fv := runOn(t, p, q, Options{Hpct: HpctOptions{FromFV: true}})
 			sameResults(t, "hpct direct vs fromFV: "+q, base, fv)
 		}
-		// Hash pivot only supports a single bare term.
-		q := "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1"
-		base := runOn(t, p, q, Options{})
-		hp := runOn(t, p, q, Options{Hpct: HpctOptions{HashPivot: true}})
-		sameResults(t, "hpct hash pivot", base, hp)
 	}
 }
 

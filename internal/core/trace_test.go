@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -65,82 +64,6 @@ func TestExecuteTracedVertical(t *testing.T) {
 			t.Errorf("children of %q sum to %v, parent is %v", s.Name, sum, s.Duration)
 		}
 	})
-}
-
-// TestTracedHashPivotWorkers checks the hash-pivot plan's span breakdown
-// under forced parallelism: the Fk step is an ordinary fold — a concurrent
-// fan-out with one span per worker, then merge, under its aggregate span —
-// and the native step emits FH.
-func TestTracedHashPivotWorkers(t *testing.T) {
-	p := newSalesPlanner(t)
-	sel, err := parseSelect(`SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Hpct.HashPivot = true
-	opts.Parallelism = 2
-	plan, err := p.Plan(sel, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, root, err := p.ExecuteTraced(plan)
-	if err != nil {
-		t.Fatalf("ExecuteTraced: %v", err)
-	}
-	agg := root.Find("compute fine aggregate Fk").Find("aggregate")
-	if agg == nil {
-		t.Fatalf("no aggregate span under the Fk step:\n%s", root.Format())
-	}
-	fan := agg.Find("partition fan-out")
-	if fan == nil || !fan.Concurrent {
-		t.Fatalf("no concurrent fan-out under the Fk aggregate:\n%s", agg.Format())
-	}
-	if len(fan.Children) != 2 {
-		t.Errorf("Fk worker spans = %d, want 2:\n%s", len(fan.Children), agg.Format())
-	}
-	if agg.Find("merge") == nil {
-		t.Errorf("no merge span under the Fk aggregate:\n%s", agg.Format())
-	}
-	pivot := root.Find("hash-pivot")
-	if pivot == nil || pivot.Find("emit ") == nil {
-		t.Errorf("no emit span under the hash-pivot step:\n%s", root.Format())
-	}
-	if n := strings.Count(plan.SQL(), "-- (native step)"); n != 1 {
-		t.Errorf("plan shows %d native steps, want 1:\n%s", n, plan.SQL())
-	}
-}
-
-// TestHashPivotSeqFallbackCounted: the pivot's scan of F is the Fk step's
-// fold, so in auto mode under the row threshold it counts in
-// engine.agg.seq_fallback like any fold and runs as one "fold".
-func TestHashPivotSeqFallbackCounted(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	p := newSalesPlanner(t)
-	sel, err := parseSelect(`SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Hpct.HashPivot = true
-	opts.Parallelism = 0
-	plan, err := p.Plan(sel, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fallback := obs.Default.Counter("engine.agg.seq_fallback")
-	before := fallback.Value()
-	_, root, err := p.ExecuteTraced(plan)
-	if err != nil {
-		t.Fatalf("ExecuteTraced: %v", err)
-	}
-	if got := fallback.Value() - before; got != 1 {
-		t.Errorf("engine.agg.seq_fallback moved by %d, want 1", got)
-	}
-	fk := root.Find("compute fine aggregate Fk")
-	if fk.Find("fold") == nil || root.Find("partition fan-out") != nil {
-		t.Errorf("want one sequential fold under the Fk step:\n%s", root.Format())
-	}
 }
 
 // TestPlanMetrics checks the plan/step counters advance per execution.

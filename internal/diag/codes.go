@@ -75,8 +75,8 @@ const (
 	// CodeUnorderedResult: a horizontal query without ORDER BY has
 	// implementation-defined row order.
 	CodeUnorderedResult = "PCT104"
-	// CodeStrategy: the cost-based advisor recommends non-default
-	// evaluation strategy knobs for this query.
+	// CodeStrategy: the advisor recommends non-default evaluation strategy
+	// knobs for this query.
 	CodeStrategy = "PCT105"
 	// CodeContradiction: interval analysis proves the WHERE predicate set
 	// unsatisfiable — the query returns no rows.
@@ -200,7 +200,7 @@ var Registry = []CodeInfo{
 	{CodeMissingRows, Warning, "missing rows: absent grouping combinations", "the paper's missing-rows failure mode; pre-/post-processing treatments apply", false},
 	{CodeColumnExplosion, Warning, "Hpct column explosion vs DBMS column limit", "Hpct creates one column per BY combination; beyond the limit the result is partitioned", false},
 	{CodeUnorderedResult, Advisory, "result row order not guaranteed", "add ORDER BY on the grouping columns for stable output", false},
-	{CodeStrategy, Advisory, "non-default evaluation strategy recommended", "the paper's Section 4 strategy recommendations, applied to live statistics", false},
+	{CodeStrategy, Advisory, "non-default evaluation strategy recommended", "the advisor's choice from live statistics: from FV when F holds many rows per distinct D1..Dk combination", false},
 	{CodeContradiction, Warning, "contradictory WHERE predicates (query returns no rows)", "interval analysis over the WHERE clause proves the predicate set unsatisfiable", false},
 	{CodeTautology, Advisory, "tautological WHERE predicate (constrains nothing)", "the predicate accepts every value (or every non-NULL value); state the intent directly or drop it", false},
 	{CodeZeroDenominator, Warning, "percentage denominator provably zero", "the WHERE clause pins the measure to 0, so every percentage is NULL — the static sharpening of PCT101", false},
@@ -212,7 +212,7 @@ var Registry = []CodeInfo{
 	{CodeCancelled, Error, "statement cancelled", "the caller cancelled the statement's context; partial work is discarded", true},
 	{CodeDeadline, Error, "statement deadline exceeded", "the per-statement deadline (Limits.Timeout) elapsed mid-execution", true},
 	{CodeRowLimit, Error, "materialized-row limit exceeded", "Limits.MaxRows bounds rows a statement may materialize, instead of exhausting memory", true},
-	{CodeGroupLimit, Error, "group limit exceeded", "Limits.MaxGroups bounds distinct GROUP BY / pivot groups, the other unbounded hash state", true},
+	{CodeGroupLimit, Error, "group limit exceeded", "Limits.MaxGroups bounds distinct GROUP BY / DISTINCT groups, the other unbounded hash state", true},
 	{CodePivotLimit, Error, "pivot column limit exceeded", "Limits.MaxPivotColumns is a hard cap on horizontal result width — the paper's DBMS column-limit failure mode as a governed error", true},
 	{CodeByteBudget, Error, "byte budget exceeded", "Limits.MaxBytes bounds approximate materialized bytes; parallel aggregation degrades to sequential under pressure before failing", true},
 	{CodePanic, Error, "panic recovered in statement execution", "a worker or dispatch panic is contained into an error carrying the stack, keeping the engine usable", true},

@@ -79,8 +79,7 @@ func TestDifferentialBatchGoldenQueries(t *testing.T) {
 			sql: "SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
 				{},
-				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}},
-				{Hpct: core.HpctOptions{HashPivot: true}},
+				{Hpct: core.HpctOptions{FromFV: true}},
 			},
 		},
 		{
@@ -92,7 +91,6 @@ func TestDifferentialBatchGoldenQueries(t *testing.T) {
 			opts: []core.Options{
 				{Hagg: core.HaggOptions{Method: core.HaggCASE}},
 				{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
-				{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}},
 			},
 		},
 		{
@@ -242,9 +240,9 @@ var foldShapes = []string{
 }
 
 // TestFoldOperatorCoversPrimaryShapes pins ROADMAP item 2's exit criterion:
-// the eight primary queries as Vpct, Hpct and Hagg (CASE from F, and the
-// hash pivot's Fk fold), a computed-key GROUP BY and a join-fed GROUP BY all
-// run every fold through the operator — batch.fallbacks does not move,
+// the eight primary queries as Vpct, Hpct and Hagg (CASE from F), a
+// computed-key GROUP BY and a join-fed GROUP BY all run every fold through
+// the operator — batch.fallbacks does not move,
 // batch.folds does — and return exactly the rows of the SetBatch(false)
 // reference. The CASE arms of the Hpct and Hagg forms dispatched: the plan's
 // one CASE fold, and each of its workers, carries dispatch=<arms>/1 with one
@@ -264,9 +262,7 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 		shapes = append(shapes,
 			shape{q.vpct, core.DefaultOptions(), -1},
 			shape{q.hpct, core.Options{}, q.totals},
-			shape{q.hpct, core.Options{Hpct: core.HpctOptions{HashPivot: true}}, -1},
-			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}, q.totals},
-			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}}, -1})
+			shape{q.hagg, core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}, q.totals})
 	}
 	folds, fallbacks := obs.Default.Counter("batch.folds"), obs.Default.Counter("batch.fallbacks")
 	for _, sh := range shapes {

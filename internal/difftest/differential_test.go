@@ -78,8 +78,7 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 			sql: "SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{
 				{},
-				{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}},
-				{Hpct: core.HpctOptions{HashPivot: true}},
+				{Hpct: core.HpctOptions{FromFV: true}},
 			},
 		},
 		{
@@ -92,7 +91,6 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 				{Hagg: core.HaggOptions{Method: core.HaggCASE}},
 				{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}},
 				{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
-				{Hagg: core.HaggOptions{Method: core.HaggCASE, HashPivot: true}},
 			},
 		},
 		{
@@ -244,7 +242,7 @@ var propertyQueries = []struct {
 	{"SELECT d3, Vpct(a) FROM f GROUP BY d3", core.Options{Vpct: core.VpctOptions{UseUpdate: true}}},
 	{"SELECT d1, d2, Vpct(a BY d2), sum(a), count(*) FROM f GROUP BY d1, d2", core.DefaultOptions()},
 	{"SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}},
-	{"SELECT d1, Hpct(a BY d2), sum(a), max(a) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{FromFV: true, Vpct: core.VpctOptions{SubkeyIndexes: true}}}},
+	{"SELECT d1, Hpct(a BY d2), sum(a), max(a) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{FromFV: true}}},
 	{"SELECT d1, sum(a BY d2, d3), count(*) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 	{"SELECT d1, min(a BY d3), max(a BY d3) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
 }

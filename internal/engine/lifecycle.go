@@ -36,7 +36,7 @@ type Limits struct {
 	// MaxRows caps rows materialized by one statement (result rows, join
 	// build sides, window inputs, staged DML rows), cumulatively.
 	MaxRows int64
-	// MaxGroups caps distinct aggregation groups (GROUP BY and pivot).
+	// MaxGroups caps distinct aggregation groups (GROUP BY and DISTINCT).
 	MaxGroups int64
 	// MaxPivotColumns caps horizontal (Hpct/Hagg) result columns; the core
 	// planner enforces it at plan time, before any evaluation runs.

@@ -4,7 +4,7 @@
 // (reported all at once, with source positions, instead of fail-fast), and
 // the linter adds warning/advisory checks for the paper's silent failure
 // modes — division by zero, missing rows, Hpct column explosion — plus
-// strategy advisories from the cost-based advisor.
+// strategy advisories from the planner's advisor.
 //
 // Warning checks are data-aware: they run the same feedback queries the
 // planner uses (SELECT DISTINCT over the subgrouping columns) against live
@@ -359,9 +359,9 @@ func (l *Linter) checkOrdering(shape *core.QueryShape) []Diagnostic {
 	}}
 }
 
-// checkStrategy implements PCT105: run the cost-based advisor and report
-// when it recommends non-default evaluation strategy knobs for this
-// query's live statistics.
+// checkStrategy implements PCT105: run the advisor — which compares |F| with
+// the number of distinct (D1..Dk) combinations, measured by one scan of F —
+// and report when it recommends non-default evaluation strategy knobs.
 func (l *Linter) checkStrategy(sel *sqlparse.Select, shape *core.QueryShape) []Diagnostic {
 	opts, err := l.Planner.Advise(sel)
 	if err != nil {
@@ -398,7 +398,7 @@ func (l *Linter) checkStrategy(sel *sqlparse.Select, shape *core.QueryShape) []D
 	}
 	return []Diagnostic{{
 		Code: diag.CodeStrategy, Severity: diag.Advisory, Span: span,
-		Message: "the advisor recommends a non-default evaluation strategy for this table's statistics: " + strings.Join(recs, "; "),
+		Message: "the advisor, comparing |F| with the number of distinct grouping combinations, recommends a non-default evaluation strategy: " + strings.Join(recs, "; "),
 		Fix:     "pass the advisor's options (Planner.Advise) instead of DefaultOptions when planning this query",
 	}}
 }

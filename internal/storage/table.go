@@ -405,7 +405,7 @@ func (t *Table) ColumnNulls(col int) func(int) bool {
 // CellGetter returns a reader that boxes one cell of a column per call. The
 // column's type and vector are resolved here, once, where Get re-dispatches
 // on them for every cell — the saving that matters to loops touching a few
-// columns of many rows (folds, join probes, the hash pivot). The reader sees
+// columns of many rows (folds, join probes). The reader sees
 // the rows present when it was built; the engine serializes writers per
 // statement, so a statement's readers never outlive their snapshot.
 func (t *Table) CellGetter(col int) func(row int) value.Value {

@@ -103,8 +103,8 @@ func TestExplainGolden(t *testing.T) {
 
 // TestExplainAnalyzeGolden pins the execution trace shape — span nesting,
 // stage names, actual row counts — with durations normalized out. Every
-// operator a primary query touches (scan, join build/probe, fold, pivot,
-// the Vpct division join) must keep its place in the tree.
+// operator a primary query touches (scan, join build/probe, fold, the Vpct
+// division join) must keep its place in the tree.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	db, s := goldenDB(t)
 	compareGolden(t, "explain_analyze.golden", explainGolden(t, db, s, true))

@@ -214,10 +214,16 @@ func TestIntrospectionSelfGuard(t *testing.T) {
 			t.Errorf("row %d changed: %v vs %v", i, r1.Data[i], r2.Data[i])
 		}
 	}
-	// A Vpct over the stats is a planned, multi-statement query — none of
-	// its generated statements may record themselves either.
-	if _, err := db.Query("SELECT query, Vpct(calls) FROM pct_stat_statements GROUP BY query"); err != nil {
-		t.Fatal(err)
+	// A Vpct or Hpct over the stats is a planned, multi-statement query —
+	// none of its generated statements, nor the Hpct's feedback scan, may
+	// record themselves either.
+	for _, q := range []string{
+		"SELECT query, Vpct(calls) FROM pct_stat_statements GROUP BY query",
+		"SELECT top, Hpct(calls BY query) FROM pct_stat_statements GROUP BY top",
+	} {
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := db.IntrospectionStats().Statements; got != after.Statements {
 		t.Errorf("planned introspection query recorded itself: %d -> %d fingerprints", after.Statements, got)

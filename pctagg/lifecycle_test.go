@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/leakcheck"
+	"repro/internal/obs"
 )
 
 // TestTraceSpansAllClosed is the trace invariant: every span in a finished
@@ -16,18 +17,12 @@ import (
 func TestTraceSpansAllClosed(t *testing.T) {
 	cases := []struct {
 		name    string
-		prep    func(db *DB)
 		ctx     func() context.Context
 		sql     string
 		wantErr bool
 	}{
 		{name: "standard", sql: "SELECT state, sum(salesAmt) FROM sales GROUP BY state"},
 		{name: "vpct", sql: "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"},
-		{
-			name: "hpct-hash-pivot",
-			prep: func(db *DB) { db.SetStrategies(Strategies{Hpct: HpctStrategy{HashPivot: true}}) },
-			sql:  "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
-		},
 		{name: "hpct-sql", sql: "SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state"},
 		// Runtime error mid-statement: ORDER BY a column that does not exist
 		// fails after the scan has produced rows (the fixed sort-span path).
@@ -47,9 +42,6 @@ func TestTraceSpansAllClosed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db := demoDB(t)
 			db.SetParallelism(4)
-			if tc.prep != nil {
-				tc.prep(db)
-			}
 			ctx := context.Background()
 			if tc.ctx != nil {
 				ctx = tc.ctx()
@@ -73,22 +65,38 @@ func TestTraceSpansAllClosed(t *testing.T) {
 }
 
 // TestQueryCtxCancellation: a cancelled context surfaces as the typed
-// PCT200 error through the public Query path, and nothing leaks.
+// PCT200 error through the public Query path, and nothing leaks. Planning is
+// part of the statement: the feedback scans an Hpct plan or the advisor runs
+// over F stop too, so a query cancelled before it starts reads no row.
 func TestQueryCtxCancellation(t *testing.T) {
 	defer leakcheck.Check(t)()
 	db := demoDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := db.QueryCtx(ctx, "SELECT state, Vpct(salesAmt BY city) FROM sales GROUP BY state, city")
-	if err == nil {
-		t.Fatal("cancelled query succeeded")
-	}
-	var coded interface{ Code() string }
-	if !errors.As(err, &coded) || coded.Code() != diag.CodeCancelled {
-		t.Fatalf("err = %v, want code %s", err, diag.CodeCancelled)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Error("cancellation cause not preserved through the public API")
+	scanned := obs.Default.Counter("engine.rows.scanned")
+	for _, sql := range []string{
+		"SELECT state, Vpct(salesAmt BY city) FROM sales GROUP BY state, city",
+		"SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
+		"EXPLAIN SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state",
+	} {
+		for _, auto := range []bool{false, true} {
+			db.AutoStrategy(auto)
+			before := scanned.Value()
+			_, err := db.QueryCtx(ctx, sql)
+			if err == nil {
+				t.Fatalf("%s: cancelled query succeeded", sql)
+			}
+			var coded interface{ Code() string }
+			if !errors.As(err, &coded) || coded.Code() != diag.CodeCancelled {
+				t.Fatalf("%s: err = %v, want code %s", sql, err, diag.CodeCancelled)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s: cancellation cause not preserved through the public API", sql)
+			}
+			if d := scanned.Value() - before; d != 0 {
+				t.Errorf("%s (auto=%v): the cancelled query scanned %d rows", sql, auto, d)
+			}
+		}
 	}
 }
 

@@ -241,7 +241,7 @@ func (db *DB) queryInner(ctx context.Context, sql string, root *Span, meta *qmet
 			// The engine cannot run percentage aggregates or grouping-set
 			// lattices: EXPLAIN shows the rewriter's multi-statement plan,
 			// EXPLAIN ANALYZE executes it and shows the recorded trace.
-			return db.explainPlanned(ex, root)
+			return db.explainPlanned(ctx, ex, root)
 		}
 		res, err := db.eng.ExecuteCtxIn(ctx, ex, db.par, root)
 		if err != nil {
@@ -299,11 +299,11 @@ func (db *DB) queryInner(ctx context.Context, sql string, root *Span, meta *qmet
 // AutoStrategy, the configured strategies otherwise, with the DB-level
 // parallelism stamped on either (it is orthogonal to strategy choice and
 // the advisor never sets it) — and plans the SELECT.
-func (db *DB) planFor(sel *sqlparse.Select) (*core.Plan, error) {
+func (db *DB) planFor(ctx context.Context, sel *sqlparse.Select) (*core.Plan, error) {
 	opts := db.strat.coreOptions()
 	var err error
 	if db.auto {
-		opts, err = db.planner.Advise(sel)
+		opts, err = db.planner.AdviseCtx(ctx, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -313,14 +313,14 @@ func (db *DB) planFor(sel *sqlparse.Select) (*core.Plan, error) {
 	// (MaxPivotColumns) see them; per-step enforcement resolves the same
 	// limits either way.
 	opts.Limits = db.eng.Limits()
-	return db.planner.Plan(sel, opts)
+	return db.planner.PlanCtx(ctx, sel, opts)
 }
 
 // queryPlanned evaluates a percentage/horizontal SELECT through the planner,
 // nesting the plan's trace under root when tracing.
 func (db *DB) queryPlanned(ctx context.Context, sel *sqlparse.Select, root *Span, meta *qmeta) (*engine.Result, error) {
 	pls := root.NewChild("plan")
-	plan, err := db.planFor(sel)
+	plan, err := db.planFor(ctx, sel)
 	pls.End()
 	if err != nil {
 		return nil, err
@@ -341,9 +341,9 @@ func (db *DB) queryPlanned(ctx context.Context, sel *sqlparse.Select, root *Span
 // the generated multi-statement SQL script (the paper's code-generator
 // output), or — under EXPLAIN ANALYZE — the execution trace of actually
 // running the plan, one span per line with actual rows and times.
-func (db *DB) explainPlanned(ex *sqlparse.Explain, root *Span) (*Rows, error) {
+func (db *DB) explainPlanned(ctx context.Context, ex *sqlparse.Explain, root *Span) (*Rows, error) {
 	pls := root.NewChild("plan")
-	plan, err := db.planFor(ex.Query)
+	plan, err := db.planFor(ctx, ex.Query)
 	pls.End()
 	if err != nil {
 		countQueryError(err)
@@ -351,7 +351,7 @@ func (db *DB) explainPlanned(ex *sqlparse.Explain, root *Span) (*Rows, error) {
 	}
 	var lines []string
 	if ex.Analyze {
-		res, trace, err := db.planner.ExecuteTraced(plan)
+		res, trace, err := db.planner.ExecuteTracedCtx(ctx, plan)
 		root.AddChild(trace)
 		if err != nil {
 			countQueryError(err)
@@ -475,10 +475,11 @@ func (db *DB) Tables() []string { return db.eng.Catalog().Names() }
 // Most callers never need it.
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
-// AutoStrategy toggles the cost-based strategy advisor: before each
-// percentage query, live statistics (the distinct BY combinations, the
-// fine-grouping size relative to |F|) pick the strategy per the paper's
-// Section 4 recommendations, overriding SetStrategies.
+// AutoStrategy toggles the strategy advisor: before each horizontal query,
+// one scan of F measures the fine-grouping size |Fk|, and its ratio to |F|
+// picks from F or from FV (core.Advise states the measured rule); vertical
+// queries get the paper's Section 4 recommendations, which are the
+// defaults. It overrides SetStrategies.
 func (db *DB) AutoStrategy(on bool) { db.auto = on }
 
 // ShareSummaries toggles the materialized summary cache: while enabled,

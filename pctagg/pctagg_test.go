@@ -129,7 +129,6 @@ func TestAllStrategiesAgreeThroughPublicAPI(t *testing.T) {
 	variants := []Strategies{
 		DefaultStrategies(),
 		{Hpct: HpctStrategy{FromVertical: true}},
-		{Hpct: HpctStrategy{HashPivot: true}},
 	}
 	var base *Rows
 	for _, s := range variants {

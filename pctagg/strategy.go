@@ -33,13 +33,10 @@ type VpctStrategy struct {
 // HpctStrategy mirrors the strategies of the paper's Table 5.
 type HpctStrategy struct {
 	// FromVertical computes FH by building FV first and transposing it,
-	// instead of directly from F. Recommended when the BY columns are
-	// three or more, or highly selective.
+	// instead of directly from F. It pays when F has at least ~80 rows per
+	// distinct (D1..Dk) combination — the rule AutoStrategy applies, measured
+	// in EXPERIMENTS.md — whatever the number of BY or result columns.
 	FromVertical bool
-	// HashPivot evaluates the transposition with one hash lookup per row
-	// instead of N CASE terms — the optimizer improvement the paper
-	// proposes.
-	HashPivot bool
 }
 
 // HaggStrategy mirrors the companion paper's Table 3 strategies.
@@ -49,8 +46,6 @@ type HaggStrategy struct {
 	SPJ bool
 	// FromVertical aggregates from the pre-aggregate FV instead of F.
 	FromVertical bool
-	// HashPivot evaluates CASE transposition with one hash lookup per row.
-	HashPivot bool
 }
 
 // DefaultStrategies returns the paper's recommended settings: Fj from Fk,
@@ -78,23 +73,14 @@ func (s Strategies) coreOptions() core.Options {
 	if s.Hagg.SPJ {
 		method = core.HaggSPJ
 	}
-	vopts := core.VpctOptions{
-		FjFromF:       s.Vpct.CoarseTotalsFromF,
-		UseUpdate:     s.Vpct.UpdateInPlace,
-		SubkeyIndexes: s.Vpct.SubkeyIndexes,
-		MissingRows:   missing,
-	}
 	return core.Options{
-		Vpct: vopts,
-		Hpct: core.HpctOptions{
-			FromFV:    s.Hpct.FromVertical,
-			Vpct:      core.VpctOptions{SubkeyIndexes: true},
-			HashPivot: s.Hpct.HashPivot,
+		Vpct: core.VpctOptions{
+			FjFromF:       s.Vpct.CoarseTotalsFromF,
+			UseUpdate:     s.Vpct.UpdateInPlace,
+			SubkeyIndexes: s.Vpct.SubkeyIndexes,
+			MissingRows:   missing,
 		},
-		Hagg: core.HaggOptions{
-			Method:    method,
-			FromFV:    s.Hagg.FromVertical,
-			HashPivot: s.Hagg.HashPivot,
-		},
+		Hpct: core.HpctOptions{FromFV: s.Hpct.FromVertical},
+		Hagg: core.HaggOptions{Method: method, FromFV: s.Hagg.FromVertical},
 	}
 }
