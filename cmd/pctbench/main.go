@@ -1,22 +1,17 @@
 // Command pctbench regenerates the evaluation tables of both papers on
-// synthetic data and prints them in the papers' layout.
+// synthetic data and prints them in the papers' layout. The tables are the
+// ones internal/bench.Experiments declares; -table takes one of their keys.
 //
 // Usage:
 //
 //	pctbench                       # all tables, medium scale
 //	pctbench -table 4              # only Table 4
 //	pctbench -table parallel       # sequential vs parallel aggregation
-//	pctbench -table cache          # summary cache: cold vs cached vs delta
-//	pctbench -table cube           # percentage cubes over the cached lattice
-//	pctbench -table batch          # vectorized batch kernels vs scalar
-//	pctbench -table introspect     # introspection catalog recording overhead
 //	pctbench -scale small|medium|paper
 //	pctbench -reps 3               # average over repetitions
 //	pctbench -o results.txt        # also write to a file
 //	pctbench -md                   # markdown output (for EXPERIMENTS.md)
 //	pctbench -json out.json        # also write machine-readable timings
-//	pctbench -breakdown stages.json  # trace the primary queries and write
-//	                                 # per-stage timings as JSON
 //	pctbench -timeout 30s            # per-statement deadline (PCT201 on expiry)
 //	pctbench -cancel BENCH_cancel.json  # cancellation-latency smoke benchmark
 //	pctbench -serve-load BENCH_serve.json  # multi-tenant server load: latency
@@ -43,23 +38,42 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "medium", "data scale: small, medium, or paper")
-	table := flag.String("table", "all", "which table to run: 4, 5, 6, h3, ablation, update, shared, parallel, cache, cube, batch, introspect, or all")
-	reps := flag.Int("reps", 1, "repetitions per measurement (the paper used 5)")
-	out := flag.String("o", "", "also write results to this file")
-	jsonOut := flag.String("json", "", "also write timings to this file as JSON")
-	breakdown := flag.String("breakdown", "", "trace the primary queries and write per-stage timings to this file as JSON")
-	timeout := flag.Duration("timeout", 0, "per-statement deadline (0 = none); an expired run fails with PCT201 instead of hanging the suite")
-	cancelOut := flag.String("cancel", "", "run the cancellation-latency smoke benchmark and write the result to this file as JSON")
-	serveOut := flag.String("serve-load", "", "run the multi-tenant server load benchmark and write the result to this file as JSON")
-	serveAddr := flag.String("serve-addr", "", "serve-load: use a running pctserve at this address instead of an in-process server")
-	serveTenants := flag.Int("serve-tenants", 3, "serve-load: simulated tenants")
-	serveWorkers := flag.Int("serve-workers", 4, "serve-load: sessions per tenant")
-	serveRequests := flag.Int("serve-requests", 50, "serve-load: statements per session")
-	md := flag.Bool("md", false, "emit markdown tables")
-	quiet := flag.Bool("quiet", false, "suppress progress messages")
-	filter := flag.String("filter", "", "only run query rows whose label contains this substring")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its dependencies injected, so tests can drive it.
+func run(args []string, stdout, stderr io.Writer) int {
+	experiments := bench.Experiments()
+	keys := make([]string, len(experiments))
+	for i, exp := range experiments {
+		keys[i] = exp.Key
+	}
+	tableKeys := strings.Join(keys, ", ") + ", all, none"
+
+	fs := flag.NewFlagSet("pctbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "medium", "data scale: small, medium, or paper")
+	table := fs.String("table", "all", "which table to run: "+tableKeys+" (none: only side outputs like -cancel)")
+	reps := fs.Int("reps", 1, "repetitions per measurement (the paper used 5)")
+	out := fs.String("o", "", "also write results to this file")
+	jsonOut := fs.String("json", "", "also write timings to this file as JSON")
+	timeout := fs.Duration("timeout", 0, "per-statement deadline (0 = none); an expired run fails with PCT201 instead of hanging the suite")
+	cancelOut := fs.String("cancel", "", "run the cancellation-latency smoke benchmark and write the result to this file as JSON")
+	serveOut := fs.String("serve-load", "", "run the multi-tenant server load benchmark and write the result to this file as JSON")
+	serveAddr := fs.String("serve-addr", "", "serve-load: use a running pctserve at this address instead of an in-process server")
+	serveTenants := fs.Int("serve-tenants", 3, "serve-load: simulated tenants")
+	serveWorkers := fs.Int("serve-workers", 4, "serve-load: sessions per tenant")
+	serveRequests := fs.Int("serve-requests", 50, "serve-load: statements per session")
+	md := fs.Bool("md", false, "emit markdown tables")
+	quiet := fs.Bool("quiet", false, "suppress progress messages")
+	filter := fs.String("filter", "", "only run query rows whose label contains this substring")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pctbench:", err)
+		return 1
+	}
 
 	var cfg bench.Config
 	switch *scale {
@@ -70,67 +84,54 @@ func main() {
 	case "paper":
 		cfg = bench.PaperConfig()
 	default:
-		fmt.Fprintf(os.Stderr, "pctbench: unknown scale %q\n", *scale)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pctbench: unknown scale %q\n", *scale)
+		return 2
 	}
 	cfg.Reps = *reps
 	cfg.LabelFilter = *filter
 
-	var log io.Writer = os.Stderr
+	want := strings.ToLower(*table)
+	var selected []bench.Experiment
+	for _, exp := range experiments {
+		if want == "all" || want == exp.Key {
+			selected = append(selected, exp)
+		}
+	}
+	if len(selected) == 0 && want != "none" {
+		fmt.Fprintf(stderr, "pctbench: unknown table %q (%s)\n", *table, tableKeys)
+		return 2
+	}
+
+	log := stderr
 	if *quiet {
 		log = nil
 	}
 	s, err := bench.NewSuite(cfg, log)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *timeout > 0 {
 		s.Eng.SetLimits(engine.Limits{Timeout: *timeout})
 	}
 
-	writers := []io.Writer{os.Stdout}
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
-		writers = append(writers, f)
+		w = io.MultiWriter(stdout, f)
 	}
-	w := io.MultiWriter(writers...)
 
 	fmt.Fprintf(w, "pctbench scale=%s (employee=%d sales=%d trans=%d/%d census=%d, store card=%d) reps=%d\n\n",
 		*scale, cfg.EmployeeN, cfg.SalesN, cfg.TransN1, cfg.TransN2, cfg.CensusN, cfg.Cards.Store, cfg.Reps)
 
-	type runner struct {
-		key string
-		fn  func() (*bench.Table, error)
-	}
-	runners := []runner{
-		{"4", s.RunTable4},
-		{"5", s.RunTable5},
-		{"6", s.RunTable6},
-		{"h3", s.RunTableH3},
-		{"ablation", s.RunAblationPivot},
-		{"update", s.RunAblationUpdate},
-		{"shared", s.RunAblationShared},
-		{"parallel", s.RunTableParallel},
-		{"cache", s.RunTableCache},
-		{"cube", s.RunTableCube},
-		{"batch", s.RunTableBatch},
-		{"introspect", s.RunTableIntrospect},
-	}
-	want := strings.ToLower(*table)
-	ran := want == "none" // -table none: only side outputs like -breakdown
 	var tables []*bench.Table
-	for _, r := range runners {
-		if want == "none" || want != "all" && want != r.key {
-			continue
-		}
-		ran = true
-		tab, err := r.fn()
+	for _, exp := range selected {
+		tab, err := s.Run(exp)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		tables = append(tables, tab)
 		if *md {
@@ -139,35 +140,18 @@ func main() {
 			fmt.Fprintln(w, tab.Format())
 		}
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "pctbench: unknown table %q (4, 5, 6, h3, ablation, update, shared, parallel, cache, cube, batch, introspect, all, none)\n", *table)
-		os.Exit(2)
-	}
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, *scale, cfg, tables); err != nil {
-			fatal(err)
-		}
-	}
-	if *breakdown != "" {
-		rows, err := s.RunBreakdown()
-		if err != nil {
-			fatal(err)
-		}
-		if err := writeBreakdownJSON(*breakdown, *scale, rows); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *cancelOut != "" {
-		reps := cfg.Reps
-		if reps < 3 {
-			reps = 3
-		}
-		res, err := s.RunCancelSmoke(reps, 4, 2*time.Millisecond)
+		res, err := s.RunCancelSmoke(max(cfg.Reps, 3), 4, 2*time.Millisecond)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := writeCancelJSON(*cancelOut, *scale, res); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if *serveOut != "" {
@@ -178,12 +162,13 @@ func main() {
 			Requests: *serveRequests,
 		}, log)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := writeServeJSON(*serveOut, res); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
 // writeServeJSON dumps the multi-tenant load result: the client-side
@@ -249,32 +234,6 @@ func writeCancelJSON(path, scale string, res *bench.CancelSmoke) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// writeBreakdownJSON dumps the traced per-stage timings, one object per
-// primary query and strategy, stage durations in seconds.
-func writeBreakdownJSON(path, scale string, rows []bench.StageBreakdown) error {
-	type jsonQuery struct {
-		Label  string             `json:"label"`
-		SQL    string             `json:"sql"`
-		Stages map[string]float64 `json:"stages"`
-	}
-	doc := struct {
-		Scale   string      `json:"scale"`
-		Queries []jsonQuery `json:"queries"`
-	}{Scale: scale}
-	for _, r := range rows {
-		jq := jsonQuery{Label: r.Label, SQL: r.SQL, Stages: map[string]float64{}}
-		for _, st := range r.Stages {
-			jq.Stages[st.Name] = st.Duration.Seconds()
-		}
-		doc.Queries = append(doc.Queries, jq)
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
 // writeJSON dumps the regenerated tables with times in seconds, for CI
 // artifacts and downstream tooling.
 func writeJSON(path, scale string, cfg bench.Config, tables []*bench.Table) error {
@@ -309,11 +268,6 @@ func writeJSON(path, scale string, cfg bench.Config, tables []*bench.Table) erro
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pctbench:", err)
-	os.Exit(1)
 }
 
 // markdown renders a bench table as a markdown table.

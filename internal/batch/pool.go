@@ -125,11 +125,11 @@ func (l *freeLists[T]) put(s []T, poison func([]T)) bool {
 // Pool recycles the batch-execution scratch buffers. The zero value is
 // ready to use; Default is the engine-wide instance.
 type Pool struct {
-	mu    sync.Mutex
-	sel   freeLists[int32]       // selection vectors
-	vals  freeLists[value.Value] // boxed value scratch (row buffers, key scratch)
-	bytes freeLists[byte]        // group-key encode buffers
-	ints  freeLists[int64]       // accumulator scratch
+	mu                       sync.Mutex
+	sel                      freeLists[int32]       // selection vectors
+	vals                     freeLists[value.Value] // boxed value scratch (row buffers, key scratch)
+	bytes                    freeLists[byte]        // group-key encode buffers
+	ints                     freeLists[int64]       // accumulator scratch
 	gets, puts, hits, misses atomic.Int64
 
 	poison atomic.Bool // test hook: overwrite buffers on Put

@@ -139,12 +139,7 @@ func (s *Suite) logf(format string, args ...any) {
 	}
 }
 
-// skipQuery applies Cfg.LabelFilter.
-func (s *Suite) skipQuery(label string) bool {
-	return s.Cfg.LabelFilter != "" && !strings.Contains(label, s.Cfg.LabelFilter)
-}
-
-// ensure loads a named data set once.
+// Ensure loads a named data set once.
 func (s *Suite) Ensure(name string) error {
 	if s.loaded[name] {
 		return nil
@@ -173,49 +168,63 @@ func (s *Suite) Ensure(name string) error {
 	return nil
 }
 
-// TimeQuery plans and executes one percentage query under opts, returning
-// the mean wall time of Cfg.Reps runs. Planning (including the horizontal
-// feedback query) counts, as it does in the paper's code-generation
-// pipeline; the final result cursor does not.
-func (s *Suite) TimeQuery(sql string, opts core.Options) (time.Duration, error) {
-	var total time.Duration
-	reps := s.Cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for r := 0; r < reps; r++ {
-		runtime.GC() // isolate cells from the previous measurement's heap
-		start := time.Now()
-		plan, err := s.Planner.PlanSQL(sql, opts)
+// stmt is one timed statement: a percentage query planned under opts, or —
+// plain — SQL the engine runs as it stands (the OLAP baseline).
+type stmt struct {
+	sql   string
+	opts  core.Options
+	plain bool
+}
+
+// timeStmt runs st once and returns its wall time the way the paper takes
+// it: plan generation (the horizontal feedback query included) plus the
+// execution of the plan's steps. The final result cursor is not opened and
+// dropping the plan's temporaries is not timed.
+func (s *Suite) timeStmt(st stmt) (time.Duration, error) {
+	start := time.Now()
+	if st.plain {
+		_, err := s.Eng.ExecSQL(st.sql)
 		if err != nil {
-			return 0, fmt.Errorf("%s: %w", sql, err)
+			return 0, fmt.Errorf("%s: %w", st.sql, err)
 		}
-		if _, err := s.Planner.ExecuteSteps(plan); err != nil {
-			s.Planner.CleanupPlan(plan)
-			return 0, fmt.Errorf("%s: %w", sql, err)
+		return time.Since(start), nil
+	}
+	plan, err := s.Planner.PlanSQL(st.sql, st.opts)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", st.sql, err)
+	}
+	_, err = s.Planner.ExecuteSteps(plan)
+	d := time.Since(start)
+	s.Planner.CleanupPlan(plan)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", st.sql, err)
+	}
+	return d, nil
+}
+
+// timeBatch times stmts run one after the other and returns the mean of
+// Cfg.Reps runs, collecting garbage before each so that a cell does not pay
+// for the previous measurement's heap.
+func (s *Suite) timeBatch(stmts []stmt) (time.Duration, error) {
+	reps := max(s.Cfg.Reps, 1)
+	var total time.Duration
+	for r := 0; r < reps; r++ {
+		runtime.GC()
+		for _, st := range stmts {
+			d, err := s.timeStmt(st)
+			if err != nil {
+				return 0, err
+			}
+			total += d
 		}
-		total += time.Since(start)
-		s.Planner.CleanupPlan(plan)
 	}
 	return total / time.Duration(reps), nil
 }
 
-// TimeSQL times a raw SQL statement (the OLAP baseline).
-func (s *Suite) TimeSQL(sql string) (time.Duration, error) {
-	var total time.Duration
-	reps := s.Cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for r := 0; r < reps; r++ {
-		runtime.GC()
-		start := time.Now()
-		if _, err := s.Eng.ExecSQL(sql); err != nil {
-			return 0, fmt.Errorf("%s: %w", sql, err)
-		}
-		total += time.Since(start)
-	}
-	return total / time.Duration(reps), nil
+// TimeQuery plans and executes one percentage query under opts, returning
+// the mean wall time of Cfg.Reps runs.
+func (s *Suite) TimeQuery(sql string, opts core.Options) (time.Duration, error) {
+	return s.timeBatch([]stmt{{sql: sql, opts: opts}})
 }
 
 // Row is one experiment row: a query label and one duration per strategy

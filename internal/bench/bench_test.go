@@ -1,9 +1,16 @@
 package bench
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden table files")
 
 // tinyConfig keeps harness tests fast while exercising every code path.
 func tinyConfig() Config {
@@ -29,87 +36,88 @@ func mustSuite(t *testing.T) *Suite {
 	return s
 }
 
-func TestRunTable4(t *testing.T) {
+// wantShape is what each declared experiment regenerates at tinyConfig():
+// rows × columns, and a label known to be among the rows.
+var wantShape = map[string]struct {
+	rows, cols int
+	label      string
+}{
+	"4":        {8, 4, "employee gender | -"},
+	"5":        {8, 2, "sales dweek | -"},
+	"6":        {8, 3, "sales dept,store | dweek,monthNo"},
+	"h3":       {17, 4, "trans2 dayOfWeekNo,monthNo | deptId,storeId"},
+	"ablation": {4, 2, "sales monthNo | dweek"},
+	"update":   {2, 2, "sales dweek,monthNo | transactionId"},
+	"shared":   {1, 2, "sales 3×Vpct over (dweek,monthNo,dept)"},
+	"parallel": {8, 4, "employee gender,educat | age,marstatus"},
+}
+
+var timeCell = regexp.MustCompile(`\d+\.\d{3}\b`)
+
+// TestExperiments is the one table-driven test of the declaration: every
+// experiment is regenerated on one suite, in order, the way `pctbench -table
+// all` runs them, and held to wantShape, to positive times, to the checked-in
+// golden of its printed form with the time cells masked (title, note, headers,
+// row labels, row order — regenerate with -update), and to handing the suite
+// on as it found it: the fold operator and summary sharing back where they
+// were and nothing in the catalog but data sets. The parallel table prints
+// its worker count, so the goldens are taken at two.
+func TestExperiments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	s := mustSuite(t)
-	tab, err := s.RunTable4()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if len(r.Times) != 4 {
-			t.Fatalf("row %s times = %v", r.Label, r.Times)
-		}
-		for i, d := range r.Times {
-			if d <= 0 {
-				t.Errorf("row %s col %d: non-positive time", r.Label, i)
+	for _, exp := range Experiments() {
+		t.Run(exp.Key, func(t *testing.T) {
+			want, ok := wantShape[exp.Key]
+			if !ok {
+				t.Fatalf("experiment %q has no entry in wantShape", exp.Key)
 			}
-		}
-	}
-	out := tab.Format()
-	if !strings.Contains(out, "Table 4") || !strings.Contains(out, "employee gender") {
-		t.Errorf("format:\n%s", out)
-	}
-}
+			fold, sharing := s.Eng.BatchEnabled(), s.Planner.SharesSummaries()
+			tab, err := s.Run(exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tab.Rows) != want.rows || len(tab.Header) != want.cols {
+				t.Fatalf("table = %d rows × %d columns, want %d × %d", len(tab.Rows), len(tab.Header), want.rows, want.cols)
+			}
+			for _, r := range tab.Rows {
+				if len(r.Times) != want.cols {
+					t.Fatalf("row %s times = %v", r.Label, r.Times)
+				}
+				for i, d := range r.Times {
+					if d <= 0 {
+						t.Errorf("row %s col %d: non-positive time", r.Label, i)
+					}
+				}
+			}
+			out := tab.Format()
+			if !strings.Contains(out, exp.Title) || !strings.Contains(out, want.label) {
+				t.Errorf("format lacks the title or %q:\n%s", want.label, out)
+			}
+			masked := timeCell.ReplaceAllString(out, "#.###")
+			golden := filepath.Join("testdata", exp.Key+".golden")
+			if *updateGolden {
+				if err := os.WriteFile(golden, []byte(masked), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if pinned, err := os.ReadFile(golden); err != nil {
+				t.Fatalf("reading golden file (run with -update to create it): %v", err)
+			} else if masked != string(pinned) {
+				t.Errorf("diverges from %s (run with -update if intentional):\n got:\n%s\nwant:\n%s", golden, masked, pinned)
+			}
 
-func TestRunTable5(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunTable5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 || len(tab.Rows[0].Times) != 2 {
-		t.Fatalf("table = %+v", tab)
-	}
-}
-
-func TestRunTable6(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunTable6()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 || len(tab.Rows[0].Times) != 3 {
-		t.Fatalf("table = %+v", tab)
-	}
-}
-
-func TestRunTableH3(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunTableH3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 17 || len(tab.Rows[0].Times) != 4 {
-		t.Fatalf("table = %d rows × %d cols", len(tab.Rows), len(tab.Rows[0].Times))
-	}
-}
-
-func TestRunAblationPivot(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunAblationPivot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 || len(tab.Rows[0].Times) != 2 {
-		t.Fatalf("table = %+v", tab)
-	}
-	if !s.Eng.BatchEnabled() {
-		t.Error("the ablation left the fold operator disabled")
-	}
-}
-
-func TestSuiteLeavesNoTemporaries(t *testing.T) {
-	s := mustSuite(t)
-	if _, err := s.RunTable4(); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range s.Eng.Catalog().Names() {
-		if name != "employee" && name != "sales" {
-			t.Errorf("leftover temporary table %q", name)
-		}
+			if s.Eng.BatchEnabled() != fold {
+				t.Errorf("left the fold operator %v, was %v", !fold, fold)
+			}
+			if s.Planner.SharesSummaries() != sharing {
+				t.Errorf("left summary sharing %v, was %v", !sharing, sharing)
+			}
+			for _, name := range s.Eng.Catalog().Names() {
+				if !s.loaded[name] {
+					t.Errorf("left %q in the catalog", name)
+				}
+			}
+		})
 	}
 }
 
@@ -155,31 +163,6 @@ func TestNewSuiteRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestRunTableParallel(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunTableParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, r := range tab.Rows {
-		if len(r.Times) != 4 {
-			t.Fatalf("row %s times = %v", r.Label, r.Times)
-		}
-		for i, d := range r.Times {
-			if d <= 0 {
-				t.Errorf("row %s col %d: non-positive time", r.Label, i)
-			}
-		}
-	}
-	out := tab.Format()
-	if !strings.Contains(out, "P=1") || !strings.Contains(out, "Parallel") {
-		t.Errorf("format:\n%s", out)
-	}
-}
-
 func TestEnsureUnknownDataset(t *testing.T) {
 	s := mustSuite(t)
 	if err := s.Ensure("bogus"); err == nil {
@@ -187,36 +170,8 @@ func TestEnsureUnknownDataset(t *testing.T) {
 	}
 }
 
-func TestRunAblationUpdate(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunAblationUpdate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 || len(tab.Rows[0].Times) != 2 {
-		t.Fatalf("table = %+v", tab)
-	}
-}
-
-func TestRunAblationShared(t *testing.T) {
-	s := mustSuite(t)
-	tab, err := s.RunAblationShared()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 1 || len(tab.Rows[0].Times) != 2 {
-		t.Fatalf("table = %+v", tab)
-	}
-	// Sharing must not leave summaries behind.
-	for _, name := range s.Eng.Catalog().Names() {
-		if name != "sales" {
-			t.Errorf("leftover table %q", name)
-		}
-	}
-}
-
-// TestBestHpctHeuristic pins the strategies the Hpct columns of Table 6, the
-// parallel table and the breakdown are timed on: the advisor's, which follow
+// TestBestHpctHeuristic pins the strategies the Hpct columns of Table 6 and
+// the parallel table are timed on: the advisor's, which follow
 // |F|/|Fk| — sales by dweek alone pre-aggregates to seven rows, while dept,store
 // under dweek,monthNo keeps a fine grouping the size of F however many result
 // columns it has.
@@ -225,17 +180,17 @@ func TestBestHpctHeuristic(t *testing.T) {
 	if err := s.Ensure("sales"); err != nil {
 		t.Fatal(err)
 	}
-	qs := s.PrimaryQueries()
+	qs := PrimaryQueries()
 	for _, tc := range []struct {
 		q      Query
 		fromFV bool
 	}{{qs[4], true}, {qs[7], false}} {
-		opts, err := s.AdviseHpct(tc.q)
+		st, err := s.stmtFor(tc.q, Column{SQL: Query.HpctSQL, Advised: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if opts.Hpct.FromFV != tc.fromFV {
-			t.Errorf("%s: advised FromFV = %v, want %v", tc.q.Label(), opts.Hpct.FromFV, tc.fromFV)
+		if st.opts.Hpct.FromFV != tc.fromFV {
+			t.Errorf("%s: advised FromFV = %v, want %v", tc.q.Label(), st.opts.Hpct.FromFV, tc.fromFV)
 		}
 	}
 }

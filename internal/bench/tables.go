@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sqlparse"
 )
 
 // Query is one benchmark query: a data set, a measure, the totals grouping
@@ -18,6 +19,10 @@ type Query struct {
 	measure string
 	totals  []string
 	by      []string
+	// group, when set, is the vertical form's GROUP BY order where totals
+	// then by would not do: the summary cache keys on it, so a batch meant
+	// to share one Fk must spell the fine grouping the same way.
+	group []string
 }
 
 func (q Query) Label() string {
@@ -35,7 +40,10 @@ func (q Query) VpctSQL() string {
 		return fmt.Sprintf("SELECT %s, Vpct(%s) FROM %s GROUP BY %s",
 			strings.Join(q.by, ", "), q.measure, q.dataset, strings.Join(q.by, ", "))
 	}
-	all := append(append([]string{}, q.totals...), q.by...)
+	all := q.group
+	if all == nil {
+		all = append(append([]string{}, q.totals...), q.by...)
+	}
 	return fmt.Sprintf("SELECT %s, Vpct(%s BY %s) FROM %s GROUP BY %s",
 		strings.Join(all, ", "), q.measure, strings.Join(q.by, ", "),
 		q.dataset, strings.Join(all, ", "))
@@ -43,23 +51,21 @@ func (q Query) VpctSQL() string {
 
 // HpctSQL renders the horizontal percentage query.
 func (q Query) HpctSQL() string {
-	if len(q.totals) == 0 {
-		return fmt.Sprintf("SELECT Hpct(%s BY %s) FROM %s",
-			q.measure, strings.Join(q.by, ", "), q.dataset)
-	}
-	return fmt.Sprintf("SELECT %s, Hpct(%s BY %s) FROM %s GROUP BY %s",
-		strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
-		q.dataset, strings.Join(q.totals, ", "))
+	return q.horizontalSQL("Hpct")
 }
 
 // HaggSQL renders the companion paper's horizontal aggregation query.
 func (q Query) HaggSQL() string {
+	return q.horizontalSQL("sum")
+}
+
+func (q Query) horizontalSQL(fn string) string {
 	if len(q.totals) == 0 {
-		return fmt.Sprintf("SELECT sum(%s BY %s) FROM %s",
-			q.measure, strings.Join(q.by, ", "), q.dataset)
+		return fmt.Sprintf("SELECT %s(%s BY %s) FROM %s",
+			fn, q.measure, strings.Join(q.by, ", "), q.dataset)
 	}
-	return fmt.Sprintf("SELECT %s, sum(%s BY %s) FROM %s GROUP BY %s",
-		strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
+	return fmt.Sprintf("SELECT %s, %s(%s BY %s) FROM %s GROUP BY %s",
+		strings.Join(q.totals, ", "), fn, q.measure, strings.Join(q.by, ", "),
 		q.dataset, strings.Join(q.totals, ", "))
 }
 
@@ -92,7 +98,7 @@ func (q Query) CubeHpctSQL() string {
 }
 
 // PrimaryQueries are the eight queries of Tables 4, 5 and 6.
-func (s *Suite) PrimaryQueries() []Query {
+func PrimaryQueries() []Query {
 	return []Query{
 		{dataset: "employee", measure: "salary", by: []string{"gender"}},
 		{dataset: "employee", measure: "salary", totals: []string{"marstatus"}, by: []string{"gender"}},
@@ -107,7 +113,7 @@ func (s *Suite) PrimaryQueries() []Query {
 
 // CompanionQueries are the seventeen rows of the companion paper's Table 3:
 // five census queries and six transactionLine queries at each size.
-func (s *Suite) CompanionQueries() []Query {
+func CompanionQueries() []Query {
 	var out []Query
 	out = append(out,
 		Query{dataset: "census", measure: "dIncome", by: []string{"iSchool"}},
@@ -129,377 +135,274 @@ func (s *Suite) CompanionQueries() []Query {
 	return out
 }
 
-// bestVpct is the paper's recommended vertical strategy.
-func bestVpct() core.Options {
-	return core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true}}
+// Variant is what a column changes around its cells besides the plan
+// options; the zero value changes nothing. Either variant flips an
+// engine-wide toggle, which is put back where it was once the cell is timed.
+type Variant int
+
+const (
+	// ReferenceFold runs with the fold operator off: aggregates fold arm by
+	// arm, the paper's O(N) CASE evaluation.
+	ReferenceFold Variant = iota + 1
+	// SharedWarm runs with summary sharing on and the row executed once
+	// untimed first, so the cell measures the steady state the cache promises
+	// (every summary a hit), not the first build — which the column beside
+	// it already prices.
+	SharedWarm
+)
+
+// Column is one strategy column of an experiment.
+type Column struct {
+	Header string
+	// SQL renders the formulation of a row's query the column times:
+	// Query.VpctSQL, Query.HpctSQL or Query.HaggSQL.
+	SQL func(Query) string
+	// OLAP times the window-function rewrite of that query, run as plain
+	// SQL, in place of its percentage plan.
+	OLAP bool
+	// Opts is the strategy the column's plans are generated under. With
+	// Advised set the strategy is the advisor's for each row's query (asked
+	// outside the timed region: it scans F) and Opts contributes only its
+	// Parallelism.
+	Opts    core.Options
+	Advised bool
+	Variant Variant
 }
 
-// AdviseHpct asks the planner's advisor how to evaluate q's Hpct form. It
-// scans F, so callers run it outside the timed region.
-func (s *Suite) AdviseHpct(q Query) (core.Options, error) {
-	sel, err := parseSelect(q.HpctSQL())
-	if err != nil {
-		return core.Options{}, err
-	}
-	return s.Planner.Advise(sel)
+// QueryRow is one row of an experiment: a label and the queries each of its
+// cells times together — one for the papers' tables, a batch where the
+// experiment is about what a batch shares.
+type QueryRow struct {
+	Label   string
+	Queries []Query
 }
 
-// ensureFor loads only the data sets that filtered-in queries reference.
-func (s *Suite) ensureFor(queries []Query) error {
-	need := map[string]bool{}
-	for _, q := range queries {
-		if !s.skipQuery(q.Label()) {
-			need[q.dataset] = true
-		}
-	}
-	for ds := range need {
-		if err := s.Ensure(ds); err != nil {
-			return err
-		}
-	}
-	return nil
+// Experiment is one table of the evaluation, declared as data: query rows ×
+// strategy columns. Suite.Run regenerates it.
+type Experiment struct {
+	Key     string // pctbench -table value and Go sub-benchmark name
+	Title   string
+	Note    string
+	Rows    []QueryRow
+	Columns []Column
 }
 
-// RunTable4 regenerates Table 4: vertical percentage optimization
-// strategies. Columns: (1) the best strategy; (2) without the identical
-// subkey indexes on Fj/Fk; (3) UPDATE-based FV instead of INSERT; (4)
-// coarse totals Fj computed from F instead of from Fk.
-func (s *Suite) RunTable4() (*Table, error) {
-	if err := s.ensureFor(s.PrimaryQueries()); err != nil {
-		return nil, err
-	}
-	strategies := []core.Options{
-		bestVpct(),
-		{Vpct: core.VpctOptions{SubkeyIndexes: false}},
-		{Vpct: core.VpctOptions{SubkeyIndexes: true, UseUpdate: true}},
-		{Vpct: core.VpctOptions{SubkeyIndexes: true, FjFromF: true}},
-	}
-	t := &Table{
-		Title:  "Table 4: query optimizations for Vpct()",
-		Note:   "(1) best  (2) no subkey indexes  (3) UPDATE instead of INSERT  (4) Fj from F",
-		Header: []string{"(1) best", "(2) noidx", "(3) update", "(4) FjFromF"},
-	}
-	for _, q := range s.PrimaryQueries() {
-		if s.skipQuery(q.Label()) {
-			continue
-		}
-		row := Row{Label: q.Label()}
-		for _, opts := range strategies {
-			d, err := s.TimeQuery(q.VpctSQL(), opts)
-			if err != nil {
-				return nil, err
-			}
-			row.Times = append(row.Times, d)
-		}
-		t.Rows = append(t.Rows, row)
-		s.logf("table4 %-45s done\n", q.Label())
-	}
-	return t, nil
-}
-
-// RunTableParallel regenerates the parallel-speedup experiment in the
-// Table 4/5 layout: each primary query's best Vpct and Hpct strategies run
-// sequentially (P=1) and with the partitioned parallel aggregation path at
-// P = GOMAXPROCS. Results are identical across columns by construction (the
-// differential harness proves it); only the wall time moves.
-func (s *Suite) RunTableParallel() (*Table, error) {
-	if err := s.ensureFor(s.PrimaryQueries()); err != nil {
-		return nil, err
-	}
-	n := runtime.GOMAXPROCS(0)
-	t := &Table{
-		Title: "Parallel partitioned aggregation: sequential vs P=" + fmt.Sprint(n),
-		Note:  "best Vpct and Hpct strategies; P=N partitions every Fk/Fj/FH aggregation scan",
-		Header: []string{
-			"Vpct P=1", fmt.Sprintf("Vpct P=%d", n),
-			"Hpct P=1", fmt.Sprintf("Hpct P=%d", n),
-		},
-	}
-	for _, q := range s.PrimaryQueries() {
-		if s.skipQuery(q.Label()) {
-			continue
-		}
-		row := Row{Label: q.Label()}
-		vseq, vpar := bestVpct(), bestVpct()
-		vseq.Parallelism, vpar.Parallelism = 1, n
-		hseq, err := s.AdviseHpct(q)
-		if err != nil {
-			return nil, err
-		}
-		hpar := hseq
-		hseq.Parallelism, hpar.Parallelism = 1, n
-		for _, run := range []struct {
-			sql  string
-			opts core.Options
-		}{
-			{q.VpctSQL(), vseq}, {q.VpctSQL(), vpar},
-			{q.HpctSQL(), hseq}, {q.HpctSQL(), hpar},
-		} {
-			d, err := s.TimeQuery(run.sql, run.opts)
-			if err != nil {
-				return nil, err
-			}
-			row.Times = append(row.Times, d)
-		}
-		t.Rows = append(t.Rows, row)
-		s.logf("parallel %-45s done\n", q.Label())
-	}
-	return t, nil
-}
-
-// RunTable5 regenerates Table 5: horizontal percentage strategies —
-// computing FH from FV versus directly from F.
-func (s *Suite) RunTable5() (*Table, error) {
-	if err := s.ensureFor(s.PrimaryQueries()); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Table 5: query optimization strategies for Hpct()",
-		Header: []string{"from FV", "from F"},
-	}
-	fromFV := core.Options{Hpct: core.HpctOptions{FromFV: true}}
-	fromF := core.Options{}
-	for _, q := range s.PrimaryQueries() {
-		if s.skipQuery(q.Label()) {
-			continue
-		}
-		row := Row{Label: q.Label()}
-		for _, opts := range []core.Options{fromFV, fromF} {
-			d, err := s.TimeQuery(q.HpctSQL(), opts)
-			if err != nil {
-				return nil, err
-			}
-			row.Times = append(row.Times, d)
-		}
-		t.Rows = append(t.Rows, row)
-		s.logf("table5 %-45s done\n", q.Label())
-	}
-	return t, nil
-}
-
-// RunTable6 regenerates Table 6: the best Vpct and Hpct strategies against
-// the ANSI OLAP window-function formulation.
-func (s *Suite) RunTable6() (*Table, error) {
-	if err := s.ensureFor(s.PrimaryQueries()); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Table 6: percentage aggregations versus OLAP extensions",
-		Header: []string{"Vpct", "Hpct", "OLAP"},
-	}
-	for _, q := range s.PrimaryQueries() {
-		if s.skipQuery(q.Label()) {
-			continue
-		}
-		row := Row{Label: q.Label()}
-		d, err := s.TimeQuery(q.VpctSQL(), bestVpct())
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
-		hopts, err := s.AdviseHpct(q)
-		if err != nil {
-			return nil, err
-		}
-		d, err = s.TimeQuery(q.HpctSQL(), hopts)
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
-		olap, err := s.OLAPSQL(q)
-		if err != nil {
-			return nil, err
-		}
-		d, err = s.TimeSQL(olap)
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
-		t.Rows = append(t.Rows, row)
-		s.logf("table6 %-45s done\n", q.Label())
-	}
-	return t, nil
-}
-
-// OLAPSQL generates the window-function baseline for a Query.
-func (s *Suite) OLAPSQL(q Query) (string, error) {
-	sel, err := parseSelect(q.VpctSQL())
-	if err != nil {
-		return "", err
-	}
-	return s.Planner.OLAPEquivalent(sel)
-}
-
-// RunTableH3 regenerates the companion paper's Table 3: SPJ versus CASE,
-// directly from F versus from FV, across census and both transactionLine
-// sizes.
-func (s *Suite) RunTableH3() (*Table, error) {
-	if err := s.ensureFor(s.CompanionQueries()); err != nil {
-		return nil, err
-	}
-	strategies := []core.Options{
-		{Hagg: core.HaggOptions{Method: core.HaggSPJ}},
-		{Hagg: core.HaggOptions{Method: core.HaggSPJ, FromFV: true}},
-		{Hagg: core.HaggOptions{Method: core.HaggCASE}},
-		{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}},
-	}
-	t := &Table{
-		Title:  "DMKD Table 3: horizontal aggregation strategies (SPJ vs CASE, from F vs from FV)",
-		Header: []string{"SPJ/F", "SPJ/FV", "CASE/F", "CASE/FV"},
-	}
-	for _, q := range s.CompanionQueries() {
-		if s.skipQuery(q.Label()) {
-			continue
-		}
-		row := Row{Label: q.Label()}
-		for _, opts := range strategies {
-			d, err := s.TimeQuery(q.HaggSQL(), opts)
-			if err != nil {
-				return nil, err
-			}
-			row.Times = append(row.Times, d)
-		}
-		t.Rows = append(t.Rows, row)
-		s.logf("tableH3 %-55s done\n", q.Label())
-	}
-	return t, nil
-}
-
-// RunAblationUpdate isolates the condition under which the paper observed
-// the UPDATE-based FV construction losing badly: |FV| comparable to |F|.
-// Grouping sales by its unique transactionId makes Fk as large as F, so
-// the division phase — INSERT into a third table versus a bulk rewrite of
-// Fk with journaling — dominates the plan.
-func (s *Suite) RunAblationUpdate() (*Table, error) {
-	if err := s.Ensure("sales"); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Ablation: INSERT vs UPDATE for FV when |FV| ~ |F| (Vpct grouped by the unique transactionId)",
-		Header: []string{"INSERT", "UPDATE"},
-	}
-	queries := []string{
-		"SELECT transactionId, dweek, Vpct(salesAmt BY dweek) FROM sales GROUP BY transactionId, dweek",
-		"SELECT transactionId, dweek, monthNo, Vpct(salesAmt BY dweek, monthNo) FROM sales GROUP BY transactionId, dweek, monthNo",
-	}
-	labels := []string{"sales dweek | transactionId", "sales dweek,monthNo | transactionId"}
+// rowsOf makes one row per query, labelled by it.
+func rowsOf(queries []Query) []QueryRow {
+	rows := make([]QueryRow, len(queries))
 	for i, q := range queries {
-		row := Row{Label: labels[i]}
-		d, err := s.TimeQuery(q, core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true}})
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
-		d, err = s.TimeQuery(q, core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true, UseUpdate: true}})
-		if err != nil {
-			return nil, err
-		}
-		row.Times = append(row.Times, d)
-		t.Rows = append(t.Rows, row)
-		s.logf("ablation-update %-45s done\n", labels[i])
+		rows[i] = QueryRow{Label: q.Label(), Queries: []Query{q}}
 	}
-	return t, nil
+	return rows
 }
 
-// RunAblationShared measures the paper's "shared summaries" future-work
-// item: a batch of percentage queries over the same fine grouping computes
-// the Fk aggregate once when sharing is on, versus once per query.
-func (s *Suite) RunAblationShared() (*Table, error) {
-	if err := s.Ensure("sales"); err != nil {
-		return nil, err
+// Experiments declares the reproduction: Tables 4, 5 and 6 of the paper, the
+// companion paper's Table 3, the three ablations EXPERIMENTS.md reports and
+// the sequential-versus-parallel table. Every strategy a table compares is
+// written here and nowhere else; cmd/pctbench and the root Go benchmarks
+// iterate this list.
+func Experiments() []Experiment {
+	n := runtime.GOMAXPROCS(0)
+	pn := fmt.Sprintf("P=%d", n)
+	// best is the paper's recommended vertical strategy.
+	best := core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true}}
+	update := core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true, UseUpdate: true}}
+	workers := func(o core.Options, p int) core.Options { o.Parallelism = p; return o }
+	primary, companion := rowsOf(PrimaryQueries()), rowsOf(CompanionQueries())
+	sales := func(by string, totals ...string) Query {
+		return Query{dataset: "sales", measure: "salesAmt", totals: totals, by: strings.Split(by, ",")}
 	}
 	// Three queries sharing the fine grouping (dweek, monthNo, dept) with
 	// different BY lists.
-	batch := []string{
-		"SELECT dweek, monthNo, dept, Vpct(salesAmt BY dept) FROM sales GROUP BY dweek, monthNo, dept",
-		"SELECT dweek, monthNo, dept, Vpct(salesAmt BY dweek) FROM sales GROUP BY dweek, monthNo, dept",
-		"SELECT dweek, monthNo, dept, Vpct(salesAmt BY monthNo) FROM sales GROUP BY dweek, monthNo, dept",
+	fine := []string{"dweek", "monthNo", "dept"}
+	batch := []Query{sales("dept", "dweek", "monthNo"), sales("dweek", "monthNo", "dept"), sales("monthNo", "dweek", "dept")}
+	for i := range batch {
+		batch[i].group = fine
 	}
-	execBatch := func() error {
-		for _, q := range batch {
-			plan, err := s.Planner.PlanSQL(q, bestVpct())
-			if err != nil {
-				return err
-			}
-			if _, err := s.Planner.ExecuteSteps(plan); err != nil {
-				s.Planner.CleanupPlan(plan)
-				return err
-			}
-			s.Planner.CleanupPlan(plan)
-		}
-		return nil
-	}
-	runBatch := func(share bool) (time.Duration, error) {
-		if share {
-			s.Planner.ShareSummaries(true)
-			defer func() {
-				s.Planner.FlushSummaries()
-				s.Planner.ShareSummaries(false)
-			}()
-			// Warm untimed: the shared column measures the steady state the
-			// cache promises (every summary a hit), not the first build —
-			// which the independent column already prices.
-			if err := execBatch(); err != nil {
-				return 0, err
-			}
-		}
-		runtime.GC()
-		start := time.Now()
-		if err := execBatch(); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
-	t := &Table{
-		Title:  "Ablation: shared summaries across a 3-query batch over one fine grouping",
-		Header: []string{"independent", "shared Fk"},
-	}
-	row := Row{Label: "sales 3×Vpct over (dweek,monthNo,dept)"}
-	d, err := runBatch(false)
-	if err != nil {
-		return nil, err
-	}
-	row.Times = append(row.Times, d)
-	d, err = runBatch(true)
-	if err != nil {
-		return nil, err
-	}
-	row.Times = append(row.Times, d)
-	t.Rows = append(t.Rows, row)
-	s.logf("ablation-shared done\n")
-	return t, nil
+
+	return []Experiment{{
+		Key:   "4",
+		Title: "Table 4: query optimizations for Vpct()",
+		Note:  "(1) best  (2) no subkey indexes  (3) UPDATE instead of INSERT  (4) Fj from F",
+		Rows:  primary,
+		Columns: []Column{
+			{Header: "(1) best", SQL: Query.VpctSQL, Opts: best},
+			{Header: "(2) noidx", SQL: Query.VpctSQL, Opts: core.Options{Vpct: core.VpctOptions{SubkeyIndexes: false}}},
+			{Header: "(3) update", SQL: Query.VpctSQL, Opts: update},
+			{Header: "(4) FjFromF", SQL: Query.VpctSQL, Opts: core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true, FjFromF: true}}},
+		},
+	}, {
+		Key:   "5",
+		Title: "Table 5: query optimization strategies for Hpct()",
+		Rows:  primary,
+		Columns: []Column{
+			{Header: "from FV", SQL: Query.HpctSQL, Opts: core.Options{Hpct: core.HpctOptions{FromFV: true}}},
+			{Header: "from F", SQL: Query.HpctSQL},
+		},
+	}, {
+		Key:   "6",
+		Title: "Table 6: percentage aggregations versus OLAP extensions",
+		Rows:  primary,
+		Columns: []Column{
+			{Header: "Vpct", SQL: Query.VpctSQL, Opts: best},
+			{Header: "Hpct", SQL: Query.HpctSQL, Advised: true},
+			{Header: "OLAP", SQL: Query.VpctSQL, OLAP: true},
+		},
+	}, {
+		Key:   "h3",
+		Title: "DMKD Table 3: horizontal aggregation strategies (SPJ vs CASE, from F vs from FV)",
+		Rows:  companion,
+		Columns: []Column{
+			{Header: "SPJ/F", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
+			{Header: "SPJ/FV", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ, FromFV: true}}},
+			{Header: "CASE/F", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			{Header: "CASE/FV", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}}},
+		},
+	}, {
+		// The paper's proposed optimizer change — an O(1) lookup in place of
+		// the O(N)-per-row CASE evaluation — over the four sales Hpct
+		// queries. Both columns run the same plan on one worker, so the only
+		// variable is how a row finds its column.
+		Key:   "ablation",
+		Title: "Ablation: CASE evaluation arm by arm vs dimension dispatch (Hpct direct from F, P=1)",
+		Rows:  primary[4:],
+		Columns: []Column{
+			{Header: "CASE arm-by-arm", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}, Variant: ReferenceFold},
+			{Header: "CASE dispatched", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}},
+		},
+	}, {
+		// The condition under which the paper observed the UPDATE-based FV
+		// construction losing badly: grouping sales by its unique
+		// transactionId makes Fk as large as F, so the division phase —
+		// INSERT into a third table versus a bulk rewrite of Fk with
+		// journaling — dominates the plan.
+		Key:   "update",
+		Title: "Ablation: INSERT vs UPDATE for FV when |FV| ~ |F| (Vpct grouped by the unique transactionId)",
+		Rows:  rowsOf([]Query{sales("dweek", "transactionId"), sales("dweek,monthNo", "transactionId")}),
+		Columns: []Column{
+			{Header: "INSERT", SQL: Query.VpctSQL, Opts: best},
+			{Header: "UPDATE", SQL: Query.VpctSQL, Opts: update},
+		},
+	}, {
+		// The paper's "shared summaries" future-work item: the batch computes
+		// the Fk aggregate once when sharing is on, versus once per query.
+		Key:   "shared",
+		Title: "Ablation: shared summaries across a 3-query batch over one fine grouping",
+		Rows:  []QueryRow{{Label: "sales 3×Vpct over (dweek,monthNo,dept)", Queries: batch}},
+		Columns: []Column{
+			{Header: "independent", SQL: Query.VpctSQL, Opts: best},
+			{Header: "shared Fk", SQL: Query.VpctSQL, Opts: best, Variant: SharedWarm},
+		},
+	}, {
+		// Results are identical across columns by construction (the
+		// differential harness proves it); only the wall time moves.
+		Key:   "parallel",
+		Title: "Parallel partitioned aggregation: sequential vs " + pn,
+		Note:  "best Vpct and Hpct strategies; P=N partitions every Fk/Fj/FH aggregation scan",
+		Rows:  primary,
+		Columns: []Column{
+			{Header: "Vpct P=1", SQL: Query.VpctSQL, Opts: workers(best, 1)},
+			{Header: "Vpct " + pn, SQL: Query.VpctSQL, Opts: workers(best, n)},
+			{Header: "Hpct P=1", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}, Advised: true},
+			{Header: "Hpct " + pn, SQL: Query.HpctSQL, Opts: core.Options{Parallelism: n}, Advised: true},
+		},
+	}}
 }
 
-// RunAblationPivot measures the paper's proposed query-optimizer change —
-// replacing the O(N)-per-row CASE evaluation with an O(1) hash lookup — over
-// the four sales Hpct queries: the CASE plan folded arm by arm (the reference
-// fold, the paper's O(N) shape) and the same plan with the fold's dimension
-// dispatch (the default). Both run on one worker, so the only variable is how
-// a row finds its column.
-func (s *Suite) RunAblationPivot() (*Table, error) {
-	if err := s.Ensure("sales"); err != nil {
-		return nil, err
+// stmtFor loads q's data set and resolves what column c runs for it: the SQL
+// text and, unless it is the OLAP rewrite, the options its plan is generated
+// under.
+func (s *Suite) stmtFor(q Query, c Column) (stmt, error) {
+	st := stmt{sql: c.SQL(q), opts: c.Opts, plain: c.OLAP}
+	if err := s.Ensure(q.dataset); err != nil {
+		return st, err
 	}
-	t := &Table{
-		Title:  "Ablation: CASE evaluation arm by arm vs dimension dispatch (Hpct direct from F, P=1)",
-		Header: []string{"CASE arm-by-arm", "CASE dispatched"},
+	if !c.OLAP && !c.Advised {
+		return st, nil
 	}
-	defer s.Eng.SetBatch(s.Eng.BatchEnabled())
-	for _, q := range s.PrimaryQueries()[4:] {
-		if s.skipQuery(q.Label()) {
+	parsed, err := sqlparse.Parse(st.sql)
+	if err != nil {
+		return st, err
+	}
+	sel := parsed.(*sqlparse.Select) // Query renders nothing else
+	if c.OLAP {
+		st.sql, err = s.Planner.OLAPEquivalent(sel)
+	} else {
+		st.opts, err = s.Planner.Advise(sel)
+		st.opts.Parallelism = c.Opts.Parallelism
+	}
+	return st, err
+}
+
+// Prepare does for column c over rows everything the papers' timings leave
+// out: it loads the rows' data sets, fixes each statement's text and options
+// (asking the advisor, rewriting to OLAP), flips the engine-wide toggle c's
+// variant names and, for SharedWarm, runs every row once so that each summary
+// is a hit. It returns one function per row, which times that row's cell as
+// the mean of Cfg.Reps runs, and restore, which puts the toggle back and is
+// called once the cells are timed.
+func (s *Suite) Prepare(c Column, rows []QueryRow) (cells []func() (time.Duration, error), restore func(), err error) {
+	for _, r := range rows {
+		var batch []stmt
+		for _, q := range r.Queries {
+			st, err := s.stmtFor(q, c)
+			if err != nil {
+				return nil, nil, err
+			}
+			batch = append(batch, st)
+		}
+		cells = append(cells, func() (time.Duration, error) { return s.timeBatch(batch) })
+	}
+
+	restore = func() {}
+	switch c.Variant {
+	case ReferenceFold:
+		was := s.Eng.BatchEnabled()
+		s.Eng.SetBatch(false)
+		restore = func() { s.Eng.SetBatch(was) }
+	case SharedWarm:
+		was := s.Planner.SharesSummaries()
+		s.Planner.ShareSummaries(true)
+		restore = func() {
+			s.Planner.FlushSummaries()
+			s.Planner.ShareSummaries(was)
+		}
+		for _, warm := range cells {
+			if _, err := warm(); err != nil {
+				restore()
+				return nil, nil, err
+			}
+		}
+	}
+	return cells, restore, nil
+}
+
+// Run regenerates one experiment: every row the label filter lets through,
+// timed under every column, row by row.
+func (s *Suite) Run(exp Experiment) (*Table, error) {
+	t := &Table{Title: exp.Title, Note: exp.Note}
+	for _, c := range exp.Columns {
+		t.Header = append(t.Header, c.Header)
+	}
+	for _, r := range exp.Rows {
+		if s.Cfg.LabelFilter != "" && !strings.Contains(r.Label, s.Cfg.LabelFilter) {
 			continue
 		}
-		row := Row{Label: q.Label()}
-		for _, fold := range []bool{false, true} {
-			s.Eng.SetBatch(fold)
-			d, err := s.TimeQuery(q.HpctSQL(), core.Options{Parallelism: 1})
+		row := Row{Label: r.Label}
+		for _, c := range exp.Columns {
+			cells, restore, err := s.Prepare(c, []QueryRow{r})
+			if err != nil {
+				return nil, err
+			}
+			d, err := cells[0]()
+			restore()
 			if err != nil {
 				return nil, err
 			}
 			row.Times = append(row.Times, d)
 		}
 		t.Rows = append(t.Rows, row)
-		s.logf("ablation %-45s done\n", q.Label())
+		s.logf("%s %-45s done\n", exp.Key, r.Label)
 	}
 	return t, nil
 }

@@ -25,7 +25,8 @@ const fromFVRatio = 80
 //     identical indexes on the common subkey of Fj and Fk, INSERT instead of
 //     UPDATE, and Fj computed from Fk (sum is distributive).
 //   - Hpct and Hagg: always CASE over SPJ, from FV when
-//     fromFVRatio·|Fk| ≤ |F| and directly from F otherwise. |Fk| — the
+//     fromFVRatio·|Fk| ≤ |F| and the from-FV planner accepts the query's
+//     shape (fromFVError), directly from F otherwise. |Fk| — the
 //     distinct (D1..Dk) combinations under the query's WHERE — is measured
 //     with one feedback scan of F. The paper's own rule of thumb (from FV
 //     for three or more BY columns or many result columns) priced N CASE
@@ -48,6 +49,9 @@ func (p *Planner) AdviseCtx(ctx context.Context, sel *sqlparse.Select) (Options,
 		return opts, nil
 
 	case ClassHorizontalPct, ClassHorizontalAgg:
+		if a.fromFVError() != nil {
+			return opts, nil // only the direct plan exists
+		}
 		tab, err := p.Eng.ResolveTable(a.table)
 		if err != nil {
 			return Options{}, err

@@ -136,3 +136,36 @@ func TestAdviseStandardQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAdviseOffersOnlyPlannableFromFV: far above fromFVRatio (6 fine groups
+// over 6000 rows) the advisor still answers from F for every shape the
+// from-FV planners reject — two Hpct terms, a DISTINCT extra or term, a
+// lattice — because both ask fromFVError. The advice must plan and run;
+// forcing from FV on the same query must fail.
+func TestAdviseOffersOnlyPlannableFromFV(t *testing.T) {
+	p := advisePlanner(t, 6000, 2, 3)
+	for _, sql := range []string{
+		"SELECT g, Hpct(a BY d1), Hpct(a BY d2) FROM f GROUP BY g",
+		"SELECT g, Hpct(a BY d1), count(DISTINCT d2) FROM f GROUP BY g",
+		"SELECT g, Hpct(a BY d1), GROUPING(g) FROM f GROUP BY ROLLUP(g)",
+		"SELECT g, sum(a BY d1), count(DISTINCT d2) FROM f GROUP BY g",
+		"SELECT g, count(DISTINCT a BY d1) FROM f GROUP BY g",
+	} {
+		sel, err := parseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts, err := p.Advise(sel)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if opts != DefaultOptions() {
+			t.Errorf("%s: advice = %+v, want from F", sql, opts)
+		}
+		runQuery(t, p, sql, opts)
+		forced := Options{Hpct: HpctOptions{FromFV: true}, Hagg: HaggOptions{FromFV: true}}
+		if _, err := p.PlanSQL(sql, forced); err == nil || !strings.Contains(err.Error(), "from-FV strategy") {
+			t.Errorf("%s: forced from FV: err = %v, want the from-FV rejection", sql, err)
+		}
+	}
+}

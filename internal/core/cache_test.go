@@ -103,8 +103,8 @@ func TestCacheDeltaApplied(t *testing.T) {
 func TestCacheDeltaChain(t *testing.T) {
 	p, cold := newCachePlanners(t)
 	inserts := []string{
-		"INSERT INTO sales VALUES (11,'CA','San Francisco',8)",           // existing group grows
-		"INSERT INTO sales VALUES (12,'WA','Seattle',50)",                // new state and city
+		"INSERT INTO sales VALUES (11,'CA','San Francisco',8)",                // existing group grows
+		"INSERT INTO sales VALUES (12,'WA','Seattle',50)",                     // new state and city
 		"INSERT INTO sales VALUES (13,'TX','Austin',21),(14,'TX','Austin',9)", // new city, two rows
 		"INSERT INTO sales VALUES (15,'WA','Seattle',1)",
 	}

@@ -30,9 +30,10 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 	source, sourceWhere := a.table, a.whereSQL()
 	var extraSel []string
 	if opts.FromFV {
-		if source, extraSel, err = p.emitHaggFV(plan, a, hl); err != nil {
+		if err := a.fromFVError(); err != nil {
 			return nil, err
 		}
+		source, extraSel = p.emitHaggFV(plan, a, hl)
 		sourceWhere = ""
 	} else {
 		for _, idx := range hl.extras {
@@ -71,25 +72,19 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 
 // emitHaggFV builds the vertical pre-aggregate FV grouped by D1..Dj plus
 // the union of every BY column, carrying the partial aggregate of each term
-// (recorded in its fine columns) and extra (returned re-aggregated). DISTINCT
-// has no partial form and is rejected.
-func (p *Planner) emitHaggFV(plan *Plan, a *analysis, hl *hlayout) (fv string, extraSel []string, err error) {
+// (recorded in its fine columns) and extra (returned re-aggregated); the
+// caller has checked fromFVError, so each has a partial form.
+func (p *Planner) emitHaggFV(plan *Plan, a *analysis, hl *hlayout) (fv string, extraSel []string) {
 	fv = p.temp("fvagg")
 	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FV", SQL: "DROP TABLE IF EXISTS " + fv})
 	fineGroup := a.fineGroup()
 	defs, sels := a.colDefs(fineGroup, fineGroup), quoteIdents(fineGroup)
 	for _, t := range hl.terms {
-		pa, ok := partialOf(t.call)
-		if !ok {
-			return "", nil, fmt.Errorf("core: count(DISTINCT …) is not distributive; the from-FV strategy cannot evaluate it — use the direct strategy")
-		}
+		pa, _ := partialOf(t.call)
 		t.fine = p.carry(a, t.call, pa, "pc", &sels, &defs)
 	}
 	for _, idx := range hl.extras {
-		pa, ok := partialOf(a.items[idx].agg)
-		if !ok {
-			return "", nil, fmt.Errorf("core: count(DISTINCT …) extra terms require the direct strategy")
-		}
+		pa, _ := partialOf(a.items[idx].agg)
 		extraSel = append(extraSel, pa.reagg(p.carry(a, a.items[idx].agg, pa, "pc", &sels, &defs), nil))
 	}
 	plan.Steps = append(plan.Steps,
@@ -97,7 +92,7 @@ func (p *Planner) emitHaggFV(plan *Plan, a *analysis, hl *hlayout) (fv string, e
 		Step{Purpose: "compute the vertical pre-aggregate FV from F",
 			SQL: "INSERT INTO " + fv + " " + selectSQL(sels, a.table, a.whereSQL(), " GROUP BY "+joinIdents(fineGroup))},
 	)
-	return fv, extraSel, nil
+	return fv, extraSel
 }
 
 // haggCaseTerm renders one CASE-strategy aggregation term. Missing

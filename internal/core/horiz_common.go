@@ -189,6 +189,34 @@ func (a *analysis) fineGroup() []string {
 	return group
 }
 
+// fromFVError reports why the from-FV strategies cannot evaluate the query,
+// nil when they can. From FV everything is re-aggregated from one vertical
+// summary at the fine grouping: every plain or horizontal aggregate needs a
+// partial form (DISTINCT has none), the embedded vertical query carries one
+// Hpct term, and a lattice derives its nodes from its own finest summary
+// instead. The planners reject with this error and the advisor offers from FV
+// only where it is nil, so advice is always a plan the planner accepts.
+func (a *analysis) fromFVError() error {
+	if a.hasSets {
+		return fmt.Errorf("core: the from-FV strategy is not supported with GROUP BY %s; use the direct strategy", a.setsKind.Keyword())
+	}
+	hpct := 0
+	for _, it := range a.items {
+		switch it.kind {
+		case itemPct:
+			hpct++
+		case itemVertAgg, itemHoriz:
+			if _, ok := partialOf(it.agg); !ok {
+				return fmt.Errorf("core: %s is not distributive; the from-FV strategy cannot evaluate it — use the direct strategy", it.agg)
+			}
+		}
+	}
+	if hpct > 1 {
+		return fmt.Errorf("core: the from-FV strategy supports a single Hpct term; use the direct strategy for %d terms", hpct)
+	}
+	return nil
+}
+
 // prefix tells the columns of several horizontal terms apart: the term's
 // alias, else its measure column (behind the aggregate's name for a
 // horizontal aggregation), else its select-list position.

@@ -26,8 +26,8 @@ func (p *Planner) planHorizontalPct(ctx context.Context, a *analysis, opts HpctO
 		return nil, err
 	}
 	if opts.FromFV {
-		if len(hl.terms) != 1 {
-			return nil, fmt.Errorf("core: the from-FV strategy supports a single Hpct term; use the direct strategy for %d terms", len(hl.terms))
+		if err := a.fromFVError(); err != nil {
+			return nil, err
 		}
 		return p.planHpctFromFV(plan, a, hl)
 	}
@@ -69,10 +69,7 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout) (*Plan, e
 	var extraVals []hvalue
 	for n, idx := range hl.extras {
 		x := a.items[idx].agg
-		pa, ok := partialOf(x)
-		if !ok {
-			return nil, fmt.Errorf("core: count(DISTINCT …) terms are not distributive; use the direct (from F) strategy")
-		}
+		pa, _ := partialOf(x)
 		cols := p.carry(a, x, pa, "xp", &sel, nil)
 		extraVals = append(extraVals, hvalue{name: hl.extraNames[n], typ: aggResultType(x, a.schema), sel: pa.reagg(cols, nil)})
 	}

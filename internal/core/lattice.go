@@ -29,7 +29,7 @@ func checkLattice(a *analysis, opts Options) error {
 	case a.class == ClassVertical && opts.Vpct.MissingRows != MissingNone:
 		return fmt.Errorf("core: missing-row handling is not supported with GROUP BY %s", kw)
 	case a.class == ClassHorizontalPct && opts.Hpct.FromFV:
-		return fmt.Errorf("core: the from-FV strategy is not supported with GROUP BY %s; use the direct strategy", kw)
+		return a.fromFVError()
 	case len(a.sets) == 0:
 		return fmt.Errorf("core: internal: GROUP BY %s resolved to no grouping sets", kw)
 	case len(a.sets) > maxLatticeNodes:

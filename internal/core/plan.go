@@ -167,6 +167,14 @@ func (p *Planner) ShareSummaries(on bool) {
 	}
 }
 
+// SharesSummaries reports whether the summary cache is on, so that a caller
+// that turns it on for a while can put it back.
+func (p *Planner) SharesSummaries() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.shareSummaries
+}
+
 // FlushSummaries drops every table the summary cache ever registered —
 // live entries and the retired copies incremental refreshes replaced.
 func (p *Planner) FlushSummaries() {
@@ -373,17 +381,12 @@ func (p *Planner) ExecuteCtx(ctx context.Context, plan *Plan) (*engine.Result, e
 	return p.executeIn(ctx, plan, nil)
 }
 
-// ExecuteTraced runs the plan like Execute while recording an execution
-// trace: the returned root span holds one child per build step (named from
-// the step's Purpose — the Vpct division join, for example, is
+// ExecuteTracedCtx runs the plan like ExecuteCtx while recording an
+// execution trace: the returned root span holds one child per build step
+// (named from the step's Purpose — the Vpct division join, for example, is
 // root.Find("divide")), then the final select and cleanup, with engine
 // statement spans and operator details nested underneath. The trace is
 // returned even when execution fails, annotated with the error.
-func (p *Planner) ExecuteTraced(plan *Plan) (*engine.Result, *obs.Span, error) {
-	return p.ExecuteTracedCtx(context.Background(), plan)
-}
-
-// ExecuteTracedCtx is ExecuteTraced under a context (see ExecuteCtx).
 func (p *Planner) ExecuteTracedCtx(ctx context.Context, plan *Plan) (*engine.Result, *obs.Span, error) {
 	root := obs.NewSpan("plan " + plan.Class.String())
 	root.AttrInt("parallelism", int64(plan.Parallelism))

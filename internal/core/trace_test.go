@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -22,9 +23,9 @@ func TestExecuteTracedVertical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, root, err := p.ExecuteTraced(plan)
+	res, root, err := p.ExecuteTracedCtx(context.Background(), plan)
 	if err != nil {
-		t.Fatalf("ExecuteTraced: %v", err)
+		t.Fatalf("ExecuteTracedCtx: %v", err)
 	}
 	if len(res.Rows) == 0 {
 		t.Fatal("empty result")

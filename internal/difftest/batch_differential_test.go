@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -315,7 +316,7 @@ func dispatchSpans(t *testing.T, p *core.Planner, sql string, opts core.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, root, err := p.ExecuteTraced(plan)
+	_, root, err := p.ExecuteTracedCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

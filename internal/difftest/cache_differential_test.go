@@ -57,14 +57,14 @@ func TestDifferentialCacheDirectedInterleavings(t *testing.T) {
 	q := func(i int) CacheOp { return CacheOp{Query: i} }
 	ins := CacheOp{SQL: "INSERT INTO f VALUES (0, 1, 'x', 7), (2, 3, 'z', -2)"}
 	seqs := [][]CacheOp{
-		{q(0), ins, q(0)},                              // one pending delta
-		{q(0), ins, ins, ins, q(0)},                    // chain folded by one refresh
-		{q(0), {SQL: "UPDATE f SET a = 9 WHERE d1 = 1"}, q(0)},  // rebuild after update
-		{q(0), {SQL: "DELETE FROM f WHERE d2 = 2"}, q(0)},       // rebuild after delete
-		{q(0), q(1), ins, q(0), q(1)},                  // Fj rolled up from cached Fk, then both delta
-		{q(5), ins, q(5)},                              // avg: non-distributive, must rebuild
-		{q(3), q(4), ins, q(4), q(3)},                  // distributive extras ride the delta
-		{q(6), ins, q(6), q(0)},                        // WHERE-keyed entry stays distinct
+		{q(0), ins, q(0)},           // one pending delta
+		{q(0), ins, ins, ins, q(0)}, // chain folded by one refresh
+		{q(0), {SQL: "UPDATE f SET a = 9 WHERE d1 = 1"}, q(0)}, // rebuild after update
+		{q(0), {SQL: "DELETE FROM f WHERE d2 = 2"}, q(0)},      // rebuild after delete
+		{q(0), q(1), ins, q(0), q(1)},                          // Fj rolled up from cached Fk, then both delta
+		{q(5), ins, q(5)},                                      // avg: non-distributive, must rebuild
+		{q(3), q(4), ins, q(4), q(3)},                          // distributive extras ride the delta
+		{q(6), ins, q(6), q(0)},                                // WHERE-keyed entry stays distinct
 	}
 	rng := rand.New(rand.NewSource(7))
 	rows := randTableRows(rng, 150)

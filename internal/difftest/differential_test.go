@@ -67,11 +67,11 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 			},
 		},
 		{
-			sql: "SELECT state, city, Vpct(salesAmt BY city), sum(salesAmt), count(*) FROM sales GROUP BY state, city",
+			sql:  "SELECT state, city, Vpct(salesAmt BY city), sum(salesAmt), count(*) FROM sales GROUP BY state, city",
 			opts: []core.Options{core.DefaultOptions()},
 		},
 		{
-			sql: "SELECT city, Vpct(salesAmt) FROM sales GROUP BY city",
+			sql:  "SELECT city, Vpct(salesAmt) FROM sales GROUP BY city",
 			opts: []core.Options{core.DefaultOptions()},
 		},
 		{
@@ -82,7 +82,7 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 			},
 		},
 		{
-			sql: "SELECT state, Hpct(salesAmt BY city), sum(salesAmt) FROM sales GROUP BY state",
+			sql:  "SELECT state, Hpct(salesAmt BY city), sum(salesAmt) FROM sales GROUP BY state",
 			opts: []core.Options{{}},
 		},
 		{
@@ -94,11 +94,11 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 			},
 		},
 		{
-			sql: "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
+			sql:  "SELECT store, max(1 BY dweek DEFAULT 0) FROM daily GROUP BY store",
 			opts: []core.Options{{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 		},
 		{
-			sql: "SELECT store, count(salesAmt BY dweek), avg(salesAmt BY dweek) FROM daily GROUP BY store",
+			sql:  "SELECT store, count(salesAmt BY dweek), avg(salesAmt BY dweek) FROM daily GROUP BY store",
 			opts: []core.Options{{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 		},
 	}

@@ -166,6 +166,9 @@ func (e *Engine) ExecuteCtxP(ctx context.Context, stmt sqlparse.Statement, paral
 	t0 := time.Now()
 	res, err := e.runStatement(ctx, stmt, execCtx{par: parallelism, span: root})
 	e.finishStatement(stmt, root, time.Since(t0), err)
+	if s := e.sink.Load(); s != nil && root != nil {
+		s.fn(root)
+	}
 	return res, err
 }
 
@@ -240,35 +243,21 @@ func classifyOutcome(err error) {
 	}
 }
 
-// ExecuteIn runs one parsed statement as a child stage of parent: the
-// statement's span tree attaches under parent instead of going to the trace
+// ExecuteCtxIn is ExecuteCtxP with the statement run as a child stage of
+// parent: its span tree attaches under parent instead of going to the trace
 // sink, so multi-statement plans (the core package's generated SQL) nest
 // their statements inside one plan trace. A nil parent disables tracing for
 // the statement; metrics and the slow-query log still apply.
-func (e *Engine) ExecuteIn(stmt sqlparse.Statement, parallelism int, parent *obs.Span) (*Result, error) {
-	return e.ExecuteCtxIn(context.Background(), stmt, parallelism, parent)
-}
-
-// ExecuteCtxIn is ExecuteIn under a context (see ExecuteCtx).
 func (e *Engine) ExecuteCtxIn(ctx context.Context, stmt sqlparse.Statement, parallelism int, parent *obs.Span) (*Result, error) {
 	sp := parent.NewChild("statement")
 	sp.Attr("sql", stmt.String())
 	t0 := time.Now()
 	res, err := e.runStatement(ctx, stmt, execCtx{par: parallelism, span: sp})
 	d := time.Since(t0)
-	sp.SetDuration(d)
 	if res != nil {
 		sp.SetRows(-1, int64(max(len(res.Rows), res.Affected)))
 	}
-	mStatements.Inc()
-	mStatementNs.Observe(int64(d))
-	if err != nil {
-		mErrors.Inc()
-		sp.Attr("error", err.Error())
-	}
-	if l := e.slow.Load(); l != nil {
-		l.record(d, stmt.String())
-	}
+	e.finishStatement(stmt, sp, d, err)
 	return res, err
 }
 
@@ -329,15 +318,10 @@ func (e *Engine) ExecSQLCtxP(ctx context.Context, src string, parallelism int) (
 	return last, nil
 }
 
-// ExecSQLIn parses and runs a script with every statement traced as a child
-// of parent: a "parse" span covers lexing and parsing, then one statement
-// span per statement (see ExecuteIn). It returns the last statement's
-// result, like ExecSQLP.
-func (e *Engine) ExecSQLIn(src string, parallelism int, parent *obs.Span) (*Result, error) {
-	return e.ExecSQLCtxIn(context.Background(), src, parallelism, parent)
-}
-
-// ExecSQLCtxIn is ExecSQLIn under a context (see ExecuteCtx).
+// ExecSQLCtxIn parses and runs a script with every statement traced as a
+// child of parent: a "parse" span covers lexing and parsing, then one
+// statement span per statement (see ExecuteCtxIn). It returns the last
+// statement's result, like ExecSQLCtxP.
 func (e *Engine) ExecSQLCtxIn(ctx context.Context, src string, parallelism int, parent *obs.Span) (*Result, error) {
 	ps := parent.NewChild("parse")
 	stmts, err := sqlparse.ParseAll(src)

@@ -241,10 +241,11 @@ func (st *opStats) actualSuffix() string {
 	return fmt.Sprintf(" (actual rows=%d time=%s)", st.rows, time.Duration(st.ns))
 }
 
-// finishStatement records statement-level metrics, feeds the slow-query log,
-// and hands the finished span to the sink. sql is rendered lazily — only
-// when a consumer needs the text.
-func (e *Engine) finishStatement(stmt interface{ String() string }, root *obs.Span, d time.Duration, err error) {
+// finishStatement is the one completion path of a statement, traced to the
+// sink or under a parent span: it records the statement-level metrics, feeds
+// the slow-query log and closes the statement's span (nil when untraced).
+// The SQL text is rendered lazily — only when a consumer needs it.
+func (e *Engine) finishStatement(stmt interface{ String() string }, sp *obs.Span, d time.Duration, err error) {
 	mStatements.Inc()
 	mStatementNs.Observe(int64(d))
 	if err != nil {
@@ -253,14 +254,11 @@ func (e *Engine) finishStatement(stmt interface{ String() string }, root *obs.Sp
 	if l := e.slow.Load(); l != nil {
 		l.record(d, stmt.String())
 	}
-	if root == nil {
+	if sp == nil {
 		return
 	}
-	root.SetDuration(d)
+	sp.SetDuration(d)
 	if err != nil {
-		root.Attr("error", err.Error())
-	}
-	if s := e.sink.Load(); s != nil {
-		s.fn(root)
+		sp.Attr("error", err.Error())
 	}
 }

@@ -400,8 +400,8 @@ type Select struct {
 	// understands plain grouping cannot silently mis-execute the query.
 	GroupSets *GroupingSpec
 	Having    expr.Expr
-	OrderBy  []OrderKey
-	Limit    int // 0 = no limit
+	OrderBy   []OrderKey
+	Limit     int // 0 = no limit
 
 	// DistinctSpan and HavingSpan locate the DISTINCT keyword and the
 	// HAVING clause, for positioned diagnostics; zero when absent.

@@ -56,7 +56,7 @@ func formatCell(v any) string {
 // where the query has a GROUP BY to roll up.
 func cubeQueries(s *bench.Suite) []string {
 	var out []string
-	for _, q := range s.PrimaryQueries() {
+	for _, q := range bench.PrimaryQueries() {
 		out = append(out, q.CubeVpctSQL())
 		if sql := q.CubeHpctSQL(); sql != "" {
 			out = append(out, sql)

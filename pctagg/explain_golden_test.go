@@ -70,7 +70,7 @@ func explainGolden(t *testing.T, db *DB, s *bench.Suite, analyze bool) string {
 		kw = "EXPLAIN ANALYZE "
 	}
 	var sb strings.Builder
-	for _, q := range s.PrimaryQueries() {
+	for _, q := range bench.PrimaryQueries() {
 		for _, sql := range []string{q.VpctSQL(), q.HpctSQL()} {
 			rows, err := db.Query(kw + sql)
 			if err != nil {

@@ -162,6 +162,45 @@ func TestAllStrategiesAgreeThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestAutoStrategyRunsWhatItAdvises: at 2 000 rows in 6 fine groups the
+// advisor's rule says from FV, but these shapes only have a direct plan — two
+// Hpct terms, a DISTINCT aggregate riding along, a ROLLUP. The advisor must
+// not offer what the planner rejects: with AutoStrategy on they return the
+// direct plan's rows.
+func TestAutoStrategyRunsWhatItAdvises(t *testing.T) {
+	db := Open()
+	if _, err := db.Exec("CREATE TABLE f (g INTEGER, d INTEGER, e INTEGER, a INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]any, 2000)
+	for i := range rows {
+		rows[i] = []any{i % 2, i % 3, i % 3, i}
+	}
+	if err := db.InsertRows("f", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT g, Hpct(a BY d), Hpct(a BY e) FROM f GROUP BY g",
+		"SELECT g, Hpct(a BY d), count(DISTINCT e) FROM f GROUP BY g",
+		"SELECT g, Hpct(a BY d), GROUPING(g) FROM f GROUP BY ROLLUP(g)",
+		"SELECT g, sum(a BY d), count(DISTINCT e) FROM f GROUP BY g",
+	} {
+		db.AutoStrategy(false)
+		direct, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		db.AutoStrategy(true)
+		advised, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s with AutoStrategy: %v", q, err)
+		}
+		if advised.String() != direct.String() {
+			t.Errorf("%s: AutoStrategy rows differ from the direct plan's:\n%s\nvs\n%s", q, advised, direct)
+		}
+	}
+}
+
 func TestOLAPEquivalentRunnable(t *testing.T) {
 	db := demoDB(t)
 	q := "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"
