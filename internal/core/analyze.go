@@ -100,7 +100,7 @@ type analysis struct {
 	groupCols []string // GROUP BY column names, in declared order
 	items     []item   // in select-list order
 	orderBy   []sqlparse.OrderKey
-	limit     int
+	limit     *int
 	schema    storage.Schema // schema of F
 
 	// Grouping-set lattice, when the query uses ROLLUP/CUBE/GROUPING SETS.

@@ -740,6 +740,15 @@ func TestPlanRespectsOrderByAndLimit(t *testing.T) {
 	if res.Rows[0][2].Float() < res.Rows[1][2].Float() {
 		t.Error("ORDER BY 3 DESC not applied")
 	}
+	// LIMIT 0 reaches the final select as a clause, not as "no limit".
+	for _, q := range []string{
+		"SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city LIMIT 0",
+		"SELECT state, Hpct(salesAmt BY city) FROM sales GROUP BY state LIMIT 0",
+	} {
+		if res := runQuery(t, p, q, DefaultOptions()); len(res.Rows) != 0 {
+			t.Errorf("%s returned %d rows", q, len(res.Rows))
+		}
+	}
 }
 
 func TestVpctRowCountPercentages(t *testing.T) {

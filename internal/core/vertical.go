@@ -316,8 +316,8 @@ func orderBySQL(a *analysis, deflt []string) string {
 }
 
 func limitClause(a *analysis) string {
-	if a.limit > 0 {
-		return fmt.Sprintf(" LIMIT %d", a.limit)
+	if a.limit != nil {
+		return fmt.Sprintf(" LIMIT %d", *a.limit)
 	}
 	return ""
 }

@@ -1,0 +1,441 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/diag"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// Tests of the dataflow between operators (DESIGN.md): the permutation sort
+// against the stable row sort it replaced, INSERT … SELECT streaming into its
+// target with the atomicity, snapshot and budget semantics of the buffered
+// insert, and the three statement-level fixes that rode along.
+
+// sortFixture loads s(id, i, f, v, b): a row number, then one nullable key
+// column per type with few distinct values, so ties and NULLs are common.
+// REAL holds -0.0 next to +0.0 (equal under value.Compare) and, only when
+// withNaN is set, NaN.
+func sortFixture(t *testing.T, rng *rand.Rand, n int, withNaN bool) *Engine {
+	t.Helper()
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE s (id INTEGER, i INTEGER, f REAL, v VARCHAR, b BOOLEAN)")
+	tab, _ := e.Catalog().Get("s")
+	floats := []float64{-1.5, math.Copysign(0, -1), 0, 2.25, math.Inf(1)}
+	if withNaN {
+		floats = append(floats, math.NaN())
+	}
+	strs := []string{"", "a", "ab", "b", "B"}
+	for r := 0; r < n; r++ {
+		row := []value.Value{
+			value.NewInt(int64(r)),
+			value.NewInt(int64(rng.Intn(5) - 2)),
+			value.NewFloat(floats[rng.Intn(len(floats))]),
+			value.NewString(strs[rng.Intn(len(strs))]),
+			value.NewBool(rng.Intn(2) == 0),
+		}
+		for c := 1; c < len(row); c++ {
+			if rng.Intn(6) == 0 {
+				row[c] = value.Null
+			}
+		}
+		if _, err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// stableSorted is the sort this PR replaced: sort.SliceStable over boxed rows
+// with value.Compare per key.
+func stableSorted(rows [][]value.Value, cols []int, desc []bool) [][]value.Value {
+	out := append([][]value.Value(nil), rows...)
+	sort.SliceStable(out, func(a, b int) bool {
+		for k, c := range cols {
+			if cmp := value.Compare(out[a][c], out[b][c]); cmp != 0 {
+				return (cmp < 0) != desc[k]
+			}
+		}
+		return false
+	})
+	return out
+}
+
+func renderRows(rows [][]value.Value) string {
+	var sb strings.Builder
+	for _, r := range rows {
+		for _, v := range r {
+			sb.WriteString(v.String())
+			sb.WriteByte('|')
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestPermutationSortMatchesStableSort pins ORDER BY, on both of its paths,
+// to the stable row sort: random key lists over every column type with NULLs,
+// duplicates, DESC, positions, hidden columns and computed keys.
+func TestPermutationSortMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	e := sortFixture(t, rng, 700, false)
+	base := mustExec(t, e, "SELECT id, i, f, v, b FROM s").Rows
+	// Key expressions by the column of s they order by. "i + 0" and
+	// "CASE …" are computed, so their statements take the collected path; the
+	// second is a mixed-kind key (INTEGER, VARCHAR and NULL in one column).
+	type key struct {
+		sql string
+		col int
+	}
+	stored := []key{{"i", 1}, {"f", 2}, {"v", 3}, {"b", 4}, {"2", 1}, {"4", 3}}
+	for round := 0; round < 60; round++ {
+		var keys []key
+		for n := 1 + rng.Intn(3); len(keys) < n; {
+			keys = append(keys, stored[rng.Intn(len(stored))])
+		}
+		cols, desc, by := make([]int, len(keys)), make([]bool, len(keys)), make([]string, len(keys))
+		for k, key := range keys {
+			cols[k], desc[k], by[k] = key.col, rng.Intn(3) == 0, key.sql
+			if desc[k] {
+				by[k] += " DESC"
+			}
+		}
+		want := renderRows(stableSorted(base, cols, desc))
+		orderBy := " ORDER BY " + strings.Join(by, ", ")
+		// Sorted at the scan; the same keys hidden behind a narrower select list
+		// (positions need their column visible); and collected, because the
+		// select list computes.
+		got := mustExec(t, e, "SELECT id, i, f, v, b FROM s"+orderBy).Rows
+		if g := renderRows(got); g != want {
+			t.Fatalf("scan-sorted%s differs from the stable sort\ngot:\n%.400s\nwant:\n%.400s", orderBy, g, want)
+		}
+		if !strings.ContainsAny(orderBy, "24") {
+			ids := mustExec(t, e, "SELECT id FROM s"+orderBy).Rows
+			for r := range ids {
+				if ids[r][0].Int() != got[r][0].Int() {
+					t.Fatalf("hidden keys%s: row %d is id %d, want %d", orderBy, r, ids[r][0].Int(), got[r][0].Int())
+				}
+			}
+		}
+		coll := mustExec(t, e, "SELECT id + 0, i, f, v, b FROM s"+orderBy).Rows
+		if g := renderRows(coll); g != want {
+			t.Fatalf("collected%s differs from the stable sort\ngot:\n%.400s\nwant:\n%.400s", orderBy, g, want)
+		}
+	}
+
+	// A mixed-kind computed key exists only on the collected path.
+	mixed := "CASE WHEN b THEN i WHEN v = 'a' THEN NULL ELSE v END"
+	got := mustExec(t, e, "SELECT id, "+mixed+" AS k FROM s ORDER BY k DESC, id DESC").Rows
+	want := stableSorted(mustExec(t, e, "SELECT id, "+mixed+" FROM s").Rows, []int{1, 0}, []bool{true, true})
+	if renderRows(got) != renderRows(want) {
+		t.Errorf("mixed-kind computed key differs from the stable sort")
+	}
+}
+
+// TestSortNaNOrderPinned states what ORDER BY does with NaN. value.Compare
+// calls NaN equal to every number, which is not a strict weak order, so no
+// sort algorithm's result is "the" sorted order; the engine's is
+// deterministic, identical on both sort paths, and keeps NULLs — which do
+// compare strictly — first.
+func TestSortNaNOrderPinned(t *testing.T) {
+	e := sortFixture(t, rand.New(rand.NewSource(5)), 300, true)
+	scan := mustExec(t, e, "SELECT id, f FROM s ORDER BY f, id").Rows
+	again := mustExec(t, e, "SELECT id, f FROM s ORDER BY f, id").Rows
+	coll := mustExec(t, e, "SELECT id + 0, f FROM s ORDER BY f, 1").Rows
+	if renderRows(scan) != renderRows(again) || renderRows(scan) != renderRows(coll) {
+		t.Fatal("ORDER BY over NaN is not deterministic across runs and sort paths")
+	}
+	if len(scan) != 300 {
+		t.Fatalf("%d rows, want 300", len(scan))
+	}
+	seenValue := false
+	for _, r := range scan {
+		if seenValue && r[1].IsNull() {
+			t.Fatal("NULL after a non-NULL key")
+		}
+		seenValue = seenValue || !r[1].IsNull()
+	}
+	// The small fixed case DESIGN.md quotes: every adjacent pair holds a NaN
+	// and so ties, and nothing moves — 2.0 stays ahead of 0.5.
+	mustExec(t, e, "CREATE TABLE nan5 (k INTEGER, f REAL)")
+	tab, _ := e.Catalog().Get("nan5")
+	for k, f := range []float64{2, math.NaN(), 1, math.NaN(), 0.5} {
+		tab.AppendRow([]value.Value{value.NewInt(int64(k + 1)), value.NewFloat(f)})
+	}
+	if got := renderRows(mustExec(t, e, "SELECT k FROM nan5 ORDER BY f").Rows); got != nanPinned {
+		t.Errorf("ORDER BY f over (2, NaN, 1, NaN, 0.5) = %q, pinned %q", got, nanPinned)
+	}
+}
+
+const nanPinned = "1|\n2|\n3|\n4|\n5|\n"
+
+func TestOrderByPositionBoundByVisibleList(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (a INTEGER, b INTEGER); INSERT INTO t VALUES (1, 3), (2, 2), (3, 1)")
+	wantErr(t, e, "SELECT a FROM t ORDER BY 2", "ORDER BY position 2 out of range")
+	// The hidden column carried for the first key is not addressable.
+	wantErr(t, e, "SELECT a FROM t ORDER BY b, 2", "ORDER BY position 2 out of range")
+	wantErr(t, e, "SELECT a + 0 FROM t ORDER BY b, 2", "ORDER BY position 2 out of range")
+	r := mustExec(t, e, "SELECT a FROM t ORDER BY b, 1")
+	if got := renderRows(r.Rows); got != "3|\n2|\n1|\n" || len(r.Columns) != 1 {
+		t.Errorf("ORDER BY b, 1 = %q (columns %v)", got, r.Columns)
+	}
+}
+
+func TestLimitZeroAndLimitPaths(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (a INTEGER, b INTEGER); INSERT INTO t VALUES (1, 3), (2, 2), (3, 1)")
+	for sql, want := range map[string]string{
+		"SELECT a FROM t LIMIT 0":                               "",
+		"SELECT a FROM t ORDER BY a LIMIT 0":                    "",
+		"SELECT a + 0 FROM t ORDER BY 1 LIMIT 0":                "",
+		"SELECT count(*) FROM t LIMIT 0":                        "",
+		"SELECT DISTINCT b FROM t LIMIT 0":                      "",
+		"SELECT a FROM t LIMIT 2":                               "1|\n2|\n",
+		"SELECT a FROM t ORDER BY b LIMIT 2":                    "3|\n2|\n",
+		"SELECT a * 1 FROM t ORDER BY b LIMIT 2":                "3|\n2|\n",
+		"SELECT a FROM t ORDER BY b LIMIT 9":                    "3|\n2|\n1|\n",
+		"SELECT DISTINCT count(*) FROM t GROUP BY a LIMIT 1":    "1|\n",
+		"SELECT a, sum(b) FROM t GROUP BY a ORDER BY 1 LIMIT 1": "1|3|\n",
+	} {
+		if got := renderRows(mustExec(t, e, sql).Rows); got != want {
+			t.Errorf("%s = %q, want %q", sql, got, want)
+		}
+	}
+	mustExec(t, e, "CREATE TABLE o (a INTEGER); INSERT INTO o SELECT a FROM t ORDER BY b LIMIT 0")
+	mustExec(t, e, "INSERT INTO o SELECT a FROM t LIMIT 0")
+	if n := len(mustExec(t, e, "SELECT * FROM o").Rows); n != 0 {
+		t.Errorf("INSERT … LIMIT 0 inserted %d rows", n)
+	}
+}
+
+func TestInsertColumnNamedTwiceRejected(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (a INTEGER, b INTEGER)")
+	wantErr(t, e, "INSERT INTO t (a, a) VALUES (1, 2)", `names column "a" twice`)
+	wantErr(t, e, "INSERT INTO t (b, a, B) SELECT 1, 2, 3", `names column "B" twice`)
+	if n := len(mustExec(t, e, "SELECT * FROM t").Rows); n != 0 {
+		t.Errorf("rejected INSERT left %d rows", n)
+	}
+	mustExec(t, e, "INSERT INTO t (b) VALUES (7); INSERT INTO t (b, a) SELECT 8, 9")
+	if got := renderRows(mustExec(t, e, "SELECT a, b FROM t").Rows); got != "NULL|7|\n9|8|\n" {
+		t.Errorf("column-list inserts = %q", got)
+	}
+}
+
+// TestInsertSelectFromOwnTarget: a SELECT that reads its INSERT's target sees
+// the pre-statement rows only, whatever feeds the insert and however many
+// workers fold.
+func TestInsertSelectFromOwnTarget(t *testing.T) {
+	for _, par := range []int{1, 2, 8} {
+		for _, tc := range []struct{ name, sql, want string }{
+			{"plain", "INSERT INTO t SELECT a + 100, g FROM t", "SELECT a + 100, g FROM t0"},
+			{"filtered", "INSERT INTO t SELECT a, g + 10 FROM t WHERE a >= 50", "SELECT a, g + 10 FROM t0 WHERE a >= 50"},
+			{"group by", "INSERT INTO t SELECT sum(a), g FROM t GROUP BY g", "SELECT sum(a), g FROM t0 GROUP BY g"},
+			{"join", "INSERT INTO t SELECT x.a, y.g FROM t x, t y WHERE x.a = y.a", "SELECT a, g FROM t0"},
+			{"ordered", "INSERT INTO t SELECT a, g FROM t ORDER BY a DESC LIMIT 7", "SELECT a, g FROM t0 ORDER BY a DESC LIMIT 7"},
+		} {
+			e := New(storage.NewCatalog())
+			mustExec(t, e, "CREATE TABLE t (a INTEGER, g INTEGER); CREATE TABLE t0 (a INTEGER, g INTEGER)")
+			for i := 0; i < 200; i++ {
+				mustExec(t, e, fmt.Sprintf("INSERT INTO t VALUES (%d, %d); INSERT INTO t0 VALUES (%d, %d)", i, i%7, i, i%7))
+			}
+			if _, err := e.ExecSQLP(tc.sql, par); err != nil {
+				t.Fatalf("%s at P=%d: %v", tc.name, par, err)
+			}
+			image, err := e.ExecSQLP(tc.want, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := mustExec(t, e, "SELECT a, g FROM t").Rows
+			if len(all) != 200+len(image.Rows) {
+				t.Fatalf("%s at P=%d: target has %d rows, want 200 + %d", tc.name, par, len(all), len(image.Rows))
+			}
+			if got, want := renderRows(all[200:]), renderRows(image.Rows); got != want {
+				t.Errorf("%s at P=%d inserted\n%.300s\nwant the pre-statement image\n%.300s", tc.name, par, got, want)
+			}
+		}
+	}
+}
+
+// tableState is everything a failed INSERT must leave as it found it.
+type tableState struct {
+	rows    string
+	epoch   int64
+	index   string
+	viaScan int
+}
+
+func stateOf(t *testing.T, e *Engine, name string) tableState {
+	t.Helper()
+	tab, err := e.Catalog().Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := tableState{epoch: tab.Epoch(), viaScan: len(mustExec(t, e, "SELECT * FROM "+name).Rows)}
+	var buf []value.Value
+	for r := 0; r < tab.NumRows(); r++ {
+		buf = tab.Row(r, buf)
+		st.rows += renderRows([][]value.Value{buf})
+	}
+	for _, ix := range tab.Indexes() {
+		// Key -1 is there from the start; key 5 only if a failed statement's
+		// rows were left behind.
+		st.index += fmt.Sprint(ix.String(), ix.Lookup([]value.Value{value.NewInt(-1)}), ix.Lookup([]value.Value{value.NewInt(5)}), ";")
+	}
+	return st
+}
+
+// TestInsertSelectMidStreamFailureIsAtomic: rows now land in the target while
+// the SELECT is still producing, so every way the statement can die after the
+// first append — a late evaluation error, an injected sink fault, a budget, a
+// cancelled context — must roll the target, its index and its visible row
+// count back. The epoch may only move forward (a rollback is a mutation).
+func TestInsertSelectMidStreamFailureIsAtomic(t *testing.T) {
+	feeds := []struct{ name, sql string }{
+		{"fold-fed", "INSERT INTO dst SELECT g, sum(a) FROM src GROUP BY g"},
+		{"join-fed", "INSERT INTO dst SELECT s.g, s.a * d.w FROM src s, dim d WHERE s.a = d.a"},
+		{"plain-fed", "INSERT INTO dst SELECT g, a FROM src"},
+	}
+	fixture := func() *Engine {
+		e := New(storage.NewCatalog())
+		mustExec(t, e, `CREATE TABLE src (g INTEGER, a INTEGER); CREATE TABLE dim (a INTEGER, w INTEGER);
+			CREATE TABLE dst (g INTEGER, a INTEGER, PRIMARY KEY (g)); INSERT INTO dst VALUES (-1, 0), (-2, 0)`)
+		src, _ := e.Catalog().Get("src")
+		for i := 0; i < 3000; i++ {
+			src.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 13))})
+		}
+		for a := 0; a < 13; a++ {
+			mustExec(t, e, fmt.Sprintf("INSERT INTO dim VALUES (%d, 2)", a))
+		}
+		return e
+	}
+	failures := []struct {
+		name string
+		ctx  func(sql string) context.Context
+		arm  func()
+		code string
+	}{
+		{"sink fault at row 700", nil, func() {
+			chaos.Arm(chaos.InsertSink, chaos.Fault{Err: errors.New("injected sink fault"), After: 700})
+		}, ""},
+		{"MaxRows", func(string) context.Context { return WithLimits(context.Background(), Limits{MaxRows: 1500}) }, nil, diag.CodeRowLimit},
+		{"MaxBytes", func(string) context.Context { return WithLimits(context.Background(), Limits{MaxBytes: 40_000}) }, nil, diag.CodeByteBudget},
+		// Cancelled at the statement's last governor check — the settling of the
+		// sink's charge, every row already in the target: count the checks of
+		// a run that succeeds, then cancel one short of them.
+		{"cancelled at the last check", func(sql string) context.Context {
+			// (A context without a Done channel gets no governor; a limit does.)
+			unlimited := Limits{MaxRows: math.MaxInt64}
+			count := &countdownCtx{Context: context.Background(), after: math.MaxInt}
+			if _, err := fixture().ExecSQLCtxP(WithLimits(count, unlimited), sql, 2); err != nil {
+				t.Fatal(err)
+			}
+			return WithLimits(&countdownCtx{Context: context.Background(), after: count.calls - 1}, unlimited)
+		}, nil, diag.CodeCancelled},
+	}
+	chaos.Enable()
+	defer chaos.Disable()
+	for _, feed := range feeds {
+		for _, fail := range failures {
+			e := fixture()
+			before := stateOf(t, e, "dst")
+			ctx := context.Background()
+			if fail.ctx != nil {
+				ctx = fail.ctx(feed.sql)
+			}
+			if fail.arm != nil {
+				fail.arm()
+			}
+			_, err := e.ExecSQLCtxP(ctx, feed.sql, 2)
+			chaos.Disarm(chaos.InsertSink)
+			if err == nil {
+				t.Fatalf("%s, %s: statement succeeded", feed.name, fail.name)
+			}
+			var coded interface{ Code() string }
+			if fail.code != "" && (!errors.As(err, &coded) || coded.Code() != fail.code) {
+				t.Errorf("%s, %s: err = %v, want code %s", feed.name, fail.name, err, fail.code)
+			}
+			after := stateOf(t, e, "dst")
+			if after.epoch < before.epoch {
+				t.Errorf("%s, %s: epoch moved backwards", feed.name, fail.name)
+			}
+			before.epoch, after.epoch = 0, 0
+			if !reflect.DeepEqual(before, after) {
+				t.Errorf("%s, %s: target changed by a failed statement\nbefore %+v\nafter  %+v", feed.name, fail.name, before, after)
+			}
+		}
+	}
+
+	// An evaluation error on a late row: sum() meets a VARCHAR in the last
+	// group's rows, the plain projection divides a VARCHAR there.
+	e := New(storage.NewCatalog())
+	mustExec(t, e, `CREATE TABLE src (g INTEGER, v VARCHAR); CREATE TABLE dst (g INTEGER, a INTEGER, PRIMARY KEY (g));
+		INSERT INTO dst VALUES (-1, 0)`)
+	src, _ := e.Catalog().Get("src")
+	for i := 0; i < 3000; i++ {
+		src.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewString("x")})
+	}
+	before := stateOf(t, e, "dst")
+	for _, sql := range []string{
+		"INSERT INTO dst SELECT g, sum(CASE WHEN g < 2990 THEN 1 ELSE v END) FROM src GROUP BY g",
+		"INSERT INTO dst SELECT g, CASE WHEN g < 2990 THEN 1 ELSE v / 2 END FROM src",
+	} {
+		if _, err := e.ExecSQLP(sql, 2); err == nil {
+			t.Fatalf("%s succeeded", sql)
+		}
+		after := stateOf(t, e, "dst")
+		before.epoch, after.epoch = 0, 0
+		if !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: target changed by a failed statement\nbefore %+v\nafter  %+v", sql, before, after)
+		}
+	}
+}
+
+// TestInsertSelectChargedOnce: a result that streams into its target is not
+// charged as a buffer on the way — the budget that fails a buffered plain
+// SELECT lets the same rows through an INSERT — while the rows that land are
+// charged, rows and bytes, so a runaway INSERT … SELECT still stops.
+func TestInsertSelectChargedOnce(t *testing.T) {
+	e := New(storage.NewCatalog())
+	e.Catalog().Put(bigGroupTable(t, 3000))
+	mustExec(t, e, "CREATE TABLE dst (g INTEGER, v INTEGER)")
+	run := func(lim Limits, sql string) error {
+		_, err := e.ExecSQLCtx(WithLimits(context.Background(), lim), sql)
+		mustExec(t, e, "DELETE FROM dst")
+		return err
+	}
+	// 3000 rows buffered once fit 4000; buffered and inserted (the pre-PR
+	// charge: once as the SELECT's result, once as staged rows) would not.
+	if err := run(Limits{MaxRows: 4000}, "INSERT INTO dst SELECT g, v FROM big"); err != nil {
+		t.Errorf("streamed INSERT under MaxRows 4000: %v (charged twice?)", err)
+	}
+	for _, sql := range []string{
+		"INSERT INTO dst SELECT g, v FROM big",
+		"INSERT INTO dst SELECT v, sum(g) FROM big GROUP BY v",
+		"INSERT INTO dst SELECT a.g, a.v FROM big a, big b WHERE a.v = b.v",
+	} {
+		for _, tc := range []struct {
+			lim  Limits
+			code string
+		}{
+			{Limits{MaxRows: 2000}, diag.CodeRowLimit},
+			{Limits{MaxBytes: 60_000}, diag.CodeByteBudget},
+		} {
+			var le *LimitError
+			if err := run(tc.lim, sql); !errors.As(err, &le) || le.Code() != tc.code {
+				t.Errorf("%s under %+v: err = %v, want %s", sql, tc.lim, err, tc.code)
+			}
+		}
+	}
+}

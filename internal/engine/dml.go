@@ -2,6 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"slices"
+	"strings"
+	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/expr"
@@ -63,7 +66,65 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-// execInsert appends VALUES rows or the result of INSERT … SELECT.
+// insertSink appends the rows pushed into it to the INSERT's target table —
+// the column-vector end of a generated step's dataflow. Each row passes the
+// insert.sink fault point, is spread over the target's columns when the
+// statement names a column list, and is charged once, rows and bytes, against
+// the statement's budgets.
+type insertSink struct {
+	name   string // the target as the statement spells it, for errors
+	tab    *storage.Table
+	colMap []int         // target position of source column i; nil = schema order
+	full   []value.Value // one target row, the unlisted columns NULL
+	n      int
+	charge rowCharge
+	// A statement traced in full clocks every push — the producing stage and
+	// the appends share one loop, and elapsed is the insert span's part —
+	// against clock, set then: a monotonic reading alone is the cheaper read.
+	clock   time.Time
+	elapsed time.Duration
+}
+
+func (s *insertSink) reserve(n int) { s.tab.Reserve(n) }
+
+func (s *insertSink) push(row []value.Value) error {
+	if s.clock.IsZero() {
+		return s.append(row)
+	}
+	t0 := time.Since(s.clock)
+	err := s.append(row)
+	s.elapsed += time.Since(s.clock) - t0
+	return err
+}
+
+func (s *insertSink) append(row []value.Value) error {
+	if err := chaos.Hit(chaos.InsertSink); err != nil {
+		return err
+	}
+	want := s.tab.NumCols()
+	if s.colMap != nil {
+		want = len(s.colMap)
+	}
+	if len(row) != want {
+		return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", s.name, want, len(row))
+	}
+	if s.colMap != nil {
+		for i, j := range s.colMap {
+			s.full[j] = row[i]
+		}
+		row = s.full
+	}
+	if _, err := s.tab.AppendRow(row); err != nil {
+		return err
+	}
+	s.n++
+	return s.charge.add(row)
+}
+
+// execInsert appends VALUES rows or the result of INSERT … SELECT. The
+// SELECT's rows stream straight into the target (see insertSink) unless it
+// reads the target itself: that one shape is collected first, so the
+// statement inserts the image of the pre-statement rows.
 func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(ins.Table) {
 		return nil, errVirtualReadOnly("INSERT", ins.Table)
@@ -72,38 +133,23 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch := t.Schema()
-
-	// colMap[i] is the target column position of source column i.
-	var colMap []int
+	sink := &insertSink{name: ins.Table, tab: t}
+	if ec.span != nil && !ec.liteSpan() {
+		sink.clock = time.Now()
+	}
 	if len(ins.Columns) > 0 {
-		colMap = make([]int, len(ins.Columns))
+		sch := t.Schema()
+		sink.colMap, sink.full = make([]int, len(ins.Columns)), make([]value.Value, len(sch))
 		for i, c := range ins.Columns {
 			j := sch.ColumnIndex(c)
 			if j < 0 {
 				return nil, fmt.Errorf("engine: table %q has no column %q", ins.Table, c)
 			}
-			colMap[i] = j
-		}
-	}
-
-	appendMapped := func(src []value.Value) error {
-		if colMap == nil {
-			if len(src) != len(sch) {
-				return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", ins.Table, len(sch), len(src))
+			if slices.Contains(sink.colMap[:i], j) {
+				return nil, fmt.Errorf("engine: INSERT into %q names column %q twice", ins.Table, c)
 			}
-			_, err := t.AppendRow(src)
-			return err
+			sink.colMap[i] = j
 		}
-		if len(src) != len(colMap) {
-			return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", ins.Table, len(colMap), len(src))
-		}
-		full := make([]value.Value, len(sch))
-		for i, j := range colMap {
-			full[j] = src[i]
-		}
-		_, err := t.AppendRow(full)
-		return err
 	}
 
 	// Statement atomicity: appends run under a savepoint — the pre-statement
@@ -121,67 +167,71 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 		}
 	}()
 
-	n := 0
 	if ins.Query != nil {
-		res, err := e.execSelect(ins.Query, ec)
+		sink.charge.gov = ec.gov
+		var out rowSink = sink
+		if selectReads(ins.Query, ins.Table) {
+			out = &collector{charge: rowCharge{gov: ec.gov}}
+		}
+		_, rows, err := e.runSelect(ins.Query, ec, out)
+		if keep, ok := out.(*collector); ok && err == nil && rows == nil {
+			rows, err = keep.rows, keep.charge.settle()
+		}
 		if err != nil {
 			return nil, err
 		}
+		// Rows the SELECT had to collect are delivered here; the ones it
+		// streamed are in the table already, timed push by push.
 		sp := ec.span.NewChild("insert " + ins.Table)
 		defer sp.End()
-		for _, row := range res.Rows {
-			if err := chaos.Hit(chaos.InsertSink); err != nil {
+		for _, row := range rows {
+			if err := sink.push(row); err != nil {
 				return nil, err
 			}
-			if err := appendMapped(row); err != nil {
-				return nil, err
-			}
-			n++
-			if ec.gov != nil && n%govStride == 0 {
-				if err := ec.gov.addRows(govStride); err != nil {
+		}
+		if err := sink.charge.settle(); err != nil {
+			return nil, err
+		}
+		if !sink.clock.IsZero() {
+			sp.SetDuration(max(sink.elapsed, 1))
+		}
+		sp.SetRows(int64(sink.n), int64(sink.n))
+	} else {
+		for _, rowExprs := range ins.Rows {
+			row := make([]value.Value, len(rowExprs))
+			for i, ex := range rowExprs {
+				// VALUES expressions are constant; bind against an empty scope.
+				b, err := bindExpr(ex, nil)
+				if err != nil {
+					return nil, fmt.Errorf("engine: VALUES expressions must be constant: %w", err)
+				}
+				v, err := b.Eval(&rowBox{})
+				if err != nil {
 					return nil, err
 				}
+				row[i] = v
 			}
-		}
-		if ec.gov != nil {
-			if err := ec.gov.addRows(int64(n % govStride)); err != nil {
+			if err := sink.push(row); err != nil {
 				return nil, err
 			}
 		}
-		committed = true
-		sp.SetRows(int64(len(res.Rows)), int64(n))
-		// Delta capture: the committed statement appended exactly rows
-		// [base, base+n) — the range an incremental cache can re-aggregate
-		// instead of rescanning the table.
-		e.notifyInsert(ins.Table, base, base+n, preEp, t.Epoch())
-		return &Result{Affected: n}, nil
-	}
-
-	for _, rowExprs := range ins.Rows {
-		row := make([]value.Value, len(rowExprs))
-		for i, ex := range rowExprs {
-			// VALUES expressions are constant; bind against an empty scope.
-			b, err := bindExpr(ex, nil)
-			if err != nil {
-				return nil, fmt.Errorf("engine: VALUES expressions must be constant: %w", err)
-			}
-			v, err := b.Eval(rowView(nil))
-			if err != nil {
-				return nil, err
-			}
-			row[i] = v
-		}
-		if err := chaos.Hit(chaos.InsertSink); err != nil {
-			return nil, err
-		}
-		if err := appendMapped(row); err != nil {
-			return nil, err
-		}
-		n++
 	}
 	committed = true
-	e.notifyInsert(ins.Table, base, base+n, preEp, t.Epoch())
-	return &Result{Affected: n}, nil
+	// Delta capture: the committed statement appended exactly rows
+	// [base, base+n) — the range an incremental cache can re-aggregate
+	// instead of rescanning the table.
+	e.notifyInsert(ins.Table, base, base+sink.n, preEp, t.Epoch())
+	return &Result{Affected: sink.n}, nil
+}
+
+// selectReads reports whether sel's FROM clause names table.
+func selectReads(sel *sqlparse.Select, table string) bool {
+	for _, f := range sel.From {
+		if strings.EqualFold(f.Table.Name, table) {
+			return true
+		}
+	}
+	return false
 }
 
 // execDelete removes qualifying rows by rewriting the table without them
@@ -389,24 +439,11 @@ func (e *Engine) updateJoined(t *storage.Table, targetSch relSchema, u *sqlparse
 
 	// Hash the FROM table on its join columns (reusing an index if one
 	// matches, as the paper's subkey-index optimization intends).
-	var lookup func(key string) []int
-	cols := make([]string, len(pairs))
-	for i, p := range pairs {
-		cols[i] = fromSch[p.rightIdx].Name
-	}
-	if ix := ft.IndexOn(cols); ix != nil {
-		lookup = ix.LookupKey
-	} else {
-		buckets := make(map[string][]int, ft.NumRows())
-		key := make([]byte, 0, 32)
-		for r := 0; r < ft.NumRows(); r++ {
-			key = key[:0]
-			for _, p := range pairs {
-				key = value.AppendKey(key, ft.Get(r, p.rightIdx))
-			}
-			buckets[string(key)] = append(buckets[string(key)], r)
+	ix := indexOnPairs(ft, fromSch, pairs)
+	if ix == nil {
+		if ix, err = hashRows(ft, pairs, nil); err != nil {
+			return nil, err
 		}
-		lookup = func(k string) []int { return buckets[k] }
 	}
 
 	// Bulk joined UPDATE is evaluated the way the paper's block-oriented
@@ -446,8 +483,7 @@ func (e *Engine) updateJoined(t *storage.Table, targetSch relSchema, u *sqlparse
 			keyBuf = value.AppendKey(keyBuf, v)
 		}
 		if !nullKey {
-			matches := lookup(string(keyBuf))
-			for _, m := range matches {
+			for _, m := range ix.LookupKey(keyBuf) {
 				comb = comb[:0]
 				comb = append(comb, buf...)
 				for c := 0; c < ft.NumCols(); c++ {

@@ -112,8 +112,8 @@ func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem, sch relSch
 	emit func(int, string), root *obs.Span) int {
 
 	depth := 0
-	if sel.Limit > 0 {
-		emit(depth, fmt.Sprintf("Limit %d", sel.Limit))
+	if sel.Limit != nil {
+		emit(depth, fmt.Sprintf("Limit %d", *sel.Limit))
 		depth++
 	}
 	if len(sel.OrderBy) > 0 {
@@ -215,10 +215,7 @@ func describeIter(it iterator, depth int, emit func(int, string)) {
 		if n.build.useIndex {
 			build = "existing index"
 		}
-		buildName := ""
-		if n.build.tab != nil {
-			buildName = " " + n.build.tab.Name()
-		}
+		buildName := " " + n.build.tab.Name()
 		extra := ""
 		if n.stats != nil && n.build.built && !n.build.useIndex {
 			extra = fmt.Sprintf(" build time=%s", time.Duration(n.build.buildNs))

@@ -203,11 +203,12 @@ func workerError(errs []error) error {
 	return firstCancel
 }
 
-// hashAggregate folds in into one row per group — the key values followed
-// by one result per spec, groups in first-appearance order. ec.span, when
-// set, is the aggregate stage span the fold's spans attach to.
-func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) ([][]value.Value, error) {
-	var out [][]value.Value
+// hashAggregate folds in and pushes one row per group into out — the key
+// values followed by one result per spec, groups in first-appearance order —
+// returning the group count. ec.span, when set, is the aggregate stage span
+// the fold's spans attach to.
+func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
+	var n int
 	var err error
 	if !ec.batch || chaos.Hit(chaos.CoreBatch) != nil {
 		// An injected core.batch error means "operator unavailable", not
@@ -216,17 +217,27 @@ func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 		// The reference drains the pipeline itself, so the operator subtree
 		// nests under the fold span: its cumulative time is part of the fold.
 		sp := ec.span.NewChild("fold")
-		out, err = hashAggregateSeq(in, keyExprs, specs, ec.gov)
+		var rows [][]value.Value
+		rows, err = hashAggregateSeq(in, keyExprs, specs, ec.gov)
 		sp.End()
-		sp.SetRows(-1, int64(len(out)))
+		sp.SetRows(-1, int64(len(rows)))
 		if sp != nil {
 			sp.AddChild(operatorSpans(in))
 		}
+		out.reserve(len(rows))
+		for ; n < len(rows) && err == nil; n++ {
+			if n%govStride == 0 {
+				err = ec.gov.check()
+			}
+			if err == nil {
+				err = out.push(rows[n])
+			}
+		}
 	} else {
-		out, err = foldAggregate(in, keyExprs, specs, ec)
+		n, err = foldAggregate(in, keyExprs, specs, ec, out)
 	}
-	mGroupsEmitted.Add(int64(len(out)))
-	return out, err
+	mGroupsEmitted.Add(int64(n))
+	return n, err
 }
 
 // foldInput is one key or aggregate-argument expression as the row loop
@@ -320,7 +331,7 @@ func (op *foldOp) input(e expr.Expr) foldInput {
 }
 
 // foldAggregate runs one fold through the operator.
-func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) ([][]value.Value, error) {
+func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
 	op := planFold(in, keyExprs, specs)
 	par, n := 1, 0
 	switch {
@@ -331,7 +342,7 @@ func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 		// attaches directly under the aggregate span here.
 		mem, err := materialize(in, ec.gov)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if ec.span != nil {
 			ec.span.AddChild(operatorSpans(in))
@@ -390,7 +401,7 @@ func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 		}
 	}
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	mBatchFolds.Inc()
 	mBatchFoldRows.Add(part.consumed)
@@ -399,7 +410,7 @@ func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 		// the table it never pulled.
 		mRowsScanned.Add(part.consumed)
 	}
-	return op.emit(part)
+	return op.emit(part, ec.gov, out)
 }
 
 // fillStats records the scan's row count and each filter's survivor count
@@ -415,27 +426,35 @@ func (op *foldOp) fillStats(part *foldPart, ns int64) {
 	}
 }
 
-// emit renders the merged groups as output rows.
-func (op *foldOp) emit(part *foldPart) ([][]value.Value, error) {
+// emit pushes the merged groups into out, one row each through a reused
+// buffer, and returns how many went.
+func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
 	if len(op.keys) == 0 && len(part.order) == 0 {
 		// A global aggregate over zero input rows still yields one row.
-		g, err := op.newGroup(nil)
+		g, err := op.newGroup(part, nil)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		part.order = append(part.order, g)
 	}
-	out := make([][]value.Value, 0, len(part.order))
-	for _, g := range part.order {
+	out.reserve(len(part.order))
+	row := make([]value.Value, 0, len(op.keys)+len(op.specs))
+	for gi, g := range part.order {
+		if gi%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return gi, err
+			}
+		}
 		op.settleElse(g)
-		row := make([]value.Value, 0, len(g.keyVals)+len(op.specs))
-		row = append(row, g.keyVals...)
+		row = append(row[:0], g.keyVals...)
 		for _, acc := range g.accs[:len(op.specs)] {
 			row = append(row, acc.result())
 		}
-		out = append(out, row)
+		if err := out.push(row); err != nil {
+			return gi, err
+		}
 	}
-	return out, nil
+	return len(part.order), nil
 }
 
 // intKey is the fixed-width group key for ≤ 4 INTEGER key columns. Two
@@ -478,6 +497,13 @@ type foldPart struct {
 	ints  map[intKey]*groupState // non-nil selects the fixed-width key
 	strs  map[string]*groupState
 	order []*groupState
+	// The slabs newGroup carves group state from.
+	groups  []groupState
+	keyVals []value.Value
+	accs    []accumulator
+	sums    []sumAcc
+	counts  []countAcc
+	soles   []soleAcc
 	// find leaves the encoded key here for the insert that may follow.
 	ik  intKey
 	buf []byte
@@ -539,23 +565,41 @@ func slabbed(call *expr.AggCall) (sum, count bool) {
 	return !call.Distinct && call.Fn == expr.AggSum, !call.Distinct && call.Fn == expr.AggCount
 }
 
-// newGroup allocates one group's state and copies its key. The sum and count
-// accumulators — all there is to an Hpct or Hagg fold, one per combination —
-// are carved from one slab each instead of one heap object apiece.
-func (op *foldOp) newGroup(keyVals []value.Value) (*groupState, error) {
-	g := &groupState{keyVals: append([]value.Value(nil), keyVals...)}
+// carve cuts n elements off *slab. An exhausted slab is replaced — never
+// copied, so pointers into earlier ones stay valid — by one sized for half as
+// many groups as the partition holds already: slabs grow 1.5× from the size
+// of one group, g groups cost O(log g) allocations, and at most a third of a
+// slab goes unused (DESIGN.md "Dataflow between operators").
+func carve[T any](slab *[]T, n, groups int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, n*max(groups/2, 1))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// newGroup carves one group's state — the groupState, its copy of the key,
+// the accumulator table and the sum and count accumulators, all there is to
+// an Hpct or Hagg fold, one per combination — from part's slabs instead of
+// one heap object apiece.
+func (op *foldOp) newGroup(part *foldPart, keyVals []value.Value) (*groupState, error) {
+	have := len(part.order)
+	g := &carve(&part.groups, 1, have)[0]
+	g.keyVals = carve(&part.keyVals, len(keyVals), have)
+	copy(g.keyVals, keyVals)
 	if op.elseZero == nil {
-		g.accs = make([]accumulator, len(op.specs))
+		g.accs = carve(&part.accs, len(op.specs), have)
 	} else {
 		// One soleAcc per family rides behind the specs' accumulators.
-		soles := make([]soleAcc, len(op.families))
-		g.accs = make([]accumulator, len(op.specs)+len(soles))
+		g.accs = carve(&part.accs, len(op.specs)+len(op.families), have)
+		soles := carve(&part.soles, len(op.families), have)
 		for fi := range soles {
 			soles[fi].entry = soleNone
 			g.accs[len(op.specs)+fi] = &soles[fi]
 		}
 	}
-	sums, counts := make([]sumAcc, op.sums), make([]countAcc, op.counts)
+	sums, counts := carve(&part.sums, op.sums, have), carve(&part.counts, op.counts, have)
 	for i, s := range op.specs {
 		switch sum, count := slabbed(s.call); {
 		case sum:
@@ -662,7 +706,7 @@ func (w *foldWorker) row(r int, row expr.Row) error {
 			return err
 		}
 		var err error
-		if g, err = op.newGroup(w.keyVals); err != nil {
+		if g, err = op.newGroup(part, w.keyVals); err != nil {
 			return err
 		}
 		part.insert(g)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/expr"
+	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -130,19 +131,18 @@ func sameColRef(a, b *expr.ColumnRef) bool {
 	return strings.EqualFold(a.Qualifier, b.Qualifier) && strings.EqualFold(a.Name, b.Name)
 }
 
-// buildSide is the right side of a hash join: either an ad-hoc hash table or
-// a pre-existing storage index (the paper's subkey-index optimization skips
-// the build phase by reusing the index). The ad-hoc table is built lazily,
-// on the first probe, so constructing the join — which EXPLAIN does to
-// render real plan decisions — costs nothing; only the cheap index check
-// runs eagerly because the plan text reports which build strategy applies.
+// buildSide is the right side of a hash join: a hash index over the join
+// columns of a stored table — the table's own when one matches (the paper's
+// subkey-index optimization skips the build phase by reusing it), an ad-hoc
+// one otherwise. The ad-hoc index is built lazily, on the first probe, so
+// constructing the join — which EXPLAIN does to render real plan decisions —
+// costs nothing; only the cheap index check runs eagerly because the plan
+// text reports which build strategy applies.
 type buildSide struct {
-	tab       *storage.Table // set when rows come straight from a table
-	rows      [][]value.Value
+	tab       *storage.Table
 	pairs     []joinPair
-	buckets   map[string][]int // key → positions in rows (or table row ids)
+	ix        *index.Index // key → row ids of tab
 	useIndex  bool
-	lookupFn  func(key string) []int
 	built     bool
 	buildNs   int64 // wall time of the ad-hoc build, for traces
 	buildRows int64
@@ -166,47 +166,38 @@ func (b *buildSide) ensure() error {
 		return nil
 	}
 	t0 := time.Now()
-	key := make([]byte, 0, 32)
-	if b.tab != nil {
-		b.buckets = make(map[string][]int, b.tab.NumRows())
-		for r := 0; r < b.tab.NumRows(); r++ {
-			if b.gov != nil && r > 0 && r%govStride == 0 {
-				if err := b.gov.addRows(govStride); err != nil {
-					return err
-				}
-			}
-			key = key[:0]
-			for _, p := range b.pairs {
-				key = value.AppendKey(key, b.tab.Get(r, p.rightIdx))
-			}
-			b.buckets[string(key)] = append(b.buckets[string(key)], r)
-		}
-		b.buildRows = int64(b.tab.NumRows())
-	} else {
-		b.buckets = make(map[string][]int, len(b.rows))
-		for r, row := range b.rows {
-			if b.gov != nil && r > 0 && r%govStride == 0 {
-				if err := b.gov.addRows(govStride); err != nil {
-					return err
-				}
-			}
-			key = key[:0]
-			for _, p := range b.pairs {
-				key = value.AppendKey(key, row[p.rightIdx])
-			}
-			b.buckets[string(key)] = append(b.buckets[string(key)], r)
-		}
-		b.buildRows = int64(len(b.rows))
+	ix, err := hashRows(b.tab, b.pairs, b.gov)
+	if err != nil {
+		return err
 	}
-	if b.gov != nil {
-		if err := b.gov.addRows(b.buildRows % govStride); err != nil {
-			return err
-		}
-	}
-	b.lookupFn = func(k string) []int { return b.buckets[k] }
+	b.ix, b.buildRows = ix, int64(b.tab.NumRows())
 	b.buildNs = time.Since(t0).Nanoseconds()
 	mJoinBuilds.Inc()
 	return nil
+}
+
+// hashRows builds the ad-hoc hash index of t's rows on the pairs' right-side
+// columns, charging the rows against gov's row budget every govStride.
+func hashRows(t *storage.Table, pairs []joinPair, gov *governor) (*index.Index, error) {
+	ix := index.New("", nil)
+	get := make([]func(int) value.Value, len(pairs))
+	for i, p := range pairs {
+		get[i] = t.CellGetter(p.rightIdx)
+	}
+	key := make([]value.Value, len(pairs))
+	n := t.NumRows()
+	for r := 0; r < n; r++ {
+		if r > 0 && r%govStride == 0 {
+			if err := gov.addRows(govStride); err != nil {
+				return nil, err
+			}
+		}
+		for i := range get {
+			key[i] = get[i](r)
+		}
+		ix.Add(key, r)
+	}
+	return ix, gov.addRows(int64(n % govStride))
 }
 
 // hashJoin streams the left (probe) side against a materialized right
@@ -312,7 +303,7 @@ func (j *hashJoin) stepFast() ([]value.Value, bool, error) {
 		}
 		var matches []int
 		if !nullKey { // plain SQL equality never matches on NULL keys
-			matches = j.build.lookupFn(string(j.keyBuf))
+			matches = j.build.ix.LookupKey(j.keyBuf)
 		}
 		if len(matches) == 0 {
 			continue
@@ -323,25 +314,14 @@ func (j *hashJoin) stepFast() ([]value.Value, bool, error) {
 	}
 }
 
-// newHashJoinFromTable sets up the join against a base table right side. If
-// useIndex is true and the table has an index exactly on the join columns,
-// the index serves as the hash table; otherwise an ad-hoc table is built —
-// lazily, on the first probe (see buildSide.ensure).
-func newHashJoinFromTable(left iterator, right *storage.Table, rightAlias string,
-	pairs []joinPair, outer bool, useIndex bool) (*hashJoin, error) {
-
+// newHashJoin sets up the join against a base table right side. If the table
+// has an index exactly on the join columns, the index serves as the hash
+// table; otherwise an ad-hoc one is built — lazily, on the first probe (see
+// buildSide.ensure).
+func newHashJoin(left iterator, right *storage.Table, rightAlias string, pairs []joinPair, outer bool) *hashJoin {
 	rightSch := schemaOf(right, rightAlias)
-	b := &buildSide{tab: right, pairs: pairs}
-	if useIndex {
-		cols := make([]string, len(pairs))
-		for i, p := range pairs {
-			cols[i] = rightSch[p.rightIdx].Name
-		}
-		if ix := right.IndexOn(cols); ix != nil {
-			b.useIndex = true
-			b.lookupFn = ix.LookupKey
-		}
-	}
+	b := &buildSide{tab: right, pairs: pairs, ix: indexOnPairs(right, rightSch, pairs)}
+	b.useIndex = b.ix != nil
 	return &hashJoin{
 		left:   left,
 		build:  b,
@@ -349,21 +329,17 @@ func newHashJoinFromTable(left iterator, right *storage.Table, rightAlias string
 		outer:  outer,
 		sch:    append(append(relSchema{}, left.schema()...), rightSch...),
 		rightW: len(rightSch),
-	}, nil
+	}
 }
 
-// newHashJoinFromRows sets up the join against a materialized relation; the
-// hash table is built on first probe.
-func newHashJoinFromRows(left iterator, right *memRelation, pairs []joinPair, outer bool) *hashJoin {
-	b := &buildSide{rows: right.rows, pairs: pairs}
-	return &hashJoin{
-		left:   left,
-		build:  b,
-		pairs:  pairs,
-		outer:  outer,
-		sch:    append(append(relSchema{}, left.schema()...), right.sch...),
-		rightW: len(right.sch),
+// indexOnPairs returns t's index on exactly the pairs' right-side columns, or
+// nil.
+func indexOnPairs(t *storage.Table, sch relSchema, pairs []joinPair) *index.Index {
+	cols := make([]string, len(pairs))
+	for i, p := range pairs {
+		cols[i] = sch[p.rightIdx].Name
 	}
+	return t.IndexOn(cols)
 }
 
 func (j *hashJoin) schema() relSchema { return j.sch }
@@ -414,7 +390,7 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 		j.current = row
 		var matches []int
 		if !nullKey { // plain SQL equality never matches on NULL keys
-			matches = j.build.lookupFn(string(j.keyBuf))
+			matches = j.build.ix.LookupKey(j.keyBuf)
 		}
 		if len(matches) == 0 {
 			if j.outer {
@@ -431,12 +407,8 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 func (j *hashJoin) emit(r int) []value.Value {
 	j.outBuf = j.outBuf[:0]
 	j.outBuf = append(j.outBuf, j.current...)
-	if j.build.tab != nil {
-		for c := 0; c < j.rightW; c++ {
-			j.outBuf = append(j.outBuf, j.build.tab.Get(r, c))
-		}
-	} else {
-		j.outBuf = append(j.outBuf, j.build.rows[r]...)
+	for c := 0; c < j.rightW; c++ {
+		j.outBuf = append(j.outBuf, j.build.tab.Get(r, c))
 	}
 	return j.outBuf
 }

@@ -82,7 +82,7 @@ func TestCancelBoundedRows(t *testing.T) {
 	}
 	specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum, Arg: expr.QCol("", "v")}, arg: argExpr}}
 
-	_, err = hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov, batch: true})
+	_, err = hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov, batch: true}, &collector{})
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CancelledError", err)

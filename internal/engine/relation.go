@@ -84,8 +84,12 @@ type iterator interface {
 // disabled state is one pointer test. Rows scanned are added to the metric
 // once, at exhaustion, so the hot loop stays allocation- and atomic-free.
 type tableScan struct {
-	tab     *storage.Table
-	sch     relSchema
+	tab *storage.Table
+	sch relSchema
+	// order, when set, is the row ids to visit in visiting order — an ORDER
+	// BY over the table's own columns sorts them before the scan starts
+	// (select.go); nil visits every row in storage order.
+	order   []int32
 	pos     int
 	buf     []value.Value
 	counted bool
@@ -114,8 +118,17 @@ func (s *tableScan) next() ([]value.Value, bool, error) {
 	return s.step()
 }
 
+// count is how many rows the scan visits in all.
+func (s *tableScan) count() int {
+	if s.order != nil {
+		return len(s.order)
+	}
+	return s.tab.NumRows()
+}
+
 func (s *tableScan) step() ([]value.Value, bool, error) {
-	if s.pos >= s.tab.NumRows() {
+	r := s.pos
+	if r >= s.count() {
 		if !s.counted {
 			s.counted = true
 			mRowsScanned.Add(int64(s.pos))
@@ -130,7 +143,10 @@ func (s *tableScan) step() ([]value.Value, bool, error) {
 			return nil, false, err
 		}
 	}
-	s.buf = s.tab.Row(s.pos, s.buf)
+	if s.order != nil {
+		r = int(s.order[r])
+	}
+	s.buf = s.tab.Row(r, s.buf)
 	s.pos++
 	return s.buf, true, nil
 }
@@ -143,14 +159,8 @@ type filterIter struct {
 	stats *opStats
 }
 
-// rowView adapts a value slice to expr.Row.
-type rowView []value.Value
-
-// ColumnValue returns the i-th value.
-func (r rowView) ColumnValue(i int) value.Value { return r[i] }
-
 // rowBox adapts a reusable value slice to expr.Row. Unlike converting a
-// rowView per call — which boxes a slice header on the heap every time —
+// slice type per call — which boxes a slice header on the heap every time —
 // a *rowBox converts to the interface without allocating, so hot loops
 // (aggregation, filters, window sweeps) retarget one box per batch.
 type rowBox struct{ vals []value.Value }
@@ -220,36 +230,20 @@ func (m *memRelation) next() ([]value.Value, bool, error) {
 // row and byte budgets — materialization is where memory is actually
 // committed, so this is where MaxRows/MaxBytes bite.
 func materialize(it iterator, gov *governor) (*memRelation, error) {
-	out := &memRelation{sch: it.schema()}
-	var pendingBytes int64
+	keep := collector{charge: rowCharge{gov: gov}}
+	if scan, ok := it.(*tableScan); ok {
+		keep.reserve(scan.count())
+	}
 	for {
 		row, ok, err := it.next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
-			if gov != nil {
-				if err := gov.addRows(int64(len(out.rows) % govStride)); err != nil {
-					return nil, err
-				}
-				if err := gov.addBytes(pendingBytes); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
+			return &memRelation{sch: it.schema(), rows: keep.rows}, keep.charge.settle()
 		}
-		out.rows = append(out.rows, append([]value.Value(nil), row...))
-		if gov != nil {
-			pendingBytes += estimateRowBytes(row)
-			if len(out.rows)%govStride == 0 {
-				if err := gov.addRows(govStride); err != nil {
-					return nil, err
-				}
-				if err := gov.addBytes(pendingBytes); err != nil {
-					return nil, err
-				}
-				pendingBytes = 0
-			}
+		if err := keep.push(row); err != nil {
+			return nil, err
 		}
 	}
 }

@@ -11,27 +11,50 @@ import (
 	"repro/internal/value"
 )
 
-// execSelect plans and runs a SELECT statement. ec.par governs the
-// aggregation path only (see fold.go); scans, joins, windows, and sorts
-// are unchanged by it. When ec.span is set the whole pipeline is
-// instrumented: operators record actual rows and cumulative times, and the
-// consumer stage (project / aggregate / window) attaches its operator
-// subtree plus any worker fan-out spans to the statement span.
+// execSelect runs a SELECT and collects its rows into the statement's result
+// — the one place a row is boxed to be kept.
 func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
+	out := &collector{charge: rowCharge{gov: ec.gov}}
+	names, rows, err := e.runSelect(sel, ec, out)
+	if err == nil && rows == nil {
+		rows, err = out.rows, out.charge.settle()
+	}
+	if err != nil {
+		return nil, err
+	}
+	if ec.inspect != nil {
+		ec.inspect.rows = len(rows)
+		ec.inspect.analyzed = true
+	}
+	return &Result{Columns: names, Rows: rows}, nil
+}
+
+// runSelect plans and runs a SELECT statement, returning its column names.
+// The consumer stage pushes its rows straight into sink. Only when a later
+// stage needs them all — a dedupe of aggregate output, an ORDER BY that could
+// not be applied to the scan, the LIMIT behind either — are they collected
+// instead, and then returned, in final order, for the caller to deliver.
+//
+// ec.par governs the aggregation path only (see fold.go); scans, joins,
+// windows, and sorts are unchanged by it. When ec.span is set the whole
+// pipeline is instrumented: operators record actual rows and cumulative
+// times, and the consumer stage (project / aggregate / window) attaches its
+// operator subtree plus any worker fan-out spans to the statement span.
+func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]string, [][]value.Value, error) {
 	if sel.GroupSets != nil {
-		return nil, fmt.Errorf("engine: GROUP BY %s must be rewritten first (see the core package)", sel.GroupSets.Kind.Keyword())
+		return nil, nil, fmt.Errorf("engine: GROUP BY %s must be rewritten first (see the core package)", sel.GroupSets.Kind.Keyword())
 	}
 	in, residualWhere, err := e.buildFrom(sel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if residualWhere != nil {
 		pred, err := bindExpr(residualWhere, in.schema())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if expr.HasAggregate(pred) {
-			return nil, fmt.Errorf("engine: aggregates are not allowed in WHERE")
+			return nil, nil, fmt.Errorf("engine: aggregates are not allowed in WHERE")
 		}
 		in = &filterIter{child: in, pred: pred}
 	}
@@ -46,7 +69,7 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 
 	items, err := expandStars(sel.Items, in.schema())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, it := range items {
 		bad := false
@@ -57,44 +80,78 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 			return nil
 		})
 		if bad {
-			return nil, fmt.Errorf("engine: %s carries a BY list; percentage/horizontal aggregations must be rewritten first (see the core package)", it.Expr)
+			return nil, nil, fmt.Errorf("engine: %s carries a BY list; percentage/horizontal aggregations must be rewritten first (see the core package)", it.Expr)
 		}
 	}
 
 	names := outputNames(items)
+	visible := len(items)
 
-	// ORDER BY may reference input columns outside the select list. For
-	// plain, non-DISTINCT selects, carry them as hidden trailing columns
-	// and strip them after sorting.
-	hidden := 0
+	// Resolve the ORDER BY keys to select items. A position addresses a
+	// visible item; a name the first output column it matches, or — in a plain,
+	// non-DISTINCT select — an input column carried as a hidden trailing item
+	// and stripped after sorting. A bad key is reported where the sort runs,
+	// after the consumer's own errors.
 	isPlain := !hasWindow(items) && len(sel.GroupBy) == 0 && sel.Having == nil && !anyAggregate(items)
-	if isPlain && !sel.Distinct {
-		for _, k := range sel.OrderBy {
-			if k.Position > 0 || orderColumnIndex(names, k.Column) >= 0 {
-				continue
-			}
-			items = append(items, sqlparse.SelectItem{
-				Expr:  expr.QCol(k.Qualifier, k.Column),
-				Alias: k.Column,
-			})
+	order := make([]int, len(sel.OrderBy))
+	var orderErr error
+	for i, k := range sel.OrderBy {
+		switch order[i] = orderColumnIndex(names, k.Column); {
+		case k.Position > visible && orderErr == nil:
+			orderErr = fmt.Errorf("engine: ORDER BY position %d out of range", k.Position)
+		case k.Position > 0:
+			order[i] = k.Position - 1
+		case order[i] < 0 && isPlain && !sel.Distinct:
+			order[i] = len(items)
+			items = append(items, sqlparse.SelectItem{Expr: expr.QCol(k.Qualifier, k.Column), Alias: k.Column})
 			names = append(names, k.Column)
-			hidden++
+		case order[i] < 0 && orderErr == nil:
+			orderErr = fmt.Errorf("engine: ORDER BY column %q not in select list", k.Column)
 		}
 	}
 
-	var rows [][]value.Value
+	// Sort-before-project: when a plain select reads one stored table and
+	// orders by its columns, the scan visits the row ids already sorted (and
+	// cut to the LIMIT), so the hidden columns are not needed and the rows
+	// stream like any other scan's.
+	var sortSpan *obs.Span
+	ordered, limited, dedupe := len(sel.OrderBy) == 0, sel.Limit == nil, sel.Distinct && !isPlain
+	if scan, ok := in.(*tableScan); ok && isPlain && !sel.Distinct && !ordered && orderErr == nil {
+		if keys := scanSortKeys(scan, items, sel.OrderBy, order); keys != nil {
+			if ec.span != nil {
+				sortSpan = obs.NewSpan("sort") // attached behind the project stage, where a collected sort's is
+			}
+			scan.order, err = sortPerm(scan.tab.NumRows(), keys)
+			sortSpan.End()
+			if err != nil {
+				return nil, nil, err
+			}
+			sortSpan.SetRows(int64(len(scan.order)), int64(len(scan.order)))
+			if !limited {
+				scan.order = scan.order[:min(*sel.Limit, len(scan.order))]
+			}
+			items, names, ordered, limited = items[:visible], names[:visible], true, true
+		}
+	}
+
+	keep, target := (*collector)(nil), sink
+	if dedupe || !ordered || !limited {
+		keep = &collector{charge: rowCharge{gov: ec.gov}}
+		target = keep
+	}
 	var consumer *obs.Span
 	attachOps := true // fold paths attach the operator subtree themselves
 	stage := ec
+	n := 0
 	switch {
 	case hasWindow(items):
 		consumer = ec.span.NewChild("window")
-		rows, err = e.execWindowSelect(sel, items, in, ec.gov)
+		n, err = e.execWindowSelect(sel, items, in, ec.gov, target)
 	case !isPlain:
 		consumer = ec.span.NewChild("aggregate")
 		attachOps = false
 		stage.span = consumer
-		rows, err = e.execGroupSelect(sel, items, in, stage)
+		n, err = e.execGroupSelect(sel, items, in, stage, target)
 	case sel.Distinct:
 		// DISTINCT is a fold whose keys are the select items and which has
 		// no aggregates: nothing is materialized before the dedupe.
@@ -103,24 +160,33 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 		stage.span = consumer
 		var keys []expr.Expr
 		if keys, err = bindItems(items, in.schema()); err == nil {
-			rows, err = hashAggregate(in, keys, nil, stage)
+			n, err = hashAggregate(in, keys, nil, stage, target)
 		}
 	default:
 		consumer = ec.span.NewChild("project")
-		rows, err = e.execPlainSelect(items, in, ec.gov)
+		n, err = e.execPlainSelect(items, in, ec.gov, target)
 	}
 	if consumer != nil {
 		consumer.End()
-		consumer.SetRows(-1, int64(len(rows)))
+		if ins, ok := target.(*insertSink); ok {
+			// The appends of the INSERT this stage fed are the insert span's time.
+			consumer.SetDuration(max(consumer.Duration-ins.elapsed, 1))
+		}
+		consumer.SetRows(-1, int64(n))
 		if attachOps {
 			consumer.AddChild(operatorSpans(in))
 		}
+		ec.span.AddChild(sortSpan)
 	}
-	if err != nil {
-		return nil, err
+	if err != nil || keep == nil {
+		return names, nil, err
 	}
+	if err := keep.charge.settle(); err != nil {
+		return nil, nil, err
+	}
+	rows := keep.rows
 
-	if sel.Distinct && !isPlain {
+	if dedupe {
 		// Aggregate and window output dedupes through the same fold, keyed on
 		// every produced column. The rows are already in memory, so one
 		// worker drains them in place; a fan-out would copy them first.
@@ -129,39 +195,62 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 		for i := range keys {
 			keys[i] = &expr.SlotRef{Index: i}
 		}
-		before := len(rows)
-		rows, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: 1, gov: ec.gov, batch: ec.batch})
+		unique := &collector{charge: rowCharge{gov: ec.gov}}
+		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: 1, gov: ec.gov, batch: ec.batch}, unique)
+		if err == nil {
+			err = unique.charge.settle()
+		}
 		sp.End()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sp.SetRows(int64(before), int64(len(rows)))
+		sp.SetRows(int64(len(rows)), int64(len(unique.rows)))
+		rows = unique.rows
 	}
-	if len(sel.OrderBy) > 0 {
+	if !ordered {
 		sp := ec.span.NewChild("sort")
-		if err := orderRows(rows, sel.OrderBy, names); err != nil {
+		var perm []int32
+		if err = orderErr; err == nil {
+			keys := make([]sortKey, len(order))
+			for i, item := range order {
+				keys[i] = rowsCmp(rows, item).direction(sel.OrderBy[i].Desc)
+			}
+			perm, err = sortPerm(len(rows), keys)
+		}
+		if err != nil {
 			sp.Attr("error", err.Error())
 			sp.End()
-			return nil, err
+			return nil, nil, err
 		}
+		sorted := make([][]value.Value, len(rows))
+		// pctvet:ok O(1) reslice per row of an already-governed result
+		for i, r := range perm {
+			sorted[i] = rows[r][:visible:visible]
+		}
+		rows = sorted
 		sp.SetRows(int64(len(rows)), int64(len(rows)))
 		sp.End()
 	}
-	if hidden > 0 {
-		names = names[:len(names)-hidden]
-		// pctvet:ok O(1) reslice per row of an already-governed result
-		for i := range rows {
-			rows[i] = rows[i][:len(names)]
+	if !limited {
+		rows = rows[:min(*sel.Limit, len(rows))]
+	}
+	return names[:visible], rows, nil
+}
+
+// scanSortKeys returns the sort keys of an ORDER BY whose every key item is
+// a bare column of the table scan reads, compared on the column vectors; nil
+// when some key is computed.
+func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.OrderKey, order []int) []sortKey {
+	keys := make([]sortKey, len(order))
+	for i, item := range order {
+		b, err := bindExpr(items[item].Expr, scan.sch)
+		cr, ok := b.(*expr.ColumnRef)
+		if err != nil || !ok {
+			return nil
 		}
+		keys[i] = columnCmp(scan.tab, cr.Index).direction(by[i].Desc)
 	}
-	if sel.Limit > 0 && len(rows) > sel.Limit {
-		rows = rows[:sel.Limit]
-	}
-	if ec.inspect != nil {
-		ec.inspect.rows = len(rows)
-		ec.inspect.analyzed = true
-	}
-	return &Result{Columns: names, Rows: rows}, nil
+	return keys
 }
 
 // orderColumnIndex finds a named column in the output list, or -1.
@@ -212,11 +301,7 @@ func (e *Engine) buildFrom(sel *sqlparse.Select) (iterator, expr.Expr, error) {
 				cur = newNestedLoopJoin(cur, newTableScan(rt, alias), nil, false)
 				continue
 			}
-			j, err := newHashJoinFromTable(cur, rt, alias, pairs, false, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = j
+			cur = newHashJoin(cur, rt, alias, pairs, false)
 
 		case sqlparse.JoinInner, sqlparse.JoinLeftOuter:
 			outer := fe.Join == sqlparse.JoinLeftOuter
@@ -232,11 +317,7 @@ func (e *Engine) buildFrom(sel *sqlparse.Select) (iterator, expr.Expr, error) {
 				cur = newNestedLoopJoin(cur, newTableScan(rt, alias), pred, outer)
 				continue
 			}
-			j, err := newHashJoinFromTable(cur, rt, alias, pairs, outer, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			cur = j
+			cur = newHashJoin(cur, rt, alias, pairs, outer)
 			if len(residual) > 0 {
 				pred, err := bindExpr(andAll(residual), cur.schema())
 				if err != nil {
@@ -324,63 +405,38 @@ func bindItems(items []sqlparse.SelectItem, sch relSchema) ([]expr.Expr, error) 
 	return bound, nil
 }
 
-// execPlainSelect projects items per input row. The result buffer is
-// materialized state, so a non-nil governor charges it against MaxRows and
-// MaxBytes in govStride batches.
-func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, gov *governor) ([][]value.Value, error) {
+// execPlainSelect projects items per input row into sink and returns the
+// row count. The scan leaves poll gov per stride of input; the loop polls it
+// per stride of output, which a join's fan-out can make far longer.
+func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, gov *governor, sink rowSink) (int, error) {
 	bound, err := bindItems(items, in.schema())
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var rows [][]value.Value
-	var box rowBox
-	var pendingBytes int64
+	proj := newProjector(bound, nil, sink)
+	if scan, ok := in.(*tableScan); ok {
+		proj.reserve(scan.count()) // an unfiltered scan knows its row count
+	}
 	for {
 		row, ok, err := in.next()
-		if err != nil {
-			return nil, err
+		if err != nil || !ok {
+			return proj.n, err
 		}
-		if !ok {
-			if gov != nil {
-				if err := gov.addRows(int64(len(rows) % govStride)); err != nil {
-					return nil, err
-				}
-				if err := gov.addBytes(pendingBytes); err != nil {
-					return nil, err
-				}
-			}
-			return rows, nil
+		if err := proj.push(row); err != nil {
+			return proj.n, err
 		}
-		out := make([]value.Value, len(bound))
-		box.vals = row
-		rv := &box
-		for i, b := range bound {
-			v, err := b.Eval(rv)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		rows = append(rows, out)
-		if gov != nil {
-			pendingBytes += estimateRowBytes(out)
-			if len(rows)%govStride == 0 {
-				if err := gov.addRows(govStride); err != nil {
-					return nil, err
-				}
-				if err := gov.addBytes(pendingBytes); err != nil {
-					return nil, err
-				}
-				pendingBytes = 0
+		if proj.n%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return proj.n, err
 			}
 		}
 	}
 }
 
-// execGroupSelect runs hash aggregation and projects items over group rows.
-// ec.span is the aggregate stage span; the parallel path attaches its worker
-// fan-out and merge spans to it.
-func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, ec execCtx) ([][]value.Value, error) {
+// execGroupSelect runs hash aggregation and projects items over group rows
+// into sink, returning the row count. ec.span is the aggregate stage span; the
+// parallel path attaches its worker fan-out and merge spans to it.
+func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink) (int, error) {
 	inSch := in.schema()
 
 	// Resolve group keys to bound expressions over the input schema.
@@ -393,11 +449,11 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 		var raw expr.Expr
 		if g.Position > 0 {
 			if g.Position > len(items) {
-				return nil, fmt.Errorf("engine: GROUP BY position %d out of range", g.Position)
+				return 0, fmt.Errorf("engine: GROUP BY position %d out of range", g.Position)
 			}
 			raw = items[g.Position-1].Expr
 			if expr.HasAggregate(raw) {
-				return nil, fmt.Errorf("engine: GROUP BY position %d refers to an aggregate", g.Position)
+				return 0, fmt.Errorf("engine: GROUP BY position %d refers to an aggregate", g.Position)
 			}
 			keyOfItem[g.Position-1] = i
 		} else {
@@ -405,19 +461,14 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 		}
 		b, err := bindExpr(raw, inSch)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		keyExprs[i] = b
 	}
 
 	specs, slotOf, err := collectAggSpecs(items, sel.Having, inSch)
 	if err != nil {
-		return nil, err
-	}
-
-	groupRows, err := hashAggregate(in, keyExprs, specs, ec)
-	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Rebind item expressions over the group-row layout:
@@ -462,7 +513,7 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 		}
 		p, err := rebind(it.Expr)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		projected[i] = p
 	}
@@ -470,40 +521,13 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 	if sel.Having != nil {
 		having, err = rebind(sel.Having)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
-	var rows [][]value.Value
-	var box rowBox
-	for gi, g := range groupRows {
-		if gi%govStride == 0 {
-			if err := ec.gov.check(); err != nil {
-				return nil, err
-			}
-		}
-		box.vals = g
-		rv := &box
-		if having != nil {
-			hv, err := having.Eval(rv)
-			if err != nil {
-				return nil, err
-			}
-			if !hv.Truthy() {
-				continue
-			}
-		}
-		out := make([]value.Value, len(projected))
-		for i, p := range projected {
-			v, err := p.Eval(rv)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		rows = append(rows, out)
-	}
-	return rows, nil
+	proj := newProjector(projected, having, sink)
+	_, err = hashAggregate(in, keyExprs, specs, ec, proj)
+	return proj.n, err
 }
 
 // collectAggSpecs gathers the aggregate calls of a select list and HAVING
@@ -565,9 +589,9 @@ func collectAggSpecs(items []sqlparse.SelectItem, having expr.Expr, inSch relSch
 // paper's OLAP-extension baseline evaluates percentage queries — and why it
 // is expensive: the full detail relation flows through, and DISTINCT
 // collapses it afterwards.
-func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, gov *governor) ([][]value.Value, error) {
+func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, gov *governor, sink rowSink) (int, error) {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return nil, fmt.Errorf("engine: window aggregates cannot be combined with GROUP BY")
+		return 0, fmt.Errorf("engine: window aggregates cannot be combined with GROUP BY")
 	}
 	inSch := in.schema()
 
@@ -617,13 +641,13 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 			return nil
 		})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
 	input, err := materialize(in, gov)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 
 	// Pass 1: evaluate each window spec the way SQL engines of the
@@ -633,7 +657,7 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 	// of the full input per distinct window.
 	for _, ws := range specs {
 		if err := evalWindowSorted(ws.call, ws.arg, ws.partIdx, input.rows, gov, &ws.results); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
@@ -648,43 +672,34 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 			return n, nil
 		})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		b, err := expr.Bind(p, func(q, name string) (int, error) { return inSch.resolve(q, name) })
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		projected[i] = b
 	}
 
 	// Pass 2: emit each row extended with its windows' results.
-	rows := make([][]value.Value, 0, len(input.rows))
+	proj := newProjector(projected, nil, sink)
+	proj.reserve(len(input.rows))
 	ext := make([]value.Value, 0, w+len(specs))
-	var box rowBox
 	for ri, row := range input.rows {
 		if ri%govStride == 0 {
 			if err := gov.check(); err != nil {
-				return nil, err
+				return proj.n, err
 			}
 		}
-		ext = ext[:0]
-		ext = append(ext, row...)
+		ext = append(ext[:0], row...)
 		for _, ws := range specs {
 			ext = append(ext, ws.results[ri])
 		}
-		box.vals = ext
-		rv := &box
-		out := make([]value.Value, len(projected))
-		for i, p := range projected {
-			v, err := p.Eval(rv)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
+		if err := proj.push(ext); err != nil {
+			return proj.n, err
 		}
-		rows = append(rows, out)
 	}
-	return rows, nil
+	return proj.n, nil
 }
 
 // evalWindowSorted computes one window aggregate over all rows: it sorts
@@ -745,43 +760,5 @@ func evalWindowSorted(call *expr.AggCall, arg expr.Expr, partIdx []int,
 		lo = hi
 	}
 	*out = results
-	return nil
-}
-
-// orderRows sorts rows by the ORDER BY keys, resolving names against the
-// output column list.
-func orderRows(rows [][]value.Value, keys []sqlparse.OrderKey, names []string) error {
-	type sk struct {
-		idx  int
-		desc bool
-	}
-	sks := make([]sk, len(keys))
-	for i, k := range keys {
-		if k.Position > 0 {
-			if k.Position > len(names) {
-				return fmt.Errorf("engine: ORDER BY position %d out of range", k.Position)
-			}
-			sks[i] = sk{idx: k.Position - 1, desc: k.Desc}
-			continue
-		}
-		found := orderColumnIndex(names, k.Column)
-		if found < 0 {
-			return fmt.Errorf("engine: ORDER BY column %q not in select list", k.Column)
-		}
-		sks[i] = sk{idx: found, desc: k.Desc}
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, k := range sks {
-			c := value.Compare(rows[a][k.idx], rows[b][k.idx])
-			if c == 0 {
-				continue
-			}
-			if k.desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
 	return nil
 }

@@ -74,7 +74,7 @@ func TestSpecializeEquivalence(t *testing.T) {
 			for i := range row {
 				row[i] = randVal()
 			}
-			rv := rowView(row)
+			rv := expr.ValuesRow(row)
 			gv, gerr := generic.Eval(rv)
 			fv, ferr := fast.Eval(rv)
 			if (gerr == nil) != (ferr == nil) {
@@ -143,7 +143,7 @@ func TestSpecializedEqConstReversed(t *testing.T) {
 	if _, ok := s.(*eqConstFast); !ok {
 		t.Fatalf("not specialized: %T", s)
 	}
-	v, err := s.Eval(rowView{value.NewInt(3)})
+	v, err := s.Eval(expr.ValuesRow{value.NewInt(3)})
 	if err != nil || !v.Bool() {
 		t.Errorf("3 = a with a=3: %v %v", v, err)
 	}
@@ -161,7 +161,7 @@ func TestAndFastShortCircuit(t *testing.T) {
 	b, _ := expr.Bind(e, resolver)
 	s := specialize(b)
 	// a=2 (false) AND b IS NULL → false regardless of b.
-	v, err := s.Eval(rowView{value.NewInt(2), value.Null})
+	v, err := s.Eval(expr.ValuesRow{value.NewInt(2), value.Null})
 	if err != nil || v.IsNull() || v.Bool() {
 		t.Errorf("false AND … = %v, %v", v, err)
 	}
@@ -172,7 +172,7 @@ func TestAndFastShortCircuit(t *testing.T) {
 	}
 	b2, _ := expr.Bind(e2, resolver)
 	s2 := specialize(b2)
-	v, err = s2.Eval(rowView{value.Null, value.Null})
+	v, err = s2.Eval(expr.ValuesRow{value.Null, value.Null})
 	if err != nil || v.IsNull() || v.Bool() {
 		t.Errorf("unknown AND false = %v, %v", v, err)
 	}
@@ -183,7 +183,7 @@ func TestAndFastShortCircuit(t *testing.T) {
 	}
 	b3, _ := expr.Bind(e3, resolver)
 	s3 := specialize(b3)
-	v, err = s3.Eval(rowView{value.Null, value.Null})
+	v, err = s3.Eval(expr.ValuesRow{value.Null, value.Null})
 	if err != nil || !v.IsNull() {
 		t.Errorf("unknown AND true = %v, %v", v, err)
 	}
@@ -223,8 +223,8 @@ func TestSpecializeNegativeConstant(t *testing.T) {
 			t.Errorf("%s: text %q, want %q", src, s.String(), b.String())
 		}
 		for _, cell := range []value.Value{value.NewInt(-3), value.NewInt(3), value.NewFloat(-2.5), value.Null} {
-			want, _ := b.Eval(rowView{cell})
-			got, err := s.Eval(rowView{cell})
+			want, _ := b.Eval(expr.ValuesRow{cell})
+			got, err := s.Eval(expr.ValuesRow{cell})
 			if err != nil || got.IsNull() != want.IsNull() || !got.IsNull() && got.Bool() != want.Bool() {
 				t.Errorf("%s at d=%v: %v, %v; generic %v", src, cell, got, err, want)
 			}

@@ -18,8 +18,14 @@ import (
 type Index struct {
 	name    string
 	columns []string // indexed column names, for catalog display
-	buckets map[string][]int
+	// buckets maps an encoded key to its row list through a pointer, so a row
+	// joining an existing key appends in place — no map assignment, which
+	// would allocate the key string again.
+	buckets map[string]*[]int
 	entries int
+	// buf is the writer's encoding scratch. Writes are serialized by the
+	// owner; lookups may run concurrently and never touch it.
+	buf []byte
 }
 
 // New creates an empty index named name over the given columns.
@@ -27,7 +33,7 @@ func New(name string, columns []string) *Index {
 	return &Index{
 		name:    name,
 		columns: append([]string(nil), columns...),
-		buckets: make(map[string][]int),
+		buckets: make(map[string]*[]int),
 	}
 }
 
@@ -43,26 +49,41 @@ func (ix *Index) Len() int { return ix.entries }
 // Buckets reports the number of distinct keys.
 func (ix *Index) Buckets() int { return len(ix.buckets) }
 
-// Add records that row rid holds the key tuple vals.
+// encode leaves the key encoding of vals in the index's scratch buffer.
+func (ix *Index) encode(vals []value.Value) []byte {
+	ix.buf = ix.buf[:0]
+	for _, v := range vals {
+		ix.buf = value.AppendKey(ix.buf, v)
+	}
+	return ix.buf
+}
+
+// Add records that row rid holds the key tuple vals. Only a key not yet
+// present allocates (its string and its row list).
 func (ix *Index) Add(vals []value.Value, rid int) {
-	k := value.EncodeKeyString(vals...)
-	ix.buckets[k] = append(ix.buckets[k], rid)
+	k := ix.encode(vals)
 	ix.entries++
+	if rows, ok := ix.buckets[string(k)]; ok {
+		*rows = append(*rows, rid)
+		return
+	}
+	ix.buckets[string(k)] = &[]int{rid}
 }
 
 // Remove forgets the (vals, rid) entry. It is a no-op if the entry is not
 // present; it returns whether an entry was removed.
 func (ix *Index) Remove(vals []value.Value, rid int) bool {
-	k := value.EncodeKeyString(vals...)
-	rows := ix.buckets[k]
-	for i, r := range rows {
+	k := ix.encode(vals)
+	rows, ok := ix.buckets[string(k)]
+	if !ok {
+		return false
+	}
+	for i, r := range *rows {
 		if r == rid {
-			rows[i] = rows[len(rows)-1]
-			rows = rows[:len(rows)-1]
-			if len(rows) == 0 {
-				delete(ix.buckets, k)
-			} else {
-				ix.buckets[k] = rows
+			(*rows)[i] = (*rows)[len(*rows)-1]
+			*rows = (*rows)[:len(*rows)-1]
+			if len(*rows) == 0 {
+				delete(ix.buckets, string(k))
 			}
 			ix.entries--
 			return true
@@ -74,11 +95,18 @@ func (ix *Index) Remove(vals []value.Value, rid int) bool {
 // Lookup returns the row ids holding the key tuple vals. The returned slice
 // is owned by the index and must not be mutated.
 func (ix *Index) Lookup(vals []value.Value) []int {
-	return ix.buckets[value.EncodeKeyString(vals...)]
+	return ix.LookupKey(value.EncodeKey(vals...))
 }
 
-// LookupKey returns the row ids for an already-encoded key.
-func (ix *Index) LookupKey(key string) []int { return ix.buckets[key] }
+// LookupKey returns the row ids for an already-encoded key. The conversion in
+// the map index expression does not allocate, so a probe loop can reuse one
+// key buffer for every row.
+func (ix *Index) LookupKey(key []byte) []int {
+	if rows, ok := ix.buckets[string(key)]; ok {
+		return *rows
+	}
+	return nil
+}
 
 // String summarizes the index for catalog listings.
 func (ix *Index) String() string {

@@ -84,7 +84,7 @@ func TestLookupKeyMatchesLookup(t *testing.T) {
 	ix := New("i", []string{"a", "b"})
 	k := key("x", 3)
 	ix.Add(k, 7)
-	enc := value.EncodeKeyString(k...)
+	enc := value.EncodeKey(k...)
 	if got := ix.LookupKey(enc); len(got) != 1 || got[0] != 7 {
 		t.Errorf("LookupKey = %v", got)
 	}
@@ -107,4 +107,38 @@ func TestAddRemoveBalanceProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// raceEnabled is set by race_test.go under -race, where instrumentation
+// changes allocation counts.
+var raceEnabled bool
+
+// TestIndexBuildAllocBudget: building an index allocates per distinct key —
+// the key's string and its row list, which doubles as it grows — and nothing
+// per row: the encoding goes through a buffer the index owns. 40 000 rows over
+// 84 keys (the subkey index of the benchmark's largest Vpct plan) made
+// 80 000+ allocations when every Add built a key string.
+func TestIndexBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const rows, keys = 40_000, 84
+	tuples := make([][]value.Value, keys)
+	for k := range tuples {
+		tuples[k] = key(k%7, k/7)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		ix := New("pct_ixk", []string{"dweek", "monthNo"})
+		for r := 0; r < rows; r++ {
+			ix.Add(tuples[r%keys], r)
+		}
+		if ix.Len() != rows || ix.Buckets() != keys {
+			t.Fatal(ix)
+		}
+	})
+	// Per key: one string, one list and ~log2(rows/keys) regrowths of it.
+	if budget := float64(keys * 16); allocs > budget {
+		t.Errorf("indexing %d rows over %d keys made %.0f allocations, budget %.0f", rows, keys, allocs, budget)
+	}
+	t.Logf("%.0f allocations", allocs)
 }

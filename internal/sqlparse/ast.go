@@ -401,7 +401,7 @@ type Select struct {
 	GroupSets *GroupingSpec
 	Having    expr.Expr
 	OrderBy   []OrderKey
-	Limit     int // 0 = no limit
+	Limit     *int // nil = no LIMIT clause; LIMIT 0 is a clause
 
 	// DistinctSpan and HavingSpan locate the DISTINCT keyword and the
 	// HAVING clause, for positioned diagnostics; zero when absent.
@@ -477,9 +477,9 @@ func (s *Select) String() string {
 			sb.WriteString(o.String())
 		}
 	}
-	if s.Limit > 0 {
+	if s.Limit != nil {
 		sb.WriteString(" LIMIT ")
-		sb.WriteString(itoa(s.Limit))
+		sb.WriteString(itoa(*s.Limit))
 	}
 	return sb.String()
 }

@@ -9,6 +9,7 @@ import "testing"
 func FuzzParseRoundTrip(f *testing.F) {
 	f.Add("SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city")
 	f.Add("SELECT a, Hpct(amt BY b) FROM f GROUP BY a ORDER BY 1 DESC LIMIT 3")
+	f.Add("SELECT a FROM f ORDER BY a LIMIT 0") // LIMIT 0 is a clause, not "no limit"
 	f.Add("SELECT d1, d2, sum(a), GROUPING(d1, d2) FROM f GROUP BY ROLLUP(d1, d2)")
 	f.Add("SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY CUBE(d1, d2)")
 	f.Add("SELECT d1, d3, sum(a) FROM f GROUP BY GROUPING SETS ((d1, d3), (d1), ())")

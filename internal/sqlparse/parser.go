@@ -625,7 +625,7 @@ fromDone:
 			return nil, p.errorf("bad LIMIT count %q", t.text)
 		}
 		p.advance()
-		sel.Limit = n
+		sel.Limit = &n
 	}
 	return sel, nil
 }

@@ -46,8 +46,15 @@ func TestParseSelectStarDistinctOrderLimit(t *testing.T) {
 	if sel.OrderBy[1].Column != "a" || sel.OrderBy[1].Desc {
 		t.Errorf("order by = %v", sel.OrderBy)
 	}
-	if sel.Limit != 10 {
-		t.Errorf("limit = %d", sel.Limit)
+	if sel.Limit == nil || *sel.Limit != 10 {
+		t.Errorf("limit = %v", sel.Limit)
+	}
+	// LIMIT 0 is a clause of its own, told apart from no LIMIT and rendered back.
+	if zero := mustSelect(t, "SELECT a FROM F LIMIT 0"); zero.Limit == nil || *zero.Limit != 0 || zero.String() != "SELECT a FROM F LIMIT 0" {
+		t.Errorf("LIMIT 0 parsed to %v, rendered %q", zero.Limit, zero)
+	}
+	if none := mustSelect(t, "SELECT a FROM F"); none.Limit != nil {
+		t.Errorf("absent LIMIT parsed to %d", *none.Limit)
 	}
 }
 

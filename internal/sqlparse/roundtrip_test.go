@@ -100,7 +100,7 @@ func TestRandomQueryRoundTrip(t *testing.T) {
 			}
 		}
 		if rng.Intn(4) == 0 {
-			sb.WriteString(fmt.Sprintf(" LIMIT %d", 1+rng.Intn(50)))
+			sb.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(50)))
 		}
 		src := sb.String()
 

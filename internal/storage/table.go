@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -63,6 +64,10 @@ type Table struct {
 	cols    []*column
 	nrows   int
 	indexes []*index.Index
+	// indexPos[i] holds the column positions indexes[i] covers; indexKeyBuf is
+	// the writer's scratch for one key tuple (writes are serialized).
+	indexPos    [][]int
+	indexKeyBuf []value.Value
 	// primaryKey holds the positions of primary-key columns, if declared.
 	primaryKey []int
 	// epoch is the table's position on the global modification clock: it
@@ -156,11 +161,29 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 	}
 	rid := t.nrows
 	t.nrows++
-	for _, ix := range t.indexes {
-		ix.Add(t.indexKey(ix, rid), rid)
+	for i, ix := range t.indexes {
+		ix.Add(t.indexKey(i, rid), rid)
 	}
 	t.bumpEpoch()
 	return rid, nil
+}
+
+// Reserve grows every column vector's capacity to hold n more rows, so a
+// writer that knows its row count (INSERT … SELECT after a fold) appends
+// without regrowing.
+func (t *Table) Reserve(n int) {
+	for _, c := range t.cols {
+		switch c.typ {
+		case TypeInt:
+			c.ints = slices.Grow(c.ints, n)
+		case TypeFloat:
+			c.flts = slices.Grow(c.flts, n)
+		case TypeString:
+			c.strs = slices.Grow(c.strs, n)
+		case TypeBool:
+			c.bools = slices.Grow(c.bools, n)
+		}
+	}
 }
 
 func (t *Table) truncColumn(i, n int) {
@@ -203,7 +226,7 @@ func (t *Table) TruncateTo(n int) {
 	for _, ix := range t.indexes {
 		defs = append(defs, [2]any{ix.Name(), ix.Columns()})
 	}
-	t.indexes = nil
+	t.indexes, t.indexPos = nil, nil
 	for _, d := range defs {
 		// Re-create from surviving rows; errors are impossible for existing
 		// columns.
@@ -251,26 +274,21 @@ func (t *Table) Set(row, col int, v value.Value) error {
 	if row < 0 || row >= t.nrows {
 		return fmt.Errorf("storage: table %q: row %d out of range", t.name, row)
 	}
-	var touched []*index.Index
-	for _, ix := range t.indexes {
-		for _, c := range ix.Columns() {
-			if t.schema.ColumnIndex(c) == col {
-				touched = append(touched, ix)
-				break
-			}
+	var touched []int
+	for i, pos := range t.indexPos {
+		if slices.Contains(pos, col) {
+			touched = append(touched, i)
 		}
 	}
-	for _, ix := range touched {
-		ix.Remove(t.indexKey(ix, row), row)
+	for _, i := range touched {
+		t.indexes[i].Remove(t.indexKey(i, row), row)
 	}
-	if err := t.cols[col].set(row, v); err != nil {
-		for _, ix := range touched {
-			ix.Add(t.indexKey(ix, row), row)
-		}
+	err := t.cols[col].set(row, v)
+	for _, i := range touched {
+		t.indexes[i].Add(t.indexKey(i, row), row)
+	}
+	if err != nil {
 		return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[col].Name, err)
-	}
-	for _, ix := range touched {
-		ix.Add(t.indexKey(ix, row), row)
 	}
 	t.bumpEpoch()
 	return nil
@@ -293,14 +311,18 @@ func (t *Table) CreateIndex(name string, columns []string) (*index.Index, error)
 		}
 	}
 	ix := index.New(name, columns)
+	get := make([]func(int) value.Value, len(pos))
+	for i, p := range pos {
+		get[i] = t.CellGetter(p)
+	}
 	key := make([]value.Value, len(pos))
 	for r := 0; r < t.nrows; r++ {
-		for i, p := range pos {
-			key[i] = t.cols[p].get(r)
+		for i := range get {
+			key[i] = get[i](r)
 		}
 		ix.Add(key, r)
 	}
-	t.indexes = append(t.indexes, ix)
+	t.indexes, t.indexPos = append(t.indexes, ix), append(t.indexPos, pos)
 	return ix, nil
 }
 
@@ -329,13 +351,15 @@ func (t *Table) IndexOn(columns []string) *index.Index {
 	return nil
 }
 
-// indexKey extracts the key tuple for ix from row rid.
-func (t *Table) indexKey(ix *index.Index, rid int) []value.Value {
-	cols := ix.Columns()
-	key := make([]value.Value, len(cols))
-	for i, c := range cols {
-		key[i] = t.cols[t.schema.ColumnIndex(c)].get(rid)
+// indexKey extracts the key tuple of indexes[i] from row rid into the table's
+// scratch. It reads the live columns by position — a CellGetter snapshots its
+// vector and cannot see a row appended after it was built.
+func (t *Table) indexKey(i, rid int) []value.Value {
+	key := t.indexKeyBuf[:0]
+	for _, p := range t.indexPos[i] {
+		key = append(key, t.cols[p].get(rid))
 	}
+	t.indexKeyBuf = key
 	return key
 }
 
@@ -350,7 +374,7 @@ func (t *Table) Truncate() {
 	for _, ix := range t.indexes {
 		names = append(names, [2]any{ix.Name(), ix.Columns()})
 	}
-	t.indexes = nil
+	t.indexes, t.indexPos = nil, nil
 	for _, n := range names {
 		// Re-create empty indexes; errors are impossible for existing columns.
 		_, _ = t.CreateIndex(n[0].(string), n[1].([]string))

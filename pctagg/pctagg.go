@@ -285,12 +285,19 @@ func (db *DB) queryInner(ctx context.Context, sql string, root *Span, meta *qmet
 		return nil, err
 	}
 	out := &Rows{Columns: res.Columns}
+	if len(res.Rows) == 0 {
+		return out, nil
+	}
+	// One slab holds every cell; a row is a full slice expression of it, so a
+	// caller's append cannot run into the next row.
+	slab := make([]any, 0, len(res.Rows)*len(res.Columns))
+	out.Data = make([][]any, 0, len(res.Rows))
 	for _, row := range res.Rows {
-		conv := make([]any, len(row))
-		for i, v := range row {
-			conv[i] = fromValue(v)
+		at := len(slab)
+		for _, v := range row {
+			slab = append(slab, fromValue(v))
 		}
-		out.Data = append(out.Data, conv)
+		out.Data = append(out.Data, slab[at:len(slab):len(slab)])
 	}
 	return out, nil
 }
