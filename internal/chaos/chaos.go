@@ -54,9 +54,9 @@ const (
 	// maintenance of a cached summary; After addresses the Nth row. A fault
 	// here must degrade the cache to a rebuild, never to a stale read.
 	CacheDelta = "core.cache.delta"
-	// CacheMerge fires for each group merged from a delta rollup into a
-	// cached summary; After addresses the Nth group. Same degradation
-	// contract as CacheDelta.
+	// CacheMerge fires once per incremental refresh, before the statement that
+	// merges the delta into the cached summary (the summary's roll-up over
+	// cached rows ∪ delta rollup). Same degradation contract as CacheDelta.
 	CacheMerge = "core.cache.merge"
 	// ServerAccept fires in the server's per-connection handler right
 	// after accept, before the hello handshake; a fault here must refuse

@@ -18,10 +18,12 @@ import (
 // internal/storage), an engine DML hook tracks appended row ranges, and
 // distributive aggregates (sum, count, min, max — the classes Gray et al.
 // identify as cheap to maintain) are refreshed by aggregating only the new
-// rows and merging, exactly the way the parallel fold merges per-partition
-// accumulators. Non-distributive summaries (avg, DISTINCT) and in-place
-// mutations (UPDATE/DELETE) invalidate the entry, degrading to a rebuild —
-// the cache may redo work but never serves a stale percentage.
+// rows and re-aggregating them together with the cached rows — a
+// distributive aggregate's super-aggregate is the same function over its
+// sub-aggregates, so the merge is the summary's own roll-up. Non-distributive
+// summaries (avg, DISTINCT) and in-place mutations (UPDATE/DELETE) invalidate
+// the entry, degrading to a rebuild — the cache may redo work but never
+// serves a stale percentage.
 
 // Cache metrics (see internal/obs). Hits count plans served from a cached
 // summary (clean or via delta); invalidations count entries discarded after
@@ -80,15 +82,14 @@ func (p *Planner) CacheStats() CacheStats {
 
 // deltaMeta is everything needed to refresh a summary without replanning:
 // the statement shape of its build (re-aggregated over just the delta rows,
-// or over the full base table on rebuild) and the per-column merge ops.
+// or over the full base table on rebuild) and of its roll-up over itself.
 type deltaMeta struct {
 	base    string // base table F
 	where   string // " WHERE …" or ""
 	groupBy string // " GROUP BY …" or ""
 	selects string // rendered select list of the build INSERT
+	rollup  string // rendered select list re-aggregating summary rows by the same grouping
 	colDefs string // rendered column list of the summary's CREATE TABLE
-	nGroup  int    // leading group-key columns; the rest are aggregates
-	merges  []mergeOp
 }
 
 // summaryEntry is one cached summary. All fields are guarded by the
@@ -448,10 +449,9 @@ func (p *Planner) applyCacheDelta(ctx context.Context, eng *engine.Engine, paral
 	return p.cacheRebuild(ctx, eng, parallelism, sp, e, meta, newT)
 }
 
-// cacheCopy materializes newT as a row-order copy of the current cache
-// table. Row order is preserved, so results are identical to reusing the
-// table directly.
-func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
+// cacheBuild creates newT with the summary's columns and fills it with the
+// rows of query, dropping it again on any failure.
+func (p *Planner) cacheBuild(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, meta *deltaMeta, newT, query string) error {
 	ok := false
 	defer func() {
 		if !ok {
@@ -461,36 +461,44 @@ func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism
 	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", newT, meta.colDefs), 1, sp); err != nil {
 		return err
 	}
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("INSERT INTO %s SELECT * FROM %s", newT, st.table), parallelism, sp); err != nil {
+	if _, err := eng.ExecSQLCtxIn(ctx, "INSERT INTO "+newT+" "+query, parallelism, sp); err != nil {
 		return err
 	}
-	p.cachePublishReplace(e, newT, st.epoch, st.baseRows, pubPreserve, false)
 	ok = true
 	return nil
 }
 
+// cacheCopy materializes newT as a row-order copy of the current cache
+// table. Row order is preserved, so results are identical to reusing the
+// table directly.
+func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
+	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, "SELECT * FROM "+st.table); err != nil {
+		return err
+	}
+	p.cachePublishReplace(e, newT, st.epoch, st.baseRows, pubPreserve, false)
+	return nil
+}
+
 // cacheDeltaMerge refreshes the summary incrementally: copy the appended
-// base rows [st.from, st.to) into a scratch table, re-aggregate them with
-// the summary's own build statement (the scratch table aliased as the base
-// so WHERE and select references resolve), and merge the rollup into a new
-// copy of the cached table with the same distributive merge the parallel
-// fold uses. Existing groups keep their positions and brand-new groups
-// append in first-appearance order, so the result is byte-identical to a
-// cold aggregation over the full table.
+// base rows [st.from, st.to) into a scratch table, append to a second one the
+// cached rows and then the delta's roll-up — the summary's own build
+// statement, the scratch table aliased as the base so WHERE and select
+// references resolve — and build the new table as the summary's roll-up over
+// that union by its own grouping. The fold emits groups in first-appearance
+// order, so existing groups keep their positions and brand-new groups append
+// in the delta's order: the result is byte-identical to a cold aggregation
+// over the full table.
 func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
 	deltaT := p.temp("cdelta")
-	rollT := p.temp("croll")
-	ok := false
+	unionT := p.temp("croll")
 	defer func() {
 		_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + deltaT)
-		_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + rollT)
-		if !ok {
-			_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + newT)
-		}
+		_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + unionT)
 	}()
 
-	// 1. Snapshot the delta rows. The base table only ever grows under the
-	// hook's watch (anything else invalidates), so [from, to) is stable.
+	// 1. Snapshot the delta rows (no SQL names a row range). The base table
+	// only ever grows under the hook's watch (anything else invalidates), so
+	// [from, to) is stable.
 	base, err := eng.Catalog().Get(meta.base)
 	if err != nil {
 		return err
@@ -523,80 +531,45 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 		}
 	}
 
-	// 2. Re-aggregate just the delta, governed like any statement.
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", rollT, meta.colDefs), 1, sp); err != nil {
-		return err
-	}
-	rollSQL := fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s %s%s%s",
-		rollT, meta.selects, deltaT, quoteIdent(meta.base), meta.where, meta.groupBy)
-	if _, err := eng.ExecSQLCtxIn(ctx, rollSQL, parallelism, sp); err != nil {
-		return err
-	}
-
-	// 3. Merge into a new copy. Copy-on-write keeps concurrent plans that
-	// hold the old table name safe; the old table is dropped at flush.
+	// 2. The cached rows, then the delta re-aggregated, governed like any
+	// statement, in one table reserved for both. Copy-on-write keeps
+	// concurrent plans that hold the old table name safe; the old table is
+	// dropped at flush.
 	old, err := eng.Catalog().Get(st.table)
 	if err != nil {
 		return err
 	}
-	roll, err := eng.Catalog().Get(rollT)
+	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", unionT, meta.colDefs), 1, sp); err != nil {
+		return err
+	}
+	union, err := eng.Catalog().Get(unionT)
 	if err != nil {
 		return err
 	}
-	n := meta.nGroup
-	merged := make([][]value.Value, 0, old.NumRows()+roll.NumRows())
-	pos := make(map[string]int, old.NumRows())
-	for r := 0; r < old.NumRows(); r++ {
-		if r%cacheStride == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return err
-			}
-		}
-		row := old.Row(r, nil)
-		pos[value.EncodeKeyString(row[:n]...)] = len(merged)
-		merged = append(merged, row)
-	}
-	for r := 0; r < roll.NumRows(); r++ {
-		if err := chaos.HitN(chaos.CacheMerge, r+1); err != nil {
+	union.Reserve(old.NumRows() + st.to - st.from)
+	for _, query := range []string{
+		"SELECT * FROM " + st.table,
+		fmt.Sprintf("SELECT %s FROM %s %s%s%s", meta.selects, deltaT, quoteIdent(meta.base), meta.where, meta.groupBy),
+	} {
+		if _, err := eng.ExecSQLCtxIn(ctx, "INSERT INTO "+unionT+" "+query, parallelism, sp); err != nil {
 			return err
 		}
-		row := roll.Row(r, nil)
-		key := value.EncodeKeyString(row[:n]...)
-		if i, exists := pos[key]; exists {
-			at := merged[i]
-			for c := n; c < len(row); c++ {
-				at[c] = mergeValues(meta.merges[c-n], at[c], row[c])
-			}
-			continue
-		}
-		pos[key] = len(merged)
-		merged = append(merged, row)
 	}
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", newT, meta.colDefs), 1, sp); err != nil {
+
+	// 3. Merge: the roll-up of cached ∪ delta.
+	if err := chaos.Hit(chaos.CacheMerge); err != nil {
 		return err
 	}
-	out, err := eng.Catalog().Get(newT)
-	if err != nil {
+	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, fmt.Sprintf("SELECT %s FROM %s%s", meta.rollup, unionT, meta.groupBy)); err != nil {
 		return err
-	}
-	for i, row := range merged {
-		if i%cacheStride == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return err
-			}
-		}
-		if _, err := out.AppendRow(row); err != nil {
-			return err
-		}
 	}
 
 	// 4. Publish. newT reflects the base at the captured pending epoch;
 	// appends that landed during the merge stay pending and chain off it.
 	p.cachePublishReplace(e, newT, st.pendEpoch, st.to, pubPreserve, true)
-	ok = true
 	if sp != nil {
 		sp.AttrInt("cache.delta_rows", int64(st.to-st.from))
-		sp.AttrInt("cache.merged_groups", int64(roll.NumRows()))
+		sp.AttrInt("cache.merged_groups", int64(union.NumRows()-old.NumRows()))
 	}
 	return nil
 }
@@ -605,12 +578,6 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 // degradation path for non-distributive summaries, UPDATE/DELETE, writes
 // that bypassed the hook, and faults mid-delta.
 func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, newT string) error {
-	ok := false
-	defer func() {
-		if !ok {
-			_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + newT)
-		}
-	}()
 	p.mu.Lock()
 	gen0 := e.gen
 	p.mu.Unlock()
@@ -619,12 +586,7 @@ func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallel
 		return err
 	}
 	preEpoch, preRows := base.Epoch(), base.NumRows()
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", newT, meta.colDefs), 1, sp); err != nil {
-		return err
-	}
-	buildSQL := fmt.Sprintf("INSERT INTO %s SELECT %s FROM %s%s%s",
-		newT, meta.selects, meta.base, meta.where, meta.groupBy)
-	if _, err := eng.ExecSQLCtxIn(ctx, buildSQL, parallelism, sp); err != nil {
+	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, fmt.Sprintf("SELECT %s FROM %s%s%s", meta.selects, meta.base, meta.where, meta.groupBy)); err != nil {
 		return err
 	}
 	mode := pubValid
@@ -637,60 +599,7 @@ func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallel
 		mode = pubInvalid
 	}
 	p.cachePublishReplace(e, newT, preEpoch, preRows, mode, false)
-	ok = true
 	return nil
-}
-
-// mergeValues combines one aggregate cell across two disjoint row
-// partitions, mirroring the engine's distributive fold: NULL is the
-// identity, integer sums stay integers (so merged results are bit-identical
-// to a cold aggregation), mixed numeric types demote to float.
-func mergeValues(op mergeOp, a, b value.Value) value.Value {
-	if a.IsNull() {
-		return b
-	}
-	if b.IsNull() {
-		return a
-	}
-	switch op {
-	case mergeAdd:
-		if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-			return value.NewInt(a.Int() + b.Int())
-		}
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return value.NewFloat(af + bf)
-	case mergeMin:
-		if lessValue(b, a) {
-			return b
-		}
-		return a
-	default: // mergeMax
-		if lessValue(a, b) {
-			return b
-		}
-		return a
-	}
-}
-
-// lessValue orders two non-NULL values the way min/max do: numerics
-// numerically, strings lexically, bools false-first.
-func lessValue(a, b value.Value) bool {
-	if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-		return a.Int() < b.Int()
-	}
-	if a.IsNumeric() && b.IsNumeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return af < bf
-	}
-	if a.Kind() == value.KindString && b.Kind() == value.KindString {
-		return a.Str() < b.Str()
-	}
-	if a.Kind() == value.KindBool && b.Kind() == value.KindBool {
-		return !a.Bool() && b.Bool()
-	}
-	return a.String() < b.String()
 }
 
 // isLifecycleErr reports whether err is cancellation, a budget, or a

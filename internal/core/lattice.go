@@ -39,7 +39,7 @@ func checkLattice(a *analysis, opts Options) error {
 		if it.kind != itemVertAgg {
 			continue
 		}
-		if _, ok := mergeOpFor(it.agg); !ok {
+		if pa, ok := partialOf(it.agg); !ok || !pa.distributive() {
 			return fmt.Errorf("core: %s is not distributive and cannot be derived from the finest lattice summary; only sum, count, min and max can accompany GROUP BY %s", it.agg, kw)
 		}
 	}

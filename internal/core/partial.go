@@ -7,15 +7,6 @@ import (
 	"repro/internal/storage"
 )
 
-// mergeOp says how a summary column combines across disjoint row partitions.
-type mergeOp int
-
-const (
-	mergeAdd mergeOp = iota // sum, count
-	mergeMin
-	mergeMax
-)
-
 // partialAgg is one row of the partial-aggregate table: how a standard
 // aggregate is carried at a finer grouping level and re-aggregated one level
 // coarser — Gray et al.'s distributive/algebraic split. Every plan that
@@ -23,19 +14,18 @@ const (
 // cache's delta merge, the lattice roll-ups, and the from-FV strategies of
 // Hpct and Hagg.
 type partialAgg struct {
-	fine  []expr.AggFn // aggregates of the call's own argument, one per fine-level column
-	fold  string       // the aggregate that folds each fine column one level coarser
-	merge mergeOp      // the same fold as a cell-by-cell merge
+	fine []expr.AggFn // aggregates of the call's own argument, one per fine-level column
+	fold string       // the aggregate that folds each fine column one level coarser
 }
 
 // sum, count, min and max are distributive: one fine column, folded by sum,
 // sum, min and max. avg is algebraic: a sum and a count, folded separately
 // and divided. DISTINCT is holistic and has no row.
 var partialAggs = map[expr.AggFn]partialAgg{
-	expr.AggSum:   {fine: []expr.AggFn{expr.AggSum}, fold: "sum", merge: mergeAdd},
-	expr.AggCount: {fine: []expr.AggFn{expr.AggCount}, fold: "sum", merge: mergeAdd},
-	expr.AggMin:   {fine: []expr.AggFn{expr.AggMin}, fold: "min", merge: mergeMin},
-	expr.AggMax:   {fine: []expr.AggFn{expr.AggMax}, fold: "max", merge: mergeMax},
+	expr.AggSum:   {fine: []expr.AggFn{expr.AggSum}, fold: "sum"},
+	expr.AggCount: {fine: []expr.AggFn{expr.AggCount}, fold: "sum"},
+	expr.AggMin:   {fine: []expr.AggFn{expr.AggMin}, fold: "min"},
+	expr.AggMax:   {fine: []expr.AggFn{expr.AggMax}, fold: "max"},
 	expr.AggAvg:   {fine: []expr.AggFn{expr.AggSum, expr.AggCount}, fold: "sum"},
 }
 
@@ -45,16 +35,10 @@ func partialOf(call *expr.AggCall) (pa partialAgg, ok bool) {
 	return pa, ok && !call.Distinct
 }
 
-// distributive reports whether the aggregate is a single column that merges
-// cell by cell — what incremental maintenance and lattice roll-up need.
+// distributive reports whether the aggregate is a single column that
+// re-aggregates by itself — what incremental maintenance and lattice roll-up
+// need; summaries holding avg or DISTINCT rebuild on DML instead.
 func (pa partialAgg) distributive() bool { return len(pa.fine) == 1 }
-
-// mergeOpFor classifies an aggregate call for incremental maintenance and
-// lattice roll-up: summaries holding avg or DISTINCT rebuild on DML instead.
-func mergeOpFor(call *expr.AggCall) (mergeOp, bool) {
-	pa, ok := partialOf(call)
-	return pa.merge, ok && pa.distributive()
-}
 
 // reagg renders the re-aggregation of the fine-level columns cols one level
 // coarser. wrap, when set, rewrites each column reference first (the Hagg

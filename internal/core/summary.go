@@ -9,11 +9,10 @@ import (
 
 // vcol is one aggregate column of a summary.
 type vcol struct {
-	name  string
-	typ   storage.ColumnType
-	sel   string  // the aggregate over F that fills it
-	fold  string  // its re-aggregation over a finer summary; "" when not distributive
-	merge mergeOp // the same fold as a cell-by-cell merge
+	name string
+	typ  storage.ColumnType
+	sel  string // the aggregate over F that fills it
+	fold string // its re-aggregation over a finer summary; "" when not distributive
 }
 
 // summary is one aggregate table of a plan — Fk, an Fj, the lattice's FS or
@@ -57,13 +56,13 @@ func fineSummary(a *analysis, what string, group []string, update bool) (*summar
 				if update {
 					typ = storage.TypeFloat
 				}
-				s.vals = append(s.vals, vcol{name: c, typ: typ, sel: "sum(" + mSQL + ")", fold: "sum(" + c + ")", merge: mergeAdd})
+				s.vals = append(s.vals, vcol{name: c, typ: typ, sel: "sum(" + mSQL + ")", fold: "sum(" + c + ")"})
 			}
 			col[idx] = c
 		case itemVertAgg:
 			v := vcol{name: fmt.Sprintf("x%d", len(extras)+1), typ: aggResultType(it.agg, a.schema), sel: it.agg.String()}
 			if pa, ok := partialOf(it.agg); ok && pa.distributive() {
-				v.fold, v.merge = pa.reagg([]string{v.name}, nil), pa.merge
+				v.fold = pa.reagg([]string{v.name}, nil)
 			}
 			col[idx] = v.name
 			extras = append(extras, v)
@@ -71,7 +70,7 @@ func fineSummary(a *analysis, what string, group []string, update bool) (*summar
 	}
 	s.vals = append(s.vals, extras...)
 	if len(s.vals) == 0 {
-		s.vals = []vcol{{name: "cnt", typ: storage.TypeInt, sel: "count(*)", fold: "sum(cnt)", merge: mergeAdd}}
+		s.vals = []vcol{{name: "cnt", typ: storage.TypeInt, sel: "count(*)", fold: "sum(cnt)"}}
 	}
 	return s, col
 }
@@ -135,25 +134,22 @@ func (s *summary) key(a *analysis) string {
 }
 
 // meta makes a cached summary incrementally maintainable: the statement
-// shape of its build, re-run over just the appended rows, and the per-column
-// merges. Every aggregate column must be distributive — one avg or DISTINCT
-// column and the result is nil, so DML rebuilds instead.
+// shape of its build, re-run over just the appended rows, and its roll-up over
+// itself, which merges them in. Every aggregate column must be distributive —
+// one avg or DISTINCT column and the result is nil, so DML rebuilds instead.
 func (s *summary) meta(a *analysis) *deltaMeta {
-	merges := make([]mergeOp, len(s.vals))
-	for i, v := range s.vals {
+	for _, v := range s.vals {
 		if v.fold == "" {
 			return nil
 		}
-		merges[i] = v.merge
 	}
 	return &deltaMeta{
 		base:    a.table,
 		where:   a.whereSQL(),
 		groupBy: groupByClause(s.group),
 		selects: strings.Join(s.selects(), ", "),
+		rollup:  strings.Join(s.rollup(s.group), ", "),
 		colDefs: strings.Join(s.defs(a), ", "),
-		nGroup:  len(s.group),
-		merges:  merges,
 	}
 }
 

@@ -197,7 +197,10 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 // quotients may round differently. SELECT DISTINCT is a fold with keys and no
 // aggregates: bare and computed items, NULL keys, more keys than the
 // fixed-width group key holds, VARCHAR, a join-fed input, window and
-// aggregate output, and ORDER BY + LIMIT on top.
+// aggregate output, and ORDER BY + LIMIT on top. The window shape is more than
+// a dedupe of window output: each PARTITION BY list is itself a fold, so its
+// two modes compare the operator's partitions with the reference fold's — two
+// implementations — where both once ran the window's own sort sweep.
 //
 // The dispatch shapes are sum(CASE WHEN <BY columns = constants> THEN … ELSE
 // 0|NULL END) families, which the operator routes with one lookup per row

@@ -30,7 +30,9 @@ var fuzzFoldSchema = storage.Schema{
 // VARCHAR) or only on some (arithmetic on a VARCHAR behind a CASE arm),
 // whose error text must match the reference's. The DISTINCT shapes are folds
 // with keys and no aggregates: bare, computed and NULL keys, more than four
-// keys, VARCHAR, a join, window output, ORDER BY + LIMIT. The last block is
+// keys, VARCHAR, a join, window output (whose partitions are folds too: the
+// operator's against the reference's, two implementations, where both modes
+// once shared the window's own sort sweep), ORDER BY + LIMIT. The last block is
 // the dimension dispatch: CASE-arm families over INTEGER (fixed-width key),
 // VARCHAR and BOOLEAN (AppendKey) columns with an arm no row matches, IS NULL
 // arms, negative constants, ELSE 0 / ELSE NULL / no ELSE, FLOAT measures

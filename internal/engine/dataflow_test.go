@@ -439,3 +439,68 @@ func TestInsertSelectChargedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestUpdateFromGoverned: UPDATE … FROM builds its FROM side the way a SELECT's
+// hash join does — through buildSide.ensure — so the build is charged against
+// MaxRows, polls the context every stride and passes the join-build fault
+// point; a matching index skips it. However the statement dies, the target,
+// its index and its epoch are untouched: the rewrite publishes only on success.
+func TestUpdateFromGoverned(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, `CREATE TABLE tgt (g INTEGER, a REAL, PRIMARY KEY (g)); CREATE TABLE src (g INTEGER, w REAL);
+		INSERT INTO tgt VALUES (-1, 1), (5, 2), (7, 3)`)
+	src, _ := e.Catalog().Get("src")
+	for i := 0; i < 5000; i++ {
+		src.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewFloat(2)})
+	}
+	const sql = "UPDATE tgt FROM src SET a = tgt.a / src.w WHERE tgt.g = src.g"
+	cancel := &countdownCtx{Context: context.Background(), after: 1} // the statement's opening check passes
+	chaos.Enable()
+	defer chaos.Disable()
+	for _, fail := range []struct {
+		name string
+		ctx  context.Context
+		arm  *chaos.Fault
+		code string
+	}{
+		{"MaxRows", WithLimits(context.Background(), Limits{MaxRows: 100}), nil, diag.CodeRowLimit},
+		// (A context without a Done channel gets no governor; a limit does.)
+		{"cancelled", WithLimits(cancel, Limits{MaxRows: math.MaxInt64}), nil, diag.CodeCancelled},
+		{"build fault", context.Background(), &chaos.Fault{Err: errors.New("injected build fault")}, ""},
+		{"build panic", context.Background(), &chaos.Fault{Panic: "chaos-panic"}, diag.CodePanic},
+	} {
+		before := stateOf(t, e, "tgt")
+		if fail.arm != nil {
+			chaos.Arm(chaos.JoinBuild, *fail.arm)
+		}
+		_, err := e.ExecSQLCtx(fail.ctx, sql)
+		chaos.Disarm(chaos.JoinBuild)
+		var coded interface{ Code() string }
+		if err == nil || fail.code != "" && (!errors.As(err, &coded) || coded.Code() != fail.code) {
+			t.Errorf("%s: err = %v, want code %q", fail.name, err, fail.code)
+		}
+		if after := stateOf(t, e, "tgt"); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: target changed by a failed statement\nbefore %+v\nafter  %+v", fail.name, before, after)
+		}
+	}
+	if cancel.calls != 2 {
+		t.Errorf("cancelled build made %d context checks, want 2: it must stop at its first stride", cancel.calls)
+	}
+
+	// An index on the join column is the hash table: nothing is built, nothing
+	// charged, and the reuse is counted.
+	mustExec(t, e, "CREATE INDEX src_g ON src (g)")
+	reuse, builds := mJoinIndexReuse.Value(), mJoinBuilds.Value()
+	res, err := e.ExecSQLCtx(WithLimits(context.Background(), Limits{MaxRows: 100}), sql)
+	if err != nil || res.Affected != 2 {
+		t.Fatalf("indexed UPDATE … FROM under MaxRows 100: %+v, %v", res, err)
+	}
+	if r, b := mJoinIndexReuse.Value()-reuse, mJoinBuilds.Value()-builds; r != 1 || b != 0 {
+		t.Errorf("index reuse counted %d times and %d builds, want 1 and 0", r, b)
+	}
+	if got := renderRows(mustExec(t, e, "SELECT g, a FROM tgt ORDER BY g").Rows); got != renderRows([][]value.Value{
+		{value.NewInt(-1), value.NewFloat(1)}, {value.NewInt(5), value.NewFloat(1)}, {value.NewInt(7), value.NewFloat(1.5)},
+	}) {
+		t.Errorf("rows after the update:\n%s", got)
+	}
+}

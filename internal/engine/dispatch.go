@@ -21,7 +21,7 @@ import (
 // its ELSE is settled once per group at emit (settleElse).
 //
 // Recognised: a non-DISTINCT aggregate over a one-WHEN CASE whose condition
-// is an error-free conjunction (predErrFree) of column = literal tests, the
+// is an error-free conjunction (expr.ErrFree) of column = literal tests, the
 // literal non-NULL and of the column's own INTEGER, VARCHAR or BOOLEAN kind —
 // so SQL equality coincides with equality of the key encodings — and of
 // un-negated IS NULL tests, no column twice; ELSE absent or NULL under any
@@ -48,7 +48,7 @@ func (a *arm) recognise(s aggSpec, sch relSchema) bool {
 	}
 	*a = arm{cols: a.cols[:0], consts: a.consts[:0], then: c.Whens[0].Result}
 	if c.Else != nil {
-		v, isConst := constValue(c.Else)
+		v, isConst := expr.ConstValue(c.Else)
 		switch {
 		case !isConst:
 			return false
@@ -67,22 +67,25 @@ func (a *arm) recognise(s aggSpec, sch relSchema) bool {
 func (a *arm) addCond(e expr.Expr, sch relSchema) bool {
 	idx, want := -1, value.Null
 	switch n := e.(type) {
-	case *andFast:
-		return a.addCond(n.left, sch) && a.addCond(n.right, sch)
-	case *isNullFast:
-		if n.negate {
+	case *expr.BinaryOp:
+		col, val, ok := n.ColumnConst()
+		if !ok {
+			return n.Op == "AND" && a.addCond(n.Left, sch) && a.addCond(n.Right, sch)
+		}
+		if col >= len(sch) {
 			return false
 		}
-		idx = n.idx
-	case *eqConstFast:
-		if n.idx >= len(sch) {
+		k := val.Kind()
+		if k != sch[col].Type.Kind() || k != value.KindInt && k != value.KindString && k != value.KindBool {
 			return false
 		}
-		k := n.val.Kind()
-		if k != sch[n.idx].Type.Kind() || k != value.KindInt && k != value.KindString && k != value.KindBool {
+		idx, want = col, val
+	case *expr.IsNull:
+		c, ok := n.Operand.(*expr.ColumnRef)
+		if !ok || !c.Bound() || n.Negate {
 			return false
 		}
-		idx, want = n.idx, n.val
+		idx = c.Index
 	default:
 		return false
 	}

@@ -234,10 +234,47 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 	return false
 }
 
-// execDelete removes qualifying rows by rewriting the table without them
-// (the same block-rewrite model as bulk UPDATE). The rewrite targets a
-// staging clone that is swapped into the catalog only on success, so a
-// mid-statement failure leaves the live table unchanged.
+// rewrite runs a DELETE or UPDATE (op) the way the paper's block-oriented MPP
+// system does: every row of t flows through fn, which reports whether the
+// statement affects the row — a DELETE drops those, an UPDATE keeps them as fn
+// assigned them, in place. The rows land in a staging clone (indexes included)
+// that is swapped into the catalog only on success, so a mid-statement failure
+// leaves the live table, its indexes and its epoch untouched; the staged rows
+// are charged against MaxRows a stride at a time.
+func (e *Engine) rewrite(t *storage.Table, name, op string, gov *governor, fn func(row []value.Value) (bool, error)) (*Result, error) {
+	stage := t.EmptyClone()
+	n := 0
+	var buf []value.Value
+	for r := 0; r < t.NumRows(); r++ {
+		if (r+1)%govStride == 0 {
+			if err := gov.addRows(govStride); err != nil {
+				return nil, err
+			}
+		}
+		buf = t.Row(r, buf)
+		affected, err := fn(buf)
+		if err != nil {
+			return nil, err
+		}
+		if affected {
+			n++
+			if op == "delete" {
+				continue
+			}
+		}
+		if _, err := stage.AppendRow(buf); err != nil {
+			return nil, err
+		}
+	}
+	if err := gov.addRows(int64(t.NumRows() % govStride)); err != nil {
+		return nil, err
+	}
+	e.cat.Put(stage)
+	e.notifyMutate(name, op)
+	return &Result{Affected: n}, nil
+}
+
+// execDelete removes the qualifying rows (see rewrite).
 func (e *Engine) execDelete(d *sqlparse.Delete, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(d.Table) {
 		return nil, errVirtualReadOnly("DELETE", d.Table)
@@ -246,48 +283,21 @@ func (e *Engine) execDelete(d *sqlparse.Delete, ec execCtx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sch := schemaOf(t, d.Table)
 	var where expr.Expr
 	if d.Where != nil {
-		where, err = bindExpr(d.Where, sch)
-		if err != nil {
+		if where, err = bindExpr(d.Where, schemaOf(t, d.Table)); err != nil {
 			return nil, err
 		}
 	}
-	stage := t.EmptyClone()
-	var buf []value.Value
 	var box rowBox
-	n := 0
-	for r := 0; r < t.NumRows(); r++ {
-		if ec.gov != nil && (r+1)%govStride == 0 {
-			if err := ec.gov.addRows(govStride); err != nil {
-				return nil, err
-			}
+	return e.rewrite(t, d.Table, "delete", ec.gov, func(row []value.Value) (bool, error) {
+		if where == nil {
+			return true, nil
 		}
-		buf = t.Row(r, buf)
-		if where != nil {
-			box.vals = buf
-			v, err := where.Eval(&box)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truthy() {
-				if _, err := stage.AppendRow(buf); err != nil {
-					return nil, err
-				}
-				continue
-			}
-		}
-		n++
-	}
-	if ec.gov != nil {
-		if err := ec.gov.addRows(int64(t.NumRows() % govStride)); err != nil {
-			return nil, err
-		}
-	}
-	e.cat.Put(stage)
-	e.notifyMutate(d.Table, "delete")
-	return &Result{Affected: n}, nil
+		box.vals = row
+		v, err := where.Eval(&box)
+		return v.Truthy(), err
+	})
 }
 
 // execUpdate handles both the single-table form and the cross-table form
@@ -306,24 +316,39 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 		alias = u.Table
 	}
 	targetSch := schemaOf(t, alias)
-
-	if len(u.From) == 0 {
-		return e.updateSingle(t, targetSch, u, ec)
-	}
-	if len(u.From) != 1 {
+	if len(u.From) > 1 {
 		return nil, fmt.Errorf("engine: UPDATE supports at most one FROM table, got %d", len(u.From))
 	}
-	return e.updateJoined(t, targetSch, u, ec)
-}
 
-func (e *Engine) updateSingle(t *storage.Table, sch relSchema, u *sqlparse.Update, ec execCtx) (*Result, error) {
-	var where expr.Expr
-	if u.Where != nil {
-		b, err := bindExpr(u.Where, sch)
+	// The assignments and the WHERE see the target row — joined, in the
+	// cross-table form, with one FROM row. There the equality conjuncts of
+	// WHERE become the probe of a hash join's build side (governed, reusing a
+	// matching index as the paper's subkey-index optimization intends); a
+	// missing WHERE or one without equalities degrades to a cartesian match
+	// (the global-totals case, where Fj is a single-row table).
+	evalSch, cond := targetSch, u.Where
+	var build *buildSide
+	if len(u.From) == 1 {
+		ft, err := e.tableFor(u.From[0].Name)
 		if err != nil {
 			return nil, err
 		}
-		where = b
+		fromSch := schemaOf(ft, u.From[0].RefName())
+		evalSch = append(append(relSchema{}, targetSch...), fromSch...)
+		var pairs []joinPair
+		var residual []expr.Expr
+		if u.Where != nil {
+			pairs, residual = extractEquiPairs(splitConjuncts(u.Where), targetSch, fromSch)
+		}
+		cond = andAll(residual)
+		build = newBuildSide(ft, fromSch, pairs)
+		build.gov = ec.gov
+	}
+	var where expr.Expr
+	if cond != nil {
+		if where, err = bindExpr(cond, evalSch); err != nil {
+			return nil, err
+		}
 	}
 	type boundSet struct {
 		col int
@@ -331,202 +356,67 @@ func (e *Engine) updateSingle(t *storage.Table, sch relSchema, u *sqlparse.Updat
 	}
 	sets := make([]boundSet, len(u.Set))
 	for i, a := range u.Set {
-		col, err := sch.resolve("", a.Column)
-		if err != nil {
+		if sets[i].col, err = targetSch.resolve("", a.Column); err != nil {
 			return nil, err
 		}
-		b, err := bindExpr(a.Value, sch)
-		if err != nil {
+		if sets[i].ex, err = bindExpr(a.Value, evalSch); err != nil {
 			return nil, err
 		}
-		sets[i] = boundSet{col: col, ex: b}
 	}
 
-	// Every row flows into a staging clone — matched rows with assignments
-	// applied, others copied — published only on success, so a failing
-	// assignment halfway through leaves the live table unchanged.
-	stage := t.EmptyClone()
-	n := 0
-	var buf []value.Value
+	// assign updates row when the image in box qualifies: every assignment is
+	// evaluated against the pre-update image, then applied.
 	var box rowBox
 	newVals := make([]value.Value, len(sets))
-	for r := 0; r < t.NumRows(); r++ {
-		if ec.gov != nil && (r+1)%govStride == 0 {
-			if err := ec.gov.addRows(govStride); err != nil {
-				return nil, err
-			}
-		}
-		buf = t.Row(r, buf)
-		box.vals = buf
-		rv := &box
-		matched := true
+	assign := func(row []value.Value) (bool, error) {
 		if where != nil {
-			v, err := where.Eval(rv)
+			if v, err := where.Eval(&box); err != nil || !v.Truthy() {
+				return false, err
+			}
+		}
+		for i, s := range sets {
+			v, err := s.ex.Eval(&box)
 			if err != nil {
-				return nil, err
+				return false, err
 			}
-			matched = v.Truthy()
+			newVals[i] = v
 		}
-		if matched {
-			// Evaluate every assignment against the pre-update row, then
-			// apply.
-			for i, s := range sets {
-				v, err := s.ex.Eval(rv)
-				if err != nil {
-					return nil, err
-				}
-				newVals[i] = v
-			}
-			for i, s := range sets {
-				buf[s.col] = newVals[i]
-			}
-			n++
+		for i, s := range sets {
+			row[s.col] = newVals[i]
 		}
-		if _, err := stage.AppendRow(buf); err != nil {
-			return nil, err
-		}
+		return true, nil
 	}
-	if ec.gov != nil {
-		if err := ec.gov.addRows(int64(t.NumRows() % govStride)); err != nil {
-			return nil, err
-		}
+	if build == nil {
+		return e.rewrite(t, u.Table, "update", ec.gov, func(row []value.Value) (bool, error) {
+			box.vals = row
+			return assign(row)
+		})
 	}
-	e.cat.Put(stage)
-	e.notifyMutate(u.Table, "update")
-	return &Result{Affected: n}, nil
-}
 
-func (e *Engine) updateJoined(t *storage.Table, targetSch relSchema, u *sqlparse.Update, ec execCtx) (*Result, error) {
-	ft, err := e.tableFor(u.From[0].Name)
-	if err != nil {
+	// The joined form retains the pre- and post-image of each changed row in a
+	// transient journal until the statement completes (the recovery log every
+	// ACID engine writes). With the table rewrite this is what makes the paper's
+	// UPDATE-based Vpct strategy pay when |FV| is large, and why the paper
+	// recommends INSERT instead.
+	if err := build.ensure(); err != nil {
 		return nil, err
 	}
-	fromSch := schemaOf(ft, u.From[0].RefName())
-	combined := append(append(relSchema{}, targetSch...), fromSch...)
-
-	// Extract equality join conditions from WHERE; a missing WHERE or one
-	// without equalities degrades to a cartesian match (needed for the
-	// global-totals case where Fj is a single-row table).
-	var pairs []joinPair
-	var residualConjuncts []expr.Expr
-	if u.Where != nil {
-		pairs, residualConjuncts = extractEquiPairs(splitConjuncts(u.Where), targetSch, fromSch)
-	}
-	var residual expr.Expr
-	if len(residualConjuncts) > 0 {
-		residual, err = bindExpr(andAll(residualConjuncts), combined)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	type boundSet struct {
-		col int
-		ex  expr.Expr
-	}
-	sets := make([]boundSet, len(u.Set))
-	for i, a := range u.Set {
-		col, err := targetSch.resolve("", a.Column)
-		if err != nil {
-			return nil, err
-		}
-		b, err := bindExpr(a.Value, combined)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = boundSet{col: col, ex: b}
-	}
-
-	// Hash the FROM table on its join columns (reusing an index if one
-	// matches, as the paper's subkey-index optimization intends).
-	ix := indexOnPairs(ft, fromSch, pairs)
-	if ix == nil {
-		if ix, err = hashRows(ft, pairs, nil); err != nil {
-			return nil, err
-		}
-	}
-
-	// Bulk joined UPDATE is evaluated the way the paper's block-oriented
-	// MPP system does it: every row of the target flows through a rewrite
-	// — matched rows with their assignments applied, unmatched rows copied
-	// unchanged — and the table is rebuilt (indexes included) from the
-	// rewritten rows, with pre- and post-images of each changed row
-	// retained in a transient journal until the statement completes (the
-	// recovery log every ACID engine writes). This is what makes the
-	// paper's UPDATE-based Vpct strategy pay when |FV| is large, and it is
-	// why the paper recommends INSERT instead. The rewrite lands in a
-	// staging clone swapped into the catalog on success, so the statement
-	// is atomic: a mid-rewrite failure leaves the live table untouched.
-	stage := t.EmptyClone()
-	n := 0
-	var buf []value.Value
-	var box rowBox
-	keyBuf := make([]byte, 0, 32)
-	comb := make([]value.Value, 0, len(combined))
-	newVals := make([]value.Value, len(sets))
 	var journal [][]value.Value
-	for r := 0; r < t.NumRows(); r++ {
-		if ec.gov != nil && (r+1)%govStride == 0 {
-			if err := ec.gov.addRows(govStride); err != nil {
-				return nil, err
+	comb := make([]value.Value, 0, len(evalSch))
+	return e.rewrite(t, u.Table, "update", ec.gov, func(row []value.Value) (bool, error) {
+		for _, m := range build.probe(row) {
+			comb = append(comb[:0], row...)
+			for c := 0; c < build.tab.NumCols(); c++ {
+				comb = append(comb, build.tab.Get(m, c))
+			}
+			box.vals = comb
+			if hit, err := assign(row); err != nil {
+				return false, err
+			} else if hit {
+				journal = append(journal, slices.Clone(comb[:len(row)]), slices.Clone(row))
+				return true, nil // one qualifying match updates the row once
 			}
 		}
-		buf = t.Row(r, buf)
-		out := append([]value.Value(nil), buf...)
-		keyBuf = keyBuf[:0]
-		nullKey := false
-		for _, p := range pairs {
-			v := buf[p.leftIdx]
-			if v.IsNull() && !p.nullSafe {
-				nullKey = true
-			}
-			keyBuf = value.AppendKey(keyBuf, v)
-		}
-		if !nullKey {
-			for _, m := range ix.LookupKey(keyBuf) {
-				comb = comb[:0]
-				comb = append(comb, buf...)
-				for c := 0; c < ft.NumCols(); c++ {
-					comb = append(comb, ft.Get(m, c))
-				}
-				box.vals = comb
-				rv := &box
-				if residual != nil {
-					v, err := residual.Eval(rv)
-					if err != nil {
-						return nil, err
-					}
-					if !v.Truthy() {
-						continue
-					}
-				}
-				for i, s := range sets {
-					v, err := s.ex.Eval(rv)
-					if err != nil {
-						return nil, err
-					}
-					newVals[i] = v
-				}
-				journal = append(journal, append([]value.Value(nil), buf...))
-				for i, s := range sets {
-					out[s.col] = newVals[i]
-				}
-				journal = append(journal, append([]value.Value(nil), out...))
-				n++
-				break // one qualifying match updates the row once
-			}
-		}
-		if _, err := stage.AppendRow(out); err != nil {
-			return nil, err
-		}
-	}
-	if ec.gov != nil {
-		if err := ec.gov.addRows(int64(t.NumRows() % govStride)); err != nil {
-			return nil, err
-		}
-	}
-	e.cat.Put(stage)
-	e.notifyMutate(u.Table, "update")
-	_ = journal // released at statement end, like a transient journal
-	return &Result{Affected: n}, nil
+		return false, nil
+	})
 }

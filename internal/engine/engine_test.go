@@ -545,6 +545,24 @@ func TestAggregateInWhereRejected(t *testing.T) {
 	wantErr(t, e, "SELECT state FROM sales WHERE sum(salesAmt) > 10 GROUP BY state", "WHERE")
 }
 
+// TestAggregateUnderAndRejected pins the binder's two aggregate checks on
+// trees where the aggregate sits under an AND: expr.Walk reaches every node
+// of a bound tree, so the position of the conjunct cannot matter — and the
+// error comes at bind time, whether or not a row would have reached it.
+func TestAggregateUnderAndRejected(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (a INTEGER, b INTEGER); INSERT INTO t VALUES (1, 2)")
+	for sql, frag := range map[string]string{
+		"SELECT a FROM t WHERE sum(b) > 1":                                "aggregates are not allowed in WHERE",
+		"SELECT a FROM t WHERE sum(b) > 1 AND a = 1":                      "aggregates are not allowed in WHERE",
+		"SELECT a FROM t WHERE a = 2 AND sum(b) > 1":                      "aggregates are not allowed in WHERE",
+		"SELECT a, count(*) FROM t WHERE a = 2 AND sum(b) > 1 GROUP BY a": "aggregates are not allowed in WHERE",
+		"SELECT sum(CASE WHEN a = 1 AND sum(b) > 1 THEN 1 END) FROM t":    "nested aggregate",
+	} {
+		wantErr(t, e, sql, frag)
+	}
+}
+
 func TestDistinctOnAggregateArgOnlyForCount(t *testing.T) {
 	e := newTestEngine(t)
 	wantErr(t, e, "SELECT sum(DISTINCT salesAmt) FROM sales", "DISTINCT")

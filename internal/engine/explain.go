@@ -140,8 +140,7 @@ func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem, sch relSch
 				return nil
 			})
 		}
-		emit(depth, "WindowAggregate (sort-based, one pass per window) ["+
-			strings.Join(specs, "; ")+"]"+spanActual(root.Find("window")))
+		emit(depth, "WindowAggregate ["+strings.Join(specs, "; ")+"]"+spanActual(root.Find("window")))
 		depth++
 	case len(sel.GroupBy) > 0 || sel.Having != nil || anyAggregate(items):
 		var keys []string
@@ -199,7 +198,7 @@ func describeIter(it iterator, depth int, emit func(int, string)) {
 	case *hashJoin:
 		leftW := len(n.sch) - n.rightW
 		var conds []string
-		for _, p := range n.pairs {
+		for _, p := range n.build.pairs {
 			c := n.sch[p.leftIdx].Qualifier + "." + n.sch[p.leftIdx].Name + " = " +
 				n.sch[leftW+p.rightIdx].Qualifier + "." + n.sch[leftW+p.rightIdx].Name
 			if p.nullSafe {

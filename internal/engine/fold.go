@@ -29,7 +29,7 @@ import (
 // reference is a typed storage.Table.CellGetter, anything computed — Hpct's
 // CASE terms, arithmetic — evaluates against a storage.RowView that boxes
 // each referenced cell at most once per row. Error-free filters
-// (predErrFree) refine a pooled selection vector per batch; a filter that
+// (expr.ErrFree) refine a pooled selection vector per batch; a filter that
 // can error runs interleaved, row by row, so the first error is the one a
 // sequential scan would raise. Any other input (a join, a scan already
 // advanced) is drained through the iterator interface into the same body.
@@ -291,7 +291,7 @@ func planFold(in iterator, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 	if scan, ok := cur.(*tableScan); ok && scan.pos == 0 {
 		op.scan, op.tab, op.filters, op.vector = scan, scan.tab, filters, true
 		for _, f := range filters {
-			op.vector = op.vector && predErrFree(f.pred)
+			op.vector = op.vector && expr.ErrFree(f.pred)
 		}
 		op.view = !op.vector
 	}
@@ -334,25 +334,31 @@ func (op *foldOp) input(e expr.Expr) foldInput {
 func foldAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
 	op := planFold(in, keyExprs, specs)
 	par, n := 1, 0
-	switch {
-	case op.tab != nil:
-		par, n = ec.par, op.tab.NumRows()
-	case resolveWorkers(ec.par) > 1:
+	if mem, ok := in.(*memRelation); ok && mem.pos == 0 && mem.stats == nil {
+		// A hand-over from another stage (window input, collected output to
+		// dedupe) is materialized already: partitions are ranges of it, in place.
+		op.mem = mem
+	} else if op.tab == nil && resolveWorkers(ec.par) > 1 {
 		// The drain is where the operator subtree's time is spent, so it
 		// attaches directly under the aggregate span here.
-		mem, err := materialize(in, ec.gov)
-		if err != nil {
+		var err error
+		if op.mem, err = materialize(in, ec.gov); err != nil {
 			return 0, err
 		}
 		if ec.span != nil {
 			ec.span.AddChild(operatorSpans(in))
 		}
-		op.mem, par, n = mem, ec.par, len(mem.rows)
+	}
+	switch {
+	case op.tab != nil:
+		par, n = ec.par, op.tab.NumRows()
+	case op.mem != nil:
+		par, n = ec.par, len(op.mem.rows)
 		// Budget-pressure degradation: per-worker accumulator maps can,
 		// worst case, roughly double the footprint just buffered. If the
 		// remaining byte budget is smaller than that input, one worker is
 		// the shape that still fits — degrade instead of failing mid-fan-out.
-		if rem := ec.gov.bytesRemaining(); rem >= 0 && n > 0 && rem < int64(n)*estimateRowBytes(mem.rows[0]) {
+		if rem := ec.gov.bytesRemaining(); rem >= 0 && n > 0 && resolveWorkers(par) > 1 && rem < int64(n)*estimateRowBytes(op.mem.rows[0]) {
 			mAggBudgetFallback.Inc()
 			ec.span.Attr("fallback", "sequential (byte-budget pressure)")
 			par = 1
@@ -828,18 +834,6 @@ func (w *foldWorker) passes(view *storage.RowView) (bool, error) {
 	return true, nil
 }
 
-// predErrFree reports whether a specialized predicate tree cannot return
-// an error from Eval — the condition for vectorizing its filter.
-func predErrFree(e expr.Expr) bool {
-	switch n := e.(type) {
-	case *eqConstFast, *isNullFast:
-		return true
-	case *andFast:
-		return predErrFree(n.left) && predErrFree(n.right)
-	}
-	return false
-}
-
 // selectBatch fills sel with the row ids in [base, base+bn) passing every
 // filter, recording per-filter survivor counts. Vector mode only.
 func (op *foldOp) selectBatch(base, bn int, sel []int32, passed []int64) []int32 {
@@ -859,40 +853,41 @@ func (op *foldOp) selectBatch(base, bn int, sel []int32, passed []int64) []int32
 // applySel refines a selection vector through one error-free predicate.
 func (op *foldOp) applySel(p expr.Expr, sel []int32) []int32 {
 	switch n := p.(type) {
-	case *andFast:
+	case *expr.BinaryOp:
+		if col, val, ok := n.ColumnConst(); ok {
+			return op.eqSel(col, val, sel)
+		}
 		// Truthy(AND) is both-truthy under 3VL, so successive refinement
 		// is exact.
-		sel = op.applySel(n.left, sel)
+		sel = op.applySel(n.Left, sel)
 		if len(sel) == 0 {
 			return sel
 		}
-		return op.applySel(n.right, sel)
-	case *isNullFast:
-		isNull := op.tab.ColumnNulls(n.idx)
+		return op.applySel(n.Right, sel)
+	case *expr.IsNull:
+		isNull := op.tab.ColumnNulls(n.Operand.(*expr.ColumnRef).Index)
 		out := sel[:0]
 		for _, r := range sel {
-			if isNull(int(r)) != n.negate {
+			if isNull(int(r)) != n.Negate {
 				out = append(out, r)
 			}
 		}
 		return out
-	case *eqConstFast:
-		return op.eqSel(n, sel)
 	}
-	return sel // unreachable: predErrFree admits only the cases above
+	return sel // unreachable: expr.ErrFree admits only the cases above
 }
 
 // eqSel is the column = constant kernel. Typed fast paths cover same-kind
 // int/string/bool compares; everything else (floats, cross-kind) goes
 // through per-row SQLEqual, which is still error-free and bit-identical to
-// eqConstFast.Eval.
-func (op *foldOp) eqSel(e *eqConstFast, sel []int32) []int32 {
+// the prepared comparison's Eval.
+func (op *foldOp) eqSel(col int, val value.Value, sel []int32) []int32 {
 	out := sel[:0]
-	if e.val.IsNull() {
+	if val.IsNull() {
 		return out // NULL compares to nothing; never truthy
 	}
-	if ints, isNull, ok := op.tab.IntColumn(e.idx); ok && e.val.Kind() == value.KindInt {
-		c := e.val.Int()
+	if ints, isNull, ok := op.tab.IntColumn(col); ok && val.Kind() == value.KindInt {
+		c := val.Int()
 		for _, r := range sel {
 			if !isNull(int(r)) && ints[r] == c {
 				out = append(out, r)
@@ -900,8 +895,8 @@ func (op *foldOp) eqSel(e *eqConstFast, sel []int32) []int32 {
 		}
 		return out
 	}
-	if strs, isNull, ok := op.tab.StringColumn(e.idx); ok && e.val.Kind() == value.KindString {
-		c := e.val.Str()
+	if strs, isNull, ok := op.tab.StringColumn(col); ok && val.Kind() == value.KindString {
+		c := val.Str()
 		for _, r := range sel {
 			if !isNull(int(r)) && strs[r] == c {
 				out = append(out, r)
@@ -909,8 +904,8 @@ func (op *foldOp) eqSel(e *eqConstFast, sel []int32) []int32 {
 		}
 		return out
 	}
-	if bools, isNull, ok := op.tab.BoolColumn(e.idx); ok && e.val.Kind() == value.KindBool {
-		c := e.val.Bool()
+	if bools, isNull, ok := op.tab.BoolColumn(col); ok && val.Kind() == value.KindBool {
+		c := val.Bool()
 		for _, r := range sel {
 			if !isNull(int(r)) && bools[r] == c {
 				out = append(out, r)
@@ -918,9 +913,9 @@ func (op *foldOp) eqSel(e *eqConstFast, sel []int32) []int32 {
 		}
 		return out
 	}
-	get := op.tab.CellGetter(e.idx)
+	get := op.tab.CellGetter(col)
 	for _, r := range sel {
-		if value.SQLEqual(get(int(r)), e.val).Truthy() {
+		if value.SQLEqual(get(int(r)), val).Truthy() {
 			out = append(out, r)
 		}
 	}

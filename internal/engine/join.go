@@ -11,16 +11,9 @@ import (
 	"repro/internal/value"
 )
 
-// bindExpr resolves column references in e against a relation schema, then
-// specializes hot sub-patterns (see specialize.go).
+// bindExpr binds e against a relation schema (expr.Bind).
 func bindExpr(e expr.Expr, sch relSchema) (expr.Expr, error) {
-	b, err := expr.Bind(e, func(qualifier, name string) (int, error) {
-		return sch.resolve(qualifier, name)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return specialize(b), nil
+	return expr.Bind(e, sch.resolve)
 }
 
 // splitConjuncts flattens an AND tree into its conjuncts.
@@ -147,6 +140,34 @@ type buildSide struct {
 	buildNs   int64 // wall time of the ad-hoc build, for traces
 	buildRows int64
 	gov       *governor // statement governor; nil when ungoverned
+	keyBuf    []byte
+}
+
+// newBuildSide sets up the build over a base table. If the table has an index
+// exactly on the join columns, the index serves as the hash table; otherwise
+// an ad-hoc one is built — lazily, on the first probe (see ensure).
+func newBuildSide(right *storage.Table, rightSch relSchema, pairs []joinPair) *buildSide {
+	cols := make([]string, len(pairs))
+	for i, p := range pairs {
+		cols[i] = rightSch[p.rightIdx].Name
+	}
+	b := &buildSide{tab: right, pairs: pairs, ix: right.IndexOn(cols)}
+	b.useIndex = b.ix != nil
+	return b
+}
+
+// probe returns the build rows whose join columns equal the probe row's — the
+// one place a join key is encoded and looked up.
+func (b *buildSide) probe(row []value.Value) []int {
+	b.keyBuf = b.keyBuf[:0]
+	for _, p := range b.pairs {
+		v := row[p.leftIdx]
+		if v.IsNull() && !p.nullSafe {
+			return nil // plain SQL equality never matches on NULL keys
+		}
+		b.keyBuf = value.AppendKey(b.keyBuf, v)
+	}
+	return b.ix.LookupKey(b.keyBuf)
 }
 
 // ensure performs the deferred build work on first probe and records the
@@ -206,140 +227,25 @@ func hashRows(t *storage.Table, pairs []joinPair, gov *governor) (*index.Index, 
 type hashJoin struct {
 	left    iterator
 	build   *buildSide
-	pairs   []joinPair
 	outer   bool
 	sch     relSchema
 	rightW  int
-	keyBuf  []byte
 	pending []int         // remaining matches for the current probe row
 	current []value.Value // current probe row (copy not needed within step)
 	outBuf  []value.Value
 	stats   *opStats
-	// Batched probe fast path (see stepFast): enabled by markJoinBatch when
-	// the statement runs with vectorized execution on. fastProbe is lazily
-	// decided on the first step: 0 undecided, 1 on, -1 off.
-	batchOK   bool
-	fastProbe int8
-	probeScan *tableScan
-	probeGet  []func(row int) value.Value
-	curBuf    []value.Value
 }
 
-// markJoinBatch arms the batched probe fast path on every hash join in a
-// pipeline. Called by execSelect once the statement's batch toggle is
-// known; the per-join eligibility check happens at first probe.
-func markJoinBatch(it iterator, on bool) {
-	switch n := it.(type) {
-	case *hashJoin:
-		n.batchOK = on
-		markJoinBatch(n.left, on)
-	case *nestedLoopJoin:
-		markJoinBatch(n.left, on)
-	case *filterIter:
-		markJoinBatch(n.child, on)
-	}
-}
-
-// initFastProbe decides whether this join may probe straight off the left
-// table's column vectors: inner join, bare table-scan left side, and no
-// per-operator instrumentation (the scalar probe is the one that feeds
-// operator stats and the governor through the scan iterator).
-func (j *hashJoin) initFastProbe() {
-	j.fastProbe = -1
-	if !j.batchOK || j.outer || j.stats != nil {
-		return
-	}
-	scan, ok := j.left.(*tableScan)
-	if !ok || scan.stats != nil || scan.pos != 0 || scan.counted {
-		return
-	}
-	for _, p := range j.pairs {
-		j.probeGet = append(j.probeGet, scan.tab.CellGetter(p.leftIdx))
-	}
-	j.probeScan = scan
-	j.fastProbe = 1
-}
-
-// stepFast is the batched probe: the join key is encoded from typed column
-// getters and a probe row is boxed only when it has matches — misses cost
-// no row materialization at all. Governor charging mirrors tableScan.step
-// (same stride, same exhaustion remainder), so limits and cancellation
-// behave identically to the scalar probe.
-func (j *hashJoin) stepFast() ([]value.Value, bool, error) {
-	scan := j.probeScan
-	n := scan.tab.NumRows()
-	// pctvet:ok each iteration dequeues a match or advances the scan cursor, governed every stride
-	for {
-		if len(j.pending) > 0 {
-			r := j.pending[0]
-			j.pending = j.pending[1:]
-			return j.emit(r), true, nil
-		}
-		r := scan.pos
-		if r >= n {
-			if !scan.counted {
-				scan.counted = true
-				mRowsScanned.Add(int64(r))
-				if err := scan.gov.addScanned(int64(r % govStride)); err != nil {
-					return nil, false, err
-				}
-			}
-			return nil, false, nil
-		}
-		if r > 0 && r%govStride == 0 {
-			if err := scan.gov.addScanned(govStride); err != nil {
-				return nil, false, err
-			}
-		}
-		scan.pos++
-		j.keyBuf = j.keyBuf[:0]
-		nullKey := false
-		for i, get := range j.probeGet {
-			v := get(r)
-			if v.IsNull() && !j.pairs[i].nullSafe {
-				nullKey = true
-			}
-			j.keyBuf = value.AppendKey(j.keyBuf, v)
-		}
-		var matches []int
-		if !nullKey { // plain SQL equality never matches on NULL keys
-			matches = j.build.ix.LookupKey(j.keyBuf)
-		}
-		if len(matches) == 0 {
-			continue
-		}
-		j.curBuf = scan.tab.Row(r, j.curBuf)
-		j.current = j.curBuf
-		j.pending = matches
-	}
-}
-
-// newHashJoin sets up the join against a base table right side. If the table
-// has an index exactly on the join columns, the index serves as the hash
-// table; otherwise an ad-hoc one is built — lazily, on the first probe (see
-// buildSide.ensure).
+// newHashJoin sets up the join against a base table right side.
 func newHashJoin(left iterator, right *storage.Table, rightAlias string, pairs []joinPair, outer bool) *hashJoin {
 	rightSch := schemaOf(right, rightAlias)
-	b := &buildSide{tab: right, pairs: pairs, ix: indexOnPairs(right, rightSch, pairs)}
-	b.useIndex = b.ix != nil
 	return &hashJoin{
 		left:   left,
-		build:  b,
-		pairs:  pairs,
+		build:  newBuildSide(right, rightSch, pairs),
 		outer:  outer,
 		sch:    append(append(relSchema{}, left.schema()...), rightSch...),
 		rightW: len(rightSch),
 	}
-}
-
-// indexOnPairs returns t's index on exactly the pairs' right-side columns, or
-// nil.
-func indexOnPairs(t *storage.Table, sch relSchema, pairs []joinPair) *index.Index {
-	cols := make([]string, len(pairs))
-	for i, p := range pairs {
-		cols[i] = sch[p.rightIdx].Name
-	}
-	return t.IndexOn(cols)
 }
 
 func (j *hashJoin) schema() relSchema { return j.sch }
@@ -361,12 +267,6 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 	if err := j.build.ensure(); err != nil {
 		return nil, false, err
 	}
-	if j.fastProbe == 0 {
-		j.initFastProbe()
-	}
-	if j.fastProbe > 0 {
-		return j.stepFast()
-	}
 	// pctvet:ok each iteration dequeues a match or pulls left.next(), governed at the scan leaf
 	for {
 		if len(j.pending) > 0 {
@@ -378,27 +278,10 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		j.keyBuf = j.keyBuf[:0]
-		nullKey := false
-		for _, p := range j.pairs {
-			v := row[p.leftIdx]
-			if v.IsNull() && !p.nullSafe {
-				nullKey = true
-			}
-			j.keyBuf = value.AppendKey(j.keyBuf, v)
-		}
 		j.current = row
-		var matches []int
-		if !nullKey { // plain SQL equality never matches on NULL keys
-			matches = j.build.ix.LookupKey(j.keyBuf)
+		if j.pending = j.build.probe(row); len(j.pending) == 0 && j.outer {
+			return j.emitNull(), true, nil
 		}
-		if len(matches) == 0 {
-			if j.outer {
-				return j.emitNull(), true, nil
-			}
-			continue
-		}
-		j.pending = matches
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/expr"
@@ -61,7 +60,6 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	if ec.span != nil && !ec.liteSpan() {
 		instrumentIter(in)
 	}
-	markJoinBatch(in, ec.batch)
 	governIter(in, ec.gov)
 	if ec.inspect != nil {
 		ec.inspect.in = in
@@ -146,7 +144,8 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	switch {
 	case hasWindow(items):
 		consumer = ec.span.NewChild("window")
-		n, err = e.execWindowSelect(sel, items, in, ec.gov, target)
+		stage.span = consumer
+		n, err = e.execWindowSelect(sel, items, in, stage, target)
 	case !isPlain:
 		consumer = ec.span.NewChild("aggregate")
 		attachOps = false
@@ -188,15 +187,14 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 
 	if dedupe {
 		// Aggregate and window output dedupes through the same fold, keyed on
-		// every produced column. The rows are already in memory, so one
-		// worker drains them in place; a fan-out would copy them first.
+		// every produced column, over the collected rows in place.
 		sp := ec.span.NewChild("distinct")
 		keys := make([]expr.Expr, len(names))
 		for i := range keys {
 			keys[i] = &expr.SlotRef{Index: i}
 		}
 		unique := &collector{charge: rowCharge{gov: ec.gov}}
-		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: 1, gov: ec.gov, batch: ec.batch}, unique)
+		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: ec.par, gov: ec.gov, batch: ec.batch}, unique)
 		if err == nil {
 			err = unique.charge.settle()
 		}
@@ -583,81 +581,77 @@ func collectAggSpecs(items []sqlparse.SelectItem, having expr.Expr, inSch relSch
 	return specs, slotOf, nil
 }
 
-// execWindowSelect evaluates ANSI OLAP window aggregates: each windowed call
-// is computed per partition over the whole input, then every input row is
-// emitted extended with its partition's results. This mirrors how the
-// paper's OLAP-extension baseline evaluates percentage queries — and why it
-// is expensive: the full detail relation flows through, and DISTINCT
-// collapses it afterwards.
-func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, gov *governor, sink rowSink) (int, error) {
+// execWindowSelect evaluates ANSI OLAP window aggregates: the calls over one
+// PARTITION BY list are one fold of the materialized input keyed on the
+// partition columns — the fold every GROUP BY runs, so a window sums in the
+// order GROUP BY does — and every input row is then emitted extended with the
+// results of its partitions, found by probing the fold's group rows with the
+// row's key. This is how the paper's OLAP-extension baseline evaluates
+// percentage queries — and why it is expensive whatever the engine: the full
+// detail relation flows through, and DISTINCT collapses it afterwards.
+func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink) (int, error) {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return 0, fmt.Errorf("engine: window aggregates cannot be combined with GROUP BY")
 	}
 	inSch := in.schema()
-
-	type winSpec struct {
-		call    *expr.AggCall
-		arg     expr.Expr
-		partIdx []int
-		results []value.Value // per input row, filled by the sort pass
-	}
-	var specs []*winSpec
-	slotOf := make(map[*expr.AggCall]int)
-	slotByText := make(map[string]int)
-	for _, it := range items {
-		err := expr.Walk(it.Expr, func(n expr.Expr) error {
-			call, ok := n.(*expr.AggCall)
-			if !ok {
-				return nil
-			}
-			if call.Over == nil {
-				return fmt.Errorf("engine: plain aggregate %s mixed with window aggregates", call)
-			}
-			if _, dup := slotOf[call]; dup {
-				return nil
-			}
-			if slot, dup := slotByText[call.String()]; dup {
-				slotOf[call] = slot
-				return nil
-			}
-			ws := &winSpec{call: call}
-			if call.Arg != nil {
-				b, err := bindExpr(call.Arg, inSch)
-				if err != nil {
-					return err
-				}
-				ws.arg = b
-			}
-			for _, c := range call.Over.PartitionBy {
-				idx, err := inSch.resolve("", c)
-				if err != nil {
-					return err
-				}
-				ws.partIdx = append(ws.partIdx, idx)
-			}
-			slotOf[call] = len(specs)
-			slotByText[call.String()] = len(specs)
-			specs = append(specs, ws)
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	input, err := materialize(in, gov)
+	specs, slotOf, err := collectAggSpecs(items, nil, inSch)
 	if err != nil {
 		return 0, err
 	}
+	// partition is one distinct PARTITION BY list: its columns, the calls over
+	// it (slots[i] is the position of specs[i] among all the statement's calls)
+	// and, once folded, its group rows — key values, then one result per call —
+	// with their positions by encoded key.
+	type partition struct {
+		cols   []int
+		keys   []expr.Expr
+		slots  []int
+		specs  []aggSpec
+		groups [][]value.Value
+		at     map[string]int
+	}
+	var parts []*partition
+	byCols := make(map[string]*partition)
+	for slot, s := range specs {
+		if s.call.Over == nil {
+			return 0, fmt.Errorf("engine: plain aggregate %s mixed with window aggregates", s.call)
+		}
+		p := &partition{}
+		for _, c := range s.call.Over.PartitionBy {
+			idx, err := inSch.resolve("", c)
+			if err != nil {
+				return 0, err
+			}
+			p.cols, p.keys = append(p.cols, idx), append(p.keys, expr.BoundCol(c, idx))
+		}
+		if same, ok := byCols[fmt.Sprint(p.cols)]; ok {
+			p = same
+		} else {
+			byCols[fmt.Sprint(p.cols)], parts = p, append(parts, p)
+		}
+		p.slots, p.specs = append(p.slots, slot), append(p.specs, s)
+	}
 
-	// Pass 1: evaluate each window spec the way SQL engines of the
-	// paper's era did — spool the detail rows, sort them by the partition
-	// columns, and sweep each partition run folding the aggregate. This is
-	// the cost profile the paper's OLAP-extension baseline pays: one sort
-	// of the full input per distinct window.
-	for _, ws := range specs {
-		if err := evalWindowSorted(ws.call, ws.arg, ws.partIdx, input.rows, gov, &ws.results); err != nil {
+	input, err := materialize(in, ec.gov)
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range parts {
+		out := &collector{charge: rowCharge{gov: ec.gov}}
+		if _, err := hashAggregate(&memRelation{sch: inSch, rows: input.rows}, p.keys, p.specs, ec, out); err != nil {
 			return 0, err
+		}
+		if err := out.charge.settle(); err != nil {
+			return 0, err
+		}
+		p.groups, p.at = out.rows, make(map[string]int, len(out.rows))
+		for gi, g := range out.rows {
+			if gi%govStride == 0 {
+				if err := ec.gov.check(); err != nil {
+					return 0, err
+				}
+			}
+			p.at[value.EncodeKeyString(g[:len(p.cols)]...)] = gi
 		}
 	}
 
@@ -674,91 +668,36 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 		if err != nil {
 			return 0, err
 		}
-		b, err := expr.Bind(p, func(q, name string) (int, error) { return inSch.resolve(q, name) })
-		if err != nil {
+		if projected[i], err = bindExpr(p, inSch); err != nil {
 			return 0, err
 		}
-		projected[i] = b
 	}
 
-	// Pass 2: emit each row extended with its windows' results.
+	// Gather: emit each row extended with its partitions' results.
 	proj := newProjector(projected, nil, sink)
 	proj.reserve(len(input.rows))
-	ext := make([]value.Value, 0, w+len(specs))
+	ext := make([]value.Value, w+len(specs))
+	var key []byte
 	for ri, row := range input.rows {
 		if ri%govStride == 0 {
-			if err := gov.check(); err != nil {
+			if err := ec.gov.check(); err != nil {
 				return proj.n, err
 			}
 		}
-		ext = append(ext[:0], row...)
-		for _, ws := range specs {
-			ext = append(ext, ws.results[ri])
+		copy(ext, row)
+		for _, p := range parts {
+			key = key[:0]
+			for _, c := range p.cols {
+				key = value.AppendKey(key, row[c])
+			}
+			g := p.groups[p.at[string(key)]]
+			for i, slot := range p.slots {
+				ext[w+slot] = g[len(p.cols)+i]
+			}
 		}
 		if err := proj.push(ext); err != nil {
 			return proj.n, err
 		}
 	}
 	return proj.n, nil
-}
-
-// evalWindowSorted computes one window aggregate over all rows: it sorts
-// row indexes by the encoded partition key, folds each equal-key run with
-// a fresh accumulator, and writes the run's result to every row in it.
-func evalWindowSorted(call *expr.AggCall, arg expr.Expr, partIdx []int,
-	rows [][]value.Value, gov *governor, out *[]value.Value) error {
-
-	n := len(rows)
-	keys := make([]string, n)
-	buf := make([]byte, 0, 64)
-	for i, row := range rows {
-		if i%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return err
-			}
-		}
-		buf = buf[:0]
-		for _, pi := range partIdx {
-			buf = value.AppendKey(buf, row[pi])
-		}
-		keys[i] = string(buf)
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-
-	results := make([]value.Value, n)
-	var box rowBox
-	for lo := 0; lo < n; {
-		hi := lo
-		for hi < n && keys[order[hi]] == keys[order[lo]] {
-			hi++
-		}
-		acc, err := newAccumulator(call)
-		if err != nil {
-			return err
-		}
-		for p := lo; p < hi; p++ {
-			var v value.Value
-			if arg != nil {
-				box.vals = rows[order[p]]
-				v, err = arg.Eval(&box)
-				if err != nil {
-					return err
-				}
-			}
-			if err := acc.add(v); err != nil {
-				return err
-			}
-		}
-		res := acc.result()
-		for p := lo; p < hi; p++ {
-			results[order[p]] = res
-		}
-		lo = hi
-	}
-	*out = results
-	return nil
 }

@@ -210,6 +210,9 @@ func operatorSpans(it iterator) *obs.Span {
 		}
 		sp.AddChild(operatorSpans(n.left))
 	case *memRelation:
+		if n.stats == nil {
+			return nil // a hand-over between stages, not an operator of the plan
+		}
 		sp = obs.NewSpan("values")
 		applyStats(sp, n.stats)
 	default:

@@ -50,21 +50,24 @@ func SchemaResolver(names []string) Resolver {
 	}
 }
 
-// Bind resolves every column reference in e using r, returning a new tree.
-// Aggregate calls are left in place (the engine extracts them first); Bind
-// inside an aggregate argument is performed by the engine against the input
-// schema.
+// Bind is the one binder-time pass: it resolves every column reference in e
+// using r and prepares each column = constant comparison (BinaryOp.ColumnConst)
+// on the node it rebuilds, returning a new tree. Aggregate calls are left in
+// place (the engine extracts them first); Bind inside an aggregate argument is
+// performed by the engine against the input schema.
 func Bind(e Expr, r Resolver) (Expr, error) {
 	return Transform(e, func(n Expr) (Expr, error) {
-		cr, ok := n.(*ColumnRef)
-		if !ok {
-			return n, nil
+		switch n := n.(type) {
+		case *ColumnRef:
+			idx, err := r(n.Qualifier, n.Name)
+			if err != nil {
+				return nil, err
+			}
+			return &ColumnRef{Qualifier: n.Qualifier, Name: n.Name, Index: idx, bound: true}, nil
+		case *BinaryOp:
+			n.prepare() // n is Transform's fresh copy, its operands already bound
 		}
-		idx, err := r(cr.Qualifier, cr.Name)
-		if err != nil {
-			return nil, err
-		}
-		return &ColumnRef{Qualifier: cr.Qualifier, Name: cr.Name, Index: idx, bound: true}, nil
+		return n, nil
 	})
 }
 

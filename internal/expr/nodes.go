@@ -95,20 +95,107 @@ func (s *SlotRef) String() string {
 type BinaryOp struct {
 	Op          string
 	Left, Right Expr
+	// Set by Bind on a bound column = constant comparison (ColumnConst): the
+	// horizontal strategies evaluate N CASE conditions per row, each a
+	// conjunction of such tests, and the prepared form skips operand boxing and
+	// the operator switch. eqVal is nil on every other node.
+	eqVal *value.Value
+	col   int
+}
+
+// prepare recognizes bound column = constant, either way round. The operands
+// stay in the tree, so the rendered text does not change.
+func (b *BinaryOp) prepare() {
+	if b.Op != "=" {
+		return
+	}
+	for _, side := range [2][2]Expr{{b.Left, b.Right}, {b.Right, b.Left}} {
+		if c, ok := side[0].(*ColumnRef); ok && c.bound {
+			if v := constant(side[1]); v != nil {
+				b.eqVal, b.col = v, c.Index
+				return
+			}
+		}
+	}
+}
+
+// ColumnConst reports the comparison Bind prepared on the node: the position
+// of the column and the constant it must equal under SQL equality (a NULL
+// constant equals nothing). ok is false for every other node.
+func (b *BinaryOp) ColumnConst() (col int, val value.Value, ok bool) {
+	if b.eqVal == nil {
+		return 0, value.Null, false
+	}
+	return b.col, *b.eqVal, true
+}
+
+// constant returns e's constant when e is a literal — the literal's own value,
+// so preparing a comparison allocates nothing — or the negation of a numeric
+// one: the parser reads -3 as the unary minus of 3, and without the fold a
+// negative constant would miss every fast path a positive one takes.
+func constant(e Expr) *value.Value {
+	switch n := e.(type) {
+	case *Literal:
+		return &n.Val
+	case *UnaryOp:
+		if lit, ok := n.Operand.(*Literal); ok && n.Op == "-" && lit.Val.IsNumeric() {
+			if v, err := value.Neg(lit.Val); err == nil {
+				return &v
+			}
+		}
+	}
+	return nil
+}
+
+// ConstValue folds e to its constant when e is a literal or the negation of a
+// numeric one.
+func ConstValue(e Expr) (value.Value, bool) {
+	if v := constant(e); v != nil {
+		return *v, true
+	}
+	return value.Null, false
+}
+
+// ErrFree reports whether Eval of the bound predicate e cannot return an
+// error — a conjunction of prepared column = constant tests and IS [NOT] NULL
+// tests of a column. It is the condition for vectorizing a filter and for
+// dispatching a CASE arm.
+func ErrFree(e Expr) bool {
+	switch n := e.(type) {
+	case *BinaryOp:
+		if n.Op == "AND" {
+			return ErrFree(n.Left) && ErrFree(n.Right)
+		}
+		return n.eqVal != nil
+	case *IsNull:
+		c, ok := n.Operand.(*ColumnRef)
+		return ok && c.bound
+	}
+	return false
 }
 
 // Eval applies the operator with SQL semantics (see the value package).
 func (b *BinaryOp) Eval(row Row) (value.Value, error) {
+	if b.eqVal != nil {
+		return value.SQLEqual(row.ColumnValue(b.col), *b.eqVal), nil
+	}
 	l, err := b.Left.Eval(row)
 	if err != nil {
 		return value.Null, err
 	}
-	// AND/OR could short-circuit, but SQL three-valued logic still needs the
-	// right side when the left is NULL, and evaluation is side-effect free;
-	// evaluate both for simplicity.
+	and := b.Op == "AND"
+	if and && !l.IsNull() && !l.Truthy() {
+		// A definitely-false left side decides AND under three-valued logic;
+		// evaluation is side-effect free, so the right side is skipped. (A NULL
+		// left still needs it, and so does every OR.)
+		return value.NewBool(false), nil
+	}
 	r, err := b.Right.Eval(row)
 	if err != nil {
 		return value.Null, err
+	}
+	if and { // ahead of the operator switch: conjunctions are the per-row hot path
+		return value.And(l, r), nil
 	}
 	switch b.Op {
 	case "+":
@@ -119,8 +206,6 @@ func (b *BinaryOp) Eval(row Row) (value.Value, error) {
 		return value.Mul(l, r)
 	case "/":
 		return value.Div(l, r)
-	case "AND":
-		return value.And(l, r), nil
 	case "OR":
 		return value.Or(l, r), nil
 	case "=", "<>", "!=", "<", "<=", ">", ">=":
