@@ -12,12 +12,7 @@
 //	pctbench -o results.txt        # also write to a file
 //	pctbench -md                   # markdown output (for EXPERIMENTS.md)
 //	pctbench -json out.json        # also write machine-readable timings
-//	pctbench -timeout 30s            # per-statement deadline (PCT201 on expiry)
-//	pctbench -cancel BENCH_cancel.json  # cancellation-latency smoke benchmark
-//	pctbench -serve-load BENCH_serve.json  # multi-tenant server load: latency
-//	                                       # quantiles, rejections, sheds, and
-//	                                       # the pct_stat_sessions reconciliation
-//	pctbench -serve-load out.json -serve-addr host:port  # against a live pctserve
+//	pctbench -timeout 30s          # per-statement deadline (PCT201 on expiry)
 //
 // The -scale paper setting uses the papers' exact sizes (sales n=10M);
 // expect a long run and several GB of memory.
@@ -30,11 +25,9 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/engine"
-	"repro/internal/serveload"
 )
 
 func main() {
@@ -48,22 +41,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i, exp := range experiments {
 		keys[i] = exp.Key
 	}
-	tableKeys := strings.Join(keys, ", ") + ", all, none"
+	tableKeys := strings.Join(keys, ", ") + ", all"
 
 	fs := flag.NewFlagSet("pctbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.String("scale", "medium", "data scale: small, medium, or paper")
-	table := fs.String("table", "all", "which table to run: "+tableKeys+" (none: only side outputs like -cancel)")
+	table := fs.String("table", "all", "which table to run: "+tableKeys)
 	reps := fs.Int("reps", 1, "repetitions per measurement (the paper used 5)")
 	out := fs.String("o", "", "also write results to this file")
 	jsonOut := fs.String("json", "", "also write timings to this file as JSON")
 	timeout := fs.Duration("timeout", 0, "per-statement deadline (0 = none); an expired run fails with PCT201 instead of hanging the suite")
-	cancelOut := fs.String("cancel", "", "run the cancellation-latency smoke benchmark and write the result to this file as JSON")
-	serveOut := fs.String("serve-load", "", "run the multi-tenant server load benchmark and write the result to this file as JSON")
-	serveAddr := fs.String("serve-addr", "", "serve-load: use a running pctserve at this address instead of an in-process server")
-	serveTenants := fs.Int("serve-tenants", 3, "serve-load: simulated tenants")
-	serveWorkers := fs.Int("serve-workers", 4, "serve-load: sessions per tenant")
-	serveRequests := fs.Int("serve-requests", 50, "serve-load: statements per session")
 	md := fs.Bool("md", false, "emit markdown tables")
 	quiet := fs.Bool("quiet", false, "suppress progress messages")
 	filter := fs.String("filter", "", "only run query rows whose label contains this substring")
@@ -97,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, exp)
 		}
 	}
-	if len(selected) == 0 && want != "none" {
+	if len(selected) == 0 {
 		fmt.Fprintf(stderr, "pctbench: unknown table %q (%s)\n", *table, tableKeys)
 		return 2
 	}
@@ -145,93 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	if *cancelOut != "" {
-		res, err := s.RunCancelSmoke(max(cfg.Reps, 3), 4, 2*time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeCancelJSON(*cancelOut, *scale, res); err != nil {
-			return fail(err)
-		}
-	}
-	if *serveOut != "" {
-		res, err := serveload.Run(serveload.Config{
-			Addr:     *serveAddr,
-			Tenants:  *serveTenants,
-			Workers:  *serveWorkers,
-			Requests: *serveRequests,
-		}, log)
-		if err != nil {
-			return fail(err)
-		}
-		if err := writeServeJSON(*serveOut, res); err != nil {
-			return fail(err)
-		}
-	}
 	return 0
-}
-
-// writeServeJSON dumps the multi-tenant load result: the client-side
-// admission ledger, latency quantiles, and the pct_stat_sessions rows it
-// was reconciled against.
-func writeServeJSON(path string, res *serveload.Result) error {
-	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
-	doc := struct {
-		Tenants    int                 `json:"tenants"`
-		Workers    int                 `json:"workers"`
-		Requests   int                 `json:"requests_per_worker"`
-		Completed  int64               `json:"completed"`
-		Rejections int64               `json:"rejections"`
-		Retries    int64               `json:"recovered_by_retry"`
-		Shed       int64               `json:"shed"`
-		Errors     int64               `json:"errors"`
-		WallMs     float64             `json:"wall_ms"`
-		P50Ms      float64             `json:"p50_ms"`
-		P99Ms      float64             `json:"p99_ms"`
-		P999Ms     float64             `json:"p999_ms"`
-		MaxMs      float64             `json:"max_ms"`
-		Reconciled bool                `json:"reconciled"`
-		Sessions   []serveload.Session `json:"pct_stat_sessions"`
-	}{
-		Tenants: res.Tenants, Workers: res.Workers, Requests: res.Requests,
-		Completed: res.Completed, Rejections: res.Rejections, Retries: res.Retries,
-		Shed: res.Shed, Errors: res.Errors,
-		WallMs: ms(res.Wall), P50Ms: ms(res.P50), P99Ms: ms(res.P99),
-		P999Ms: ms(res.P999), MaxMs: ms(res.Max),
-		Reconciled: res.Reconciled, Sessions: res.Sessions,
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// writeCancelJSON dumps the cancellation-latency smoke result: per-rep
-// latency between cancel and error return, in milliseconds.
-func writeCancelJSON(path, scale string, res *bench.CancelSmoke) error {
-	doc := struct {
-		Scale       string    `json:"scale"`
-		Rows        int       `json:"rows"`
-		Parallelism int       `json:"parallelism"`
-		CancelMs    float64   `json:"cancel_after_ms"`
-		Code        string    `json:"code"`
-		LatenciesMs []float64 `json:"latencies_ms"`
-		MaxMs       float64   `json:"max_ms"`
-	}{Scale: scale, Rows: res.Rows, Parallelism: res.Parallelism,
-		CancelMs: float64(res.CancelAfter) / 1e6, Code: res.Code}
-	for _, l := range res.Latencies {
-		ms := float64(l) / 1e6
-		doc.LatenciesMs = append(doc.LatenciesMs, ms)
-		if ms > doc.MaxMs {
-			doc.MaxMs = ms
-		}
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // writeJSON dumps the regenerated tables with times in seconds, for CI

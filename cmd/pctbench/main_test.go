@@ -83,7 +83,7 @@ func TestTableJSON(t *testing.T) {
 }
 
 // TestUnknownTable: an unknown -table exits 2 before loading anything and
-// lists exactly the declared keys plus all and none.
+// lists exactly the declared keys plus all.
 func TestUnknownTable(t *testing.T) {
 	code, out, errOut := runCLI(t, "-scale", "small", "-table", "nosuch")
 	if code != 2 {
@@ -96,16 +96,20 @@ func TestUnknownTable(t *testing.T) {
 	for _, exp := range bench.Experiments() {
 		keys = append(keys, exp.Key)
 	}
-	want := `pctbench: unknown table "nosuch" (` + strings.Join(append(keys, "all", "none"), ", ") + ")\n"
+	want := `pctbench: unknown table "nosuch" (` + strings.Join(append(keys, "all"), ", ") + ")\n"
 	if errOut != want {
 		t.Errorf("stderr = %q, want %q", errOut, want)
 	}
-	for _, gone := range []string{"cache", "cube", "batch", "introspect"} {
+	for _, gone := range []string{"cache", "cube", "batch", "introspect", "none"} {
 		if code, _, _ := runCLI(t, "-scale", "small", "-table", gone); code != 2 {
 			t.Errorf("-table %s: exit %d, want 2", gone, code)
 		}
 	}
-	if code, _, errOut := runCLI(t, "-breakdown", "x.json"); code != 2 || !strings.Contains(errOut, "-breakdown") {
-		t.Errorf("-breakdown: exit %d, stderr %q; the flag is gone", code, errOut)
+	// pctbench is the experiment matrix only: the smokes it used to host are
+	// tests now, and their flags are gone.
+	for _, gone := range []string{"-breakdown", "-cancel", "-serve-load", "-serve-addr", "-serve-tenants", "-serve-workers", "-serve-requests"} {
+		if code, _, errOut := runCLI(t, gone, "x"); code != 2 || !strings.Contains(errOut, gone) {
+			t.Errorf("%s: exit %d, stderr %q; the flag is gone", gone, code, errOut)
+		}
 	}
 }

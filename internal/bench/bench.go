@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -45,11 +46,11 @@ type Config struct {
 	LabelFilter string
 }
 
-// Validate rejects configurations the loaders cannot populate: every data
+// validate rejects configurations the loaders cannot populate: every data
 // set size must be positive (rand.Intn panics on zero cardinalities and the
 // |F| ≫ |Fk| ratios collapse), and the dimension cardinalities must be set
 // (a zero-value Cards means the caller forgot the preset).
-func (c Config) Validate() error {
+func (c Config) validate() error {
 	sizes := []struct {
 		name string
 		n    int
@@ -126,7 +127,7 @@ type Suite struct {
 // instead of producing a half-built suite that panics (or silently times
 // empty tables) mid-benchmark.
 func NewSuite(cfg Config, log io.Writer) (*Suite, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	eng := engine.New(storage.NewCatalog())
@@ -193,7 +194,7 @@ func (s *Suite) timeStmt(st stmt) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%s: %w", st.sql, err)
 	}
-	_, err = s.Planner.ExecuteSteps(plan)
+	_, err = s.Planner.ExecuteStepsCtx(context.Background(), plan)
 	d := time.Since(start)
 	s.Planner.CleanupPlan(plan)
 	if err != nil {

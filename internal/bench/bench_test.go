@@ -151,14 +151,14 @@ func TestNewSuiteRejectsInvalidConfig(t *testing.T) {
 	for _, tc := range cases {
 		cfg := tinyConfig()
 		tc.mut(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, cfg)
 		}
 		if s, err := NewSuite(cfg, nil); err == nil {
 			t.Errorf("%s: NewSuite accepted invalid config (suite=%v)", tc.name, s != nil)
 		}
 	}
-	if err := tinyConfig().Validate(); err != nil {
+	if err := tinyConfig().validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }
@@ -170,12 +170,12 @@ func TestEnsureUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestBestHpctHeuristic pins the strategies the Hpct columns of Table 6 and
+// TestAdvisedHpctColumn pins the strategies the Hpct columns of Table 6 and
 // the parallel table are timed on: the advisor's, which follow
 // |F|/|Fk| — sales by dweek alone pre-aggregates to seven rows, while dept,store
 // under dweek,monthNo keeps a fine grouping the size of F however many result
 // columns it has.
-func TestBestHpctHeuristic(t *testing.T) {
+func TestAdvisedHpctColumn(t *testing.T) {
 	s := mustSuite(t)
 	if err := s.Ensure("sales"); err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestBestHpctHeuristic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.opts.Hpct.FromFV != tc.fromFV {
-			t.Errorf("%s: advised FromFV = %v, want %v", tc.q.Label(), st.opts.Hpct.FromFV, tc.fromFV)
+			t.Errorf("%s: advised FromFV = %v, want %v", tc.q.label(), st.opts.Hpct.FromFV, tc.fromFV)
 		}
 	}
 }

@@ -25,7 +25,7 @@ type Query struct {
 	group []string
 }
 
-func (q Query) Label() string {
+func (q Query) label() string {
 	t := "-"
 	if len(q.totals) > 0 {
 		t = strings.Join(q.totals, ",")
@@ -54,8 +54,8 @@ func (q Query) HpctSQL() string {
 	return q.horizontalSQL("Hpct")
 }
 
-// HaggSQL renders the companion paper's horizontal aggregation query.
-func (q Query) HaggSQL() string {
+// haggSQL renders the companion paper's horizontal aggregation query.
+func (q Query) haggSQL() string {
 	return q.horizontalSQL("sum")
 }
 
@@ -111,9 +111,9 @@ func PrimaryQueries() []Query {
 	}
 }
 
-// CompanionQueries are the seventeen rows of the companion paper's Table 3:
+// companionQueries are the seventeen rows of the companion paper's Table 3:
 // five census queries and six transactionLine queries at each size.
-func CompanionQueries() []Query {
+func companionQueries() []Query {
 	var out []Query
 	out = append(out,
 		Query{dataset: "census", measure: "dIncome", by: []string{"iSchool"}},
@@ -141,21 +141,21 @@ func CompanionQueries() []Query {
 type Variant int
 
 const (
-	// ReferenceFold runs with the fold operator off: aggregates fold arm by
+	// referenceFold runs with the fold operator off: aggregates fold arm by
 	// arm, the paper's O(N) CASE evaluation.
-	ReferenceFold Variant = iota + 1
-	// SharedWarm runs with summary sharing on and the row executed once
+	referenceFold Variant = iota + 1
+	// sharedWarm runs with summary sharing on and the row executed once
 	// untimed first, so the cell measures the steady state the cache promises
 	// (every summary a hit), not the first build — which the column beside
 	// it already prices.
-	SharedWarm
+	sharedWarm
 )
 
 // Column is one strategy column of an experiment.
 type Column struct {
 	Header string
 	// SQL renders the formulation of a row's query the column times:
-	// Query.VpctSQL, Query.HpctSQL or Query.HaggSQL.
+	// Query.VpctSQL, Query.HpctSQL or Query.haggSQL.
 	SQL func(Query) string
 	// OLAP times the window-function rewrite of that query, run as plain
 	// SQL, in place of its percentage plan.
@@ -191,7 +191,7 @@ type Experiment struct {
 func rowsOf(queries []Query) []QueryRow {
 	rows := make([]QueryRow, len(queries))
 	for i, q := range queries {
-		rows[i] = QueryRow{Label: q.Label(), Queries: []Query{q}}
+		rows[i] = QueryRow{Label: q.label(), Queries: []Query{q}}
 	}
 	return rows
 }
@@ -208,7 +208,7 @@ func Experiments() []Experiment {
 	best := core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true}}
 	update := core.Options{Vpct: core.VpctOptions{SubkeyIndexes: true, UseUpdate: true}}
 	workers := func(o core.Options, p int) core.Options { o.Parallelism = p; return o }
-	primary, companion := rowsOf(PrimaryQueries()), rowsOf(CompanionQueries())
+	primary, companion := rowsOf(PrimaryQueries()), rowsOf(companionQueries())
 	sales := func(by string, totals ...string) Query {
 		return Query{dataset: "sales", measure: "salesAmt", totals: totals, by: strings.Split(by, ",")}
 	}
@@ -253,10 +253,10 @@ func Experiments() []Experiment {
 		Title: "DMKD Table 3: horizontal aggregation strategies (SPJ vs CASE, from F vs from FV)",
 		Rows:  companion,
 		Columns: []Column{
-			{Header: "SPJ/F", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
-			{Header: "SPJ/FV", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ, FromFV: true}}},
-			{Header: "CASE/F", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
-			{Header: "CASE/FV", SQL: Query.HaggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}}},
+			{Header: "SPJ/F", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
+			{Header: "SPJ/FV", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ, FromFV: true}}},
+			{Header: "CASE/F", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+			{Header: "CASE/FV", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}}},
 		},
 	}, {
 		// The paper's proposed optimizer change — an O(1) lookup in place of
@@ -267,7 +267,7 @@ func Experiments() []Experiment {
 		Title: "Ablation: CASE evaluation arm by arm vs dimension dispatch (Hpct direct from F, P=1)",
 		Rows:  primary[4:],
 		Columns: []Column{
-			{Header: "CASE arm-by-arm", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}, Variant: ReferenceFold},
+			{Header: "CASE arm-by-arm", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}, Variant: referenceFold},
 			{Header: "CASE dispatched", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}},
 		},
 	}, {
@@ -291,7 +291,7 @@ func Experiments() []Experiment {
 		Rows:  []QueryRow{{Label: "sales 3×Vpct over (dweek,monthNo,dept)", Queries: batch}},
 		Columns: []Column{
 			{Header: "independent", SQL: Query.VpctSQL, Opts: best},
-			{Header: "shared Fk", SQL: Query.VpctSQL, Opts: best, Variant: SharedWarm},
+			{Header: "shared Fk", SQL: Query.VpctSQL, Opts: best, Variant: sharedWarm},
 		},
 	}, {
 		// Results are identical across columns by construction (the
@@ -337,7 +337,7 @@ func (s *Suite) stmtFor(q Query, c Column) (stmt, error) {
 // Prepare does for column c over rows everything the papers' timings leave
 // out: it loads the rows' data sets, fixes each statement's text and options
 // (asking the advisor, rewriting to OLAP), flips the engine-wide toggle c's
-// variant names and, for SharedWarm, runs every row once so that each summary
+// variant names and, for sharedWarm, runs every row once so that each summary
 // is a hit. It returns one function per row, which times that row's cell as
 // the mean of Cfg.Reps runs, and restore, which puts the toggle back and is
 // called once the cells are timed.
@@ -356,11 +356,11 @@ func (s *Suite) Prepare(c Column, rows []QueryRow) (cells []func() (time.Duratio
 
 	restore = func() {}
 	switch c.Variant {
-	case ReferenceFold:
+	case referenceFold:
 		was := s.Eng.BatchEnabled()
 		s.Eng.SetBatch(false)
 		restore = func() { s.Eng.SetBatch(was) }
-	case SharedWarm:
+	case sharedWarm:
 		was := s.Planner.SharesSummaries()
 		s.Planner.ShareSummaries(true)
 		restore = func() {

@@ -220,10 +220,10 @@ func (p *Planner) analyze(sel *sqlparse.Select) (*analysis, error) {
 	return a, nil
 }
 
-// CodedError is a planner error that carries the stable PCTxxx code of the
+// codedError is a planner error that carries the stable PCTxxx code of the
 // violated rule (see internal/diag), so callers can aggregate rejections by
 // diagnostic class without string matching.
-type CodedError struct {
+type codedError struct {
 	// PCTCode is the diagnostic code, e.g. "PCT017".
 	PCTCode string
 	// Msg is the human-readable message, including the package prefix.
@@ -231,19 +231,19 @@ type CodedError struct {
 }
 
 // Error returns the message.
-func (e *CodedError) Error() string { return e.Msg }
+func (e *codedError) Error() string { return e.Msg }
 
 // Code returns the PCTxxx diagnostic code.
-func (e *CodedError) Code() string { return e.PCTCode }
+func (e *codedError) Code() string { return e.PCTCode }
 
 // diagError converts a diagnostic back into the planner's error form.
 // Catalog-lookup messages already carry their package prefix; rule
 // violations get the historical "core:" prefix.
 func diagError(d *diag.Diagnostic) error {
 	if d.Code == diag.CodeUnknownTable {
-		return &CodedError{PCTCode: d.Code, Msg: d.Message}
+		return &codedError{PCTCode: d.Code, Msg: d.Message}
 	}
-	return &CodedError{PCTCode: d.Code, Msg: "core: " + d.Message}
+	return &codedError{PCTCode: d.Code, Msg: "core: " + d.Message}
 }
 
 // analyzeDiags validates the query, collecting every independent violation

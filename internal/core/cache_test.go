@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -194,7 +195,7 @@ func TestCacheFjRollupFromCachedFk(t *testing.T) {
 			t.Errorf("q2 rebuilt Fk instead of reusing the cached one: %q", s.Purpose)
 		}
 	}
-	got, err := p.Execute(plan)
+	got, err := p.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

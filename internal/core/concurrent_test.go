@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -53,7 +54,7 @@ func TestConcurrentPercentageQueries(t *testing.T) {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return
 				}
-				res, err := p.Execute(plan)
+				res, err := p.ExecuteCtx(context.Background(), plan)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %w", w, err)
 					return

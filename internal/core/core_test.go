@@ -57,7 +57,7 @@ func runQuery(t *testing.T, p *Planner, sql string, opts Options) *engine.Result
 	if err != nil {
 		t.Fatalf("PlanSQL(%s): %v", sql, err)
 	}
-	res, err := p.Execute(plan)
+	res, err := p.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatalf("Execute(%s):\n%s\n%v", sql, plan.SQL(), err)
 	}
@@ -393,7 +393,7 @@ func TestHpctPartitioning(t *testing.T) {
 	if len(plan.ResultTables) < 2 {
 		t.Fatalf("expected partitions, got %v", plan.ResultTables)
 	}
-	res, err := p.Execute(plan)
+	res, err := p.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestHaggMaxColumnsFit(t *testing.T) {
 			if len(plan.ResultTables) < 2 {
 				t.Errorf("MaxColumns=%d %+v: expected partitions, got %v", c.max, opts, plan.ResultTables)
 			}
-			res, err := p.Execute(plan)
+			res, err := p.ExecuteCtx(context.Background(), plan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -714,7 +714,7 @@ func TestExecuteCleansUpTemporaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(plan); err != nil {
+	if _, err := p.ExecuteCtx(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
 	after := len(p.Eng.Catalog().Names())

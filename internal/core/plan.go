@@ -366,17 +366,12 @@ func (p *Planner) PlanSQL(sql string, opts Options) (*Plan, error) {
 	return p.Plan(sel, opts)
 }
 
-// Execute runs the plan's build steps and final select, then drops the
+// ExecuteCtx runs the plan's build steps and final select, then drops the
 // plan's temporary tables. The returned result is the user-facing relation.
-func (p *Planner) Execute(plan *Plan) (*engine.Result, error) {
-	return p.executeIn(context.Background(), plan, nil)
-}
-
-// ExecuteCtx is Execute under a context: cancelling ctx stops the running
-// step cooperatively with a typed CancelledError, and the plan's Limits (or
-// the engine-wide defaults) are enforced on every step. Cleanup of the
-// plan's temporary tables still runs after a cancelled step — a cancelled
-// plan must not strand its temp tables.
+// Cancelling ctx stops the running step cooperatively with a typed
+// CancelledError, and the plan's Limits (or the engine-wide defaults) are
+// enforced on every step. Cleanup of the plan's temporary tables still runs
+// after a cancelled step — a cancelled plan must not strand its temp tables.
 func (p *Planner) ExecuteCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
 	return p.executeIn(ctx, plan, nil)
 }
@@ -434,13 +429,9 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 	return res, nil
 }
 
-// ExecuteSteps runs only the build steps (what the paper times) and leaves
-// the temporary tables in place. Callers must CleanupPlan afterwards.
-func (p *Planner) ExecuteSteps(plan *Plan) (*engine.Result, error) {
-	return p.ExecuteStepsCtx(context.Background(), plan)
-}
-
-// ExecuteStepsCtx is ExecuteSteps under a context (see ExecuteCtx).
+// ExecuteStepsCtx runs only the build steps (what the paper times) and
+// leaves the temporary tables in place, under a context (see ExecuteCtx).
+// Callers must CleanupPlan afterwards.
 func (p *Planner) ExecuteStepsCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
 	return p.executeStepsIn(limitsCtx(ctx, plan.Limits), plan, nil)
 }
@@ -451,7 +442,10 @@ func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span
 	for i := range plan.Steps {
 		s := &plan.Steps[i]
 		mPlanSteps.Inc()
-		sp := root.NewChild("step: " + s.Purpose)
+		var sp *obs.Span
+		if root != nil {
+			sp = root.NewChild("step: " + s.Purpose)
+		}
 		if s.native != nil {
 			err := runNative(ctx, s, p.Eng, plan.Parallelism, sp)
 			sp.End()
@@ -474,27 +468,13 @@ func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span
 }
 
 // runNative runs one native step under the same lifecycle a SQL statement
-// gets from the engine: the per-statement deadline from the effective
-// Limits, and panic containment into a typed PCT206 error so a poisoned
-// native step cannot kill concurrent plan executions.
-func runNative(ctx context.Context, s *Step, eng *engine.Engine, parallelism int, sp *obs.Span) (err error) {
-	lim := eng.Limits()
-	if l, ok := engine.LimitsFromContext(ctx); ok {
-		lim = l
-	}
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = engine.NewPanicError("step "+s.Purpose, r)
-			// Close the spans the unwind skipped past.
-			sp.EndAll("panic-unwind")
-		}
-	}()
-	return s.native(ctx, eng, parallelism, sp)
+// gets from the engine (engine.Contain): the per-statement deadline from the
+// effective Limits, and panic containment into a typed PCT206 error so a
+// poisoned native step cannot kill concurrent plan executions.
+func runNative(ctx context.Context, s *Step, eng *engine.Engine, parallelism int, sp *obs.Span) error {
+	return eng.Contain(ctx, "step "+s.Purpose, sp, func(ctx context.Context, _ engine.Limits) error {
+		return s.native(ctx, eng, parallelism, sp)
+	})
 }
 
 // CleanupPlan drops the plan's temporary tables. Errors are ignored: a

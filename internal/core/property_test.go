@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -56,7 +57,7 @@ func runOn(t *testing.T, src *Planner, sql string, opts Options) *engine.Result 
 	if err != nil {
 		t.Fatalf("PlanSQL(%s): %v", sql, err)
 	}
-	res, err := src.Execute(plan)
+	res, err := src.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatalf("Execute(%s):\n%s\n%v", sql, plan.SQL(), err)
 	}

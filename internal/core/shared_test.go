@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestLatticeFjReuse(t *testing.T) {
 	if !strings.Contains(text, "lattice reuse") {
 		t.Errorf("expected lattice reuse in plan:\n%s", text)
 	}
-	res, err := p.Execute(plan)
+	res, err := p.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestLatticeRespectsMeasureMismatch(t *testing.T) {
 	if strings.Contains(plan.SQL(), "lattice reuse") {
 		t.Errorf("different measures must not reuse Fj:\n%s", plan.SQL())
 	}
-	if _, err := p.Execute(plan); err != nil {
+	if _, err := p.ExecuteCtx(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,7 +58,7 @@ func TestSharedSummariesReuseFk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := p.Execute(plan1)
+	res1, err := p.ExecuteCtx(context.Background(), plan1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestSharedSummariesReuseFk(t *testing.T) {
 			t.Errorf("second plan rebuilds Fk:\n%s", plan2.SQL())
 		}
 	}
-	res2, err := p.Execute(plan2)
+	res2, err := p.ExecuteCtx(context.Background(), plan2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSharedSummariesSkipUpdateVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := p.Execute(plan1)
+	res1, err := p.ExecuteCtx(context.Background(), plan1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSharedSummariesSkipUpdateVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := p.Execute(plan2)
+	res2, err := p.ExecuteCtx(context.Background(), plan2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestSharedSummariesIdenticalQueriesAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := p.Execute(plan)
+		res, err := p.ExecuteCtx(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,7 +75,7 @@ func TestPlanMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Execute(plan); err != nil {
+	if _, err := p.ExecuteCtx(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
 	if got := mPlanExecutions.Value() - plans; got != 1 {

@@ -1,5 +1,7 @@
 package diag
 
+import "errors"
+
 // Stable diagnostic codes. PCT0xx are error-class rule violations (the
 // planner rejects the query); PCT1xx are warning/advisory-class findings
 // from the linter's data-aware checks. Codes are append-only: a published
@@ -230,4 +232,17 @@ func Lookup(code string) (CodeInfo, bool) {
 		}
 	}
 	return CodeInfo{}, false
+}
+
+// CodeOf is the one error→code rule: the stable PCTxxx code of the first
+// error in err's tree (wrapped or joined) that carries one through a
+// Code() string method — planner rejections, syntax errors, the engine's
+// lifecycle errors, admission refusals — or "" when err is nil or uncoded.
+// A caller that needs a word for an uncoded failure supplies its own.
+func CodeOf(err error) string {
+	var coded interface{ Code() string }
+	if err != nil && errors.As(err, &coded) {
+		return coded.Code()
+	}
+	return ""
 }

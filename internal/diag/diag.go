@@ -124,14 +124,8 @@ func (l *List) Addf(code string, sev Severity, span Span, format string, args ..
 	l.Add(Diagnostic{Code: code, Severity: sev, Span: span, Message: fmt.Sprintf(format, args...)})
 }
 
-// Extend appends every diagnostic of ds.
-func (l *List) Extend(ds []Diagnostic) { l.ds = append(l.ds, ds...) }
-
 // All returns the accumulated diagnostics.
 func (l *List) All() []Diagnostic { return l.ds }
-
-// Len returns the number of diagnostics.
-func (l *List) Len() int { return len(l.ds) }
 
 // HasErrors reports whether any diagnostic has Error severity.
 func (l *List) HasErrors() bool {

@@ -21,16 +21,16 @@ import (
 // CompareBatch proves the fold operator equivalent to the sequential
 // reference fold on one query: the reference runs with SetBatch(false) at
 // P=1, every candidate runs through the operator at each parallelism in ps.
-// Results must be identical by Equal's exact, kind-sensitive comparison, and
+// Results must be identical by equal's exact, kind-sensitive comparison, and
 // errors must be deterministic: if the reference errors, every operator run
-// must fail with the same error text (Run's "execute (P=n)" wrapper aside),
+// must fail with the same error text (run's "execute (P=n)" wrapper aside),
 // and vice versa. The engine is left with the operator enabled.
 func CompareBatch(p *core.Planner, sql string, opts core.Options, ps []int) error {
 	p.Eng.SetBatch(false)
-	ref, refErr := Run(p, sql, opts, 1)
+	ref, refErr := run(p, sql, opts, 1)
 	p.Eng.SetBatch(true)
 	for _, par := range ps {
-		got, err := Run(p, sql, opts, par)
+		got, err := run(p, sql, opts, par)
 		if (refErr == nil) != (err == nil) {
 			return fmt.Errorf("difftest: %s: batch P=%d err=%v, scalar err=%v", sql, par, err, refErr)
 		}
@@ -40,7 +40,7 @@ func CompareBatch(p *core.Planner, sql string, opts core.Options, ps []int) erro
 			}
 			continue
 		}
-		if diff := Equal(ref, got); diff != "" {
+		if diff := equal(ref, got); diff != "" {
 			return fmt.Errorf("difftest: %s: batch P=%d diverges from scalar: %s", sql, par, diff)
 		}
 	}
@@ -101,7 +101,7 @@ func TestDifferentialBatchGoldenQueries(t *testing.T) {
 	}
 	for _, c := range cases {
 		for oi, opts := range c.opts {
-			if err := CompareBatch(p, c.sql, opts, Parallelisms); err != nil {
+			if err := CompareBatch(p, c.sql, opts, parallelisms); err != nil {
 				t.Errorf("opts[%d]: %v", oi, err)
 			}
 		}
@@ -177,10 +177,10 @@ func primaryShapes() []primaryShape {
 func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 	p := primaryPlanner(t)
 	for qi, q := range primaryShapes() {
-		if err := CompareBatch(p, q.vpct, core.DefaultOptions(), Parallelisms); err != nil {
+		if err := CompareBatch(p, q.vpct, core.DefaultOptions(), parallelisms); err != nil {
 			t.Errorf("primary %d Vpct: %v", qi, err)
 		}
-		if err := CompareBatch(p, q.hpct, core.Options{}, Parallelisms); err != nil {
+		if err := CompareBatch(p, q.hpct, core.Options{}, parallelisms); err != nil {
 			t.Errorf("primary %d Hpct: %v", qi, err)
 		}
 	}
@@ -271,14 +271,14 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 	folds, fallbacks := obs.Default.Counter("batch.folds"), obs.Default.Counter("batch.fallbacks")
 	for _, sh := range shapes {
 		p.Eng.SetBatch(false)
-		ref, err := Run(p, sh.sql, sh.opts, 1)
+		ref, err := run(p, sh.sql, sh.opts, 1)
 		p.Eng.SetBatch(true)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", sh.sql, err)
 		}
-		for _, par := range Parallelisms {
+		for _, par := range parallelisms {
 			f0, fb0 := folds.Value(), fallbacks.Value()
-			got, err := Run(p, sh.sql, sh.opts, par)
+			got, err := run(p, sh.sql, sh.opts, par)
 			if err != nil {
 				t.Fatalf("%s: P=%d: %v", sh.sql, par, err)
 			}
@@ -288,7 +288,7 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 			if d := folds.Value() - f0; d <= 0 {
 				t.Errorf("%s: P=%d: batch.folds moved by %d, want > 0", sh.sql, par, d)
 			}
-			if diff := Equal(ref, got); diff != "" {
+			if diff := equal(ref, got); diff != "" {
 				t.Errorf("%s: P=%d diverges from the reference: %s", sh.sql, par, diff)
 			}
 			if sh.keys < 0 {
@@ -356,16 +356,16 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 		rows := randTableRows(rng, 200+rng.Intn(400))
 		p := plannerFor(t, rows)
 		for qi, q := range queries {
-			err := CompareBatch(p, q.sql, q.opts, Parallelisms)
+			err := CompareBatch(p, q.sql, q.opts, parallelisms)
 			if err == nil {
 				continue
 			}
 			fails := func(cand [][]value.Value) bool {
-				return CompareBatch(plannerFor(t, cand), q.sql, q.opts, Parallelisms) != nil
+				return CompareBatch(plannerFor(t, cand), q.sql, q.opts, parallelisms) != nil
 			}
-			minRows := MinimizeRows(rows, fails)
+			minRows := minimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), q.sql)
+				trial, qi, err, len(minRows), len(rows), dumpRows("f", randSchema, minRows), q.sql)
 		}
 	}
 }
@@ -450,12 +450,12 @@ func TestDifferentialBatchDispatch(t *testing.T) {
 		{"SELECT k, count(* BY d), avg(b BY d) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 	}
 	for _, c := range cases {
-		if err := CompareBatch(p, c.sql, c.opts, Parallelisms); err != nil {
+		if err := CompareBatch(p, c.sql, c.opts, parallelisms); err != nil {
 			t.Error(err)
 		}
 	}
 	// The rule itself, not only agreement with the reference.
-	res, err := Run(p, "SELECT k, sum(CASE WHEN d = 1 THEN b ELSE 0 END), sum(CASE WHEN d = 1 THEN b ELSE NULL END) FROM g GROUP BY k ORDER BY k", core.Options{}, 2)
+	res, err := run(p, "SELECT k, sum(CASE WHEN d = 1 THEN b ELSE 0 END), sum(CASE WHEN d = 1 THEN b ELSE NULL END) FROM g GROUP BY k ORDER BY k", core.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestDifferentialBatchErroringPredicates(t *testing.T) {
 		rows := randTableRows(rng, 300)
 		p := plannerFor(t, rows)
 		for qi, sql := range queries {
-			if err := CompareBatch(p, sql, core.Options{}, Parallelisms); err != nil {
+			if err := CompareBatch(p, sql, core.Options{}, parallelisms); err != nil {
 				t.Errorf("trial %d query %d: %v", trial, qi, err)
 			}
 		}
@@ -519,8 +519,8 @@ func TestDifferentialBatchMetamorphicVpct(t *testing.T) {
 		}
 		p := plannerFor(t, rows)
 		p.Eng.SetBatch(true)
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
+		for _, par := range parallelisms {
+			res, err := run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -558,8 +558,8 @@ func TestDifferentialBatchMetamorphicHpct(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		p := plannerFor(t, randTableRows(rng, 400))
 		p.Eng.SetBatch(true)
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
+		for _, par := range parallelisms {
+			res, err := run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,24 +20,24 @@ import (
 	"repro/internal/engine"
 )
 
-// CacheOp is one step of an interleaving: either a DML statement (SQL
+// cacheOp is one step of an interleaving: either a DML statement (SQL
 // non-empty) applied to both planners, or a percentage query (Query
-// indexes CacheQueries) run on both and compared exactly.
-type CacheOp struct {
+// indexes cacheQueries) run on both and compared exactly.
+type cacheOp struct {
 	SQL   string
 	Query int
 }
 
-// IsQuery reports whether the op is a compare point rather than DML.
-func (o CacheOp) IsQuery() bool { return o.SQL == "" }
+// isQuery reports whether the op is a compare point rather than DML.
+func (o cacheOp) isQuery() bool { return o.SQL == "" }
 
-// CacheQueries are the shapes the interleavings draw from, chosen to hit
+// cacheQueries are the shapes the interleavings draw from, chosen to hit
 // every maintenance path: plain Vpct (delta-merge), a second BY over the
 // same GROUP BY (Fj rolled up from the cached Fk), a wider lattice key,
 // distributive extra aggregates (sum/count/min/max ride the delta),
 // avg (non-distributive — DML must force a rebuild), and a WHERE-keyed
 // entry that must not alias the unfiltered one.
-var CacheQueries = []string{
+var cacheQueries = []string{
 	"SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2",
 	"SELECT d1, d2, Vpct(a BY d1) FROM f GROUP BY d1, d2",
 	"SELECT d1, d2, d3, Vpct(a BY d2, d3) FROM f GROUP BY d1, d2, d3",
@@ -49,17 +49,17 @@ var CacheQueries = []string{
 
 var cacheDims = []string{"x", "y", "z"}
 
-// RandCacheOps generates a seeded interleaving of n ops, bracketed by
+// randCacheOps generates a seeded interleaving of n ops, bracketed by
 // queries so the cache is populated before the first DML and checked
 // after the last. Inserts dominate (they exercise the incremental path);
 // updates and deletes appear often enough to exercise invalidation.
-func RandCacheOps(rng *rand.Rand, n int) []CacheOp {
-	ops := make([]CacheOp, 0, n+2)
-	ops = append(ops, CacheOp{Query: rng.Intn(len(CacheQueries))})
+func randCacheOps(rng *rand.Rand, n int) []cacheOp {
+	ops := make([]cacheOp, 0, n+2)
+	ops = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))})
 	for i := 0; i < n; i++ {
 		switch k := rng.Intn(10); {
 		case k < 4:
-			ops = append(ops, CacheOp{Query: rng.Intn(len(CacheQueries))})
+			ops = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))})
 		case k < 8:
 			m := 1 + rng.Intn(3)
 			vals := make([]string, 0, m)
@@ -71,19 +71,19 @@ func RandCacheOps(rng *rand.Rand, n int) []CacheOp {
 				vals = append(vals, fmt.Sprintf("(%d, %d, '%s', %s)",
 					rng.Intn(3), rng.Intn(4), cacheDims[rng.Intn(3)], amt))
 			}
-			ops = append(ops, CacheOp{SQL: "INSERT INTO f VALUES " + strings.Join(vals, ", ")})
+			ops = append(ops, cacheOp{SQL: "INSERT INTO f VALUES " + strings.Join(vals, ", ")})
 		case k < 9:
-			ops = append(ops, CacheOp{SQL: fmt.Sprintf(
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf(
 				"UPDATE f SET a = %d WHERE d1 = %d AND d2 = %d",
 				rng.Intn(31)-5, rng.Intn(3), rng.Intn(4))})
 		default:
 			// Narrow predicate: the table shrinks but survives.
-			ops = append(ops, CacheOp{SQL: fmt.Sprintf(
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf(
 				"DELETE FROM f WHERE d1 = %d AND d2 = %d AND d3 = '%s'",
 				rng.Intn(3), rng.Intn(4), cacheDims[rng.Intn(3)])})
 		}
 	}
-	ops = append(ops, CacheOp{Query: rng.Intn(len(CacheQueries))})
+	ops = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))})
 	return ops
 }
 
@@ -101,12 +101,12 @@ func cachePlannerFor(schema storage.Schema, rows [][]value.Value) (*core.Planner
 	return core.NewPlanner(engine.New(cat)), nil
 }
 
-// ReplayCacheOps replays one interleaving against a cache-enabled planner
+// replayCacheOps replays one interleaving against a cache-enabled planner
 // and a cold reference planner over identical copies of the initial
 // table, running every query op on both at the given parallelism. It
 // returns a description of the first divergence, or nil when the cache
 // was invisible end to end. Deterministic: same inputs, same verdict.
-func ReplayCacheOps(schema storage.Schema, initial [][]value.Value, ops []CacheOp, parallelism int) error {
+func replayCacheOps(schema storage.Schema, initial [][]value.Value, ops []cacheOp, parallelism int) error {
 	cached, err := cachePlannerFor(schema, initial)
 	if err != nil {
 		return err
@@ -117,7 +117,7 @@ func ReplayCacheOps(schema storage.Schema, initial [][]value.Value, ops []CacheO
 	}
 	cached.ShareSummaries(true)
 	for i, op := range ops {
-		if !op.IsQuery() {
+		if !op.isQuery() {
 			if _, err := cached.Eng.ExecSQL(op.SQL); err != nil {
 				return fmt.Errorf("op %d cached %s: %w", i, op.SQL, err)
 			}
@@ -126,28 +126,28 @@ func ReplayCacheOps(schema storage.Schema, initial [][]value.Value, ops []CacheO
 			}
 			continue
 		}
-		sql := CacheQueries[op.Query]
-		got, err := Run(cached, sql, core.DefaultOptions(), parallelism)
+		sql := cacheQueries[op.Query]
+		got, err := run(cached, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cached: %w", i, err)
 		}
-		want, err := Run(cold, sql, core.DefaultOptions(), parallelism)
+		want, err := run(cold, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cold: %w", i, err)
 		}
-		if diff := Equal(want, got); diff != "" {
+		if diff := equal(want, got); diff != "" {
 			return fmt.Errorf("op %d (P=%d) %s: cached diverges from cold: %s", i, parallelism, sql, diff)
 		}
 	}
 	return nil
 }
 
-// MinimizeCacheOps shrinks a failing op sequence while the predicate
-// keeps failing, with the same ddmin chunk-removal loop MinimizeRows
+// minimizeCacheOps shrinks a failing op sequence while the predicate
+// keeps failing, with the same ddmin chunk-removal loop minimizeRows
 // uses. Every subsequence of an interleaving is itself a valid
 // interleaving (each op is self-contained SQL), so removal is always
 // legal. The predicate must be deterministic.
-func MinimizeCacheOps(ops []CacheOp, failing func([]CacheOp) bool) []CacheOp {
+func minimizeCacheOps(ops []cacheOp, failing func([]cacheOp) bool) []cacheOp {
 	cur := ops
 	for chunk := len(cur) / 2; chunk >= 1; {
 		removed := false
@@ -156,7 +156,7 @@ func MinimizeCacheOps(ops []CacheOp, failing func([]CacheOp) bool) []CacheOp {
 			if end > len(cur) {
 				end = len(cur)
 			}
-			cand := make([]CacheOp, 0, len(cur)-(end-start))
+			cand := make([]cacheOp, 0, len(cur)-(end-start))
 			cand = append(cand, cur[:start]...)
 			cand = append(cand, cur[end:]...)
 			if len(cand) > 0 && failing(cand) {
@@ -174,15 +174,15 @@ func MinimizeCacheOps(ops []CacheOp, failing func([]CacheOp) bool) []CacheOp {
 	return cur
 }
 
-// DumpCacheOps renders a standalone reproducer: the minimized table as
+// dumpCacheOps renders a standalone reproducer: the minimized table as
 // CREATE + INSERTs, then the minimized interleaving in replay order.
-func DumpCacheOps(table string, schema storage.Schema, rows [][]value.Value, ops []CacheOp) string {
+func dumpCacheOps(table string, schema storage.Schema, rows [][]value.Value, ops []cacheOp) string {
 	var sb strings.Builder
-	sb.WriteString(DumpRows(table, schema, rows))
+	sb.WriteString(dumpRows(table, schema, rows))
 	sb.WriteString("-- enable the summary cache (ShareSummaries), then replay:\n")
 	for _, op := range ops {
-		if op.IsQuery() {
-			fmt.Fprintf(&sb, "%s; -- compare against a cold run\n", CacheQueries[op.Query])
+		if op.isQuery() {
+			fmt.Fprintf(&sb, "%s; -- compare against a cold run\n", cacheQueries[op.Query])
 		} else {
 			fmt.Fprintf(&sb, "%s;\n", op.SQL)
 		}

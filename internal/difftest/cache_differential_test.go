@@ -27,23 +27,23 @@ func TestDifferentialCacheConsistencyRandomized(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		rows := randTableRows(rng, 100+rng.Intn(200))
-		ops := RandCacheOps(rng, 24+rng.Intn(24))
+		ops := randCacheOps(rng, 24+rng.Intn(24))
 		for _, par := range cacheParallelisms {
-			err := ReplayCacheOps(randSchema, rows, ops, par)
+			err := replayCacheOps(randSchema, rows, ops, par)
 			if err == nil {
 				continue
 			}
-			failsOps := func(cand []CacheOp) bool {
-				return ReplayCacheOps(randSchema, rows, cand, par) != nil
+			failsOps := func(cand []cacheOp) bool {
+				return replayCacheOps(randSchema, rows, cand, par) != nil
 			}
-			minOps := MinimizeCacheOps(ops, failsOps)
+			minOps := minimizeCacheOps(ops, failsOps)
 			failsRows := func(cand [][]value.Value) bool {
-				return ReplayCacheOps(randSchema, cand, minOps, par) != nil
+				return replayCacheOps(randSchema, cand, minOps, par) != nil
 			}
-			minRows := MinimizeRows(rows, failsRows)
+			minRows := minimizeRows(rows, failsRows)
 			t.Fatalf("trial %d P=%d: %v\nminimized reproducer (%d of %d ops, %d of %d rows):\n%s",
 				trial, par, err, len(minOps), len(ops), len(minRows), len(rows),
-				DumpCacheOps("f", randSchema, minRows, minOps))
+				dumpCacheOps("f", randSchema, minRows, minOps))
 		}
 	}
 }
@@ -54,9 +54,9 @@ func TestDifferentialCacheConsistencyRandomized(t *testing.T) {
 // non-distributive rebuild, and two shapes alternating around DML.
 func TestDifferentialCacheDirectedInterleavings(t *testing.T) {
 	defer leakcheck.Check(t)()
-	q := func(i int) CacheOp { return CacheOp{Query: i} }
-	ins := CacheOp{SQL: "INSERT INTO f VALUES (0, 1, 'x', 7), (2, 3, 'z', -2)"}
-	seqs := [][]CacheOp{
+	q := func(i int) cacheOp { return cacheOp{Query: i} }
+	ins := cacheOp{SQL: "INSERT INTO f VALUES (0, 1, 'x', 7), (2, 3, 'z', -2)"}
+	seqs := [][]cacheOp{
 		{q(0), ins, q(0)},           // one pending delta
 		{q(0), ins, ins, ins, q(0)}, // chain folded by one refresh
 		{q(0), {SQL: "UPDATE f SET a = 9 WHERE d1 = 1"}, q(0)}, // rebuild after update
@@ -70,7 +70,7 @@ func TestDifferentialCacheDirectedInterleavings(t *testing.T) {
 	rows := randTableRows(rng, 150)
 	for si, ops := range seqs {
 		for _, par := range cacheParallelisms {
-			if err := ReplayCacheOps(randSchema, rows, ops, par); err != nil {
+			if err := replayCacheOps(randSchema, rows, ops, par); err != nil {
 				t.Errorf("seq %d P=%d: %v", si, par, err)
 			}
 		}

@@ -104,7 +104,7 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 	}
 	for _, c := range cases {
 		for oi, opts := range c.opts {
-			if err := Compare(p, c.sql, opts, Parallelisms); err != nil {
+			if err := compare(p, c.sql, opts, parallelisms); err != nil {
 				t.Errorf("opts[%d]: %v", oi, err)
 			}
 		}
@@ -152,7 +152,7 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(all, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(all, ", "))
 		}
-		if err := Compare(p, vpct, core.DefaultOptions(), Parallelisms); err != nil {
+		if err := compare(p, vpct, core.DefaultOptions(), parallelisms); err != nil {
 			t.Errorf("primary %d Vpct: %v", qi, err)
 		}
 
@@ -165,7 +165,7 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := Compare(p, hpct, core.Options{}, Parallelisms); err != nil {
+		if err := compare(p, hpct, core.Options{}, parallelisms); err != nil {
 			t.Errorf("primary %d Hpct: %v", qi, err)
 		}
 
@@ -178,7 +178,7 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := Compare(p, hagg, core.Options{}, Parallelisms); err != nil {
+		if err := compare(p, hagg, core.Options{}, parallelisms); err != nil {
 			t.Errorf("primary %d Hagg: %v", qi, err)
 		}
 	}
@@ -261,18 +261,18 @@ func TestDifferentialRandomizedProperty(t *testing.T) {
 		rows := randTableRows(rng, 200+rng.Intn(400))
 		p := plannerFor(t, rows)
 		for qi, q := range propertyQueries {
-			err := Compare(p, q.sql, q.opts, Parallelisms)
+			err := compare(p, q.sql, q.opts, parallelisms)
 			if err == nil {
 				continue
 			}
 			// Divergence: shrink the table to the smallest row set that
 			// still diverges, then dump a standalone reproducer.
 			fails := func(cand [][]value.Value) bool {
-				return Compare(plannerFor(t, cand), q.sql, q.opts, Parallelisms) != nil
+				return compare(plannerFor(t, cand), q.sql, q.opts, parallelisms) != nil
 			}
-			minRows := MinimizeRows(rows, fails)
+			minRows := minimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), q.sql)
+				trial, qi, err, len(minRows), len(rows), dumpRows("f", randSchema, minRows), q.sql)
 		}
 	}
 }
@@ -284,8 +284,8 @@ func TestDifferentialMetamorphicVpctRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 3; trial++ {
 		p := plannerFor(t, randTableRows(rng, 400))
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
+		for _, par := range parallelisms {
+			res, err := run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -322,8 +322,8 @@ func TestDifferentialMetamorphicVpctRangePositive(t *testing.T) {
 			}
 		}
 		p := plannerFor(t, rows)
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
+		for _, par := range parallelisms {
+			res, err := run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,8 +361,8 @@ func TestDifferentialMetamorphicHpctRowSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3; trial++ {
 		p := plannerFor(t, randTableRows(rng, 400))
-		for _, par := range Parallelisms {
-			res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
+		for _, par := range parallelisms {
+			res, err := run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +410,7 @@ func TestMinimizeRowsShrinksToKernel(t *testing.T) {
 		}
 		return has17 && has83
 	}
-	min := MinimizeRows(rows, failing)
+	min := minimizeRows(rows, failing)
 	if len(min) != 2 {
 		t.Fatalf("minimized to %d rows, want the 2-row kernel: %v", len(min), min)
 	}
@@ -426,7 +426,7 @@ func TestDifferentialDumpRowsRoundTrips(t *testing.T) {
 		{value.NewInt(1), value.NewInt(2), value.NewString("it's"), value.Null},
 		{value.Null, value.NewInt(-3), value.NewString("x"), value.NewInt(7)},
 	}
-	sql := DumpRows("f", randSchema, rows)
+	sql := dumpRows("f", randSchema, rows)
 	eng := engine.New(storage.NewCatalog())
 	if _, err := eng.ExecSQL(sql); err != nil {
 		t.Fatalf("dump does not execute: %v\n%s", err, sql)

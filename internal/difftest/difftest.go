@@ -20,6 +20,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -30,19 +31,19 @@ import (
 	"repro/internal/value"
 )
 
-// Parallelisms is the standard sweep: the sequential reference plus a
+// parallelisms is the standard sweep: the sequential reference plus a
 // partition count below and above typical core counts (8 forces several
 // partitions even on tiny fixtures, covering empty and single-row
 // partitions).
-var Parallelisms = []int{1, 2, 8}
+var parallelisms = []int{1, 2, 8}
 
-// Equal compares two results exactly and returns "" when identical, else a
+// equal compares two results exactly and returns "" when identical, else a
 // description of the first difference. NULLs only match NULLs; numeric
 // values must compare equal AND have the same kind (an int64 17 is not a
 // float64 17 — a kind flip would mark a merge that demoted a sum), and a
 // float -0.0 is not +0.0 — the sign is all that tells a sum that met a zero
 // addend from one that did not.
-func Equal(a, b *engine.Result) string {
+func equal(a, b *engine.Result) string {
 	if len(a.Columns) != len(b.Columns) {
 		return fmt.Sprintf("column count %d vs %d", len(a.Columns), len(b.Columns))
 	}
@@ -73,48 +74,48 @@ func Equal(a, b *engine.Result) string {
 	return ""
 }
 
-// Run plans and executes one percentage query at the given parallelism.
-func Run(p *core.Planner, sql string, opts core.Options, parallelism int) (*engine.Result, error) {
+// run plans and executes one percentage query at the given parallelism.
+func run(p *core.Planner, sql string, opts core.Options, parallelism int) (*engine.Result, error) {
 	opts.Parallelism = parallelism
 	plan, err := p.PlanSQL(sql, opts)
 	if err != nil {
 		return nil, fmt.Errorf("plan (P=%d): %w", parallelism, err)
 	}
-	res, err := p.Execute(plan)
+	res, err := p.ExecuteCtx(context.Background(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("execute (P=%d): %w", parallelism, err)
 	}
 	return res, nil
 }
 
-// Compare runs sql under every parallelism in ps (the first entry is the
+// compare runs sql under every parallelism in ps (the first entry is the
 // reference, conventionally 1) and returns an error describing the first
 // divergence, or nil when all runs agree exactly.
-func Compare(p *core.Planner, sql string, opts core.Options, ps []int) error {
+func compare(p *core.Planner, sql string, opts core.Options, ps []int) error {
 	if len(ps) < 2 {
 		return fmt.Errorf("difftest: need a reference and at least one candidate parallelism, got %v", ps)
 	}
-	ref, err := Run(p, sql, opts, ps[0])
+	ref, err := run(p, sql, opts, ps[0])
 	if err != nil {
 		return err
 	}
 	for _, par := range ps[1:] {
-		got, err := Run(p, sql, opts, par)
+		got, err := run(p, sql, opts, par)
 		if err != nil {
 			return err
 		}
-		if diff := Equal(ref, got); diff != "" {
+		if diff := equal(ref, got); diff != "" {
 			return fmt.Errorf("difftest: %s: P=%d diverges from P=%d: %s", sql, par, ps[0], diff)
 		}
 	}
 	return nil
 }
 
-// MinimizeRows shrinks a failing row set while the predicate keeps failing,
+// minimizeRows shrinks a failing row set while the predicate keeps failing,
 // using ddmin-style chunk removal: try dropping ever-smaller contiguous
 // chunks, keeping each removal that still fails, until no single row can be
 // dropped. The predicate must be deterministic.
-func MinimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]value.Value {
+func minimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]value.Value {
 	cur := rows
 	for chunk := len(cur) / 2; chunk >= 1; {
 		removed := false
@@ -141,9 +142,9 @@ func MinimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]
 	return cur
 }
 
-// DumpRows renders a minimal SQL reproducer: CREATE TABLE + INSERTs for the
+// dumpRows renders a minimal SQL reproducer: CREATE TABLE + INSERTs for the
 // rows, ready to paste into a shell or a new test.
-func DumpRows(table string, schema storage.Schema, rows [][]value.Value) string {
+func dumpRows(table string, schema storage.Schema, rows [][]value.Value) string {
 	var sb strings.Builder
 	var defs []string
 	for _, c := range schema {

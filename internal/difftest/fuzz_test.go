@@ -54,17 +54,17 @@ func FuzzCubeEquivalence(f *testing.F) {
 				pc.ShareSummaries(true)
 				ps.ShareSummaries(true)
 			}
-			want, err := Run(pc, cube, core.DefaultOptions(), 1)
+			want, err := run(pc, cube, core.DefaultOptions(), 1)
 			if err != nil {
 				t.Fatalf("cube (share=%v): %v", share, err)
 			}
-			got, err := Run(ps, sets, core.DefaultOptions(), 1)
+			got, err := run(ps, sets, core.DefaultOptions(), 1)
 			if err != nil {
 				t.Fatalf("grouping sets (share=%v): %v", share, err)
 			}
-			if diff := Equal(want, got); diff != "" {
+			if diff := equal(want, got); diff != "" {
 				t.Fatalf("CUBE vs explicit GROUPING SETS (share=%v): %s\nrows:\n%s",
-					share, diff, DumpRows("f", randSchema, rows))
+					share, diff, dumpRows("f", randSchema, rows))
 			}
 		}
 	})

@@ -37,24 +37,24 @@ func TestDifferentialLatticeParallelism(t *testing.T) {
 		rows := randTableRows(rng, 150+rng.Intn(300))
 		p := plannerFor(t, rows)
 		for qi, sql := range latticeQueries {
-			err := Compare(p, sql, core.DefaultOptions(), Parallelisms)
+			err := compare(p, sql, core.DefaultOptions(), parallelisms)
 			if err == nil {
 				continue
 			}
 			fails := func(cand [][]value.Value) bool {
-				return Compare(plannerFor(t, cand), sql, core.DefaultOptions(), Parallelisms) != nil
+				return compare(plannerFor(t, cand), sql, core.DefaultOptions(), parallelisms) != nil
 			}
-			minRows := MinimizeRows(rows, fails)
+			minRows := minimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), DumpRows("f", randSchema, minRows), sql)
+				trial, qi, err, len(minRows), len(rows), dumpRows("f", randSchema, minRows), sql)
 		}
 	}
 }
 
-// replayLatticeOps is ReplayCacheOps with the lattice query set: a cached
+// replayLatticeOps is replayCacheOps with the lattice query set: a cached
 // and a cold planner replay the same query/DML interleaving and every
 // lattice answer must match byte for byte.
-func replayLatticeOps(initial [][]value.Value, ops []CacheOp, parallelism int) error {
+func replayLatticeOps(initial [][]value.Value, ops []cacheOp, parallelism int) error {
 	cached, err := cachePlannerFor(randSchema, initial)
 	if err != nil {
 		return err
@@ -65,7 +65,7 @@ func replayLatticeOps(initial [][]value.Value, ops []CacheOp, parallelism int) e
 	}
 	cached.ShareSummaries(true)
 	for i, op := range ops {
-		if !op.IsQuery() {
+		if !op.isQuery() {
 			if _, err := cached.Eng.ExecSQL(op.SQL); err != nil {
 				return fmt.Errorf("op %d cached %s: %w", i, op.SQL, err)
 			}
@@ -75,15 +75,15 @@ func replayLatticeOps(initial [][]value.Value, ops []CacheOp, parallelism int) e
 			continue
 		}
 		sql := latticeQueries[op.Query%len(latticeQueries)]
-		got, err := Run(cached, sql, core.DefaultOptions(), parallelism)
+		got, err := run(cached, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cached: %w", i, err)
 		}
-		want, err := Run(cold, sql, core.DefaultOptions(), parallelism)
+		want, err := run(cold, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cold: %w", i, err)
 		}
-		if diff := Equal(want, got); diff != "" {
+		if diff := equal(want, got); diff != "" {
 			return fmt.Errorf("op %d (P=%d) %s: cached lattice diverges from cold: %s", i, parallelism, sql, diff)
 		}
 	}
@@ -104,23 +104,23 @@ func TestDifferentialLatticeCachedVsCold(t *testing.T) {
 	}
 	for trial := 0; trial < trials; trial++ {
 		rows := randTableRows(rng, 100+rng.Intn(150))
-		ops := RandCacheOps(rng, 16+rng.Intn(16))
+		ops := randCacheOps(rng, 16+rng.Intn(16))
 		for _, par := range cacheParallelisms {
 			err := replayLatticeOps(rows, ops, par)
 			if err == nil {
 				continue
 			}
-			failsOps := func(cand []CacheOp) bool {
+			failsOps := func(cand []cacheOp) bool {
 				return replayLatticeOps(rows, cand, par) != nil
 			}
-			minOps := MinimizeCacheOps(ops, failsOps)
+			minOps := minimizeCacheOps(ops, failsOps)
 			failsRows := func(cand [][]value.Value) bool {
 				return replayLatticeOps(cand, minOps, par) != nil
 			}
-			minRows := MinimizeRows(rows, failsRows)
+			minRows := minimizeRows(rows, failsRows)
 			t.Fatalf("trial %d P=%d: %v\nminimized reproducer (%d of %d ops, %d of %d rows):\n%s",
 				trial, par, err, len(minOps), len(ops), len(minRows), len(rows),
-				DumpCacheOps("f", randSchema, minRows, minOps))
+				dumpCacheOps("f", randSchema, minRows, minOps))
 		}
 	}
 }
@@ -154,20 +154,20 @@ func nonNegativeRows(rng *rand.Rand, n int) [][]value.Value {
 func runBoth(t *testing.T, rows [][]value.Value, sql string, par int) *engine.Result {
 	t.Helper()
 	cold := plannerFor(t, rows)
-	res, err := Run(cold, sql, core.DefaultOptions(), par)
+	res, err := run(cold, sql, core.DefaultOptions(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := plannerFor(t, rows)
 	warm.ShareSummaries(true)
-	if _, err := Run(warm, sql, core.DefaultOptions(), par); err != nil {
+	if _, err := run(warm, sql, core.DefaultOptions(), par); err != nil {
 		t.Fatal(err)
 	}
-	cachedRes, err := Run(warm, sql, core.DefaultOptions(), par)
+	cachedRes, err := run(warm, sql, core.DefaultOptions(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := Equal(res, cachedRes); diff != "" {
+	if diff := equal(res, cachedRes); diff != "" {
 		t.Fatalf("P=%d %s: cached run diverges from cold: %s", par, sql, diff)
 	}
 	return res
@@ -349,7 +349,7 @@ func TestDifferentialLatticeHpctRowTotals(t *testing.T) {
 		// The grand-total Hpct row is the (d2) node transposed: its cells
 		// must equal each d2 group's Vpct share of the grand total.
 		p := plannerFor(t, rows)
-		vres, err := Run(p, "SELECT d2, Vpct(a) FROM f GROUP BY d2", core.DefaultOptions(), par)
+		vres, err := run(p, "SELECT d2, Vpct(a) FROM f GROUP BY d2", core.DefaultOptions(), par)
 		if err != nil {
 			t.Fatal(err)
 		}

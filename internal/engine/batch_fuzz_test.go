@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -152,9 +153,9 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 
 		e := New(cat)
 		e.SetBatch(false)
-		ref, refErr := e.ExecSQLP(sql, 1)
+		ref, refErr := e.ExecSQLCtxP(context.Background(), sql, 1)
 		e.SetBatch(true)
-		got, gotErr := e.ExecSQLP(sql, p)
+		got, gotErr := e.ExecSQLCtxP(context.Background(), sql, p)
 
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: scalar err=%v, batch P=%d err=%v", sql, refErr, p, gotErr)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -151,7 +152,7 @@ func TestHpctFoldAllocBudget(t *testing.T) {
 	}
 	sql += " FROM f GROUP BY g1"
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := e.ExecSQLP(sql, 2); err != nil {
+		if _, err := e.ExecSQLCtxP(context.Background(), sql, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -182,7 +183,7 @@ func TestInsertSelectGroupAllocBudget(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		out.Truncate()
-		if r, err := e.ExecSQLP("INSERT INTO out SELECT g1, g2, sum(a) FROM f GROUP BY g1, g2", 2); err != nil || r.Affected != 5000 {
+		if r, err := e.ExecSQLCtxP(context.Background(), "INSERT INTO out SELECT g1, g2, sum(a) FROM f GROUP BY g1, g2", 2); err != nil || r.Affected != 5000 {
 			t.Fatal(r, err)
 		}
 	})

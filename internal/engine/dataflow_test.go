@@ -250,10 +250,10 @@ func TestInsertSelectFromOwnTarget(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				mustExec(t, e, fmt.Sprintf("INSERT INTO t VALUES (%d, %d); INSERT INTO t0 VALUES (%d, %d)", i, i%7, i, i%7))
 			}
-			if _, err := e.ExecSQLP(tc.sql, par); err != nil {
+			if _, err := e.ExecSQLCtxP(context.Background(), tc.sql, par); err != nil {
 				t.Fatalf("%s at P=%d: %v", tc.name, par, err)
 			}
-			image, err := e.ExecSQLP(tc.want, par)
+			image, err := e.ExecSQLCtxP(context.Background(), tc.want, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestInsertSelectMidStreamFailureIsAtomic(t *testing.T) {
 		"INSERT INTO dst SELECT g, sum(CASE WHEN g < 2990 THEN 1 ELSE v END) FROM src GROUP BY g",
 		"INSERT INTO dst SELECT g, CASE WHEN g < 2990 THEN 1 ELSE v / 2 END FROM src",
 	} {
-		if _, err := e.ExecSQLP(sql, 2); err == nil {
+		if _, err := e.ExecSQLCtxP(context.Background(), sql, 2); err == nil {
 			t.Fatalf("%s succeeded", sql)
 		}
 		after := stateOf(t, e, "dst")

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -182,8 +183,11 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 		}
 		// Rows the SELECT had to collect are delivered here; the ones it
 		// streamed are in the table already, timed push by push.
-		sp := ec.span.NewChild("insert " + ins.Table)
-		defer sp.End()
+		var sp *obs.Span
+		if ec.span != nil {
+			sp = ec.span.NewChild("insert " + ins.Table)
+			defer sp.End()
+		}
 		for _, row := range rows {
 			if err := sink.push(row); err != nil {
 				return nil, err

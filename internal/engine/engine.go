@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -18,15 +17,13 @@ import (
 // Engine executes SQL statements against a catalog.
 type Engine struct {
 	cat *storage.Catalog
-	// par is the default parallelism for Execute/ExecSQL: 0 = one worker
+	// par is the default parallelism for ExecSQL/ExecSQLCtx: 0 = one worker
 	// per CPU (gated by an input-size threshold), 1 = sequential, n > 1 =
 	// exactly n workers. Atomic because concurrent submitters share one
 	// engine (see TestConcurrentPercentageQueries).
 	par atomic.Int32
-	// sink receives the finished span tree of every statement; slow is the
-	// slow-query log. Both are atomic so concurrent submitters can race
+	// slow is the slow-query log; atomic so concurrent submitters can race
 	// reconfiguration safely (see trace.go).
-	sink atomic.Pointer[traceSink]
 	slow atomic.Pointer[slowLog]
 	// limits is the engine-wide default resource budget applied to every
 	// statement that does not carry its own via WithLimits (see
@@ -102,14 +99,14 @@ func (e *Engine) notifyMutate(table, op string) {
 
 // New returns an engine over the catalog. The default parallelism is 1
 // (sequential); callers opt in via SetParallelism or the per-statement
-// ExecuteP/ExecSQLP entry points.
+// parallelism of ExecuteCtxIn/ExecSQLCtxP.
 func New(cat *storage.Catalog) *Engine {
 	e := &Engine{cat: cat}
 	e.par.Store(1)
 	return e
 }
 
-// SetParallelism sets the default parallelism used by Execute and ExecSQL:
+// SetParallelism sets the default parallelism used by ExecSQL and ExecSQLCtx:
 // 0 = one worker per CPU, 1 = sequential, n > 1 = exactly n workers.
 func (e *Engine) SetParallelism(p int) { e.par.Store(int32(p)) }
 
@@ -136,128 +133,57 @@ type Result struct {
 	Affected int
 }
 
-// Execute runs one parsed statement with the engine's default parallelism.
-func (e *Engine) Execute(stmt sqlparse.Statement) (*Result, error) {
-	return e.ExecuteP(stmt, e.Parallelism())
-}
-
-// ExecuteCtx is Execute under a context: cancelling ctx stops the statement
-// cooperatively with a typed CancelledError, and any Limits carried by ctx
-// (WithLimits) or installed engine-wide (SetLimits) are enforced.
-func (e *Engine) ExecuteCtx(ctx context.Context, stmt sqlparse.Statement) (*Result, error) {
-	return e.ExecuteCtxP(ctx, stmt, e.Parallelism())
-}
-
-// ExecuteP runs one parsed statement with an explicit parallelism that
-// overrides the engine default for this statement only (0 = one worker per
-// CPU, 1 = sequential, n > 1 = n workers). Only aggregation consumes the
-// setting; other operators run as before.
-func (e *Engine) ExecuteP(stmt sqlparse.Statement, parallelism int) (*Result, error) {
-	return e.ExecuteCtxP(context.Background(), stmt, parallelism)
-}
-
-// ExecuteCtxP is ExecuteP under a context (see ExecuteCtx).
-func (e *Engine) ExecuteCtxP(ctx context.Context, stmt sqlparse.Statement, parallelism int) (*Result, error) {
-	var root *obs.Span
-	if e.tracing() {
-		root = obs.NewSpan("statement")
-		root.Attr("sql", stmt.String())
-	}
-	t0 := time.Now()
-	res, err := e.runStatement(ctx, stmt, execCtx{par: parallelism, span: root})
-	e.finishStatement(stmt, root, time.Since(t0), err)
-	if s := e.sink.Load(); s != nil && root != nil {
-		s.fn(root)
-	}
-	return res, err
-}
-
-// runStatement executes one statement under full lifecycle governance: it
-// resolves the effective limits, applies the per-statement deadline, builds
-// the governor the long loops check, contains panics from the dispatch
-// itself, and classifies the outcome in metrics. ec.span/ec.par come from
-// the caller; ec.gov is installed here.
-func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec execCtx) (res *Result, err error) {
-	ec.batch = !e.batchOff.Load()
-	lim := e.effectiveLimits(ctx)
-	if lim.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
-		defer cancel()
-	}
-	// Introspection opens a statement record before the governor is built so
-	// the record can observe the governor's live counters. A nil rec means
-	// recording is off or the statement reads a virtual relation (the
-	// self-observation guard in beginIntro).
-	var rec *stmtRec
-	if in := e.intro.Load(); in != nil && !introSkipped(ctx) {
-		rec = e.beginIntro(in, stmt)
-	}
-	if ctx.Done() != nil || !lim.zero() || rec != nil {
-		ec.gov = newGovernor(ctx, lim)
-	}
-	if rec != nil {
-		rec.attach(ec.gov)
-		if ec.span == nil {
-			// No sink: build a private span tree so flight records still get
-			// their per-stage breakdown.
-			ec.span = obs.NewSpan("statement")
-			rec.ownSpan = true
-		}
-		ec.rec = rec
-		// Registered before the recovery defer below, so it runs after it
-		// (LIFO) and records the post-recovery result and error.
-		defer func() { rec.finish(ec.span, res, err) }()
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, NewPanicError("statement dispatch", r)
-			// Unwinding skipped the orderly End calls between the panic site
-			// and here; close what it left open so the trace stays well-formed.
-			ec.span.EndAll("panic-unwind")
-		}
-		classifyOutcome(err)
-	}()
-	// A context that died before we started still gets the typed error.
-	if err := ec.gov.check(); err != nil {
-		return nil, err
-	}
-	return e.exec(stmt, ec)
-}
-
-// classifyOutcome bumps the lifecycle metrics for a finished statement.
-// Panics are counted at recovery (the panic may have been contained in a
-// worker, not here).
-func classifyOutcome(err error) {
-	if err == nil {
-		return
-	}
-	var c *CancelledError
-	if errors.As(err, &c) {
-		mCancelled.Inc()
-		return
-	}
-	var l *LimitError
-	if errors.As(err, &l) {
-		mLimitsExceeded.Inc()
-	}
-}
-
-// ExecuteCtxIn is ExecuteCtxP with the statement run as a child stage of
-// parent: its span tree attaches under parent instead of going to the trace
-// sink, so multi-statement plans (the core package's generated SQL) nest
-// their statements inside one plan trace. A nil parent disables tracing for
-// the statement; metrics and the slow-query log still apply.
+// ExecuteCtxIn runs one parsed statement: the one way a statement enters the
+// engine. Cancelling ctx stops it cooperatively with a typed CancelledError,
+// and any Limits carried by ctx (WithLimits) or installed engine-wide
+// (SetLimits) are enforced. parallelism overrides the engine default for this
+// statement only (0 = one worker per CPU, 1 = sequential, n > 1 = n workers);
+// only aggregation consumes it. The statement's span tree attaches under
+// parent, so multi-statement plans (the core package's generated SQL) nest
+// their statements inside one plan trace; a nil parent disables tracing for
+// the statement — metrics, the slow-query log and introspection still apply.
 func (e *Engine) ExecuteCtxIn(ctx context.Context, stmt sqlparse.Statement, parallelism int, parent *obs.Span) (*Result, error) {
-	sp := parent.NewChild("statement")
-	sp.Attr("sql", stmt.String())
-	t0 := time.Now()
-	res, err := e.runStatement(ctx, stmt, execCtx{par: parallelism, span: sp})
-	d := time.Since(t0)
-	if res != nil {
-		sp.SetRows(-1, int64(max(len(res.Rows), res.Affected)))
+	return e.runStatement(ctx, stmt, execCtx{par: parallelism, span: parent.NewChild("statement")})
+}
+
+// runStatement is the statement lifecycle, begin → govern → exec → complete,
+// and the only place a statement begins and ends. Begin reads the one clock,
+// snapshots the batch flag and opens the introspection record; Contain
+// applies the effective limits' deadline and contains panics; the governor
+// the long loops check is built under it; complete feeds every consumer of
+// the finished statement. Everything downstream derives its context from ec
+// — an inner context is a copy of ec with fields changed, never a literal —
+// so a governor, record or batch flag cannot be dropped on the way.
+func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec execCtx) (res *Result, err error) {
+	ec.start = time.Now()
+	ec.batch = !e.batchOff.Load()
+	// The statement text is rendered at most once, and only for a consumer
+	// that is on: a live span, the introspection record, a slow statement.
+	var sql string
+	if ec.span != nil {
+		sql = stmt.String()
+		ec.span.Attr("sql", sql)
 	}
-	e.finishStatement(stmt, sp, d, err)
+	if in := e.intro.Load(); in != nil && !introSkipped(ctx) {
+		if ec.rec = e.beginIntro(in, stmt, &sql); ec.rec != nil && ec.span == nil {
+			// Untraced: a private span tree still gives the flight record its
+			// per-stage breakdown.
+			ec.span, ec.rec.ownSpan = obs.NewSpan("statement"), true
+		}
+	}
+	err = e.Contain(ctx, "statement dispatch", ec.span, func(ctx context.Context, lim Limits) error {
+		if ctx.Done() != nil || !lim.zero() || ec.rec != nil {
+			ec.gov = newGovernor(ctx, lim)
+		}
+		ec.rec.publish(ec)
+		// A context that died before we started still gets the typed error.
+		err := ec.gov.check()
+		if err == nil {
+			res, err = e.exec(stmt, ec)
+		}
+		return err
+	})
+	e.complete(stmt, sql, ec, res, err)
 	return res, err
 }
 
@@ -289,39 +215,23 @@ func (e *Engine) exec(stmt sqlparse.Statement, ec execCtx) (*Result, error) {
 // semicolons) with the engine's default parallelism and returns the last
 // statement's result.
 func (e *Engine) ExecSQL(src string) (*Result, error) {
-	return e.ExecSQLP(src, e.Parallelism())
+	return e.ExecSQLCtxIn(context.Background(), src, e.Parallelism(), nil)
 }
 
-// ExecSQLCtx is ExecSQL under a context (see ExecuteCtx).
+// ExecSQLCtx is ExecSQL under a context (see ExecuteCtxIn).
 func (e *Engine) ExecSQLCtx(ctx context.Context, src string) (*Result, error) {
-	return e.ExecSQLCtxP(ctx, src, e.Parallelism())
+	return e.ExecSQLCtxIn(ctx, src, e.Parallelism(), nil)
 }
 
-// ExecSQLP is ExecSQL with an explicit per-script parallelism override.
-func (e *Engine) ExecSQLP(src string, parallelism int) (*Result, error) {
-	return e.ExecSQLCtxP(context.Background(), src, parallelism)
-}
-
-// ExecSQLCtxP is ExecSQLP under a context (see ExecuteCtx).
+// ExecSQLCtxP is ExecSQLCtx with an explicit per-script parallelism override.
 func (e *Engine) ExecSQLCtxP(ctx context.Context, src string, parallelism int) (*Result, error) {
-	stmts, err := sqlparse.ParseAll(src)
-	if err != nil {
-		return nil, err
-	}
-	var last *Result
-	for _, s := range stmts {
-		last, err = e.ExecuteCtxP(ctx, s, parallelism)
-		if err != nil {
-			return nil, fmt.Errorf("%w\n  in: %s", err, s)
-		}
-	}
-	return last, nil
+	return e.ExecSQLCtxIn(ctx, src, parallelism, nil)
 }
 
 // ExecSQLCtxIn parses and runs a script with every statement traced as a
 // child of parent: a "parse" span covers lexing and parsing, then one
 // statement span per statement (see ExecuteCtxIn). It returns the last
-// statement's result, like ExecSQLCtxP.
+// statement's result.
 func (e *Engine) ExecSQLCtxIn(ctx context.Context, src string, parallelism int, parent *obs.Span) (*Result, error) {
 	ps := parent.NewChild("parse")
 	stmts, err := sqlparse.ParseAll(src)

@@ -49,20 +49,18 @@ func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) 
 // fold's per-worker breakdown and a trailing execution summary.
 func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, error) {
 	sel := ex.Query
-	root := ec.span
-	if root == nil {
-		root = obs.NewSpan("statement")
-		root.Attr("sql", sel.String())
-	}
+	// The select runs under the statement's own context — governor, record,
+	// batch flag — with its pipeline exposed; an untraced statement gets a
+	// private span to read the stage actuals from.
 	insp := &selInspect{}
-	t0 := time.Now()
-	_, err := e.execSelect(sel, execCtx{par: ec.par, span: root, inspect: insp, batch: ec.batch})
-	total := time.Since(t0)
+	ec.inspect = insp
+	if ec.span == nil {
+		ec.span = obs.NewSpan("statement")
+	}
+	_, err := e.execSelect(sel, ec)
+	total := time.Since(ec.start)
 	if err != nil {
 		return nil, err
-	}
-	if ec.span == nil {
-		root.SetDuration(total)
 	}
 
 	items, err := expandStars(sel.Items, insp.in.schema())
@@ -73,7 +71,7 @@ func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, 
 	emit := func(depth int, s string) {
 		lines = append(lines, strings.Repeat("  ", depth)+s)
 	}
-	depth := explainHeader(sel, items, insp.in.schema(), emit, root)
+	depth := explainHeader(sel, items, insp.in.schema(), emit, ec.span)
 	// The residual WHERE filter is the pipeline root itself when present, so
 	// describeIter renders it (with actuals) — no separate header line here,
 	// unlike plain EXPLAIN which works from the unwrapped pipeline.

@@ -54,15 +54,13 @@ type introState struct {
 	seq      atomic.Int64
 }
 
-// stmtRec threads one recorded statement's identity from begin to finish.
+// stmtRec threads one recorded statement's identity from begin to complete.
 type stmtRec struct {
 	in      *introState
 	id      int64
 	norm    string
 	hash    uint64
-	start   time.Time
-	gov     *governor
-	ownSpan bool // the span was created for introspection, not a sink
+	ownSpan bool // the span was created for introspection, not by a caller
 	// parallel is set by the aggregation dispatch when the statement takes
 	// the partitioned path. Written before worker fan-out and read after
 	// join, both on the statement's goroutine.
@@ -147,91 +145,32 @@ func introSkipped(ctx context.Context) bool {
 
 // beginIntro opens a statement record, or returns nil when the statement
 // must not observe itself (it reads a virtual relation) — the guard that
-// keeps pct_stat_statements from growing a row for its own scans.
-func (e *Engine) beginIntro(in *introState, stmt sqlparse.Statement) *stmtRec {
+// keeps pct_stat_statements from growing a row for its own scans. sql is the
+// statement text, rendered here unless the caller already did.
+func (e *Engine) beginIntro(in *introState, stmt sqlparse.Statement, sql *string) *stmtRec {
 	if e.stmtTouchesVirtual(stmt) {
 		mIntroSelfSkipped.Inc()
 		return nil
 	}
-	norm, hash := obs.Fingerprint(stmt.String())
-	return &stmtRec{in: in, id: in.seq.Add(1), norm: norm, hash: hash, start: time.Now()}
+	if *sql == "" {
+		*sql = stmt.String()
+	}
+	norm, hash := obs.Fingerprint(*sql)
+	return &stmtRec{in: in, id: in.seq.Add(1), norm: norm, hash: hash}
 }
 
-// attach binds the statement's governor to the record and publishes it in
-// the activity registry; the progress closure reads the governor's shared
-// atomic counters, so activity snapshots never touch statement-local state.
-func (rec *stmtRec) attach(gov *governor) {
-	rec.gov = gov
-	var progress func() (int64, int64, int64)
-	if gov != nil {
-		c := gov.c
-		progress = func() (int64, int64, int64) {
-			return atomic.LoadInt64(&c.scanned), atomic.LoadInt64(&c.rows), atomic.LoadInt64(&c.bytes)
-		}
+// publish registers the statement in the activity registry; the progress
+// closure reads the governor's shared atomic counters, so activity snapshots
+// never touch statement-local state. Nil-receiver safe (unrecorded
+// statements); complete deregisters it.
+func (rec *stmtRec) publish(ec execCtx) {
+	if rec == nil {
+		return
 	}
-	rec.in.activity.Begin(rec.id, rec.norm, rec.hash, rec.start, progress)
-}
-
-// finish closes the record: deregister from activity, fold into the
-// fingerprint stats, and append to the flight recorder.
-func (rec *stmtRec) finish(span *obs.Span, res *Result, err error) {
-	in := rec.in
-	in.activity.End(rec.id)
-	d := time.Since(rec.start)
-	var rows int64
-	if res != nil {
-		rows = int64(max(len(res.Rows), res.Affected))
-	}
-	scanned := rec.gov.scanned()
-	code := introErrCode(err)
-	in.stats.Observe(obs.StmtObservation{
-		Hash: rec.hash, Query: rec.norm, Top: false,
-		DurNs: d.Nanoseconds(), Rows: rows, Scanned: scanned,
-		ErrCode: code, Parallel: rec.parallel,
+	c := ec.gov.c
+	rec.in.activity.Begin(rec.id, rec.norm, rec.hash, ec.start, func() (int64, int64, int64) {
+		return atomic.LoadInt64(&c.scanned), atomic.LoadInt64(&c.rows), atomic.LoadInt64(&c.bytes)
 	})
-	var stages string
-	if span != nil {
-		if rec.ownSpan {
-			span.SetDuration(d)
-		}
-		stages = renderStages(span)
-	}
-	in.flight.Record(obs.FlightRecord{
-		Fingerprint: rec.hash, Query: rec.norm, Start: rec.start,
-		DurNs: d.Nanoseconds(), Rows: rows, Scanned: scanned,
-		ErrCode: code, Stages: stages,
-	})
-	mIntroRecorded.Inc()
-}
-
-// introErrCode maps an execution error to its stable code: the PCTxxx code
-// when the error carries one, "error" otherwise, "" for success.
-func introErrCode(err error) string {
-	if err == nil {
-		return ""
-	}
-	var coded interface{ Code() string }
-	if asCoded(err, &coded) {
-		return coded.Code()
-	}
-	return "error"
-}
-
-// asCoded is errors.As specialized for the Code interface without forcing
-// the interface variable allocation on the success path.
-func asCoded(err error, target *interface{ Code() string }) bool {
-	for err != nil {
-		if c, ok := err.(interface{ Code() string }); ok {
-			*target = c
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // renderStages flattens a statement span tree into "stage=duration" pairs,
@@ -294,18 +233,6 @@ func (e *Engine) IsVirtualTable(name string) bool {
 	_, ok := e.virt[strings.ToLower(name)]
 	e.virtMu.RUnlock()
 	return ok
-}
-
-// VirtualTables lists the registered virtual relations, sorted.
-func (e *Engine) VirtualTables() []string {
-	e.virtMu.RLock()
-	out := make([]string, 0, len(e.virt))
-	for _, d := range e.virt {
-		out = append(out, d.name)
-	}
-	e.virtMu.RUnlock()
-	sort.Strings(out)
-	return out
 }
 
 // lookupVirtual returns the definition for name, or nil.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -230,7 +231,7 @@ func TestIntrospectParallelFlag(t *testing.T) {
 	}
 	mustExec(t, e, sb.String())
 	e.EnableIntrospection(IntrospectionConfig{})
-	if _, err := e.ExecSQLP("SELECT k, SUM(v) FROM big GROUP BY k", 4); err != nil {
+	if _, err := e.ExecSQLCtxP(context.Background(), "SELECT k, SUM(v) FROM big GROUP BY k", 4); err != nil {
 		t.Fatal(err)
 	}
 	r := mustExec(t, e, "SELECT parallel FROM pct_stat_statements WHERE query = 'SELECT k, sum(v) FROM big GROUP BY k'")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/obs"
 	"repro/internal/value"
 )
 
@@ -83,19 +84,33 @@ func (e *Engine) effectiveLimits(ctx context.Context) Limits {
 	return e.Limits()
 }
 
-// LimitsFromContext returns the Limits carried by ctx via WithLimits.
-// Exported for the core package's native plan steps, which enforce budgets
-// in their own loops outside the engine's governor.
-func LimitsFromContext(ctx context.Context) (Limits, bool) {
-	l, ok := ctx.Value(limitsKey{}).(Limits)
-	return l, ok
+// Contain runs fn under the two guards every unit of plan work gets — a
+// statement here (runStatement), a native plan step in the core package: the
+// effective Limits' per-statement deadline applied to ctx, and panic
+// containment into a typed PCT206 error naming point, so one poisoned
+// statement cannot kill concurrent submitters. fn receives the deadline
+// context and the limits it was derived from. The spans under sp that the
+// unwind skipped past are closed, so the trace stays well-formed.
+func (e *Engine) Contain(ctx context.Context, point string, sp *obs.Span, fn func(context.Context, Limits) error) (err error) {
+	lim := e.effectiveLimits(ctx)
+	if lim.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)
+		defer cancel()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = NewPanicError(point, r)
+			sp.EndAll("panic-unwind")
+		}
+	}()
+	return fn(ctx, lim)
 }
 
 // CheckCtx returns the typed CancelledError when ctx is already cancelled or
-// past its deadline, nil otherwise. Exported for the same reason as
-// LimitsFromContext: native plan steps stride-check their scans with it so a
-// cancelled plan carries the same PCT200/PCT201 codes as a cancelled
-// statement.
+// past its deadline, nil otherwise. Exported for the core package's native
+// plan steps, which stride-check their scans with it so a cancelled plan
+// carries the same PCT200/PCT201 codes as a cancelled statement.
 func CheckCtx(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -176,9 +191,9 @@ func (e *PanicError) Code() string { return diag.CodePanic }
 
 // NewPanicError builds the contained form of a recovered panic value,
 // capturing the current stack and counting it in engine.panics. Exported for
-// the core package's native plan steps, which recover on their own
-// goroutines. Construction is the single counting site, so every containment
-// path — dispatch, partition worker, native step — bumps the
+// the server's connection handlers, which recover on their own goroutines.
+// Construction is the single counting site, so every containment path —
+// Contain (dispatch, native step), partition worker, connection — bumps the
 // metric exactly once.
 func NewPanicError(point string, v any) *PanicError {
 	mPanics.Inc()
@@ -339,15 +354,5 @@ func governIter(it iterator, g *governor) {
 		n.gov = g
 		governIter(n.left, g)
 		governIter(n.rightSrc, g)
-	}
-}
-
-// recoverToError converts a recovered panic into a typed, contained error,
-// counting it. Used via defer in statement dispatch and worker goroutines:
-//
-//	defer recoverToError(&err, "statement")
-func recoverToError(err *error, point string) {
-	if r := recover(); r != nil {
-		*err = NewPanicError(point, r)
 	}
 }

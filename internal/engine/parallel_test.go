@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -75,12 +76,12 @@ func TestParallelAggregationMatchesSequential(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 500} {
 		e := randAggEngine(t, n, int64(n)+1)
 		for _, q := range queries {
-			seq, err := e.ExecSQLP(q, 1)
+			seq, err := e.ExecSQLCtxP(context.Background(), q, 1)
 			if err != nil {
 				t.Fatalf("n=%d seq %s: %v", n, q, err)
 			}
 			for _, p := range []int{0, 2, 3, 8} {
-				par, err := e.ExecSQLP(q, p)
+				par, err := e.ExecSQLCtxP(context.Background(), q, p)
 				if err != nil {
 					t.Fatalf("n=%d P=%d %s: %v", n, p, q, err)
 				}
@@ -111,7 +112,7 @@ func TestParallelPreservesFirstAppearanceOrder(t *testing.T) {
 		}
 	}
 	for _, p := range []int{2, 7, 8, 64} {
-		res, err := e.ExecSQLP("SELECT g, sum(a) FROM f GROUP BY g", p)
+		res, err := e.ExecSQLCtxP(context.Background(), "SELECT g, sum(a) FROM f GROUP BY g", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,12 +134,12 @@ func TestParallelForcedOnTinyInput(t *testing.T) {
 	// Explicit parallelism > 1 must take the partitioned path even below
 	// the auto threshold; worker count is capped by the row count.
 	e := newTestEngine(t)
-	seq, err := e.ExecSQLP("SELECT state, sum(salesAmt), count(*) FROM sales GROUP BY state", 1)
+	seq, err := e.ExecSQLCtxP(context.Background(), "SELECT state, sum(salesAmt), count(*) FROM sales GROUP BY state", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8, 1000} {
-		par, err := e.ExecSQLP("SELECT state, sum(salesAmt), count(*) FROM sales GROUP BY state", p)
+		par, err := e.ExecSQLCtxP(context.Background(), "SELECT state, sum(salesAmt), count(*) FROM sales GROUP BY state", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestParallelEmptyInputGlobalGroup(t *testing.T) {
 	e := New(storage.NewCatalog())
 	mustExec(t, e, "CREATE TABLE empty (a INTEGER)")
 	for _, p := range []int{1, 2, 8} {
-		res, err := e.ExecSQLP("SELECT sum(a), count(*), count(a), min(a), avg(a) FROM empty", p)
+		res, err := e.ExecSQLCtxP(context.Background(), "SELECT sum(a), count(*), count(a), min(a), avg(a) FROM empty", p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,12 +177,12 @@ func TestParallelErrorPropagation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, seqErr := e.ExecSQLP("SELECT sum(s) FROM f", 1)
+	_, seqErr := e.ExecSQLCtxP(context.Background(), "SELECT sum(s) FROM f", 1)
 	if seqErr == nil {
 		t.Fatal("sequential sum over strings should fail")
 	}
 	for _, p := range []int{2, 8} {
-		_, parErr := e.ExecSQLP("SELECT sum(s) FROM f", p)
+		_, parErr := e.ExecSQLCtxP(context.Background(), "SELECT sum(s) FROM f", p)
 		if parErr == nil {
 			t.Fatalf("P=%d: expected the sequential path's error, got success", p)
 		}
@@ -357,7 +358,7 @@ func TestSeqFallbackCountedOnce(t *testing.T) {
 		{tableFed, 4, 0}, {joinFed, 4, 0},
 	} {
 		before := mAggSeqFallback.Value()
-		if _, err := e.ExecSQLP(tc.sql, tc.par); err != nil {
+		if _, err := e.ExecSQLCtxP(context.Background(), tc.sql, tc.par); err != nil {
 			t.Fatal(err)
 		}
 		if got := mAggSeqFallback.Value() - before; got != tc.want {

@@ -194,7 +194,9 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 			keys[i] = &expr.SlotRef{Index: i}
 		}
 		unique := &collector{charge: rowCharge{gov: ec.gov}}
-		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, execCtx{par: ec.par, gov: ec.gov, batch: ec.batch}, unique)
+		fold := ec // the statement's context; the fold's own spans stay out of the tree
+		fold.span = nil
+		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, fold, unique)
 		if err == nil {
 			err = unique.charge.settle()
 		}

@@ -1,28 +1,35 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"time"
 
+	"repro/internal/diag"
 	"repro/internal/obs"
+	"repro/internal/sqlparse"
 )
 
 // Observability plumbing for statement execution. An execCtx carries the
-// per-statement parallelism together with the statement's trace span; when no
-// trace sink or slow-query log is configured the span is nil and every
-// instrumentation point degrades to a single pointer test (obs.Span methods
-// are nil-receiver safe, and iterator opStats are only allocated for traced
-// statements), so the sequential hot loop records metrics with atomic adds
-// and zero allocations.
+// per-statement parallelism together with the statement's trace span; when
+// the caller passed no parent span and introspection is off the span is nil
+// and every instrumentation point degrades to a single pointer test (obs.Span
+// methods are nil-receiver safe, and iterator opStats are only allocated for
+// traced statements), so the sequential hot loop records metrics with atomic
+// adds and zero allocations.
 
 // execCtx threads per-statement execution state through the engine: the
 // parallelism setting (see fold.go for its semantics) and the statement
-// span child stages attach to (nil when tracing is off).
+// span child stages attach to (nil when tracing is off). The one literal is
+// in ExecuteCtxIn; every inner context is a copy with fields changed.
 type execCtx struct {
 	par  int
 	span *obs.Span
+	// start is the statement's one clock reading (runStatement): complete
+	// measures the one duration every consumer sees from it.
+	start time.Time
 	// gov is the statement's lifecycle governor (lifecycle.go): context,
 	// resource budgets, shared progress counters. Nil for ungoverned
 	// statements (background context, no limits); every governed loop
@@ -42,13 +49,13 @@ type execCtx struct {
 }
 
 // liteSpan reports whether the statement span exists only so the flight
-// recorder gets its stage totals (introspection on, but no trace sink and no
+// recorder gets its stage totals (introspection on, but no parent span and no
 // EXPLAIN ANALYZE). Per-operator instrumentation is skipped for such spans:
 // opStats cost two clock reads per row per operator, the wrong price for
 // always-on recording. Flight-record stages then carry the phase-level
 // breakdown (aggregate, fold, sort, project, …), which costs one timestamp
 // per phase.
-func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan }
+func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan && ec.inspect == nil }
 
 // selInspect captures the executed SELECT pipeline so EXPLAIN ANALYZE can
 // render the plan tree with actual row counts and timings after the run.
@@ -89,31 +96,6 @@ type slowLog struct {
 	threshold time.Duration
 }
 
-func (l *slowLog) record(d time.Duration, sql string) {
-	if l == nil || d < l.threshold {
-		return
-	}
-	l.mu.Lock()
-	fmt.Fprintf(l.w, "slow query (%s): %s\n", d, sql)
-	l.mu.Unlock()
-}
-
-// traceSink wraps the sink callback so it can live in an atomic.Pointer.
-type traceSink struct {
-	fn func(*obs.Span)
-}
-
-// SetTraceSink installs a callback that receives the finished span tree of
-// every statement the engine executes. Pass nil to disable tracing. The
-// callback may run from any goroutine that submits statements.
-func (e *Engine) SetTraceSink(fn func(*obs.Span)) {
-	if fn == nil {
-		e.sink.Store(nil)
-		return
-	}
-	e.sink.Store(&traceSink{fn: fn})
-}
-
 // SetSlowQueryLog logs statements slower than threshold to w, one line per
 // statement ("slow query (<dur>): <sql>"). Pass a nil writer to disable.
 func (e *Engine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
@@ -123,11 +105,6 @@ func (e *Engine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 	}
 	e.slow.Store(&slowLog{w: w, threshold: threshold})
 }
-
-// tracing reports whether statements should build span trees even without an
-// explicit parent: a sink wants the tree, and the slow-query log includes it
-// implicitly through the statement duration.
-func (e *Engine) tracing() bool { return e.sink.Load() != nil }
 
 // opStats is per-operator instrumentation for EXPLAIN ANALYZE and traces:
 // cumulative time spent inside next() (inclusive of children, the way
@@ -244,24 +221,69 @@ func (st *opStats) actualSuffix() string {
 	return fmt.Sprintf(" (actual rows=%d time=%s)", st.rows, time.Duration(st.ns))
 }
 
-// finishStatement is the one completion path of a statement, traced to the
-// sink or under a parent span: it records the statement-level metrics, feeds
-// the slow-query log and closes the statement's span (nil when untraced).
-// The SQL text is rendered lazily — only when a consumer needs it.
-func (e *Engine) finishStatement(stmt interface{ String() string }, sp *obs.Span, d time.Duration, err error) {
+// complete is the one end of a statement. It takes the one measured duration
+// and the one error and feeds every consumer of a finished statement, in
+// order: the statement and outcome counters, the slow-query log, the span,
+// and — for a recorded statement — activity, the fingerprint statistics and
+// the flight recorder. sql is the statement text if begin already rendered
+// it; a consumer that needs it and finds it empty renders it here.
+func (e *Engine) complete(stmt sqlparse.Statement, sql string, ec execCtx, res *Result, err error) {
+	d := max(time.Since(ec.start), 1) // a finished span is never zero
 	mStatements.Inc()
 	mStatementNs.Observe(int64(d))
 	if err != nil {
 		mErrors.Inc()
+		var c *CancelledError
+		var l *LimitError
+		switch {
+		case errors.As(err, &c):
+			mCancelled.Inc()
+		case errors.As(err, &l):
+			mLimitsExceeded.Inc()
+		}
+		// Panics are counted at recovery (NewPanicError): the panic may have
+		// been contained in a worker, not at the dispatch.
 	}
-	if l := e.slow.Load(); l != nil {
-		l.record(d, stmt.String())
+	if l := e.slow.Load(); l != nil && d >= l.threshold {
+		if sql == "" {
+			sql = stmt.String()
+		}
+		l.mu.Lock()
+		fmt.Fprintf(l.w, "slow query (%s): %s\n", d, sql)
+		l.mu.Unlock()
 	}
-	if sp == nil {
+	var rows int64
+	if res != nil {
+		rows = int64(max(len(res.Rows), res.Affected))
+	}
+	if sp := ec.span; sp != nil {
+		if res != nil {
+			sp.SetRows(-1, rows)
+		}
+		sp.SetDuration(d)
+		if err != nil {
+			sp.Attr("error", err.Error())
+		}
+	}
+	rec := ec.rec
+	if rec == nil {
 		return
 	}
-	sp.SetDuration(d)
-	if err != nil {
-		sp.Attr("error", err.Error())
+	rec.in.activity.End(rec.id)
+	code := diag.CodeOf(err)
+	if err != nil && code == "" {
+		code = "error"
 	}
+	scanned := ec.gov.scanned()
+	rec.in.stats.Observe(obs.StmtObservation{
+		Hash: rec.hash, Query: rec.norm, Top: false,
+		DurNs: d.Nanoseconds(), Rows: rows, Scanned: scanned,
+		ErrCode: code, Parallel: rec.parallel,
+	})
+	rec.in.flight.Record(obs.FlightRecord{
+		Fingerprint: rec.hash, Query: rec.norm, Start: ec.start,
+		DurNs: d.Nanoseconds(), Rows: rows, Scanned: scanned,
+		ErrCode: code, Stages: renderStages(ec.span),
+	})
+	mIntroRecorded.Inc()
 }

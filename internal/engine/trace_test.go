@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func TestExplainAnalyzeAnnotations(t *testing.T) {
 func TestExplainAnalyzeParallelWorkers(t *testing.T) {
 	e := newTestEngine(t)
 	stmt := parseOne(t, "EXPLAIN ANALYZE SELECT state, sum(salesAmt) FROM sales GROUP BY state")
-	r, err := e.ExecuteP(stmt, 2)
+	r, err := e.ExecuteCtxIn(context.Background(), stmt, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,22 +75,22 @@ func TestExplainAnalyzeParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestTraceSinkSpans covers the acceptance invariants: a parallel run traces
-// one span per worker plus a merge span, and sequential children never
+// TestTraceSinkSpans covers the invariants of the statement tree a trace
+// sink upstream (pctagg's) receives under its parent span: a parallel run
+// traces one span per worker plus a merge span, and sequential children never
 // out-sum their parent anywhere in the tree.
 func TestTraceSinkSpans(t *testing.T) {
 	e := newTestEngine(t)
-	var spans []*obs.Span
-	e.SetTraceSink(func(s *obs.Span) { spans = append(spans, s) })
+	parent := obs.NewSpan("test")
 	stmt := parseOne(t, "SELECT state, sum(salesAmt) FROM sales GROUP BY state")
-	if _, err := e.ExecuteP(stmt, 3); err != nil {
+	if _, err := e.ExecuteCtxIn(context.Background(), stmt, 3, parent); err != nil {
 		t.Fatal(err)
 	}
-	e.SetTraceSink(nil)
-	if len(spans) != 1 {
-		t.Fatalf("sink received %d spans, want 1", len(spans))
+	parent.End()
+	if len(parent.Children) != 1 {
+		t.Fatalf("parent received %d spans, want 1", len(parent.Children))
 	}
-	root := spans[0]
+	root := parent.Children[0]
 	if root.Name != "statement" || root.Duration <= 0 {
 		t.Fatalf("root span = %s (%v)", root.Name, root.Duration)
 	}
@@ -192,7 +193,7 @@ func TestStatementMetrics(t *testing.T) {
 }
 
 // BenchmarkSequentialFoldNoSink is the zero-overhead acceptance benchmark:
-// with no trace sink attached the sequential hot loop allocates exactly what
+// for an untraced statement the sequential hot loop allocates exactly what
 // it did before observability existed — metric recording is atomic adds at
 // statement granularity, and span plumbing is nil-pointer tests. Run with
 // -benchmem and compare allocs/op against BenchmarkHashAggregate history.

@@ -112,14 +112,14 @@ func TestWindowSumMatchesGroupBy(t *testing.T) {
 				var got, want *Result
 				var err error
 				for _, sql := range q.setup {
-					if _, err = e.ExecSQLP(sql, par); err != nil {
+					if _, err = e.ExecSQLCtxP(context.Background(), sql, par); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 				}
-				if got, err = e.ExecSQLP(q.window, par); err != nil {
+				if got, err = e.ExecSQLCtxP(context.Background(), q.window, par); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if want, err = e.ExecSQLP(q.groupBy, par); err != nil {
+				if want, err = e.ExecSQLCtxP(context.Background(), q.groupBy, par); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				sameBits(t, label, got, want)
@@ -134,10 +134,12 @@ func TestWindowSumMatchesGroupBy(t *testing.T) {
 func TestWindowFoldsOncePerPartitionList(t *testing.T) {
 	e := windowEngine(t)
 	var root *obs.Span
-	e.SetTraceSink(func(sp *obs.Span) { root = sp })
 	count := func(sql string, par int, name string) int {
 		t.Helper()
-		if _, err := e.ExecSQLP(sql, par); err != nil {
+		root = obs.NewSpan("test")
+		_, err := e.ExecSQLCtxIn(context.Background(), sql, par, root)
+		root.End()
+		if err != nil {
 			t.Fatal(err)
 		}
 		win := root.Find("window")

@@ -100,7 +100,7 @@ func TestBindEquivalence(t *testing.T) {
 			for i := range row {
 				row[i] = randVal()
 			}
-			rv := ValuesRow(row)
+			rv := valuesRow(row)
 			gv, gerr := plain.Eval(rv)
 			fv, ferr := bound.Eval(rv)
 			if (gerr == nil) != (ferr == nil) {
@@ -160,7 +160,7 @@ func TestBindEqConstReversed(t *testing.T) {
 	if col, val, ok := b.(*BinaryOp).ColumnConst(); !ok || col != 0 || val.Int() != 3 {
 		t.Fatalf("ColumnConst = %d, %v, %v", col, val, ok)
 	}
-	v, err := b.Eval(ValuesRow{value.NewInt(3)})
+	v, err := b.Eval(valuesRow{value.NewInt(3)})
 	if err != nil || !v.Bool() {
 		t.Errorf("3 = a with a=3: %v %v", v, err)
 	}
@@ -173,17 +173,17 @@ func TestAndShortCircuit(t *testing.T) {
 	a1 := eq(Col("a"), NewLiteral(value.NewInt(1)))
 	for _, tc := range []struct {
 		e    Expr
-		row  ValuesRow
+		row  valuesRow
 		want value.Value
 	}{
 		// a=2 (false) AND b IS NULL → false regardless of b.
-		{and(a1, &IsNull{Operand: Col("b")}), ValuesRow{value.NewInt(2), value.Null}, value.NewBool(false)},
+		{and(a1, &IsNull{Operand: Col("b")}), valuesRow{value.NewInt(2), value.Null}, value.NewBool(false)},
 		// a=NULL (unknown) AND false → false.
-		{and(a1, NewLiteral(value.NewBool(false))), ValuesRow{value.Null, value.Null}, value.NewBool(false)},
+		{and(a1, NewLiteral(value.NewBool(false))), valuesRow{value.Null, value.Null}, value.NewBool(false)},
 		// a=NULL AND true → NULL.
-		{and(a1, NewLiteral(value.NewBool(true))), ValuesRow{value.Null, value.Null}, value.Null},
+		{and(a1, NewLiteral(value.NewBool(true))), valuesRow{value.Null, value.Null}, value.Null},
 		// false AND <error> → false: the right side is not evaluated.
-		{and(a1, &BinaryOp{Op: "+", Left: Col("b"), Right: NewLiteral(value.NewInt(1))}), ValuesRow{value.NewInt(2), value.NewString("x")}, value.NewBool(false)},
+		{and(a1, &BinaryOp{Op: "+", Left: Col("b"), Right: NewLiteral(value.NewInt(1))}), valuesRow{value.NewInt(2), value.NewString("x")}, value.NewBool(false)},
 	} {
 		v, err := mustBind(t, tc.e, "a", "b").Eval(tc.row)
 		if err != nil || v.IsNull() != tc.want.IsNull() || !v.IsNull() && v.Bool() != tc.want.Bool() {
@@ -220,8 +220,8 @@ func TestBindNegativeConstant(t *testing.T) {
 			t.Errorf("%s: text %q", tc.e, b.String())
 		}
 		for _, cell := range []value.Value{value.NewInt(-3), value.NewInt(3), value.NewFloat(-2.5), value.Null} {
-			want, _ := plain.Eval(ValuesRow{cell})
-			got, err := b.Eval(ValuesRow{cell})
+			want, _ := plain.Eval(valuesRow{cell})
+			got, err := b.Eval(valuesRow{cell})
 			if err != nil || got.IsNull() != want.IsNull() || !got.IsNull() && got.Bool() != want.Bool() {
 				t.Errorf("%s at d=%v: %v, %v; plain %v", tc.e, cell, got, err, want)
 			}

@@ -18,11 +18,11 @@ type Row interface {
 	ColumnValue(i int) value.Value
 }
 
-// ValuesRow adapts a value slice to the Row interface.
-type ValuesRow []value.Value
+// valuesRow adapts a value slice to the Row interface.
+type valuesRow []value.Value
 
 // ColumnValue returns the i-th value.
-func (r ValuesRow) ColumnValue(i int) value.Value { return r[i] }
+func (r valuesRow) ColumnValue(i int) value.Value { return r[i] }
 
 // Expr is a scalar SQL expression.
 type Expr interface {
@@ -254,9 +254,9 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
-// Columns returns the distinct unbound column names referenced by e, in
+// columns returns the distinct unbound column names referenced by e, in
 // first-appearance order.
-func Columns(e Expr) []string {
+func columns(e Expr) []string {
 	var out []string
 	seen := make(map[string]bool)
 	_ = Walk(e, func(n Expr) error {

@@ -14,7 +14,7 @@ func evalOn(t *testing.T, e Expr, names []string, vals ...value.Value) value.Val
 	if err != nil {
 		t.Fatalf("Bind(%s): %v", e, err)
 	}
-	v, err := b.Eval(ValuesRow(vals))
+	v, err := b.Eval(valuesRow(vals))
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
@@ -40,7 +40,7 @@ func TestLiteralAndString(t *testing.T) {
 
 func TestColumnBindingAndEval(t *testing.T) {
 	e := Col("b")
-	if _, err := e.Eval(ValuesRow{value.NewInt(1)}); err == nil {
+	if _, err := e.Eval(valuesRow{value.NewInt(1)}); err == nil {
 		t.Error("unbound column must not evaluate")
 	}
 	got := evalOn(t, e, []string{"a", "b"}, value.NewInt(1), value.NewInt(2))
@@ -279,7 +279,7 @@ func TestTransformAndWalk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := v.Eval(ValuesRow{value.NewInt(0), value.NewInt(5)})
+	got, err := v.Eval(valuesRow{value.NewInt(0), value.NewInt(5)})
 	if err != nil || got.Int() != 10 { // slot 1 holds b=5, plus b=5
 		t.Errorf("eval after transform = %v %v", got, err)
 	}
@@ -307,7 +307,7 @@ func TestColumnsHelper(t *testing.T) {
 	e := &BinaryOp{Op: "+",
 		Left:  &BinaryOp{Op: "*", Left: Col("a"), Right: Col("B")},
 		Right: &FuncCall{Name: "abs", Args: []Expr{Col("a")}}}
-	cols := Columns(e)
+	cols := columns(e)
 	if len(cols) != 2 || cols[0] != "a" || cols[1] != "B" {
 		t.Errorf("Columns = %v", cols)
 	}

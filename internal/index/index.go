@@ -46,9 +46,6 @@ func (ix *Index) Columns() []string { return append([]string(nil), ix.columns...
 // Len reports the number of (key,row) entries in the index.
 func (ix *Index) Len() int { return ix.entries }
 
-// Buckets reports the number of distinct keys.
-func (ix *Index) Buckets() int { return len(ix.buckets) }
-
 // encode leaves the key encoding of vals in the index's scratch buffer.
 func (ix *Index) encode(vals []value.Value) []byte {
 	ix.buf = ix.buf[:0]

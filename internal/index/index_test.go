@@ -33,8 +33,8 @@ func TestAddLookup(t *testing.T) {
 	if got := ix.Lookup(key("CA", "LA")); len(got) != 0 {
 		t.Errorf("CA/LA rows = %v", got)
 	}
-	if ix.Len() != 3 || ix.Buckets() != 2 {
-		t.Errorf("Len=%d Buckets=%d", ix.Len(), ix.Buckets())
+	if ix.Len() != 3 || len(ix.buckets) != 2 {
+		t.Errorf("Len=%d Buckets=%d", ix.Len(), len(ix.buckets))
 	}
 	if ix.Name() != "i" {
 		t.Error("Name wrong")
@@ -72,8 +72,8 @@ func TestRemove(t *testing.T) {
 	if !ix.Remove(key(1), 11) {
 		t.Error("Remove last entry must succeed")
 	}
-	if ix.Buckets() != 0 || ix.Len() != 0 {
-		t.Errorf("index not empty: buckets=%d len=%d", ix.Buckets(), ix.Len())
+	if len(ix.buckets) != 0 || ix.Len() != 0 {
+		t.Errorf("index not empty: buckets=%d len=%d", len(ix.buckets), ix.Len())
 	}
 	if ix.Remove(key(2), 5) {
 		t.Error("Remove from missing bucket must fail")
@@ -102,7 +102,7 @@ func TestAddRemoveBalanceProperty(t *testing.T) {
 				return false
 			}
 		}
-		return ix.Len() == 0 && ix.Buckets() == 0
+		return ix.Len() == 0 && len(ix.buckets) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -132,7 +132,7 @@ func TestIndexBuildAllocBudget(t *testing.T) {
 		for r := 0; r < rows; r++ {
 			ix.Add(tuples[r%keys], r)
 		}
-		if ix.Len() != rows || ix.Buckets() != keys {
+		if ix.Len() != rows || len(ix.buckets) != keys {
 			t.Fatal(ix)
 		}
 	})

@@ -31,7 +31,7 @@ func TestLintDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("setup failed: %v", err)
 		}
-		return RenderAll("d.sql", ds)
+		return renderAll("d.sql", ds)
 	}
 	first := render()
 	if first == "" {

@@ -35,10 +35,10 @@ func Render(file string, d Diagnostic) string {
 	return sb.String()
 }
 
-// RenderAll formats a diagnostic slice one finding per line (fixes
+// renderAll formats a diagnostic slice one finding per line (fixes
 // indented beneath), ending with a trailing newline; empty input renders
 // as the empty string.
-func RenderAll(file string, ds []Diagnostic) string {
+func renderAll(file string, ds []Diagnostic) string {
 	var sb strings.Builder
 	for _, d := range ds {
 		sb.WriteString(Render(file, d))
@@ -53,9 +53,9 @@ type fileDiagnostic struct {
 	diag.Diagnostic
 }
 
-// JSON renders diagnostics as an indented JSON array (never null: an empty
+// renderJSON renders diagnostics as an indented renderJSON array (never null: an empty
 // slice renders as []). file may be empty.
-func JSON(file string, ds []Diagnostic) ([]byte, error) {
+func renderJSON(file string, ds []Diagnostic) ([]byte, error) {
 	out := make([]fileDiagnostic, 0, len(ds))
 	for _, d := range ds {
 		out = append(out, fileDiagnostic{File: file, Diagnostic: d})

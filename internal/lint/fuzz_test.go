@@ -37,8 +37,8 @@ func FuzzLint(f *testing.F) {
 		_, _ = l.Planner.Eng.ExecSQL("CREATE TABLE f (a INTEGER, b VARCHAR, amt INTEGER)")
 		_, _ = l.Planner.Eng.ExecSQL("INSERT INTO f VALUES (1, 'x', 10), (1, 'y', 0), (2, 'x', -3)")
 		ds, _ := l.LintSQL(src)
-		_ = RenderAll("fuzz.sql", ds)
-		if _, err := JSON("fuzz.sql", ds); err != nil {
+		_ = renderAll("fuzz.sql", ds)
+		if _, err := renderJSON("fuzz.sql", ds); err != nil {
 			t.Fatalf("JSON rendering failed: %v", err)
 		}
 	})

@@ -46,7 +46,7 @@ func TestGoldenCorpus(t *testing.T) {
 	for _, path := range files {
 		name := strings.TrimSuffix(filepath.Base(path), ".sql")
 		t.Run(name, func(t *testing.T) {
-			got := RenderAll("", lintFile(t, path))
+			got := renderAll("", lintFile(t, path))
 			golden := strings.TrimSuffix(path, ".sql") + ".golden"
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {

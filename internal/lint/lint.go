@@ -13,6 +13,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -26,16 +27,6 @@ import (
 
 // Diagnostic is re-exported so callers need not import internal/diag.
 type Diagnostic = diag.Diagnostic
-
-// Severities, re-exported.
-const (
-	Error    = diag.Error
-	Warning  = diag.Warning
-	Advisory = diag.Advisory
-)
-
-// Registry re-exports the diagnostic-code registry.
-var Registry = diag.Registry
 
 // Linter runs the full check suite over parsed statements. It needs a
 // planner (and through it an engine) because the warning checks measure
@@ -60,14 +51,14 @@ func (l *Linter) columnLimit() int {
 	return 2048
 }
 
-// maxColumnsDirective matches a "-- lint:max-columns=N" script comment,
-// which pins the PCT103 column limit for a self-describing script.
-var maxColumnsDirective = regexp.MustCompile(`lint:max-columns=(\d+)`)
+// maxColumnsRE matches a "-- lint:max-columns=N" script comment, which pins
+// the PCT103 column limit for a self-describing script.
+var maxColumnsRE = regexp.MustCompile(`lint:max-columns=(\d+)`)
 
-// MaxColumnsDirective extracts a "lint:max-columns=N" directive from a
+// maxColumnsDirective extracts a "lint:max-columns=N" directive from a
 // script's comments, or 0 when absent.
-func MaxColumnsDirective(src string) int {
-	m := maxColumnsDirective.FindStringSubmatch(src)
+func maxColumnsDirective(src string) int {
+	m := maxColumnsRE.FindStringSubmatch(src)
 	if m == nil {
 		return 0
 	}
@@ -85,7 +76,7 @@ func MaxColumnsDirective(src string) int {
 // execute), not a finding.
 func (l *Linter) LintSQL(src string) ([]Diagnostic, error) {
 	if l.ColumnLimit == 0 {
-		if n := MaxColumnsDirective(src); n > 0 {
+		if n := maxColumnsDirective(src); n > 0 {
 			defer func(old int) { l.ColumnLimit = old }(l.ColumnLimit)
 			l.ColumnLimit = n
 		}
@@ -98,11 +89,11 @@ func (l *Linter) LintSQL(src string) ([]Diagnostic, error) {
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *sqlparse.Select:
-			out = append(out, l.LintSelect(s)...)
+			out = append(out, l.lintSelect(s)...)
 		case *sqlparse.Explain:
-			out = append(out, l.LintSelect(s.Query)...)
+			out = append(out, l.lintSelect(s.Query)...)
 		default:
-			if _, err := l.Planner.Eng.Execute(stmt); err != nil {
+			if _, err := l.Planner.Eng.ExecuteCtxIn(context.Background(), stmt, l.Planner.Eng.Parallelism(), nil); err != nil {
 				return out, fmt.Errorf("lint: setup statement failed: %w", err)
 			}
 		}
@@ -123,9 +114,9 @@ func (l *Linter) LintQueries(src string) []Diagnostic {
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *sqlparse.Select:
-			out = append(out, l.LintSelect(s)...)
+			out = append(out, l.lintSelect(s)...)
 		case *sqlparse.Explain:
-			out = append(out, l.LintSelect(s.Query)...)
+			out = append(out, l.lintSelect(s.Query)...)
 		}
 	}
 	return out
@@ -142,13 +133,13 @@ func syntaxDiagnostic(err error) Diagnostic {
 	return d
 }
 
-// LintSelect checks one SELECT. Error-class findings come from the
+// lintSelect checks one SELECT. Error-class findings come from the
 // planner's collecting analysis; the static dataflow checks (core.Analyze,
 // PCT106–PCT110) run on every statement — standard SELECTs included —
 // and when the query is a structurally valid percentage query the
 // data-aware warning and advisory checks run on top. The result is sorted
 // by source position, then code, so repeated runs render identically.
-func (l *Linter) LintSelect(sel *sqlparse.Select) []Diagnostic {
+func (l *Linter) lintSelect(sel *sqlparse.Select) []Diagnostic {
 	shape, ds := l.Planner.Check(sel)
 	static := core.Analyze(sel, l.schemaFor(sel, shape))
 	ds = append(ds, static...)

@@ -97,13 +97,3 @@ func (a *Activity) Snapshot() []ActivitySnapshot {
 	}
 	return out
 }
-
-// Len reports the number of running statements.
-func (a *Activity) Len() int {
-	if a == nil {
-		return 0
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.active)
-}

@@ -24,15 +24,15 @@ import (
 
 // Fingerprint returns the normalized text of sql and its 64-bit hash.
 func Fingerprint(sql string) (string, uint64) {
-	norm := NormalizeSQL(sql)
+	norm := normalizeSQL(sql)
 	h := fnv.New64a()
 	h.Write([]byte(norm))
 	return norm, h.Sum64()
 }
 
-// NormalizeSQL returns the literal-free normalized form of sql (see the
+// normalizeSQL returns the literal-free normalized form of sql (see the
 // package comment above for the rules).
-func NormalizeSQL(sql string) string {
+func normalizeSQL(sql string) string {
 	var sb strings.Builder
 	sb.Grow(len(sql))
 	i := 0

@@ -39,14 +39,14 @@ type FlightRecorder struct {
 	seq  int64 // records ever written
 }
 
-// DefaultFlightRecords is the ring size when the caller does not choose one.
-const DefaultFlightRecords = 256
+// defaultFlightRecords is the ring size when the caller does not choose one.
+const defaultFlightRecords = 256
 
 // NewFlightRecorder returns a recorder retaining the last n records
-// (<= 0 uses DefaultFlightRecords).
+// (<= 0 uses defaultFlightRecords).
 func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
-		n = DefaultFlightRecords
+		n = defaultFlightRecords
 	}
 	return &FlightRecorder{ring: make([]FlightRecord, n)}
 }
@@ -85,27 +85,4 @@ func (f *FlightRecorder) Snapshot() []FlightRecord {
 		out = append(out, f.ring[(start+i)%len(f.ring)])
 	}
 	return out
-}
-
-// Len reports how many records are retained (at most the ring size).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.seq > int64(len(f.ring)) {
-		return len(f.ring)
-	}
-	return int(f.seq)
-}
-
-// Seq reports how many records were ever written.
-func (f *FlightRecorder) Seq() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.seq
 }

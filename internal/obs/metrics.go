@@ -90,33 +90,22 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the total of all samples in nanoseconds.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// BucketBound returns the exclusive upper bound (ns) of bucket i; the last
+// bucketBound returns the exclusive upper bound (ns) of bucket i; the last
 // bucket returns -1 (unbounded).
-func BucketBound(i int) int64 {
+func bucketBound(i int) int64 {
 	if i >= histBuckets-1 {
 		return -1
 	}
 	return int64(1) << (i + histShift)
 }
 
-// NumBuckets reports the number of histogram buckets (see BucketBound).
-func NumBuckets() int { return histBuckets }
-
-// Bucket returns the sample count of bucket i.
-func (h *Histogram) Bucket(i int) int64 {
-	if i < 0 || i >= histBuckets {
-		return 0
-	}
-	return h.buckets[i].Load()
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) of the observed samples in
+// quantile estimates the q-quantile (q in [0,1]) of the observed samples in
 // nanoseconds, interpolating linearly within the bucket the target rank
 // lands in. The unbounded last bucket returns its lower edge. Zero samples
 // return 0. The estimate is read from atomics without stopping writers, so
 // under concurrent observation it is approximate — exactly the fidelity a
 // monitoring quantile needs.
-func (h *Histogram) Quantile(q float64) int64 {
+func (h *Histogram) quantile(q float64) int64 {
 	total := h.count.Load()
 	if total <= 0 {
 		return 0
@@ -144,9 +133,9 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 		var lower int64
 		if i > 0 {
-			lower = BucketBound(i - 1)
+			lower = bucketBound(i - 1)
 		}
-		upper := BucketBound(i)
+		upper := bucketBound(i)
 		if upper < 0 {
 			return lower
 		}
@@ -156,7 +145,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	}
 	// Concurrent writers can make count outrun the bucket sums momentarily;
 	// fall back to the top bucket's lower edge.
-	return BucketBound(histBuckets - 2)
+	return bucketBound(histBuckets - 2)
 }
 
 // Registry holds named metrics. Names must be unique across all three
@@ -170,8 +159,8 @@ type Registry struct {
 	hists    map[string]*Histogram
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
@@ -180,7 +169,7 @@ func NewRegistry() *Registry {
 }
 
 // Default is the process-wide registry the engine records into.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 // Counter returns the named counter, registering it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -256,7 +245,7 @@ func (r *Registry) Names() []string {
 // JSON renders the registry expvar-style: a single JSON object keyed by
 // metric name. Counters and gauges render as numbers; histograms as
 // {"count":…, "sum_ns":…, "buckets":{"<le_ns>":n, …, "+inf":n}} with every
-// bucket present, keyed by its BucketBound upper edge, so a downstream
+// bucket present, keyed by its bucketBound upper edge, so a downstream
 // consumer can reconstruct the full distribution (and quantiles) without
 // knowing the bucket layout. Keys are sorted for stable output.
 func (r *Registry) JSON() string {
@@ -281,7 +270,7 @@ func (r *Registry) JSON() string {
 				bb.WriteByte(',')
 			}
 			v := h.buckets[i].Load()
-			if bound := BucketBound(i); bound < 0 {
+			if bound := bucketBound(i); bound < 0 {
 				fmt.Fprintf(&bb, `"+inf":%d`, v)
 			} else {
 				fmt.Fprintf(&bb, `"%d":%d`, bound, v)
@@ -331,7 +320,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	}
 	for n, h := range r.hists {
 		out = append(out, MetricSnapshot{Name: n, Kind: "histogram",
-			Count: h.Count(), SumNs: h.Sum(), P50Ns: h.Quantile(0.50), P99Ns: h.Quantile(0.99)})
+			Count: h.Count(), SumNs: h.Sum(), P50Ns: h.quantile(0.50), P99Ns: h.quantile(0.99)})
 	}
 	r.mu.Unlock()
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })

@@ -98,7 +98,7 @@ func TestSpanConcurrentAttach(t *testing.T) {
 }
 
 func TestCounterGauge(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("a.count")
 	c.Inc()
 	c.Add(4)
@@ -117,7 +117,7 @@ func TestCounterGauge(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	h := r.Histogram("h.ns")
 	h.Observe(500)            // below first bound → bucket 0
 	h.Observe(1 << 12)        // 4096ns
@@ -135,19 +135,19 @@ func TestHistogramBuckets(t *testing.T) {
 	// Bounds are powers of two, strictly increasing, last unbounded.
 	prev := int64(0)
 	for i := 0; i < histBuckets-1; i++ {
-		b := BucketBound(i)
+		b := bucketBound(i)
 		if b <= prev {
 			t.Fatalf("bucket %d bound %d not increasing", i, b)
 		}
 		prev = b
 	}
-	if BucketBound(histBuckets-1) != -1 {
-		t.Errorf("last bucket bound = %d, want -1", BucketBound(histBuckets-1))
+	if bucketBound(histBuckets-1) != -1 {
+		t.Errorf("last bucket bound = %d, want -1", bucketBound(histBuckets-1))
 	}
 }
 
 func TestRegistryJSONIsValid(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("x.count").Add(3)
 	r.Gauge("x.gauge").Set(-1)
 	r.Histogram("x.ns").Observe(2048)
@@ -165,7 +165,7 @@ func TestRegistryJSONIsValid(t *testing.T) {
 }
 
 func TestRegistryKindClashPanics(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("dup")
 	defer func() {
 		if recover() == nil {
@@ -178,7 +178,7 @@ func TestRegistryKindClashPanics(t *testing.T) {
 // TestRecordingAllocatesNothing is the acceptance check that metric
 // recording adds zero allocations to hot loops.
 func TestRecordingAllocatesNothing(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.Counter("alloc.count")
 	h := r.Histogram("alloc.ns")
 	g := r.Gauge("alloc.gauge")
@@ -193,7 +193,7 @@ func TestRecordingAllocatesNothing(t *testing.T) {
 }
 
 func TestRegistryConcurrentUse(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -46,15 +46,15 @@ type stmtEntry struct {
 	parallel    int64
 }
 
-// DefaultMaxStatements bounds the fingerprint table when the caller does not
+// defaultMaxStatements bounds the fingerprint table when the caller does not
 // choose a size.
-const DefaultMaxStatements = 5000
+const defaultMaxStatements = 5000
 
 // NewStmtStats returns an empty statistics table holding at most max
-// fingerprints (<= 0 uses DefaultMaxStatements).
+// fingerprints (<= 0 uses defaultMaxStatements).
 func NewStmtStats(max int) *StmtStats {
 	if max <= 0 {
-		max = DefaultMaxStatements
+		max = defaultMaxStatements
 	}
 	return &StmtStats{entries: make(map[stmtKey]*stmtEntry), max: max}
 }
@@ -172,8 +172,8 @@ func (s *StmtStats) Snapshot() []StmtSnapshot {
 			TotalNs:     e.totalNs,
 			MinNs:       e.minNs,
 			MaxNs:       e.maxNs,
-			P50Ns:       e.hist.Quantile(0.50),
-			P99Ns:       e.hist.Quantile(0.99),
+			P50Ns:       e.hist.quantile(0.50),
+			P99Ns:       e.hist.quantile(0.99),
 			Rows:        e.rows,
 			RowsScanned: e.rowsScanned,
 			CacheHits:   e.cacheHits,

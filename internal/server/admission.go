@@ -51,10 +51,10 @@ func (p TenantProfile) stmtBytes() int64 {
 	return p.Limits.MaxBytes
 }
 
-// AdmissionError is a typed admission refusal: queue full (PCT210), tenant
+// admissionError is a typed admission refusal: queue full (PCT210), tenant
 // cap (PCT211), or draining (PCT212). Every one is retryable — the
 // statement never started — and carries the server's backoff hint.
-type AdmissionError struct {
+type admissionError struct {
 	// PCTCode is the refusal's diagnostic code (PCT210..PCT212).
 	PCTCode string
 	// Tenant is the refused tenant.
@@ -66,16 +66,12 @@ type AdmissionError struct {
 }
 
 // Error renders the refusal.
-func (e *AdmissionError) Error() string {
+func (e *admissionError) Error() string {
 	return fmt.Sprintf("server: %s (tenant %q)", e.Reason, e.Tenant)
 }
 
 // Code returns the PCT21x diagnostic code.
-func (e *AdmissionError) Code() string { return e.PCTCode }
-
-// Retryable reports that the refused statement is safe to resubmit: it was
-// shed before execution, so no work happened.
-func (e *AdmissionError) Retryable() bool { return true }
+func (e *admissionError) Code() string { return e.PCTCode }
 
 // backoffFor scales the retry hint with the observed queue depth, capped so
 // a deep queue never tells clients to go away for good.
@@ -87,8 +83,8 @@ func backoffFor(depth int) time.Duration {
 	return d
 }
 
-func drainErr(tenant string) *AdmissionError {
-	return &AdmissionError{
+func drainErr(tenant string) *admissionError {
+	return &admissionError{
 		PCTCode: diag.CodeDrainRejected,
 		Tenant:  tenant,
 		Reason:  "server draining",
@@ -108,7 +104,7 @@ type tenantState struct {
 type waiter struct {
 	ts    *tenantState
 	bytes int64
-	// ch delivers the outcome exactly once: nil grants, an AdmissionError
+	// ch delivers the outcome exactly once: nil grants, an admissionError
 	// sheds (drain).
 	ch chan error
 }
@@ -170,7 +166,7 @@ func (a *admission) connect(name string) (*tenantState, error) {
 	ts := a.tenantLocked(name)
 	if m := ts.prof.MaxSessions; m > 0 && ts.sessions >= m {
 		mRejTenantCap.Inc()
-		return nil, &AdmissionError{
+		return nil, &admissionError{
 			PCTCode: diag.CodeTenantCap,
 			Tenant:  name,
 			Reason:  fmt.Sprintf("tenant at its session cap (%d)", m),
@@ -286,7 +282,7 @@ func (a *admission) admit(ctx context.Context, ts *tenantState) (*grant, error) 
 	if ts.prof.MaxQueue <= 0 {
 		a.mu.Unlock()
 		mRejTenantCap.Inc()
-		return nil, &AdmissionError{
+		return nil, &admissionError{
 			PCTCode: diag.CodeTenantCap,
 			Tenant:  name,
 			Reason:  fmt.Sprintf("tenant at its concurrent-statement cap (%d) with no queue", ts.prof.maxConcurrent()),
@@ -297,7 +293,7 @@ func (a *admission) admit(ctx context.Context, ts *tenantState) (*grant, error) 
 		depth := ts.queued
 		a.mu.Unlock()
 		mRejQueueFull.Inc()
-		return nil, &AdmissionError{
+		return nil, &admissionError{
 			PCTCode: diag.CodeQueueFull,
 			Tenant:  name,
 			Reason:  fmt.Sprintf("admission queue full (%d waiting)", depth),

@@ -123,7 +123,7 @@ func TestChaosMatrixStatement(t *testing.T) {
 						t.Fatalf("statement err = %v, want injected fault", err)
 					}
 				case "panic":
-					if got := pctCode(err); got != diag.CodePanic {
+					if got := diag.CodeOf(err); got != diag.CodePanic {
 						t.Fatalf("statement code = %q (err %v), want %s", got, err, diag.CodePanic)
 					}
 				case "delay":

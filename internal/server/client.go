@@ -22,7 +22,7 @@ type Client struct {
 	writeMu sync.Mutex
 
 	mu      sync.Mutex
-	pending map[int64]chan *Response
+	pending map[int64]chan *response
 	nextID  int64
 	err     error
 
@@ -45,7 +45,7 @@ func (e *RemoteError) Error() string { return e.Message }
 // Code returns the PCT diagnostic code ("" when the failure carried none).
 func (e *RemoteError) Code() string { return e.PCTCode }
 
-func remoteError(we *WireError) error {
+func remoteError(we *wireError) error {
 	if we == nil {
 		return errors.New("server: response carried no error payload")
 	}
@@ -66,15 +66,15 @@ func Dial(addr, tenant string) (*Client, error) {
 	c := &Client{
 		conn:       conn,
 		tenant:     tenant,
-		pending:    make(map[int64]chan *Response),
+		pending:    make(map[int64]chan *response),
 		nextID:     1,
 		readerDone: make(chan struct{}),
 	}
-	if err := writeFrame(conn, &Request{ID: 1, Op: OpHello, Tenant: tenant}); err != nil {
+	if err := writeFrame(conn, &request{ID: 1, Op: opHello, Tenant: tenant}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	var resp Response
+	var resp response
 	if err := readFrame(conn, &resp); err != nil {
 		conn.Close()
 		return nil, err
@@ -88,29 +88,13 @@ func Dial(addr, tenant string) (*Client, error) {
 	return c, nil
 }
 
-// DialRetry redials until the server answers the handshake or wait
-// elapses — for harnesses racing a just-started server.
-func DialRetry(addr, tenant string, wait time.Duration) (*Client, error) {
-	deadline := time.Now().Add(wait)
-	for {
-		c, err := Dial(addr, tenant)
-		if err == nil {
-			return c, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 // readLoop dispatches response frames to their waiting requests. On any
 // read failure — including the server's unsolicited PCT213 idle-timeout
 // notice — every pending and future request fails with the same error.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
-		resp := new(Response)
+		resp := new(response)
 		err := readFrame(c.conn, resp)
 		if err == nil && resp.ID == 0 {
 			err = remoteError(resp.Err)
@@ -155,7 +139,7 @@ func (c *Client) lastErr() error {
 }
 
 // send writes one frame under the write mutex.
-func (c *Client) send(req *Request) error {
+func (c *Client) send(req *request) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	return writeFrame(c.conn, req)
@@ -173,11 +157,11 @@ func (c *Client) Do(ctx context.Context, sql string) (*Result, error) {
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *Response, 1)
+	ch := make(chan *response, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	if err := c.send(&Request{ID: id, Op: OpQuery, SQL: sql}); err != nil {
+	if err := c.send(&request{ID: id, Op: opQuery, SQL: sql}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -190,7 +174,7 @@ func (c *Client) Do(ctx context.Context, sql string) (*Result, error) {
 		}
 		return toResult(resp)
 	case <-ctx.Done():
-		c.send(&Request{ID: id, Op: OpCancel})
+		c.send(&request{ID: id, Op: opCancel})
 		resp, ok := <-ch
 		if !ok {
 			return nil, c.lastErr()
@@ -209,10 +193,10 @@ func (c *Client) Ping(ctx context.Context) error {
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *Response, 1)
+	ch := make(chan *response, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
-	if err := c.send(&Request{ID: id, Op: OpPing}); err != nil {
+	if err := c.send(&request{ID: id, Op: opPing}); err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -235,13 +219,13 @@ func (c *Client) Ping(ctx context.Context) error {
 // Close sends a best-effort close frame, closes the connection, and waits
 // for the reader goroutine to exit (so leak checks stay clean).
 func (c *Client) Close() error {
-	c.send(&Request{Op: OpClose})
+	c.send(&request{Op: opClose})
 	err := c.conn.Close()
 	<-c.readerDone
 	return err
 }
 
-func toResult(resp *Response) (*Result, error) {
+func toResult(resp *response) (*Result, error) {
 	if resp.Err != nil {
 		return nil, remoteError(resp.Err)
 	}

@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -106,14 +105,6 @@ func (h *drainHarness) waitState(t *testing.T, want int32) {
 	t.Fatalf("server state = %d, want %d", h.srv.state.Load(), want)
 }
 
-func errCode(err error) string {
-	var coded interface{ Code() string }
-	if errors.As(err, &coded) {
-		return coded.Code()
-	}
-	return ""
-}
-
 // TestDrainLetsInflightFinish: a drain with a statement in flight and one
 // queued behind it sheds the queued statement with PCT212, refuses a late
 // connect with PCT212, lets the in-flight statement complete, and returns
@@ -149,15 +140,15 @@ func TestDrainLetsInflightFinish(t *testing.T) {
 	h.waitState(t, stateDraining)
 
 	// The queued statement is shed with the typed drain code.
-	if code := errCode(<-queued); code != diag.CodeDrainRejected {
+	if code := diag.CodeOf(<-queued); code != diag.CodeDrainRejected {
 		t.Fatalf("queued statement code = %q, want %s", code, diag.CodeDrainRejected)
 	}
 	// A late connect is refused with the same typed error, not dropped.
-	if _, err := Dial(h.srv.Addr().String(), "a"); errCode(err) != diag.CodeDrainRejected {
+	if _, err := Dial(h.srv.Addr().String(), "a"); diag.CodeOf(err) != diag.CodeDrainRejected {
 		t.Fatalf("late connect err = %v, want %s", err, diag.CodeDrainRejected)
 	}
 	// A statement submitted on the live session during drain is refused too.
-	if _, err := c.Do(context.Background(), "SELECT count(*) FROM daily"); errCode(err) != diag.CodeDrainRejected {
+	if _, err := c.Do(context.Background(), "SELECT count(*) FROM daily"); diag.CodeOf(err) != diag.CodeDrainRejected {
 		t.Fatalf("late statement err = %v, want %s", err, diag.CodeDrainRejected)
 	}
 
@@ -212,7 +203,7 @@ func TestDrainDeadlineCancelsInflight(t *testing.T) {
 	// Cross the deadline: the governor cancels the statement (PCT200 over
 	// the wire) and Shutdown reports the forced cancellation.
 	h.clock.Advance(2 * time.Second)
-	if code := errCode(<-inflight); code != diag.CodeCancelled {
+	if code := diag.CodeOf(<-inflight); code != diag.CodeCancelled {
 		t.Fatalf("in-flight statement code = %q, want %s", code, diag.CodeCancelled)
 	}
 	if err := <-done; err == nil {
@@ -264,7 +255,7 @@ func TestCloseCutsDrainShort(t *testing.T) {
 	h.waitState(t, stateDraining)
 
 	h.srv.Close()
-	if code := errCode(<-inflight); code != diag.CodeCancelled {
+	if code := diag.CodeOf(<-inflight); code != diag.CodeCancelled {
 		t.Fatalf("in-flight statement code = %q, want %s", code, diag.CodeCancelled)
 	}
 	<-done

@@ -3,8 +3,8 @@
 // per-tenant resource profiles, and admission control.
 //
 // The wire protocol is deliberately minimal: every frame is a 4-byte
-// big-endian length followed by one JSON object (a Request from the client,
-// a Response from the server). A session opens with a "hello" carrying the
+// big-endian length followed by one JSON object (a request from the client,
+// a response from the server). A session opens with a "hello" carrying the
 // tenant name; after that the client may pipeline "query" frames and cancel
 // an in-flight statement by ID. Every refusal the admission layer issues —
 // queue full, tenant cap, draining — is a typed, retryable PCT21x error
@@ -19,52 +19,52 @@ import (
 	"io"
 )
 
-// MaxFrame bounds a single protocol frame. A length prefix beyond it is
+// maxFrame bounds a single protocol frame. A length prefix beyond it is
 // treated as a protocol error before any allocation happens.
-const MaxFrame = 16 << 20
+const maxFrame = 16 << 20
 
 // Request operations.
 const (
-	// OpHello opens a session; Tenant selects the resource profile.
-	OpHello = "hello"
-	// OpQuery runs one SQL statement; responses may arrive out of order
+	// opHello opens a session; Tenant selects the resource profile.
+	opHello = "hello"
+	// opQuery runs one SQL statement; responses may arrive out of order
 	// relative to other pipelined queries, matched by ID.
-	OpQuery = "query"
-	// OpCancel cancels the in-flight statement whose request ID matches
+	opQuery = "query"
+	// opCancel cancels the in-flight statement whose request ID matches
 	// this frame's ID. The statement itself answers with PCT200; the
 	// cancel frame gets no response of its own.
-	OpCancel = "cancel"
-	// OpPing is a liveness probe; the server echoes an OK response.
-	OpPing = "ping"
-	// OpClose ends the session cleanly.
-	OpClose = "close"
+	opCancel = "cancel"
+	// opPing is a liveness probe; the server echoes an OK response.
+	opPing = "ping"
+	// opClose ends the session cleanly.
+	opClose = "close"
 )
 
-// Request is one client frame.
-type Request struct {
+// request is one client frame.
+type request struct {
 	ID     int64  `json:"id"`
 	Op     string `json:"op"`
 	Tenant string `json:"tenant,omitempty"`
 	SQL    string `json:"sql,omitempty"`
 }
 
-// Response is one server frame. ID echoes the request it answers; ID 0 is
+// response is one server frame. ID echoes the request it answers; ID 0 is
 // an unsolicited server notice (e.g. the PCT213 idle-timeout close).
-type Response struct {
+type response struct {
 	ID        int64      `json:"id"`
 	OK        bool       `json:"ok"`
 	SessionID int64      `json:"session_id,omitempty"`
 	Columns   []string   `json:"columns,omitempty"`
 	Rows      [][]any    `json:"rows,omitempty"`
 	Affected  int64      `json:"affected,omitempty"`
-	Err       *WireError `json:"err,omitempty"`
+	Err       *wireError `json:"err,omitempty"`
 }
 
-// WireError carries a failure over the wire with its PCT code and, for
+// wireError carries a failure over the wire with its PCT code and, for
 // admission refusals, the retry contract: Retryable means the statement
 // never started, and BackoffMs is the server's hint for how long to wait
 // before trying again.
-type WireError struct {
+type wireError struct {
 	Code      string `json:"code,omitempty"`
 	Message   string `json:"message"`
 	Retryable bool   `json:"retryable,omitempty"`
@@ -78,8 +78,8 @@ func writeFrame(w io.Writer, v any) error {
 	if err != nil {
 		return err
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", len(body), MaxFrame)
+	if len(body) > maxFrame {
+		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", len(body), maxFrame)
 	}
 	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf, uint32(len(body)))
@@ -96,8 +96,8 @@ func readFrame(r io.Reader, v any) error {
 		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, MaxFrame)
+	if n > maxFrame {
+		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

@@ -246,9 +246,9 @@ func (s *Server) acceptLoop() {
 
 // refuse answers a connection that never became a session with one typed
 // error frame, then closes it.
-func (s *Server) refuse(conn net.Conn, id int64, we *WireError) {
+func (s *Server) refuse(conn net.Conn, id int64, we *wireError) {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	writeFrame(conn, &Response{ID: id, Err: we})
+	writeFrame(conn, &response{ID: id, Err: we})
 	conn.Close()
 }
 
@@ -265,7 +265,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 	if err := chaos.Hit(chaos.ServerAccept); err != nil {
-		s.refuse(conn, 0, &WireError{Message: "server: " + err.Error()})
+		s.refuse(conn, 0, &wireError{Message: "server: " + err.Error()})
 		return
 	}
 	if s.state.Load() != stateRunning {
@@ -274,12 +274,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var hello Request
+	var hello request
 	if err := readFrame(conn, &hello); err != nil {
 		return
 	}
-	if hello.Op != OpHello {
-		s.refuse(conn, hello.ID, &WireError{Message: fmt.Sprintf("server: expected hello, got %q", hello.Op)})
+	if hello.Op != opHello {
+		s.refuse(conn, hello.ID, &wireError{Message: fmt.Sprintf("server: expected hello, got %q", hello.Op)})
 		return
 	}
 	tenant := hello.Tenant
@@ -312,7 +312,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	mSessions.Add(1)
 	defer mSessions.Add(-1)
 
-	if err := sess.write(&Response{ID: hello.ID, OK: true, SessionID: sess.id}); err != nil {
+	if err := sess.write(&response{ID: hello.ID, OK: true, SessionID: sess.id}); err != nil {
 		return
 	}
 	s.readLoop(sess)
@@ -328,7 +328,7 @@ func (s *Server) readLoop(sess *session) {
 		} else {
 			sess.conn.SetReadDeadline(time.Time{})
 		}
-		var req Request
+		var req request
 		if err := readFrame(sess.conn, &req); err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -337,7 +337,7 @@ func (s *Server) readLoop(sess *session) {
 					continue
 				}
 				mSessionTimeouts.Inc()
-				sess.write(&Response{Err: &WireError{
+				sess.write(&response{Err: &wireError{
 					Code:      diag.CodeSessionTimeout,
 					Message:   "server: session closed after idle timeout",
 					Retryable: true,
@@ -346,17 +346,17 @@ func (s *Server) readLoop(sess *session) {
 			return
 		}
 		switch req.Op {
-		case OpQuery:
+		case opQuery:
 			s.dispatch(sess, req)
-		case OpCancel:
+		case opCancel:
 			sess.cancelStatement(req.ID)
-		case OpPing:
-			sess.write(&Response{ID: req.ID, OK: true})
-		case OpClose:
-			sess.write(&Response{ID: req.ID, OK: true})
+		case opPing:
+			sess.write(&response{ID: req.ID, OK: true})
+		case opClose:
+			sess.write(&response{ID: req.ID, OK: true})
 			return
 		default:
-			sess.write(&Response{ID: req.ID, Err: &WireError{Message: fmt.Sprintf("server: unknown op %q", req.Op)}})
+			sess.write(&response{ID: req.ID, Err: &wireError{Message: fmt.Sprintf("server: unknown op %q", req.Op)}})
 		}
 	}
 }
@@ -365,7 +365,7 @@ func (s *Server) readLoop(sess *session) {
 // descends from the session context (itself under the server's hard
 // context), so client cancel, session teardown, and the drain deadline all
 // stop it through the same governor path.
-func (s *Server) dispatch(sess *session, req Request) {
+func (s *Server) dispatch(sess *session, req request) {
 	ctx, cancel := context.WithCancel(sess.ctx)
 	sess.addCancel(req.ID, cancel)
 	s.inflightWG.Add(1)
@@ -384,18 +384,18 @@ func (s *Server) dispatch(sess *session, req Request) {
 // runStatement is the admission + execution path for one statement. Panics
 // anywhere on it are contained into PCT206 wire errors with the admission
 // grant released.
-func (s *Server) runStatement(ctx context.Context, sess *session, req Request) (resp *Response) {
+func (s *Server) runStatement(ctx context.Context, sess *session, req request) (resp *response) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp = &Response{Err: wireErrorFrom(engine.NewPanicError("server dispatch", r))}
+			resp = &response{Err: wireErrorFrom(engine.NewPanicError("server dispatch", r))}
 		}
 	}()
 	if strings.TrimSpace(req.SQL) == "" {
-		return &Response{Err: &WireError{Message: "server: empty query"}}
+		return &response{Err: &wireError{Message: "server: empty query"}}
 	}
 	if err := chaos.Hit(chaos.ServerAdmit); err != nil {
 		sess.rejected.Add(1)
-		return &Response{Err: wireErrorFrom(err)}
+		return &response{Err: wireErrorFrom(err)}
 	}
 	waitStart := time.Now()
 	sess.queued.Add(1)
@@ -403,7 +403,7 @@ func (s *Server) runStatement(ctx context.Context, sess *session, req Request) (
 	sess.queued.Add(-1)
 	if err != nil {
 		sess.rejected.Add(1)
-		return &Response{Err: wireErrorFrom(err)}
+		return &response{Err: wireErrorFrom(err)}
 	}
 	defer g.release()
 	mQueueWaitNs.Observe(time.Since(waitStart).Nanoseconds())
@@ -415,7 +415,7 @@ func (s *Server) runStatement(ctx context.Context, sess *session, req Request) (
 	ctx = engine.WithLimits(ctx, limits)
 
 	if err := chaos.Hit(chaos.ServerDispatch); err != nil {
-		return &Response{Err: wireErrorFrom(err)}
+		return &response{Err: wireErrorFrom(err)}
 	}
 	if f := s.gate.Load(); f != nil {
 		(*f)(ctx)
@@ -428,20 +428,20 @@ func (s *Server) runStatement(ctx context.Context, sess *session, req Request) (
 		s.dmlMu.RUnlock()
 		mStatementNs.Observe(time.Since(start).Nanoseconds())
 		if err != nil {
-			return &Response{Err: wireErrorFrom(err)}
+			return &response{Err: wireErrorFrom(err)}
 		}
 		sess.statements.Add(1)
-		return &Response{OK: true, Columns: rows.Columns, Rows: rows.Data}
+		return &response{OK: true, Columns: rows.Columns, Rows: rows.Data}
 	}
 	s.dmlMu.Lock()
 	n, err := s.db.ExecCtx(ctx, req.SQL)
 	s.dmlMu.Unlock()
 	mStatementNs.Observe(time.Since(start).Nanoseconds())
 	if err != nil {
-		return &Response{Err: wireErrorFrom(err)}
+		return &response{Err: wireErrorFrom(err)}
 	}
 	sess.statements.Add(1)
-	return &Response{OK: true, Affected: n}
+	return &response{OK: true, Affected: n}
 }
 
 // isQuerySQL reports whether the statement reads (concurrent) rather than
@@ -453,13 +453,9 @@ func isQuerySQL(sql string) bool {
 
 // wireErrorFrom maps an error to its wire form, preserving PCT codes and
 // the admission layer's retry contract.
-func wireErrorFrom(err error) *WireError {
-	we := &WireError{Message: err.Error()}
-	var coder interface{ Code() string }
-	if errors.As(err, &coder) {
-		we.Code = coder.Code()
-	}
-	var adm *AdmissionError
+func wireErrorFrom(err error) *wireError {
+	we := &wireError{Message: err.Error(), Code: diag.CodeOf(err)}
+	var adm *admissionError
 	if errors.As(err, &adm) {
 		we.Retryable = true
 		we.BackoffMs = adm.Backoff.Milliseconds()
@@ -506,7 +502,7 @@ type session struct {
 // write sends one frame under the write mutex with a per-frame deadline. A
 // failed or timed-out write cuts the whole session: a client that cannot
 // drain its responses must not pin server state.
-func (sess *session) write(resp *Response) error {
+func (sess *session) write(resp *response) error {
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
 	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))

@@ -7,6 +7,8 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -49,15 +51,6 @@ func dial(t *testing.T, srv *server.Server, tenant string) *server.Client {
 		t.Fatal(err)
 	}
 	return c
-}
-
-// pctCode extracts the PCT code from any typed error.
-func pctCode(err error) string {
-	var coded interface{ Code() string }
-	if errors.As(err, &coded) {
-		return coded.Code()
-	}
-	return ""
 }
 
 func TestQueryOverWire(t *testing.T) {
@@ -111,9 +104,13 @@ func TestQueryOverWire(t *testing.T) {
 		t.Fatalf("count = %d, want 3", n)
 	}
 
-	// A SQL error is a wire error, not a dead session.
+	// A SQL error is a wire error, not a dead session — and a syntax error
+	// carries its code like every other coded failure.
 	if _, err := c.Do(context.Background(), "SELECT nope FROM missing"); err == nil {
 		t.Fatal("query against a missing table succeeded")
+	}
+	if _, err := c.Do(context.Background(), "SELEC 1"); diag.CodeOf(err) != diag.CodeSyntax {
+		t.Fatalf("syntax error over the wire: err = %v, want code %s", err, diag.CodeSyntax)
 	}
 	if err := c.Ping(context.Background()); err != nil {
 		t.Fatalf("session unusable after a SQL error: %v", err)
@@ -165,7 +162,7 @@ func TestCancelStatementOverWire(t *testing.T) {
 	gate.WaitInFlight(t, 1)
 	cancel()
 	err := <-done
-	if code := pctCode(err); code != diag.CodeCancelled {
+	if code := diag.CodeOf(err); code != diag.CodeCancelled {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeCancelled)
 	}
 	// The session survives its cancelled statement.
@@ -187,7 +184,7 @@ func TestTenantSessionCapPCT211(t *testing.T) {
 	if err == nil {
 		t.Fatal("second session for a MaxSessions=1 tenant connected")
 	}
-	if code := pctCode(err); code != diag.CodeTenantCap {
+	if code := diag.CodeOf(err); code != diag.CodeTenantCap {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeTenantCap)
 	}
 	var rem *server.RemoteError
@@ -229,7 +226,7 @@ func TestQueueFullPCT210(t *testing.T) {
 
 	// ...so the third is shed with PCT210 and a backoff hint.
 	_, err := c.Do(context.Background(), "SELECT count(*) FROM daily")
-	if code := pctCode(err); code != diag.CodeQueueFull {
+	if code := diag.CodeOf(err); code != diag.CodeQueueFull {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeQueueFull)
 	}
 	var rem *server.RemoteError
@@ -264,7 +261,7 @@ func TestConcurrencyCapWithoutQueuePCT211(t *testing.T) {
 	gate.WaitInFlight(t, 1)
 
 	_, err := c.Do(context.Background(), "SELECT count(*) FROM daily")
-	if code := pctCode(err); code != diag.CodeTenantCap {
+	if code := diag.CodeOf(err); code != diag.CodeTenantCap {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeTenantCap)
 	}
 	gate.Release()
@@ -290,7 +287,7 @@ func TestSessionIdleTimeoutPCT213(t *testing.T) {
 		}
 		time.Sleep(60 * time.Millisecond)
 	}
-	if code := pctCode(err); code != diag.CodeSessionTimeout {
+	if code := diag.CodeOf(err); code != diag.CodeSessionTimeout {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeSessionTimeout)
 	}
 }
@@ -303,9 +300,13 @@ func TestTenantLimitsEnforcedOverWire(t *testing.T) {
 	defer srv.Close()
 	c := dial(t, srv, "tiny")
 	defer c.Close()
-	_, err := c.Do(context.Background(), "SELECT RID, state FROM sales")
-	if code := pctCode(err); code != diag.CodeRowLimit {
-		t.Fatalf("err = %v (code %q), want %s (tenant MaxRows=2)", err, code, diag.CodeRowLimit)
+	// The tenant's budget governs the statement however it is phrased: a
+	// prefix must not lift it.
+	for _, sql := range []string{"SELECT RID, state FROM sales", "EXPLAIN ANALYZE SELECT RID, state FROM sales"} {
+		_, err := c.Do(context.Background(), sql)
+		if code := diag.CodeOf(err); code != diag.CodeRowLimit {
+			t.Errorf("%s: err = %v (code %q), want %s (tenant MaxRows=2)", sql, err, code, diag.CodeRowLimit)
+		}
 	}
 }
 
@@ -377,10 +378,85 @@ func TestSharedBytePoolClampsTenantBudget(t *testing.T) {
 	c := dial(t, srv, "hog")
 	defer c.Close()
 	_, err := c.Do(context.Background(), "SELECT a.RID, b.RID, c.RID FROM sales a, sales b, sales c")
-	if code := pctCode(err); code != diag.CodeByteBudget {
+	if code := diag.CodeOf(err); code != diag.CodeByteBudget {
 		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeByteBudget)
 	}
 	if !strings.Contains(err.Error(), "byte") {
 		t.Errorf("error does not name the byte budget: %v", err)
+	}
+}
+
+// TestSessionsLedgerReconcilesUnderLoad is the load reconciliation: two
+// tenants × three sessions × eight statements against admission knobs tight
+// enough (one running, one queued) that a tenant's third session is refused.
+// Clients retry a retryable refusal honouring the server's backoff hint;
+// every statement ends completed or shed, none in error; and while the
+// sessions are still open the server's own pct_stat_sessions ledger equals
+// the client-side counts.
+func TestSessionsLedgerReconcilesUnderLoad(t *testing.T) {
+	defer leakcheck.Check(t)()
+	const tenants, sessions, statements, retries = 2, 3, 8, 2
+	mix := []string{
+		"SELECT state, Vpct(salesAmt) FROM sales GROUP BY state",
+		"SELECT count(*), sum(salesAmt) FROM sales",
+		"SELECT dweek, Vpct(salesAmt) FROM daily GROUP BY dweek",
+		"SELECT state, city, salesAmt FROM sales",
+	}
+	var profiles []server.TenantProfile
+	for i := 0; i < tenants; i++ {
+		profiles = append(profiles, server.TenantProfile{Name: "load" + strconv.Itoa(i), MaxConcurrent: 1, MaxQueue: 1})
+	}
+	srv := startServer(t, demoDB(t), server.Config{Tenants: profiles})
+	defer srv.Close()
+
+	type ledger struct{ completed, rejected, shed, errors int64 }
+	out := make([]ledger, tenants*sessions)
+	var wg sync.WaitGroup
+	for i := range out {
+		c := dial(t, srv, "load"+strconv.Itoa(i/sessions))
+		defer c.Close() // the sessions stay open until the ledger is read
+		wg.Add(1)
+		go func(i int, o *ledger) {
+			defer wg.Done()
+			for n := 0; n < statements; n++ {
+				for attempt := 0; ; attempt++ {
+					_, err := c.Do(context.Background(), mix[(i+n)%len(mix)])
+					var re *server.RemoteError
+					if err == nil {
+						o.completed++
+					} else if !errors.As(err, &re) || !re.IsRetryable {
+						t.Errorf("session %d: %v", i, err)
+						o.errors++
+					} else if o.rejected++; attempt < retries {
+						time.Sleep(min(max(re.Backoff, time.Millisecond), 50*time.Millisecond))
+						continue
+					} else {
+						o.shed++
+					}
+					break
+				}
+			}
+		}(i, &out[i])
+	}
+	wg.Wait()
+
+	var total ledger
+	for _, o := range out {
+		total.completed += o.completed
+		total.rejected += o.rejected
+		total.shed += o.shed
+		total.errors += o.errors
+	}
+	if got := total.completed + total.shed + total.errors; got != tenants*sessions*statements || total.errors != 0 || total.completed == 0 {
+		t.Fatalf("accounted statements = %d of %d (%+v), want all, none in error", got, tenants*sessions*statements, total)
+	}
+	observer := dial(t, srv, "observer") // its own tenant: the load rows are undisturbed
+	defer observer.Close()
+	res, err := observer.Do(context.Background(), "SELECT sum(statements), sum(rejected), count(*) FROM pct_stat_sessions WHERE tenant <> 'observer'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(res.Rows[0]), fmt.Sprint([]any{total.completed, total.rejected, int64(tenants * sessions)}); got != want {
+		t.Errorf("pct_stat_sessions [statements rejected sessions] = %s, clients counted %s", got, want)
 	}
 }

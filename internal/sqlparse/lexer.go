@@ -101,6 +101,9 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("sql: %s at line %d, col %d", e.Msg, e.Line, e.Col)
 }
 
+// Code returns PCT000, the syntax-error code.
+func (e *SyntaxError) Code() string { return diag.CodeSyntax }
+
 // Span returns the error position as a zero-width diagnostic span.
 func (e *SyntaxError) Span() diag.Span {
 	p := diag.Pos{Line: e.Line, Col: e.Col}

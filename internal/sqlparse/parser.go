@@ -53,8 +53,8 @@ func ParseAll(src string) ([]Statement, error) {
 	return out, nil
 }
 
-// ParseExpr parses a standalone scalar expression (used by tests and tools).
-func ParseExpr(src string) (expr.Expr, error) {
+// parseExpr parses a standalone scalar expression (used by tests and tools).
+func parseExpr(src string) (expr.Expr, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err

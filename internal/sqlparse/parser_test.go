@@ -314,7 +314,7 @@ func TestParseComments(t *testing.T) {
 }
 
 func TestParseNumberLiterals(t *testing.T) {
-	e, err := ParseExpr("1.5e2 + 2 - .5")
+	e, err := parseExpr("1.5e2 + 2 - .5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestParseNumberLiterals(t *testing.T) {
 }
 
 func TestParseStringEscapes(t *testing.T) {
-	e, err := ParseExpr("'it''s'")
+	e, err := parseExpr("'it''s'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestParseStringEscapes(t *testing.T) {
 }
 
 func TestParsePrecedence(t *testing.T) {
-	e, err := ParseExpr("1 + 2 * 3 = 7 AND NOT 1 > 2")
+	e, err := parseExpr("1 + 2 * 3 = 7 AND NOT 1 > 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestParseInBetweenLike(t *testing.T) {
 
 func TestParseNotInErrors(t *testing.T) {
 	// Prefix NOT still works as plain negation.
-	e, err := ParseExpr("NOT 1 = 2")
+	e, err := parseExpr("NOT 1 = 2")
 	if err != nil {
 		t.Fatal(err)
 	}

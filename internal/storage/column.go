@@ -55,8 +55,8 @@ func (t ColumnType) Kind() value.Kind {
 	}
 }
 
-// TypeForKind returns the column type that stores values of kind k.
-func TypeForKind(k value.Kind) (ColumnType, error) {
+// typeForKind returns the column type that stores values of kind k.
+func typeForKind(k value.Kind) (ColumnType, error) {
 	switch k {
 	case value.KindInt:
 		return TypeInt, nil

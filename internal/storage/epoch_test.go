@@ -28,7 +28,7 @@ func TestEpochAdvancesOnEveryMutation(t *testing.T) {
 		t.Fatalf("AppendRow did not advance epoch: %d -> %d", e0, e1)
 	}
 
-	if err := tab.Set(0, 1, value.NewInt(9)); err != nil {
+	if err := tab.set(0, 1, value.NewInt(9)); err != nil {
 		t.Fatal(err)
 	}
 	e2 := tab.Epoch()

@@ -37,8 +37,8 @@ func (s Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// Names returns the column names in order.
-func (s Schema) Names() []string {
+// names returns the column names in order.
+func (s Schema) names() []string {
 	out := make([]string, len(s))
 	for i, c := range s {
 		out[i] = c.Name
@@ -269,8 +269,8 @@ func (t *Table) Row(r int, dst []value.Value) []value.Value {
 	return dst
 }
 
-// Set overwrites the value at (row, col), keeping indexes in sync.
-func (t *Table) Set(row, col int, v value.Value) error {
+// set overwrites the value at (row, col), keeping indexes in sync.
+func (t *Table) set(row, col int, v value.Value) error {
 	if row < 0 || row >= t.nrows {
 		return fmt.Errorf("storage: table %q: row %d out of range", t.name, row)
 	}

@@ -105,26 +105,26 @@ func TestIntColumnStoresExactFloats(t *testing.T) {
 func TestSetInPlace(t *testing.T) {
 	tb := mustTable(t)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.NewInt(10)})
-	if err := tb.Set(0, 2, value.NewInt(99)); err != nil {
+	if err := tb.set(0, 2, value.NewInt(99)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.Get(0, 2).Int(); got != 99 {
 		t.Errorf("after Set, Get = %d", got)
 	}
-	if err := tb.Set(0, 2, value.Null); err != nil {
+	if err := tb.set(0, 2, value.Null); err != nil {
 		t.Fatal(err)
 	}
 	if !tb.Get(0, 2).IsNull() {
 		t.Error("Set NULL not visible")
 	}
 	// Un-null again.
-	if err := tb.Set(0, 2, value.NewInt(7)); err != nil {
+	if err := tb.set(0, 2, value.NewInt(7)); err != nil {
 		t.Fatal(err)
 	}
 	if tb.Get(0, 2).Int() != 7 {
 		t.Error("Set after NULL not visible")
 	}
-	if err := tb.Set(5, 0, value.Null); err == nil {
+	if err := tb.set(5, 0, value.Null); err == nil {
 		t.Error("out-of-range Set must fail")
 	}
 }
@@ -147,7 +147,7 @@ func TestIndexMaintenance(t *testing.T) {
 		t.Errorf("CA rows after append = %v", got)
 	}
 	// Updates to the indexed column move the row between buckets.
-	if err := tb.Set(2, 0, value.NewString("CA")); err != nil {
+	if err := tb.set(2, 0, value.NewString("CA")); err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 4 {
@@ -157,7 +157,7 @@ func TestIndexMaintenance(t *testing.T) {
 		t.Errorf("TX rows after update = %v", got)
 	}
 	// Updates to non-indexed columns leave the index untouched.
-	if err := tb.Set(0, 2, value.NewInt(100)); err != nil {
+	if err := tb.set(0, 2, value.NewInt(100)); err != nil {
 		t.Fatal(err)
 	}
 	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 4 {
@@ -296,7 +296,7 @@ func TestSchemaHelpers(t *testing.T) {
 	if s.ColumnIndex("none") != -1 {
 		t.Error("missing column must be -1")
 	}
-	names := s.Names()
+	names := s.names()
 	if len(names) != 3 || names[2] != "salesAmt" {
 		t.Errorf("Names = %v", names)
 	}
@@ -311,12 +311,12 @@ func TestColumnTypeNames(t *testing.T) {
 			t.Errorf("type %d unnamed", ct)
 		}
 		k := ct.Kind()
-		back, err := TypeForKind(k)
+		back, err := typeForKind(k)
 		if err != nil || back != ct {
-			t.Errorf("TypeForKind(%v) = %v, %v", k, back, err)
+			t.Errorf("typeForKind(%v) = %v, %v", k, back, err)
 		}
 	}
-	if _, err := TypeForKind(value.KindNull); err == nil {
-		t.Error("TypeForKind(NULL) must fail")
+	if _, err := typeForKind(value.KindNull); err == nil {
+		t.Error("typeForKind(NULL) must fail")
 	}
 }

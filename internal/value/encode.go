@@ -62,10 +62,10 @@ func EncodeKey(vals ...Value) []byte {
 // key.
 func EncodeKeyString(vals ...Value) string { return string(EncodeKey(vals...)) }
 
-// DecodeKey decodes a key encoding produced by EncodeKey back into values.
+// decodeKey decodes a key encoding produced by EncodeKey back into values.
 // It is used by operators that need to recover group keys from map keys
 // without retaining per-group value slices.
-func DecodeKey(key []byte) ([]Value, error) {
+func decodeKey(key []byte) ([]Value, error) {
 	var out []Value
 	for len(key) > 0 {
 		tag := key[0]

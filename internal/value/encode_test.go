@@ -17,9 +17,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, tu := range tuples {
 		enc := EncodeKey(tu...)
-		dec, err := DecodeKey(enc)
+		dec, err := decodeKey(enc)
 		if err != nil {
-			t.Fatalf("DecodeKey(%v): %v", tu, err)
+			t.Fatalf("decodeKey(%v): %v", tu, err)
 		}
 		if len(dec) != len(tu) {
 			t.Fatalf("round trip length %d != %d", len(dec), len(tu))
@@ -88,8 +88,8 @@ func TestDecodeCorruptKeys(t *testing.T) {
 		{99},                         // unknown tag
 	}
 	for _, b := range bad {
-		if _, err := DecodeKey(b); err == nil {
-			t.Errorf("DecodeKey(%v) should fail", b)
+		if _, err := decodeKey(b); err == nil {
+			t.Errorf("decodeKey(%v) should fail", b)
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 	if len(buf) <= n {
 		t.Fatal("AppendKey must extend the buffer")
 	}
-	dec, err := DecodeKey(buf)
+	dec, err := decodeKey(buf)
 	if err != nil || len(dec) != 2 {
 		t.Fatalf("decode appended buffer: %v %v", dec, err)
 	}

@@ -181,9 +181,9 @@ func (v Value) Truthy() bool {
 	}
 }
 
-// Coerce converts v to the given kind where a lossless or standard SQL cast
+// coerce converts v to the given kind where a lossless or standard SQL cast
 // exists. NULL coerces to every kind (staying NULL).
-func Coerce(v Value, k Kind) (Value, error) {
+func coerce(v Value, k Kind) (Value, error) {
 	if v.kind == k || v.kind == KindNull {
 		return v, nil
 	}

@@ -113,34 +113,34 @@ func TestTruthy(t *testing.T) {
 }
 
 func TestCoerce(t *testing.T) {
-	if v, err := Coerce(NewInt(3), KindFloat); err != nil || v.Float() != 3 { // floateq:ok exact expected value
+	if v, err := coerce(NewInt(3), KindFloat); err != nil || v.Float() != 3 { // floateq:ok exact expected value
 		t.Errorf("int→float: %v %v", v, err)
 	}
-	if v, err := Coerce(NewFloat(4), KindInt); err != nil || v.Int() != 4 {
+	if v, err := coerce(NewFloat(4), KindInt); err != nil || v.Int() != 4 {
 		t.Errorf("float→int exact: %v %v", v, err)
 	}
-	if _, err := Coerce(NewFloat(4.5), KindInt); err == nil {
+	if _, err := coerce(NewFloat(4.5), KindInt); err == nil {
 		t.Error("lossy float→int must error")
 	}
-	if _, err := Coerce(NewFloat(math.NaN()), KindInt); err == nil {
+	if _, err := coerce(NewFloat(math.NaN()), KindInt); err == nil {
 		t.Error("NaN→int must error")
 	}
-	if v, err := Coerce(NewString("12"), KindInt); err != nil || v.Int() != 12 {
+	if v, err := coerce(NewString("12"), KindInt); err != nil || v.Int() != 12 {
 		t.Errorf("string→int: %v %v", v, err)
 	}
-	if v, err := Coerce(NewString("1.5"), KindFloat); err != nil || v.Float() != 1.5 { // floateq:ok exact expected value
+	if v, err := coerce(NewString("1.5"), KindFloat); err != nil || v.Float() != 1.5 { // floateq:ok exact expected value
 		t.Errorf("string→float: %v %v", v, err)
 	}
-	if _, err := Coerce(NewString("xyz"), KindFloat); err == nil {
+	if _, err := coerce(NewString("xyz"), KindFloat); err == nil {
 		t.Error("bad string→float must error")
 	}
-	if v, err := Coerce(Null, KindInt); err != nil || !v.IsNull() {
+	if v, err := coerce(Null, KindInt); err != nil || !v.IsNull() {
 		t.Error("NULL must coerce to NULL")
 	}
-	if v, err := Coerce(NewInt(7), KindString); err != nil || v.Str() != "7" {
+	if v, err := coerce(NewInt(7), KindString); err != nil || v.Str() != "7" {
 		t.Errorf("int→string: %v %v", v, err)
 	}
-	if _, err := Coerce(NewBool(true), KindInt); err == nil {
+	if _, err := coerce(NewBool(true), KindInt); err == nil {
 		t.Error("bool→int has no standard cast here")
 	}
 }

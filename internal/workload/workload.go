@@ -208,9 +208,9 @@ func LoadCensus(cat *storage.Catalog, name string, n int, seed int64) (*storage.
 	return t, nil
 }
 
-// PaperSales loads the ten-row example fact table of the primary paper's
+// paperSales loads the ten-row example fact table of the primary paper's
 // Table 1 (states, cities, sales amounts), used by examples and tests.
-func PaperSales(cat *storage.Catalog, name string) (*storage.Table, error) {
+func paperSales(cat *storage.Catalog, name string) (*storage.Table, error) {
 	t, err := cat.Create(name, storage.Schema{
 		{Name: "RID", Type: storage.TypeInt},
 		{Name: "state", Type: storage.TypeString},
@@ -242,7 +242,7 @@ func PaperSales(cat *storage.Catalog, name string) (*storage.Table, error) {
 	return t, nil
 }
 
-// Describe summarizes a loaded table for logs.
-func Describe(t *storage.Table) string {
+// describe summarizes a loaded table for logs.
+func describe(t *storage.Table) string {
 	return fmt.Sprintf("%s: %d rows, %d columns", t.Name(), t.NumRows(), t.NumCols())
 }

@@ -129,7 +129,7 @@ func TestDeterministicSeeds(t *testing.T) {
 
 func TestPaperSales(t *testing.T) {
 	cat := storage.NewCatalog()
-	tab, err := PaperSales(cat, "sales")
+	tab, err := paperSales(cat, "sales")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPaperSales(t *testing.T) {
 	if r.Rows[0][0].Int() != 255 {
 		t.Errorf("total = %v", r.Rows[0][0])
 	}
-	if Describe(tab) == "" {
-		t.Error("Describe empty")
+	if describe(tab) == "" {
+		t.Error("describe empty")
 	}
 }

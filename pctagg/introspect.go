@@ -3,13 +3,7 @@
 // "Introspection catalog" for the table reference.
 package pctagg
 
-import (
-	"errors"
-
-	"repro/internal/diag"
-	"repro/internal/engine"
-	"repro/internal/sqlparse"
-)
+import "repro/internal/engine"
 
 // IntrospectionConfig sizes the introspection state; the zero value uses
 // the defaults (see engine.IntrospectionConfig).
@@ -76,22 +70,4 @@ func (db *DB) ResetStatementStats() {
 	if stats := db.eng.StatementStats(); stats != nil {
 		stats.Reset()
 	}
-}
-
-// queryErrCode maps a Query error to the stable code recorded in
-// pct_stat_statements: the PCTxxx diagnostic code when the error carries
-// one, the syntax code for parse failures, "error" otherwise, "" on success.
-func queryErrCode(err error) string {
-	if err == nil {
-		return ""
-	}
-	var coded interface{ Code() string }
-	var se *sqlparse.SyntaxError
-	switch {
-	case errors.As(err, &coded):
-		return coded.Code()
-	case errors.As(err, &se):
-		return diag.CodeSyntax
-	}
-	return "error"
 }

@@ -5,14 +5,12 @@ package pctagg
 
 import (
 	"context"
-	"errors"
 	"io"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/sqlparse"
 )
 
 // Span is one node of an execution trace: a named stage with a monotonic
@@ -103,19 +101,14 @@ func countQueryClass(class core.QueryClass) {
 }
 
 // countQueryError bumps the per-diagnostic-code error counter. Any error
-// carrying a stable PCTxxx code counts under it — planner rejections
-// (core.CodedError) and the engine's typed lifecycle errors (cancellation,
-// deadline, limits, contained panics) alike; parse failures map to the
-// linter's syntax code; anything else lands in query.errors.other.
+// carrying a stable PCTxxx code (diag.CodeOf) counts under it — planner
+// rejections, parse failures, and the engine's typed lifecycle errors
+// (cancellation, deadline, limits, contained panics) alike; anything else
+// lands in query.errors.other.
 func countQueryError(err error) {
-	code := "other"
-	var coded interface{ Code() string }
-	var se *sqlparse.SyntaxError
-	switch {
-	case errors.As(err, &coded):
-		code = coded.Code()
-	case errors.As(err, &se):
-		code = diag.CodeSyntax
+	code := diag.CodeOf(err)
+	if code == "" {
+		code = "other"
 	}
 	obs.Default.Counter("query.errors." + code).Inc()
 }

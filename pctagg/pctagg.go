@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/lint"
 	"repro/internal/obs"
@@ -54,7 +55,7 @@ type DB struct {
 	par     int
 	// sink is the per-query trace sink (see SetTraceSink), boxed in an
 	// atomic pointer so attaching or detaching it races safely with queries
-	// in flight — the same discipline the engine uses for its own sink.
+	// in flight — the same discipline the engine uses for its slow-query log.
 	sink atomic.Pointer[sinkBox]
 }
 
@@ -195,10 +196,14 @@ func (db *DB) queryIn(ctx context.Context, sql string, root *Span) (*Rows, error
 		if rows != nil {
 			nrows = int64(len(rows.Data))
 		}
+		code := diag.CodeOf(err)
+		if err != nil && code == "" {
+			code = "error"
+		}
 		stats.Observe(obs.StmtObservation{
 			Hash: hash, Query: norm, Top: true,
 			DurNs: time.Since(start).Nanoseconds(), Rows: nrows,
-			ErrCode:   queryErrCode(err),
+			ErrCode:   code,
 			CacheHits: int64(meta.cacheHits), CacheMisses: int64(meta.cacheMisses),
 		})
 	}
@@ -489,7 +494,7 @@ func (db *DB) Engine() *engine.Engine { return db.eng }
 // defaults. It overrides SetStrategies.
 func (db *DB) AutoStrategy(on bool) { db.auto = on }
 
-// ShareSummaries toggles the materialized summary cache: while enabled,
+// EnableSummaryCache toggles the materialized summary cache: while enabled,
 // structurally identical intermediate aggregates (the Fk/Fj tables) are
 // computed once and reused by later percentage queries — the paper's
 // "shared summaries" idea for query batches. The cache is DML-aware:
@@ -497,11 +502,7 @@ func (db *DB) AutoStrategy(on bool) { db.auto = on }
 // (aggregate only the new rows, merge), UPDATE/DELETE/DROP invalidate and
 // rebuild — a cached summary is never served stale. Call FlushSummaries
 // when the batch is done to reclaim the cache tables.
-func (db *DB) ShareSummaries(on bool) { db.planner.ShareSummaries(on) }
-
-// EnableSummaryCache is ShareSummaries under the name the cache deserves
-// now that it maintains itself through DML.
-func (db *DB) EnableSummaryCache(on bool) { db.ShareSummaries(on) }
+func (db *DB) EnableSummaryCache(on bool) { db.planner.ShareSummaries(on) }
 
 // CacheStats is a snapshot of the summary cache's counters — hits, misses,
 // invalidations, incremental refreshes (and their fault fallbacks), and

@@ -317,7 +317,7 @@ func TestQueryExplainStatement(t *testing.T) {
 
 func TestShareSummariesThroughPublicAPI(t *testing.T) {
 	db := demoDB(t)
-	db.ShareSummaries(true)
+	db.EnableSummaryCache(true)
 	defer db.FlushSummaries()
 	q := "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"
 	first, err := db.Query(q)
