@@ -15,8 +15,8 @@ import (
 // pays iff |F|/|Fk| > c/(a−b), a ratio that does not depend on scale. The
 // value is measured over Table 5, DMKD Table 3 and probe queries between
 // their rows (EXPERIMENTS.md, "The advisor's constant"): from FV is behind or
-// tied up to a ratio of 71 and ahead from 86.
-const fromFVRatio = 80
+// tied up to a ratio of 50 and ahead or tied from 60.
+const fromFVRatio = 55
 
 // Advise picks evaluation strategies for a percentage query from live table
 // statistics:

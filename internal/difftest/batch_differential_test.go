@@ -370,6 +370,72 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 	}
 }
 
+// TestDifferentialBatchManyGroups runs the operator against the reference
+// where the group table, not the kernels, is what is exercised: 9 000 rows —
+// nine batches, and at P = 8 partitions of barely more than one — whose keys
+// cycle through more than 3 000 values, so that the table doubles its index
+// many times over, every group is met again in later batches, and every merge
+// both appends groups and adds into shared ones. INTEGER keys take the
+// fixed-width route, a VARCHAR and a computed key the byte route (the
+// computed one row-major); the Hpct and Hagg plans dispatch their arms into
+// thousands of groups; b is REAL, in eighths so that any addition order is
+// exact.
+func TestDifferentialBatchManyGroups(t *testing.T) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("g", storage.Schema{
+		{Name: "k", Type: storage.TypeInt}, {Name: "j", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString},
+		{Name: "d", Type: storage.TypeInt}, {Name: "a", Type: storage.TypeInt}, {Name: "b", Type: storage.TypeFloat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3200))
+	for i := 0; i < 9000; i++ {
+		row := []value.Value{
+			value.NewInt(int64(i%3200) << 33), // keys that differ only above bit 32
+			value.NewInt(int64(i % 5)),
+			value.NewString(fmt.Sprintf("store-%04d", i%3100)),
+			value.NewInt(int64(rng.Intn(4))),
+			value.NewInt(int64(rng.Intn(41) - 20)),
+			value.NewFloat(float64(rng.Intn(400)-200) / 8),
+		}
+		for c := 3; c < 6; c++ {
+			if rng.Intn(15) == 0 {
+				row[c] = value.Null
+			}
+		}
+		if i%3200 == 17 {
+			row[0] = value.Null // one NULL-keyed group beside k = 0
+		}
+		if _, err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	for _, c := range []struct {
+		sql  string
+		opts core.Options
+	}{
+		{"SELECT k, sum(a), count(*), max(a) FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, j, sum(b), min(b), count(b) FROM g GROUP BY k, j", core.Options{}},
+		{"SELECT s, sum(a), min(b), avg(a) FROM g GROUP BY s", core.Options{}},
+		{"SELECT k / 2 + j, sum(a), count(DISTINCT d) FROM g GROUP BY 1", core.Options{}},
+		{"SELECT DISTINCT s, j FROM g WHERE d = 1", core.Options{}},
+		{"SELECT k, j, Vpct(b BY j) FROM g GROUP BY k, j", core.DefaultOptions()},
+		{"SELECT k, Hpct(a BY d) FROM g GROUP BY k", core.Options{}},
+		{"SELECT s, Hpct(b BY d) FROM g GROUP BY s", core.Options{Hpct: core.HpctOptions{FromFV: true}}},
+		{"SELECT k, sum(b BY d), count(* BY d) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+	} {
+		if err := CompareBatch(p, c.sql, c.opts, parallelisms); err != nil {
+			t.Error(err)
+		}
+	}
+	res, err := run(p, "SELECT k, count(*) FROM g GROUP BY k", core.Options{}, 8)
+	if err != nil || len(res.Rows) != 3200 {
+		t.Fatalf("%d groups, want 3200 (3199 keys and NULL): %v", len(res.Rows), err)
+	}
+}
+
 // dispatchSchema and dispatchRows are the hand-built table of the directed
 // dispatch test: an INTEGER and a VARCHAR dimension with NULLs, an INTEGER
 // measure and a FLOAT one whose sums are exact. Per group k:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/expr"
 	"repro/internal/value"
@@ -50,89 +51,105 @@ func newAccumulator(call *expr.AggCall) (accumulator, error) {
 	}
 }
 
-// sumAcc sums skipping NULLs; an all-NULL (or empty) group yields NULL,
-// matching SQL sum() — the semantics Vpct inherits.
-type sumAcc struct {
-	seen  bool
-	isInt bool
-	isum  int64
-	fsum  float64
+// Cells. The fold operator (fold.go) keeps a sum, a count and the extreme of
+// a bare numeric column not as an accumulator object per group but as one
+// cell — 8 bytes and a tag — in its partition's flat arrays: num is an
+// INTEGER, or the bits of a REAL when the tag says so. A count needs no tag:
+// its cell is the number. The functions below are the accumulators' rules on
+// a cell; sumAcc is one cell behind the accumulator interface.
+const (
+	cellNone  uint8 = iota // no non-NULL value yet: the result is NULL
+	cellInt                // num is the INTEGER result
+	cellFloat              // num holds the bits of the REAL result
+)
+
+func cellFloatOf(num int64, tag uint8) float64 {
+	if tag == cellInt {
+		return float64(num)
+	}
+	return math.Float64frombits(uint64(num))
 }
 
-func (a *sumAcc) add(v value.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	switch v.Kind() {
-	case value.KindInt:
-		if !a.seen {
-			a.seen, a.isInt = true, true
-			a.isum = v.Int()
-			return nil
-		}
-		if a.isInt {
-			a.isum += v.Int()
-		} else {
-			a.fsum += float64(v.Int())
-		}
-	case value.KindFloat:
-		if !a.seen {
-			a.seen, a.isInt = true, false
-			a.fsum = v.Float()
-			return nil
-		}
-		if a.isInt {
-			a.fsum = float64(a.isum) + v.Float()
-			a.isInt = false
-		} else {
-			a.fsum += v.Float()
-		}
+func floatCell(f float64) int64 { return int64(math.Float64bits(f)) }
+
+// addSum adds v to a sum cell skipping NULLs; an all-NULL (or empty) group
+// stays cellNone, SQL sum()'s NULL — the semantics Vpct inherits. The sum is
+// INTEGER until the first REAL demotes it, and a first REAL initialises it,
+// so a lone -0.0 survives.
+func addSum(num *int64, tag *uint8, v value.Value) error {
+	switch k := v.Kind(); {
+	case k == value.KindNull:
+	case k == value.KindInt && *tag != cellFloat:
+		*num, *tag = *num+v.Int(), cellInt
+	case k == value.KindInt:
+		*num = floatCell(cellFloatOf(*num, *tag) + float64(v.Int()))
+	case k == value.KindFloat && *tag == cellNone:
+		*num, *tag = floatCell(v.Float()), cellFloat
+	case k == value.KindFloat:
+		*num, *tag = floatCell(cellFloatOf(*num, *tag)+v.Float()), cellFloat
 	default:
-		return fmt.Errorf("engine: sum() on %s", v.Kind())
+		return fmt.Errorf("engine: sum() on %s", k)
 	}
 	return nil
 }
 
-// floatTotal reads the running sum as a float regardless of representation.
-func (a *sumAcc) floatTotal() float64 {
-	if a.isInt {
-		return float64(a.isum)
+// mergeCell folds the cell of a higher partition into the same aggregate's
+// cell of a lower one, as adding the higher partition's values after the
+// lower one's would have: counts and INTEGER sums add, any REAL on either
+// side demotes the whole sum, the lower partition's extreme wins ties.
+func mergeCell(fn expr.AggFn, num *int64, tag *uint8, fromNum int64, fromTag uint8) {
+	switch {
+	case fn == expr.AggCount:
+		*num += fromNum
+	case fromTag == cellNone:
+	case *tag == cellNone:
+		*num, *tag = fromNum, fromTag
+	case fn == expr.AggSum && *tag == cellInt && fromTag == cellInt:
+		*num += fromNum
+	case fn == expr.AggSum:
+		*num, *tag = floatCell(cellFloatOf(*num, *tag)+cellFloatOf(fromNum, fromTag)), cellFloat
+	case fn == expr.AggMin && cellLess(fromNum, *num, *tag) || fn == expr.AggMax && cellLess(*num, fromNum, *tag):
+		*num = fromNum // an extreme's cells are of one typed column: the tags agree
 	}
-	return a.fsum
 }
+
+func cellLess(a, b int64, tag uint8) bool {
+	if tag == cellInt {
+		return a < b
+	}
+	return math.Float64frombits(uint64(a)) < math.Float64frombits(uint64(b))
+}
+
+// cellResult boxes a cell's aggregate.
+func cellResult(fn expr.AggFn, num int64, tag uint8) value.Value {
+	switch {
+	case fn == expr.AggCount || tag == cellInt:
+		return value.NewInt(num)
+	case tag == cellNone:
+		return value.Null
+	}
+	return value.NewFloat(cellFloatOf(num, tag))
+}
+
+// sumAcc is a sum cell as an accumulator: the reference fold's sum(), and
+// the sum inside avgAcc.
+type sumAcc struct {
+	num int64
+	tag uint8
+}
+
+func (a *sumAcc) add(v value.Value) error { return addSum(&a.num, &a.tag, v) }
 
 func (a *sumAcc) merge(o accumulator) error {
 	b, ok := o.(*sumAcc)
 	if !ok {
 		return mergeTypeError(a, o)
 	}
-	if !b.seen {
-		return nil
-	}
-	if !a.seen {
-		*a = *b
-		return nil
-	}
-	if a.isInt && b.isInt {
-		a.isum += b.isum
-		return nil
-	}
-	// Any float on either side demotes the whole sum to float, exactly as a
-	// sequential scan over the concatenated partitions would.
-	a.fsum = a.floatTotal() + b.floatTotal()
-	a.isInt = false
+	mergeCell(expr.AggSum, &a.num, &a.tag, b.num, b.tag)
 	return nil
 }
 
-func (a *sumAcc) result() value.Value {
-	if !a.seen {
-		return value.Null
-	}
-	if a.isInt {
-		return value.NewInt(a.isum)
-	}
-	return value.NewFloat(a.fsum)
-}
+func (a *sumAcc) result() value.Value { return cellResult(expr.AggSum, a.num, a.tag) }
 
 // countAcc counts rows (star) or non-NULL values.
 type countAcc struct {

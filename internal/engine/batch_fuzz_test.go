@@ -13,7 +13,10 @@ import (
 
 // fuzzFoldSchema is the fuzz fact table: int and string group keys, an int
 // and a float measure, a bool column — every type the fold kernels
-// specialize on, all nullable.
+// specialize on, all nullable — and two high-cardinality keys, id and s,
+// that cycle through fuzzManyGroups values with the row number, so that a
+// table of more rows than that has every group in several batches and, at
+// P > 1, in several partitions.
 var fuzzFoldSchema = storage.Schema{
 	{Name: "d1", Type: storage.TypeInt},
 	{Name: "d2", Type: storage.TypeInt},
@@ -21,7 +24,11 @@ var fuzzFoldSchema = storage.Schema{
 	{Name: "a", Type: storage.TypeInt},
 	{Name: "b", Type: storage.TypeFloat},
 	{Name: "c", Type: storage.TypeBool},
+	{Name: "id", Type: storage.TypeInt},
+	{Name: "s", Type: storage.TypeString},
 }
+
+const fuzzManyGroups = 3500
 
 // fuzzFoldQueries sweep the five aggregates (sum, count, min, max, count
 // DISTINCT, plus avg) over int, float, string, and bool columns, the
@@ -40,8 +47,12 @@ var fuzzFoldSchema = storage.Schema{
 // (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
 // two families in one statement, arms whose THEN or sum() fails on some rows
 // only, arms under a WHERE, over a join and without GROUP BY, and shapes that
-// must not dispatch beside ones that do.
-var fuzzFoldQueries = []string{
+// must not dispatch beside ones that do. fuzzManyGroupQueries, appended last,
+// are the many-group shapes: thousands of groups grown across batches and
+// merged across partitions under an INTEGER key (fixed-width route), a
+// VARCHAR key and a computed key (byte route, the latter row-major), a
+// dispatched Hpct shape and REAL sums, minima and maxima.
+var fuzzFoldQueries = append([]string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
 	"SELECT d3, count(DISTINCT a), sum(b) FROM f GROUP BY d3",
@@ -72,9 +83,18 @@ var fuzzFoldQueries = []string{
 	"SELECT x.d1, sum(CASE WHEN y.d2 = 0 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 = 1 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 IS NULL THEN x.a ELSE 0 END) FROM f x, f y WHERE x.a = y.a AND y.d1 = 0 GROUP BY x.d1",
 	"SELECT sum(CASE WHEN d2 = 0 THEN b ELSE 0 END), sum(CASE WHEN d2 = 5 THEN b ELSE 0 END), count(CASE WHEN d2 = 0 THEN 1 END) FROM f",
 	"SELECT d1, sum(CASE WHEN d2 = 1 OR d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1.0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 1 END), sum(CASE WHEN d2 IS NOT NULL THEN b ELSE 0 END), sum(CASE WHEN b = 0.5 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END) FROM f GROUP BY d1",
+}, fuzzManyGroupQueries...)
+
+var fuzzManyGroupQueries = []string{
+	"SELECT id, d1, sum(a), count(*), count(a) FROM f GROUP BY id, d1",
+	"SELECT s, min(a), sum(b), avg(a) FROM f GROUP BY s",
+	"SELECT id * 2 + d2, count(*), sum(a) FROM f GROUP BY 1",
+	"SELECT id, sum(a), sum(CASE WHEN d2 = 0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END), sum(CASE WHEN d2 IS NULL THEN b ELSE 0 END) FROM f GROUP BY id",
+	"SELECT id, sum(b), min(b), max(b), max(a) FROM f WHERE d1 IS NOT NULL GROUP BY id",
+	"SELECT DISTINCT s, id FROM f",
 }
 
-func fuzzFoldRow(rng *rand.Rand) []value.Value {
+func fuzzFoldRow(rng *rand.Rand, i int) []value.Value {
 	strs := []string{"x", "y", "z", "w"}
 	row := []value.Value{
 		value.NewInt(int64(rng.Intn(5))),
@@ -83,6 +103,8 @@ func fuzzFoldRow(rng *rand.Rand) []value.Value {
 		value.NewInt(int64(rng.Intn(41) - 20)),
 		value.NewFloat(float64(rng.Intn(200)-100) / 4),
 		value.NewBool(rng.Intn(2) == 0),
+		value.NewInt(int64(i % fuzzManyGroups)),
+		value.NewString(fmt.Sprintf("key-%d", i%fuzzManyGroups)),
 	}
 	if rng.Intn(8) == 0 {
 		row[3] = value.Null
@@ -135,8 +157,13 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 	}
 	f.Add(int64(-42), uint16(0), uint8(0), uint8(2))     // empty-ish table
 	f.Add(int64(1234), uint16(3000), uint8(5), uint8(1)) // many batches, erroring pred
+	for q := range fuzzManyGroupQueries {                // every group in two or three batches, at P = 1, 2 and 8
+		for par := uint8(0); par < 3; par++ {
+			f.Add(int64(q)+77, uint16(7900+q), uint8(len(fuzzFoldQueries)-len(fuzzManyGroupQueries)+q), par)
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, q uint8, par uint8) {
-		rows := int(n) % 3000
+		rows := int(n) % 8000
 		rng := rand.New(rand.NewSource(seed))
 		cat := storage.NewCatalog()
 		tab, err := cat.Create("f", fuzzFoldSchema)
@@ -144,7 +171,7 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i < rows; i++ {
-			if _, err := tab.AppendRow(fuzzFoldRow(rng)); err != nil {
+			if _, err := tab.AppendRow(fuzzFoldRow(rng, i)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -96,188 +96,118 @@ func (a *arm) addCond(e expr.Expr, sch relSchema) bool {
 	return true
 }
 
-// armFamily is the dispatch table of the arms testing one column list, under
-// whichever of the group table's two key encodings fits the columns: the
-// fixed-width intKey when every one is an INTEGER column of the stored table
-// the fold reads (≤ 4), read straight from the raw vectors; the AppendKey
-// bytes of the row's column values otherwise. Either map sends a constant
-// tuple to its entry: the specs, ascending, whose condition is that tuple.
-// Entry 0 is the empty entry of a row no arm matches.
+// armFamily is the dispatch table of the arms testing one column list: a
+// group table (grouptable.go) built at plan time over the arms' constant
+// tuples and only read by the workers, under whichever key route fits the
+// columns. A tuple's id is its entry: entries[id] lists the specs,
+// ascending, whose condition is that tuple; a row no arm matches resolves
+// to -1.
 type armFamily struct {
 	cols    []int
 	arms    int
 	entries [][]int32
-	ints    map[intKey]int32
-	colInts [][]int64
-	colNull []func(row int) bool
-	strs    map[string]int32
+	keys    keyCols
+	tab     groupTable
 }
 
-// planDispatch recognises the arm families among op's specs. A recognised
-// spec's fold input becomes its THEN expression; the rest are op.plain.
-func (op *foldOp) planDispatch(sch relSchema) {
-	op.plain = make([]int32, 0, len(op.specs))
+// planDispatch makes op's slots, recognising the arm families among its
+// specs, and returns what each spec accumulates: a recognised one its THEN
+// expression, the rest their argument.
+func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
+	args := make([]expr.Expr, len(op.specs))
+	op.slots = make([]aggSlot, len(op.specs))
 	var a arm
+	settle := false // some ELSE 0 to settle: groups keep a sole state per family
 	for i, s := range op.specs {
-		if !a.recognise(s, sch) {
-			op.plain = append(op.plain, int32(i))
-			op.args = append(op.args, op.input(s.arg))
+		if args[i], op.slots[i].family = s.arg, -1; !a.recognise(s, sch) {
 			continue
-		}
-		op.args = append(op.args, op.input(a.then))
-		if a.elseZero {
-			if op.elseZero == nil {
-				op.elseZero = make([]bool, len(op.specs))
-			}
-			op.elseZero[i] = true
 		}
 		fi := slices.IndexFunc(op.families, func(f *armFamily) bool { return slices.Equal(f.cols, a.cols) })
 		if fi < 0 {
-			fi = len(op.families)
-			op.families = append(op.families, op.newFamily(slices.Clone(a.cols)))
+			keys := make([]expr.Expr, len(a.cols))
+			for k, c := range a.cols {
+				keys[k] = expr.BoundCol(sch[c].Name, c)
+			}
+			f := &armFamily{cols: slices.Clone(a.cols), keys: op.keyCols(keys)}
+			f.tab.width = len(f.keys.ints)
+			fi, op.families = len(op.families), append(op.families, f)
 		}
 		f := op.families[fi]
-		f.arms++
-		var e int32
-		if f.ints != nil {
-			k := intKeyOf(a.consts)
-			if e = f.ints[k]; e == 0 {
-				e = f.newEntry()
-				f.ints[k] = e
-			}
+		e, fresh := f.lookup(a.consts)
+		if fresh {
+			f.entries = append(f.entries, nil)
+		}
+		f.arms, f.entries[e] = f.arms+1, append(f.entries[e], int32(i))
+		args[i], op.slots[i].family, op.slots[i].entry, op.slots[i].elseZero = a.then, int32(fi), e, a.elseZero
+		settle = settle || a.elseZero
+	}
+	if settle {
+		op.soles = len(op.families)
+	}
+	return args
+}
+
+// lookup returns the entry of a constant tuple, inserting it if new.
+func (f *armFamily) lookup(consts []value.Value) (entry int32, fresh bool) {
+	if f.tab.width == 0 {
+		key := value.EncodeKey(consts...)
+		return f.tab.lookupBytes(f.tab.hashBytes(key), key, true)
+	}
+	key, mask := make([]int64, len(consts)), uint8(0)
+	for k, v := range consts {
+		if v.IsNull() {
+			mask |= 1 << k
 		} else {
-			k := value.EncodeKeyString(a.consts...)
-			if e = f.strs[k]; e == 0 {
-				e = f.newEntry()
-				f.strs[k] = e
-			}
-		}
-		f.entries[e] = append(f.entries[e], int32(i))
-	}
-}
-
-func (f *armFamily) newEntry() int32 {
-	f.entries = append(f.entries, nil)
-	return int32(len(f.entries) - 1)
-}
-
-// newFamily picks the key encoding for a family over cols.
-func (op *foldOp) newFamily(cols []int) *armFamily {
-	f := &armFamily{cols: cols, entries: make([][]int32, 1)}
-	if op.tab != nil && len(cols) <= len(intKey{}.v) {
-		for _, c := range cols {
-			ints, isNull, isInt := op.tab.IntColumn(c)
-			if !isInt {
-				f.colInts = nil
-				break
-			}
-			f.colInts, f.colNull = append(f.colInts, ints), append(f.colNull, isNull)
+			key[k] = v.Int()
 		}
 	}
-	if f.colInts != nil {
-		f.ints = make(map[intKey]int32)
-	} else {
-		f.strs = make(map[string]int32)
-		op.view = true // the row's values are read through the row view
-	}
-	return f
+	return f.tab.lookupInts(f.tab.hashInts(key, mask), key, mask, true)
 }
 
-// soleAcc is the per-group state the ELSE 0 settlement needs, one per arm
-// family: the one entry every row of the group has selected so far. It rides
-// behind the group's real accumulators (accs[len(specs)+family], only in a
-// fold with an ELSE 0 arm to settle) because it is the same kind of thing — a
-// partial state that partitions merge — and there it costs other folds
-// nothing. Rows reach it through see, never add.
-type soleAcc struct{ entry int32 }
-
-// The states of a soleAcc besides an entry number.
+// The sole state, one per (group, arm family) of a fold with an ELSE 0 arm to
+// settle: the one entry every row of the group has selected so far, kept as
+// entry + 2 — "no arm matches" (-1) is a selection like any other — beside
+// the two states below. It is partial state like the cells: partitions merge
+// it.
 const (
-	soleNone  int32 = -1 // no row yet
-	soleMixed int32 = -2 // rows of different entries
+	soleNone  int32 = 0  // no row yet
+	soleMixed int32 = -1 // rows of different entries
 )
 
-// see notes the entry of one more row — or, merging, of another partition.
-func (a *soleAcc) see(e int32) {
+// seeSole notes the selection of one more row — or, merging, the state of
+// another partition.
+func seeSole(sole *int32, e int32) {
 	switch {
-	case a.entry == soleNone:
-		a.entry = e
-	case e != a.entry && e != soleNone:
-		a.entry = soleMixed
+	case *sole == soleNone:
+		*sole = e
+	case e != *sole && e != soleNone:
+		*sole = soleMixed
 	}
 }
 
-func (a *soleAcc) add(value.Value) error { return nil }
-
-func (a *soleAcc) merge(o accumulator) error {
-	b, ok := o.(*soleAcc)
-	if !ok {
-		return mergeTypeError(a, o)
-	}
-	a.see(b.entry)
-	return nil
-}
-
-func (a *soleAcc) result() value.Value { return value.Null }
-
-// dispatch returns the specs a row of group g reaches — every plain spec and,
-// per family, the arms of the entry its column values select — in ascending
-// spec order, so the first error a row raises is the one the arm-by-arm
-// reference raises — and shows each family's soleAcc the entry.
-func (w *foldWorker) dispatch(g *groupState, r int, row expr.Row) []int32 {
-	op := w.op
-	todo := append(w.todo[:0], op.plain...)
-	for fi, f := range op.families {
-		var e int32
-		if f.ints != nil {
-			w.armInts.setRow(f.colInts, f.colNull, r)
-			e = f.ints[w.armInts]
-		} else {
-			w.armKey = w.armKey[:0]
-			for _, c := range f.cols {
-				w.armKey = value.AppendKey(w.armKey, row.ColumnValue(c))
-			}
-			e = f.strs[string(w.armKey)]
-		}
-		if op.elseZero != nil {
-			g.accs[len(op.specs)+fi].(*soleAcc).see(e)
-		}
-		for _, i := range f.entries[e] {
-			// Each source is ascending, so this insertion rarely moves anything.
-			at := len(todo)
-			todo = append(todo, i)
-			for ; at > 0 && todo[at-1] > i; at-- {
-				todo[at] = todo[at-1]
-			}
-			todo[at] = i
-		}
-	}
-	w.todo = todo
-	return todo
-}
-
-// settleElse gives the ELSE 0 of each dispatched sum arm its effect on a
-// merged group. The reference adds 0 on every row the arm's condition
-// rejects; the dispatch adds nothing on those rows, and one add(0) after the
-// fact is the same sum: it makes an arm no row matched 0 instead of NULL,
-// leaves an INTEGER sum alone, and turns a FLOAT sum of -0.0 into +0.0 —
-// which is all any number of interleaved zeros can do. The arms of one family
-// are disjoint, so an arm rejected no row exactly when every row of the group
-// selected its entry: the family's soleAcc says which entry that is, if any,
-// and an empty group (the global aggregate over no rows) settles nothing.
-func (op *foldOp) settleElse(g *groupState) {
-	for fi, acc := range g.accs[len(op.specs):] {
-		sole := acc.(*soleAcc).entry
+// settleElse gives the ELSE 0 of each dispatched sum arm its effect on merged
+// group g. The reference adds 0 on every row the arm's condition rejects;
+// the dispatch adds nothing on those rows, and one add of 0 after the fact
+// is the same sum: it makes an arm no row matched 0 instead of NULL, leaves
+// an INTEGER sum alone, and turns a FLOAT sum of -0.0 into +0.0 — which is
+// all any number of interleaved zeros can do. The arms of one family are
+// disjoint, so an arm rejected no row exactly when every row of the group
+// selected its entry: the family's sole state says which entry that is, if
+// any, and an empty group (the global aggregate over no rows) settles
+// nothing.
+func (op *foldOp) settleElse(p *foldPart, g int) {
+	for fi, sole := range p.soles[g*op.soles : (g+1)*op.soles] {
 		if sole == soleNone {
 			continue
 		}
 		for e, specs := range op.families[fi].entries {
-			if int32(e) == sole {
+			if int32(e)+2 == sole {
 				continue
 			}
 			for _, i := range specs {
-				if op.elseZero[i] {
-					_ = g.accs[i].add(value.NewInt(0)) // a sum takes any INTEGER
+				if op.slots[i].elseZero {
+					c := g*op.cells + op.slots[i].cell
+					_ = addSum(&p.num[c], &p.tag[c], value.NewInt(0)) // a sum takes any INTEGER
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -17,37 +18,48 @@ import (
 
 // The fold operator: every GROUP BY the engine runs in production — and
 // every SELECT DISTINCT, a fold with keys and no aggregates — goes through
-// the one row loop body in foldWorker.row — evaluate the key expressions,
-// find or create (and charge) the group, evaluate each aggregate's argument
-// and add it — whatever feeds it and however many workers share the input.
-// Aggregates over the disjoint CASE arms of a horizontal plan are the one
-// refinement: the row reaches only the arms its values select (dispatch.go).
+// foldWorker.fold: resolve a vector of rows to dense group ids in the
+// partition's group table (grouptable.go), creating and charging a group
+// where its key first appears, then advance each aggregate over the whole
+// vector with one kernel call (foldWorker.advance) — whatever feeds it and
+// however many workers share the input. Aggregates over the disjoint CASE
+// arms of a horizontal plan are the one refinement: a row reaches only the
+// arms its values select (dispatch.go).
+//
+// State. A group is an id, not an object: its key sits in the group table's
+// flat arrays, its aggregates in the partition's — one 8-byte cell and one
+// tag byte per (group, sum / count / numeric min / max), strided by the
+// fold's cell count, so a 50-arm Hpct fold grows the same two arrays a plain
+// one does — and only avg, count(DISTINCT) and min / max over anything else
+// keep an accumulator object per group (aggregate.go).
 //
 // Inputs. Keys and arguments are arbitrary bound expressions. Over a stored
 // table (a scan under zero or more filters) the operator reads the column
-// vectors directly, batch.Size (= govStride) rows at a time: a bare column
-// reference is a typed storage.Table.CellGetter, anything computed — Hpct's
-// CASE terms, arithmetic — evaluates against a storage.RowView that boxes
-// each referenced cell at most once per row. Error-free filters
-// (expr.ErrFree) refine a pooled selection vector per batch; a filter that
-// can error runs interleaved, row by row, so the first error is the one a
-// sequential scan would raise. Any other input (a join, a scan already
-// advanced) is drained through the iterator interface into the same body.
-//
-// Group keys. When every key is a bare INTEGER column of the stored table
-// (≤ 4 of them) groups are keyed by a fixed-width intKey — no encoding, no
-// per-row allocation; otherwise by the value.AppendKey bytes the reference
-// fold uses, so grouping is identical by construction.
+// vectors directly, batch.Size (= govStride) rows at a time: error-free
+// filters (expr.ErrFree) refine a pooled selection vector, and a typed
+// kernel loops a bare INTEGER or REAL column straight into the cells. Any
+// other argument is boxed — a bare column through its typed
+// storage.Table.CellGetter, anything computed against a storage.RowView that
+// boxes each referenced cell at most once per row — and added with sumAcc's
+// rules. A fold in which something can raise — a filter, key or argument
+// that is computed, sum() over a VARCHAR or BOOLEAN — runs row-major, each
+// row a vector of one: filter, look up, charge, accumulate in spec order, so
+// the first error and the MaxGroups trip point are the ones a sequential
+// scan would raise. Any other input (a join, a scan already advanced, rows
+// handed over by another stage) is drained through the iterator interface,
+// row-major, into the same fold.
 //
 // Parallelism. foldPartitions splits the input into contiguous row ranges,
 // folds each into a private foldPart, and merges them in ascending partition
-// order. A group's global first occurrence lies in its lowest-numbered
-// partition and rows keep their order within a partition, so that merge
-// order reproduces the sequential first-appearance order exactly. A stored
-// table is never copied — workers read disjoint ranges of its immutable
-// vectors; a join or derived input is materialized (and charged against
-// MaxRows/MaxBytes) only when it is about to fan out, because iterators
-// reuse row buffers and cannot be shared across goroutines.
+// order: each group of the higher partition probes the lower one's table
+// with its stored hash, a new group appends, a shared one adds cell to cell.
+// A group's global first occurrence lies in its lowest-numbered partition
+// and rows keep their order within a partition, so that merge order
+// reproduces the sequential first-appearance order — and float addition
+// order — exactly. A stored table is never copied — workers read disjoint
+// ranges of its immutable vectors; a join or derived input is materialized
+// (and charged against MaxRows/MaxBytes) only when it is about to fan out,
+// because iterators reuse row buffers and cannot be shared across goroutines.
 //
 // hashAggregateSeq (aggregate.go) is the reference this operator is proven
 // against: SetBatch(false) and an injected core.batch fault select it, always
@@ -112,7 +124,7 @@ func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int,
 			sp.Attr("error", err.Error())
 			return nil, sp, err
 		}
-		sp.SetRows(-1, int64(len(part.order)))
+		sp.SetRows(-1, int64(part.tab.len()))
 		return part, sp, nil
 	}
 
@@ -148,7 +160,7 @@ func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int,
 					ws.Attr("error", errs[w].Error())
 					cancel()
 				} else {
-					groups = len(parts[w].order)
+					groups = parts[w].tab.len()
 				}
 				ws.End()
 				ws.SetRows(int64(hi-lo), int64(groups))
@@ -169,7 +181,7 @@ func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int,
 	}
 	partials := 0
 	for w := 0; w < workers && err == nil; w++ {
-		partials += len(parts[w].order)
+		partials += parts[w].tab.len()
 		if w > 0 {
 			err = parts[0].absorb(parts[w])
 		}
@@ -178,7 +190,7 @@ func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int,
 		ms.Attr("error", err.Error())
 		return nil, fan, err
 	}
-	ms.SetRows(int64(partials), int64(len(parts[0].order)))
+	ms.SetRows(int64(partials), int64(parts[0].tab.len()))
 	return parts[0], fan, nil
 }
 
@@ -240,43 +252,74 @@ func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 	return n, err
 }
 
-// foldInput is one key or aggregate-argument expression as the row loop
-// reads it. Both fields nil is count(*)'s absent argument.
+// foldInput is one key or aggregate-argument expression as the boxed route
+// reads it: get boxes it for a row of the stored table, e evaluates against
+// the row view (or the drained row). Both fields nil is an absent argument.
 type foldInput struct {
 	get func(row int) value.Value // bare column of the stored table
 	e   expr.Expr                 // anything else, evaluated against the row view
+}
+
+// keyCols is how a fold reads one key tuple off a row — its group key, or
+// the columns an arm family tests. When every component is a bare INTEGER
+// column of the stored table (≤ maxIntKeys) the tuple is read straight from
+// the raw vectors and NULL bitmaps (ints, nulls) into the group table's
+// fixed-width route; otherwise each is boxed (in) and encoded with
+// value.AppendKey.
+type keyCols struct {
+	in    []foldInput
+	ints  [][]int64
+	nulls []storage.NullBitmap
+}
+
+// The kernels of foldWorker.advance.
+const (
+	kernelBoxed uint8 = iota // box the argument; the slot says where it goes
+	kernelCount              // count(*), or of a bare column: its NULL bitmap is all it reads
+	kernelInt                // sum / min / max of a bare INTEGER column
+	kernelFloat              // sum / min / max of a bare REAL column
+)
+
+// aggSlot is one spec as the workers run it: where its per-group state lives
+// — cell indexes the group's cells (a count, a sum, the extreme of a bare
+// numeric column), acc its accumulator objects (everything else); the one
+// that does not apply is -1 — which kernel advances it, over what, and its
+// place in the dimension dispatch (dispatch.go): the arm family it belongs
+// to (-1: none — a row reaches it whatever its values), its entry there, and
+// whether it is a sum arm whose ELSE 0 is settled at emit.
+type aggSlot struct {
+	kernel        uint8
+	fn            expr.AggFn
+	cell, acc     int
+	in            foldInput // kernelBoxed
+	ints          []int64
+	flts          []float64
+	nulls         storage.NullBitmap
+	family, entry int32
+	elseZero      bool
 }
 
 // foldOp is one planned fold, shared read-only by its workers.
 type foldOp struct {
 	in    iterator
 	specs []aggSpec
-	keys  []foldInput
-	args  []foldInput // per spec
-	// intKeys selects the fixed-width group key, encoded straight from the
-	// key columns' raw vectors.
-	intKeys bool
-	keyInts [][]int64
-	keyNull []func(row int) bool
+	keys  keyCols
+	slots []aggSlot // per spec
+	// cells, accs and soles are the strides of a partition's state arrays;
+	// soles is len(families), or 0 with no ELSE 0 to settle.
+	cells, accs, soles int
+	families           []*armFamily
+	// rowMajor: something in the fold can raise, so rows go through one at a
+	// time and specs in ascending order (see the header comment).
+	rowMajor bool
 	// tab is set when in is a fresh scan of a stored table under filters
 	// (innermost first): workers then fold row ranges of tab directly.
 	tab     *storage.Table
-	getters []func(row int) value.Value // per column of tab, built on first use
 	scan    *tableScan
 	filters []*filterIter
 	vector  bool // every filter is error-free → vectorized selection
-	view    bool // some expression needs a storage.RowView
 	// mem is the materialized input of a fan-out over anything else.
 	mem *memRelation
-	// Dimension dispatch (dispatch.go): the arm families among the specs, the
-	// specs outside every family in ascending order — what a row reaches
-	// whatever its values — and, when some dispatched sum arm has an ELSE 0 to
-	// settle at emit, which specs those are.
-	families []*armFamily
-	plain    []int32
-	elseZero []bool
-	// sums and counts size the accumulator slabs of a new group.
-	sums, counts int
 }
 
 // planFold binds a fold to its input.
@@ -293,41 +336,89 @@ func planFold(in iterator, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 		for _, f := range filters {
 			op.vector = op.vector && expr.ErrFree(f.pred)
 		}
-		op.view = !op.vector
 	}
-	op.intKeys = op.tab != nil && len(keyExprs) > 0 && len(keyExprs) <= len(intKey{}.v)
-	for _, ke := range keyExprs {
-		k := op.input(ke)
-		op.keys = append(op.keys, k)
-		if op.intKeys = op.intKeys && k.get != nil; op.intKeys {
-			ints, isNull, isInt := op.tab.IntColumn(ke.(*expr.ColumnRef).Index)
-			op.keyInts, op.keyNull, op.intKeys = append(op.keyInts, ints), append(op.keyNull, isNull), isInt
-		}
+	op.keys = op.keyCols(keyExprs)
+	op.rowMajor = !op.vector
+	for _, k := range op.keys.in {
+		op.rowMajor = op.rowMajor || k.get == nil
 	}
-	for _, s := range specs {
-		if sum, count := slabbed(s.call); sum {
-			op.sums++
-		} else if count {
-			op.counts++
-		}
+	for i, arg := range op.planDispatch(in.schema()) {
+		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
-	op.planDispatch(in.schema())
 	return op
 }
 
-func (op *foldOp) input(e expr.Expr) foldInput {
-	if cr, ok := e.(*expr.ColumnRef); ok && op.tab != nil && cr.Bound() && cr.Index < op.tab.NumCols() {
-		// One getter per column: the arms of an Hpct fold all read the measure.
-		if op.getters == nil {
-			op.getters = make([]func(row int) value.Value, op.tab.NumCols())
-		}
-		if op.getters[cr.Index] == nil {
-			op.getters[cr.Index] = op.tab.CellGetter(cr.Index)
-		}
-		return foldInput{get: op.getters[cr.Index]}
+// column reports the stored-table column e names, if it is a bare one.
+func (op *foldOp) column(e expr.Expr) (int, bool) {
+	cr, ok := e.(*expr.ColumnRef)
+	if !ok || op.tab == nil || !cr.Bound() || cr.Index >= op.tab.NumCols() {
+		return 0, false
 	}
-	op.view = op.view || e != nil
+	return cr.Index, true
+}
+
+func (op *foldOp) input(e expr.Expr) foldInput {
+	if col, ok := op.column(e); ok {
+		return foldInput{get: op.tab.CellGetter(col)}
+	}
 	return foldInput{e: e}
+}
+
+// keyCols picks the route for a key tuple over exprs.
+func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
+	var kc keyCols
+	for _, e := range exprs {
+		col, ok := op.column(e)
+		if !ok || len(exprs) > maxIntKeys || op.tab.Schema()[col].Type != storage.TypeInt {
+			kc = keyCols{in: make([]foldInput, len(exprs))}
+			for i, e := range exprs {
+				kc.in[i] = op.input(e)
+			}
+			return kc
+		}
+		ints, _, _ := op.tab.IntColumn(col)
+		kc.ints, kc.nulls = append(kc.ints, ints), append(kc.nulls, op.tab.Nulls(col))
+	}
+	return kc
+}
+
+// planSlot places one spec's state and picks its kernel: arg is what the
+// spec accumulates — its argument, or its THEN under dispatch.
+func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
+	s.fn, s.cell, s.acc = call.Fn, -1, -1
+	col, bare := op.column(arg)
+	kind, known := value.KindNull, arg == nil // what arg evaluates to, when the plan can tell
+	if bare {
+		kind, known, s.nulls = op.tab.Schema()[col].Type.Kind(), true, op.tab.Nulls(col)
+	} else if arg != nil {
+		var v value.Value
+		v, known = expr.ConstValue(arg)
+		kind = v.Kind()
+	}
+	numeric := kind == value.KindInt || kind == value.KindFloat
+	sum, extreme := call.Fn == expr.AggSum, call.Fn == expr.AggMin || call.Fn == expr.AggMax
+	switch inCell := !call.Distinct && (sum || call.Fn == expr.AggCount || extreme && bare && numeric); {
+	case !inCell:
+		s.acc, op.accs = op.accs, op.accs+1
+		_, err := newAccumulator(call) // as every new group will
+		op.rowMajor = op.rowMajor || err != nil
+	case call.Star || bare && call.Fn == expr.AggCount:
+		s.kernel = kernelCount
+	case bare && kind == value.KindInt:
+		s.kernel = kernelInt
+		s.ints, _, _ = op.tab.IntColumn(col)
+	case bare && kind == value.KindFloat:
+		s.kernel = kernelFloat
+		s.flts, _, _ = op.tab.FloatColumn(col)
+	}
+	if s.acc < 0 {
+		s.cell, op.cells = op.cells, op.cells+1
+	}
+	if s.kernel == kernelBoxed {
+		s.in = op.input(arg)
+	}
+	// A computed argument can raise, and so can sum() — avg() sums — itself.
+	op.rowMajor = op.rowMajor || !known || (sum || call.Fn == expr.AggAvg) && !numeric && kind != value.KindNull
 }
 
 // foldAggregate runs one fold through the operator.
@@ -432,130 +523,125 @@ func (op *foldOp) fillStats(part *foldPart, ns int64) {
 	}
 }
 
-// emit pushes the merged groups into out, one row each through a reused
-// buffer, and returns how many went.
+// emit pushes the merged groups into out in id order — first appearance —
+// one row each through a reused buffer, and returns how many went.
 func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
-	if len(op.keys) == 0 && len(part.order) == 0 {
+	k := len(op.keys.in)
+	if k+part.tab.width == 0 && part.tab.len() == 0 {
 		// A global aggregate over zero input rows still yields one row.
-		g, err := op.newGroup(part, nil)
-		if err != nil {
+		part.tab.lookupBytes(0, nil, true)
+		if err := part.addGroup(nil); err != nil {
 			return 0, err
 		}
-		part.order = append(part.order, g)
 	}
-	out.reserve(len(part.order))
-	row := make([]value.Value, 0, len(op.keys)+len(op.specs))
-	for gi, g := range part.order {
-		if gi%govStride == 0 {
+	n := part.tab.len()
+	out.reserve(n)
+	row := make([]value.Value, 0, k+part.tab.width+len(op.specs))
+	for g := 0; g < n; g++ {
+		if g%govStride == 0 {
 			if err := gov.check(); err != nil {
-				return gi, err
+				return g, err
 			}
 		}
-		op.settleElse(g)
-		row = append(row[:0], g.keyVals...)
-		for _, acc := range g.accs[:len(op.specs)] {
-			row = append(row, acc.result())
+		op.settleElse(part, g)
+		row = append(row[:0], part.keyVals[g*k:(g+1)*k]...)
+		for i := 0; i < part.tab.width; i++ {
+			if part.tab.masks[g]>>i&1 != 0 {
+				row = append(row, value.Null)
+			} else {
+				row = append(row, value.NewInt(part.tab.ints[g*part.tab.width+i]))
+			}
+		}
+		for i := range op.slots {
+			if s := &op.slots[i]; s.acc >= 0 {
+				row = append(row, part.accs[g*op.accs+s.acc].result())
+			} else {
+				row = append(row, cellResult(s.fn, part.num[g*op.cells+s.cell], part.tag[g*op.cells+s.cell]))
+			}
 		}
 		if err := out.push(row); err != nil {
-			return gi, err
+			return g, err
 		}
 	}
-	return len(part.order), nil
+	return n, nil
 }
 
-// intKey is the fixed-width group key for ≤ 4 INTEGER key columns. Two
-// rows map to the same intKey exactly when their AppendKey encodings are
-// equal, so grouping matches the reference fold.
-type intKey struct {
-	v    [4]int64
-	mask uint8 // bit i set = key column i is NULL (v[i] is then 0)
-}
-
-// intKeyOf encodes a tuple of INTEGER-or-NULL values.
-func intKeyOf(vals []value.Value) intKey {
-	var k intKey
-	for i, v := range vals {
-		if v.IsNull() {
-			k.mask |= 1 << i
-		} else {
-			k.v[i] = v.Int()
-		}
-	}
-	return k
-}
-
-// setRow encodes row r of INTEGER columns straight from their raw vectors.
-func (k *intKey) setRow(ints [][]int64, isNull []func(row int) bool, r int) {
-	*k = intKey{}
-	for i, col := range ints {
-		if isNull[i](r) {
-			k.mask |= 1 << i
-		} else {
-			k.v[i] = col[r]
-		}
-	}
-}
-
-// foldPart is one partition's fold state: its groups under one of the two
-// key encodings, in local first-appearance order, plus the partition's
-// input statistics.
+// foldPart is one partition's fold state: its group table, the per-group
+// state arrays the ids index, and the partition's input statistics.
 type foldPart struct {
-	ints  map[intKey]*groupState // non-nil selects the fixed-width key
-	strs  map[string]*groupState
-	order []*groupState
-	// The slabs newGroup carves group state from.
-	groups  []groupState
+	op  *foldOp
+	tab groupTable
+	// keyVals, on the byte-key route, holds group g's boxed key at
+	// [g*k, (g+1)*k): the first-appearance values — the canonical key bytes
+	// cannot give a -0.0 back.
 	keyVals []value.Value
-	accs    []accumulator
-	sums    []sumAcc
-	counts  []countAcc
-	soles   []soleAcc
-	// find leaves the encoded key here for the insert that may follow.
-	ik  intKey
-	buf []byte
+	// num and tag hold cell c of group g at g*op.cells + c (aggregate.go).
+	num []int64
+	tag []uint8
+	// accs holds accumulator object a of group g at g*op.accs + a.
+	accs []accumulator
+	// soles holds the sole state of arm family f in group g at
+	// g*op.soles + f (dispatch.go).
+	soles []int32
 	// consumed counts input rows read; passed, rows surviving each filter.
 	consumed int64
 	passed   []int64
 }
 
-// find encodes a row's key values and returns its group, or nil. (Workers
-// encode a fixed-width key from the raw column vectors instead; the merge
-// re-encodes from a group's key values here.)
-func (p *foldPart) find(keys []value.Value) *groupState {
-	if p.ints != nil {
-		p.ik = intKeyOf(keys)
-		return p.ints[p.ik]
-	}
-	p.buf = p.buf[:0]
-	for _, v := range keys {
-		p.buf = value.AppendKey(p.buf, v)
-	}
-	return p.strs[string(p.buf)]
-}
-
-// insert adds g under the key the preceding find encoded.
-func (p *foldPart) insert(g *groupState) {
-	if p.ints != nil {
-		p.ints[p.ik] = g
-	} else {
-		p.strs[string(p.buf)] = g
-	}
-	p.order = append(p.order, g)
-}
-
-// absorb merges the next-higher partition into p: groups new to p append in
-// from's order, shared groups merge accumulators.
-func (p *foldPart) absorb(from *foldPart) error {
-	for _, g := range from.order {
-		tgt := p.find(g.keyVals)
-		if tgt == nil {
-			p.insert(g)
-			continue
-		}
-		for i := range tgt.accs {
-			if err := tgt.accs[i].merge(g.accs[i]); err != nil {
+// addGroup extends the state arrays by the group the table just gave the
+// next id; keyVals is its boxed key on the byte-key route.
+func (p *foldPart) addGroup(keyVals []value.Value) error {
+	op := p.op
+	p.keyVals = append(grown(p.keyVals, len(keyVals)), keyVals...)
+	p.num, p.tag = extended(p.num, op.cells), extended(p.tag, op.cells)
+	p.soles = extended(p.soles, op.soles)
+	for i := range op.slots {
+		if op.slots[i].acc >= 0 {
+			acc, err := newAccumulator(op.specs[i].call)
+			if err != nil {
 				return err
 			}
+			p.accs = append(grown(p.accs, op.accs), acc)
+		}
+	}
+	return nil
+}
+
+// absorb merges the next-higher partition into p, an id remap: each group of
+// from probes p's table with the hash from already stored; one new to p
+// takes the next id — so ids stay in global first-appearance order — and
+// from's state, a shared one merges state into state.
+func (p *foldPart) absorb(from *foldPart) error {
+	op := p.op
+	k, nc, na, ns := len(op.keys.in), op.cells, op.accs, op.soles
+	for g := 0; g < from.tab.len(); g++ {
+		var id int32
+		var fresh bool
+		if w := p.tab.width; w > 0 {
+			id, fresh = p.tab.lookupInts(from.tab.hashes[g], from.tab.ints[g*w:(g+1)*w], from.tab.masks[g], true)
+		} else {
+			id, fresh = p.tab.lookupBytes(from.tab.hashes[g], from.tab.byteKey(g), true)
+		}
+		if fresh {
+			p.keyVals = append(grown(p.keyVals, k), from.keyVals[g*k:(g+1)*k]...)
+			p.num = append(grown(p.num, nc), from.num[g*nc:(g+1)*nc]...)
+			p.tag = append(grown(p.tag, nc), from.tag[g*nc:(g+1)*nc]...)
+			p.accs = append(grown(p.accs, na), from.accs[g*na:(g+1)*na]...)
+			p.soles = append(grown(p.soles, ns), from.soles[g*ns:(g+1)*ns]...)
+			continue
+		}
+		for i := range op.slots {
+			if s := &op.slots[i]; s.acc >= 0 {
+				if err := p.accs[int(id)*na+s.acc].merge(from.accs[g*na+s.acc]); err != nil {
+					return err
+				}
+			} else {
+				to, at := int(id)*nc+s.cell, g*nc+s.cell
+				mergeCell(s.fn, &p.num[to], &p.tag[to], from.num[at], from.tag[at])
+			}
+		}
+		for f, sole := range from.soles[g*ns : (g+1)*ns] {
+			seeSole(&p.soles[int(id)*ns+f], sole)
 		}
 	}
 	p.consumed += from.consumed
@@ -565,77 +651,23 @@ func (p *foldPart) absorb(from *foldPart) error {
 	return nil
 }
 
-// slabbed reports which of newGroup's two slabs, if either, holds the
-// accumulator of call.
-func slabbed(call *expr.AggCall) (sum, count bool) {
-	return !call.Distinct && call.Fn == expr.AggSum, !call.Distinct && call.Fn == expr.AggCount
-}
-
-// carve cuts n elements off *slab. An exhausted slab is replaced — never
-// copied, so pointers into earlier ones stay valid — by one sized for half as
-// many groups as the partition holds already: slabs grow 1.5× from the size
-// of one group, g groups cost O(log g) allocations, and at most a third of a
-// slab goes unused (DESIGN.md "Dataflow between operators").
-func carve[T any](slab *[]T, n, groups int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, n*max(groups/2, 1))
-	}
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
-}
-
-// newGroup carves one group's state — the groupState, its copy of the key,
-// the accumulator table and the sum and count accumulators, all there is to
-// an Hpct or Hagg fold, one per combination — from part's slabs instead of
-// one heap object apiece.
-func (op *foldOp) newGroup(part *foldPart, keyVals []value.Value) (*groupState, error) {
-	have := len(part.order)
-	g := &carve(&part.groups, 1, have)[0]
-	g.keyVals = carve(&part.keyVals, len(keyVals), have)
-	copy(g.keyVals, keyVals)
-	if op.elseZero == nil {
-		g.accs = carve(&part.accs, len(op.specs), have)
-	} else {
-		// One soleAcc per family rides behind the specs' accumulators.
-		g.accs = carve(&part.accs, len(op.specs)+len(op.families), have)
-		soles := carve(&part.soles, len(op.families), have)
-		for fi := range soles {
-			soles[fi].entry = soleNone
-			g.accs[len(op.specs)+fi] = &soles[fi]
-		}
-	}
-	sums, counts := carve(&part.sums, op.sums, have), carve(&part.counts, op.counts, have)
-	for i, s := range op.specs {
-		switch sum, count := slabbed(s.call); {
-		case sum:
-			g.accs[i], sums = &sums[0], sums[1:]
-		case count:
-			counts[0].star = s.call.Star
-			g.accs[i], counts = &counts[0], counts[1:]
-		default:
-			acc, err := newAccumulator(s.call)
-			if err != nil {
-				return nil, err
-			}
-			g.accs[i] = acc
-		}
-	}
-	return g, nil
-}
-
 // foldWorker folds one partition. gov shares the statement's counters but
 // watches the fan-out's cancel context, so a sibling's failure stops this
 // fold within one stride.
 type foldWorker struct {
-	op      *foldOp
-	gov     *governor
-	part    *foldPart
-	keyVals []value.Value
-	// dispatch scratch: the specs the current row reaches, a family's key.
-	todo    []int32
-	armInts intKey
-	armKey  []byte
+	op   *foldOp
+	gov  *governor
+	part *foldPart
+	// row is what computed expressions evaluate against: view, positioned by
+	// the row-major loop over a stored table, or box, the row just drained.
+	row  expr.Row
+	view *storage.RowView
+	box  rowBox
+	// Scratch: a key's boxed values and encoding; the group id of each row of
+	// the vector being folded and, family after family, its entry.
+	keyVals  []value.Value
+	keyBuf   []byte
+	gid, ent []int32
 }
 
 // run folds partition [lo, hi) of the op's input: rows of the stored table,
@@ -643,114 +675,206 @@ type foldWorker struct {
 // Bound expression trees are immutable and stateless under Eval, so workers
 // share them.
 func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
-	part := &foldPart{passed: make([]int64, len(op.filters))}
-	if op.intKeys {
-		part.ints = make(map[intKey]*groupState)
-	} else {
-		part.strs = make(map[string]*groupState)
-		part.buf = batch.Default.GetBytes(64)
-		// absorb re-encodes keys after this worker is done; it must not write
-		// into a buffer already handed back.
-		defer func() {
-			batch.Default.PutBytes(part.buf)
-			part.buf = nil
-		}()
+	part := &foldPart{op: op, tab: groupTable{width: len(op.keys.ints)}, passed: make([]int64, len(op.filters))}
+	w := &foldWorker{op: op, gov: gov, part: part, keyVals: make([]value.Value, len(op.keys.in))}
+	w.keyBuf = batch.Default.GetBytes(64)
+	defer func() { batch.Default.PutBytes(w.keyBuf) }()
+	// One pooled vector holds the selection, the group ids and each family's
+	// entries: as long as the batches of a stored table, one row otherwise.
+	n := 1
+	if op.tab != nil {
+		n = min(batch.Size, hi-lo)
 	}
-	w := &foldWorker{op: op, gov: gov, part: part, keyVals: make([]value.Value, len(op.keys))}
-	var err error
+	sel := batch.Default.GetSel(n * (2 + len(op.families)))
+	defer batch.Default.PutSel(sel)
+	w.gid, w.ent = sel[n:2*n], sel[2*n:n*(2+len(op.families))]
 	switch {
-	case op.tab != nil:
-		err = w.foldTable(lo, hi)
-	case op.mem != nil:
-		err = w.drain(&memRelation{rows: op.mem.rows[lo:hi]})
-	default:
-		err = w.drain(op.in)
+	case op.tab == nil && op.mem != nil:
+		return part, w.drain(&memRelation{rows: op.mem.rows[lo:hi]}, sel[:1])
+	case op.tab == nil:
+		return part, w.drain(op.in, sel[:1])
+	case op.rowMajor:
+		w.view = op.tab.NewRowView()
+		w.row = w.view
 	}
-	return part, err
+	return part, w.foldTable(lo, hi, sel[:n])
 }
 
-// row is the fold's one loop body. r addresses the row for typed getters;
-// row is the view computed expressions evaluate against.
-func (w *foldWorker) row(r int, row expr.Row) error {
-	op, part := w.op, w.part
-	var g *groupState
-	if op.intKeys {
-		// intKey.setRow written out: as a call it costs a plain fold ≈ 3 %.
-		part.ik = intKey{}
-		for i, ints := range op.keyInts {
-			if op.keyNull[i](r) {
-				part.ik.mask |= 1 << i
-			} else {
-				part.ik.v[i] = ints[r]
-			}
-		}
-		g = part.ints[part.ik]
-	} else {
-		for i := range op.keys {
-			if k := &op.keys[i]; k.get != nil {
-				w.keyVals[i] = k.get(r)
-			} else {
-				v, err := k.e.Eval(row)
-				if err != nil {
-					return err
-				}
-				w.keyVals[i] = v
-			}
-		}
-		g = part.find(w.keyVals)
+// fold is the operator's one body. It resolves the rows of sel to group ids —
+// creating, and charging, the groups that first appear among them — and, per
+// arm family, to the entry each row's column values select, which it shows
+// the group's sole state (dispatch.go); then it advances every spec outside
+// a family by every row, and the arms of an entry by the rows that selected
+// it.
+func (w *foldWorker) fold(sel []int32) error {
+	op, n, gid := w.op, len(w.gid), w.gid[:len(sel)]
+	if err := w.resolve(&op.keys, &w.part.tab, sel, gid, true); err != nil {
+		return err
 	}
-	if g == nil {
-		if op.intKeys {
-			for i := range op.keys {
-				w.keyVals[i] = op.keys[i].get(r)
-			}
-		}
-		// Group creation is the unbounded allocation; charge it. Groups
-		// shared across partitions are counted once per partition, which
-		// over-approximates — a budget, not an exact census.
-		if err := w.gov.addGroups(1); err != nil {
+	for fi, f := range op.families {
+		ent := w.ent[fi*n:][:len(sel)]
+		if err := w.resolve(&f.keys, &f.tab, sel, ent, false); err != nil {
 			return err
 		}
-		var err error
-		if g, err = op.newGroup(part, w.keyVals); err != nil {
-			return err
+		for k := 0; k < len(ent) && op.soles > 0; k++ {
+			seeSole(&w.part.soles[int(gid[k])*op.soles+fi], ent[k]+2)
 		}
-		part.insert(g)
 	}
-	// Every spec in turn, or — under dimension dispatch — the ones the row
-	// reaches.
-	var todo []int32
-	n := len(op.args)
-	if len(op.families) > 0 {
-		todo = w.dispatch(g, r, row)
-		n = len(todo)
-	}
-	for k := 0; k < n; k++ {
-		i := k
-		if todo != nil {
-			i = int(todo[k])
-		}
-		var v value.Value
-		if a := &op.args[i]; a.get != nil {
-			v = a.get(r)
-		} else if a.e != nil {
-			var err error
-			if v, err = a.e.Eval(row); err != nil {
+	for i := range op.slots {
+		// Row-major, sel is one row and the specs it reaches advance in
+		// ascending order, so the first error it raises is the one the
+		// arm-by-arm reference raises.
+		if s := &op.slots[i]; s.family < 0 || op.rowMajor && w.ent[int(s.family)*n] == s.entry {
+			if err := w.advance(i, sel, gid); err != nil {
 				return err
 			}
 		}
-		if err := g.accs[i].add(v); err != nil {
-			return err
+	}
+	// Nothing can raise in a vector of many rows, so order is free: the arms
+	// advance behind the specs every row reaches, each row's in turn.
+	for fi := 0; fi < len(op.families) && !op.rowMajor; fi++ {
+		for k, e := range w.ent[fi*n:][:len(sel)] {
+			if e < 0 {
+				continue
+			}
+			for _, i := range op.families[fi].entries[e] {
+				if err := w.advance(int(i), sel[k:k+1], gid[k:k+1]); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
-// drain folds every row an iterator yields, checking the governor each
-// stride (base-table leaves also charge their scans; this covers
+// resolve writes to ids the id in t of each row's key tuple. With groups set
+// t is the partition's group table and a key's first appearance makes — and
+// charges — its group; without, an absent key is id -1.
+func (w *foldWorker) resolve(kc *keyCols, t *groupTable, sel, ids []int32, groups bool) error {
+	if t.width+len(kc.in) == 0 && t.len() > 0 {
+		clear(ids) // the global aggregate's one group
+		return nil
+	}
+	var tuple [maxIntKeys]int64
+	key := tuple[:t.width]
+	for k, r := range sel {
+		var fresh bool
+		if t.width > 0 {
+			mask := uint8(0)
+			for c, col := range kc.ints {
+				if key[c] = col[r]; kc.nulls[c].Get(int(r)) {
+					key[c], mask = 0, mask|1<<c
+				}
+			}
+			ids[k], fresh = t.lookupInts(t.hashInts(key, mask), key, mask, groups)
+		} else {
+			buf := w.keyBuf[:0]
+			for i := range kc.in {
+				var v value.Value
+				if in := &kc.in[i]; in.get != nil {
+					v = in.get(int(r))
+				} else if x, err := in.e.Eval(w.row); err != nil {
+					return err
+				} else {
+					v = x
+				}
+				if buf = value.AppendKey(buf, v); groups {
+					w.keyVals[i] = v
+				}
+			}
+			w.keyBuf = buf
+			ids[k], fresh = t.lookupBytes(t.hashBytes(buf), buf, groups)
+		}
+		if fresh {
+			// Group creation is the unbounded allocation; charge it. Groups
+			// shared across partitions are counted once per partition, which
+			// over-approximates — a budget, not an exact census.
+			err := w.gov.addGroups(1)
+			if err == nil {
+				err = w.part.addGroup(w.keyVals)
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// advance is the kernel call: it adds the rows of sel, whose groups are gid,
+// to spec i. The typed kernels read a column vector and its NULL bitmap and
+// cannot fail; the boxed one applies the accumulators' rules to any value.
+func (w *foldWorker) advance(i int, sel, gid []int32) error {
+	s, n := &w.op.slots[i], w.op.cells
+	num, tag := w.part.num, w.part.tag
+	sum, least := s.fn == expr.AggSum, s.fn == expr.AggMin
+	switch s.kernel {
+	case kernelCount: // count(*) has no bitmap: nothing is NULL
+		for k, r := range sel {
+			if !s.nulls.Get(int(r)) {
+				num[int(gid[k])*n+s.cell]++
+			}
+		}
+	case kernelInt:
+		for k, r := range sel {
+			if s.nulls.Get(int(r)) {
+				continue
+			}
+			c, v := int(gid[k])*n+s.cell, s.ints[r]
+			switch {
+			case sum:
+				num[c] += v // from the zero a new cell holds
+			case tag[c] == cellNone || least && v < num[c] || !least && v > num[c]:
+				num[c] = v
+			}
+			tag[c] = cellInt
+		}
+	case kernelFloat:
+		for k, r := range sel {
+			if s.nulls.Get(int(r)) {
+				continue
+			}
+			c, v := int(gid[k])*n+s.cell, s.flts[r]
+			switch have := math.Float64frombits(uint64(num[c])); {
+			case tag[c] == cellNone:
+				// The first value initialises: 0 + -0.0 would lose the sign.
+			case sum:
+				v = have + v
+			case least && !(v < have) || !least && !(v > have):
+				v = have
+			}
+			num[c], tag[c] = floatCell(v), cellFloat
+		}
+	default:
+		for k, r := range sel {
+			v, err := value.Null, error(nil) // an absent argument stays NULL
+			if s.in.get != nil {
+				v = s.in.get(int(r))
+			} else if s.in.e != nil {
+				v, err = s.in.e.Eval(w.row)
+			}
+			switch g := int(gid[k]); {
+			case err != nil:
+			case s.acc >= 0:
+				err = w.part.accs[g*w.op.accs+s.acc].add(v)
+			case sum:
+				err = addSum(&num[g*n+s.cell], &tag[g*n+s.cell], v)
+			case !v.IsNull():
+				num[g*n+s.cell]++
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// drain folds every row an iterator yields, row-major, checking the governor
+// each stride (base-table leaves also charge their scans; this covers
 // materialized inputs).
-func (w *foldWorker) drain(in iterator) error {
-	var box rowBox
+func (w *foldWorker) drain(in iterator, one []int32) error {
+	w.row = &w.box
 	for {
 		row, ok, err := in.next()
 		if err != nil || !ok {
@@ -762,8 +886,8 @@ func (w *foldWorker) drain(in iterator) error {
 				return err
 			}
 		}
-		box.vals = row
-		if err := w.row(0, &box); err != nil {
+		w.box.vals = row
+		if err := w.fold(one); err != nil {
 			return err
 		}
 	}
@@ -772,78 +896,54 @@ func (w *foldWorker) drain(in iterator) error {
 // foldTable folds rows [lo, hi) of the stored table a batch at a time,
 // charging the governor per batch: same stride, totals, and typed errors as
 // the scan iterator.
-func (w *foldWorker) foldTable(lo, hi int) error {
+func (w *foldWorker) foldTable(lo, hi int, sel []int32) error {
 	op := w.op
-	var view *storage.RowView
-	if op.view {
-		view = op.tab.NewRowView()
-	}
-	var sel []int32
-	if op.vector && len(op.filters) > 0 {
-		sel = batch.Default.GetSel(batch.Size)
-		defer func() { batch.Default.PutSel(sel) }()
-	}
 	for base := lo; base < hi; base += batch.Size {
 		bn := min(batch.Size, hi-base)
-		if sel != nil {
-			sel = op.selectBatch(base, bn, sel, w.part.passed)
-			for _, r := range sel {
-				if view != nil {
-					view.Seek(int(r))
-				}
-				if err := w.row(int(r), view); err != nil {
-					return err
-				}
-			}
-		} else {
-			// No filters, or interleaved mode: a filter that can error forces
-			// per-row filter-then-fold order, so the first error is the one
-			// a sequential scan raises.
-			for r := base; r < base+bn; r++ {
-				if view != nil {
-					view.Seek(r)
-				}
-				pass, err := w.passes(view)
-				if err != nil {
-					return err
-				}
-				if pass {
-					if err := w.row(r, view); err != nil {
-						return err
-					}
-				}
-			}
+		sel = op.selectBatch(base, bn, sel, w.part.passed)
+		var err error
+		if !op.rowMajor {
+			err = w.fold(sel)
 		}
-		w.part.consumed += int64(bn)
-		if err := w.gov.addScanned(int64(bn)); err != nil {
+		for k := 0; op.rowMajor && k < len(sel) && err == nil; k++ {
+			err = w.foldRow(sel[k : k+1])
+		}
+		if w.part.consumed += int64(bn); err == nil {
+			err = w.gov.addScanned(int64(bn))
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// passes applies the filter chain to the view's row, innermost first.
-func (w *foldWorker) passes(view *storage.RowView) (bool, error) {
-	for i, f := range w.op.filters {
-		v, err := f.pred.Eval(view)
+// foldRow is the row-major step over a stored table. Filters that can error
+// were left to it: they run here, innermost first, interleaved with the fold,
+// so the first error is the one a sequential scan raises.
+func (w *foldWorker) foldRow(one []int32) error {
+	w.view.Seek(int(one[0]))
+	for i := 0; !w.op.vector && i < len(w.op.filters); i++ {
+		v, err := w.op.filters[i].pred.Eval(w.view)
 		if err != nil || !v.Truthy() {
-			return false, err
+			return err
 		}
 		w.part.passed[i]++
 	}
-	return true, nil
+	return w.fold(one)
 }
 
-// selectBatch fills sel with the row ids in [base, base+bn) passing every
-// filter, recording per-filter survivor counts. Vector mode only.
+// selectBatch fills sel with the row ids in [base, base+bn) and, when the
+// filters are error-free, refines it through each, recording per-filter
+// survivor counts.
 func (op *foldOp) selectBatch(base, bn int, sel []int32, passed []int64) []int32 {
 	sel = sel[:0]
 	for i := 0; i < bn; i++ {
 		sel = append(sel, int32(base+i))
 	}
-	for i, f := range op.filters {
+	for i := 0; op.vector && i < len(op.filters); i++ {
 		if len(sel) > 0 {
-			sel = op.applySel(f.pred, sel)
+			sel = op.applySel(op.filters[i].pred, sel)
 		}
 		passed[i] += int64(len(sel))
 	}
@@ -865,10 +965,9 @@ func (op *foldOp) applySel(p expr.Expr, sel []int32) []int32 {
 		}
 		return op.applySel(n.Right, sel)
 	case *expr.IsNull:
-		isNull := op.tab.ColumnNulls(n.Operand.(*expr.ColumnRef).Index)
-		out := sel[:0]
+		out, nulls := sel[:0], op.tab.Nulls(n.Operand.(*expr.ColumnRef).Index)
 		for _, r := range sel {
-			if isNull(int(r)) != n.Negate {
+			if nulls.Get(int(r)) != n.Negate {
 				out = append(out, r)
 			}
 		}
@@ -877,45 +976,41 @@ func (op *foldOp) applySel(p expr.Expr, sel []int32) []int32 {
 	return sel // unreachable: expr.ErrFree admits only the cases above
 }
 
-// eqSel is the column = constant kernel. Typed fast paths cover same-kind
-// int/string/bool compares; everything else (floats, cross-kind) goes
-// through per-row SQLEqual, which is still error-free and bit-identical to
-// the prepared comparison's Eval.
+// eqSel is the column = constant kernel. Typed loops over the raw vector and
+// the NULL bitmap cover same-kind int/string/bool compares; everything else
+// (floats, cross-kind) goes through per-row SQLEqual, which is still
+// error-free and bit-identical to the prepared comparison's Eval.
 func (op *foldOp) eqSel(col int, val value.Value, sel []int32) []int32 {
-	out := sel[:0]
-	if val.IsNull() {
-		return out // NULL compares to nothing; never truthy
-	}
-	if ints, isNull, ok := op.tab.IntColumn(col); ok && val.Kind() == value.KindInt {
-		c := val.Int()
-		for _, r := range sel {
-			if !isNull(int(r)) && ints[r] == c {
-				out = append(out, r)
-			}
+	nulls := op.tab.Nulls(col)
+	switch val.Kind() {
+	case value.KindNull:
+		return sel[:0] // NULL compares to nothing; never truthy
+	case value.KindInt:
+		if ints, _, ok := op.tab.IntColumn(col); ok {
+			return eqKernel(ints, nulls, val.Int(), sel)
 		}
-		return out
-	}
-	if strs, isNull, ok := op.tab.StringColumn(col); ok && val.Kind() == value.KindString {
-		c := val.Str()
-		for _, r := range sel {
-			if !isNull(int(r)) && strs[r] == c {
-				out = append(out, r)
-			}
+	case value.KindString:
+		if strs, _, ok := op.tab.StringColumn(col); ok {
+			return eqKernel(strs, nulls, val.Str(), sel)
 		}
-		return out
-	}
-	if bools, isNull, ok := op.tab.BoolColumn(col); ok && val.Kind() == value.KindBool {
-		c := val.Bool()
-		for _, r := range sel {
-			if !isNull(int(r)) && bools[r] == c {
-				out = append(out, r)
-			}
+	case value.KindBool:
+		if bools, _, ok := op.tab.BoolColumn(col); ok {
+			return eqKernel(bools, nulls, val.Bool(), sel)
 		}
-		return out
 	}
-	get := op.tab.CellGetter(col)
+	out, get := sel[:0], op.tab.CellGetter(col)
 	for _, r := range sel {
 		if value.SQLEqual(get(int(r)), val).Truthy() {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func eqKernel[T comparable](vals []T, nulls storage.NullBitmap, c T, sel []int32) []int32 {
+	out := sel[:0]
+	for _, r := range sel {
+		if vals[r] == c && !nulls.Get(int(r)) {
 			out = append(out, r)
 		}
 	}

@@ -1,0 +1,261 @@
+package engine
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/diag"
+	"repro/internal/storage"
+	"repro/internal/value"
+)
+
+// TestRealZeroKeysAgreeWithEquality: 0.0 = -0.0 is true, so every operator
+// that buckets by the key encoding — GROUP BY, DISTINCT, count(DISTINCT), the
+// hash join ad hoc and through an index — must put the two zeros in one
+// bucket, as the filter does, in both fold implementations at P 1 and 2. The
+// group's displayed key is its first-appearance value.
+func TestRealZeroKeysAgreeWithEquality(t *testing.T) {
+	negZero := value.NewFloat(math.Copysign(0, -1))
+	for _, negFirst := range []bool{false, true} {
+		e := New(storage.NewCatalog())
+		mustExec(t, e, "CREATE TABLE z (k REAL, v INTEGER); CREATE TABLE zi (k REAL, v INTEGER); CREATE INDEX zi_k ON zi (k)")
+		zeros := []value.Value{value.NewFloat(0), negZero}
+		if negFirst {
+			zeros[0], zeros[1] = zeros[1], zeros[0]
+		}
+		for _, name := range []string{"z", "zi"} {
+			tab, _ := e.Catalog().Get(name)
+			for i, k := range []value.Value{zeros[0], zeros[1], value.Null, value.NewFloat(1.5)} {
+				if _, err := tab.AppendRow([]value.Value{k, value.NewInt(1 << i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cases := []struct {
+			sql  string
+			want string // rows rendered "a b|c d", REAL zeros as +0 / -0
+		}{
+			{"SELECT count(*), sum(v) FROM z WHERE k = 0.0", "2 3"},
+			{"SELECT k, sum(v), count(*) FROM z GROUP BY k", "Z 3 2|NULL 4 1|1.5 8 1"},
+			{"SELECT DISTINCT k FROM z", "Z|NULL|1.5"},
+			{"SELECT count(DISTINCT k) FROM z", "2"},
+			{"SELECT count(*), sum(x.v + y.v) FROM z x, z y WHERE x.k = y.k", "5 28"},
+			{"SELECT count(*), sum(x.v + y.v) FROM z x, zi y WHERE x.k = y.k", "5 28"},
+		}
+		for _, c := range cases {
+			for _, batch := range []bool{true, false} {
+				for _, p := range []int{1, 2} {
+					e.SetBatch(batch)
+					res, err := e.ExecSQLCtxP(context.Background(), c.sql, p)
+					if err != nil {
+						t.Fatalf("%s: %v", c.sql, err)
+					}
+					got := ""
+					for ri, row := range res.Rows {
+						if ri > 0 {
+							got += "|"
+						}
+						for ci, v := range row {
+							if ci > 0 {
+								got += " "
+							}
+							if v.Kind() == value.KindFloat && v.Float() == 0 { // floateq:ok exactly the zeros
+								got += map[bool]string{false: "+0", true: "-0"}[math.Signbit(v.Float())]
+							} else {
+								got += v.String()
+							}
+						}
+					}
+					want := ""
+					for _, ch := range c.want {
+						if ch == 'Z' { // the zero group shows its first row's zero
+							want += map[bool]string{false: "+0", true: "-0"}[negFirst]
+						} else {
+							want += string(ch)
+						}
+					}
+					if got != want {
+						t.Errorf("negFirst=%v batch=%v P=%d: %s = %q, want %q", negFirst, batch, p, c.sql, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fuzzKey is one key for either route of a groupTable.
+type fuzzKey struct {
+	ints  []int64
+	mask  uint8
+	bytes []byte
+}
+
+func (k fuzzKey) lookup(t *groupTable, insert bool) (int32, bool) {
+	if t.width > 0 {
+		return t.lookupInts(t.hashInts(k.ints, k.mask), k.ints, k.mask, insert)
+	}
+	return t.lookupBytes(t.hashBytes(k.bytes), k.bytes, insert)
+}
+
+// fuzzKeys draws n keys, repeats included, that stress what a probe must
+// tell apart. Fixed-width tuples take their components from a palette of
+// extremes, values that differ only above bit 32, and 0 beside NULL in every
+// mask position (a NULL is stored as 0 with its mask bit set). Byte keys
+// share a long prefix and differ in a short tail, or in length alone.
+func fuzzKeys(rng *rand.Rand, width, n int) []fuzzKey {
+	palette := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1 << 32, 1 << 33, 1<<32 + 1, 7 << 40, 1 << 62}
+	prefix := bytes.Repeat([]byte("shared-prefix/"), 6)
+	keys := make([]fuzzKey, n)
+	for i := range keys {
+		if width == 0 {
+			k := append([]byte(nil), prefix[:len(prefix)-rng.Intn(3)]...)
+			for j := rng.Intn(3); j > 0; j-- {
+				k = append(k, byte(rng.Intn(12)))
+			}
+			keys[i].bytes = k
+			continue
+		}
+		keys[i].ints = make([]int64, width)
+		for c := range keys[i].ints {
+			switch v := rng.Intn(len(palette) + 8); {
+			case v == len(palette):
+				keys[i].mask |= 1 << c // NULL: 0 under a mask bit
+			case v < len(palette):
+				keys[i].ints[c] = palette[v]
+			default:
+				keys[i].ints[c] = int64(rng.Intn(6))
+			}
+		}
+	}
+	return keys
+}
+
+// FuzzGroupTable checks the group table against a Go map: ids are dense and
+// in first-appearance order whatever the growth (the key counts force at
+// least four doublings of the index), a find never inserts, and merging two
+// tables the way foldPart.absorb does — probing the lower with the higher
+// one's stored hashes — numbers the keys exactly as one table over the
+// concatenated input. With every hash forced equal (the drop seam) the probe
+// sequence and the key compare alone must still tell the keys apart.
+func FuzzGroupTable(f *testing.F) {
+	f.Add(int64(1), uint16(400), uint8(0), false)
+	f.Add(int64(2), uint16(900), uint8(1), false)
+	f.Add(int64(3), uint16(2000), uint8(4), false)
+	f.Add(int64(4), uint16(300), uint8(8), true)
+	f.Add(int64(5), uint16(250), uint8(0), true)
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, width uint8, flat bool) {
+		rng := rand.New(rand.NewSource(seed))
+		w, count := int(width)%(maxIntKeys+1), 200+int(n)%3000
+		if flat {
+			count = 200 + int(n)%200 // every probe walks the whole chain
+		}
+		keys := fuzzKeys(rng, w, count)
+		newTable := func() *groupTable {
+			t := &groupTable{width: w}
+			if flat {
+				t.drop = ^uint32(0)
+			}
+			return t
+		}
+		name := func(k fuzzKey) string { return fmt.Sprint(k.ints, k.mask, k.bytes) }
+
+		one, oracle := newTable(), map[string]int32{}
+		for i, k := range keys {
+			want, seen := oracle[name(k)]
+			if !seen {
+				want = int32(len(oracle))
+				oracle[name(k)] = want
+			}
+			before := one.len()
+			if id, _ := k.lookup(one, false); seen && id != want || !seen && id != -1 || one.len() != before {
+				t.Fatalf("key %d %s: find = %d (want %d, seen %v), table %d → %d keys", i, name(k), id, want, seen, before, one.len())
+			}
+			if id, fresh := k.lookup(one, true); id != want || fresh == seen {
+				t.Fatalf("key %d %s: id %d fresh %v, want id %d fresh %v", i, name(k), id, fresh, want, !seen)
+			}
+		}
+		if one.len() != len(oracle) {
+			t.Fatalf("%d ids for %d distinct keys", one.len(), len(oracle))
+		}
+		if !flat && len(oracle) > 96 && len(one.slots) < 256 {
+			t.Fatalf("%d keys in %d slots: the index did not double four times", len(oracle), len(one.slots))
+		}
+
+		// Two partitions, merged: the lower table keeps its ids, the higher
+		// one's new keys append in its order.
+		cut := rng.Intn(len(keys))
+		lo, hi := newTable(), newTable()
+		for _, k := range keys[:cut] {
+			k.lookup(lo, true)
+		}
+		for _, k := range keys[cut:] {
+			k.lookup(hi, true)
+		}
+		for g := 0; g < hi.len(); g++ {
+			if w > 0 {
+				lo.lookupInts(hi.hashes[g], hi.ints[g*w:(g+1)*w], hi.masks[g], true)
+			} else {
+				lo.lookupBytes(hi.hashes[g], hi.byteKey(g), true)
+			}
+		}
+		if lo.len() != one.len() {
+			t.Fatalf("merged table has %d keys, one table over the concatenation %d", lo.len(), one.len())
+		}
+		for i, k := range keys {
+			if id, _ := k.lookup(lo, false); id != oracle[name(k)] {
+				t.Fatalf("key %d %s: merged id %d, single-table id %d", i, name(k), id, oracle[name(k)])
+			}
+		}
+	})
+}
+
+// TestMaxGroupsTripsWhereTheReferenceDoes: the operator charges a group where
+// its key first appears — in the id pass of a batch, before any kernel runs —
+// so at one worker it must hit MaxGroups exactly when the row-at-a-time
+// reference does: same PCT203, same limit, whether the fold runs column-major
+// (bare keys), row-major (a computed key) or over the byte route, and it must
+// pass at exactly the number of groups there are.
+func TestMaxGroupsTripsWhereTheReferenceDoes(t *testing.T) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("f", fuzzFoldSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 5000; i++ {
+		if _, err := tab.AppendRow(fuzzFoldRow(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(cat)
+	for _, sql := range []string{
+		"SELECT id, sum(a) FROM f GROUP BY id",
+		"SELECT id + 0, sum(a) FROM f GROUP BY 1",
+		"SELECT s, count(*) FROM f GROUP BY s",
+		"SELECT DISTINCT id FROM f WHERE d2 = 1",
+	} {
+		groups := len(mustExec(t, e, sql).Rows)
+		if groups < 1000 {
+			t.Fatalf("%s: only %d groups", sql, groups)
+		}
+		for _, limit := range []int64{1, 1023, 1024, 1025, int64(groups) - 1, int64(groups), int64(groups) + 1} {
+			ctx := WithLimits(context.Background(), Limits{MaxGroups: limit})
+			e.SetBatch(false)
+			_, refErr := e.ExecSQLCtxP(ctx, sql, 1)
+			e.SetBatch(true)
+			_, gotErr := e.ExecSQLCtxP(ctx, sql, 1)
+			var le *LimitError
+			if wantFail := limit < int64(groups); wantFail != (refErr != nil) || wantFail && (!errors.As(refErr, &le) || le.Code() != diag.CodeGroupLimit) {
+				t.Fatalf("%s under MaxGroups %d (%d groups): reference err = %v", sql, limit, groups, refErr)
+			}
+			if (refErr == nil) != (gotErr == nil) || refErr != nil && refErr.Error() != gotErr.Error() {
+				t.Errorf("%s under MaxGroups %d: operator err = %v, reference err = %v", sql, limit, gotErr, refErr)
+			}
+		}
+	}
+}

@@ -224,7 +224,7 @@ func TestWorkerErrorDeterministic(t *testing.T) {
 				if err := fail[lo/10]; err != nil {
 					return nil, err
 				}
-				return &foldPart{consumed: int64(hi - lo)}, nil
+				return &foldPart{op: &foldOp{}, consumed: int64(hi - lo)}, nil
 			})
 		return part, err
 	}

@@ -3,8 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/expr"
@@ -337,6 +339,107 @@ func TestAccumulatorMergeSemantics(t *testing.T) {
 			t.Fatal("min ← max merge should fail")
 		}
 	})
+}
+
+// TestArrayMergeSemantics asserts every case TestAccumulatorMergeSemantics
+// pins against the fold's own merge — cell into cell, by id remap
+// (foldPart.absorb) — instead of the accumulator objects': a two-worker fold
+// of a table whose first half is partition 1 and second half partition 2,
+// one group per case. Typed kernels (bare i and f) and the boxed one (the
+// INTEGER-or-REAL mix) both feed the cells.
+func TestArrayMergeSemantics(t *testing.T) {
+	type row struct {
+		g    int64
+		i, f any // int64 / float64 / nil
+	}
+	negZero := math.Copysign(0, -1)
+	parts := [2][]row{
+		{{1, 3, nil}, {1, 4, nil}, // int + int stays int
+			{2, 3, nil},                             // int ← float demotes
+			{3, nil, nil},                           // unseen ← seen
+			{4, 7, nil},                             // seen ← unseen
+			{5, nil, nil},                           // all-NULL group: NULL, count 0
+			{6, 1, nil}, {6, 2, nil}, {6, nil, nil}, // count distinct unions
+			{7, 1, 0.5}, {7, 2, nil}, // avg merges sum and count
+			{8, 5, 5.5},     // min and max adopt the extreme
+			{9, 9, negZero}, // only partition 1 has the group: -0.0 survives the merge
+		},
+		{{1, 10, nil},
+			{2, nil, 0.5},
+			{3, 7, nil},
+			{4, nil, nil},
+			{5, nil, nil},
+			{6, 2, nil}, {6, 3, nil},
+			{7, 9, nil},
+			{8, -2, -2.5}, {8, 40, 40.5},
+			{10, 1, 1.5},                 // only partition 2 has the group: it appends
+			{0, nil, nil}, {0, nil, nil}, // pad the halves to one length
+		},
+	}
+	if len(parts[0]) != len(parts[1]) {
+		t.Fatalf("test bug: partitions of %d and %d rows", len(parts[0]), len(parts[1]))
+	}
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE m (g INTEGER, i INTEGER, f REAL)")
+	tab, _ := e.Catalog().Get("m")
+	for _, part := range parts {
+		for _, r := range part {
+			vals := []value.Value{value.NewInt(r.g), value.Null, value.Null}
+			if i, ok := r.i.(int); ok {
+				vals[1] = value.NewInt(int64(i))
+			}
+			if f, ok := r.f.(float64); ok {
+				vals[2] = value.NewFloat(f)
+			}
+			if _, err := tab.AppendRow(vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const sql = "SELECT g, sum(i), sum(CASE WHEN f IS NULL THEN i ELSE f END), count(DISTINCT i), avg(i), min(i), max(i), min(f), max(f), count(i), count(*) FROM m GROUP BY g"
+	got, err := e.ExecSQLCtxP(context.Background(), sql, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetBatch(false)
+	ref, err := e.ExecSQLCtxP(context.Background(), sql, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := fuzzResultDiff(ref, got); d != "" {
+		t.Fatalf("two-worker fold diverges from the reference: %s", d)
+	}
+	want := map[int64]string{
+		1:  "1 17 17 3 5.666666666666667 3 10 NULL NULL 3 3",
+		2:  "2 3 3.5 1 3 3 3 0.5 0.5 1 2",
+		3:  "3 7 7 1 7 7 7 NULL NULL 1 2",
+		4:  "4 7 7 1 7 7 7 NULL NULL 1 2",
+		5:  "5 NULL NULL 0 NULL NULL NULL NULL NULL 0 2",
+		6:  "6 8 8 3 2 1 3 NULL NULL 4 5",
+		7:  "7 12 11.5 3 4 1 9 0.5 0.5 3 3",
+		8:  "8 43 43.5 3 14.333333333333334 -2 40 -2.5 40.5 3 3",
+		9:  "9 9 -0 1 9 9 9 -0 -0 1 1",
+		10: "10 1 1.5 1 1 1 1 1.5 1.5 1 1",
+	}
+	order := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0} // first appearance: 10 and the padding come from partition 2
+	for ri, r := range got.Rows {
+		if r[0].Int() != order[ri] {
+			t.Fatalf("row %d is group %v, want %d (first-appearance order)", ri, r[0], order[ri])
+		}
+		cells := make([]string, len(r))
+		for ci, v := range r {
+			cells[ci] = v.String()
+		}
+		if w, ok := want[r[0].Int()]; ok && strings.Join(cells, " ") != w {
+			t.Errorf("group %v = %s, want %s", r[0], strings.Join(cells, " "), w)
+		}
+	}
+	if k := got.Rows[1][2].Kind(); k != value.KindFloat {
+		t.Errorf("int ← float merge left a %v sum", k)
+	}
+	if k := got.Rows[0][2].Kind(); k != value.KindInt {
+		t.Errorf("int ← int merge left a %v sum", k)
+	}
 }
 
 // TestSeqFallbackCountedOnce pins engine.agg.seq_fallback to the one decision

@@ -57,9 +57,9 @@ func (c *rowCharge) settle() error {
 
 // collector is the sink that keeps rows. They are carved from slabs — one
 // when reserve knew the count, otherwise each half as large as everything
-// kept so far (the group slabs' rule, fold.go), so a result of n rows costs
-// O(log n) allocations and no slab is ever copied — as full slice
-// expressions, so appending to a row cannot run into the next.
+// kept so far, so a result of n rows costs O(log n) allocations and no slab
+// is ever copied — as full slice expressions, so appending to a row cannot
+// run into the next.
 type collector struct {
 	rows   [][]value.Value
 	slab   []value.Value // unused tail of the newest slab

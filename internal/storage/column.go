@@ -214,7 +214,17 @@ func (b *bitset) clear(i int) {
 	}
 }
 
-func (b *bitset) get(i int) bool {
-	w := i >> 6
-	return w < len(b.words) && b.words[w]&(1<<(uint(i)&63)) != 0
+func (b *bitset) get(i int) bool { return NullBitmap(b.words).Get(i) }
+
+// NullBitmap is a column's NULL bitmap as the vectorized kernels read it:
+// bit r%64 of word r/64 is set when row r is NULL, and a row past the last
+// word is not — a column that never held a NULL has no words, so a kernel's
+// test inlines to one failed length compare. Read-only, and like the typed
+// vectors a snapshot of the rows present when it was taken.
+type NullBitmap []uint64
+
+// Get reports whether row r is NULL.
+func (b NullBitmap) Get(r int) bool {
+	w := r >> 6
+	return w < len(b) && b[w]&(1<<(uint(r)&63)) != 0
 }

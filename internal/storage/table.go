@@ -420,11 +420,10 @@ func (t *Table) BoolColumn(col int) (vals []bool, isNull func(int) bool, ok bool
 	return c.bools, c.nulls.get, true
 }
 
-// ColumnNulls exposes a column's null test regardless of its type; the
-// vectorized IS NULL kernel needs only the bitmap.
-func (t *Table) ColumnNulls(col int) func(int) bool {
-	return t.cols[col].nulls.get
-}
+// Nulls exposes a column's NULL bitmap regardless of its type: what the
+// fold's kernels and the vectorized filters test beside the raw vectors,
+// where the isNull closures above cost an indirect call per cell.
+func (t *Table) Nulls(col int) NullBitmap { return t.cols[col].nulls.words }
 
 // CellGetter returns a reader that boxes one cell of a column per call. The
 // column's type and vector are resolved here, once, where Get re-dispatches

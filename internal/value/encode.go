@@ -7,10 +7,11 @@ import (
 
 // Key encoding: values are serialized to a byte string so that tuples can be
 // used directly as Go map keys by hash aggregation, hash joins and indexes.
-// The encoding is injective (two distinct tuples never encode to the same
-// bytes): every value is prefixed with a kind tag, variable-length payloads
-// carry their length, and integers and floats are encoded distinctly even
-// when numerically equal. Callers that want ints and floats to group
+// Two tuples encode to the same bytes exactly when they have the same kinds
+// and SQL equality holds component by component, NaN aside (see
+// canonicalBits): every value is prefixed with a kind tag, variable-length
+// payloads carry their length, and integers and floats are encoded distinctly
+// even when numerically equal. Callers that want ints and floats to group
 // together normalize values first (the engine's group-by does not: SQL GROUP
 // BY distinguishes columns by declared type, and a column never mixes kinds).
 
@@ -34,8 +35,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, encInt)
 		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
 	case KindFloat:
-		dst = append(dst, encFloat)
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.f))
+		return binary.BigEndian.AppendUint64(append(dst, encFloat), canonicalBits(v.f))
 	case KindString:
 		dst = append(dst, encString)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.s)))
@@ -46,6 +46,20 @@ func AppendKey(dst []byte, v Value) []byte {
 	default:
 		panic("value: AppendKey on unknown kind")
 	}
+}
+
+// canonicalBits is the float's bit pattern, except that -0.0 encodes as +0.0:
+// 0.0 = -0.0 is true, so GROUP BY, DISTINCT, count(DISTINCT), indexes and
+// hash joins must put the two in one bucket. Every NaN encodes as math.NaN(),
+// one key, although Compare calls a NaN equal to every number.
+func canonicalBits(f float64) uint64 {
+	switch {
+	case f == 0: // floateq:ok exactly the two zeros
+		f = 0
+	case math.IsNaN(f):
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }
 
 // EncodeKey encodes a tuple of values into a fresh byte slice. The result is

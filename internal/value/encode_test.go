@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -105,5 +106,31 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 	dec, err := decodeKey(buf)
 	if err != nil || len(dec) != 2 {
 		t.Fatalf("decode appended buffer: %v %v", dec, err)
+	}
+}
+
+// TestAppendKeyCanonicalFloats: SQL equality cannot tell -0.0 from 0.0, nor
+// (under Compare) one NaN from another, so neither may the key encoding every
+// hash operator buckets by.
+func TestAppendKeyCanonicalFloats(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	if a, b := EncodeKeyString(NewFloat(0)), EncodeKeyString(NewFloat(negZero)); a != b {
+		t.Errorf("0.0 and -0.0 encode differently: %x vs %x", a, b)
+	}
+	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1<<63 | 0xBEEF)
+	if !math.IsNaN(otherNaN) {
+		t.Fatal("test bug: not a NaN")
+	}
+	if a, b := EncodeKeyString(NewFloat(math.NaN())), EncodeKeyString(NewFloat(otherNaN)); a != b {
+		t.Errorf("two NaNs encode differently: %x vs %x", a, b)
+	}
+	for _, f := range []float64{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, math.Inf(1), math.Inf(-1)} {
+		dec, err := decodeKey(EncodeKey(NewFloat(f)))
+		if err != nil || math.Float64bits(dec[0].Float()) != math.Float64bits(f) {
+			t.Errorf("%v does not round-trip bit for bit: %v %v", f, dec, err)
+		}
+		if EncodeKeyString(NewFloat(f)) == EncodeKeyString(NewFloat(0)) {
+			t.Errorf("%v encodes as zero", f)
+		}
 	}
 }

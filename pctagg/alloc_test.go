@@ -17,8 +17,9 @@ var raceEnabled bool
 // intermediate lives in its temp table's column vectors and the result is
 // boxed once, so what is left per result row is the interface box of its
 // REAL percentage (the small INTEGER keys box for free) plus the rows' share
-// of slab and vector growth: at most 3 allocations per result row (1.47
-// measured; 13.6 with the boxed-row dataflow).
+// of slab and vector growth: 7 258 allocations measured, 1.45 per result row
+// (1.48 with a Go map of group objects per fold; 13.6 with the boxed-row
+// dataflow), the budget 10 % above.
 func TestVpctStatementAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -47,8 +48,8 @@ func TestVpctStatementAllocBudget(t *testing.T) {
 	if len(rows.Data) != 5000 {
 		t.Fatalf("%d result rows, want 5000", len(rows.Data))
 	}
-	if perRow := allocs / 5000; perRow > 3 {
-		t.Errorf("4-key Vpct made %.0f allocations for 5000 result rows (%.1f per row), budget 3 per row", allocs, perRow)
+	if perRow := allocs / 5000; perRow > 1.6 {
+		t.Errorf("4-key Vpct made %.0f allocations for 5000 result rows (%.2f per row), budget 1.6 per row", allocs, perRow)
 	}
 	t.Logf("%.0f allocations, %.2f per result row", allocs, allocs/5000)
 }
