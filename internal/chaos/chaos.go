@@ -50,6 +50,11 @@ const (
 	// InsertSink fires before each row is appended to the staging table of
 	// an INSERT; After addresses the Nth row.
 	InsertSink = "engine.insert.sink"
+	// UpdateApply fires before each cell an in-place UPDATE writes; HitN
+	// passes the 1-based write number and After addresses the Nth. A fault
+	// after the k-th write must leave every cell, index and the epoch as
+	// before the statement (the undo record replays).
+	UpdateApply = "engine.update.apply"
 	// CacheDelta fires for each delta row re-aggregated during incremental
 	// maintenance of a cached summary; After addresses the Nth row. A fault
 	// here must degrade the cache to a rebuild, never to a stale read.
@@ -78,6 +83,7 @@ var points = map[string]bool{
 	AggMerge:       true,
 	CoreBatch:      true,
 	InsertSink:     true,
+	UpdateApply:    true,
 	CacheDelta:     true,
 	CacheMerge:     true,
 	ServerAccept:   true,

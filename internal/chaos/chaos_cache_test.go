@@ -134,13 +134,75 @@ func runCacheScenario(t *testing.T, point, kind string) {
 	}
 }
 
-// TestCacheFaultMatrix drives both cache fault points through error, panic,
-// and delay injection.
+// runCacheUpdateScenario faults an in-place UPDATE of the cached summary's
+// base table after its first cell write. An error or a panic must leave every
+// cached summary as it was — nothing invalidated, the pending insert still
+// folded by the next query, which answers as if the UPDATE never ran; a delay
+// lets the UPDATE commit and the summaries absorb it as −old / +new.
+func runCacheUpdateScenario(t *testing.T, kind string) {
+	defer leakcheck.Check(t)()
+	const q = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"
+	const upd = "UPDATE sales SET salesAmt = salesAmt + 1 WHERE state = 'CA'"
+	db := cacheChaosDB(t)
+	want := coldAnswer(t, q)
+	stats := db.SummaryCacheStats()
+
+	f := chaos.Fault{After: 1}
+	switch kind {
+	case "error":
+		f.Err = errInjected
+	case "panic":
+		f.Panic = "chaos-update-panic"
+	case "delay":
+		f.Delay = 5 * time.Millisecond
+	}
+	chaos.Enable()
+	defer chaos.Disable()
+	chaos.Arm(chaos.UpdateApply, f)
+	_, err := db.Exec(upd)
+	fired := chaos.Fired(chaos.UpdateApply)
+	chaos.Disable()
+	if fired == 0 {
+		t.Fatal("fault point engine.update.apply never fired: the UPDATE did not write in place")
+	}
+	if (err == nil) != (kind == "delay") {
+		t.Fatalf("UPDATE under %s fault: err = %v", kind, err)
+	}
+	if kind == "delay" {
+		cold := chaosDB(t)
+		if _, err := cold.Exec("INSERT INTO sales VALUES (11,'WA','Seattle',50),(12,'WA','Spokane',25); " + upd); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := cold.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = rows.Data
+	}
+	rows, err := db.Query(q)
+	if err != nil {
+		t.Fatalf("query after fault: %v", err)
+	}
+	if !reflect.DeepEqual(rows.Data, want) {
+		t.Fatalf("rows after %s fault:\n%v\nwant\n%v", kind, rows.Data, want)
+	}
+	after := db.SummaryCacheStats()
+	if after.Invalidations != stats.Invalidations || after.Misses != stats.Misses || after.DeltaApplied <= stats.DeltaApplied {
+		t.Errorf("cache stats %+v → %+v: want nothing invalidated or rebuilt and the pending delta folded", stats, after)
+	}
+}
+
+// TestCacheFaultMatrix drives both cache fault points, and the in-place
+// UPDATE's under a populated cache, through error, panic, and delay injection.
 func TestCacheFaultMatrix(t *testing.T) {
-	for _, point := range []string{chaos.CacheDelta, chaos.CacheMerge} {
+	for _, point := range []string{chaos.CacheDelta, chaos.CacheMerge, chaos.UpdateApply} {
 		for _, kind := range []string{"error", "panic", "delay"} {
 			point, kind := point, kind
 			t.Run(point+"/"+kind, func(t *testing.T) {
+				if point == chaos.UpdateApply {
+					runCacheUpdateScenario(t, kind)
+					return
+				}
 				runCacheScenario(t, point, kind)
 			})
 		}

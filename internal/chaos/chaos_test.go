@@ -9,6 +9,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -41,8 +42,9 @@ func chaosDB(t *testing.T) *pctagg.DB {
 // scenario routes execution through one fault point.
 type scenario struct {
 	point string
-	// sql is run via QueryTracedCtx.
-	sql string
+	// sql is run via QueryTracedCtx — or, with setup set, via ExecCtx: a DML
+	// statement against sales as setup (an index, say) left it.
+	sql, setup string
 	// fault tweaks beyond the kind (worker targeting, After skips).
 	arm func(f *chaos.Fault)
 }
@@ -66,6 +68,38 @@ var scenarios = []scenario{
 		sql:   "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city",
 		arm:   func(f *chaos.Fault) { f.After = 2 }, // fail on the 3rd staged row, mid-write
 	},
+	{
+		// Six rows, two cells each, one of them an index key: the fault lands
+		// between the two cells of the second row.
+		point: chaos.UpdateApply,
+		setup: "CREATE INDEX sales_city ON sales (city)",
+		sql:   "UPDATE sales SET salesAmt = salesAmt + 1, city = 'Austin' WHERE state = 'TX'",
+		arm:   func(f *chaos.Fault) { f.After = 3 },
+	},
+}
+
+// salesState renders everything a failed statement must leave alone: the
+// rows of sales in storage order, its epoch, and each index's entry count
+// and row list per distinct key.
+func salesState(t *testing.T, db *pctagg.DB) string {
+	t.Helper()
+	tab, err := db.Engine().Catalog().Get("sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "epoch %d\n", tab.Epoch())
+	for r := 0; r < tab.NumRows(); r++ {
+		fmt.Fprintln(&sb, tab.Row(r, nil))
+	}
+	for _, ix := range tab.Indexes() {
+		fmt.Fprintf(&sb, "%s %d\n", ix.Name(), ix.Len())
+		col := tab.Schema().ColumnIndex(ix.Columns()[0])
+		for r := 0; r < tab.NumRows(); r++ {
+			fmt.Fprintln(&sb, tab.Get(r, col), ix.Lookup(tab.Row(r, nil)[col:col+1]))
+		}
+	}
+	return sb.String()
 }
 
 func metricValue(t *testing.T, db *pctagg.DB, name string) float64 {
@@ -90,7 +124,12 @@ func metricValue(t *testing.T, db *pctagg.DB, name string) float64 {
 func runScenario(t *testing.T, sc scenario, kind string) {
 	defer leakcheck.Check(t)()
 	db := chaosDB(t)
-	baseTables := strings.Join(db.Tables(), ",")
+	if sc.setup != "" {
+		if _, err := db.Exec(sc.setup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseTables, before := strings.Join(db.Tables(), ","), salesState(t, db)
 
 	f := chaos.Fault{}
 	switch kind {
@@ -109,7 +148,14 @@ func runScenario(t *testing.T, sc scenario, kind string) {
 	defer chaos.Disable()
 	chaos.Arm(sc.point, f)
 
-	rows, root, err := db.QueryTracedCtx(context.Background(), sc.sql)
+	var rows *pctagg.Rows
+	var root *pctagg.Span
+	var err error
+	if sc.setup == "" {
+		rows, root, err = db.QueryTracedCtx(context.Background(), sc.sql)
+	} else {
+		_, err = db.ExecCtx(context.Background(), sc.sql)
+	}
 	fired := chaos.Fired(sc.point)
 	chaos.Disable()
 
@@ -140,9 +186,14 @@ func runScenario(t *testing.T, sc scenario, kind string) {
 		if err != nil {
 			t.Fatalf("pure-latency fault failed the query: %v", err)
 		}
-		if len(rows.Data) == 0 {
+		if sc.setup == "" && len(rows.Data) == 0 {
 			t.Error("delayed query returned no rows")
 		}
+	}
+	// A failed statement leaves every cell, every index and the epoch of the
+	// base table as it found them; a DML statement that was only delayed commits.
+	if after := salesState(t, db); (after == before) != (kind != "delay" || sc.setup == "") {
+		t.Errorf("sales after %s/%s:\n%s\nbefore:\n%s", sc.point, kind, after, before)
 	}
 
 	// Span tree closed on every outcome, including mid-worker failures.
@@ -234,6 +285,50 @@ func TestUpdateStagingSwapAtomic(t *testing.T) {
 	}
 }
 
+// lateCancelCtx reports cancellation from its after-th Err call on: the
+// statement starts and is cancelled a fixed number of governor checks in.
+type lateCancelCtx struct {
+	context.Context
+	calls, after int
+}
+
+func (c *lateCancelCtx) Err() error {
+	if c.calls++; c.calls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPointUpdateCancelledMidScanAtomic is the in-place twin: a point UPDATE
+// whose context is cancelled while the selection still scans fails with the
+// typed cancellation and has written nothing — same table object, same epoch,
+// same cells.
+func TestPointUpdateCancelledMidScanAtomic(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := chaosDB(t)
+	rows := make([][]any, 5000)
+	for i := range rows {
+		rows[i] = []any{100 + i, "NV", "Reno", 1}
+	}
+	if err := db.InsertRows("sales", rows); err != nil {
+		t.Fatal(err)
+	}
+	before := salesState(t, db)
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := db.ExecCtx(&lateCancelCtx{Context: live, after: 3}, "UPDATE sales SET salesAmt = 0 WHERE RID = 5099")
+	var coded interface{ Code() string }
+	if !errors.As(err, &coded) || coded.Code() != diag.CodeCancelled {
+		t.Fatalf("err = %v, want a typed %s cancellation", err, diag.CodeCancelled)
+	}
+	if after := salesState(t, db); after != before {
+		t.Error("a point UPDATE cancelled mid-scan changed the table")
+	}
+	if n, err := db.Exec("UPDATE sales SET salesAmt = 0 WHERE RID = 5099"); err != nil || n != 1 {
+		t.Errorf("the same UPDATE uncancelled: %d rows, %v", n, err)
+	}
+}
+
 // TestPointsRegistryClosed keeps the documented fault-point catalog and the
 // registry in sync.
 func TestPointsRegistryClosed(t *testing.T) {
@@ -243,6 +338,7 @@ func TestPointsRegistryClosed(t *testing.T) {
 		chaos.AggMerge:       true,
 		chaos.CoreBatch:      true,
 		chaos.InsertSink:     true,
+		chaos.UpdateApply:    true,
 		chaos.CacheDelta:     true,
 		chaos.CacheMerge:     true,
 		chaos.ServerAccept:   true,

@@ -4,26 +4,50 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
 // The summary cache turns the paper's batch-evaluation idea (shared Fk/Fj
 // summaries across percentage queries) into a DML-aware materialized cache:
 // entries are stamped with the base table's modification epoch (see
-// internal/storage), an engine DML hook tracks appended row ranges, and
-// distributive aggregates (sum, count, min, max — the classes Gray et al.
-// identify as cheap to maintain) are refreshed by aggregating only the new
-// rows and re-aggregating them together with the cached rows — a
-// distributive aggregate's super-aggregate is the same function over its
-// sub-aggregates, so the merge is the summary's own roll-up. Non-distributive
-// summaries (avg, DISTINCT) and in-place mutations (UPDATE/DELETE) invalidate
-// the entry, degrading to a rebuild — the cache may redo work but never
-// serves a stale percentage.
+// internal/storage) and an engine DML hook tells them what each committed
+// statement changed. What an entry does with it:
+//
+//	DML on the base table                          the entry
+//	INSERT, every aggregate distributive           pending range [from, to)
+//	INSERT, an avg, DISTINCT or REAL-sum column    invalid
+//	UPDATE ≤ engine.MutationBound rows, in place:
+//	  no assigned column is read (group,
+//	  measure, WHERE)                              restamped, still valid
+//	  only rows inside the pending range           pendEpoch advances
+//	  every column exact-invertible (count, sum
+//	  of a bare INTEGER column); group and WHERE
+//	  columns equal in both images; no NULL on
+//	  either side of an assigned measure           pending −old / +new
+//	  anything else (REAL sum, min / max, avg,
+//	  DISTINCT, a row moving between groups or
+//	  across the WHERE)                            invalid
+//	UPDATE of more rows, UPDATE … FROM, DELETE,
+//	DROP, a write that bypassed the engine         invalid
+//
+// Distributive aggregates (sum, count, min, max — the classes Gray et al.
+// identify as cheap to maintain) fold what is pending at the next lookup by
+// aggregating only those rows and re-aggregating them together with the
+// cached rows — a distributive aggregate's super-aggregate is the same
+// function over its sub-aggregates, so the merge is the summary's own
+// roll-up; sum and count are also invertible, so a changed row is its old
+// image aggregated negated beside its new one. A REAL sum is neither, to the
+// bit: it rounds by addition order, so it is rebuilt, never merged. An invalid
+// entry degrades to a rebuild — the cache may redo work but never serves a
+// stale percentage, nor one that differs from a cold run's in its last bit.
 
 // Cache metrics (see internal/obs). Hits count plans served from a cached
 // summary (clean or via delta); invalidations count entries discarded after
@@ -49,8 +73,12 @@ type CacheStats struct {
 	// Misses counts summaries built (and registered) from scratch.
 	Misses int64
 	// Invalidations counts entries discarded because DML outran the delta
-	// path (UPDATE/DELETE/DROP, non-distributive aggregates, or writes that
-	// bypassed the engine).
+	// path: DELETE, DROP, UPDATE … FROM, an UPDATE of more than
+	// engine.MutationBound rows or one the entry cannot take as −old / +new
+	// (the table heading this file), any DML the entry reads under an avg or
+	// DISTINCT column, or a write that bypassed the engine. An UPDATE of
+	// columns the summary does not read, or one folded as a signed delta, is
+	// not one.
 	Invalidations int64
 	// DeltaApplied counts incremental refreshes: aggregate only the
 	// appended rows, merge into the cached summary.
@@ -82,15 +110,31 @@ func (p *Planner) CacheStats() CacheStats {
 
 // deltaMeta is everything needed to refresh a summary without replanning:
 // the statement shape of its build (re-aggregated over just the delta rows,
-// or over the full base table on rebuild) and of its roll-up over itself.
+// or over the full base table on rebuild) and of its roll-up over itself, and
+// what an UPDATE may touch (summary.meta).
 type deltaMeta struct {
 	base    string // base table F
 	where   string // " WHERE …" or ""
 	groupBy string // " GROUP BY …" or ""
 	selects string // rendered select list of the build INSERT
-	rollup  string // rendered select list re-aggregating summary rows by the same grouping
+	rollup  string // rendered select list re-aggregating summary rows by the same grouping; "" = not distributive
+	retract string // rendered select list negating the build over a row's old image; "" = not exactly invertible
 	colDefs string // rendered column list of the summary's CREATE TABLE
+	// reads holds the positions in F of every column the summary reads;
+	// fixed, those among them that place a row — the group and WHERE columns.
+	reads, fixed []int
 }
+
+// signedRow is one row an UPDATE changed under a summary that covers it: the
+// images to aggregate as −old / +new, and the base epoch after that UPDATE.
+type signedRow struct {
+	old, new []value.Value
+	epoch    int64
+}
+
+// maxSigned bounds the images an entry holds between two lookups; a summary
+// nobody reads while UPDATEs pile up is cheaper to rebuild than to remember.
+const maxSigned = 4 * engine.MutationBound
 
 // summaryEntry is one cached summary. All fields are guarded by the
 // planner's mu; epochs and row counts refer to the base table.
@@ -106,9 +150,11 @@ type summaryEntry struct {
 	epoch    int64 // base epoch the summary reflects
 	baseRows int   // base row count the summary reflects
 
-	// Pending appended rows [pendFrom, pendTo) not yet folded in;
-	// pendEpoch is the base epoch after the last tracked append.
+	// Pending changes not yet folded in: appended rows [pendFrom, pendTo)
+	// and the signed images of changed rows below baseRows; pendEpoch is the
+	// base epoch after the last tracked statement.
 	pendFrom, pendTo int
+	signed           []signedRow
 	pendEpoch        int64
 
 	// gen counts every DML-hook touch of this entry. Build paths that scan
@@ -140,7 +186,36 @@ type cacheDMLHook struct{ p *Planner }
 func (h *cacheDMLHook) OnInsert(table string, from, to int, preEp, postEp int64) {
 	h.p.cacheOnInsert(table, from, to, preEp, postEp)
 }
-func (h *cacheDMLHook) OnMutate(table, op string) { h.p.cacheOnMutate(table, op) }
+func (h *cacheDMLHook) OnMutate(table string, m *engine.Mutation) { h.p.cacheOnMutate(table, m) }
+
+// pending reports whether tracked changes wait to be folded in.
+func (e *summaryEntry) pending() bool { return e.pendTo > e.pendFrom || len(e.signed) > 0 }
+
+// covered returns the state of the base table the entry accounts for, the
+// summary plus what is pending. A tracked statement is only mergeable if it
+// starts from exactly that state: a row-count match alone is not enough — an
+// unhooked write (a direct storage mutation) can leave the count intact while
+// changing rows the summary already folded, and only the epoch betrays it.
+func (e *summaryEntry) covered() (epoch int64, rows int) {
+	epoch, rows = e.epoch, e.baseRows
+	if e.pending() {
+		epoch = e.pendEpoch
+	}
+	if e.pendTo > e.pendFrom {
+		rows = e.pendTo
+	}
+	return epoch, rows
+}
+
+// restamp moves what the entry accounts for to epoch, the base table's after
+// a tracked statement.
+func (e *summaryEntry) restamp(epoch int64) {
+	if e.pending() {
+		e.pendEpoch = epoch
+	} else {
+		e.epoch = epoch
+	}
+}
 
 // cacheOnInsert records a committed append [from, to) against every summary
 // over the table: deltable entries extend their pending range, the rest are
@@ -157,21 +232,7 @@ func (p *Planner) cacheOnInsert(table string, from, to int, preEp, postEp int64)
 		if !e.built || e.invalid {
 			continue
 		}
-		if e.delta == nil {
-			p.invalidateLocked(e)
-			continue
-		}
-		// The append is only mergeable if it extends exactly the state the
-		// entry covers: the summary plus any pending range, at the epoch
-		// observed when that coverage was established. A row-count match
-		// alone is not enough — an unhooked write (a direct storage Set, an
-		// in-place rewrite) can leave the count intact while changing rows
-		// the summary already folded, and only the epoch betrays it.
-		covEpoch, covRows := e.epoch, e.baseRows
-		if e.pendTo > e.pendFrom {
-			covEpoch, covRows = e.pendEpoch, e.pendTo
-		}
-		if preEp != covEpoch || from != covRows {
+		if covEpoch, covRows := e.covered(); e.delta.rollup == "" || preEp != covEpoch || from != covRows {
 			p.invalidateLocked(e)
 			continue
 		}
@@ -183,10 +244,10 @@ func (p *Planner) cacheOnInsert(table string, from, to int, preEp, postEp int64)
 	}
 }
 
-// cacheOnMutate invalidates every summary over a table that was updated,
-// deleted from, or dropped — mutations the delta path cannot cover.
-func (p *Planner) cacheOnMutate(table, op string) {
-	_ = op
+// cacheOnMutate tells every summary over a table that was updated, deleted
+// from or dropped. m describes a bounded in-place UPDATE; an entry takes it
+// by the table heading this file. Everything else (m nil) invalidates.
+func (p *Planner) cacheOnMutate(table string, m *engine.Mutation) {
 	lower := strings.ToLower(table)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -195,26 +256,78 @@ func (p *Planner) cacheOnMutate(table, op string) {
 			continue
 		}
 		e.gen++
-		if e.built && !e.invalid {
+		if !e.built || e.invalid {
+			continue
+		}
+		if m == nil || !e.absorb(m) {
 			p.invalidateLocked(e)
 		}
 	}
 }
 
+// absorb applies a bounded UPDATE to the entry and reports whether the entry
+// is still a true account of the base table.
+func (e *summaryEntry) absorb(m *engine.Mutation) bool {
+	if covEpoch, _ := e.covered(); m.PreEpoch != covEpoch {
+		return false
+	}
+	read := false
+	for _, c := range m.Cols {
+		read = read || slices.Contains(e.delta.reads, c)
+	}
+	for i, r := range m.Rows {
+		if !read || e.pendTo > e.pendFrom && r >= e.pendFrom {
+			continue // nothing the summary reads, or a row the refresh reads anyway
+		}
+		if e.delta.retract == "" || len(e.signed) == maxSigned {
+			return false
+		}
+		old, new := m.Old[i], m.New[i]
+		for _, c := range m.Cols {
+			switch {
+			case slices.Contains(e.delta.fixed, c):
+				if !identical(old[c], new[c]) {
+					return false
+				}
+			case slices.Contains(e.delta.reads, c):
+				// A sum cannot tell its last value leaving from a zero.
+				if old[c].IsNull() || new[c].IsNull() {
+					return false
+				}
+			}
+		}
+		e.signed = append(e.signed, signedRow{old: old, new: new, epoch: m.PostEpoch})
+	}
+	e.restamp(m.PostEpoch)
+	return true
+}
+
+// identical reports whether two cells of one column hold the same value bit
+// for bit: -0.0 and 0.0 share a group but not a rendering.
+func identical(a, b value.Value) bool {
+	if a.Kind() == value.KindFloat && b.Kind() == value.KindFloat {
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	}
+	return a == b
+}
+
 func (p *Planner) invalidateLocked(e *summaryEntry) {
 	e.invalid = true
+	e.pendFrom, e.pendTo, e.signed, e.pendEpoch = 0, 0, nil, 0
 	p.cstats.Invalidations++
 	mCacheInvalidations.Inc()
 }
 
-// cacheLookup consults the cache at plan time. fresh is the temp-table name
-// the plan would use if it has to build; base is the summary's base table.
+// cacheLookup consults the cache at plan time for summary s of a: s.table is
+// the temp-table name the plan would use if it has to build, and only a miss
+// renders the summary's maintenance metadata.
 // On cacheMiss the returned entry is provisionally registered — the plan
 // must run a capture step before and a publish step after the build, and
 // cleanup abandons unpublished registrations (an EXPLAINed or failed plan
 // must not poison the cache). On cacheHitDelta the returned entry is the
 // live one; the plan refreshes it into fresh via cacheDeltaStep.
-func (p *Planner) cacheLookup(key, fresh, base string, meta *deltaMeta) (string, cacheMode, *summaryEntry) {
+func (p *Planner) cacheLookup(key string, s *summary, a *analysis) (string, cacheMode, *summaryEntry) {
+	fresh, base := s.table, a.table
 	// Read the base epoch before taking p.mu: the DML hook takes p.mu while
 	// never holding the catalog lock, and this ordering keeps it that way.
 	var cur int64
@@ -234,7 +347,7 @@ func (p *Planner) cacheLookup(key, fresh, base string, meta *deltaMeta) (string,
 				mCacheHits.Inc()
 				return e.table, cacheHitClean, e
 			}
-			if e.delta != nil && e.pendTo > e.pendFrom && cur == e.pendEpoch {
+			if e.delta.rollup != "" && e.pending() && cur == e.pendEpoch {
 				p.cstats.Hits++
 				mCacheHits.Inc()
 				return fresh, cacheHitDelta, e
@@ -249,7 +362,7 @@ func (p *Planner) cacheLookup(key, fresh, base string, meta *deltaMeta) (string,
 	}
 	p.cstats.Misses++
 	mCacheMisses.Inc()
-	ne := &summaryEntry{key: key, table: fresh, baseTable: strings.ToLower(base), delta: meta}
+	ne := &summaryEntry{key: key, table: fresh, baseTable: strings.ToLower(base), delta: s.meta(a)}
 	p.summaries[key] = ne
 	p.summaryDrops = append(p.summaryDrops, fresh)
 	return fresh, cacheMiss, ne
@@ -361,7 +474,10 @@ const (
 )
 
 // cachePublishReplace points the entry at newT, which reflects the base
-// table at (epoch, rows), trimming any pending delta the refresh consumed.
+// table at (epoch, rows), trimming the pending changes the refresh consumed:
+// appended rows below rows, signed images stamped at or before epoch. When
+// nothing is left pending, statements tracked since that touched nothing the
+// summary reads have only moved pendEpoch, and the entry is current at it.
 // The replaced table is not dropped here — concurrently executing plans may
 // still reference it; FlushSummaries drops everything it ever registered.
 func (p *Planner) cachePublishReplace(e *summaryEntry, newT string, epoch int64, rows int, mode int, applied bool) {
@@ -380,9 +496,15 @@ func (p *Planner) cachePublishReplace(e *summaryEntry, newT string, epoch int64,
 			}
 		}
 		if e.pendTo <= rows {
-			e.pendFrom, e.pendTo, e.pendEpoch = 0, 0, 0
+			e.pendFrom, e.pendTo = 0, 0
 		} else if e.pendFrom < rows {
 			e.pendFrom = rows
+		}
+		for len(e.signed) > 0 && e.signed[0].epoch <= epoch {
+			e.signed = e.signed[1:]
+		}
+		if !e.pending() {
+			e.epoch, e.pendEpoch = max(epoch, e.pendEpoch), 0
 		}
 	}
 	p.summaryDrops = append(p.summaryDrops, newT)
@@ -401,6 +523,7 @@ type cacheSnap struct {
 	epoch     int64
 	baseRows  int
 	from, to  int
+	signed    []signedRow
 	pendEpoch int64
 	live      bool
 }
@@ -410,13 +533,10 @@ func (p *Planner) applyCacheDelta(ctx context.Context, eng *engine.Engine, paral
 	meta := e.delta
 	st := cacheSnap{
 		table: e.table, epoch: e.epoch, baseRows: e.baseRows,
-		from: e.pendFrom, to: e.pendTo, pendEpoch: e.pendEpoch,
+		from: e.pendFrom, to: e.pendTo, signed: e.signed, pendEpoch: e.pendEpoch,
 		live: e.built && !e.invalid,
 	}
 	p.mu.Unlock()
-	if meta == nil {
-		return fmt.Errorf("core: cache entry %q has no delta metadata", e.key)
-	}
 	base, err := eng.Catalog().Get(meta.base)
 	if err != nil {
 		return err
@@ -427,7 +547,8 @@ func (p *Planner) applyCacheDelta(ctx context.Context, eng *engine.Engine, paral
 		// Another plan already refreshed the entry; copy its table.
 		return p.cacheCopy(ctx, eng, parallelism, sp, e, meta, st, newT)
 	}
-	if st.live && st.to > st.from && st.from == st.baseRows && cur == st.pendEpoch && st.to <= curRows {
+	appended, signed := st.to > st.from, len(st.signed) > 0
+	if st.live && (appended || signed) && (!appended || st.from == st.baseRows) && cur == st.pendEpoch && st.to <= curRows {
 		err := p.cacheDeltaMerge(ctx, eng, parallelism, sp, e, meta, st, newT)
 		if err == nil {
 			return nil
@@ -479,78 +600,92 @@ func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism
 	return nil
 }
 
-// cacheDeltaMerge refreshes the summary incrementally: copy the appended
-// base rows [st.from, st.to) into a scratch table, append to a second one the
-// cached rows and then the delta's roll-up — the summary's own build
-// statement, the scratch table aliased as the base so WHERE and select
-// references resolve — and build the new table as the summary's roll-up over
-// that union by its own grouping. The fold emits groups in first-appearance
-// order, so existing groups keep their positions and brand-new groups append
-// in the delta's order: the result is byte-identical to a cold aggregation
-// over the full table.
+// cacheDeltaMerge refreshes the summary incrementally: snapshot what is
+// pending into two scratch tables shaped like the base — the old image of
+// each changed row; its new image and then the appended rows [st.from, st.to)
+// — append to another the cached rows and then each snapshot's roll-up — the
+// summary's own build statement, negated over the old images, the scratch
+// table aliased as the base so WHERE and select references resolve — and
+// build the new table as the summary's roll-up over that union by its own
+// grouping. The fold emits groups in first-appearance order and a changed row
+// stays in its group, so existing groups keep their positions and brand-new
+// groups append in the appended rows' order: the result is byte-identical to
+// a cold aggregation over the full table.
 func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
-	deltaT := p.temp("cdelta")
-	unionT := p.temp("croll")
-	defer func() {
-		_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + deltaT)
-		_, _ = eng.ExecSQL("DROP TABLE IF EXISTS " + unionT)
-	}()
-
-	// 1. Snapshot the delta rows (no SQL names a row range). The base table
-	// only ever grows under the hook's watch (anything else invalidates), so
-	// [from, to) is stable.
 	base, err := eng.Catalog().Get(meta.base)
 	if err != nil {
 		return err
 	}
-	bsch := base.Schema()
-	defs := make([]string, len(bsch))
-	for i, c := range bsch {
-		defs[i] = colDef(c.Name, c.Type)
+	minusT, deltaT, unionT := p.temp("cminus"), p.temp("cdelta"), p.temp("croll")
+	defer func() {
+		eng.Catalog().DropIfExists(minusT)
+		eng.Catalog().DropIfExists(deltaT)
+		eng.Catalog().DropIfExists(unionT)
+	}()
+
+	// 1. The snapshots (no SQL names a row range or an image). The base table
+	// only ever grows under the hook's watch (anything else invalidates), so
+	// [from, to) is stable.
+	queries := []string{"SELECT * FROM " + st.table}
+	scratch := func(table, selects string) (*storage.Table, error) {
+		queries = append(queries, fmt.Sprintf("SELECT %s FROM %s %s%s%s", selects, table, quoteIdent(meta.base), meta.where, meta.groupBy))
+		return eng.Catalog().Create(table, base.Schema())
 	}
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", deltaT, strings.Join(defs, ", ")), 1, sp); err != nil {
-		return err
-	}
-	dst, err := eng.Catalog().Get(deltaT)
-	if err != nil {
-		return err
-	}
-	var rowBuf []value.Value
-	for r := st.from; r < st.to; r++ {
-		if (r-st.from)%cacheStride == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
+	rows := 0
+	fill := func(dst *storage.Table, n int, row func(i int) []value.Value) error {
+		for i := 0; i < n; i, rows = i+1, rows+1 {
+			if rows%cacheStride == 0 {
+				if err := engine.CheckCtx(ctx); err != nil {
+					return err
+				}
+			}
+			if err := chaos.HitN(chaos.CacheDelta, rows+1); err != nil {
+				return err
+			}
+			if _, err := dst.AppendRow(row(i)); err != nil {
 				return err
 			}
 		}
-		if err := chaos.HitN(chaos.CacheDelta, r-st.from+1); err != nil {
-			return err
+		return nil
+	}
+	if len(st.signed) > 0 {
+		minus, err := scratch(minusT, meta.retract)
+		if err == nil {
+			err = fill(minus, len(st.signed), func(i int) []value.Value { return st.signed[i].old })
 		}
-		rowBuf = base.Row(r, rowBuf)
-		if _, err := dst.AppendRow(rowBuf); err != nil {
+		if err != nil {
 			return err
 		}
 	}
+	delta, err := scratch(deltaT, meta.selects)
+	if err == nil {
+		err = fill(delta, len(st.signed), func(i int) []value.Value { return st.signed[i].new })
+	}
+	var rowBuf []value.Value
+	if err == nil {
+		err = fill(delta, st.to-st.from, func(i int) []value.Value {
+			rowBuf = base.Row(st.from+i, rowBuf)
+			return rowBuf
+		})
+	}
+	if err != nil {
+		return err
+	}
 
-	// 2. The cached rows, then the delta re-aggregated, governed like any
-	// statement, in one table reserved for both. Copy-on-write keeps
+	// 2. The cached rows, then each snapshot re-aggregated, governed like any
+	// statement, in one table reserved for all. Copy-on-write keeps
 	// concurrent plans that hold the old table name safe; the old table is
 	// dropped at flush.
 	old, err := eng.Catalog().Get(st.table)
 	if err != nil {
 		return err
 	}
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", unionT, meta.colDefs), 1, sp); err != nil {
-		return err
-	}
-	union, err := eng.Catalog().Get(unionT)
+	union, err := eng.Catalog().Create(unionT, old.Schema())
 	if err != nil {
 		return err
 	}
-	union.Reserve(old.NumRows() + st.to - st.from)
-	for _, query := range []string{
-		"SELECT * FROM " + st.table,
-		fmt.Sprintf("SELECT %s FROM %s %s%s%s", meta.selects, deltaT, quoteIdent(meta.base), meta.where, meta.groupBy),
-	} {
+	union.Reserve(old.NumRows() + rows)
+	for _, query := range queries {
 		if _, err := eng.ExecSQLCtxIn(ctx, "INSERT INTO "+unionT+" "+query, parallelism, sp); err != nil {
 			return err
 		}
@@ -565,18 +700,18 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	}
 
 	// 4. Publish. newT reflects the base at the captured pending epoch;
-	// appends that landed during the merge stay pending and chain off it.
-	p.cachePublishReplace(e, newT, st.pendEpoch, st.to, pubPreserve, true)
+	// statements that landed during the merge stay pending and chain off it.
+	p.cachePublishReplace(e, newT, st.pendEpoch, max(st.to, st.baseRows), pubPreserve, true)
 	if sp != nil {
-		sp.AttrInt("cache.delta_rows", int64(st.to-st.from))
+		sp.AttrInt("cache.delta_rows", int64(rows))
 		sp.AttrInt("cache.merged_groups", int64(union.NumRows()-old.NumRows()))
 	}
 	return nil
 }
 
 // cacheRebuild recomputes the summary from the live base table — the
-// degradation path for non-distributive summaries, UPDATE/DELETE, writes
-// that bypassed the hook, and faults mid-delta.
+// degradation path for everything the table heading this file marks invalid,
+// writes that bypassed the hook, and faults mid-delta.
 func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, newT string) error {
 	p.mu.Lock()
 	gen0 := e.gen

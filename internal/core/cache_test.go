@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -125,8 +126,10 @@ func TestCacheDeltaChain(t *testing.T) {
 // must invalidate the entry and rebuild — never serve the old summary.
 func TestCacheUpdateAndDeleteInvalidate(t *testing.T) {
 	for _, dml := range []string{
-		"UPDATE sales SET salesAmt = 999 WHERE RID = 1",
+		"UPDATE sales SET city = 'Oakland' WHERE RID = 1", // a row moves between groups
+		"UPDATE sales SET salesAmt = NULL WHERE RID = 4",  // a sum may lose its last value
 		"DELETE FROM sales WHERE state = 'TX'",
+		"UPDATE sales FROM daily SET salesAmt = 1 WHERE sales.RID = daily.store",
 	} {
 		p, cold := newCachePlanners(t)
 		runQuery(t, p, vpctSales, DefaultOptions())
@@ -138,6 +141,119 @@ func TestCacheUpdateAndDeleteInvalidate(t *testing.T) {
 		if s1.Invalidations <= s0.Invalidations {
 			t.Errorf("%s: Invalidations = %d → %d, want the entries invalidated", dml, s0.Invalidations, s1.Invalidations)
 		}
+	}
+}
+
+// TestCacheUpdateAbsorbed pins what a bounded in-place UPDATE does to a
+// summary over exact-invertible cells: a column the summary does not read
+// restamps it (the next query is a clean hit), a measure change rides the
+// delta path as −old / +new — also twice on one row, also on a row inside a
+// pending append range, also before and after an INSERT — and nothing is
+// invalidated; every answer equals the cold planner's bit for bit.
+func TestCacheUpdateAbsorbed(t *testing.T) {
+	const q = "SELECT state, city, Vpct(salesAmt BY city), sum(salesAmt), count(*), count(salesAmt) FROM sales GROUP BY state, city"
+	p, cold := newCachePlanners(t)
+	runQuery(t, p, q, DefaultOptions())
+	steps := []struct {
+		dml         string
+		wantApplied bool
+	}{
+		{"UPDATE sales SET RID = RID + 100 WHERE state = 'CA'", false},
+		{"UPDATE sales SET salesAmt = 999 WHERE RID = 103", true},
+		{"UPDATE sales SET salesAmt = 7 WHERE RID = 103; UPDATE sales SET salesAmt = salesAmt * 2 WHERE RID = 103", true},
+		{"INSERT INTO sales VALUES (11,'WA','Seattle',50); UPDATE sales SET salesAmt = 51 WHERE RID = 11", true},
+		{"UPDATE sales SET salesAmt = 0 WHERE city = 'Dallas'; INSERT INTO sales VALUES (12,'WA','Spokane',25)", true},
+		{"INSERT INTO sales VALUES (13,'OR','Salem',5); UPDATE sales SET city = 'Bend' WHERE RID = 13; UPDATE sales SET salesAmt = 1 WHERE RID = 9", true},
+		{"UPDATE sales SET salesAmt = 3 WHERE RID = 4000", false}, // no row: nothing happens
+	}
+	for _, st := range steps {
+		s0 := p.CacheStats()
+		mustExec(t, p.Eng, st.dml)
+		got := runQuery(t, p, q, DefaultOptions())
+		exactResults(t, st.dml, got, runQuery(t, cold, q, DefaultOptions()))
+		s1 := p.CacheStats()
+		if s1.Invalidations != s0.Invalidations || s1.Misses != s0.Misses {
+			t.Errorf("%s: stats %+v → %+v, want no invalidation and no rebuild", st.dml, s0, s1)
+		}
+		if applied := s1.DeltaApplied > s0.DeltaApplied; applied != st.wantApplied {
+			t.Errorf("%s: DeltaApplied = %d → %d, want a delta merge: %v", st.dml, s0.DeltaApplied, s1.DeltaApplied, st.wantApplied)
+		}
+	}
+}
+
+// TestCacheUpdateNotInvertibleInvalidates: a measure change under a REAL sum,
+// a min or an avg cannot be taken as −old / +new and must rebuild, while the
+// same summaries survive an UPDATE of a column they do not read.
+func TestCacheUpdateNotInvertibleInvalidates(t *testing.T) {
+	for _, q := range []string{
+		"SELECT state, city, Vpct(amt BY city) FROM r GROUP BY state, city",
+		"SELECT state, city, Vpct(salesAmt BY city), min(salesAmt) FROM r GROUP BY state, city",
+		"SELECT state, city, Vpct(salesAmt BY city), avg(salesAmt) FROM r GROUP BY state, city",
+		"SELECT state, city, Vpct(salesAmt + 1 BY city) FROM r GROUP BY state, city",
+	} {
+		p, cold := newCachePlanners(t)
+		mustExec(t, p.Eng, "CREATE TABLE r (RID INTEGER, state VARCHAR, city VARCHAR, salesAmt INTEGER, amt REAL); INSERT INTO r SELECT RID, state, city, salesAmt, salesAmt / 8.0 FROM sales")
+		runQuery(t, p, q, DefaultOptions())
+		s0 := p.CacheStats()
+		mustExec(t, p.Eng, "UPDATE r SET RID = 0 WHERE RID = 3")
+		exactResults(t, q, runQuery(t, p, q, DefaultOptions()), runQuery(t, cold, q, DefaultOptions()))
+		if s1 := p.CacheStats(); s1.Invalidations != s0.Invalidations || s1.Misses != s0.Misses {
+			t.Errorf("%s: an UPDATE of an unread column moved the stats %+v → %+v", q, s0, s1)
+		}
+		mustExec(t, p.Eng, "UPDATE r SET salesAmt = 11, amt = 0.1 WHERE RID = 0")
+		exactResults(t, q, runQuery(t, p, q, DefaultOptions()), runQuery(t, cold, q, DefaultOptions()))
+		if s1 := p.CacheStats(); s1.Invalidations <= s0.Invalidations {
+			t.Errorf("%s: Invalidations = %d → %d, want the measure change to invalidate", q, s0.Invalidations, s1.Invalidations)
+		}
+	}
+}
+
+// TestCacheUpdateOverBoundInvalidates: past engine.MutationBound affected
+// rows the hook carries no images and the summary rebuilds.
+func TestCacheUpdateOverBoundInvalidates(t *testing.T) {
+	p, cold := newCachePlanners(t)
+	for i := 0; i <= engine.MutationBound; i++ {
+		mustExec(t, p.Eng, fmt.Sprintf("INSERT INTO sales VALUES (%d,'NV','Reno',%d)", 100+i, i))
+	}
+	runQuery(t, p, vpctSales, DefaultOptions())
+	s0 := p.CacheStats()
+	mustExec(t, p.Eng, fmt.Sprintf("UPDATE sales SET salesAmt = 2 WHERE city = 'Reno' AND RID < %d", 100+engine.MutationBound))
+	exactResults(t, "at the bound", runQuery(t, p, vpctSales, DefaultOptions()), runQuery(t, cold, vpctSales, DefaultOptions()))
+	if s1 := p.CacheStats(); s1.Invalidations != s0.Invalidations {
+		t.Errorf("an UPDATE of MutationBound rows invalidated: %+v → %+v", s0, s1)
+	}
+	mustExec(t, p.Eng, "UPDATE sales SET salesAmt = 3 WHERE city = 'Reno'")
+	exactResults(t, "past the bound", runQuery(t, p, vpctSales, DefaultOptions()), runQuery(t, cold, vpctSales, DefaultOptions()))
+	if s1 := p.CacheStats(); s1.Invalidations <= s0.Invalidations {
+		t.Errorf("an UPDATE past MutationBound rows did not invalidate: %+v → %+v", s0, s1)
+	}
+}
+
+// TestNoOpDMLKeepsCacheAndEpoch: a statement that affects no row changes
+// nothing — the catalog holds the same table at the same epoch and no
+// summary is invalidated.
+func TestNoOpDMLKeepsCacheAndEpoch(t *testing.T) {
+	p, _ := newCachePlanners(t)
+	runQuery(t, p, vpctSales, DefaultOptions())
+	before, _ := p.Eng.Catalog().Get("sales")
+	epoch, s0 := before.Epoch(), p.CacheStats()
+	for _, dml := range []string{
+		"UPDATE sales SET salesAmt = 1 WHERE RID = 4000",
+		"UPDATE sales SET salesAmt = 1 WHERE RID / 1 = 4000", // the row-by-row filter
+		"DELETE FROM sales WHERE state = 'ZZ'",
+		"UPDATE sales FROM daily SET salesAmt = 1 WHERE sales.RID = daily.store AND daily.dweek = 'Xx'",
+	} {
+		if r := mustExec(t, p.Eng, dml); r.Affected != 0 {
+			t.Fatalf("%s affected %d rows, want 0", dml, r.Affected)
+		}
+		after, _ := p.Eng.Catalog().Get("sales")
+		if after != before || after.Epoch() != epoch {
+			t.Errorf("%s: table %p epoch %d → %p epoch %d, want both unchanged", dml, before, epoch, after, after.Epoch())
+		}
+	}
+	runQuery(t, p, vpctSales, DefaultOptions())
+	if s1 := p.CacheStats(); s1.Invalidations != s0.Invalidations || s1.Misses != s0.Misses || s1.DeltaApplied != s0.DeltaApplied {
+		t.Errorf("no-op DML moved the cache: %+v → %+v", s0, s1)
 	}
 }
 

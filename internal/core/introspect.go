@@ -44,7 +44,7 @@ func cacheEntryState(e *summaryEntry) string {
 		return "building"
 	case e.invalid:
 		return "invalid"
-	case e.pendTo > e.pendFrom:
+	case e.pending():
 		return "pending"
 	default:
 		return "clean"
@@ -66,7 +66,7 @@ func (p *Planner) buildCacheEntries() (*storage.Table, error) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
 	for _, e := range entries {
 		deltable := int64(0)
-		if e.delta != nil {
+		if e.delta.rollup != "" {
 			deltable = 1
 		}
 		if _, err := t.AppendRow([]value.Value{
@@ -76,7 +76,7 @@ func (p *Planner) buildCacheEntries() (*storage.Table, error) {
 			value.NewString(cacheEntryState(e)),
 			value.NewInt(e.epoch),
 			value.NewInt(int64(e.baseRows)),
-			value.NewInt(int64(e.pendTo - e.pendFrom)),
+			value.NewInt(int64(e.pendTo - e.pendFrom + len(e.signed))),
 			value.NewInt(deltable),
 		}); err != nil {
 			p.mu.Unlock()

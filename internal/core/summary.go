@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"repro/internal/expr"
 	"repro/internal/storage"
 )
 
@@ -13,7 +15,13 @@ type vcol struct {
 	typ  storage.ColumnType
 	sel  string // the aggregate over F that fills it
 	fold string // its re-aggregation over a finer summary; "" when not distributive
+	// call is sel as a node, for a summary the cache keeps: what tells it
+	// which columns of F the summary reads and whether an UPDATE retracts.
+	call *expr.AggCall
 }
+
+// sumOf is the aggregate that carries a percentage measure.
+func sumOf(arg expr.Expr) *expr.AggCall { return &expr.AggCall{Fn: expr.AggSum, Arg: arg} }
 
 // summary is one aggregate table of a plan — Fk, an Fj, the lattice's FS or
 // a lattice node's roll-up: the group columns, then the aggregate columns.
@@ -25,6 +33,9 @@ type summary struct {
 	table string // a fresh temp name, or the cached table after a hit
 	group []string
 	vals  []vcol
+	// via holds the group columns of the summary this one is computed from,
+	// when it is: a REAL sum's rounding depends on that grouping too.
+	via []string
 
 	// Rendered once by defs and selects: the cache key, the delta metadata
 	// and the build statements all read them, on the plan path of every hit.
@@ -56,11 +67,11 @@ func fineSummary(a *analysis, what string, group []string, update bool) (*summar
 				if update {
 					typ = storage.TypeFloat
 				}
-				s.vals = append(s.vals, vcol{name: c, typ: typ, sel: "sum(" + mSQL + ")", fold: "sum(" + c + ")"})
+				s.vals = append(s.vals, vcol{name: c, typ: typ, sel: "sum(" + mSQL + ")", fold: "sum(" + c + ")", call: sumOf(it.agg.Arg)})
 			}
 			col[idx] = c
 		case itemVertAgg:
-			v := vcol{name: fmt.Sprintf("x%d", len(extras)+1), typ: aggResultType(it.agg, a.schema), sel: it.agg.String()}
+			v := vcol{name: fmt.Sprintf("x%d", len(extras)+1), typ: aggResultType(it.agg, a.schema), sel: it.agg.String(), call: it.agg}
 			if pa, ok := partialOf(it.agg); ok && pa.distributive() {
 				v.fold = pa.reagg([]string{v.name}, nil)
 			}
@@ -70,7 +81,7 @@ func fineSummary(a *analysis, what string, group []string, update bool) (*summar
 	}
 	s.vals = append(s.vals, extras...)
 	if len(s.vals) == 0 {
-		s.vals = []vcol{{name: "cnt", typ: storage.TypeInt, sel: "count(*)", fold: "sum(cnt)"}}
+		s.vals = []vcol{{name: "cnt", typ: storage.TypeInt, sel: "count(*)", fold: "sum(cnt)", call: &expr.AggCall{Fn: expr.AggCount, Star: true}}}
 	}
 	return s, col
 }
@@ -133,24 +144,65 @@ func (s *summary) key(a *analysis) string {
 		joinIdents(s.group), strings.Join(s.selects(), ","), strings.Join(s.defs(a), ","))
 }
 
-// meta makes a cached summary incrementally maintainable: the statement
-// shape of its build, re-run over just the appended rows, and its roll-up over
-// itself, which merges them in. Every aggregate column must be distributive —
-// one avg or DISTINCT column and the result is nil, so DML rebuilds instead.
+// meta is what the cache keeps of a summary to maintain it without
+// replanning: the statement shape of its build, re-run over just the rows DML
+// appended or changed; its roll-up over itself, which merges them in — every
+// aggregate column must be distributive, one avg or DISTINCT column and
+// rollup is "", so DML the summary reads rebuilds instead; the negation of
+// the build over a row's old image, when every column is exactly invertible
+// (retraction); and the columns of F an UPDATE must leave alone, or leave
+// equal, for the summary to survive it.
 func (s *summary) meta(a *analysis) *deltaMeta {
-	for _, v := range s.vals {
-		if v.fold == "" {
-			return nil
-		}
-	}
-	return &deltaMeta{
+	m := &deltaMeta{
 		base:    a.table,
 		where:   a.whereSQL(),
 		groupBy: groupByClause(s.group),
 		selects: strings.Join(s.selects(), ", "),
-		rollup:  strings.Join(s.rollup(s.group), ", "),
 		colDefs: strings.Join(s.defs(a), ", "),
 	}
+	at := func(dst []int, cols []string) []int {
+		for _, c := range cols {
+			dst = append(dst, a.schema.ColumnIndex(c))
+		}
+		return dst
+	}
+	m.fixed = at(at(nil, s.group), expr.Columns(a.where))
+	m.reads = slices.Clone(m.fixed)
+	merge, exact, retract := true, true, quoteIdents(s.group)
+	for _, v := range s.vals {
+		m.reads = at(m.reads, expr.Columns(v.call))
+		// A REAL sum is distributive only up to rounding: cached + delta adds
+		// in another order than a scan of F does, and a row that moves
+		// between the groups of the summary it is rolled up from moves bits.
+		realSum := v.call.Fn == expr.AggSum && exprType(v.call.Arg, a.schema) == storage.TypeFloat
+		if realSum {
+			m.reads = at(m.reads, s.via)
+		}
+		r := retraction(v.call, a.schema)
+		merge, exact, retract = merge && v.fold != "" && !realSum, exact && r != "", append(retract, r)
+	}
+	if merge {
+		m.rollup = strings.Join(s.rollup(s.group), ", ")
+	}
+	if merge && exact {
+		m.retract = strings.Join(retract, ", ")
+	}
+	return m
+}
+
+// retraction renders the negation of call, for aggregating a changed row's
+// old image beside its new one, when −old / +new is exact: a count of
+// anything, or the sum of a bare INTEGER column (a REAL sum rounds by
+// addition order; a computed argument can turn NULL where its columns do not,
+// and a sum cannot tell its last value leaving from a zero). "" otherwise.
+func retraction(call *expr.AggCall, schema storage.Schema) string {
+	col, bare := call.Arg.(*expr.ColumnRef)
+	switch {
+	case call.Distinct:
+	case call.Fn == expr.AggCount, call.Fn == expr.AggSum && bare && exprType(col, schema) == storage.TypeInt:
+		return "-" + call.String()
+	}
+	return ""
 }
 
 // materialize appends the steps that leave s.table holding the summary,
@@ -165,7 +217,7 @@ func (p *Planner) materialize(plan *Plan, a *analysis, s *summary, key, create, 
 	mode := cacheOff
 	var reg *summaryEntry
 	if key != "" {
-		s.table, mode, reg = p.cacheLookup(key, s.table, a.table, s.meta(a))
+		s.table, mode, reg = p.cacheLookup(key, s, a)
 	}
 	switch mode {
 	case cacheHitClean:

@@ -59,8 +59,8 @@ type totalsOpts struct {
 func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 	for ti, t := range d.terms {
 		mSQL := t.call.Arg.String()
-		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, vals: []vcol{
-			{name: "A", typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(A)"}}}
+		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, via: d.fine.group, vals: []vcol{
+			{name: "A", typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(A)", call: sumOf(t.call.Arg)}}}
 		source, measure, where := d.fine.table, "sum("+quoteIdent(t.measureCol)+")", ""
 		create := fmt.Sprintf("create Fj for term %d", ti+1)
 		compute := fmt.Sprintf("compute coarse totals Fj from partial aggregate Fk (term %d)", ti+1)

@@ -34,9 +34,10 @@ func (o cacheOp) isQuery() bool { return o.SQL == "" }
 // cacheQueries are the shapes the interleavings draw from, chosen to hit
 // every maintenance path: plain Vpct (delta-merge), a second BY over the
 // same GROUP BY (Fj rolled up from the cached Fk), a wider lattice key,
-// distributive extra aggregates (sum/count/min/max ride the delta),
-// avg (non-distributive — DML must force a rebuild), and a WHERE-keyed
-// entry that must not alias the unfiltered one.
+// distributive extra aggregates (sum/count ride an UPDATE as −old / +new,
+// min/max only an INSERT), avg (non-distributive — DML must force a
+// rebuild), a WHERE-keyed entry that must not alias the unfiltered one, and
+// a REAL measure (an UPDATE must invalidate: −old / +new would round).
 var cacheQueries = []string{
 	"SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2",
 	"SELECT d1, d2, Vpct(a BY d1) FROM f GROUP BY d1, d2",
@@ -45,37 +46,61 @@ var cacheQueries = []string{
 	"SELECT d1, d2, Vpct(a BY d2), min(a), max(a) FROM f GROUP BY d1, d2",
 	"SELECT d1, d2, Vpct(a BY d2), avg(a) FROM f GROUP BY d1, d2",
 	"SELECT d1, d2, Vpct(a BY d2) FROM f WHERE d1 < 2 GROUP BY d1, d2",
+	"SELECT d1, d2, Vpct(r BY d2) FROM f GROUP BY d1, d2",
 }
 
 var cacheDims = []string{"x", "y", "z"}
 
-// randCacheOps generates a seeded interleaving of n ops, bracketed by
-// queries so the cache is populated before the first DML and checked
-// after the last. Inserts dominate (they exercise the incremental path);
-// updates and deletes appear often enough to exercise invalidation.
-func randCacheOps(rng *rand.Rand, n int) []cacheOp {
+// cacheRow renders one row of f for an INSERT: the dimensions, the measure,
+// the unique id the point UPDATEs address, and r, the measure's REAL twin.
+func cacheRow(rng *rand.Rand, id int) string {
+	a, r := fmt.Sprint(rng.Intn(21)-5), fmt.Sprint(float64(rng.Intn(200))/10)
+	if rng.Intn(15) == 0 {
+		a, r = "NULL", "NULL"
+	}
+	return fmt.Sprintf("(%d, %d, '%s', %s, %d, %s)", rng.Intn(3), rng.Intn(4), cacheDims[rng.Intn(3)], a, id, r)
+}
+
+// randCacheOps generates a seeded interleaving of n ops over a table loaded
+// with rows rows (ids 0..rows-1), bracketed by queries so the cache is
+// populated before the first DML and checked after the last. Inserts
+// dominate (the append path); UPDATEs come in every shape the cache tells
+// apart — one row's measure (the signed path), a row inserted since the last
+// query (inside a pending range), a whole group's measure, a grouping column,
+// a measure set to NULL, no row at all — and deletes often enough to exercise
+// invalidation.
+func randCacheOps(rng *rand.Rand, n, rows int) []cacheOp {
 	ops := make([]cacheOp, 0, n+2)
 	ops = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))})
+	var fresh []int // ids inserted since the last query
 	for i := 0; i < n; i++ {
-		switch k := rng.Intn(10); {
-		case k < 4:
-			ops = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))})
-		case k < 8:
-			m := 1 + rng.Intn(3)
-			vals := make([]string, 0, m)
-			for j := 0; j < m; j++ {
-				amt := fmt.Sprintf("%d", rng.Intn(21)-5)
-				if rng.Intn(15) == 0 {
-					amt = "NULL"
-				}
-				vals = append(vals, fmt.Sprintf("(%d, %d, '%s', %s)",
-					rng.Intn(3), rng.Intn(4), cacheDims[rng.Intn(3)], amt))
+		id, amt := rng.Intn(rows), rng.Intn(31)-5
+		switch k := rng.Intn(16); {
+		case k < 5:
+			ops, fresh = append(ops, cacheOp{Query: rng.Intn(len(cacheQueries))}), nil
+		case k < 9:
+			vals := make([]string, 1+rng.Intn(3))
+			for j := range vals {
+				vals[j], fresh, rows = cacheRow(rng, rows), append(fresh, rows), rows+1
 			}
 			ops = append(ops, cacheOp{SQL: "INSERT INTO f VALUES " + strings.Join(vals, ", ")})
-		case k < 9:
+		case k < 11:
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf("UPDATE f SET a = %d WHERE id = %d", amt, id)})
+		case k == 11 && len(fresh) > 0:
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf("UPDATE f SET a = %d, d1 = %d WHERE id = %d", amt, rng.Intn(3), fresh[rng.Intn(len(fresh))])})
+		case k == 11:
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf("UPDATE f SET a = %d, r = %d.5 WHERE id = %d", amt, amt, id)})
+		case k == 12:
 			ops = append(ops, cacheOp{SQL: fmt.Sprintf(
-				"UPDATE f SET a = %d WHERE d1 = %d AND d2 = %d",
-				rng.Intn(31)-5, rng.Intn(3), rng.Intn(4))})
+				"UPDATE f SET a = %d WHERE d1 = %d AND d2 = %d", amt, rng.Intn(3), rng.Intn(4))})
+		case k == 13:
+			ops = append(ops, cacheOp{SQL: fmt.Sprintf("UPDATE f SET d2 = %d WHERE id = %d", rng.Intn(4), id)})
+		case k == 14:
+			ops = append(ops, cacheOp{SQL: []string{
+				fmt.Sprintf("UPDATE f SET a = NULL WHERE id = %d", id),
+				"UPDATE f SET a = 1 WHERE id = -1",
+				"DELETE FROM f WHERE id = -1",
+			}[rng.Intn(3)]})
 		default:
 			// Narrow predicate: the table shrinks but survives.
 			ops = append(ops, cacheOp{SQL: fmt.Sprintf(

@@ -55,11 +55,11 @@ func TestDifferentialLatticeParallelism(t *testing.T) {
 // and a cold planner replay the same query/DML interleaving and every
 // lattice answer must match byte for byte.
 func replayLatticeOps(initial [][]value.Value, ops []cacheOp, parallelism int) error {
-	cached, err := cachePlannerFor(randSchema, initial)
+	cached, err := cachePlannerFor(cacheSchema, initial)
 	if err != nil {
 		return err
 	}
-	cold, err := cachePlannerFor(randSchema, initial)
+	cold, err := cachePlannerFor(cacheSchema, initial)
 	if err != nil {
 		return err
 	}
@@ -103,8 +103,8 @@ func TestDifferentialLatticeCachedVsCold(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		rows := randTableRows(rng, 100+rng.Intn(150))
-		ops := randCacheOps(rng, 16+rng.Intn(16))
+		rows := cacheTableRows(rng, 100+rng.Intn(150))
+		ops := randCacheOps(rng, 16+rng.Intn(16), len(rows))
 		for _, par := range cacheParallelisms {
 			err := replayLatticeOps(rows, ops, par)
 			if err == nil {
@@ -120,7 +120,7 @@ func TestDifferentialLatticeCachedVsCold(t *testing.T) {
 			minRows := minimizeRows(rows, failsRows)
 			t.Fatalf("trial %d P=%d: %v\nminimized reproducer (%d of %d ops, %d of %d rows):\n%s",
 				trial, par, err, len(minOps), len(ops), len(minRows), len(rows),
-				dumpCacheOps("f", randSchema, minRows, minOps))
+				dumpCacheOps("f", cacheSchema, minRows, minOps))
 		}
 	}
 }

@@ -98,6 +98,76 @@ func BenchmarkBulkUpdateJoined(b *testing.B) {
 	}
 }
 
+// salesEngine is hot_mix's update target at scale: rows × 9 INTEGER columns,
+// the first a unique id.
+func salesEngine(b testing.TB, rows int) *Engine {
+	b.Helper()
+	e := New(storage.NewCatalog())
+	mustExec(b, e, "CREATE TABLE sales (id INTEGER, c1 INTEGER, c2 INTEGER, c3 INTEGER, c4 INTEGER, c5 INTEGER, c6 INTEGER, c7 INTEGER, amt INTEGER)")
+	tab, _ := e.Catalog().Get("sales")
+	rng := rand.New(rand.NewSource(1))
+	row := make([]value.Value, 9)
+	for i := 0; i < rows; i++ {
+		row[0] = value.NewInt(int64(i + 1))
+		for c := 1; c < 9; c++ {
+			row[c] = value.NewInt(int64(rng.Intn(100)))
+		}
+		tab.AppendRow(row)
+	}
+	return e
+}
+
+// BenchmarkPointUpdate is hot_mix's update_sales: one cell of 300 000 rows,
+// found by the selection kernels and written in place.
+func BenchmarkPointUpdate(b *testing.B) {
+	e := salesEngine(b, 300_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r, err := e.ExecSQL(fmt.Sprintf("UPDATE sales SET amt = %d WHERE id = %d", i%500, 1+i*7919%300_000)); err != nil || r.Affected != 1 {
+			b.Fatal(r, err)
+		}
+	}
+}
+
+// BenchmarkDeleteSelective deletes 1 % of 300 000 rows: select, gather the
+// kept runs column by column, swap. The table is reloaded off the clock.
+func BenchmarkDeleteSelective(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := salesEngine(b, 300_000)
+		b.StartTimer()
+		if r, err := e.ExecSQL("DELETE FROM sales WHERE c1 = 7"); err != nil || r.Affected < 2000 {
+			b.Fatal(r, err)
+		}
+	}
+}
+
+// TestPointUpdateAllocBudget: a point UPDATE on a warm engine allocates for
+// the statement — lex, parse, bind, one row id, one undo cell, the row view —
+// and nothing per row scanned or per column vector, so a table four times as
+// long costs the same: 36 measured at both sizes, the budget 10 % above.
+func TestPointUpdateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var got [2]int
+	for i, rows := range []int{25_000, 100_000} {
+		e := salesEngine(t, rows)
+		mustExec(t, e, "UPDATE sales SET amt = 1 WHERE id = 1") // warm the selection pool
+		got[i] = int(testing.AllocsPerRun(5, func() {
+			if r, err := e.ExecSQL("UPDATE sales SET amt = amt + 1 WHERE id = 20000"); err != nil || r.Affected != 1 {
+				t.Fatal(r, err)
+			}
+		}))
+	}
+	if got[0] != got[1] || got[1] > 40 {
+		t.Errorf("point UPDATE made %d allocations over 25k rows and %d over 100k, budget 40 at any size", got[0], got[1])
+	}
+	t.Logf("%d allocations", got[1])
+}
+
 func BenchmarkInsertSelect(b *testing.B) {
 	e := benchEngine(b, 50_000)
 	b.ResetTimer()

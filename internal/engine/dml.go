@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/chaos"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -56,14 +57,14 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 		existed := e.cat.Has(dt.Name)
 		e.cat.DropIfExists(dt.Name)
 		if existed {
-			e.notifyMutate(dt.Name, "drop")
+			e.notifyMutate(dt.Name, nil)
 		}
 		return &Result{}, nil
 	}
 	if err := e.cat.Drop(dt.Name); err != nil {
 		return nil, err
 	}
-	e.notifyMutate(dt.Name, "drop")
+	e.notifyMutate(dt.Name, nil)
 	return &Result{}, nil
 }
 
@@ -156,9 +157,8 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 	// Statement atomicity: appends run under a savepoint — the pre-statement
 	// row count — and any exit without commit (error, injected fault, panic
 	// unwinding to the statement recovery) truncates back to it, so a
-	// mid-statement failure leaves the table exactly as it was. This is the
-	// append-shaped complement of the staging-then-swap rewrite DELETE and
-	// UPDATE use: INSERT into a populated table must not copy the table.
+	// mid-statement failure leaves the table exactly as it was — the
+	// append-shaped twin of UPDATE's undo record: neither copies the table.
 	base := t.NumRows()
 	preEp := t.Epoch()
 	committed := false
@@ -238,47 +238,60 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 	return false
 }
 
-// rewrite runs a DELETE or UPDATE (op) the way the paper's block-oriented MPP
-// system does: every row of t flows through fn, which reports whether the
-// statement affects the row — a DELETE drops those, an UPDATE keeps them as fn
-// assigned them, in place. The rows land in a staging clone (indexes included)
-// that is swapped into the catalog only on success, so a mid-statement failure
-// leaves the live table, its indexes and its epoch untouched; the staged rows
-// are charged against MaxRows a stride at a time.
-func (e *Engine) rewrite(t *storage.Table, name, op string, gov *governor, fn func(row []value.Value) (bool, error)) (*Result, error) {
-	stage := t.EmptyClone()
-	n := 0
-	var buf []value.Value
-	for r := 0; r < t.NumRows(); r++ {
-		if (r+1)%govStride == 0 {
-			if err := gov.addRows(govStride); err != nil {
-				return nil, err
+// Single-table UPDATE and DELETE are select-then-apply: selectRows evaluates
+// the WHERE to row ids, then UPDATE writes the affected cells in place under
+// an undo record and DELETE swaps in a staging table gathered from the kept
+// rows. Either way a statement that affects no row changes nothing — no swap,
+// no epoch tick, no hook.
+
+// selectRows returns, ascending, the ids of t's rows that where admits (nil:
+// every row). An error-free predicate refines each batch of row ids through
+// the selection kernels the fold uses (applySel); any other walks a RowView
+// row by row and stops at the first error. Scanned rows are charged, and the
+// statement cancellable, a govStride at a time.
+func selectRows(t *storage.Table, where expr.Expr, gov *governor) ([]int32, error) {
+	n := t.NumRows()
+	buf := batch.Default.GetSel(min(batch.Size, n))
+	defer batch.Default.PutSel(buf)
+	var view *storage.RowView
+	if where != nil && !expr.ErrFree(where) {
+		view = t.NewRowView()
+	}
+	var ids []int32
+	for base := 0; base < n; base += batch.Size {
+		bn := min(batch.Size, n-base)
+		sel := rowRange(buf, base, bn)
+		switch {
+		case where == nil:
+		case view == nil:
+			sel = applySel(t, where, sel)
+		default:
+			out := sel[:0]
+			for _, r := range sel {
+				view.Seek(int(r))
+				v, err := where.Eval(view)
+				if err != nil {
+					return nil, err
+				}
+				if v.Truthy() {
+					out = append(out, r)
+				}
 			}
+			sel = out
 		}
-		buf = t.Row(r, buf)
-		affected, err := fn(buf)
-		if err != nil {
-			return nil, err
-		}
-		if affected {
-			n++
-			if op == "delete" {
-				continue
-			}
-		}
-		if _, err := stage.AppendRow(buf); err != nil {
+		ids = append(ids, sel...)
+		if err := gov.addScanned(int64(bn)); err != nil {
 			return nil, err
 		}
 	}
-	if err := gov.addRows(int64(t.NumRows() % govStride)); err != nil {
-		return nil, err
-	}
-	e.cat.Put(stage)
-	e.notifyMutate(name, op)
-	return &Result{Affected: n}, nil
+	mRowsScanned.Add(int64(n))
+	return ids, nil
 }
 
-// execDelete removes the qualifying rows (see rewrite).
+// execDelete removes the qualifying rows: the kept ones, charged against
+// MaxRows, are gathered column vector by column vector into a staging table
+// (storage.Table.Without) that replaces the live one in the catalog, so
+// nothing short of the swap touches the table, its indexes or its epoch.
 func (e *Engine) execDelete(d *sqlparse.Delete, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(d.Table) {
 		return nil, errVirtualReadOnly("DELETE", d.Table)
@@ -293,20 +306,33 @@ func (e *Engine) execDelete(d *sqlparse.Delete, ec execCtx) (*Result, error) {
 			return nil, err
 		}
 	}
-	var box rowBox
-	return e.rewrite(t, d.Table, "delete", ec.gov, func(row []value.Value) (bool, error) {
-		if where == nil {
-			return true, nil
-		}
-		box.vals = row
-		v, err := where.Eval(&box)
-		return v.Truthy(), err
-	})
+	ids, err := selectRows(t, where, ec.gov)
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) == 0 {
+		return &Result{}, nil
+	}
+	if err := ec.gov.addRows(int64(t.NumRows() - len(ids))); err != nil {
+		return nil, err
+	}
+	e.cat.Put(t.Without(ids))
+	e.notifyMutate(d.Table, nil)
+	return &Result{Affected: len(ids)}, nil
+}
+
+// boundSet is one bound assignment of an UPDATE: the target column and the
+// expression that computes its new value.
+type boundSet struct {
+	col int
+	ex  expr.Expr
 }
 
 // execUpdate handles both the single-table form and the cross-table form
 // (UPDATE target FROM other SET … WHERE join), which the paper's
-// update-based Vpct strategy generates.
+// update-based Vpct strategy generates. The statement's shape picks the
+// path: the single-table form writes in place (updateInPlace), the joined
+// form is the journaled whole-table rewrite the paper prices (rewriteJoined).
 func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(u.Table) {
 		return nil, errVirtualReadOnly("UPDATE", u.Table)
@@ -354,10 +380,6 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 			return nil, err
 		}
 	}
-	type boundSet struct {
-		col int
-		ex  expr.Expr
-	}
 	sets := make([]boundSet, len(u.Set))
 	for i, a := range u.Set {
 		if sets[i].col, err = targetSch.resolve("", a.Column); err != nil {
@@ -367,60 +389,152 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 			return nil, err
 		}
 	}
+	if build != nil {
+		return e.rewriteJoined(t, u.Table, build, where, sets, ec.gov)
+	}
+	ids, err := selectRows(t, where, ec.gov)
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) == 0 {
+		return &Result{}, nil
+	}
+	return e.updateInPlace(t, u.Table, ids, sets, ec.gov)
+}
 
-	// assign updates row when the image in box qualifies: every assignment is
-	// evaluated against the pre-update image, then applied.
-	var box rowBox
-	newVals := make([]value.Value, len(sets))
-	assign := func(row []value.Value) (bool, error) {
-		if where != nil {
-			if v, err := where.Eval(&box); err != nil || !v.Truthy() {
-				return false, err
+// updateInPlace assigns sets to the rows ids of t, in place. Each row's
+// assignments are all evaluated against its pre-image (a RowView), then
+// written cell by cell under an undo record (storage.Undo) that any exit
+// without commit — error, cancellation, contained panic, injected fault —
+// replays, leaving every cell, index and the epoch as the statement found
+// them. The record is the statement's materialized state: its rows are
+// charged against MaxRows before the first write. When a hook is installed
+// and the rows are few (MutationBound) it receives their images.
+func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets []boundSet, gov *governor) (*Result, error) {
+	if err := gov.addRows(int64(len(ids))); err != nil {
+		return nil, err
+	}
+	var m *Mutation
+	if e.dml.Load() != nil && len(ids) <= MutationBound {
+		m = &Mutation{PreEpoch: t.Epoch()}
+		for _, s := range sets {
+			m.Cols = append(m.Cols, s.col)
+		}
+	}
+	undo := t.BeginUpdate()
+	committed := false
+	defer func() {
+		if !committed {
+			undo.Rollback()
+		}
+	}()
+	view := t.NewRowView()
+	vals := make([]value.Value, len(sets))
+	for k, r := range ids {
+		if k%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return nil, err
 			}
 		}
+		view.Seek(int(r))
 		for i, s := range sets {
-			v, err := s.ex.Eval(&box)
+			v, err := s.ex.Eval(view)
 			if err != nil {
-				return false, err
+				return nil, err
 			}
-			newVals[i] = v
+			vals[i] = v
+		}
+		if m != nil {
+			m.Rows, m.Old = append(m.Rows, int(r)), append(m.Old, t.Row(int(r), nil))
 		}
 		for i, s := range sets {
-			row[s.col] = newVals[i]
+			err := chaos.HitN(chaos.UpdateApply, k*len(sets)+i+1)
+			if err == nil {
+				err = undo.Set(int(r), s.col, vals[i])
+			}
+			if err != nil {
+				return nil, err
+			}
 		}
-		return true, nil
 	}
-	if build == nil {
-		return e.rewrite(t, u.Table, "update", ec.gov, func(row []value.Value) (bool, error) {
-			box.vals = row
-			return assign(row)
-		})
+	committed = true
+	if m != nil {
+		m.PostEpoch = t.Epoch()
+		for _, r := range m.Rows {
+			m.New = append(m.New, t.Row(r, nil))
+		}
 	}
+	e.notifyMutate(name, m)
+	return &Result{Affected: len(ids)}, nil
+}
 
-	// The joined form retains the pre- and post-image of each changed row in a
-	// transient journal until the statement completes (the recovery log every
-	// ACID engine writes). With the table rewrite this is what makes the paper's
-	// UPDATE-based Vpct strategy pay when |FV| is large, and why the paper
-	// recommends INSERT instead.
+// rewriteJoined runs UPDATE … FROM the way the paper's block-oriented MPP
+// system does: every row of t flows into a staging clone (indexes included) —
+// a row with a qualifying match in build as sets assign it, every other as it
+// is — that is swapped into the catalog only on success, so a mid-statement
+// failure leaves the live table, its indexes and its epoch untouched; the
+// staged rows are charged against MaxRows a stride at a time. The pre- and
+// post-image of each changed row is retained in a transient journal until the
+// statement completes (the recovery log every ACID engine writes). With the
+// table rewrite this is what makes the paper's UPDATE-based Vpct strategy pay
+// when |FV| is large, and why the paper recommends INSERT instead.
+func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, where expr.Expr, sets []boundSet, gov *governor) (*Result, error) {
 	if err := build.ensure(); err != nil {
 		return nil, err
 	}
+	stage := t.EmptyClone()
+	n := 0
+	var row, comb []value.Value
 	var journal [][]value.Value
-	comb := make([]value.Value, 0, len(evalSch))
-	return e.rewrite(t, u.Table, "update", ec.gov, func(row []value.Value) (bool, error) {
+	var box rowBox
+	newVals := make([]value.Value, len(sets))
+	for r := 0; r < t.NumRows(); r++ {
+		if (r+1)%govStride == 0 {
+			if err := gov.addRows(govStride); err != nil {
+				return nil, err
+			}
+		}
+		row = t.Row(r, row)
 		for _, m := range build.probe(row) {
 			comb = append(comb[:0], row...)
 			for c := 0; c < build.tab.NumCols(); c++ {
 				comb = append(comb, build.tab.Get(m, c))
 			}
 			box.vals = comb
-			if hit, err := assign(row); err != nil {
-				return false, err
-			} else if hit {
-				journal = append(journal, slices.Clone(comb[:len(row)]), slices.Clone(row))
-				return true, nil // one qualifying match updates the row once
+			if where != nil {
+				if v, err := where.Eval(&box); err != nil {
+					return nil, err
+				} else if !v.Truthy() {
+					continue
+				}
 			}
+			// Every assignment is evaluated against the pre-update image, then
+			// applied; one qualifying match updates the row once.
+			for i, s := range sets {
+				v, err := s.ex.Eval(&box)
+				if err != nil {
+					return nil, err
+				}
+				newVals[i] = v
+			}
+			for i, s := range sets {
+				row[s.col] = newVals[i]
+			}
+			journal = append(journal, slices.Clone(comb[:len(row)]), slices.Clone(row))
+			n++
+			break
 		}
-		return false, nil
-	})
+		if _, err := stage.AppendRow(row); err != nil {
+			return nil, err
+		}
+	}
+	if err := gov.addRows(int64(t.NumRows() % govStride)); err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return &Result{}, nil
+	}
+	e.cat.Put(stage)
+	e.notifyMutate(name, nil)
+	return &Result{Affected: n}, nil
 }

@@ -60,13 +60,31 @@ type DMLHook interface {
 	// the first appended row and postEpoch the epoch after commit, so an
 	// incremental consumer can prove the delta extends exactly the state it
 	// last observed — any unhooked write in between (a direct storage
-	// mutation, an in-place update) moves preEpoch past what the consumer
-	// covered and must force a rebuild instead of a merge.
+	// mutation) moves preEpoch past what the consumer covered and must force
+	// a rebuild instead of a merge.
 	OnInsert(table string, from, to int, preEpoch, postEpoch int64)
-	// OnMutate reports a committed mutation that is not a pure append:
-	// op is "update", "delete", or "drop". No delta is available; derived
-	// state over the table must rebuild.
-	OnMutate(table string, op string)
+	// OnMutate reports a committed mutation that is not a pure append. m
+	// describes a bounded in-place UPDATE row by row, so derived state can
+	// take the change as −old / +new; it is nil for everything else — an
+	// UPDATE of more than MutationBound rows, the joined UPDATE … FROM, DELETE,
+	// DROP — and derived state over the table must then rebuild.
+	OnMutate(table string, m *Mutation)
+}
+
+// MutationBound is how many affected rows an UPDATE may report image by
+// image (Mutation). Past it the images would cost more than the rebuild they
+// save, and the hook gets nil.
+const MutationBound = 64
+
+// Mutation is a committed in-place UPDATE of at most MutationBound rows: the
+// assigned columns, the affected row ids in ascending order with each row's
+// full image before and after, and the table's epochs bracketing the
+// statement (see DMLHook.OnInsert for what the pre-epoch proves).
+type Mutation struct {
+	Cols                []int
+	Rows                []int
+	Old, New            [][]value.Value
+	PreEpoch, PostEpoch int64
 }
 
 // dmlHookBox wraps the interface so a nil hook can be stored atomically.
@@ -91,9 +109,9 @@ func (e *Engine) notifyInsert(table string, from, to int, preEpoch, postEpoch in
 }
 
 // notifyMutate fires the hook for a committed non-append mutation.
-func (e *Engine) notifyMutate(table, op string) {
+func (e *Engine) notifyMutate(table string, m *Mutation) {
 	if b := e.dml.Load(); b != nil {
-		b.h.OnMutate(table, op)
+		b.h.OnMutate(table, m)
 	}
 }
 

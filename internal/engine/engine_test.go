@@ -29,7 +29,7 @@ func newTestEngine(t *testing.T) *Engine {
 	return e
 }
 
-func mustExec(t *testing.T, e *Engine, sql string) *Result {
+func mustExec(t testing.TB, e *Engine, sql string) *Result {
 	t.Helper()
 	r, err := e.ExecSQL(sql)
 	if err != nil {

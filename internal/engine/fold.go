@@ -937,35 +937,46 @@ func (w *foldWorker) foldRow(one []int32) error {
 // filters are error-free, refines it through each, recording per-filter
 // survivor counts.
 func (op *foldOp) selectBatch(base, bn int, sel []int32, passed []int64) []int32 {
-	sel = sel[:0]
-	for i := 0; i < bn; i++ {
-		sel = append(sel, int32(base+i))
-	}
+	sel = rowRange(sel, base, bn)
 	for i := 0; op.vector && i < len(op.filters); i++ {
 		if len(sel) > 0 {
-			sel = op.applySel(op.filters[i].pred, sel)
+			sel = applySel(op.tab, op.filters[i].pred, sel)
 		}
 		passed[i] += int64(len(sel))
 	}
 	return sel
 }
 
-// applySel refines a selection vector through one error-free predicate.
-func (op *foldOp) applySel(p expr.Expr, sel []int32) []int32 {
+// The selection kernels: the engine's one vectorized filter. The fold and the
+// single-table UPDATE and DELETE (dml.go) both refine a batch's row ids
+// through them.
+
+// rowRange resets sel to the row ids [base, base+bn).
+func rowRange(sel []int32, base, bn int) []int32 {
+	sel = sel[:bn]
+	for i := range sel {
+		sel[i] = int32(base + i)
+	}
+	return sel
+}
+
+// applySel refines a selection vector over tab's rows through one error-free
+// predicate.
+func applySel(tab *storage.Table, p expr.Expr, sel []int32) []int32 {
 	switch n := p.(type) {
 	case *expr.BinaryOp:
 		if col, val, ok := n.ColumnConst(); ok {
-			return op.eqSel(col, val, sel)
+			return eqSel(tab, col, val, sel)
 		}
 		// Truthy(AND) is both-truthy under 3VL, so successive refinement
 		// is exact.
-		sel = op.applySel(n.Left, sel)
+		sel = applySel(tab, n.Left, sel)
 		if len(sel) == 0 {
 			return sel
 		}
-		return op.applySel(n.Right, sel)
+		return applySel(tab, n.Right, sel)
 	case *expr.IsNull:
-		out, nulls := sel[:0], op.tab.Nulls(n.Operand.(*expr.ColumnRef).Index)
+		out, nulls := sel[:0], tab.Nulls(n.Operand.(*expr.ColumnRef).Index)
 		for _, r := range sel {
 			if nulls.Get(int(r)) != n.Negate {
 				out = append(out, r)
@@ -980,25 +991,25 @@ func (op *foldOp) applySel(p expr.Expr, sel []int32) []int32 {
 // the NULL bitmap cover same-kind int/string/bool compares; everything else
 // (floats, cross-kind) goes through per-row SQLEqual, which is still
 // error-free and bit-identical to the prepared comparison's Eval.
-func (op *foldOp) eqSel(col int, val value.Value, sel []int32) []int32 {
-	nulls := op.tab.Nulls(col)
+func eqSel(tab *storage.Table, col int, val value.Value, sel []int32) []int32 {
+	nulls := tab.Nulls(col)
 	switch val.Kind() {
 	case value.KindNull:
 		return sel[:0] // NULL compares to nothing; never truthy
 	case value.KindInt:
-		if ints, _, ok := op.tab.IntColumn(col); ok {
+		if ints, _, ok := tab.IntColumn(col); ok {
 			return eqKernel(ints, nulls, val.Int(), sel)
 		}
 	case value.KindString:
-		if strs, _, ok := op.tab.StringColumn(col); ok {
+		if strs, _, ok := tab.StringColumn(col); ok {
 			return eqKernel(strs, nulls, val.Str(), sel)
 		}
 	case value.KindBool:
-		if bools, _, ok := op.tab.BoolColumn(col); ok {
+		if bools, _, ok := tab.BoolColumn(col); ok {
 			return eqKernel(bools, nulls, val.Bool(), sel)
 		}
 	}
-	out, get := sel[:0], op.tab.CellGetter(col)
+	out, get := sel[:0], tab.CellGetter(col)
 	for _, r := range sel {
 		if value.SQLEqual(get(int(r)), val).Truthy() {
 			out = append(out, r)

@@ -254,10 +254,13 @@ func HasAggregate(e Expr) bool {
 	return found
 }
 
-// columns returns the distinct unbound column names referenced by e, in
+// Columns returns the distinct column names referenced by e (nil: none), in
 // first-appearance order.
-func columns(e Expr) []string {
+func Columns(e Expr) []string {
 	var out []string
+	if e == nil {
+		return nil
+	}
 	seen := make(map[string]bool)
 	_ = Walk(e, func(n Expr) error {
 		if cr, ok := n.(*ColumnRef); ok {

@@ -307,7 +307,7 @@ func TestColumnsHelper(t *testing.T) {
 	e := &BinaryOp{Op: "+",
 		Left:  &BinaryOp{Op: "*", Left: Col("a"), Right: Col("B")},
 		Right: &FuncCall{Name: "abs", Args: []Expr{Col("a")}}}
-	cols := columns(e)
+	cols := Columns(e)
 	if len(cols) != 2 || cols[0] != "a" || cols[1] != "B" {
 		t.Errorf("Columns = %v", cols)
 	}

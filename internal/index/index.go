@@ -7,6 +7,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/value"
 )
@@ -20,7 +21,10 @@ type Index struct {
 	columns []string // indexed column names, for catalog display
 	// buckets maps an encoded key to its row list through a pointer, so a row
 	// joining an existing key appends in place — no map assignment, which
-	// would allocate the key string again.
+	// would allocate the key string again. A row list is kept ascending: what
+	// building the index in row order produces, so a row moved between keys by
+	// an in-place update, or moved back by its undo, leaves the index exactly
+	// as a rebuild would.
 	buckets map[string]*[]int
 	entries int
 	// buf is the writer's encoding scratch. Writes are serialized by the
@@ -56,15 +60,21 @@ func (ix *Index) encode(vals []value.Value) []byte {
 }
 
 // Add records that row rid holds the key tuple vals. Only a key not yet
-// present allocates (its string and its row list).
+// present allocates (its string and its row list); a row id above every one
+// the key holds — every append — lands at the end without a search.
 func (ix *Index) Add(vals []value.Value, rid int) {
 	k := ix.encode(vals)
 	ix.entries++
-	if rows, ok := ix.buckets[string(k)]; ok {
-		*rows = append(*rows, rid)
+	rows, ok := ix.buckets[string(k)]
+	if !ok {
+		ix.buckets[string(k)] = &[]int{rid}
 		return
 	}
-	ix.buckets[string(k)] = &[]int{rid}
+	at := len(*rows)
+	if at > 0 && (*rows)[at-1] > rid {
+		at, _ = slices.BinarySearch(*rows, rid)
+	}
+	*rows = slices.Insert(*rows, at, rid)
 }
 
 // Remove forgets the (vals, rid) entry. It is a no-op if the entry is not
@@ -75,18 +85,15 @@ func (ix *Index) Remove(vals []value.Value, rid int) bool {
 	if !ok {
 		return false
 	}
-	for i, r := range *rows {
-		if r == rid {
-			(*rows)[i] = (*rows)[len(*rows)-1]
-			*rows = (*rows)[:len(*rows)-1]
-			if len(*rows) == 0 {
-				delete(ix.buckets, string(k))
-			}
-			ix.entries--
-			return true
-		}
+	i, found := slices.BinarySearch(*rows, rid)
+	if !found {
+		return false
 	}
-	return false
+	if *rows = slices.Delete(*rows, i, i+1); len(*rows) == 0 {
+		delete(ix.buckets, string(k))
+	}
+	ix.entries--
+	return true
 }
 
 // Lookup returns the row ids holding the key tuple vals. The returned slice

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,4 +142,24 @@ func TestIndexBuildAllocBudget(t *testing.T) {
 		t.Errorf("indexing %d rows over %d keys made %.0f allocations, budget %.0f", rows, keys, allocs, budget)
 	}
 	t.Logf("%.0f allocations", allocs)
+}
+
+// A key's row list stays ascending whatever order entries come and go in:
+// what an in-place update and its undo rely on to leave the index as a
+// rebuild in row order would.
+func TestRowListStaysAscending(t *testing.T) {
+	ix := New("i", []string{"d"})
+	for _, rid := range []int{4, 9, 2, 7, 2} {
+		ix.Add(key(1), rid)
+	}
+	if got := ix.Lookup(key(1)); !slices.Equal(got, []int{2, 2, 4, 7, 9}) {
+		t.Fatalf("after out-of-order adds: %v", got)
+	}
+	if !ix.Remove(key(1), 4) || ix.Remove(key(1), 5) {
+		t.Error("Remove must find 4 and miss 5")
+	}
+	ix.Add(key(1), 3)
+	if got := ix.Lookup(key(1)); !slices.Equal(got, []int{2, 2, 3, 7, 9}) || ix.Len() != 5 {
+		t.Errorf("after remove and re-add: %v, len %d", got, ix.Len())
+	}
 }

@@ -194,6 +194,40 @@ func (c *column) set(r int, v value.Value) error {
 	return nil
 }
 
+// without returns a copy of the column less the rows listed, ascending, in
+// drop: the kept runs between them are copied vector to vector, and NULL bits
+// are re-set row by row only when the column holds a NULL at all.
+func (c *column) without(drop []int32) *column {
+	out, n := newColumn(c.typ), c.len()-len(drop)
+	switch c.typ {
+	case TypeInt:
+		out.ints = keptRuns(make([]int64, 0, n), c.ints, drop)
+	case TypeFloat:
+		out.flts = keptRuns(make([]float64, 0, n), c.flts, drop)
+	case TypeString:
+		out.strs = keptRuns(make([]string, 0, n), c.strs, drop)
+	case TypeBool:
+		out.bools = keptRuns(make([]bool, 0, n), c.bools, drop)
+	}
+	for r, d := 0, 0; len(c.nulls.words) > 0 && r < c.len(); r++ {
+		if d < len(drop) && int(drop[d]) == r {
+			d++
+		} else if c.nulls.get(r) {
+			out.nulls.set(r - d)
+		}
+	}
+	return out
+}
+
+func keptRuns[T any](dst, src []T, drop []int32) []T {
+	from := 0
+	for _, d := range drop {
+		dst = append(dst, src[from:d]...)
+		from = int(d) + 1
+	}
+	return append(dst, src[from:]...)
+}
+
 // bitset is a growable bitmap used for null tracking.
 type bitset struct {
 	words []uint64

@@ -161,9 +161,7 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 	}
 	rid := t.nrows
 	t.nrows++
-	for i, ix := range t.indexes {
-		ix.Add(t.indexKey(i, rid), rid)
-	}
+	t.indexRow(rid, -1, true)
 	t.bumpEpoch()
 	return rid, nil
 }
@@ -208,8 +206,9 @@ func (t *Table) truncColumn(i, n int) {
 
 // TruncateTo discards rows n onward, restoring the table to an earlier row
 // count — the rollback half of the engine's statement-atomic INSERT (append
-// under a savepoint, truncate back on failure). Indexes are rebuilt from
-// the surviving rows. A count at or beyond the current size is a no-op.
+// under a savepoint, truncate back on failure). Only the discarded rows'
+// index entries are removed, newest first, so the cost is O(discarded rows)
+// whatever the table holds. A count at or beyond the current size is a no-op.
 func (t *Table) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
@@ -217,33 +216,45 @@ func (t *Table) TruncateTo(n int) {
 	if n >= t.nrows {
 		return
 	}
+	for r := t.nrows - 1; r >= n; r-- {
+		t.indexRow(r, -1, false)
+	}
 	for i := range t.cols {
 		t.truncColumn(i, n)
 	}
 	t.nrows = n
 	t.bumpEpoch()
-	defs := make([][2]any, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		defs = append(defs, [2]any{ix.Name(), ix.Columns()})
-	}
-	t.indexes, t.indexPos = nil, nil
-	for _, d := range defs {
-		// Re-create from surviving rows; errors are impossible for existing
-		// columns.
-		_, _ = t.CreateIndex(d[0].(string), d[1].([]string))
-	}
 }
 
 // EmptyClone returns a new zero-row table with the same name, schema,
 // primary key, and (empty) index definitions. It is the staging half of the
-// engine's statement-atomic table rewrites: build the new contents into the
-// clone, then publish it with Catalog.Put on success, so a mid-statement
-// failure leaves the live table untouched.
-func (t *Table) EmptyClone() *Table {
+// engine's journaled table rewrite: build the new contents into the clone,
+// then publish it with Catalog.Put on success, so a mid-statement failure
+// leaves the live table untouched.
+func (t *Table) EmptyClone() *Table { return t.staged(nil, 0) }
+
+// Without returns a staging table holding t's rows less those listed,
+// ascending, in drop — the staging half of DELETE: each column vector is
+// gathered by typed copies of the kept runs (column.without) and the indexes
+// are built over the result.
+func (t *Table) Without(drop []int32) *Table {
+	cols := make([]*column, len(t.cols))
+	for i, c := range t.cols {
+		cols[i] = c.without(drop)
+	}
+	return t.staged(cols, t.nrows-len(drop))
+}
+
+// staged returns a new table under t's name, schema, primary key and index
+// definitions over the given column vectors (nil: none, zero rows).
+func (t *Table) staged(cols []*column, nrows int) *Table {
 	c, err := NewTable(t.name, t.schema)
 	if err != nil {
 		// t's schema was validated when t was created.
-		panic("storage: EmptyClone of invalid table: " + err.Error())
+		panic("storage: staging clone of invalid table: " + err.Error())
+	}
+	if cols != nil {
+		c.cols, c.nrows = cols, nrows
 	}
 	c.primaryKey = append([]int(nil), t.primaryKey...)
 	for _, ix := range t.indexes {
@@ -274,24 +285,66 @@ func (t *Table) set(row, col int, v value.Value) error {
 	if row < 0 || row >= t.nrows {
 		return fmt.Errorf("storage: table %q: row %d out of range", t.name, row)
 	}
-	var touched []int
-	for i, pos := range t.indexPos {
-		if slices.Contains(pos, col) {
-			touched = append(touched, i)
-		}
-	}
-	for _, i := range touched {
-		t.indexes[i].Remove(t.indexKey(i, row), row)
-	}
+	t.indexRow(row, col, false)
 	err := t.cols[col].set(row, v)
-	for _, i := range touched {
-		t.indexes[i].Add(t.indexKey(i, row), row)
-	}
+	t.indexRow(row, col, true)
 	if err != nil {
 		return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[col].Name, err)
 	}
 	t.bumpEpoch()
 	return nil
+}
+
+// indexRow is the per-row index maintenance every writer shares: it adds row
+// rid's entry to — or, add unset, removes it from — each index with col among
+// its keys, every index when col is -1.
+func (t *Table) indexRow(rid, col int, add bool) {
+	for i, ix := range t.indexes {
+		switch {
+		case col >= 0 && !slices.Contains(t.indexPos[i], col):
+		case add:
+			ix.Add(t.indexKey(i, rid), rid)
+		default:
+			ix.Remove(t.indexKey(i, rid), rid)
+		}
+	}
+}
+
+// Undo is the record an in-place UPDATE writes under: the cell each Set
+// overwrote, in write order, and the epoch the table held before the first.
+// The statement either drops the record — the writes stand, the commit — or
+// calls Rollback on any other exit.
+type Undo struct {
+	t     *Table
+	epoch int64
+	cells []undoCell
+}
+
+type undoCell struct {
+	row, col int
+	old      value.Value
+}
+
+// BeginUpdate opens an undo record on the table as it stands.
+func (t *Table) BeginUpdate() *Undo { return &Undo{t: t, epoch: t.Epoch()} }
+
+// Set logs the cell at (row, col) and overwrites it with v, moving the row's
+// entry in an index only when col is one of its keys. A value the column
+// cannot store is an error and leaves the cell as it was.
+func (u *Undo) Set(row, col int, v value.Value) error {
+	u.cells = append(u.cells, undoCell{row, col, u.t.cols[col].get(row)})
+	return u.t.set(row, col, v)
+}
+
+// Rollback writes the logged cells back, newest first, and restores the
+// pre-statement epoch: cells, indexes and epoch are as BeginUpdate found them.
+func (u *Undo) Rollback() {
+	for i := len(u.cells) - 1; i >= 0; i-- {
+		c := u.cells[i]
+		_ = u.t.set(c.row, c.col, c.old) // the cell was read from this column: it stores
+	}
+	u.cells = nil
+	u.t.epoch.Store(u.epoch)
 }
 
 // CreateIndex builds a hash index over the named columns, populated from the

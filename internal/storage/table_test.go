@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/value"
@@ -318,5 +319,99 @@ func TestColumnTypeNames(t *testing.T) {
 	}
 	if _, err := typeForKind(value.KindNull); err == nil {
 		t.Error("typeForKind(NULL) must fail")
+	}
+}
+
+// indexed is a five-row table indexed on state, with a NULL measure.
+func indexed(t *testing.T) *Table {
+	t.Helper()
+	tb := mustTable(t)
+	for i, st := range []string{"CA", "TX", "CA", "TX", "CA"} {
+		amt := value.NewInt(int64(i))
+		if i == 3 {
+			amt = value.Null
+		}
+		if _, err := tb.AppendRow([]value.Value{value.NewString(st), value.NewString("c"), amt}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tb.CreateIndex("by_state", []string{"state"}); err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+func lookup(tb *Table, state string) []int {
+	return tb.Indexes()[0].Lookup([]value.Value{value.NewString(state)})
+}
+
+func TestUndoRollbackRestoresCellsIndexesAndEpoch(t *testing.T) {
+	tb := indexed(t)
+	epoch := tb.Epoch()
+	u := tb.BeginUpdate()
+	for _, w := range []struct {
+		row, col int
+		v        value.Value
+	}{{0, 0, value.NewString("TX")}, {0, 2, value.Null}, {3, 2, value.NewInt(9)}, {2, 0, value.NewString("NV")}, {0, 0, value.NewString("NV")}} {
+		if err := u.Set(w.row, w.col, w.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lookup(tb, "NV"); !slices.Equal(got, []int{0, 2}) || tb.Epoch() == epoch {
+		t.Fatalf("mid-update: NV rows %v (want ascending [0 2]), epoch moved: %v", got, tb.Epoch() != epoch)
+	}
+	if err := u.Set(1, 2, value.NewString("x")); err == nil || tb.Get(1, 2).Int() != 1 {
+		t.Fatalf("a value the column cannot store: err %v, cell %v", err, tb.Get(1, 2))
+	}
+	u.Rollback()
+	if tb.Epoch() != epoch {
+		t.Errorf("epoch %d after rollback, want %d", tb.Epoch(), epoch)
+	}
+	if ca, tx, nv := lookup(tb, "CA"), lookup(tb, "TX"), lookup(tb, "NV"); !slices.Equal(ca, []int{0, 2, 4}) || !slices.Equal(tx, []int{1, 3}) || len(nv) != 0 {
+		t.Errorf("index after rollback: CA %v TX %v NV %v", ca, tx, nv)
+	}
+	if tb.Get(0, 0).Str() != "CA" || tb.Get(0, 2).Int() != 0 || !tb.Get(3, 2).IsNull() || tb.Get(2, 0).Str() != "CA" {
+		t.Errorf("cells after rollback: %v %v %v", tb.Row(0, nil), tb.Row(2, nil), tb.Row(3, nil))
+	}
+}
+
+func TestTruncateToRemovesOnlyDiscardedIndexEntries(t *testing.T) {
+	tb := indexed(t)
+	ix := tb.Indexes()[0]
+	tb.TruncateTo(2)
+	if tb.Indexes()[0] != ix || ix.Len() != 2 {
+		t.Fatalf("index %p len %d after TruncateTo(2), want the same object %p with 2 entries", tb.Indexes()[0], ix.Len(), ix)
+	}
+	if ca, tx := lookup(tb, "CA"), lookup(tb, "TX"); !slices.Equal(ca, []int{0}) || !slices.Equal(tx, []int{1}) {
+		t.Errorf("index after TruncateTo: CA %v TX %v", ca, tx)
+	}
+	// The discarded NULL's bit is gone: a row appended there is not NULL.
+	tb.AppendRow([]value.Value{value.NewString("TX"), value.NewString("c"), value.NewInt(7)})
+	tb.AppendRow([]value.Value{value.NewString("TX"), value.NewString("c"), value.NewInt(8)})
+	if tb.Get(3, 2).IsNull() || !slices.Equal(lookup(tb, "TX"), []int{1, 2, 3}) {
+		t.Errorf("after re-append: cell %v, TX %v", tb.Get(3, 2), lookup(tb, "TX"))
+	}
+}
+
+func TestWithoutGathersKeptRows(t *testing.T) {
+	tb := indexed(t)
+	epoch := tb.Epoch()
+	c := tb.Without([]int32{0, 3})
+	if c.NumRows() != 3 || tb.NumRows() != 5 || tb.Epoch() != epoch || c.Epoch() <= epoch {
+		t.Fatalf("rows %d (source %d), epochs %d → %d", c.NumRows(), tb.NumRows(), epoch, c.Epoch())
+	}
+	for r, want := range []int64{1, 2, 4} {
+		if c.Get(r, 2).IsNull() || c.Get(r, 2).Int() != want {
+			t.Errorf("row %d = %v, want amt %d", r, c.Row(r, nil), want)
+		}
+	}
+	if ca, tx := lookup(c, "CA"), lookup(c, "TX"); !slices.Equal(ca, []int{1, 2}) || !slices.Equal(tx, []int{0}) {
+		t.Errorf("index over the gathered rows: CA %v TX %v", ca, tx)
+	}
+	if kept := tb.Without([]int32{0, 1, 2, 4}); kept.NumRows() != 1 || !kept.Get(0, 2).IsNull() {
+		t.Errorf("a kept NULL must stay NULL: %v", kept.Row(0, nil))
+	}
+	if all := tb.Without(nil); all.NumRows() != 5 || !all.Get(3, 2).IsNull() || all.Get(4, 2).Int() != 4 {
+		t.Errorf("dropping nothing must copy everything")
 	}
 }
