@@ -41,10 +41,11 @@ const (
 	// AggMerge fires at the start of that helper's merge, after every
 	// worker has finished.
 	AggMerge = "engine.agg.merge"
-	// CoreBatch fires at the gate of the fold operator (every GROUP BY and
-	// SELECT DISTINCT). An injected error does NOT fail the query: execution
-	// silently falls back to the sequential reference, hashAggregateSeq,
-	// counted in batch.fallbacks. Panics propagate to the statement
+	// CoreBatch fires at the gate of the batch operators: the fold (every
+	// GROUP BY and SELECT DISTINCT) and the column path of a plain SELECT. An
+	// injected error does NOT fail the query: execution silently falls back to
+	// the row-at-a-time reference — hashAggregateSeq, counted in
+	// batch.fallbacks, or the row iterators. Panics propagate to the statement
 	// containment and surface as typed PCT206 errors.
 	CoreBatch = "core.batch"
 	// InsertSink fires before each row is appended to the staging table of

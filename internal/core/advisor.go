@@ -14,9 +14,9 @@ import (
 // into Fk (b < a) plus c·|Fk| to write Fk, divide it and transpose it: it
 // pays iff |F|/|Fk| > c/(a−b), a ratio that does not depend on scale. The
 // value is measured over Table 5, DMKD Table 3 and probe queries between
-// their rows (EXPERIMENTS.md, "The advisor's constant"): from FV is behind or
-// tied up to a ratio of 50 and ahead or tied from 60.
-const fromFVRatio = 55
+// their rows (EXPERIMENTS.md, "The advisor's constant"): from FV is behind up
+// to a ratio of 25 and ahead or tied from 43.
+const fromFVRatio = 45
 
 // Advise picks evaluation strategies for a percentage query from live table
 // statistics:

@@ -47,7 +47,11 @@ const fuzzManyGroups = 3500
 // (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
 // two families in one statement, arms whose THEN or sum() fails on some rows
 // only, arms under a WHERE, over a join and without GROUP BY, and shapes that
-// must not dispatch beside ones that do. fuzzManyGroupQueries, appended last,
+// must not dispatch beside ones that do. fuzzPlainQueries are the column
+// path's shapes — nothing folds: gathers of every type, kernel and evaluated
+// filters, the guarded division, items and predicates that raise on some
+// rows, inner, outer and NULL-safe joins, ORDER BY on packable, REAL and
+// VARCHAR keys, over a selection, with LIMIT. fuzzManyGroupQueries, appended last,
 // are the many-group shapes: thousands of groups grown across batches and
 // merged across partitions under an INTEGER key (fixed-width route), a
 // VARCHAR key and a computed key (byte route, the latter row-major), a
@@ -83,7 +87,21 @@ var fuzzFoldQueries = append([]string{
 	"SELECT x.d1, sum(CASE WHEN y.d2 = 0 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 = 1 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 IS NULL THEN x.a ELSE 0 END) FROM f x, f y WHERE x.a = y.a AND y.d1 = 0 GROUP BY x.d1",
 	"SELECT sum(CASE WHEN d2 = 0 THEN b ELSE 0 END), sum(CASE WHEN d2 = 5 THEN b ELSE 0 END), count(CASE WHEN d2 = 0 THEN 1 END) FROM f",
 	"SELECT d1, sum(CASE WHEN d2 = 1 OR d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1.0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 1 END), sum(CASE WHEN d2 IS NOT NULL THEN b ELSE 0 END), sum(CASE WHEN b = 0.5 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END) FROM f GROUP BY d1",
-}, fuzzManyGroupQueries...)
+}, append(fuzzPlainQueries, fuzzManyGroupQueries...)...)
+
+var fuzzPlainQueries = []string{
+	"SELECT * FROM f",
+	"SELECT id, d3, b, c FROM f WHERE d2 = 1 AND c IS NOT NULL",
+	"SELECT id, a * 2, CASE WHEN d2 <> 0 THEN a / d2 ELSE NULL END, CASE WHEN b <> 0 THEN a / b ELSE NULL END FROM f WHERE d1 = 2 AND b > 0",
+	"SELECT id, 10 / d2, a + d3 FROM f WHERE d1 = 4 AND a = 20",
+	"SELECT id, d3 FROM f WHERE 10 / d2 > 2 AND d1 = 1",
+	"SELECT x.id, y.b, CASE WHEN y.b <> 0 THEN x.a / y.b ELSE NULL END FROM f x, f y WHERE x.id = y.a",
+	"SELECT x.id, y.id, y.s FROM f x LEFT OUTER JOIN f y ON x.a = y.id AND x.d2 = y.d2",
+	"SELECT x.id, y.d3 FROM f x, f y WHERE (x.d1 = y.a OR (x.d1 IS NULL AND y.a IS NULL)) AND y.id = 7",
+	"SELECT id, d1, d2 FROM f ORDER BY d1 DESC, d2, c, id",
+	"SELECT id, b FROM f WHERE d2 = 2 ORDER BY b DESC, d3, a LIMIT 50",
+	"SELECT s, a + 1 FROM f WHERE c ORDER BY a, id DESC",
+}
 
 var fuzzManyGroupQueries = []string{
 	"SELECT id, d1, sum(a), count(*), count(a) FROM f GROUP BY id, d1",

@@ -22,20 +22,21 @@ import (
 // target with the atomicity, snapshot and budget semantics of the buffered
 // insert, and the three statement-level fixes that rode along.
 
-// sortFixture loads s(id, i, f, v, b): a row number, then one nullable key
-// column per type with few distinct values, so ties and NULLs are common.
-// REAL holds -0.0 next to +0.0 (equal under value.Compare) and, only when
-// withNaN is set, NaN.
+// sortFixture loads s(id, i, f, v, b, w): a row number, then one nullable key
+// column per type with few distinct values, so ties and NULLs are common, and
+// w, INTEGERs from both ends of the 64-bit range. REAL holds -0.0 next to +0.0
+// (equal under value.Compare) and, only when withNaN is set, NaN.
 func sortFixture(t *testing.T, rng *rand.Rand, n int, withNaN bool) *Engine {
 	t.Helper()
 	e := New(storage.NewCatalog())
-	mustExec(t, e, "CREATE TABLE s (id INTEGER, i INTEGER, f REAL, v VARCHAR, b BOOLEAN)")
+	mustExec(t, e, "CREATE TABLE s (id INTEGER, i INTEGER, f REAL, v VARCHAR, b BOOLEAN, w INTEGER)")
 	tab, _ := e.Catalog().Get("s")
 	floats := []float64{-1.5, math.Copysign(0, -1), 0, 2.25, math.Inf(1)}
 	if withNaN {
 		floats = append(floats, math.NaN())
 	}
 	strs := []string{"", "a", "ab", "b", "B"}
+	wide := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 7, math.MaxInt64}
 	for r := 0; r < n; r++ {
 		row := []value.Value{
 			value.NewInt(int64(r)),
@@ -43,6 +44,7 @@ func sortFixture(t *testing.T, rng *rand.Rand, n int, withNaN bool) *Engine {
 			value.NewFloat(floats[rng.Intn(len(floats))]),
 			value.NewString(strs[rng.Intn(len(strs))]),
 			value.NewBool(rng.Intn(2) == 0),
+			value.NewInt(wide[rng.Intn(len(wide))]),
 		}
 		for c := 1; c < len(row); c++ {
 			if rng.Intn(6) == 0 {
@@ -83,13 +85,31 @@ func renderRows(rows [][]value.Value) string {
 	return sb.String()
 }
 
-// TestPermutationSortMatchesStableSort pins ORDER BY, on both of its paths,
+// TestPermutationSortMatchesStableSort pins ORDER BY, on each of its routes,
 // to the stable row sort: random key lists over every column type with NULLs,
-// duplicates, DESC, positions, hidden columns and computed keys.
+// duplicates, DESC, positions, hidden columns and computed keys — packed when
+// every key is an INTEGER or BOOLEAN column whose codes fit a word beside the
+// position, by comparator over the vectors when one is not or w's range
+// overflows it (and always on the reference path), by value.Compare over
+// collected rows when the select list computes.
 func TestPermutationSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	e := sortFixture(t, rng, 700, false)
-	base := mustExec(t, e, "SELECT id, i, f, v, b FROM s").Rows
+	base := mustExec(t, e, "SELECT id, i, f, v, b, w FROM s").Rows
+	tab, _ := e.Catalog().Get("s")
+	for _, tc := range []struct {
+		cols   []int
+		packed bool
+	}{{[]int{1}, true}, {[]int{4, 1}, true}, {[]int{0, 1, 4}, true}, {[]int{5}, false}, {[]int{1, 5}, false}, {[]int{1, 2}, false}, {[]int{3}, false}} {
+		keys := make([]sortKey, len(tc.cols))
+		for i, c := range tc.cols {
+			keys[i] = columnKey(tab, c, i%2 == 1)
+		}
+		ids, _ := positions(tab.NumRows())
+		if got := packedSort(ids, keys); got != tc.packed {
+			t.Errorf("packedSort over columns %v = %v, want %v", tc.cols, got, tc.packed)
+		}
+	}
 	// Key expressions by the column of s they order by. "i + 0" and
 	// "CASE …" are computed, so their statements take the collected path; the
 	// second is a mixed-kind key (INTEGER, VARCHAR and NULL in one column).
@@ -97,8 +117,9 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 		sql string
 		col int
 	}
-	stored := []key{{"i", 1}, {"f", 2}, {"v", 3}, {"b", 4}, {"2", 1}, {"4", 3}}
-	for round := 0; round < 60; round++ {
+	stored := []key{{"i", 1}, {"f", 2}, {"v", 3}, {"b", 4}, {"2", 1}, {"4", 3}, {"w", 5}, {"b", 4}, {"i", 1}}
+	for round := 0; round < 120; round++ {
+		e.SetBatch(round%4 != 3) // every fourth round on the reference path
 		var keys []key
 		for n := 1 + rng.Intn(3); len(keys) < n; {
 			keys = append(keys, stored[rng.Intn(len(stored))])
@@ -115,7 +136,7 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 		// Sorted at the scan; the same keys hidden behind a narrower select list
 		// (positions need their column visible); and collected, because the
 		// select list computes.
-		got := mustExec(t, e, "SELECT id, i, f, v, b FROM s"+orderBy).Rows
+		got := mustExec(t, e, "SELECT id, i, f, v, b, w FROM s"+orderBy).Rows
 		if g := renderRows(got); g != want {
 			t.Fatalf("scan-sorted%s differs from the stable sort\ngot:\n%.400s\nwant:\n%.400s", orderBy, g, want)
 		}
@@ -127,11 +148,13 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 				}
 			}
 		}
-		coll := mustExec(t, e, "SELECT id + 0, i, f, v, b FROM s"+orderBy).Rows
+		coll := mustExec(t, e, "SELECT id + 0, i, f, v, b, w FROM s"+orderBy).Rows
 		if g := renderRows(coll); g != want {
 			t.Fatalf("collected%s differs from the stable sort\ngot:\n%.400s\nwant:\n%.400s", orderBy, g, want)
 		}
 	}
+
+	e.SetBatch(true)
 
 	// A mixed-kind computed key exists only on the collected path.
 	mixed := "CASE WHEN b THEN i WHEN v = 'a' THEN NULL ELSE v END"
@@ -178,6 +201,53 @@ func TestSortNaNOrderPinned(t *testing.T) {
 }
 
 const nanPinned = "1|\n2|\n3|\n4|\n5|\n"
+
+// TestFilteredOrderBySortsIds: a plain select that filters one stored table
+// and orders by its columns sorts the selected row ids — on the column path
+// and on the reference path — and returns what collecting the passing rows
+// and sorting them returned: same rows, same order, NULLs first, DESC and
+// LIMIT honoured, under kernel and evaluated predicates alike, and a key
+// holding NaN ordered as the collected sort orders it.
+func TestFilteredOrderBySortsIds(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	e := sortFixture(t, rng, 2500, false)
+	for _, batch := range []bool{true, false} {
+		e.SetBatch(batch)
+		for _, where := range []string{"i = 1", "b IS NOT NULL AND i = -1", "f > 0", "i = 0 AND f <= 2.25", "v = 'zz'"} {
+			base := mustExec(t, e, "SELECT id, i, f, v, b, w FROM s WHERE "+where).Rows
+			for _, tc := range []struct {
+				by    string
+				cols  []int
+				desc  []bool
+				limit int
+			}{
+				{"b, w", []int{4, 5}, []bool{false, false}, -1},
+				{"i DESC, b, id DESC", []int{1, 4, 0}, []bool{true, false, true}, -1},
+				{"f, v DESC", []int{2, 3}, []bool{false, true}, -1},
+				{"w DESC, i", []int{5, 1}, []bool{true, false}, 9},
+				{"v, b DESC", []int{3, 4}, []bool{false, true}, 0},
+			} {
+				want := stableSorted(base, tc.cols, tc.desc)
+				sql := "SELECT id, i, f, v, b, w FROM s WHERE " + where + " ORDER BY " + tc.by
+				if tc.limit >= 0 {
+					sql += fmt.Sprint(" LIMIT ", tc.limit)
+					want = want[:min(tc.limit, len(want))]
+				}
+				if got := renderRows(mustExec(t, e, sql).Rows); got != renderRows(want) {
+					t.Errorf("batch=%v %s differs from the stable sort of the passing rows\ngot:\n%.300s\nwant:\n%.300s", batch, sql, got, renderRows(want))
+				}
+			}
+		}
+	}
+	e = sortFixture(t, rand.New(rand.NewSource(5)), 600, true)
+	coll := renderRows(mustExec(t, e, "SELECT id + 0, f FROM s WHERE i >= 0 ORDER BY f, 1").Rows)
+	for _, batch := range []bool{true, false} {
+		e.SetBatch(batch)
+		if got := renderRows(mustExec(t, e, "SELECT id, f FROM s WHERE i >= 0 ORDER BY f, id").Rows); got != coll {
+			t.Errorf("batch=%v: a filtered ORDER BY over NaN differs from the collected sort", batch)
+		}
+	}
+}
 
 func TestOrderByPositionBoundByVisibleList(t *testing.T) {
 	e := New(storage.NewCatalog())
@@ -502,5 +572,90 @@ func TestUpdateFromGoverned(t *testing.T) {
 		{value.NewInt(-1), value.NewFloat(1)}, {value.NewInt(5), value.NewFloat(1)}, {value.NewInt(7), value.NewFloat(1.5)},
 	}) {
 		t.Errorf("rows after the update:\n%s", got)
+	}
+}
+
+// TestBatchInsertKeepsTheRowPathsContracts: the bulk append behind a batch of
+// columns fails, is governed and is cancelled where the row-at-a-time append
+// is. On both paths — the column path and the reference — a sink fault armed
+// for row k of the second batch fires once, after the same number of hits; a
+// REAL that is no integer at row 1 500 of an INSERT into an INTEGER column
+// fails with AppendRow's message; MaxRows and MaxBytes trip with their codes;
+// and a cancelled 42 000-row join-insert puts no more than one stride of rows
+// through the sink after the cancel. The target, its index and its row count
+// are as before every time.
+func TestBatchInsertKeepsTheRowPathsContracts(t *testing.T) {
+	const k = 300
+	e := fkEngine(t)
+	mustExec(t, e, `CREATE TABLE dst (g INTEGER, a INTEGER, PRIMARY KEY (g)); INSERT INTO dst VALUES (-1, 0), (-2, 0);
+		CREATE TABLE src (g INTEGER, r REAL)`)
+	src, _ := e.Catalog().Get("src")
+	for i := 0; i < 3000; i++ {
+		r := float64(i)
+		if i == 1500 {
+			r = 1500.5
+		}
+		src.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewFloat(r)})
+	}
+	const joinInsert = "INSERT INTO dst SELECT fk.m1 * 0 + fk.k3 * 1000 + fk.k4, fk.k1 FROM fk, fj WHERE fk.k1 = fj.k1 AND fk.k2 = fj.k2"
+	chaos.Enable()
+	defer chaos.Disable()
+	type outcome struct {
+		err   string
+		fired int
+	}
+	var ref []outcome
+	for _, batch := range []bool{false, true} {
+		e.SetBatch(batch)
+		var got []outcome
+		check := func(name string, ctx context.Context, sql, wantCode string) {
+			t.Helper()
+			before := stateOf(t, e, "dst")
+			_, err := e.ExecSQLCtxP(ctx, sql, 2)
+			o := outcome{fired: chaos.Fired(chaos.InsertSink)}
+			chaos.Disarm(chaos.InsertSink)
+			if err == nil {
+				t.Fatalf("batch=%v %s: statement succeeded", batch, name)
+			}
+			o.err = err.Error()
+			if got = append(got, o); wantCode != "" && diag.CodeOf(err) != wantCode {
+				t.Errorf("batch=%v %s: err = %v, want code %s", batch, name, err, wantCode)
+			}
+			after := stateOf(t, e, "dst")
+			before.epoch, after.epoch = 0, 0
+			if !reflect.DeepEqual(before, after) {
+				t.Errorf("batch=%v %s: target changed by a failed statement\nbefore %+v\nafter  %+v", batch, name, before, after)
+			}
+		}
+		chaos.Arm(chaos.InsertSink, chaos.Fault{Err: errors.New("injected sink fault"), After: govStride + k - 1})
+		check("sink fault", context.Background(), "INSERT INTO dst SELECT g, g FROM src", "")
+		check("REAL into INTEGER", context.Background(), "INSERT INTO dst SELECT g, r FROM src", "")
+		if want := `storage: table "dst" column "a": storage: cannot store REAL 1500.5 in INTEGER column`; !strings.HasPrefix(got[1].err, want) {
+			t.Errorf("batch=%v: err = %q, want %q", batch, got[1].err, want)
+		}
+		check("MaxRows", WithLimits(context.Background(), Limits{MaxRows: 2000}), "INSERT INTO dst SELECT g, g FROM src", diag.CodeRowLimit)
+		check("MaxBytes", WithLimits(context.Background(), Limits{MaxBytes: 60_000}), "INSERT INTO dst SELECT g, g FROM src", diag.CodeByteBudget)
+		check("MaxRows, joined", WithLimits(context.Background(), Limits{MaxRows: 30_000}), joinInsert, diag.CodeRowLimit)
+		// Every hit of an armed fault that does nothing counts a row reaching
+		// the sink; every governor check counts one call of the context.
+		const checks = 12
+		cancel := &countdownCtx{Context: context.Background(), after: checks}
+		chaos.Arm(chaos.InsertSink, chaos.Fault{})
+		check("cancelled join-insert", WithLimits(cancel, Limits{MaxRows: math.MaxInt64}), joinInsert, diag.CodeCancelled)
+		if rows := got[len(got)-1].fired; rows == 0 || rows > (checks+1)*govStride {
+			t.Errorf("batch=%v: %d rows reached the sink of a join-insert cancelled at check %d, want within (0, %d]", batch, rows, checks, (checks+1)*govStride)
+		}
+		if !batch {
+			ref = got
+			continue
+		}
+		for i := range ref[:2] {
+			if got[i] != ref[i] {
+				t.Errorf("failure %d: column path %+v, row path %+v", i, got[i], ref[i])
+			}
+		}
+		if ref[0].fired != 1 {
+			t.Errorf("the sink fault fired %d times, want once", ref[0].fired)
+		}
 	}
 }

@@ -68,16 +68,18 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-// insertSink appends the rows pushed into it to the INSERT's target table —
+// insertSink appends what is pushed into it to the INSERT's target table —
 // the column-vector end of a generated step's dataflow. Each row passes the
-// insert.sink fault point, is spread over the target's columns when the
-// statement names a column list, and is charged once, rows and bytes, against
-// the statement's budgets.
+// insert.sink fault point before it is in the table, is spread over the
+// target's columns when the statement names a column list, and is charged
+// once, rows and bytes, against the statement's budgets. A batch of columns
+// goes in through the table's typed bulk append, one row through AppendRow.
 type insertSink struct {
 	name   string // the target as the statement spells it, for errors
 	tab    *storage.Table
-	colMap []int         // target position of source column i; nil = schema order
-	full   []value.Value // one target row, the unlisted columns NULL
+	colMap []int             // target position of source column i; nil = schema order
+	full   []value.Value     // one target row, the unlisted columns NULL
+	spread []*storage.Vector // one batch by target position, the unlisted columns nil
 	n      int
 	charge rowCharge
 	// A statement traced in full clocks every push — the producing stage and
@@ -99,16 +101,39 @@ func (s *insertSink) push(row []value.Value) error {
 	return err
 }
 
-func (s *insertSink) append(row []value.Value) error {
-	if err := chaos.Hit(chaos.InsertSink); err != nil {
-		return err
+func (s *insertSink) pushCols(cols []*storage.Vector, n int) error {
+	if n == 0 {
+		return nil
 	}
+	if s.clock.IsZero() {
+		return s.appendCols(cols, n)
+	}
+	t0 := time.Since(s.clock)
+	err := s.appendCols(cols, n)
+	s.elapsed += time.Since(s.clock) - t0
+	return err
+}
+
+// width checks the number of values the SELECT supplies per row.
+func (s *insertSink) width(got int) error {
 	want := s.tab.NumCols()
 	if s.colMap != nil {
 		want = len(s.colMap)
 	}
-	if len(row) != want {
-		return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", s.name, want, len(row))
+	if got != want {
+		return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", s.name, want, got)
+	}
+	return nil
+}
+
+func hitInsertSink() error { return chaos.Hit(chaos.InsertSink) }
+
+func (s *insertSink) append(row []value.Value) error {
+	if err := hitInsertSink(); err != nil {
+		return err
+	}
+	if err := s.width(len(row)); err != nil {
+		return err
 	}
 	if s.colMap != nil {
 		for i, j := range s.colMap {
@@ -121,6 +146,27 @@ func (s *insertSink) append(row []value.Value) error {
 	}
 	s.n++
 	return s.charge.add(row)
+}
+
+func (s *insertSink) appendCols(cols []*storage.Vector, n int) error {
+	if err := s.width(len(cols)); err != nil {
+		return err
+	}
+	src := cols
+	if s.colMap != nil {
+		if s.spread == nil {
+			s.spread = make([]*storage.Vector, s.tab.NumCols())
+		}
+		for i, j := range s.colMap {
+			s.spread[j] = cols[i]
+		}
+		src = s.spread
+	}
+	if err := s.tab.AppendVectors(src, n, hitInsertSink); err != nil {
+		return err
+	}
+	s.n += n
+	return s.charge.addCols(cols, n, len(src)-len(cols))
 }
 
 // execInsert appends VALUES rows or the result of INSERT … SELECT. The
@@ -245,39 +291,21 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 // no epoch tick, no hook.
 
 // selectRows returns, ascending, the ids of t's rows that where admits (nil:
-// every row). An error-free predicate refines each batch of row ids through
-// the selection kernels the fold uses (applySel); any other walks a RowView
-// row by row and stops at the first error. Scanned rows are charged, and the
-// statement cancellable, a govStride at a time.
+// every row): each batch of row ids is refined through a tableFilter — the
+// selection kernels for what they admit, a RowView walk that stops at the
+// first error for the rest. Scanned rows are charged, and the statement
+// cancellable, a govStride at a time.
 func selectRows(t *storage.Table, where expr.Expr, gov *governor) ([]int32, error) {
 	n := t.NumRows()
 	buf := batch.Default.GetSel(min(batch.Size, n))
 	defer batch.Default.PutSel(buf)
-	var view *storage.RowView
-	if where != nil && !expr.ErrFree(where) {
-		view = t.NewRowView()
-	}
+	filter := newTableFilter(t, where)
 	var ids []int32
 	for base := 0; base < n; base += batch.Size {
 		bn := min(batch.Size, n-base)
-		sel := rowRange(buf, base, bn)
-		switch {
-		case where == nil:
-		case view == nil:
-			sel = applySel(t, where, sel)
-		default:
-			out := sel[:0]
-			for _, r := range sel {
-				view.Seek(int(r))
-				v, err := where.Eval(view)
-				if err != nil {
-					return nil, err
-				}
-				if v.Truthy() {
-					out = append(out, r)
-				}
-			}
-			sel = out
+		sel, err := filter.apply(rowRange(buf, base, bn))
+		if err != nil {
+			return nil, err
 		}
 		ids = append(ids, sel...)
 		if err := gov.addScanned(int64(bn)); err != nil {
@@ -495,7 +523,8 @@ func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, 
 			}
 		}
 		row = t.Row(r, row)
-		for _, m := range build.probe(row) {
+		box.vals = row
+		for _, m := range build.probe(&box) {
 			comb = append(comb[:0], row...)
 			for c := 0; c < build.tab.NumCols(); c++ {
 				comb = append(comb, build.tab.Get(m, c))

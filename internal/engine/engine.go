@@ -36,8 +36,9 @@ type Engine struct {
 	// intro is the introspection state (nil = off); see introspect.go.
 	// Atomic so enabling/disabling races safely with statements in flight.
 	intro atomic.Pointer[introState]
-	// batchOff sends every fold to the sequential reference instead of the
-	// fold operator (fold.go). Stored inverted so the zero value is "on"; atomic for the same
+	// batchOff sends every statement to the row-at-a-time reference operators
+	// instead of the fold operator (fold.go) and the column path (columns.go).
+	// Stored inverted so the zero value is "on"; atomic for the same
 	// concurrent-submitter reason as par.
 	batchOff atomic.Bool
 	// virt maps lowercased names to registered read-only virtual relations
@@ -131,13 +132,15 @@ func (e *Engine) SetParallelism(p int) { e.par.Store(int32(p)) }
 // Parallelism returns the engine's default parallelism.
 func (e *Engine) Parallelism() int { return int(e.par.Load()) }
 
-// SetBatch toggles the fold operator (on by default). Off sends every
-// GROUP BY to the row-at-a-time sequential reference fold, on one worker
-// whatever the parallelism — the reference the differential suite and
-// pctbench compare against.
+// SetBatch toggles the batch operators (on by default). Off selects the whole
+// row-at-a-time reference: every GROUP BY and DISTINCT goes to the sequential
+// reference fold, on one worker whatever the parallelism, every plain SELECT
+// pulls boxed rows through the iterators into the sinks' row push, and ORDER
+// BY sorts by comparator only — the engine the differential suite and pctbench
+// compare the batch operators against.
 func (e *Engine) SetBatch(on bool) { e.batchOff.Store(!on) }
 
-// BatchEnabled reports whether the fold operator is enabled.
+// BatchEnabled reports whether the batch operators are enabled.
 func (e *Engine) BatchEnabled() bool { return !e.batchOff.Load() }
 
 // Catalog returns the engine's catalog.

@@ -256,8 +256,9 @@ func hashAggregate(in iterator, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 // reads it: get boxes it for a row of the stored table, e evaluates against
 // the row view (or the drained row). Both fields nil is an absent argument.
 type foldInput struct {
-	get func(row int) value.Value // bare column of the stored table
-	e   expr.Expr                 // anything else, evaluated against the row view
+	get func(row int) value.Value // bare column of the stored table, of type typ
+	typ storage.ColumnType
+	e   expr.Expr // anything else, evaluated against the row view
 }
 
 // keyCols is how a fold reads one key tuple off a row — its group key, or
@@ -359,7 +360,7 @@ func (op *foldOp) column(e expr.Expr) (int, bool) {
 
 func (op *foldOp) input(e expr.Expr) foldInput {
 	if col, ok := op.column(e); ok {
-		return foldInput{get: op.tab.CellGetter(col)}
+		return foldInput{get: op.tab.CellGetter(col), typ: op.tab.Schema()[col].Type}
 	}
 	return foldInput{e: e}
 }
@@ -524,10 +525,16 @@ func (op *foldOp) fillStats(part *foldPart, ns int64) {
 }
 
 // emit pushes the merged groups into out in id order — first appearance —
-// one row each through a reused buffer, and returns how many went.
+// the key values followed by one result per spec, and returns how many went.
+// They go a batch of ids at a time as columns: a fixed-width key component
+// copied from the group table's integers and masks, a count or the sum or
+// extreme of a bare numeric column from its cells, a byte-route key, an
+// accumulator's result and any other cell boxed. Only when out projects them
+// through a computed item or HAVING is each group boxed into one row buffer
+// and pushed by itself.
 func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
-	k := len(op.keys.in)
-	if k+part.tab.width == 0 && part.tab.len() == 0 {
+	k, width := len(op.keys.in), part.tab.width
+	if k+width == 0 && part.tab.len() == 0 {
 		// A global aggregate over zero input rows still yields one row.
 		part.tab.lookupBytes(0, nil, true)
 		if err := part.addGroup(nil); err != nil {
@@ -536,7 +543,91 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 	}
 	n := part.tab.len()
 	out.reserve(n)
-	row := make([]value.Value, 0, k+part.tab.width+len(op.specs))
+	if p, ok := out.(*projector); ok && !p.moves {
+		return op.emitRows(part, gov, p)
+	}
+	vecs := make([]storage.Vector, k+width+len(op.specs))
+	cols := make([]*storage.Vector, len(vecs))
+	for i := range vecs {
+		cols[i] = &vecs[i]
+	}
+	for base := 0; base < n; base += batch.Size {
+		if err := gov.check(); err != nil {
+			return base, err
+		}
+		bn := min(batch.Size, n-base)
+		for i := 0; i < k; i++ {
+			v, keys := cols[i], part.keyVals[base*k+i:]
+			if in := &op.keys.in[i]; in.get != nil {
+				// A bare column's key is NULL or of the column's type.
+				v.Resize(in.typ, bn)
+				for g := 0; g < bn; g++ {
+					v.Set(g, keys[g*k])
+				}
+				continue
+			}
+			v.ResizeBoxed(bn)
+			for g := range v.Vals {
+				v.Vals[g] = keys[g*k]
+			}
+		}
+		for i := 0; i < width; i++ {
+			v := cols[i]
+			v.Resize(storage.TypeInt, bn)
+			for g := range v.Ints {
+				if v.Ints[g] = part.tab.ints[(base+g)*width+i]; part.tab.masks[base+g]>>i&1 != 0 {
+					v.SetNull(g)
+				}
+			}
+		}
+		for g := base; g < base+bn && op.soles > 0; g++ {
+			op.settleElse(part, g)
+		}
+		for i := range op.slots {
+			s, v := &op.slots[i], cols[k+width+i]
+			num, tag := part.num[base*op.cells:], part.tag[base*op.cells:]
+			// A cell's type is the plan's to tell: a count's, or that of a bare
+			// INTEGER column's sum or extreme, is never a REAL, and a bare REAL
+			// column's is never an INTEGER unless an ELSE 0 was settled into it.
+			switch {
+			case s.acc >= 0:
+				v.ResizeBoxed(bn)
+				for g := range v.Vals {
+					v.Vals[g] = part.accs[(base+g)*op.accs+s.acc].result()
+				}
+			case s.fn == expr.AggCount || s.kernel == kernelInt:
+				v.Resize(storage.TypeInt, bn)
+				for g := range v.Ints {
+					if v.Ints[g] = num[g*op.cells+s.cell]; s.fn != expr.AggCount && tag[g*op.cells+s.cell] == cellNone {
+						v.SetNull(g)
+					}
+				}
+			case s.kernel == kernelFloat && !s.elseZero:
+				v.Resize(storage.TypeFloat, bn)
+				for g := range v.Flts {
+					if v.Flts[g] = math.Float64frombits(uint64(num[g*op.cells+s.cell])); tag[g*op.cells+s.cell] == cellNone {
+						v.SetNull(g)
+					}
+				}
+			default:
+				v.ResizeBoxed(bn)
+				for g := range v.Vals {
+					v.Vals[g] = cellResult(s.fn, num[g*op.cells+s.cell], tag[g*op.cells+s.cell])
+				}
+			}
+		}
+		if err := out.pushCols(cols, bn); err != nil {
+			return base, err
+		}
+	}
+	return n, nil
+}
+
+// emitRows is emit for a projector that computes: each group boxed into one
+// row buffer and projected by itself.
+func (op *foldOp) emitRows(part *foldPart, gov *governor, p *projector) (int, error) {
+	k, width, n := len(op.keys.in), part.tab.width, part.tab.len()
+	row := make([]value.Value, 0, k+width+len(op.specs))
 	for g := 0; g < n; g++ {
 		if g%govStride == 0 {
 			if err := gov.check(); err != nil {
@@ -545,11 +636,11 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 		}
 		op.settleElse(part, g)
 		row = append(row[:0], part.keyVals[g*k:(g+1)*k]...)
-		for i := 0; i < part.tab.width; i++ {
+		for i := 0; i < width; i++ {
 			if part.tab.masks[g]>>i&1 != 0 {
 				row = append(row, value.Null)
 			} else {
-				row = append(row, value.NewInt(part.tab.ints[g*part.tab.width+i]))
+				row = append(row, value.NewInt(part.tab.ints[g*width+i]))
 			}
 		}
 		for i := range op.slots {
@@ -559,7 +650,7 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 				row = append(row, cellResult(s.fn, part.num[g*op.cells+s.cell], part.tag[g*op.cells+s.cell]))
 			}
 		}
-		if err := out.push(row); err != nil {
+		if err := p.push(row); err != nil {
 			return g, err
 		}
 	}
@@ -947,9 +1038,75 @@ func (op *foldOp) selectBatch(base, bn int, sel []int32, passed []int64) []int32
 	return sel
 }
 
-// The selection kernels: the engine's one vectorized filter. The fold and the
-// single-table UPDATE and DELETE (dml.go) both refine a batch's row ids
-// through them.
+// The selection kernels: the engine's one vectorized filter. The fold, the
+// single-table UPDATE and DELETE (dml.go) and the plain select (columns.go)
+// all refine a batch's row ids through them.
+
+// tableFilter is a bound predicate over one stored table as a batch of row
+// ids is refined through it: the selection kernels take the leading conjuncts
+// they admit, a RowView walk evaluates what is left. A conjunct is taken only
+// if it is error-free and two-valued on this table, or the whole predicate is
+// error-free: AND skips its right side only behind a definitely false left,
+// so a conjunct that can raise must still see the rows an earlier one left
+// NULL.
+type tableFilter struct {
+	tab          *storage.Table
+	kernel, rest expr.Expr // either may be nil
+	view         *storage.RowView
+}
+
+func newTableFilter(tab *storage.Table, pred expr.Expr) tableFilter {
+	f := tableFilter{tab: tab}
+	switch {
+	case pred == nil:
+	case expr.ErrFree(pred):
+		f.kernel = pred
+	default:
+		conjuncts := splitConjuncts(pred)
+		lead := 0
+		for lead < len(conjuncts) && expr.ErrFree(conjuncts[lead]) && twoValued(tab, conjuncts[lead]) {
+			lead++
+		}
+		f.kernel, f.rest, f.view = andAll(conjuncts[:lead]), andAll(conjuncts[lead:]), tab.NewRowView()
+	}
+	return f
+}
+
+// twoValued reports whether the error-free predicate p is never NULL on tab:
+// its equality tests are against non-NULL constants, on columns holding none.
+func twoValued(tab *storage.Table, p expr.Expr) bool {
+	b, ok := p.(*expr.BinaryOp)
+	if !ok {
+		return true // IS [NOT] NULL
+	}
+	if col, val, ok := b.ColumnConst(); ok {
+		return !val.IsNull() && len(tab.Nulls(col)) == 0
+	}
+	return twoValued(tab, b.Left) && twoValued(tab, b.Right)
+}
+
+// apply narrows sel, in place, to the rows the predicate admits. On an error
+// the rows admitted before the failing one are returned with it.
+func (f *tableFilter) apply(sel []int32) ([]int32, error) {
+	if f.kernel != nil && len(sel) > 0 {
+		sel = applySel(f.tab, f.kernel, sel)
+	}
+	if f.rest == nil {
+		return sel, nil
+	}
+	out := sel[:0]
+	for _, r := range sel {
+		f.view.Seek(int(r))
+		v, err := f.rest.Eval(f.view)
+		if err != nil {
+			return out, err
+		}
+		if v.Truthy() {
+			out = append(out, r)
+		}
+	}
+	return out, nil
+}
 
 // rowRange resets sel to the row ids [base, base+bn).
 func rowRange(sel []int32, base, bn int) []int32 {

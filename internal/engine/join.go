@@ -157,11 +157,12 @@ func newBuildSide(right *storage.Table, rightSch relSchema, pairs []joinPair) *b
 }
 
 // probe returns the build rows whose join columns equal the probe row's — the
-// one place a join key is encoded and looked up.
-func (b *buildSide) probe(row []value.Value) []int {
+// one place a join key is encoded and looked up. The row is whatever view the
+// caller has of it: a boxed row, or a batch of row ids positioned on one.
+func (b *buildSide) probe(row expr.Row) []int {
 	b.keyBuf = b.keyBuf[:0]
 	for _, p := range b.pairs {
-		v := row[p.leftIdx]
+		v := row.ColumnValue(p.leftIdx)
 		if v.IsNull() && !p.nullSafe {
 			return nil // plain SQL equality never matches on NULL keys
 		}
@@ -230,8 +231,8 @@ type hashJoin struct {
 	outer   bool
 	sch     relSchema
 	rightW  int
-	pending []int         // remaining matches for the current probe row
-	current []value.Value // current probe row (copy not needed within step)
+	pending []int  // remaining matches for the current probe row
+	current rowBox // current probe row (copy not needed within step)
 	outBuf  []value.Value
 	stats   *opStats
 }
@@ -278,8 +279,8 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 		if !ok || err != nil {
 			return nil, false, err
 		}
-		j.current = row
-		if j.pending = j.build.probe(row); len(j.pending) == 0 && j.outer {
+		j.current.vals = row
+		if j.pending = j.build.probe(&j.current); len(j.pending) == 0 && j.outer {
 			return j.emitNull(), true, nil
 		}
 	}
@@ -289,7 +290,7 @@ func (j *hashJoin) step() ([]value.Value, bool, error) {
 // buffer.
 func (j *hashJoin) emit(r int) []value.Value {
 	j.outBuf = j.outBuf[:0]
-	j.outBuf = append(j.outBuf, j.current...)
+	j.outBuf = append(j.outBuf, j.current.vals...)
 	for c := 0; c < j.rightW; c++ {
 		j.outBuf = append(j.outBuf, j.build.tab.Get(r, c))
 	}
@@ -299,7 +300,7 @@ func (j *hashJoin) emit(r int) []value.Value {
 // emitNull extends the probe row with NULLs for a non-matching outer row.
 func (j *hashJoin) emitNull() []value.Value {
 	j.outBuf = j.outBuf[:0]
-	j.outBuf = append(j.outBuf, j.current...)
+	j.outBuf = append(j.outBuf, j.current.vals...)
 	for c := 0; c < j.rightW; c++ {
 		j.outBuf = append(j.outBuf, value.Null)
 	}

@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
@@ -108,26 +110,15 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		}
 	}
 
-	// Sort-before-project: when a plain select reads one stored table and
-	// orders by its columns, the scan visits the row ids already sorted (and
-	// cut to the LIMIT), so the hidden columns are not needed and the rows
-	// stream like any other scan's.
-	var sortSpan *obs.Span
+	// Sort-before-project: when a plain select reads one stored table, filtered
+	// or not, and orders by its columns, the projection stage sorts the row ids
+	// first (and cuts them to the LIMIT), so the hidden columns are not needed
+	// and the rows stream like any other scan's.
+	var byScan *scanOrder
 	ordered, limited, dedupe := len(sel.OrderBy) == 0, sel.Limit == nil, sel.Distinct && !isPlain
-	if scan, ok := in.(*tableScan); ok && isPlain && !sel.Distinct && !ordered && orderErr == nil {
+	if scan, filter := scanUnderFilter(in); scan != nil && isPlain && !sel.Distinct && !ordered && orderErr == nil {
 		if keys := scanSortKeys(scan, items, sel.OrderBy, order); keys != nil {
-			if ec.span != nil {
-				sortSpan = obs.NewSpan("sort") // attached behind the project stage, where a collected sort's is
-			}
-			scan.order, err = sortPerm(scan.tab.NumRows(), keys)
-			sortSpan.End()
-			if err != nil {
-				return nil, nil, err
-			}
-			sortSpan.SetRows(int64(len(scan.order)), int64(len(scan.order)))
-			if !limited {
-				scan.order = scan.order[:min(*sel.Limit, len(scan.order))]
-			}
+			byScan = &scanOrder{scan: scan, filter: filter, keys: keys, limit: sel.Limit}
 			items, names, ordered, limited = items[:visible], names[:visible], true, true
 		}
 	}
@@ -163,19 +154,26 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		}
 	default:
 		consumer = ec.span.NewChild("project")
-		n, err = e.execPlainSelect(items, in, ec.gov, target)
+		n, err = e.execPlainSelect(items, in, ec, target, byScan)
 	}
 	if consumer != nil {
 		consumer.End()
+		// The appends of the INSERT this stage fed are the insert span's time,
+		// a sort of the scan's row ids the sort span's.
+		var others time.Duration
 		if ins, ok := target.(*insertSink); ok {
-			// The appends of the INSERT this stage fed are the insert span's time.
-			consumer.SetDuration(max(consumer.Duration-ins.elapsed, 1))
+			others = ins.elapsed
 		}
+		var sortSpan *obs.Span
+		if byScan != nil && byScan.span != nil {
+			sortSpan, others = byScan.span, others+byScan.span.Duration
+		}
+		consumer.SetDuration(max(consumer.Duration-others, 1))
 		consumer.SetRows(-1, int64(n))
 		if attachOps {
 			consumer.AddChild(operatorSpans(in))
 		}
-		ec.span.AddChild(sortSpan)
+		ec.span.AddChild(sortSpan) // behind the project stage, where a collected sort's is
 	}
 	if err != nil || keep == nil {
 		return names, nil, err
@@ -211,11 +209,14 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		sp := ec.span.NewChild("sort")
 		var perm []int32
 		if err = orderErr; err == nil {
+			perm, err = positions(len(rows))
+		}
+		if err == nil {
 			keys := make([]sortKey, len(order))
 			for i, item := range order {
-				keys[i] = rowsCmp(rows, item).direction(sel.OrderBy[i].Desc)
+				keys[i] = rowsKey(rows, item, sel.OrderBy[i].Desc)
 			}
-			perm, err = sortPerm(len(rows), keys)
+			sortPerm(perm, keys, false)
 		}
 		if err != nil {
 			sp.Attr("error", err.Error())
@@ -237,8 +238,32 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	return names[:visible], rows, nil
 }
 
+// scanOrder is a sort-before-project: the scan whose row ids are sorted — the
+// ones filter admits, when there is one — the keys, the LIMIT, and the sort's
+// span once it ran.
+type scanOrder struct {
+	scan   *tableScan
+	filter *filterIter
+	keys   []sortKey
+	limit  *int
+	span   *obs.Span
+}
+
+// scanUnderFilter reports the scan in reads when in is a fresh scan of a
+// stored table, bare or under one filter.
+func scanUnderFilter(in iterator) (*tableScan, *filterIter) {
+	filter, _ := in.(*filterIter)
+	if filter != nil {
+		in = filter.child
+	}
+	if scan, ok := in.(*tableScan); ok && scan.pos == 0 {
+		return scan, filter
+	}
+	return nil, nil
+}
+
 // scanSortKeys returns the sort keys of an ORDER BY whose every key item is
-// a bare column of the table scan reads, compared on the column vectors; nil
+// a bare column of the table scan reads, read off the column vectors; nil
 // when some key is computed.
 func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.OrderKey, order []int) []sortKey {
 	keys := make([]sortKey, len(order))
@@ -248,9 +273,65 @@ func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.Or
 		if err != nil || !ok {
 			return nil
 		}
-		keys[i] = columnCmp(scan.tab, cr.Index).direction(by[i].Desc)
+		keys[i] = columnKey(scan.tab, cr.Index, by[i].Desc)
 	}
 	return keys
+}
+
+// sorted runs the sort: it selects the row ids the filter admits — through
+// the selection kernels (selectRows) or, on the reference path, by draining
+// the filter and noting the rows that come out — sorts them, cuts them to the
+// LIMIT and returns the scan that visits them in order. The filter's pass is
+// the statement's scan of the table; the ordered visit is not counted again.
+func (o *scanOrder) sorted(ec execCtx, batched bool) (*tableScan, error) {
+	scan := o.scan
+	var ids []int32
+	var err error
+	switch {
+	case o.filter == nil:
+		if ids, err = positions(scan.tab.NumRows()); err != nil {
+			return nil, err
+		}
+	case batched:
+		t0 := time.Now()
+		if ids, err = selectRows(scan.tab, o.filter.pred, ec.gov); err != nil {
+			return nil, err
+		}
+		if scan.stats != nil {
+			ns := time.Since(t0).Nanoseconds()
+			*scan.stats = opStats{ns: ns, rows: int64(scan.tab.NumRows())}
+			*o.filter.stats = opStats{ns: ns, rows: int64(len(ids))}
+		}
+	default:
+		// pctvet:ok every iteration pulls the filter's next(), governed at the scan leaf by addScanned
+		for {
+			_, ok, err := o.filter.next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
+			ids = append(ids, int32(scan.pos-1))
+		}
+	}
+	if ec.span != nil {
+		o.span = obs.NewSpan("sort")
+	}
+	sortPerm(ids, o.keys, batched)
+	o.span.End()
+	o.span.SetRows(int64(len(ids)), int64(len(ids)))
+	if o.limit != nil {
+		ids = ids[:min(*o.limit, len(ids))]
+	}
+	if o.filter == nil {
+		scan.order = ids
+		return scan, nil
+	}
+	if ids == nil {
+		ids = []int32{} // a selection of none: a nil order would visit every row
+	}
+	return &tableScan{tab: scan.tab, sch: scan.sch, order: ids, counted: true, gov: scan.gov}, nil
 }
 
 // orderColumnIndex finds a named column in the output list, or -1.
@@ -405,15 +486,32 @@ func bindItems(items []sqlparse.SelectItem, sch relSchema) ([]expr.Expr, error) 
 	return bound, nil
 }
 
-// execPlainSelect projects items per input row into sink and returns the
-// row count. The scan leaves poll gov per stride of input; the loop polls it
-// per stride of output, which a join's fan-out can make far longer.
-func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, gov *governor, sink rowSink) (int, error) {
+// execPlainSelect projects items over the rows of in into sink and returns
+// the row count: a batch of row ids at a time when in is a pipeline over
+// stored tables (columns.go), otherwise — and always on the reference path,
+// SetBatch(false) or a core.batch fault — row by row through the iterators,
+// polling gov per stride of output, which a join's fan-out can make far longer
+// than the scan leaves' stride of input. byScan, when set, has the row ids
+// sorted first.
+func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink, byScan *scanOrder) (int, error) {
 	bound, err := bindItems(items, in.schema())
 	if err != nil {
 		return 0, err
 	}
 	proj := newProjector(bound, nil, sink)
+	batched := ec.batch && chaos.Hit(chaos.CoreBatch) == nil
+	if byScan != nil {
+		scan, err := byScan.sorted(ec, batched)
+		if err != nil {
+			return 0, err
+		}
+		in = scan
+	}
+	if batched {
+		if b := planBatchSelect(in, proj, ec.gov); b != nil {
+			return b.run()
+		}
+	}
 	if scan, ok := in.(*tableScan); ok {
 		proj.reserve(scan.count()) // an unfiltered scan knows its row count
 	}
@@ -426,7 +524,7 @@ func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, gov *
 			return proj.n, err
 		}
 		if proj.n%govStride == 0 {
-			if err := gov.check(); err != nil {
+			if err := ec.gov.check(); err != nil {
 				return proj.n, err
 			}
 		}

@@ -3,52 +3,170 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/storage"
 	"repro/internal/value"
 )
 
-// ORDER BY. A sort never moves rows: it orders an []int32 permutation of the
-// input positions with one comparator per key and the consumer walks the
-// permutation. Over a stored table the comparators read the key columns'
-// typed vectors and null bitmaps, so the row ids are sorted before anything
-// is projected (select.go); over collected rows they call value.Compare.
-// Both give value.Compare's order — NULL first, then by value — and break
-// ties by input position, which is the stable sort's result whenever the
-// order is a strict weak one. It is not on NaN (value.Compare calls NaN equal
-// to everything): the order of a REAL key holding NaN is deterministic but
-// otherwise unspecified (DESIGN.md).
+// ORDER BY. A sort never moves rows: sortPerm orders input positions — the
+// row ids of a stored table, all of them or the ones a filter selected, or
+// the indexes of collected rows — and the consumer walks the result. Over a
+// stored table the row ids are sorted before anything is projected
+// (select.go). When every key is an INTEGER or BOOLEAN column the keys of a
+// row are packed, most significant first, above its position into one uint64
+// — a key's code is its offset in the column's range, 0 for NULL,
+// complemented for DESC — and the packed words are radix-sorted on the key
+// bits;
+// otherwise one comparator per key reads the typed vector and the NULL bitmap
+// (value.Compare over collected rows). Every route gives value.Compare's order
+// — NULL first, then by value — and breaks ties by input position, which is
+// the stable sort's result whenever the order is a strict weak one. It is not
+// on NaN (value.Compare calls NaN equal to everything): the order of a REAL
+// key holding NaN is deterministic but otherwise unspecified (DESIGN.md).
 
-// sortKey orders two input positions under one ORDER BY key.
-type sortKey func(a, b int32) int
-
-// direction turns an ascending comparator into the key's.
-func (k sortKey) direction(desc bool) sortKey {
-	if !desc {
-		return k
-	}
-	return func(a, b int32) int { return k(b, a) }
+// sortKey orders input positions under one ORDER BY key: cmp compares two,
+// and for an INTEGER or BOOLEAN column the cells (one of ints and bools) and
+// the NULL bitmap are what the packed route reads instead.
+type sortKey struct {
+	cmp   func(a, b int32) int
+	desc  bool
+	ints  []int64
+	bools []bool
+	nulls storage.NullBitmap
 }
 
-// sortPerm returns the positions [0, n) in the order the keys give them.
-func sortPerm(n int, keys []sortKey) ([]int32, error) {
+// positions returns [0, n): the input of a sort over every row.
+func positions(n int) ([]int32, error) {
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("engine: ORDER BY over %d rows exceeds the sortable maximum", n)
 	}
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
+	return rowRange(make([]int32, n), 0, n), nil
+}
+
+// sortPerm puts ids, ascending input positions, in the order the keys give
+// them, in place. packed lets it take the packed route where the keys allow;
+// the comparators are its reference, as the row iterators are the batch's.
+func sortPerm(ids []int32, keys []sortKey, packed bool) {
+	if packed && packedSort(ids, keys) {
+		return
 	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		for _, k := range keys {
-			if c := k(a, b); c != 0 {
+	slices.SortFunc(ids, func(a, b int32) int {
+		for i := range keys {
+			if c := keys[i].cmp(a, b); c != 0 {
+				if keys[i].desc {
+					return -c
+				}
 				return c
 			}
 		}
 		return int(a - b)
 	})
-	return perm, nil
+}
+
+// packedSort sorts ids, which ascend, by packed keys, reporting false — ids
+// untouched — when a key is not a packable column or the codes and the
+// position do not fit 64 bits together.
+func packedSort(ids []int32, keys []sortKey) bool {
+	if len(ids) < 2 {
+		return true
+	}
+	// One pass per key reads its range over the rows being sorted.
+	type span struct {
+		lo   int64
+		top  uint64 // the largest code: the range's width plus one
+		bits int
+	}
+	spans := make([]span, len(keys))
+	posBits := bits.Len(uint(len(ids) - 1))
+	total := posBits
+	for ki, k := range keys {
+		var lo, hi int64
+		switch {
+		case k.bools != nil:
+			hi = 1
+		case k.ints != nil:
+			seen := false
+			for _, r := range ids {
+				if v := k.ints[r]; k.nulls.Get(int(r)) {
+				} else if !seen {
+					lo, hi, seen = v, v, true
+				} else if v < lo {
+					lo = v
+				} else if v > hi {
+					hi = v
+				}
+			}
+		default:
+			return false
+		}
+		width := uint64(hi) - uint64(lo) // exact modulo 2^64: hi >= lo
+		if width == math.MaxUint64 {
+			return false
+		}
+		spans[ki] = span{lo: lo, top: width + 1, bits: bits.Len64(width + 1)}
+		if total += spans[ki].bits; total > 64 {
+			return false
+		}
+	}
+	packed := make([]uint64, len(ids))
+	for i, r := range ids {
+		var word uint64
+		for ki := range keys {
+			k, s := &keys[ki], &spans[ki]
+			var code uint64 // NULL
+			switch {
+			case k.nulls.Get(int(r)):
+			case k.bools == nil:
+				code = uint64(k.ints[r]) - uint64(s.lo) + 1
+			case k.bools[r]:
+				code = 2
+			default:
+				code = 1
+			}
+			if k.desc {
+				code = s.top - code
+			}
+			word = word<<s.bits | code
+		}
+		packed[i] = word<<posBits | uint64(i)
+	}
+	packed = radixSort(packed, posBits, total)
+	// ids ascend, so the sorted positions can be read back through a copy of
+	// them only; packed is as long, and done with its high bits.
+	mask := uint64(1)<<posBits - 1
+	for i, w := range packed {
+		packed[i] = uint64(ids[w&mask])
+	}
+	for i, r := range packed {
+		ids[i] = int32(r)
+	}
+	return true
+}
+
+// radixSort sorts words by their bits [lo, hi), least significant byte first.
+// Every pass is stable and the words arrive in the order of the bits below lo
+// — their positions — so those need no pass of their own. It returns the
+// sorted slice: words, or the scratch slice of the same length.
+func radixSort(words []uint64, lo, hi int) []uint64 {
+	scratch := make([]uint64, len(words))
+	for shift := lo; shift < hi; shift += 8 {
+		var starts [257]int
+		for _, w := range words {
+			starts[w>>shift&0xff+1]++
+		}
+		for d := 1; d < len(starts); d++ {
+			starts[d] += starts[d-1]
+		}
+		for _, w := range words {
+			d := w >> shift & 0xff
+			scratch[starts[d]] = w
+			starts[d]++
+		}
+		words, scratch = scratch, words
+	}
+	return words
 }
 
 // nullsFirst orders two positions of which at least one is NULL.
@@ -62,10 +180,10 @@ func nullsFirst(aNull, bNull bool) int {
 	return 1
 }
 
-// vectorCmp compares row ids [0, n) of one typed column vector. A column
-// without a NULL among them — every key a generated plan sorts by — is
-// compared without consulting the bitmap.
-func vectorCmp[T int64 | float64 | string](vals []T, isNull func(int) bool, n int) sortKey {
+// vectorCmp compares row ids of one typed column vector. A column without a
+// NULL — every key a generated plan sorts by — is compared without consulting
+// the bitmap.
+func vectorCmp[T int64 | float64 | string](vals []T, nulls storage.NullBitmap) func(a, b int32) int {
 	byValue := func(a, b int32) int {
 		switch x, y := vals[a], vals[b]; {
 		case x < y:
@@ -75,43 +193,35 @@ func vectorCmp[T int64 | float64 | string](vals []T, isNull func(int) bool, n in
 		}
 		return 0
 	}
-	if !anyNull(isNull, n) {
+	if !slices.ContainsFunc(nulls, func(w uint64) bool { return w != 0 }) {
 		return byValue
 	}
 	return func(a, b int32) int {
-		if an, bn := isNull(int(a)), isNull(int(b)); an || bn {
+		if an, bn := nulls.Get(int(a)), nulls.Get(int(b)); an || bn {
 			return nullsFirst(an, bn)
 		}
 		return byValue(a, b)
 	}
 }
 
-func anyNull(isNull func(int) bool, n int) bool {
-	for r := 0; r < n; r++ {
-		if isNull(r) {
-			return true
-		}
+// columnKey is the sort key over row ids of t's column col.
+func columnKey(t *storage.Table, col int, desc bool) sortKey {
+	k := sortKey{desc: desc, nulls: t.Nulls(col)}
+	if vals, _, ok := t.IntColumn(col); ok {
+		k.ints, k.cmp = vals, vectorCmp(vals, k.nulls)
+	} else if vals, _, ok := t.FloatColumn(col); ok {
+		k.cmp = vectorCmp(vals, k.nulls)
+	} else if vals, _, ok := t.StringColumn(col); ok {
+		k.cmp = vectorCmp(vals, k.nulls)
+	} else {
+		k.bools, _, _ = t.BoolColumn(col)
+		get := t.CellGetter(col)
+		k.cmp = func(a, b int32) int { return value.Compare(get(int(a)), get(int(b))) }
 	}
-	return false
+	return k
 }
 
-// columnCmp compares row ids of t by column col.
-func columnCmp(t *storage.Table, col int) sortKey {
-	n := t.NumRows()
-	if vals, isNull, ok := t.IntColumn(col); ok {
-		return vectorCmp(vals, isNull, n)
-	}
-	if vals, isNull, ok := t.FloatColumn(col); ok {
-		return vectorCmp(vals, isNull, n)
-	}
-	if vals, isNull, ok := t.StringColumn(col); ok {
-		return vectorCmp(vals, isNull, n)
-	}
-	get := t.CellGetter(col) // BOOLEAN
-	return func(a, b int32) int { return value.Compare(get(int(a)), get(int(b))) }
-}
-
-// rowsCmp compares collected rows by column col.
-func rowsCmp(rows [][]value.Value, col int) sortKey {
-	return func(a, b int32) int { return value.Compare(rows[a][col], rows[b][col]) }
+// rowsKey is the sort key over the indexes of collected rows by column col.
+func rowsKey(rows [][]value.Value, col int, desc bool) sortKey {
+	return sortKey{desc: desc, cmp: func(a, b int32) int { return value.Compare(rows[a][col], rows[b][col]) }}
 }

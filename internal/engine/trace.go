@@ -42,8 +42,9 @@ type execCtx struct {
 	// off or the statement is excluded by the self-observation guard); the
 	// fold marks it when it fans out (see fold.go).
 	rec *stmtRec
-	// batch selects the fold operator over the sequential reference
-	// (fold.go); snapshotted from Engine.batchOff by runStatement so one
+	// batch selects the batch operators — the fold (fold.go), the column path
+	// of a plain select (columns.go), the packed sort — over their row-at-a-time
+	// references; snapshotted from Engine.batchOff by runStatement so one
 	// statement never mixes paths.
 	batch bool
 }
@@ -51,8 +52,8 @@ type execCtx struct {
 // liteSpan reports whether the statement span exists only so the flight
 // recorder gets its stage totals (introspection on, but no parent span and no
 // EXPLAIN ANALYZE). Per-operator instrumentation is skipped for such spans:
-// opStats cost two clock reads per row per operator, the wrong price for
-// always-on recording. Flight-record stages then carry the phase-level
+// opStats cost two clock reads per operator per batch on the column path and
+// per row through the iterators, the wrong price for always-on recording. Flight-record stages then carry the phase-level
 // breakdown (aggregate, fold, sort, project, …), which costs one timestamp
 // per phase.
 func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan && ec.inspect == nil }
@@ -108,8 +109,10 @@ func (e *Engine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 
 // opStats is per-operator instrumentation for EXPLAIN ANALYZE and traces:
 // cumulative time spent inside next() (inclusive of children, the way
-// EXPLAIN ANALYZE actual times read everywhere) and rows produced. Allocated
-// only for traced statements; a nil *opStats keeps next() on the fast path.
+// EXPLAIN ANALYZE actual times read everywhere) and rows produced. The batch
+// operators fill it in once they ran — the fold from its partitions, the
+// column path from one clock reading per operator per batch. Allocated only
+// for traced statements; a nil *opStats keeps next() on the fast path.
 type opStats struct {
 	ns   int64
 	rows int64

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -201,4 +202,68 @@ func BenchmarkSequentialFoldNoSink(b *testing.B) {
 	e := benchEngine(b, 10_000)
 	b.ReportAllocs()
 	benchQuery(b, e, "SELECT g2, sum(a) FROM f GROUP BY g2")
+}
+
+// TestTracedPlainSelectSameOnBothPaths: the column path clocks an operator
+// once per batch where the iterators clock every row, and a traced statement
+// reads the same either way — EXPLAIN ANALYZE prints the same plan with the
+// same actual rows (times masked), the span tree has the same shape, no span
+// is left open, and sequential children never out-sum their parent: project
+// and insert still partition the loop they share, and a sort of the scan's
+// row ids keeps its own span.
+func TestTracedPlainSelectSameOnBothPaths(t *testing.T) {
+	e := fkEngine(t)
+	masked := func(s string) string {
+		var sb strings.Builder
+		for _, f := range strings.Fields(s) {
+			if i := strings.Index(f, "time="); i >= 0 {
+				f = f[:i] + "time=*" + strings.TrimLeft(f[i+5:], "0123456789.µnms")
+			}
+			sb.WriteString(f + " ")
+		}
+		return sb.String()
+	}
+	shape := func(root *obs.Span) string {
+		var sb strings.Builder
+		root.Walk(func(s *obs.Span) { sb.WriteString(fmt.Sprintf("%s(%d,%d) ", s.Name, s.RowsIn, s.RowsOut)) })
+		return sb.String()
+	}
+	for _, sql := range []string{
+		"SELECT fk.k3, fj.a FROM fk, fj WHERE fk.k1 = fj.k1 AND fk.k2 = fj.k2 AND fk.k4 = 3 AND fk.m1 > 100",
+		"SELECT fk.k3, fj.a FROM fk LEFT OUTER JOIN fj ON fk.k1 = fj.k1 AND fk.k2 = fj.k2 WHERE fk.k3 = 7",
+		"SELECT k1, k2, k3, k4, m1 FROM fk ORDER BY k1, k2 DESC, k3, k4 LIMIT 5000",
+		"SELECT k3, m1 FROM fk WHERE k1 = 2 AND m1 > 100 ORDER BY k4, m1 DESC",
+		divideSQL,
+	} {
+		var plans, shapes [2]string
+		for i, batch := range []bool{true, false} {
+			e.SetBatch(batch)
+			mustExec(t, e, "DELETE FROM fv")
+			if !strings.HasPrefix(sql, "INSERT") {
+				plans[i] = masked(traceText(t, e, "EXPLAIN ANALYZE "+sql))
+			}
+			parent := obs.NewSpan("test")
+			if _, err := e.ExecSQLCtxIn(context.Background(), sql, 2, parent); err != nil {
+				t.Fatal(err)
+			}
+			parent.End()
+			if open := parent.Unclosed(); len(open) > 0 {
+				t.Errorf("batch=%v %s: unclosed spans %v", batch, sql, open)
+			}
+			shapes[i] = shape(parent)
+			parent.Walk(func(s *obs.Span) {
+				var sum time.Duration
+				for _, c := range s.Children {
+					sum += c.Duration
+				}
+				if !s.Concurrent && sum > s.Duration+time.Microsecond {
+					t.Errorf("batch=%v %s: children of %q sum to %v, parent is %v:\n%s", batch, sql, s.Name, sum, s.Duration, parent.Format())
+				}
+			})
+		}
+		if plans[0] != plans[1] || shapes[0] != shapes[1] {
+			t.Errorf("%s traces differently on the two paths:\nbatch %s\n      %s\nrows  %s\n      %s", sql, plans[0], shapes[0], plans[1], shapes[1])
+		}
+	}
+	e.SetBatch(true)
 }

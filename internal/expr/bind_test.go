@@ -232,3 +232,40 @@ func TestBindNegativeConstant(t *testing.T) {
 		t.Error("d = -'x' prepared as a constant compare")
 	}
 }
+
+// TestBindGuardedDivision pins what Bind recognises as the guarded division —
+// CASE WHEN d <> 0 THEN n / d [ELSE NULL] END over bound columns, the text
+// unchanged — and what it must leave to the tree walk.
+func TestBindGuardedDivision(t *testing.T) {
+	zero, null := NewLiteral(value.NewInt(0)), NewLiteral(value.Null)
+	ne := func(l, r Expr) Expr { return &BinaryOp{Op: "<>", Left: l, Right: r} }
+	div := func(l, r Expr) Expr { return &BinaryOp{Op: "/", Left: l, Right: r} }
+	guarded := func(cond, then, els Expr) *Case { return &Case{Whens: []When{{Cond: cond, Result: then}}, Else: els} }
+	for _, e := range []*Case{
+		guarded(ne(Col("d"), zero), div(Col("n"), Col("d")), null),
+		guarded(ne(Col("d"), zero), div(Col("n"), Col("d")), nil),
+		guarded(ne(QCol("t", "d"), zero), div(Col("d"), QCol("t", "d")), null),
+	} {
+		b := mustBind(t, e, "n", "d").(*Case)
+		num, den, ok := b.GuardedDiv()
+		if wantNum := b.Whens[0].Result.(*BinaryOp).Left.(*ColumnRef).Index; !ok || den != 1 || num != wantNum {
+			t.Errorf("%s: GuardedDiv = %d, %d, %v", e, num, den, ok)
+		}
+		if b.String() != e.String() {
+			t.Errorf("%s: text %q", e, b.String())
+		}
+	}
+	for _, e := range []*Case{
+		guarded(ne(Col("d"), zero), div(Col("n"), Col("n")), null),                                               // divides by another column
+		guarded(ne(Col("d"), NewLiteral(value.NewInt(1))), div(Col("n"), Col("d")), null),                        // guards against 1
+		guarded(ne(Col("d"), NewLiteral(value.NewFloat(0))), div(Col("n"), Col("d")), null),                      // a REAL zero: left to Eval
+		guarded(ne(Col("d"), zero), div(Col("n"), Col("d")), zero),                                               // ELSE 0
+		guarded(eq(Col("d"), zero), div(Col("n"), Col("d")), null),                                               // = 0
+		guarded(ne(Col("d"), zero), div(neg(value.NewInt(1)), Col("d")), null),                                   // a computed numerator
+		{Whens: []When{{Cond: ne(Col("d"), zero), Result: div(Col("n"), Col("d"))}, {Cond: zero, Result: zero}}}, // two arms
+	} {
+		if _, _, ok := mustBind(t, e, "n", "d").(*Case).GuardedDiv(); ok {
+			t.Errorf("%s: prepared as a guarded division", e)
+		}
+	}
+}

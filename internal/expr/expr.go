@@ -52,7 +52,8 @@ func SchemaResolver(names []string) Resolver {
 
 // Bind is the one binder-time pass: it resolves every column reference in e
 // using r and prepares each column = constant comparison (BinaryOp.ColumnConst)
-// on the node it rebuilds, returning a new tree. Aggregate calls are left in
+// and each guarded division (Case.GuardedDiv) on the node it rebuilds,
+// returning a new tree. Aggregate calls are left in
 // place (the engine extracts them first); Bind inside an aggregate argument is
 // performed by the engine against the input schema.
 func Bind(e Expr, r Resolver) (Expr, error) {
@@ -66,6 +67,8 @@ func Bind(e Expr, r Resolver) (Expr, error) {
 			return &ColumnRef{Qualifier: n.Qualifier, Name: n.Name, Index: idx, bound: true}, nil
 		case *BinaryOp:
 			n.prepare() // n is Transform's fresh copy, its operands already bound
+		case *Case:
+			n.prepare()
 		}
 		return n, nil
 	})

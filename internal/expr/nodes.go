@@ -286,6 +286,48 @@ type When struct {
 type Case struct {
 	Whens []When
 	Else  Expr
+	// Set by Bind on the guarded division (GuardedDiv): the positions of the
+	// numerator and denominator columns. nil on every other node.
+	div *[2]int
+}
+
+// prepare recognizes CASE WHEN d <> 0 THEN n / d [ELSE NULL] END over bound
+// columns n and d — the division every percentage plan ends in. The arms stay
+// in the tree, so Eval and the rendered text do not change.
+func (c *Case) prepare() {
+	if len(c.Whens) != 1 {
+		return
+	}
+	if c.Else != nil {
+		if v := constant(c.Else); v == nil || !v.IsNull() {
+			return
+		}
+	}
+	cond, _ := c.Whens[0].Cond.(*BinaryOp)
+	quot, _ := c.Whens[0].Result.(*BinaryOp)
+	if cond == nil || quot == nil || cond.Op != "<>" || quot.Op != "/" {
+		return
+	}
+	d, _ := cond.Left.(*ColumnRef)
+	zero := constant(cond.Right)
+	n, _ := quot.Left.(*ColumnRef)
+	over, _ := quot.Right.(*ColumnRef)
+	if d == nil || n == nil || over == nil || !d.bound || !n.bound || !over.bound || over.Index != d.Index ||
+		zero == nil || zero.Kind() != value.KindInt || zero.Int() != 0 {
+		return
+	}
+	c.div = &[2]int{n.Index, d.Index}
+}
+
+// GuardedDiv reports the division Bind prepared on the node: the positions of
+// columns n and d of CASE WHEN d <> 0 THEN n / d ELSE NULL END. Over numeric
+// cells its value is value.Div(n, d) where d compares unequal to zero (a NaN
+// does not) and NULL everywhere else. ok is false for every other node.
+func (c *Case) GuardedDiv() (num, den int, ok bool) {
+	if c.div == nil {
+		return 0, 0, false
+	}
+	return c.div[0], c.div[1], true
 }
 
 // Eval evaluates arms in order.

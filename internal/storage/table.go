@@ -171,16 +171,20 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 // without regrowing.
 func (t *Table) Reserve(n int) {
 	for _, c := range t.cols {
-		switch c.typ {
-		case TypeInt:
-			c.ints = slices.Grow(c.ints, n)
-		case TypeFloat:
-			c.flts = slices.Grow(c.flts, n)
-		case TypeString:
-			c.strs = slices.Grow(c.strs, n)
-		case TypeBool:
-			c.bools = slices.Grow(c.bools, n)
-		}
+		c.reserve(n)
+	}
+}
+
+func (c *column) reserve(n int) {
+	switch c.typ {
+	case TypeInt:
+		c.ints = slices.Grow(c.ints, n)
+	case TypeFloat:
+		c.flts = slices.Grow(c.flts, n)
+	case TypeString:
+		c.strs = slices.Grow(c.strs, n)
+	case TypeBool:
+		c.bools = slices.Grow(c.bools, n)
 	}
 }
 

@@ -17,7 +17,7 @@ var raceEnabled bool
 // intermediate lives in its temp table's column vectors and the result is
 // boxed once, so what is left per result row is the interface box of its
 // REAL percentage (the small INTEGER keys box for free) plus the rows' share
-// of slab and vector growth: 7 258 allocations measured, 1.45 per result row
+// of slab and vector growth: 7 230 allocations measured, 1.45 per result row
 // (1.48 with a Go map of group objects per fold; 13.6 with the boxed-row
 // dataflow), the budget 10 % above.
 func TestVpctStatementAllocBudget(t *testing.T) {
