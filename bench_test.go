@@ -15,10 +15,9 @@ import (
 
 // BenchmarkTable runs the experiments bench.Experiments declares, one
 // sub-benchmark per table and strategy column: BenchmarkTable/6/OLAP,
-// BenchmarkTable/h3/SPJ/FV, BenchmarkTable/ablation/CASE_dispatched.
-// Everything the papers' timings exclude — loading, the advisor, the OLAP
-// rewrite, engine toggles, warming shared summaries — happens before the
-// timer starts.
+// BenchmarkTable/h3/SPJ/FV, BenchmarkTable/shared/shared_Fk. Everything the
+// papers' timings exclude — loading, the advisor, the OLAP rewrite, warming
+// shared summaries — happens before the timer starts.
 func BenchmarkTable(b *testing.B) {
 	s, err := bench.NewSuite(bench.SmallConfig(), nil)
 	if err != nil {

@@ -46,7 +46,6 @@ var wantShape = map[string]struct {
 	"5":        {8, 2, "sales dweek | -"},
 	"6":        {8, 3, "sales dept,store | dweek,monthNo"},
 	"h3":       {17, 4, "trans2 dayOfWeekNo,monthNo | deptId,storeId"},
-	"ablation": {4, 2, "sales monthNo | dweek"},
 	"update":   {2, 2, "sales dweek,monthNo | transactionId"},
 	"shared":   {1, 2, "sales 3×Vpct over (dweek,monthNo,dept)"},
 	"parallel": {8, 4, "employee gender,educat | age,marstatus"},
@@ -59,8 +58,8 @@ var timeCell = regexp.MustCompile(`\d+\.\d{3}\b`)
 // all` runs them, and held to wantShape, to positive times, to the checked-in
 // golden of its printed form with the time cells masked (title, note, headers,
 // row labels, row order — regenerate with -update), and to handing the suite
-// on as it found it: the fold operator and summary sharing back where they
-// were and nothing in the catalog but data sets. The parallel table prints
+// on as it found it: summary sharing back where it was and nothing in the
+// catalog but data sets. The parallel table prints
 // its worker count, so the goldens are taken at two.
 func TestExperiments(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
@@ -71,7 +70,7 @@ func TestExperiments(t *testing.T) {
 			if !ok {
 				t.Fatalf("experiment %q has no entry in wantShape", exp.Key)
 			}
-			fold, sharing := s.Eng.BatchEnabled(), s.Planner.SharesSummaries()
+			sharing := s.Planner.SharesSummaries()
 			tab, err := s.Run(exp)
 			if err != nil {
 				t.Fatal(err)
@@ -106,9 +105,6 @@ func TestExperiments(t *testing.T) {
 				t.Errorf("diverges from %s (run with -update if intentional):\n got:\n%s\nwant:\n%s", golden, masked, pinned)
 			}
 
-			if s.Eng.BatchEnabled() != fold {
-				t.Errorf("left the fold operator %v, was %v", !fold, fold)
-			}
 			if s.Planner.SharesSummaries() != sharing {
 				t.Errorf("left summary sharing %v, was %v", !sharing, sharing)
 			}

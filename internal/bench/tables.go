@@ -136,19 +136,16 @@ func companionQueries() []Query {
 }
 
 // Variant is what a column changes around its cells besides the plan
-// options; the zero value changes nothing. Either variant flips an
-// engine-wide toggle, which is put back where it was once the cell is timed.
+// options; the zero value changes nothing. A variant flips a planner-wide
+// toggle, which is put back where it was once the cell is timed.
 type Variant int
 
 const (
-	// referenceFold runs with the fold operator off: aggregates fold arm by
-	// arm, the paper's O(N) CASE evaluation.
-	referenceFold Variant = iota + 1
 	// sharedWarm runs with summary sharing on and the row executed once
 	// untimed first, so the cell measures the steady state the cache promises
 	// (every summary a hit), not the first build — which the column beside
 	// it already prices.
-	sharedWarm
+	sharedWarm Variant = iota + 1
 )
 
 // Column is one strategy column of an experiment.
@@ -197,8 +194,10 @@ func rowsOf(queries []Query) []QueryRow {
 }
 
 // Experiments declares the reproduction: Tables 4, 5 and 6 of the paper, the
-// companion paper's Table 3, the three ablations EXPERIMENTS.md reports and
-// the sequential-versus-parallel table. Every strategy a table compares is
+// companion paper's Table 3, two of the ablations EXPERIMENTS.md reports —
+// the third, CASE arm by arm, times the engine's test oracle
+// (BenchmarkHpctArmByArm in internal/engine) — and the sequential-versus-
+// parallel table. Every strategy a table compares is
 // written here and nowhere else; cmd/pctbench and the root Go benchmarks
 // iterate this list.
 func Experiments() []Experiment {
@@ -257,18 +256,6 @@ func Experiments() []Experiment {
 			{Header: "SPJ/FV", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ, FromFV: true}}},
 			{Header: "CASE/F", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 			{Header: "CASE/FV", SQL: Query.haggSQL, Opts: core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE, FromFV: true}}},
-		},
-	}, {
-		// The paper's proposed optimizer change — an O(1) lookup in place of
-		// the O(N)-per-row CASE evaluation — over the four sales Hpct
-		// queries. Both columns run the same plan on one worker, so the only
-		// variable is how a row finds its column.
-		Key:   "ablation",
-		Title: "Ablation: CASE evaluation arm by arm vs dimension dispatch (Hpct direct from F, P=1)",
-		Rows:  primary[4:],
-		Columns: []Column{
-			{Header: "CASE arm-by-arm", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}, Variant: referenceFold},
-			{Header: "CASE dispatched", SQL: Query.HpctSQL, Opts: core.Options{Parallelism: 1}},
 		},
 	}, {
 		// The condition under which the paper observed the UPDATE-based FV
@@ -336,9 +323,8 @@ func (s *Suite) stmtFor(q Query, c Column) (stmt, error) {
 
 // Prepare does for column c over rows everything the papers' timings leave
 // out: it loads the rows' data sets, fixes each statement's text and options
-// (asking the advisor, rewriting to OLAP), flips the engine-wide toggle c's
-// variant names and, for sharedWarm, runs every row once so that each summary
-// is a hit. It returns one function per row, which times that row's cell as
+// (asking the advisor, rewriting to OLAP) and, for sharedWarm, turns summary
+// sharing on and runs every row once so that each summary is a hit. It returns one function per row, which times that row's cell as
 // the mean of Cfg.Reps runs, and restore, which puts the toggle back and is
 // called once the cells are timed.
 func (s *Suite) Prepare(c Column, rows []QueryRow) (cells []func() (time.Duration, error), restore func(), err error) {
@@ -355,12 +341,7 @@ func (s *Suite) Prepare(c Column, rows []QueryRow) (cells []func() (time.Duratio
 	}
 
 	restore = func() {}
-	switch c.Variant {
-	case referenceFold:
-		was := s.Eng.BatchEnabled()
-		s.Eng.SetBatch(false)
-		restore = func() { s.Eng.SetBatch(was) }
-	case sharedWarm:
+	if c.Variant == sharedWarm {
 		was := s.Planner.SharesSummaries()
 		s.Planner.ShareSummaries(true)
 		restore = func() {

@@ -41,13 +41,6 @@ const (
 	// AggMerge fires at the start of that helper's merge, after every
 	// worker has finished.
 	AggMerge = "engine.agg.merge"
-	// CoreBatch fires at the gate of the batch operators: the fold (every
-	// GROUP BY and SELECT DISTINCT) and the column path of a plain SELECT. An
-	// injected error does NOT fail the query: execution silently falls back to
-	// the row-at-a-time reference — hashAggregateSeq, counted in
-	// batch.fallbacks, or the row iterators. Panics propagate to the statement
-	// containment and surface as typed PCT206 errors.
-	CoreBatch = "core.batch"
 	// InsertSink fires before each row is appended to the staging table of
 	// an INSERT; After addresses the Nth row.
 	InsertSink = "engine.insert.sink"
@@ -82,7 +75,6 @@ var points = map[string]bool{
 	JoinBuild:      true,
 	AggWorker:      true,
 	AggMerge:       true,
-	CoreBatch:      true,
 	InsertSink:     true,
 	UpdateApply:    true,
 	CacheDelta:     true,

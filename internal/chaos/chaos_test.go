@@ -336,7 +336,6 @@ func TestPointsRegistryClosed(t *testing.T) {
 		chaos.JoinBuild:      true,
 		chaos.AggWorker:      true,
 		chaos.AggMerge:       true,
-		chaos.CoreBatch:      true,
 		chaos.InsertSink:     true,
 		chaos.UpdateApply:    true,
 		chaos.CacheDelta:     true,

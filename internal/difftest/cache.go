@@ -152,15 +152,15 @@ func replayCacheOps(schema storage.Schema, initial [][]value.Value, ops []cacheO
 			continue
 		}
 		sql := cacheQueries[op.Query]
-		got, err := run(cached, sql, core.DefaultOptions(), parallelism)
+		got, err := Run(cached, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cached: %w", i, err)
 		}
-		want, err := run(cold, sql, core.DefaultOptions(), parallelism)
+		want, err := Run(cold, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cold: %w", i, err)
 		}
-		if diff := equal(want, got); diff != "" {
+		if diff := Equal(want, got); diff != "" {
 			return fmt.Errorf("op %d (P=%d) %s: cached diverges from cold: %s", i, parallelism, sql, diff)
 		}
 	}
@@ -168,7 +168,7 @@ func replayCacheOps(schema storage.Schema, initial [][]value.Value, ops []cacheO
 }
 
 // minimizeCacheOps shrinks a failing op sequence while the predicate
-// keeps failing, with the same ddmin chunk-removal loop minimizeRows
+// keeps failing, with the same ddmin chunk-removal loop MinimizeRows
 // uses. Every subsequence of an interleaving is itself a valid
 // interleaving (each op is self-contained SQL), so removal is always
 // legal. The predicate must be deterministic.
@@ -203,11 +203,11 @@ func minimizeCacheOps(ops []cacheOp, failing func([]cacheOp) bool) []cacheOp {
 // CREATE + INSERTs, then the minimized interleaving in replay order.
 func dumpCacheOps(table string, schema storage.Schema, rows [][]value.Value, ops []cacheOp) string {
 	var sb strings.Builder
-	sb.WriteString(dumpRows(table, schema, rows))
+	sb.WriteString(DumpRows(table, schema, rows))
 	sb.WriteString("-- enable the summary cache (ShareSummaries), then replay:\n")
 	for _, op := range ops {
 		if op.isQuery() {
-			fmt.Fprintf(&sb, "%s; -- compare against a cold run\n", cacheQueries[op.Query])
+			fmt.Fprintf(&sb, "%s; -- Compare against a cold Run\n", cacheQueries[op.Query])
 		} else {
 			fmt.Fprintf(&sb, "%s;\n", op.SQL)
 		}

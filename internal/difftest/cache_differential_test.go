@@ -15,14 +15,14 @@ import (
 // merge and rebuild the cache performs.
 var cacheParallelisms = []int{1, 2, 8}
 
-// cacheSchema is randSchema plus what the cache suite's UPDATEs need: a unique
+// cacheSchema is RandSchema plus what the cache suite's UPDATEs need: a unique
 // id to address one row, and r, a REAL twin of the measure a.
-var cacheSchema = append(append(storage.Schema{}, randSchema...),
+var cacheSchema = append(append(storage.Schema{}, RandSchema...),
 	storage.ColumnDef{Name: "id", Type: storage.TypeInt}, storage.ColumnDef{Name: "r", Type: storage.TypeFloat})
 
-// cacheTableRows is randTableRows under cacheSchema: row i has id i.
+// cacheTableRows is RandTableRows under cacheSchema: row i has id i.
 func cacheTableRows(rng *rand.Rand, n int) [][]value.Value {
-	rows := randTableRows(rng, n)
+	rows := RandTableRows(rng, n)
 	for i, row := range rows {
 		r := value.Null
 		if !row[3].IsNull() {
@@ -60,7 +60,7 @@ func TestDifferentialCacheConsistencyRandomized(t *testing.T) {
 			failsRows := func(cand [][]value.Value) bool {
 				return replayCacheOps(cacheSchema, cand, minOps, par) != nil
 			}
-			minRows := minimizeRows(rows, failsRows)
+			minRows := MinimizeRows(rows, failsRows)
 			t.Fatalf("trial %d P=%d: %v\nminimized reproducer (%d of %d ops, %d of %d rows):\n%s",
 				trial, par, err, len(minOps), len(ops), len(minRows), len(rows),
 				dumpCacheOps("f", cacheSchema, minRows, minOps))

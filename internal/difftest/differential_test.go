@@ -14,45 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
-func mustExec(t *testing.T, e *engine.Engine, sql string) {
-	t.Helper()
-	if _, err := e.ExecSQL(sql); err != nil {
-		t.Fatalf("ExecSQL(%s): %v", sql, err)
-	}
-}
-
-// goldenPlanner loads the paper's Table 1 running example plus the
-// store/day table the horizontal examples use (store 4 closed on Monday —
-// a missing combination).
-func goldenPlanner(t *testing.T) *core.Planner {
-	t.Helper()
-	eng := engine.New(storage.NewCatalog())
-	mustExec(t, eng, `CREATE TABLE sales (RID INTEGER, state VARCHAR, city VARCHAR, salesAmt INTEGER)`)
-	mustExec(t, eng, `INSERT INTO sales VALUES
-		(1, 'CA', 'San Francisco', 13),
-		(2, 'CA', 'San Francisco', 3),
-		(3, 'CA', 'San Francisco', 67),
-		(4, 'CA', 'Los Angeles', 23),
-		(5, 'TX', 'Houston', 5),
-		(6, 'TX', 'Houston', 35),
-		(7, 'TX', 'Houston', 10),
-		(8, 'TX', 'Houston', 14),
-		(9, 'TX', 'Dallas', 53),
-		(10, 'TX', 'Dallas', 32)`)
-	mustExec(t, eng, `CREATE TABLE daily (store INTEGER, dweek VARCHAR, salesAmt INTEGER)`)
-	mustExec(t, eng, `INSERT INTO daily VALUES
-		(2,'Mo',7),(2,'Tu',6),(2,'We',8),(2,'Th',9),(2,'Fr',16),(2,'Sa',24),(2,'Su',30),
-		(4,'Tu',9),(4,'We',9),(4,'Th',9),(4,'Fr',18),(4,'Sa',20),(4,'Su',35)`)
-	return core.NewPlanner(eng)
-}
-
 // TestDifferentialGoldenQueries sweeps the running example through every
 // strategy knob at P ∈ {1, 2, 8}. The fixtures are tiny, so P=2 and P=8
 // force the partitioned path onto inputs with empty and single-row
 // partitions — the merge edge cases.
 func TestDifferentialGoldenQueries(t *testing.T) {
 	defer leakcheck.Check(t)()
-	p := goldenPlanner(t)
+	p := GoldenPlanner(t)
 	cases := []struct {
 		sql  string
 		opts []core.Options
@@ -104,7 +72,7 @@ func TestDifferentialGoldenQueries(t *testing.T) {
 	}
 	for _, c := range cases {
 		for oi, opts := range c.opts {
-			if err := compare(p, c.sql, opts, parallelisms); err != nil {
+			if err := Compare(p, c.sql, opts, Parallelisms); err != nil {
 				t.Errorf("opts[%d]: %v", oi, err)
 			}
 		}
@@ -152,7 +120,7 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(all, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(all, ", "))
 		}
-		if err := compare(p, vpct, core.DefaultOptions(), parallelisms); err != nil {
+		if err := Compare(p, vpct, core.DefaultOptions(), Parallelisms); err != nil {
 			t.Errorf("primary %d Vpct: %v", qi, err)
 		}
 
@@ -165,7 +133,7 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := compare(p, hpct, core.Options{}, parallelisms); err != nil {
+		if err := Compare(p, hpct, core.Options{}, Parallelisms); err != nil {
 			t.Errorf("primary %d Hpct: %v", qi, err)
 		}
 
@@ -178,73 +146,10 @@ func TestDifferentialPrimaryQueries(t *testing.T) {
 				strings.Join(q.totals, ", "), q.measure, strings.Join(q.by, ", "),
 				q.dataset, strings.Join(q.totals, ", "))
 		}
-		if err := compare(p, hagg, core.Options{}, parallelisms); err != nil {
+		if err := Compare(p, hagg, core.Options{}, Parallelisms); err != nil {
 			t.Errorf("primary %d Hagg: %v", qi, err)
 		}
 	}
-}
-
-// randTableRows generates the random fact-table rows the property tests
-// use: small dimension cardinalities, signed integer measures (zero totals
-// happen), NULLs in measures and dimensions.
-func randTableRows(rng *rand.Rand, n int) [][]value.Value {
-	strs := []string{"x", "y", "z"}
-	rows := make([][]value.Value, 0, n)
-	for i := 0; i < n; i++ {
-		row := []value.Value{
-			value.NewInt(int64(rng.Intn(3))),
-			value.NewInt(int64(rng.Intn(4))),
-			value.NewString(strs[rng.Intn(3)]),
-			value.NewInt(int64(rng.Intn(21) - 5)),
-		}
-		if rng.Intn(20) == 0 {
-			row[3] = value.Null
-		}
-		if rng.Intn(30) == 0 {
-			row[rng.Intn(3)] = value.Null
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-var randSchema = storage.Schema{
-	{Name: "d1", Type: storage.TypeInt},
-	{Name: "d2", Type: storage.TypeInt},
-	{Name: "d3", Type: storage.TypeString},
-	{Name: "a", Type: storage.TypeInt},
-}
-
-// plannerFor loads rows into a fresh catalog as table f.
-func plannerFor(t *testing.T, rows [][]value.Value) *core.Planner {
-	t.Helper()
-	cat := storage.NewCatalog()
-	tab, err := cat.Create("f", randSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if _, err := tab.AppendRow(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return core.NewPlanner(engine.New(cat))
-}
-
-// propertyQueries are the eight shapes the randomized differential test
-// sweeps — the same shapes the core property tests pin across strategies.
-var propertyQueries = []struct {
-	sql  string
-	opts core.Options
-}{
-	{"SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions()},
-	{"SELECT d1, d2, d3, Vpct(a BY d2, d3) FROM f GROUP BY d1, d2, d3", core.Options{Vpct: core.VpctOptions{FjFromF: true}}},
-	{"SELECT d3, Vpct(a) FROM f GROUP BY d3", core.Options{Vpct: core.VpctOptions{UseUpdate: true}}},
-	{"SELECT d1, d2, Vpct(a BY d2), sum(a), count(*) FROM f GROUP BY d1, d2", core.DefaultOptions()},
-	{"SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}},
-	{"SELECT d1, Hpct(a BY d2), sum(a), max(a) FROM f GROUP BY d1", core.Options{Hpct: core.HpctOptions{FromFV: true}}},
-	{"SELECT d1, sum(a BY d2, d3), count(*) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
-	{"SELECT d1, min(a BY d3), max(a BY d3) FROM f GROUP BY d1", core.Options{Hagg: core.HaggOptions{Method: core.HaggSPJ}}},
 }
 
 // TestDifferentialRandomizedProperty runs seeded random fact tables through
@@ -258,21 +163,21 @@ func TestDifferentialRandomizedProperty(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		rows := randTableRows(rng, 200+rng.Intn(400))
-		p := plannerFor(t, rows)
-		for qi, q := range propertyQueries {
-			err := compare(p, q.sql, q.opts, parallelisms)
+		rows := RandTableRows(rng, 200+rng.Intn(400))
+		p := PlannerFor(t, rows)
+		for qi, q := range PropertyQueries {
+			err := Compare(p, q.SQL, q.Opts, Parallelisms)
 			if err == nil {
 				continue
 			}
 			// Divergence: shrink the table to the smallest row set that
 			// still diverges, then dump a standalone reproducer.
 			fails := func(cand [][]value.Value) bool {
-				return compare(plannerFor(t, cand), q.sql, q.opts, parallelisms) != nil
+				return Compare(PlannerFor(t, cand), q.SQL, q.Opts, Parallelisms) != nil
 			}
-			minRows := minimizeRows(rows, fails)
+			minRows := MinimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), dumpRows("f", randSchema, minRows), q.sql)
+				trial, qi, err, len(minRows), len(rows), DumpRows("f", RandSchema, minRows), q.SQL)
 		}
 	}
 }
@@ -283,9 +188,9 @@ func TestDifferentialRandomizedProperty(t *testing.T) {
 func TestDifferentialMetamorphicVpctRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 3; trial++ {
-		p := plannerFor(t, randTableRows(rng, 400))
-		for _, par := range parallelisms {
-			res, err := run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
+		p := PlannerFor(t, RandTableRows(rng, 400))
+		for _, par := range Parallelisms {
+			res, err := Run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,15 +220,15 @@ func TestDifferentialMetamorphicVpctRange(t *testing.T) {
 func TestDifferentialMetamorphicVpctRangePositive(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 3; trial++ {
-		rows := randTableRows(rng, 400)
+		rows := RandTableRows(rng, 400)
 		for _, r := range rows {
 			if !r[3].IsNull() && r[3].Int() < 0 {
 				r[3] = value.NewInt(-r[3].Int())
 			}
 		}
-		p := plannerFor(t, rows)
-		for _, par := range parallelisms {
-			res, err := run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
+		p := PlannerFor(t, rows)
+		for _, par := range Parallelisms {
+			res, err := Run(p, "SELECT d1, d2, Vpct(a BY d2) FROM f GROUP BY d1, d2", core.DefaultOptions(), par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,9 +265,9 @@ func TestDifferentialMetamorphicVpctRangePositive(t *testing.T) {
 func TestDifferentialMetamorphicHpctRowSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3; trial++ {
-		p := plannerFor(t, randTableRows(rng, 400))
-		for _, par := range parallelisms {
-			res, err := run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
+		p := PlannerFor(t, RandTableRows(rng, 400))
+		for _, par := range Parallelisms {
+			res, err := Run(p, "SELECT d1, Hpct(a BY d2) FROM f GROUP BY d1", core.Options{}, par)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,7 +315,7 @@ func TestMinimizeRowsShrinksToKernel(t *testing.T) {
 		}
 		return has17 && has83
 	}
-	min := minimizeRows(rows, failing)
+	min := MinimizeRows(rows, failing)
 	if len(min) != 2 {
 		t.Fatalf("minimized to %d rows, want the 2-row kernel: %v", len(min), min)
 	}
@@ -426,7 +331,7 @@ func TestDifferentialDumpRowsRoundTrips(t *testing.T) {
 		{value.NewInt(1), value.NewInt(2), value.NewString("it's"), value.Null},
 		{value.Null, value.NewInt(-3), value.NewString("x"), value.NewInt(7)},
 	}
-	sql := dumpRows("f", randSchema, rows)
+	sql := DumpRows("f", RandSchema, rows)
 	eng := engine.New(storage.NewCatalog())
 	if _, err := eng.ExecSQL(sql); err != nil {
 		t.Fatalf("dump does not execute: %v\n%s", err, sql)

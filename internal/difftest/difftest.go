@@ -31,19 +31,19 @@ import (
 	"repro/internal/value"
 )
 
-// parallelisms is the standard sweep: the sequential reference plus a
+// Parallelisms is the standard sweep: the sequential reference plus a
 // partition count below and above typical core counts (8 forces several
 // partitions even on tiny fixtures, covering empty and single-row
 // partitions).
-var parallelisms = []int{1, 2, 8}
+var Parallelisms = []int{1, 2, 8}
 
-// equal compares two results exactly and returns "" when identical, else a
+// Equal compares two results exactly and returns "" when identical, else a
 // description of the first difference. NULLs only match NULLs; numeric
 // values must compare equal AND have the same kind (an int64 17 is not a
 // float64 17 — a kind flip would mark a merge that demoted a sum), and a
 // float -0.0 is not +0.0 — the sign is all that tells a sum that met a zero
 // addend from one that did not.
-func equal(a, b *engine.Result) string {
+func Equal(a, b *engine.Result) string {
 	if len(a.Columns) != len(b.Columns) {
 		return fmt.Sprintf("column count %d vs %d", len(a.Columns), len(b.Columns))
 	}
@@ -74,8 +74,8 @@ func equal(a, b *engine.Result) string {
 	return ""
 }
 
-// run plans and executes one percentage query at the given parallelism.
-func run(p *core.Planner, sql string, opts core.Options, parallelism int) (*engine.Result, error) {
+// Run plans and executes one percentage query at the given parallelism.
+func Run(p *core.Planner, sql string, opts core.Options, parallelism int) (*engine.Result, error) {
 	opts.Parallelism = parallelism
 	plan, err := p.PlanSQL(sql, opts)
 	if err != nil {
@@ -88,34 +88,34 @@ func run(p *core.Planner, sql string, opts core.Options, parallelism int) (*engi
 	return res, nil
 }
 
-// compare runs sql under every parallelism in ps (the first entry is the
+// Compare runs sql under every parallelism in ps (the first entry is the
 // reference, conventionally 1) and returns an error describing the first
 // divergence, or nil when all runs agree exactly.
-func compare(p *core.Planner, sql string, opts core.Options, ps []int) error {
+func Compare(p *core.Planner, sql string, opts core.Options, ps []int) error {
 	if len(ps) < 2 {
 		return fmt.Errorf("difftest: need a reference and at least one candidate parallelism, got %v", ps)
 	}
-	ref, err := run(p, sql, opts, ps[0])
+	ref, err := Run(p, sql, opts, ps[0])
 	if err != nil {
 		return err
 	}
 	for _, par := range ps[1:] {
-		got, err := run(p, sql, opts, par)
+		got, err := Run(p, sql, opts, par)
 		if err != nil {
 			return err
 		}
-		if diff := equal(ref, got); diff != "" {
+		if diff := Equal(ref, got); diff != "" {
 			return fmt.Errorf("difftest: %s: P=%d diverges from P=%d: %s", sql, par, ps[0], diff)
 		}
 	}
 	return nil
 }
 
-// minimizeRows shrinks a failing row set while the predicate keeps failing,
+// MinimizeRows shrinks a failing row set while the predicate keeps failing,
 // using ddmin-style chunk removal: try dropping ever-smaller contiguous
 // chunks, keeping each removal that still fails, until no single row can be
 // dropped. The predicate must be deterministic.
-func minimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]value.Value {
+func MinimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]value.Value {
 	cur := rows
 	for chunk := len(cur) / 2; chunk >= 1; {
 		removed := false
@@ -142,9 +142,9 @@ func minimizeRows(rows [][]value.Value, failing func([][]value.Value) bool) [][]
 	return cur
 }
 
-// dumpRows renders a minimal SQL reproducer: CREATE TABLE + INSERTs for the
+// DumpRows renders a minimal SQL reproducer: CREATE TABLE + INSERTs for the
 // rows, ready to paste into a shell or a new test.
-func dumpRows(table string, schema storage.Schema, rows [][]value.Value) string {
+func DumpRows(table string, schema storage.Schema, rows [][]value.Value) string {
 	var sb strings.Builder
 	var defs []string
 	for _, c := range schema {

@@ -48,23 +48,23 @@ func FuzzCubeEquivalence(f *testing.F) {
 		const sets = "SELECT d1, d2, Vpct(a BY d2), sum(a), GROUPING(d1, d2) FROM f " +
 			"GROUP BY GROUPING SETS ((d1, d2), (d1), (d2), ())"
 		for _, share := range []bool{false, true} {
-			pc := plannerFor(t, rows)
-			ps := plannerFor(t, rows)
+			pc := PlannerFor(t, rows)
+			ps := PlannerFor(t, rows)
 			if share {
 				pc.ShareSummaries(true)
 				ps.ShareSummaries(true)
 			}
-			want, err := run(pc, cube, core.DefaultOptions(), 1)
+			want, err := Run(pc, cube, core.DefaultOptions(), 1)
 			if err != nil {
 				t.Fatalf("cube (share=%v): %v", share, err)
 			}
-			got, err := run(ps, sets, core.DefaultOptions(), 1)
+			got, err := Run(ps, sets, core.DefaultOptions(), 1)
 			if err != nil {
 				t.Fatalf("grouping sets (share=%v): %v", share, err)
 			}
-			if diff := equal(want, got); diff != "" {
+			if diff := Equal(want, got); diff != "" {
 				t.Fatalf("CUBE vs explicit GROUPING SETS (share=%v): %s\nrows:\n%s",
-					share, diff, dumpRows("f", randSchema, rows))
+					share, diff, DumpRows("f", RandSchema, rows))
 			}
 		}
 	})

@@ -34,19 +34,19 @@ func TestDifferentialLatticeParallelism(t *testing.T) {
 		trials = 2
 	}
 	for trial := 0; trial < trials; trial++ {
-		rows := randTableRows(rng, 150+rng.Intn(300))
-		p := plannerFor(t, rows)
+		rows := RandTableRows(rng, 150+rng.Intn(300))
+		p := PlannerFor(t, rows)
 		for qi, sql := range latticeQueries {
-			err := compare(p, sql, core.DefaultOptions(), parallelisms)
+			err := Compare(p, sql, core.DefaultOptions(), Parallelisms)
 			if err == nil {
 				continue
 			}
 			fails := func(cand [][]value.Value) bool {
-				return compare(plannerFor(t, cand), sql, core.DefaultOptions(), parallelisms) != nil
+				return Compare(PlannerFor(t, cand), sql, core.DefaultOptions(), Parallelisms) != nil
 			}
-			minRows := minimizeRows(rows, fails)
+			minRows := MinimizeRows(rows, fails)
 			t.Fatalf("trial %d query %d: %v\nminimized reproducer (%d of %d rows):\n%s-- failing query: %s",
-				trial, qi, err, len(minRows), len(rows), dumpRows("f", randSchema, minRows), sql)
+				trial, qi, err, len(minRows), len(rows), DumpRows("f", RandSchema, minRows), sql)
 		}
 	}
 }
@@ -75,15 +75,15 @@ func replayLatticeOps(initial [][]value.Value, ops []cacheOp, parallelism int) e
 			continue
 		}
 		sql := latticeQueries[op.Query%len(latticeQueries)]
-		got, err := run(cached, sql, core.DefaultOptions(), parallelism)
+		got, err := Run(cached, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cached: %w", i, err)
 		}
-		want, err := run(cold, sql, core.DefaultOptions(), parallelism)
+		want, err := Run(cold, sql, core.DefaultOptions(), parallelism)
 		if err != nil {
 			return fmt.Errorf("op %d cold: %w", i, err)
 		}
-		if diff := equal(want, got); diff != "" {
+		if diff := Equal(want, got); diff != "" {
 			return fmt.Errorf("op %d (P=%d) %s: cached lattice diverges from cold: %s", i, parallelism, sql, diff)
 		}
 	}
@@ -117,7 +117,7 @@ func TestDifferentialLatticeCachedVsCold(t *testing.T) {
 			failsRows := func(cand [][]value.Value) bool {
 				return replayLatticeOps(cand, minOps, par) != nil
 			}
-			minRows := minimizeRows(rows, failsRows)
+			minRows := MinimizeRows(rows, failsRows)
 			t.Fatalf("trial %d P=%d: %v\nminimized reproducer (%d of %d ops, %d of %d rows):\n%s",
 				trial, par, err, len(minOps), len(ops), len(minRows), len(rows),
 				dumpCacheOps("f", cacheSchema, minRows, minOps))
@@ -139,7 +139,7 @@ func latticeKey(vs ...value.Value) string {
 // nonNegativeRows flips negative measures positive so the paper's sum-to-1
 // invariants are exact.
 func nonNegativeRows(rng *rand.Rand, n int) [][]value.Value {
-	rows := randTableRows(rng, n)
+	rows := RandTableRows(rng, n)
 	for _, r := range rows {
 		if !r[3].IsNull() && r[3].Int() < 0 {
 			r[3] = value.NewInt(-r[3].Int())
@@ -153,22 +153,22 @@ func nonNegativeRows(rng *rand.Rand, n int) [][]value.Value {
 // parallelism and checks they agree, returning the result.
 func runBoth(t *testing.T, rows [][]value.Value, sql string, par int) *engine.Result {
 	t.Helper()
-	cold := plannerFor(t, rows)
-	res, err := run(cold, sql, core.DefaultOptions(), par)
+	cold := PlannerFor(t, rows)
+	res, err := Run(cold, sql, core.DefaultOptions(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := plannerFor(t, rows)
+	warm := PlannerFor(t, rows)
 	warm.ShareSummaries(true)
-	if _, err := run(warm, sql, core.DefaultOptions(), par); err != nil {
+	if _, err := Run(warm, sql, core.DefaultOptions(), par); err != nil {
 		t.Fatal(err)
 	}
-	cachedRes, err := run(warm, sql, core.DefaultOptions(), par)
+	cachedRes, err := Run(warm, sql, core.DefaultOptions(), par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := equal(res, cachedRes); diff != "" {
-		t.Fatalf("P=%d %s: cached run diverges from cold: %s", par, sql, diff)
+	if diff := Equal(res, cachedRes); diff != "" {
+		t.Fatalf("P=%d %s: cached Run diverges from cold: %s", par, sql, diff)
 	}
 	return res
 }
@@ -179,7 +179,7 @@ func runBoth(t *testing.T, rows [][]value.Value, sql string, par int) *engine.Re
 // rows. Checked at P ∈ {1, 8}, cached and cold.
 func TestDifferentialLatticeParentFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	rows := randTableRows(rng, 400)
+	rows := RandTableRows(rng, 400)
 	const sql = "SELECT d1, d2, sum(a), count(*), GROUPING(d1, d2) FROM f GROUP BY ROLLUP(d1, d2)"
 	for _, par := range cacheParallelisms {
 		res := runBoth(t, rows, sql, par)
@@ -348,8 +348,8 @@ func TestDifferentialLatticeHpctRowTotals(t *testing.T) {
 
 		// The grand-total Hpct row is the (d2) node transposed: its cells
 		// must equal each d2 group's Vpct share of the grand total.
-		p := plannerFor(t, rows)
-		vres, err := run(p, "SELECT d2, Vpct(a) FROM f GROUP BY d2", core.DefaultOptions(), par)
+		p := PlannerFor(t, rows)
+		vres, err := Run(p, "SELECT d2, Vpct(a) FROM f GROUP BY d2", core.DefaultOptions(), par)
 		if err != nil {
 			t.Fatal(err)
 		}

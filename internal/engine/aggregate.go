@@ -26,8 +26,11 @@ func mergeTypeError(dst, src accumulator) error {
 	return fmt.Errorf("engine: cannot merge %T into %T", src, dst)
 }
 
-// newAccumulator builds the accumulator for an aggregate call. BY-carrying
-// calls never reach here (the rewriter eliminates them).
+// newAccumulator builds the accumulator object for an aggregate call the fold
+// does not keep in a cell (planSlot): avg, count(DISTINCT), min and max. A
+// plain sum or count is a cell, and an object only in the reference fold
+// (refAccumulator, oracle_test.go). BY-carrying calls never reach here (the
+// rewriter eliminates them).
 func newAccumulator(call *expr.AggCall) (accumulator, error) {
 	if call.Distinct {
 		if call.Fn != expr.AggCount {
@@ -36,10 +39,6 @@ func newAccumulator(call *expr.AggCall) (accumulator, error) {
 		return &countDistinctAcc{seen: make(map[string]struct{})}, nil
 	}
 	switch call.Fn {
-	case expr.AggSum:
-		return &sumAcc{}, nil
-	case expr.AggCount:
-		return &countAcc{star: call.Star}, nil
 	case expr.AggAvg:
 		return &avgAcc{}, nil
 	case expr.AggMin:
@@ -131,8 +130,8 @@ func cellResult(fn expr.AggFn, num int64, tag uint8) value.Value {
 	return value.NewFloat(cellFloatOf(num, tag))
 }
 
-// sumAcc is a sum cell as an accumulator: the reference fold's sum(), and
-// the sum inside avgAcc.
+// sumAcc is a sum cell as an accumulator: the sum inside avgAcc, and the
+// reference fold's sum().
 type sumAcc struct {
 	num int64
 	tag uint8
@@ -150,30 +149,6 @@ func (a *sumAcc) merge(o accumulator) error {
 }
 
 func (a *sumAcc) result() value.Value { return cellResult(expr.AggSum, a.num, a.tag) }
-
-// countAcc counts rows (star) or non-NULL values.
-type countAcc struct {
-	star bool
-	n    int64
-}
-
-func (a *countAcc) add(v value.Value) error {
-	if a.star || !v.IsNull() {
-		a.n++
-	}
-	return nil
-}
-
-func (a *countAcc) merge(o accumulator) error {
-	b, ok := o.(*countAcc)
-	if !ok {
-		return mergeTypeError(a, o)
-	}
-	a.n += b.n
-	return nil
-}
-
-func (a *countAcc) result() value.Value { return value.NewInt(a.n) }
 
 // countDistinctAcc counts distinct non-NULL values.
 type countDistinctAcc struct {
@@ -287,120 +262,4 @@ func (a *minMaxAcc) result() value.Value {
 type aggSpec struct {
 	call *expr.AggCall
 	arg  expr.Expr // bound; nil for count(*)
-}
-
-// groupState accumulates one group.
-type groupState struct {
-	keyVals []value.Value
-	accs    []accumulator
-}
-
-// hashAggregateSeq is the sequential reference fold (selected by
-// SetBatch(false) or a core.batch fault; see fold.go): it consumes the input
-// and produces one output row per group — the group-key values followed by
-// one aggregate result per spec. keyExprs are bound against the input
-// schema. With no keys, a single global group is produced even for empty
-// input (SQL semantics for aggregates without GROUP BY). Output rows follow
-// the first-appearance order of their groups in the input; the fold operator
-// (fold.go) reproduces exactly this order at any parallelism.
-// gov, when non-nil, charges group creation against MaxGroups and checks
-// cancellation every govStride input rows (base-table inputs also check in
-// the scan; this covers materialized inputs).
-func hashAggregateSeq(in iterator, keyExprs []expr.Expr, specs []aggSpec, gov *governor) ([][]value.Value, error) {
-	groups := make(map[string]*groupState)
-	var order []string // first-appearance order, deterministic output
-	keyBuf := make([]byte, 0, 64)
-	keyVals := make([]value.Value, len(keyExprs))
-
-	newGroup := func() (*groupState, error) {
-		gs := &groupState{
-			keyVals: append([]value.Value(nil), keyVals...),
-			accs:    make([]accumulator, len(specs)),
-		}
-		for i, s := range specs {
-			acc, err := newAccumulator(s.call)
-			if err != nil {
-				return nil, err
-			}
-			gs.accs[i] = acc
-		}
-		return gs, nil
-	}
-
-	var box rowBox
-	var seen int
-	for {
-		row, ok, err := in.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		seen++
-		if gov != nil && seen%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return nil, err
-			}
-		}
-		box.vals = row
-		rv := &box
-		keyBuf = keyBuf[:0]
-		for i, ke := range keyExprs {
-			v, err := ke.Eval(rv)
-			if err != nil {
-				return nil, err
-			}
-			keyVals[i] = v
-			keyBuf = value.AppendKey(keyBuf, v)
-		}
-		gs, ok := groups[string(keyBuf)]
-		if !ok {
-			if gov != nil {
-				if err := gov.addGroups(1); err != nil {
-					return nil, err
-				}
-			}
-			gs, err = newGroup()
-			if err != nil {
-				return nil, err
-			}
-			k := string(keyBuf)
-			groups[k] = gs
-			order = append(order, k)
-		}
-		for i, s := range specs {
-			var v value.Value
-			if s.arg != nil {
-				v, err = s.arg.Eval(rv)
-				if err != nil {
-					return nil, err
-				}
-			}
-			if err := gs.accs[i].add(v); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	if len(keyExprs) == 0 && len(groups) == 0 {
-		gs, err := newGroup()
-		if err != nil {
-			return nil, err
-		}
-		groups[""] = gs
-		order = append(order, "")
-	}
-
-	out := make([][]value.Value, 0, len(groups))
-	for _, k := range order {
-		gs := groups[k]
-		row := make([]value.Value, 0, len(gs.keyVals)+len(specs))
-		row = append(row, gs.keyVals...)
-		for _, acc := range gs.accs {
-			row = append(row, acc.result())
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }

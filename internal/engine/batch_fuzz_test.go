@@ -166,9 +166,8 @@ func fuzzResultDiff(a, b *Result) string {
 
 // FuzzBatchFoldEquivalence proves the fold operator ≡ the reference fold: a
 // seeded random typed table (NULLs included) runs one aggregation query
-// through the sequential reference at P=1 and through the operator at a
-// fuzzed parallelism; results must be byte-identical and errors must match
-// exactly.
+// through the oracle at P=1 and through the operator at a fuzzed
+// parallelism; results must be byte-identical and errors must match exactly.
 func FuzzBatchFoldEquivalence(f *testing.F) {
 	for q := range fuzzFoldQueries {
 		f.Add(int64(q)*7919+1, uint16(900+137*q), uint8(q), uint8(q%3))
@@ -197,9 +196,9 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 		p := []int{1, 2, 8}[int(par)%3]
 
 		e := New(cat)
-		e.SetBatch(false)
+		UseReference(e, true)
 		ref, refErr := e.ExecSQLCtxP(context.Background(), sql, 1)
-		e.SetBatch(true)
+		UseReference(e, false)
 		got, gotErr := e.ExecSQLCtxP(context.Background(), sql, p)
 
 		if (refErr == nil) != (gotErr == nil) {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestBatchPathFires pins that a GROUP BY runs through the fold operator
-// (batch.folds) and that SetBatch(false) routes it to the reference instead,
-// counted in batch.fallbacks.
+// (batch.folds) and that the reference engine, once installed, folds it
+// instead.
 func TestBatchPathFires(t *testing.T) {
 	cat := storage.NewCatalog()
 	e := New(cat)
@@ -25,19 +25,15 @@ func TestBatchPathFires(t *testing.T) {
 	if after := mBatchFolds.Value(); after != before+1 {
 		t.Fatalf("batch.folds went %d -> %d, want one vectorized fold", before, after)
 	}
-	e.SetBatch(false)
-	foldsBefore, fallbacksBefore := mBatchFolds.Value(), mBatchFallbacks.Value()
+	UseReference(e, true)
+	before = mBatchFolds.Value()
 	mustExec(`SELECT g, sum(v) FROM s GROUP BY g`)
-	if after := mBatchFolds.Value(); after != foldsBefore {
-		t.Fatalf("SetBatch(false) still ran the fold operator")
+	if after := mBatchFolds.Value(); after != before {
+		t.Fatalf("the reference engine still ran the fold operator")
 	}
-	if after := mBatchFallbacks.Value(); after != fallbacksBefore+1 {
-		t.Fatalf("batch.fallbacks went %d -> %d, want one reference fold", fallbacksBefore, after)
-	}
-	if !e.BatchEnabled() {
-		e.SetBatch(true)
-	}
-	if !e.BatchEnabled() {
-		t.Fatal("SetBatch(true) did not re-enable the batch path")
+	UseReference(e, false)
+	mustExec(`SELECT g, sum(v) FROM s GROUP BY g`)
+	if after := mBatchFolds.Value(); after != before+1 {
+		t.Fatal("removing the reference did not bring the fold operator back")
 	}
 }

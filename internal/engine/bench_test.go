@@ -421,16 +421,17 @@ const divideSQL = `INSERT INTO fv SELECT fk.k1, fk.k2, fk.k3, fk.k4, CASE WHEN f
 // orderedSQL is the plan's final select, over a filled FV.
 const orderedSQL = "SELECT k1, k2, k3, k4, pct FROM fv ORDER BY k1, k2, k3, k4"
 
-// benchBothPaths runs stmt on the column path and on the row-at-a-time
-// reference; reset, when set, runs off the clock before each iteration.
+// benchBothPaths runs stmt on the batch pipeline ("batch") and on the
+// row-at-a-time oracle ("rows"); reset, when set, runs off the clock before
+// each iteration.
 func benchBothPaths(b *testing.B, e *Engine, stmt string, reset func()) {
 	for _, path := range []struct {
 		name  string
 		batch bool
 	}{{"batch", true}, {"rows", false}} {
 		b.Run(path.name, func(b *testing.B) {
-			e.SetBatch(path.batch)
-			defer e.SetBatch(true)
+			UseReference(e, !path.batch)
+			defer UseReference(e, false)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if reset != nil {

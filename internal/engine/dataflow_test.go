@@ -90,8 +90,8 @@ func renderRows(rows [][]value.Value) string {
 // duplicates, DESC, positions, hidden columns and computed keys — packed when
 // every key is an INTEGER or BOOLEAN column whose codes fit a word beside the
 // position, by comparator over the vectors when one is not or w's range
-// overflows it (and always on the reference path), by value.Compare over
-// collected rows when the select list computes.
+// overflows it, by value.Compare over collected rows when the select list
+// computes — on the pipeline and on the oracle alike.
 func TestPermutationSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	e := sortFixture(t, rng, 700, false)
@@ -119,7 +119,7 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 	}
 	stored := []key{{"i", 1}, {"f", 2}, {"v", 3}, {"b", 4}, {"2", 1}, {"4", 3}, {"w", 5}, {"b", 4}, {"i", 1}}
 	for round := 0; round < 120; round++ {
-		e.SetBatch(round%4 != 3) // every fourth round on the reference path
+		UseReference(e, round%4 == 3) // every fourth round on the reference path
 		var keys []key
 		for n := 1 + rng.Intn(3); len(keys) < n; {
 			keys = append(keys, stored[rng.Intn(len(stored))])
@@ -154,7 +154,7 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 		}
 	}
 
-	e.SetBatch(true)
+	UseReference(e, false)
 
 	// A mixed-kind computed key exists only on the collected path.
 	mixed := "CASE WHEN b THEN i WHEN v = 'a' THEN NULL ELSE v END"
@@ -212,7 +212,7 @@ func TestFilteredOrderBySortsIds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	e := sortFixture(t, rng, 2500, false)
 	for _, batch := range []bool{true, false} {
-		e.SetBatch(batch)
+		UseReference(e, !batch)
 		for _, where := range []string{"i = 1", "b IS NOT NULL AND i = -1", "f > 0", "i = 0 AND f <= 2.25", "v = 'zz'"} {
 			base := mustExec(t, e, "SELECT id, i, f, v, b, w FROM s WHERE "+where).Rows
 			for _, tc := range []struct {
@@ -242,7 +242,7 @@ func TestFilteredOrderBySortsIds(t *testing.T) {
 	e = sortFixture(t, rand.New(rand.NewSource(5)), 600, true)
 	coll := renderRows(mustExec(t, e, "SELECT id + 0, f FROM s WHERE i >= 0 ORDER BY f, 1").Rows)
 	for _, batch := range []bool{true, false} {
-		e.SetBatch(batch)
+		UseReference(e, !batch)
 		if got := renderRows(mustExec(t, e, "SELECT id, f FROM s WHERE i >= 0 ORDER BY f, id").Rows); got != coll {
 			t.Errorf("batch=%v: a filtered ORDER BY over NaN differs from the collected sort", batch)
 		}
@@ -606,7 +606,7 @@ func TestBatchInsertKeepsTheRowPathsContracts(t *testing.T) {
 	}
 	var ref []outcome
 	for _, batch := range []bool{false, true} {
-		e.SetBatch(batch)
+		UseReference(e, !batch)
 		var got []outcome
 		check := func(name string, ctx context.Context, sql, wantCode string) {
 			t.Helper()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/chaos"
 	"repro/internal/expr"
 	"repro/internal/obs"
@@ -291,29 +290,28 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 // no epoch tick, no hook.
 
 // selectRows returns, ascending, the ids of t's rows that where admits (nil:
-// every row): each batch of row ids is refined through a tableFilter — the
-// selection kernels for what they admit, a RowView walk that stops at the
-// first error for the rest. Scanned rows are charged, and the statement
-// cancellable, a govStride at a time.
+// every row): the pipeline scans t through the filter.
 func selectRows(t *storage.Table, where expr.Expr, gov *governor) ([]int32, error) {
-	n := t.NumRows()
-	buf := batch.Default.GetSel(min(batch.Size, n))
-	defer batch.Default.PutSel(buf)
-	filter := newTableFilter(t, where)
-	var ids []int32
-	for base := 0; base < n; base += batch.Size {
-		bn := min(batch.Size, n-base)
-		sel, err := filter.apply(rowRange(buf, base, bn))
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, sel...)
-		if err := gov.addScanned(int64(bn)); err != nil {
-			return nil, err
-		}
+	q := &struct { // one allocation for the plan and what it selects
+		scan   tableScan
+		filter filterIter
+		ids    idSink
+	}{scan: tableScan{tab: t}}
+	var in planNode = &q.scan
+	if where != nil {
+		q.filter = filterIter{child: in, pred: where}
+		in = &q.filter
 	}
-	mRowsScanned.Add(int64(n))
-	return ids, nil
+	err := newPipeline(in).drain(gov, &q.ids, nil)
+	return q.ids, err
+}
+
+// idSink keeps the row ids of a one-table pipeline.
+type idSink []int32
+
+func (s *idSink) consume(b *tupleBatch) error {
+	*s = append(*s, b.ids[0]...)
+	return nil
 }
 
 // execDelete removes the qualifying rows: the kept ones, charged against
@@ -400,7 +398,6 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 		}
 		cond = andAll(residual)
 		build = newBuildSide(ft, fromSch, pairs)
-		build.gov = ec.gov
 	}
 	var where expr.Expr
 	if cond != nil {
@@ -507,12 +504,13 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets 
 // table rewrite this is what makes the paper's UPDATE-based Vpct strategy pay
 // when |FV| is large, and why the paper recommends INSERT instead.
 func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, where expr.Expr, sets []boundSet, gov *governor) (*Result, error) {
-	if err := build.ensure(); err != nil {
+	if err := build.ensure(gov); err != nil {
 		return nil, err
 	}
 	stage := t.EmptyClone()
 	n := 0
 	var row, comb []value.Value
+	var key []byte
 	var journal [][]value.Value
 	var box rowBox
 	newVals := make([]value.Value, len(sets))
@@ -524,7 +522,9 @@ func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, 
 		}
 		row = t.Row(r, row)
 		box.vals = row
-		for _, m := range build.probe(&box) {
+		var matches []int
+		matches, key = build.probe(&box, key)
+		for _, m := range matches {
 			comb = append(comb[:0], row...)
 			for c := 0; c < build.tab.NumCols(); c++ {
 				comb = append(comb, build.tab.Get(m, c))

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
@@ -36,11 +37,10 @@ type Engine struct {
 	// intro is the introspection state (nil = off); see introspect.go.
 	// Atomic so enabling/disabling races safely with statements in flight.
 	intro atomic.Pointer[introState]
-	// batchOff sends every statement to the row-at-a-time reference operators
-	// instead of the fold operator (fold.go) and the column path (columns.go).
-	// Stored inverted so the zero value is "on"; atomic for the same
-	// concurrent-submitter reason as par.
-	batchOff atomic.Bool
+	// ref, when set, is the reference engine every SELECT then runs its
+	// input on instead of the batch pipeline. Only the package's tests set it
+	// (export_test.go): the reference lives in their files.
+	ref atomic.Pointer[reference]
 	// virt maps lowercased names to registered read-only virtual relations
 	// (the pct_stat_* catalog). Guarded by virtMu; registration is rare and
 	// the per-statement lookup is a short read-locked map probe.
@@ -132,16 +132,19 @@ func (e *Engine) SetParallelism(p int) { e.par.Store(int32(p)) }
 // Parallelism returns the engine's default parallelism.
 func (e *Engine) Parallelism() int { return int(e.par.Load()) }
 
-// SetBatch toggles the batch operators (on by default). Off selects the whole
-// row-at-a-time reference: every GROUP BY and DISTINCT goes to the sequential
-// reference fold, on one worker whatever the parallelism, every plain SELECT
-// pulls boxed rows through the iterators into the sinks' row push, and ORDER
-// BY sorts by comparator only — the engine the differential suite and pctbench
-// compare the batch operators against.
-func (e *Engine) SetBatch(on bool) { e.batchOff.Store(!on) }
-
-// BatchEnabled reports whether the batch operators are enabled.
-func (e *Engine) BatchEnabled() bool { return !e.batchOff.Load() }
+// reference is the row-at-a-time engine the batch pipeline is proven
+// against: the plan's nodes pulled one boxed row at a time, the sequential
+// fold, every CASE arm evaluated on every row — the paper's engine. It is
+// the test oracle (oracle_test.go); production code only calls through it.
+type reference interface {
+	// fold is hashAggregate on the reference.
+	fold(in planNode, keys []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error)
+	// project pushes every row of in through proj and returns the count.
+	project(in planNode, proj *projector, ec execCtx) (int, error)
+	// window collects in, folds it by each partition list into parts
+	// (windowPart.index), then copies each input row into row and calls push.
+	window(in planNode, parts []*windowPart, ec execCtx, row []value.Value, push func() error) error
+}
 
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *storage.Catalog { return e.cat }
@@ -169,15 +172,17 @@ func (e *Engine) ExecuteCtxIn(ctx context.Context, stmt sqlparse.Statement, para
 
 // runStatement is the statement lifecycle, begin → govern → exec → complete,
 // and the only place a statement begins and ends. Begin reads the one clock,
-// snapshots the batch flag and opens the introspection record; Contain
+// snapshots the reference hook and opens the introspection record; Contain
 // applies the effective limits' deadline and contains panics; the governor
 // the long loops check is built under it; complete feeds every consumer of
 // the finished statement. Everything downstream derives its context from ec
 // — an inner context is a copy of ec with fields changed, never a literal —
-// so a governor, record or batch flag cannot be dropped on the way.
+// so a governor, record or reference cannot be dropped on the way.
 func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec execCtx) (res *Result, err error) {
 	ec.start = time.Now()
-	ec.batch = !e.batchOff.Load()
+	if r := e.ref.Load(); r != nil {
+		ec.ref = *r
+	}
 	// The statement text is rendered at most once, and only for a consumer
 	// that is on: a live span, the introspection record, a slow statement.
 	var sql string

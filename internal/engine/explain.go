@@ -11,12 +11,12 @@ import (
 	"repro/internal/value"
 )
 
-// execExplain renders the physical plan of a SELECT. The FROM pipeline is
+// execExplain renders the physical plan of a SELECT. The FROM plan is
 // actually constructed — index decisions are made exactly as execution would
-// make them — but join hash tables and nested-loop right sides build lazily
-// on first probe, so plain EXPLAIN never pays the build cost even on large
-// inputs. EXPLAIN ANALYZE executes the query and annotates each operator
-// with its actual row count and cumulative time.
+// make them — but join hash tables are built only when the plan runs, so
+// plain EXPLAIN never pays the build cost even on large inputs. EXPLAIN
+// ANALYZE executes the query and annotates each operator with its actual row
+// count and cumulative time.
 func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) {
 	if ex.Analyze {
 		return e.execExplainAnalyze(ex, ec)
@@ -50,7 +50,7 @@ func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) 
 func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, error) {
 	sel := ex.Query
 	// The select runs under the statement's own context — governor, record,
-	// batch flag — with its pipeline exposed; an untraced statement gets a
+	// reference — with its plan exposed; an untraced statement gets a
 	// private span to read the stage actuals from.
 	insp := &selInspect{}
 	ec.inspect = insp
@@ -183,10 +183,10 @@ func explainHeader(sel *sqlparse.Select, items []sqlparse.SelectItem, sch relSch
 	return depth
 }
 
-// describeIter renders the FROM pipeline bottom of the plan tree. Operators
-// carrying opStats (EXPLAIN ANALYZE) are annotated with actual rows and
-// cumulative times.
-func describeIter(it iterator, depth int, emit func(int, string)) {
+// describeIter renders the FROM plan at the bottom of the plan tree.
+// Operators carrying opStats (EXPLAIN ANALYZE) are annotated with actual rows
+// and cumulative times.
+func describeIter(it planNode, depth int, emit func(int, string)) {
 	switch n := it.(type) {
 	case *tableScan:
 		emit(depth, fmt.Sprintf("Scan %s (%d rows)%s", n.tab.Name(), n.tab.NumRows(), n.stats.actualSuffix()))
@@ -232,13 +232,13 @@ func describeIter(it iterator, depth int, emit func(int, string)) {
 		emit(depth, fmt.Sprintf("%s on %s%s", kind, pred, n.stats.actualSuffix()))
 		describeIter(n.left, depth+1, emit)
 		mat := "Materialize (right side, deferred to first probe)"
-		if n.right != nil {
-			mat = fmt.Sprintf("Materialize (right side, %d rows, time=%s)", len(n.right.rows), time.Duration(n.matNs))
+		if n.opened {
+			mat = fmt.Sprintf("Materialize (right side, %d rows, time=%s)", n.right.count(), time.Duration(n.openNs))
 		}
 		emit(depth+1, mat)
-		describeIter(n.rightSrc, depth+2, emit)
-	case *memRelation:
-		emit(depth, fmt.Sprintf("Values (%d rows)%s", len(n.rows), n.stats.actualSuffix()))
+		describeIter(n.right, depth+2, emit)
+	case *valuesNode:
+		emit(depth, "Values (1 rows)"+n.stats.actualSuffix())
 	default:
 		emit(depth, fmt.Sprintf("%T", it))
 	}

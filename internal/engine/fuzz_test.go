@@ -36,7 +36,7 @@ func FuzzParallelMergeEquivalence(f *testing.F) {
 		vals, splits := fuzzValueStream(data[1:])
 
 		// Reference: one accumulator over the whole stream.
-		single, err := newAccumulator(call)
+		single, err := refAccumulator(call)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func FuzzParallelMergeEquivalence(f *testing.F) {
 		}
 
 		// Partitioned: one accumulator per split, merged in order.
-		merged, err := newAccumulator(call)
+		merged, err := refAccumulator(call)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func FuzzParallelMergeEquivalence(f *testing.F) {
 			if pi < len(splits) {
 				hi = splits[pi]
 			}
-			part, err := newAccumulator(call)
+			part, err := refAccumulator(call)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func FuzzParallelMergeEquivalence(f *testing.F) {
 			if len(splits) > 0 {
 				lo = splits[len(splits)-1]
 			}
-			part, err := newAccumulator(call)
+			part, err := refAccumulator(call)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -50,7 +50,7 @@ func TestRealZeroKeysAgreeWithEquality(t *testing.T) {
 		for _, c := range cases {
 			for _, batch := range []bool{true, false} {
 				for _, p := range []int{1, 2} {
-					e.SetBatch(batch)
+					UseReference(e, !batch)
 					res, err := e.ExecSQLCtxP(context.Background(), c.sql, p)
 					if err != nil {
 						t.Fatalf("%s: %v", c.sql, err)
@@ -245,9 +245,9 @@ func TestMaxGroupsTripsWhereTheReferenceDoes(t *testing.T) {
 		}
 		for _, limit := range []int64{1, 1023, 1024, 1025, int64(groups) - 1, int64(groups), int64(groups) + 1} {
 			ctx := WithLimits(context.Background(), Limits{MaxGroups: limit})
-			e.SetBatch(false)
+			UseReference(e, true)
 			_, refErr := e.ExecSQLCtxP(ctx, sql, 1)
-			e.SetBatch(true)
+			UseReference(e, false)
 			_, gotErr := e.ExecSQLCtxP(ctx, sql, 1)
 			var le *LimitError
 			if wantFail := limit < int64(groups); wantFail != (refErr != nil) || wantFail && (!errors.As(refErr, &le) || le.Code() != diag.CodeGroupLimit) {

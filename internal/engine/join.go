@@ -127,9 +127,9 @@ func sameColRef(a, b *expr.ColumnRef) bool {
 // buildSide is the right side of a hash join: a hash index over the join
 // columns of a stored table — the table's own when one matches (the paper's
 // subkey-index optimization skips the build phase by reusing it), an ad-hoc
-// one otherwise. The ad-hoc index is built lazily, on the first probe, so
-// constructing the join — which EXPLAIN does to render real plan decisions —
-// costs nothing; only the cheap index check runs eagerly because the plan
+// one otherwise. The ad-hoc index is built only when the join runs (ensure),
+// so constructing the join — which EXPLAIN does to render real plan decisions
+// — costs nothing; only the cheap index check runs eagerly because the plan
 // text reports which build strategy applies.
 type buildSide struct {
 	tab       *storage.Table
@@ -139,13 +139,11 @@ type buildSide struct {
 	built     bool
 	buildNs   int64 // wall time of the ad-hoc build, for traces
 	buildRows int64
-	gov       *governor // statement governor; nil when ungoverned
-	keyBuf    []byte
 }
 
 // newBuildSide sets up the build over a base table. If the table has an index
 // exactly on the join columns, the index serves as the hash table; otherwise
-// an ad-hoc one is built — lazily, on the first probe (see ensure).
+// an ad-hoc one is built when the join runs (see ensure).
 func newBuildSide(right *storage.Table, rightSch relSchema, pairs []joinPair) *buildSide {
 	cols := make([]string, len(pairs))
 	for i, p := range pairs {
@@ -157,25 +155,27 @@ func newBuildSide(right *storage.Table, rightSch relSchema, pairs []joinPair) *b
 }
 
 // probe returns the build rows whose join columns equal the probe row's — the
-// one place a join key is encoded and looked up. The row is whatever view the
-// caller has of it: a boxed row, or a batch of row ids positioned on one.
-func (b *buildSide) probe(row expr.Row) []int {
-	b.keyBuf = b.keyBuf[:0]
+// one place a join key is encoded and looked up — and key, the caller's
+// buffer, holding the encoding: the workers of a fold share one build side.
+// The row is whatever view the caller has of it: a batch of id tuples
+// positioned on one, or a boxed row.
+func (b *buildSide) probe(row expr.Row, key []byte) ([]int, []byte) {
+	key = key[:0]
 	for _, p := range b.pairs {
 		v := row.ColumnValue(p.leftIdx)
 		if v.IsNull() && !p.nullSafe {
-			return nil // plain SQL equality never matches on NULL keys
+			return nil, key // plain SQL equality never matches on NULL keys
 		}
-		b.keyBuf = value.AppendKey(b.keyBuf, v)
+		key = value.AppendKey(key, v)
 	}
-	return b.ix.LookupKey(b.keyBuf)
+	return b.ix.LookupKey(key), key
 }
 
-// ensure performs the deferred build work on first probe and records the
-// join-build metrics (EXPLAIN never probes, so it never counts here). The
-// build loop is one of the statement's long loops: it checks the governor
-// every govStride rows and charges the hash table against the row budget.
-func (b *buildSide) ensure() error {
+// ensure performs the deferred build work, once, before the first probe, and
+// records the join-build metrics (EXPLAIN never runs it, so never counts). The
+// build loop is one of the statement's long loops: it checks gov every
+// govStride rows and charges the hash table against the row budget.
+func (b *buildSide) ensure(gov *governor) error {
 	if b.built {
 		return nil
 	}
@@ -188,7 +188,7 @@ func (b *buildSide) ensure() error {
 		return nil
 	}
 	t0 := time.Now()
-	ix, err := hashRows(b.tab, b.pairs, b.gov)
+	ix, err := hashRows(b.tab, b.pairs, gov)
 	if err != nil {
 		return err
 	}
@@ -222,23 +222,20 @@ func hashRows(t *storage.Table, pairs []joinPair, gov *governor) (*index.Index, 
 	return ix, gov.addRows(int64(n % govStride))
 }
 
-// hashJoin streams the left (probe) side against a materialized right
-// (build) side. outer selects LEFT OUTER semantics: probe rows without a
-// match emit once with NULL-extended build columns.
+// hashJoin probes a build side over its right table with every tuple of its
+// left input. outer selects LEFT OUTER semantics: a probe tuple without a
+// match is handed on once, NULL-extended.
 type hashJoin struct {
-	left    iterator
-	build   *buildSide
-	outer   bool
-	sch     relSchema
-	rightW  int
-	pending []int  // remaining matches for the current probe row
-	current rowBox // current probe row (copy not needed within step)
-	outBuf  []value.Value
-	stats   *opStats
+	left   planNode
+	build  *buildSide
+	outer  bool
+	sch    relSchema
+	rightW int
+	stats  *opStats
 }
 
 // newHashJoin sets up the join against a base table right side.
-func newHashJoin(left iterator, right *storage.Table, rightAlias string, pairs []joinPair, outer bool) *hashJoin {
+func newHashJoin(left planNode, right *storage.Table, rightAlias string, pairs []joinPair, outer bool) *hashJoin {
 	rightSch := schemaOf(right, rightAlias)
 	return &hashJoin{
 		left:   left,
@@ -251,171 +248,46 @@ func newHashJoin(left iterator, right *storage.Table, rightAlias string, pairs [
 
 func (j *hashJoin) schema() relSchema { return j.sch }
 
-func (j *hashJoin) next() ([]value.Value, bool, error) {
-	if j.stats != nil {
-		t0 := time.Now()
-		row, ok, err := j.step()
-		j.stats.ns += time.Since(t0).Nanoseconds()
-		if ok {
-			j.stats.rows++
-		}
-		return row, ok, err
-	}
-	return j.step()
-}
-
-func (j *hashJoin) step() ([]value.Value, bool, error) {
-	if err := j.build.ensure(); err != nil {
-		return nil, false, err
-	}
-	// pctvet:ok each iteration dequeues a match or pulls left.next(), governed at the scan leaf
-	for {
-		if len(j.pending) > 0 {
-			r := j.pending[0]
-			j.pending = j.pending[1:]
-			return j.emit(r), true, nil
-		}
-		row, ok, err := j.left.next()
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		j.current.vals = row
-		if j.pending = j.build.probe(&j.current); len(j.pending) == 0 && j.outer {
-			return j.emitNull(), true, nil
-		}
-	}
-}
-
-// emit concatenates the probe row with build row r into the reusable output
-// buffer.
-func (j *hashJoin) emit(r int) []value.Value {
-	j.outBuf = j.outBuf[:0]
-	j.outBuf = append(j.outBuf, j.current.vals...)
-	for c := 0; c < j.rightW; c++ {
-		j.outBuf = append(j.outBuf, j.build.tab.Get(r, c))
-	}
-	return j.outBuf
-}
-
-// emitNull extends the probe row with NULLs for a non-matching outer row.
-func (j *hashJoin) emitNull() []value.Value {
-	j.outBuf = j.outBuf[:0]
-	j.outBuf = append(j.outBuf, j.current.vals...)
-	for c := 0; c < j.rightW; c++ {
-		j.outBuf = append(j.outBuf, value.Null)
-	}
-	return j.outBuf
-}
-
-// nestedLoopJoin is the reference fallback for joins whose ON clause is not
-// a conjunction of column equalities. The right side materializes lazily on
-// the first probe (so EXPLAIN constructs the join for free); the predicate
-// is evaluated over each row pair.
+// nestedLoopJoin pairs every tuple of its left input with every row of its
+// right table and keeps the pairs pred admits: the join of an ON clause that
+// is not a conjunction of column equalities, and of a cross join. The right
+// table is read in place (columns.go), so EXPLAIN, which never runs the join,
+// pays nothing for it.
 type nestedLoopJoin struct {
-	left     iterator
-	rightSrc iterator
-	right    *memRelation // nil until the first probe materializes rightSrc
-	matNs    int64        // wall time of the lazy materialization, for traces
-	pred     expr.Expr    // bound over the combined schema; nil means cross product
-	box      rowBox
-	outer    bool
-	sch      relSchema
-	cur      []value.Value
-	curSet   bool
-	rpos     int
-	seen     bool
-	outBuf   []value.Value
-	stats    *opStats
-	gov      *governor // governs the lazy right-side materialization
+	left  planNode
+	right *tableScan
+	pred  expr.Expr // bound over the combined schema; nil means cross product
+	outer bool
+	sch   relSchema
+	stats *opStats
+	// opened is set, and openNs timed, once a run has read the right table:
+	// the trace's "materialize right" span.
+	opened bool
+	openNs int64
 }
 
-func newNestedLoopJoin(left iterator, rightSrc iterator, pred expr.Expr, outer bool) *nestedLoopJoin {
+func newNestedLoopJoin(left planNode, right *tableScan, pred expr.Expr, outer bool) *nestedLoopJoin {
 	return &nestedLoopJoin{
-		left:     left,
-		rightSrc: rightSrc,
-		pred:     pred,
-		outer:    outer,
-		sch:      append(append(relSchema{}, left.schema()...), rightSrc.schema()...),
+		left:  left,
+		right: right,
+		pred:  pred,
+		outer: outer,
+		sch:   append(append(relSchema{}, left.schema()...), right.schema()...),
 	}
 }
 
 func (j *nestedLoopJoin) schema() relSchema { return j.sch }
 
-func (j *nestedLoopJoin) next() ([]value.Value, bool, error) {
-	if j.stats != nil {
-		t0 := time.Now()
-		row, ok, err := j.step()
-		j.stats.ns += time.Since(t0).Nanoseconds()
-		if ok {
-			j.stats.rows++
-		}
-		return row, ok, err
+// open reads the right table for a run: its rows count as scanned once,
+// however often the loop walks them.
+func (j *nestedLoopJoin) open(gov *governor) error {
+	t0 := time.Now()
+	n := j.right.count()
+	mRowsScanned.Add(int64(n))
+	if j.right.stats != nil {
+		*j.right.stats = opStats{rows: int64(n)}
 	}
-	return j.step()
+	err := gov.addScanned(int64(n))
+	j.opened, j.openNs = true, time.Since(t0).Nanoseconds()
+	return err
 }
-
-func (j *nestedLoopJoin) step() ([]value.Value, bool, error) {
-	if j.right == nil {
-		t0 := time.Now()
-		m, err := materialize(j.rightSrc, j.gov)
-		if err != nil {
-			return nil, false, err
-		}
-		j.right = m
-		j.matNs = time.Since(t0).Nanoseconds()
-	}
-	for {
-		if !j.curSet {
-			row, ok, err := j.left.next()
-			if !ok || err != nil {
-				return nil, false, err
-			}
-			j.cur = append(j.cur[:0], row...)
-			j.curSet = true
-			j.rpos = 0
-			j.seen = false
-		}
-		for j.rpos < len(j.right.rows) {
-			// The probe side polls only per left row; with |R| inner
-			// iterations per probe the product can dwarf the scan stride,
-			// so poll here too.
-			if j.rpos%govStride == 0 {
-				if err := j.gov.check(); err != nil {
-					return nil, false, err
-				}
-			}
-			r := j.right.rows[j.rpos]
-			j.rpos++
-			j.outBuf = append(append(j.outBuf[:0], j.cur...), r...)
-			if j.pred != nil {
-				j.box.vals = j.outBuf
-				v, err := j.pred.Eval(&j.box)
-				if err != nil {
-					return nil, false, err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			j.seen = true
-			return j.outBuf, true, nil
-		}
-		j.curSet = false
-		if j.outer && !j.seen {
-			j.outBuf = append(j.outBuf[:0], j.cur...)
-			for range j.right.sch {
-				j.outBuf = append(j.outBuf, value.Null)
-			}
-			return j.outBuf, true, nil
-		}
-	}
-}
-
-// Compile-time interface checks.
-var (
-	_ iterator = (*hashJoin)(nil)
-	_ iterator = (*nestedLoopJoin)(nil)
-	_ iterator = (*tableScan)(nil)
-	_ iterator = (*filterIter)(nil)
-	_ iterator = (*memRelation)(nil)
-)

@@ -35,17 +35,15 @@ import (
 // per-statement deadline.
 type Limits struct {
 	// MaxRows caps rows materialized by one statement (result rows, join
-	// build sides, window inputs, staged DML rows), cumulatively.
+	// build sides, a window's collected input, staged DML rows),
+	// cumulatively.
 	MaxRows int64
 	// MaxGroups caps distinct aggregation groups (GROUP BY and DISTINCT).
 	MaxGroups int64
 	// MaxPivotColumns caps horizontal (Hpct/Hagg) result columns; the core
 	// planner enforces it at plan time, before any evaluation runs.
 	MaxPivotColumns int
-	// MaxBytes caps the approximate bytes of materialized values. A fan-out
-	// over a materialized input degrades to one worker when its partial
-	// states would press the remaining budget (counted in
-	// engine.agg.budget_fallback) before the cap fails the statement.
+	// MaxBytes caps the approximate bytes of materialized values.
 	MaxBytes int64
 	// Timeout, when positive, is applied as a per-statement deadline.
 	Timeout time.Duration
@@ -209,6 +207,10 @@ func NewPanicError(point string, v any) *PanicError {
 // TestCancelBoundedRows).
 const govStride = 1024
 
+// batchSize is how many tuples the batch pipeline moves at a time (columns.go):
+// one batch is one governor stride.
+const batchSize = govStride
+
 // govCounters is the per-statement progress state shared by every governor
 // derived for the statement (parallel workers share one budget).
 type govCounters struct {
@@ -300,18 +302,6 @@ func (g *governor) addGroups(n int64) error {
 	return g.check()
 }
 
-// bytesRemaining reports the unused byte budget, or -1 when unlimited.
-func (g *governor) bytesRemaining() int64 {
-	if g == nil || g.lim.MaxBytes <= 0 {
-		return -1
-	}
-	rem := g.lim.MaxBytes - atomic.LoadInt64(&g.c.bytes)
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
 // scanned reports the statement's scanned-row counter. The
 // cancellation-latency test and benchmark read it to bound how many rows a
 // cancelled statement kept processing.
@@ -333,26 +323,4 @@ func estimateRowBytes(row []value.Value) int64 {
 		}
 	}
 	return n
-}
-
-// governIter attaches the statement's governor down an iterator tree, the
-// same walk instrumentIter does for tracing: base scans get stride-checked
-// cancellation, join build sides get governed builds.
-func governIter(it iterator, g *governor) {
-	if g == nil {
-		return
-	}
-	switch n := it.(type) {
-	case *tableScan:
-		n.gov = g
-	case *filterIter:
-		governIter(n.child, g)
-	case *hashJoin:
-		n.build.gov = g
-		governIter(n.left, g)
-	case *nestedLoopJoin:
-		n.gov = g
-		governIter(n.left, g)
-		governIter(n.rightSrc, g)
-	}
 }

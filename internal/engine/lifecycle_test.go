@@ -12,6 +12,7 @@ import (
 	"repro/internal/diag"
 	"repro/internal/expr"
 	"repro/internal/leakcheck"
+	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -61,51 +62,86 @@ func bigGroupTable(t *testing.T, n int) *storage.Table {
 // 1M-row aggregation must stop within a bounded number of rows after the
 // cancel, not fold to completion. The countdown context cancels after a
 // fixed number of governor checks; the scanned counter then bounds how far
-// the scan ran past it in units of govStride.
+// the scan ran past it in units of govStride. A nested loop gets the same
+// bound on its inner iterations: three outer rows against a 1M-row right
+// table stop within one stride of pairs per check, not after a whole pass.
 func TestCancelBoundedRows(t *testing.T) {
 	const nRows = 1_000_000
 	const after = 20
 	tab := bigGroupTable(t, nRows)
 
-	ctx := &countdownCtx{Context: context.Background(), after: after}
-	gov := newGovernor(ctx, Limits{})
-	scan := newTableScan(tab, "big")
-	scan.gov = gov
+	t.Run("fold", func(t *testing.T) {
+		ctx := &countdownCtx{Context: context.Background(), after: after}
+		gov := newGovernor(ctx, Limits{})
+		keyExpr, err := expr.Bind(expr.QCol("", "g"), expr.SchemaResolver([]string{"g", "v"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		argExpr, err := expr.Bind(expr.QCol("", "v"), expr.SchemaResolver([]string{"g", "v"}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum, Arg: expr.QCol("", "v")}, arg: argExpr}}
 
-	keyExpr, err := expr.Bind(expr.QCol("", "g"), expr.SchemaResolver([]string{"g", "v"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	argExpr, err := expr.Bind(expr.QCol("", "v"), expr.SchemaResolver([]string{"g", "v"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []aggSpec{{call: &expr.AggCall{Fn: expr.AggSum, Arg: expr.QCol("", "v")}, arg: argExpr}}
+		_, err = hashAggregate(newTableScan(tab, "big"), []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov}, &collector{})
+		var ce *CancelledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err = %v, want CancelledError", err)
+		}
+		if ce.Code() != diag.CodeCancelled {
+			t.Errorf("code = %s, want %s", ce.Code(), diag.CodeCancelled)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("errors.Is(err, context.Canceled) = false; cause must be preserved")
+		}
+		// Every check consumes one countdown call, and checks happen at least
+		// once per govStride scanned rows — so the scan cannot have run more
+		// than (after+1) strides before seeing the cancellation.
+		scanned := gov.scanned()
+		if scanned == 0 {
+			t.Fatal("scan never charged the governor")
+		}
+		if max := int64(after+1) * govStride; scanned > max {
+			t.Errorf("scanned %d rows after cancel budget, want <= %d (bounded latency)", scanned, max)
+		}
+		if scanned >= nRows {
+			t.Errorf("scan ran to completion (%d rows) despite cancellation", scanned)
+		}
+	})
 
-	_, err = hashAggregate(scan, []expr.Expr{keyExpr}, specs, execCtx{par: 1, gov: gov, batch: true}, &collector{})
-	var ce *CancelledError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want CancelledError", err)
-	}
-	if ce.Code() != diag.CodeCancelled {
-		t.Errorf("code = %s, want %s", ce.Code(), diag.CodeCancelled)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("errors.Is(err, context.Canceled) = false; cause must be preserved")
-	}
-	// Every check consumes one countdown call, and checks happen at least
-	// once per govStride scanned rows — so the scan cannot have run more
-	// than (after+1) strides before seeing the cancellation.
-	scanned := gov.scanned()
-	if scanned == 0 {
-		t.Fatal("scan never charged the governor")
-	}
-	if max := int64(after+1) * govStride; scanned > max {
-		t.Errorf("scanned %d rows after cancel budget, want <= %d (bounded latency)", scanned, max)
-	}
-	if scanned >= nRows {
-		t.Errorf("scan ran to completion (%d rows) despite cancellation", scanned)
-	}
+	t.Run("nested loop", func(t *testing.T) {
+		e := New(storage.NewCatalog())
+		e.Catalog().Put(tab)
+		mustExec(t, e, "CREATE TABLE l (k INTEGER); INSERT INTO l VALUES (1), (2), (3)")
+		sel, ok := parseOne(t, "SELECT l.k, big.v FROM l, big").(*sqlparse.Select)
+		if !ok {
+			t.Fatal("not a SELECT")
+		}
+		in, _, err := e.buildFrom(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := newPipeline(in)
+		if len(p.stages) != 1 || p.stages[0].loop == nil {
+			t.Fatal("the cross join is not a nested loop")
+		}
+		gov := newGovernor(&countdownCtx{Context: context.Background(), after: after}, Limits{})
+		if err := p.open(gov); err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		pairs := 0
+		var r pipeRun
+		r.init(p, gov, sinkFunc(func(b *tupleBatch) error { pairs += b.rows(); return nil }), nil)
+		err = r.run(0, p.count())
+		r.finish()
+		var ce *CancelledError
+		if !errors.As(err, &ce) {
+			t.Fatalf("err = %v, want CancelledError", err)
+		}
+		if max := (after + 1) * govStride; pairs > max {
+			t.Errorf("handed on %d pairs, want <= %d (one stride of inner iterations per check)", pairs, max)
+		}
+	})
 }
 
 // TestDeadlineStopsLargeAggregation exercises the public path: a
@@ -219,7 +255,7 @@ func TestCancelledDMLLeavesTableUntouched(t *testing.T) {
 func TestWorkerErrorDeterministic(t *testing.T) {
 	defer leakcheck.Check(t)()
 	run := func(fail map[int]error) (*foldPart, error) {
-		part, _, err := foldPartitions(context.Background(), nil, 3, 30,
+		part, _, err := foldPartitions(context.Background(), nil, 3, 30, func() error { return nil },
 			func(ctx context.Context, lo, hi int) (*foldPart, error) {
 				if err := fail[lo/10]; err != nil {
 					return nil, err
@@ -243,10 +279,10 @@ func TestWorkerErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestFoldLimitsParity: a fold over a stored table never materializes its
-// input, so MaxRows/MaxBytes treat it the same at P=1 and P=8 — computed
-// arguments included — while a join-fed fold still pays for the copy it
-// needs to fan out, with the same typed codes as ever.
+// TestFoldLimitsParity: a fold never copies its input to fan out — a stored
+// table's workers read ranges of it, a join's share its build side — so
+// MaxRows/MaxBytes treat it the same at P=1 and P=8, computed arguments, a
+// hash join and a nested loop included.
 func TestFoldLimitsParity(t *testing.T) {
 	defer leakcheck.Check(t)()
 	e := New(storage.NewCatalog())
@@ -255,33 +291,19 @@ func TestFoldLimitsParity(t *testing.T) {
 	mustExec(t, e, `CREATE TABLE dim (g INTEGER, w INTEGER);
 		INSERT INTO dim VALUES (0,1),(1,2),(2,3),(3,4),(4,5),(5,6),(6,7),(7,8)`)
 	tight := WithLimits(context.Background(), Limits{MaxRows: 100, MaxBytes: 4096})
-
-	const bare = "SELECT g, sum(v * 2 + g), count(*) FROM big WHERE v >= 0 GROUP BY g"
-	ref, err := e.ExecSQLCtxP(tight, bare, 1)
-	if err != nil {
-		t.Fatalf("P=1 under tight limits: %v", err)
-	}
-	got, err := e.ExecSQLCtxP(tight, bare, 8)
-	if err != nil {
-		t.Fatalf("P=8 under tight limits: %v (a stored table must not be materialized)", err)
-	}
-	sameResult(t, "bare-table fold P=8 vs P=1", ref, got)
-
-	const joined = "SELECT a.g, sum(a.v * b.w) FROM big a, dim b WHERE a.g = b.g GROUP BY a.g"
-	if _, err := e.ExecSQLCtxP(tight, joined, 1); err != nil {
-		t.Fatalf("join-fed fold at P=1 drains its input and must fit: %v", err)
-	}
-	for _, tc := range []struct {
-		lim  Limits
-		code string
-	}{
-		{Limits{MaxRows: 100}, diag.CodeRowLimit},
-		{Limits{MaxBytes: 4096}, diag.CodeByteBudget},
+	for _, q := range []struct{ name, sql string }{
+		{"bare-table fold", "SELECT g, sum(v * 2 + g), count(*) FROM big WHERE v >= 0 GROUP BY g"},
+		{"join-fed fold", "SELECT a.g, sum(a.v * b.w) FROM big a, dim b WHERE a.g = b.g GROUP BY a.g"},
+		{"nested-loop-fed fold", "SELECT a.g, sum(a.v * b.w) FROM big a JOIN dim b ON a.g <= b.g AND a.g >= b.g GROUP BY a.g"},
 	} {
-		_, err := e.ExecSQLCtxP(WithLimits(context.Background(), tc.lim), joined, 8)
-		var le *LimitError
-		if !errors.As(err, &le) || le.Code() != tc.code {
-			t.Errorf("join-fed fold at P=8 under %+v: err = %v, want %s", tc.lim, err, tc.code)
+		ref, err := e.ExecSQLCtxP(tight, q.sql, 1)
+		if err != nil {
+			t.Fatalf("%s at P=1 under tight limits: %v", q.name, err)
 		}
+		got, err := e.ExecSQLCtxP(tight, q.sql, 8)
+		if err != nil {
+			t.Fatalf("%s at P=8 under tight limits: %v (the input must not be materialized)", q.name, err)
+		}
+		sameResult(t, q.name+" P=8 vs P=1", ref, got)
 	}
 }

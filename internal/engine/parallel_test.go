@@ -229,7 +229,7 @@ func TestResolveWorkers(t *testing.T) {
 // including the states the SQL surface cannot reach in isolation.
 func TestAccumulatorMergeSemantics(t *testing.T) {
 	mk := func(fn expr.AggFn, distinct, star bool) accumulator {
-		acc, err := newAccumulator(&expr.AggCall{Fn: fn, Distinct: distinct, Star: star})
+		acc, err := refAccumulator(&expr.AggCall{Fn: fn, Distinct: distinct, Star: star})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestArrayMergeSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetBatch(false)
+	UseReference(e, true)
 	ref, err := e.ExecSQLCtxP(context.Background(), sql, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -72,31 +71,27 @@ func schemaOf(t *storage.Table, alias string) relSchema {
 	return out
 }
 
-// iterator is a streaming row source. Next returns a row valid only until
-// the following Next call; sinks that retain rows must copy them.
-type iterator interface {
+// planNode is one operator of a SELECT's FROM plan: a scan, a filter, a join,
+// or the FROM-less select's one tuple. The nodes are what EXPLAIN renders,
+// tracing annotates and the batch pipeline compiles (columns.go); none of them
+// runs by itself.
+type planNode interface {
 	schema() relSchema
-	next() ([]value.Value, bool, error)
 }
 
-// tableScan streams a base table, reusing one row buffer. stats is non-nil
-// only for traced statements (see trace.go); the per-row cost of the
-// disabled state is one pointer test. Rows scanned are added to the metric
-// once, at exhaustion, so the hot loop stays allocation- and atomic-free.
+// tableScan reads a base table. stats is non-nil only for traced statements
+// (see trace.go).
 type tableScan struct {
 	tab *storage.Table
 	sch relSchema
 	// order, when set, is the row ids to visit in visiting order — an ORDER
 	// BY over the table's own columns sorts them before the scan starts
 	// (select.go); nil visits every row in storage order.
-	order   []int32
-	pos     int
-	buf     []value.Value
+	order []int32
+	// counted is set when the rows were counted as scanned already, by the
+	// filter pass that selected order.
 	counted bool
 	stats   *opStats
-	// gov, when non-nil, gets a cancellation check every govStride rows
-	// (see lifecycle.go); one int test per row otherwise.
-	gov *governor
 }
 
 func newTableScan(t *storage.Table, alias string) *tableScan {
@@ -104,19 +99,6 @@ func newTableScan(t *storage.Table, alias string) *tableScan {
 }
 
 func (s *tableScan) schema() relSchema { return s.sch }
-
-func (s *tableScan) next() ([]value.Value, bool, error) {
-	if s.stats != nil {
-		t0 := time.Now()
-		row, ok, err := s.step()
-		s.stats.ns += time.Since(t0).Nanoseconds()
-		if ok {
-			s.stats.rows++
-		}
-		return row, ok, err
-	}
-	return s.step()
-}
 
 // count is how many rows the scan visits in all.
 func (s *tableScan) count() int {
@@ -126,124 +108,27 @@ func (s *tableScan) count() int {
 	return s.tab.NumRows()
 }
 
-func (s *tableScan) step() ([]value.Value, bool, error) {
-	r := s.pos
-	if r >= s.count() {
-		if !s.counted {
-			s.counted = true
-			mRowsScanned.Add(int64(s.pos))
-			if s.gov != nil {
-				s.gov.addScanned(int64(s.pos % govStride))
-			}
-		}
-		return nil, false, nil
-	}
-	if s.gov != nil && s.pos > 0 && s.pos%govStride == 0 {
-		if err := s.gov.addScanned(govStride); err != nil {
-			return nil, false, err
-		}
-	}
-	if s.order != nil {
-		r = int(s.order[r])
-	}
-	s.buf = s.tab.Row(r, s.buf)
-	s.pos++
-	return s.buf, true, nil
-}
-
-// filterIter drops rows whose predicate is not truthy (false or NULL).
+// filterIter keeps the rows whose predicate is truthy (not false or NULL).
 type filterIter struct {
-	child iterator
+	child planNode
 	pred  expr.Expr // bound against the child schema
-	box   rowBox
 	stats *opStats
 }
+
+func (f *filterIter) schema() relSchema { return f.child.schema() }
+
+// valuesNode is the FROM of a select that names none: one tuple of no column.
+type valuesNode struct {
+	stats *opStats
+}
+
+func (*valuesNode) schema() relSchema { return nil }
 
 // rowBox adapts a reusable value slice to expr.Row. Unlike converting a
 // slice type per call — which boxes a slice header on the heap every time —
 // a *rowBox converts to the interface without allocating, so hot loops
-// (aggregation, filters, window sweeps) retarget one box per batch.
+// retarget one box per row.
 type rowBox struct{ vals []value.Value }
 
 // ColumnValue returns the i-th value.
 func (b *rowBox) ColumnValue(i int) value.Value { return b.vals[i] }
-
-func (f *filterIter) schema() relSchema { return f.child.schema() }
-
-func (f *filterIter) next() ([]value.Value, bool, error) {
-	if f.stats != nil {
-		t0 := time.Now()
-		row, ok, err := f.step()
-		f.stats.ns += time.Since(t0).Nanoseconds()
-		if ok {
-			f.stats.rows++
-		}
-		return row, ok, err
-	}
-	return f.step()
-}
-
-func (f *filterIter) step() ([]value.Value, bool, error) {
-	// pctvet:ok every iteration pulls child.next(), governed at the scan leaf by addScanned
-	for {
-		row, ok, err := f.child.next()
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		f.box.vals = row
-		v, err := f.pred.Eval(&f.box)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.Truthy() {
-			return row, true, nil
-		}
-	}
-}
-
-// memRelation is a materialized relation, used where streaming is not
-// possible (window-function input, join build sides, reference operators in
-// tests).
-type memRelation struct {
-	sch   relSchema
-	rows  [][]value.Value
-	pos   int
-	stats *opStats
-}
-
-func (m *memRelation) schema() relSchema { return m.sch }
-
-func (m *memRelation) next() ([]value.Value, bool, error) {
-	if m.pos >= len(m.rows) {
-		return nil, false, nil
-	}
-	r := m.rows[m.pos]
-	m.pos++
-	if m.stats != nil {
-		m.stats.rows++
-	}
-	return r, true, nil
-}
-
-// materialize drains an iterator into a memRelation, copying rows. A
-// non-nil governor charges every buffered row against the statement's
-// row and byte budgets — materialization is where memory is actually
-// committed, so this is where MaxRows/MaxBytes bite.
-func materialize(it iterator, gov *governor) (*memRelation, error) {
-	keep := collector{charge: rowCharge{gov: gov}}
-	if scan, ok := it.(*tableScan); ok {
-		keep.reserve(scan.count())
-	}
-	for {
-		row, ok, err := it.next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return &memRelation{sch: it.schema(), rows: keep.rows}, keep.charge.settle()
-		}
-		if err := keep.push(row); err != nil {
-			return nil, err
-		}
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
@@ -62,7 +61,6 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	if ec.span != nil && !ec.liteSpan() {
 		instrumentIter(in)
 	}
-	governIter(in, ec.gov)
 	if ec.inspect != nil {
 		ec.inspect.in = in
 	}
@@ -184,26 +182,29 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	rows := keep.rows
 
 	if dedupe {
-		// Aggregate and window output dedupes through the same fold, keyed on
-		// every produced column, over the collected rows in place.
+		// Aggregate and window output dedupes once it is all there, so the
+		// stage's own errors come first.
 		sp := ec.span.NewChild("distinct")
-		keys := make([]expr.Expr, len(names))
-		for i := range keys {
-			keys[i] = &expr.SlotRef{Index: i}
+		d := dedupeSink{gov: ec.gov, rows: rows[:0], charge: rowCharge{gov: ec.gov}}
+		n := len(rows)
+		for i := 0; i < n && err == nil; i++ {
+			if i%govStride == 0 {
+				err = ec.gov.check()
+			}
+			if err == nil {
+				err = d.push(rows[i])
+			}
 		}
-		unique := &collector{charge: rowCharge{gov: ec.gov}}
-		fold := ec // the statement's context; the fold's own spans stay out of the tree
-		fold.span = nil
-		_, err = hashAggregate(&memRelation{rows: rows}, keys, nil, fold, unique)
 		if err == nil {
-			err = unique.charge.settle()
+			mGroupsEmitted.Add(int64(len(d.rows)))
+			err = d.charge.settle()
 		}
 		sp.End()
 		if err != nil {
 			return nil, nil, err
 		}
-		sp.SetRows(int64(len(rows)), int64(len(unique.rows)))
-		rows = unique.rows
+		sp.SetRows(int64(n), int64(len(d.rows)))
+		rows = d.rows
 	}
 	if !ordered {
 		sp := ec.span.NewChild("sort")
@@ -216,7 +217,7 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 			for i, item := range order {
 				keys[i] = rowsKey(rows, item, sel.OrderBy[i].Desc)
 			}
-			sortPerm(perm, keys, false)
+			sortPerm(perm, keys)
 		}
 		if err != nil {
 			sp.Attr("error", err.Error())
@@ -249,14 +250,14 @@ type scanOrder struct {
 	span   *obs.Span
 }
 
-// scanUnderFilter reports the scan in reads when in is a fresh scan of a
-// stored table, bare or under one filter.
-func scanUnderFilter(in iterator) (*tableScan, *filterIter) {
+// scanUnderFilter reports the scan in reads when in is a scan of a stored
+// table, bare or under one filter.
+func scanUnderFilter(in planNode) (*tableScan, *filterIter) {
 	filter, _ := in.(*filterIter)
 	if filter != nil {
 		in = filter.child
 	}
-	if scan, ok := in.(*tableScan); ok && scan.pos == 0 {
+	if scan, ok := in.(*tableScan); ok {
 		return scan, filter
 	}
 	return nil, nil
@@ -278,47 +279,32 @@ func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.Or
 	return keys
 }
 
-// sorted runs the sort: it selects the row ids the filter admits — through
-// the selection kernels (selectRows) or, on the reference path, by draining
-// the filter and noting the rows that come out — sorts them, cuts them to the
-// LIMIT and returns the scan that visits them in order. The filter's pass is
-// the statement's scan of the table; the ordered visit is not counted again.
-func (o *scanOrder) sorted(ec execCtx, batched bool) (*tableScan, error) {
+// sorted runs the sort: it selects the row ids the filter admits through the
+// selection kernels (selectRows), sorts them, cuts them to the LIMIT and
+// returns the scan that visits them in order. The filter's pass is the
+// statement's scan of the table; the ordered visit is not counted again.
+func (o *scanOrder) sorted(ec execCtx) (*tableScan, error) {
 	scan := o.scan
 	var ids []int32
 	var err error
-	switch {
-	case o.filter == nil:
-		if ids, err = positions(scan.tab.NumRows()); err != nil {
-			return nil, err
-		}
-	case batched:
+	if o.filter == nil {
+		ids, err = positions(scan.tab.NumRows())
+	} else {
 		t0 := time.Now()
-		if ids, err = selectRows(scan.tab, o.filter.pred, ec.gov); err != nil {
-			return nil, err
-		}
-		if scan.stats != nil {
+		ids, err = selectRows(scan.tab, o.filter.pred, ec.gov)
+		if err == nil && scan.stats != nil {
 			ns := time.Since(t0).Nanoseconds()
 			*scan.stats = opStats{ns: ns, rows: int64(scan.tab.NumRows())}
 			*o.filter.stats = opStats{ns: ns, rows: int64(len(ids))}
 		}
-	default:
-		// pctvet:ok every iteration pulls the filter's next(), governed at the scan leaf by addScanned
-		for {
-			_, ok, err := o.filter.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			ids = append(ids, int32(scan.pos-1))
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if ec.span != nil {
 		o.span = obs.NewSpan("sort")
 	}
-	sortPerm(ids, o.keys, batched)
+	sortPerm(ids, o.keys)
 	o.span.End()
 	o.span.SetRows(int64(len(ids)), int64(len(ids)))
 	if o.limit != nil {
@@ -331,7 +317,7 @@ func (o *scanOrder) sorted(ec execCtx, batched bool) (*tableScan, error) {
 	if ids == nil {
 		ids = []int32{} // a selection of none: a nil order would visit every row
 	}
-	return &tableScan{tab: scan.tab, sch: scan.sch, order: ids, counted: true, gov: scan.gov}, nil
+	return &tableScan{tab: scan.tab, sch: scan.sch, order: ids, counted: true}, nil
 }
 
 // orderColumnIndex finds a named column in the output list, or -1.
@@ -344,19 +330,18 @@ func orderColumnIndex(names []string, col string) int {
 	return -1
 }
 
-// buildFrom assembles the FROM pipeline and returns the input iterator plus
-// the WHERE conjuncts not consumed as join conditions.
-func (e *Engine) buildFrom(sel *sqlparse.Select) (iterator, expr.Expr, error) {
+// buildFrom assembles the FROM plan and returns its root plus the WHERE
+// conjuncts not consumed as join conditions.
+func (e *Engine) buildFrom(sel *sqlparse.Select) (planNode, expr.Expr, error) {
 	if len(sel.From) == 0 {
-		// SELECT without FROM: one empty row.
-		return &memRelation{rows: [][]value.Value{{}}}, sel.Where, nil
+		return &valuesNode{}, sel.Where, nil
 	}
 	first := sel.From[0]
 	t, err := e.tableFor(first.Table.Name)
 	if err != nil {
 		return nil, nil, err
 	}
-	var cur iterator = newTableScan(t, first.Table.RefName())
+	var cur planNode = newTableScan(t, first.Table.RefName())
 
 	var whereConjuncts []expr.Expr
 	if sel.Where != nil {
@@ -377,8 +362,6 @@ func (e *Engine) buildFrom(sel *sqlparse.Select) (iterator, expr.Expr, error) {
 			pairs, residual := extractEquiPairs(whereConjuncts, cur.schema(), rightSch)
 			whereConjuncts = residual
 			if len(pairs) == 0 {
-				// The right side materializes lazily on first probe, so
-				// EXPLAIN pays nothing for it.
 				cur = newNestedLoopJoin(cur, newTableScan(rt, alias), nil, false)
 				continue
 			}
@@ -486,55 +469,34 @@ func bindItems(items []sqlparse.SelectItem, sch relSchema) ([]expr.Expr, error) 
 	return bound, nil
 }
 
-// execPlainSelect projects items over the rows of in into sink and returns
-// the row count: a batch of row ids at a time when in is a pipeline over
-// stored tables (columns.go), otherwise — and always on the reference path,
-// SetBatch(false) or a core.batch fault — row by row through the iterators,
-// polling gov per stride of output, which a join's fan-out can make far longer
-// than the scan leaves' stride of input. byScan, when set, has the row ids
-// sorted first.
-func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink, byScan *scanOrder) (int, error) {
+// execPlainSelect projects items over the tuples of in into sink and returns
+// the row count. byScan, when set, has the row ids sorted first.
+func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink, byScan *scanOrder) (int, error) {
 	bound, err := bindItems(items, in.schema())
 	if err != nil {
 		return 0, err
 	}
 	proj := newProjector(bound, nil, sink)
-	batched := ec.batch && chaos.Hit(chaos.CoreBatch) == nil
 	if byScan != nil {
-		scan, err := byScan.sorted(ec, batched)
-		if err != nil {
+		if in, err = byScan.sorted(ec); err != nil {
 			return 0, err
 		}
-		in = scan
 	}
-	if batched {
-		if b := planBatchSelect(in, proj, ec.gov); b != nil {
-			return b.run()
-		}
+	if ec.ref != nil {
+		return ec.ref.project(in, proj, ec)
 	}
-	if scan, ok := in.(*tableScan); ok {
-		proj.reserve(scan.count()) // an unfiltered scan knows its row count
+	p := newPipeline(in)
+	if len(p.stages) == 0 {
+		proj.reserve(p.count()) // an unfiltered scan knows its row count
 	}
-	for {
-		row, ok, err := in.next()
-		if err != nil || !ok {
-			return proj.n, err
-		}
-		if err := proj.push(row); err != nil {
-			return proj.n, err
-		}
-		if proj.n%govStride == 0 {
-			if err := ec.gov.check(); err != nil {
-				return proj.n, err
-			}
-		}
-	}
+	err = p.drain(ec.gov, proj, proj.ops)
+	return proj.n, err
 }
 
 // execGroupSelect runs hash aggregation and projects items over group rows
 // into sink, returning the row count. ec.span is the aggregate stage span; the
 // parallel path attaches its worker fan-out and merge spans to it.
-func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink) (int, error) {
+func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink) (int, error) {
 	inSch := in.schema()
 
 	// Resolve group keys to bound expressions over the input schema.
@@ -681,15 +643,46 @@ func collectAggSpecs(items []sqlparse.SelectItem, having expr.Expr, inSch relSch
 	return specs, slotOf, nil
 }
 
-// execWindowSelect evaluates ANSI OLAP window aggregates: the calls over one
-// PARTITION BY list are one fold of the materialized input keyed on the
-// partition columns — the fold every GROUP BY runs, so a window sums in the
-// order GROUP BY does — and every input row is then emitted extended with the
-// results of its partitions, found by probing the fold's group rows with the
-// row's key. This is how the paper's OLAP-extension baseline evaluates
-// percentage queries — and why it is expensive whatever the engine: the full
-// detail relation flows through, and DISTINCT collapses it afterwards.
-func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in iterator, ec execCtx, sink rowSink) (int, error) {
+// windowPart is one distinct PARTITION BY list of a window select: its
+// columns, the calls over it (slots[i] is the position of specs[i] among all
+// the statement's calls) and, once folded, its group rows — key values, then
+// one result per call — with their positions by encoded key.
+type windowPart struct {
+	cols   []int
+	keys   []expr.Expr
+	slots  []int
+	specs  []aggSpec
+	groups [][]value.Value
+	at     map[string]int
+}
+
+// index keeps the group rows a fold of the partition list pushed into out.
+func (p *windowPart) index(out *collector, gov *governor) error {
+	if err := out.charge.settle(); err != nil {
+		return err
+	}
+	p.groups, p.at = out.rows, make(map[string]int, len(out.rows))
+	for gi, g := range out.rows {
+		if gi%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return err
+			}
+		}
+		p.at[value.EncodeKeyString(g[:len(p.cols)]...)] = gi
+	}
+	return nil
+}
+
+// execWindowSelect evaluates ANSI OLAP window aggregates: the input's tuples
+// are collected once, the calls over one PARTITION BY list are one fold of
+// them keyed on the partition columns — the fold every GROUP BY runs, so a
+// window sums in the order GROUP BY does — and every tuple is then emitted
+// extended with the results of its partitions, found by probing the fold's
+// group rows with the tuple's key. This is how the paper's OLAP-extension
+// baseline evaluates percentage queries — and why it is expensive whatever
+// the engine: the full detail relation flows through, and DISTINCT collapses
+// it afterwards.
+func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink) (int, error) {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return 0, fmt.Errorf("engine: window aggregates cannot be combined with GROUP BY")
 	}
@@ -698,25 +691,13 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 	if err != nil {
 		return 0, err
 	}
-	// partition is one distinct PARTITION BY list: its columns, the calls over
-	// it (slots[i] is the position of specs[i] among all the statement's calls)
-	// and, once folded, its group rows — key values, then one result per call —
-	// with their positions by encoded key.
-	type partition struct {
-		cols   []int
-		keys   []expr.Expr
-		slots  []int
-		specs  []aggSpec
-		groups [][]value.Value
-		at     map[string]int
-	}
-	var parts []*partition
-	byCols := make(map[string]*partition)
+	var parts []*windowPart
+	byCols := make(map[string]*windowPart)
 	for slot, s := range specs {
 		if s.call.Over == nil {
 			return 0, fmt.Errorf("engine: plain aggregate %s mixed with window aggregates", s.call)
 		}
-		p := &partition{}
+		p := &windowPart{}
 		for _, c := range s.call.Over.PartitionBy {
 			idx, err := inSch.resolve("", c)
 			if err != nil {
@@ -730,29 +711,6 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 			byCols[fmt.Sprint(p.cols)], parts = p, append(parts, p)
 		}
 		p.slots, p.specs = append(p.slots, slot), append(p.specs, s)
-	}
-
-	input, err := materialize(in, ec.gov)
-	if err != nil {
-		return 0, err
-	}
-	for _, p := range parts {
-		out := &collector{charge: rowCharge{gov: ec.gov}}
-		if _, err := hashAggregate(&memRelation{sch: inSch, rows: input.rows}, p.keys, p.specs, ec, out); err != nil {
-			return 0, err
-		}
-		if err := out.charge.settle(); err != nil {
-			return 0, err
-		}
-		p.groups, p.at = out.rows, make(map[string]int, len(out.rows))
-		for gi, g := range out.rows {
-			if gi%govStride == 0 {
-				if err := ec.gov.check(); err != nil {
-					return 0, err
-				}
-			}
-			p.at[value.EncodeKeyString(g[:len(p.cols)]...)] = gi
-		}
 	}
 
 	// Rebind items over [input row .. window slots].
@@ -772,32 +730,57 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 			return 0, err
 		}
 	}
-
-	// Gather: emit each row extended with its partitions' results.
 	proj := newProjector(projected, nil, sink)
-	proj.reserve(len(input.rows))
 	ext := make([]value.Value, w+len(specs))
 	var key []byte
-	for ri, row := range input.rows {
-		if ri%govStride == 0 {
-			if err := ec.gov.check(); err != nil {
-				return proj.n, err
-			}
-		}
-		copy(ext, row)
+	// push projects the input row in ext[:w] extended with its partitions'
+	// results.
+	push := func() error {
 		for _, p := range parts {
 			key = key[:0]
 			for _, c := range p.cols {
-				key = value.AppendKey(key, row[c])
+				key = value.AppendKey(key, ext[c])
 			}
 			g := p.groups[p.at[string(key)]]
 			for i, slot := range p.slots {
 				ext[w+slot] = g[len(p.cols)+i]
 			}
 		}
-		if err := proj.push(ext); err != nil {
-			return proj.n, err
+		return proj.push(ext)
+	}
+	if ec.ref != nil {
+		err := ec.ref.window(in, parts, ec, ext[:w], push)
+		return proj.n, err
+	}
+
+	pipe := newPipeline(in)
+	input, err := pipe.collect(ec.gov)
+	if err != nil {
+		return 0, err
+	}
+	held := &pipeline{sch: pipe.sch, held: input, tabs: pipe.tabs, outer: pipe.outer}
+	for _, p := range parts {
+		out := &collector{charge: rowCharge{gov: ec.gov}}
+		if _, err := foldAggregate(held, p.keys, p.specs, ec, out); err != nil {
+			return 0, err
+		}
+		if err := p.index(out, ec.gov); err != nil {
+			return 0, err
 		}
 	}
-	return proj.n, nil
+	// Gather: box each tuple's columns into ext and push it.
+	proj.reserve(input.n)
+	err = held.drain(ec.gov, sinkFunc(func(b *tupleBatch) error {
+		for k, n := 0, b.rows(); k < n; k++ {
+			b.row(k)
+			for c := range ext[:w] {
+				ext[c] = b.ColumnValue(c)
+			}
+			if err := push(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}), nil)
+	return proj.n, err
 }

@@ -11,9 +11,9 @@ import (
 // Dataflow between operators (DESIGN.md "Dataflow between operators"). A
 // SELECT's consumer stage — projection, group projection, window projection,
 // DISTINCT — does not return rows: it pushes them into a rowSink, a batch of
-// column vectors at a time (a plain select over stored tables, a fold's
-// groups) or, from the row-at-a-time reference operators, one row through a
-// reused buffer. INSERT … SELECT's sink appends to the target table's column
+// column vectors at a time (a plain select, a fold's groups) or one row
+// through a reused buffer (a computed projection of groups, a window's rows).
+// INSERT … SELECT's sink appends to the target table's column
 // vectors (dml.go), so a generated step's result lives only in the temp table
 // it names; a collector boxes rows where the whole result is needed — the
 // statement's Result.Rows, a sort over a computed key, a dedupe of aggregate
@@ -22,7 +22,7 @@ import (
 // rowSink receives a SELECT's output rows.
 type rowSink interface {
 	// reserve announces that n rows follow, when the producer knows (after a
-	// fold, from an unfiltered scan or a materialized input).
+	// fold, from an unfiltered scan or a window's collected input).
 	reserve(n int)
 	// push delivers one row. The slice is the producer's buffer, valid only
 	// during the call: a sink that keeps the row copies it.
@@ -164,6 +164,35 @@ func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 	return c.charge.addCols(cols, n, 0)
 }
 
+// dedupeSink is the DISTINCT of aggregate and window output: a sink that keeps
+// the first of each distinct row pushed into it, keyed by its
+// value.AppendKey encoding in a byte-route group table. A new key is a group,
+// charged against MaxGroups as the fold charges one; a kept row is charged
+// like any collected one. The rows are kept as they come, not copied, so the
+// sink can filter the slice they came from in place.
+type dedupeSink struct {
+	tab    groupTable
+	key    []byte
+	gov    *governor
+	rows   [][]value.Value
+	charge rowCharge
+}
+
+func (d *dedupeSink) push(row []value.Value) error {
+	d.key = d.key[:0]
+	for _, v := range row {
+		d.key = value.AppendKey(d.key, v)
+	}
+	if _, fresh := d.tab.lookupBytes(d.tab.hashBytes(d.key), d.key, true); !fresh {
+		return nil
+	}
+	if err := d.gov.addGroups(1); err != nil {
+		return err
+	}
+	d.rows = append(d.rows, row)
+	return d.charge.add(row)
+}
+
 // The column ops a projector compiles its expressions to, by how many input
 // columns they read as vectors.
 const (
@@ -178,10 +207,10 @@ type colOp struct {
 }
 
 // projector is the engine's one projection: bound expressions compiled once
-// into column ops, run over a batch of id tuples (project) or a fold's batch
-// of groups (pushCols), or — for the row-at-a-time reference operators — over
-// one input row through a reused buffer (push); rows that fail having are
-// dropped first. As a sink it projects what a fold emits.
+// into column ops, run over a batch of id tuples (consume) or a fold's batch
+// of groups (pushCols), or over one input row through a reused buffer (push);
+// rows that fail having are dropped first. As a sink it projects what a fold
+// emits.
 type projector struct {
 	exprs  []expr.Expr
 	ops    []colOp
@@ -189,8 +218,8 @@ type projector struct {
 	sink   rowSink
 	moves  bool              // no having, and every op a gather: a batch of columns passes through
 	out    []value.Value     // push: the projected row
-	cols   []*storage.Vector // project, pushCols: the projected columns
-	own    []storage.Vector  // project: the columns it computes, in item order
+	cols   []*storage.Vector // consume, pushCols: the projected columns
+	own    []storage.Vector  // consume: the columns it computes, in item order
 	box    rowBox
 	n      int // rows pushed on
 }
@@ -255,12 +284,12 @@ func (p *projector) pushCols(cols []*storage.Vector, n int) error {
 	return p.sink.pushCols(p.cols, n)
 }
 
-// project runs the ops over one batch of id tuples and pushes the projected
+// consume runs the ops over one batch of id tuples and pushes the projected
 // columns on. An evaluated item that raises cuts the batch short at its row,
 // and the error waits until the rows before it have gone through the items
 // after it and the sink: an error at an earlier row there wins, so the first
-// error is the one the row-at-a-time path raises.
-func (p *projector) project(src *tupleBatch) error {
+// error is the one a row-at-a-time evaluation raises.
+func (p *projector) consume(src *tupleBatch) error {
 	n := src.rows()
 	var pending error
 	p.cols = slices.Grow(p.cols[:0], len(p.ops))[:len(p.ops)]

@@ -46,10 +46,9 @@ func positions(n int) ([]int32, error) {
 }
 
 // sortPerm puts ids, ascending input positions, in the order the keys give
-// them, in place. packed lets it take the packed route where the keys allow;
-// the comparators are its reference, as the row iterators are the batch's.
-func sortPerm(ids []int32, keys []sortKey, packed bool) {
-	if packed && packedSort(ids, keys) {
+// them, in place: packed where the keys allow, by comparator otherwise.
+func sortPerm(ids []int32, keys []sortKey) {
+	if packedSort(ids, keys) {
 		return
 	}
 	slices.SortFunc(ids, func(a, b int32) int {
@@ -72,6 +71,11 @@ func packedSort(ids []int32, keys []sortKey) bool {
 	if len(ids) < 2 {
 		return true
 	}
+	for _, k := range keys {
+		if k.ints == nil && k.bools == nil {
+			return false
+		}
+	}
 	// One pass per key reads its range over the rows being sorted.
 	type span struct {
 		lo   int64
@@ -86,7 +90,7 @@ func packedSort(ids []int32, keys []sortKey) bool {
 		switch {
 		case k.bools != nil:
 			hi = 1
-		case k.ints != nil:
+		default:
 			seen := false
 			for _, r := range ids {
 				if v := k.ints[r]; k.nulls.Get(int(r)) {
@@ -98,8 +102,6 @@ func packedSort(ids []int32, keys []sortKey) bool {
 					hi = v
 				}
 			}
-		default:
-			return false
 		}
 		width := uint64(hi) - uint64(lo) // exact modulo 2^64: hi >= lo
 		if width == math.MaxUint64 {

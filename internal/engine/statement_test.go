@@ -36,7 +36,7 @@ func TestExplainAnalyzeGoverned(t *testing.T) {
 		name  string
 		sql   string
 		ctx   func() context.Context
-		delay time.Duration // a latency fault at the fold's gate, so the deadline lands mid-statement
+		delay time.Duration // a latency fault at the fold's workers (P=2), so the deadline lands mid-statement
 		code  string
 	}{
 		{"max rows", ordered, func() context.Context {
@@ -55,12 +55,14 @@ func TestExplainAnalyzeGoverned(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(sql string) (*obs.Span, error) {
+				par := 1
 				if tc.delay > 0 {
-					chaos.Arm(chaos.CoreBatch, chaos.Fault{Delay: tc.delay})
-					defer chaos.Disarm(chaos.CoreBatch)
+					par = 2
+					chaos.Arm(chaos.AggWorker, chaos.Fault{Delay: tc.delay})
+					defer chaos.Disarm(chaos.AggWorker)
 				}
 				parent := obs.NewSpan("test")
-				_, err := e.ExecSQLCtxIn(tc.ctx(), sql, 1, parent)
+				_, err := e.ExecSQLCtxIn(tc.ctx(), sql, par, parent)
 				parent.End()
 				return parent, err
 			}
@@ -130,8 +132,9 @@ func TestStatementCompletesOnce(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.panics {
-				chaos.Arm(chaos.CoreBatch, chaos.Fault{Panic: "chaos-panic"})
-				defer chaos.Disarm(chaos.CoreBatch)
+				// One worker of the fan-out panics: one contained panic.
+				chaos.Arm(chaos.AggWorker, chaos.Fault{Panic: "chaos-panic", Worker: 1})
+				defer chaos.Disarm(chaos.AggWorker)
 			}
 			slow.Reset()
 			stmts, errs := mStatements.Value(), mErrors.Value()
@@ -143,7 +146,7 @@ func TestStatementCompletesOnce(t *testing.T) {
 			}
 
 			parent := obs.NewSpan("test")
-			_, err := e.ExecuteCtxIn(tc.ctx, parseOne(t, tc.sql), 1, parent)
+			_, err := e.ExecuteCtxIn(tc.ctx, parseOne(t, tc.sql), 2, parent)
 			parent.End()
 
 			if got := diag.CodeOf(err); (err != nil) != (tc.code != "") || (got != "" && got != tc.code) {

@@ -16,7 +16,7 @@ import (
 // per-statement parallelism together with the statement's trace span; when
 // the caller passed no parent span and introspection is off the span is nil
 // and every instrumentation point degrades to a single pointer test (obs.Span
-// methods are nil-receiver safe, and iterator opStats are only allocated for
+// methods are nil-receiver safe, and operator opStats are only allocated for
 // traced statements), so the sequential hot loop records metrics with atomic
 // adds and zero allocations.
 
@@ -42,18 +42,17 @@ type execCtx struct {
 	// off or the statement is excluded by the self-observation guard); the
 	// fold marks it when it fans out (see fold.go).
 	rec *stmtRec
-	// batch selects the batch operators — the fold (fold.go), the column path
-	// of a plain select (columns.go), the packed sort — over their row-at-a-time
-	// references; snapshotted from Engine.batchOff by runStatement so one
-	// statement never mixes paths.
-	batch bool
+	// ref is the reference engine the statement runs its SELECT input on, nil
+	// but under the package's tests; snapshotted from Engine.ref by
+	// runStatement so one statement never mixes engines.
+	ref reference
 }
 
 // liteSpan reports whether the statement span exists only so the flight
 // recorder gets its stage totals (introspection on, but no parent span and no
 // EXPLAIN ANALYZE). Per-operator instrumentation is skipped for such spans:
-// opStats cost two clock reads per operator per batch on the column path and
-// per row through the iterators, the wrong price for always-on recording. Flight-record stages then carry the phase-level
+// opStats cost two clock reads per operator per batch, the wrong price for
+// always-on recording. Flight-record stages then carry the phase-level
 // breakdown (aggregate, fold, sort, project, …), which costs one timestamp
 // per phase.
 func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan && ec.inspect == nil }
@@ -61,7 +60,7 @@ func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan && ec
 // selInspect captures the executed SELECT pipeline so EXPLAIN ANALYZE can
 // render the plan tree with actual row counts and timings after the run.
 type selInspect struct {
-	in       iterator // FROM pipeline root, residual filter included
+	in       planNode // FROM plan root, residual filter included
 	rows     int      // final result row count
 	analyzed bool     // set once execSelect ran to completion
 }
@@ -79,13 +78,10 @@ var (
 	mJoinBuilds     = obs.Default.Counter("engine.join.builds")
 	mJoinIndexReuse = obs.Default.Counter("engine.join.index_reuse")
 	// Lifecycle metrics (lifecycle.go): statements stopped by their context,
-	// statements over a resource limit, panics contained into errors, and
-	// parallel aggregations degraded to sequential under byte-budget
-	// pressure.
-	mCancelled         = obs.Default.Counter("engine.cancelled")
-	mLimitsExceeded    = obs.Default.Counter("engine.limits.exceeded")
-	mPanics            = obs.Default.Counter("engine.panics")
-	mAggBudgetFallback = obs.Default.Counter("engine.agg.budget_fallback")
+	// statements over a resource limit, and panics contained into errors.
+	mCancelled      = obs.Default.Counter("engine.cancelled")
+	mLimitsExceeded = obs.Default.Counter("engine.limits.exceeded")
+	mPanics         = obs.Default.Counter("engine.panics")
 )
 
 // slowLog is the slow-query log configuration: statements slower than the
@@ -108,20 +104,19 @@ func (e *Engine) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 }
 
 // opStats is per-operator instrumentation for EXPLAIN ANALYZE and traces:
-// cumulative time spent inside next() (inclusive of children, the way
-// EXPLAIN ANALYZE actual times read everywhere) and rows produced. The batch
-// operators fill it in once they ran — the fold from its partitions, the
-// column path from one clock reading per operator per batch. Allocated only
-// for traced statements; a nil *opStats keeps next() on the fast path.
+// cumulative time spent in the operator, inclusive of the operators below it
+// (the way EXPLAIN ANALYZE actual times read everywhere), and rows produced.
+// The pipeline fills it in once it ran (columns.go), from one clock reading
+// per operator per batch. Allocated only for traced statements.
 type opStats struct {
 	ns   int64
 	rows int64
 }
 
-// instrumentIter allocates opStats down an iterator tree so every operator
-// records its actual rows and cumulative time.
-func instrumentIter(it iterator) {
-	switch n := it.(type) {
+// instrumentIter allocates opStats down a plan so every operator records its
+// actual rows and cumulative time.
+func instrumentIter(n planNode) {
+	switch n := n.(type) {
 	case *tableScan:
 		n.stats = &opStats{}
 	case *filterIter:
@@ -131,20 +126,19 @@ func instrumentIter(it iterator) {
 		n.stats = &opStats{}
 		instrumentIter(n.left)
 	case *nestedLoopJoin:
-		n.stats = &opStats{}
+		n.stats, n.right.stats = &opStats{}, &opStats{}
 		instrumentIter(n.left)
-		instrumentIter(n.rightSrc)
-	case *memRelation:
+	case *valuesNode:
 		n.stats = &opStats{}
 	}
 }
 
-// operatorSpans converts an instrumented iterator tree into a span subtree
-// mirroring the physical plan, with durations taken from the accumulated
-// per-operator stats. Because actual times are inclusive of children, each
-// child's duration is bounded by its parent's, preserving the trace
-// invariant that sequential children never out-sum their parent.
-func operatorSpans(it iterator) *obs.Span {
+// operatorSpans converts an instrumented plan into a span subtree mirroring
+// it, with durations taken from the accumulated per-operator stats. Because
+// actual times are inclusive of children, each child's duration is bounded
+// by its parent's, preserving the trace invariant that sequential children
+// never out-sum their parent.
+func operatorSpans(it planNode) *obs.Span {
 	var sp *obs.Span
 	switch n := it.(type) {
 	case *tableScan:
@@ -165,11 +159,7 @@ func operatorSpans(it iterator) *obs.Span {
 			bs := obs.NewSpan("join build")
 			// Floor to 1ns: index reuse and failed builds have buildNs==0,
 			// and Duration==0 is the trace invariant for "unclosed".
-			d := time.Duration(b.buildNs)
-			if d <= 0 {
-				d = 1
-			}
-			bs.SetDuration(d)
+			bs.SetDuration(max(time.Duration(b.buildNs), 1))
 			bs.SetRows(b.buildRows, -1)
 			if b.useIndex {
 				bs.Attr("via", "existing index")
@@ -182,16 +172,18 @@ func operatorSpans(it iterator) *obs.Span {
 	case *nestedLoopJoin:
 		sp = obs.NewSpan("nested-loop join")
 		applyStats(sp, n.stats)
-		if n.right != nil {
+		if n.opened {
+			// The right table is read in place; the span keeps the name
+			// traces have always shown for that read.
 			ms := obs.NewSpan("materialize right")
-			ms.SetDuration(time.Duration(n.matNs))
-			ms.SetRows(-1, int64(len(n.right.rows)))
+			ms.SetDuration(max(time.Duration(n.openNs), 1))
+			ms.SetRows(-1, int64(n.right.count()))
 			sp.AddChild(ms)
 		}
 		sp.AddChild(operatorSpans(n.left))
-	case *memRelation:
+	case *valuesNode:
 		if n.stats == nil {
-			return nil // a hand-over between stages, not an operator of the plan
+			return nil
 		}
 		sp = obs.NewSpan("values")
 		applyStats(sp, n.stats)

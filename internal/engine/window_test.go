@@ -73,7 +73,7 @@ func sameBits(t *testing.T, label string, got, want *Result) {
 // fold, at any parallelism.
 func TestWindowSumMatchesGroupBy(t *testing.T) {
 	e := windowEngine(t)
-	defer e.SetBatch(true)
+	defer UseReference(e, false)
 	// No derived tables: the two GROUP BYs of the two-list case meet in a join
 	// of temp tables, rebuilt under each mode.
 	twoLists := []string{
@@ -107,7 +107,7 @@ func TestWindowSumMatchesGroupBy(t *testing.T) {
 	} {
 		for _, batch := range []bool{true, false} {
 			for _, par := range []int{1, 2, 8} {
-				e.SetBatch(batch)
+				UseReference(e, !batch)
 				label := fmt.Sprintf("%s batch=%v P=%d", q.name, batch, par)
 				var got, want *Result
 				var err error
@@ -165,8 +165,8 @@ func TestWindowFoldsOncePerPartitionList(t *testing.T) {
 	if fans, merges := count(one, 2, "partition fan-out"), count(one, 2, "merge"); fans != 1 || merges != 1 {
 		t.Errorf("P=2: %d fan-outs and %d merges under window, want 1 and 1:\n%s", fans, merges, root.Format())
 	}
-	e.SetBatch(false)
-	defer e.SetBatch(true)
+	UseReference(e, true)
+	defer UseReference(e, false)
 	if n := count(two, 2, "fold"); n != 2 {
 		t.Errorf("reference fold: %d folds, want 2:\n%s", n, root.Format())
 	}

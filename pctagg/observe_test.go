@@ -151,13 +151,8 @@ func TestMetricNamesStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pinned := []string{
-		"batch.fallbacks",
 		"batch.fold.rows",
 		"batch.folds",
-		"batch.pool.gets",
-		"batch.pool.hits",
-		"batch.pool.misses",
-		"batch.pool.puts",
 		"cache.delta_applied",
 		"cache.delta_fallback",
 		"cache.fj_rollup",
@@ -169,7 +164,6 @@ func TestMetricNamesStable(t *testing.T) {
 		"cache.misses",
 		"core.plans",
 		"core.steps",
-		"engine.agg.budget_fallback",
 		"engine.agg.parallel",
 		"engine.agg.seq_fallback",
 		"engine.cancelled",

@@ -147,7 +147,9 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // PackageDirs lists every directory under root holding Go files, skipping
-// hidden directories, directories starting with "_", and testdata.
+// hidden directories, directories starting with "_", testdata, and nested
+// modules — a directory with its own go.mod is another module, which
+// `go vet ./...` leaves out too.
 func PackageDirs(root string) []string {
 	var dirs []string
 	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -157,6 +159,9 @@ func PackageDirs(root string) []string {
 		if d.IsDir() {
 			name := d.Name()
 			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != root && err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -241,23 +246,44 @@ func (l *Loader) CheckDir(dir string) ([]*Unit, error) {
 	if len(external) > 0 {
 		// The external _test package must import the base package
 		// augmented with its in-package test files — the export_test.go
-		// pattern — just like the go toolchain builds it. Seed the
-		// importer with the augmented package for this check only.
-		prev, had := l.pkgs[impPath]
+		// pattern — and so must every module package it imports that
+		// depends on the base: the go toolchain recompiles those for the
+		// test. Check it against a cache holding the augmented package and
+		// none of those dependents, then put the cache back.
+		saved := l.pkgs
+		l.pkgs = map[string]*types.Package{}
+		memo := map[*types.Package]bool{}
+		for path, pkg := range saved {
+			if path != impPath && !dependsOn(pkg, impPath, memo) {
+				l.pkgs[path] = pkg
+			}
+		}
 		if len(units) > 0 {
 			l.pkgs[impPath] = units[0].Pkg
 		}
 		err := check(impPath+"_test", external)
-		if had {
-			l.pkgs[impPath] = prev
-		} else {
-			delete(l.pkgs, impPath)
-		}
+		l.pkgs = saved
 		if err != nil {
 			return nil, err
 		}
 	}
 	return units, nil
+}
+
+// dependsOn reports whether pkg imports path, directly or through its
+// imports; memo caches the answer per package.
+func dependsOn(pkg *types.Package, path string, memo map[*types.Package]bool) bool {
+	if dep, ok := memo[pkg]; ok {
+		return dep
+	}
+	memo[pkg] = false // an import cycle cannot occur; this only stops revisits
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path || dependsOn(imp, path, memo) {
+			memo[pkg] = true
+			return true
+		}
+	}
+	return false
 }
 
 // Load type-checks every package directory of the module and returns the
