@@ -161,26 +161,18 @@ func countClasses(sel *sqlparse.Select) classCounts {
 
 // Classify inspects a parsed SELECT and reports its query class. It errors
 // on the combinations the paper rules out (e.g. mixing vertical and
-// horizontal percentage aggregations in one statement).
+// horizontal percentage aggregations in one statement) with the coded error
+// of classifyDiags' first diagnostic.
 func Classify(sel *sqlparse.Select) (QueryClass, error) {
-	c := countClasses(sel)
-	switch {
-	case c.vpct && (c.hpct || c.hagg):
-		return ClassStandard, fmt.Errorf("core: combining vertical and horizontal percentage aggregations in one query is not supported (listed as future work in the paper)")
-	case c.hpct && c.hagg:
-		return ClassStandard, fmt.Errorf("core: combining Hpct with other horizontal aggregations in one query is not supported")
-	case c.vpct:
-		return ClassVertical, nil
-	case c.hpct:
-		return ClassHorizontalPct, nil
-	case c.hagg:
-		return ClassHorizontalAgg, nil
-	default:
-		return ClassStandard, nil
+	var l diag.List
+	class := classifyDiags(sel, &l)
+	if d := l.FirstError(); d != nil {
+		return ClassStandard, diagError(d)
 	}
+	return class, nil
 }
 
-// classifyDiags is Classify in collecting form: mixing violations become
+// classifyDiags is Classify's rule in collecting form: mixing violations become
 // diagnostics and the dominant class is still reported so later checks can
 // proceed where they make sense.
 func classifyDiags(sel *sqlparse.Select, l *diag.List) QueryClass {

@@ -56,7 +56,8 @@ func TestCodeOf(t *testing.T) {
 	}
 
 	// The three call sites, each with one uncoded failure (an unknown column
-	// in a standard SELECT) and one syntax error.
+	// in a standard SELECT), one syntax error and one rule the planner's
+	// classification rejects (Vpct beside Hpct).
 	defer leakcheck.Check(t)()
 	db := pctagg.Open()
 	if _, err := db.Exec(workload.DemoSQL); err != nil {
@@ -66,25 +67,28 @@ func TestCodeOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	const uncoded, syntax = "SELECT nope FROM sales", "SELEC state FROM sales"
+	const mixed = "SELECT state, Vpct(salesAmt), Hpct(salesAmt BY city) FROM sales GROUP BY state"
 
 	other := obs.Default.Counter("query.errors.other")
 	bySyntax := obs.Default.Counter("query.errors." + diag.CodeSyntax)
-	o0, s0 := other.Value(), bySyntax.Value()
-	for _, q := range []string{uncoded, syntax} {
+	byMixed := obs.Default.Counter("query.errors." + diag.CodeMixedClasses)
+	o0, s0, m0 := other.Value(), bySyntax.Value(), byMixed.Value()
+	for _, q := range []string{uncoded, syntax, mixed} {
 		if _, err := db.Query(q); err == nil {
 			t.Fatalf("%s succeeded", q)
 		}
 	}
-	if o, s := other.Value()-o0, bySyntax.Value()-s0; o != 1 || s != 1 {
-		t.Errorf("query.errors.other moved by %d and query.errors.%s by %d, want 1 and 1", o, diag.CodeSyntax, s)
+	if o, s, m := other.Value()-o0, bySyntax.Value()-s0, byMixed.Value()-m0; o != 1 || s != 1 || m != 1 {
+		t.Errorf("query.errors.other moved by %d, query.errors.%s by %d and query.errors.%s by %d, want 1, 1 and 1",
+			o, diag.CodeSyntax, s, diag.CodeMixedClasses, m)
 	}
 	rows, err := db.Query("SELECT top, error_codes FROM pct_stat_statements WHERE errors > 0 ORDER BY top, error_codes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The engine saw one statement fail (the syntax error never reached it);
-	// the Query level saw both.
-	want := [][]any{{int64(0), "error:1"}, {int64(1), diag.CodeSyntax + ":1"}, {int64(1), "error:1"}}
+	// The engine saw one statement fail (the syntax error and the mixed
+	// classes never reached it); the Query level saw all three.
+	want := [][]any{{int64(0), "error:1"}, {int64(1), diag.CodeSyntax + ":1"}, {int64(1), diag.CodeMixedClasses + ":1"}, {int64(1), "error:1"}}
 	if fmt.Sprint(rows.Data) != fmt.Sprint(want) {
 		t.Errorf("pct_stat_statements error codes = %v, want %v", rows.Data, want)
 	}
@@ -99,10 +103,10 @@ func TestCodeOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for q, want := range map[string]string{uncoded: "", syntax: diag.CodeSyntax} {
+	for q, want := range map[string]string{uncoded: "", syntax: diag.CodeSyntax, mixed: diag.CodeMixedClasses} {
 		_, err := c.Do(context.Background(), q)
 		var re *server.RemoteError
-		if !errors.As(err, &re) || re.PCTCode != want {
+		if !errors.As(err, &re) || re.Code() != want {
 			t.Errorf("over the wire, %s: err = %v, want a remote error with code %q", q, err, want)
 		}
 	}

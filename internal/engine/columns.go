@@ -612,7 +612,7 @@ func twoValued(tab *storage.Table, p expr.Expr) bool {
 		return true // IS [NOT] NULL
 	}
 	if col, val, ok := b.ColumnConst(); ok {
-		return !val.IsNull() && len(tab.Nulls(col)) == 0
+		return !val.IsNull() && len(tab.Column(col).Nulls) == 0
 	}
 	return twoValued(tab, b.Left) && twoValued(tab, b.Right)
 }
@@ -642,7 +642,7 @@ func applySel(tab *storage.Table, p expr.Expr, sel []int32) []int32 {
 		}
 		return applySel(tab, n.Right, sel)
 	case *expr.IsNull:
-		out, nulls := sel[:0], tab.Nulls(n.Operand.(*expr.ColumnRef).Index)
+		out, nulls := sel[:0], tab.Column(n.Operand.(*expr.ColumnRef).Index).Nulls
 		for _, r := range sel {
 			if nulls.Get(int(r)) != n.Negate {
 				out = append(out, r)
@@ -658,22 +658,17 @@ func applySel(tab *storage.Table, p expr.Expr, sel []int32) []int32 {
 // (floats, cross-kind) goes through per-row SQLEqual, which is still
 // error-free and bit-identical to the prepared comparison's Eval.
 func eqSel(tab *storage.Table, col int, val value.Value, sel []int32) []int32 {
-	nulls := tab.Nulls(col)
-	switch val.Kind() {
-	case value.KindNull:
+	c := tab.Column(col)
+	switch k := val.Kind(); {
+	case k == value.KindNull:
 		return sel[:0] // NULL compares to nothing; never truthy
-	case value.KindInt:
-		if ints, _, ok := tab.IntColumn(col); ok {
-			return eqKernel(ints, nulls, val.Int(), sel)
-		}
-	case value.KindString:
-		if strs, _, ok := tab.StringColumn(col); ok {
-			return eqKernel(strs, nulls, val.Str(), sel)
-		}
-	case value.KindBool:
-		if bools, _, ok := tab.BoolColumn(col); ok {
-			return eqKernel(bools, nulls, val.Bool(), sel)
-		}
+	case k != c.Type.Kind():
+	case k == value.KindInt:
+		return eqKernel(c.Ints, c.Nulls, val.Int(), sel)
+	case k == value.KindString:
+		return eqKernel(c.Strs, c.Nulls, val.Str(), sel)
+	case k == value.KindBool:
+		return eqKernel(c.Bools, c.Nulls, val.Bool(), sel)
 	}
 	out, get := sel[:0], tab.CellGetter(col)
 	for _, r := range sel {

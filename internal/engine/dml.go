@@ -428,13 +428,14 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 }
 
 // updateInPlace assigns sets to the rows ids of t, in place. Each row's
-// assignments are all evaluated against its pre-image (a RowView), then
-// written cell by cell under an undo record (storage.Undo) that any exit
-// without commit — error, cancellation, contained panic, injected fault —
-// replays, leaving every cell, index and the epoch as the statement found
-// them. The record is the statement's materialized state: its rows are
-// charged against MaxRows before the first write. When a hook is installed
-// and the rows are few (MutationBound) it receives their images.
+// assignments are all evaluated against its pre-image — the pipeline's
+// tupleBatch over ids, positioned on the row — then written cell by cell
+// under an undo record (storage.Undo) that any exit without commit — error,
+// cancellation, contained panic, injected fault — replays, leaving every
+// cell, index and the epoch as the statement found them. The record is the
+// statement's materialized state: its rows are charged against MaxRows
+// before the first write. When a hook is installed and the rows are few
+// (MutationBound) it receives their images.
 func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets []boundSet, gov *governor) (*Result, error) {
 	if err := gov.addRows(int64(len(ids))); err != nil {
 		return nil, err
@@ -453,7 +454,7 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets 
 			undo.Rollback()
 		}
 	}()
-	view := t.NewRowView()
+	rows := tupleBatch{tabs: []*storage.Table{t}, ids: [][]int32{ids}}
 	vals := make([]value.Value, len(sets))
 	for k, r := range ids {
 		if k%govStride == 0 {
@@ -461,9 +462,8 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets 
 				return nil, err
 			}
 		}
-		view.Seek(int(r))
 		for i, s := range sets {
-			v, err := s.ex.Eval(view)
+			v, err := s.ex.Eval(rows.row(k))
 			if err != nil {
 				return nil, err
 			}

@@ -337,8 +337,8 @@ func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 			}
 			return kc
 		}
-		ints, _, _ := op.pipe.tabs[t].IntColumn(col)
-		kc.ints = append(kc.ints, intCol{vals: ints, nulls: op.pipe.tabs[t].Nulls(col), t: t})
+		c := op.pipe.tabs[t].Column(col)
+		kc.ints = append(kc.ints, intCol{vals: c.Ints, nulls: c.Nulls, t: t})
 	}
 	return kc
 }
@@ -349,9 +349,10 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	s.fn, s.cell, s.acc = call.Fn, -1, -1
 	t, col, bare := op.column(arg)
 	kind, known := value.KindNull, arg == nil // what arg evaluates to, when the plan can tell
+	var c *storage.Vector
 	if bare {
-		tab := op.pipe.tabs[t]
-		kind, known, s.t, s.nulls = tab.Schema()[col].Type.Kind(), true, t, tab.Nulls(col)
+		c = op.pipe.tabs[t].Column(col)
+		kind, known, s.t, s.nulls = c.Type.Kind(), true, t, c.Nulls
 	} else if arg != nil {
 		var v value.Value
 		v, known = expr.ConstValue(arg)
@@ -367,11 +368,9 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	case call.Star || bare && call.Fn == expr.AggCount:
 		s.kernel = kernelCount
 	case bare && kind == value.KindInt:
-		s.kernel = kernelInt
-		s.ints, _, _ = op.pipe.tabs[t].IntColumn(col)
+		s.kernel, s.ints = kernelInt, c.Ints
 	case bare && kind == value.KindFloat:
-		s.kernel = kernelFloat
-		s.flts, _, _ = op.pipe.tabs[t].FloatColumn(col)
+		s.kernel, s.flts = kernelFloat, c.Flts
 	}
 	if s.acc < 0 {
 		s.cell, op.cells = op.cells, op.cells+1

@@ -155,8 +155,8 @@ func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 				block[k*w+j] = value.NewBool(x)
 			}
 		}
-		for k := 0; !v.Boxed && k < min(n, len(v.Nulls)); k++ {
-			if v.Nulls[k] {
+		for k := 0; !v.Boxed && k < min(n, 64*len(v.Nulls)); k++ {
+			if v.Nulls.Get(k) {
 				block[k*w+j] = value.Null
 			}
 		}

@@ -208,15 +208,17 @@ func vectorCmp[T int64 | float64 | string](vals []T, nulls storage.NullBitmap) f
 
 // columnKey is the sort key over row ids of t's column col.
 func columnKey(t *storage.Table, col int, desc bool) sortKey {
-	k := sortKey{desc: desc, nulls: t.Nulls(col)}
-	if vals, _, ok := t.IntColumn(col); ok {
-		k.ints, k.cmp = vals, vectorCmp(vals, k.nulls)
-	} else if vals, _, ok := t.FloatColumn(col); ok {
-		k.cmp = vectorCmp(vals, k.nulls)
-	} else if vals, _, ok := t.StringColumn(col); ok {
-		k.cmp = vectorCmp(vals, k.nulls)
-	} else {
-		k.bools, _, _ = t.BoolColumn(col)
+	c := t.Column(col)
+	k := sortKey{desc: desc, nulls: c.Nulls}
+	switch c.Type {
+	case storage.TypeInt:
+		k.ints, k.cmp = c.Ints, vectorCmp(c.Ints, c.Nulls)
+	case storage.TypeFloat:
+		k.cmp = vectorCmp(c.Flts, c.Nulls)
+	case storage.TypeString:
+		k.cmp = vectorCmp(c.Strs, c.Nulls)
+	default:
+		k.bools = c.Bools
 		get := t.CellGetter(col)
 		k.cmp = func(a, b int32) int { return value.Compare(get(int(a)), get(int(b))) }
 	}

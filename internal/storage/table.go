@@ -61,7 +61,7 @@ func (s Schema) String() string {
 type Table struct {
 	name    string
 	schema  Schema
-	cols    []*column
+	cols    []Vector
 	nrows   int
 	indexes []*index.Index
 	// indexPos[i] holds the column positions indexes[i] covers; indexKeyBuf is
@@ -84,14 +84,17 @@ func NewTable(name string, schema Schema) (*Table, error) {
 		return nil, fmt.Errorf("storage: table %q needs at least one column", name)
 	}
 	seen := make(map[string]bool, len(schema))
-	cols := make([]*column, len(schema))
+	cols := make([]Vector, len(schema))
 	for i, def := range schema {
 		lower := strings.ToLower(def.Name)
 		if seen[lower] {
 			return nil, fmt.Errorf("storage: table %q: duplicate column %q", name, def.Name)
 		}
+		if def.Type.Kind() == value.KindNull {
+			return nil, fmt.Errorf("storage: table %q: column %q has unknown type %s", name, def.Name, def.Type)
+		}
 		seen[lower] = true
-		cols[i] = newColumn(def.Type)
+		cols[i].Type = def.Type
 	}
 	t := &Table{
 		name:   name,
@@ -151,10 +154,10 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 			t.name, len(t.cols), len(vals))
 	}
 	for i, v := range vals {
-		if err := t.cols[i].append(v); err != nil {
+		if err := t.cols[i].put(t.nrows, v); err != nil {
 			// Roll back the columns already appended to keep them aligned.
 			for j := 0; j < i; j++ {
-				t.truncColumn(j, t.nrows)
+				t.cols[j].truncate(t.nrows)
 			}
 			return 0, fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[i].Name, err)
 		}
@@ -170,41 +173,8 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 // writer that knows its row count (INSERT … SELECT after a fold) appends
 // without regrowing.
 func (t *Table) Reserve(n int) {
-	for _, c := range t.cols {
-		c.reserve(n)
-	}
-}
-
-func (c *column) reserve(n int) {
-	switch c.typ {
-	case TypeInt:
-		c.ints = slices.Grow(c.ints, n)
-	case TypeFloat:
-		c.flts = slices.Grow(c.flts, n)
-	case TypeString:
-		c.strs = slices.Grow(c.strs, n)
-	case TypeBool:
-		c.bools = slices.Grow(c.bools, n)
-	}
-}
-
-func (t *Table) truncColumn(i, n int) {
-	c := t.cols[i]
-	// Clear the null bits of the discarded rows: append trusts the bitmap to
-	// be clean past the end, so a stale bit would make a later row at the
-	// same position read as NULL.
-	for r := n; r < c.len(); r++ {
-		c.nulls.clear(r)
-	}
-	switch c.typ {
-	case TypeInt:
-		c.ints = c.ints[:n]
-	case TypeFloat:
-		c.flts = c.flts[:n]
-	case TypeString:
-		c.strs = c.strs[:n]
-	case TypeBool:
-		c.bools = c.bools[:n]
+	for i := range t.cols {
+		t.cols[i].reserve(n)
 	}
 }
 
@@ -224,7 +194,7 @@ func (t *Table) TruncateTo(n int) {
 		t.indexRow(r, -1, false)
 	}
 	for i := range t.cols {
-		t.truncColumn(i, n)
+		t.cols[i].truncate(n)
 	}
 	t.nrows = n
 	t.bumpEpoch()
@@ -239,19 +209,19 @@ func (t *Table) EmptyClone() *Table { return t.staged(nil, 0) }
 
 // Without returns a staging table holding t's rows less those listed,
 // ascending, in drop — the staging half of DELETE: each column vector is
-// gathered by typed copies of the kept runs (column.without) and the indexes
+// gathered by typed copies of the kept runs (Vector.without) and the indexes
 // are built over the result.
 func (t *Table) Without(drop []int32) *Table {
-	cols := make([]*column, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = c.without(drop)
+	cols := make([]Vector, len(t.cols))
+	for i := range t.cols {
+		cols[i] = t.cols[i].without(drop)
 	}
 	return t.staged(cols, t.nrows-len(drop))
 }
 
 // staged returns a new table under t's name, schema, primary key and index
 // definitions over the given column vectors (nil: none, zero rows).
-func (t *Table) staged(cols []*column, nrows int) *Table {
+func (t *Table) staged(cols []Vector, nrows int) *Table {
 	c, err := NewTable(t.name, t.schema)
 	if err != nil {
 		// t's schema was validated when t was created.
@@ -269,7 +239,7 @@ func (t *Table) staged(cols []*column, nrows int) *Table {
 
 // Get returns the value at (row, col).
 func (t *Table) Get(row, col int) value.Value {
-	return t.cols[col].get(row)
+	return t.cols[col].Value(row)
 }
 
 // Row copies row r into dst (allocating if dst is too small) and returns it.
@@ -278,8 +248,8 @@ func (t *Table) Row(r int, dst []value.Value) []value.Value {
 		dst = make([]value.Value, len(t.cols))
 	}
 	dst = dst[:len(t.cols)]
-	for i, c := range t.cols {
-		dst[i] = c.get(r)
+	for i := range t.cols {
+		dst[i] = t.cols[i].Value(r)
 	}
 	return dst
 }
@@ -290,7 +260,7 @@ func (t *Table) set(row, col int, v value.Value) error {
 		return fmt.Errorf("storage: table %q: row %d out of range", t.name, row)
 	}
 	t.indexRow(row, col, false)
-	err := t.cols[col].set(row, v)
+	err := t.cols[col].put(row, v)
 	t.indexRow(row, col, true)
 	if err != nil {
 		return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[col].Name, err)
@@ -336,7 +306,7 @@ func (t *Table) BeginUpdate() *Undo { return &Undo{t: t, epoch: t.Epoch()} }
 // entry in an index only when col is one of its keys. A value the column
 // cannot store is an error and leaves the cell as it was.
 func (u *Undo) Set(row, col int, v value.Value) error {
-	u.cells = append(u.cells, undoCell{row, col, u.t.cols[col].get(row)})
+	u.cells = append(u.cells, undoCell{row, col, u.t.cols[col].Value(row)})
 	return u.t.set(row, col, v)
 }
 
@@ -414,7 +384,7 @@ func (t *Table) IndexOn(columns []string) *index.Index {
 func (t *Table) indexKey(i, rid int) []value.Value {
 	key := t.indexKeyBuf[:0]
 	for _, p := range t.indexPos[i] {
-		key = append(key, t.cols[p].get(rid))
+		key = append(key, t.cols[p].Value(rid))
 	}
 	t.indexKeyBuf = key
 	return key
@@ -423,7 +393,7 @@ func (t *Table) indexKey(i, rid int) []value.Value {
 // Truncate removes all rows, keeping schema and (now empty) indexes.
 func (t *Table) Truncate() {
 	for i := range t.cols {
-		t.cols[i] = newColumn(t.schema[i].Type)
+		t.cols[i] = Vector{Type: t.schema[i].Type}
 	}
 	t.nrows = 0
 	t.bumpEpoch()
@@ -438,49 +408,10 @@ func (t *Table) Truncate() {
 	}
 }
 
-// IntColumn exposes the raw int64 vector and null bitmap checker of an
-// INTEGER column for tight benchmark loops. The returned slice must not be
-// mutated. ok is false if the column is not INTEGER.
-func (t *Table) IntColumn(col int) (vals []int64, isNull func(int) bool, ok bool) {
-	c := t.cols[col]
-	if c.typ != TypeInt {
-		return nil, nil, false
-	}
-	return c.ints, c.nulls.get, true
-}
-
-// FloatColumn exposes the raw float64 vector of a REAL column, as IntColumn.
-func (t *Table) FloatColumn(col int) (vals []float64, isNull func(int) bool, ok bool) {
-	c := t.cols[col]
-	if c.typ != TypeFloat {
-		return nil, nil, false
-	}
-	return c.flts, c.nulls.get, true
-}
-
-// StringColumn exposes the raw string vector of a VARCHAR column, as
-// IntColumn.
-func (t *Table) StringColumn(col int) (vals []string, isNull func(int) bool, ok bool) {
-	c := t.cols[col]
-	if c.typ != TypeString {
-		return nil, nil, false
-	}
-	return c.strs, c.nulls.get, true
-}
-
-// BoolColumn exposes the raw bool vector of a BOOLEAN column, as IntColumn.
-func (t *Table) BoolColumn(col int) (vals []bool, isNull func(int) bool, ok bool) {
-	c := t.cols[col]
-	if c.typ != TypeBool {
-		return nil, nil, false
-	}
-	return c.bools, c.nulls.get, true
-}
-
-// Nulls exposes a column's NULL bitmap regardless of its type: what the
-// fold's kernels and the vectorized filters test beside the raw vectors,
-// where the isNull closures above cost an indirect call per cell.
-func (t *Table) Nulls(col int) NullBitmap { return t.cols[col].nulls.words }
+// Column returns column col's vector, to read — typed slices and NULL bitmap
+// hoisted by a kernel — never to write. Like a CellGetter, what is read off
+// it is a snapshot of the rows present when it was read.
+func (t *Table) Column(col int) *Vector { return &t.cols[col] }
 
 // CellGetter returns a reader that boxes one cell of a column per call. The
 // column's type and vector are resolved here, once, where Get re-dispatches
@@ -489,79 +420,40 @@ func (t *Table) Nulls(col int) NullBitmap { return t.cols[col].nulls.words }
 // the rows present when it was built; the engine serializes writers per
 // statement, so a statement's readers never outlive their snapshot.
 func (t *Table) CellGetter(col int) func(row int) value.Value {
-	c := t.cols[col]
-	nulls := &c.nulls
-	switch c.typ {
+	c := &t.cols[col]
+	nulls := &c.Nulls
+	switch c.Type {
 	case TypeInt:
-		ints := c.ints
+		ints := c.Ints
 		return func(r int) value.Value {
-			if nulls.get(r) {
+			if nulls.Get(r) {
 				return value.Null
 			}
 			return value.NewInt(ints[r])
 		}
 	case TypeFloat:
-		flts := c.flts
+		flts := c.Flts
 		return func(r int) value.Value {
-			if nulls.get(r) {
+			if nulls.Get(r) {
 				return value.Null
 			}
 			return value.NewFloat(flts[r])
 		}
 	case TypeString:
-		strs := c.strs
+		strs := c.Strs
 		return func(r int) value.Value {
-			if nulls.get(r) {
+			if nulls.Get(r) {
 				return value.Null
 			}
 			return value.NewString(strs[r])
 		}
 	default:
-		bools := c.bools
+		bools := c.Bools
 		return func(r int) value.Value {
-			if nulls.get(r) {
+			if nulls.Get(r) {
 				return value.Null
 			}
 			return value.NewBool(bools[r])
 		}
 	}
-}
-
-// RowView is a lazy view of one stored row for expression evaluation (it
-// satisfies expr.Row): a cell is boxed through its column's CellGetter the
-// first time an expression reads it and cached until the view moves to
-// another row, so a 50-term CASE list over one column costs one typed read
-// per row, and columns no expression touches cost nothing. A view is
-// single-goroutine scratch; parallel workers each build their own.
-type RowView struct {
-	tab  *Table
-	row  int
-	get  []func(int) value.Value // per column, built on first use
-	vals []value.Value
-	at   []int // row each cached cell was read from; -1 = none
-}
-
-// NewRowView returns a view positioned on row 0.
-func (t *Table) NewRowView() *RowView {
-	n := len(t.cols)
-	v := &RowView{tab: t, get: make([]func(int) value.Value, n), vals: make([]value.Value, n), at: make([]int, n)}
-	for i := range v.at {
-		v.at[i] = -1
-	}
-	return v
-}
-
-// Seek moves the view to row r.
-func (v *RowView) Seek(r int) { v.row = r }
-
-// ColumnValue returns column i of the current row.
-func (v *RowView) ColumnValue(i int) value.Value {
-	if v.at[i] != v.row {
-		if v.get[i] == nil {
-			v.get[i] = v.tab.CellGetter(i)
-		}
-		v.vals[i] = v.get[i](v.row)
-		v.at[i] = v.row
-	}
-	return v.vals[i]
 }

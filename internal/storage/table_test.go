@@ -32,6 +32,9 @@ func TestNewTableValidation(t *testing.T) {
 	if _, err := NewTable("dup", dup); err == nil {
 		t.Error("duplicate (case-insensitive) columns must fail")
 	}
+	if _, err := NewTable("odd", Schema{{Name: "a", Type: TypeInt}, {Name: "b", Type: 9}}); err == nil {
+		t.Error("an unknown column type must fail")
+	}
 }
 
 func TestAppendGetRoundTrip(t *testing.T) {
@@ -232,25 +235,21 @@ func TestRawColumnAccessors(t *testing.T) {
 	tb := mustTable(t)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.NewInt(5)})
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.Null})
-	vals, isNull, ok := tb.IntColumn(2)
-	if !ok || len(vals) != 2 || vals[0] != 5 {
-		t.Fatalf("IntColumn = %v %v", vals, ok)
+	c := tb.Column(2)
+	if c.Type != TypeInt || c.Boxed || len(c.Ints) != 2 || c.Ints[0] != 5 || len(c.Flts)+len(c.Strs)+len(c.Bools) != 0 {
+		t.Fatalf("Column(2) = %+v", c)
 	}
-	if isNull(0) || !isNull(1) {
+	if c.Nulls.Get(0) || !c.Nulls.Get(1) || c.Null(0) || !c.Null(1) {
 		t.Error("null bitmap wrong")
 	}
-	if _, _, ok := tb.IntColumn(0); ok {
-		t.Error("IntColumn on VARCHAR must report !ok")
-	}
-	if _, _, ok := tb.FloatColumn(2); ok {
-		t.Error("FloatColumn on INTEGER must report !ok")
+	if s := tb.Column(0); s.Type != TypeString || len(s.Strs) != 2 || len(s.Nulls) != 0 {
+		t.Errorf("Column(0) = %+v, want two VARCHAR cells and no NULL word", s)
 	}
 }
 
-// TestCellGetterAndRowView: the typed getter and the lazy row view return
-// exactly what Get returns for every column type, NULLs included, and the
-// view follows Seek instead of serving a stale cached cell.
-func TestCellGetterAndRowView(t *testing.T) {
+// TestCellGetterMatchesGet: the typed getter returns exactly what Get
+// returns for every column type, NULLs included.
+func TestCellGetterMatchesGet(t *testing.T) {
 	tb, err := NewTable("t", Schema{
 		{Name: "i", Type: TypeInt}, {Name: "f", Type: TypeFloat},
 		{Name: "s", Type: TypeString}, {Name: "b", Type: TypeBool},
@@ -271,19 +270,11 @@ func TestCellGetterAndRowView(t *testing.T) {
 	same := func(a, b value.Value) bool {
 		return a.IsNull() == b.IsNull() && (a.IsNull() || a.Kind() == b.Kind() && value.Compare(a, b) == 0)
 	}
-	view := tb.NewRowView()
 	for c := 0; c < tb.NumCols(); c++ {
 		get := tb.CellGetter(c)
-		for _, r := range []int{0, 1, 2, 0} {
-			view.Seek(r)
-			want := tb.Get(r, c)
-			if got := get(r); !same(got, want) {
-				t.Errorf("CellGetter(%d)(%d) = %v, want %v", c, r, got, want)
-			}
-			for pass := 0; pass < 2; pass++ { // second read hits the cache
-				if got := view.ColumnValue(c); !same(got, want) {
-					t.Errorf("RowView row %d col %d (read %d) = %v, want %v", r, c, pass, got, want)
-				}
+		for r := range rows {
+			if got, want := get(r), tb.Get(r, c); !same(got, want) || !same(got, rows[r][c]) {
+				t.Errorf("CellGetter(%d)(%d) = %v, want %v", c, r, got, rows[r][c])
 			}
 		}
 	}
@@ -307,18 +298,18 @@ func TestSchemaHelpers(t *testing.T) {
 }
 
 func TestColumnTypeNames(t *testing.T) {
+	kinds := map[value.Kind]bool{}
 	for _, ct := range []ColumnType{TypeInt, TypeFloat, TypeString, TypeBool} {
 		if ct.String() == "" {
 			t.Errorf("type %d unnamed", ct)
 		}
-		k := ct.Kind()
-		back, err := typeForKind(k)
-		if err != nil || back != ct {
-			t.Errorf("typeForKind(%v) = %v, %v", k, back, err)
+		if k := ct.Kind(); k == value.KindNull || kinds[k] {
+			t.Errorf("type %s stores kind %v", ct, k)
 		}
+		kinds[ct.Kind()] = true
 	}
-	if _, err := typeForKind(value.KindNull); err == nil {
-		t.Error("typeForKind(NULL) must fail")
+	if odd := ColumnType(9); odd.String() != "ColumnType(9)" || odd.Kind() != value.KindNull {
+		t.Errorf("unknown type reads as %s of kind %v", odd, odd.Kind())
 	}
 }
 

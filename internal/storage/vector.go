@@ -2,16 +2,20 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/value"
 )
 
-// Vector is one column of a batch of rows in flight between operators: the
-// cells of one column type in a typed slice with their NULL flags, or — Boxed
-// — cells of whatever kind an expression evaluated to. A producer sizes it
-// with Resize or ResizeBoxed, which keep the buffers, so a statement
-// allocates each vector once; a consumer reads the first n cells it is told
-// of and nothing after the call that handed it over.
+// Vector is the one typed column: a table stores each of its columns as one,
+// and a batch of rows in flight between operators carries one per column.
+// The cells of one column type sit in the typed slice for it with the NULL
+// bitmap beside them — or, Boxed, a batch's cells of whatever kind an
+// expression evaluated to sit in Vals. A producer sizes a batch vector with
+// Resize or ResizeBoxed, which keep the buffers, so a statement allocates
+// each vector once; a consumer reads the first n cells it is told of and
+// nothing after the call that handed it over.
 type Vector struct {
 	Type  ColumnType
 	Boxed bool
@@ -19,10 +23,7 @@ type Vector struct {
 	Flts  []float64
 	Strs  []string
 	Bools []bool
-	// Nulls is empty when no cell of a typed vector is NULL, else as long as
-	// the vector with Nulls[i] set for a NULL cell i (whose typed slot means
-	// nothing).
-	Nulls []bool
+	Nulls NullBitmap // a typed vector's NULL cells, whose typed slots mean nothing
 	Vals  []value.Value
 }
 
@@ -67,14 +68,9 @@ func (v *Vector) Len() int {
 	return len(v.Bools)
 }
 
-// SetNull marks cell i of a typed vector NULL.
-func (v *Vector) SetNull(i int) {
-	if len(v.Nulls) == 0 {
-		v.Nulls = sized(v.Nulls, v.Len())
-		clear(v.Nulls)
-	}
-	v.Nulls[i] = true
-}
+// SetNull marks cell i of a typed vector NULL. The first NULL sizes the
+// bitmap for the whole vector, so a batch allocates it once.
+func (v *Vector) SetNull(i int) { v.Nulls.set(i, (v.Len()+63)>>6) }
 
 // Set stores x — NULL, or a value of the vector's type — in cell i of a typed
 // vector.
@@ -98,7 +94,7 @@ func (v *Vector) Null(i int) bool {
 	if v.Boxed {
 		return v.Vals[i].IsNull()
 	}
-	return i < len(v.Nulls) && v.Nulls[i]
+	return v.Nulls.Get(i)
 }
 
 // Value boxes cell i.
@@ -118,28 +114,148 @@ func (v *Vector) Value(i int) value.Value {
 	return value.NewBool(v.Bools[i])
 }
 
+// put stores x — NULL, or a value that fits the vector's type — in cell r of
+// a typed vector, or in a new cell at the end when r is Len(). A value that
+// does not fit is an error and leaves the vector as it was.
+func (v *Vector) put(r int, x value.Value) error {
+	if err := v.Type.fits(x); err != nil {
+		return err
+	}
+	null := x.IsNull()
+	switch v.Type {
+	case TypeInt:
+		i, _ := x.AsInt()
+		v.Ints = cell(v.Ints, r, i)
+	case TypeFloat:
+		f, _ := x.AsFloat()
+		v.Flts = cell(v.Flts, r, f)
+	case TypeString:
+		var s string
+		if !null {
+			s = x.Str()
+		}
+		v.Strs = cell(v.Strs, r, s)
+	case TypeBool:
+		v.Bools = cell(v.Bools, r, !null && x.Bool())
+	}
+	if null {
+		v.SetNull(r)
+	} else {
+		v.Nulls.clear(r)
+	}
+	return nil
+}
+
+// cell writes x to s[r], appending it when r is len(s).
+func cell[T any](s []T, r int, x T) []T {
+	if r == len(s) {
+		return append(s, x)
+	}
+	s[r] = x
+	return s
+}
+
+// reserve grows the typed slice's capacity to hold n more cells.
+func (v *Vector) reserve(n int) {
+	switch v.Type {
+	case TypeInt:
+		v.Ints = slices.Grow(v.Ints, n)
+	case TypeFloat:
+		v.Flts = slices.Grow(v.Flts, n)
+	case TypeString:
+		v.Strs = slices.Grow(v.Strs, n)
+	case TypeBool:
+		v.Bools = slices.Grow(v.Bools, n)
+	}
+}
+
+// truncate drops the cells from n on, and their NULL bits: a cell appended
+// there later must not read as NULL.
+func (v *Vector) truncate(n int) {
+	v.Nulls.clearFrom(n)
+	switch v.Type {
+	case TypeInt:
+		v.Ints = v.Ints[:n]
+	case TypeFloat:
+		v.Flts = v.Flts[:n]
+	case TypeString:
+		v.Strs = v.Strs[:n]
+	case TypeBool:
+		v.Bools = v.Bools[:n]
+	}
+}
+
+// without returns a copy of the vector less the cells listed, ascending, in
+// drop: the kept runs between them are copied slice to slice, and the NULL
+// bits of the kept NULL cells set again.
+func (v *Vector) without(drop []int32) Vector {
+	out, n := Vector{Type: v.Type}, v.Len()-len(drop)
+	switch v.Type {
+	case TypeInt:
+		out.Ints = keptRuns(make([]int64, 0, n), v.Ints, drop)
+	case TypeFloat:
+		out.Flts = keptRuns(make([]float64, 0, n), v.Flts, drop)
+	case TypeString:
+		out.Strs = keptRuns(make([]string, 0, n), v.Strs, drop)
+	case TypeBool:
+		out.Bools = keptRuns(make([]bool, 0, n), v.Bools, drop)
+	}
+	d := 0
+	v.Nulls.each(v.Len(), func(r int) {
+		for d < len(drop) && int(drop[d]) < r {
+			d++
+		}
+		if d == len(drop) || int(drop[d]) != r {
+			out.SetNull(r - d)
+		}
+	})
+	return out
+}
+
+func keptRuns[T any](dst, src []T, drop []int32) []T {
+	from := 0
+	for _, d := range drop {
+		dst = append(dst, src[from:d]...)
+		from = int(d) + 1
+	}
+	return append(dst, src[from:]...)
+}
+
+// each calls f with every NULL cell below n, ascending.
+func (b NullBitmap) each(n int, f func(r int)) {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			r := w<<6 + bits.TrailingZeros64(word)
+			if r >= n {
+				return
+			}
+			f(r)
+		}
+	}
+}
+
 // Gather fills v with column col of the rows ids, in that order: a typed copy
 // off the column vector with the NULL bits carried. An id of -1 — the NULL
 // extension of an outer join's unmatched row — reads as NULL.
 func (t *Table) Gather(col int, ids []int32, v *Vector) {
-	c := t.cols[col]
-	v.Resize(c.typ, len(ids))
+	c := &t.cols[col]
+	v.Resize(c.Type, len(ids))
 	var outer bool
-	switch c.typ {
+	switch c.Type {
 	case TypeInt:
-		outer = gather(v.Ints, c.ints, ids)
+		outer = gather(v.Ints, c.Ints, ids)
 	case TypeFloat:
-		outer = gather(v.Flts, c.flts, ids)
+		outer = gather(v.Flts, c.Flts, ids)
 	case TypeString:
-		outer = gather(v.Strs, c.strs, ids)
+		outer = gather(v.Strs, c.Strs, ids)
 	case TypeBool:
-		outer = gather(v.Bools, c.bools, ids)
+		outer = gather(v.Bools, c.Bools, ids)
 	}
-	if !outer && len(c.nulls.words) == 0 {
+	if !outer && len(c.Nulls) == 0 {
 		return
 	}
 	for i, r := range ids {
-		if r < 0 || c.nulls.get(int(r)) {
+		if r < 0 || c.Nulls.Get(int(r)) {
 			v.SetNull(i)
 		}
 	}
@@ -171,28 +287,29 @@ func (t *Table) AppendVectors(src []*Vector, n int, gate func() error) error {
 	if len(src) != len(t.cols) {
 		return fmt.Errorf("storage: table %q has %d columns, batch has %d", t.name, len(t.cols), len(src))
 	}
-	// Convert what cannot be copied into a staging column of the target's type,
+	// Convert what cannot be copied into a vector of the target's type,
 	// remembering the first row — and in it the first column — that fails.
 	bad, badCol, badErr := n, 0, error(nil)
-	var staged []*column
+	var staged []*Vector // src with the conversions in place of their sources; nil for none
 	for i, s := range src {
-		c := t.cols[i]
-		if s == nil || !s.Boxed && (s.Type == c.typ || s.Type == TypeInt && c.typ == TypeFloat) {
+		typ := t.cols[i].Type
+		if s == nil || !s.Boxed && (s.Type == typ || s.Type == TypeInt && typ == TypeFloat) {
 			continue
 		}
 		if staged == nil {
-			staged = make([]*column, len(src))
+			staged = slices.Clone(src)
 		}
-		staged[i] = newColumn(c.typ)
-		staged[i].reserve(n)
+		conv := &Vector{Type: typ}
+		conv.reserve(n)
 		for k := 0; k < min(n, bad+1); k++ {
-			if err := staged[i].append(s.Value(k)); err != nil {
+			if err := conv.put(k, s.Value(k)); err != nil {
 				if k < bad {
 					bad, badCol, badErr = k, i, err
 				}
 				break
 			}
 		}
+		staged[i] = conv
 	}
 	for k := 0; gate != nil && k < min(n, bad+1); k++ {
 		if err := gate(); err != nil {
@@ -202,17 +319,11 @@ func (t *Table) AppendVectors(src []*Vector, n int, gate func() error) error {
 	if badErr != nil {
 		return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[badCol].Name, badErr)
 	}
+	if staged != nil {
+		src = staged
+	}
 	for i, s := range src {
-		c := t.cols[i]
-		if staged != nil && staged[i] != nil {
-			s = &Vector{Type: c.typ, Ints: staged[i].ints, Flts: staged[i].flts, Strs: staged[i].strs, Bools: staged[i].bools}
-			for k := 0; k < n && len(staged[i].nulls.words) > 0; k++ {
-				if staged[i].nulls.get(k) {
-					s.SetNull(k)
-				}
-			}
-		}
-		c.appendVector(s, n)
+		t.cols[i].appendVector(s, n)
 	}
 	base := t.nrows
 	t.nrows += n
@@ -223,35 +334,38 @@ func (t *Table) AppendVectors(src []*Vector, n int, gate func() error) error {
 	return nil
 }
 
-// appendVector adds the first n cells of s, a vector the column stores without
-// a check (nil: n NULLs). Capacity doubles, so a table filled batch by batch
-// allocates at most twice what it ends up holding.
-func (c *column) appendVector(s *Vector, n int) {
-	base := c.len()
-	for k := 0; (s == nil || len(s.Nulls) > 0) && k < n; k++ {
-		if s == nil || s.Nulls[k] {
-			c.nulls.set(base + k)
-		}
-	}
+// appendVector adds the first n cells of s, a vector v stores without a check
+// (nil: n NULLs), and then their NULL bits. Capacity doubles, so a table
+// filled batch by batch allocates at most twice what it ends up holding.
+func (v *Vector) appendVector(s *Vector, n int) {
+	base := v.Len()
+	cells := s
 	if s == nil {
-		s = &Vector{Type: c.typ} // n zero cells
+		cells = &Vector{Type: v.Type} // n zero cells
 	}
-	switch c.typ {
+	switch v.Type {
 	case TypeInt:
-		c.ints = appendCells(c.ints, s.Ints, n)
+		v.Ints = appendCells(v.Ints, cells.Ints, n)
 	case TypeFloat:
-		if s.Type == TypeInt {
-			c.flts = doubled(c.flts, n)
-			for _, i := range s.Ints[:n] {
-				c.flts = append(c.flts, float64(i))
+		if cells.Type == TypeInt {
+			v.Flts = doubled(v.Flts, n)
+			for _, i := range cells.Ints[:n] {
+				v.Flts = append(v.Flts, float64(i))
 			}
-			return
+		} else {
+			v.Flts = appendCells(v.Flts, cells.Flts, n)
 		}
-		c.flts = appendCells(c.flts, s.Flts, n)
 	case TypeString:
-		c.strs = appendCells(c.strs, s.Strs, n)
+		v.Strs = appendCells(v.Strs, cells.Strs, n)
 	case TypeBool:
-		c.bools = appendCells(c.bools, s.Bools, n)
+		v.Bools = appendCells(v.Bools, cells.Bools, n)
+	}
+	if s != nil {
+		s.Nulls.each(n, func(k int) { v.SetNull(base + k) })
+		return
+	}
+	for k := 0; k < n; k++ {
+		v.SetNull(base + k)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-func demoDB(t *testing.T) *DB {
+func demoDB(t testing.TB) *DB {
 	t.Helper()
 	db := Open()
 	_, err := db.Exec(`CREATE TABLE sales (RID INTEGER, state VARCHAR, city VARCHAR, salesAmt INTEGER);

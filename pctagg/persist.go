@@ -4,15 +4,15 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/storage"
-	"repro/internal/value"
 )
 
 // Snapshot persistence: Save serializes every table (schema, rows, primary
 // key, secondary indexes) with encoding/gob; Load restores them into an
 // empty or existing database. The format is columnar: one typed vector and
-// a null bitmap per column, which keeps files compact and loads fast.
+// its NULL flags per column, copied from and appended as a storage.Vector.
 
 // snapColumn is the gob form of one column.
 type snapColumn struct {
@@ -69,38 +69,10 @@ func (db *DB) Save(w io.Writer) error {
 			st.Indexes = append(st.Indexes, snapIndex{Name: ix.Name(), Columns: ix.Columns()})
 		}
 		for ci, def := range t.Schema() {
-			col := snapColumn{Name: def.Name, Type: uint8(def.Type), Nulls: make([]bool, t.NumRows())}
-			for r := 0; r < t.NumRows(); r++ {
-				v := t.Get(r, ci)
-				if v.IsNull() {
-					col.Nulls[r] = true
-				}
-				switch def.Type {
-				case storage.TypeInt:
-					var x int64
-					if !v.IsNull() {
-						x = v.Int()
-					}
-					col.Ints = append(col.Ints, x)
-				case storage.TypeFloat:
-					var x float64
-					if !v.IsNull() {
-						x = v.Float()
-					}
-					col.Flts = append(col.Flts, x)
-				case storage.TypeString:
-					var x string
-					if !v.IsNull() {
-						x = v.Str()
-					}
-					col.Strs = append(col.Strs, x)
-				case storage.TypeBool:
-					var x bool
-					if !v.IsNull() {
-						x = v.Bool()
-					}
-					col.Bools = append(col.Bools, x)
-				}
+			c := t.Column(ci)
+			col := snapColumn{Name: def.Name, Type: uint8(def.Type), Ints: c.Ints, Flts: c.Flts, Strs: c.Strs, Bools: c.Bools, Nulls: make([]bool, t.NumRows())}
+			for r := range col.Nulls {
+				col.Nulls[r] = c.Nulls.Get(r)
 			}
 			st.Columns = append(st.Columns, col)
 		}
@@ -109,9 +81,12 @@ func (db *DB) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&snap)
 }
 
-// Load restores tables saved by Save. Tables whose names already exist in
-// the database cause an error; load into a fresh DB to restore a snapshot
-// wholesale.
+// Load restores tables saved by Save. A snapshot is outside input: every
+// table is built and checked — known column types, as many cells and NULL
+// flags in each column as the table has rows, its name new to the snapshot
+// and to the database, its keys on columns it has — before any is added, so
+// a Load that fails leaves the database as it found it. Load into a fresh
+// DB to restore a snapshot wholesale.
 func (db *DB) Load(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -123,49 +98,60 @@ func (db *DB) Load(r io.Reader) error {
 	if snap.Version != 1 {
 		return fmt.Errorf("pctagg: unsupported snapshot version %d", snap.Version)
 	}
-	for _, st := range snap.Tables {
-		schema := make(storage.Schema, len(st.Columns))
-		for i, c := range st.Columns {
-			schema[i] = storage.ColumnDef{Name: c.Name, Type: storage.ColumnType(c.Type)}
+	cat := db.eng.Catalog()
+	tables := make([]*storage.Table, len(snap.Tables))
+	seen := make(map[string]bool, len(snap.Tables))
+	for i, st := range snap.Tables {
+		key := strings.ToLower(st.Name)
+		if seen[key] || cat.Has(st.Name) {
+			return fmt.Errorf("pctagg: snapshot table %q already exists", st.Name)
 		}
-		t, err := db.eng.Catalog().Create(st.Name, schema)
+		seen[key] = true
+		t, err := st.table()
 		if err != nil {
-			return err
+			return fmt.Errorf("pctagg: snapshot table %q: %w", st.Name, err)
 		}
-		row := make([]value.Value, len(st.Columns))
-		for r := 0; r < st.NumRows; r++ {
-			for i, c := range st.Columns {
-				if c.Nulls[r] {
-					row[i] = value.Null
-					continue
-				}
-				switch storage.ColumnType(c.Type) {
-				case storage.TypeInt:
-					row[i] = value.NewInt(c.Ints[r])
-				case storage.TypeFloat:
-					row[i] = value.NewFloat(c.Flts[r])
-				case storage.TypeString:
-					row[i] = value.NewString(c.Strs[r])
-				case storage.TypeBool:
-					row[i] = value.NewBool(c.Bools[r])
-				default:
-					return fmt.Errorf("pctagg: snapshot column %s has unknown type %d", c.Name, c.Type)
-				}
-			}
-			if _, err := t.AppendRow(row); err != nil {
-				return err
-			}
-		}
-		if len(st.PrimaryKey) > 0 {
-			if err := t.SetPrimaryKey(st.PrimaryKey); err != nil {
-				return err
-			}
-		}
-		for _, ix := range st.Indexes {
-			if _, err := t.CreateIndex(ix.Name, ix.Columns); err != nil {
-				return err
-			}
-		}
+		tables[i] = t
+	}
+	for _, t := range tables {
+		cat.Put(t)
 	}
 	return nil
+}
+
+// table builds the snapshot table outside any catalog, one vector per column
+// appended in one batch.
+func (st *snapTable) table() (*storage.Table, error) {
+	schema := make(storage.Schema, len(st.Columns))
+	vecs := make([]*storage.Vector, len(st.Columns))
+	for i, c := range st.Columns {
+		v := &storage.Vector{Type: storage.ColumnType(c.Type), Ints: c.Ints, Flts: c.Flts, Strs: c.Strs, Bools: c.Bools}
+		if v.Len() != st.NumRows || len(c.Nulls) != st.NumRows {
+			return nil, fmt.Errorf("column %q has %d cells and %d NULL flags for %d rows", c.Name, v.Len(), len(c.Nulls), st.NumRows)
+		}
+		for r, null := range c.Nulls {
+			if null {
+				v.SetNull(r)
+			}
+		}
+		schema[i], vecs[i] = storage.ColumnDef{Name: c.Name, Type: v.Type}, v
+	}
+	t, err := storage.NewTable(st.Name, schema)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.AppendVectors(vecs, st.NumRows, nil); err != nil {
+		return nil, err
+	}
+	if len(st.PrimaryKey) > 0 {
+		if err := t.SetPrimaryKey(st.PrimaryKey); err != nil {
+			return nil, err
+		}
+	}
+	for _, ix := range st.Indexes {
+		if _, err := t.CreateIndex(ix.Name, ix.Columns); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }

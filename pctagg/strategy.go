@@ -33,9 +33,9 @@ type VpctStrategy struct {
 // HpctStrategy mirrors the strategies of the paper's Table 5.
 type HpctStrategy struct {
 	// FromVertical computes FH by building FV first and transposing it,
-	// instead of directly from F. It pays when F has at least ~80 rows per
-	// distinct (D1..Dk) combination — the rule AutoStrategy applies, measured
-	// in EXPERIMENTS.md — whatever the number of BY or result columns.
+	// instead of directly from F. It pays when F has enough rows per distinct
+	// (D1..Dk) combination, whatever the number of BY or result columns;
+	// core.Advise states the measured threshold, and AutoStrategy applies it.
 	FromVertical bool
 }
 
