@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -19,12 +20,12 @@ type combo struct {
 
 // feedbackCombos runs the feedback query the paper requires to lay out FH:
 // SELECT DISTINCT Dj+1..Dk FROM F, ordered for deterministic column order. It
-// is a statement of the query being planned, so it runs under that query's
-// context.
+// is a statement generated for the query being planned, so it runs under that
+// query's context.
 func (p *Planner) feedbackCombos(ctx context.Context, table string, byCols []string, whereSQL string) ([]combo, error) {
 	sql := fmt.Sprintf("SELECT DISTINCT %s FROM %s%s ORDER BY %s",
 		joinIdents(byCols), table, whereSQL, joinIdents(byCols))
-	res, err := p.Eng.ExecSQLCtx(ctx, sql)
+	res, err := p.Eng.ExecSQLCtx(engine.Generated(ctx), sql)
 	if err != nil {
 		return nil, fmt.Errorf("core: feedback query failed: %w", err)
 	}

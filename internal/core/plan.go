@@ -184,7 +184,7 @@ func (p *Planner) FlushSummaries() {
 	p.summaries = map[string]*summaryEntry{}
 	p.mu.Unlock()
 	for _, t := range drops {
-		_, _ = p.Eng.ExecSQL("DROP TABLE IF EXISTS " + t)
+		_, _ = p.Eng.ExecSQLCtx(engine.Generated(context.Background()), "DROP TABLE IF EXISTS "+t)
 	}
 }
 
@@ -308,8 +308,8 @@ func (p *Planner) Plan(sel *sqlparse.Select, opts Options) (*Plan, error) {
 
 // PlanCtx is Plan under a context: the feedback scans horizontal planning
 // runs over F stop on ctx's cancellation or deadline with the typed
-// lifecycle errors, obey opts.Limits, and inherit ctx's introspection mark,
-// exactly as the plan's steps do under ExecuteCtx.
+// lifecycle errors, obey opts.Limits, and nest in the statement ctx belongs
+// to, exactly as the plan's steps do under ExecuteCtx.
 func (p *Planner) PlanCtx(ctx context.Context, sel *sqlparse.Select, opts Options) (*Plan, error) {
 	a, err := p.analyze(sel)
 	if err != nil {
@@ -407,8 +407,10 @@ func limitsCtx(ctx context.Context, lim engine.Limits) context.Context {
 	return ctx
 }
 
+// executeIn runs the plan's statements as generated ones (engine.Generated):
+// nested in the statement ctx belongs to, if any, and never top-level.
 func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {
-	ctx = limitsCtx(ctx, plan.Limits)
+	ctx = limitsCtx(engine.Generated(ctx), plan.Limits)
 	res, err := p.executeStepsIn(ctx, plan, root)
 	if err != nil {
 		p.cleanupIn(ctx, plan, root)
@@ -433,7 +435,7 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 // leaves the temporary tables in place, under a context (see ExecuteCtx).
 // Callers must CleanupPlan afterwards.
 func (p *Planner) ExecuteStepsCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
-	return p.executeStepsIn(limitsCtx(ctx, plan.Limits), plan, nil)
+	return p.executeStepsIn(limitsCtx(engine.Generated(ctx), plan.Limits), plan, nil)
 }
 
 func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {
@@ -479,21 +481,22 @@ func runNative(ctx context.Context, s *Step, eng *engine.Engine, parallelism int
 
 // CleanupPlan drops the plan's temporary tables. Errors are ignored: a
 // failed plan may not have created all of them.
-func (p *Planner) CleanupPlan(plan *Plan) {
-	p.cleanupIn(context.Background(), plan, nil)
-}
+func (p *Planner) CleanupPlan(plan *Plan) { p.CleanupPlanCtx(context.Background(), plan) }
 
-// cleanupIn drops the temporaries under the plan context's values — so a
-// plan whose statements were excluded from introspection
-// (WithoutIntrospection) does not record its own DROPs either — but not its
-// cancellation: a cancelled or timed-out plan must still drop what it
-// created.
+// CleanupPlanCtx is CleanupPlan with the DROPs nested under ctx (see
+// cleanupIn).
+func (p *Planner) CleanupPlanCtx(ctx context.Context, plan *Plan) { p.cleanupIn(ctx, plan, nil) }
+
+// cleanupIn drops the temporaries as generated statements under the plan
+// context's values — so the DROPs of a plan run on behalf of a statement are
+// statements nested in it, recorded only when it is — but not its
+// cancellation: a cancelled or timed-out plan must still drop what it created.
 func (p *Planner) cleanupIn(ctx context.Context, plan *Plan, root *obs.Span) {
-	p.cacheAbandon(plan)
+	ctx = engine.Generated(context.WithoutCancel(ctx))
+	p.cacheAbandon(ctx, plan)
 	if len(plan.Cleanup) == 0 {
 		return
 	}
-	ctx = context.WithoutCancel(ctx)
 	sp := root.NewChild("cleanup")
 	n := 0
 	for _, s := range plan.Cleanup {

@@ -86,9 +86,10 @@ func TestCodeOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The engine saw one statement fail (the syntax error and the mixed
-	// classes never reached it); the Query level saw all three.
-	want := [][]any{{int64(0), "error:1"}, {int64(1), diag.CodeSyntax + ":1"}, {int64(1), diag.CodeMixedClasses + ":1"}, {int64(1), "error:1"}}
+	// All three failed as statements a caller sent (top = 1): the syntax
+	// error before it ran, the mixed classes in the rewriter, the uncoded
+	// SELECT in the engine.
+	want := [][]any{{int64(1), diag.CodeSyntax + ":1"}, {int64(1), diag.CodeMixedClasses + ":1"}, {int64(1), "error:1"}}
 	if fmt.Sprint(rows.Data) != fmt.Sprint(want) {
 		t.Errorf("pct_stat_statements error codes = %v, want %v", rows.Data, want)
 	}

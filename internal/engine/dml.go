@@ -181,7 +181,7 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 		return nil, err
 	}
 	sink := &insertSink{name: ins.Table, tab: t}
-	if ec.span != nil && !ec.liteSpan() {
+	if ec.fullSpan() != nil {
 		sink.clock = time.Now()
 	}
 	if len(ins.Columns) > 0 {

@@ -34,6 +34,8 @@ type Engine struct {
 	// removing the hook races safely with statements in flight; the hook
 	// itself is invoked synchronously on the writer's goroutine.
 	dml atomic.Pointer[dmlHookBox]
+	// rw is the installed Rewriter (nil = none), atomic like dml.
+	rw atomic.Pointer[Rewriter]
 	// intro is the introspection state (nil = off); see introspect.go.
 	// Atomic so enabling/disabling races safely with statements in flight.
 	intro atomic.Pointer[introState]
@@ -116,6 +118,27 @@ func (e *Engine) notifyMutate(table string, m *Mutation) {
 	}
 }
 
+// Rewriter evaluates the SELECTs the engine has no operator for — those
+// rewriteError rejects: a Vpct or Hpct call, an aggregate with a BY list,
+// GROUP BY ROLLUP/CUBE/GROUPING SETS — as statements the engine can run. It is
+// called inside the lifecycle of the statement that carries the SELECT: ctx
+// holds that statement's deadline, cancellation and limits, and every
+// statement the rewriter runs under ctx is nested in it (see nestedIn). par is
+// the statement's parallelism, and parent the span the rewriter's trace hangs
+// under, nil when the statement is not traced.
+type Rewriter interface {
+	// Select evaluates sel and reports how many summaries the evaluation
+	// reused (hits) and had to compute (misses).
+	Select(ctx context.Context, sel *sqlparse.Select, par int, parent *obs.Span) (res *Result, hits, misses int, err error)
+	// Explain renders EXPLAIN [ANALYZE] of such a SELECT as a one-column
+	// "plan" result, a line a row.
+	Explain(ctx context.Context, ex *sqlparse.Explain, par int, parent *obs.Span) (*Result, error)
+}
+
+// SetRewriter installs the engine's rewriter; the last call wins. Without
+// one, the SELECTs it would evaluate fail with rewriteError's errors.
+func (e *Engine) SetRewriter(r Rewriter) { e.rw.Store(&r) }
+
 // New returns an engine over the catalog. The default parallelism is 1
 // (sequential); callers opt in via SetParallelism or the per-statement
 // parallelism of ExecuteCtxIn/ExecSQLCtxP.
@@ -177,7 +200,9 @@ func (e *Engine) ExecuteCtxIn(ctx context.Context, stmt sqlparse.Statement, para
 // the long loops check is built under it; complete feeds every consumer of
 // the finished statement. Everything downstream derives its context from ec
 // — an inner context is a copy of ec with fields changed, never a literal —
-// so a governor, record or reference cannot be dropped on the way.
+// so a governor, record or reference cannot be dropped on the way. A SELECT
+// the rewriter evaluates stays this statement: its generated statements run
+// nested inside it, under its deadline.
 func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec execCtx) (res *Result, err error) {
 	ec.start = time.Now()
 	if r := e.ref.Load(); r != nil {
@@ -190,12 +215,10 @@ func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec e
 		sql = stmt.String()
 		ec.span.Attr("sql", sql)
 	}
-	if in := e.intro.Load(); in != nil && !introSkipped(ctx) {
-		if ec.rec = e.beginIntro(in, stmt, &sql); ec.rec != nil && ec.span == nil {
-			// Untraced: a private span tree still gives the flight record its
-			// per-stage breakdown.
-			ec.span, ec.rec.ownSpan = obs.NewSpan("statement"), true
-		}
+	if ec.rec = e.beginIntro(ctx, stmt, &sql); ec.rec != nil && ec.span == nil {
+		// Untraced: a private span tree still gives the flight record its
+		// per-stage breakdown.
+		ec.span, ec.rec.ownSpan = obs.NewSpan("statement"), true
 	}
 	err = e.Contain(ctx, "statement dispatch", ec.span, func(ctx context.Context, lim Limits) error {
 		if ctx.Done() != nil || !lim.zero() || ec.rec != nil {
@@ -205,7 +228,7 @@ func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec e
 		// A context that died before we started still gets the typed error.
 		err := ec.gov.check()
 		if err == nil {
-			res, err = e.exec(stmt, ec)
+			res, err = e.exec(ctx, stmt, ec)
 		}
 		return err
 	})
@@ -213,10 +236,27 @@ func (e *Engine) runStatement(ctx context.Context, stmt sqlparse.Statement, ec e
 	return res, err
 }
 
-// exec dispatches one statement under an execution context.
-func (e *Engine) exec(stmt sqlparse.Statement, ec execCtx) (*Result, error) {
+// Unparsed ends the statement a caller sent as src, which failed to parse
+// with err: it never runs, but completes like any statement that fails —
+// counted, logged when slow, and recorded top = 1.
+func (e *Engine) Unparsed(ctx context.Context, src string, err error) {
+	e.complete(nil, src, execCtx{start: time.Now(), rec: e.beginIntro(ctx, nil, &src)}, nil, err)
+}
+
+// exec dispatches one statement under an execution context. ctx is the
+// statement's governed context, which only a rewriter needs.
+func (e *Engine) exec(ctx context.Context, stmt sqlparse.Statement, ec execCtx) (*Result, error) {
 	switch s := stmt.(type) {
 	case *sqlparse.Select:
+		if rw := e.rw.Load(); rw != nil && rewriteError(s) != nil {
+			// The rewriter evaluates s as this statement; its summary-cache
+			// counts go on the statement's record.
+			res, hits, misses, err := (*rw).Select(nestedIn(ctx, ec.rec != nil), s, ec.par, ec.fullSpan())
+			if ec.rec != nil {
+				ec.rec.cacheHits, ec.rec.cacheMisses = hits, misses
+			}
+			return res, err
+		}
 		return e.execSelect(s, ec)
 	case *sqlparse.Insert:
 		return e.execInsert(s, ec)
@@ -231,7 +271,7 @@ func (e *Engine) exec(stmt sqlparse.Statement, ec execCtx) (*Result, error) {
 	case *sqlparse.Delete:
 		return e.execDelete(s, ec)
 	case *sqlparse.Explain:
-		return e.execExplain(s, ec)
+		return e.execExplain(ctx, s, ec)
 	default:
 		return nil, fmt.Errorf("engine: unsupported statement %T", stmt)
 	}

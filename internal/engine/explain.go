@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -16,8 +17,12 @@ import (
 // make them — but join hash tables are built only when the plan runs, so
 // plain EXPLAIN never pays the build cost even on large inputs. EXPLAIN
 // ANALYZE executes the query and annotates each operator with its actual row
-// count and cumulative time.
-func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) {
+// count and cumulative time. A SELECT the rewriter evaluates is explained by
+// the rewriter, under ctx like its evaluation.
+func (e *Engine) execExplain(ctx context.Context, ex *sqlparse.Explain, ec execCtx) (*Result, error) {
+	if rw := e.rw.Load(); rw != nil && rewriteError(ex.Query) != nil {
+		return (*rw).Explain(nestedIn(ctx, ec.rec != nil), ex, ec.par, ec.fullSpan())
+	}
 	if ex.Analyze {
 		return e.execExplainAnalyze(ex, ec)
 	}
@@ -41,7 +46,7 @@ func (e *Engine) execExplain(ex *sqlparse.Explain, ec execCtx) (*Result, error) 
 		depth++
 	}
 	describeIter(in, depth, emit)
-	return planResult(lines), nil
+	return PlanResult(lines), nil
 }
 
 // execExplainAnalyze runs the SELECT with full instrumentation and renders
@@ -77,10 +82,12 @@ func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, 
 	// unlike plain EXPLAIN which works from the unwrapped pipeline.
 	describeIter(insp.in, depth, emit)
 	emit(0, fmt.Sprintf("Execution: rows=%d time=%s", insp.rows, total))
-	return planResult(lines), nil
+	return PlanResult(lines), nil
 }
 
-func planResult(lines []string) *Result {
+// PlanResult is the relation EXPLAIN returns: one "plan" column, a line a
+// row.
+func PlanResult(lines []string) *Result {
 	res := &Result{Columns: []string{"plan"}}
 	for _, l := range lines {
 		res.Rows = append(res.Rows, []value.Value{value.NewString(l)})

@@ -26,9 +26,10 @@ import (
 //
 // Self-observation guard: a statement that reads any virtual relation is
 // served a snapshot but is itself excluded from fingerprint stats, activity,
-// and the flight recorder — querying pct_stat_statements twice must return
-// identical rows for untouched fingerprints and must never grow a row for
-// itself (counted in introspect.self_skipped).
+// and the flight recorder, and so is every statement nested in it (a
+// percentage query's generated steps) — querying pct_stat_statements twice
+// must return identical rows for untouched fingerprints and must never grow a
+// row for itself (counted in introspect.self_skipped).
 
 // Introspection metrics.
 var (
@@ -61,6 +62,10 @@ type stmtRec struct {
 	norm    string
 	hash    uint64
 	ownSpan bool // the span was created for introspection, not by a caller
+	// top is set for the statement a caller sent, clear for one nested in it.
+	top bool
+	// cacheHits and cacheMisses are the rewriter's summary-cache counts.
+	cacheHits, cacheMisses int
 	// parallel is set by the aggregation dispatch when the statement takes
 	// the partitioned path. Written before worker fan-out and read after
 	// join, both on the statement's goroutine.
@@ -99,7 +104,7 @@ func (e *Engine) DisableIntrospection() {
 func (e *Engine) IntrospectionEnabled() bool { return e.intro.Load() != nil }
 
 // StatementStats exposes the fingerprint table (nil when introspection is
-// off) so the public API layer can record its own top-level entries.
+// off) so the public API layer can size and reset it.
 func (e *Engine) StatementStats() *obs.StmtStats {
 	if in := e.intro.Load(); in != nil {
 		return in.stats
@@ -125,38 +130,50 @@ func (e *Engine) ActiveStatements() []obs.ActivitySnapshot {
 	return nil
 }
 
-// introSkipKey marks a context whose statements must not be recorded.
-type introSkipKey struct{}
+// outerKey marks the context of nested statements (nestedIn); its value says
+// whether they are recorded.
+type outerKey struct{}
 
-// WithoutIntrospection returns a context under which statements are never
-// recorded in the introspection state. Outer layers use it to extend the
-// self-observation guard across a whole generated plan: when a percentage
-// query reads a virtual relation, every temp-table statement the plan emits
-// runs under this context, so the plan leaves no trace of itself either.
-func WithoutIntrospection(ctx context.Context) context.Context {
-	return context.WithValue(ctx, introSkipKey{}, true)
+// nestedIn marks ctx as the context of statements nested in another — the
+// context a statement hands its rewriter. They are recorded with top = 0 when
+// recorded is set, and not at all when it is clear (the outer statement is
+// not recorded).
+func nestedIn(ctx context.Context, recorded bool) context.Context {
+	return context.WithValue(ctx, outerKey{}, recorded)
 }
 
-// introSkipped reports whether ctx carries the skip mark.
-func introSkipped(ctx context.Context) bool {
-	v, _ := ctx.Value(introSkipKey{}).(bool)
-	return v
+// Generated returns the context for statements generated on behalf of
+// another rather than sent by a caller — a plan's steps, feedback scans and
+// DROPs, however the plan is run — so they are recorded with top = 0. A
+// context already nested in a statement (the one it hands its rewriter)
+// comes back as is.
+func Generated(ctx context.Context) context.Context {
+	if ctx.Value(outerKey{}) != nil {
+		return ctx
+	}
+	return nestedIn(ctx, true)
 }
 
-// beginIntro opens a statement record, or returns nil when the statement
-// must not observe itself (it reads a virtual relation) — the guard that
-// keeps pct_stat_statements from growing a row for its own scans. sql is the
-// statement text, rendered here unless the caller already did.
-func (e *Engine) beginIntro(in *introState, stmt sqlparse.Statement, sql *string) *stmtRec {
+// beginIntro opens a statement record, or returns nil when the statement is
+// not recorded: introspection is off, the statement reads a virtual relation
+// — the guard that keeps pct_stat_statements from growing a row for its own
+// scans — or it is nested in a statement that is not recorded. A nested
+// statement is recorded with top = 0. sql is the statement text, rendered
+// here unless the caller already did; stmt is nil for one that did not parse.
+func (e *Engine) beginIntro(ctx context.Context, stmt sqlparse.Statement, sql *string) *stmtRec {
+	in := e.intro.Load()
+	if in == nil || ctx.Value(outerKey{}) == false {
+		return nil
+	}
 	if e.stmtTouchesVirtual(stmt) {
 		mIntroSelfSkipped.Inc()
 		return nil
 	}
-	if *sql == "" {
+	if *sql == "" && stmt != nil {
 		*sql = stmt.String()
 	}
 	norm, hash := obs.Fingerprint(*sql)
-	return &stmtRec{in: in, id: in.seq.Add(1), norm: norm, hash: hash}
+	return &stmtRec{in: in, id: in.seq.Add(1), norm: norm, hash: hash, top: ctx.Value(outerKey{}) == nil}
 }
 
 // publish registers the statement in the activity registry; the progress

@@ -32,7 +32,8 @@ import (
 // exhausting memory: MaxRows and MaxBytes bound materialized state (row
 // buffers, join build sides, staged DML), MaxGroups bounds aggregation hash
 // state, MaxPivotColumns bounds horizontal result width, and Timeout is a
-// per-statement deadline.
+// statement's deadline. The deadline covers the statements nested in it (a
+// percentage query's generated steps); the budgets apply to each statement.
 type Limits struct {
 	// MaxRows caps rows materialized by one statement (result rows, join
 	// build sides, a window's collected input, staged DML rows),
@@ -45,7 +46,8 @@ type Limits struct {
 	MaxPivotColumns int
 	// MaxBytes caps the approximate bytes of materialized values.
 	MaxBytes int64
-	// Timeout, when positive, is applied as a per-statement deadline.
+	// Timeout, when positive, is the deadline of the statement a caller
+	// sent, every statement nested in it included.
 	Timeout time.Duration
 }
 

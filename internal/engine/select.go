@@ -29,6 +29,33 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 	return &Result{Columns: names, Rows: rows}, nil
 }
 
+// rewriteError is the engine's error for a SELECT it has no operator for —
+// GROUP BY ROLLUP/CUBE/GROUPING SETS, an aggregate with a BY list, Vpct or
+// Hpct — and nil for one it runs. It is the one rule of what the Rewriter
+// evaluates: exec and execExplain hand such a SELECT to the installed
+// rewriter, and runSelect rejects it with this error (a bare engine, the
+// SELECT of an INSERT).
+func rewriteError(sel *sqlparse.Select) error {
+	if sel.GroupSets != nil {
+		return fmt.Errorf("engine: GROUP BY %s must be rewritten first (see the core package)", sel.GroupSets.Kind.Keyword())
+	}
+	for _, it := range sel.Items {
+		if err := expr.Walk(it.Expr, func(n expr.Expr) error {
+			switch a, _ := n.(*expr.AggCall); {
+			case a == nil:
+			case a.IsHorizontal():
+				return fmt.Errorf("engine: %s carries a BY list; percentage/horizontal aggregations must be rewritten first (see the core package)", it.Expr)
+			case a.Fn == expr.AggVpct || a.Fn == expr.AggHpct:
+				return fmt.Errorf("engine: aggregate %s must be rewritten before execution", a.Fn)
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runSelect plans and runs a SELECT statement, returning its column names.
 // The consumer stage pushes its rows straight into sink. Only when a later
 // stage needs them all — a dedupe of aggregate output, an ORDER BY that could
@@ -41,8 +68,8 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 // times, and the consumer stage (project / aggregate / window) attaches its
 // operator subtree plus any worker fan-out spans to the statement span.
 func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]string, [][]value.Value, error) {
-	if sel.GroupSets != nil {
-		return nil, nil, fmt.Errorf("engine: GROUP BY %s must be rewritten first (see the core package)", sel.GroupSets.Kind.Keyword())
+	if err := rewriteError(sel); err != nil {
+		return nil, nil, err
 	}
 	in, residualWhere, err := e.buildFrom(sel)
 	if err != nil {
@@ -58,7 +85,7 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		}
 		in = &filterIter{child: in, pred: pred}
 	}
-	if ec.span != nil && !ec.liteSpan() {
+	if ec.fullSpan() != nil {
 		instrumentIter(in)
 	}
 	if ec.inspect != nil {
@@ -69,19 +96,6 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, it := range items {
-		bad := false
-		_ = expr.Walk(it.Expr, func(n expr.Expr) error {
-			if a, ok := n.(*expr.AggCall); ok && a.IsHorizontal() {
-				bad = true
-			}
-			return nil
-		})
-		if bad {
-			return nil, nil, fmt.Errorf("engine: %s carries a BY list; percentage/horizontal aggregations must be rewritten first (see the core package)", it.Expr)
-		}
-	}
-
 	names := outputNames(items)
 	visible := len(items)
 

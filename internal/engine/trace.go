@@ -48,14 +48,20 @@ type execCtx struct {
 	ref reference
 }
 
-// liteSpan reports whether the statement span exists only so the flight
-// recorder gets its stage totals (introspection on, but no parent span and no
-// EXPLAIN ANALYZE). Per-operator instrumentation is skipped for such spans:
-// opStats cost two clock reads per operator per batch, the wrong price for
-// always-on recording. Flight-record stages then carry the phase-level
-// breakdown (aggregate, fold, sort, project, …), which costs one timestamp
-// per phase.
-func (ec execCtx) liteSpan() bool { return ec.rec != nil && ec.rec.ownSpan && ec.inspect == nil }
+// fullSpan is the statement span when the statement is traced in full, nil
+// when it is untraced or its span is a lite one: a span that exists only so
+// the flight recorder gets its stage totals (introspection on, but no parent
+// span and no EXPLAIN ANALYZE). Per-operator instrumentation and a rewritten
+// plan's trace are skipped under a lite span: opStats cost two clock reads per
+// operator per batch, the wrong price for always-on recording. Flight-record
+// stages then carry the phase-level breakdown (aggregate, fold, sort,
+// project, …), which costs one timestamp per phase.
+func (ec execCtx) fullSpan() *obs.Span {
+	if ec.rec != nil && ec.rec.ownSpan && ec.inspect == nil {
+		return nil
+	}
+	return ec.span
+}
 
 // selInspect captures the executed SELECT pipeline so EXPLAIN ANALYZE can
 // render the plan tree with actual row counts and timings after the run.
@@ -221,7 +227,8 @@ func (st *opStats) actualSuffix() string {
 // order: the statement and outcome counters, the slow-query log, the span,
 // and — for a recorded statement — activity, the fingerprint statistics and
 // the flight recorder. sql is the statement text if begin already rendered
-// it; a consumer that needs it and finds it empty renders it here.
+// it; a consumer that needs it and finds it empty renders it here. stmt is nil
+// for a statement that did not parse (Unparsed).
 func (e *Engine) complete(stmt sqlparse.Statement, sql string, ec execCtx, res *Result, err error) {
 	d := max(time.Since(ec.start), 1) // a finished span is never zero
 	mStatements.Inc()
@@ -240,7 +247,7 @@ func (e *Engine) complete(stmt sqlparse.Statement, sql string, ec execCtx, res *
 		// been contained in a worker, not at the dispatch.
 	}
 	if l := e.slow.Load(); l != nil && d >= l.threshold {
-		if sql == "" {
+		if sql == "" && stmt != nil {
 			sql = stmt.String()
 		}
 		l.mu.Lock()
@@ -271,9 +278,10 @@ func (e *Engine) complete(stmt sqlparse.Statement, sql string, ec execCtx, res *
 	}
 	scanned := ec.gov.scanned()
 	rec.in.stats.Observe(obs.StmtObservation{
-		Hash: rec.hash, Query: rec.norm, Top: false,
+		Hash: rec.hash, Query: rec.norm, Top: rec.top,
 		DurNs: d.Nanoseconds(), Rows: rows, Scanned: scanned,
 		ErrCode: code, Parallel: rec.parallel,
+		CacheHits: int64(rec.cacheHits), CacheMisses: int64(rec.cacheMisses),
 	})
 	rec.in.flight.Record(obs.FlightRecord{
 		Fingerprint: rec.hash, Query: rec.norm, Start: ec.start,

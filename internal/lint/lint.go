@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/engine"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 )
@@ -180,9 +181,10 @@ func (l *Linter) schemaFor(sel *sqlparse.Select, shape *core.QueryShape) storage
 	return nil
 }
 
-// count runs SELECT count(*) FROM table with the given " WHERE …" suffix.
+// count runs SELECT count(*) FROM table with the given " WHERE …" suffix, a
+// statement the linter generates rather than one a caller sent.
 func (l *Linter) count(table, whereSQL string) (int, bool) {
-	res, err := l.Planner.Eng.ExecSQL("SELECT count(*) FROM " + table + whereSQL)
+	res, err := l.Planner.Eng.ExecSQLCtx(engine.Generated(context.Background()), "SELECT count(*) FROM "+table+whereSQL)
 	if err != nil || len(res.Rows) != 1 || len(res.Rows[0]) != 1 {
 		return 0, false
 	}

@@ -12,7 +12,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -89,7 +88,10 @@ func writeFrame(w io.Writer, v any) error {
 }
 
 // readFrame reads one length-prefixed frame into v. Numbers decode as
-// json.Number so int64 row values survive the round trip undamaged.
+// json.Number so int64 row values survive the round trip undamaged. The body
+// is decoded as it arrives: what the frame allocates grows with the bytes
+// that came, never with what the header claims, so a peer cannot make the
+// reader hold maxFrame bytes by sending four.
 func readFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -99,11 +101,17 @@ func readFrame(r io.Reader, v any) error {
 	if n > maxFrame {
 		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
+	body := &io.LimitedReader{R: r, N: int64(n)}
+	dec := json.NewDecoder(body)
 	dec.UseNumber()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if err == nil {
+		// The value may end before the frame does: the rest of the frame is
+		// consumed, so the next header is read where it begins.
+		_, err = io.Copy(io.Discard, body)
+	}
+	if body.N > 0 && (err == nil || err == io.EOF) {
+		err = fmt.Errorf("server: frame body ended %d bytes short of its %d-byte length: %w", body.N, n, io.ErrUnexpectedEOF)
+	}
+	return err
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/diag"
 	"repro/internal/leakcheck"
 	"repro/internal/server"
@@ -307,6 +308,54 @@ func TestTenantLimitsEnforcedOverWire(t *testing.T) {
 		if code := diag.CodeOf(err); code != diag.CodeRowLimit {
 			t.Errorf("%s: err = %v (code %q), want %s (tenant MaxRows=2)", sql, err, code, diag.CodeRowLimit)
 		}
+	}
+}
+
+// TestTenantTimeoutBoundsPercentageQuery: a tenant's Timeout is the deadline
+// of the query it sent, not of each statement the query is rewritten into. A
+// delay on every staged row keeps each generated step (80 ms at most) under
+// the timeout while the plan (200 ms) runs over it: the tenant sees PCT201,
+// and no temp table is left behind.
+func TestTenantTimeoutBoundsPercentageQuery(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := demoDB(t)
+	if err := db.EnableIntrospection(pctagg.IntrospectionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, db, server.Config{
+		Tenants: []server.TenantProfile{{Name: "timed", Limits: pctagg.Limits{Timeout: 140 * time.Millisecond}}},
+	})
+	defer srv.Close()
+	c := dial(t, srv, "timed")
+	defer c.Close()
+	chaos.Enable()
+	defer chaos.Disable()
+	chaos.Arm(chaos.InsertSink, chaos.Fault{Delay: 20 * time.Millisecond})
+	_, err := c.Do(context.Background(), "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city")
+	if code := diag.CodeOf(err); code != diag.CodeDeadline {
+		t.Fatalf("err = %v (code %q), want %s", err, code, diag.CodeDeadline)
+	}
+	for _, name := range db.Tables() {
+		if strings.HasPrefix(name, "pct_") {
+			t.Errorf("timed-out query left %s behind: %v", name, db.Tables())
+		}
+	}
+	// However slow the machine, it was the query's deadline: a generated
+	// INSERT finished before it fired, and the generated statement it stopped
+	// had run for less than the timeout by itself.
+	finished, stopped := 0, 0
+	for _, r := range db.Engine().FlightRecords() {
+		switch {
+		case strings.Contains(r.Query, "vpct("): // the query itself
+		case r.ErrCode == "" && strings.HasPrefix(r.Query, "INSERT"):
+			finished++
+		case r.ErrCode == diag.CodeDeadline && time.Duration(r.DurNs) < 140*time.Millisecond:
+			stopped++
+		}
+	}
+	if finished == 0 || stopped != 1 {
+		t.Errorf("%d generated INSERTs finished and %d statements stopped under the timeout, want ≥ 1 and 1: %+v",
+			finished, stopped, db.Engine().FlightRecords())
 	}
 }
 

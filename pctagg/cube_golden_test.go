@@ -31,8 +31,8 @@ func cubeGoldenDB(t *testing.T) (*DB, *bench.Suite) {
 			t.Fatal(err)
 		}
 	}
-	db := &DB{eng: s.Eng, planner: s.Planner, strat: DefaultStrategies(), par: 1}
-	db.eng.SetParallelism(1)
+	db := newDB(s.Eng, s.Planner)
+	db.SetParallelism(1)
 	return db, s
 }
 

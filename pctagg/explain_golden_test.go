@@ -38,8 +38,8 @@ func goldenDB(t *testing.T) (*DB, *bench.Suite) {
 			t.Fatal(err)
 		}
 	}
-	db := &DB{eng: s.Eng, planner: s.Planner, strat: DefaultStrategies(), par: 1}
-	db.eng.SetParallelism(1)
+	db := newDB(s.Eng, s.Planner)
+	db.SetParallelism(1)
 	return db, s
 }
 

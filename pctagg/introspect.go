@@ -20,8 +20,10 @@ type IntrospectionConfig = engine.IntrospectionConfig
 //	pct_trace_recent     flight recorder: the last N completed statements
 //
 // Each scan sees a point-in-time snapshot. Queries that read any of these
-// relations are themselves excluded from recording, so observing the
-// statistics never changes them. Disabled databases pay nothing: the
+// relations are themselves excluded from recording, along with every
+// statement they generate, so observing the statistics never changes them.
+// pct_stat_statements' top column is 1 for a statement a caller sent and 0
+// for one a percentage query generated. Disabled databases pay nothing: the
 // recording path is a single atomic load.
 func (db *DB) EnableIntrospection(cfg IntrospectionConfig) error {
 	db.eng.EnableIntrospection(cfg)

@@ -44,9 +44,9 @@ func (db *DB) SetTraceSink(fn func(*Span)) {
 }
 
 // SetSlowQueryLog logs every SQL statement whose execution exceeds
-// threshold to w, one "slow query (<duration>): <sql>" line each. This is
-// statement-granular: a percentage query that rewrites into several
-// statements can log several lines. Pass a nil writer to disable.
+// threshold to w, one "slow query (<duration>): <sql>" line each. A slow
+// percentage query logs its own line, and each of its generated statements
+// slow by itself one more. Pass a nil writer to disable.
 func (db *DB) SetSlowQueryLog(w io.Writer, threshold time.Duration) {
 	db.eng.SetSlowQueryLog(w, threshold)
 }
@@ -63,9 +63,13 @@ func (db *DB) QueryTraced(sql string) (*Rows, *Span, error) {
 // returned even when the query is cancelled mid-flight, with every span
 // closed.
 func (db *DB) QueryTracedCtx(ctx context.Context, sql string) (*Rows, *Span, error) {
-	root := newQuerySpan(sql)
-	rows, err := db.queryIn(ctx, sql, root)
-	finishQuerySpan(root, err)
+	root := obs.NewSpan("query")
+	root.Attr("sql", sql)
+	rows, err := db.query(ctx, sql, root)
+	root.End()
+	if err != nil {
+		root.Attr("error", err.Error())
+	}
 	return rows, root, err
 }
 
@@ -73,19 +77,6 @@ func (db *DB) QueryTracedCtx(ctx context.Context, sql string) (*Rows, *Span, err
 // histograms, across the engine, planner, and query layers — as one sorted
 // JSON object, expvar-style.
 func (db *DB) MetricsJSON() string { return obs.Default.JSON() }
-
-func newQuerySpan(sql string) *Span {
-	root := obs.NewSpan("query")
-	root.Attr("sql", sql)
-	return root
-}
-
-func finishQuerySpan(root *Span, err error) {
-	root.End()
-	if err != nil {
-		root.Attr("error", err.Error())
-	}
-}
 
 func countQueryClass(class core.QueryClass) {
 	switch class {

@@ -33,13 +33,10 @@ import (
 	"fmt"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/diag"
 	"repro/internal/engine"
 	"repro/internal/lint"
-	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -68,11 +65,16 @@ type sinkBox struct{ fn func(*Span) }
 func Open() *DB {
 	eng := engine.New(storage.NewCatalog())
 	eng.SetParallelism(0)
-	return &DB{
-		eng:     eng,
-		planner: core.NewPlanner(eng),
-		strat:   DefaultStrategies(),
-	}
+	return newDB(eng, core.NewPlanner(eng))
+}
+
+// newDB wraps an engine and its planner with the default strategies, and
+// installs the DB's rewriter on the engine: from then on the engine evaluates
+// percentage queries however they reach it.
+func newDB(eng *engine.Engine, planner *core.Planner) *DB {
+	db := &DB{eng: eng, planner: planner, strat: DefaultStrategies(), par: eng.Parallelism()}
+	eng.SetRewriter(rewriter{db})
+	return db
 }
 
 // SetParallelism sets the aggregation worker count for subsequent queries:
@@ -95,8 +97,10 @@ type Limits = engine.Limits
 // SetLimits installs database-wide resource limits enforced on every
 // subsequent statement: row/group/byte budgets fail the statement with a
 // typed PCT2xx error instead of exhausting memory, MaxPivotColumns rejects
-// oversized horizontal layouts at plan time, and Timeout applies a
-// per-statement deadline. The zero value removes all limits.
+// oversized horizontal layouts at plan time, and Timeout is the deadline of
+// each statement sent — a percentage query's generated steps all run under
+// it, while the budgets apply to each generated statement on its own. The
+// zero value removes all limits.
 func (db *DB) SetLimits(l Limits) { db.eng.SetLimits(l) }
 
 // Limits returns the database-wide resource limits.
@@ -157,134 +161,39 @@ func (db *DB) QueryCtx(ctx context.Context, sql string) (*Rows, error) {
 	// One load covers both the decision to trace and the delivery, so a
 	// concurrent SetTraceSink can never tear the pair.
 	sink := db.sink.Load()
-	var root *Span
-	if sink != nil {
-		root = newQuerySpan(sql)
+	if sink == nil {
+		return db.query(ctx, sql, nil)
 	}
-	rows, err := db.queryIn(ctx, sql, root)
-	if root != nil {
-		finishQuerySpan(root, err)
-		sink.fn(root)
-	}
+	rows, root, err := db.QueryTracedCtx(ctx, sql)
+	sink.fn(root)
 	return rows, err
 }
 
-// qmeta carries per-query facts the introspection recording needs out of
-// the query body: whether the query must not observe itself, and the plan's
-// summary-cache reuse counts.
-type qmeta struct {
-	skip                   bool
-	cacheHits, cacheMisses int
-}
-
-// queryIn wraps the query body with top-level introspection recording: one
-// Top-flagged fingerprint entry per Query call, carrying the whole-call
-// latency (parse + plan + every generated statement) and the plan's
-// summary-cache hit/miss counts. Engine-level entries (Top false) record
-// each generated statement individually.
-func (db *DB) queryIn(ctx context.Context, sql string, root *Span) (*Rows, error) {
-	stats := db.eng.StatementStats()
-	if stats == nil {
-		return db.queryInner(ctx, sql, root, nil)
-	}
-	start := time.Now()
-	var meta qmeta
-	rows, err := db.queryInner(ctx, sql, root, &meta)
-	if !meta.skip {
-		norm, hash := obs.Fingerprint(sql)
-		var nrows int64
-		if rows != nil {
-			nrows = int64(len(rows.Data))
-		}
-		code := diag.CodeOf(err)
-		if err != nil && code == "" {
-			code = "error"
-		}
-		stats.Observe(obs.StmtObservation{
-			Hash: hash, Query: norm, Top: true,
-			DurNs: time.Since(start).Nanoseconds(), Rows: nrows,
-			ErrCode:   code,
-			CacheHits: int64(meta.cacheHits), CacheMisses: int64(meta.cacheMisses),
-		})
-	}
-	return rows, err
-}
-
-// touchesVirtual reports whether the SELECT reads any virtual relation —
-// the public-API half of the self-observation guard.
-func (db *DB) touchesVirtual(sel *sqlparse.Select) bool {
-	for _, f := range sel.From {
-		if db.eng.IsVirtualTable(f.Table.Name) {
-			return true
-		}
-	}
-	return false
-}
-
-// queryInner is the Query body. root, when non-nil, receives the trace:
-// parse and plan spans, then either the engine statement span (standard SQL)
-// or the planner's full plan trace (percentage/horizontal queries). meta,
-// when non-nil, collects introspection facts for queryIn.
-func (db *DB) queryInner(ctx context.Context, sql string, root *Span, meta *qmeta) (*Rows, error) {
+// query parses one SELECT or EXPLAIN and runs it as one engine statement,
+// traced under root when root is non-nil: a parse span, then the statement
+// span, under which a planned query's plan hangs (see rewriter). A syntax
+// error ends the statement before it runs.
+func (db *DB) query(ctx context.Context, sql string, root *Span) (*Rows, error) {
 	ps := root.NewChild("parse")
 	stmt, err := sqlparse.Parse(sql)
 	ps.End()
 	if err != nil {
+		db.eng.Unparsed(ctx, sql, err)
 		countQueryError(err)
 		return nil, err
 	}
-	if ex, ok := stmt.(*sqlparse.Explain); ok {
-		if meta != nil && ex.Query != nil && db.touchesVirtual(ex.Query) {
-			meta.skip = true
+	switch s := stmt.(type) {
+	case *sqlparse.Select:
+		// A class the paper rules out is counted once, below: the rewriter
+		// fails with Classify's error.
+		if class, err := core.Classify(s); err == nil {
+			countQueryClass(class)
 		}
-		class, err := core.Classify(ex.Query)
-		if err != nil {
-			countQueryError(err)
-			return nil, err
-		}
-		if class != core.ClassStandard || ex.Query.GroupSets != nil {
-			// The engine cannot run percentage aggregates or grouping-set
-			// lattices: EXPLAIN shows the rewriter's multi-statement plan,
-			// EXPLAIN ANALYZE executes it and shows the recorded trace.
-			return db.explainPlanned(ctx, ex, root)
-		}
-		res, err := db.eng.ExecuteCtxIn(ctx, ex, db.par, root)
-		if err != nil {
-			countQueryError(err)
-			return nil, err
-		}
-		out := &Rows{Columns: res.Columns}
-		for _, row := range res.Rows {
-			out.Data = append(out.Data, []any{fromValue(row[0])})
-		}
-		return out, nil
-	}
-	sel, ok := stmt.(*sqlparse.Select)
-	if !ok {
+	case *sqlparse.Explain:
+	default:
 		return nil, fmt.Errorf("pctagg: Query needs a SELECT; use Exec for %T", stmt)
 	}
-	if meta != nil && db.touchesVirtual(sel) {
-		meta.skip = true
-	}
-	class, err := core.Classify(sel)
-	if err != nil {
-		countQueryError(err)
-		return nil, err
-	}
-	countQueryClass(class)
-	if meta != nil && meta.skip {
-		// Extend the self-observation guard across the whole plan: none of
-		// the generated temp-table statements may record themselves either.
-		ctx = engine.WithoutIntrospection(ctx)
-	}
-	var res *engine.Result
-	if class == core.ClassStandard && sel.GroupSets == nil {
-		res, err = db.eng.ExecuteCtxIn(ctx, sel, db.par, root)
-	} else {
-		// Percentage/horizontal aggregations and any GROUP BY
-		// ROLLUP/CUBE/GROUPING SETS go through the planner's rewriter.
-		res, err = db.queryPlanned(ctx, sel, root, meta)
-	}
+	res, err := db.eng.ExecuteCtxIn(ctx, stmt, db.par, root)
 	if err != nil {
 		countQueryError(err)
 		return nil, err
@@ -307,79 +216,70 @@ func (db *DB) queryInner(ctx context.Context, sql string, root *Span, meta *qmet
 	return out, nil
 }
 
-// planFor resolves the effective options — the advisor's pick under
-// AutoStrategy, the configured strategies otherwise, with the DB-level
-// parallelism stamped on either (it is orthogonal to strategy choice and
-// the advisor never sets it) — and plans the SELECT.
-func (db *DB) planFor(ctx context.Context, sel *sqlparse.Select) (*core.Plan, error) {
-	opts := db.strat.coreOptions()
-	var err error
-	if db.auto {
-		opts, err = db.planner.AdviseCtx(ctx, sel)
-		if err != nil {
+// rewriter is the DB's engine.Rewriter: it plans the SELECTs the engine hands
+// it — percentage and horizontal aggregations, GROUP BY ROLLUP/CUBE/GROUPING
+// SETS — with the DB's strategies, and runs the plan under the context of the
+// statement that carries the SELECT, so every generated statement is nested
+// in it and bound by its deadline.
+type rewriter struct{ db *DB }
+
+// plan resolves the effective options — the advisor's pick under
+// AutoStrategy, the configured strategies otherwise, with the statement's
+// parallelism stamped on either (it is orthogonal to strategy choice and the
+// advisor never sets it) — and plans sel under a "plan" span.
+func (r rewriter) plan(ctx context.Context, sel *sqlparse.Select, par int, parent *Span) (*core.Plan, error) {
+	sp := parent.NewChild("plan")
+	defer sp.End()
+	opts := r.db.strat.coreOptions()
+	if r.db.auto {
+		var err error
+		if opts, err = r.db.planner.AdviseCtx(ctx, sel); err != nil {
 			return nil, err
 		}
 	}
-	opts.Parallelism = db.par
+	opts.Parallelism = par
 	// The database-wide limits are stamped on the plan so plan-time checks
 	// (MaxPivotColumns) see them; per-step enforcement resolves the same
 	// limits either way.
-	opts.Limits = db.eng.Limits()
-	return db.planner.PlanCtx(ctx, sel, opts)
+	opts.Limits = r.db.eng.Limits()
+	return r.db.planner.PlanCtx(ctx, sel, opts)
 }
 
-// queryPlanned evaluates a percentage/horizontal SELECT through the planner,
-// nesting the plan's trace under root when tracing.
-func (db *DB) queryPlanned(ctx context.Context, sel *sqlparse.Select, root *Span, meta *qmeta) (*engine.Result, error) {
-	pls := root.NewChild("plan")
-	plan, err := db.planFor(ctx, sel)
-	pls.End()
+// Select evaluates sel through its plan, whose trace nests under parent.
+func (r rewriter) Select(ctx context.Context, sel *sqlparse.Select, par int, parent *Span) (*engine.Result, int, int, error) {
+	plan, err := r.plan(ctx, sel, par, parent)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	hits, misses := plan.CacheHits(), plan.CacheMisses()
+	if parent == nil {
+		res, err := r.db.planner.ExecuteCtx(ctx, plan)
+		return res, hits, misses, err
+	}
+	res, trace, err := r.db.planner.ExecuteTracedCtx(ctx, plan)
+	parent.AddChild(trace)
+	return res, hits, misses, err
+}
+
+// Explain renders the generated multi-statement SQL script (the paper's
+// code-generator output), or — under EXPLAIN ANALYZE — the execution trace of
+// actually running the plan, one span per line with actual rows and times.
+func (r rewriter) Explain(ctx context.Context, ex *sqlparse.Explain, par int, parent *Span) (*engine.Result, error) {
+	plan, err := r.plan(ctx, ex.Query, par, parent)
 	if err != nil {
 		return nil, err
 	}
-	if meta != nil {
-		meta.cacheHits = plan.CacheHits()
-		meta.cacheMisses = plan.CacheMisses()
+	if !ex.Analyze {
+		defer r.db.planner.CleanupPlanCtx(ctx, plan)
+		return engine.PlanResult(strings.Split(strings.TrimRight(plan.SQL(), "\n"), "\n")), nil
 	}
-	if root == nil {
-		return db.planner.ExecuteCtx(ctx, plan)
-	}
-	res, planSpan, err := db.planner.ExecuteTracedCtx(ctx, plan)
-	root.AddChild(planSpan)
-	return res, err
-}
-
-// explainPlanned renders EXPLAIN output for a percentage/horizontal query:
-// the generated multi-statement SQL script (the paper's code-generator
-// output), or — under EXPLAIN ANALYZE — the execution trace of actually
-// running the plan, one span per line with actual rows and times.
-func (db *DB) explainPlanned(ctx context.Context, ex *sqlparse.Explain, root *Span) (*Rows, error) {
-	pls := root.NewChild("plan")
-	plan, err := db.planFor(ctx, ex.Query)
-	pls.End()
+	res, trace, err := r.db.planner.ExecuteTracedCtx(ctx, plan)
+	parent.AddChild(trace)
 	if err != nil {
-		countQueryError(err)
 		return nil, err
 	}
-	var lines []string
-	if ex.Analyze {
-		res, trace, err := db.planner.ExecuteTracedCtx(ctx, plan)
-		root.AddChild(trace)
-		if err != nil {
-			countQueryError(err)
-			return nil, err
-		}
-		lines = strings.Split(strings.TrimRight(trace.Format(), "\n"), "\n")
-		lines = append(lines, fmt.Sprintf("Execution: rows=%d time=%s", len(res.Rows), trace.Duration))
-	} else {
-		defer db.planner.CleanupPlan(plan)
-		lines = strings.Split(strings.TrimRight(plan.SQL(), "\n"), "\n")
-	}
-	out := &Rows{Columns: []string{"plan"}}
-	for _, l := range lines {
-		out.Data = append(out.Data, []any{l})
-	}
-	return out, nil
+	lines := strings.Split(strings.TrimRight(trace.Format(), "\n"), "\n")
+	return engine.PlanResult(append(lines, fmt.Sprintf("Execution: rows=%d time=%s", len(res.Rows), trace.Duration))), nil
 }
 
 // Explain returns the standard-SQL plan the query rewriter generates for a
