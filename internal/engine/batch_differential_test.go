@@ -199,11 +199,15 @@ func TestDifferentialBatchPrimaryQueries(t *testing.T) {
 // quotients may round differently. SELECT DISTINCT is a fold with keys and no
 // aggregates: bare and computed items, NULL keys, more keys than the
 // fixed-width group key holds, VARCHAR, a join-fed input, window and
-// aggregate output (both deduped by the dedupe sink), and ORDER BY + LIMIT on
-// top. The window shapes are more than a dedupe of window output: each
+// aggregate output (both deduped over collected columns), and ORDER BY + LIMIT
+// on top. The window shapes are more than a dedupe of window output: each
 // PARTITION BY list is itself a fold of the window's collected tuples — one
 // of them a join's — so its two modes compare the operator's partitions with
-// the reference fold's.
+// the reference fold's. The group projections: HAVING over an aggregate in
+// the select list, over ones that are not, and one that raises at some group;
+// a computed item that raises; and ORDER BY + LIMIT over aggregate output and
+// over a nested loop's — the summary lattice's node shape — which sort as
+// collected columns, typed on the operator and boxed on the reference.
 //
 // The dispatch shapes are sum(CASE WHEN <BY columns = constants> THEN … ELSE
 // 0|NULL END) families, which the operator routes with one lookup per row
@@ -246,6 +250,13 @@ var foldShapes = []string{
 	"SELECT d1, sum(d3) FROM f GROUP BY d1",
 	"SELECT d1, count(*), sum(CASE WHEN d2 = 3 THEN a * d3 ELSE a END) FROM f GROUP BY d1",
 	"SELECT d1 + d2, max(a + d3) FROM f WHERE 10 / d2 > 2 GROUP BY 1",
+
+	"SELECT d1, sum(a) FROM f GROUP BY d1 HAVING sum(a) > 0",
+	"SELECT d3, count(*) FROM f GROUP BY d3 HAVING max(a) > 5 AND min(d2) IS NOT NULL",
+	"SELECT d1, d2, sum(a) FROM f GROUP BY d1, d2 HAVING CASE WHEN d1 = 3 THEN min(d3) + 1 ELSE 1 END > 0",
+	"SELECT d1, CASE WHEN d1 = 4 THEN min(d3) + 1 ELSE sum(a) END FROM f GROUP BY d1",
+	"SELECT d1, d3, sum(a), count(*) FROM f GROUP BY d1, d3 ORDER BY 3 DESC, 1, 2 LIMIT 7",
+	"SELECT x.d1, CASE WHEN y.a <> 0 THEN x.a / y.a ELSE NULL END, 0 FROM f x JOIN f y ON x.d2 < y.d2 AND y.a > 15 ORDER BY 1, 2 DESC LIMIT 50",
 }
 
 // TestFoldOperatorCoversPrimaryShapes: the eight primary queries as Vpct,
@@ -375,8 +386,9 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 // both appends groups and adds into shared ones. INTEGER keys take the
 // fixed-width route, a VARCHAR and a computed key the byte route (the
 // computed one row-major); the Hpct and Hagg plans dispatch their arms into
-// thousands of groups; b is REAL, in eighths so that any addition order is
-// exact.
+// thousands of groups; HAVING and computed items raise at a group of the
+// second batch of groups, each ahead of the other; b is REAL, in eighths so
+// that any addition order is exact.
 func TestDifferentialBatchManyGroups(t *testing.T) {
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("g", storage.Schema{
@@ -422,6 +434,13 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 		{"SELECT k, Hpct(a BY d) FROM g GROUP BY k", core.Options{}},
 		{"SELECT s, Hpct(b BY d) FROM g GROUP BY s", core.Options{Hpct: core.HpctOptions{FromFV: true}}},
 		{"SELECT k, sum(b BY d), count(* BY d) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+		// Group projections past the first batch of groups: k's group at
+		// position p is p << 33, so k > 1500 << 33 is group 1501 on.
+		{"SELECT k, sum(a) FROM g GROUP BY k HAVING count(*) > 2 AND sum(a) > 0", core.Options{}},
+		{"SELECT k, sum(a) FROM g GROUP BY k HAVING CASE WHEN k > 1500 * 8589934592 THEN min(s) + 1 ELSE 1 END > 0", core.Options{}},
+		{"SELECT k, CASE WHEN k > 1500 * 8589934592 THEN min(s) + 1 ELSE sum(a) END FROM g GROUP BY k", core.Options{}},
+		{"SELECT k, CASE WHEN k > 1500 * 8589934592 THEN min(s) + 1 ELSE 0 END FROM g GROUP BY k HAVING CASE WHEN k > 1600 * 8589934592 THEN max(s) - 1 ELSE 1 END > 0", core.Options{}},
+		{"SELECT k, CASE WHEN k > 1600 * 8589934592 THEN min(s) + 1 ELSE 0 END FROM g GROUP BY k HAVING CASE WHEN k > 1500 * 8589934592 THEN max(s) - 1 ELSE 1 END > 0", core.Options{}},
 	} {
 		if err := CompareBatch(p, c.sql, c.opts, difftest.Parallelisms); err != nil {
 			t.Error(err)

@@ -47,7 +47,10 @@ const fuzzManyGroups = 3500
 // (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
 // two families in one statement, arms whose THEN or sum() fails on some rows
 // only, arms under a WHERE, over a join and without GROUP BY, and shapes that
-// must not dispatch beside ones that do. fuzzPlainQueries are the column
+// must not dispatch beside ones that do. Then the group projections: HAVING
+// over aggregates in and out of the select list, a computed item that raises
+// at some group, and ORDER BY + LIMIT over aggregate and join output, sorted
+// as collected columns. fuzzPlainQueries are the column
 // path's shapes — nothing folds: gathers of every type, kernel and evaluated
 // filters, the guarded division, items and predicates that raise on some
 // rows, inner, outer and NULL-safe joins, ORDER BY on packable, REAL and
@@ -55,7 +58,8 @@ const fuzzManyGroups = 3500
 // are the many-group shapes: thousands of groups grown across batches and
 // merged across partitions under an INTEGER key (fixed-width route), a
 // VARCHAR key and a computed key (byte route, the latter row-major), a
-// dispatched Hpct shape and REAL sums, minima and maxima.
+// dispatched Hpct shape and REAL sums, minima and maxima, and a HAVING and a
+// computed item that raise at a group past the first batch of groups.
 var fuzzFoldQueries = append([]string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -87,6 +91,11 @@ var fuzzFoldQueries = append([]string{
 	"SELECT x.d1, sum(CASE WHEN y.d2 = 0 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 = 1 THEN x.b ELSE 0 END), sum(CASE WHEN y.d2 IS NULL THEN x.a ELSE 0 END) FROM f x, f y WHERE x.a = y.a AND y.d1 = 0 GROUP BY x.d1",
 	"SELECT sum(CASE WHEN d2 = 0 THEN b ELSE 0 END), sum(CASE WHEN d2 = 5 THEN b ELSE 0 END), count(CASE WHEN d2 = 0 THEN 1 END) FROM f",
 	"SELECT d1, sum(CASE WHEN d2 = 1 OR d2 = 2 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1.0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 1 END), sum(CASE WHEN d2 IS NOT NULL THEN b ELSE 0 END), sum(CASE WHEN b = 0.5 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END) FROM f GROUP BY d1",
+	"SELECT d1, sum(a) FROM f GROUP BY d1 HAVING sum(a) > 0 AND count(*) > 1",
+	"SELECT d3, c, max(b) FROM f GROUP BY d3, c HAVING min(a) < 0",
+	"SELECT d1, d2, CASE WHEN d1 = 3 THEN min(d3) + 1 ELSE sum(a) END FROM f GROUP BY d1, d2 HAVING count(*) > 0",
+	"SELECT d1, d3, sum(a), count(*) FROM f GROUP BY d1, d3 ORDER BY 3 DESC, 1, 2 LIMIT 5",
+	"SELECT x.id, CASE WHEN y.b <> 0 THEN x.a / y.b ELSE NULL END, 0 FROM f x, f y WHERE x.id = y.d1 ORDER BY 1 DESC, 2 LIMIT 40",
 }, append(fuzzPlainQueries, fuzzManyGroupQueries...)...)
 
 var fuzzPlainQueries = []string{
@@ -110,6 +119,9 @@ var fuzzManyGroupQueries = []string{
 	"SELECT id, sum(a), sum(CASE WHEN d2 = 0 THEN a ELSE 0 END), sum(CASE WHEN d2 = 1 THEN a ELSE 0 END), sum(CASE WHEN d2 = 2 THEN b ELSE 0 END), sum(CASE WHEN d2 IS NULL THEN b ELSE 0 END) FROM f GROUP BY id",
 	"SELECT id, sum(b), min(b), max(b), max(a) FROM f WHERE d1 IS NOT NULL GROUP BY id",
 	"SELECT DISTINCT s, id FROM f",
+	"SELECT id, sum(a) FROM f GROUP BY id HAVING count(*) > 2",
+	"SELECT id, CASE WHEN id > 2000 THEN min(d3) + 1 ELSE sum(a) END FROM f GROUP BY id",
+	"SELECT id, count(*) FROM f GROUP BY id HAVING CASE WHEN id > 2000 THEN min(d3) + 1 ELSE 1 END > 0",
 }
 
 func fuzzFoldRow(rng *rand.Rand, i int) []value.Value {

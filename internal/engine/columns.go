@@ -486,13 +486,15 @@ func (r *pipeRun) flush(i int, s *stageRun, t0 *time.Time) error {
 // table, the batch's row ids, -1 for the NULL extension of an outer join. As
 // a row view (row) it boxes only the cells an expression reads, each through
 // its column's typed getter; the projector gathers whole columns instead
-// (vector).
+// (vector). Columns past the tables' are ext's vectors: a window's partition
+// results, or — with no table at all — a fold's batch of groups.
 type tupleBatch struct {
 	tabs []*storage.Table
 	ids  [][]int32
 	n    int // tuples when there is no table to count them
 	k    int
 	cols []tupleCol // per column of the joined schema, built on first use
+	ext  []*storage.Vector
 }
 
 type tupleCol struct {
@@ -517,7 +519,7 @@ func (b *tupleBatch) init(tabs []*storage.Table, ops []colOp) {
 	for _, op := range ops {
 		read := [2]int{op.a, op.b}
 		for _, i := range read[:op.kind] {
-			if c := b.column(i); c.vec == nil {
+			if c := b.column(i); c != nil && c.vec == nil {
 				vecs = append(vecs, storage.Vector{})
 				c.vec = &vecs[len(vecs)-1]
 			}
@@ -525,7 +527,8 @@ func (b *tupleBatch) init(tabs []*storage.Table, ops []colOp) {
 	}
 }
 
-// column returns the state of column i, building the table of them first.
+// column returns the state of column i, building the table of them first;
+// nil for a column of ext.
 func (b *tupleBatch) column(i int) *tupleCol {
 	if b.cols == nil {
 		for t, tab := range b.tabs {
@@ -533,6 +536,9 @@ func (b *tupleBatch) column(i int) *tupleCol {
 				b.cols = append(grown(b.cols, 1), tupleCol{tab: t, col: c})
 			}
 		}
+	}
+	if i >= len(b.cols) {
+		return nil
 	}
 	return &b.cols[i]
 }
@@ -547,7 +553,10 @@ func (b *tupleBatch) rows() int {
 
 // vector returns column i of the batch, gathered once per batch.
 func (b *tupleBatch) vector(i int) *storage.Vector {
-	c := &b.cols[i]
+	c := b.column(i)
+	if c == nil {
+		return b.ext[i-len(b.cols)]
+	}
 	if !c.have {
 		b.tabs[c.tab].Gather(c.col, b.ids[c.tab], c.vec)
 		c.have = true
@@ -561,6 +570,9 @@ func (b *tupleBatch) row(k int) *tupleBatch { b.k = k; return b }
 // ColumnValue boxes column i of the current tuple.
 func (b *tupleBatch) ColumnValue(i int) value.Value {
 	c := b.column(i)
+	if c == nil {
+		return b.ext[i-len(b.cols)].Value(b.k)
+	}
 	id := b.ids[c.tab][b.k]
 	if id < 0 {
 		return value.Null

@@ -90,8 +90,8 @@ func renderRows(rows [][]value.Value) string {
 // duplicates, DESC, positions, hidden columns and computed keys — packed when
 // every key is an INTEGER or BOOLEAN column whose codes fit a word beside the
 // position, by comparator over the vectors when one is not or w's range
-// overflows it, by value.Compare over collected rows when the select list
-// computes — on the pipeline and on the oracle alike.
+// overflows it, over collected columns when the select list computes — typed
+// on the pipeline, boxed and by value.Compare where the oracle gathers them.
 func TestPermutationSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	e := sortFixture(t, rng, 700, false)
@@ -103,7 +103,7 @@ func TestPermutationSortMatchesStableSort(t *testing.T) {
 	}{{[]int{1}, true}, {[]int{4, 1}, true}, {[]int{0, 1, 4}, true}, {[]int{5}, false}, {[]int{1, 5}, false}, {[]int{1, 2}, false}, {[]int{3}, false}} {
 		keys := make([]sortKey, len(tc.cols))
 		for i, c := range tc.cols {
-			keys[i] = columnKey(tab, c, i%2 == 1)
+			keys[i] = columnKey(tab.Column(c), i%2 == 1)
 		}
 		ids, _ := positions(tab.NumRows())
 		if got := packedSort(ids, keys); got != tc.packed {
@@ -507,6 +507,72 @@ func TestInsertSelectChargedOnce(t *testing.T) {
 				t.Errorf("%s under %+v: err = %v, want %s", sql, tc.lim, err, tc.code)
 			}
 		}
+	}
+}
+
+// TestDistinctOverProducedRowsChargedOnce: DISTINCT over aggregate or window
+// output charges a row once, where the tail collects it — the rows it keeps
+// are not charged again — so it needs the budgets the same SELECT without
+// DISTINCT needs: 2 rows for the two groups; 22 for the window (10 input
+// tuples, 2 group rows, 10 output rows); and as many bytes. A DISTINCT that
+// charged its kept rows again needed 4 and 24.
+func TestDistinctOverProducedRowsChargedOnce(t *testing.T) {
+	e := newTestEngine(t)
+	// need is the least budget sql runs under; every smaller one trips code.
+	need := func(sql string, limit func(n int64) Limits, code string) int64 {
+		t.Helper()
+		for n := int64(1); n < 10_000; n++ {
+			_, err := e.ExecSQLCtx(WithLimits(context.Background(), limit(n)), sql)
+			if err == nil {
+				return n
+			}
+			if diag.CodeOf(err) != code {
+				t.Fatalf("%s under %+v: %v, want %s", sql, limit(n), err, code)
+			}
+		}
+		t.Fatalf("%s: no budget under 10 000 suffices", sql)
+		return 0
+	}
+	rows := func(n int64) Limits { return Limits{MaxRows: n} }
+	bytes := func(n int64) Limits { return Limits{MaxBytes: n} }
+	for _, tc := range []struct {
+		sql  string
+		rows int64
+	}{
+		{"SELECT state, sum(salesAmt) FROM sales GROUP BY state", 2},
+		{"SELECT state, sum(salesAmt) OVER (PARTITION BY state) FROM sales", 22},
+	} {
+		distinct := strings.Replace(tc.sql, "SELECT", "SELECT DISTINCT", 1)
+		for _, sql := range []string{tc.sql, distinct} {
+			if got := need(sql, rows, diag.CodeRowLimit); got != tc.rows {
+				t.Errorf("%s needs MaxRows %d, want %d", sql, got, tc.rows)
+			}
+		}
+		if got, want := need(distinct, bytes, diag.CodeByteBudget), need(tc.sql, bytes, diag.CodeByteBudget); got != want {
+			t.Errorf("%s needs MaxBytes %d, without DISTINCT %d", distinct, got, want)
+		}
+	}
+}
+
+// TestValuesErrorsKeepRowOrder: INSERT … VALUES evaluates its rows into one
+// batch, and the first failing row's error is the statement's whether it
+// fails converting to the column or evaluating: row 1's REAL into an INTEGER
+// column beats row 2's VARCHAR arithmetic, which beats row 3's width.
+func TestValuesErrorsKeepRowOrder(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (i INTEGER, s VARCHAR)")
+	for _, tc := range []struct{ sql, want string }{
+		{"INSERT INTO t (i) VALUES (1.5), ('a' + 1)", `storage: table "t" column "i": storage: cannot store REAL 1.5 in INTEGER column`},
+		{"INSERT INTO t (i) VALUES (1), ('a' + 1), (2, 3)", `value: cannot apply "+" to VARCHAR and INTEGER`},
+		{"INSERT INTO t VALUES (1, 'x'), (2, 'y'), (3), (1.5, 'z')", `engine: INSERT into "t" expects 2 values, got 1`},
+	} {
+		_, err := e.ExecSQL(tc.sql)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want+"\n") {
+			t.Errorf("%s: err = %v, want %q", tc.sql, err, tc.want)
+		}
+	}
+	if n := len(mustExec(t, e, "SELECT * FROM t").Rows); n != 0 {
+		t.Errorf("failed inserts left %d rows", n)
 	}
 }
 

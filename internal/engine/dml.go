@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/expr"
-	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -68,16 +67,15 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 }
 
 // insertSink appends what is pushed into it to the INSERT's target table —
-// the column-vector end of a generated step's dataflow. Each row passes the
-// insert.sink fault point before it is in the table, is spread over the
-// target's columns when the statement names a column list, and is charged
-// once, rows and bytes, against the statement's budgets. A batch of columns
-// goes in through the table's typed bulk append, one row through AppendRow.
+// the column-vector end of a generated step's dataflow — a batch at a time
+// through the table's typed bulk append (storage.Table.AppendVectors). Each
+// row passes the insert.sink fault point before the batch is in the table, is
+// spread over the target's columns when the statement names a column list,
+// and is charged once, rows and bytes, against the statement's budgets.
 type insertSink struct {
 	name   string // the target as the statement spells it, for errors
 	tab    *storage.Table
 	colMap []int             // target position of source column i; nil = schema order
-	full   []value.Value     // one target row, the unlisted columns NULL
 	spread []*storage.Vector // one batch by target position, the unlisted columns nil
 	n      int
 	charge rowCharge
@@ -89,16 +87,6 @@ type insertSink struct {
 }
 
 func (s *insertSink) reserve(n int) { s.tab.Reserve(n) }
-
-func (s *insertSink) push(row []value.Value) error {
-	if s.clock.IsZero() {
-		return s.append(row)
-	}
-	t0 := time.Since(s.clock)
-	err := s.append(row)
-	s.elapsed += time.Since(s.clock) - t0
-	return err
-}
 
 func (s *insertSink) pushCols(cols []*storage.Vector, n int) error {
 	if n == 0 {
@@ -113,38 +101,74 @@ func (s *insertSink) pushCols(cols []*storage.Vector, n int) error {
 	return err
 }
 
-// width checks the number of values the SELECT supplies per row.
+// width checks the number of values the statement supplies per row.
 func (s *insertSink) width(got int) error {
-	want := s.tab.NumCols()
-	if s.colMap != nil {
-		want = len(s.colMap)
-	}
-	if got != want {
+	if want := s.want(); got != want {
 		return fmt.Errorf("engine: INSERT into %q expects %d values, got %d", s.name, want, got)
 	}
 	return nil
 }
 
+// want is the number of values a row must supply.
+func (s *insertSink) want() int {
+	if s.colMap != nil {
+		return len(s.colMap)
+	}
+	return s.tab.NumCols()
+}
+
 func hitInsertSink() error { return chaos.Hit(chaos.InsertSink) }
 
-func (s *insertSink) append(row []value.Value) error {
-	if err := hitInsertSink(); err != nil {
-		return err
+// values appends the rows of INSERT … VALUES, evaluated row after row into
+// one boxed vector per column. A row that raises — an expression, or the
+// wrong number of values — ends the batch: the rows before it are appended
+// first, so one of them that cannot be stored fails the statement ahead of
+// it, as appending row after row would order the errors.
+func (s *insertSink) values(rows [][]expr.Expr) error {
+	cols := newVectors(s.want())
+	for _, v := range cols {
+		v.ResizeBoxed(len(rows))
 	}
-	if err := s.width(len(row)); err != nil {
-		return err
-	}
-	if s.colMap != nil {
-		for i, j := range s.colMap {
-			s.full[j] = row[i]
+	n, pending, short := len(rows), error(nil), false
+	var row []value.Value
+	for k, exprs := range rows {
+		row = row[:0]
+		for _, ex := range exprs {
+			// VALUES expressions are constant; bind against an empty scope.
+			b, err := bindExpr(ex, nil)
+			if err != nil {
+				pending = fmt.Errorf("engine: VALUES expressions must be constant: %w", err)
+				break
+			}
+			v, err := b.Eval(&rowBox{})
+			if err != nil {
+				pending = err
+				break
+			}
+			row = append(row, v)
 		}
-		row = s.full
+		if pending == nil {
+			pending = s.width(len(row))
+			short = pending != nil
+		}
+		if pending != nil {
+			n = k
+			break
+		}
+		for j, v := range row {
+			cols[j].Vals[k] = v
+		}
 	}
-	if _, err := s.tab.AppendRow(row); err != nil {
+	if err := s.pushCols(cols, n); err != nil {
 		return err
 	}
-	s.n++
-	return s.charge.add(row)
+	if short {
+		// A row of the wrong width passes the fault point before it is measured.
+		if err := hitInsertSink(); err != nil {
+			return err
+		}
+	}
+	return pending
 }
 
 func (s *insertSink) appendCols(cols []*storage.Vector, n int) error {
@@ -170,7 +194,7 @@ func (s *insertSink) appendCols(cols []*storage.Vector, n int) error {
 
 // execInsert appends VALUES rows or the result of INSERT … SELECT. The
 // SELECT's rows stream straight into the target (see insertSink) unless it
-// reads the target itself: that one shape is collected first, so the
+// reads the target itself: that one shape is held as columns first, so the
 // statement inserts the image of the pre-statement rows.
 func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(ins.Table) {
@@ -186,7 +210,7 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 	}
 	if len(ins.Columns) > 0 {
 		sch := t.Schema()
-		sink.colMap, sink.full = make([]int, len(ins.Columns)), make([]value.Value, len(sch))
+		sink.colMap = make([]int, len(ins.Columns))
 		for i, c := range ins.Columns {
 			j := sch.ColumnIndex(c)
 			if j < 0 {
@@ -215,55 +239,21 @@ func (e *Engine) execInsert(ins *sqlparse.Insert, ec execCtx) (*Result, error) {
 
 	if ins.Query != nil {
 		sink.charge.gov = ec.gov
-		var out rowSink = sink
-		if selectReads(ins.Query, ins.Table) {
-			out = &collector{charge: rowCharge{gov: ec.gov}}
-		}
-		_, rows, err := e.runSelect(ins.Query, ec, out)
-		if keep, ok := out.(*collector); ok && err == nil && rows == nil {
-			rows, err = keep.rows, keep.charge.settle()
-		}
-		if err != nil {
+		if _, err := e.runSelect(ins.Query, ec, sink, selectReads(ins.Query, ins.Table)); err != nil {
 			return nil, err
-		}
-		// Rows the SELECT had to collect are delivered here; the ones it
-		// streamed are in the table already, timed push by push.
-		var sp *obs.Span
-		if ec.span != nil {
-			sp = ec.span.NewChild("insert " + ins.Table)
-			defer sp.End()
-		}
-		for _, row := range rows {
-			if err := sink.push(row); err != nil {
-				return nil, err
-			}
 		}
 		if err := sink.charge.settle(); err != nil {
 			return nil, err
 		}
+		// The rows are in the table already, timed push by push.
+		sp := ec.span.NewChild("insert " + ins.Table)
 		if !sink.clock.IsZero() {
 			sp.SetDuration(max(sink.elapsed, 1))
 		}
 		sp.SetRows(int64(sink.n), int64(sink.n))
-	} else {
-		for _, rowExprs := range ins.Rows {
-			row := make([]value.Value, len(rowExprs))
-			for i, ex := range rowExprs {
-				// VALUES expressions are constant; bind against an empty scope.
-				b, err := bindExpr(ex, nil)
-				if err != nil {
-					return nil, fmt.Errorf("engine: VALUES expressions must be constant: %w", err)
-				}
-				v, err := b.Eval(&rowBox{})
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			if err := sink.push(row); err != nil {
-				return nil, err
-			}
-		}
+		sp.End()
+	} else if err := sink.values(ins.Rows); err != nil {
+		return nil, err
 	}
 	committed = true
 	// Delta capture: the committed statement appended exactly rows

@@ -164,9 +164,10 @@ type reference interface {
 	fold(in planNode, keys []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error)
 	// project pushes every row of in through proj and returns the count.
 	project(in planNode, proj *projector, ec execCtx) (int, error)
-	// window collects in, folds it by each partition list into parts
-	// (windowPart.index), then copies each input row into row and calls push.
-	window(in planNode, parts []*windowPart, ec execCtx, row []value.Value, push func() error) error
+	// window collects in, folds it by each partition list of parts, and
+	// pushes every input row, extended with its partitions' results, through
+	// proj.
+	window(in planNode, parts []*windowPart, ec execCtx, proj *projector) error
 }
 
 // Catalog returns the engine's catalog.

@@ -384,6 +384,18 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 
 // foldAggregate runs one fold over a pipeline and emits its groups into out.
 func foldAggregate(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
+	part, err := runFold(pipe, keyExprs, specs, ec)
+	if err != nil {
+		return 0, err
+	}
+	n, err := part.op.emit(part, ec.gov, out)
+	mGroupsEmitted.Add(int64(n))
+	return n, err
+}
+
+// runFold plans one fold over a pipeline, runs it and returns the merged
+// partition, the fold's spans attached under ec.span.
+func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) (*foldPart, error) {
 	op := planFold(pipe, keyExprs, specs)
 	var ctx context.Context
 	if ec.gov != nil {
@@ -423,16 +435,14 @@ func foldAggregate(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec exe
 		}
 	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	mBatchFolds.Inc()
 	mBatchFoldRows.Add(part.consumed)
 	if pipe.scan != nil {
 		mRowsScanned.Add(part.consumed)
 	}
-	n, err := op.emit(part, ec.gov, out)
-	mGroupsEmitted.Add(int64(n))
-	return n, err
+	return part, nil
 }
 
 // emit pushes the merged groups into out in id order — first appearance —
@@ -440,9 +450,9 @@ func foldAggregate(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec exe
 // They go a batch of ids at a time as columns: a fixed-width key component
 // copied from the group table's integers and masks, a count or the sum or
 // extreme of a bare numeric column from its cells, a byte-route key, an
-// accumulator's result and any other cell boxed. Only when out projects them
-// through a computed item or HAVING is each group boxed into one row buffer
-// and pushed by itself.
+// accumulator's result and any other cell boxed. A batch is about batchSize
+// cells, so a wide fold's batches hold few groups: what the batch and a
+// projector computing over it hold is bounded by the batch, not the width.
 func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
 	k, width := len(op.keys.in), part.tab.width
 	if k+width == 0 && part.tab.len() == 0 {
@@ -454,19 +464,13 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 	}
 	n := part.tab.len()
 	out.reserve(n)
-	if p, ok := out.(*projector); ok && !p.moves {
-		return op.emitRows(part, gov, p)
-	}
-	vecs := make([]storage.Vector, k+width+len(op.specs))
-	cols := make([]*storage.Vector, len(vecs))
-	for i := range vecs {
-		cols[i] = &vecs[i]
-	}
-	for base := 0; base < n; base += batchSize {
+	cols := newVectors(k + width + len(op.specs))
+	rows := max(1, batchSize/max(1, len(cols)))
+	for base := 0; base < n; base += rows {
 		if err := gov.check(); err != nil {
 			return base, err
 		}
-		bn := min(batchSize, n-base)
+		bn := min(rows, n-base)
 		for i := 0; i < k; i++ {
 			v, keys := cols[i], part.keyVals[base*k+i:]
 			if in := &op.keys.in[i]; in.get != nil {
@@ -529,40 +533,6 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 		}
 		if err := out.pushCols(cols, bn); err != nil {
 			return base, err
-		}
-	}
-	return n, nil
-}
-
-// emitRows is emit for a projector that computes: each group boxed into one
-// row buffer and projected by itself.
-func (op *foldOp) emitRows(part *foldPart, gov *governor, p *projector) (int, error) {
-	k, width, n := len(op.keys.in), part.tab.width, part.tab.len()
-	row := make([]value.Value, 0, k+width+len(op.specs))
-	for g := 0; g < n; g++ {
-		if g%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return g, err
-			}
-		}
-		op.settleElse(part, g)
-		row = append(row[:0], part.keyVals[g*k:(g+1)*k]...)
-		for i := 0; i < width; i++ {
-			if part.tab.masks[g]>>i&1 != 0 {
-				row = append(row, value.Null)
-			} else {
-				row = append(row, value.NewInt(part.tab.ints[g*width+i]))
-			}
-		}
-		for i := range op.slots {
-			if s := &op.slots[i]; s.acc >= 0 {
-				row = append(row, part.accs[g*op.accs+s.acc].result())
-			} else {
-				row = append(row, cellResult(s.fn, part.num[g*op.cells+s.cell], part.tag[g*op.cells+s.cell]))
-			}
-		}
-		if err := p.push(row); err != nil {
-			return g, err
 		}
 	}
 	return n, nil
@@ -782,7 +752,7 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 				var v value.Value
 				if in := &kc.in[i]; in.get != nil {
 					v = in.get(int(b.ids[in.t][k]))
-				} else if x, err := in.e.Eval(b); err != nil {
+				} else if x, err := in.e.Eval(b.row(k)); err != nil {
 					return err
 				} else {
 					v = x

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/obs"
-	"repro/internal/value"
 )
 
 // Query-lifecycle governance: cooperative cancellation, resource budgets,
@@ -312,17 +311,4 @@ func (g *governor) scanned() int64 {
 		return 0
 	}
 	return atomic.LoadInt64(&g.c.scanned)
-}
-
-// estimateRowBytes approximates the resident size of one row: a fixed
-// per-value overhead plus string payloads. Exactness is not the point —
-// the budget guards order-of-magnitude blowups, not allocator accounting.
-func estimateRowBytes(row []value.Value) int64 {
-	n := int64(len(row)) * 24
-	for _, v := range row {
-		if v.Kind() == value.KindString {
-			n += int64(len(v.Str()))
-		}
-	}
-	return n
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/expr"
+	"repro/internal/storage"
 	"repro/internal/value"
 )
 
@@ -12,8 +13,10 @@ import (
 // the fold operator are proven against (reference, engine.go). Every plan
 // node is pulled one boxed row at a time through a rowIter, every aggregate
 // is folded by hashAggregateSeq — a map of groups, every CASE arm evaluated
-// on every row, the paper's engine — and a plain select pushes row after row
-// through the projector. UseReference (export_test.go) installs it.
+// on every row, the paper's engine — and a window finds a row's partition
+// results through a map by encoded key. Rows reach the product's sinks and
+// projector one at a time, each a boxed batch of one (pushRows).
+// UseReference (export_test.go) installs it.
 
 // oracle is the reference engine.
 type oracle struct{}
@@ -33,18 +36,37 @@ func foldRows(it rowIter, ops planNode, keys []expr.Expr, specs []aggSpec, ec ex
 	if sp != nil && ops != nil {
 		sp.AddChild(operatorSpans(ops))
 	}
-	out.reserve(len(rows))
-	n := 0
-	for ; n < len(rows) && err == nil; n++ {
-		if n%govStride == 0 {
-			err = ec.gov.check()
-		}
-		if err == nil {
-			err = out.push(rows[n])
-		}
+	if err != nil {
+		return 0, err
 	}
+	out.reserve(len(rows))
+	n, err := pushRows(rows, len(keys)+len(specs), ec.gov, out)
 	mGroupsEmitted.Add(int64(n))
 	return n, err
+}
+
+// pushRows pushes rows of width w into out one at a time, each a boxed batch
+// of one row — the order of evaluation every batch must reproduce — checking
+// the governor every govStride rows, and returns how many rows went.
+func pushRows(rows [][]value.Value, w int, gov *governor, out rowSink) (int, error) {
+	vecs, cols := make([]storage.Vector, w), make([]*storage.Vector, w)
+	for j := range vecs {
+		vecs[j].Boxed, cols[j] = true, &vecs[j]
+	}
+	for i, r := range rows {
+		if i%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return i, err
+			}
+		}
+		for j := range vecs {
+			vecs[j].Vals = r[j : j+1]
+		}
+		if err := out.pushCols(cols, 1); err != nil {
+			return i, err
+		}
+	}
+	return len(rows), nil
 }
 
 func (oracle) project(in planNode, proj *projector, ec execCtx) (int, error) {
@@ -57,7 +79,7 @@ func (oracle) project(in planNode, proj *projector, ec execCtx) (int, error) {
 		if err != nil || !ok {
 			return proj.n, err
 		}
-		if err := proj.push(row); err != nil {
+		if _, err := pushRows([][]value.Value{row}, len(row), nil, proj); err != nil {
 			return proj.n, err
 		}
 		if proj.n%govStride == 0 {
@@ -68,32 +90,47 @@ func (oracle) project(in planNode, proj *projector, ec execCtx) (int, error) {
 	}
 }
 
-func (oracle) window(in planNode, parts []*windowPart, ec execCtx, row []value.Value, push func() error) error {
+func (oracle) window(in planNode, parts []*windowPart, ec execCtx, proj *projector) error {
 	input, err := materialize(rowsOf(in, ec.gov), ec.gov)
 	if err != nil {
 		return err
 	}
-	for _, p := range parts {
+	// Each partition list's group rows, and their positions by encoded key.
+	w, slots := len(input.sch), 0
+	groups, at := make([][][]value.Value, len(parts)), make([]map[string]int, len(parts))
+	for i, p := range parts {
 		out := &collector{charge: rowCharge{gov: ec.gov}}
 		if _, err := foldRows(&memRelation{sch: input.sch, rows: input.rows}, nil, p.keys, p.specs, ec, out); err != nil {
 			return err
 		}
-		if err := p.index(out, ec.gov); err != nil {
+		if err := out.charge.settle(); err != nil {
 			return err
 		}
+		groups[i], at[i] = out.rows, make(map[string]int, len(out.rows))
+		for gi, g := range out.rows {
+			at[i][string(value.EncodeKey(g[:len(p.cols)]...))] = gi
+		}
+		slots += len(p.specs)
 	}
+	// Every input row extended with its partitions' results.
+	rows := make([][]value.Value, len(input.rows))
 	for ri, r := range input.rows {
-		if ri%govStride == 0 {
-			if err := ec.gov.check(); err != nil {
-				return err
+		ext := append(make([]value.Value, 0, w+slots), r...)[:w+slots]
+		for i, p := range parts {
+			var key []byte
+			for _, c := range p.cols {
+				key = value.AppendKey(key, r[c])
+			}
+			g := groups[i][at[i][string(key)]]
+			for s, slot := range p.slots {
+				ext[w+slot] = g[len(p.cols)+s]
 			}
 		}
-		copy(row, r)
-		if err := push(); err != nil {
-			return err
-		}
+		rows[ri] = ext
 	}
-	return nil
+	proj.reserve(len(rows))
+	_, err = pushRows(rows, w+slots, ec.gov, proj)
+	return err
 }
 
 // rowIter is a plan node's row-at-a-time form. next returns a row valid only
@@ -391,7 +428,7 @@ func materialize(it rowIter, gov *governor) (*memRelation, error) {
 		if !ok {
 			return &memRelation{sch: it.schema(), rows: keep.rows}, keep.charge.settle()
 		}
-		if err := keep.push(row); err != nil {
+		if _, err := pushRows([][]value.Value{row}, len(row), nil, &keep); err != nil {
 			return nil, err
 		}
 	}

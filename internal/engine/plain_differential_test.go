@@ -174,6 +174,14 @@ var plainShapes = []string{
 	"INSERT INTO o SELECT CASE WHEN id = 1400 THEN 0.5 ELSE id END, CASE WHEN id = 1500 THEN 'x' + 1 ELSE r END, s FROM t",
 	"INSERT INTO o SELECT CASE WHEN id = 1500 THEN 0.5 ELSE id END, CASE WHEN id = 1400 THEN 'x' + 1 ELSE r END, s FROM t",
 	"INSERT INTO o SELECT id, r FROM t",
+	// Reading its own target through a computed group item, the summary
+	// lattice's ordered node insert, and VALUES whose rows fail at the append
+	// or at the evaluation, the earlier row's error first.
+	"INSERT INTO o SELECT count(*) + a, CASE WHEN b <> 0 THEN a / b ELSE NULL END, c FROM o GROUP BY a, b, c HAVING a > 1",
+	"INSERT INTO o SELECT t.id, CASE WHEN n.q <> 0 THEN t.r / n.q ELSE NULL END, n.name FROM t, n ORDER BY 1",
+	"INSERT INTO o (a) VALUES (1.5), ('a' + 1)",
+	"INSERT INTO o (b, a) VALUES (1, 2), (3, 'x' + 1)",
+	"INSERT INTO o VALUES (3, 2.5, 'x'), (4, 3.5)",
 }
 
 // plainOutcome is everything a statement leaves behind.

@@ -54,7 +54,7 @@ func refGroupBy(t *testing.T, e *Engine) map[string][]float64 {
 	}
 	groups := map[string]*group{}
 	for r := 0; r < tab.NumRows(); r++ {
-		key := value.EncodeKeyString(tab.Get(r, 0), tab.Get(r, 1))
+		key := string(value.EncodeKey(tab.Get(r, 0), tab.Get(r, 1)))
 		g := groups[key]
 		if g == nil {
 			g = &group{}
@@ -109,7 +109,7 @@ func TestHashAggregateMatchesSortReference(t *testing.T) {
 			t.Fatalf("trial %d: %d groups, want %d", trial, len(res.Rows), len(want))
 		}
 		for _, row := range res.Rows {
-			key := value.EncodeKeyString(row[0], row[1])
+			key := string(value.EncodeKey(row[0], row[1]))
 			ref, ok := want[key]
 			if !ok {
 				t.Fatalf("trial %d: unexpected group %v", trial, row[:2])
@@ -235,7 +235,7 @@ func TestDistinctMatchesReference(t *testing.T) {
 	tab, _ := e.Catalog().Get("r")
 	ref := map[string]bool{}
 	for r := 0; r < tab.NumRows(); r++ {
-		ref[value.EncodeKeyString(tab.Get(r, 0), tab.Get(r, 1))] = true
+		ref[string(value.EncodeKey(tab.Get(r, 0), tab.Get(r, 1)))] = true
 	}
 	res := mustExec(t, e, "SELECT DISTINCT g1, g2 FROM r")
 	if len(res.Rows) != len(ref) {
@@ -243,7 +243,7 @@ func TestDistinctMatchesReference(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, row := range res.Rows {
-		k := value.EncodeKeyString(row[0], row[1])
+		k := string(value.EncodeKey(row[0], row[1]))
 		if !ref[k] || seen[k] {
 			t.Fatalf("bad distinct row %v", row)
 		}

@@ -8,25 +8,24 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
-	"repro/internal/value"
 )
 
 // execSelect runs a SELECT and collects its rows into the statement's result
 // — the one place a row is boxed to be kept.
 func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 	out := &collector{charge: rowCharge{gov: ec.gov}}
-	names, rows, err := e.runSelect(sel, ec, out)
-	if err == nil && rows == nil {
-		rows, err = out.rows, out.charge.settle()
+	names, err := e.runSelect(sel, ec, out, false)
+	if err == nil {
+		err = out.charge.settle()
 	}
 	if err != nil {
 		return nil, err
 	}
 	if ec.inspect != nil {
-		ec.inspect.rows = len(rows)
+		ec.inspect.rows = len(out.rows)
 		ec.inspect.analyzed = true
 	}
-	return &Result{Columns: names, Rows: rows}, nil
+	return &Result{Columns: names, Rows: out.rows}, nil
 }
 
 // rewriteError is the engine's error for a SELECT it has no operator for —
@@ -56,32 +55,33 @@ func rewriteError(sel *sqlparse.Select) error {
 	return nil
 }
 
-// runSelect plans and runs a SELECT statement, returning its column names.
-// The consumer stage pushes its rows straight into sink. Only when a later
-// stage needs them all — a dedupe of aggregate output, an ORDER BY that could
-// not be applied to the scan, the LIMIT behind either — are they collected
-// instead, and then returned, in final order, for the caller to deliver.
+// runSelect plans and runs a SELECT statement into sink, returning its column
+// names. The consumer stage pushes its rows straight into sink. Only when a
+// later stage needs them all — a dedupe of aggregate output, an ORDER BY that
+// could not be applied to the scan, the LIMIT behind either — or the caller
+// asks to hold them (an INSERT reading its own target) are they collected as
+// columns instead; the tail then hands sink the rows in final order.
 //
 // ec.par governs the aggregation path only (see fold.go); scans, joins,
 // windows, and sorts are unchanged by it. When ec.span is set the whole
 // pipeline is instrumented: operators record actual rows and cumulative
 // times, and the consumer stage (project / aggregate / window) attaches its
 // operator subtree plus any worker fan-out spans to the statement span.
-func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]string, [][]value.Value, error) {
+func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink, hold bool) ([]string, error) {
 	if err := rewriteError(sel); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	in, residualWhere, err := e.buildFrom(sel)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if residualWhere != nil {
 		pred, err := bindExpr(residualWhere, in.schema())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if expr.HasAggregate(pred) {
-			return nil, nil, fmt.Errorf("engine: aggregates are not allowed in WHERE")
+			return nil, fmt.Errorf("engine: aggregates are not allowed in WHERE")
 		}
 		in = &filterIter{child: in, pred: pred}
 	}
@@ -94,7 +94,7 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 
 	items, err := expandStars(sel.Items, in.schema())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	names := outputNames(items)
 	visible := len(items)
@@ -135,9 +135,9 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		}
 	}
 
-	keep, target := (*collector)(nil), sink
-	if dedupe || !ordered || !limited {
-		keep = &collector{charge: rowCharge{gov: ec.gov}}
+	keep, target := (*colCollector)(nil), sink
+	if hold || dedupe || !ordered || !limited {
+		keep = newColCollector(len(items), ec.gov)
 		target = keep
 	}
 	var consumer *obs.Span
@@ -188,69 +188,50 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink) ([]st
 		ec.span.AddChild(sortSpan) // behind the project stage, where a collected sort's is
 	}
 	if err != nil || keep == nil {
-		return names, nil, err
+		return names, err
 	}
-	if err := keep.charge.settle(); err != nil {
-		return nil, nil, err
-	}
-	rows := keep.rows
 
-	if dedupe {
+	// The collected tail runs over positions: dedupe, sort and cut them, then
+	// gather the rows they name into sink.
+	if err := keep.charge.settle(); err != nil {
+		return nil, err
+	}
+	perm, err := positions(keep.n)
+	if err == nil && dedupe {
 		// Aggregate and window output dedupes once it is all there, so the
 		// stage's own errors come first.
 		sp := ec.span.NewChild("distinct")
-		d := dedupeSink{gov: ec.gov, rows: rows[:0], charge: rowCharge{gov: ec.gov}}
-		n := len(rows)
-		for i := 0; i < n && err == nil; i++ {
-			if i%govStride == 0 {
-				err = ec.gov.check()
-			}
-			if err == nil {
-				err = d.push(rows[i])
-			}
-		}
-		if err == nil {
-			mGroupsEmitted.Add(int64(len(d.rows)))
-			err = d.charge.settle()
-		}
+		n := len(perm)
+		perm, err = keep.distinct(perm, ec.gov)
 		sp.End()
-		if err != nil {
-			return nil, nil, err
-		}
-		sp.SetRows(int64(n), int64(len(d.rows)))
-		rows = d.rows
-	}
-	if !ordered {
-		sp := ec.span.NewChild("sort")
-		var perm []int32
-		if err = orderErr; err == nil {
-			perm, err = positions(len(rows))
-		}
 		if err == nil {
+			sp.SetRows(int64(n), int64(len(perm)))
+		}
+	}
+	if err == nil && !ordered {
+		sp := ec.span.NewChild("sort")
+		if err = orderErr; err == nil {
 			keys := make([]sortKey, len(order))
 			for i, item := range order {
-				keys[i] = rowsKey(rows, item, sel.OrderBy[i].Desc)
+				keys[i] = columnKey(&keep.vecs[item], sel.OrderBy[i].Desc)
 			}
 			sortPerm(perm, keys)
-		}
-		if err != nil {
+			sp.SetRows(int64(len(perm)), int64(len(perm)))
+		} else {
 			sp.Attr("error", err.Error())
-			sp.End()
-			return nil, nil, err
 		}
-		sorted := make([][]value.Value, len(rows))
-		// pctvet:ok O(1) reslice per row of an already-governed result
-		for i, r := range perm {
-			sorted[i] = rows[r][:visible:visible]
-		}
-		rows = sorted
-		sp.SetRows(int64(len(rows)), int64(len(rows)))
 		sp.End()
 	}
-	if !limited {
-		rows = rows[:min(*sel.Limit, len(rows))]
+	if err != nil {
+		return nil, err
 	}
-	return names[:visible], rows, nil
+	if !limited {
+		perm = perm[:min(*sel.Limit, len(perm))]
+	}
+	if res, ok := sink.(*collector); ok {
+		res.charge.gov = nil // the result takes rows the tail charged as it kept them
+	}
+	return names[:visible], keep.emit(perm, visible, sink, ec.gov)
 }
 
 // scanOrder is a sort-before-project: the scan whose row ids are sorted — the
@@ -288,7 +269,7 @@ func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.Or
 		if err != nil || !ok {
 			return nil
 		}
-		keys[i] = columnKey(scan.tab, cr.Index, by[i].Desc)
+		keys[i] = columnKey(scan.tab.Column(cr.Index), by[i].Desc)
 	}
 	return keys
 }
@@ -658,44 +639,26 @@ func collectAggSpecs(items []sqlparse.SelectItem, having expr.Expr, inSch relSch
 }
 
 // windowPart is one distinct PARTITION BY list of a window select: its
-// columns, the calls over it (slots[i] is the position of specs[i] among all
-// the statement's calls) and, once folded, its group rows — key values, then
-// one result per call — with their positions by encoded key.
+// columns, and the calls over it (slots[i] is the position of specs[i] among
+// all the statement's calls).
 type windowPart struct {
-	cols   []int
-	keys   []expr.Expr
-	slots  []int
-	specs  []aggSpec
-	groups [][]value.Value
-	at     map[string]int
-}
-
-// index keeps the group rows a fold of the partition list pushed into out.
-func (p *windowPart) index(out *collector, gov *governor) error {
-	if err := out.charge.settle(); err != nil {
-		return err
-	}
-	p.groups, p.at = out.rows, make(map[string]int, len(out.rows))
-	for gi, g := range out.rows {
-		if gi%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return err
-			}
-		}
-		p.at[value.EncodeKeyString(g[:len(p.cols)]...)] = gi
-	}
-	return nil
+	cols  []int
+	keys  []expr.Expr
+	slots []int
+	specs []aggSpec
 }
 
 // execWindowSelect evaluates ANSI OLAP window aggregates: the input's tuples
 // are collected once, the calls over one PARTITION BY list are one fold of
 // them keyed on the partition columns — the fold every GROUP BY runs, so a
-// window sums in the order GROUP BY does — and every tuple is then emitted
-// extended with the results of its partitions, found by probing the fold's
-// group rows with the tuple's key. This is how the paper's OLAP-extension
-// baseline evaluates percentage queries — and why it is expensive whatever
-// the engine: the full detail relation flows through, and DISTINCT collapses
-// it afterwards.
+// window sums in the order GROUP BY does — whose group results are collected
+// as columns in group-id order, and each batch of tuples is then projected
+// extended with the results of its partitions: each tuple's key looked up,
+// never inserted, in the fold's own group table, and the results gathered by
+// the group ids found. This is how the paper's OLAP-extension baseline
+// evaluates percentage queries — and why it is expensive whatever the
+// engine: the full detail relation flows through, and DISTINCT collapses it
+// afterwards.
 func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink) (int, error) {
 	if len(sel.GroupBy) > 0 || sel.Having != nil {
 		return 0, fmt.Errorf("engine: window aggregates cannot be combined with GROUP BY")
@@ -745,25 +708,8 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 		}
 	}
 	proj := newProjector(projected, nil, sink)
-	ext := make([]value.Value, w+len(specs))
-	var key []byte
-	// push projects the input row in ext[:w] extended with its partitions'
-	// results.
-	push := func() error {
-		for _, p := range parts {
-			key = key[:0]
-			for _, c := range p.cols {
-				key = value.AppendKey(key, ext[c])
-			}
-			g := p.groups[p.at[string(key)]]
-			for i, slot := range p.slots {
-				ext[w+slot] = g[len(p.cols)+i]
-			}
-		}
-		return proj.push(ext)
-	}
 	if ec.ref != nil {
-		err := ec.ref.window(in, parts, ec, ext[:w], push)
+		err := ec.ref.window(in, parts, ec, proj)
 		return proj.n, err
 	}
 
@@ -773,28 +719,40 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 		return 0, err
 	}
 	held := &pipeline{sch: pipe.sch, held: input, tabs: pipe.tabs, outer: pipe.outer}
-	for _, p := range parts {
-		out := &collector{charge: rowCharge{gov: ec.gov}}
-		if _, err := foldAggregate(held, p.keys, p.specs, ec, out); err != nil {
+	folds, results := make([]*foldPart, len(parts)), make([]*colCollector, len(parts))
+	for i, p := range parts {
+		part, err := runFold(held, p.keys, p.specs, ec)
+		res := newColCollector(len(p.keys)+len(p.specs), ec.gov)
+		if err == nil {
+			var n int
+			n, err = part.op.emit(part, ec.gov, res)
+			mGroupsEmitted.Add(int64(n))
+		}
+		if err == nil {
+			err = res.charge.settle()
+		}
+		if err != nil {
 			return 0, err
 		}
-		if err := p.index(out, ec.gov); err != nil {
-			return 0, err
-		}
+		folds[i], results[i] = part, res
 	}
-	// Gather: box each tuple's columns into ext and push it.
+	ext := newVectors(len(specs))
+	look := &foldWorker{gid: make([]int32, batchSize)}
 	proj.reserve(input.n)
 	err = held.drain(ec.gov, sinkFunc(func(b *tupleBatch) error {
-		for k, n := 0, b.rows(); k < n; k++ {
-			b.row(k)
-			for c := range ext[:w] {
-				ext[c] = b.ColumnValue(c)
-			}
-			if err := push(); err != nil {
+		n := b.rows()
+		for i, p := range parts {
+			f := folds[i]
+			look.op = f.op
+			if err := look.resolve(&f.op.keys, &f.tab, b, 0, n, look.gid, false); err != nil {
 				return err
 			}
+			for s, slot := range p.slots {
+				ext[slot].Gather(&results[i].vecs[len(p.keys)+s], look.gid[:n])
+			}
 		}
-		return nil
-	}), nil)
+		b.ext = ext
+		return proj.consume(b)
+	}), proj.ops)
 	return proj.n, err
 }

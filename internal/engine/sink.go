@@ -10,27 +10,34 @@ import (
 
 // Dataflow between operators (DESIGN.md "Dataflow between operators"). A
 // SELECT's consumer stage — projection, group projection, window projection,
-// DISTINCT — does not return rows: it pushes them into a rowSink, a batch of
-// column vectors at a time (a plain select, a fold's groups) or one row
-// through a reused buffer (a computed projection of groups, a window's rows).
-// INSERT … SELECT's sink appends to the target table's column
-// vectors (dml.go), so a generated step's result lives only in the temp table
-// it names; a collector boxes rows where the whole result is needed — the
-// statement's Result.Rows, a sort over a computed key, a dedupe of aggregate
-// output.
+// DISTINCT — does not return rows: it pushes them into a rowSink a batch of
+// column vectors at a time. INSERT … SELECT's sink appends to the target
+// table's column vectors (dml.go), so a generated step's result lives only in
+// the temp table it names; a colCollector keeps the columns a later stage
+// needs whole — a sort over produced rows, a dedupe of aggregate output, a
+// window's group results; and the statement's collector boxes the rows of
+// Result.Rows, the one place a value becomes a row.
 
 // rowSink receives a SELECT's output rows.
 type rowSink interface {
 	// reserve announces that n rows follow, when the producer knows (after a
-	// fold, from an unfiltered scan or a window's collected input).
+	// fold, from an unfiltered scan, a window's collected input or a
+	// collected tail).
 	reserve(n int)
-	// push delivers one row. The slice is the producer's buffer, valid only
-	// during the call: a sink that keeps the row copies it.
-	push(row []value.Value) error
 	// pushCols delivers n rows as one vector per column; cells past the n-th
 	// are not part of the batch. The vectors are the producer's, valid only
 	// during the call.
 	pushCols(cols []*storage.Vector, n int) error
+}
+
+// newVectors returns n empty vectors, to be sized by their producer.
+func newVectors(n int) []*storage.Vector {
+	vecs := make([]storage.Vector, n)
+	cols := make([]*storage.Vector, n)
+	for i := range vecs {
+		cols[i] = &vecs[i]
+	}
+	return cols
 }
 
 // rowCharge charges the rows a sink keeps against MaxRows and MaxBytes, one
@@ -41,15 +48,10 @@ type rowCharge struct {
 	pending int64
 }
 
-func (c *rowCharge) add(row []value.Value) error {
-	if c.gov == nil {
-		return nil
-	}
-	return c.addRows(1, estimateRowBytes(row))
-}
-
-// addCols charges a batch what add would charge its rows one by one, each
-// widened by fill NULL cells.
+// addCols charges a batch of n rows, each widened by fill NULL cells, at an
+// approximate resident size: 24 bytes a cell plus string payloads. Exactness
+// is not the point — the budget guards order-of-magnitude blowups, not
+// allocator accounting.
 func (c *rowCharge) addCols(cols []*storage.Vector, n, fill int) error {
 	if c.gov == nil {
 		return nil
@@ -92,11 +94,11 @@ func (c *rowCharge) settle() error {
 	return err
 }
 
-// collector is the sink that keeps rows. They are carved from slabs — one
-// when reserve knew the count, otherwise each half as large as everything
-// kept so far, so a result of n rows costs O(log n) allocations and no slab
-// is ever copied — as full slice expressions, so appending to a row cannot
-// run into the next.
+// collector is the statement's result: it boxes each batch into rows, a
+// column at a time. The rows are carved from slabs — one when reserve knew
+// the count, otherwise each half as large as everything kept so far, so a
+// result of n rows costs O(log n) allocations and no slab is ever copied — as
+// full slice expressions, so appending to a row cannot run into the next.
 type collector struct {
 	rows   [][]value.Value
 	slab   []value.Value // unused tail of the newest slab
@@ -122,13 +124,6 @@ func (c *collector) carve(n, w int) []value.Value {
 	return block
 }
 
-func (c *collector) push(row []value.Value) error {
-	copy(c.carve(1, len(row)), row)
-	return c.charge.add(row)
-}
-
-// pushCols boxes the batch into n new rows, a column at a time: the one place
-// a column vector becomes values.
 func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 	w := len(cols)
 	block := c.carve(n, w)
@@ -164,33 +159,83 @@ func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 	return c.charge.addCols(cols, n, 0)
 }
 
-// dedupeSink is the DISTINCT of aggregate and window output: a sink that keeps
-// the first of each distinct row pushed into it, keyed by its
-// value.AppendKey encoding in a byte-route group table. A new key is a group,
-// charged against MaxGroups as the fold charges one; a kept row is charged
-// like any collected one. The rows are kept as they come, not copied, so the
-// sink can filter the slice they came from in place.
-type dedupeSink struct {
-	tab    groupTable
-	key    []byte
-	gov    *governor
-	rows   [][]value.Value
+// colCollector keeps, as one vector per column, what a later stage needs
+// whole: the tail of a SELECT — a DISTINCT over produced rows, an ORDER BY
+// that is not a scan sort, the LIMIT behind either — and a window's group
+// results. A column stays typed while every batch agrees on its type and is
+// boxed otherwise (storage.Vector.Append). Every row is charged once, here.
+type colCollector struct {
+	vecs   []storage.Vector
+	out    []storage.Vector // emit's gather buffers
+	n      int
 	charge rowCharge
 }
 
-func (d *dedupeSink) push(row []value.Value) error {
-	d.key = d.key[:0]
-	for _, v := range row {
-		d.key = value.AppendKey(d.key, v)
+func newColCollector(width int, gov *governor) *colCollector {
+	vecs := make([]storage.Vector, 2*width)
+	return &colCollector{vecs: vecs[:width], out: vecs[width:], charge: rowCharge{gov: gov}}
+}
+
+func (c *colCollector) reserve(int) {}
+
+func (c *colCollector) pushCols(cols []*storage.Vector, n int) error {
+	for j, v := range cols {
+		c.vecs[j].Append(v, n)
 	}
-	if _, fresh := d.tab.lookupBytes(d.tab.hashBytes(d.key), d.key, true); !fresh {
-		return nil
+	c.n += n
+	return c.charge.addCols(cols, n, 0)
+}
+
+// distinct keeps, in order, the first of perm's positions of each distinct
+// row, keyed by its value.AppendKey encoding in a byte-route group table. A
+// new key is a group, charged against MaxGroups as the fold charges one.
+func (c *colCollector) distinct(perm []int32, gov *governor) ([]int32, error) {
+	var tab groupTable
+	var key []byte
+	kept := perm[:0]
+	for i, r := range perm {
+		if i%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return nil, err
+			}
+		}
+		key = key[:0]
+		for j := range c.vecs {
+			key = value.AppendKey(key, c.vecs[j].Value(int(r)))
+		}
+		if _, fresh := tab.lookupBytes(tab.hashBytes(key), key, true); !fresh {
+			continue
+		}
+		if err := gov.addGroups(1); err != nil {
+			return nil, err
+		}
+		kept = append(kept, r)
 	}
-	if err := d.gov.addGroups(1); err != nil {
-		return err
+	mGroupsEmitted.Add(int64(len(kept)))
+	return kept, nil
+}
+
+// emit gathers the first w columns of the rows at perm, a batch at a time,
+// into sink.
+func (c *colCollector) emit(perm []int32, w int, sink rowSink, gov *governor) error {
+	sink.reserve(len(perm))
+	cols := make([]*storage.Vector, w)
+	for j := range cols {
+		cols[j] = &c.out[j]
 	}
-	d.rows = append(d.rows, row)
-	return d.charge.add(row)
+	for base := 0; base < len(perm); base += batchSize {
+		if err := gov.check(); err != nil {
+			return err
+		}
+		ids := perm[base:min(base+batchSize, len(perm))]
+		for j, v := range cols {
+			v.Gather(&c.vecs[j], ids)
+		}
+		if err := sink.pushCols(cols, len(ids)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // The column ops a projector compiles its expressions to, by how many input
@@ -207,21 +252,26 @@ type colOp struct {
 }
 
 // projector is the engine's one projection: bound expressions compiled once
-// into column ops, run over a batch of id tuples (consume) or a fold's batch
-// of groups (pushCols), or over one input row through a reused buffer (push);
-// rows that fail having are dropped first. As a sink it projects what a fold
-// emits.
+// into column ops, run by one loop (consume) over a batch that provides each
+// column as a vector and a row view — a batch of id tuples, a window's
+// extended with its partitions' results, or a fold's batch of groups. As a
+// sink it projects what a fold emits: when every item only names a key or an
+// aggregate (moves) the vectors pass through untouched; otherwise HAVING
+// selects the groups, the ones that pass are gathered, and the ops run over
+// them.
 type projector struct {
 	exprs  []expr.Expr
 	ops    []colOp
 	having expr.Expr
 	sink   rowSink
 	moves  bool              // no having, and every op a gather: a batch of columns passes through
-	out    []value.Value     // push: the projected row
-	cols   []*storage.Vector // consume, pushCols: the projected columns
-	own    []storage.Vector  // consume: the columns it computes, in item order
-	box    rowBox
-	n      int // rows pushed on
+	cols   []*storage.Vector // the projected columns
+	own    []storage.Vector  // the columns it computes, in item order
+	vals   []value.Value     // an evaluated item's cells, before storage.Vector.Fill
+	groups tupleBatch        // pushCols: the batch of groups
+	pass   []int32           // HAVING: the positions of the groups that pass
+	kept   []*storage.Vector // HAVING: their columns
+	n      int               // rows pushed on
 }
 
 func newProjector(exprs []expr.Expr, having expr.Expr, sink rowSink) *projector {
@@ -246,49 +296,54 @@ func newProjector(exprs []expr.Expr, having expr.Expr, sink rowSink) *projector 
 
 func (p *projector) reserve(n int) { p.sink.reserve(n) }
 
-func (p *projector) push(row []value.Value) error {
-	p.box.vals = row
-	if p.having != nil {
-		hv, err := p.having.Eval(&p.box)
-		if err != nil || !hv.Truthy() {
-			return err
-		}
-	}
-	if p.out == nil {
-		p.out = make([]value.Value, len(p.exprs))
-	}
-	for i, e := range p.exprs {
-		if op := p.ops[i]; op.kind == opGather {
-			p.out[i] = row[op.a]
-			continue
-		}
-		v, err := e.Eval(&p.box)
-		if err != nil {
-			return err
-		}
-		p.out[i] = v
-	}
-	p.n++
-	return p.sink.push(p.out)
-}
-
-// pushCols projects a fold's batch of groups when every item only names a key
-// or an aggregate (moves): the vectors move on. A fold whose projector
-// computes pushes its groups row by row instead (foldOp.emit).
+// pushCols projects a fold's batch of groups. A HAVING that raises at a group
+// cuts the batch there, and its error waits for whatever the groups before it
+// raise in the items.
 func (p *projector) pushCols(cols []*storage.Vector, n int) error {
-	p.cols = slices.Grow(p.cols[:0], len(p.ops))[:len(p.ops)]
-	for j, op := range p.ops {
-		p.cols[j] = cols[op.a]
+	if p.moves {
+		p.cols = slices.Grow(p.cols[:0], len(p.ops))[:len(p.ops)]
+		for j, op := range p.ops {
+			p.cols[j] = cols[op.a]
+		}
+		p.n += n
+		return p.sink.pushCols(p.cols, n)
 	}
-	p.n += n
-	return p.sink.pushCols(p.cols, n)
+	b := &p.groups
+	b.ext, b.n = cols, n
+	var pending error
+	if p.having != nil {
+		pass := p.pass[:0]
+		for k := 0; k < n; k++ {
+			hv, err := p.having.Eval(b.row(k))
+			if err != nil {
+				pending = err
+				break
+			}
+			if hv.Truthy() {
+				pass = append(pass, int32(k))
+			}
+		}
+		if p.pass = pass; len(pass) < n {
+			if p.kept == nil {
+				p.kept = newVectors(len(cols))
+			}
+			for j, v := range cols {
+				p.kept[j].Gather(v, pass)
+			}
+			b.ext, b.n = p.kept, len(pass)
+		}
+	}
+	if err := p.consume(b); err != nil {
+		return err
+	}
+	return pending
 }
 
-// consume runs the ops over one batch of id tuples and pushes the projected
-// columns on. An evaluated item that raises cuts the batch short at its row,
-// and the error waits until the rows before it have gone through the items
-// after it and the sink: an error at an earlier row there wins, so the first
-// error is the one a row-at-a-time evaluation raises.
+// consume runs the ops over one batch and pushes the projected columns on. An
+// evaluated item that raises cuts the batch short at its row, and the error
+// waits until the rows before it have gone through the items after it and
+// the sink: an error at an earlier row there wins, so the first error is the
+// one a row-at-a-time evaluation raises.
 func (p *projector) consume(src *tupleBatch) error {
 	n := src.rows()
 	var pending error
@@ -313,15 +368,16 @@ func (p *projector) consume(src *tupleBatch) error {
 		if op.kind == opDivide && divide(out, src.vector(op.a), src.vector(op.b), n) {
 			continue
 		}
-		out.ResizeBoxed(n)
+		p.vals = slices.Grow(p.vals[:0], n)
 		for k := 0; k < n; k++ {
 			v, err := p.exprs[j].Eval(src.row(k))
 			if err != nil {
 				n, pending = k, err
 				break
 			}
-			out.Vals[k] = v
+			p.vals = append(p.vals, v)
 		}
+		out.Fill(p.vals)
 	}
 	p.n += n
 	if err := p.sink.pushCols(p.cols, n); err != nil {

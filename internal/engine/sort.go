@@ -12,15 +12,15 @@ import (
 
 // ORDER BY. A sort never moves rows: sortPerm orders input positions — the
 // row ids of a stored table, all of them or the ones a filter selected, or
-// the indexes of collected rows — and the consumer walks the result. Over a
-// stored table the row ids are sorted before anything is projected
-// (select.go). When every key is an INTEGER or BOOLEAN column the keys of a
-// row are packed, most significant first, above its position into one uint64
+// the positions of collected columns — and the consumer walks the result.
+// Over a stored table the row ids are sorted before anything is projected
+// (select.go). When every key is an INTEGER or BOOLEAN column and there are
+// packMin positions or more, the keys of a row are packed, most significant
+// first, above its position into one uint64
 // — a key's code is its offset in the column's range, 0 for NULL,
 // complemented for DESC — and the packed words are radix-sorted on the key
-// bits;
-// otherwise one comparator per key reads the typed vector and the NULL bitmap
-// (value.Compare over collected rows). Every route gives value.Compare's order
+// bits; otherwise one comparator per key reads the typed vector and the NULL
+// bitmap (value.Compare over a boxed one). Every route gives value.Compare's order
 // — NULL first, then by value — and breaks ties by input position, which is
 // the stable sort's result whenever the order is a strict weak one. It is not
 // on NaN (value.Compare calls NaN equal to everything): the order of a REAL
@@ -45,10 +45,14 @@ func positions(n int) ([]int32, error) {
 	return rowRange(make([]int32, n), 0, n), nil
 }
 
+// packMin is the fewest positions sortPerm packs: below it the comparators
+// cost less than the passes over the keys and the two word buffers.
+const packMin = 256
+
 // sortPerm puts ids, ascending input positions, in the order the keys give
 // them, in place: packed where the keys allow, by comparator otherwise.
 func sortPerm(ids []int32, keys []sortKey) {
-	if packedSort(ids, keys) {
+	if len(ids) >= packMin && packedSort(ids, keys) {
 		return
 	}
 	slices.SortFunc(ids, func(a, b int32) int {
@@ -206,26 +210,22 @@ func vectorCmp[T int64 | float64 | string](vals []T, nulls storage.NullBitmap) f
 	}
 }
 
-// columnKey is the sort key over row ids of t's column col.
-func columnKey(t *storage.Table, col int, desc bool) sortKey {
-	c := t.Column(col)
+// columnKey is the sort key over positions of the vector c: a stored
+// column's row ids, or a collected column's positions.
+func columnKey(c *storage.Vector, desc bool) sortKey {
 	k := sortKey{desc: desc, nulls: c.Nulls}
-	switch c.Type {
-	case storage.TypeInt:
+	switch {
+	case c.Boxed:
+		k.cmp = func(a, b int32) int { return value.Compare(c.Vals[a], c.Vals[b]) }
+	case c.Type == storage.TypeInt:
 		k.ints, k.cmp = c.Ints, vectorCmp(c.Ints, c.Nulls)
-	case storage.TypeFloat:
+	case c.Type == storage.TypeFloat:
 		k.cmp = vectorCmp(c.Flts, c.Nulls)
-	case storage.TypeString:
+	case c.Type == storage.TypeString:
 		k.cmp = vectorCmp(c.Strs, c.Nulls)
 	default:
 		k.bools = c.Bools
-		get := t.CellGetter(col)
-		k.cmp = func(a, b int32) int { return value.Compare(get(int(a)), get(int(b))) }
+		k.cmp = func(a, b int32) int { return value.Compare(c.Value(int(a)), c.Value(int(b))) }
 	}
 	return k
-}
-
-// rowsKey is the sort key over the indexes of collected rows by column col.
-func rowsKey(rows [][]value.Value, col int, desc bool) sortKey {
-	return sortKey{desc: desc, cmp: func(a, b int32) int { return value.Compare(rows[a][col], rows[b][col]) }}
 }

@@ -234,33 +234,95 @@ func (b NullBitmap) each(n int, f func(r int)) {
 	}
 }
 
-// Gather fills v with column col of the rows ids, in that order: a typed copy
-// off the column vector with the NULL bits carried. An id of -1 — the NULL
+// Gather fills v with column col of the rows ids, in that order.
+func (t *Table) Gather(col int, ids []int32, v *Vector) { v.Gather(&t.cols[col], ids) }
+
+// Gather fills v with the cells of src at ids, in that order: a typed copy
+// with the NULL bits carried, or the boxed values. An id of -1 — the NULL
 // extension of an outer join's unmatched row — reads as NULL.
-func (t *Table) Gather(col int, ids []int32, v *Vector) {
-	c := &t.cols[col]
-	v.Resize(c.Type, len(ids))
-	var outer bool
-	switch c.Type {
-	case TypeInt:
-		outer = gather(v.Ints, c.Ints, ids)
-	case TypeFloat:
-		outer = gather(v.Flts, c.Flts, ids)
-	case TypeString:
-		outer = gather(v.Strs, c.Strs, ids)
-	case TypeBool:
-		outer = gather(v.Bools, c.Bools, ids)
+func (v *Vector) Gather(src *Vector, ids []int32) {
+	if src.Boxed {
+		v.ResizeBoxed(len(ids))
+		gather(v.Vals, src.Vals, ids) // the zero Value is NULL
+		return
 	}
-	if !outer && len(c.Nulls) == 0 {
+	v.Resize(src.Type, len(ids))
+	var outer bool
+	switch src.Type {
+	case TypeInt:
+		outer = gather(v.Ints, src.Ints, ids)
+	case TypeFloat:
+		outer = gather(v.Flts, src.Flts, ids)
+	case TypeString:
+		outer = gather(v.Strs, src.Strs, ids)
+	case TypeBool:
+		outer = gather(v.Bools, src.Bools, ids)
+	}
+	if !outer && len(src.Nulls) == 0 {
 		return
 	}
 	for i, r := range ids {
-		if r < 0 || c.Nulls.Get(int(r)) {
+		if r < 0 || src.Nulls.Get(int(r)) {
 			v.SetNull(i)
 		}
 	}
 }
 
+// Append adds the first n cells of src to the end of v, a vector a collector
+// fills batch by batch: v takes the first batch's form and stays typed while
+// every batch is of its type; from the first that is not, it is boxed.
+func (v *Vector) Append(src *Vector, n int) {
+	switch have := v.Len(); {
+	case have == 0:
+		*v = Vector{Type: src.Type, Boxed: src.Boxed}
+	case v.Boxed == src.Boxed && (v.Boxed || v.Type == src.Type):
+	case !v.Boxed:
+		vals := make([]value.Value, have, 2*have+n)
+		for i := range vals {
+			vals[i] = v.Value(i)
+		}
+		*v = Vector{Boxed: true, Vals: vals}
+	}
+	if !v.Boxed {
+		v.appendVector(src, n)
+		return
+	}
+	v.Vals = doubled(v.Vals, n)
+	for k := 0; k < n; k++ {
+		v.Vals = append(v.Vals, src.Value(k))
+	}
+}
+
+// Fill makes v hold vals, a batch evaluated cell by cell: typed when every
+// value that is not NULL is of one kind (INTEGER when none is), boxed
+// otherwise.
+func (v *Vector) Fill(vals []value.Value) {
+	kind := value.KindNull
+	for _, x := range vals {
+		switch k := x.Kind(); {
+		case k == value.KindNull || k == kind:
+		case kind == value.KindNull:
+			kind = k
+		default:
+			v.ResizeBoxed(len(vals))
+			copy(v.Vals, vals)
+			return
+		}
+	}
+	typ := TypeInt // a batch of NULLs
+	for t := range TypeBool + 1 {
+		if t.Kind() == kind {
+			typ = t
+		}
+	}
+	v.Resize(typ, len(vals))
+	for i, x := range vals {
+		v.Set(i, x)
+	}
+}
+
+// gather copies src's cells at ids into dst, the zero value at an id of -1,
+// and reports whether there was one.
 func gather[T any](dst, src []T, ids []int32) (outer bool) {
 	for i, r := range ids {
 		if r < 0 {

@@ -66,6 +66,69 @@ func TestGatherCarriesTypesAndNulls(t *testing.T) {
 	}
 }
 
+// cells renders the first n cells of v with their kinds.
+func cells(v *Vector, n int) string {
+	var sb strings.Builder
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&sb, "%v:%v ", v.Value(k).Kind(), v.Value(k))
+	}
+	return sb.String()
+}
+
+// TestVectorGatherAppendFill: a gather from a boxed vector stays boxed, -1
+// reading NULL; a collector's vector takes its first batch's form, stays
+// typed while the batches agree on the type and is boxed — its cells kept —
+// from the first that does not; and an evaluated batch is typed when its
+// values are of one kind, NULL aside.
+func TestVectorGatherAppendFill(t *testing.T) {
+	boxed := &Vector{}
+	boxed.ResizeBoxed(3)
+	copy(boxed.Vals, []value.Value{value.NewString("a"), value.NewInt(1), value.Null})
+	var g Vector
+	g.Gather(boxed, []int32{1, -1, 0})
+	if !g.Boxed || cells(&g, 3) != "INTEGER:1 NULL:NULL VARCHAR:a " {
+		t.Errorf("gather from a boxed vector: %+v", g)
+	}
+
+	ints := &Vector{}
+	ints.Resize(TypeInt, 2)
+	copy(ints.Ints, []int64{5, 6})
+	ints.SetNull(1)
+	var c Vector
+	c.Append(ints, 2)
+	c.Append(ints, 1)
+	if c.Boxed || c.Type != TypeInt || cells(&c, 3) != "INTEGER:5 NULL:NULL INTEGER:5 " {
+		t.Errorf("typed batches of one type: %+v", c)
+	}
+	floats := &Vector{}
+	floats.Resize(TypeFloat, 1)
+	floats.Flts[0] = 2.5
+	c.Append(floats, 1)
+	c.Append(boxed, 2)
+	if !c.Boxed || cells(&c, 6) != "INTEGER:5 NULL:NULL INTEGER:5 REAL:2.5 VARCHAR:a INTEGER:1 " {
+		t.Errorf("a batch of another type: %+v", c)
+	}
+
+	var f Vector
+	for _, tc := range []struct {
+		vals  []value.Value
+		boxed bool
+		typ   ColumnType
+	}{
+		{[]value.Value{value.NewFloat(1.5), value.Null, value.NewFloat(-0.5)}, false, TypeFloat},
+		{[]value.Value{value.Null, value.NewString("x")}, false, TypeString},
+		{[]value.Value{value.Null, value.Null}, false, TypeInt},
+		{[]value.Value{value.NewBool(true)}, false, TypeBool},
+		{[]value.Value{value.NewInt(1), value.NewFloat(1)}, true, 0},
+	} {
+		f.Fill(tc.vals)
+		want := &Vector{Boxed: true, Vals: tc.vals}
+		if f.Boxed != tc.boxed || !tc.boxed && f.Type != tc.typ || cells(&f, len(tc.vals)) != cells(want, len(tc.vals)) {
+			t.Errorf("Fill(%v) = %+v", tc.vals, f)
+		}
+	}
+}
+
 // TestAppendVectorsMatchesAppendRow: a batch lands as its rows would one by
 // one — typed vectors copied, an INTEGER vector widened into a REAL column,
 // boxed and mistyped vectors converted cell by cell, absent columns NULL, the

@@ -72,10 +72,6 @@ func EncodeKey(vals ...Value) []byte {
 	return dst
 }
 
-// EncodeKeyString is EncodeKey returning a string, the form used as a Go map
-// key.
-func EncodeKeyString(vals ...Value) string { return string(EncodeKey(vals...)) }
-
 // decodeKey decodes a key encoding produced by EncodeKey back into values.
 // It is used by operators that need to recover group keys from map keys
 // without retaining per-group value slices.

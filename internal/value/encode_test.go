@@ -45,7 +45,7 @@ func TestEncodeInjective(t *testing.T) {
 		{{Null, Null}, {Null}},
 	}
 	for _, p := range pairs {
-		a, b := EncodeKeyString(p[0]...), EncodeKeyString(p[1]...)
+		a, b := string(EncodeKey(p[0]...)), string(EncodeKey(p[1]...))
 		if a == b {
 			t.Errorf("tuples %v and %v encode identically", p[0], p[1])
 		}
@@ -70,7 +70,7 @@ func TestEncodeInjectiveProperty(t *testing.T) {
 	f := func(s1, s2 uint8, i1, i2 int64, f1, f2 float64, str1, str2 string) bool {
 		a := mk(s1, i1, f1, str1)
 		b := mk(s2, i2, f2, str2)
-		sameEnc := EncodeKeyString(a) == EncodeKeyString(b)
+		sameEnc := string(EncodeKey(a)) == string(EncodeKey(b))
 		sameVal := a.Kind() == b.Kind() && Compare(a, b) == 0
 		return sameEnc == sameVal
 	}
@@ -114,14 +114,14 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 // hash operator buckets by.
 func TestAppendKeyCanonicalFloats(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	if a, b := EncodeKeyString(NewFloat(0)), EncodeKeyString(NewFloat(negZero)); a != b {
+	if a, b := string(EncodeKey(NewFloat(0))), string(EncodeKey(NewFloat(negZero))); a != b {
 		t.Errorf("0.0 and -0.0 encode differently: %x vs %x", a, b)
 	}
 	otherNaN := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1<<63 | 0xBEEF)
 	if !math.IsNaN(otherNaN) {
 		t.Fatal("test bug: not a NaN")
 	}
-	if a, b := EncodeKeyString(NewFloat(math.NaN())), EncodeKeyString(NewFloat(otherNaN)); a != b {
+	if a, b := string(EncodeKey(NewFloat(math.NaN()))), string(EncodeKey(NewFloat(otherNaN))); a != b {
 		t.Errorf("two NaNs encode differently: %x vs %x", a, b)
 	}
 	for _, f := range []float64{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, math.Inf(1), math.Inf(-1)} {
@@ -129,7 +129,7 @@ func TestAppendKeyCanonicalFloats(t *testing.T) {
 		if err != nil || math.Float64bits(dec[0].Float()) != math.Float64bits(f) {
 			t.Errorf("%v does not round-trip bit for bit: %v %v", f, dec, err)
 		}
-		if EncodeKeyString(NewFloat(f)) == EncodeKeyString(NewFloat(0)) {
+		if string(EncodeKey(NewFloat(f))) == string(EncodeKey(NewFloat(0))) {
 			t.Errorf("%v encodes as zero", f)
 		}
 	}
