@@ -306,7 +306,7 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 				continue
 			}
 			want := fmt.Sprintf("%d/1", len(got.Columns)-sh.keys)
-			if spans := dispatchSpans(t, p, sh.sql, sh.opts, par); len(spans) == 0 {
+			if spans := attrSpans(t, p, sh.sql, sh.opts, par, "dispatch"); len(spans) == 0 {
 				t.Errorf("%s: P=%d: no fold span carries a dispatch attribute", sh.sql, par)
 			} else {
 				for _, sp := range spans {
@@ -319,11 +319,12 @@ func TestFoldOperatorCoversPrimaryShapes(t *testing.T) {
 	}
 }
 
-type dispatchSpan struct{ name, val string }
+type attrSpan struct{ name, val string }
 
-// dispatchSpans runs one traced execution and returns the fold and worker
-// spans that carry a dispatch attribute.
-func dispatchSpans(t *testing.T, p *core.Planner, sql string, opts core.Options, par int) []dispatchSpan {
+// attrSpans runs one traced execution and returns the spans that carry the
+// attribute key: dispatch on the fold and worker spans of a dispatching fold,
+// keys on every fold's stage span.
+func attrSpans(t *testing.T, p *core.Planner, sql string, opts core.Options, par int, key string) []attrSpan {
 	t.Helper()
 	opts.Parallelism = par
 	plan, err := p.PlanSQL(sql, opts)
@@ -334,15 +335,72 @@ func dispatchSpans(t *testing.T, p *core.Planner, sql string, opts core.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []dispatchSpan
+	var out []attrSpan
 	root.Walk(func(sp *obs.Span) {
 		for _, a := range sp.Attrs {
-			if a.Key == "dispatch" {
-				out = append(out, dispatchSpan{sp.Name, a.Value})
+			if a.Key == key {
+				out = append(out, attrSpan{sp.Name, a.Value})
 			}
 		}
 	})
 	return out
+}
+
+// checkKeyRoute fails unless every fold of sql at every parallelism took the
+// key route want.
+func checkKeyRoute(t *testing.T, p *core.Planner, sql string, opts core.Options, want string) {
+	t.Helper()
+	for _, par := range difftest.Parallelisms {
+		spans := attrSpans(t, p, sql, opts, par, "keys")
+		if len(spans) == 0 {
+			t.Errorf("%s: P=%d: no fold span carries a keys attribute", sql, par)
+		}
+		for _, sp := range spans {
+			if sp.val != want {
+				t.Errorf("%s: P=%d: %s has keys=%s, want %s", sql, par, sp.name, sp.val, want)
+			}
+		}
+	}
+}
+
+// TestFoldKeyRoutes: every fold of primary query 8's Vpct plan — the Fk
+// step over four small-domain INTEGER keys, the totals over two of them —
+// takes the direct route; a VARCHAR key takes the byte route.
+func TestFoldKeyRoutes(t *testing.T) {
+	checkKeyRoute(t, primaryPlanner(t), primaryShapes()[7].vpct, core.DefaultOptions(), "direct")
+	checkKeyRoute(t, difftest.GoldenPlanner(t), "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city", core.DefaultOptions(), "bytes")
+}
+
+// TestDifferentialBatchDirectKeysAfterUpdate: a fold plans its directory over
+// the key columns' ranges as the table stands, so an UPDATE that writes keys
+// outside the ranges an earlier fold read must widen them for the next one —
+// which stays direct and agrees with the oracle at every parallelism. A
+// stale range would still group right, through the move to the hash route,
+// and the route is what tells.
+func TestDifferentialBatchDirectKeysAfterUpdate(t *testing.T) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("g", storage.Schema{{Name: "k", Type: storage.TypeInt}, {Name: "j", Type: storage.TypeInt}, {Name: "a", Type: storage.TypeInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := tab.AppendRow([]value.Value{value.NewInt(int64(i % 40)), value.NewInt(int64(i % 7)), value.NewInt(int64(i % 13))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	const sql = "SELECT k, j, sum(a), count(*) FROM g GROUP BY k, j"
+	for _, update := range []string{"", "UPDATE g SET k = 200 WHERE j = 3", "UPDATE g SET j = -40 WHERE k = 7", "UPDATE g SET k = NULL WHERE a = 5"} {
+		if update != "" {
+			if _, err := p.Eng.ExecSQL(update); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := CompareBatch(p, sql, core.Options{}, difftest.Parallelisms); err != nil {
+			t.Errorf("after %q: %v", update, err)
+		}
+		checkKeyRoute(t, p, sql, core.Options{}, "direct")
+	}
 }
 
 // TestDifferentialBatchRandomizedProperty runs seeded random fact tables —
@@ -383,21 +441,28 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 // nine batches, and at P = 8 partitions of barely more than one — whose keys
 // cycle through more than 3 000 values, so that the table doubles its index
 // many times over, every group is met again in later batches, and every merge
-// both appends groups and adds into shared ones. INTEGER keys take the
-// fixed-width route, a VARCHAR and a computed key the byte route (the
-// computed one row-major); the Hpct and Hagg plans dispatch their arms into
-// thousands of groups; HAVING and computed items raise at a group of the
-// second batch of groups, each ahead of the other; b is REAL, in eighths so
-// that any addition order is exact.
+// both appends groups and adds into shared ones. INTEGER keys take a
+// fixed-width route: k, whose values differ only above bit 32, the hash
+// route; (u, j), whose directory is just within the cap for 9 000 rows, the
+// direct one, and (o, j), just past it, the hash route again — a window
+// partitioned by (u, j) looks its tuples up in a direct table. A VARCHAR and
+// a computed key take the byte route (the computed one row-major); the Hpct
+// and Hagg plans dispatch their arms into thousands of groups; HAVING and
+// computed items raise at a group of the second batch of groups, each ahead
+// of the other; b is REAL, in eighths so that any addition order is exact.
 func TestDifferentialBatchManyGroups(t *testing.T) {
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("g", storage.Schema{
 		{Name: "k", Type: storage.TypeInt}, {Name: "j", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString},
 		{Name: "d", Type: storage.TypeInt}, {Name: "a", Type: storage.TypeInt}, {Name: "b", Type: storage.TypeFloat},
+		{Name: "u", Type: storage.TypeInt}, {Name: "o", Type: storage.TypeInt},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// j takes 5 values and no NULL: 6 digits. u's 0..top and its NULL make
+	// the directory 6·(top + 2) ≤ cap cells; o's one value more, > cap.
+	top := int64(engine.DirectCells(9000)/6 - 2)
 	rng := rand.New(rand.NewSource(3200))
 	for i := 0; i < 9000; i++ {
 		row := []value.Value{
@@ -407,6 +472,8 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 			value.NewInt(int64(rng.Intn(4))),
 			value.NewInt(int64(rng.Intn(41) - 20)),
 			value.NewFloat(float64(rng.Intn(400)-200) / 8),
+			value.NewInt(int64(i % 2900)),
+			value.NewInt(int64(i % 2900)),
 		}
 		for c := 3; c < 6; c++ {
 			if rng.Intn(15) == 0 {
@@ -415,6 +482,10 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 		}
 		if i%3200 == 17 {
 			row[0] = value.Null // one NULL-keyed group beside k = 0
+			row[6] = value.Null
+		}
+		if i == 4500 {
+			row[6], row[7] = value.NewInt(top), value.NewInt(top+1)
 		}
 		if _, err := tab.AppendRow(row); err != nil {
 			t.Fatal(err)
@@ -441,11 +512,18 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 		{"SELECT k, CASE WHEN k > 1500 * 8589934592 THEN min(s) + 1 ELSE sum(a) END FROM g GROUP BY k", core.Options{}},
 		{"SELECT k, CASE WHEN k > 1500 * 8589934592 THEN min(s) + 1 ELSE 0 END FROM g GROUP BY k HAVING CASE WHEN k > 1600 * 8589934592 THEN max(s) - 1 ELSE 1 END > 0", core.Options{}},
 		{"SELECT k, CASE WHEN k > 1600 * 8589934592 THEN min(s) + 1 ELSE 0 END FROM g GROUP BY k HAVING CASE WHEN k > 1500 * 8589934592 THEN max(s) - 1 ELSE 1 END > 0", core.Options{}},
+		{"SELECT u, j, sum(a), count(*), min(b) FROM g GROUP BY u, j", core.Options{}},
+		{"SELECT o, j, sum(a), count(*), min(b) FROM g GROUP BY o, j", core.Options{}},
+		{"SELECT DISTINCT u, j, sum(a) OVER (PARTITION BY u, j), count(*) OVER (PARTITION BY j) FROM g", core.Options{}},
 	} {
 		if err := CompareBatch(p, c.sql, c.opts, difftest.Parallelisms); err != nil {
 			t.Error(err)
 		}
 	}
+	checkKeyRoute(t, p, "SELECT u, j, sum(a) FROM g GROUP BY u, j", core.Options{}, "direct")
+	checkKeyRoute(t, p, "SELECT o, j, sum(a) FROM g GROUP BY o, j", core.Options{}, "hash")
+	checkKeyRoute(t, p, "SELECT k, sum(a) FROM g GROUP BY k", core.Options{}, "hash")
+	checkKeyRoute(t, p, "SELECT DISTINCT u, j, sum(a) OVER (PARTITION BY u, j) FROM g", core.Options{}, "direct")
 	res, err := difftest.Run(p, "SELECT k, count(*) FROM g GROUP BY k", core.Options{}, 8)
 	if err != nil || len(res.Rows) != 3200 {
 		t.Fatalf("%d groups, want 3200 (3199 keys and NULL): %v", len(res.Rows), err)

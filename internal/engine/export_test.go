@@ -11,3 +11,7 @@ func UseReference(e *Engine, on bool) {
 	var r reference = oracle{}
 	e.ref.Store(&r)
 }
+
+// DirectCells is the most cells a group directory may have for a fold over
+// rows input rows: past it the fold's key takes the hash route.
+func DirectCells(rows int) int { return directCells(rows) }

@@ -47,12 +47,13 @@ import (
 //
 // Parallelism. foldPartitions splits the source into contiguous ranges, folds
 // each into a private foldPart, and merges them in ascending partition order:
-// each group of the higher partition probes the lower one's table with its
-// stored hash, a new group appends, a shared one adds cell to cell. A group's
-// global first occurrence lies in its lowest-numbered partition and tuples
-// keep their order within a partition, so that merge order reproduces the
-// sequential first-appearance order exactly (a REAL sum's last bit may not:
-// DESIGN.md, "Parallel partitioned aggregation").
+// each group of the higher partition is looked up in the lower one's table —
+// by its directory cell, or with its stored hash — a new group appends, a
+// shared one adds cell to cell. A group's global first occurrence lies in its
+// lowest-numbered partition and tuples keep their order within a partition,
+// so that merge order reproduces the sequential first-appearance order
+// exactly (a REAL sum's last bit may not: DESIGN.md, "Parallel partitioned
+// aggregation").
 // Nothing is copied to fan out: workers read disjoint ranges of the first
 // table's immutable vectors, and a join's workers share its build side.
 
@@ -235,18 +236,18 @@ type foldInput struct {
 // keyCols is how a fold reads one key tuple off a tuple — its group key, or
 // the columns an arm family tests. When every component is a bare INTEGER
 // column (≤ maxIntKeys) the tuple is read straight from the raw vectors and
-// NULL bitmaps (ints) into the group table's fixed-width route; otherwise
+// NULL bitmaps (ints) into the group table's fixed-width keys; otherwise
 // each is boxed (in) and encoded with value.AppendKey.
 type keyCols struct {
 	in   []foldInput
 	ints []intCol
 }
 
-// intCol is an INTEGER column of table t as the fixed-width route reads it.
+// intCol is INTEGER column col of table t as fixed-width keys read it.
 type intCol struct {
-	vals  []int64
-	nulls storage.NullBitmap
-	t     int
+	vals   []int64
+	nulls  storage.NullBitmap
+	t, col int
 }
 
 // The kernels of foldWorker.advance.
@@ -283,7 +284,11 @@ type foldOp struct {
 	pipe  *pipeline
 	specs []aggSpec
 	keys  keyCols
-	slots []aggSlot // per spec
+	// bounds is the layout of every partition's group directory when the key
+	// takes the direct route, and has no cells when it does not: partitions
+	// share it, so they merge by cell.
+	bounds bounds
+	slots  []aggSlot // per spec
 	// cells, accs and soles are the strides of a partition's state arrays;
 	// soles is len(families), or 0 with no ELSE 0 to settle.
 	cells, accs, soles int
@@ -297,10 +302,30 @@ type foldOp struct {
 func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 	op := &foldOp{pipe: pipe, specs: specs}
 	op.keys = op.keyCols(keyExprs)
+	op.planDirect()
 	for i, arg := range op.planDispatch(pipe.sch) {
 		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
 	return op
+}
+
+// planDirect puts a fixed-width key on the direct route when its columns'
+// ranges (storage.Table.IntRange: every row of the table, so every tuple the
+// fold can meet) make a directory of at most directCells cells for the
+// fold's input.
+func (op *foldOp) planDirect() {
+	n := len(op.keys.ints)
+	if n == 0 {
+		return
+	}
+	var lo, hi [maxIntKeys]int64
+	for c, col := range op.keys.ints {
+		var ok bool
+		if lo[c], hi[c], ok = op.pipe.tabs[col.t].IntRange(col.col); !ok {
+			lo[c], hi[c] = 0, -1 // only NULLs
+		}
+	}
+	op.bounds, _ = planBounds(lo[:n], hi[:n], directCells(op.pipe.count()))
 }
 
 // column reports the stored column e names, if it is a bare one of a table
@@ -338,7 +363,7 @@ func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 			return kc
 		}
 		c := op.pipe.tabs[t].Column(col)
-		kc.ints = append(kc.ints, intCol{vals: c.Ints, nulls: c.Nulls, t: t})
+		kc.ints = append(kc.ints, intCol{vals: c.Ints, nulls: c.Nulls, t: t, col: col})
 	}
 	return kc
 }
@@ -406,7 +431,11 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 		return op.run(ec.gov.withCtx(ctx), lo, hi)
 	})
 	if stage != nil {
-		stage.Attr("kernel", "batch")
+		if err == nil {
+			// The merged table's: a partition forced off the direct route
+			// takes the merge with it.
+			stage.Attr("keys", part.tab.route())
+		}
 		if d := op.dispatchAttr(); d != "" {
 			stage.Attr("dispatch", d)
 			if stage.Concurrent {
@@ -582,20 +611,15 @@ func (p *foldPart) addGroup(keyVals []value.Value) error {
 }
 
 // absorb merges the next-higher partition into p, an id remap: each group of
-// from probes p's table with the hash from already stored; one new to p
-// takes the next id — so ids stay in global first-appearance order — and
-// from's state, a shared one merges state into state.
+// from is looked up in p's table — by its cell on the direct route, with the
+// hash from already stored on the others; one new to p takes the next id — so
+// ids stay in global first-appearance order — and from's state, a shared one
+// merges state into state.
 func (p *foldPart) absorb(from *foldPart) error {
 	op := p.op
 	k, nc, na, ns := len(op.keys.in), op.cells, op.accs, op.soles
 	for g := 0; g < from.tab.len(); g++ {
-		var id int32
-		var fresh bool
-		if w := p.tab.width; w > 0 {
-			id, fresh = p.tab.lookupInts(from.tab.hashes[g], from.tab.ints[g*w:(g+1)*w], from.tab.masks[g], true)
-		} else {
-			id, fresh = p.tab.lookupBytes(from.tab.hashes[g], from.tab.byteKey(g), true)
-		}
+		id, fresh := p.tab.lookupFrom(&from.tab, g)
 		if fresh {
 			p.keyVals = append(grown(p.keyVals, k), from.keyVals[g*k:(g+1)*k]...)
 			p.num = append(grown(p.num, nc), from.num[g*nc:(g+1)*nc]...)
@@ -647,7 +671,7 @@ type foldWorker struct {
 // immutable and stateless under Eval, so workers share them.
 func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 	w := &foldWorker{op: op, gov: gov, keyVals: make([]value.Value, len(op.keys.in))}
-	w.part = &foldPart{op: op, tab: groupTable{width: len(op.keys.ints)}}
+	w.part = &foldPart{op: op, tab: newGroupTable(len(op.keys.ints), &op.bounds)}
 	w.feed.init(op.pipe, gov, w, nil)
 	defer w.feed.finish()
 	w.gid, w.ents = w.feed.buffer(), make([][]int32, len(op.families))
@@ -736,6 +760,22 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 		rows[c] = b.ids[col.t]
 	}
 	for k := lo; k < hi; k++ {
+		// The direct route: the cell straight off the columns, and a hit is
+		// one load. A key out of bounds goes through lookupKey.
+		cell, in := uint64(0), t.dir != nil
+		for c := 0; in && c < len(kc.ints); c++ {
+			col, r, d := &kc.ints[c], rows[c][k], uint64(0)
+			if !col.nulls.Get(int(r)) {
+				d, in = t.digit(c, col.vals[r])
+			}
+			cell = cell*t.span[c] + d
+		}
+		if in {
+			if id := t.dir[cell]; id != 0 || !groups {
+				ids[k] = id - 1
+				continue
+			}
+		}
 		var fresh bool
 		if t.width > 0 {
 			mask := uint8(0)
@@ -745,7 +785,11 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 					key[c], mask = 0, mask|1<<c
 				}
 			}
-			ids[k], fresh = t.lookupInts(t.hashInts(key, mask), key, mask, groups)
+			if in {
+				ids[k], fresh = t.add(int(cell), key, mask), true
+			} else {
+				ids[k], fresh = t.lookupKey(key, mask, groups)
+			}
 		} else {
 			buf := w.keyBuf[:0]
 			for i := range kc.in {

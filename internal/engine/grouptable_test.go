@@ -97,10 +97,12 @@ type fuzzKey struct {
 
 func (k fuzzKey) lookup(t *groupTable, insert bool) (int32, bool) {
 	if t.width > 0 {
-		return t.lookupInts(t.hashInts(k.ints, k.mask), k.ints, k.mask, insert)
+		return t.lookupKey(k.ints, k.mask, insert)
 	}
 	return t.lookupBytes(t.hashBytes(k.bytes), k.bytes, insert)
 }
+
+func (k fuzzKey) String() string { return fmt.Sprint(k.ints, k.mask, k.bytes) }
 
 // fuzzKeys draws n keys, repeats included, that stress what a probe must
 // tell apart. Fixed-width tuples take their components from a palette of
@@ -135,81 +137,218 @@ func fuzzKeys(rng *rand.Rand, width, n int) []fuzzKey {
 	return keys
 }
 
-// FuzzGroupTable checks the group table against a Go map: ids are dense and
-// in first-appearance order whatever the growth (the key counts force at
-// least four doublings of the index), a find never inserts, and merging two
-// tables the way foldPart.absorb does — probing the lower with the higher
-// one's stored hashes — numbers the keys exactly as one table over the
-// concatenated input. With every hash forced equal (the drop seam) the probe
-// sequence and the key compare alone must still tell the keys apart.
+// fuzzBounds draws a direct-route layout over width components: each takes
+// 0 to 4 values from a low end in [-100, 100), so negative ranges and
+// all-NULL components (no values) occur, and the directory stays below 5^8
+// cells. fuzzBoundedKeys draws n keys within it, NULL one component in five.
+func fuzzBounds(t *testing.T, rng *rand.Rand, width int) (b bounds, lo, hi []int64) {
+	lo, hi = make([]int64, width), make([]int64, width)
+	for c := range lo {
+		lo[c] = int64(rng.Intn(200) - 100)
+		hi[c] = lo[c] + int64(rng.Intn(5)) - 1
+	}
+	b, ok := planBounds(lo, hi, 1<<20)
+	if !ok {
+		t.Fatalf("bounds %v..%v do not fit a directory", lo, hi)
+	}
+	return b, lo, hi
+}
+
+func fuzzBoundedKeys(rng *rand.Rand, lo, hi []int64, n int) []fuzzKey {
+	keys := make([]fuzzKey, n)
+	for i := range keys {
+		keys[i].ints = make([]int64, len(lo))
+		for c := range lo {
+			if hi[c] < lo[c] || rng.Intn(5) == 0 {
+				keys[i].mask |= 1 << c
+			} else {
+				keys[i].ints[c] = lo[c] + rng.Int63n(hi[c]-lo[c]+1)
+			}
+		}
+	}
+	return keys
+}
+
+// checkIDs runs keys through a table from newTable against a Go map: ids are
+// dense and in first-appearance order whatever the growth, a find never
+// inserts, and merging two tables the way foldPart.absorb does
+// (groupTable.lookupFrom) numbers the keys exactly as one table over the
+// concatenated input. It returns the one table and the map.
+func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, newTable func() *groupTable) (*groupTable, map[string]int32) {
+	t.Helper()
+	one, oracle := newTable(), map[string]int32{}
+	for i, k := range keys {
+		want, seen := oracle[k.String()]
+		if !seen {
+			want = int32(len(oracle))
+			oracle[k.String()] = want
+		}
+		before := one.len()
+		if id, _ := k.lookup(one, false); seen && id != want || !seen && id != -1 || one.len() != before {
+			t.Fatalf("%s key %d %s: find = %d (want %d, seen %v), table %d → %d keys", one.route(), i, k, id, want, seen, before, one.len())
+		}
+		if id, fresh := k.lookup(one, true); id != want || fresh == seen {
+			t.Fatalf("%s key %d %s: id %d fresh %v, want id %d fresh %v", one.route(), i, k, id, fresh, want, !seen)
+		}
+	}
+	if one.len() != len(oracle) {
+		t.Fatalf("%s: %d ids for %d distinct keys", one.route(), one.len(), len(oracle))
+	}
+
+	// Two partitions, merged: the lower table keeps its ids, the higher
+	// one's new keys append in its order.
+	cut := rng.Intn(len(keys))
+	lo, hi := newTable(), newTable()
+	for _, k := range keys[:cut] {
+		k.lookup(lo, true)
+	}
+	for _, k := range keys[cut:] {
+		k.lookup(hi, true)
+	}
+	checkMerge(t, lo, hi, keys, oracle)
+	return one, oracle
+}
+
+// checkMerge merges hi into lo and checks that every key has its id in the
+// one table over all of keys.
+func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[string]int32) {
+	t.Helper()
+	for g := 0; g < hi.len(); g++ {
+		lo.lookupFrom(hi, g)
+	}
+	if lo.len() != len(oracle) {
+		t.Fatalf("%s: merged table has %d keys, one table over the concatenation %d", lo.route(), lo.len(), len(oracle))
+	}
+	for i, k := range keys {
+		if id, _ := k.lookup(lo, false); id != oracle[k.String()] {
+			t.Fatalf("%s key %d %s: merged id %d, single-table id %d", lo.route(), i, k, id, oracle[k.String()])
+		}
+	}
+}
+
+// FuzzGroupTable checks both fixed-width routes and the byte route against a
+// Go map (checkIDs). The hash route takes keys that stress a probe — the
+// counts force at least four doublings of the index, and with every hash
+// forced equal (the drop seam) the probe sequence and the key compare alone
+// must still tell the keys apart. The direct route takes keys within random
+// bounds, and then one outside them: a find of it is -1 and leaves the table
+// direct, an insert moves the table to the hash route with every earlier id
+// kept, and a direct partition absorbing a moved one follows it there. Bounds
+// with an int64 extreme in one component never make a directory.
 func FuzzGroupTable(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint8(0), false)
 	f.Add(int64(2), uint16(900), uint8(1), false)
 	f.Add(int64(3), uint16(2000), uint8(4), false)
 	f.Add(int64(4), uint16(300), uint8(8), true)
 	f.Add(int64(5), uint16(250), uint8(0), true)
+	f.Add(int64(6), uint16(1500), uint8(2), false)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, width uint8, flat bool) {
 		rng := rand.New(rand.NewSource(seed))
 		w, count := int(width)%(maxIntKeys+1), 200+int(n)%3000
 		if flat {
 			count = 200 + int(n)%200 // every probe walks the whole chain
 		}
-		keys := fuzzKeys(rng, w, count)
-		newTable := func() *groupTable {
+		one, oracle := checkIDs(t, rng, fuzzKeys(rng, w, count), func() *groupTable {
 			t := &groupTable{width: w}
 			if flat {
 				t.drop = ^uint32(0)
 			}
 			return t
-		}
-		name := func(k fuzzKey) string { return fmt.Sprint(k.ints, k.mask, k.bytes) }
-
-		one, oracle := newTable(), map[string]int32{}
-		for i, k := range keys {
-			want, seen := oracle[name(k)]
-			if !seen {
-				want = int32(len(oracle))
-				oracle[name(k)] = want
-			}
-			before := one.len()
-			if id, _ := k.lookup(one, false); seen && id != want || !seen && id != -1 || one.len() != before {
-				t.Fatalf("key %d %s: find = %d (want %d, seen %v), table %d → %d keys", i, name(k), id, want, seen, before, one.len())
-			}
-			if id, fresh := k.lookup(one, true); id != want || fresh == seen {
-				t.Fatalf("key %d %s: id %d fresh %v, want id %d fresh %v", i, name(k), id, fresh, want, !seen)
-			}
-		}
-		if one.len() != len(oracle) {
-			t.Fatalf("%d ids for %d distinct keys", one.len(), len(oracle))
-		}
+		})
 		if !flat && len(oracle) > 96 && len(one.slots) < 256 {
 			t.Fatalf("%d keys in %d slots: the index did not double four times", len(oracle), len(one.slots))
 		}
+		if w == 0 {
+			return
+		}
 
-		// Two partitions, merged: the lower table keeps its ids, the higher
-		// one's new keys append in its order.
-		cut := rng.Intn(len(keys))
-		lo, hi := newTable(), newTable()
-		for _, k := range keys[:cut] {
-			k.lookup(lo, true)
+		b, lo, hi := fuzzBounds(t, rng, w)
+		keys := fuzzBoundedKeys(rng, lo, hi, count)
+		newDirect := func() *groupTable {
+			t := newGroupTable(w, &b)
+			return &t
 		}
-		for _, k := range keys[cut:] {
-			k.lookup(hi, true)
+		one, oracle = checkIDs(t, rng, keys, newDirect)
+		if one.route() != "direct" || len(one.slots)+len(one.hashes) > 0 {
+			t.Fatalf("keys within bounds moved the table to the %s route (%d slots)", one.route(), len(one.slots))
 		}
-		for g := 0; g < hi.len(); g++ {
-			if w > 0 {
-				lo.lookupInts(hi.hashes[g], hi.ints[g*w:(g+1)*w], hi.masks[g], true)
-			} else {
-				lo.lookupBytes(hi.hashes[g], hi.byteKey(g), true)
-			}
+
+		// One component of a key outside its bounds.
+		in := keys[rng.Intn(len(keys))]
+		out := fuzzKey{ints: append([]int64(nil), in.ints...), mask: in.mask}
+		c := rng.Intn(w)
+		out.mask &^= 1 << c
+		switch edge := rng.Intn(4); {
+		case hi[c] < lo[c]:
+			out.ints[c] = int64(rng.Intn(200) - 100) // any value: the component has none
+		case edge == 0:
+			out.ints[c] = hi[c] + 1
+		case edge == 1:
+			out.ints[c] = lo[c] - 1
+		case edge == 2:
+			out.ints[c] = math.MaxInt64
+		default:
+			out.ints[c] = math.MinInt64
 		}
-		if lo.len() != one.len() {
-			t.Fatalf("merged table has %d keys, one table over the concatenation %d", lo.len(), one.len())
+		if id, fresh := out.lookup(one, false); id != -1 || fresh || one.route() != "direct" {
+			t.Fatalf("find of out-of-bounds key %s = %d (fresh %v) on the %s route, want -1 on the direct route", out, id, fresh, one.route())
+		}
+		if id, fresh := out.lookup(one, true); id != int32(len(oracle)) || !fresh || one.route() != "hash" {
+			t.Fatalf("insert of out-of-bounds key %s = %d (fresh %v) on the %s route, want %d on the hash route", out, id, fresh, one.route(), len(oracle))
 		}
 		for i, k := range keys {
-			if id, _ := k.lookup(lo, false); id != oracle[name(k)] {
-				t.Fatalf("key %d %s: merged id %d, single-table id %d", i, name(k), id, oracle[name(k)])
+			if id, _ := k.lookup(one, false); id != oracle[k.String()] {
+				t.Fatalf("key %d %s: id %d after the move, %d before", i, k, id, oracle[k.String()])
 			}
+		}
+		// A direct partition absorbing one that moved: the moved one holds
+		// the out-of-bounds key, so the merge moves the lower one too.
+		cut := rng.Intn(len(keys))
+		lower, upper := newDirect(), newDirect()
+		for _, k := range keys[:cut] {
+			k.lookup(lower, true)
+		}
+		for _, k := range append(keys[cut:len(keys):len(keys)], out) {
+			k.lookup(upper, true)
+		}
+		oracle[out.String()] = int32(len(oracle))
+		checkMerge(t, lower, upper, append(keys[:len(keys):len(keys)], out), oracle)
+		if lower.route() != "hash" {
+			t.Fatalf("absorbing an out-of-bounds key left the table on the %s route", lower.route())
+		}
+
+		// An int64 extreme at either end of one component's span is too wide
+		// for any directory — the span would overflow — unless both ends sit at
+		// it.
+		elo, ehi := append([]int64(nil), lo...), append([]int64(nil), hi...)
+		elo[c], ehi[c] = math.MinInt64, int64(rng.Intn(200))
+		if rng.Intn(2) == 0 {
+			elo[c], ehi[c] = int64(-rng.Intn(200)), math.MaxInt64
+		}
+		if _, ok := planBounds(elo, ehi, 1<<20); ok {
+			t.Fatalf("bounds %v..%v made a directory", elo, ehi)
+		}
+		elo[c], ehi[c] = math.MaxInt64, math.MaxInt64
+		if rng.Intn(2) == 0 {
+			elo[c], ehi[c] = math.MinInt64, math.MinInt64
+		}
+		eb, ok := planBounds(elo, ehi, 1<<20)
+		if !ok {
+			t.Fatalf("bounds %v..%v made no directory", elo, ehi)
+		}
+		et := newGroupTable(w, &eb)
+		k := fuzzKey{ints: make([]int64, w)}
+		for j := range k.ints {
+			if k.ints[j] = elo[j]; ehi[j] < elo[j] {
+				k.ints[j], k.mask = 0, k.mask|1<<j
+			}
+		}
+		if id, fresh := k.lookup(&et, true); id != 0 || !fresh || et.route() != "direct" {
+			t.Fatalf("key %s at the int64 extreme = %d (fresh %v) on the %s route", k, id, fresh, et.route())
+		}
+		k.ints[c] ^= math.MinInt64 ^ math.MaxInt64 // the other extreme
+		if id, _ := k.lookup(&et, false); id != -1 {
+			t.Fatalf("key %s at the other int64 extreme found id %d", k, id)
 		}
 	})
 }

@@ -2,8 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/index"
@@ -76,6 +78,18 @@ type Table struct {
 	// it to decide whether their snapshot is still current. Atomic so
 	// concurrent readers may poll it while the serialized writer advances it.
 	epoch atomic.Int64
+	// ranges caches IntRange per column, each entry stamped with the epoch it
+	// was computed at; rangeMu serializes the readers that fill it.
+	rangeMu sync.Mutex
+	ranges  []intRange
+}
+
+// intRange is one column's IntRange answer at epoch; epoch 0, which no table
+// ever holds, is an entry not yet computed.
+type intRange struct {
+	epoch  int64
+	lo, hi int64
+	ok     bool
 }
 
 // NewTable creates an empty table with the given schema.
@@ -412,6 +426,35 @@ func (t *Table) Truncate() {
 // hoisted by a kernel — never to write. Like a CellGetter, what is read off
 // it is a snapshot of the rows present when it was read.
 func (t *Table) Column(col int) *Vector { return &t.cols[col] }
+
+// IntRange returns the least and greatest non-NULL value of column col; ok is
+// false when there is none — no rows, only NULLs — or the column is not
+// INTEGER. The answer costs one scan at most once per epoch: it is cached on
+// the table under the epoch it was computed at, so every later call until the
+// next row mutation reads the cache. Safe for concurrent readers.
+func (t *Table) IntRange(col int) (lo, hi int64, ok bool) {
+	epoch := t.Epoch()
+	t.rangeMu.Lock()
+	defer t.rangeMu.Unlock()
+	if t.ranges == nil {
+		t.ranges = make([]intRange, len(t.cols))
+	}
+	r := &t.ranges[col]
+	if r.epoch != epoch {
+		*r = intRange{epoch: epoch, lo: math.MaxInt64, hi: math.MinInt64}
+		if c := &t.cols[col]; c.Type == TypeInt {
+			for i, v := range c.Ints[:t.nrows] {
+				if !c.Nulls.Get(i) {
+					r.lo, r.hi, r.ok = min(r.lo, v), max(r.hi, v), true
+				}
+			}
+		}
+	}
+	if !r.ok {
+		return 0, 0, false
+	}
+	return r.lo, r.hi, true
+}
 
 // CellGetter returns a reader that boxes one cell of a column per call. The
 // column's type and vector are resolved here, once, where Get re-dispatches
