@@ -365,10 +365,33 @@ func checkKeyRoute(t *testing.T, p *core.Planner, sql string, opts core.Options,
 
 // TestFoldKeyRoutes: every fold of primary query 8's Vpct plan — the Fk
 // step over four small-domain INTEGER keys, the totals over two of them —
-// takes the direct route; a VARCHAR key takes the byte route.
+// takes the direct route, and so do VARCHAR keys, as codes into a small
+// dictionary. A dictionary that outgrows the fold's directory — 100 rows
+// filled from a table of 3 000 strings, whose dictionary they share — takes
+// the hash route, and groups as the oracle does.
 func TestFoldKeyRoutes(t *testing.T) {
 	checkKeyRoute(t, primaryPlanner(t), primaryShapes()[7].vpct, core.DefaultOptions(), "direct")
-	checkKeyRoute(t, difftest.GoldenPlanner(t), "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city", core.DefaultOptions(), "bytes")
+	checkKeyRoute(t, difftest.GoldenPlanner(t), "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city", core.DefaultOptions(), "direct")
+
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("b", storage.Schema{{Name: "s", Type: storage.TypeString}, {Name: "a", Type: storage.TypeInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		if _, err := tab.AppendRow([]value.Value{value.NewString(fmt.Sprint("s", i)), value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	if _, err := p.Eng.ExecSQL("CREATE TABLE d (s VARCHAR, a INTEGER); INSERT INTO d SELECT s, a FROM b WHERE a < 50 OR a >= 2950"); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT s, sum(a), count(*) FROM d GROUP BY s"
+	if err := CompareBatch(p, sql, core.Options{}, difftest.Parallelisms); err != nil {
+		t.Error(err)
+	}
+	checkKeyRoute(t, p, sql, core.Options{}, "hash")
 }
 
 // TestDifferentialBatchDirectKeysAfterUpdate: a fold plans its directory over
@@ -400,6 +423,54 @@ func TestDifferentialBatchDirectKeysAfterUpdate(t *testing.T) {
 			t.Errorf("after %q: %v", update, err)
 		}
 		checkKeyRoute(t, p, sql, core.Options{}, "direct")
+	}
+}
+
+// TestDifferentialBatchVarcharEquality: the selection kernel looks a string
+// constant up in the column's dictionary once and compares codes, so a
+// constant the dictionary lacks selects nothing — and must not select the
+// empty string, nor NULL, whose cells hold code 0 — and one an UPDATE adds
+// to the dictionary between two statements is found by the second. Every
+// statement agrees with the oracle at every parallelism.
+func TestDifferentialBatchVarcharEquality(t *testing.T) {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("v", storage.Schema{{Name: "s", Type: storage.TypeString}, {Name: "k", Type: storage.TypeInt}, {Name: "a", Type: storage.TypeInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		s := value.NewString([]string{"x", "", "yy", "x "}[i%4])
+		if i%7 == 0 {
+			s = value.Null
+		}
+		if _, err := tab.AppendRow([]value.Value{s, value.NewInt(int64(i % 5)), value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	queries := []string{
+		"SELECT k, count(*), sum(a) FROM v WHERE s = 'x' GROUP BY k",
+		"SELECT s, k, a FROM v WHERE s = '' AND k = 2",
+		"SELECT count(*) FROM v WHERE s = 'absent'",
+		"SELECT s, count(*) FROM v WHERE s = 'late' GROUP BY s",
+		"SELECT k, count(*) FROM v WHERE s IS NULL GROUP BY k",
+		"SELECT s, k, Vpct(a BY k) FROM v WHERE s = 'yy' GROUP BY s, k",
+	}
+	for _, update := range []string{"", "UPDATE v SET s = 'late' WHERE k = 3", "UPDATE v SET s = NULL WHERE s = 'x'", "DELETE FROM v WHERE s = ''"} {
+		if update != "" {
+			if _, err := p.Eng.ExecSQL(update); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sql := range queries {
+			if err := CompareBatch(p, sql, core.Options{}, difftest.Parallelisms); err != nil {
+				t.Errorf("after %q: %v", update, err)
+			}
+		}
+	}
+	res, err := p.Eng.ExecSQL("SELECT count(*) FROM v WHERE s = 'late'")
+	if err != nil || res.Rows[0][0].Int() != 600 {
+		t.Errorf("rows of the string the UPDATE added: %v, %v", res, err)
 	}
 }
 

@@ -41,8 +41,8 @@ const fuzzManyGroups = 3500
 // keys, VARCHAR, a join, window output (whose partitions are folds too: the
 // operator's against the reference's, two implementations, where both modes
 // once shared the window's own sort sweep), ORDER BY + LIMIT. The last block is
-// the dimension dispatch: CASE-arm families over INTEGER (fixed-width key),
-// VARCHAR and BOOLEAN (AppendKey) columns with an arm no row matches, IS NULL
+// the dimension dispatch: CASE-arm families over INTEGER and VARCHAR
+// (fixed-width key) and BOOLEAN (AppendKey) columns with an arm no row matches, IS NULL
 // arms, negative constants, ELSE 0 / ELSE NULL / no ELSE, FLOAT measures
 // (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
 // two families in one statement, arms whose THEN or sum() fails on some rows
@@ -56,8 +56,8 @@ const fuzzManyGroups = 3500
 // rows, inner, outer and NULL-safe joins, ORDER BY on packable, REAL and
 // VARCHAR keys, over a selection, with LIMIT. fuzzManyGroupQueries, appended last,
 // are the many-group shapes: thousands of groups grown across batches and
-// merged across partitions under an INTEGER key (fixed-width route), a
-// VARCHAR key and a computed key (byte route, the latter row-major), a
+// merged across partitions under an INTEGER and a VARCHAR key (fixed-width
+// route) and a computed key (byte route, row-major), a
 // dispatched Hpct shape and REAL sums, minima and maxima, and a HAVING and a
 // computed item that raise at a group past the first batch of groups.
 var fuzzFoldQueries = append([]string{
@@ -180,6 +180,10 @@ func fuzzResultDiff(a, b *Result) string {
 // seeded random typed table (NULLs included) runs one aggregation query
 // through the oracle at P=1 and through the operator at a fuzzed
 // parallelism; results must be byte-identical and errors must match exactly.
+// The query runs three times, the VARCHAR columns' dictionaries moving in
+// between: d3 holds the empty string beside its NULLs from the start; then
+// rows of new strings are appended and rolled back (TruncateTo), and an
+// INSERT and an UPDATE add strings; then a DELETE leaves strings no row has.
 func FuzzBatchFoldEquivalence(f *testing.F) {
 	for q := range fuzzFoldQueries {
 		f.Add(int64(q)*7919+1, uint16(900+137*q), uint8(q), uint8(q%3))
@@ -200,7 +204,11 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for i := 0; i < rows; i++ {
-			if _, err := tab.AppendRow(fuzzFoldRow(rng, i)); err != nil {
+			row := fuzzFoldRow(rng, i)
+			if rng.Intn(10) == 0 {
+				row[2] = value.NewString("")
+			}
+			if _, err := tab.AppendRow(row); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -208,22 +216,43 @@ func FuzzBatchFoldEquivalence(f *testing.F) {
 		p := []int{1, 2, 8}[int(par)%3]
 
 		e := New(cat)
-		UseReference(e, true)
-		ref, refErr := e.ExecSQLCtxP(context.Background(), sql, 1)
-		UseReference(e, false)
-		got, gotErr := e.ExecSQLCtxP(context.Background(), sql, p)
+		compare := func(step string) {
+			UseReference(e, true)
+			ref, refErr := e.ExecSQLCtxP(context.Background(), sql, 1)
+			UseReference(e, false)
+			got, gotErr := e.ExecSQLCtxP(context.Background(), sql, p)
 
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: scalar err=%v, batch P=%d err=%v", sql, refErr, p, gotErr)
-		}
-		if refErr != nil {
-			if refErr.Error() != gotErr.Error() {
-				t.Fatalf("%s: scalar error %q, batch P=%d error %q", sql, refErr, p, gotErr)
+			if (refErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s, %s: scalar err=%v, batch P=%d err=%v", sql, step, refErr, p, gotErr)
 			}
-			return
+			if refErr != nil {
+				if refErr.Error() != gotErr.Error() {
+					t.Fatalf("%s, %s: scalar error %q, batch P=%d error %q", sql, step, refErr, p, gotErr)
+				}
+				return
+			}
+			if diff := fuzzResultDiff(ref, got); diff != "" {
+				t.Fatalf("%s, %s: batch P=%d diverges from scalar: %s", sql, step, p, diff)
+			}
 		}
-		if diff := fuzzResultDiff(ref, got); diff != "" {
-			t.Fatalf("%s: batch P=%d diverges from scalar: %s", sql, p, diff)
+		compare("as loaded")
+
+		fresh := func() string { return fmt.Sprint("new-", rng.Intn(1000)) }
+		for k := rng.Intn(40); k > 0; k-- {
+			row := fuzzFoldRow(rng, rows+k)
+			row[2], row[7] = value.NewString(fresh()), value.NewString(fresh())
+			if _, err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
 		}
+		tab.TruncateTo(rows)
+		mustExec(t, e, fmt.Sprintf("INSERT INTO f VALUES (%d, 1, '%s', 5, 1.5, TRUE, 1, ''), (NULL, 2, '', NULL, NULL, NULL, 2, '%s'), (3, 0, NULL, -2, 0.5, FALSE, 3, NULL)",
+			rng.Intn(5), fresh(), fresh()))
+		mustExec(t, e, fmt.Sprintf("UPDATE f SET d3 = '%s' WHERE d1 = %d", fresh(), rng.Intn(5)))
+		mustExec(t, e, fmt.Sprintf("UPDATE f SET s = '%s', d3 = NULL WHERE a = %d", fresh(), rng.Intn(41)-20))
+		compare("after appends, a rollback and updates")
+
+		mustExec(t, e, fmt.Sprintf("DELETE FROM f WHERE d2 = %d OR d3 = ''", rng.Intn(3)))
+		compare("after a delete")
 	})
 }

@@ -666,9 +666,11 @@ func applySel(tab *storage.Table, p expr.Expr, sel []int32) []int32 {
 }
 
 // eqSel is the column = constant kernel. Typed loops over the raw vector and
-// the NULL bitmap cover same-kind int/string/bool compares; everything else
-// (floats, cross-kind) goes through per-row SQLEqual, which is still
-// error-free and bit-identical to the prepared comparison's Eval.
+// the NULL bitmap cover same-kind int/string/bool compares — a string
+// constant as its code, looked up once: one the dictionary lacks selects
+// nothing, without a scan; everything else (floats, cross-kind) goes through
+// per-row SQLEqual, which is still error-free and bit-identical to the
+// prepared comparison's Eval.
 func eqSel(tab *storage.Table, col int, val value.Value, sel []int32) []int32 {
 	c := tab.Column(col)
 	switch k := val.Kind(); {
@@ -678,7 +680,11 @@ func eqSel(tab *storage.Table, col int, val value.Value, sel []int32) []int32 {
 	case k == value.KindInt:
 		return eqKernel(c.Ints, c.Nulls, val.Int(), sel)
 	case k == value.KindString:
-		return eqKernel(c.Strs, c.Nulls, val.Str(), sel)
+		code, ok := c.Dict.Code(val.Str())
+		if !ok {
+			return sel[:0]
+		}
+		return eqKernel(c.Codes, c.Nulls, code, sel)
 	case k == value.KindBool:
 		return eqKernel(c.Bools, c.Nulls, val.Bool(), sel)
 	}

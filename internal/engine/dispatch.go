@@ -155,9 +155,17 @@ func (f *armFamily) lookup(consts []value.Value) (entry int32, fresh bool) {
 	}
 	key, mask := make([]int64, len(consts)), uint8(0)
 	for k, v := range consts {
-		if v.IsNull() {
+		switch {
+		case v.IsNull():
 			mask |= 1 << k
-		} else {
+		case v.Kind() == value.KindString:
+			// A string the column's dictionary lacks is on no row, and no code
+			// is negative.
+			code, ok := f.keys.ints[k].dict.Code(v.Str())
+			if key[k] = int64(code); !ok {
+				key[k] = -1
+			}
+		default:
 			key[k] = v.Int()
 		}
 	}

@@ -234,20 +234,65 @@ type foldInput struct {
 }
 
 // keyCols is how a fold reads one key tuple off a tuple — its group key, or
-// the columns an arm family tests. When every component is a bare INTEGER
-// column (≤ maxIntKeys) the tuple is read straight from the raw vectors and
-// NULL bitmaps (ints) into the group table's fixed-width keys; otherwise
-// each is boxed (in) and encoded with value.AppendKey.
+// the columns an arm family tests. When every component is a bare INTEGER or
+// VARCHAR column (≤ maxIntKeys) the tuple is read straight from the raw
+// vectors — a string as its code — and NULL bitmaps (ints) into the group
+// table's fixed-width keys; otherwise each is boxed (in) and encoded with
+// value.AppendKey.
 type keyCols struct {
 	in   []foldInput
 	ints []intCol
 }
 
-// intCol is INTEGER column col of table t as fixed-width keys read it.
+// intCol is column col of table t as fixed-width keys read it: an INTEGER
+// column's values, or a VARCHAR column's codes in dict — one string, one
+// code, so codes group as the strings do.
 type intCol struct {
 	vals   []int64
+	codes  []int32
+	dict   *storage.Dict
 	nulls  storage.NullBitmap
+	typ    storage.ColumnType
 	t, col int
+}
+
+// at is the key component of row r, which is not NULL.
+func (c *intCol) at(r int32) int64 {
+	if c.codes != nil {
+		return int64(c.codes[r])
+	}
+	return c.vals[r]
+}
+
+// readCells folds component c of each tuple's key — the value at its row,
+// of an INTEGER column or a VARCHAR column's codes — into its direct-route
+// cell. A value outside the bounds makes the cell t.cells, past every cell of
+// the directory, and every later component keeps it there.
+func readCells[T int32 | int64](t *groupTable, c int, vals []T, nulls storage.NullBitmap, rows []int32, cells []int32) {
+	span, out := t.span[c], uint64(t.cells)
+	for i, r := range rows {
+		d := uint64(0)
+		if !nulls.Get(int(r)) {
+			var in bool
+			if d, in = t.digit(c, int64(vals[r])); !in {
+				d = out
+			}
+		}
+		cells[i] = int32(min(uint64(cells[i])*span+d, out))
+	}
+}
+
+// readKeys writes component c of each tuple's hash-route key, which with its
+// NULL mask after it takes width+1 slots of keys: the value at its row, or 0
+// and the mask bit for a NULL.
+func readKeys[T int32 | int64](c, width int, vals []T, nulls storage.NullBitmap, rows []int32, keys []int64) {
+	for i, r := range rows {
+		if at := i * (width + 1); nulls.Get(int(r)) {
+			keys[at+width] |= 1 << c
+		} else {
+			keys[at+c] = int64(vals[r])
+		}
+	}
 }
 
 // The kernels of foldWorker.advance.
@@ -311,8 +356,8 @@ func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 
 // planDirect puts a fixed-width key on the direct route when its columns'
 // ranges (storage.Table.IntRange: every row of the table, so every tuple the
-// fold can meet) make a directory of at most directCells cells for the
-// fold's input.
+// fold can meet; a VARCHAR column's dictionary) make a directory of at most
+// directCells cells for the fold's input.
 func (op *foldOp) planDirect() {
 	n := len(op.keys.ints)
 	if n == 0 {
@@ -354,7 +399,11 @@ func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 	var kc keyCols
 	for _, e := range exprs {
 		t, col, ok := op.column(e)
-		if !ok || len(exprs) > maxIntKeys || op.pipe.tabs[t].Schema()[col].Type != storage.TypeInt {
+		var typ storage.ColumnType
+		if ok {
+			typ = op.pipe.tabs[t].Schema()[col].Type
+		}
+		if !ok || len(exprs) > maxIntKeys || typ != storage.TypeInt && typ != storage.TypeString {
 			kc = keyCols{in: make([]foldInput, len(exprs))}
 			for i, e := range exprs {
 				kc.in[i] = op.input(e)
@@ -363,7 +412,7 @@ func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 			return kc
 		}
 		c := op.pipe.tabs[t].Column(col)
-		kc.ints = append(kc.ints, intCol{vals: c.Ints, nulls: c.Nulls, t: t, col: col})
+		kc.ints = append(kc.ints, intCol{vals: c.Ints, codes: c.Codes, dict: c.Dict, nulls: c.Nulls, typ: typ, t: t, col: col})
 	}
 	return kc
 }
@@ -433,8 +482,12 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 	if stage != nil {
 		if err == nil {
 			// The merged table's: a partition forced off the direct route
-			// takes the merge with it.
-			stage.Attr("keys", part.tab.route())
+			// takes the merge with it. A global aggregate probes nothing.
+			route := "none"
+			if len(op.keys.in)+len(op.keys.ints) > 0 {
+				route = part.tab.route()
+			}
+			stage.Attr("keys", route)
 		}
 		if d := op.dispatchAttr(); d != "" {
 			stage.Attr("dispatch", d)
@@ -477,7 +530,8 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 // emit pushes the merged groups into out in id order — first appearance —
 // the key values followed by one result per spec, and returns how many went.
 // They go a batch of ids at a time as columns: a fixed-width key component
-// copied from the group table's integers and masks, a count or the sum or
+// copied from the group table's integers and masks — a VARCHAR one as codes
+// in its column's dictionary — a count or the sum or
 // extreme of a bare numeric column from its cells, a byte-route key, an
 // accumulator's result and any other cell boxed. A batch is about batchSize
 // cells, so a wide fold's batches hold few groups: what the batch and a
@@ -516,10 +570,20 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 			}
 		}
 		for i := 0; i < width; i++ {
-			v := cols[i]
-			v.Resize(storage.TypeInt, bn)
-			for g := range v.Ints {
-				if v.Ints[g] = part.tab.ints[(base+g)*width+i]; part.tab.masks[base+g]>>i&1 != 0 {
+			v, col, keys := cols[i], &op.keys.ints[i], part.tab.ints[base*width+i:]
+			v.Resize(col.typ, bn)
+			if col.typ == storage.TypeString {
+				v.Dict = col.dict
+				for g := range v.Codes {
+					v.Codes[g] = int32(keys[g*width])
+				}
+			} else {
+				for g := range v.Ints {
+					v.Ints[g] = keys[g*width]
+				}
+			}
+			for g, mask := range part.tab.masks[base : base+bn] {
+				if mask>>i&1 != 0 {
 					v.SetNull(g)
 				}
 			}
@@ -753,75 +817,126 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 		clear(ids[lo:hi]) // the global aggregate's one group
 		return nil
 	}
-	var tuple [maxIntKeys]int64
-	var rows [maxIntKeys][]int32 // per fixed-width component, its table's ids
-	key := tuple[:t.width]
-	for c, col := range kc.ints {
-		rows[c] = b.ids[col.t]
+	if t.width > 0 {
+		return w.resolveFixed(kc, t, b, lo, hi, ids, groups)
 	}
 	for k := lo; k < hi; k++ {
-		// The direct route: the cell straight off the columns, and a hit is
-		// one load. A key out of bounds goes through lookupKey.
-		cell, in := uint64(0), t.dir != nil
-		for c := 0; in && c < len(kc.ints); c++ {
-			col, r, d := &kc.ints[c], rows[c][k], uint64(0)
-			if !col.nulls.Get(int(r)) {
-				d, in = t.digit(c, col.vals[r])
-			}
-			cell = cell*t.span[c] + d
-		}
-		if in {
-			if id := t.dir[cell]; id != 0 || !groups {
-				ids[k] = id - 1
-				continue
-			}
-		}
-		var fresh bool
-		if t.width > 0 {
-			mask := uint8(0)
-			for c, col := range kc.ints {
-				r := rows[c][k]
-				if key[c] = col.vals[r]; col.nulls.Get(int(r)) {
-					key[c], mask = 0, mask|1<<c
-				}
-			}
-			if in {
-				ids[k], fresh = t.add(int(cell), key, mask), true
+		buf := w.keyBuf[:0]
+		for i := range kc.in {
+			var v value.Value
+			if in := &kc.in[i]; in.get != nil {
+				v = in.get(int(b.ids[in.t][k]))
+			} else if x, err := in.e.Eval(b.row(k)); err != nil {
+				return err
 			} else {
-				ids[k], fresh = t.lookupKey(key, mask, groups)
+				v = x
 			}
-		} else {
-			buf := w.keyBuf[:0]
-			for i := range kc.in {
-				var v value.Value
-				if in := &kc.in[i]; in.get != nil {
-					v = in.get(int(b.ids[in.t][k]))
-				} else if x, err := in.e.Eval(b.row(k)); err != nil {
-					return err
-				} else {
-					v = x
-				}
-				if buf = value.AppendKey(buf, v); groups {
-					w.keyVals[i] = v
-				}
+			if buf = value.AppendKey(buf, v); groups {
+				w.keyVals[i] = v
 			}
-			w.keyBuf = buf
-			ids[k], fresh = t.lookupBytes(t.hashBytes(buf), buf, groups)
 		}
-		if fresh {
-			// Group creation is the unbounded allocation; charge it. Groups
-			// shared across partitions are counted once per partition, which
-			// over-approximates — a budget, not an exact census.
-			err := w.gov.addGroups(1)
-			if err == nil {
-				err = w.part.addGroup(w.keyVals)
-			}
-			if err != nil {
+		w.keyBuf = buf
+		id, fresh := t.lookupBytes(t.hashBytes(buf), buf, groups)
+		if ids[k] = id; fresh {
+			if err := w.charge(); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// resolveFixed is resolve for a fixed-width key. The batch is read one
+// component at a time, through a loop typed for its column — an INTEGER
+// column's values or a VARCHAR column's codes. On the direct route that pass
+// leaves each tuple's cell in ids, until its id replaces it: a hit is one
+// load, and a miss — a new group, or a key out of bounds — reads its key off
+// the columns (intCol.at) for lookupKey.
+func (w *foldWorker) resolveFixed(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
+	if t.dir == nil {
+		return w.resolveHash(kc, t, b, lo, hi, ids, groups)
+	}
+	cells := ids[lo:hi]
+	clear(cells)
+	for c := range kc.ints {
+		if col, rows := &kc.ints[c], b.ids[kc.ints[c].t][lo:hi]; col.codes != nil {
+			readCells(t, c, col.codes, col.nulls, rows, cells)
+		} else {
+			readCells(t, c, col.vals, col.nulls, rows, cells)
+		}
+	}
+	var tuple [maxIntKeys]int64
+	for k := lo; k < hi; k++ {
+		// A move to the hash route — an out-of-bounds key inserted — takes
+		// the rest of the batch with it.
+		if cell := ids[k]; t.dir != nil && int(cell) < t.cells {
+			if id := t.dir[cell]; id != 0 || !groups {
+				ids[k] = id - 1
+				continue
+			}
+		}
+		key, mask := tuple[:t.width], uint8(0)
+		for c := range kc.ints {
+			if col, r := &kc.ints[c], b.ids[kc.ints[c].t][k]; col.nulls.Get(int(r)) {
+				mask |= 1 << c
+				key[c] = 0
+			} else {
+				key[c] = col.at(r)
+			}
+		}
+		id, fresh := t.lookupKey(key, mask, groups)
+		if ids[k] = id; fresh {
+			if err := w.charge(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// hashChunk is how many tuples resolveHash reads keys for at a time, into a
+// buffer in its frame.
+const hashChunk = 128
+
+// resolveHash is resolveFixed on the hash route: hashChunk tuples at a time,
+// the keys and NULL masks read a component at a time, then looked up tuple by
+// tuple.
+func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
+	var buf [hashChunk * (maxIntKeys + 1)]int64
+	width := t.width
+	for ; lo < hi; lo += hashChunk {
+		n := min(hi-lo, hashChunk)
+		keys := buf[:n*(width+1)]
+		clear(keys)
+		for c := range kc.ints {
+			if col, rows := &kc.ints[c], b.ids[kc.ints[c].t][lo:lo+n]; col.codes != nil {
+				readKeys(c, width, col.codes, col.nulls, rows, keys)
+			} else {
+				readKeys(c, width, col.vals, col.nulls, rows, keys)
+			}
+		}
+		for i := range n {
+			key := keys[i*(width+1) : (i+1)*(width+1)]
+			id, fresh := t.lookupKey(key[:width], uint8(key[width]), groups)
+			if ids[lo+i] = id; fresh {
+				if err := w.charge(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// charge accounts for a group the worker's partition just made. Group
+// creation is the unbounded allocation. Groups shared across partitions are
+// counted once per partition, which over-approximates — a budget, not an
+// exact census.
+func (w *foldWorker) charge() error {
+	if err := w.gov.addGroups(1); err != nil {
+		return err
+	}
+	return w.part.addGroup(w.keyVals)
 }
 
 // advance is the kernel call: it adds tuples [lo, hi) of the batch, whose

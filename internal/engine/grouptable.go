@@ -10,8 +10,9 @@ import (
 // order: the group table of a fold partition, and — built once at plan time
 // and only read afterwards — the constant-tuple table of an arm family
 // (dispatch.go). Keys live in flat per-id arrays under one of two encodings:
-// width > 0 is fixed-width, width int64s plus a NULL mask per key (a NULL
-// component is stored as 0 with its mask bit set); width 0 keeps the
+// width > 0 is fixed-width, width int64s — INTEGER values, or VARCHAR codes,
+// one per string — plus a NULL mask per key (a NULL component is stored as 0
+// with its mask bit set); width 0 keeps the
 // value.AppendKey bytes of every key back to back in one arena. Either way
 // two tuples get one id exactly when their AppendKey encodings are equal, so
 // grouping matches the reference fold.

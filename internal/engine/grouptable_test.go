@@ -226,6 +226,119 @@ func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[str
 	}
 }
 
+// checkDictKeys runs fixed-width keys of w dictionary-coded VARCHAR
+// components — codes read off a table's columns, as the fold reads them —
+// through checkIDs on the hash route and on the direct route its IntRange
+// bounds lay out, and checks that the ids group the rows exactly as their
+// strings do: NULL apart from the empty string, repeats together. Between
+// rounds the dictionaries move the ways a table moves them: rows of new
+// strings appended, an UPDATE (and its rollback), a DELETE that leaves
+// strings no row has, and appends rolled back by TruncateTo.
+func checkDictKeys(t *testing.T, rng *rand.Rand, w, count int) {
+	t.Helper()
+	sch := make(storage.Schema, w)
+	for c := range sch {
+		sch[c] = storage.ColumnDef{Name: fmt.Sprint("k", c), Type: storage.TypeString}
+	}
+	tab, err := storage.NewTable("k", sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	palette := []string{"", "a", "b", "ab", "a\x00", "é", "B"}
+	cell := func() value.Value {
+		switch v := rng.Intn(len(palette) + 3); {
+		case v == len(palette):
+			return value.Null
+		case v > len(palette):
+			return value.NewString(fmt.Sprint("new-", rng.Intn(12)))
+		default:
+			return value.NewString(palette[v])
+		}
+	}
+	appendRows := func(n int) {
+		row := make([]value.Value, w)
+		for ; n > 0; n-- {
+			for c := range row {
+				row[c] = cell()
+			}
+			if _, err := tab.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendRows(count)
+	for round := 0; round < 4; round++ {
+		switch round {
+		case 1:
+			appendRows(count / 4)
+			u := tab.BeginUpdate()
+			for k := 0; k < count/8; k++ {
+				if err := u.Set(rng.Intn(tab.NumRows()), rng.Intn(w), cell()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rng.Intn(2) == 0 {
+				u.Rollback()
+			}
+		case 2:
+			var drop []int32
+			for r := 0; r < tab.NumRows(); r++ {
+				if rng.Intn(3) == 0 {
+					drop = append(drop, int32(r))
+				}
+			}
+			tab = tab.Without(drop)
+		case 3:
+			n := tab.NumRows()
+			appendRows(count / 4)
+			tab.TruncateTo(n)
+		}
+		keys, strs := make([]fuzzKey, tab.NumRows()), make([]string, tab.NumRows())
+		lo, hi := make([]int64, w), make([]int64, w)
+		for c := 0; c < w; c++ {
+			col := tab.Column(c)
+			var ok bool
+			if lo[c], hi[c], ok = tab.IntRange(c); !ok {
+				lo[c], hi[c] = 0, -1
+			}
+			for r := range keys {
+				if c == 0 {
+					keys[r].ints = make([]int64, w)
+				}
+				if col.Null(r) {
+					keys[r].mask |= 1 << c
+					strs[r] += "N|"
+				} else {
+					keys[r].ints[c] = int64(col.Codes[r])
+					strs[r] += fmt.Sprintf("%q|", col.Value(r).Str())
+				}
+			}
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		routes := []func() *groupTable{func() *groupTable { return &groupTable{width: w} }}
+		if b, ok := planBounds(lo, hi, 1<<20); ok { // too many cells for a wide key
+			routes = append(routes, func() *groupTable { t := newGroupTable(w, &b); return &t })
+		}
+		for _, newTable := range routes {
+			one, _ := checkIDs(t, rng, keys, newTable)
+			byStr := map[string]int32{}
+			for r, k := range keys {
+				id, _ := k.lookup(one, false)
+				if want, seen := byStr[strs[r]]; !seen {
+					byStr[strs[r]] = id
+				} else if id != want {
+					t.Fatalf("round %d, %s route: row %d (%s) has id %d, an earlier row of its strings %d", round, one.route(), r, strs[r], id, want)
+				}
+			}
+			if len(byStr) != one.len() {
+				t.Fatalf("round %d, %s route: %d ids for %d distinct string tuples", round, one.route(), one.len(), len(byStr))
+			}
+		}
+	}
+}
+
 // FuzzGroupTable checks both fixed-width routes and the byte route against a
 // Go map (checkIDs). The hash route takes keys that stress a probe — the
 // counts force at least four doublings of the index, and with every hash
@@ -234,7 +347,8 @@ func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[str
 // bounds, and then one outside them: a find of it is -1 and leaves the table
 // direct, an insert moves the table to the hash route with every earlier id
 // kept, and a direct partition absorbing a moved one follows it there. Bounds
-// with an int64 extreme in one component never make a directory.
+// with an int64 extreme in one component never make a directory. Keys of
+// dictionary-coded VARCHAR components take both routes too (checkDictKeys).
 func FuzzGroupTable(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint8(0), false)
 	f.Add(int64(2), uint16(900), uint8(1), false)
@@ -261,6 +375,7 @@ func FuzzGroupTable(f *testing.F) {
 		if w == 0 {
 			return
 		}
+		checkDictKeys(t, rng, w, count)
 
 		b, lo, hi := fuzzBounds(t, rng, w)
 		keys := fuzzBoundedKeys(rng, lo, hi, count)

@@ -66,9 +66,10 @@ func (c *rowCharge) addCols(cols []*storage.Vector, n, fill int) error {
 				}
 			}
 		case v.Type == storage.TypeString:
-			for k, s := range v.Strs[:n] {
+			strs := v.Dict.Strs()
+			for k, c := range v.Codes[:n] {
 				if !v.Null(k) {
-					bytes += int64(len(s))
+					bytes += int64(len(strs[c]))
 				}
 			}
 		}
@@ -142,8 +143,11 @@ func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 				block[k*w+j] = value.NewFloat(x)
 			}
 		case v.Type == storage.TypeString:
-			for k, x := range v.Strs[:n] {
-				block[k*w+j] = value.NewString(x)
+			strs := v.Dict.Strs()
+			for k, c := range v.Codes[:n] {
+				if !v.Nulls.Get(k) { // a NULL cell's code may have no string
+					block[k*w+j] = value.NewString(strs[c])
+				}
 			}
 		default:
 			for k, x := range v.Bools[:n] {

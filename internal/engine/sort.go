@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -14,13 +16,15 @@ import (
 // row ids of a stored table, all of them or the ones a filter selected, or
 // the positions of collected columns — and the consumer walks the result.
 // Over a stored table the row ids are sorted before anything is projected
-// (select.go). When every key is an INTEGER or BOOLEAN column and there are
-// packMin positions or more, the keys of a row are packed, most significant
-// first, above its position into one uint64
-// — a key's code is its offset in the column's range, 0 for NULL,
-// complemented for DESC — and the packed words are radix-sorted on the key
-// bits; otherwise one comparator per key reads the typed vector and the NULL
-// bitmap (value.Compare over a boxed one). Every route gives value.Compare's order
+// (select.go). A VARCHAR key compares ranks: the distinct strings of the
+// codes the sort's positions hold, sorted once per sort. When every key is an
+// INTEGER, BOOLEAN or VARCHAR column and there are packMin positions or more,
+// the keys of a row are packed, most significant first, above its position
+// into one uint64 — a key's code is its offset in the column's range, or its
+// rank, 0 for NULL, complemented for DESC — and the packed words are
+// radix-sorted on the key bits; otherwise
+// one comparator per key reads the typed vector and the NULL bitmap
+// (value.Compare over a boxed one). Every route gives value.Compare's order
 // — NULL first, then by value — and breaks ties by input position, which is
 // the stable sort's result whenever the order is a strict weak one. It is not
 // on NaN (value.Compare calls NaN equal to everything): the order of a REAL
@@ -28,13 +32,19 @@ import (
 
 // sortKey orders input positions under one ORDER BY key: cmp compares two,
 // and for an INTEGER or BOOLEAN column the cells (one of ints and bools) and
-// the NULL bitmap are what the packed route reads instead.
+// the NULL bitmap are what the packed route reads instead. A VARCHAR column's
+// key holds its codes and their strings; sortPerm ranks them (rankCodes), and
+// sets cmp.
 type sortKey struct {
 	cmp   func(a, b int32) int
 	desc  bool
 	ints  []int64
 	bools []bool
 	nulls storage.NullBitmap
+	codes []int32
+	strs  []string
+	rank  []int32 // per code the sort meets, its string's rank among theirs
+	ranks int     // how many distinct strings the sort meets
 }
 
 // positions returns [0, n): the input of a sort over every row.
@@ -52,6 +62,11 @@ const packMin = 256
 // sortPerm puts ids, ascending input positions, in the order the keys give
 // them, in place: packed where the keys allow, by comparator otherwise.
 func sortPerm(ids []int32, keys []sortKey) {
+	for i := range keys {
+		if keys[i].cmp == nil {
+			keys[i].rankCodes(ids)
+		}
+	}
 	if len(ids) >= packMin && packedSort(ids, keys) {
 		return
 	}
@@ -76,7 +91,7 @@ func packedSort(ids []int32, keys []sortKey) bool {
 		return true
 	}
 	for _, k := range keys {
-		if k.ints == nil && k.bools == nil {
+		if k.ints == nil && k.bools == nil && k.rank == nil {
 			return false
 		}
 	}
@@ -94,6 +109,8 @@ func packedSort(ids []int32, keys []sortKey) bool {
 		switch {
 		case k.bools != nil:
 			hi = 1
+		case k.rank != nil:
+			hi = max(int64(k.ranks)-1, 0)
 		default:
 			seen := false
 			for _, r := range ids {
@@ -124,6 +141,8 @@ func packedSort(ids []int32, keys []sortKey) bool {
 			var code uint64 // NULL
 			switch {
 			case k.nulls.Get(int(r)):
+			case k.rank != nil:
+				code = uint64(k.rank[k.codes[r]]) + 1
 			case k.bools == nil:
 				code = uint64(k.ints[r]) - uint64(s.lo) + 1
 			case k.bools[r]:
@@ -186,11 +205,31 @@ func nullsFirst(aNull, bNull bool) int {
 	return 1
 }
 
-// vectorCmp compares row ids of one typed column vector. A column without a
-// NULL — every key a generated plan sorts by — is compared without consulting
-// the bitmap.
-func vectorCmp[T int64 | float64 | string](vals []T, nulls storage.NullBitmap) func(a, b int32) int {
-	byValue := func(a, b int32) int {
+// rankCodes ranks the strings of the codes at the non-NULL positions among
+// ids, once: a code's rank is its string's place among theirs, so comparing
+// ranks compares strings. It costs a sort of the distinct strings met, and a
+// rank array as long as the dictionary.
+func (k *sortKey) rankCodes(ids []int32) {
+	rank := make([]int32, len(k.strs)) // 1 marks a code met, until ranked
+	var met []int32
+	for _, r := range ids {
+		if c := k.codes[r]; !k.nulls.Get(int(r)) && rank[c] == 0 {
+			rank[c] = 1
+			met = append(met, c)
+		}
+	}
+	slices.SortFunc(met, func(a, b int32) int { return strings.Compare(k.strs[a], k.strs[b]) })
+	for i, c := range met {
+		rank[c] = int32(i)
+	}
+	codes := k.codes
+	k.rank, k.ranks = rank, len(met)
+	k.cmp = byValue(k.nulls, func(a, b int32) int { return cmp.Compare(rank[codes[a]], rank[codes[b]]) })
+}
+
+// vectorCmp compares row ids of one typed column vector.
+func vectorCmp[T int64 | float64](vals []T, nulls storage.NullBitmap) func(a, b int32) int {
+	return byValue(nulls, func(a, b int32) int {
 		switch x, y := vals[a], vals[b]; {
 		case x < y:
 			return -1
@@ -198,15 +237,21 @@ func vectorCmp[T int64 | float64 | string](vals []T, nulls storage.NullBitmap) f
 			return 1
 		}
 		return 0
-	}
+	})
+}
+
+// byValue orders row ids NULL first, and two non-NULL ones by by. A column
+// without a NULL — every key a generated plan sorts by — is compared without
+// consulting the bitmap.
+func byValue(nulls storage.NullBitmap, by func(a, b int32) int) func(a, b int32) int {
 	if !slices.ContainsFunc(nulls, func(w uint64) bool { return w != 0 }) {
-		return byValue
+		return by
 	}
 	return func(a, b int32) int {
 		if an, bn := nulls.Get(int(a)), nulls.Get(int(b)); an || bn {
 			return nullsFirst(an, bn)
 		}
-		return byValue(a, b)
+		return by(a, b)
 	}
 }
 
@@ -222,7 +267,7 @@ func columnKey(c *storage.Vector, desc bool) sortKey {
 	case c.Type == storage.TypeFloat:
 		k.cmp = vectorCmp(c.Flts, c.Nulls)
 	case c.Type == storage.TypeString:
-		k.cmp = vectorCmp(c.Strs, c.Nulls)
+		k.codes, k.strs = c.Codes, c.Dict.Strs()
 	default:
 		k.bools = c.Bools
 		k.cmp = func(a, b int32) int { return value.Compare(c.Value(int(a)), c.Value(int(b))) }

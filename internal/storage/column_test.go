@@ -116,7 +116,7 @@ func TestAppendVectorsUnalignedNulls(t *testing.T) {
 	for r := 0; r < want.NumRows(); r++ {
 		model = append(model, want.Row(r, nil))
 	}
-	if got.Column(1).Flts[105] != -5 || got.Column(2).Strs[110] != "b10" { // floateq:ok exact small integer
+	if got.Column(1).Flts[105] != -5 || got.Column(2).Value(110).Str() != "b10" { // floateq:ok exact small integer
 		t.Errorf("conversions: %v", got.Row(105, nil))
 	}
 	sameRows(t, got, model)

@@ -196,7 +196,9 @@ func (t *Table) Reserve(n int) {
 // count — the rollback half of the engine's statement-atomic INSERT (append
 // under a savepoint, truncate back on failure). Only the discarded rows'
 // index entries are removed, newest first, so the cost is O(discarded rows)
-// whatever the table holds. A count at or beyond the current size is a no-op.
+// whatever the table holds, and a VARCHAR column the discarded rows left with
+// a dictionary out of proportion is coded anew (Vector.compact). A count at
+// or beyond the current size is a no-op.
 func (t *Table) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
@@ -209,6 +211,7 @@ func (t *Table) TruncateTo(n int) {
 	}
 	for i := range t.cols {
 		t.cols[i].truncate(n)
+		t.cols[i].compact()
 	}
 	t.nrows = n
 	t.bumpEpoch()
@@ -313,8 +316,16 @@ type undoCell struct {
 	old      value.Value
 }
 
-// BeginUpdate opens an undo record on the table as it stands.
-func (t *Table) BeginUpdate() *Undo { return &Undo{t: t, epoch: t.Epoch()} }
+// BeginUpdate opens an undo record on the table as it stands. Before the
+// statement reads a row, a VARCHAR column whose dictionary earlier UPDATEs
+// left out of proportion is coded anew (Vector.compact): its cells, and so
+// the epoch, are unchanged.
+func (t *Table) BeginUpdate() *Undo {
+	for i := range t.cols {
+		t.cols[i].compact()
+	}
+	return &Undo{t: t, epoch: t.Epoch()}
+}
 
 // Set logs the cell at (row, col) and overwrites it with v, moving the row's
 // entry in an index only when col is one of its keys. A value the column
@@ -427,12 +438,19 @@ func (t *Table) Truncate() {
 // it is a snapshot of the rows present when it was read.
 func (t *Table) Column(col int) *Vector { return &t.cols[col] }
 
-// IntRange returns the least and greatest non-NULL value of column col; ok is
-// false when there is none — no rows, only NULLs — or the column is not
-// INTEGER. The answer costs one scan at most once per epoch: it is cached on
-// the table under the epoch it was computed at, so every later call until the
-// next row mutation reads the cache. Safe for concurrent readers.
+// IntRange returns the least and greatest non-NULL value of an INTEGER column
+// col, or the range [0, Len()) of a VARCHAR column's dictionary, which holds
+// every cell's code; ok is false when there is none — no rows, only NULLs, an
+// empty dictionary — or the column is of another type. The dictionary's range
+// costs nothing; an INTEGER column's costs one scan at most once per epoch: it
+// is cached on the table under the epoch it was computed at, so every later
+// call until the next row mutation reads the cache. Safe for concurrent
+// readers.
 func (t *Table) IntRange(col int) (lo, hi int64, ok bool) {
+	if c := &t.cols[col]; c.Type == TypeString {
+		n := c.Dict.Len()
+		return 0, int64(n - 1), n > 0
+	}
 	epoch := t.Epoch()
 	t.rangeMu.Lock()
 	defer t.rangeMu.Unlock()
@@ -483,12 +501,12 @@ func (t *Table) CellGetter(col int) func(row int) value.Value {
 			return value.NewFloat(flts[r])
 		}
 	case TypeString:
-		strs := c.Strs
+		codes, strs := c.Codes, c.Dict.Strs()
 		return func(r int) value.Value {
 			if nulls.Get(r) {
 				return value.Null
 			}
-			return value.NewString(strs[r])
+			return value.NewString(strs[codes[r]])
 		}
 	default:
 		bools := c.Bools

@@ -236,14 +236,14 @@ func TestRawColumnAccessors(t *testing.T) {
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.NewInt(5)})
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.Null})
 	c := tb.Column(2)
-	if c.Type != TypeInt || c.Boxed || len(c.Ints) != 2 || c.Ints[0] != 5 || len(c.Flts)+len(c.Strs)+len(c.Bools) != 0 {
+	if c.Type != TypeInt || c.Boxed || len(c.Ints) != 2 || c.Ints[0] != 5 || len(c.Flts)+len(c.Codes)+len(c.Bools) != 0 {
 		t.Fatalf("Column(2) = %+v", c)
 	}
 	if c.Nulls.Get(0) || !c.Nulls.Get(1) || c.Null(0) || !c.Null(1) {
 		t.Error("null bitmap wrong")
 	}
-	if s := tb.Column(0); s.Type != TypeString || len(s.Strs) != 2 || len(s.Nulls) != 0 {
-		t.Errorf("Column(0) = %+v, want two VARCHAR cells and no NULL word", s)
+	if s := tb.Column(0); s.Type != TypeString || len(s.Codes) != 2 || s.Codes[1] != 0 || s.Dict.Len() != 1 || len(s.Nulls) != 0 {
+		t.Errorf("Column(0) = %+v, want two VARCHAR cells of one code and no NULL word", s)
 	}
 }
 

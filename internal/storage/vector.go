@@ -11,33 +11,37 @@ import (
 // Vector is the one typed column: a table stores each of its columns as one,
 // and a batch of rows in flight between operators carries one per column.
 // The cells of one column type sit in the typed slice for it with the NULL
-// bitmap beside them — or, Boxed, a batch's cells of whatever kind an
-// expression evaluated to sit in Vals. A producer sizes a batch vector with
-// Resize or ResizeBoxed, which keep the buffers, so a statement allocates
-// each vector once; a consumer reads the first n cells it is told of and
-// nothing after the call that handed it over.
+// bitmap beside them — a VARCHAR cell as its code in Dict — or, Boxed, a
+// batch's cells of whatever kind an expression evaluated to sit in Vals. A
+// producer sizes a batch vector with Resize or ResizeBoxed, which keep the
+// buffers, so a statement allocates each vector once; a consumer reads the
+// first n cells it is told of and nothing after the call that handed it
+// over.
 type Vector struct {
 	Type  ColumnType
 	Boxed bool
 	Ints  []int64
 	Flts  []float64
-	Strs  []string
+	Codes []int32 // VARCHAR: each cell's code in Dict
+	Dict  *Dict
+	owns  bool // Dict is v's to add strings to: no other vector was given it
 	Bools []bool
-	Nulls NullBitmap // a typed vector's NULL cells, whose typed slots mean nothing
+	Nulls NullBitmap // a typed vector's NULL cells, whose typed slots mean nothing (a code 0)
 	Vals  []value.Value
 }
 
 // Resize makes v a typed vector of n cells of typ with no NULL among them;
-// the cells' contents are the caller's to write.
+// the cells' contents are the caller's to write. A VARCHAR vector drops its
+// dictionary: the caller shares one (Gather) or Set codes into a new one.
 func (v *Vector) Resize(typ ColumnType, n int) {
-	v.Type, v.Boxed, v.Nulls = typ, false, v.Nulls[:0]
+	v.Type, v.Boxed, v.Nulls, v.Dict, v.owns = typ, false, v.Nulls[:0], nil, false
 	switch typ {
 	case TypeInt:
 		v.Ints = sized(v.Ints, n)
 	case TypeFloat:
 		v.Flts = sized(v.Flts, n)
 	case TypeString:
-		v.Strs = sized(v.Strs, n)
+		v.Codes = sized(v.Codes, n)
 	case TypeBool:
 		v.Bools = sized(v.Bools, n)
 	}
@@ -63,7 +67,7 @@ func (v *Vector) Len() int {
 	case v.Type == TypeFloat:
 		return len(v.Flts)
 	case v.Type == TypeString:
-		return len(v.Strs)
+		return len(v.Codes)
 	}
 	return len(v.Bools)
 }
@@ -73,7 +77,7 @@ func (v *Vector) Len() int {
 func (v *Vector) SetNull(i int) { v.Nulls.set(i, (v.Len()+63)>>6) }
 
 // Set stores x — NULL, or a value of the vector's type — in cell i of a typed
-// vector.
+// vector; a string as its code (Vector.code).
 func (v *Vector) Set(i int, x value.Value) {
 	switch {
 	case x.IsNull():
@@ -83,7 +87,7 @@ func (v *Vector) Set(i int, x value.Value) {
 	case v.Type == TypeFloat:
 		v.Flts[i] = x.Float()
 	case v.Type == TypeString:
-		v.Strs[i] = x.Str()
+		v.Codes[i] = v.code(x.Str())
 	default:
 		v.Bools[i] = x.Bool()
 	}
@@ -109,9 +113,62 @@ func (v *Vector) Value(i int) value.Value {
 	case v.Type == TypeFloat:
 		return value.NewFloat(v.Flts[i])
 	case v.Type == TypeString:
-		return value.NewString(v.Strs[i])
+		return value.NewString(v.Dict.Str(v.Codes[i]))
 	}
 	return value.NewBool(v.Bools[i])
+}
+
+// code returns the code of s in v's dictionary, adding s if it is new: to a
+// dictionary v owns — a new one when v has none, a copy of the one it shares
+// when it does not own it. So a table's writes never change the dictionary of
+// another table, or of a batch it was filled from.
+func (v *Vector) code(s string) int32 {
+	if !v.owns {
+		if c, ok := v.Dict.Code(s); ok {
+			return c
+		}
+		if v.Dict == nil {
+			v.Dict = new(Dict)
+		} else {
+			v.Dict = v.Dict.clone()
+		}
+		v.owns = true
+	}
+	return v.Dict.intern(s)
+}
+
+// Strings returns a VARCHAR vector of strs, coded into a new dictionary.
+func Strings(strs []string) *Vector {
+	v := &Vector{Type: TypeString, Codes: make([]int32, len(strs))}
+	for r, s := range strs {
+		v.Codes[r] = v.code(s)
+	}
+	return v
+}
+
+// compact codes a VARCHAR vector anew, into a dictionary of only the strings
+// its cells hold, when its dictionary holds more than twice as many strings as
+// it has cells, and 64 more: the strings of deleted, overwritten and
+// rolled-back cells, or a large dictionary a small table shares. Run after a
+// DELETE, a rollback and before an UPDATE, it keeps a dictionary within a
+// constant factor of its live rows.
+func (v *Vector) compact() {
+	if v.Type != TypeString || v.Boxed || v.Dict.Len() <= 2*len(v.Codes)+64 {
+		return
+	}
+	strs, codes := v.Dict.Strs(), make([]int32, len(v.Codes))
+	recode := make([]int32, len(strs)) // an old code's new one plus one, 0 while unseen
+	d := new(Dict)
+	for r, c := range v.Codes {
+		if v.Nulls.Get(r) {
+			continue
+		}
+		if recode[c] == 0 {
+			recode[c] = d.intern(strs[c]) + 1
+		}
+		codes[r] = recode[c] - 1
+	}
+	v.Codes, v.Dict, v.owns = codes, d, true
 }
 
 // put stores x — NULL, or a value that fits the vector's type — in cell r of
@@ -130,11 +187,11 @@ func (v *Vector) put(r int, x value.Value) error {
 		f, _ := x.AsFloat()
 		v.Flts = cell(v.Flts, r, f)
 	case TypeString:
-		var s string
+		var c int32
 		if !null {
-			s = x.Str()
+			c = v.code(x.Str())
 		}
-		v.Strs = cell(v.Strs, r, s)
+		v.Codes = cell(v.Codes, r, c)
 	case TypeBool:
 		v.Bools = cell(v.Bools, r, !null && x.Bool())
 	}
@@ -163,7 +220,7 @@ func (v *Vector) reserve(n int) {
 	case TypeFloat:
 		v.Flts = slices.Grow(v.Flts, n)
 	case TypeString:
-		v.Strs = slices.Grow(v.Strs, n)
+		v.Codes = slices.Grow(v.Codes, n)
 	case TypeBool:
 		v.Bools = slices.Grow(v.Bools, n)
 	}
@@ -179,24 +236,25 @@ func (v *Vector) truncate(n int) {
 	case TypeFloat:
 		v.Flts = v.Flts[:n]
 	case TypeString:
-		v.Strs = v.Strs[:n]
+		v.Codes = v.Codes[:n]
 	case TypeBool:
 		v.Bools = v.Bools[:n]
 	}
 }
 
 // without returns a copy of the vector less the cells listed, ascending, in
-// drop: the kept runs between them are copied slice to slice, and the NULL
+// drop: the kept runs between them are copied slice to slice — codes under
+// the same dictionary, shared, unless compact codes them anew — and the NULL
 // bits of the kept NULL cells set again.
 func (v *Vector) without(drop []int32) Vector {
-	out, n := Vector{Type: v.Type}, v.Len()-len(drop)
+	out, n := Vector{Type: v.Type, Dict: v.Dict}, v.Len()-len(drop)
 	switch v.Type {
 	case TypeInt:
 		out.Ints = keptRuns(make([]int64, 0, n), v.Ints, drop)
 	case TypeFloat:
 		out.Flts = keptRuns(make([]float64, 0, n), v.Flts, drop)
 	case TypeString:
-		out.Strs = keptRuns(make([]string, 0, n), v.Strs, drop)
+		out.Codes = keptRuns(make([]int32, 0, n), v.Codes, drop)
 	case TypeBool:
 		out.Bools = keptRuns(make([]bool, 0, n), v.Bools, drop)
 	}
@@ -209,6 +267,7 @@ func (v *Vector) without(drop []int32) Vector {
 			out.SetNull(r - d)
 		}
 	})
+	out.compact()
 	return out
 }
 
@@ -238,8 +297,9 @@ func (b NullBitmap) each(n int, f func(r int)) {
 func (t *Table) Gather(col int, ids []int32, v *Vector) { v.Gather(&t.cols[col], ids) }
 
 // Gather fills v with the cells of src at ids, in that order: a typed copy
-// with the NULL bits carried, or the boxed values. An id of -1 — the NULL
-// extension of an outer join's unmatched row — reads as NULL.
+// with the NULL bits carried — VARCHAR codes under src's dictionary — or the
+// boxed values. An id of -1 — the NULL extension of an outer join's unmatched
+// row — reads as NULL.
 func (v *Vector) Gather(src *Vector, ids []int32) {
 	if src.Boxed {
 		v.ResizeBoxed(len(ids))
@@ -254,7 +314,8 @@ func (v *Vector) Gather(src *Vector, ids []int32) {
 	case TypeFloat:
 		outer = gather(v.Flts, src.Flts, ids)
 	case TypeString:
-		outer = gather(v.Strs, src.Strs, ids)
+		v.Dict, v.owns = src.Dict, false
+		outer = gather(v.Codes, src.Codes, ids)
 	case TypeBool:
 		outer = gather(v.Bools, src.Bools, ids)
 	}
@@ -418,7 +479,7 @@ func (v *Vector) appendVector(s *Vector, n int) {
 			v.Flts = appendCells(v.Flts, cells.Flts, n)
 		}
 	case TypeString:
-		v.Strs = appendCells(v.Strs, cells.Strs, n)
+		v.appendCodes(cells, n)
 	case TypeBool:
 		v.Bools = appendCells(v.Bools, cells.Bools, n)
 	}
@@ -428,6 +489,35 @@ func (v *Vector) appendVector(s *Vector, n int) {
 	}
 	for k := 0; k < n; k++ {
 		v.SetNull(base + k)
+	}
+}
+
+// appendCodes appends the first n codes of s under v's dictionary. A vector
+// without one shares s's, not owning it, and codes under it copy as they are.
+// Under another dictionary each code of s is looked up by its string once per
+// call (Vector.code).
+func (v *Vector) appendCodes(s *Vector, n int) {
+	if v.Dict == nil {
+		v.Dict = s.Dict
+	}
+	if s.Dict == nil || s.Dict == v.Dict {
+		v.Codes = appendCells(v.Codes, s.Codes, n) // a vector without a dictionary holds only NULLs
+		return
+	}
+	strs, codes := s.Dict.Strs(), map[int32]int32{}
+	v.Codes = doubled(v.Codes, n)
+	for k, c := range s.Codes[:n] {
+		if !s.Nulls.Get(k) {
+			to, seen := codes[c]
+			if !seen {
+				to = v.code(strs[c])
+				codes[c] = to
+			}
+			c = to
+		} else {
+			c = 0
+		}
+		v.Codes = append(v.Codes, c)
 	}
 }
 

@@ -70,9 +70,14 @@ func (db *DB) Save(w io.Writer) error {
 		}
 		for ci, def := range t.Schema() {
 			c := t.Column(ci)
-			col := snapColumn{Name: def.Name, Type: uint8(def.Type), Ints: c.Ints, Flts: c.Flts, Strs: c.Strs, Bools: c.Bools, Nulls: make([]bool, t.NumRows())}
+			col := snapColumn{Name: def.Name, Type: uint8(def.Type), Ints: c.Ints, Flts: c.Flts, Bools: c.Bools, Nulls: make([]bool, t.NumRows())}
+			if def.Type == storage.TypeString {
+				col.Strs = make([]string, t.NumRows()) // "" under a NULL
+			}
 			for r := range col.Nulls {
-				col.Nulls[r] = c.Nulls.Get(r)
+				if col.Nulls[r] = c.Nulls.Get(r); !col.Nulls[r] && col.Strs != nil {
+					col.Strs[r] = c.Value(r).Str()
+				}
 			}
 			st.Columns = append(st.Columns, col)
 		}
@@ -125,7 +130,10 @@ func (st *snapTable) table() (*storage.Table, error) {
 	schema := make(storage.Schema, len(st.Columns))
 	vecs := make([]*storage.Vector, len(st.Columns))
 	for i, c := range st.Columns {
-		v := &storage.Vector{Type: storage.ColumnType(c.Type), Ints: c.Ints, Flts: c.Flts, Strs: c.Strs, Bools: c.Bools}
+		v := &storage.Vector{Type: storage.ColumnType(c.Type), Ints: c.Ints, Flts: c.Flts, Bools: c.Bools}
+		if v.Type == storage.TypeString {
+			v = storage.Strings(c.Strs)
+		}
 		if v.Len() != st.NumRows || len(c.Nulls) != st.NumRows {
 			return nil, fmt.Errorf("column %q has %d cells and %d NULL flags for %d rows", c.Name, v.Len(), len(c.Nulls), st.NumRows)
 		}
