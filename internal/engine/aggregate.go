@@ -30,13 +30,17 @@ func mergeTypeError(dst, src accumulator) error {
 // does not keep in a cell (planSlot): avg, count(DISTINCT), min and max. A
 // plain sum or count is a cell, and an object only in the reference fold
 // (refAccumulator, oracle_test.go). BY-carrying calls never reach here (the
-// rewriter eliminates them).
-func newAccumulator(call *expr.AggCall) (accumulator, error) {
+// rewriter eliminates them). A count(DISTINCT) set codes its values in dict,
+// its fold partition's, or in one of its own when dict is nil.
+func newAccumulator(call *expr.AggCall, dict *keyDict) (accumulator, error) {
 	if call.Distinct {
 		if call.Fn != expr.AggCount {
 			return nil, fmt.Errorf("engine: DISTINCT is only supported with count()")
 		}
-		return &countDistinctAcc{seen: make(map[string]struct{})}, nil
+		if dict == nil {
+			dict = new(keyDict)
+		}
+		return &countDistinctAcc{set: groupTable{layout: distinctLayout, dict: dict}}, nil
 	}
 	switch call.Fn {
 	case expr.AggAvg:
@@ -150,19 +154,16 @@ func (a *sumAcc) merge(o accumulator) error {
 
 func (a *sumAcc) result() value.Value { return cellResult(expr.AggSum, a.num, a.tag) }
 
-// countDistinctAcc counts distinct non-NULL values.
-type countDistinctAcc struct {
-	seen map[string]struct{}
-	buf  []byte
-}
+// countDistinctAcc counts distinct non-NULL values: the set of their codes
+// (keys.go), on the hash route.
+type countDistinctAcc struct{ set groupTable }
+
+// distinctLayout is a count(DISTINCT) key's: one coded slot.
+var distinctLayout = layout{width: 1, mb: 1, ms: 1, stride: 2, coded: []int{0}}
 
 func (a *countDistinctAcc) add(v value.Value) error {
-	if v.IsNull() {
-		return nil
-	}
-	a.buf = value.AppendKey(a.buf[:0], v)
-	if _, ok := a.seen[string(a.buf)]; !ok {
-		a.seen[string(a.buf)] = struct{}{}
+	if !v.IsNull() {
+		a.set.lookupKey([]int64{a.set.dict.code(v, true), 0}, true)
 	}
 	return nil
 }
@@ -175,13 +176,13 @@ func (a *countDistinctAcc) merge(o accumulator) error {
 	if !ok {
 		return mergeTypeError(a, o)
 	}
-	for k := range b.seen {
-		a.seen[k] = struct{}{}
+	for g := range b.set.len() {
+		a.set.lookupFrom(&b.set, g)
 	}
 	return nil
 }
 
-func (a *countDistinctAcc) result() value.Value { return value.NewInt(int64(len(a.seen))) }
+func (a *countDistinctAcc) result() value.Value { return value.NewInt(int64(a.set.len())) }
 
 // avgAcc averages non-NULL values; empty → NULL.
 type avgAcc struct {

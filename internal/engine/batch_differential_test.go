@@ -368,7 +368,10 @@ func checkKeyRoute(t *testing.T, p *core.Planner, sql string, opts core.Options,
 // takes the direct route, and so do VARCHAR keys, as codes into a small
 // dictionary. A dictionary that outgrows the fold's directory — 100 rows
 // filled from a table of 3 000 strings, whose dictionary they share — takes
-// the hash route, and groups as the oracle does.
+// the hash route, and groups as the oracle does. A BOOLEAN key takes the
+// direct route; a REAL key, whose values have no range, and a computed one,
+// coded with its kind, take the hash route. No fold of any of these statements, nor
+// of the primary queries' plans, reports a route but direct, hash or none.
 func TestFoldKeyRoutes(t *testing.T) {
 	checkKeyRoute(t, primaryPlanner(t), primaryShapes()[7].vpct, core.DefaultOptions(), "direct")
 	checkKeyRoute(t, difftest.GoldenPlanner(t), "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city", core.DefaultOptions(), "direct")
@@ -392,6 +395,40 @@ func TestFoldKeyRoutes(t *testing.T) {
 		t.Error(err)
 	}
 	checkKeyRoute(t, p, sql, core.Options{}, "hash")
+
+	if _, err := p.Eng.ExecSQL("CREATE TABLE r (f REAL, t BOOLEAN, i INTEGER); INSERT INTO r SELECT a / 4.0, CASE WHEN a < 100 THEN NULL ELSE a < 1000 OR a > 2000 END, a FROM b WHERE a < 3000"); err != nil {
+		t.Fatal(err)
+	}
+	routes := []struct{ sql, want string }{
+		{"SELECT f, count(*) FROM r GROUP BY f", "hash"},
+		{"SELECT DISTINCT f, t FROM r", "hash"},
+		{"SELECT t, count(*), sum(i) FROM r GROUP BY t", "direct"},
+		{"SELECT t, i / 600, count(*) FROM r GROUP BY t, 2", "hash"},
+		{"SELECT CASE WHEN t THEN 'y' ELSE 'n' END, count(*) FROM r GROUP BY 1", "hash"},
+	}
+	for _, c := range routes {
+		if err := CompareBatch(p, c.sql, core.Options{}, difftest.Parallelisms); err != nil {
+			t.Error(err)
+		}
+		checkKeyRoute(t, p, c.sql, core.Options{}, c.want)
+	}
+	fixedWidth := func(p *core.Planner, sql string, opts core.Options) {
+		for _, par := range difftest.Parallelisms {
+			for _, sp := range attrSpans(t, p, sql, opts, par, "keys") {
+				if sp.val != "direct" && sp.val != "hash" && sp.val != "none" {
+					t.Errorf("%s: P=%d: %s has keys=%s", sql, par, sp.name, sp.val)
+				}
+			}
+		}
+	}
+	for _, c := range routes {
+		fixedWidth(p, c.sql, core.Options{})
+	}
+	pp := primaryPlanner(t)
+	for _, q := range primaryShapes() {
+		fixedWidth(pp, q.vpct, core.DefaultOptions())
+		fixedWidth(pp, q.hpct, core.Options{})
+	}
 }
 
 // TestDifferentialBatchDirectKeysAfterUpdate: a fold plans its directory over
@@ -516,17 +553,29 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 // fixed-width route: k, whose values differ only above bit 32, the hash
 // route; (u, j), whose directory is just within the cap for 9 000 rows, the
 // direct one, and (o, j), just past it, the hash route again — a window
-// partitioned by (u, j) looks its tuples up in a direct table. A VARCHAR and
-// a computed key take the byte route (the computed one row-major); the Hpct
+// partitioned by (u, j) looks its tuples up in a direct table. A VARCHAR key
+// of 3 100 codes and a computed key, coded with its kind (row-major), take the hash
+// route; the Hpct
 // and Hagg plans dispatch their arms into thousands of groups; HAVING and
 // computed items raise at a group of the second batch of groups, each ahead
 // of the other; b is REAL, in eighths so that any addition order is exact.
+//
+// Every key kind takes a fixed-width route, and each has inputs here: a REAL
+// key f holding 0.0 and -0.0, NaNs of either sign and NULL beside whole
+// numbers, a BOOLEAN key t, computed INTEGER, VARCHAR (a CASE over string
+// constants and s) and mixed-kind (f, or a where f is NULL: 1 beside 1.0)
+// keys, keys of 9 and 65 columns — wider than a direct-route key, repeating
+// columns so that groups repeat — key columns on the NULL-extended side of
+// a LEFT JOIN (a GROUP BY, and a window's PARTITION BY), count(DISTINCT) over REAL, BOOLEAN, VARCHAR and mixed-kind
+// arguments, SELECT DISTINCT over aggregate output of REAL and BOOLEAN
+// columns, and an arm family dispatched over t.
 func TestDifferentialBatchManyGroups(t *testing.T) {
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("g", storage.Schema{
 		{Name: "k", Type: storage.TypeInt}, {Name: "j", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString},
 		{Name: "d", Type: storage.TypeInt}, {Name: "a", Type: storage.TypeInt}, {Name: "b", Type: storage.TypeFloat},
 		{Name: "u", Type: storage.TypeInt}, {Name: "o", Type: storage.TypeInt},
+		{Name: "f", Type: storage.TypeFloat}, {Name: "t", Type: storage.TypeBool},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -535,6 +584,10 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 	// the directory 6·(top + 2) ≤ cap cells; o's one value more, > cap.
 	top := int64(engine.DirectCells(9000)/6 - 2)
 	rng := rand.New(rand.NewSource(3200))
+	negZero, negNaN := math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())|1<<63)
+	reals := []value.Value{value.NewFloat(0), value.NewFloat(negZero), value.NewFloat(math.NaN()), value.NewFloat(1),
+		value.NewFloat(negNaN), value.NewFloat(2), value.NewFloat(1.5), value.Null, value.NewFloat(-3)}
+	bools := []value.Value{value.Null, value.NewBool(true), value.NewBool(false)}
 	for i := 0; i < 9000; i++ {
 		row := []value.Value{
 			value.NewInt(int64(i%3200) << 33), // keys that differ only above bit 32
@@ -545,6 +598,8 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 			value.NewFloat(float64(rng.Intn(400)-200) / 8),
 			value.NewInt(int64(i % 2900)),
 			value.NewInt(int64(i % 2900)),
+			reals[i%len(reals)],
+			bools[i/7%len(bools)],
 		}
 		for c := 3; c < 6; c++ {
 			if rng.Intn(15) == 0 {
@@ -586,6 +641,22 @@ func TestDifferentialBatchManyGroups(t *testing.T) {
 		{"SELECT u, j, sum(a), count(*), min(b) FROM g GROUP BY u, j", core.Options{}},
 		{"SELECT o, j, sum(a), count(*), min(b) FROM g GROUP BY o, j", core.Options{}},
 		{"SELECT DISTINCT u, j, sum(a) OVER (PARTITION BY u, j), count(*) OVER (PARTITION BY j) FROM g", core.Options{}},
+
+		{"SELECT f, count(*), sum(a), min(b) FROM g GROUP BY f", core.Options{}},
+		{"SELECT t, f, count(*), max(a) FROM g GROUP BY t, f", core.Options{}},
+		{"SELECT t, j, sum(a), count(*) FROM g GROUP BY t, j", core.Options{}},
+		{"SELECT DISTINCT f, t FROM g WHERE d = 1", core.Options{}},
+		{"SELECT d * 10 + j, count(*), sum(a) FROM g GROUP BY 1", core.Options{}},
+		{"SELECT CASE WHEN d = 1 THEN 'one' WHEN d = 2 THEN 'two' ELSE s END, count(*), sum(a) FROM g GROUP BY 1", core.Options{}},
+		{"SELECT CASE WHEN f IS NULL THEN a ELSE f END, count(*), sum(a) FROM g GROUP BY 1", core.Options{}},
+		{"SELECT j, t, f, d, a, count(*), sum(b) FROM g GROUP BY j, t, f, d, a, s, j, t, f", core.Options{}},
+		{"SELECT count(*), sum(a), min(s) FROM g GROUP BY " + strings.Repeat("j, t, f, d, ", 16) + "a", core.Options{}},
+		{"SELECT y.j, y.s, y.f, y.t, count(*), sum(x.a) FROM g x LEFT JOIN g y ON x.k = y.u GROUP BY y.j, y.s, y.f, y.t", core.Options{}},
+		{"SELECT DISTINCT y.j, y.f, count(*) OVER (PARTITION BY y.j, y.f) FROM g x LEFT JOIN g y ON x.k = y.u", core.Options{}},
+		{"SELECT j, count(DISTINCT f), count(DISTINCT t), count(DISTINCT s), count(DISTINCT CASE WHEN f IS NULL THEN a ELSE f END) FROM g GROUP BY j", core.Options{}},
+		{"SELECT DISTINCT t, min(f), max(b), sum(b) > 0 FROM g GROUP BY d, t", core.Options{}},
+		{"SELECT k, sum(CASE WHEN t = true THEN a ELSE 0 END), sum(CASE WHEN t = false THEN a ELSE 0 END), sum(CASE WHEN t IS NULL THEN b ELSE 0 END) FROM g GROUP BY k", core.Options{}},
+		{"SELECT j, Hpct(a BY t), count(*) FROM g GROUP BY j", core.Options{}},
 	} {
 		if err := CompareBatch(p, c.sql, c.opts, difftest.Parallelisms); err != nil {
 			t.Error(err)

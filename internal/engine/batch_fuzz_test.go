@@ -42,7 +42,7 @@ const fuzzManyGroups = 3500
 // operator's against the reference's, two implementations, where both modes
 // once shared the window's own sort sweep), ORDER BY + LIMIT. The last block is
 // the dimension dispatch: CASE-arm families over INTEGER and VARCHAR
-// (fixed-width key) and BOOLEAN (AppendKey) columns with an arm no row matches, IS NULL
+// (fixed-width key) and BOOLEAN (fixed-width too) columns with an arm no row matches, IS NULL
 // arms, negative constants, ELSE 0 / ELSE NULL / no ELSE, FLOAT measures
 // (-0.0 among them) and INTEGER-then-FLOAT mixes, two specs on one condition,
 // two families in one statement, arms whose THEN or sum() fails on some rows
@@ -57,7 +57,7 @@ const fuzzManyGroups = 3500
 // VARCHAR keys, over a selection, with LIMIT. fuzzManyGroupQueries, appended last,
 // are the many-group shapes: thousands of groups grown across batches and
 // merged across partitions under an INTEGER and a VARCHAR key (fixed-width
-// route) and a computed key (byte route, row-major), a
+// route) and a computed key (coded with its kind, row-major), a
 // dispatched Hpct shape and REAL sums, minima and maxima, and a HAVING and a
 // computed item that raise at a group past the first batch of groups.
 var fuzzFoldQueries = append([]string{

@@ -97,9 +97,8 @@ func (a *arm) addCond(e expr.Expr, sch relSchema) bool {
 }
 
 // armFamily is the dispatch table of the arms testing one column list: a
-// group table (grouptable.go) built at plan time over the arms' constant
-// tuples and only read by the workers, under whichever key route fits the
-// columns. A tuple's id is its entry: entries[id] lists the specs,
+// group table (grouptable.go) on the hash route, built at plan time over the
+// arms' constant tuples and only read by the workers. A tuple's id is its entry: entries[id] lists the specs,
 // ascending, whose condition is that tuple; a row no arm matches resolves
 // to -1.
 type armFamily struct {
@@ -129,7 +128,7 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 				keys[k] = expr.BoundCol(sch[c].Name, c)
 			}
 			f := &armFamily{cols: slices.Clone(a.cols), keys: op.keyCols(keys)}
-			f.tab.width = len(f.keys.ints)
+			f.tab = newGroupTable(f.keys.layout, &bounds{}, new(keyDict))
 			fi, op.families = len(op.families), append(op.families, f)
 		}
 		f := op.families[fi]
@@ -149,27 +148,29 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 
 // lookup returns the entry of a constant tuple, inserting it if new.
 func (f *armFamily) lookup(consts []value.Value) (entry int32, fresh bool) {
-	if f.tab.width == 0 {
-		key := value.EncodeKey(consts...)
-		return f.tab.lookupBytes(f.tab.hashBytes(key), key, true)
-	}
-	key, mask := make([]int64, len(consts)), uint8(0)
+	var buf [maxIntKeys + 2]int64
+	key, _ := f.keys.chunk(buf[:])
+	key = key[:f.keys.stride]
 	for k, v := range consts {
-		switch {
+		switch col := &f.keys.cols[k]; {
+		case col.vec.Boxed:
+			key[k] = f.tab.dict.code(v, true)
 		case v.IsNull():
-			mask |= 1 << k
+			key[f.keys.width+k>>3] |= 1 << (k & 7)
 		case v.Kind() == value.KindString:
 			// A string the column's dictionary lacks is on no row, and no code
 			// is negative.
-			code, ok := f.keys.ints[k].dict.Code(v.Str())
+			code, ok := col.vec.Dict.Code(v.Str())
 			if key[k] = int64(code); !ok {
 				key[k] = -1
 			}
+		case v.Kind() == value.KindBool:
+			key[k] = int64(bitOf(v.Bool()))
 		default:
 			key[k] = v.Int()
 		}
 	}
-	return f.tab.lookupInts(f.tab.hashInts(key, mask), key, mask, true)
+	return f.tab.lookupKey(key, true)
 }
 
 // The sole state, one per (group, arm family) of a fold with an ELSE 0 arm to

@@ -223,76 +223,13 @@ func hashAggregate(in planNode, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 	return foldAggregate(newPipeline(in), keyExprs, specs, ec, out)
 }
 
-// foldInput is one key or aggregate-argument expression as the boxed route
-// reads it: get boxes it for a row of table t, e evaluates against the batch
-// positioned on the tuple. Both nil is an absent argument.
+// foldInput is one aggregate argument as the boxed kernel reads it: get
+// boxes it for a row of table t, e evaluates against the batch positioned on
+// the tuple. Both nil is an absent argument.
 type foldInput struct {
-	get func(row int) value.Value // bare column of table t, of type typ
+	get func(row int) value.Value // bare column of table t
 	t   int
-	typ storage.ColumnType
 	e   expr.Expr // anything else
-}
-
-// keyCols is how a fold reads one key tuple off a tuple — its group key, or
-// the columns an arm family tests. When every component is a bare INTEGER or
-// VARCHAR column (≤ maxIntKeys) the tuple is read straight from the raw
-// vectors — a string as its code — and NULL bitmaps (ints) into the group
-// table's fixed-width keys; otherwise each is boxed (in) and encoded with
-// value.AppendKey.
-type keyCols struct {
-	in   []foldInput
-	ints []intCol
-}
-
-// intCol is column col of table t as fixed-width keys read it: an INTEGER
-// column's values, or a VARCHAR column's codes in dict — one string, one
-// code, so codes group as the strings do.
-type intCol struct {
-	vals   []int64
-	codes  []int32
-	dict   *storage.Dict
-	nulls  storage.NullBitmap
-	typ    storage.ColumnType
-	t, col int
-}
-
-// at is the key component of row r, which is not NULL.
-func (c *intCol) at(r int32) int64 {
-	if c.codes != nil {
-		return int64(c.codes[r])
-	}
-	return c.vals[r]
-}
-
-// readCells folds component c of each tuple's key — the value at its row,
-// of an INTEGER column or a VARCHAR column's codes — into its direct-route
-// cell. A value outside the bounds makes the cell t.cells, past every cell of
-// the directory, and every later component keeps it there.
-func readCells[T int32 | int64](t *groupTable, c int, vals []T, nulls storage.NullBitmap, rows []int32, cells []int32) {
-	span, out := t.span[c], uint64(t.cells)
-	for i, r := range rows {
-		d := uint64(0)
-		if !nulls.Get(int(r)) {
-			var in bool
-			if d, in = t.digit(c, int64(vals[r])); !in {
-				d = out
-			}
-		}
-		cells[i] = int32(min(uint64(cells[i])*span+d, out))
-	}
-}
-
-// readKeys writes component c of each tuple's hash-route key, which with its
-// NULL mask after it takes width+1 slots of keys: the value at its row, or 0
-// and the mask bit for a NULL.
-func readKeys[T int32 | int64](c, width int, vals []T, nulls storage.NullBitmap, rows []int32, keys []int64) {
-	for i, r := range rows {
-		if at := i * (width + 1); nulls.Get(int(r)) {
-			keys[at+width] |= 1 << c
-		} else {
-			keys[at+c] = int64(vals[r])
-		}
-	}
 }
 
 // The kernels of foldWorker.advance.
@@ -354,74 +291,75 @@ func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 	return op
 }
 
-// planDirect puts a fixed-width key on the direct route when its columns'
-// ranges (storage.Table.IntRange: every row of the table, so every tuple the
-// fold can meet; a VARCHAR column's dictionary) make a directory of at most
-// directCells cells for the fold's input.
+// planDirect puts a key of at most maxIntKeys INTEGER, VARCHAR and BOOLEAN
+// columns on the direct route when their ranges (storage.Table.IntRange:
+// every row of the table, so every tuple the fold can meet; a VARCHAR
+// column's dictionary; a BOOLEAN's [0, 1]) make a directory of at most
+// directCells cells for the fold's input. A REAL or computed component has no
+// range: its key takes the hash route.
 func (op *foldOp) planDirect() {
-	n := len(op.keys.ints)
-	if n == 0 {
+	n := len(op.keys.cols)
+	if n == 0 || n > maxIntKeys {
 		return
 	}
 	var lo, hi [maxIntKeys]int64
-	for c, col := range op.keys.ints {
-		var ok bool
-		if lo[c], hi[c], ok = op.pipe.tabs[col.t].IntRange(col.col); !ok {
-			lo[c], hi[c] = 0, -1 // only NULLs
+	for c, col := range op.keys.cols {
+		switch typ := col.vec.Type; {
+		case col.vec.Boxed || typ == storage.TypeFloat:
+			return
+		case typ == storage.TypeBool:
+			lo[c], hi[c] = 0, 1
+		default:
+			var ok bool
+			if lo[c], hi[c], ok = op.pipe.tabs[col.t].IntRange(col.col); !ok {
+				lo[c], hi[c] = 0, -1 // only NULLs
+			}
 		}
 	}
 	op.bounds, _ = planBounds(lo[:n], hi[:n], directCells(op.pipe.count()))
 }
 
-// column reports the stored column e names, if it is a bare one of a table
-// no outer join NULL-extends: its table among the pipeline's, and its
-// position there.
-func (op *foldOp) column(e expr.Expr) (t, col int, ok bool) {
+// column reports the stored column e names, if it is a bare one: its table
+// among the pipeline's, its position there, and whether an outer join
+// NULL-extends the table.
+func (op *foldOp) column(e expr.Expr) (t, col int, outer, ok bool) {
 	cr, isCol := e.(*expr.ColumnRef)
 	if !isCol || op.pipe == nil || !cr.Bound() {
-		return 0, 0, false
+		return 0, 0, false, false
 	}
 	t, col, ok = locate(op.pipe.tabs, cr.Index)
-	return t, col, ok && !op.pipe.nullable(t)
+	return t, col, ok && op.pipe.nullable(t), ok
 }
 
+// input is how the boxed kernel reads an argument: a bare column of a table
+// no outer join NULL-extends through its getter, anything else evaluated.
 func (op *foldOp) input(e expr.Expr) foldInput {
-	if t, col, ok := op.column(e); ok {
-		tab := op.pipe.tabs[t]
-		return foldInput{get: tab.CellGetter(col), t: t, typ: tab.Schema()[col].Type}
+	if t, col, outer, ok := op.column(e); ok && !outer {
+		return foldInput{get: op.pipe.tabs[t].CellGetter(col), t: t}
 	}
 	return foldInput{e: e}
 }
 
-// keyCols picks the route for a key tuple over exprs; a computed component
-// makes the fold row-major.
+// keyCols lays out a key over exprs: a bare column reads its vector, a
+// computed component — which makes the fold row-major — is coded.
 func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
-	var kc keyCols
-	for _, e := range exprs {
-		t, col, ok := op.column(e)
-		var typ storage.ColumnType
-		if ok {
-			typ = op.pipe.tabs[t].Schema()[col].Type
+	cols := make([]keyCol, len(exprs))
+	for i, e := range exprs {
+		if t, c, outer, ok := op.column(e); ok {
+			cols[i] = keyCol{vec: *op.pipe.tabs[t].Column(c), t: t, col: c, outer: outer}
+		} else {
+			cols[i], op.rowMajor = keyCol{vec: storage.Vector{Boxed: true}, e: e}, true
 		}
-		if !ok || len(exprs) > maxIntKeys || typ != storage.TypeInt && typ != storage.TypeString {
-			kc = keyCols{in: make([]foldInput, len(exprs))}
-			for i, e := range exprs {
-				kc.in[i] = op.input(e)
-				op.rowMajor = op.rowMajor || kc.in[i].get == nil
-			}
-			return kc
-		}
-		c := op.pipe.tabs[t].Column(col)
-		kc.ints = append(kc.ints, intCol{vals: c.Ints, codes: c.Codes, dict: c.Dict, nulls: c.Nulls, typ: typ, t: t, col: col})
 	}
-	return kc
+	return newKeyCols(cols)
 }
 
 // planSlot places one spec's state and picks its kernel: arg is what the
 // spec accumulates — its argument, or its THEN under dispatch.
 func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	s.fn, s.cell, s.acc = call.Fn, -1, -1
-	t, col, bare := op.column(arg)
+	t, col, outer, bare := op.column(arg)
+	bare = bare && !outer
 	kind, known := value.KindNull, arg == nil // what arg evaluates to, when the plan can tell
 	var c *storage.Vector
 	if bare {
@@ -437,7 +375,7 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	switch inCell := !call.Distinct && (sum || call.Fn == expr.AggCount || extreme && bare && numeric); {
 	case !inCell:
 		s.acc, op.accs = op.accs, op.accs+1
-		_, err := newAccumulator(call) // as every new group will
+		_, err := newAccumulator(call, nil) // as every new group will
 		op.rowMajor = op.rowMajor || err != nil
 	case call.Star || bare && call.Fn == expr.AggCount:
 		s.kernel = kernelCount
@@ -484,7 +422,7 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 			// The merged table's: a partition forced off the direct route
 			// takes the merge with it. A global aggregate probes nothing.
 			route := "none"
-			if len(op.keys.in)+len(op.keys.ints) > 0 {
+			if len(op.keys.cols) > 0 {
 				route = part.tab.route()
 			}
 			stage.Attr("keys", route)
@@ -529,70 +467,38 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 
 // emit pushes the merged groups into out in id order — first appearance —
 // the key values followed by one result per spec, and returns how many went.
-// They go a batch of ids at a time as columns: a fixed-width key component
-// copied from the group table's integers and masks — a VARCHAR one as codes
-// in its column's dictionary — a count or the sum or
-// extreme of a bare numeric column from its cells, a byte-route key, an
-// accumulator's result and any other cell boxed. A batch is about batchSize
-// cells, so a wide fold's batches hold few groups: what the batch and a
-// projector computing over it hold is bounded by the batch, not the width.
+// They go a batch of ids at a time as columns: a key component decoded from
+// the group table's slots (keyCols.column), a count or the sum or extreme of
+// a bare numeric column from its cells, an accumulator's result and any other
+// cell boxed. A batch is about batchSize cells, so a wide fold's batches hold
+// few groups: what the batch and a projector computing over it hold is
+// bounded by the batch, not the width.
 func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
-	k, width := len(op.keys.in), part.tab.width
-	if k+width == 0 && part.tab.len() == 0 {
+	k := len(op.keys.cols)
+	if k == 0 && part.tab.len() == 0 {
 		// A global aggregate over zero input rows still yields one row.
-		part.tab.lookupBytes(0, nil, true)
-		if err := part.addGroup(nil); err != nil {
+		part.tab.lookupKey(make([]int64, part.tab.stride), true)
+		if err := part.addGroup(); err != nil {
 			return 0, err
 		}
 	}
 	n := part.tab.len()
 	out.reserve(n)
-	cols := newVectors(k + width + len(op.specs))
+	cols := newVectors(k + len(op.specs))
 	rows := max(1, batchSize/max(1, len(cols)))
 	for base := 0; base < n; base += rows {
 		if err := gov.check(); err != nil {
 			return base, err
 		}
 		bn := min(rows, n-base)
-		for i := 0; i < k; i++ {
-			v, keys := cols[i], part.keyVals[base*k+i:]
-			if in := &op.keys.in[i]; in.get != nil {
-				// A bare column's key is NULL or of the column's type.
-				v.Resize(in.typ, bn)
-				for g := 0; g < bn; g++ {
-					v.Set(g, keys[g*k])
-				}
-				continue
-			}
-			v.ResizeBoxed(bn)
-			for g := range v.Vals {
-				v.Vals[g] = keys[g*k]
-			}
-		}
-		for i := 0; i < width; i++ {
-			v, col, keys := cols[i], &op.keys.ints[i], part.tab.ints[base*width+i:]
-			v.Resize(col.typ, bn)
-			if col.typ == storage.TypeString {
-				v.Dict = col.dict
-				for g := range v.Codes {
-					v.Codes[g] = int32(keys[g*width])
-				}
-			} else {
-				for g := range v.Ints {
-					v.Ints[g] = keys[g*width]
-				}
-			}
-			for g, mask := range part.tab.masks[base : base+bn] {
-				if mask>>i&1 != 0 {
-					v.SetNull(g)
-				}
-			}
+		for i := range k {
+			op.keys.column(i, &part.tab, base, bn, cols[i])
 		}
 		for g := base; g < base+bn && op.soles > 0; g++ {
 			op.settleElse(part, g)
 		}
 		for i := range op.slots {
-			s, v := &op.slots[i], cols[k+width+i]
+			s, v := &op.slots[i], cols[k+i]
 			num, tag := part.num[base*op.cells:], part.tag[base*op.cells:]
 			// A cell's type is the plan's to tell: a count's, or that of a bare
 			// INTEGER column's sum or extreme, is never a REAL, and a bare REAL
@@ -636,10 +542,9 @@ func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) 
 type foldPart struct {
 	op  *foldOp
 	tab groupTable
-	// keyVals, on the byte-key route, holds group g's boxed key at
-	// [g*k, (g+1)*k): the first-appearance values — the canonical key bytes
-	// cannot give a -0.0 back.
-	keyVals []value.Value
+	// dict codes the values of the coded key slots and of the partition's
+	// count(DISTINCT) sets.
+	dict keyDict
 	// num and tag hold cell c of group g at g*op.cells + c (aggregate.go).
 	num []int64
 	tag []uint8
@@ -656,15 +561,14 @@ type foldPart struct {
 }
 
 // addGroup extends the state arrays by the group the table just gave the
-// next id; keyVals is its boxed key on the byte-key route.
-func (p *foldPart) addGroup(keyVals []value.Value) error {
+// next id.
+func (p *foldPart) addGroup() error {
 	op := p.op
-	p.keyVals = append(grown(p.keyVals, len(keyVals)), keyVals...)
 	p.num, p.tag = extended(p.num, op.cells), extended(p.tag, op.cells)
 	p.soles = extended(p.soles, op.soles)
 	for i := range op.slots {
 		if op.slots[i].acc >= 0 {
-			acc, err := newAccumulator(op.specs[i].call)
+			acc, err := newAccumulator(op.specs[i].call, p.tab.dict)
 			if err != nil {
 				return err
 			}
@@ -676,16 +580,15 @@ func (p *foldPart) addGroup(keyVals []value.Value) error {
 
 // absorb merges the next-higher partition into p, an id remap: each group of
 // from is looked up in p's table — by its cell on the direct route, with the
-// hash from already stored on the others; one new to p takes the next id — so
-// ids stay in global first-appearance order — and from's state, a shared one
-// merges state into state.
+// hash from already stored on the hash route; one new to p takes the next id
+// — so ids stay in global first-appearance order — and from's state, a
+// shared one merges state into state.
 func (p *foldPart) absorb(from *foldPart) error {
 	op := p.op
-	k, nc, na, ns := len(op.keys.in), op.cells, op.accs, op.soles
+	nc, na, ns := op.cells, op.accs, op.soles
 	for g := 0; g < from.tab.len(); g++ {
 		id, fresh := p.tab.lookupFrom(&from.tab, g)
 		if fresh {
-			p.keyVals = append(grown(p.keyVals, k), from.keyVals[g*k:(g+1)*k]...)
 			p.num = append(grown(p.num, nc), from.num[g*nc:(g+1)*nc]...)
 			p.tag = append(grown(p.tag, nc), from.tag[g*nc:(g+1)*nc]...)
 			p.accs = append(grown(p.accs, na), from.accs[g*na:(g+1)*na]...)
@@ -723,19 +626,19 @@ type foldWorker struct {
 	gov  *governor
 	part *foldPart
 	feed pipeRun
-	// Scratch: a key's boxed values and encoding; per tuple of the batch, its
-	// group id and, family after family, its entry.
-	keyVals []value.Value
-	keyBuf  []byte
-	gid     []int32
-	ents    [][]int32
+	// Scratch: per tuple of the batch, its group id and, family after family,
+	// its entry; the batch vectors of the key components materialized.
+	gid  []int32
+	ents [][]int32
+	mat  []storage.Vector
 }
 
 // run folds partition [lo, hi) of the op's source. Bound expression trees are
 // immutable and stateless under Eval, so workers share them.
 func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
-	w := &foldWorker{op: op, gov: gov, keyVals: make([]value.Value, len(op.keys.in))}
-	w.part = &foldPart{op: op, tab: newGroupTable(len(op.keys.ints), &op.bounds)}
+	w := &foldWorker{op: op, gov: gov}
+	w.part = &foldPart{op: op}
+	w.part.tab = newGroupTable(op.keys.layout, &op.bounds, &w.part.dict)
 	w.feed.init(op.pipe, gov, w, nil)
 	defer w.feed.finish()
 	w.gid, w.ents = w.feed.buffer(), make([][]int32, len(op.families))
@@ -811,114 +714,119 @@ func (w *foldWorker) fold(b *tupleBatch, lo, hi int) error {
 
 // resolve writes to ids[lo:hi] the id in t of each tuple's key. With groups
 // set t is the partition's group table and a key's first appearance makes —
-// and charges — its group; without, an absent key is id -1.
+// and charges — its group; without, an absent key is id -1. Once the
+// components not read in place are materialized, the batch is read one
+// component at a time, through a loop typed for its vector (keys.go). On the
+// direct route that pass leaves each tuple's cell in ids, until its id
+// replaces it: a hit is one load, and only the misses — new groups, or keys
+// out of bounds — are read whole, in order, a chunk at a time (lookupKeys).
 func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
-	if t.width+len(kc.in) == 0 && t.len() > 0 {
+	if len(kc.cols) == 0 && t.len() > 0 {
 		clear(ids[lo:hi]) // the global aggregate's one group
 		return nil
 	}
-	if t.width > 0 {
-		return w.resolveFixed(kc, t, b, lo, hi, ids, groups)
-	}
-	for k := lo; k < hi; k++ {
-		buf := w.keyBuf[:0]
-		for i := range kc.in {
-			var v value.Value
-			if in := &kc.in[i]; in.get != nil {
-				v = in.get(int(b.ids[in.t][k]))
-			} else if x, err := in.e.Eval(b.row(k)); err != nil {
-				return err
-			} else {
-				v = x
-			}
-			if buf = value.AppendKey(buf, v); groups {
-				w.keyVals[i] = v
-			}
+	if kc.mat {
+		if len(w.mat) < len(kc.cols) {
+			w.mat = make([]storage.Vector, len(kc.cols))
 		}
-		w.keyBuf = buf
-		id, fresh := t.lookupBytes(t.hashBytes(buf), buf, groups)
-		if ids[k] = id; fresh {
-			if err := w.charge(); err != nil {
-				return err
-			}
+		if err := kc.materialize(b, lo, hi, w.mat); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// resolveFixed is resolve for a fixed-width key. The batch is read one
-// component at a time, through a loop typed for its column — an INTEGER
-// column's values or a VARCHAR column's codes. On the direct route that pass
-// leaves each tuple's cell in ids, until its id replaces it: a hit is one
-// load, and a miss — a new group, or a key out of bounds — reads its key off
-// the columns (intCol.at) for lookupKey.
-func (w *foldWorker) resolveFixed(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
 	if t.dir == nil {
 		return w.resolveHash(kc, t, b, lo, hi, ids, groups)
 	}
 	cells := ids[lo:hi]
 	clear(cells)
-	for c := range kc.ints {
-		if col, rows := &kc.ints[c], b.ids[kc.ints[c].t][lo:hi]; col.codes != nil {
-			readCells(t, c, col.codes, col.nulls, rows, cells)
-		} else {
-			readCells(t, c, col.vals, col.nulls, rows, cells)
+	for c := range kc.cols {
+		switch v, rows := kc.source(c, b, lo, hi, w.mat); v.Type {
+		case storage.TypeString:
+			readCells(t, c, v.Codes, v.Nulls, rows, cells)
+		case storage.TypeBool:
+			readBoolCells(t, c, v.Bools, v.Nulls, rows, cells)
+		default:
+			readCells(t, c, v.Ints, v.Nulls, rows, cells)
 		}
 	}
-	var tuple [maxIntKeys]int64
+	var miss [hashChunk]int32
+	n := 0
 	for k := lo; k < hi; k++ {
-		// A move to the hash route — an out-of-bounds key inserted — takes
-		// the rest of the batch with it.
+		// A move to the hash route — an out-of-bounds key inserted — makes
+		// every later tuple a miss.
 		if cell := ids[k]; t.dir != nil && int(cell) < t.cells {
 			if id := t.dir[cell]; id != 0 || !groups {
 				ids[k] = id - 1
 				continue
 			}
 		}
-		key, mask := tuple[:t.width], uint8(0)
-		for c := range kc.ints {
-			if col, r := &kc.ints[c], b.ids[kc.ints[c].t][k]; col.nulls.Get(int(r)) {
-				mask |= 1 << c
-				key[c] = 0
-			} else {
-				key[c] = col.at(r)
-			}
-		}
-		id, fresh := t.lookupKey(key, mask, groups)
-		if ids[k] = id; fresh {
-			if err := w.charge(); err != nil {
+		// A later tuple of a missed key's cell misses too, and finds the
+		// group the first one made.
+		if n == len(miss) {
+			if err := w.lookupKeys(kc, t, b, lo, hi, miss[:n], ids, groups); err != nil {
 				return err
+			}
+			n = 0
+		}
+		miss[n], n = int32(k), n+1
+	}
+	if n == 0 {
+		return nil
+	}
+	return w.lookupKeys(kc, t, b, lo, hi, miss[:n], ids, groups)
+}
+
+// hashChunk is how many keys resolveHash and lookupKeys read at a time, into
+// a buffer in their frames.
+const hashChunk = 128
+
+// resolveHash is resolve on the hash route: a chunk of tuples at a time, the
+// keys read a component at a time, then looked up tuple by tuple.
+func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
+	var buf [hashChunk * (maxIntKeys + 2)]int64
+	keys, chunk := kc.chunk(buf[:])
+	stride := kc.stride
+	for base := lo; base < hi; base += chunk {
+		n := min(hi-base, chunk)
+		clear(keys[:n*stride])
+		for c := range kc.cols {
+			v, rows := kc.source(c, b, lo, hi, w.mat)
+			kc.read(c, v, rows[base-lo:base-lo+n], keys, t.dict, groups)
+		}
+		for i := range n {
+			key := keys[i*stride : (i+1)*stride]
+			id, fresh := t.lookupHash(t.hash(key), key, groups)
+			if ids[base+i] = id; fresh {
+				if err := w.charge(); err != nil {
+					return err
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// hashChunk is how many tuples resolveHash reads keys for at a time, into a
-// buffer in its frame.
-const hashChunk = 128
-
-// resolveHash is resolveFixed on the hash route: hashChunk tuples at a time,
-// the keys and NULL masks read a component at a time, then looked up tuple by
-// tuple.
-func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
-	var buf [hashChunk * (maxIntKeys + 1)]int64
-	width := t.width
-	for ; lo < hi; lo += hashChunk {
-		n := min(hi-lo, hashChunk)
-		keys := buf[:n*(width+1)]
-		clear(keys)
-		for c := range kc.ints {
-			if col, rows := &kc.ints[c], b.ids[kc.ints[c].t][lo:lo+n]; col.codes != nil {
-				readKeys(c, width, col.codes, col.nulls, rows, keys)
-			} else {
-				readKeys(c, width, col.vals, col.nulls, rows, keys)
+// lookupKeys is resolveHash for the direct route's misses: the tuples at,
+// ascending among [lo, hi), their rows gathered a chunk at a time, each key
+// found through lookupKey — one out of bounds moves t to the hash route and
+// the rest follow it there.
+func (w *foldWorker) lookupKeys(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, at, ids []int32, groups bool) error {
+	var buf [hashChunk * (maxIntKeys + 2)]int64
+	var rs [hashChunk]int32
+	keys, chunk := kc.chunk(buf[:])
+	stride := kc.stride
+	for ; len(at) > 0; at = at[min(chunk, len(at)):] {
+		n := min(chunk, len(at))
+		clear(keys[:n*stride])
+		for c := range kc.cols {
+			v, rows := kc.source(c, b, lo, hi, w.mat)
+			for i, k := range at[:n] {
+				rs[i] = rows[int(k)-lo]
 			}
+			kc.read(c, v, rs[:n], keys, t.dict, groups)
 		}
-		for i := range n {
-			key := keys[i*(width+1) : (i+1)*(width+1)]
-			id, fresh := t.lookupKey(key[:width], uint8(key[width]), groups)
-			if ids[lo+i] = id; fresh {
+		for i, k := range at[:n] {
+			id, fresh := t.lookupKey(keys[i*stride:(i+1)*stride], groups)
+			if ids[k] = id; fresh {
 				if err := w.charge(); err != nil {
 					return err
 				}
@@ -936,7 +844,7 @@ func (w *foldWorker) charge() error {
 	if err := w.gov.addGroups(1); err != nil {
 		return err
 	}
-	return w.part.addGroup(w.keyVals)
+	return w.part.addGroup()
 }
 
 // advance is the kernel call: it adds tuples [lo, hi) of the batch, whose

@@ -1,43 +1,43 @@
 package engine
 
-import (
-	"bytes"
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // groupTable maps key tuples to dense int32 ids assigned in first-appearance
-// order: the group table of a fold partition, and — built once at plan time
-// and only read afterwards — the constant-tuple table of an arm family
-// (dispatch.go). Keys live in flat per-id arrays under one of two encodings:
-// width > 0 is fixed-width, width int64s — INTEGER values, or VARCHAR codes,
-// one per string — plus a NULL mask per key (a NULL component is stored as 0
-// with its mask bit set); width 0 keeps the
-// value.AppendKey bytes of every key back to back in one arena. Either way
-// two tuples get one id exactly when their AppendKey encodings are equal, so
+// order: the group table of a fold partition, the set behind a
+// count(DISTINCT) or the collected tail's DISTINCT, and — built once at plan
+// time and only read afterwards — the constant-tuple table of an arm family
+// (dispatch.go). Every key is fixed-width, laid out by keys.go: width int64
+// slots, kept in ints, and ms mask bytes, kept in masks — a NULL bit per slot
+// (a NULL component is stored as 0 with its bit set), then, where a slot can
+// hold a REAL, as many sign bits, which the compare and the hash skip: a
+// REAL's slot is its canonical bits, and the sign keeps a first-seen -0.0
+// for display. A key in flight — looked up, or read into a chunk buffer — is
+// stride words: its slots, then a word for each mask byte. Two tuples get one
+// id exactly when their value.AppendKey encodings would be equal, so
 // grouping matches the reference fold.
 //
-// A key is found by one of three routes (route). Byte keys ("bytes") and
-// fixed-width keys ("hash") probe slots, the open-addressing index, probed
-// linearly and kept at most three quarters full: a slot holds a key's 32-bit
-// hash beside its id + 1 (0 = empty), so a probe compares keys only on a full
-// hash match, and doubling the index — from 16 slots; nothing is presized —
-// rewrites slots without touching a key. The hash is also kept per id: the
-// merge probes a lower partition's table with the hashes the higher one
-// already computed. A fixed-width key whose components have known small
-// ranges takes the direct route instead: the key is a mixed-radix number,
-// its cell, and dir[cell] is its id + 1 — one load, no hash, no key compare
-// (bounds).
+// A key is found by one of two routes (route). The hash route probes slots,
+// the open-addressing index, probed linearly and kept at most three quarters
+// full: a slot holds a key's 32-bit hash beside its id + 1 (0 = empty), so a
+// probe compares keys only on a full hash match, and doubling the index —
+// from 16 slots; nothing is presized — rewrites slots without touching a key.
+// The hash is also kept per id: the merge probes a lower partition's table
+// with the hashes the higher one already computed. A key of at most
+// maxIntKeys INTEGER, VARCHAR or BOOLEAN components with known small ranges
+// takes the direct route instead: the key is a mixed-radix number, its cell,
+// and dir[cell] is its id + 1 — one load, no hash, no key compare (bounds).
 type groupTable struct {
-	width  int
+	layout
 	slots  []uint64
 	hashes []uint32
-	ints   []int64 // key id's components at [id*width, (id+1)*width)
-	masks  []uint8 // bit i set = component i is NULL
-	arena  []byte  // byte keys
-	ends   []int   // byte key id is arena[ends[id-1]:ends[id]]
-	// dir is the direct route's directory, nil on the others: cell → id + 1,
-	// 0 = empty, over the layout bounds describes.
+	ints   []int64 // key id's slots at [id*width, (id+1)*width)
+	masks  []uint8 // key id's mask bytes at [id*ms, (id+1)*ms)
+	// dict codes the values of the coded slots; flight is the scratch a
+	// stored key is put back in flight in (inFlight).
+	dict   *keyDict
+	flight []int64
+	// dir is the direct route's directory, nil on the hash route: cell → id +
+	// 1, 0 = empty, over the layout bounds describes.
 	dir []int32
 	bounds
 	// drop is a test seam, the hash bits to clear: all of them makes the
@@ -45,26 +45,18 @@ type groupTable struct {
 	drop uint32
 }
 
-// maxIntKeys bounds the fixed-width route: one mask bit per component.
+// maxIntKeys bounds the direct route: one mask byte holds its NULL bits.
 const maxIntKeys = 8
 
-// len is the number of keys, and the next id.
-func (t *groupTable) len() int {
-	if t.width > 0 {
-		return len(t.masks)
-	}
-	return len(t.ends)
-}
+// len is the number of keys, and the next id; 0 for the zero table.
+func (t *groupTable) len() int { return len(t.masks) / max(1, t.ms) }
 
 // route names the way t finds a key, for the fold's spans.
 func (t *groupTable) route() string {
-	switch {
-	case t.dir != nil:
+	if t.dir != nil {
 		return "direct"
-	case t.width > 0:
-		return "hash"
 	}
-	return "bytes"
+	return "hash"
 }
 
 // bounds is the layout of a direct-route directory. Component c of a key
@@ -109,11 +101,11 @@ func planBounds(lo, hi []int64, limit int) (b bounds, ok bool) {
 	return b, true
 }
 
-// newGroupTable returns an empty table of width fixed-width components (0:
-// byte keys), on the direct route, with a directory of its own, when b has
+// newGroupTable returns an empty table of keys laid out by l, coding values
+// in dict, on the direct route, with a directory of its own, when b has
 // cells.
-func newGroupTable(width int, b *bounds) groupTable {
-	t := groupTable{width: width}
+func newGroupTable(l layout, b *bounds, dict *keyDict) groupTable {
+	t := groupTable{layout: l, dict: dict}
 	if b.cells > 0 {
 		t.bounds, t.dir = *b, make([]int32, b.cells)
 	}
@@ -128,8 +120,8 @@ func (t *groupTable) digit(c int, v int64) (uint64, bool) {
 	return d + 1, d < t.span[c]-1
 }
 
-// cell returns a fixed-width key's directory cell, and false when a
-// component lies outside its bounds.
+// cell returns a key's directory cell — its slots, and its first NULL mask
+// byte — and false when a component lies outside its bounds.
 func (t *groupTable) cell(key []int64, mask uint8) (int, bool) {
 	cell := uint64(0)
 	for c, v := range key {
@@ -145,40 +137,64 @@ func (t *groupTable) cell(key []int64, mask uint8) (int, bool) {
 	return int(cell), true
 }
 
-// lookupKey returns the id of a fixed-width key on whichever route t is on;
-// an absent key is appended under the next id when insert is set — fresh
-// reports it — and is id -1 otherwise. An inserted key outside a direct
-// table's bounds, which a writer racing the fold's readers alone can make,
-// first moves the table to the hash route, every id kept.
-func (t *groupTable) lookupKey(key []int64, mask uint8, insert bool) (id int32, fresh bool) {
+// lookupKey returns the id of a key in flight on whichever route t is on; an
+// absent key is appended under the next id when insert is set — fresh
+// reports it — and is id -1 otherwise.
+func (t *groupTable) lookupKey(key []int64, insert bool) (id int32, fresh bool) {
 	if t.dir != nil {
-		cell, in := t.cell(key, mask)
-		switch {
-		case in && (t.dir[cell] != 0 || !insert):
-			return t.dir[cell] - 1, false
-		case in:
-			return t.add(cell, key, mask), true
-		case !insert:
-			return -1, false
-		}
-		t.migrate()
+		return t.lookupCell(key, insert)
 	}
-	return t.lookupInts(t.hashInts(key, mask), key, mask, insert)
+	return t.lookupHash(t.hash(key), key, insert)
 }
 
-// add appends a direct table's key absent from its empty cell, under the next id.
-func (t *groupTable) add(cell int, key []int64, mask uint8) int32 {
-	t.ints, t.masks = append(grown(t.ints, len(key)), key...), append(grown(t.masks, 1), mask)
-	t.dir[cell] = int32(len(t.masks))
-	return int32(len(t.masks) - 1)
+// lookupCell is lookupKey on the direct route. An inserted key outside the
+// bounds, which a writer racing the fold's readers alone can make, first
+// moves the table to the hash route, every id kept.
+func (t *groupTable) lookupCell(key []int64, insert bool) (id int32, fresh bool) {
+	cell, in := t.cell(key[:t.width], uint8(key[t.width]))
+	switch {
+	case in && (t.dir[cell] != 0 || !insert):
+		return t.dir[cell] - 1, false
+	case in:
+		t.store(key)
+		t.dir[cell] = int32(t.len())
+		return t.dir[cell] - 1, true
+	case !insert:
+		return -1, false
+	}
+	t.migrate()
+	return t.lookupHash(t.hash(key), key, insert)
+}
+
+// store appends a key in flight under the next id.
+func (t *groupTable) store(key []int64) {
+	t.ints, t.masks = append(grown(t.ints, t.width), key[:t.width]...), grown(t.masks, t.ms)
+	for _, m := range key[t.width:t.stride] {
+		t.masks = append(t.masks, uint8(m))
+	}
+}
+
+// key returns the stored slots and mask bytes of id.
+func (t *groupTable) key(id int) ([]int64, []uint8) {
+	return t.ints[id*t.width : (id+1)*t.width], t.masks[id*t.ms : (id+1)*t.ms]
+}
+
+// inFlight returns stored key id in flight, in t's scratch.
+func (t *groupTable) inFlight(id int) []int64 {
+	ints, masks := t.key(id)
+	t.flight = append(t.flight[:0], ints...)
+	for _, m := range masks {
+		t.flight = append(t.flight, int64(m))
+	}
+	return t.flight
 }
 
 // migrate moves a direct table to the hash route: the index and the per-id
 // hashes are built from the stored keys, in id order, so every id stays.
 func (t *groupTable) migrate() {
 	t.dir = nil
-	for id, mask := range t.masks {
-		h := t.hashInts(t.ints[id*t.width:(id+1)*t.width], mask)
+	for id := range t.len() {
+		h := t.hash(t.inFlight(id))
 		t.reserve()
 		m := uint32(len(t.slots) - 1)
 		at := h & m
@@ -190,67 +206,45 @@ func (t *groupTable) migrate() {
 }
 
 // lookupFrom returns the id in t of key g of from — a table of the same
-// fold, so of the same width and bounds — inserting it if new: with the hash
-// from stored when both are on a hash route, through lookupKey — by cell, no
-// hash, when t is direct — otherwise.
+// layout and bounds — inserting it if new: with the hash from stored when
+// both are on the hash route, through lookupKey — by cell, no hash, when t
+// is direct — otherwise. A key with slots coded in another dictionary is
+// recoded into t's first, and hashed anew.
 func (t *groupTable) lookupFrom(from *groupTable, g int) (id int32, fresh bool) {
-	w := t.width
+	key := from.inFlight(g)
 	switch {
-	case w == 0:
-		return t.lookupBytes(from.hashes[g], from.byteKey(g), true)
+	case len(t.coded) > 0 && from.dict != t.dict:
+		for _, s := range t.coded {
+			key[s] = t.dict.code(from.dict.vals[key[s]], true)
+		}
 	case t.dir == nil && from.dir == nil:
-		return t.lookupInts(from.hashes[g], from.ints[g*w:(g+1)*w], from.masks[g], true)
+		return t.lookupHash(from.hashes[g], key, true)
 	}
-	return t.lookupKey(from.ints[g*w:(g+1)*w], from.masks[g], true)
+	return t.lookupKey(key, true)
 }
 
-// byteKey returns the stored byte key of id.
-func (t *groupTable) byteKey(id int) []byte {
-	lo := 0
-	if id > 0 {
-		lo = t.ends[id-1]
-	}
-	return t.arena[lo:t.ends[id]]
-}
-
-// The hashes mix a key a word at a time — a component; eight bytes, and the
-// last eight again for a ragged tail — by folding the 128-bit product with
-// an odd constant (wyhash's step), so that every bit of a word reaches the
-// low bits the index uses: integers may differ only above bit 32, and
-// AppendKey writes them big-endian.
+// The hash mixes a key in flight a word at a time — its first NULL mask
+// word, then each slot; the NULL bits of a key wider than eight slots past
+// the first byte are left to the compare — by folding the 128-bit product
+// with an odd constant (wyhash's step), so that every bit of a word reaches
+// the low bits the index uses: integers may differ only above bit 32.
 func mix(x uint64) uint64 {
 	hi, lo := bits.Mul64(x^0xC2B2AE3D27D4EB4F, 0x9E3779B97F4A7C15)
 	return hi ^ lo
 }
 
-func (t *groupTable) hashInts(key []int64, mask uint8) uint32 {
-	h := uint64(mask)
-	for _, v := range key {
+func (t *groupTable) hash(key []int64) uint32 {
+	h := uint64(key[t.width])
+	for _, v := range key[:t.width] {
 		h = mix(h ^ uint64(v))
 	}
 	return uint32(h^h>>32) &^ t.drop
 }
 
-func (t *groupTable) hashBytes(key []byte) uint32 {
-	h, b := uint64(len(key)), key
-	for ; len(b) > 8; b = b[8:] {
-		h = mix(h ^ binary.LittleEndian.Uint64(b))
-	}
-	if len(key) >= 8 {
-		b = key[len(key)-8:]
-		h = mix(h ^ binary.LittleEndian.Uint64(b))
-	} else {
-		for _, c := range b {
-			h = mix(h ^ uint64(c))
-		}
-	}
-	return uint32(h^h>>32) &^ t.drop
-}
-
-// lookupInts returns the id of the fixed-width key whose hash is h. An absent
-// key is appended under the next id when insert is set — fresh reports it —
-// and is id -1 otherwise.
-func (t *groupTable) lookupInts(h uint32, key []int64, mask uint8, insert bool) (id int32, fresh bool) {
+// lookupHash returns the id of the key in flight whose hash is h on the hash
+// route. An absent key is appended under the next id when insert is set —
+// fresh reports it — and is id -1 otherwise.
+func (t *groupTable) lookupHash(h uint32, key []int64, insert bool) (id int32, fresh bool) {
 	if insert {
 		t.reserve()
 	} else if len(t.slots) == 0 {
@@ -259,7 +253,7 @@ func (t *groupTable) lookupInts(h uint32, key []int64, mask uint8, insert bool) 
 	m := uint32(len(t.slots) - 1)
 	at := h & m
 	for s := t.slots[at]; s != 0; s = t.slots[at] {
-		if id := int(uint32(s)) - 1; uint32(s>>32) == h && t.masks[id] == mask && equalInts(t.ints[id*t.width:], key) {
+		if id := int(uint32(s)) - 1; uint32(s>>32) == h && t.masks[id*t.ms] == uint8(key[t.width]) && t.equal(id, key) {
 			return int32(id), false
 		}
 		at = (at + 1) & m
@@ -267,42 +261,25 @@ func (t *groupTable) lookupInts(h uint32, key []int64, mask uint8, insert bool) 
 	if !insert {
 		return -1, false
 	}
-	t.ints, t.masks = append(grown(t.ints, len(key)), key...), append(grown(t.masks, 1), mask)
+	t.store(key)
 	return t.claim(at, h), true
 }
 
-// equalInts compares key with the stored components at the head of have.
-func equalInts(have, key []int64) bool {
-	for i, v := range key {
+// equal compares a key in flight whose first NULL mask byte matches the
+// stored key id's with it: the rest of its NULL bits, then its slots.
+func (t *groupTable) equal(id int, key []int64) bool {
+	for j := 1; j < t.mb; j++ {
+		if t.masks[id*t.ms+j] != uint8(key[t.width+j]) {
+			return false
+		}
+	}
+	have := t.ints[id*t.width:]
+	for i, v := range key[:t.width] {
 		if have[i] != v {
 			return false
 		}
 	}
 	return true
-}
-
-// lookupBytes is lookupInts for a byte key, which an insert copies into the
-// arena.
-func (t *groupTable) lookupBytes(h uint32, key []byte, insert bool) (id int32, fresh bool) {
-	if insert {
-		t.reserve()
-	} else if len(t.slots) == 0 {
-		return -1, false
-	}
-	m := uint32(len(t.slots) - 1)
-	at := h & m
-	for s := t.slots[at]; s != 0; s = t.slots[at] {
-		if id := int(uint32(s)) - 1; uint32(s>>32) == h && bytes.Equal(t.byteKey(id), key) {
-			return int32(id), false
-		}
-		at = (at + 1) & m
-	}
-	if !insert {
-		return -1, false
-	}
-	t.arena = append(grown(t.arena, len(key)), key...)
-	t.ends = append(grown(t.ends, 1), len(t.arena))
-	return t.claim(at, h), true
 }
 
 // claim gives the key just appended the next id and the empty slot at.

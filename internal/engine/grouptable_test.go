@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -88,51 +87,57 @@ func TestRealZeroKeysAgreeWithEquality(t *testing.T) {
 	}
 }
 
-// fuzzKey is one key for either route of a groupTable.
+// fuzzKey is one key for a groupTable: its identity — equal ids, one group —
+// and its slots and mask bytes, or, read through keys.go, a function that
+// puts it in flight against the table's own dictionary.
 type fuzzKey struct {
-	ints  []int64
-	mask  uint8
-	bytes []byte
+	id   string
+	ints []int64
+	mask []uint8
+	read func(t *groupTable, insert bool) []int64
 }
 
 func (k fuzzKey) lookup(t *groupTable, insert bool) (int32, bool) {
-	if t.width > 0 {
-		return t.lookupKey(k.ints, k.mask, insert)
+	if k.read != nil {
+		return t.lookupKey(k.read(t, insert), insert)
 	}
-	return t.lookupBytes(t.hashBytes(k.bytes), k.bytes, insert)
+	key := append([]int64(nil), k.ints...)
+	for _, m := range k.mask {
+		key = append(key, int64(m))
+	}
+	return t.lookupKey(key, insert)
 }
 
-func (k fuzzKey) String() string { return fmt.Sprint(k.ints, k.mask, k.bytes) }
+func (k fuzzKey) String() string { return fmt.Sprint(k.ints, k.mask, k.id) }
 
-// fuzzKeys draws n keys, repeats included, that stress what a probe must
-// tell apart. Fixed-width tuples take their components from a palette of
+// intKey is a raw key of INTEGER components: its values and NULL bits.
+func intKey(ints []int64, mask uint8) fuzzKey {
+	return fuzzKey{id: fmt.Sprint(ints, mask), ints: ints, mask: []uint8{mask}}
+}
+
+// intLayout lays out w INTEGER components.
+func intLayout(w int) layout { return newKeyCols(make([]keyCol, w)).layout }
+
+// fuzzKeys draws n raw keys of width components, repeats included, that
+// stress what a probe must tell apart: components from a palette of
 // extremes, values that differ only above bit 32, and 0 beside NULL in every
-// mask position (a NULL is stored as 0 with its mask bit set). Byte keys
-// share a long prefix and differ in a short tail, or in length alone.
+// mask position (a NULL is stored as 0 with its mask bit set).
 func fuzzKeys(rng *rand.Rand, width, n int) []fuzzKey {
 	palette := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 1 << 32, 1 << 33, 1<<32 + 1, 7 << 40, 1 << 62}
-	prefix := bytes.Repeat([]byte("shared-prefix/"), 6)
 	keys := make([]fuzzKey, n)
 	for i := range keys {
-		if width == 0 {
-			k := append([]byte(nil), prefix[:len(prefix)-rng.Intn(3)]...)
-			for j := rng.Intn(3); j > 0; j-- {
-				k = append(k, byte(rng.Intn(12)))
-			}
-			keys[i].bytes = k
-			continue
-		}
-		keys[i].ints = make([]int64, width)
-		for c := range keys[i].ints {
+		ints, mask := make([]int64, width), uint8(0)
+		for c := range ints {
 			switch v := rng.Intn(len(palette) + 8); {
 			case v == len(palette):
-				keys[i].mask |= 1 << c // NULL: 0 under a mask bit
+				mask |= 1 << c // NULL: 0 under a mask bit
 			case v < len(palette):
-				keys[i].ints[c] = palette[v]
+				ints[c] = palette[v]
 			default:
-				keys[i].ints[c] = int64(rng.Intn(6))
+				ints[c] = int64(rng.Intn(6))
 			}
 		}
+		keys[i] = intKey(ints, mask)
 	}
 	return keys
 }
@@ -157,14 +162,15 @@ func fuzzBounds(t *testing.T, rng *rand.Rand, width int) (b bounds, lo, hi []int
 func fuzzBoundedKeys(rng *rand.Rand, lo, hi []int64, n int) []fuzzKey {
 	keys := make([]fuzzKey, n)
 	for i := range keys {
-		keys[i].ints = make([]int64, len(lo))
+		ints, mask := make([]int64, len(lo)), uint8(0)
 		for c := range lo {
 			if hi[c] < lo[c] || rng.Intn(5) == 0 {
-				keys[i].mask |= 1 << c
+				mask |= 1 << c
 			} else {
-				keys[i].ints[c] = lo[c] + rng.Int63n(hi[c]-lo[c]+1)
+				ints[c] = lo[c] + rng.Int63n(hi[c]-lo[c]+1)
 			}
 		}
+		keys[i] = intKey(ints, mask)
 	}
 	return keys
 }
@@ -178,10 +184,10 @@ func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, newTable func() *gro
 	t.Helper()
 	one, oracle := newTable(), map[string]int32{}
 	for i, k := range keys {
-		want, seen := oracle[k.String()]
+		want, seen := oracle[k.id]
 		if !seen {
 			want = int32(len(oracle))
-			oracle[k.String()] = want
+			oracle[k.id] = want
 		}
 		before := one.len()
 		if id, _ := k.lookup(one, false); seen && id != want || !seen && id != -1 || one.len() != before {
@@ -220,8 +226,8 @@ func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[str
 		t.Fatalf("%s: merged table has %d keys, one table over the concatenation %d", lo.route(), lo.len(), len(oracle))
 	}
 	for i, k := range keys {
-		if id, _ := k.lookup(lo, false); id != oracle[k.String()] {
-			t.Fatalf("%s key %d %s: merged id %d, single-table id %d", lo.route(), i, k, id, oracle[k.String()])
+		if id, _ := k.lookup(lo, false); id != oracle[k.id] {
+			t.Fatalf("%s key %d %s: merged id %d, single-table id %d", lo.route(), i, k, id, oracle[k.id])
 		}
 	}
 }
@@ -295,6 +301,7 @@ func checkDictKeys(t *testing.T, rng *rand.Rand, w, count int) {
 		}
 		keys, strs := make([]fuzzKey, tab.NumRows()), make([]string, tab.NumRows())
 		lo, hi := make([]int64, w), make([]int64, w)
+		ints, masks := make([][]int64, len(keys)), make([]uint8, len(keys))
 		for c := 0; c < w; c++ {
 			col := tab.Column(c)
 			var ok bool
@@ -303,23 +310,26 @@ func checkDictKeys(t *testing.T, rng *rand.Rand, w, count int) {
 			}
 			for r := range keys {
 				if c == 0 {
-					keys[r].ints = make([]int64, w)
+					ints[r] = make([]int64, w)
 				}
 				if col.Null(r) {
-					keys[r].mask |= 1 << c
+					masks[r] |= 1 << c
 					strs[r] += "N|"
 				} else {
-					keys[r].ints[c] = int64(col.Codes[r])
+					ints[r][c] = int64(col.Codes[r])
 					strs[r] += fmt.Sprintf("%q|", col.Value(r).Str())
 				}
 			}
 		}
+		for r := range keys {
+			keys[r] = intKey(ints[r], masks[r])
+		}
 		if len(keys) == 0 {
 			continue
 		}
-		routes := []func() *groupTable{func() *groupTable { return &groupTable{width: w} }}
+		routes := []func() *groupTable{func() *groupTable { t := newGroupTable(intLayout(w), &bounds{}, nil); return &t }}
 		if b, ok := planBounds(lo, hi, 1<<20); ok { // too many cells for a wide key
-			routes = append(routes, func() *groupTable { t := newGroupTable(w, &b); return &t })
+			routes = append(routes, func() *groupTable { t := newGroupTable(intLayout(w), &b, nil); return &t })
 		}
 		for _, newTable := range routes {
 			one, _ := checkIDs(t, rng, keys, newTable)
@@ -339,16 +349,124 @@ func checkDictKeys(t *testing.T, rng *rand.Rand, w, count int) {
 	}
 }
 
-// FuzzGroupTable checks both fixed-width routes and the byte route against a
-// Go map (checkIDs). The hash route takes keys that stress a probe — the
-// counts force at least four doublings of the index, and with every hash
-// forced equal (the drop seam) the probe sequence and the key compare alone
-// must still tell the keys apart. The direct route takes keys within random
-// bounds, and then one outside them: a find of it is -1 and leaves the table
-// direct, an insert moves the table to the hash route with every earlier id
-// kept, and a direct partition absorbing a moved one follows it there. Bounds
-// with an int64 extreme in one component never make a directory. Keys of
-// dictionary-coded VARCHAR components take both routes too (checkDictKeys).
+// checkEncodedKeys runs keys of comps components, each of a random kind,
+// encoded by the fold's own reader (keyCols.read) off the vectors that hold
+// them — INTEGER, REAL (±0.0, NaNs of either sign, infinities), BOOLEAN and
+// VARCHAR columns, and boxed columns of mixed kinds (1 beside 1.0, the empty
+// string beside NULL, strings), whose values are coded — through checkIDs,
+// with value.EncodeKey of a row's tuple as its identity: one id exactly where
+// the oracle's encoding is one. Every table codes values into a dictionary of
+// its own, so the merge recodes. The hash route always; the direct route too
+// when every component is an INTEGER, BOOLEAN or VARCHAR column, at most
+// maxIntKeys. Each key of the one table then shows its first row's values,
+// kinds and signs: the display a group emits (keyCols.column).
+func checkEncodedKeys(t *testing.T, rng *rand.Rand, comps, count int, flat bool) {
+	t.Helper()
+	negZero, otherNaN := math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())|1<<63)
+	i, f, str := value.NewInt, value.NewFloat, value.NewString
+	palettes := [][]value.Value{
+		{i(0), i(1), i(-1), i(math.MinInt64), i(1 << 32), value.Null},
+		{f(0), f(negZero), f(math.NaN()), f(otherNaN), f(1.5), f(-1.5), f(math.Inf(1)), value.Null},
+		{value.NewBool(true), value.NewBool(false), value.Null},
+		{str(""), str("a"), str("ab"), value.Null},
+		{i(1), f(1), f(0), f(negZero), str(""), str("1"), value.NewBool(true), i(0), value.Null, f(math.NaN())},
+	}
+	types := []storage.ColumnType{storage.TypeInt, storage.TypeFloat, storage.TypeBool, storage.TypeString}
+	vecs, rows := make([]storage.Vector, comps), make([][]value.Value, count)
+	direct := comps <= maxIntKeys
+	kinds := make([]int, comps)
+	for c := range vecs {
+		kinds[c] = rng.Intn(len(palettes))
+		if kinds[c] < len(types) {
+			vecs[c].Resize(types[kinds[c]], count)
+		} else {
+			vecs[c].ResizeBoxed(count)
+		}
+		direct = direct && kinds[c] != 1 && kinds[c] != 4
+	}
+	for r := range rows {
+		rows[r] = make([]value.Value, comps)
+		for c := range vecs {
+			p := palettes[kinds[c]]
+			v := p[rng.Intn(len(p))]
+			if rows[r][c] = v; vecs[c].Boxed {
+				vecs[c].Vals[r] = v
+			} else {
+				vecs[c].Set(r, v)
+			}
+		}
+	}
+	cols := make([]keyCol, comps)
+	for c := range cols {
+		cols[c].vec = vecs[c]
+	}
+	kc := newKeyCols(cols)
+	keys := make([]fuzzKey, count)
+	for r := range keys {
+		keys[r] = fuzzKey{id: string(value.EncodeKey(rows[r]...)), read: func(tab *groupTable, insert bool) []int64 {
+			key := make([]int64, kc.stride)
+			for c := range vecs {
+				kc.read(c, &vecs[c], []int32{int32(r)}, key, tab.dict, insert)
+			}
+			return key
+		}}
+	}
+	routes := []func() *groupTable{func() *groupTable {
+		tab := newGroupTable(kc.layout, &bounds{}, new(keyDict))
+		if flat {
+			tab.drop = ^uint32(0)
+		}
+		return &tab
+	}}
+	if direct {
+		lo, hi := make([]int64, comps), make([]int64, comps)
+		for c := range vecs {
+			lo[c], hi[c] = 0, 1 // BOOLEAN
+			switch vecs[c].Type {
+			case storage.TypeString:
+				hi[c] = int64(vecs[c].Dict.Len() - 1)
+			case storage.TypeInt:
+				lo[c] = -1 // MinInt64 and 1 << 32 lie outside: a key with one moves the table
+			}
+		}
+		if b, ok := planBounds(lo, hi, 1<<20); ok {
+			routes = append(routes, func() *groupTable { tab := newGroupTable(kc.layout, &b, nil); return &tab })
+		}
+	}
+	for _, newTable := range routes {
+		one, oracle := checkIDs(t, rng, keys, newTable)
+		first := make([]int, len(oracle))
+		for r := len(keys) - 1; r >= 0; r-- {
+			first[oracle[keys[r].id]] = r
+		}
+		for c := range vecs {
+			var v storage.Vector
+			kc.column(c, one, 0, one.len(), &v)
+			if vecs[c].Boxed != v.Boxed {
+				t.Fatalf("component %d: boxed %v, its column boxed %v", c, v.Boxed, vecs[c].Boxed)
+			}
+			for id, r := range first {
+				got, want := v.Value(id), rows[r][c]
+				if got.Kind() != want.Kind() || value.Compare(got, want) != 0 || want.Kind() == value.KindFloat && math.Signbit(got.Float()) != math.Signbit(want.Float()) {
+					t.Fatalf("%s route: key %d component %d shows %v (%v), its first row %d %v (%v)", one.route(), id, c, got, got.Kind(), r, want, want.Kind())
+				}
+			}
+		}
+	}
+}
+
+// FuzzGroupTable checks both routes against a Go map (checkIDs). The hash
+// route takes keys that stress a probe — the counts force at least four
+// doublings of the index, and with every hash forced equal (the drop seam)
+// the probe sequence and the key compare alone must still tell the keys
+// apart. The direct route takes keys within random bounds, and then one
+// outside them: a find of it is -1 and leaves the table direct, an insert
+// moves the table to the hash route with every earlier id kept, and a direct
+// partition absorbing a moved one follows it there. Bounds with an int64
+// extreme in one component never make a directory. Keys of dictionary-coded
+// VARCHAR components take both routes too (checkDictKeys), and so do keys of
+// every component kind encoded by the fold's reader (checkEncodedKeys): of
+// width components, or — width 0 — of 9 to 70, wider than a direct key.
 func FuzzGroupTable(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint8(0), false)
 	f.Add(int64(2), uint16(900), uint8(1), false)
@@ -362,25 +480,27 @@ func FuzzGroupTable(f *testing.F) {
 		if flat {
 			count = 200 + int(n)%200 // every probe walks the whole chain
 		}
+		if w == 0 {
+			checkEncodedKeys(t, rng, 9+rng.Intn(62), count, flat)
+			return
+		}
+		checkEncodedKeys(t, rng, w, count, flat)
 		one, oracle := checkIDs(t, rng, fuzzKeys(rng, w, count), func() *groupTable {
-			t := &groupTable{width: w}
+			t := newGroupTable(intLayout(w), &bounds{}, nil)
 			if flat {
 				t.drop = ^uint32(0)
 			}
-			return t
+			return &t
 		})
 		if !flat && len(oracle) > 96 && len(one.slots) < 256 {
 			t.Fatalf("%d keys in %d slots: the index did not double four times", len(oracle), len(one.slots))
-		}
-		if w == 0 {
-			return
 		}
 		checkDictKeys(t, rng, w, count)
 
 		b, lo, hi := fuzzBounds(t, rng, w)
 		keys := fuzzBoundedKeys(rng, lo, hi, count)
 		newDirect := func() *groupTable {
-			t := newGroupTable(w, &b)
+			t := newGroupTable(intLayout(w), &b, nil)
 			return &t
 		}
 		one, oracle = checkIDs(t, rng, keys, newDirect)
@@ -390,21 +510,22 @@ func FuzzGroupTable(f *testing.F) {
 
 		// One component of a key outside its bounds.
 		in := keys[rng.Intn(len(keys))]
-		out := fuzzKey{ints: append([]int64(nil), in.ints...), mask: in.mask}
+		ints, mask := append([]int64(nil), in.ints...), in.mask[0]
 		c := rng.Intn(w)
-		out.mask &^= 1 << c
+		mask &^= 1 << c
 		switch edge := rng.Intn(4); {
 		case hi[c] < lo[c]:
-			out.ints[c] = int64(rng.Intn(200) - 100) // any value: the component has none
+			ints[c] = int64(rng.Intn(200) - 100) // any value: the component has none
 		case edge == 0:
-			out.ints[c] = hi[c] + 1
+			ints[c] = hi[c] + 1
 		case edge == 1:
-			out.ints[c] = lo[c] - 1
+			ints[c] = lo[c] - 1
 		case edge == 2:
-			out.ints[c] = math.MaxInt64
+			ints[c] = math.MaxInt64
 		default:
-			out.ints[c] = math.MinInt64
+			ints[c] = math.MinInt64
 		}
+		out := intKey(ints, mask)
 		if id, fresh := out.lookup(one, false); id != -1 || fresh || one.route() != "direct" {
 			t.Fatalf("find of out-of-bounds key %s = %d (fresh %v) on the %s route, want -1 on the direct route", out, id, fresh, one.route())
 		}
@@ -412,8 +533,8 @@ func FuzzGroupTable(f *testing.F) {
 			t.Fatalf("insert of out-of-bounds key %s = %d (fresh %v) on the %s route, want %d on the hash route", out, id, fresh, one.route(), len(oracle))
 		}
 		for i, k := range keys {
-			if id, _ := k.lookup(one, false); id != oracle[k.String()] {
-				t.Fatalf("key %d %s: id %d after the move, %d before", i, k, id, oracle[k.String()])
+			if id, _ := k.lookup(one, false); id != oracle[k.id] {
+				t.Fatalf("key %d %s: id %d after the move, %d before", i, k, id, oracle[k.id])
 			}
 		}
 		// A direct partition absorbing one that moved: the moved one holds
@@ -426,7 +547,7 @@ func FuzzGroupTable(f *testing.F) {
 		for _, k := range append(keys[cut:len(keys):len(keys)], out) {
 			k.lookup(upper, true)
 		}
-		oracle[out.String()] = int32(len(oracle))
+		oracle[out.id] = int32(len(oracle))
 		checkMerge(t, lower, upper, append(keys[:len(keys):len(keys)], out), oracle)
 		if lower.route() != "hash" {
 			t.Fatalf("absorbing an out-of-bounds key left the table on the %s route", lower.route())
@@ -451,19 +572,19 @@ func FuzzGroupTable(f *testing.F) {
 		if !ok {
 			t.Fatalf("bounds %v..%v made no directory", elo, ehi)
 		}
-		et := newGroupTable(w, &eb)
-		k := fuzzKey{ints: make([]int64, w)}
-		for j := range k.ints {
-			if k.ints[j] = elo[j]; ehi[j] < elo[j] {
-				k.ints[j], k.mask = 0, k.mask|1<<j
+		et := newGroupTable(intLayout(w), &eb, nil)
+		eints, emask := make([]int64, w), uint8(0)
+		for j := range eints {
+			if eints[j] = elo[j]; ehi[j] < elo[j] {
+				eints[j], emask = 0, emask|1<<j
 			}
 		}
-		if id, fresh := k.lookup(&et, true); id != 0 || !fresh || et.route() != "direct" {
-			t.Fatalf("key %s at the int64 extreme = %d (fresh %v) on the %s route", k, id, fresh, et.route())
+		if id, fresh := intKey(eints, emask).lookup(&et, true); id != 0 || !fresh || et.route() != "direct" {
+			t.Fatalf("key %v at the int64 extreme = %d (fresh %v) on the %s route", eints, id, fresh, et.route())
 		}
-		k.ints[c] ^= math.MinInt64 ^ math.MaxInt64 // the other extreme
-		if id, _ := k.lookup(&et, false); id != -1 {
-			t.Fatalf("key %s at the other int64 extreme found id %d", k, id)
+		eints[c] ^= math.MinInt64 ^ math.MaxInt64 // the other extreme
+		if id, _ := intKey(eints, emask).lookup(&et, false); id != -1 {
+			t.Fatalf("key %v at the other int64 extreme found id %d", eints, id)
 		}
 	})
 }

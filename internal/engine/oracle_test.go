@@ -444,7 +444,7 @@ func refAccumulator(call *expr.AggCall) (accumulator, error) {
 	case call.Fn == expr.AggCount:
 		return &countAcc{star: call.Star}, nil
 	}
-	return newAccumulator(call)
+	return newAccumulator(call, nil)
 }
 
 // countAcc counts rows (star) or non-NULL values.
@@ -473,8 +473,8 @@ func (a *countAcc) result() value.Value { return value.NewInt(a.n) }
 
 // groupState accumulates one group.
 type groupState struct {
-	keyVals []value.Value
-	accs    []accumulator
+	keyRow []value.Value
+	accs   []accumulator
 }
 
 // hashAggregateSeq is the sequential reference fold: it consumes the input
@@ -491,12 +491,12 @@ func hashAggregateSeq(in rowIter, keyExprs []expr.Expr, specs []aggSpec, gov *go
 	groups := make(map[string]*groupState)
 	var order []string // first-appearance order, deterministic output
 	keyBuf := make([]byte, 0, 64)
-	keyVals := make([]value.Value, len(keyExprs))
+	keyRow := make([]value.Value, len(keyExprs))
 
 	newGroup := func() (*groupState, error) {
 		gs := &groupState{
-			keyVals: append([]value.Value(nil), keyVals...),
-			accs:    make([]accumulator, len(specs)),
+			keyRow: append([]value.Value(nil), keyRow...),
+			accs:   make([]accumulator, len(specs)),
 		}
 		for i, s := range specs {
 			acc, err := refAccumulator(s.call)
@@ -532,7 +532,7 @@ func hashAggregateSeq(in rowIter, keyExprs []expr.Expr, specs []aggSpec, gov *go
 			if err != nil {
 				return nil, err
 			}
-			keyVals[i] = v
+			keyRow[i] = v
 			keyBuf = value.AppendKey(keyBuf, v)
 		}
 		gs, ok := groups[string(keyBuf)]
@@ -576,8 +576,8 @@ func hashAggregateSeq(in rowIter, keyExprs []expr.Expr, specs []aggSpec, gov *go
 	out := make([][]value.Value, 0, len(groups))
 	for _, k := range order {
 		gs := groups[k]
-		row := make([]value.Value, 0, len(gs.keyVals)+len(specs))
-		row = append(row, gs.keyVals...)
+		row := make([]value.Value, 0, len(gs.keyRow)+len(specs))
+		row = append(row, gs.keyRow...)
 		for _, acc := range gs.accs {
 			row = append(row, acc.result())
 		}

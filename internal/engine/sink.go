@@ -191,29 +191,32 @@ func (c *colCollector) pushCols(cols []*storage.Vector, n int) error {
 }
 
 // distinct keeps, in order, the first of perm's positions of each distinct
-// row, keyed by its value.AppendKey encoding in a byte-route group table. A
-// new key is a group, charged against MaxGroups as the fold charges one.
+// row: the fold's resolve looks the rows' keys up, a typed column one slot
+// and a boxed one coded (keys.go), in a group table on the hash route.
+// A new key is a group, charged against MaxGroups as the fold charges one.
 func (c *colCollector) distinct(perm []int32, gov *governor) ([]int32, error) {
-	var tab groupTable
-	var key []byte
+	cols := make([]keyCol, len(c.vecs))
+	for j := range cols {
+		cols[j].vec = c.vecs[j]
+	}
+	kc := newKeyCols(cols)
+	tab := newGroupTable(kc.layout, &bounds{}, new(keyDict))
+	// A worker of a fold with no aggregates: charging a group only counts it.
+	w, b, ids := &foldWorker{gov: gov, part: &foldPart{op: &foldOp{}}}, &tupleBatch{ids: make([][]int32, 1)}, make([]int32, batchSize)
 	kept := perm[:0]
-	for i, r := range perm {
-		if i%govStride == 0 {
-			if err := gov.check(); err != nil {
-				return nil, err
-			}
-		}
-		key = key[:0]
-		for j := range c.vecs {
-			key = value.AppendKey(key, c.vecs[j].Value(int(r)))
-		}
-		if _, fresh := tab.lookupBytes(tab.hashBytes(key), key, true); !fresh {
-			continue
-		}
-		if err := gov.addGroups(1); err != nil {
+	for lo := 0; lo < len(perm); lo += batchSize {
+		if err := gov.check(); err != nil {
 			return nil, err
 		}
-		kept = append(kept, r)
+		b.ids[0] = perm[lo:min(lo+batchSize, len(perm))]
+		if err := w.resolve(&kc, &tab, b, 0, len(b.ids[0]), ids, true); err != nil {
+			return nil, err
+		}
+		for i, r := range b.ids[0] {
+			if int(ids[i]) == len(kept) { // a new key: ids are dense, in order
+				kept = append(kept, r)
+			}
+		}
 	}
 	mGroupsEmitted.Add(int64(len(kept)))
 	return kept, nil

@@ -6,14 +6,11 @@ import (
 )
 
 // Key encoding: values are serialized to a byte string so that tuples can be
-// used directly as Go map keys by hash aggregation, hash joins and indexes.
-// Two tuples encode to the same bytes exactly when they have the same kinds
-// and SQL equality holds component by component, NaN aside (see
-// canonicalBits): every value is prefixed with a kind tag, variable-length
-// payloads carry their length, and integers and floats are encoded distinctly
-// even when numerically equal. Callers that want ints and floats to group
-// together normalize values first (the engine's group-by does not: SQL GROUP
-// BY distinguishes columns by declared type, and a column never mixes kinds).
+// used directly as Go map keys by the hash join and the indexes. Two tuples
+// encode to the same bytes exactly when they have the same kinds and SQL
+// equality holds component by component, NaN aside (see KeyBits): every value
+// is prefixed with a kind tag, variable-length payloads carry their length,
+// and integers and floats are encoded distinctly even when numerically equal.
 
 // encTag mirrors Kind but is independent so that the encoding stays stable
 // if kinds are renumbered.
@@ -35,7 +32,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, encInt)
 		return binary.BigEndian.AppendUint64(dst, uint64(v.i))
 	case KindFloat:
-		return binary.BigEndian.AppendUint64(append(dst, encFloat), canonicalBits(v.f))
+		return binary.BigEndian.AppendUint64(append(dst, encFloat), KeyBits(v.f))
 	case KindString:
 		dst = append(dst, encString)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.s)))
@@ -48,11 +45,12 @@ func AppendKey(dst []byte, v Value) []byte {
 	}
 }
 
-// canonicalBits is the float's bit pattern, except that -0.0 encodes as +0.0:
+// KeyBits is the float's bit pattern, except that -0.0 encodes as +0.0:
 // 0.0 = -0.0 is true, so GROUP BY, DISTINCT, count(DISTINCT), indexes and
 // hash joins must put the two in one bucket. Every NaN encodes as math.NaN(),
-// one key, although Compare calls a NaN equal to every number.
-func canonicalBits(f float64) uint64 {
+// one key, although Compare calls a NaN equal to every number. The engine's
+// fixed-width keys hold a REAL as these bits too.
+func KeyBits(f float64) uint64 {
 	switch {
 	case f == 0: // floateq:ok exactly the two zeros
 		f = 0
@@ -71,56 +69,3 @@ func EncodeKey(vals ...Value) []byte {
 	}
 	return dst
 }
-
-// decodeKey decodes a key encoding produced by EncodeKey back into values.
-// It is used by operators that need to recover group keys from map keys
-// without retaining per-group value slices.
-func decodeKey(key []byte) ([]Value, error) {
-	var out []Value
-	for len(key) > 0 {
-		tag := key[0]
-		key = key[1:]
-		switch tag {
-		case encNull:
-			out = append(out, Null)
-		case encInt:
-			if len(key) < 8 {
-				return nil, errTruncatedKey
-			}
-			out = append(out, NewInt(int64(binary.BigEndian.Uint64(key))))
-			key = key[8:]
-		case encFloat:
-			if len(key) < 8 {
-				return nil, errTruncatedKey
-			}
-			out = append(out, NewFloat(math.Float64frombits(binary.BigEndian.Uint64(key))))
-			key = key[8:]
-		case encString:
-			if len(key) < 4 {
-				return nil, errTruncatedKey
-			}
-			n := int(binary.BigEndian.Uint32(key))
-			key = key[4:]
-			if len(key) < n {
-				return nil, errTruncatedKey
-			}
-			out = append(out, NewString(string(key[:n])))
-			key = key[n:]
-		case encBool:
-			if len(key) < 1 {
-				return nil, errTruncatedKey
-			}
-			out = append(out, NewBool(key[0] != 0))
-			key = key[1:]
-		default:
-			return nil, errTruncatedKey
-		}
-	}
-	return out, nil
-}
-
-type keyError string
-
-func (e keyError) Error() string { return string(e) }
-
-const errTruncatedKey = keyError("value: truncated or corrupt key encoding")

@@ -6,29 +6,24 @@ import (
 	"testing/quick"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tuples := [][]Value{
-		{},
-		{Null},
-		{NewInt(0)},
-		{NewInt(-1), NewInt(1)},
-		{NewFloat(3.25), NewString("abc"), NewBool(true)},
-		{NewString(""), NewString("x"), Null, NewBool(false)},
-		{NewString("a\x00b"), NewInt(42)},
+// TestEncodeKeyFollowsSQLEquality: two tuples encode alike exactly when they
+// have the same kinds and SQL equality holds component by component — the
+// REAL zeros alike, every NaN alike, 1 apart from 1.0, the empty string apart
+// from NULL.
+func TestEncodeKeyFollowsSQLEquality(t *testing.T) {
+	negZero, otherNaN := math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())^1<<63|0xBEEF)
+	same := [][2][]Value{
+		{{}, {}},
+		{{Null}, {Null}},
+		{{NewInt(-1), NewInt(1)}, {NewInt(-1), NewInt(1)}},
+		{{NewFloat(3.25), NewString("abc"), NewBool(true)}, {NewFloat(3.25), NewString("abc"), NewBool(true)}},
+		{{NewString("a\x00b"), NewInt(42)}, {NewString("a\x00b"), NewInt(42)}},
+		{{NewFloat(0)}, {NewFloat(negZero)}},
+		{{NewFloat(math.NaN())}, {NewFloat(otherNaN)}},
 	}
-	for _, tu := range tuples {
-		enc := EncodeKey(tu...)
-		dec, err := decodeKey(enc)
-		if err != nil {
-			t.Fatalf("decodeKey(%v): %v", tu, err)
-		}
-		if len(dec) != len(tu) {
-			t.Fatalf("round trip length %d != %d", len(dec), len(tu))
-		}
-		for i := range tu {
-			if Compare(dec[i], tu[i]) != 0 || dec[i].Kind() != tu[i].Kind() {
-				t.Errorf("round trip [%d]: %v != %v", i, dec[i], tu[i])
-			}
+	for _, p := range same {
+		if a, b := string(EncodeKey(p[0]...)), string(EncodeKey(p[1]...)); a != b {
+			t.Errorf("tuples %v and %v encode differently: %x vs %x", p[0], p[1], a, b)
 		}
 	}
 }
@@ -43,6 +38,8 @@ func TestEncodeInjective(t *testing.T) {
 		{{NewBool(false)}, {NewInt(0)}},
 		{{NewString("")}, {}},
 		{{Null, Null}, {Null}},
+		{{NewFloat(0)}, {Null}},
+		{{NewInt(0)}, {Null}},
 	}
 	for _, p := range pairs {
 		a, b := string(EncodeKey(p[0]...)), string(EncodeKey(p[1]...))
@@ -79,22 +76,6 @@ func TestEncodeInjectiveProperty(t *testing.T) {
 	}
 }
 
-func TestDecodeCorruptKeys(t *testing.T) {
-	bad := [][]byte{
-		{encInt},                     // truncated int payload
-		{encFloat, 0, 0},             // truncated float payload
-		{encString, 0, 0, 0, 5, 'a'}, // length 5 but 1 byte
-		{encString, 0, 0},            // truncated length
-		{encBool},                    // missing bool byte
-		{99},                         // unknown tag
-	}
-	for _, b := range bad {
-		if _, err := decodeKey(b); err == nil {
-			t.Errorf("decodeKey(%v) should fail", b)
-		}
-	}
-}
-
 func TestAppendKeyReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	buf = AppendKey(buf, NewInt(1))
@@ -103,15 +84,15 @@ func TestAppendKeyReusesBuffer(t *testing.T) {
 	if len(buf) <= n {
 		t.Fatal("AppendKey must extend the buffer")
 	}
-	dec, err := decodeKey(buf)
-	if err != nil || len(dec) != 2 {
-		t.Fatalf("decode appended buffer: %v %v", dec, err)
+	if want := EncodeKey(NewInt(1), NewString("xy")); string(buf) != string(want) {
+		t.Fatalf("appended buffer %x, EncodeKey of the tuple %x", buf, want)
 	}
 }
 
 // TestAppendKeyCanonicalFloats: SQL equality cannot tell -0.0 from 0.0, nor
 // (under Compare) one NaN from another, so neither may the key encoding every
-// hash operator buckets by.
+// hash operator buckets by — and KeyBits, the fixed-width keys' form of a
+// REAL, is the encoding's payload. Every other float keeps its own bits.
 func TestAppendKeyCanonicalFloats(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	if a, b := string(EncodeKey(NewFloat(0))), string(EncodeKey(NewFloat(negZero))); a != b {
@@ -124,13 +105,18 @@ func TestAppendKeyCanonicalFloats(t *testing.T) {
 	if a, b := string(EncodeKey(NewFloat(math.NaN()))), string(EncodeKey(NewFloat(otherNaN))); a != b {
 		t.Errorf("two NaNs encode differently: %x vs %x", a, b)
 	}
-	for _, f := range []float64{math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, math.Inf(1), math.Inf(-1)} {
-		dec, err := decodeKey(EncodeKey(NewFloat(f)))
-		if err != nil || math.Float64bits(dec[0].Float()) != math.Float64bits(f) {
-			t.Errorf("%v does not round-trip bit for bit: %v %v", f, dec, err)
+	if KeyBits(negZero) != KeyBits(0) || KeyBits(otherNaN) != KeyBits(math.NaN()) {
+		t.Errorf("KeyBits tells the zeros or the NaNs apart")
+	}
+	floats := []float64{0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i, f := range floats {
+		if i > 0 && !math.IsNaN(f) && KeyBits(f) != math.Float64bits(f) { // every float but the zeros and NaN
+			t.Errorf("%v: KeyBits %x, its own bits %x", f, KeyBits(f), math.Float64bits(f))
 		}
-		if string(EncodeKey(NewFloat(f))) == string(EncodeKey(NewFloat(0))) {
-			t.Errorf("%v encodes as zero", f)
+		for _, g := range floats[:i] {
+			if string(EncodeKey(NewFloat(f))) == string(EncodeKey(NewFloat(g))) {
+				t.Errorf("%v and %v encode alike", f, g)
+			}
 		}
 	}
 }
