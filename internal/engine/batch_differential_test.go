@@ -431,6 +431,45 @@ func TestFoldKeyRoutes(t *testing.T) {
 	}
 }
 
+// TestDispatchFamilyRoutes: every arm family of the primary queries' Hpct
+// plans and of the CASE fan-out benchmark's statement takes the direct
+// route; constants outside their columns' values keep a family direct, and so
+// do more arms than a batch has tuples; a family over a column whose range no
+// directory covers takes the hash route.
+func TestDispatchFamilyRoutes(t *testing.T) {
+	check := func(e *engine.Engine, what, want string, run func() error) {
+		t.Helper()
+		routes, err := engine.FamilyRoutes(e, run)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(routes) == 0 {
+			t.Errorf("%s: no arm family", what)
+		}
+		for _, r := range routes {
+			if r != want {
+				t.Errorf("%s: a family takes the %s route, want %s", what, r, want)
+			}
+		}
+	}
+	statement := func(p *core.Planner, sql string) func() error {
+		return func() error { _, err := difftest.Run(p, sql, core.Options{}, 1); return err }
+	}
+	pp := primaryPlanner(t)
+	for qi, q := range primaryShapes() {
+		check(pp.Eng, fmt.Sprintf("primary %d Hpct", qi+1), "direct", statement(pp, q.hpct))
+	}
+	e := engine.BenchEngine(t, 100_000)
+	check(e, "CASE fan-out", "direct", func() error { _, err := e.ExecSQL(engine.CASEFanoutSQL()); return err })
+
+	cat := storage.NewCatalog()
+	loadDispatchEdges(t, cat)
+	p := core.NewPlanner(engine.New(cat))
+	check(p.Eng, "out-of-range constants", "direct", statement(p, dispatchOutOfRange))
+	check(p.Eng, "more arms than a batch has tuples", "direct", statement(p, manyArms()))
+	check(p.Eng, "wide range", "hash", statement(p, dispatchWide))
+}
+
 // TestDifferentialBatchDirectKeysAfterUpdate: a fold plans its directory over
 // the key columns' ranges as the table stands, so an UPDATE that writes keys
 // outside the ranges an earlier fold read must widen them for the next one —
@@ -711,11 +750,79 @@ func dispatchRows() [][]value.Value {
 	}
 }
 
+// loadDispatchEdges adds table h to cat: 64 rows whose first eight, folded
+// as one batch by one worker at every parallelism up to 8, hold groups k = 1
+// and 2. Group 1's d = 1 rows carry 1, 1e16, -1e16 and its d = 2 rows 1e16,
+// -1e16, 1, interleaved: each sum is 0 or 1 as the rows are added forwards
+// or backwards. The 56 rows after them (k 3 to 6) mix NULLs into d, s and w
+// and carry exact measures. d spans [0, 3] and w holds 0 and 10 000 000, a
+// range no directory over 64 rows covers.
+func loadDispatchEdges(t *testing.T, cat *storage.Catalog) {
+	t.Helper()
+	tab, err := cat.Create("h", storage.Schema{
+		{Name: "k", Type: storage.TypeInt},
+		{Name: "d", Type: storage.TypeInt},
+		{Name: "s", Type: storage.TypeString},
+		{Name: "w", Type: storage.TypeInt},
+		{Name: "a", Type: storage.TypeInt},
+		{Name: "b", Type: storage.TypeFloat},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, f, str, null := value.NewInt, value.NewFloat, value.NewString, value.Null
+	rows := [][]value.Value{
+		{i(1), i(1), str("x"), i(0), i(1), f(1)},
+		{i(1), i(2), str("y"), i(0), i(2), f(1e16)},
+		{i(2), i(1), str("x"), i(0), i(3), f(5)},
+		{i(1), i(1), str("x"), i(0), i(4), f(1e16)},
+		{i(1), i(2), str("y"), i(0), i(5), f(-1e16)},
+		{i(1), i(1), str("y"), i(0), i(6), f(-1e16)},
+		{i(1), i(2), str("x"), i(0), i(7), f(1)},
+		{i(2), i(2), null, null, i(8), f(0.5)},
+	}
+	ds := []value.Value{null, i(0), i(1), i(2), i(3)}
+	ss := []value.Value{null, str("x"), str("y"), str("z")}
+	ws := []value.Value{i(0), i(10_000_000), null}
+	for n := 0; n < 56; n++ {
+		rows = append(rows, []value.Value{i(int64(3 + n%4)), ds[n%5], ss[n%4], ws[n%3], i(int64(n%7 - 3)), f(float64(n%5) - 1.5)})
+	}
+	for _, r := range rows {
+		if _, err := tab.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// The arm families over h whose routes TestDispatchFamilyRoutes pins:
+// constants outside d's values and strings s lacks, which match nothing and
+// keep the family direct, and a family over w, which takes the hash route.
+const (
+	dispatchOutOfRange = "SELECT k, sum(CASE WHEN d = 1000 THEN b ELSE 0 END), sum(CASE WHEN d = -100 THEN a END), sum(CASE WHEN d = 1 THEN a ELSE 0 END), count(CASE WHEN s = 'zz' THEN 1 END), sum(CASE WHEN s = 'absent' THEN b ELSE 0 END), sum(CASE WHEN s = 'x' THEN a END) FROM h GROUP BY k"
+	dispatchWide       = "SELECT k, sum(CASE WHEN w = 0 THEN b ELSE 0 END), sum(CASE WHEN w = 10000000 THEN a END), sum(CASE WHEN w IS NULL THEN b ELSE 0 END), sum(CASE WHEN w = 5 THEN a ELSE 0 END) FROM h GROUP BY k"
+)
+
+// manyArms is a fold over h with one family of more arms than a batch has
+// tuples: a = -550 … 550, a range that still goes direct.
+func manyArms() string {
+	var b strings.Builder
+	b.WriteString("SELECT k")
+	for v := -550; v <= 550; v++ {
+		fmt.Fprintf(&b, ", sum(CASE WHEN a = %d THEN b ELSE 0 END)", v)
+	}
+	b.WriteString(" FROM h GROUP BY k")
+	return b.String()
+}
+
 // TestDifferentialBatchDispatch runs the dimension dispatch over the
 // hand-built table — where each group pins one clause of the ELSE settlement
 // rule — as plain CASE folds over INTEGER, FLOAT and INTEGER-then-FLOAT
 // measures and as Hpct and Hagg plans, direct and from FV, one and two BY
-// lists per statement.
+// lists per statement. Over h (loadDispatchEdges) it runs the batch's sort
+// by entry, whose stability group 1's REAL sums tell, constants no row
+// holds, a two-column family with IS NULL arms, batches in which no row
+// matches an arm, a family over a LEFT JOIN's NULL-extended column, one on
+// the hash route, and one of more entries than a batch has tuples.
 func TestDifferentialBatchDispatch(t *testing.T) {
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("g", dispatchSchema)
@@ -727,6 +834,7 @@ func TestDifferentialBatchDispatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	loadDispatchEdges(t, cat)
 	p := core.NewPlanner(engine.New(cat))
 	arms := func(then, els string) string {
 		return fmt.Sprintf("sum(CASE WHEN d = 1 THEN %s%s END), sum(CASE WHEN d = 2 THEN %s%s END), sum(CASE WHEN d IS NULL THEN %s%s END), sum(CASE WHEN d = 3 THEN %s%s END)",
@@ -750,6 +858,17 @@ func TestDifferentialBatchDispatch(t *testing.T) {
 		{"SELECT k, sum(b BY d), count(a BY d), min(a BY s) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
 		{"SELECT k, sum(b BY d), count(a BY d), max(b BY s) FROM g GROUP BY k", caseFV},
 		{"SELECT k, count(* BY d), avg(b BY d) FROM g GROUP BY k", core.Options{Hagg: core.HaggOptions{Method: core.HaggCASE}}},
+
+		{"SELECT k, sum(CASE WHEN d = 1 THEN b END), sum(CASE WHEN d = 2 THEN b ELSE 0 END), count(CASE WHEN d = 1 THEN 1 END), sum(CASE WHEN d = 3 THEN b ELSE 0 END) FROM h GROUP BY k", core.Options{}},
+		{dispatchOutOfRange, core.Options{}},
+		{"SELECT k, sum(CASE WHEN d = 1000 THEN b ELSE 0 END), sum(CASE WHEN d = -100 THEN a END), sum(CASE WHEN s = 'zz' THEN a ELSE 0 END) FROM h GROUP BY k", core.Options{}},
+		{"SELECT k, sum(CASE WHEN s IS NULL AND d = 1 THEN b ELSE 0 END), sum(CASE WHEN s = 'x' AND d IS NULL THEN a ELSE 0 END), sum(CASE WHEN s IS NULL AND d IS NULL THEN b END), sum(CASE WHEN s = 'y' AND d = 2 THEN b ELSE 0 END), sum(CASE WHEN s = 'zz' AND d = 1 THEN a END) FROM h GROUP BY k", core.Options{}},
+		{"SELECT k, Hpct(a BY s, d) FROM h GROUP BY k", core.Options{}},
+		{"SELECT k, sum(CASE WHEN d = 1 THEN b ELSE 0 END), sum(CASE WHEN d = 2 THEN a END), sum(CASE WHEN s IS NULL AND d = 0 THEN a ELSE 0 END) FROM h WHERE d = 3 GROUP BY k", core.Options{}},
+		{"SELECT sum(CASE WHEN d = 1 THEN b ELSE 0 END), sum(CASE WHEN d IS NULL THEN a END) FROM h WHERE s = 'z' AND d > 1", core.Options{}},
+		{"SELECT x.k, sum(CASE WHEN y.d = 1 THEN x.a ELSE 0 END), sum(CASE WHEN y.d IS NULL THEN x.a ELSE 0 END), sum(CASE WHEN y.d = 2 THEN x.b END), sum(CASE WHEN y.s = 'x' AND y.d = 1 THEN x.a END) FROM h x LEFT JOIN g y ON x.k = y.k GROUP BY x.k", core.Options{}},
+		{dispatchWide, core.Options{}},
+		{manyArms(), core.Options{}},
 	}
 	for _, c := range cases {
 		if err := CompareBatch(p, c.sql, c.opts, difftest.Parallelisms); err != nil {

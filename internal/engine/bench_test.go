@@ -56,14 +56,17 @@ func BenchmarkHashAggregate(b *testing.B) {
 }
 
 func BenchmarkHashAggregateWithCASEFanout(b *testing.B) {
-	e := benchEngine(b, 100_000)
-	// Seven CASE columns, the Hpct-direct shape.
+	benchQuery(b, benchEngine(b, 100_000), caseFanoutSQL())
+}
+
+// caseFanoutSQL is the CASE fan-out benchmark's statement over benchEngine's
+// table: seven CASE columns, the Hpct-direct shape.
+func caseFanoutSQL() string {
 	sql := "SELECT g1"
 	for d := 0; d < 7; d++ {
 		sql += fmt.Sprintf(", sum(CASE WHEN d = %d THEN a ELSE 0 END)", d)
 	}
-	sql += " FROM f GROUP BY g1"
-	benchQuery(b, e, sql)
+	return sql + " FROM f GROUP BY g1"
 }
 
 func BenchmarkHashJoin(b *testing.B) {

@@ -15,10 +15,11 @@ import (
 // most one combination, yet evaluated arm by arm it pays N comparisons. The
 // paper's future work asks for an optimizer that knows this. planFold groups
 // such specs into arm families — one per tested column list — and builds one
-// constant-tuple → spec-indices table per family; the row loop then reads the
-// family's columns once, looks the tuple up, and evaluates THEN and add only
-// for the arms that matched. An arm that did not match does nothing per row:
-// its ELSE is settled once per group at emit (settleElse).
+// constant-tuple → spec-indices table per family; the fold then reads a
+// batch's family columns once, finds each tuple's entry — one directory load
+// on the direct route — and advances each arm, THEN and add, over the tuples
+// that matched it in one kernel call. An arm that did not match does nothing
+// per row: its ELSE is settled once per group at emit (settleElse).
 //
 // Recognised: a non-DISTINCT aggregate over a one-WHEN CASE whose condition
 // is an error-free conjunction (expr.ErrFree) of column = literal tests, the
@@ -97,10 +98,11 @@ func (a *arm) addCond(e expr.Expr, sch relSchema) bool {
 }
 
 // armFamily is the dispatch table of the arms testing one column list: a
-// group table (grouptable.go) on the hash route, built at plan time over the
-// arms' constant tuples and only read by the workers. A tuple's id is its entry: entries[id] lists the specs,
-// ascending, whose condition is that tuple; a row no arm matches resolves
-// to -1.
+// group table (grouptable.go) built at plan time over the arms' constant
+// tuples and only read by the workers — on the direct route, like a fold's
+// group table, when its columns' domains allow. A tuple's id is its entry:
+// entries[id] lists the specs, ascending, whose condition is that tuple; a
+// row no arm matches resolves to -1.
 type armFamily struct {
 	cols    []int
 	arms    int
@@ -139,6 +141,19 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 		f.arms, f.entries[e] = f.arms+1, append(f.entries[e], int32(i))
 		args[i], op.slots[i].family, op.slots[i].entry, op.slots[i].elseZero = a.then, int32(fi), e, a.elseZero
 		settle = settle || a.elseZero
+	}
+	// A family goes direct like a fold's key, its columns' ranges widened to
+	// cover its constants — an arm may test a value no row holds, or a string
+	// the dictionary lacks (-1) — with a directory over the stored constants.
+	for _, f := range op.families {
+		if b, ok := op.directBounds(&f.keys, &f.tab); ok {
+			f.tab.bounds, f.tab.dir = b, make([]int32, b.cells)
+			for e := range f.tab.len() {
+				k, mask := f.tab.key(e)
+				cell, _ := f.tab.cell(k, mask[0])
+				f.tab.dir[cell] = int32(e) + 1
+			}
+		}
 	}
 	if settle {
 		op.soles = len(op.families)

@@ -22,8 +22,10 @@ import (
 // group ids in the partition's group table (grouptable.go), creating and
 // charging a group where its key first appears, then advance each aggregate
 // over the whole batch with one kernel call (foldWorker.advance). Aggregates
-// over the disjoint CASE arms of a horizontal plan are the one refinement: a
-// tuple reaches only the arms its values select (dispatch.go).
+// over the disjoint CASE arms of a horizontal plan are the one refinement
+// (dispatch.go): a tuple reaches only the arms its values select, so the
+// batch is resolved to entries too, sorted by entry, and each arm advances
+// over its entry's run of tuples with one kernel call (advanceArms).
 //
 // State. A group is an id, not an object: its key sits in the group table's
 // flat arrays, its aggregates in the partition's — one 8-byte cell and one
@@ -284,39 +286,46 @@ type foldOp struct {
 func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 	op := &foldOp{pipe: pipe, specs: specs}
 	op.keys = op.keyCols(keyExprs)
-	op.planDirect()
+	op.bounds, _ = op.directBounds(&op.keys, nil)
 	for i, arg := range op.planDispatch(pipe.sch) {
 		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
 	return op
 }
 
-// planDirect puts a key of at most maxIntKeys INTEGER, VARCHAR and BOOLEAN
-// columns on the direct route when their ranges (storage.Table.IntRange:
-// every row of the table, so every tuple the fold can meet; a VARCHAR
-// column's dictionary; a BOOLEAN's [0, 1]) make a directory of at most
-// directCells cells for the fold's input. A REAL or computed component has no
-// range: its key takes the hash route.
-func (op *foldOp) planDirect() {
-	n := len(op.keys.cols)
+// directBounds lays out the directory of a key of at most maxIntKeys
+// INTEGER, VARCHAR and BOOLEAN columns over their ranges —
+// storage.Table.IntRange: every row of the table, so every tuple the fold can
+// meet; a VARCHAR column's dictionary; a BOOLEAN's [0, 1] — widened to cover
+// the stored keys of consts, if any, and reports whether it fits in
+// directCells cells for the fold's input. A key with a REAL or computed
+// component, which has no range, does not. The fold's group key and each arm
+// family (planDispatch) take the direct route by it.
+func (op *foldOp) directBounds(kc *keyCols, consts *groupTable) (bounds, bool) {
+	n := len(kc.cols)
 	if n == 0 || n > maxIntKeys {
-		return
+		return bounds{}, false
 	}
 	var lo, hi [maxIntKeys]int64
-	for c, col := range op.keys.cols {
+	for c, col := range kc.cols {
 		switch typ := col.vec.Type; {
 		case col.vec.Boxed || typ == storage.TypeFloat:
-			return
+			return bounds{}, false
 		case typ == storage.TypeBool:
 			lo[c], hi[c] = 0, 1
 		default:
 			var ok bool
 			if lo[c], hi[c], ok = op.pipe.tabs[col.t].IntRange(col.col); !ok {
-				lo[c], hi[c] = 0, -1 // only NULLs
+				lo[c], hi[c] = math.MaxInt64, math.MinInt64 // only NULLs: none
+			}
+		}
+		for e := 0; consts != nil && e < consts.len(); e++ {
+			if key, mask := consts.key(e); bitAt(mask, c) == 0 {
+				lo[c], hi[c] = min(lo[c], key[c]), max(hi[c], key[c])
 			}
 		}
 	}
-	op.bounds, _ = planBounds(lo[:n], hi[:n], directCells(op.pipe.count()))
+	return planBounds(lo[:n], hi[:n], directCells(op.pipe.count()))
 }
 
 // column reports the stored column e names, if it is a bare one: its table
@@ -631,6 +640,10 @@ type foldWorker struct {
 	gid  []int32
 	ents [][]int32
 	mat  []storage.Vector
+	// The batch's tuples sorted by entry (advanceArms): their ids in byEnt,
+	// their group ids in entGid, and where each entry's run lies in runs.
+	byEnt        tupleBatch
+	entGid, runs []int32
 }
 
 // run folds partition [lo, hi) of the op's source. Bound expression trees are
@@ -641,10 +654,17 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 	w.part.tab = newGroupTable(op.keys.layout, &op.bounds, &w.part.dict)
 	w.feed.init(op.pipe, gov, w, nil)
 	defer w.feed.finish()
-	w.gid, w.ents = w.feed.buffer(), make([][]int32, len(op.families))
-	for fi := range w.ents {
-		w.ents[fi] = w.feed.buffer()
+	// A batch fold with arm families also sorts by entry: one id vector a
+	// table, beside the families' entry vectors.
+	nf, nt := len(op.families), 0
+	if nf > 0 && !op.rowMajor {
+		nt, w.entGid, w.runs = len(op.pipe.tabs), w.feed.buffer(), w.feed.buffer()
 	}
+	bufs := make([][]int32, nf+nt)
+	for i := range bufs {
+		bufs[i] = w.feed.buffer()
+	}
+	w.gid, w.ents, w.byEnt.ids = w.feed.buffer(), bufs[:nf], bufs[nf:]
 	err := w.feed.run(lo, hi)
 	w.part.consumed, w.part.srcNs, w.part.stages = w.feed.read, w.feed.srcNs, w.feed.st
 	return w.part, err
@@ -690,24 +710,54 @@ func (w *foldWorker) fold(b *tupleBatch, lo, hi int) error {
 		// in ascending order, so the first error it raises is the one the
 		// arm-by-arm reference raises.
 		if s := &op.slots[i]; s.family < 0 || op.rowMajor && w.ents[s.family][lo] == s.entry {
-			if err := w.advance(i, b, lo, hi); err != nil {
+			if err := w.advance(i, b, w.gid, lo, hi); err != nil {
 				return err
 			}
 		}
 	}
 	// Nothing can raise in a batch of many tuples, so order is free: the arms
-	// advance behind the specs every tuple reaches, each tuple's in turn.
-	for fi := 0; fi < len(op.families) && !op.rowMajor; fi++ {
-		for k, e := range w.ents[fi][lo:hi] {
-			if e < 0 {
-				continue
+	// advance behind the specs every tuple reaches. Such a batch is folded
+	// whole: lo is 0.
+	if op.rowMajor {
+		return nil
+	}
+	return w.advanceArms(b, hi)
+}
+
+// advanceArms advances the arms of each family by tuples [0, n) of batch b,
+// whose entries are in w.ents. A stable counting sort by entry lines each
+// entry's tuples up in w.byEnt and w.entGid — those no arm matched first,
+// where no arm reads them — and each arm of an entry then takes its run in
+// one kernel call. Within a run the tuples keep their batch order, so every
+// (group, arm) cell adds its values in the order a tuple-at-a-time fold does,
+// and a REAL sum rounds alike.
+func (w *foldWorker) advanceArms(b *tupleBatch, n int) error {
+	for fi, f := range w.op.families {
+		ent := w.ents[fi][:n]
+		// at[e+1] counts entry e's tuples (e >= -1), then says where its run
+		// starts, then, each placed tuple moving it on, where the run ends.
+		at := append(w.runs[:0], make([]int32, len(f.entries)+2)...)
+		for _, e := range ent {
+			at[e+2]++
+		}
+		for e := 2; e < len(at); e++ {
+			at[e] += at[e-1]
+		}
+		for k, e := range ent {
+			w.entGid[at[e+1]] = w.gid[k]
+			for t, ids := range w.byEnt.ids {
+				ids[at[e+1]] = b.ids[t][k]
 			}
-			for _, i := range op.families[fi].entries[e] {
-				if err := w.advance(int(i), b, lo+k, lo+k+1); err != nil {
+			at[e+1]++
+		}
+		for e, specs := range f.entries {
+			for _, i := range specs {
+				if err := w.advance(int(i), &w.byEnt, w.entGid, int(at[e]), int(at[e+1])); err != nil {
 					return err
 				}
 			}
 		}
+		w.runs = at
 	}
 	return nil
 }
@@ -848,12 +898,12 @@ func (w *foldWorker) charge() error {
 }
 
 // advance is the kernel call: it adds tuples [lo, hi) of the batch, whose
-// groups are w.gid[lo:hi], to spec i. The typed kernels read a column vector
+// groups are gid[lo:hi], to spec i. The typed kernels read a column vector
 // and its NULL bitmap by the tuples' ids and cannot fail; the boxed one
 // applies the accumulators' rules to any value.
-func (w *foldWorker) advance(i int, b *tupleBatch, lo, hi int) error {
+func (w *foldWorker) advance(i int, b *tupleBatch, gid []int32, lo, hi int) error {
 	s, n := &w.op.slots[i], w.op.cells
-	num, tag, gid := w.part.num, w.part.tag, w.gid[lo:hi]
+	num, tag, gid := w.part.num, w.part.tag, gid[lo:hi]
 	sum, least := s.fn == expr.AggSum, s.fn == expr.AggMin
 	switch s.kernel {
 	case kernelCount:

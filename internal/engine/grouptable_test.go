@@ -593,8 +593,9 @@ func FuzzGroupTable(f *testing.F) {
 // its key first appears — in the id pass of a batch, before any kernel runs —
 // so at one worker it must hit MaxGroups exactly when the row-at-a-time
 // reference does: same PCT203, same limit, whether the fold runs column-major
-// (bare keys), row-major (a computed key) or over the byte route, and it must
-// pass at exactly the number of groups there are.
+// (bare keys: INTEGER values, a VARCHAR's codes) or row-major (a computed key,
+// on the hash route), and it must pass at exactly the number of groups there
+// are.
 func TestMaxGroupsTripsWhereTheReferenceDoes(t *testing.T) {
 	cat := storage.NewCatalog()
 	tab, err := cat.Create("f", fuzzFoldSchema)
