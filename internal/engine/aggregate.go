@@ -82,8 +82,10 @@ func floatCell(f float64) int64 { return int64(math.Float64bits(f)) }
 func addSum(num *int64, tag *uint8, v value.Value) error {
 	switch k := v.Kind(); {
 	case k == value.KindNull:
-	case k == value.KindInt && *tag != cellFloat:
-		*num, *tag = *num+v.Int(), cellInt
+	case k == value.KindInt && *tag == cellNone: // whatever the cell started at
+		*num, *tag = v.Int(), cellInt
+	case k == value.KindInt && *tag == cellInt:
+		*num += v.Int()
 	case k == value.KindInt:
 		*num = floatCell(cellFloatOf(*num, *tag) + float64(v.Int()))
 	case k == value.KindFloat && *tag == cellNone:

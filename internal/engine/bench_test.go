@@ -594,3 +594,58 @@ func TestOrderedFinalSelectAllocBudget(t *testing.T) {
 	}
 	t.Logf("%.0f allocations", allocs)
 }
+
+// kernelsEngine is BenchmarkFoldKernels' table of 100 K rows: every column
+// twice, NULL-free and — its name suffixed n — NULL every 50th row. k (100
+// values) and b make a direct-route key, w (100 values 2^40 apart), r (4
+// values) and b a hash-route one; a and x are the INTEGER and REAL arguments.
+func kernelsEngine(b testing.TB) *Engine {
+	b.Helper()
+	e := New(storage.NewCatalog())
+	mustExec(b, e, `CREATE TABLE t (k INTEGER, b BOOLEAN, w INTEGER, r REAL, a INTEGER, x REAL,
+		kn INTEGER, bn BOOLEAN, wn INTEGER, rn REAL, an INTEGER, xn REAL)`)
+	tab, _ := e.Catalog().Get("t")
+	rng := rand.New(rand.NewSource(1))
+	row := make([]value.Value, 12)
+	for i := 0; i < 100_000; i++ {
+		k := int64(rng.Intn(100))
+		row[0], row[1] = value.NewInt(k), value.NewBool(rng.Intn(2) == 0)
+		row[2], row[3] = value.NewInt(k<<40), value.NewFloat(float64(rng.Intn(4))/2)
+		row[4], row[5] = value.NewInt(int64(rng.Intn(1000))), value.NewFloat(rng.Float64()*1000)
+		for c := range 6 {
+			if row[6+c] = row[c]; i%50 == 0 {
+				row[6+c] = value.Null
+			}
+		}
+		if _, err := tab.AppendRow(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return e
+}
+
+// BenchmarkFoldKernels times one fold of kernelsEngine's table on one worker
+// for each NULL-free or nullable input, typed kernel and key route: the key
+// readers (keys.go) and foldWorker.advance's loops, with little else on the
+// clock — a few hundred groups to emit.
+func BenchmarkFoldKernels(b *testing.B) {
+	e := kernelsEngine(b)
+	aggs := []struct{ name, call string }{
+		{"sum_int", "sum(a%[1]s)"}, {"sum_real", "sum(x%[1]s)"}, {"min_int", "min(a%[1]s)"}, {"count", "count(a%[1]s)"},
+	}
+	for _, nulls := range []struct{ name, suffix string }{{"nullfree", ""}, {"nullable", "n"}} {
+		for _, agg := range aggs {
+			for _, route := range []struct{ name, key string }{{"direct", "k%[1]s, b%[1]s"}, {"hash", "w%[1]s, r%[1]s, b%[1]s"}} {
+				key := fmt.Sprintf(route.key, nulls.suffix)
+				sql := fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s", key, fmt.Sprintf(agg.call, nulls.suffix), key)
+				b.Run(nulls.name+"/"+agg.name+"/"+route.name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := e.ExecSQLCtxP(context.Background(), sql, 1); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

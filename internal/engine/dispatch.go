@@ -116,7 +116,7 @@ type armFamily struct {
 // expression, the rest their argument.
 func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 	args := make([]expr.Expr, len(op.specs))
-	op.slots = make([]aggSlot, len(op.specs))
+	op.slots, op.init = make([]aggSlot, len(op.specs)), make([]int64, 0, len(op.specs))
 	var a arm
 	settle := false // some ELSE 0 to settle: groups keep a sole state per family
 	for i, s := range op.specs {

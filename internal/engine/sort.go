@@ -244,7 +244,7 @@ func vectorCmp[T int64 | float64](vals []T, nulls storage.NullBitmap) func(a, b 
 // without a NULL — every key a generated plan sorts by — is compared without
 // consulting the bitmap.
 func byValue(nulls storage.NullBitmap, by func(a, b int32) int) func(a, b int32) int {
-	if !slices.ContainsFunc(nulls, func(w uint64) bool { return w != 0 }) {
+	if len(nulls.Trim()) == 0 {
 		return by
 	}
 	return func(a, b int32) int {

@@ -75,9 +75,26 @@ func (t ColumnType) fits(x value.Value) error {
 
 // NullBitmap is a typed vector's NULL bitmap as the vectorized kernels read
 // it: bit r%64 of word r/64 is set when cell r is NULL, and a cell past the
-// last word is not — a vector that never held a NULL has no words, so a
-// kernel's test inlines to one failed length compare.
+// last word is not. Get inlines but is not free: a loop that calls it pays a
+// compare and a branch a cell, and a load when the bitmap has words — in a CPU
+// profile of a fold over 300 K NULL-free rows, 0.6 s flat of the key reader's
+// 4.4 s. So a kernel takes a loop without the test when a bitmap has no
+// words: a vector that never held a NULL, or one Trim left empty.
 type NullBitmap []uint64
+
+// Trim returns b less its trailing zero words — nil when no cell is NULL, as
+// after an UPDATE that overwrote every NULL or a rolled-back append of some —
+// which Get reads alike.
+func (b NullBitmap) Trim() NullBitmap {
+	n := len(b)
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	return b[:n]
+}
 
 // Get reports whether cell r is NULL.
 func (b NullBitmap) Get(r int) bool {

@@ -20,8 +20,10 @@ func rangeOf(tab *Table, col int) string {
 // TestIntRangeFollowsEveryWrite: IntRange sees only non-NULL values — none in
 // an empty table or an all-NULL column, none from the NULL cells of a bitmap
 // word boundary — and answers for the table as it stands after every kind of
-// write, though it is cached between them. A VARCHAR column's range is its
-// dictionary's codes, which only grow: "x" is code 0 from its first append.
+// write, though it is cached between them and only extended across appends:
+// an append that moves both ends or holds only NULLs, an INSERT rolled back, an
+// UPDATE rolled back or committed between appends. A VARCHAR column's range is
+// its dictionary's codes, which only grow: "x" is code 0 from its first append.
 func TestIntRangeFollowsEveryWrite(t *testing.T) {
 	tab, err := NewTable("t", Schema{{Name: "k", Type: TypeInt}, {Name: "n", Type: TypeInt}, {Name: "s", Type: TypeString}})
 	if err != nil {
@@ -84,6 +86,56 @@ func TestIntRangeFollowsEveryWrite(t *testing.T) {
 		t.Errorf("Without: range %s, want -48..48", got)
 	}
 	check("the table Without read", "-50..49", "none", "0..0")
+
+	// Appends after a cached read extend the cached range by the new rows.
+	appendRow := func(k, n value.Value) {
+		t.Helper()
+		if _, err := tab.AppendRow([]value.Value{k, n, value.NewString("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k = &Vector{Type: TypeInt, Ints: []int64{-70, 0, 80}}
+	if err := tab.AppendVectors([]*Vector{k, nil, nil}, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("an append past both ends", "-70..80", "none", "0..0")
+	if err := tab.AppendVectors([]*Vector{nil, nil, nil}, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("an all-NULL append", "-70..80", "none", "0..0")
+	appendRow(value.Null, value.NewInt(3))
+	check("a NULL-free append to an all-NULL column", "-70..80", "3..3", "0..0")
+
+	// An INSERT rolled back past a new extreme takes the extreme with it.
+	appendRow(value.NewInt(5000), value.NewInt(-4000))
+	check("the INSERT", "-70..5000", "-4000..3", "0..0")
+	tab.TruncateTo(106)
+	check("the INSERT rolled back", "-70..80", "3..3", "0..0")
+
+	// An UPDATE rolled back after an append: the append's range stands.
+	appendRow(value.NewInt(90), value.Null)
+	check("an append before an UPDATE", "-70..90", "3..3", "0..0")
+	u = tab.BeginUpdate()
+	if err := u.Set(106, 0, value.NewInt(-1)); err != nil {
+		t.Fatal(err)
+	}
+	check("the UPDATE", "-70..80", "3..3", "0..0")
+	u.Rollback()
+	check("the UPDATE rolled back", "-70..90", "3..3", "0..0")
+
+	// An UPDATE committed after appends narrows the range: no append extends
+	// a range the rewrite made stale.
+	appendRow(value.NewInt(-100), value.Null)
+	check("another append", "-100..90", "3..3", "0..0")
+	u = tab.BeginUpdate()
+	for _, row := range []int{106, 107} {
+		if err := u.Set(row, 0, value.NewInt(0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("the UPDATE of both ends", "-70..80", "3..3", "0..0")
+	appendRow(value.NewInt(1), value.Null)
+	check("an append after the UPDATE", "-70..80", "3..3", "0..0")
 }
 
 // TestIntRangeConcurrentReaders: readers of one table may ask at once, first
