@@ -113,11 +113,15 @@ func newGroupTable(l layout, b *bounds, dict *keyDict) groupTable {
 }
 
 // digit is component c's digit of the non-NULL value v, and whether v lies
-// within the component's bounds. v - lo wraps like planBounds' difference, so
-// a value below lo reads as a huge one, out of bounds too.
-func (t *groupTable) digit(c int, v int64) (uint64, bool) {
-	d := uint64(v - t.lo[c])
-	return d + 1, d < t.span[c]-1
+// within the component's bounds.
+func (t *groupTable) digit(c int, v int64) (uint64, bool) { return digitOf(v, t.lo[c], t.span[c]) }
+
+// digitOf is the digit of the non-NULL v in a component laid out from lo over
+// span digits, 0 being NULL's: v - lo + 1. v - lo wraps like planBounds' difference, so a
+// value below lo reads as a huge one, out of bounds too.
+func digitOf(v, lo int64, span uint64) (uint64, bool) {
+	d := uint64(v - lo)
+	return d + 1, d < span-1
 }
 
 // cell returns a key's directory cell — its slots, and its first NULL mask
