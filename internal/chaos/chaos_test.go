@@ -79,8 +79,8 @@ var scenarios = []scenario{
 }
 
 // salesState renders everything a failed statement must leave alone: the
-// rows of sales in storage order, its epoch, and each index's entry count
-// and row list per distinct key.
+// rows of sales in storage order, its epoch, and what a join through each
+// index finds for each row's key.
 func salesState(t *testing.T, db *pctagg.DB) string {
 	t.Helper()
 	tab, err := db.Engine().Catalog().Get("sales")
@@ -93,11 +93,13 @@ func salesState(t *testing.T, db *pctagg.DB) string {
 		fmt.Fprintln(&sb, tab.Row(r, nil))
 	}
 	for _, ix := range tab.Indexes() {
-		fmt.Fprintf(&sb, "%s %d\n", ix.Name(), ix.Len())
-		col := tab.Schema().ColumnIndex(ix.Columns()[0])
-		for r := 0; r < tab.NumRows(); r++ {
-			fmt.Fprintln(&sb, tab.Get(r, col), ix.Lookup(tab.Row(r, nil)[col:col+1]))
+		// A join through the index: each row's key beside the rows holding
+		// it, ascending, as the index finds them.
+		rows, err := db.Query(fmt.Sprintf("SELECT a.%[1]s, b.RID FROM sales a, sales b WHERE a.%[1]s = b.%[1]s", ix.Columns()[0]))
+		if err != nil {
+			t.Fatal(err)
 		}
+		fmt.Fprintf(&sb, "%s %v\n", ix.Name(), rows.Data)
 	}
 	return sb.String()
 }

@@ -14,14 +14,14 @@ import (
 // a range of the first table's row ids (or a stretch of the sorted ones), the
 // one tuple of no table a FROM-less select reads, or tuples a window
 // collected. A filter narrows a batch — through the selection kernels where
-// splitFilter admits it, tuple by tuple otherwise — a hash join probes
-// its one buildSide with each tuple, and a nested loop pairs each tuple with
-// every row of its stored right table; a join hands on one id vector per FROM
-// table, -1 for the NULL extension of an outer join's unmatched row. Three
-// consumers take the tuples: the projector's column ops gather, divide or
-// evaluate them into the sink's batch (a plain select), the fold worker folds
-// them (fold.go), and a window collects them (select.go). Nothing is boxed
-// but the cells an expression reads.
+// splitFilter admits it, tuple by tuple otherwise — a hash join looks the
+// batch's keys up in its build side's index, and a nested loop pairs each
+// tuple with every row of its stored right table; a join hands on one id
+// vector per FROM table, -1 for the NULL extension of an outer join's
+// unmatched row. Three consumers take the tuples: the projector's column ops
+// gather, divide or evaluate them into the sink's batch (a plain select), the
+// fold worker folds them (fold.go), and a window collects them (select.go).
+// Nothing is boxed but the cells an expression reads.
 //
 // Errors keep the order of a row-at-a-time evaluation, which finishes a row
 // before it starts the next: a stage that raises at some tuple hands the
@@ -140,7 +140,9 @@ func (p *pipeline) open(gov *governor) error {
 		var err error
 		switch st := &p.stages[i]; {
 		case st.join != nil:
-			err = st.join.build.ensure(gov)
+			if err = st.join.build.ensure(gov); err == nil {
+				st.join.build.probeKeys(p.tabs[:st.tables], p.nullable)
+			}
 		case st.loop != nil:
 			err = st.loop.open(gov)
 		}
@@ -253,8 +255,8 @@ type stageRun struct {
 	rest    expr.Expr     // filter: the rest, evaluated tuple by tuple
 	pos     []int32       // filter: the positions rest keeps
 	in, out [][]int32     // join: the probe batch's id vectors, and the joined ones
-	rid     []int32       // nested loop: per tuple, the right row under test
-	key     []byte        // hash join: the probe key
+	rid     []int32       // per tuple: a nested loop's right row under test, a hash join's index id
+	probe   *foldWorker   // hash join: the scratch its lookups read keys in
 	rows    int64         // tuples handed on
 	ns      time.Duration // timed: the stage's own time
 }
@@ -280,8 +282,8 @@ func (r *pipeRun) init(p *pipeline, gov *governor, sink tupleSink, gathers []col
 			for t := range s.out {
 				s.out[t] = r.buffer()[:0]
 			}
-			if st.loop != nil {
-				s.rid = r.buffer()
+			if s.rid = r.buffer(); st.join != nil {
+				s.probe = &foldWorker{}
 			}
 		case st.tables == 1:
 			s.kernel, s.rest = splitFilter(p.tabs[0], st.filter.pred)
@@ -386,20 +388,24 @@ func (r *pipeRun) stage(i int) error {
 	return pending
 }
 
-// joinStage probes the build side with each tuple of the batch and hands the
-// joined tuples on batchSize at a time, so a wide fan-out is governed — and
-// charged — as it is produced, not after.
+// joinStage looks the batch's keys up in the build side's index and pairs
+// each tuple with its matches, in row order, handing the joined tuples on
+// batchSize at a time, so a wide fan-out is governed — and charged — as it is
+// produced, not after.
 func (r *pipeRun) joinStage(i int, st *stage, s *stageRun) error {
 	t0 := time.Now()
 	copy(s.in, r.src.ids)
-	for k, n := 0, len(s.in[0]); k < n; k++ {
-		var matches []int
-		matches, s.key = st.join.build.probe(r.src.row(k), s.key)
+	b, ids := st.join.build, s.rid[:len(s.in[0])]
+	if err := b.lookup(s.probe, &r.src, ids); err != nil {
+		return err
+	}
+	for k, id := range ids {
+		matches := b.ix.matches(id)
 		if len(matches) == 0 && st.join.outer {
 			matches = unmatched
 		}
 		for _, m := range matches {
-			if err := r.pair(i, st, s, k, int32(m), &t0); err != nil {
+			if err := r.pair(i, st, s, k, m, &t0); err != nil {
 				return err
 			}
 		}
@@ -408,7 +414,7 @@ func (r *pipeRun) joinStage(i int, st *stage, s *stageRun) error {
 }
 
 // unmatched is the match list of an outer join's probe tuple without a match.
-var unmatched = []int{-1}
+var unmatched = []int32{-1}
 
 // loopStage pairs each tuple of the batch with every row of the loop's right
 // table, in order, and hands on the pairs the predicate admits — and, under

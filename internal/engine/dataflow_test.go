@@ -359,11 +359,49 @@ func stateOf(t *testing.T, e *Engine, name string) tableState {
 		st.rows += renderRows([][]value.Value{buf})
 	}
 	for _, ix := range tab.Indexes() {
-		// Key -1 is there from the start; key 5 only if a failed statement's
-		// rows were left behind.
-		st.index += fmt.Sprint(ix.String(), ix.Lookup([]value.Value{value.NewInt(-1)}), ix.Lookup([]value.Value{value.NewInt(5)}), ";")
+		st.index += joinedThrough(t, tab, ix) + ";"
 	}
 	return st
+}
+
+// joinedThrough is what a join through the index ix of tab returns: every
+// distinct key of the table, in first-appearance order, joined to the rows
+// holding it — the index's contents, row order included. The keys sit in a
+// table of their own, in a catalog of their own beside tab; the join's
+// null-safe equality on each of ix's columns makes ix its build side and lets
+// a NULL key find its rows.
+func joinedThrough(t *testing.T, tab *storage.Table, ix *storage.Index) string {
+	t.Helper()
+	e := New(storage.NewCatalog())
+	e.Catalog().Put(tab)
+	var defs storage.Schema
+	var pos []int
+	var conds, cols []string
+	for _, c := range tab.Schema() {
+		cols = append(cols, "t."+c.Name)
+	}
+	for _, c := range ix.Columns() {
+		pos = append(pos, tab.Schema().ColumnIndex(c))
+		defs = append(defs, tab.Schema()[pos[len(pos)-1]])
+		conds = append(conds, fmt.Sprintf("(k.%[1]s = t.%[1]s OR (k.%[1]s IS NULL AND t.%[1]s IS NULL))", c))
+	}
+	keys, err := e.Catalog().Create("k", defs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for r := 0; r < tab.NumRows(); r++ {
+		key := make([]value.Value, len(pos))
+		for i, p := range pos {
+			key[i] = tab.Get(r, p)
+		}
+		if k := string(value.EncodeKey(key...)); !seen[k] {
+			seen[k] = true
+			keys.AppendRow(key)
+		}
+	}
+	sql := "SELECT " + strings.Join(cols, ", ") + " FROM k, " + tab.Name() + " t WHERE " + strings.Join(conds, " AND ")
+	return renderRows(mustExec(t, e, sql).Rows)
 }
 
 // TestInsertSelectMidStreamFailureIsAtomic: rows now land in the target while

@@ -145,8 +145,12 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 	// A family goes direct like a fold's key, its columns' ranges widened to
 	// cover its constants — an arm may test a value no row holds, or a string
 	// the dictionary lacks (-1) — with a directory over the stored constants.
+	// EXPLAIN's families (dispatchColumns) have no pipeline, and no need.
 	for _, f := range op.families {
-		if b, ok := op.directBounds(&f.keys, &f.tab); ok {
+		if op.pipe == nil {
+			break
+		}
+		if b, ok := directBounds(&f.keys, op.pipe.tabs, op.pipe.count(), &f.tab); ok {
 			f.tab.bounds, f.tab.dir = b, make([]int32, b.cells)
 			for e := range f.tab.len() {
 				k, mask := f.tab.key(e)

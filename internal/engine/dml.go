@@ -497,27 +497,34 @@ func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, 
 	if err := build.ensure(gov); err != nil {
 		return nil, err
 	}
+	build.probeKeys([]*storage.Table{t}, func(int) bool { return false })
 	stage := t.EmptyClone()
 	n := 0
 	var row, comb []value.Value
-	var key []byte
 	var journal [][]value.Value
 	var box rowBox
+	var w foldWorker
 	newVals := make([]value.Value, len(sets))
+	ids := make([]int32, 2*batchSize)
+	probe := tupleBatch{ids: [][]int32{nil}}
 	for r := 0; r < t.NumRows(); r++ {
 		if (r+1)%govStride == 0 {
 			if err := gov.addRows(govStride); err != nil {
 				return nil, err
 			}
 		}
+		if r%batchSize == 0 {
+			probe.ids[0] = rowRange(ids[batchSize:], r, min(batchSize, t.NumRows()-r))
+			if err := build.lookup(&w, &probe, ids[:len(probe.ids[0])]); err != nil {
+				return nil, err
+			}
+		}
 		row = t.Row(r, row)
 		box.vals = row
-		var matches []int
-		matches, key = build.probe(&box, key)
-		for _, m := range matches {
+		for _, m := range build.ix.matches(ids[r%batchSize]) {
 			comb = append(comb[:0], row...)
 			for c := 0; c < build.tab.NumCols(); c++ {
-				comb = append(comb, build.tab.Get(m, c))
+				comb = append(comb, build.tab.Get(int(m), c))
 			}
 			box.vals = comb
 			if where != nil {

@@ -216,12 +216,12 @@ func describeIter(it planNode, depth int, emit func(int, string)) {
 			kind = "HashLeftOuterJoin"
 		}
 		build := "hash table"
-		if n.build.useIndex {
+		if n.build.def != nil {
 			build = "existing index"
 		}
 		buildName := " " + n.build.tab.Name()
 		extra := ""
-		if n.stats != nil && n.build.built && !n.build.useIndex {
+		if n.stats != nil && n.build.built && n.build.def == nil {
 			extra = fmt.Sprintf(" build time=%s", time.Duration(n.build.buildNs))
 		}
 		emit(depth, fmt.Sprintf("%s on [%s] (build%s via %s)%s%s",

@@ -295,7 +295,7 @@ type foldOp struct {
 func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 	op := &foldOp{pipe: pipe, specs: specs}
 	op.keys = op.keyCols(keyExprs)
-	op.bounds, _ = op.directBounds(&op.keys, nil)
+	op.bounds, _ = directBounds(&op.keys, pipe.tabs, pipe.count(), nil)
 	for i, arg := range op.planDispatch(pipe.sch) {
 		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
@@ -307,10 +307,10 @@ func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 // storage.Table.IntRange: every row of the table, so every tuple the fold can
 // meet; a VARCHAR column's dictionary; a BOOLEAN's [0, 1] — widened to cover
 // the stored keys of consts, if any, and reports whether it fits in
-// directCells cells for the fold's input. A key with a REAL or computed
-// component, which has no range, does not. The fold's group key and each arm
-// family (planDispatch) take the direct route by it.
-func (op *foldOp) directBounds(kc *keyCols, consts *groupTable) (bounds, bool) {
+// directCells cells for rows input rows. A key with a REAL or computed
+// component, which has no range, does not. The fold's group key, each arm
+// family (planDispatch) and a join index take the direct route by it.
+func directBounds(kc *keyCols, tabs []*storage.Table, rows int, consts *groupTable) (bounds, bool) {
 	n := len(kc.cols)
 	if n == 0 || n > maxIntKeys {
 		return bounds{}, false
@@ -324,7 +324,7 @@ func (op *foldOp) directBounds(kc *keyCols, consts *groupTable) (bounds, bool) {
 			lo[c], hi[c] = 0, 1
 		default:
 			var ok bool
-			if lo[c], hi[c], ok = op.pipe.tabs[col.t].IntRange(col.col); !ok {
+			if lo[c], hi[c], ok = tabs[col.t].IntRange(col.col); !ok {
 				lo[c], hi[c] = math.MaxInt64, math.MinInt64 // only NULLs: none
 			}
 		}
@@ -334,7 +334,7 @@ func (op *foldOp) directBounds(kc *keyCols, consts *groupTable) (bounds, bool) {
 			}
 		}
 	}
-	return planBounds(lo[:n], hi[:n], directCells(op.pipe.count()))
+	return planBounds(lo[:n], hi[:n], directCells(rows))
 }
 
 // column reports the stored column e names, if it is a bare one: its table
@@ -908,6 +908,9 @@ func (w *foldWorker) lookupKeys(kc *keyCols, t *groupTable, b *tupleBatch, lo, h
 // counted once per partition, which over-approximates — a budget, not an
 // exact census.
 func (w *foldWorker) charge() error {
+	if w.part == nil {
+		return nil // a join index's keys (buildIndex): not groups
+	}
 	if err := w.gov.addGroups(1); err != nil {
 		return err
 	}

@@ -49,7 +49,7 @@ func newKeyCols(cols []keyCol) keyCols {
 		} else if v.Type == storage.TypeFloat {
 			signs = 2
 		}
-		kc.mat = kc.mat || cols[c].outer || cols[c].e != nil
+		kc.mat = kc.mat || cols[c].outer || cols[c].e != nil || cols[c].recode != nil
 	}
 	kc.mb = max(1, (kc.width+7)/8)
 	kc.ms = signs * kc.mb
@@ -134,13 +134,16 @@ type keyCols struct {
 
 // keyCol is one component: column col of the pipeline's table t — vec as the
 // plan found it, gathered first when an outer join NULL-extends the table
-// (outer) — or a computed expression e, evaluated into a boxed vector first,
-// as vec says, and coded.
+// (outer) or its codes are recoded — or a computed expression e, evaluated
+// into a boxed vector first, as vec says, and coded.
 type keyCol struct {
 	vec    storage.Vector
 	t, col int
 	outer  bool
 	e      expr.Expr
+	// recode maps a VARCHAR column's codes to a join index's, which keys
+	// the column under another dictionary: -1 for a string that one lacks.
+	recode []int32
 }
 
 // batchRows is [0, batchSize): a batch's tuples, and the rows of a batch
@@ -148,12 +151,19 @@ type keyCol struct {
 var batchRows = rowRange(make([]int32, batchSize), 0, batchSize)
 
 // materialize fills mat[c], for tuples [lo, hi) of b, for each component c
-// that is not read in place: a NULL-extended column gathered, a computed one
-// evaluated, boxed, in row order, so its first error is a row-at-a-time
-// fold's.
+// that is not read in place: a NULL-extended or recoded column gathered, a
+// computed one evaluated, boxed, in row order, so its first error is a
+// row-at-a-time fold's.
 func (kc *keyCols) materialize(b *tupleBatch, lo, hi int, mat []storage.Vector) error {
 	for c := range kc.cols {
 		switch col, m := &kc.cols[c], &mat[c]; {
+		case col.recode != nil:
+			m.Gather(&col.vec, b.ids[col.t][lo:hi])
+			for i, code := range m.Codes {
+				if int(code) < len(col.recode) { // a NULL's code may be any
+					m.Codes[i] = col.recode[code]
+				}
+			}
 		case col.outer:
 			m.Gather(&col.vec, b.ids[col.t][lo:hi])
 		case col.e != nil:
@@ -174,7 +184,7 @@ func (kc *keyCols) materialize(b *tupleBatch, lo, hi int, mat []storage.Vector) 
 // and the tuples' rows in it: a stored column's, by the tuples' ids, or the
 // batch vector materialize filled, by position.
 func (kc *keyCols) source(c int, b *tupleBatch, lo, hi int, mat []storage.Vector) (*storage.Vector, []int32) {
-	if col := &kc.cols[c]; !col.outer && col.e == nil {
+	if col := &kc.cols[c]; !col.outer && col.e == nil && col.recode == nil {
 		return &col.vec, b.ids[col.t][lo:hi]
 	}
 	return &mat[c], batchRows[:hi-lo]

@@ -245,15 +245,43 @@ func (f *filterRows) step() ([]value.Value, bool, error) {
 }
 
 // hashJoinRows streams the left (probe) side against the build side, built
-// on the first pull.
+// on the first pull. It probes an index of its own, not the pipeline's
+// joinIndex: a Go map from the value.AppendKey bytes of a build row's join
+// columns to its rows, ascending.
 type hashJoinRows struct {
 	node    *hashJoin
 	left    rowIter
 	gov     *governor
+	index   map[string][]int
 	pending []int  // remaining matches for the current probe row
 	current rowBox // current probe row
 	key     []byte
 	outBuf  []value.Value
+}
+
+// probe returns the build rows whose join columns equal the current row's:
+// none when a plain pair's column is NULL, which SQL equality never matches.
+func (j *hashJoinRows) probe() []int {
+	b := j.node.build
+	if j.index == nil {
+		j.index = map[string][]int{}
+		for r := 0; r < b.tab.NumRows(); r++ {
+			var key []byte
+			for _, p := range b.pairs {
+				key = value.AppendKey(key, b.tab.Get(r, p.rightIdx))
+			}
+			j.index[string(key)] = append(j.index[string(key)], r)
+		}
+	}
+	j.key = j.key[:0]
+	for _, p := range b.pairs {
+		v := j.current.ColumnValue(p.leftIdx)
+		if v.IsNull() && !p.nullSafe {
+			return nil
+		}
+		j.key = value.AppendKey(j.key, v)
+	}
+	return j.index[string(j.key)]
 }
 
 func (j *hashJoinRows) schema() relSchema { return j.node.sch }
@@ -286,7 +314,7 @@ func (j *hashJoinRows) step() ([]value.Value, bool, error) {
 			return nil, false, err
 		}
 		j.current.vals = row
-		if j.pending, j.key = j.node.build.probe(&j.current, j.key); len(j.pending) == 0 && j.node.outer {
+		if j.pending = j.probe(); len(j.pending) == 0 && j.node.outer {
 			return j.emit(-1), true, nil
 		}
 	}

@@ -163,11 +163,11 @@ func operatorSpans(it planNode) *obs.Span {
 		applyStats(sp, n.stats)
 		if b := n.build; b != nil && b.built {
 			bs := obs.NewSpan("join build")
-			// Floor to 1ns: index reuse and failed builds have buildNs==0,
+			// Floor to 1ns: a build the fault point failed has buildNs==0,
 			// and Duration==0 is the trace invariant for "unclosed".
 			bs.SetDuration(max(time.Duration(b.buildNs), 1))
 			bs.SetRows(b.buildRows, -1)
-			if b.useIndex {
+			if b.def != nil {
 				bs.Attr("via", "existing index")
 			} else {
 				bs.Attr("via", "hash table")

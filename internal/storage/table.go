@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/index"
 	"repro/internal/value"
 )
 
@@ -61,15 +60,14 @@ func (s Schema) String() string {
 // mutation; the engine serializes writes per statement. Reads may proceed
 // concurrently with each other.
 type Table struct {
-	name    string
-	schema  Schema
-	cols    []Vector
-	nrows   int
-	indexes []*index.Index
-	// indexPos[i] holds the column positions indexes[i] covers; indexKeyBuf is
-	// the writer's scratch for one key tuple (writes are serialized).
-	indexPos    [][]int
-	indexKeyBuf []value.Value
+	name   string
+	schema Schema
+	cols   []Vector
+	nrows  int
+	// indexes are the declared indexes; idxMu serializes the readers that
+	// build and cache what a join reads under one (JoinIndex).
+	indexes []*Index
+	idxMu   sync.Mutex
 	// primaryKey holds the positions of primary-key columns, if declared.
 	primaryKey []int
 	// epoch is the table's position on the global modification clock: it
@@ -87,6 +85,24 @@ type Table struct {
 	rangeMu sync.Mutex
 	ranges  []intRange
 }
+
+// Index is a declared index: a name and the columns it keys, in order. The
+// table keeps no entries under it. What a join reads under it — the engine's
+// to build — is built by the first join that reads it and cached here, stamped
+// with the epoch it was built at (JoinIndex).
+type Index struct {
+	name  string
+	cols  []string
+	epoch int64 // built's; 0, which no table ever holds, is none
+	built any
+}
+
+// Name returns the index name.
+func (ix *Index) Name() string { return ix.name }
+
+// Columns returns the indexed column names in index order. The caller must
+// not mutate them.
+func (ix *Index) Columns() []string { return ix.cols }
 
 // intRange is one column's IntRange answer at epoch over its first rows
 // rows; epoch 0, which no table ever holds, is an entry not yet computed.
@@ -154,9 +170,8 @@ func (t *Table) NumRows() int { return t.nrows }
 // NumCols reports the number of columns.
 func (t *Table) NumCols() int { return len(t.schema) }
 
-// SetPrimaryKey records the primary-key columns (by name) and builds a
-// backing index for them. It must be called before rows are appended if
-// uniqueness is to be enforced from the start.
+// SetPrimaryKey records the primary-key columns (by name) and declares a
+// backing index on them.
 func (t *Table) SetPrimaryKey(columns []string) error {
 	pos := make([]int, len(columns))
 	for i, c := range columns {
@@ -192,7 +207,6 @@ func (t *Table) AppendRow(vals []value.Value) (int, error) {
 	}
 	rid := t.nrows
 	t.nrows++
-	t.indexRow(rid, -1, true)
 	t.bumpEpoch()
 	return rid, nil
 }
@@ -208,20 +222,15 @@ func (t *Table) Reserve(n int) {
 
 // TruncateTo discards rows n onward, restoring the table to an earlier row
 // count — the rollback half of the engine's statement-atomic INSERT (append
-// under a savepoint, truncate back on failure). Only the discarded rows'
-// index entries are removed, newest first, so the cost is O(discarded rows)
-// whatever the table holds, and a VARCHAR column the discarded rows left with
-// a dictionary out of proportion is coded anew (Vector.compact). A count at
-// or beyond the current size is a no-op.
+// under a savepoint, truncate back on failure). A VARCHAR column the
+// discarded rows left with a dictionary out of proportion is coded anew
+// (Vector.compact). A count at or beyond the current size is a no-op.
 func (t *Table) TruncateTo(n int) {
 	if n < 0 {
 		n = 0
 	}
 	if n >= t.nrows {
 		return
-	}
-	for r := t.nrows - 1; r >= n; r-- {
-		t.indexRow(r, -1, false)
 	}
 	for i := range t.cols {
 		t.cols[i].truncate(n)
@@ -232,7 +241,7 @@ func (t *Table) TruncateTo(n int) {
 }
 
 // EmptyClone returns a new zero-row table with the same name, schema,
-// primary key, and (empty) index definitions. It is the staging half of the
+// primary key, and index definitions. It is the staging half of the
 // engine's journaled table rewrite: build the new contents into the clone,
 // then publish it with Catalog.Put on success, so a mid-statement failure
 // leaves the live table untouched.
@@ -240,8 +249,7 @@ func (t *Table) EmptyClone() *Table { return t.staged(nil, 0) }
 
 // Without returns a staging table holding t's rows less those listed,
 // ascending, in drop — the staging half of DELETE: each column vector is
-// gathered by typed copies of the kept runs (Vector.without) and the indexes
-// are built over the result.
+// gathered by typed copies of the kept runs (Vector.without).
 func (t *Table) Without(drop []int32) *Table {
 	cols := make([]Vector, len(t.cols))
 	for i := range t.cols {
@@ -263,7 +271,7 @@ func (t *Table) staged(cols []Vector, nrows int) *Table {
 	}
 	c.primaryKey = append([]int(nil), t.primaryKey...)
 	for _, ix := range t.indexes {
-		_, _ = c.CreateIndex(ix.Name(), ix.Columns())
+		c.indexes = append(c.indexes, &Index{name: ix.name, cols: ix.cols})
 	}
 	return c
 }
@@ -285,34 +293,16 @@ func (t *Table) Row(r int, dst []value.Value) []value.Value {
 	return dst
 }
 
-// set overwrites the value at (row, col), keeping indexes in sync.
+// set overwrites the value at (row, col).
 func (t *Table) set(row, col int, v value.Value) error {
 	if row < 0 || row >= t.nrows {
 		return fmt.Errorf("storage: table %q: row %d out of range", t.name, row)
 	}
-	t.indexRow(row, col, false)
-	err := t.cols[col].put(row, v)
-	t.indexRow(row, col, true)
-	if err != nil {
+	if err := t.cols[col].put(row, v); err != nil {
 		return fmt.Errorf("storage: table %q column %q: %w", t.name, t.schema[col].Name, err)
 	}
 	t.bumpRewrite()
 	return nil
-}
-
-// indexRow is the per-row index maintenance every writer shares: it adds row
-// rid's entry to — or, add unset, removes it from — each index with col among
-// its keys, every index when col is -1.
-func (t *Table) indexRow(rid, col int, add bool) {
-	for i, ix := range t.indexes {
-		switch {
-		case col >= 0 && !slices.Contains(t.indexPos[i], col):
-		case add:
-			ix.Add(t.indexKey(i, rid), rid)
-		default:
-			ix.Remove(t.indexKey(i, rid), rid)
-		}
-	}
 }
 
 // Undo is the record an in-place UPDATE writes under: the cell each Set
@@ -333,24 +323,28 @@ type undoCell struct {
 // BeginUpdate opens an undo record on the table as it stands. Before the
 // statement reads a row, a VARCHAR column whose dictionary earlier UPDATEs
 // left out of proportion is coded anew (Vector.compact): its cells, and so
-// the epoch, are unchanged.
+// the epoch, are unchanged, but not its codes, so the cached indexes go.
 func (t *Table) BeginUpdate() *Undo {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
 	for i := range t.cols {
 		t.cols[i].compact()
+	}
+	for _, ix := range t.indexes {
+		ix.epoch, ix.built = 0, nil
 	}
 	return &Undo{t: t, epoch: t.Epoch()}
 }
 
-// Set logs the cell at (row, col) and overwrites it with v, moving the row's
-// entry in an index only when col is one of its keys. A value the column
-// cannot store is an error and leaves the cell as it was.
+// Set logs the cell at (row, col) and overwrites it with v. A value the
+// column cannot store is an error and leaves the cell as it was.
 func (u *Undo) Set(row, col int, v value.Value) error {
 	u.cells = append(u.cells, undoCell{row, col, u.t.cols[col].Value(row)})
 	return u.t.set(row, col, v)
 }
 
 // Rollback writes the logged cells back, newest first, and restores the
-// pre-statement epoch: cells, indexes and epoch are as BeginUpdate found them.
+// pre-statement epoch: cells and epoch are as BeginUpdate found them.
 func (u *Undo) Rollback() {
 	for i := len(u.cells) - 1; i >= 0; i-- {
 		c := u.cells[i]
@@ -360,91 +354,68 @@ func (u *Undo) Rollback() {
 	u.t.epoch.Store(u.epoch)
 }
 
-// CreateIndex builds a hash index over the named columns, populated from the
-// current rows, and registers it for maintenance on future writes.
-func (t *Table) CreateIndex(name string, columns []string) (*index.Index, error) {
-	pos := make([]int, len(columns))
-	for i, c := range columns {
-		j := t.schema.ColumnIndex(c)
-		if j < 0 {
+// CreateIndex declares an index over the named columns. Nothing is built:
+// the first join that reads it does (JoinIndex).
+func (t *Table) CreateIndex(name string, columns []string) (*Index, error) {
+	for _, c := range columns {
+		if t.schema.ColumnIndex(c) < 0 {
 			return nil, fmt.Errorf("storage: table %q: no column %q to index", t.name, c)
 		}
-		pos[i] = j
 	}
-	for _, ix := range t.indexes {
-		if strings.EqualFold(ix.Name(), name) {
-			return nil, fmt.Errorf("storage: table %q: index %q already exists", t.name, name)
-		}
+	if slices.ContainsFunc(t.indexes, func(ix *Index) bool { return strings.EqualFold(ix.name, name) }) {
+		return nil, fmt.Errorf("storage: table %q: index %q already exists", t.name, name)
 	}
-	ix := index.New(name, columns)
-	get := make([]func(int) value.Value, len(pos))
-	for i, p := range pos {
-		get[i] = t.CellGetter(p)
-	}
-	key := make([]value.Value, len(pos))
-	for r := 0; r < t.nrows; r++ {
-		for i := range get {
-			key[i] = get[i](r)
-		}
-		ix.Add(key, r)
-	}
-	t.indexes, t.indexPos = append(t.indexes, ix), append(t.indexPos, pos)
+	ix := &Index{name: name, cols: append([]string(nil), columns...)}
+	t.indexes = append(t.indexes, ix)
 	return ix, nil
 }
 
-// Indexes returns the table's indexes.
-func (t *Table) Indexes() []*index.Index { return t.indexes }
+// Indexes returns the table's declared indexes.
+func (t *Table) Indexes() []*Index { return t.indexes }
 
 // IndexOn returns an index whose column list equals columns (order-
 // sensitive, case-insensitive), or nil.
-func (t *Table) IndexOn(columns []string) *index.Index {
+func (t *Table) IndexOn(columns []string) *Index {
 	for _, ix := range t.indexes {
-		ic := ix.Columns()
-		if len(ic) != len(columns) {
-			continue
-		}
-		match := true
-		for i := range ic {
-			if !strings.EqualFold(ic[i], columns[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.EqualFunc(ix.cols, columns, strings.EqualFold) {
 			return ix
 		}
 	}
 	return nil
 }
 
-// indexKey extracts the key tuple of indexes[i] from row rid into the table's
-// scratch. It reads the live columns by position — a CellGetter snapshots its
-// vector and cannot see a row appended after it was built.
-func (t *Table) indexKey(i, rid int) []value.Value {
-	key := t.indexKeyBuf[:0]
-	for _, p := range t.indexPos[i] {
-		key = append(key, t.cols[p].Value(rid))
+// JoinIndex returns what build makes of index ix: the one cached on the table
+// while no row has changed since it was built; build(prev), prev the cached
+// one, after appends alone, for build to extend into a new one; build(nil)
+// after any other write — an UPDATE's cell, a rollback's, a truncation — or
+// with none cached. What build returns is published as it is and never
+// changed; an error is returned and nothing cached. Safe for concurrent
+// readers: one builds while the others wait.
+func (t *Table) JoinIndex(ix *Index, build func(prev any) (any, error)) (any, error) {
+	epoch := t.Epoch()
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	if ix.epoch == epoch {
+		return ix.built, nil
 	}
-	t.indexKeyBuf = key
-	return key
+	prev := ix.built
+	if ix.epoch < t.rewrote.Load() {
+		prev = nil
+	}
+	built, err := build(prev)
+	if err == nil {
+		ix.epoch, ix.built = epoch, built
+	}
+	return built, err
 }
 
-// Truncate removes all rows, keeping schema and (now empty) indexes.
+// Truncate removes all rows, keeping schema and index definitions.
 func (t *Table) Truncate() {
 	for i := range t.cols {
 		t.cols[i] = Vector{Type: t.schema[i].Type}
 	}
 	t.nrows = 0
 	t.bumpRewrite()
-	names := make([][2]any, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		names = append(names, [2]any{ix.Name(), ix.Columns()})
-	}
-	t.indexes, t.indexPos = nil, nil
-	for _, n := range names {
-		// Re-create empty indexes; errors are impossible for existing columns.
-		_, _ = t.CreateIndex(n[0].(string), n[1].([]string))
-	}
 }
 
 // Column returns column col's vector, to read — typed slices and NULL bitmap

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -133,39 +134,126 @@ func TestSetInPlace(t *testing.T) {
 	}
 }
 
+// refIndex is the reference build behind lookup: each key's rows, keyed by
+// the value.AppendKey bytes of its cells, over the first n rows; how says
+// whether JoinIndex asked for a new build or an extension.
+type refIndex struct {
+	rows map[string][]int
+	n    int
+	how  string
+}
+
+// lookupValue reads the rows holding key off the table's first index, as a
+// join would: through JoinIndex — the cached build, an extension of it after
+// appends, a new one after any other write — with refIndex as the build.
+func lookupValue(tb *Table, key value.Value) []int {
+	return readIndex(tb).rows[string(value.EncodeKey(key))]
+}
+
+func lookup(tb *Table, state string) []int { return lookupValue(tb, value.NewString(state)) }
+
+func readIndex(tb *Table) refIndex {
+	ix := tb.Indexes()[0]
+	col := tb.Schema().ColumnIndex(ix.Columns()[0])
+	built, err := tb.JoinIndex(ix, func(prev any) (any, error) {
+		ref := refIndex{rows: map[string][]int{}, how: "build"}
+		if prev != nil {
+			for k, rows := range prev.(refIndex).rows {
+				ref.rows[k] = slices.Clone(rows)
+			}
+			ref.n, ref.how = prev.(refIndex).n, "extend"
+		}
+		for ; ref.n < tb.NumRows(); ref.n++ {
+			k := string(value.EncodeKey(tb.Get(ref.n, col)))
+			ref.rows[k] = append(ref.rows[k], ref.n)
+		}
+		return ref, nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	return built.(refIndex)
+}
+
 func TestIndexMaintenance(t *testing.T) {
 	tb := mustTable(t)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.NewInt(1)})
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("LA"), value.NewInt(2)})
 	tb.AppendRow([]value.Value{value.NewString("TX"), value.NewString("Dallas"), value.NewInt(3)})
-	ix, err := tb.CreateIndex("by_state", []string{"state"})
-	if err != nil {
+	if _, err := tb.CreateIndex("by_state", []string{"state"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 2 {
+	if got := lookup(tb, "CA"); len(got) != 2 {
 		t.Errorf("CA rows = %v", got)
 	}
-	// Appends maintain the index.
+	// An append extends the cached index into a new one.
+	old := readIndex(tb)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SD"), value.NewInt(4)})
-	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 3 {
-		t.Errorf("CA rows after append = %v", got)
+	if got := lookup(tb, "CA"); len(got) != 3 || readIndex(tb).how != "extend" || len(old.rows[string(value.EncodeKey(value.NewString("CA")))]) != 2 {
+		t.Errorf("CA rows after append = %v, by %s", got, readIndex(tb).how)
 	}
-	// Updates to the indexed column move the row between buckets.
+	// An update to the indexed column drops it: the next read builds anew.
 	if err := tb.set(2, 0, value.NewString("CA")); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 4 {
+	if got := lookup(tb, "CA"); len(got) != 4 || readIndex(tb).how != "build" {
 		t.Errorf("CA rows after update = %v", got)
 	}
-	if got := ix.Lookup([]value.Value{value.NewString("TX")}); len(got) != 0 {
+	if got := lookup(tb, "TX"); len(got) != 0 {
 		t.Errorf("TX rows after update = %v", got)
 	}
-	// Updates to non-indexed columns leave the index untouched.
 	if err := tb.set(0, 2, value.NewInt(100)); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Lookup([]value.Value{value.NewString("CA")}); len(got) != 4 {
+	if got := lookup(tb, "CA"); len(got) != 4 {
 		t.Errorf("CA rows after measure update = %v", got)
+	}
+}
+
+// TestJoinIndexCache: what JoinIndex hands back follows every write. Reads
+// with no write between them share one build; appends alone extend it;
+// every other write — a cell, a truncation, an UPDATE's opening — builds
+// anew; a failed build caches nothing; a staging clone keeps the
+// definitions and none of the builds.
+func TestJoinIndexCache(t *testing.T) {
+	counted, calls := indexed(t), 0
+	count := func(prev any) (any, error) { calls++; return calls, nil }
+	first, _ := counted.JoinIndex(counted.Indexes()[0], count)
+	again, _ := counted.JoinIndex(counted.Indexes()[0], count)
+	if first != again || calls != 1 {
+		t.Fatalf("two reads built %d times", calls)
+	}
+	if _, err := counted.JoinIndex(counted.Indexes()[0], func(any) (any, error) { return nil, errors.New("no") }); err != nil {
+		t.Fatalf("a cached index must not be rebuilt: %v", err)
+	}
+	tb := indexed(t)
+	for _, w := range []struct {
+		name  string
+		write func()
+		how   string
+	}{
+		{"append", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.NewInt(1)}) }, "extend"},
+		{"set", func() { _ = tb.set(0, 0, value.NewString("NV")) }, "build"},
+		{"append again", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.Null}) }, "extend"},
+		{"TruncateTo", func() { tb.TruncateTo(3) }, "build"},
+		{"BeginUpdate", func() { tb.BeginUpdate().Rollback() }, "build"},
+		{"Truncate", tb.Truncate, "build"},
+	} {
+		readIndex(tb)
+		w.write()
+		if got := readIndex(tb); got.how != w.how || got.n != tb.NumRows() {
+			t.Errorf("after %s: a %s over %d rows, want a %s over %d", w.name, got.how, got.n, w.how, tb.NumRows())
+		}
+	}
+	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("c"), value.NewInt(1)})
+	if _, err := tb.JoinIndex(tb.Indexes()[0], func(any) (any, error) { return nil, errors.New("no") }); err == nil {
+		t.Fatal("a failed build must report its error")
+	}
+	if got := readIndex(tb); got.how != "extend" || !slices.Equal(lookup(tb, "CA"), []int{0}) {
+		t.Errorf("after a failed build: a %s, CA %v; want the cached one extended", got.how, lookup(tb, "CA"))
+	}
+	if c := tb.EmptyClone(); len(c.Indexes()) != 1 || c.Indexes()[0] == tb.Indexes()[0] || readIndex(c).how != "build" {
+		t.Error("a clone must declare the index afresh, with nothing built")
 	}
 }
 
@@ -211,22 +299,21 @@ func TestTruncate(t *testing.T) {
 	tb := mustTable(t)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SF"), value.NewInt(1)})
 	ix, _ := tb.CreateIndex("by_state", []string{"state"})
-	if ix.Len() != 1 {
-		t.Fatalf("index len = %d", ix.Len())
+	if got := lookup(tb, "CA"); len(got) != 1 {
+		t.Fatalf("CA rows = %v", got)
 	}
 	tb.Truncate()
 	if tb.NumRows() != 0 {
 		t.Errorf("rows after truncate = %d", tb.NumRows())
 	}
-	ix2 := tb.IndexOn([]string{"state"})
-	if ix2 == nil || ix2.Len() != 0 {
-		t.Error("truncate must keep an empty index")
+	if tb.IndexOn([]string{"state"}) != ix || len(lookup(tb, "CA")) != 0 {
+		t.Error("truncate must keep the index, empty")
 	}
 	// Table still usable.
 	if _, err := tb.AppendRow([]value.Value{value.NewString("TX"), value.NewString("D"), value.NewInt(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix2.Lookup([]value.Value{value.NewString("TX")}); len(got) != 1 {
+	if got := lookup(tb, "TX"); len(got) != 1 {
 		t.Error("index not maintained after truncate")
 	}
 }
@@ -332,12 +419,9 @@ func indexed(t *testing.T) *Table {
 	return tb
 }
 
-func lookup(tb *Table, state string) []int {
-	return tb.Indexes()[0].Lookup([]value.Value{value.NewString(state)})
-}
-
 func TestUndoRollbackRestoresCellsIndexesAndEpoch(t *testing.T) {
 	tb := indexed(t)
+	lookup(tb, "CA") // cached, so the writes must drop it
 	epoch := tb.Epoch()
 	u := tb.BeginUpdate()
 	for _, w := range []struct {
@@ -369,9 +453,10 @@ func TestUndoRollbackRestoresCellsIndexesAndEpoch(t *testing.T) {
 func TestTruncateToRemovesOnlyDiscardedIndexEntries(t *testing.T) {
 	tb := indexed(t)
 	ix := tb.Indexes()[0]
+	lookup(tb, "CA") // cached, so the truncation must drop it
 	tb.TruncateTo(2)
-	if tb.Indexes()[0] != ix || ix.Len() != 2 {
-		t.Fatalf("index %p len %d after TruncateTo(2), want the same object %p with 2 entries", tb.Indexes()[0], ix.Len(), ix)
+	if tb.Indexes()[0] != ix || readIndex(tb).n != 2 {
+		t.Fatalf("index %p over %d rows after TruncateTo(2), want the same definition %p over 2", tb.Indexes()[0], readIndex(tb).n, ix)
 	}
 	if ca, tx := lookup(tb, "CA"), lookup(tb, "TX"); !slices.Equal(ca, []int{0}) || !slices.Equal(tx, []int{1}) {
 		t.Errorf("index after TruncateTo: CA %v TX %v", ca, tx)

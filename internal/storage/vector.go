@@ -400,12 +400,12 @@ func gather[T any](dst, src []T, ids []int32) (outer bool) {
 // nil entry is NULL in every row — and is to AppendRow what a batch is to a
 // row: a source vector of the column's own type, or an INTEGER one into a
 // REAL column, is checked once and copied, any other is converted cell by
-// cell under AppendRow's rule, the indexes are touched only if the table has
-// any, and the epoch advances once. gate, when set, is called once per row, in
-// row order, before any of the rows is in the table. The rows are appended
-// only when every gate call and every conversion succeeds: otherwise the
-// table is as it was and the error is the first failing row's, the gate's
-// before the conversion's, as n AppendRow calls behind the gate would report.
+// cell under AppendRow's rule, and the epoch advances once. gate, when set,
+// is called once per row, in row order, before any of the rows is in the
+// table. The rows are appended only when every gate call and every conversion
+// succeeds: otherwise the table is as it was and the error is the first
+// failing row's, the gate's before the conversion's, as n AppendRow calls
+// behind the gate would report.
 func (t *Table) AppendVectors(src []*Vector, n int, gate func() error) error {
 	if len(src) != len(t.cols) {
 		return fmt.Errorf("storage: table %q has %d columns, batch has %d", t.name, len(t.cols), len(src))
@@ -448,11 +448,7 @@ func (t *Table) AppendVectors(src []*Vector, n int, gate func() error) error {
 	for i, s := range src {
 		t.cols[i].appendVector(s, n)
 	}
-	base := t.nrows
 	t.nrows += n
-	for r := base; len(t.indexes) > 0 && r < t.nrows; r++ {
-		t.indexRow(r, -1, true)
-	}
 	t.bumpEpoch()
 	return nil
 }

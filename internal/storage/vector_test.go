@@ -164,10 +164,10 @@ func TestAppendVectorsMatchesAppendRow(t *testing.T) {
 	if render(got) != render(want) || gated != 3 || got.Epoch() <= epoch {
 		t.Errorf("batch appended (gate called %d times):\n%swant:\n%s", gated, render(got), render(want))
 	}
-	if rows := got.Indexes()[0].Lookup([]value.Value{value.NewInt(9)}); len(rows) != 1 || rows[0] != 7 {
+	if rows := lookupValue(got, value.NewInt(9)); len(rows) != 1 || rows[0] != 7 {
 		t.Errorf("index holds %v for the appended key 9, want [7]", rows)
 	}
-	if rows := got.Indexes()[0].Lookup([]value.Value{value.Null}); len(rows) != 2 {
+	if rows := lookupValue(got, value.Null); len(rows) != 2 {
 		t.Errorf("index holds %v for NULL, want two rows", rows)
 	}
 

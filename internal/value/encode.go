@@ -6,7 +6,9 @@ import (
 )
 
 // Key encoding: values are serialized to a byte string so that tuples can be
-// used directly as Go map keys by the hash join and the indexes. Two tuples
+// used directly as Go map keys. The engine keys on fixed-width slots; this
+// encoding is the tests' oracle of key equality (the group table's fuzzer,
+// the reference hash join). Two tuples
 // encode to the same bytes exactly when they have the same kinds and SQL
 // equality holds component by component, NaN aside (see KeyBits): every value
 // is prefixed with a kind tag, variable-length payloads carry their length,
@@ -46,8 +48,8 @@ func AppendKey(dst []byte, v Value) []byte {
 }
 
 // KeyBits is the float's bit pattern, except that -0.0 encodes as +0.0:
-// 0.0 = -0.0 is true, so GROUP BY, DISTINCT, count(DISTINCT), indexes and
-// hash joins must put the two in one bucket. Every NaN encodes as math.NaN(),
+// 0.0 = -0.0 is true, so GROUP BY, DISTINCT, count(DISTINCT) and hash
+// joins must put the two in one bucket. Every NaN encodes as math.NaN(),
 // one key, although Compare calls a NaN equal to every number. The engine's
 // fixed-width keys hold a REAL as these bits too.
 func KeyBits(f float64) uint64 {
