@@ -661,8 +661,8 @@ func TestUpdateFromGoverned(t *testing.T) {
 		t.Errorf("cancelled build made %d context checks, want 2: it must stop at its first stride", cancel.calls)
 	}
 
-	// An index on the join column is the hash table: nothing is built, nothing
-	// charged, and the reuse is counted.
+	// An index on the join column is the hash table: the join builds it, as
+	// the table's, charged against no budget, and the reuse is counted.
 	mustExec(t, e, "CREATE INDEX src_g ON src (g)")
 	reuse, builds := mJoinIndexReuse.Value(), mJoinBuilds.Value()
 	res, err := e.ExecSQLCtx(WithLimits(context.Background(), Limits{MaxRows: 100}), sql)
@@ -676,6 +676,45 @@ func TestUpdateFromGoverned(t *testing.T) {
 		{value.NewInt(-1), value.NewFloat(1)}, {value.NewInt(5), value.NewFloat(1)}, {value.NewInt(7), value.NewFloat(1.5)},
 	}) {
 		t.Errorf("rows after the update:\n%s", got)
+	}
+}
+
+// TestRecodeLooksUpOnlyProbedCodes: a probe column under another dictionary
+// than its join index's has each code recoded the first time a tuple meets
+// it, not its whole dictionary's: ten probe rows, filled by INSERT … SELECT
+// from a table of 100 000 strings and so sharing its dictionary, look up at
+// most ten strings in the index's.
+func TestRecodeLooksUpOnlyProbedCodes(t *testing.T) {
+	e := New(storage.NewCatalog())
+	mustExec(t, e, `CREATE TABLE words (s VARCHAR, i INTEGER); CREATE TABLE probe (s VARCHAR);
+		CREATE TABLE b (s VARCHAR, n INTEGER, PRIMARY KEY (s))`)
+	words, _ := e.Catalog().Get("words")
+	for i := range 100_000 {
+		if _, err := words.AppendRow([]value.Value{value.NewString(fmt.Sprint("w", i*7919%100_000)), value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, e, "INSERT INTO probe SELECT s FROM words WHERE i >= 50000 AND i < 50010")
+	mustExec(t, e, "INSERT INTO b VALUES ('w50000', 1), ('w57919', 2), ('zz', 3)")
+	if probe, _ := e.Catalog().Get("probe"); probe.NumRows() != 10 || probe.Column(0).Dict != words.Column(0).Dict {
+		t.Fatal("the probe table does not share the words' dictionary")
+	}
+	b, n, err := drainJoin(t, e, "SELECT probe.s, b.n FROM probe, b WHERE probe.s = b.s", nil)
+	if err != nil || n != 2 {
+		t.Fatalf("the join handed on %d tuples, %v; want 2", n, err)
+	}
+	recode := b.keys.cols[0].recode
+	if len(recode) != 100_000 {
+		t.Fatalf("a recode map over %d codes, want one over the probe's dictionary", len(recode))
+	}
+	met := 0
+	for _, at := range recode {
+		if at != 0 {
+			met++
+		}
+	}
+	if met == 0 || met > 10 {
+		t.Errorf("%d codes recoded, want 1 to 10: those the probe meets", met)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math/bits"
-	"slices"
 )
 
 // groupTable maps key tuples to dense int32 ids assigned in first-appearance
@@ -171,15 +170,6 @@ func (t *groupTable) lookupCell(key []int64, insert bool) (id int32, fresh bool)
 	}
 	t.migrate()
 	return t.lookupHash(t.hash(key), key, insert)
-}
-
-// clone returns a copy of t that shares no state a lookup writes but the
-// dictionary of its coded slots.
-func (t *groupTable) clone() groupTable {
-	c := *t
-	c.slots, c.hashes, c.dir = slices.Clone(t.slots), slices.Clone(t.hashes), slices.Clone(t.dir)
-	c.ints, c.masks, c.flight = slices.Clone(t.ints), slices.Clone(t.masks), nil
-	return c
 }
 
 // store appends a key in flight under the next id.

@@ -161,10 +161,10 @@ func newBuildSide(right *storage.Table, rightSch relSchema, pairs []joinPair) *b
 }
 
 // ensure has the index, once, before the first probe, and records the
-// join-build metrics (EXPLAIN never runs it, so never counts). An ad-hoc
-// build is one of the statement's long loops: it checks gov every govStride
-// rows and charges them against the row budget. A declared index is the
-// table's: built, as CREATE INDEX once built it, outside the governor.
+// join-build metrics (EXPLAIN never runs it, so never counts). A build is one
+// of the statement's long loops: it checks gov every govStride rows. An
+// ad-hoc build charges its rows against the row budget; a declared index's,
+// the table's to keep, charges nothing.
 func (b *buildSide) ensure(gov *governor) error {
 	if b.built {
 		return nil
@@ -182,16 +182,14 @@ func (b *buildSide) ensure(gov *governor) error {
 	if b.def == nil {
 		mJoinBuilds.Inc()
 		b.buildRows = int64(b.tab.NumRows())
-		ix, err := buildIndex(b.tab, cols, nil, gov)
+		ix, err := buildIndex(b.tab, cols, gov)
 		b.ix = ix
 		return err
 	}
 	mJoinIndexReuse.Inc()
-	ix, err := b.tab.JoinIndex(b.def, func(prev any) (any, error) {
-		p, _ := prev.(*joinIndex)
-		ix, err := buildIndex(b.tab, cols, p, nil)
-		b.buildRows = int64(ix.len() - p.len())
-		return ix, err
+	ix, err := b.tab.JoinIndex(b.def, func() (any, error) {
+		b.buildRows = int64(b.tab.NumRows())
+		return buildIndex(b.tab, cols, gov.uncharged())
 	})
 	b.ix, _ = ix.(*joinIndex)
 	return err
@@ -200,7 +198,7 @@ func (b *buildSide) ensure(gov *governor) error {
 // probeKeys lays out the probe side's key, a component a pair: its column
 // among tabs, the tables before the join, NULL-extended where nullable says.
 // A VARCHAR column under another dictionary than the index's is recoded
-// into that one's, once a run, not a tuple.
+// into that one's, each code the first time a tuple of the run meets it.
 func (b *buildSide) probeKeys(tabs []*storage.Table, nullable func(int) bool) {
 	cols := make([]keyCol, len(b.pairs))
 	for i, p := range b.pairs {
@@ -208,14 +206,7 @@ func (b *buildSide) probeKeys(tabs []*storage.Table, nullable func(int) bool) {
 		c := keyCol{vec: *tabs[t].Column(col), t: t, col: col, outer: nullable(t)}
 		c.vec.Nulls = c.vec.Nulls.Trim()
 		if to := b.ix.keys.cols[i].vec.Dict; c.vec.Type == storage.TypeString && c.vec.Dict != to {
-			c.recode = make([]int32, c.vec.Dict.Len())
-			for code, s := range c.vec.Dict.Strs() {
-				if c.recode[code] = -1; to != nil {
-					if at, ok := to.Code(s); ok {
-						c.recode[code] = at
-					}
-				}
-			}
+			c.recode, c.into = make([]int32, c.vec.Dict.Len()), to
 		}
 		cols[i] = c
 	}
@@ -253,14 +244,6 @@ type joinIndex struct {
 	offs, rows []int32
 }
 
-// len is the number of rows the index holds; 0 for none.
-func (ix *joinIndex) len() int {
-	if ix == nil {
-		return 0
-	}
-	return len(ix.rows)
-}
-
 // matches returns the rows of index id, ascending; none for -1.
 func (ix *joinIndex) matches(id int32) []int32 {
 	if id < 0 {
@@ -269,56 +252,43 @@ func (ix *joinIndex) matches(id int32) []int32 {
 	return ix.rows[ix.offs[id]:ix.offs[id+1]]
 }
 
-// buildIndex returns the index of t's rows on the columns cols, reading only
-// the rows appended since prev — an index of t's first rows — if there is
-// one: its keys are copied, never changed. The keys are read a batch at a
-// time, as a fold's are, charged against gov's row budget; the rows land in
-// place by a counting sort on their ids, so the index costs O(1)
-// allocations, not one a key.
-func buildIndex(t *storage.Table, cols []int, prev *joinIndex, gov *governor) (*joinIndex, error) {
+// buildIndex returns the index of t's rows on the columns cols. The keys are
+// read a batch at a time, as a fold's are, charged against gov's row budget;
+// the rows land in place by a counting sort on their ids, so the index costs
+// O(1) allocations, not one a key.
+func buildIndex(t *storage.Table, cols []int, gov *governor) (*joinIndex, error) {
 	kcs := make([]keyCol, len(cols))
 	for i, c := range cols {
 		kcs[i] = keyCol{vec: *t.Column(c), col: c}
 		kcs[i].vec.Nulls = kcs[i].vec.Nulls.Trim()
 	}
 	n, ix := t.NumRows(), &joinIndex{keys: newKeyCols(kcs)}
-	if prev != nil {
-		ix.tab = prev.tab.clone()
-	} else {
-		b, _ := directBounds(&ix.keys, []*storage.Table{t}, n, nil)
-		ix.tab, prev = newGroupTable(ix.keys.layout, &b, nil), &joinIndex{}
-	}
-	from := prev.len()
-	ids := make([]int32, n-from+batchSize)
+	b, _ := directBounds(&ix.keys, []*storage.Table{t}, n, nil)
+	ix.tab = newGroupTable(ix.keys.layout, &b, nil)
+	ids := make([]int32, n+batchSize)
 	tb := tupleBatch{ids: [][]int32{nil}}
 	var w foldWorker
-	for base := from; base < n; base += batchSize {
+	for base := 0; base < n; base += batchSize {
 		bn := min(batchSize, n-base)
 		if err := gov.addRows(int64(bn)); err != nil {
 			return nil, err
 		}
-		tb.ids[0] = rowRange(ids[n-from:], base, bn)
-		if err := w.resolve(&ix.keys, &ix.tab, &tb, 0, bn, ids[base-from:], true); err != nil {
+		tb.ids[0] = rowRange(ids[n:], base, bn)
+		if err := w.resolve(&ix.keys, &ix.tab, &tb, 0, bn, ids[base:], true); err != nil {
 			return nil, err
 		}
 	}
 	// offs[id+2] counts id's rows, then, summed, is where id+1's start, then
 	// offs[id+1], each row placed moving it on, where id's end.
 	ix.offs, ix.rows = make([]int32, ix.tab.len()+2), make([]int32, n)
-	for id := range prev.tab.len() {
-		ix.offs[id+2] = prev.offs[id+1] - prev.offs[id]
-	}
-	for _, id := range ids[:n-from] {
+	for _, id := range ids[:n] {
 		ix.offs[id+2]++
 	}
 	for id := 2; id < len(ix.offs); id++ {
 		ix.offs[id] += ix.offs[id-1]
 	}
-	for id := range prev.tab.len() {
-		ix.offs[id+1] += int32(copy(ix.rows[ix.offs[id+1]:], prev.matches(int32(id))))
-	}
-	for r, id := range ids[:n-from] {
-		ix.rows[ix.offs[id+1]], ix.offs[id+1] = int32(from+r), ix.offs[id+1]+1
+	for r, id := range ids[:n] {
+		ix.rows[ix.offs[id+1]], ix.offs[id+1] = int32(r), ix.offs[id+1]+1
 	}
 	return ix, nil
 }

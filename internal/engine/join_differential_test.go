@@ -68,8 +68,8 @@ func joinConds(n int, nullSafe bool) string {
 // tuple meets its matches in build-row order. Each query runs as a plain
 // select and grouped by a build column, so the fold's partitions probe too;
 // bs joins through declared indexes, cached on the table, bd through ad-hoc
-// ones. It all runs again after an append to bs (the cached indexes extend)
-// and after an UPDATE of its keys (they are rebuilt).
+// ones. It all runs again after an append to bs and after an UPDATE of its
+// keys, each of which has the next join rebuild the cached indexes.
 func TestDifferentialBatchJoinKeys(t *testing.T) {
 	cat := storage.NewCatalog()
 	p := core.NewPlanner(engine.New(cat))

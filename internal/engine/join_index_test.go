@@ -35,8 +35,8 @@ func sameJoin(t *testing.T, e *engine.Engine, when, sql string) {
 }
 
 // TestJoinIndexFollowsEveryWrite: a join index is built by the first join
-// that reads it and cached on its table; every write after that extends it
-// (an append) or drops it (anything else). After each kind of write — a
+// that reads it and cached on its table; every write after that drops it,
+// for the next join to build anew. After each kind of write — a
 // storage append, a multi-row INSERT, an INSERT rolled back on its last
 // row, an UPDATE of a key column, an UPDATE rolled back (storage.Undo), a
 // DELETE, TruncateTo, Truncate, and a snapshot Load, which keeps the index

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -142,8 +143,24 @@ type keyCol struct {
 	outer  bool
 	e      expr.Expr
 	// recode maps a VARCHAR column's codes to a join index's, which keys
-	// the column under another dictionary: -1 for a string that one lacks.
+	// the column under another dictionary, into: 1 + the code there, -1 for
+	// a string into lacks, 0 for a code no tuple has met yet (recoded).
 	recode []int32
+	into   *storage.Dict
+}
+
+// recoded returns into's code of the string of code, -1 for none, looking it
+// up the first time a tuple meets code. The workers of a fold share recode.
+func (col *keyCol) recoded(code int32) int32 {
+	at := atomic.LoadInt32(&col.recode[code])
+	if at == 0 {
+		at = -1
+		if c, ok := col.into.Code(col.vec.Dict.Str(code)); ok {
+			at = c + 1
+		}
+		atomic.StoreInt32(&col.recode[code], at)
+	}
+	return max(at-1, -1)
 }
 
 // batchRows is [0, batchSize): a batch's tuples, and the rows of a batch
@@ -161,7 +178,7 @@ func (kc *keyCols) materialize(b *tupleBatch, lo, hi int, mat []storage.Vector) 
 			m.Gather(&col.vec, b.ids[col.t][lo:hi])
 			for i, code := range m.Codes {
 				if int(code) < len(col.recode) { // a NULL's code may be any
-					m.Codes[i] = col.recode[code]
+					m.Codes[i] = col.recoded(code)
 				}
 			}
 		case col.outer:

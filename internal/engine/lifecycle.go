@@ -244,6 +244,15 @@ func (g *governor) withCtx(ctx context.Context) *governor {
 	return &governor{ctx: ctx, lim: g.lim, c: g.c}
 }
 
+// uncharged derives a governor that checks the statement's context and
+// charges none of its budgets.
+func (g *governor) uncharged() *governor {
+	if g == nil {
+		return nil
+	}
+	return &governor{ctx: g.ctx, c: &govCounters{}}
+}
+
 // check returns the typed cancellation error if the statement's context is
 // done.
 func (g *governor) check() error {

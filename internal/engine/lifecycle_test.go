@@ -144,6 +144,61 @@ func TestCancelBoundedRows(t *testing.T) {
 	})
 }
 
+// drainJoin builds sql's FROM into a pipeline, checks that it is one hash
+// join, and runs it under gov, counting the tuples it hands on.
+func drainJoin(t *testing.T, e *Engine, sql string, gov *governor) (*buildSide, int, error) {
+	t.Helper()
+	sel, ok := parseOne(t, sql).(*sqlparse.Select)
+	if !ok {
+		t.Fatal("not a SELECT")
+	}
+	in, _, err := e.buildFrom(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newPipeline(in)
+	if len(p.stages) != 1 || p.stages[0].join == nil {
+		t.Fatalf("%s is not one hash join", sql)
+	}
+	n := 0
+	err = p.drain(gov, sinkFunc(func(b *tupleBatch) error { n += b.rows(); return nil }), nil)
+	return p.stages[0].join.build, n, err
+}
+
+// TestCancelStopsJoinIndexBuild: the first join through a declared index
+// builds it inside the statement, one of the statement's long loops. A join
+// of three probe rows through the primary key of a 200 000-row table,
+// cancelled after a few governor checks, stops in the build — the probe
+// alone makes too few checks to see the cancel — and caches nothing: the
+// next join builds the index over every row, and matches.
+func TestCancelStopsJoinIndexBuild(t *testing.T) {
+	const after = 20
+	tab := bigGroupTable(t, 200_000)
+	if err := tab.SetPrimaryKey([]string{"v"}); err != nil {
+		t.Fatal(err)
+	}
+	e := New(storage.NewCatalog())
+	e.Catalog().Put(tab)
+	mustExec(t, e, "CREATE TABLE l (k INTEGER); INSERT INTO l VALUES (1), (2), (3)")
+	const sql = "SELECT l.k, big.g FROM l, big WHERE l.k = big.v"
+	ctx := &countdownCtx{Context: context.Background(), after: after}
+	b, _, err := drainJoin(t, e, sql, newGovernor(ctx, Limits{}))
+	if b.def == nil {
+		t.Fatal("the join does not read the primary key")
+	}
+	var ce *CancelledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want CancelledError: the build must poll the governor", err)
+	}
+	if ctx.calls != after+1 {
+		t.Errorf("the cancelled join made %d context checks, want %d: it must stop at the first one cancelled", ctx.calls, after+1)
+	}
+	b, n, err := drainJoin(t, e, sql, newGovernor(context.Background(), Limits{}))
+	if err != nil || n != 3 || b.buildRows != 200_000 {
+		t.Errorf("the join after the cancel: %d tuples over an index built from %d rows, %v; want 3 over 200000", n, b.buildRows, err)
+	}
+}
+
 // TestDeadlineStopsLargeAggregation exercises the public path: a
 // per-statement deadline from Limits stops a 1M-row parallel aggregation
 // with the typed PCT201 error, well before the statement could finish.

@@ -385,24 +385,18 @@ func (t *Table) IndexOn(columns []string) *Index {
 }
 
 // JoinIndex returns what build makes of index ix: the one cached on the table
-// while no row has changed since it was built; build(prev), prev the cached
-// one, after appends alone, for build to extend into a new one; build(nil)
-// after any other write — an UPDATE's cell, a rollback's, a truncation — or
-// with none cached. What build returns is published as it is and never
-// changed; an error is returned and nothing cached. Safe for concurrent
-// readers: one builds while the others wait.
-func (t *Table) JoinIndex(ix *Index, build func(prev any) (any, error)) (any, error) {
+// while no row has changed since it was built; a new one, made by build,
+// after any write or with none cached. What build returns is published as it
+// is and never changed; an error is returned and nothing cached. Safe for
+// concurrent readers: one builds while the others wait.
+func (t *Table) JoinIndex(ix *Index, build func() (any, error)) (any, error) {
 	epoch := t.Epoch()
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if ix.epoch == epoch {
 		return ix.built, nil
 	}
-	prev := ix.built
-	if ix.epoch < t.rewrote.Load() {
-		prev = nil
-	}
-	built, err := build(prev)
+	built, err := build()
 	if err == nil {
 		ix.epoch, ix.built = epoch, built
 	}

@@ -135,34 +135,27 @@ func TestSetInPlace(t *testing.T) {
 }
 
 // refIndex is the reference build behind lookup: each key's rows, keyed by
-// the value.AppendKey bytes of its cells, over the first n rows; how says
-// whether JoinIndex asked for a new build or an extension.
+// the value.AppendKey bytes of its cells, over the first n rows. Each build
+// is a new one, so a pointer tells a cached build from a new one.
 type refIndex struct {
 	rows map[string][]int
 	n    int
-	how  string
 }
 
 // lookupValue reads the rows holding key off the table's first index, as a
-// join would: through JoinIndex — the cached build, an extension of it after
-// appends, a new one after any other write — with refIndex as the build.
+// join would: through JoinIndex — the cached build, a new one after any
+// write — with refIndex as the build.
 func lookupValue(tb *Table, key value.Value) []int {
 	return readIndex(tb).rows[string(value.EncodeKey(key))]
 }
 
 func lookup(tb *Table, state string) []int { return lookupValue(tb, value.NewString(state)) }
 
-func readIndex(tb *Table) refIndex {
+func readIndex(tb *Table) *refIndex {
 	ix := tb.Indexes()[0]
 	col := tb.Schema().ColumnIndex(ix.Columns()[0])
-	built, err := tb.JoinIndex(ix, func(prev any) (any, error) {
-		ref := refIndex{rows: map[string][]int{}, how: "build"}
-		if prev != nil {
-			for k, rows := range prev.(refIndex).rows {
-				ref.rows[k] = slices.Clone(rows)
-			}
-			ref.n, ref.how = prev.(refIndex).n, "extend"
-		}
+	built, err := tb.JoinIndex(ix, func() (any, error) {
+		ref := &refIndex{rows: map[string][]int{}}
 		for ; ref.n < tb.NumRows(); ref.n++ {
 			k := string(value.EncodeKey(tb.Get(ref.n, col)))
 			ref.rows[k] = append(ref.rows[k], ref.n)
@@ -172,7 +165,7 @@ func readIndex(tb *Table) refIndex {
 	if err != nil {
 		panic(err)
 	}
-	return built.(refIndex)
+	return built.(*refIndex)
 }
 
 func TestIndexMaintenance(t *testing.T) {
@@ -186,17 +179,19 @@ func TestIndexMaintenance(t *testing.T) {
 	if got := lookup(tb, "CA"); len(got) != 2 {
 		t.Errorf("CA rows = %v", got)
 	}
-	// An append extends the cached index into a new one.
+	// An append drops the cached index: the next read builds a new one and
+	// leaves the old one as it was.
 	old := readIndex(tb)
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("SD"), value.NewInt(4)})
-	if got := lookup(tb, "CA"); len(got) != 3 || readIndex(tb).how != "extend" || len(old.rows[string(value.EncodeKey(value.NewString("CA")))]) != 2 {
-		t.Errorf("CA rows after append = %v, by %s", got, readIndex(tb).how)
+	if got := lookup(tb, "CA"); len(got) != 3 || readIndex(tb) == old || len(old.rows[string(value.EncodeKey(value.NewString("CA")))]) != 2 {
+		t.Errorf("CA rows after append = %v", got)
 	}
-	// An update to the indexed column drops it: the next read builds anew.
+	// So does an update to the indexed column.
+	old = readIndex(tb)
 	if err := tb.set(2, 0, value.NewString("CA")); err != nil {
 		t.Fatal(err)
 	}
-	if got := lookup(tb, "CA"); len(got) != 4 || readIndex(tb).how != "build" {
+	if got := lookup(tb, "CA"); len(got) != 4 || readIndex(tb) == old {
 		t.Errorf("CA rows after update = %v", got)
 	}
 	if got := lookup(tb, "TX"); len(got) != 0 {
@@ -211,48 +206,47 @@ func TestIndexMaintenance(t *testing.T) {
 }
 
 // TestJoinIndexCache: what JoinIndex hands back follows every write. Reads
-// with no write between them share one build; appends alone extend it;
-// every other write — a cell, a truncation, an UPDATE's opening — builds
-// anew; a failed build caches nothing; a staging clone keeps the
-// definitions and none of the builds.
+// with no write between them share one build; every write — an append, a
+// cell, a truncation, an UPDATE's opening — makes the next read build anew;
+// a failed build caches nothing; a staging clone keeps the definitions and
+// none of the builds.
 func TestJoinIndexCache(t *testing.T) {
 	counted, calls := indexed(t), 0
-	count := func(prev any) (any, error) { calls++; return calls, nil }
+	count := func() (any, error) { calls++; return calls, nil }
 	first, _ := counted.JoinIndex(counted.Indexes()[0], count)
 	again, _ := counted.JoinIndex(counted.Indexes()[0], count)
 	if first != again || calls != 1 {
 		t.Fatalf("two reads built %d times", calls)
 	}
-	if _, err := counted.JoinIndex(counted.Indexes()[0], func(any) (any, error) { return nil, errors.New("no") }); err != nil {
+	if _, err := counted.JoinIndex(counted.Indexes()[0], func() (any, error) { return nil, errors.New("no") }); err != nil {
 		t.Fatalf("a cached index must not be rebuilt: %v", err)
 	}
 	tb := indexed(t)
 	for _, w := range []struct {
 		name  string
 		write func()
-		how   string
 	}{
-		{"append", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.NewInt(1)}) }, "extend"},
-		{"set", func() { _ = tb.set(0, 0, value.NewString("NV")) }, "build"},
-		{"append again", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.Null}) }, "extend"},
-		{"TruncateTo", func() { tb.TruncateTo(3) }, "build"},
-		{"BeginUpdate", func() { tb.BeginUpdate().Rollback() }, "build"},
-		{"Truncate", tb.Truncate, "build"},
+		{"append", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.NewInt(1)}) }},
+		{"set", func() { _ = tb.set(0, 0, value.NewString("NV")) }},
+		{"append again", func() { tb.AppendRow([]value.Value{value.NewString("NV"), value.NewString("c"), value.Null}) }},
+		{"TruncateTo", func() { tb.TruncateTo(3) }},
+		{"BeginUpdate", func() { tb.BeginUpdate().Rollback() }},
+		{"Truncate", tb.Truncate},
 	} {
-		readIndex(tb)
+		old := readIndex(tb)
 		w.write()
-		if got := readIndex(tb); got.how != w.how || got.n != tb.NumRows() {
-			t.Errorf("after %s: a %s over %d rows, want a %s over %d", w.name, got.how, got.n, w.how, tb.NumRows())
+		if got := readIndex(tb); got == old || got.n != tb.NumRows() {
+			t.Errorf("after %s: the cached build over %d rows, want a new one over %d", w.name, got.n, tb.NumRows())
 		}
 	}
 	tb.AppendRow([]value.Value{value.NewString("CA"), value.NewString("c"), value.NewInt(1)})
-	if _, err := tb.JoinIndex(tb.Indexes()[0], func(any) (any, error) { return nil, errors.New("no") }); err == nil {
+	if _, err := tb.JoinIndex(tb.Indexes()[0], func() (any, error) { return nil, errors.New("no") }); err == nil {
 		t.Fatal("a failed build must report its error")
 	}
-	if got := readIndex(tb); got.how != "extend" || !slices.Equal(lookup(tb, "CA"), []int{0}) {
-		t.Errorf("after a failed build: a %s, CA %v; want the cached one extended", got.how, lookup(tb, "CA"))
+	if got := readIndex(tb); got.n != 1 || !slices.Equal(lookup(tb, "CA"), []int{0}) {
+		t.Errorf("after a failed build: a build over %d rows, CA %v; want one over the table's row", got.n, lookup(tb, "CA"))
 	}
-	if c := tb.EmptyClone(); len(c.Indexes()) != 1 || c.Indexes()[0] == tb.Indexes()[0] || readIndex(c).how != "build" {
+	if c := tb.EmptyClone(); len(c.Indexes()) != 1 || c.Indexes()[0] == tb.Indexes()[0] || readIndex(c).n != 0 {
 		t.Error("a clone must declare the index afresh, with nothing built")
 	}
 }
