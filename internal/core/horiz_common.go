@@ -29,7 +29,7 @@ func (p *Planner) feedbackCombos(ctx context.Context, table string, byCols []str
 	if err != nil {
 		return nil, fmt.Errorf("core: feedback query failed: %w", err)
 	}
-	out := make([]combo, 0, len(res.Rows))
+	out := make([]combo, 0, res.Len())
 	// pctvet:ok O(1) copy per row of a result the feedback statement already governed
 	for _, row := range res.Rows {
 		out = append(out, combo{vals: row, label: comboLabel(byCols, row)})

@@ -367,13 +367,15 @@ func (p *Planner) PlanSQL(sql string, opts Options) (*Plan, error) {
 }
 
 // ExecuteCtx runs the plan's build steps and final select, then drops the
-// plan's temporary tables. The returned result is the user-facing relation.
-// Cancelling ctx stops the running step cooperatively with a typed
-// CancelledError, and the plan's Limits (or the engine-wide defaults) are
-// enforced on every step. Cleanup of the plan's temporary tables still runs
-// after a cancelled step — a cancelled plan must not strand its temp tables.
+// plan's temporary tables. The returned result is the user-facing relation,
+// its Rows boxed. Cancelling ctx stops the running step cooperatively with a
+// typed CancelledError, and the plan's Limits (or the engine-wide defaults)
+// are enforced on every step. Cleanup of the plan's temporary tables still
+// runs after a cancelled step — a cancelled plan must not strand its temp
+// tables.
 func (p *Planner) ExecuteCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
-	return p.executeIn(ctx, plan, nil)
+	res, _, err := p.ExecuteTyped(ctx, plan, false)
+	return res.Box(), err
 }
 
 // ExecuteTracedCtx runs the plan like ExecuteCtx while recording an
@@ -383,6 +385,18 @@ func (p *Planner) ExecuteCtx(ctx context.Context, plan *Plan) (*engine.Result, e
 // statement spans and operator details nested underneath. The trace is
 // returned even when execution fails, annotated with the error.
 func (p *Planner) ExecuteTracedCtx(ctx context.Context, plan *Plan) (*engine.Result, *obs.Span, error) {
+	res, root, err := p.ExecuteTyped(ctx, plan, true)
+	return res.Box(), root, err
+}
+
+// ExecuteTyped runs the plan as ExecuteCtx does, or when traced as
+// ExecuteTracedCtx does, returning its trace, but hands the result on
+// unboxed: its rows stay in typed columns (engine.Result.Box).
+func (p *Planner) ExecuteTyped(ctx context.Context, plan *Plan, traced bool) (*engine.Result, *obs.Span, error) {
+	if !traced {
+		res, err := p.executeIn(ctx, plan, nil)
+		return res, nil, err
+	}
 	root := obs.NewSpan("plan " + plan.Class.String())
 	root.AttrInt("parallelism", int64(plan.Parallelism))
 	root.AttrInt("steps", int64(len(plan.Steps)))
@@ -392,7 +406,7 @@ func (p *Planner) ExecuteTracedCtx(ctx context.Context, plan *Plan) (*engine.Res
 		root.Attr("error", err.Error())
 	}
 	if res != nil {
-		root.SetRows(-1, int64(len(res.Rows)))
+		root.SetRows(-1, int64(res.Len()))
 	}
 	return res, root, err
 }
@@ -425,7 +439,7 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 			p.cleanupIn(ctx, plan, root)
 			return nil, err
 		}
-		sp.SetRows(-1, int64(len(res.Rows)))
+		sp.SetRows(-1, int64(res.Len()))
 	}
 	p.cleanupIn(ctx, plan, root)
 	return res, nil

@@ -136,9 +136,10 @@ const (
 	// contained; the error carries the panic value and stack.
 	CodePanic = "PCT206"
 
-	// PCT21x are admission-control codes from the multi-tenant server
-	// front door (internal/server). Every one is retryable: the statement
-	// was never executed, and the wire error carries a backoff hint.
+	// PCT21x are the codes of the multi-tenant server front door
+	// (internal/server). The admission refusals, PCT210–PCT212, are
+	// retryable: the statement was never executed, and the wire error
+	// carries a backoff hint.
 
 	// CodeQueueFull: the tenant's admission queue is at MaxQueue; the
 	// statement was shed before queuing.
@@ -152,6 +153,11 @@ const (
 	// CodeSessionTimeout: the session sat idle past the server's
 	// per-session timeout and was closed.
 	CodeSessionTimeout = "PCT213"
+	// CodeUnencodable: the statement ran, but its result cannot go over the
+	// wire — a non-finite REAL, which JSON has no number for, or a frame
+	// over the size cap. The request is answered with this error and the
+	// session stays open.
+	CodeUnencodable = "PCT214"
 )
 
 // CodeInfo describes one diagnostic code for the registry.
@@ -222,6 +228,7 @@ var Registry = []CodeInfo{
 	{CodeTenantCap, Error, "tenant cap reached", "the tenant is at its session or concurrent-statement cap; the connect or statement is refused, not queued", true},
 	{CodeDrainRejected, Error, "server draining", "the server stopped admitting for graceful shutdown; in-flight statements finish, queued and new work is refused", true},
 	{CodeSessionTimeout, Error, "session idle timeout", "the session sat idle past the server's per-session timeout and was closed; reconnect to continue", true},
+	{CodeUnencodable, Error, "result not encodable for the wire", "a non-finite REAL (JSON has no NaN or Infinity) or a frame over the size cap fails the request, not the session", true},
 }
 
 // Lookup returns the registry entry for a code, if known.

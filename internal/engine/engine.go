@@ -173,13 +173,94 @@ type reference interface {
 // Catalog returns the engine's catalog.
 func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 
-// Result is the outcome of a statement: rows and column names for SELECT,
-// the affected-row count for DML.
+// Result is the outcome of a statement: column names and rows for SELECT,
+// the affected-row count for DML. A SELECT's rows are typed columns — one
+// storage.Vector each, a VARCHAR column sharing its source's dictionary, whose
+// strings never change — and a row count. Rows is their boxed view, nil until
+// Box fills it: ExecSQL, ExecSQLCtx, ExecSQLCtxP and Format box, while
+// ExecuteCtxIn and ExecSQLCtxIn hand the columns on unboxed.
 type Result struct {
 	Columns  []string
 	Rows     [][]value.Value
 	Affected int
+	vecs     []storage.Vector // a column's first n cells are the result's
+	n        int
 }
+
+// NewResult returns a result of n rows under columns whose cells cell gives,
+// typed a column at a time as a batch evaluated cell by cell is
+// (storage.Vector.Fill).
+func NewResult(columns []string, n int, cell func(row, col int) value.Value) *Result {
+	res := &Result{Columns: columns, vecs: make([]storage.Vector, len(columns)), n: n}
+	cells := make([]value.Value, n)
+	for j := range res.vecs {
+		for k := range cells {
+			cells[k] = cell(k, j)
+		}
+		res.vecs[j].Fill(cells)
+	}
+	return res
+}
+
+// Len is the number of rows.
+func (r *Result) Len() int { return max(r.n, len(r.Rows)) }
+
+// Vectors returns the result's columns, each holding Len cells. The caller
+// reads them and does not write.
+func (r *Result) Vectors() []storage.Vector { return r.vecs }
+
+// Box fills Rows from the columns, once, a column's cells by one typed loop
+// into a slab all the rows are carved from. It returns r.
+func (r *Result) Box() *Result {
+	if r == nil || r.Rows != nil || r.n == 0 {
+		return r
+	}
+	w := len(r.vecs)
+	slab, rows := make([]value.Value, r.n*w), make([][]value.Value, r.n)
+	// pctvet:ok boxing a result its statement already governed; no governor in scope
+	for k := range rows {
+		rows[k] = slab[k*w : (k+1)*w : (k+1)*w] // appending to a row cannot run into the next
+	}
+	for j := range r.vecs {
+		v := &r.vecs[j]
+		switch {
+		case v.Boxed:
+			for k, x := range v.Vals[:r.n] {
+				slab[k*w+j] = x
+			}
+			continue
+		case v.Type == storage.TypeInt:
+			for k, x := range v.Ints[:r.n] {
+				slab[k*w+j] = value.NewInt(x)
+			}
+		case v.Type == storage.TypeFloat:
+			for k, x := range v.Flts[:r.n] {
+				slab[k*w+j] = value.NewFloat(x)
+			}
+		case v.Type == storage.TypeString:
+			strs := v.Dict.Strs()
+			for k, c := range v.Codes[:r.n] {
+				if !v.Nulls.Get(k) { // a NULL cell's code may have no string
+					slab[k*w+j] = value.NewString(strs[c])
+				}
+			}
+		default:
+			for k, x := range v.Bools[:r.n] {
+				slab[k*w+j] = value.NewBool(x)
+			}
+		}
+		for k := 0; k < min(r.n, 64*len(v.Nulls)); k++ {
+			if v.Nulls.Get(k) {
+				slab[k*w+j] = value.Null
+			}
+		}
+	}
+	r.Rows = rows
+	return r
+}
+
+// boxed is an entry point's return: the result with Rows filled.
+func boxed(res *Result, err error) (*Result, error) { return res.Box(), err }
 
 // ExecuteCtxIn runs one parsed statement: the one way a statement enters the
 // engine. Cancelling ctx stops it cooperatively with a typed CancelledError,
@@ -190,6 +271,7 @@ type Result struct {
 // parent, so multi-statement plans (the core package's generated SQL) nest
 // their statements inside one plan trace; a nil parent disables tracing for
 // the statement — metrics, the slow-query log and introspection still apply.
+// A SELECT's result comes back as typed columns, unboxed (Result.Box).
 func (e *Engine) ExecuteCtxIn(ctx context.Context, stmt sqlparse.Statement, parallelism int, parent *obs.Span) (*Result, error) {
 	return e.runStatement(ctx, stmt, execCtx{par: parallelism, span: parent.NewChild("statement")})
 }
@@ -280,25 +362,25 @@ func (e *Engine) exec(ctx context.Context, stmt sqlparse.Statement, ec execCtx) 
 
 // ExecSQL parses and runs a script (one or more statements separated by
 // semicolons) with the engine's default parallelism and returns the last
-// statement's result.
+// statement's result, its Rows boxed.
 func (e *Engine) ExecSQL(src string) (*Result, error) {
-	return e.ExecSQLCtxIn(context.Background(), src, e.Parallelism(), nil)
+	return boxed(e.ExecSQLCtxIn(context.Background(), src, e.Parallelism(), nil))
 }
 
 // ExecSQLCtx is ExecSQL under a context (see ExecuteCtxIn).
 func (e *Engine) ExecSQLCtx(ctx context.Context, src string) (*Result, error) {
-	return e.ExecSQLCtxIn(ctx, src, e.Parallelism(), nil)
+	return boxed(e.ExecSQLCtxIn(ctx, src, e.Parallelism(), nil))
 }
 
 // ExecSQLCtxP is ExecSQLCtx with an explicit per-script parallelism override.
 func (e *Engine) ExecSQLCtxP(ctx context.Context, src string, parallelism int) (*Result, error) {
-	return e.ExecSQLCtxIn(ctx, src, parallelism, nil)
+	return boxed(e.ExecSQLCtxIn(ctx, src, parallelism, nil))
 }
 
 // ExecSQLCtxIn parses and runs a script with every statement traced as a
 // child of parent: a "parse" span covers lexing and parsing, then one
 // statement span per statement (see ExecuteCtxIn). It returns the last
-// statement's result.
+// statement's result, unboxed.
 func (e *Engine) ExecSQLCtxIn(ctx context.Context, src string, parallelism int, parent *obs.Span) (*Result, error) {
 	ps := parent.NewChild("parse")
 	stmts, err := sqlparse.ParseAll(src)
@@ -322,6 +404,7 @@ func (r *Result) Format() string {
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("(%d rows affected)\n", r.Affected)
 	}
+	r.Box()
 	widths := make([]int, len(r.Columns))
 	for i, c := range r.Columns {
 		widths[i] = len(c)

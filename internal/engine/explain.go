@@ -88,11 +88,7 @@ func (e *Engine) execExplainAnalyze(ex *sqlparse.Explain, ec execCtx) (*Result, 
 // PlanResult is the relation EXPLAIN returns: one "plan" column, a line a
 // row.
 func PlanResult(lines []string) *Result {
-	res := &Result{Columns: []string{"plan"}}
-	for _, l := range lines {
-		res.Rows = append(res.Rows, []value.Value{value.NewString(l)})
-	}
-	return res
+	return NewResult([]string{"plan"}, len(lines), func(k, _ int) value.Value { return value.NewString(lines[k]) })
 }
 
 // spanActual renders the "(actual …)" annotation for a stage span, or "".

@@ -106,8 +106,9 @@ func (oracle) window(in planNode, parts []*windowPart, ec execCtx, proj *project
 		if err := out.charge.settle(); err != nil {
 			return err
 		}
-		groups[i], at[i] = out.rows, make(map[string]int, len(out.rows))
-		for gi, g := range out.rows {
+		groups[i] = out.boxedRows()
+		at[i] = make(map[string]int, len(groups[i]))
+		for gi, g := range groups[i] {
 			at[i][string(value.EncodeKey(g[:len(p.cols)]...))] = gi
 		}
 		slots += len(p.specs)
@@ -454,13 +455,16 @@ func materialize(it rowIter, gov *governor) (*memRelation, error) {
 			return nil, err
 		}
 		if !ok {
-			return &memRelation{sch: it.schema(), rows: keep.rows}, keep.charge.settle()
+			return &memRelation{sch: it.schema(), rows: keep.boxedRows()}, keep.charge.settle()
 		}
 		if _, err := pushRows([][]value.Value{row}, len(row), nil, &keep); err != nil {
 			return nil, err
 		}
 	}
 }
+
+// boxedRows is what the collector kept, as the rows Result.Box makes of it.
+func (c *collector) boxedRows() [][]value.Value { return c.res.Box().Rows }
 
 // refAccumulator is newAccumulator with the objects only the reference fold
 // keeps: a plain sum and count, which the fold operator keeps as cells.

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sqlparse"
 )
 
-// execSelect runs a SELECT and collects its rows into the statement's result
-// — the one place a row is boxed to be kept.
+// execSelect runs a SELECT and collects its rows into the statement's result,
+// as typed columns.
 func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 	out := &collector{charge: rowCharge{gov: ec.gov}}
 	names, err := e.runSelect(sel, ec, out, false)
@@ -22,10 +22,11 @@ func (e *Engine) execSelect(sel *sqlparse.Select, ec execCtx) (*Result, error) {
 		return nil, err
 	}
 	if ec.inspect != nil {
-		ec.inspect.rows = len(out.rows)
+		ec.inspect.rows = out.res.n
 		ec.inspect.analyzed = true
 	}
-	return &Result{Columns: names, Rows: out.rows}, nil
+	out.res.Columns = names
+	return &out.res, nil
 }
 
 // rewriteError is the engine's error for a SELECT it has no operator for —
@@ -229,7 +230,9 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink, hold 
 		perm = perm[:min(*sel.Limit, len(perm))]
 	}
 	if res, ok := sink.(*collector); ok {
-		res.charge.gov = nil // the result takes rows the tail charged as it kept them
+		// The result takes the rows whole; the tail charged them as it kept them.
+		res.take(keep.vecs[:visible], keep.out[:visible], perm)
+		return names[:visible], nil
 	}
 	return names[:visible], keep.emit(perm, visible, sink, ec.gov)
 }

@@ -15,8 +15,8 @@ import (
 // table's column vectors (dml.go), so a generated step's result lives only in
 // the temp table it names; a colCollector keeps the columns a later stage
 // needs whole — a sort over produced rows, a dedupe of aggregate output, a
-// window's group results; and the statement's collector boxes the rows of
-// Result.Rows, the one place a value becomes a row.
+// window's group results; and the statement's collector keeps the result as
+// typed columns, which Result.Box boxes into rows only for a caller that asks.
 
 // rowSink receives a SELECT's output rows.
 type rowSink interface {
@@ -95,72 +95,123 @@ func (c *rowCharge) settle() error {
 	return err
 }
 
-// collector is the statement's result: it boxes each batch into rows, a
-// column at a time. The rows are carved from slabs — one when reserve knew
-// the count, otherwise each half as large as everything kept so far, so a
-// result of n rows costs O(log n) allocations and no slab is ever copied — as
-// full slice expressions, so appending to a row cannot run into the next.
+// collector is the statement's result: it appends each batch to one typed
+// vector per column (storage.Vector.Append), a VARCHAR column sharing its
+// source's dictionary, and boxes nothing — Result.Box does, for a caller that
+// asks. The columns' cells of one type are carved from one slab: sized once
+// when reserve knew the count, otherwise regrown to twice what is kept, so a
+// result of n rows costs O(log n) allocations whatever its width. The Result
+// and, for a result of up to five columns — every Vpct answer of the
+// benchmark's — its vectors live in the collector, one allocation for all.
 type collector struct {
-	rows   [][]value.Value
-	slab   []value.Value // unused tail of the newest slab
+	res    Result
+	narrow [5]storage.Vector
+	room   int // rows every column has capacity for
 	expect int
 	charge rowCharge
 }
 
-func (c *collector) reserve(n int) {
-	c.expect, c.rows = len(c.rows)+n, slices.Grow(c.rows, n)
-}
-
-// carve appends n empty rows of width w, cut from one stretch of slab, and
-// returns the stretch.
-func (c *collector) carve(n, w int) []value.Value {
-	if len(c.slab) < n*w {
-		c.slab = make([]value.Value, w*max(n, c.expect-len(c.rows), len(c.rows)/2))
-	}
-	block := c.slab[:n*w]
-	c.slab = c.slab[n*w:]
-	for k := 0; k < n; k++ {
-		c.rows = append(c.rows, block[k*w:(k+1)*w:(k+1)*w])
-	}
-	return block
-}
+func (c *collector) reserve(n int) { c.expect = c.res.n + n }
 
 func (c *collector) pushCols(cols []*storage.Vector, n int) error {
-	w := len(cols)
-	block := c.carve(n, w)
-	for j, v := range cols {
-		switch {
-		case v.Boxed:
-			for k, x := range v.Vals[:n] {
-				block[k*w+j] = x
-			}
-		case v.Type == storage.TypeInt:
-			for k, x := range v.Ints[:n] {
-				block[k*w+j] = value.NewInt(x)
-			}
-		case v.Type == storage.TypeFloat:
-			for k, x := range v.Flts[:n] {
-				block[k*w+j] = value.NewFloat(x)
-			}
-		case v.Type == storage.TypeString:
-			strs := v.Dict.Strs()
-			for k, c := range v.Codes[:n] {
-				if !v.Nulls.Get(k) { // a NULL cell's code may have no string
-					block[k*w+j] = value.NewString(strs[c])
-				}
-			}
-		default:
-			for k, x := range v.Bools[:n] {
-				block[k*w+j] = value.NewBool(x)
-			}
+	if c.res.vecs == nil {
+		c.res.vecs = c.narrow[:]
+		if len(cols) > len(c.narrow) {
+			c.res.vecs = make([]storage.Vector, len(cols))
 		}
-		for k := 0; !v.Boxed && k < min(n, 64*len(v.Nulls)); k++ {
-			if v.Nulls.Get(k) {
-				block[k*w+j] = value.Null
-			}
+		c.res.vecs = c.res.vecs[:len(cols):len(cols)]
+	}
+	if c.res.n+n > c.room {
+		c.grow(max(c.res.n+n, c.expect, 2*c.room), func(j int) *storage.Vector { return cols[j] })
+	}
+	c.nullRoom(func(j int) *storage.Vector { return cols[j] })
+	for j, v := range cols {
+		c.res.vecs[j].Append(v, n)
+	}
+	c.res.n += n
+	return c.charge.addCols(cols, n, 0)
+}
+
+// take makes the result the rows of src at perm, gathered straight into the
+// vectors of dst, which the result keeps: the tail of a SELECT hands its
+// sorted, deduplicated or limited rows over whole.
+func (c *collector) take(src, dst []storage.Vector, perm []int32) {
+	c.res.vecs = dst
+	like := func(j int) *storage.Vector { return &src[j] }
+	c.grow(len(perm), like)
+	c.nullRoom(like)
+	for j := range dst {
+		dst[j].Gather(&src[j], perm)
+	}
+	c.res.n = len(perm)
+}
+
+// grow gives every column room for room cells, keeping the cells it holds:
+// the columns of one form — boxed, or one column type — share one new slab.
+// An empty column takes the form of like(j), the batch's.
+func (c *collector) grow(room int, like func(j int) *storage.Vector) {
+	vecs := c.res.vecs
+	form := func(j int) (storage.ColumnType, bool) {
+		v := &vecs[j]
+		if v.Len() == 0 {
+			v = like(j)
+		}
+		return v.Type, v.Boxed
+	}
+	var count [storage.TypeBool + 2]int // per column type, then boxed
+	for j := range vecs {
+		if typ, boxed := form(j); boxed {
+			count[len(count)-1]++
+		} else {
+			count[typ]++
 		}
 	}
-	return c.charge.addCols(cols, n, 0)
+	ints := make([]int64, count[storage.TypeInt]*room)
+	flts := make([]float64, count[storage.TypeFloat]*room)
+	codes := make([]int32, count[storage.TypeString]*room)
+	bools := make([]bool, count[storage.TypeBool]*room)
+	vals := make([]value.Value, count[len(count)-1]*room)
+	for j := range vecs {
+		v := &vecs[j]
+		switch typ, boxed := form(j); {
+		case boxed:
+			v.Vals, vals = carve(vals, v.Vals, room)
+		case typ == storage.TypeInt:
+			v.Ints, ints = carve(ints, v.Ints, room)
+		case typ == storage.TypeFloat:
+			v.Flts, flts = carve(flts, v.Flts, room)
+		case typ == storage.TypeString:
+			v.Codes, codes = carve(codes, v.Codes, room)
+		default:
+			v.Bools, bools = carve(bools, v.Bools, room)
+		}
+	}
+	c.room = room
+}
+
+// nullRoom gives every column's NULL bitmap room for c.room cells, keeping
+// its bits, all from one slab, when a column of like — the batch — has a NULL
+// and its bitmap lacks that room.
+func (c *collector) nullRoom(like func(j int) *storage.Vector) {
+	words := (c.room + 63) >> 6
+	for j := range c.res.vecs {
+		if len(like(j).Nulls) > 0 && cap(c.res.vecs[j].Nulls) < words {
+			slab := make(storage.NullBitmap, words*len(c.res.vecs))
+			for i := range c.res.vecs {
+				v := &c.res.vecs[i]
+				v.Nulls, slab = carve(slab, v.Nulls, words)
+			}
+			return
+		}
+	}
+}
+
+// carve cuts a stretch of room cells from the front of slab, holding a copy
+// of cells, and returns it with the rest of slab.
+func carve[T any](slab, cells []T, room int) ([]T, []T) {
+	cut := slab[:len(cells):room]
+	copy(cut, cells)
+	return cut, slab[room:]
 }
 
 // colCollector keeps, as one vector per column, what a later stage needs

@@ -256,7 +256,7 @@ func (e *Engine) complete(stmt sqlparse.Statement, sql string, ec execCtx, res *
 	}
 	var rows int64
 	if res != nil {
-		rows = int64(max(len(res.Rows), res.Affected))
+		rows = int64(max(res.Len(), res.Affected))
 	}
 	if sp := ec.span; sp != nil {
 		if res != nil {

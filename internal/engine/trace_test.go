@@ -64,7 +64,7 @@ func TestExplainAnalyzeParallelWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	for _, row := range r.Rows {
+	for _, row := range r.Box().Rows {
 		sb.WriteString(row[0].Str())
 		sb.WriteByte('\n')
 	}

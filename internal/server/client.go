@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -233,7 +234,9 @@ func toResult(resp *response) (*Result, error) {
 }
 
 // decodeRows converts json.Number cells back to int64/float64 so results
-// round-trip to the same Go types pctagg returns.
+// round-trip to the same Go types pctagg returns: a number with a '.' or an
+// exponent is a REAL (wireRows writes every REAL so), any other an INTEGER
+// unless it lies outside int64's range.
 func decodeRows(rows [][]any) [][]any {
 	for _, row := range rows {
 		for i, cell := range row {
@@ -241,11 +244,13 @@ func decodeRows(rows [][]any) [][]any {
 			if !ok {
 				continue
 			}
-			if v, err := strconv.ParseInt(string(n), 10, 64); err == nil {
-				row[i] = v
-			} else if f, err := n.Float64(); err == nil {
-				row[i] = f
+			if !strings.ContainsAny(string(n), ".eE") {
+				if v, err := strconv.ParseInt(string(n), 10, 64); err == nil {
+					row[i] = v
+					continue
+				}
 			}
+			row[i], _ = n.Float64() // a JSON number always parses, ±Inf past the float range
 		}
 	}
 	return rows

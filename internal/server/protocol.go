@@ -14,8 +14,12 @@ package server
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"unicode/utf8"
 )
 
 // maxFrame bounds a single protocol frame. A length prefix beyond it is
@@ -54,7 +58,7 @@ type response struct {
 	OK        bool       `json:"ok"`
 	SessionID int64      `json:"session_id,omitempty"`
 	Columns   []string   `json:"columns,omitempty"`
-	Rows      [][]any    `json:"rows,omitempty"`
+	Rows      wireRows   `json:"rows,omitempty"`
 	Affected  int64      `json:"affected,omitempty"`
 	Err       *wireError `json:"err,omitempty"`
 }
@@ -70,21 +74,135 @@ type wireError struct {
 	BackoffMs int64  `json:"backoff_ms,omitempty"`
 }
 
-// writeFrame marshals v and writes it as one length-prefixed frame with a
-// single Write call, so a frame is never interleaved mid-write.
+// writeFrame writes v as one length-prefixed frame with a single Write call,
+// so a frame is never interleaved mid-write.
 func writeFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+	buf, err := encodeFrame(v)
 	if err != nil {
 		return err
 	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// encodeFrame marshals v into one length-prefixed frame. It fails when v has
+// no JSON form — a row holds a non-finite REAL — or the body is over maxFrame.
+func encodeFrame(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if me := (*json.MarshalerError)(nil); errors.As(err, &me) {
+		err = me.Unwrap()
+	}
+	if err != nil {
+		return nil, err
+	}
 	if len(body) > maxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", len(body), maxFrame)
+		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", len(body), maxFrame)
 	}
 	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf, uint32(len(body)))
 	copy(buf[4:], body)
-	_, err = w.Write(buf)
-	return err
+	return buf, nil
+}
+
+// wireRows is a response's rows, cells of the Go types pctagg returns. Its
+// JSON keeps a cell's type readable: an INTEGER is digits alone, and a REAL
+// always has a '.' or an exponent — a whole one is written 2.0 — so
+// decodeRows reads each back as what it was. A NaN or an infinite REAL has no
+// JSON number, and is an error.
+type wireRows [][]any
+
+func (rows wireRows) MarshalJSON() ([]byte, error) {
+	b := []byte{'['}
+	if len(rows) > 0 {
+		b = make([]byte, 1, 2+len(rows)*(2+8*len(rows[0])))
+		b[0] = '['
+	}
+	for i, row := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		for j, cell := range row {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			switch x := cell.(type) {
+			case nil:
+				b = append(b, "null"...)
+			case int64:
+				b = strconv.AppendInt(b, x, 10)
+			case float64:
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return nil, fmt.Errorf("server: the result holds the REAL %v, which JSON has no number for", x)
+				}
+				b = appendReal(b, x)
+			case string:
+				b = appendString(b, x)
+			case bool:
+				b = strconv.AppendBool(b, x)
+			default:
+				return nil, fmt.Errorf("server: a result cell of type %T", x)
+			}
+		}
+		b = append(b, ']')
+	}
+	return append(b, ']'), nil
+}
+
+// appendReal writes a finite REAL as encoding/json does — an exponent below
+// 1e-6 and from 1e21 on — with ".0" after a whole value.
+func appendReal(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
+		return strconv.AppendFloat(b, f, 'e', -1, 64)
+	}
+	at := len(b)
+	b = strconv.AppendFloat(b, f, 'f', -1, 64)
+	for _, c := range b[at:] {
+		if c == '.' {
+			return b
+		}
+	}
+	return append(b, ".0"...)
+}
+
+// appendString writes s as a JSON string: '"', '\\' and control characters
+// escaped, and each byte of invalid UTF-8 replaced by U+FFFD, as
+// encoding/json does (which then also escapes '<', '>' and '&').
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	from := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if c >= utf8.RuneSelf && (r != utf8.RuneError || size > 1) {
+			i += size
+			continue
+		}
+		b = append(b, s[from:i]...)
+		switch {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c == '\n':
+			b = append(b, '\\', 'n')
+		case c == '\r':
+			b = append(b, '\\', 'r')
+		case c == '\t':
+			b = append(b, '\\', 't')
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, `\ufffd`...)
+		}
+		i += size
+		from = i
+	}
+	b = append(b, s[from:]...)
+	return append(b, '"')
 }
 
 // readFrame reads one length-prefixed frame into v. Numbers decode as

@@ -5,10 +5,17 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/diag"
 )
 
 // frame encodes v as one wire frame.
@@ -95,4 +102,56 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("round trip changed the request: %+v -> %+v", req, again)
 		}
 	})
+}
+
+// TestOversizeResponseKeepsSession: a response whose frame would pass
+// maxFrame is answered with PCT214 instead, and the session writes on.
+func TestOversizeResponseKeepsSession(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	sess := &session{conn: a, srv: &Server{cfg: Config{WriteTimeout: 5 * time.Second}}, stop: func() { t.Error("the session was stopped") }}
+	huge := &response{ID: 7, OK: true, Columns: []string{"s"}, Rows: wireRows{{strings.Repeat("x", maxFrame)}}}
+	done := make(chan error, 1)
+	go func() {
+		err := sess.write(huge)
+		if err == nil {
+			err = sess.write(&response{ID: 8, OK: true})
+		}
+		done <- err
+	}()
+	for _, want := range []response{{ID: 7, Err: &wireError{Code: diag.CodeUnencodable}}, {ID: 8, OK: true}} {
+		var got response
+		if err := readFrame(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want.ID || got.OK != want.OK || (got.Err == nil) != (want.Err == nil) || got.Err != nil && got.Err.Code != want.Err.Code {
+			t.Errorf("frame %d: got %+v (err %+v)", want.ID, got, got.Err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWireRowsJSON pins how each cell type is written: a REAL always with a
+// '.' or an exponent, strings escaped as encoding/json escapes them.
+func TestWireRowsJSON(t *testing.T) {
+	rows := wireRows{{int64(-3), 2.0, math.Copysign(0, -1), 0.5, 1e21, 1e-7, 123456.0, "a\"\\\n\x01\xff<é", true, nil}}
+	got, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[[-3,2.0,-0.0,0.5,1e+21,1e-07,123456.0,"a\"\\\n\u0001\ufffd\u003cé",true,null]]`
+	if string(got) != want {
+		t.Errorf("got  %s\nwant %s", got, want)
+	}
+	if err := json.Unmarshal(got, &[][]any{}); err != nil {
+		t.Errorf("not valid JSON: %v", err)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := json.Marshal(wireRows{{f}}); err == nil {
+			t.Errorf("%v marshalled", f)
+		}
+	}
 }

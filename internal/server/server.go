@@ -500,13 +500,22 @@ type session struct {
 }
 
 // write sends one frame under the write mutex with a per-frame deadline. A
-// failed or timed-out write cuts the whole session: a client that cannot
-// drain its responses must not pin server state.
+// response the wire cannot carry — a non-finite REAL, a frame over maxFrame —
+// answers its request with PCT214 instead, and the session goes on. A failed
+// or timed-out write cuts the whole session: a client that cannot drain its
+// responses must not pin server state.
 func (sess *session) write(resp *response) error {
+	buf, err := encodeFrame(resp)
+	if err != nil {
+		buf, err = encodeFrame(&response{ID: resp.ID, Err: &wireError{Code: diag.CodeUnencodable, Message: err.Error()}})
+	}
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
-	sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
-	if err := writeFrame(sess.conn, resp); err != nil {
+	if err == nil {
+		sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
+		_, err = sess.conn.Write(buf)
+	}
+	if err != nil {
 		sess.stop()
 		sess.conn.Close()
 		return err

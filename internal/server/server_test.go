@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -507,5 +509,73 @@ func TestSessionsLedgerReconcilesUnderLoad(t *testing.T) {
 	}
 	if got, want := fmt.Sprint(res.Rows[0]), fmt.Sprint([]any{total.completed, total.rejected, int64(tenants * sessions)}); got != want {
 		t.Errorf("pct_stat_sessions [statements rejected sessions] = %s, clients counted %s", got, want)
+	}
+}
+
+// TestWireRowsMatchQuery: every cell type comes back over the wire as the Go
+// type and value pctagg.Query returns — a whole REAL stays a float64, not an
+// int64 — and a Vpct of 100 % reads 1.0.
+func TestWireRowsMatchQuery(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := pctagg.Open()
+	if _, err := db.Exec("CREATE TABLE t (k INTEGER, x REAL, s VARCHAR, b BOOLEAN)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertRows("t", [][]any{
+		{int64(1), 2.0, "a", true},
+		{int64(-7), math.Copysign(0, -1), "quote \" back \\ tab \t é", false},
+		{int64(1 << 40), 0.5, "", nil},
+		{int64(4), 1e21, nil, true},
+		{nil, nil, "a", false},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, db, server.Config{})
+	defer srv.Close()
+	c := dial(t, srv, "alpha")
+	defer c.Close()
+	for _, q := range []string{
+		"SELECT k, x, s, b FROM t ORDER BY k",
+		"SELECT b, Vpct(x) FROM t WHERE k = 1 GROUP BY b",
+	} {
+		want, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Do(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rows, want.Data) {
+			t.Errorf("%s\nwire:  %#v\nQuery: %#v", q, got.Rows, want.Data)
+		}
+	}
+}
+
+// TestNonFiniteRealKeepsSession: a result holding +Inf or NaN has no JSON
+// form. Its request fails with PCT214, and the next statement on the same
+// connection runs.
+func TestNonFiniteRealKeepsSession(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := pctagg.Open()
+	if _, err := db.Exec("CREATE TABLE t (k INTEGER, x REAL); INSERT INTO t VALUES (1, 1e308)"); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, db, server.Config{})
+	defer srv.Close()
+	c := dial(t, srv, "alpha")
+	defer c.Close()
+	for _, q := range []string{"SELECT k, x * 10.0 FROM t", "SELECT k, x * 10.0 - x * 10.0 FROM t"} {
+		_, err := c.Do(context.Background(), q)
+		if code := diag.CodeOf(err); code != diag.CodeUnencodable {
+			t.Errorf("%s: err = %v (code %q), want %s", q, err, code, diag.CodeUnencodable)
+		}
+		res, err := c.Do(context.Background(), "SELECT k FROM t")
+		if err != nil {
+			t.Fatalf("after %s: %v", q, err)
+		}
+		if !reflect.DeepEqual(res.Rows, [][]any{{int64(1)}}) {
+			t.Errorf("after %s: rows = %v", q, res.Rows)
+		}
 	}
 }

@@ -331,11 +331,13 @@ func (v *Vector) Gather(src *Vector, ids []int32) {
 
 // Append adds the first n cells of src to the end of v, a vector a collector
 // fills batch by batch: v takes the first batch's form and stays typed while
-// every batch is of its type; from the first that is not, it is boxed.
+// every batch is of its type; from the first that is not, it is boxed. An
+// empty v keeps the capacity of its slices, so a collector can size them.
 func (v *Vector) Append(src *Vector, n int) {
 	switch have := v.Len(); {
 	case have == 0:
-		*v = Vector{Type: src.Type, Boxed: src.Boxed}
+		*v = Vector{Type: src.Type, Boxed: src.Boxed, Ints: v.Ints[:0], Flts: v.Flts[:0], Codes: v.Codes[:0],
+			Bools: v.Bools[:0], Nulls: v.Nulls[:0], Vals: v.Vals[:0]}
 	case v.Boxed == src.Boxed && (v.Boxed || v.Type == src.Type):
 	case !v.Boxed:
 		vals := make([]value.Value, have, 2*have+n)

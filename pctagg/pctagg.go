@@ -115,15 +115,12 @@ type Rows struct {
 
 // String renders the rows as an aligned text table.
 func (r *Rows) String() string {
-	res := &engine.Result{Columns: r.Columns}
-	for _, row := range r.Data {
-		vals := make([]value.Value, len(row))
-		for i, c := range row {
-			vals[i] = toValue(c)
+	return engine.NewResult(r.Columns, len(r.Data), func(k, j int) value.Value {
+		if j < len(r.Data[k]) {
+			return toValue(r.Data[k][j])
 		}
-		res.Rows = append(res.Rows, vals)
-	}
-	return res.Format()
+		return value.Null
+	}).Format()
 }
 
 // Exec runs one or more semicolon-separated statements (DDL, INSERT,
@@ -137,7 +134,7 @@ func (db *DB) Exec(sql string) (int64, error) {
 // statement cooperatively with a typed error, leaving its target table
 // unchanged (statements are atomic — they commit fully or not at all).
 func (db *DB) ExecCtx(ctx context.Context, sql string) (int64, error) {
-	res, err := db.eng.ExecSQLCtx(ctx, sql)
+	res, err := db.eng.ExecSQLCtxIn(ctx, sql, db.eng.Parallelism(), nil)
 	if err != nil {
 		return 0, err
 	}
@@ -198,22 +195,71 @@ func (db *DB) query(ctx context.Context, sql string, root *Span) (*Rows, error) 
 		countQueryError(err)
 		return nil, err
 	}
+	return toRows(res), nil
+}
+
+// toRows converts a result's typed columns to Rows in one pass, a column at a
+// time, with no value.Value in between. The cells sit in one slab; a row is a
+// full slice expression of it, so a caller's append cannot run into the next
+// row. A VARCHAR column boxes each string of its dictionary once — when the
+// dictionary is no more than four times the rows, so a small result of a
+// large table's strings boxes per cell instead.
+func toRows(res *engine.Result) *Rows {
 	out := &Rows{Columns: res.Columns}
-	if len(res.Rows) == 0 {
-		return out, nil
+	n, vecs := res.Len(), res.Vectors()
+	if n == 0 {
+		return out
 	}
-	// One slab holds every cell; a row is a full slice expression of it, so a
-	// caller's append cannot run into the next row.
-	slab := make([]any, 0, len(res.Rows)*len(res.Columns))
-	out.Data = make([][]any, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		at := len(slab)
-		for _, v := range row {
-			slab = append(slab, fromValue(v))
+	w := len(vecs)
+	slab := make([]any, n*w)
+	out.Data = make([][]any, n)
+	for k := range out.Data {
+		out.Data[k] = slab[k*w : (k+1)*w : (k+1)*w]
+	}
+	for j := range vecs {
+		v := &vecs[j]
+		switch {
+		case v.Boxed:
+			for k, x := range v.Vals[:n] {
+				slab[k*w+j] = fromValue(x)
+			}
+		case v.Type == storage.TypeInt:
+			convert(slab[j:], w, v.Ints[:n], v.Nulls)
+		case v.Type == storage.TypeFloat:
+			convert(slab[j:], w, v.Flts[:n], v.Nulls)
+		case v.Type == storage.TypeBool:
+			convert(slab[j:], w, v.Bools[:n], v.Nulls)
+		case v.Dict.Len() > 4*n:
+			strs := v.Dict.Strs()
+			for k, c := range v.Codes[:n] {
+				if !v.Nulls.Get(k) {
+					slab[k*w+j] = strs[c]
+				}
+			}
+		default:
+			strs, memo := v.Dict.Strs(), make([]any, v.Dict.Len())
+			for k, c := range v.Codes[:n] {
+				if v.Nulls.Get(k) {
+					continue
+				}
+				if memo[c] == nil {
+					memo[c] = strs[c]
+				}
+				slab[k*w+j] = memo[c]
+			}
 		}
-		out.Data = append(out.Data, slab[at:len(slab):len(slab)])
 	}
-	return out, nil
+	return out
+}
+
+// convert boxes a typed column's cells into every w-th cell of dst, leaving
+// its NULL cells nil.
+func convert[T int64 | float64 | bool](dst []any, w int, cells []T, nulls storage.NullBitmap) {
+	for k, x := range cells {
+		if !nulls.Get(k) {
+			dst[k*w] = x
+		}
+	}
 }
 
 // rewriter is the DB's engine.Rewriter: it plans the SELECTs the engine hands
@@ -252,11 +298,7 @@ func (r rewriter) Select(ctx context.Context, sel *sqlparse.Select, par int, par
 		return nil, 0, 0, err
 	}
 	hits, misses := plan.CacheHits(), plan.CacheMisses()
-	if parent == nil {
-		res, err := r.db.planner.ExecuteCtx(ctx, plan)
-		return res, hits, misses, err
-	}
-	res, trace, err := r.db.planner.ExecuteTracedCtx(ctx, plan)
+	res, trace, err := r.db.planner.ExecuteTyped(ctx, plan, parent != nil)
 	parent.AddChild(trace)
 	return res, hits, misses, err
 }
@@ -273,13 +315,13 @@ func (r rewriter) Explain(ctx context.Context, ex *sqlparse.Explain, par int, pa
 		defer r.db.planner.CleanupPlanCtx(ctx, plan)
 		return engine.PlanResult(strings.Split(strings.TrimRight(plan.SQL(), "\n"), "\n")), nil
 	}
-	res, trace, err := r.db.planner.ExecuteTracedCtx(ctx, plan)
+	res, trace, err := r.db.planner.ExecuteTyped(ctx, plan, true)
 	parent.AddChild(trace)
 	if err != nil {
 		return nil, err
 	}
 	lines := strings.Split(strings.TrimRight(trace.Format(), "\n"), "\n")
-	return engine.PlanResult(append(lines, fmt.Sprintf("Execution: rows=%d time=%s", len(res.Rows), trace.Duration))), nil
+	return engine.PlanResult(append(lines, fmt.Sprintf("Execution: rows=%d time=%s", res.Len(), trace.Duration))), nil
 }
 
 // Explain returns the standard-SQL plan the query rewriter generates for a
