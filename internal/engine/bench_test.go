@@ -445,15 +445,16 @@ func BenchmarkHashAggregateManyGroups(b *testing.B) {
 }
 
 // TestFoldManyGroupsAllocBudget is the budget of BenchmarkHashAggregateManyGroups'
-// statement: 42 000 groups on two workers. A group is an id — its key in the
-// group table's flat arrays, its sum one cell — and every array doubles, so
-// the fold allocates O(log groups) times and the statement's bytes are the
-// result rows plus at most twice the final state. The four keys' 8 × 13 × 51
-// × 11 cells take the direct route: one directory a worker, allocated once,
-// where the hash route's index and hashes doubled their way to 42 000 keys.
-// 230 allocations and 20.9 MB measured, against 281–283 and 23.6 MB on the
-// hash route and 930 and 48.1 MB when each partition kept a Go map of group
-// objects; the budgets are 10 % above.
+// statement: 42 000 groups on two workers. The four keys' 8 × 13 × 51 × 11
+// cells take the direct route, where a group is an id and its key one int32
+// cell: each worker allocates its directory once, and the cells, like the sum
+// cells, sit in arrays that double, so the fold allocates O(log groups) times
+// and the statement's bytes are the result rows plus at most twice the final
+// state. The merge finds a group by its cell and the emit decodes each key
+// column from the cells. 195 allocations and 15.0 MB measured, against 230
+// and 22.6 MB when a direct group kept its key as slots and mask bytes,
+// 281–283 and 23.6 MB on the hash route, and 930 and 48.1 MB when each
+// partition kept a Go map of group objects; the budgets are 10 % above.
 func TestFoldManyGroupsAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -470,23 +471,23 @@ func TestFoldManyGroupsAllocBudget(t *testing.T) {
 	run()
 	runtime.ReadMemStats(&after)
 	bytes := after.TotalAlloc - before.TotalAlloc
-	if allocs > 253 {
-		t.Errorf("42 000-group fold made %.0f allocations, budget 253", allocs)
+	if allocs > 214 {
+		t.Errorf("42 000-group fold made %.0f allocations, budget 214", allocs)
 	}
-	if bytes > 23_000_000 {
-		t.Errorf("42 000-group fold allocated %d bytes, budget 23 000 000", bytes)
+	if bytes > 16_500_000 {
+		t.Errorf("42 000-group fold allocated %d bytes, budget 16 500 000", bytes)
 	}
 	t.Logf("%.0f allocations, %d bytes", allocs, bytes)
 }
 
 // TestJoinIndexBuildAllocBudget is the budget of building a join index over
 // 40 000 rows and 84 keys — q8's Fk on its common subkey — on each route: an
-// INTEGER key takes the direct route, a REAL one the hash route. The keys are
-// read a batch at a time into a group table whose arrays double, and the rows
-// land by a counting sort in one rows array, so the build allocates O(1)
-// times, none a key or a row: 18 measured on the direct route and 27 on the
-// hash route, where a Go map of row lists made one a key; the budgets are
-// 10 % above.
+// INTEGER key takes the direct route, where a key is its cell, a REAL one the
+// hash route. The keys are read a batch at a time into a group table whose
+// arrays double, and the rows land by a counting sort in one rows array, so
+// the build allocates O(1) times, none a key or a row: 13 measured on the
+// direct route and 27 on the hash route, where a Go map of row lists made one
+// a key; the budgets are 10 % above.
 func TestJoinIndexBuildAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -502,7 +503,7 @@ func TestJoinIndexBuildAllocBudget(t *testing.T) {
 		col    int
 		route  string
 		budget float64
-	}{{0, "direct", 20}, {1, "hash", 30}} {
+	}{{0, "direct", 14}, {1, "hash", 30}} {
 		var ix *joinIndex
 		allocs := testing.AllocsPerRun(5, func() {
 			if ix, err = buildIndex(tab, []int{c.col}, nil); err != nil || ix.tab.len() != 84 || len(ix.rows) != 40_000 {

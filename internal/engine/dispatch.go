@@ -151,12 +151,7 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 			break
 		}
 		if b, ok := directBounds(&f.keys, op.pipe.tabs, op.pipe.count(), &f.tab); ok {
-			f.tab.bounds, f.tab.dir = b, make([]int32, b.cells)
-			for e := range f.tab.len() {
-				k, mask := f.tab.key(e)
-				cell, _ := f.tab.cell(k, mask[0])
-				f.tab.dir[cell] = int32(e) + 1
-			}
+			f.tab.direct(&b)
 		}
 	}
 	if settle {

@@ -27,12 +27,13 @@ import (
 // batch is resolved to entries too, sorted by entry, and each arm advances
 // over its entry's run of tuples with one kernel call (advanceArms).
 //
-// State. A group is an id, not an object: its key sits in the group table's
-// flat arrays, its aggregates in the partition's — one 8-byte cell and one
-// tag byte per (group, sum / count / numeric min / max), strided by the
-// fold's cell count, so a 50-arm Hpct fold grows the same two arrays a plain
-// one does — and only avg, count(DISTINCT) and min / max over anything else
-// keep an accumulator object per group (aggregate.go).
+// State. A group is an id, not an object: its key is one directory cell on
+// the direct route and slots in the group table's flat arrays on the hash
+// route (grouptable.go), its aggregates sit in the partition's — one 8-byte
+// cell and one tag byte per (group, sum / count / numeric min / max), strided
+// by the fold's cell count, so a 50-arm Hpct fold grows the same two arrays a
+// plain one does — and only avg, count(DISTINCT) and min / max over anything
+// else keep an accumulator object per group (aggregate.go).
 //
 // Inputs. The fold is the last stage of its pipeline (columns.go): every
 // worker runs the pipeline over its range of the source and folds the
@@ -57,8 +58,8 @@ import (
 // Parallelism. foldPartitions splits the source into contiguous ranges, folds
 // each into a private foldPart, and merges them in ascending partition order:
 // each group of the higher partition is looked up in the lower one's table —
-// by its directory cell, or with its stored hash — a new group appends, a
-// shared one adds cell to cell. A group's global first occurrence lies in its
+// by its cell, or with its stored hash — a new group appends, a shared one
+// adds cell to cell. A group's global first occurrence lies in its
 // lowest-numbered partition and tuples keep their order within a partition,
 // so that merge order reproduces the sequential first-appearance order
 // exactly (a REAL sum's last bit may not: DESIGN.md, "Parallel partitioned
@@ -329,7 +330,7 @@ func directBounds(kc *keyCols, tabs []*storage.Table, rows int, consts *groupTab
 			}
 		}
 		for e := 0; consts != nil && e < consts.len(); e++ {
-			if key, mask := consts.key(e); bitAt(mask, c) == 0 {
+			if key := consts.key(e); key[n]>>c&1 == 0 {
 				lo[c], hi[c] = min(lo[c], key[c]), max(hi[c], key[c])
 			}
 		}
@@ -488,9 +489,9 @@ func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) 
 // emit pushes the merged groups into out in id order — first appearance —
 // the key values followed by one result per spec, and returns how many went.
 // They go a batch of ids at a time as columns: a key component decoded from
-// the group table's slots (keyCols.column), a count or the sum or extreme of
-// a bare numeric column from its cells, an accumulator's result and any other
-// cell boxed. A batch is about batchSize cells, so a wide fold's batches hold
+// the group table's cells or slots (keyCols.column), a count or the sum or
+// extreme of a bare numeric column from its cells, an accumulator's result
+// and any other cell boxed. A batch is about batchSize cells, so a wide fold's batches hold
 // few groups: what the batch and a projector computing over it hold is
 // bounded by the batch, not the width.
 func (op *foldOp) emit(part *foldPart, gov *governor, out rowSink) (int, error) {
@@ -602,10 +603,11 @@ func (p *foldPart) addGroup() error {
 }
 
 // absorb merges the next-higher partition into p, an id remap: each group of
-// from is looked up in p's table — by its cell on the direct route, with the
-// hash from already stored on the hash route; one new to p takes the next id
-// — so ids stay in global first-appearance order — and from's state, a
-// shared one merges state into state.
+// from is looked up in p's table (groupTable.lookupFrom) — one load of p's
+// directory at from's cell on the direct route, with the hash from already
+// stored on the hash route; one new to p takes the next id — so ids stay in
+// global first-appearance order — and from's state, a shared one merges
+// state into state.
 func (p *foldPart) absorb(from *foldPart) error {
 	op := p.op
 	nc, na, ns := op.cells, op.accs, op.soles
@@ -785,8 +787,9 @@ func (w *foldWorker) advanceArms(b *tupleBatch, n int) error {
 // components not read in place are materialized, the batch is read one
 // component at a time, through a loop typed for its vector (keys.go). On the
 // direct route that pass leaves each tuple's cell in ids, until its id
-// replaces it: a hit is one load, and only the misses — new groups, or keys
-// out of bounds — are read whole, in order, a chunk at a time (lookupKeys).
+// replaces it: a hit is one load, and a miss makes its group from the cell.
+// Only a key out of bounds — inserted, which moves t to the hash route — is
+// read whole: it and every later tuple go through resolveHash.
 func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
 	if len(kc.cols) == 0 && t.len() > 0 {
 		clear(ids[lo:hi]) // the global aggregate's one group
@@ -801,7 +804,7 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 		}
 	}
 	if t.dir == nil {
-		return w.resolveHash(kc, t, b, lo, hi, ids, groups)
+		return w.resolveHash(kc, t, b, lo, lo, hi, ids, groups)
 	}
 	cells := ids[lo:hi]
 	clear(cells)
@@ -815,44 +818,41 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 			readCells(t, c, v.Ints, v.Nulls, rows, cells)
 		}
 	}
-	var miss [hashChunk]int32
-	n, dir := 0, t.dir
+	dir := t.dir
 	for k := lo; k < hi; k++ {
 		if cell := uint(ids[k]); cell < uint(len(dir)) {
 			if id := dir[cell]; id != 0 || !groups {
 				ids[k] = id - 1
 				continue
 			}
-		}
-		// A later tuple of a missed key's cell misses too, and finds the
-		// group the first one made. A move to the hash route — an
-		// out-of-bounds key inserted — leaves no directory: every later
-		// tuple misses.
-		if n == len(miss) {
-			if err := w.lookupKeys(kc, t, b, lo, hi, miss[:n], ids, groups); err != nil {
+			ids[k] = t.addCell(int(cell))
+			if err := w.charge(); err != nil {
 				return err
 			}
-			n, dir = 0, t.dir
+			continue
 		}
-		miss[n], n = int32(k), n+1
+		if !groups {
+			ids[k] = -1
+			continue
+		}
+		t.migrate()
+		return w.resolveHash(kc, t, b, lo, k, hi, ids, groups)
 	}
-	if n == 0 {
-		return nil
-	}
-	return w.lookupKeys(kc, t, b, lo, hi, miss[:n], ids, groups)
+	return nil
 }
 
-// hashChunk is how many keys resolveHash and lookupKeys read at a time, into
-// a buffer in their frames.
+// hashChunk is how many keys resolveHash reads at a time, into a buffer in
+// its frame.
 const hashChunk = 128
 
-// resolveHash is resolve on the hash route: a chunk of tuples at a time, the
-// keys read a component at a time, then looked up tuple by tuple.
-func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
+// resolveHash is resolve on the hash route for tuples [from, hi) of the
+// materialized [lo, hi): a chunk of tuples at a time, the keys read a
+// component at a time, then looked up tuple by tuple.
+func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, from, hi int, ids []int32, groups bool) error {
 	var buf [hashChunk * (maxIntKeys + 2)]int64
 	keys, chunk := kc.chunk(buf[:])
 	stride := kc.stride
-	for base := lo; base < hi; base += chunk {
+	for base := from; base < hi; base += chunk {
 		n := min(hi-base, chunk)
 		clear(keys[:n*stride])
 		for c := range kc.cols {
@@ -863,37 +863,6 @@ func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, 
 			key := keys[i*stride : (i+1)*stride]
 			id, fresh := t.lookupHash(t.hash(key), key, groups)
 			if ids[base+i] = id; fresh {
-				if err := w.charge(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// lookupKeys is resolveHash for the direct route's misses: the tuples at,
-// ascending among [lo, hi), their rows gathered a chunk at a time, each key
-// found through lookupKey — one out of bounds moves t to the hash route and
-// the rest follow it there.
-func (w *foldWorker) lookupKeys(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, at, ids []int32, groups bool) error {
-	var buf [hashChunk * (maxIntKeys + 2)]int64
-	var rs [hashChunk]int32
-	keys, chunk := kc.chunk(buf[:])
-	stride := kc.stride
-	for ; len(at) > 0; at = at[min(chunk, len(at)):] {
-		n := min(chunk, len(at))
-		clear(keys[:n*stride])
-		for c := range kc.cols {
-			v, rows := kc.source(c, b, lo, hi, w.mat)
-			for i, k := range at[:n] {
-				rs[i] = rows[int(k)-lo]
-			}
-			kc.read(c, v, rs[:n], keys, t.dict, groups)
-		}
-		for i, k := range at[:n] {
-			id, fresh := t.lookupKey(keys[i*stride:(i+1)*stride], groups)
-			if ids[k] = id; fresh {
 				if err := w.charge(); err != nil {
 					return err
 				}

@@ -6,41 +6,46 @@ import (
 
 // groupTable maps key tuples to dense int32 ids assigned in first-appearance
 // order: the group table of a fold partition, the set behind a
-// count(DISTINCT) or the collected tail's DISTINCT, and — built once at plan
-// time and only read afterwards — the constant-tuple table of an arm family
-// (dispatch.go). Every key is fixed-width, laid out by keys.go: width int64
-// slots, kept in ints, and ms mask bytes, kept in masks — a NULL bit per slot
-// (a NULL component is stored as 0 with its bit set), then, where a slot can
-// hold a REAL, as many sign bits, which the compare and the hash skip: a
-// REAL's slot is its canonical bits, and the sign keeps a first-seen -0.0
-// for display. A key in flight — looked up, or read into a chunk buffer — is
-// stride words: its slots, then a word for each mask byte. Two tuples get one
-// id exactly when their value.AppendKey encodings would be equal, so
-// grouping matches the reference fold.
+// count(DISTINCT) or the collected tail's DISTINCT, a join index's keys and —
+// built once at plan time and only read afterwards — the constant-tuple table
+// of an arm family (dispatch.go). Every key is fixed-width, laid out by
+// keys.go: width int64 slots and ms mask bytes — a NULL bit per slot (a NULL
+// component is 0 with its bit set), then, where a slot can hold a REAL, as
+// many sign bits, which the compare and the hash skip: a REAL's slot is its
+// canonical bits, and the sign keeps a first-seen -0.0 for display. A key in
+// flight — looked up, read into a chunk buffer, or put back (key) — is stride
+// words: its slots, then a word for each mask byte. Two tuples get one id
+// exactly when their value.AppendKey encodings would be equal, so grouping
+// matches the reference fold.
 //
-// A key is found by one of two routes (route). The hash route probes slots,
-// the open-addressing index, probed linearly and kept at most three quarters
-// full: a slot holds a key's 32-bit hash beside its id + 1 (0 = empty), so a
-// probe compares keys only on a full hash match, and doubling the index —
-// from 16 slots; nothing is presized — rewrites slots without touching a key.
-// The hash is also kept per id: the merge probes a lower partition's table
-// with the hashes the higher one already computed. A key of at most
-// maxIntKeys INTEGER, VARCHAR or BOOLEAN components with known small ranges
-// takes the direct route instead: the key is a mixed-radix number, its cell,
-// and dir[cell] is its id + 1 — one load, no hash, no key compare (bounds).
+// A table is on one of two routes (route), and keeps its keys the route's
+// way. A key of at most maxIntKeys INTEGER, VARCHAR or BOOLEAN components
+// with known small ranges takes the direct route: the key is a mixed-radix
+// number, its cell (bounds), dir[cell] is its id + 1 — one load, no hash, no
+// key compare — and cell[id] is the key: a group is made, merged and
+// emitted from its cell, its slots decoded only when asked for. Any other key
+// takes the hash route, which stores each key's slots in ints and mask bytes
+// in masks and probes slots, the open-addressing index, probed linearly and
+// kept at most three quarters full: a slot holds a key's 32-bit hash beside
+// its id + 1 (0 = empty), so a probe compares keys only on a full hash match,
+// and doubling the index — from 16 slots; nothing is presized — rewrites
+// slots without touching a key. The hash is also kept per id: the merge
+// probes a lower partition's table with the hashes the higher one already
+// computed.
 type groupTable struct {
 	layout
 	slots  []uint64
 	hashes []uint32
-	ints   []int64 // key id's slots at [id*width, (id+1)*width)
-	masks  []uint8 // key id's mask bytes at [id*ms, (id+1)*ms)
+	ints   []int64 // hash route: key id's slots at [id*width, (id+1)*width)
+	masks  []uint8 // hash route: key id's mask bytes at [id*ms, (id+1)*ms)
 	// dict codes the values of the coded slots; flight is the scratch a
-	// stored key is put back in flight in (inFlight).
+	// stored key is put back in flight in (key).
 	dict   *keyDict
 	flight []int64
 	// dir is the direct route's directory, nil on the hash route: cell → id +
-	// 1, 0 = empty, over the layout bounds describes.
-	dir []int32
+	// 1, 0 = empty, over the layout bounds describes; cell[id] is key id's
+	// cell.
+	dir, cell []int32
 	bounds
 	// drop is a test seam, the hash bits to clear: all of them makes the
 	// probe sequence and the key compare the only things telling keys apart.
@@ -51,7 +56,12 @@ type groupTable struct {
 const maxIntKeys = 8
 
 // len is the number of keys, and the next id; 0 for the zero table.
-func (t *groupTable) len() int { return len(t.masks) / max(1, t.ms) }
+func (t *groupTable) len() int {
+	if t.dir != nil {
+		return len(t.cell)
+	}
+	return len(t.masks) / max(1, t.ms)
+}
 
 // route names the way t finds a key, for the fold's spans.
 func (t *groupTable) route() string {
@@ -64,11 +74,13 @@ func (t *groupTable) route() string {
 // bounds is the layout of a direct-route directory. Component c of a key
 // contributes the digit 0 when NULL and v - lo[c] + 1 otherwise, in radix
 // span[c] — its count of values plus the NULL slot — and the digits, first
-// component most significant, make the key's cell in [0, cells).
+// component most significant, make the key's cell in [0, cells): component
+// c's digit is (cell / below[c]) % span[c], below[c] the product of the
+// spans after it.
 type bounds struct {
-	lo    [maxIntKeys]int64
-	span  [maxIntKeys]uint64
-	cells int
+	lo          [maxIntKeys]int64
+	span, below [maxIntKeys]uint64
+	cells       int
 }
 
 // directCells caps a fold's directory: 4 cells per input row, plus 1 024 so
@@ -76,9 +88,10 @@ type bounds struct {
 // 1 Mi cells, 4 MiB of int32 a worker. Every worker zeroes a directory of its
 // own, mostly empty when cells outnumber rows, so the per-row factor is where
 // that stops paying. Folding 10 K to 300 K rows over one INTEGER key on a
-// 2-core Xeon, the direct route beat the hash route up to about 30 cells a
-// row on one worker, and up to 3 — but not 10 — on two: 4 sits at the
-// two-worker break-even.
+// 2-core Xeon, the direct route — each group one cell — beat the hash route
+// up to 6 cells a row on one worker and on two; at 10 the two were about
+// even on both, and at 30 (10 K rows) direct still won on one worker but lost
+// on two: 4 sits below the two-worker break-even.
 func directCells(rows int) int { return min(1<<20, 4*rows+1024) }
 
 // planBounds lays out the directory over key components whose non-NULL
@@ -99,6 +112,9 @@ func planBounds(lo, hi []int64, limit int) (b bounds, ok bool) {
 		if b.cells *= int(n + 1); b.cells > limit {
 			return bounds{}, false
 		}
+	}
+	for c, below := len(lo)-1, uint64(1); c >= 0; c-- {
+		b.below[c], below = below, below*b.span[c]
 	}
 	return b, true
 }
@@ -126,9 +142,9 @@ func digitOf(v, lo int64, span uint64) (uint64, bool) {
 	return d + 1, d < span-1
 }
 
-// cell returns a key's directory cell — its slots, and its first NULL mask
+// cellOf returns a key's directory cell — its slots, and its first NULL mask
 // byte — and false when a component lies outside its bounds.
-func (t *groupTable) cell(key []int64, mask uint8) (int, bool) {
+func (t *groupTable) cellOf(key []int64, mask uint8) (int, bool) {
 	cell := uint64(0)
 	for c, v := range key {
 		d := uint64(0)
@@ -157,14 +173,12 @@ func (t *groupTable) lookupKey(key []int64, insert bool) (id int32, fresh bool) 
 // bounds, which a writer racing the fold's readers alone can make, first
 // moves the table to the hash route, every id kept.
 func (t *groupTable) lookupCell(key []int64, insert bool) (id int32, fresh bool) {
-	cell, in := t.cell(key[:t.width], uint8(key[t.width]))
+	cell, in := t.cellOf(key[:t.width], uint8(key[t.width]))
 	switch {
 	case in && (t.dir[cell] != 0 || !insert):
 		return t.dir[cell] - 1, false
 	case in:
-		t.store(key)
-		t.dir[cell] = int32(t.len())
-		return t.dir[cell] - 1, true
+		return t.addCell(cell), true
 	case !insert:
 		return -1, false
 	}
@@ -172,7 +186,14 @@ func (t *groupTable) lookupCell(key []int64, insert bool) (id int32, fresh bool)
 	return t.lookupHash(t.hash(key), key, insert)
 }
 
-// store appends a key in flight under the next id.
+// addCell gives the key of cell, absent from the directory, the next id.
+func (t *groupTable) addCell(cell int) int32 {
+	t.cell = append(grown(t.cell, 1), int32(cell))
+	t.dir[cell] = int32(len(t.cell))
+	return int32(len(t.cell) - 1)
+}
+
+// store appends a key in flight under the next id on the hash route.
 func (t *groupTable) store(key []int64) {
 	t.ints, t.masks = append(grown(t.ints, t.width), key[:t.width]...), grown(t.masks, t.ms)
 	for _, m := range key[t.width:t.stride] {
@@ -180,44 +201,70 @@ func (t *groupTable) store(key []int64) {
 	}
 }
 
-// key returns the stored slots and mask bytes of id.
-func (t *groupTable) key(id int) ([]int64, []uint8) {
-	return t.ints[id*t.width : (id+1)*t.width], t.masks[id*t.ms : (id+1)*t.ms]
-}
-
-// inFlight returns stored key id in flight, in t's scratch.
-func (t *groupTable) inFlight(id int) []int64 {
-	ints, masks := t.key(id)
-	t.flight = append(t.flight[:0], ints...)
-	for _, m := range masks {
+// key returns key id in flight, in t's scratch: decoded from its cell on the
+// direct route, its stored slots and mask bytes on the hash route.
+func (t *groupTable) key(id int) []int64 {
+	if t.dir != nil {
+		return t.decode(t.cell[id])
+	}
+	t.flight = append(t.flight[:0], t.ints[id*t.width:(id+1)*t.width]...)
+	for _, m := range t.masks[id*t.ms : (id+1)*t.ms] {
 		t.flight = append(t.flight, int64(m))
 	}
 	return t.flight
 }
 
-// migrate moves a direct table to the hash route: the index and the per-id
-// hashes are built from the stored keys, in id order, so every id stays.
-func (t *groupTable) migrate() {
-	t.dir = nil
-	for id := range t.len() {
-		h := t.hash(t.inFlight(id))
-		t.reserve()
-		m := uint32(len(t.slots) - 1)
-		at := h & m
-		for t.slots[at] != 0 { // the keys are distinct: no compare
-			at = (at + 1) & m
+// decode puts the key of cell in flight, in t's scratch: a component's digit
+// d is NULL when 0 and lo + d - 1 otherwise.
+func (t *groupTable) decode(cell int32) []int64 {
+	t.flight = append(t.flight[:0], make([]int64, t.stride)...)
+	for c := range t.width {
+		if d := uint64(cell) / t.below[c] % t.span[c]; d == 0 {
+			t.flight[t.width] |= 1 << c
+		} else {
+			t.flight[c] = t.lo[c] + int64(d) - 1
 		}
-		t.claim(at, h)
+	}
+	return t.flight
+}
+
+// direct moves a hash-route table, every key of which lies within b, to the
+// direct route over b, every id kept.
+func (t *groupTable) direct(b *bounds) {
+	d := groupTable{layout: t.layout, dict: t.dict, bounds: *b, dir: make([]int32, b.cells)}
+	for id := range t.len() {
+		key := t.key(id)
+		cell, _ := d.cellOf(key[:t.width], uint8(key[t.width]))
+		d.addCell(cell)
+	}
+	*t = d
+}
+
+// migrate moves a direct table to the hash route: each cell is decoded into
+// the slots the hash route stores, in id order, so every id stays.
+func (t *groupTable) migrate() {
+	cells := t.cell
+	t.dir, t.cell = nil, nil
+	for _, cell := range cells {
+		key := t.decode(cell)
+		t.lookupHash(t.hash(key), key, true)
 	}
 }
 
 // lookupFrom returns the id in t of key g of from — a table of the same
-// layout and bounds — inserting it if new: with the hash from stored when
-// both are on the hash route, through lookupKey — by cell, no hash, when t
-// is direct — otherwise. A key with slots coded in another dictionary is
-// recoded into t's first, and hashed anew.
+// layout and bounds — inserting it if new: by from's cell, one load, when
+// both are on the direct route; with the hash from stored when both are on
+// the hash route; through lookupKey otherwise. A key with slots coded in
+// another dictionary is recoded into t's first, and hashed anew.
 func (t *groupTable) lookupFrom(from *groupTable, g int) (id int32, fresh bool) {
-	key := from.inFlight(g)
+	if t.dir != nil && from.dir != nil {
+		cell := from.cell[g]
+		if id := t.dir[cell]; id != 0 {
+			return id - 1, false
+		}
+		return t.addCell(int(cell)), true
+	}
+	key := from.key(g)
 	switch {
 	case len(t.coded) > 0 && from.dict != t.dict:
 		for _, s := range t.coded {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/diag"
@@ -97,15 +98,20 @@ type fuzzKey struct {
 	read func(t *groupTable, insert bool) []int64
 }
 
-func (k fuzzKey) lookup(t *groupTable, insert bool) (int32, bool) {
+// inFlight returns the key in flight, coded against t's dictionary.
+func (k fuzzKey) inFlight(t *groupTable, insert bool) []int64 {
 	if k.read != nil {
-		return t.lookupKey(k.read(t, insert), insert)
+		return k.read(t, insert)
 	}
 	key := append([]int64(nil), k.ints...)
 	for _, m := range k.mask {
 		key = append(key, int64(m))
 	}
-	return t.lookupKey(key, insert)
+	return key
+}
+
+func (k fuzzKey) lookup(t *groupTable, insert bool) (int32, bool) {
+	return t.lookupKey(k.inFlight(t, insert), insert)
 }
 
 func (k fuzzKey) String() string { return fmt.Sprint(k.ints, k.mask, k.id) }
@@ -115,8 +121,13 @@ func intKey(ints []int64, mask uint8) fuzzKey {
 	return fuzzKey{id: fmt.Sprint(ints, mask), ints: ints, mask: []uint8{mask}}
 }
 
-// intLayout lays out w INTEGER components.
-func intLayout(w int) layout { return newKeyCols(make([]keyCol, w)).layout }
+// intCols is a key of w INTEGER components, intLayout its layout.
+func intCols(w int) *keyCols {
+	kc := newKeyCols(make([]keyCol, w))
+	return &kc
+}
+
+func intLayout(w int) layout { return intCols(w).layout }
 
 // fuzzKeys draws n raw keys of width components, repeats included, that
 // stress what a probe must tell apart: components from a palette of
@@ -175,12 +186,13 @@ func fuzzBoundedKeys(rng *rand.Rand, lo, hi []int64, n int) []fuzzKey {
 	return keys
 }
 
-// checkIDs runs keys through a table from newTable against a Go map: ids are
-// dense and in first-appearance order whatever the growth, a find never
-// inserts, and merging two tables the way foldPart.absorb does
-// (groupTable.lookupFrom) numbers the keys exactly as one table over the
-// concatenated input. It returns the one table and the map.
-func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, newTable func() *groupTable) (*groupTable, map[string]int32) {
+// checkIDs runs keys, read by kc, through a table from newTable against a Go
+// map: ids are dense and in first-appearance order whatever the growth, a
+// find never inserts, every id reads back its key (checkKeys), and merging
+// two tables the way foldPart.absorb does (groupTable.lookupFrom) numbers the
+// keys exactly as one table over the concatenated input. It returns the one
+// table and the map.
+func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, kc *keyCols, newTable func() *groupTable) (*groupTable, map[string]int32) {
 	t.Helper()
 	one, oracle := newTable(), map[string]int32{}
 	for i, k := range keys {
@@ -200,6 +212,7 @@ func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, newTable func() *gro
 	if one.len() != len(oracle) {
 		t.Fatalf("%s: %d ids for %d distinct keys", one.route(), one.len(), len(oracle))
 	}
+	checkKeys(t, one, kc, keys, oracle)
 
 	// Two partitions, merged: the lower table keeps its ids, the higher
 	// one's new keys append in its order.
@@ -211,13 +224,13 @@ func checkIDs(t *testing.T, rng *rand.Rand, keys []fuzzKey, newTable func() *gro
 	for _, k := range keys[cut:] {
 		k.lookup(hi, true)
 	}
-	checkMerge(t, lo, hi, keys, oracle)
+	checkMerge(t, lo, hi, kc, keys, oracle)
 	return one, oracle
 }
 
 // checkMerge merges hi into lo and checks that every key has its id in the
-// one table over all of keys.
-func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[string]int32) {
+// one table over all of keys, and reads it back.
+func checkMerge(t *testing.T, lo, hi *groupTable, kc *keyCols, keys []fuzzKey, oracle map[string]int32) {
 	t.Helper()
 	for g := 0; g < hi.len(); g++ {
 		lo.lookupFrom(hi, g)
@@ -228,6 +241,34 @@ func checkMerge(t *testing.T, lo, hi *groupTable, keys []fuzzKey, oracle map[str
 	for i, k := range keys {
 		if id, _ := k.lookup(lo, false); id != oracle[k.id] {
 			t.Fatalf("%s key %d %s: merged id %d, single-table id %d", lo.route(), i, k, id, oracle[k.id])
+		}
+	}
+	checkKeys(t, lo, kc, keys, oracle)
+}
+
+// checkKeys checks that every id of tab — oracle's ids of keys, read by kc —
+// reads back the key first inserted under it, on whichever route tab is on:
+// put back in flight (groupTable.key) and emitted a component at a time
+// (keyCols.column), then read again by kc as the fold reads a key.
+func checkKeys(t *testing.T, tab *groupTable, kc *keyCols, keys []fuzzKey, oracle map[string]int32) {
+	t.Helper()
+	first := make([]int, tab.len())
+	for i := len(keys) - 1; i >= 0; i-- {
+		first[oracle[keys[i].id]] = i
+	}
+	cols := make([]storage.Vector, kc.width)
+	for c := range cols {
+		kc.column(c, tab, 0, tab.len(), &cols[c])
+	}
+	back := make([]int64, kc.stride)
+	for id, i := range first {
+		want := keys[i].inFlight(tab, false)
+		clear(back)
+		for c := range cols {
+			kc.read(c, &cols[c], []int32{int32(id)}, back, tab.dict, false)
+		}
+		if got := tab.key(id); !slices.Equal(got, want) || !slices.Equal(back, want) {
+			t.Fatalf("%s route: id %d reads back %v, emitted %v, first inserted as %v (key %d %s)", tab.route(), id, got, back, want, i, keys[i])
 		}
 	}
 }
@@ -332,7 +373,7 @@ func checkDictKeys(t *testing.T, rng *rand.Rand, w, count int) {
 			routes = append(routes, func() *groupTable { t := newGroupTable(intLayout(w), &b, nil); return &t })
 		}
 		for _, newTable := range routes {
-			one, _ := checkIDs(t, rng, keys, newTable)
+			one, _ := checkIDs(t, rng, keys, intCols(w), newTable)
 			byStr := map[string]int32{}
 			for r, k := range keys {
 				id, _ := k.lookup(one, false)
@@ -434,7 +475,7 @@ func checkEncodedKeys(t *testing.T, rng *rand.Rand, comps, count int, flat bool)
 		}
 	}
 	for _, newTable := range routes {
-		one, oracle := checkIDs(t, rng, keys, newTable)
+		one, oracle := checkIDs(t, rng, keys, &kc, newTable)
 		first := make([]int, len(oracle))
 		for r := len(keys) - 1; r >= 0; r-- {
 			first[oracle[keys[r].id]] = r
@@ -455,14 +496,16 @@ func checkEncodedKeys(t *testing.T, rng *rand.Rand, comps, count int, flat bool)
 	}
 }
 
-// FuzzGroupTable checks both routes against a Go map (checkIDs). The hash
+// FuzzGroupTable checks both routes against a Go map (checkIDs), every id
+// reading back the key inserted under it (checkKeys): on a direct table, which
+// keeps a key's cell and no slots, that is a decode. The hash
 // route takes keys that stress a probe — the counts force at least four
 // doublings of the index, and with every hash forced equal (the drop seam)
 // the probe sequence and the key compare alone must still tell the keys
 // apart. The direct route takes keys within random bounds, and then one
 // outside them: a find of it is -1 and leaves the table direct, an insert
-// moves the table to the hash route with every earlier id kept, and a direct
-// partition absorbing a moved one follows it there. Bounds with an int64
+// moves the table to the hash route with every earlier id and key kept, and a
+// direct partition absorbing a moved one follows it there. Bounds with an int64
 // extreme in one component never make a directory. Keys of dictionary-coded
 // VARCHAR components take both routes too (checkDictKeys), and so do keys of
 // every component kind encoded by the fold's reader (checkEncodedKeys): of
@@ -485,7 +528,8 @@ func FuzzGroupTable(f *testing.F) {
 			return
 		}
 		checkEncodedKeys(t, rng, w, count, flat)
-		one, oracle := checkIDs(t, rng, fuzzKeys(rng, w, count), func() *groupTable {
+		kc := intCols(w)
+		one, oracle := checkIDs(t, rng, fuzzKeys(rng, w, count), kc, func() *groupTable {
 			t := newGroupTable(intLayout(w), &bounds{}, nil)
 			if flat {
 				t.drop = ^uint32(0)
@@ -503,9 +547,9 @@ func FuzzGroupTable(f *testing.F) {
 			t := newGroupTable(intLayout(w), &b, nil)
 			return &t
 		}
-		one, oracle = checkIDs(t, rng, keys, newDirect)
-		if one.route() != "direct" || len(one.slots)+len(one.hashes) > 0 {
-			t.Fatalf("keys within bounds moved the table to the %s route (%d slots)", one.route(), len(one.slots))
+		one, oracle = checkIDs(t, rng, keys, kc, newDirect)
+		if one.route() != "direct" || len(one.slots)+len(one.hashes)+len(one.ints)+len(one.masks) > 0 {
+			t.Fatalf("keys within bounds left the table on the %s route with %d index slots and %d key slots", one.route(), len(one.slots), len(one.ints))
 		}
 
 		// One component of a key outside its bounds.
@@ -537,6 +581,9 @@ func FuzzGroupTable(f *testing.F) {
 				t.Fatalf("key %d %s: id %d after the move, %d before", i, k, id, oracle[k.id])
 			}
 		}
+		oracle[out.id] = int32(len(oracle))
+		withOut := append(keys[:len(keys):len(keys)], out)
+		checkKeys(t, one, kc, withOut, oracle)
 		// A direct partition absorbing one that moved: the moved one holds
 		// the out-of-bounds key, so the merge moves the lower one too.
 		cut := rng.Intn(len(keys))
@@ -547,8 +594,7 @@ func FuzzGroupTable(f *testing.F) {
 		for _, k := range append(keys[cut:len(keys):len(keys)], out) {
 			k.lookup(upper, true)
 		}
-		oracle[out.id] = int32(len(oracle))
-		checkMerge(t, lower, upper, append(keys[:len(keys):len(keys)], out), oracle)
+		checkMerge(t, lower, upper, kc, withOut, oracle)
 		if lower.route() != "hash" {
 			t.Fatalf("absorbing an out-of-bounds key left the table on the %s route", lower.route())
 		}
@@ -579,9 +625,11 @@ func FuzzGroupTable(f *testing.F) {
 				eints[j], emask = 0, emask|1<<j
 			}
 		}
-		if id, fresh := intKey(eints, emask).lookup(&et, true); id != 0 || !fresh || et.route() != "direct" {
+		extreme := intKey(eints, emask)
+		if id, fresh := extreme.lookup(&et, true); id != 0 || !fresh || et.route() != "direct" {
 			t.Fatalf("key %v at the int64 extreme = %d (fresh %v) on the %s route", eints, id, fresh, et.route())
 		}
+		checkKeys(t, &et, kc, []fuzzKey{extreme}, map[string]int32{extreme.id: 0})
 		eints[c] ^= math.MinInt64 ^ math.MaxInt64 // the other extreme
 		if id, _ := intKey(eints, emask).lookup(&et, false); id != -1 {
 			t.Fatalf("key %v at the other int64 extreme found id %d", eints, id)

@@ -12,8 +12,9 @@ import (
 // Keys. Every key the engine groups, deduplicates or dispatches by — a fold's
 // group key and an arm family's columns (keyCols), the collected tail's
 // DISTINCT row, a count(DISTINCT) argument — is a groupTable key of
-// fixed-width int64 slots (grouptable.go), one a component, and this file is
-// the one place that says how a component's value becomes its slot:
+// fixed-width int64 slots (grouptable.go), one a component — a direct-route
+// table keeps it as its cell — and this file is the one place that says how
+// a component's value becomes its slot:
 //
 //	INTEGER  its value
 //	VARCHAR  its code in the column's dictionary: one string, one code
@@ -325,20 +326,26 @@ func readBoolCells(t *groupTable, c int, vals []bool, nulls storage.NullBitmap, 
 // column fills v with component c of keys [base, base+n) of t: a typed
 // vector of the column's type — VARCHAR as codes in the column's dictionary —
 // or, coded, a boxed one of the values the codes show; a REAL with its first
-// row's sign.
+// row's sign. On the direct route the component is decoded straight from the
+// keys' cells (bounds.digits).
 func (kc *keyCols) column(c int, t *groupTable, base, n int, v *storage.Vector) {
 	vec := &kc.cols[c].vec
-	signed := func(bits uint64, mask []uint8) float64 {
-		return math.Float64frombits(bits | uint64(bitAt(mask[t.mb:], c))<<63)
-	}
 	if vec.Boxed {
 		v.ResizeBoxed(n)
 	} else {
 		v.Resize(vec.Type, n)
 	}
+	v.Dict = vec.Dict // a VARCHAR column's; no other vector reads one
+	if t.dir != nil {
+		t.digits(c, t.cell[base:base+n], v)
+		return
+	}
+	signed := func(bits uint64, mask []uint8) float64 {
+		return math.Float64frombits(bits | uint64(bitAt(mask[t.mb:], c))<<63)
+	}
 	for g := range n {
-		key, mask := t.key(base + g)
-		switch x := key[c]; {
+		x, mask := t.ints[(base+g)*t.width+c], t.masks[(base+g)*t.ms:]
+		switch {
 		case vec.Boxed:
 			if v.Vals[g] = t.dict.vals[x]; v.Vals[g].Kind() == value.KindFloat {
 				v.Vals[g] = value.NewFloat(signed(value.KeyBits(v.Vals[g].Float()), mask))
@@ -357,5 +364,36 @@ func (kc *keyCols) column(c int, t *groupTable, base, n int, v *storage.Vector) 
 			v.SetNull(g)
 		}
 	}
-	v.Dict = vec.Dict // a VARCHAR column's; no other vector reads one
+}
+
+// digits fills the typed vector v with component c of the direct keys cells,
+// a pass a column: a cell's digit d, (cell / below[c]) % span[c], is a NULL —
+// slot 0 — when 0, and lo[c] + d - 1 otherwise, a BOOLEAN's 1 being true.
+func (b *bounds) digits(c int, cells []int32, v *storage.Vector) {
+	switch v.Type {
+	case storage.TypeInt:
+		decodeInts(b, c, cells, v.Ints, v)
+	case storage.TypeString:
+		decodeInts(b, c, cells, v.Codes, v)
+	default:
+		below, span := uint32(b.below[c]), uint32(b.span[c])
+		for g, cell := range cells {
+			d := uint32(cell) / below % span
+			if v.Bools[g] = d == 2; d == 0 {
+				v.SetNull(g)
+			}
+		}
+	}
+}
+
+// decodeInts is digits for INTEGER values and VARCHAR codes.
+func decodeInts[T int32 | int64](b *bounds, c int, cells []int32, out []T, v *storage.Vector) {
+	below, span, lo := uint32(b.below[c]), uint32(b.span[c]), b.lo[c]-1
+	for g, cell := range cells {
+		d := uint32(cell) / below % span
+		if out[g] = T(lo + int64(d)); d == 0 {
+			out[g] = 0
+			v.SetNull(g)
+		}
+	}
 }
