@@ -833,3 +833,31 @@ func TestVpctStrategiesAgreeWithWhere(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureColumnBesideAGroupingColumnNamedA: a totals or per-combination
+// table names its measure column A, and column names are case-insensitive,
+// so a grouping column named a once collided with it ("duplicate column").
+// Each statement must run, under the strategies that build such a table, and
+// agree with the same statement over the column renamed g. The last one's
+// second term reads its totals from the first term's, whose measure column
+// is the renamed one.
+func TestMeasureColumnBesideAGroupingColumnNamedA(t *testing.T) {
+	p := NewPlanner(engine.New(storage.NewCatalog()))
+	for _, tab := range []string{"e", "eg"} {
+		mustExec(t, p.Eng, fmt.Sprintf("CREATE TABLE %s (%s INTEGER, c VARCHAR, d INTEGER, m INTEGER)", tab, map[string]string{"e": "a", "eg": "g"}[tab]))
+		mustExec(t, p.Eng, "INSERT INTO "+tab+" VALUES (1, 'x', 1, 3), (1, 'y', 2, 5), (2, 'x', 1, 7), (2, 'x', 2, 1), (3, 'y', 1, 4)")
+	}
+	for _, c := range []struct {
+		sql  string // %[1]s the column, %[2]s the table
+		opts Options
+	}{
+		{"SELECT %[1]s, c, Vpct(m BY c) FROM %[2]s GROUP BY %[1]s, c", Options{}},
+		{"SELECT %[1]s, c, Vpct(m BY c) FROM %[2]s GROUP BY %[1]s, c", Options{Vpct: VpctOptions{FjFromF: true}}},
+		{"SELECT %[1]s, Hpct(m BY c) FROM %[2]s GROUP BY %[1]s", Options{Hpct: HpctOptions{FromFV: true}}},
+		{"SELECT %[1]s, sum(m BY c) FROM %[2]s GROUP BY %[1]s", Options{Hagg: HaggOptions{Method: HaggSPJ}}},
+		{"SELECT %[1]s, c, d, Vpct(m BY c), Vpct(m BY %[1]s, c) FROM %[2]s GROUP BY %[1]s, c, d", Options{}},
+	} {
+		sameResults(t, fmt.Sprintf("%s %+v", c.sql, c.opts),
+			runQuery(t, p, fmt.Sprintf(c.sql, "a", "e"), c.opts), runQuery(t, p, fmt.Sprintf(c.sql, "g", "eg"), c.opts))
+	}
+}

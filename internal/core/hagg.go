@@ -178,7 +178,7 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 	}
 
 	// FI: one filtered aggregate per (term, combination).
-	n := 0
+	n, measure := 0, measureName(keyNames)
 	for _, t := range hl.terms {
 		typ := aggResultType(t.call, a.schema)
 		aggSel := plainAggSQL(t.call)
@@ -195,14 +195,14 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 			if sourceWhere != "" {
 				where = andWhere(cond, a)
 			}
-			defs := append(append([]string{}, keyDefs...), colDef("A", typ))
+			defs := append(append([]string{}, keyDefs...), colDef(measure, typ))
 			plan.Steps = append(plan.Steps,
 				Step{Purpose: fmt.Sprintf("create F%d", n),
 					SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", fi, strings.Join(defs, ", "), pkey)},
 				Step{Purpose: fmt.Sprintf("aggregate combination %q into F%d", c.label, n),
 					SQL: "INSERT INTO " + fi + " " + selectSQL([]string{keySel, aggSel}, source, where, groupByClause(a.groupCols))},
 			)
-			col := fi + ".A"
+			col := fi + "." + quoteIdent(measure)
 			if t.call.Default != nil {
 				col = "coalesce(" + col + ", " + t.call.Default.String() + ")"
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -681,6 +682,12 @@ func equalityChain(a, b string, cols []string) string {
 		parts[i] = a + "." + quoteIdent(c) + " = " + b + "." + quoteIdent(c)
 	}
 	return strings.Join(parts, " AND ")
+}
+
+// measureName names the measure column of a table keyed by keys: A, the
+// paper's, unless a key column is named so (names are case-insensitive).
+func measureName(keys []string) string {
+	return uniqueNames(append(slices.Clone(keys), "A"))[len(keys)]
 }
 
 // uniqueNames disambiguates proposed column names, preserving order.

@@ -15,6 +15,7 @@ type vterm struct {
 	measureCol string   // fine-summary column holding sum(A) for this term
 	totals     []string // D1..Dj: the node's grouping minus BY; empty = all rows
 	fj         string   // the term's totals table
+	fjCol      string   // its measure column: A, unless a totals column is named so
 }
 
 // divide is the totals-and-divide node: the paper's second and third
@@ -59,8 +60,9 @@ type totalsOpts struct {
 func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 	for ti, t := range d.terms {
 		mSQL := t.call.Arg.String()
+		t.fjCol = measureName(t.totals)
 		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, via: d.fine.group, vals: []vcol{
-			{name: "A", typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(A)", call: sumOf(t.call.Arg)}}}
+			{name: t.fjCol, typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(" + quoteIdent(t.fjCol) + ")", call: sumOf(t.call.Arg)}}}
 		source, measure, where := d.fine.table, "sum("+quoteIdent(t.measureCol)+")", ""
 		create := fmt.Sprintf("create Fj for term %d", ti+1)
 		compute := fmt.Sprintf("compute coarse totals Fj from partial aggregate Fk (term %d)", ti+1)
@@ -71,7 +73,7 @@ func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 			source, measure, where = a.table, fj.vals[0].sel, a.whereSQL()
 			compute = fmt.Sprintf("compute coarse totals Fj from F (term %d)", ti+1)
 		} else if best := finerFj(d.terms[:ti], t); best >= 0 {
-			source, measure = d.terms[best].fj, fj.vals[0].fold
+			source, measure = d.terms[best].fj, "sum("+quoteIdent(d.terms[best].fjCol)+")"
 			compute = fmt.Sprintf("compute coarse totals Fj from the finer Fj of term %d (lattice reuse)", best+1)
 		}
 		// A cached Fj's delta always re-aggregates the base rows directly (sum
@@ -128,8 +130,9 @@ func finerFj(done []*vterm, t *vterm) int {
 // pct renders one term's division, the paper's FV.A = Fk.A / Fj.A: NULL when
 // the total is zero or NULL.
 func (d *divide) pct(t *vterm) string {
-	return fmt.Sprintf("CASE WHEN %s.A <> 0 THEN %s.%s / %s.A ELSE NULL END",
-		t.fj, d.fine.table, quoteIdent(t.measureCol), t.fj)
+	total := t.fj + "." + quoteIdent(t.fjCol)
+	return fmt.Sprintf("CASE WHEN %s <> 0 THEN %s.%s / %s ELSE NULL END",
+		total, d.fine.table, quoteIdent(t.measureCol), total)
 }
 
 // subkey renders the join of the fine summary with one term's Fj.

@@ -658,8 +658,8 @@ func TestDifferentialBatchRandomizedProperty(t *testing.T) {
 // route; (u, j), whose directory is just within the cap for 9 000 rows, the
 // direct one, and (o, j), just past it, the hash route again — a window
 // partitioned by (u, j) looks its tuples up in a direct table. A VARCHAR key
-// of 3 100 codes and a computed key, coded with its kind (row-major), take the hash
-// route; the Hpct
+// of 3 100 codes and a computed key, coded with its kind and evaluated a batch
+// at a time ahead of the fold, take the hash route; the Hpct
 // and Hagg plans dispatch their arms into thousands of groups; HAVING and
 // computed items raise at a group of the second batch of groups, each ahead
 // of the other; b is REAL, in eighths so that any addition order is exact.

@@ -57,9 +57,11 @@ const fuzzManyGroups = 3500
 // VARCHAR keys, over a selection, with LIMIT. fuzzManyGroupQueries, appended last,
 // are the many-group shapes: thousands of groups grown across batches and
 // merged across partitions under an INTEGER and a VARCHAR key (fixed-width
-// route) and a computed key (coded with its kind, row-major), a
-// dispatched Hpct shape and REAL sums, minima and maxima, and a HAVING and a
-// computed item that raise at a group past the first batch of groups.
+// route) and a computed key (coded with its kind, evaluated a batch at a
+// time), a dispatched Hpct shape and REAL sums, minima and maxima, a HAVING
+// and a computed item that raise at a group past the first batch of groups,
+// and the cut of a fold's batch: a computed key that raises at row 1500, and
+// an arm and a plain spec that both raise there, the arm first.
 var fuzzFoldQueries = append([]string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -122,6 +124,8 @@ var fuzzManyGroupQueries = []string{
 	"SELECT id, sum(a) FROM f GROUP BY id HAVING count(*) > 2",
 	"SELECT id, CASE WHEN id > 2000 THEN min(d3) + 1 ELSE sum(a) END FROM f GROUP BY id",
 	"SELECT id, count(*) FROM f GROUP BY id HAVING CASE WHEN id > 2000 THEN min(d3) + 1 ELSE 1 END > 0",
+	"SELECT CASE WHEN id >= 1500 THEN s + 1 ELSE id END, count(*) FROM f GROUP BY 1",
+	"SELECT id, sum(CASE WHEN id = 1500 THEN s ELSE 0 END), count(10 / (id - 1500)) FROM f GROUP BY id",
 }
 
 func fuzzFoldRow(rng *rand.Rand, i int) []value.Value {

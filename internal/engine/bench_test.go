@@ -665,9 +665,20 @@ func kernelsEngine(b testing.TB) *Engine {
 // BenchmarkFoldKernels times one fold of kernelsEngine's table on one worker
 // for each NULL-free or nullable input, typed kernel and key route: the key
 // readers (keys.go) and foldWorker.advance's loops, with little else on the
-// clock — a few hundred groups to emit.
+// clock — a few hundred groups to emit. The computed cases time what is
+// evaluated a batch at a time ahead of the fold (foldWorker.cut,
+// keyCols.materialize): an argument, a key, and the THENs of three arms.
 func BenchmarkFoldKernels(b *testing.B) {
 	e := kernelsEngine(b)
+	run := func(sql string) func(*testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ExecSQLCtxP(context.Background(), sql, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	aggs := []struct{ name, call string }{
 		{"sum_int", "sum(a%[1]s)"}, {"sum_real", "sum(x%[1]s)"}, {"min_int", "min(a%[1]s)"}, {"count", "count(a%[1]s)"},
 	}
@@ -675,15 +686,16 @@ func BenchmarkFoldKernels(b *testing.B) {
 		for _, agg := range aggs {
 			for _, route := range []struct{ name, key string }{{"direct", "k%[1]s, b%[1]s"}, {"hash", "w%[1]s, r%[1]s, b%[1]s"}} {
 				key := fmt.Sprintf(route.key, nulls.suffix)
-				sql := fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s", key, fmt.Sprintf(agg.call, nulls.suffix), key)
-				b.Run(nulls.name+"/"+agg.name+"/"+route.name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, err := e.ExecSQLCtxP(context.Background(), sql, 1); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+				b.Run(nulls.name+"/"+agg.name+"/"+route.name, run(fmt.Sprintf("SELECT %s, %s FROM t GROUP BY %s", key, fmt.Sprintf(agg.call, nulls.suffix), key)))
 			}
 		}
+	}
+	for _, c := range []struct{ name, sql string }{
+		{"sum_expr", "SELECT k, sum(a * 2) FROM t GROUP BY k"},
+		{"key_expr", "SELECT k / 10, sum(a) FROM t GROUP BY 1"},
+		{"then_arms", "SELECT k, sum(CASE WHEN b = TRUE THEN a * 2 ELSE 0 END), sum(CASE WHEN b = FALSE THEN a * 3 ELSE 0 END), " +
+			"sum(CASE WHEN b IS NULL THEN a + 1 ELSE 0 END) FROM t GROUP BY k"},
+	} {
+		b.Run("computed/"+c.name, run(c.sql))
 	}
 }

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -18,8 +20,8 @@ import (
 
 // The fold operator: every GROUP BY the engine runs — and every SELECT
 // DISTINCT, a fold with keys and no aggregates, and every PARTITION BY list of
-// a window — goes through foldWorker.fold: resolve a batch of tuples to dense
-// group ids in the partition's group table (grouptable.go), creating and
+// a window — goes through foldWorker.consume: resolve a batch of tuples to
+// dense group ids in the partition's group table (grouptable.go), creating and
 // charging a group where its key first appears, then advance each aggregate
 // over the whole batch with one kernel call (foldWorker.advance). Aggregates
 // over the disjoint CASE arms of a horizontal plan are the one refinement
@@ -49,11 +51,13 @@ import (
 // direct-route INTEGER or VARCHAR key or a hash-route BOOLEAN one read off
 // one (keys.go: readCells, readBools). Any other argument is boxed — a bare
 // column through its typed storage.Table.CellGetter, anything computed against
-// the batch positioned on the tuple — and added with sumAcc's rules. A fold in
-// which something can raise — a key or argument that is computed, sum() over
-// a VARCHAR or BOOLEAN — runs row-major, each tuple a batch of one: look up,
-// charge, accumulate in spec order, so the first error and the MaxGroups trip
-// point are the ones a row-at-a-time fold would raise.
+// the batch positioned on the tuple — and added with sumAcc's rules. What can
+// raise — a computed key or argument, sum() over a VARCHAR or BOOLEAN — is
+// evaluated over the whole batch before anything folds, and its first raising
+// tuple cuts the batch there (foldWorker.consume): the groups of the tuples
+// before the cut — and the cut tuple's own, when an argument raised there —
+// are made and charged first, so the first error and the MaxGroups trip point
+// are the ones a row-at-a-time fold raises.
 //
 // Parallelism. foldPartitions splits the source into contiguous ranges, folds
 // each into a private foldPart, and merges them in ascending partition order:
@@ -234,12 +238,12 @@ func hashAggregate(in planNode, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 }
 
 // foldInput is one aggregate argument as the boxed kernel reads it: get
-// boxes it for a row of table t, e evaluates against the batch positioned on
-// the tuple. Both nil is an absent argument.
+// boxes it for a row of table t; anything else, e, is evaluated a batch at a
+// time ahead of the fold (foldWorker.cut). Both nil is an absent argument.
 type foldInput struct {
 	get func(row int) value.Value // bare column of table t
 	t   int
-	e   expr.Expr // anything else
+	e   expr.Expr
 }
 
 // The kernels of foldWorker.advance.
@@ -287,9 +291,6 @@ type foldOp struct {
 	cells, accs, soles int
 	init               []int64
 	families           []*armFamily
-	// rowMajor: something in the fold can raise, so tuples go through one at
-	// a time and specs in ascending order (see the header comment).
-	rowMajor bool
 }
 
 // planFold binds a fold to its pipeline.
@@ -360,7 +361,7 @@ func (op *foldOp) input(e expr.Expr) foldInput {
 }
 
 // keyCols lays out a key over exprs: a bare column reads its vector, a
-// computed component — which makes the fold row-major — is coded.
+// computed component is evaluated into a boxed one and coded.
 func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 	cols := make([]keyCol, len(exprs))
 	for i, e := range exprs {
@@ -368,7 +369,7 @@ func (op *foldOp) keyCols(exprs []expr.Expr) keyCols {
 			cols[i] = keyCol{vec: *op.pipe.tabs[t].Column(c), t: t, col: c, outer: outer}
 			cols[i].vec.Nulls = cols[i].vec.Nulls.Trim()
 		} else {
-			cols[i], op.rowMajor = keyCol{vec: storage.Vector{Boxed: true}, e: e}, true
+			cols[i] = keyCol{vec: storage.Vector{Boxed: true}, e: e}
 		}
 	}
 	return newKeyCols(cols)
@@ -395,8 +396,6 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	switch inCell := !call.Distinct && (sum || call.Fn == expr.AggCount || extreme && bare && numeric); {
 	case !inCell:
 		s.acc, op.accs = op.accs, op.accs+1
-		_, err := newAccumulator(call, nil) // as every new group will
-		op.rowMajor = op.rowMajor || err != nil
 	case call.Star || bare && call.Fn == expr.AggCount:
 		s.kernel = kernelCount
 	case bare && kind == value.KindInt:
@@ -410,9 +409,24 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	}
 	if s.kernel == kernelBoxed {
 		s.in = op.input(arg)
+		// A computed argument can raise, and so can sum() — avg() sums — itself.
+		if (sum || call.Fn == expr.AggAvg) && (!known || !numeric && kind != value.KindNull) {
+			s.in = foldInput{e: sumArg{arg}}
+		}
 	}
-	// A computed argument can raise, and so can sum() — avg() sums — itself.
-	op.rowMajor = op.rowMajor || !known || (sum || call.Fn == expr.AggAvg) && !numeric && kind != value.KindNull
+}
+
+// sumArg is the argument of a sum() or avg() that can raise: a value addSum
+// refuses — not NULL, INTEGER or REAL — raises where the argument is
+// evaluated, with addSum's error.
+type sumArg struct{ expr.Expr }
+
+func (a sumArg) Eval(row expr.Row) (value.Value, error) {
+	v, err := a.Expr.Eval(row)
+	if k := v.Kind(); err != nil || k == value.KindNull || k == value.KindInt || k == value.KindFloat {
+		return v, err
+	}
+	return v, new(sumAcc).add(v)
 }
 
 // foldAggregate runs one fold over a pipeline and emits its groups into out.
@@ -652,10 +666,12 @@ type foldWorker struct {
 	part *foldPart
 	feed pipeRun
 	// Scratch: per tuple of the batch, its group id and, family after family,
-	// its entry; the batch vectors of the key components materialized.
+	// its entry; the batch vectors of the key components materialized; per
+	// spec whose argument is evaluated ahead of the fold, its values (cut).
 	gid  []int32
 	ents [][]int32
 	mat  []storage.Vector
+	vals [][]value.Value
 	// The batch's tuples sorted by entry (advanceArms): their ids in byEnt,
 	// their group ids in entGid, and where each entry's run lies in runs.
 	byEnt        tupleBatch
@@ -673,10 +689,10 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 	w.part.tab = newGroupTable(op.keys.layout, &op.bounds, &w.part.dict)
 	w.feed.init(op.pipe, gov, w, nil)
 	defer w.feed.finish()
-	// A batch fold with arm families also sorts by entry: one id vector a
-	// table, beside the families' entry vectors.
+	// A fold with arm families also sorts by entry: one id vector a table,
+	// beside the families' entry vectors.
 	nf, nt := len(op.families), 0
-	if nf > 0 && !op.rowMajor {
+	if nf > 0 {
 		nt, w.entGid, w.runs = len(op.pipe.tabs), w.feed.buffer(), w.feed.buffer()
 	}
 	bufs := make([][]int32, nf+nt)
@@ -689,70 +705,98 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 	return w.part, err
 }
 
-// consume folds a batch of tuples: all at once, or row-major one at a time
-// with the batch positioned on it.
+// consume is the operator's one body. It resolves the batch's tuples, per arm
+// family, to the entry each one's column values select (dispatch.go); it
+// evaluates the arguments that can raise (cut); it resolves the tuples to
+// group ids — creating, and charging, the groups that first appear among
+// them; then it advances every spec outside a family by every tuple, and the
+// arms of an entry by the tuples that selected it. What raises cuts the batch
+// at the first tuple k that raises, as a row-at-a-time fold would meet it:
+// the tuples before k are resolved, and so is k's own group when an argument
+// raised — the reference makes it before it evaluates k's arguments, and it
+// may trip MaxGroups first — and then the error ends the fold, so nothing is
+// advanced.
 func (w *foldWorker) consume(b *tupleBatch) error {
-	n := b.rows()
-	if !w.op.rowMajor {
-		return w.fold(b, 0, n)
-	}
-	for k := 0; k < n; k++ {
-		if err := w.fold(b.row(k), k, k+1); err != nil {
+	op, n := w.op, b.rows()
+	for fi, f := range op.families {
+		if err := w.resolve(&f.keys, &f.tab, b, n, w.ents[fi], false); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// fold is the operator's one body. It resolves tuples [lo, hi) of the batch
-// to group ids — creating, and charging, the groups that first appear among
-// them — and, per arm family, to the entry each tuple's column values select,
-// which it shows the group's sole state (dispatch.go); then it advances every
-// spec outside a family by every tuple, and the arms of an entry by the
-// tuples that selected it.
-func (w *foldWorker) fold(b *tupleBatch, lo, hi int) error {
-	op := w.op
-	if err := w.resolve(&op.keys, &w.part.tab, b, lo, hi, w.gid, true); err != nil {
+	k, cut := w.cut(b, n)
+	if err := cmp.Or(w.resolve(&op.keys, &w.part.tab, b, min(k+1, n), w.gid, true), cut); err != nil {
 		return err
 	}
-	for fi, f := range op.families {
-		ent := w.ents[fi]
-		if err := w.resolve(&f.keys, &f.tab, b, lo, hi, ent, false); err != nil {
-			return err
-		}
-		for k := lo; k < hi && op.soles > 0; k++ {
-			seeSole(&w.part.soles[int(w.gid[k])*op.soles+fi], ent[k]+2)
-		}
-	}
 	for i := range op.slots {
-		// Row-major, the batch is one tuple and the specs it reaches advance
-		// in ascending order, so the first error it raises is the one the
-		// arm-by-arm reference raises.
-		if s := &op.slots[i]; s.family < 0 || op.rowMajor && w.ents[s.family][lo] == s.entry {
-			if err := w.advance(i, b, w.gid, lo, hi); err != nil {
+		if op.slots[i].family < 0 {
+			if err := w.advance(i, b, w.gid, 0, n); err != nil {
 				return err
 			}
 		}
 	}
-	// Nothing can raise in a batch of many tuples, so order is free: the arms
-	// advance behind the specs every tuple reaches. Such a batch is folded
-	// whole: lo is 0.
-	if op.rowMajor {
-		return nil
+	return w.advanceArms(b, n)
+}
+
+// cut evaluates each argument that can raise (planSlot) at the tuples of b
+// before n that reach its spec — all of them outside the families, an arm's
+// those whose entry selects it — into the spec's values, which the boxed
+// kernel reads in the order it meets those tuples. It returns n, or the first
+// tuple at which an argument raises and that error: each argument tries only
+// the tuples before the cut found so far, so the earliest tuple wins, and at
+// one tuple the lowest-numbered spec, as the reference evaluates them.
+func (w *foldWorker) cut(b *tupleBatch, n int) (int, error) {
+	var first, err error
+	for i := range w.op.slots {
+		s := &w.op.slots[i]
+		if s.in.e == nil {
+			continue
+		}
+		if w.vals == nil {
+			w.vals = make([][]value.Value, len(w.op.slots))
+		}
+		var ents []int32
+		if s.family >= 0 {
+			ents = w.ents[s.family]
+		}
+		w.vals[i], n, err = evalUntil(s.in.e, b, n, ents, s.entry, w.vals[i][:0])
+		first = cmp.Or(err, first)
 	}
-	return w.advanceArms(b, hi)
+	return n, first
+}
+
+// evalUntil appends to vals the value of e at each tuple of b before n — with
+// ents set, at each whose entry there is entry — and returns them with n, or
+// with the first tuple at which e raises and its error.
+func evalUntil(e expr.Expr, b *tupleBatch, n int, ents []int32, entry int32, vals []value.Value) ([]value.Value, int, error) {
+	vals = slices.Grow(vals, n)
+	for k := 0; k < n; k++ {
+		if ents != nil && ents[k] != entry {
+			continue
+		}
+		v, err := e.Eval(b.row(k))
+		if err != nil {
+			return vals, k, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, n, nil
 }
 
 // advanceArms advances the arms of each family by tuples [0, n) of batch b,
-// whose entries are in w.ents. A stable counting sort by entry lines each
+// whose entries are in w.ents and groups in w.gid, having shown each group's
+// sole state its tuples' entries. A stable counting sort by entry lines each
 // entry's tuples up in w.byEnt and w.entGid — those no arm matched first,
 // where no arm reads them — and each arm of an entry then takes its run in
 // one kernel call. Within a run the tuples keep their batch order, so every
 // (group, arm) cell adds its values in the order a tuple-at-a-time fold does,
 // and a REAL sum rounds alike.
 func (w *foldWorker) advanceArms(b *tupleBatch, n int) error {
-	for fi, f := range w.op.families {
+	op := w.op
+	for fi, f := range op.families {
 		ent := w.ents[fi][:n]
+		for k := 0; k < n && op.soles > 0; k++ {
+			seeSole(&w.part.soles[int(w.gid[k])*op.soles+fi], ent[k]+2)
+		}
 		// at[e+1] counts entry e's tuples (e >= -1), then says where its run
 		// starts, then, each placed tuple moving it on, where the run ends.
 		at := append(w.runs[:0], make([]int32, len(f.entries)+2)...)
@@ -781,35 +825,36 @@ func (w *foldWorker) advanceArms(b *tupleBatch, n int) error {
 	return nil
 }
 
-// resolve writes to ids[lo:hi] the id in t of each tuple's key. With groups
-// set t is the partition's group table and a key's first appearance makes —
-// and charges — its group; without, an absent key is id -1. Once the
-// components not read in place are materialized, the batch is read one
-// component at a time, through a loop typed for its vector (keys.go). On the
-// direct route that pass leaves each tuple's cell in ids, until its id
-// replaces it: a hit is one load, and a miss makes its group from the cell.
-// Only a key out of bounds — inserted, which moves t to the hash route — is
-// read whole: it and every later tuple go through resolveHash.
-func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi int, ids []int32, groups bool) error {
+// resolve writes to ids[:n] the id in t of each of the first n tuples' key.
+// With groups set t is the partition's group table and a key's first
+// appearance makes — and charges — its group; without, an absent key is id
+// -1. Once the components not read in place are materialized, the batch is
+// read one component at a time, through a loop typed for its vector
+// (keys.go). On the direct route that pass leaves each tuple's cell in ids,
+// until its id replaces it: a hit is one load, and a miss makes its group
+// from the cell. Only a key out of bounds — inserted, which moves t to the
+// hash route — is read whole: it and every later tuple go through
+// resolveHash. A computed component that raises at a tuple cuts the batch
+// there: the tuples before it are resolved, then its error returns.
+func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, n int, ids []int32, groups bool) error {
 	if len(kc.cols) == 0 && t.len() > 0 {
-		clear(ids[lo:hi]) // the global aggregate's one group
+		clear(ids[:n]) // the global aggregate's one group
 		return nil
 	}
+	var cut error
 	if kc.mat {
 		if len(w.mat) < len(kc.cols) {
 			w.mat = make([]storage.Vector, len(kc.cols))
 		}
-		if err := kc.materialize(b, lo, hi, w.mat); err != nil {
-			return err
-		}
+		n, cut = kc.materialize(b, n, w.mat)
 	}
 	if t.dir == nil {
-		return w.resolveHash(kc, t, b, lo, lo, hi, ids, groups)
+		return cmp.Or(w.resolveHash(kc, t, b, 0, n, ids, groups), cut)
 	}
-	cells := ids[lo:hi]
+	cells := ids[:n]
 	clear(cells)
 	for c := range kc.cols {
-		switch v, rows := kc.source(c, b, lo, hi, w.mat); v.Type {
+		switch v, rows := kc.source(c, b, n, w.mat); v.Type {
 		case storage.TypeString:
 			readCells(t, c, v.Codes, v.Nulls, rows, cells)
 		case storage.TypeBool:
@@ -819,7 +864,7 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 		}
 	}
 	dir := t.dir
-	for k := lo; k < hi; k++ {
+	for k := 0; k < n; k++ {
 		if cell := uint(ids[k]); cell < uint(len(dir)) {
 			if id := dir[cell]; id != 0 || !groups {
 				ids[k] = id - 1
@@ -836,30 +881,30 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, lo, hi i
 			continue
 		}
 		t.migrate()
-		return w.resolveHash(kc, t, b, lo, k, hi, ids, groups)
+		return cmp.Or(w.resolveHash(kc, t, b, k, n, ids, groups), cut)
 	}
-	return nil
+	return cut
 }
 
 // hashChunk is how many keys resolveHash reads at a time, into a buffer in
 // its frame.
 const hashChunk = 128
 
-// resolveHash is resolve on the hash route for tuples [from, hi) of the
-// materialized [lo, hi): a chunk of tuples at a time, the keys read a
+// resolveHash is resolve on the hash route for tuples [from, n) of the
+// materialized [0, n): a chunk of tuples at a time, the keys read a
 // component at a time, then looked up tuple by tuple.
-func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, lo, from, hi int, ids []int32, groups bool) error {
+func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, from, n int, ids []int32, groups bool) error {
 	var buf [hashChunk * (maxIntKeys + 2)]int64
 	keys, chunk := kc.chunk(buf[:])
 	stride := kc.stride
-	for base := from; base < hi; base += chunk {
-		n := min(hi-base, chunk)
-		clear(keys[:n*stride])
+	for base := from; base < n; base += chunk {
+		m := min(n-base, chunk)
+		clear(keys[:m*stride])
 		for c := range kc.cols {
-			v, rows := kc.source(c, b, lo, hi, w.mat)
-			kc.read(c, v, rows[base-lo:base-lo+n], keys, t.dict, groups)
+			v, rows := kc.source(c, b, n, w.mat)
+			kc.read(c, v, rows[base:base+m], keys, t.dict, groups)
 		}
-		for i := range n {
+		for i := range m {
 			key := keys[i*stride : (i+1)*stride]
 			id, fresh := t.lookupHash(t.hash(key), key, groups)
 			if ids[base+i] = id; fresh {
@@ -896,7 +941,7 @@ func (w *foldWorker) charge() error {
 func (w *foldWorker) advance(i int, b *tupleBatch, gid []int32, lo, hi int) error {
 	s, n := &w.op.slots[i], w.op.cells
 	if s.kernel == kernelBoxed {
-		return w.advanceBoxed(s, b, gid[lo:hi], lo)
+		return w.advanceBoxed(i, b, gid[lo:hi], lo)
 	}
 	num, tag, ints, flts, cell := w.part.num, w.part.tag, s.ints, s.flts, s.cell
 	var ids []int32 // count(*) reads none: a fold without FROM has no table
@@ -990,19 +1035,20 @@ func (w *foldWorker) nonNull(nulls storage.NullBitmap, ids, gid []int32) ([]int3
 }
 
 // advanceBoxed is the boxed kernel: the tuples from batch position lo on,
-// whose groups are gid, each boxed or evaluated and added under the
+// whose groups are gid, each boxed — or, for an argument evaluated ahead of
+// the fold, the next of the values cut left — and added under the
 // accumulators' rules.
-func (w *foldWorker) advanceBoxed(s *aggSlot, b *tupleBatch, gid []int32, lo int) error {
-	num, tag, n := w.part.num, w.part.tag, w.op.cells
+func (w *foldWorker) advanceBoxed(i int, b *tupleBatch, gid []int32, lo int) error {
+	s, num, tag, n := &w.op.slots[i], w.part.num, w.part.tag, w.op.cells
 	for k := range gid {
-		v, err := value.Null, error(nil) // an absent argument stays NULL
+		v := value.Null // an absent argument stays NULL
 		if s.in.get != nil {
 			v = s.in.get(int(b.ids[s.in.t][lo+k]))
 		} else if s.in.e != nil {
-			v, err = s.in.e.Eval(b)
+			v = w.vals[i][k]
 		}
+		var err error
 		switch g := int(gid[k]); {
-		case err != nil:
 		case s.acc >= 0:
 			err = w.part.accs[g*w.op.accs+s.acc].add(v)
 		case s.fn == expr.AggSum:

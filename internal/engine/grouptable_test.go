@@ -640,23 +640,12 @@ func FuzzGroupTable(f *testing.F) {
 // TestMaxGroupsTripsWhereTheReferenceDoes: the operator charges a group where
 // its key first appears — in the id pass of a batch, before any kernel runs —
 // so at one worker it must hit MaxGroups exactly when the row-at-a-time
-// reference does: same PCT203, same limit, whether the fold runs column-major
-// (bare keys: INTEGER values, a VARCHAR's codes) or row-major (a computed key,
-// on the hash route), and it must pass at exactly the number of groups there
-// are.
+// reference does: same PCT203, same limit, whether the key is read column by
+// column (bare keys: INTEGER values, a VARCHAR's codes) or evaluated first (a
+// computed key, on the hash route), and it must pass at exactly the number of
+// groups there are.
 func TestMaxGroupsTripsWhereTheReferenceDoes(t *testing.T) {
-	cat := storage.NewCatalog()
-	tab, err := cat.Create("f", fuzzFoldSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 5000; i++ {
-		if _, err := tab.AppendRow(fuzzFoldRow(rng, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := New(cat)
+	e := maxGroupsEngine(t)
 	for _, sql := range []string{
 		"SELECT id, sum(a) FROM f GROUP BY id",
 		"SELECT id + 0, sum(a) FROM f GROUP BY 1",
@@ -679,6 +668,59 @@ func TestMaxGroupsTripsWhereTheReferenceDoes(t *testing.T) {
 			}
 			if (refErr == nil) != (gotErr == nil) || refErr != nil && refErr.Error() != gotErr.Error() {
 				t.Errorf("%s under MaxGroups %d: operator err = %v, reference err = %v", sql, limit, gotErr, refErr)
+			}
+		}
+	}
+}
+
+// maxGroupsEngine is the MaxGroups tests' table f: 5 000 fuzz rows, so id
+// runs 0..3499 and then 0..1499 again.
+func maxGroupsEngine(t *testing.T) *Engine {
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("f", fuzzFoldSchema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 5000; i++ {
+		if _, err := tab.AppendRow(fuzzFoldRow(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(cat)
+}
+
+// TestMaxGroupsTripsAtTheCut: an input that raises cuts the fold's batch at
+// its first raising tuple, row 1500, the first with id >= 1500, which makes
+// group 1 501. Where an argument raises, the reference makes that tuple's
+// group before it evaluates the argument, so under MaxGroups 1 500 it raises
+// PCT203 there, and the operator must make and charge the cut tuple's group
+// too; where the key raises, no group is made and the key's error wins. At a
+// tuple where two specs raise, the lower-numbered one's error wins: the arm
+// over id = 1500 before the plain spec dividing by id - 1500.
+func TestMaxGroupsTripsAtTheCut(t *testing.T) {
+	e := maxGroupsEngine(t)
+	for _, c := range []struct {
+		sql  string
+		trip bool // the reference trips MaxGroups 1 500 at row 1500
+	}{
+		{"SELECT id, sum(CASE WHEN id >= 1500 THEN s ELSE a END) FROM f GROUP BY id", true},
+		{"SELECT id + 0, sum(CASE WHEN id >= 1500 THEN s ELSE a END) FROM f GROUP BY 1", true},
+		{"SELECT CASE WHEN id >= 1500 THEN s + 1 ELSE id END, count(*) FROM f GROUP BY 1", false},
+		{"SELECT id, sum(CASE WHEN id = 1500 THEN s ELSE 0 END), count(10 / (id - 1500)) FROM f GROUP BY id", true},
+	} {
+		for _, limit := range []int64{1, 1499, 1500, 1501} {
+			ctx := WithLimits(context.Background(), Limits{MaxGroups: limit})
+			UseReference(e, true)
+			_, refErr := e.ExecSQLCtxP(ctx, c.sql, 1)
+			UseReference(e, false)
+			_, gotErr := e.ExecSQLCtxP(ctx, c.sql, 1)
+			var le *LimitError
+			if refErr == nil || errors.As(refErr, &le) != (limit < 1500 || limit == 1500 && c.trip) {
+				t.Fatalf("%s under MaxGroups %d: reference err = %v", c.sql, limit, refErr)
+			}
+			if gotErr == nil || refErr.Error() != gotErr.Error() {
+				t.Errorf("%s under MaxGroups %d: operator err = %v, reference err = %v", c.sql, limit, gotErr, refErr)
 			}
 		}
 	}

@@ -218,11 +218,11 @@ func (b *buildSide) probeKeys(tabs []*storage.Table, nullable func(int) bool) {
 // component a plain equality compares — only the null-safe form matches
 // NULL.
 func (b *buildSide) lookup(w *foldWorker, tb *tupleBatch, ids []int32) error {
-	if err := w.resolve(&b.keys, &b.ix.tab, tb, 0, len(ids), ids, false); err != nil {
+	if err := w.resolve(&b.keys, &b.ix.tab, tb, len(ids), ids, false); err != nil {
 		return err
 	}
 	for c, p := range b.pairs {
-		if v, rows := b.keys.source(c, tb, 0, len(ids), w.mat); !p.nullSafe && len(v.Nulls) > 0 {
+		if v, rows := b.keys.source(c, tb, len(ids), w.mat); !p.nullSafe && len(v.Nulls) > 0 {
 			for k, r := range rows {
 				if v.Nulls.Get(int(r)) {
 					ids[k] = -1
@@ -274,7 +274,7 @@ func buildIndex(t *storage.Table, cols []int, gov *governor) (*joinIndex, error)
 			return nil, err
 		}
 		tb.ids[0] = rowRange(ids[n:], base, bn)
-		if err := w.resolve(&ix.keys, &ix.tab, &tb, 0, bn, ids[base:], true); err != nil {
+		if err := w.resolve(&ix.keys, &ix.tab, &tb, bn, ids[base:], true); err != nil {
 			return nil, err
 		}
 	}

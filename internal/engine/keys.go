@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"math"
 	"sync/atomic"
 
@@ -165,47 +166,45 @@ func (col *keyCol) recoded(code int32) int32 {
 }
 
 // batchRows is [0, batchSize): a batch's tuples, and the rows of a batch
-// vector a component is materialized into — tuple lo+i sits at i.
+// vector a component is materialized into — tuple k sits at row k.
 var batchRows = rowRange(make([]int32, batchSize), 0, batchSize)
 
-// materialize fills mat[c], for tuples [lo, hi) of b, for each component c
-// that is not read in place: a NULL-extended or recoded column gathered, a
-// computed one evaluated, boxed, in row order, so its first error is a
+// materialize fills mat[c], for the first n tuples of b, for each component
+// c that is not read in place: a NULL-extended or recoded column gathered, a
+// computed one evaluated, boxed, in row order. It returns n, or the first
+// tuple at which a computed component raises and that error: a component
+// tries only the tuples before the cut found so far, so the first error is a
 // row-at-a-time fold's.
-func (kc *keyCols) materialize(b *tupleBatch, lo, hi int, mat []storage.Vector) error {
+func (kc *keyCols) materialize(b *tupleBatch, n int, mat []storage.Vector) (int, error) {
+	var first, err error
 	for c := range kc.cols {
 		switch col, m := &kc.cols[c], &mat[c]; {
 		case col.recode != nil:
-			m.Gather(&col.vec, b.ids[col.t][lo:hi])
+			m.Gather(&col.vec, b.ids[col.t][:n])
 			for i, code := range m.Codes {
 				if int(code) < len(col.recode) { // a NULL's code may be any
 					m.Codes[i] = col.recoded(code)
 				}
 			}
 		case col.outer:
-			m.Gather(&col.vec, b.ids[col.t][lo:hi])
+			m.Gather(&col.vec, b.ids[col.t][:n])
 		case col.e != nil:
-			m.ResizeBoxed(hi - lo)
-			for k := lo; k < hi; k++ {
-				v, err := col.e.Eval(b.row(k))
-				if err != nil {
-					return err
-				}
-				m.Vals[k-lo] = v
-			}
+			m.ResizeBoxed(0)
+			m.Vals, n, err = evalUntil(col.e, b, n, nil, 0, m.Vals)
+			first = cmp.Or(err, first)
 		}
 	}
-	return nil
+	return n, first
 }
 
-// source returns the vector component c of tuples [lo, hi) of b is read off
-// and the tuples' rows in it: a stored column's, by the tuples' ids, or the
-// batch vector materialize filled, by position.
-func (kc *keyCols) source(c int, b *tupleBatch, lo, hi int, mat []storage.Vector) (*storage.Vector, []int32) {
+// source returns the vector component c of the first n tuples of b is read
+// off and the tuples' rows in it: a stored column's, by the tuples' ids, or
+// the batch vector materialize filled, by position.
+func (kc *keyCols) source(c int, b *tupleBatch, n int, mat []storage.Vector) (*storage.Vector, []int32) {
 	if col := &kc.cols[c]; !col.outer && col.e == nil && col.recode == nil {
-		return &col.vec, b.ids[col.t][lo:hi]
+		return &col.vec, b.ids[col.t][:n]
 	}
-	return &mat[c], batchRows[:hi-lo]
+	return &mat[c], batchRows[:n]
 }
 
 // read writes component c of the keys in flight of the tuples at rows of v,

@@ -747,7 +747,7 @@ func (e *Engine) execWindowSelect(sel *sqlparse.Select, items []sqlparse.SelectI
 		for i, p := range parts {
 			f := folds[i]
 			look.op = f.op
-			if err := look.resolve(&f.op.keys, &f.tab, b, 0, n, look.gid, false); err != nil {
+			if err := look.resolve(&f.op.keys, &f.tab, b, n, look.gid, false); err != nil {
 				return err
 			}
 			for s, slot := range p.slots {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/expr"
@@ -260,7 +261,7 @@ func (c *colCollector) distinct(perm []int32, gov *governor) ([]int32, error) {
 			return nil, err
 		}
 		b.ids[0] = perm[lo:min(lo+batchSize, len(perm))]
-		if err := w.resolve(&kc, &tab, b, 0, len(b.ids[0]), ids, true); err != nil {
+		if err := w.resolve(&kc, &tab, b, len(b.ids[0]), ids, true); err != nil {
 			return nil, err
 		}
 		for i, r := range b.ids[0] {
@@ -404,7 +405,7 @@ func (p *projector) pushCols(cols []*storage.Vector, n int) error {
 // one a row-at-a-time evaluation raises.
 func (p *projector) consume(src *tupleBatch) error {
 	n := src.rows()
-	var pending error
+	var pending, err error
 	p.cols = slices.Grow(p.cols[:0], len(p.ops))[:len(p.ops)]
 	if p.own == nil {
 		computed := 0
@@ -426,15 +427,8 @@ func (p *projector) consume(src *tupleBatch) error {
 		if op.kind == opDivide && divide(out, src.vector(op.a), src.vector(op.b), n) {
 			continue
 		}
-		p.vals = slices.Grow(p.vals[:0], n)
-		for k := 0; k < n; k++ {
-			v, err := p.exprs[j].Eval(src.row(k))
-			if err != nil {
-				n, pending = k, err
-				break
-			}
-			p.vals = append(p.vals, v)
-		}
+		p.vals, n, err = evalUntil(p.exprs[j], src, n, nil, 0, p.vals[:0])
+		pending = cmp.Or(err, pending)
 		out.Fill(p.vals)
 	}
 	p.n += n
