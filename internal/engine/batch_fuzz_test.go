@@ -50,7 +50,10 @@ const fuzzManyGroups = 3500
 // must not dispatch beside ones that do. Then the group projections: HAVING
 // over aggregates in and out of the select list, a computed item that raises
 // at some group, and ORDER BY + LIMIT over aggregate and join output, sorted
-// as collected columns. fuzzPlainQueries are the column
+// as collected columns. Then constant arguments, read once at plan time —
+// count(1), sum(1), sum(2.5), sum(NULL), count(NULL), min(1), a constant THEN
+// — beside sum('x'), which raises at the first tuple as the reference does,
+// alone and as an arm. fuzzPlainQueries are the column
 // path's shapes — nothing folds: gathers of every type, kernel and evaluated
 // filters, the guarded division, items and predicates that raise on some
 // rows, inner, outer and NULL-safe joins, ORDER BY on packable, REAL and
@@ -98,6 +101,10 @@ var fuzzFoldQueries = append([]string{
 	"SELECT d1, d2, CASE WHEN d1 = 3 THEN min(d3) + 1 ELSE sum(a) END FROM f GROUP BY d1, d2 HAVING count(*) > 0",
 	"SELECT d1, d3, sum(a), count(*) FROM f GROUP BY d1, d3 ORDER BY 3 DESC, 1, 2 LIMIT 5",
 	"SELECT x.id, CASE WHEN y.b <> 0 THEN x.a / y.b ELSE NULL END, 0 FROM f x, f y WHERE x.id = y.d1 ORDER BY 1 DESC, 2 LIMIT 40",
+	"SELECT d1, count(1), sum(1), sum(2.5), sum(NULL), count(NULL), min(1), avg(-2) FROM f GROUP BY d1",
+	"SELECT count(1), sum(2.5), min(1), max('m'), count(DISTINCT 3) FROM f WHERE d2 = 1",
+	"SELECT d1, count(1), sum('x') FROM f GROUP BY d1",
+	"SELECT d3, sum(CASE WHEN d2 = 1 THEN 1 ELSE 0 END), count(CASE WHEN d2 = 2 THEN 1 END), sum(CASE WHEN d2 = 0 THEN 'x' ELSE 0 END) FROM f GROUP BY d3",
 }, append(fuzzPlainQueries, fuzzManyGroupQueries...)...)
 
 var fuzzPlainQueries = []string{

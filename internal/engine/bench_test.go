@@ -667,7 +667,8 @@ func kernelsEngine(b testing.TB) *Engine {
 // readers (keys.go) and foldWorker.advance's loops, with little else on the
 // clock — a few hundred groups to emit. The computed cases time what is
 // evaluated a batch at a time ahead of the fold (foldWorker.cut,
-// keyCols.materialize): an argument, a key, and the THENs of three arms.
+// keyCols.materialize): an argument, a key, and the THENs of three arms; and
+// constant arguments, which are read once at plan time.
 func BenchmarkFoldKernels(b *testing.B) {
 	e := kernelsEngine(b)
 	run := func(sql string) func(*testing.B) {
@@ -692,6 +693,7 @@ func BenchmarkFoldKernels(b *testing.B) {
 	}
 	for _, c := range []struct{ name, sql string }{
 		{"sum_expr", "SELECT k, sum(a * 2) FROM t GROUP BY k"},
+		{"sum_const", "SELECT k, sum(1), count(1) FROM t GROUP BY k"},
 		{"key_expr", "SELECT k / 10, sum(a) FROM t GROUP BY 1"},
 		{"then_arms", "SELECT k, sum(CASE WHEN b = TRUE THEN a * 2 ELSE 0 END), sum(CASE WHEN b = FALSE THEN a * 3 ELSE 0 END), " +
 			"sum(CASE WHEN b IS NULL THEN a + 1 ELSE 0 END) FROM t GROUP BY k"},

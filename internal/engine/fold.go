@@ -238,12 +238,14 @@ func hashAggregate(in planNode, keyExprs []expr.Expr, specs []aggSpec, ec execCt
 }
 
 // foldInput is one aggregate argument as the boxed kernel reads it: get
-// boxes it for a row of table t; anything else, e, is evaluated a batch at a
-// time ahead of the fold (foldWorker.cut). Both nil is an absent argument.
+// boxes it for a row of table t; e, what else can raise, is evaluated a batch
+// at a time ahead of the fold (foldWorker.cut); c is a constant that cannot
+// raise, read once at plan time. All nil is an absent argument.
 type foldInput struct {
 	get func(row int) value.Value // bare column of table t
 	t   int
 	e   expr.Expr
+	c   *value.Value
 }
 
 // The kernels of foldWorker.advance.
@@ -383,11 +385,11 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 	bare = bare && !outer
 	kind, known := value.KindNull, arg == nil // what arg evaluates to, when the plan can tell
 	var c *storage.Vector
+	var v value.Value // a constant arg's value
 	if bare {
 		c = op.pipe.tabs[t].Column(col)
 		kind, known, s.t, s.nulls = c.Type.Kind(), true, t, c.Nulls.Trim()
 	} else if arg != nil {
-		var v value.Value
 		v, known = expr.ConstValue(arg)
 		kind = v.Kind()
 	}
@@ -408,10 +410,15 @@ func (op *foldOp) planSlot(s *aggSlot, call *expr.AggCall, arg expr.Expr) {
 		op.init = append(op.init, initCell(s))
 	}
 	if s.kernel == kernelBoxed {
-		s.in = op.input(arg)
+		switch {
 		// A computed argument can raise, and so can sum() — avg() sums — itself.
-		if (sum || call.Fn == expr.AggAvg) && (!known || !numeric && kind != value.KindNull) {
+		case (sum || call.Fn == expr.AggAvg) && (!known || !numeric && kind != value.KindNull):
 			s.in = foldInput{e: sumArg{arg}}
+		case bare || !known:
+			s.in = op.input(arg)
+		case arg != nil:
+			c := v
+			s.in = foldInput{c: &c}
 		}
 	}
 }
@@ -1036,16 +1043,19 @@ func (w *foldWorker) nonNull(nulls storage.NullBitmap, ids, gid []int32) ([]int3
 
 // advanceBoxed is the boxed kernel: the tuples from batch position lo on,
 // whose groups are gid, each boxed — or, for an argument evaluated ahead of
-// the fold, the next of the values cut left — and added under the
-// accumulators' rules.
+// the fold, the next of the values cut left; for a constant, its value — and
+// added under the accumulators' rules.
 func (w *foldWorker) advanceBoxed(i int, b *tupleBatch, gid []int32, lo int) error {
 	s, num, tag, n := &w.op.slots[i], w.part.num, w.part.tag, w.op.cells
 	for k := range gid {
 		v := value.Null // an absent argument stays NULL
-		if s.in.get != nil {
+		switch {
+		case s.in.get != nil:
 			v = s.in.get(int(b.ids[s.in.t][lo+k]))
-		} else if s.in.e != nil {
+		case s.in.e != nil:
 			v = w.vals[i][k]
+		case s.in.c != nil:
+			v = *s.in.c
 		}
 		var err error
 		switch g := int(gid[k]); {

@@ -9,17 +9,29 @@
 // an in-flight statement by ID. Every refusal the admission layer issues —
 // queue full, tenant cap, draining — is a typed, retryable PCT21x error
 // carrying a backoff hint, never a dropped connection.
+//
+// Request frames are small, and encoding/json writes and reads them at both
+// ends. A response frame can carry a whole result, so each end has a codec of
+// its own for it: the server appends the frame into one buffer straight from
+// the result's typed vectors (appendResponse), and the client parses it with
+// a small recursive-descent parser that boxes each cell once (client.go).
+// The bytes are the ones json.Marshal writes for the response struct below,
+// so either end reads a peer that still uses encoding/json.
 package server
 
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
+
+	"repro/internal/engine"
+	"repro/internal/storage"
+	"repro/internal/value"
 )
 
 // maxFrame bounds a single protocol frame. A length prefix beyond it is
@@ -52,15 +64,19 @@ type request struct {
 }
 
 // response is one server frame. ID echoes the request it answers; ID 0 is
-// an unsolicited server notice (e.g. the PCT213 idle-timeout close).
+// an unsolicited server notice (e.g. the PCT213 idle-timeout close). The tags
+// name the fields on the wire, in the order appendResponse writes them. The
+// server writes a query's rows from res; the client reads them into Rows.
 type response struct {
 	ID        int64      `json:"id"`
 	OK        bool       `json:"ok"`
 	SessionID int64      `json:"session_id,omitempty"`
 	Columns   []string   `json:"columns,omitempty"`
-	Rows      wireRows   `json:"rows,omitempty"`
+	Rows      [][]any    `json:"rows,omitempty"`
 	Affected  int64      `json:"affected,omitempty"`
 	Err       *wireError `json:"err,omitempty"`
+
+	res *engine.Result
 }
 
 // wireError carries a failure over the wire with its PCT code and, for
@@ -74,129 +90,217 @@ type wireError struct {
 	BackoffMs int64  `json:"backoff_ms,omitempty"`
 }
 
-// writeFrame writes v as one length-prefixed frame with a single Write call,
-// so a frame is never interleaved mid-write.
+// writeFrame writes the request v as one length-prefixed frame with a single
+// Write call, so a frame is never interleaved mid-write.
 func writeFrame(w io.Writer, v any) error {
-	buf, err := encodeFrame(v)
+	body, err := json.Marshal(v)
 	if err != nil {
 		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// encodeFrame marshals v into one length-prefixed frame. It fails when v has
-// no JSON form — a row holds a non-finite REAL — or the body is over maxFrame.
-func encodeFrame(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if me := (*json.MarshalerError)(nil); errors.As(err, &me) {
-		err = me.Unwrap()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(body) > maxFrame {
-		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", len(body), maxFrame)
 	}
 	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf, uint32(len(body)))
 	copy(buf[4:], body)
-	return buf, nil
+	_, err = w.Write(buf)
+	return err
 }
 
-// wireRows is a response's rows, cells of the Go types pctagg returns. Its
-// JSON keeps a cell's type readable: an INTEGER is digits alone, and a REAL
-// always has a '.' or an exponent — a whole one is written 2.0 — so
-// decodeRows reads each back as what it was. A NaN or an infinite REAL has no
-// JSON number, and is an error.
-type wireRows [][]any
-
-func (rows wireRows) MarshalJSON() ([]byte, error) {
-	b := []byte{'['}
-	if len(rows) > 0 {
-		b = make([]byte, 1, 2+len(rows)*(2+8*len(rows[0])))
-		b[0] = '['
+// appendResponse appends resp's frame to b: the 4-byte length, patched in
+// once the body is written, then the body with the fields in json.Marshal's
+// order under its omitempty rules. The rows are written a row at a time from
+// the result's vectors. It fails, returning b as it was, when a cell is a
+// NaN or an infinite REAL, which JSON has no number for, or when the body
+// passes maxFrame — at the first row past it, so a huge result stops early.
+func appendResponse(b []byte, resp *response) ([]byte, error) {
+	at := len(b)
+	b = append(b, 0, 0, 0, 0)
+	b = append(b, `{"id":`...)
+	b = strconv.AppendInt(b, resp.ID, 10)
+	b = append(b, `,"ok":`...)
+	b = strconv.AppendBool(b, resp.OK)
+	if resp.SessionID != 0 {
+		b = append(b, `,"session_id":`...)
+		b = strconv.AppendInt(b, resp.SessionID, 10)
 	}
-	for i, row := range rows {
-		if i > 0 {
+	if len(resp.Columns) > 0 {
+		b = append(b, `,"columns":[`...)
+		for i, c := range resp.Columns {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(b, c, false)
+		}
+		b = append(b, ']')
+	}
+	if resp.res != nil && resp.res.Len() > 0 {
+		var err error
+		if b, err = appendRows(append(b, `,"rows":`...), resp.res, at+4+maxFrame); err != nil {
+			return b[:at], err
+		}
+	}
+	if resp.Affected != 0 {
+		b = append(b, `,"affected":`...)
+		b = strconv.AppendInt(b, resp.Affected, 10)
+	}
+	if e := resp.Err; e != nil {
+		b = append(b, `,"err":{`...)
+		if e.Code != "" {
+			b = append(appendString(append(b, `"code":`...), e.Code, false), ',')
+		}
+		b = appendString(append(b, `"message":`...), e.Message, false)
+		if e.Retryable {
+			b = append(b, `,"retryable":true`...)
+		}
+		if e.BackoffMs != 0 {
+			b = append(b, `,"backoff_ms":`...)
+			b = strconv.AppendInt(b, e.BackoffMs, 10)
+		}
+		b = append(b, '}')
+	}
+	b = append(b, '}')
+	n := len(b) - at - 4
+	if n > maxFrame {
+		return b[:at], errOversize
+	}
+	binary.BigEndian.PutUint32(b[at:], uint32(n))
+	return b, nil
+}
+
+var errOversize = fmt.Errorf("server: the response frame exceeds the %d-byte cap", maxFrame)
+
+// appendRows writes a result's rows as a JSON array of arrays. A cell keeps
+// its type readable: an INTEGER is digits alone, and a REAL always has a '.'
+// or an exponent — a whole one is written 2.0 — so the client reads each back
+// as what it was. It stops with errOversize once b is longer than limit.
+func appendRows(b []byte, res *engine.Result, limit int) ([]byte, error) {
+	vecs := res.Vectors()
+	b = append(b, '[')
+	for k, n := 0, res.Len(); k < n; k++ {
+		if k > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '[')
-		for j, cell := range row {
+		for j := range vecs {
 			if j > 0 {
 				b = append(b, ',')
 			}
-			switch x := cell.(type) {
-			case nil:
+			var err error
+			switch v := &vecs[j]; {
+			case v.Boxed:
+				b, err = appendValue(b, v.Vals[k])
+			case v.Nulls.Get(k):
 				b = append(b, "null"...)
-			case int64:
-				b = strconv.AppendInt(b, x, 10)
-			case float64:
-				if math.IsNaN(x) || math.IsInf(x, 0) {
-					return nil, fmt.Errorf("server: the result holds the REAL %v, which JSON has no number for", x)
-				}
-				b = appendReal(b, x)
-			case string:
-				b = appendString(b, x)
-			case bool:
-				b = strconv.AppendBool(b, x)
+			case v.Type == storage.TypeInt:
+				b = strconv.AppendInt(b, v.Ints[k], 10)
+			case v.Type == storage.TypeFloat:
+				b, err = appendReal(b, v.Flts[k])
+			case v.Type == storage.TypeString:
+				b = appendString(b, v.Dict.Str(v.Codes[k]), true)
 			default:
-				return nil, fmt.Errorf("server: a result cell of type %T", x)
+				b = strconv.AppendBool(b, v.Bools[k])
+			}
+			if err != nil {
+				return b, err
 			}
 		}
 		b = append(b, ']')
+		if len(b) > limit {
+			return b, errOversize
+		}
 	}
 	return append(b, ']'), nil
 }
 
+// appendValue writes a boxed cell by its kind.
+func appendValue(b []byte, v value.Value) ([]byte, error) {
+	switch v.Kind() {
+	case value.KindInt:
+		return strconv.AppendInt(b, v.Int(), 10), nil
+	case value.KindFloat:
+		return appendReal(b, v.Float())
+	case value.KindString:
+		return appendString(b, v.Str(), true), nil
+	case value.KindBool:
+		return strconv.AppendBool(b, v.Bool()), nil
+	}
+	return append(b, "null"...), nil
+}
+
 // appendReal writes a finite REAL as encoding/json does — an exponent below
-// 1e-6 and from 1e21 on — with ".0" after a whole value.
-func appendReal(b []byte, f float64) []byte {
+// 1e-6 and from 1e21 on — with ".0" after a whole value. A NaN or an infinite
+// REAL is an error.
+func appendReal(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, fmt.Errorf("server: the result holds the REAL %v, which JSON has no number for", f)
+	}
 	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
-		return strconv.AppendFloat(b, f, 'e', -1, 64)
+		return strconv.AppendFloat(b, f, 'e', -1, 64), nil
 	}
 	at := len(b)
 	b = strconv.AppendFloat(b, f, 'f', -1, 64)
 	for _, c := range b[at:] {
 		if c == '.' {
-			return b
+			return b, nil
 		}
 	}
-	return append(b, ".0"...)
+	return append(b, ".0"...), nil
 }
 
-// appendString writes s as a JSON string: '"', '\\' and control characters
-// escaped, and each byte of invalid UTF-8 replaced by U+FFFD, as
-// encoding/json does (which then also escapes '<', '>' and '&').
-func appendString(b []byte, s string) []byte {
+// plain marks the ASCII bytes a JSON string holds as they are: encoding/json
+// escapes the rest — control characters, '"', '\\', and '<', '>' and '&'.
+var plain = func() (t [utf8.RuneSelf]bool) {
+	for c := range t {
+		t[c] = c >= 0x20 && !strings.ContainsRune(`"\<>&`, rune(c))
+	}
+	return t
+}()
+
+// appendString writes s as a JSON string, escaped as encoding/json escapes
+// it: '"' and '\\' by a backslash, '\n', '\r' and '\t' by letter, the other
+// bytes plain does not mark and U+2028 and U+2029 as \u escapes, and each byte
+// of invalid UTF-8 as \ufffd. A name or a message writes '\b' and '\f' by
+// letter too, as encoding/json does; a cell writes them as \u0008 and \u000c,
+// as the rows always have.
+func appendString(b []byte, s string, cell bool) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	from := 0
 	for i := 0; i < len(s); {
 		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' && c < utf8.RuneSelf {
+		if c < utf8.RuneSelf {
+			if plain[c] {
+				i++
+				continue
+			}
+			b = append(b, s[from:i]...)
+			switch {
+			case c == '"' || c == '\\':
+				b = append(b, '\\', c)
+			case c == '\n':
+				b = append(b, '\\', 'n')
+			case c == '\r':
+				b = append(b, '\\', 'r')
+			case c == '\t':
+				b = append(b, '\\', 't')
+			case c == '\b' && !cell:
+				b = append(b, '\\', 'b')
+			case c == '\f' && !cell:
+				b = append(b, '\\', 'f')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
 			i++
+			from = i
 			continue
 		}
 		r, size := utf8.DecodeRuneInString(s[i:])
-		if c >= utf8.RuneSelf && (r != utf8.RuneError || size > 1) {
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[from:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[from:i]...), '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
 			i += size
 			continue
-		}
-		b = append(b, s[from:i]...)
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c == '\n':
-			b = append(b, '\\', 'n')
-		case c == '\r':
-			b = append(b, '\\', 'r')
-		case c == '\t':
-			b = append(b, '\\', 't')
-		case c < 0x20:
-			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			b = append(b, `\ufffd`...)
 		}
 		i += size
 		from = i
@@ -205,11 +309,11 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// readFrame reads one length-prefixed frame into v. Numbers decode as
-// json.Number so int64 row values survive the round trip undamaged. The body
-// is decoded as it arrives: what the frame allocates grows with the bytes
-// that came, never with what the header claims, so a peer cannot make the
-// reader hold maxFrame bytes by sending four.
+// readFrame reads one length-prefixed request frame into v. The body is
+// decoded as it arrives: what the frame allocates grows with the bytes that
+// came, never with what the header claims, so a peer cannot make the reader
+// hold maxFrame bytes by sending four. A number bound for an any-typed field
+// decodes as a json.Number, its digits kept.
 func readFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -111,7 +111,7 @@ func TestOversizeResponseKeepsSession(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	sess := &session{conn: a, srv: &Server{cfg: Config{WriteTimeout: 5 * time.Second}}, stop: func() { t.Error("the session was stopped") }}
-	huge := &response{ID: 7, OK: true, Columns: []string{"s"}, Rows: wireRows{{strings.Repeat("x", maxFrame)}}}
+	huge := &response{ID: 7, OK: true, Columns: []string{"s"}, res: resultOf([]string{"s"}, [][]any{{strings.Repeat("x", maxFrame)}})}
 	done := make(chan error, 1)
 	go func() {
 		err := sess.write(huge)
@@ -137,8 +137,8 @@ func TestOversizeResponseKeepsSession(t *testing.T) {
 // TestWireRowsJSON pins how each cell type is written: a REAL always with a
 // '.' or an exponent, strings escaped as encoding/json escapes them.
 func TestWireRowsJSON(t *testing.T) {
-	rows := wireRows{{int64(-3), 2.0, math.Copysign(0, -1), 0.5, 1e21, 1e-7, 123456.0, "a\"\\\n\x01\xff<é", true, nil}}
-	got, err := json.Marshal(rows)
+	rows := resultOf(make([]string, 10), [][]any{{int64(-3), 2.0, math.Copysign(0, -1), 0.5, 1e21, 1e-7, 123456.0, "a\"\\\n\x01\xff<é", true, nil}})
+	got, err := appendRows(nil, rows, maxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWireRowsJSON(t *testing.T) {
 		t.Errorf("not valid JSON: %v", err)
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := json.Marshal(wireRows{{f}}); err == nil {
+		if _, err := appendRows(nil, resultOf([]string{"x"}, [][]any{{f}}), maxFrame); err == nil {
 			t.Errorf("%v marshalled", f)
 		}
 	}

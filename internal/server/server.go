@@ -248,7 +248,9 @@ func (s *Server) acceptLoop() {
 // error frame, then closes it.
 func (s *Server) refuse(conn net.Conn, id int64, we *wireError) {
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	writeFrame(conn, &response{ID: id, Err: we})
+	if buf, err := appendResponse(nil, &response{ID: id, Err: we}); err == nil {
+		conn.Write(buf)
+	}
 	conn.Close()
 }
 
@@ -424,14 +426,14 @@ func (s *Server) runStatement(ctx context.Context, sess *session, req request) (
 	start := time.Now()
 	if isQuerySQL(req.SQL) {
 		s.dmlMu.RLock()
-		rows, err := s.db.QueryCtx(ctx, req.SQL)
+		res, err := s.db.QueryTypedCtx(ctx, req.SQL)
 		s.dmlMu.RUnlock()
 		mStatementNs.Observe(time.Since(start).Nanoseconds())
 		if err != nil {
 			return &response{Err: wireErrorFrom(err)}
 		}
 		sess.statements.Add(1)
-		return &response{OK: true, Columns: rows.Columns, Rows: rows.Data}
+		return &response{OK: true, Columns: res.Columns, res: res}
 	}
 	s.dmlMu.Lock()
 	n, err := s.db.ExecCtx(ctx, req.SQL)
@@ -499,21 +501,34 @@ type session struct {
 	rejected   atomic.Int64 // refused by admission (or an armed fault)
 }
 
+// frameBufs recycles response frame buffers of up to maxPooledFrame bytes: a
+// frame is written whole, and its buffer is free once Write returns.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 1 << 20
+
 // write sends one frame under the write mutex with a per-frame deadline. A
 // response the wire cannot carry — a non-finite REAL, a frame over maxFrame —
 // answers its request with PCT214 instead, and the session goes on. A failed
 // or timed-out write cuts the whole session: a client that cannot drain its
 // responses must not pin server state.
 func (sess *session) write(resp *response) error {
-	buf, err := encodeFrame(resp)
+	bp := frameBufs.Get().(*[]byte)
+	start := time.Now()
+	buf, err := appendResponse((*bp)[:0], resp)
 	if err != nil {
-		buf, err = encodeFrame(&response{ID: resp.ID, Err: &wireError{Code: diag.CodeUnencodable, Message: err.Error()}})
+		buf, err = appendResponse(buf, &response{ID: resp.ID, Err: &wireError{Code: diag.CodeUnencodable, Message: err.Error()}})
 	}
+	mEncodeNs.Observe(time.Since(start).Nanoseconds())
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
 	if err == nil {
 		sess.conn.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
 		_, err = sess.conn.Write(buf)
+	}
+	if cap(buf) <= maxPooledFrame {
+		*bp = buf
+		frameBufs.Put(bp)
 	}
 	if err != nil {
 		sess.stop()

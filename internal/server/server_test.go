@@ -579,3 +579,45 @@ func TestNonFiniteRealKeepsSession(t *testing.T) {
 		}
 	}
 }
+
+// TestWireEncodesBesideWrites: the server writes a result's frame after the
+// statement has let go of the read lock, from vectors that share the table's
+// dictionary. A writer appending new strings to that dictionary meanwhile
+// must neither race (under -race) nor change a frame: every row read back is
+// one the table held.
+func TestWireEncodesBesideWrites(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := pctagg.Open()
+	if _, err := db.Exec("CREATE TABLE w (k INTEGER, s VARCHAR); INSERT INTO w VALUES (0, 's0')"); err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, db, server.Config{})
+	defer srv.Close()
+	reader, writer := dial(t, srv, "alpha"), dial(t, srv, "beta")
+	defer reader.Close()
+	defer writer.Close()
+	done := make(chan error, 1)
+	go func() {
+		for i := 1; i <= 60; i++ {
+			if _, err := writer.Do(context.Background(), fmt.Sprintf("INSERT INTO w VALUES (%d, 's%d')", i, i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 60; i++ {
+		res, err := reader.Do(context.Background(), "SELECT k, s FROM w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if row[1] != fmt.Sprintf("s%d", row[0]) {
+				t.Fatalf("row %v: its string is not its key's", row)
+			}
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diag"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -63,14 +64,24 @@ func (db *DB) QueryTraced(sql string) (*Rows, *Span, error) {
 // returned even when the query is cancelled mid-flight, with every span
 // closed.
 func (db *DB) QueryTracedCtx(ctx context.Context, sql string) (*Rows, *Span, error) {
+	res, root, err := db.traced(ctx, sql)
+	if err != nil {
+		return nil, root, err
+	}
+	return toRows(res), root, nil
+}
+
+// traced runs one SELECT under a root span of its own, which it returns
+// ended, with the error as an attribute when the query fails.
+func (db *DB) traced(ctx context.Context, sql string) (*engine.Result, *Span, error) {
 	root := obs.NewSpan("query")
 	root.Attr("sql", sql)
-	rows, err := db.query(ctx, sql, root)
+	res, err := db.query(ctx, sql, root)
 	root.End()
 	if err != nil {
 		root.Attr("error", err.Error())
 	}
-	return rows, root, err
+	return res, root, err
 }
 
 // MetricsJSON renders every registered metric — counters, gauges, and

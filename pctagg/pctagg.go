@@ -155,22 +155,34 @@ func (db *DB) Query(sql string) (*Rows, error) {
 // deadline). Resource limits installed with SetLimits are enforced the same
 // way.
 func (db *DB) QueryCtx(ctx context.Context, sql string) (*Rows, error) {
+	res, err := db.QueryTypedCtx(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	return toRows(res), nil
+}
+
+// QueryTypedCtx is QueryCtx with the result's columns left typed, for a
+// caller that writes the cells out itself, as the server's wire encoder does:
+// it parses, counts and traces the statement as QueryCtx does, and boxes
+// nothing. Read the result through Len and Vectors, or Box it.
+func (db *DB) QueryTypedCtx(ctx context.Context, sql string) (*engine.Result, error) {
 	// One load covers both the decision to trace and the delivery, so a
 	// concurrent SetTraceSink can never tear the pair.
 	sink := db.sink.Load()
 	if sink == nil {
 		return db.query(ctx, sql, nil)
 	}
-	rows, root, err := db.QueryTracedCtx(ctx, sql)
+	res, root, err := db.traced(ctx, sql)
 	sink.fn(root)
-	return rows, err
+	return res, err
 }
 
 // query parses one SELECT or EXPLAIN and runs it as one engine statement,
 // traced under root when root is non-nil: a parse span, then the statement
 // span, under which a planned query's plan hangs (see rewriter). A syntax
 // error ends the statement before it runs.
-func (db *DB) query(ctx context.Context, sql string, root *Span) (*Rows, error) {
+func (db *DB) query(ctx context.Context, sql string, root *Span) (*engine.Result, error) {
 	ps := root.NewChild("parse")
 	stmt, err := sqlparse.Parse(sql)
 	ps.End()
@@ -195,7 +207,7 @@ func (db *DB) query(ctx context.Context, sql string, root *Span) (*Rows, error) 
 		countQueryError(err)
 		return nil, err
 	}
-	return toRows(res), nil
+	return res, nil
 }
 
 // toRows converts a result's typed columns to Rows in one pass, a column at a
