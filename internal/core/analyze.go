@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/diag"
@@ -472,32 +473,15 @@ func resolveGroupingSets(sel *sqlparse.Select, a *analysis, l *diag.List) {
 			dims = append(dims, name)
 		}
 		a.groupCols = dims
-		k := len(dims)
-		if spec.Kind == sqlparse.GroupRollup {
-			// k+1 prefixes, finest to the grand total.
-			for j := k; j >= 0; j-- {
-				a.sets = append(a.sets, append([]string{}, dims[:j]...))
-			}
-		} else {
-			// All 2^k subsets, finest first, preserving dimension order
-			// within each subset.
-			for mask := (1 << k) - 1; mask >= 0; mask-- {
-				set := []string{}
-				for i := 0; i < k; i++ {
-					if mask&(1<<(k-1-i)) != 0 {
-						set = append(set, dims[i])
-					}
-				}
-				a.sets = append(a.sets, set)
-			}
-		}
+		a.sets = latticeSets(spec.Kind, dims, nil, nil)
 	case sqlparse.GroupSetsList:
 		if len(spec.Sets) == 0 {
 			l.Addf(diag.CodeEmptyGroupingSets, diag.Error, spec.Span,
 				"GROUPING SETS needs at least one set")
 			return
 		}
-		for _, rawSet := range spec.Sets {
+		lists := make([][]string, len(spec.Sets))
+		for i, rawSet := range spec.Sets {
 			set := []string{}
 			for _, g := range rawSet {
 				name, ok := resolveGroupKey(sel, a, g, l)
@@ -514,30 +498,62 @@ func resolveGroupingSets(sel *sqlparse.Select, a *analysis, l *diag.List) {
 					a.groupCols = append(a.groupCols, name)
 				}
 			}
-			dup := false
-			for _, prev := range a.sets {
-				if sameColumnSet(prev, set) {
-					span := spec.Span
-					if len(rawSet) > 0 {
-						span = rawSet[0].Span
-					}
-					l.Addf(diag.CodeDuplicateGroupingSet, diag.Warning, span,
-						"duplicate grouping set (%s); each distinct set is evaluated once",
-						strings.Join(set, ", "))
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				a.sets = append(a.sets, set)
-			}
+			lists[i] = set
 		}
+		a.sets = latticeSets(spec.Kind, nil, lists, func(i int) {
+			span := spec.Span
+			if len(spec.Sets[i]) > 0 {
+				span = spec.Sets[i][0].Span
+			}
+			l.Addf(diag.CodeDuplicateGroupingSet, diag.Warning, span,
+				"duplicate grouping set (%s); each distinct set is evaluated once",
+				strings.Join(lists[i], ", "))
+		})
 		// Canonicalize each set to finest-dimension order so generated
 		// plans and output layout do not depend on within-set spelling.
 		for i, s := range a.sets {
 			a.sets[i] = orderedSubset(a.groupCols, s)
 		}
 	}
+}
+
+// latticeSets expands a ROLLUP or a CUBE over the resolved dims, or takes the
+// resolved sets of a GROUPING SETS list, into the lattice's grouping sets,
+// finest node first: a ROLLUP's k+1 prefixes down to the grand total; a
+// CUBE's 2^k subsets, each in dimension order; a list's sets in their order,
+// a repeat of an earlier set (ignoring order and case) dropped, and its index
+// told to dup. A CUBE stops one set past maxLatticeNodes, which is enough for
+// a caller to refuse it, rather than spell out 2^k sets.
+func latticeSets(kind sqlparse.GroupingKind, dims []string, lists [][]string, dup func(i int)) [][]string {
+	var sets [][]string
+	switch kind {
+	case sqlparse.GroupRollup:
+		for j := len(dims); j >= 0; j-- {
+			sets = append(sets, append([]string{}, dims[:j]...))
+		}
+	case sqlparse.GroupCube:
+		// Subset n leaves out the dimensions whose bit is set in n, the last
+		// dimension in bit 0, so n = 0 is the finest.
+		k := len(dims)
+		for n := uint64(0); len(sets) <= maxLatticeNodes && (k >= 64 || n < 1<<k); n++ {
+			set := []string{}
+			for i, d := range dims {
+				if n&(1<<(k-1-i)) == 0 {
+					set = append(set, d)
+				}
+			}
+			sets = append(sets, set)
+		}
+	case sqlparse.GroupSetsList:
+		for i, set := range lists {
+			if slices.ContainsFunc(sets, func(prev []string) bool { return sameColumnSet(prev, set) }) {
+				dup(i)
+				continue
+			}
+			sets = append(sets, set)
+		}
+	}
+	return sets
 }
 
 // sameColumnSet reports whether two grouping sets name the same columns,

@@ -370,8 +370,8 @@ func (p *Planner) cacheLookup(key string, s *summary, a *analysis) (string, cach
 
 // cacheAbandon forgets every provisional registration the plan never
 // published: EXPLAIN plans and failed builds must not leave entries that a
-// later plan would trust. Runs from plan cleanup, under its context.
-func (p *Planner) cacheAbandon(ctx context.Context, plan *Plan) {
+// later plan would trust. Runs from plan cleanup.
+func (p *Planner) cacheAbandon(plan *Plan) {
 	if len(plan.cacheRegs) == 0 {
 		return
 	}
@@ -390,7 +390,7 @@ func (p *Planner) cacheAbandon(ctx context.Context, plan *Plan) {
 	}
 	p.mu.Unlock()
 	for _, t := range drops {
-		_, _ = p.Eng.ExecSQLCtx(ctx, "DROP TABLE IF EXISTS "+t)
+		p.Eng.DropIfExists(t)
 	}
 }
 
@@ -576,7 +576,7 @@ func (p *Planner) cacheBuild(ctx context.Context, eng *engine.Engine, parallelis
 	ok := false
 	defer func() {
 		if !ok {
-			_, _ = eng.ExecSQLCtx(context.WithoutCancel(ctx), "DROP TABLE IF EXISTS "+newT)
+			eng.DropIfExists(newT)
 		}
 	}()
 	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", newT, meta.colDefs), 1, sp); err != nil {
@@ -618,9 +618,9 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	}
 	minusT, deltaT, unionT := p.temp("cminus"), p.temp("cdelta"), p.temp("croll")
 	defer func() {
-		eng.Catalog().DropIfExists(minusT)
-		eng.Catalog().DropIfExists(deltaT)
-		eng.Catalog().DropIfExists(unionT)
+		eng.DropIfExists(minusT)
+		eng.DropIfExists(deltaT)
+		eng.DropIfExists(unionT)
 	}()
 
 	// 1. The snapshots (no SQL names a row range or an image). The base table

@@ -75,8 +75,7 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 // (recorded in its fine columns) and extra (returned re-aggregated); the
 // caller has checked fromFVError, so each has a partial form.
 func (p *Planner) emitHaggFV(plan *Plan, a *analysis, hl *hlayout) (fv string, extraSel []string) {
-	fv = p.temp("fvagg")
-	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FV", SQL: "DROP TABLE IF EXISTS " + fv})
+	fv = plan.owns(p.temp("fvagg"))
 	fineGroup := a.fineGroup()
 	defs, sels := a.colDefs(fineGroup, fineGroup), quoteIdents(fineGroup)
 	for _, t := range hl.terms {
@@ -161,8 +160,7 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 
 	// F0: the key table defining the result rows. FH's columns, select list
 	// and outer joins accumulate as the tables they read are emitted.
-	f0 := p.temp("f0")
-	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop F0", SQL: "DROP TABLE IF EXISTS " + f0})
+	f0 := plan.owns(p.temp("f0"))
 	populate := Step{Purpose: "populate F0 with the constant group", SQL: "INSERT INTO " + f0 + " VALUES (0)"}
 	var fhDefs, fhSel []string
 	if !constKey {
@@ -188,8 +186,7 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 		}
 		for _, c := range t.combos {
 			n++
-			fi := p.temp("fi")
-			plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FI", SQL: "DROP TABLE IF EXISTS " + fi})
+			fi := plan.owns(p.temp("fi"))
 			cond := comboCond("", t.call.By, c.vals)
 			where := " WHERE " + cond
 			if sourceWhere != "" {
@@ -214,8 +211,7 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 
 	// Extras: one aggregate table over all rows per group.
 	if len(hl.extras) > 0 {
-		fx := p.temp("fx")
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop extras table", SQL: "DROP TABLE IF EXISTS " + fx})
+		fx := plan.owns(p.temp("fx"))
 		defs := append([]string{}, keyDefs...)
 		for xi, idx := range hl.extras {
 			typ := aggResultType(a.items[idx].agg, a.schema)
@@ -232,8 +228,7 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 	}
 
 	// FH: assemble with left outer joins on the key.
-	fh := p.temp("fh")
-	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FH", SQL: "DROP TABLE IF EXISTS " + fh})
+	fh := plan.owns(p.temp("fh"))
 	plan.ResultTable, plan.ResultTables = fh, []string{fh}
 	plan.Steps = append(plan.Steps,
 		Step{Purpose: "create FH", SQL: fmt.Sprintf("CREATE TABLE %s (%s%s)", fh, strings.Join(fhDefs, ", "), pkey)},

@@ -286,8 +286,7 @@ func (p *Planner) emitHorizontalInserts(plan *Plan, a *analysis, hl *hlayout, fr
 		pkey = ", PRIMARY KEY(" + joinIdents(hl.groupNames) + ")"
 	}
 	for ci, chunk := range chunks {
-		fh := p.temp("fh")
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FH", SQL: "DROP TABLE IF EXISTS " + fh})
+		fh := plan.owns(p.temp("fh"))
 		plan.ResultTables = append(plan.ResultTables, fh)
 		defs, sels := a.colDefs(a.groupCols, hl.groupNames), quoteIdents(a.groupCols)
 		for _, v := range chunk {

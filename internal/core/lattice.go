@@ -33,7 +33,7 @@ func checkLattice(a *analysis, opts Options) error {
 	case len(a.sets) == 0:
 		return fmt.Errorf("core: internal: GROUP BY %s resolved to no grouping sets", kw)
 	case len(a.sets) > maxLatticeNodes:
-		return fmt.Errorf("core: GROUP BY %s expands to %d grouping sets; the limit is %d", kw, len(a.sets), maxLatticeNodes)
+		return fmt.Errorf("core: GROUP BY %s expands to more than %d grouping sets", kw, maxLatticeNodes)
 	}
 	for _, it := range a.items {
 		if it.kind != itemVertAgg {
@@ -134,8 +134,7 @@ func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*
 
 	// FC: the cross-tab result, one block of rows per lattice node, finest
 	// first.
-	fc := p.temp("fc")
-	plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FC", SQL: "DROP TABLE IF EXISTS " + fc})
+	fc := plan.owns(p.temp("fc"))
 	plan.Steps = append(plan.Steps, Step{Purpose: "create cross-tab result FC",
 		SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fc, strings.Join(fcCols, ", "))})
 	for ni, set := range a.sets {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -41,6 +43,38 @@ func TestLatticeFinestBlockEqualsGroupBy(t *testing.T) {
 			}
 			finest := &engine.Result{Columns: cube.Columns, Rows: cube.Rows[:len(plain.Rows)]}
 			sameResults(t, c.name+" "+kw, plain, finest)
+		}
+	}
+}
+
+// TestCubePastTheNodeCapIsRefused: a CUBE whose 2^k nodes pass
+// maxLatticeNodes is refused at planning, and the lint's static expansion
+// gives up on it, without either spelling out 2^k grouping sets — over 40
+// dimensions that would be 2^40.
+func TestCubePastTheNodeCapIsRefused(t *testing.T) {
+	schema := make(storage.Schema, 40)
+	dims := make([]string, len(schema))
+	for i := range schema {
+		dims[i] = fmt.Sprintf("c%d", i+1)
+		schema[i] = storage.ColumnDef{Name: dims[i], Type: storage.TypeInt}
+	}
+	cat := storage.NewCatalog()
+	if _, err := cat.Create("wide", schema); err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlanner(engine.New(cat))
+	for _, k := range []int{9, 40} {
+		list := strings.Join(dims[:k], ", ")
+		sql := "SELECT " + list + ", count(*) FROM wide GROUP BY CUBE(" + list + ")"
+		if _, err := p.PlanSQL(sql, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "more than 256 grouping sets") {
+			t.Errorf("CUBE over %d dimensions: err = %v, want the node cap", k, err)
+		}
+		sel, err := parseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sets := staticGroupingSets(sel); sets != nil {
+			t.Errorf("CUBE over %d dimensions: static expansion gave %d sets, want none", k, len(sets))
 		}
 	}
 }

@@ -23,9 +23,10 @@ var (
 	mPlanSteps      = obs.Default.Counter("core.steps")
 )
 
-// Step is one statement of a generated plan. Most steps are SQL text;
-// summary-cache maintenance runs as native steps because it cannot be
-// expressed in standard SQL.
+// Step is one statement of a generated plan — the script the paper's code
+// generator writes. Most steps are SQL text; summary-cache maintenance runs
+// as native steps because it cannot be expressed in standard SQL. Dropping
+// the plan's temporaries afterwards is no step (see Plan.Cleanup).
 type Step struct {
 	// Purpose says what the step does, for EXPLAIN-style display.
 	Purpose string
@@ -55,9 +56,10 @@ type Plan struct {
 	// ResultTables lists every partition when a horizontal result exceeded
 	// MaxColumns and was vertically partitioned; ResultTable is the first.
 	ResultTables []string
-	// Cleanup drops the plan's temporary tables, including the result
-	// table(s).
-	Cleanup []Step
+	// Cleanup names the plan's temporary tables, the result table(s)
+	// included. Cleanup drops them by name, straight from the catalog
+	// (engine.DropIfExists): no SQL text, no parse, no statement.
+	Cleanup []string
 	// N is the number of horizontal result columns (0 for vertical plans).
 	N int
 	// Parallelism is the worker count the plan's steps execute with,
@@ -185,7 +187,7 @@ func (p *Planner) FlushSummaries() {
 	p.summaries = map[string]*summaryEntry{}
 	p.mu.Unlock()
 	for _, t := range drops {
-		_, _ = p.Eng.ExecSQLCtx(engine.Generated(context.Background()), "DROP TABLE IF EXISTS "+t)
+		p.Eng.DropIfExists(t)
 	}
 }
 
@@ -198,6 +200,13 @@ func (p *Planner) temp(kind string) string {
 	n := p.seq
 	p.mu.Unlock()
 	return fmt.Sprintf("%s_%s_%d", p.TempPrefix, kind, n)
+}
+
+// owns registers table, a temporary the plan creates, with the plan's
+// cleanup and returns it.
+func (plan *Plan) owns(table string) string {
+	plan.Cleanup = append(plan.Cleanup, table)
+	return table
 }
 
 // Options selects evaluation strategies per query class.
@@ -428,7 +437,7 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 	ctx = limitsCtx(engine.Generated(ctx), plan.Limits)
 	res, err := p.executeStepsIn(ctx, plan, root)
 	if err != nil {
-		p.cleanupIn(ctx, plan, root)
+		p.cleanupIn(plan, root)
 		return nil, err
 	}
 	if plan.FinalSelect != "" {
@@ -437,12 +446,12 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 		sp.End()
 		if err != nil {
 			sp.Attr("error", err.Error())
-			p.cleanupIn(ctx, plan, root)
+			p.cleanupIn(plan, root)
 			return nil, err
 		}
 		sp.SetRows(-1, int64(res.Len()))
 	}
-	p.cleanupIn(ctx, plan, root)
+	p.cleanupIn(plan, root)
 	return res, nil
 }
 
@@ -494,34 +503,25 @@ func runNative(ctx context.Context, s *Step, eng *engine.Engine, parallelism int
 	})
 }
 
-// CleanupPlan drops the plan's temporary tables. Errors are ignored: a
-// failed plan may not have created all of them.
-func (p *Planner) CleanupPlan(plan *Plan) { p.CleanupPlanCtx(context.Background(), plan) }
+// CleanupPlan drops the plan's temporary tables, and forgets the summary-cache
+// registrations it never published. A failed plan may not have created all
+// of them; a missing table is no error.
+func (p *Planner) CleanupPlan(plan *Plan) { p.cleanupIn(plan, nil) }
 
-// CleanupPlanCtx is CleanupPlan with the DROPs nested under ctx (see
-// cleanupIn).
-func (p *Planner) CleanupPlanCtx(ctx context.Context, plan *Plan) { p.cleanupIn(ctx, plan, nil) }
-
-// cleanupIn drops the temporaries as generated statements under the plan
-// context's values — so the DROPs of a plan run on behalf of a statement are
-// statements nested in it, recorded only when it is — but not its
-// cancellation: a cancelled or timed-out plan must still drop what it created.
-func (p *Planner) cleanupIn(ctx context.Context, plan *Plan, root *obs.Span) {
-	ctx = engine.Generated(context.WithoutCancel(ctx))
-	p.cacheAbandon(ctx, plan)
+// cleanupIn is CleanupPlan under the plan's trace span, nil when untraced:
+// its cleanup child counts the tables dropped. No statement runs, so a
+// cancelled or timed-out plan drops what it created all the same.
+func (p *Planner) cleanupIn(plan *Plan, root *obs.Span) {
+	p.cacheAbandon(plan)
 	if len(plan.Cleanup) == 0 {
 		return
 	}
 	sp := root.NewChild("cleanup")
-	n := 0
-	for _, s := range plan.Cleanup {
-		if s.SQL != "" {
-			_, _ = p.Eng.ExecSQLCtx(ctx, s.SQL)
-			n++
-		}
+	for _, t := range plan.Cleanup {
+		p.Eng.DropIfExists(t)
 	}
 	sp.End()
-	sp.SetRows(int64(n), -1)
+	sp.SetRows(int64(len(plan.Cleanup)), -1)
 }
 
 // ----- shared generation helpers -----

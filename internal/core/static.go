@@ -816,76 +816,44 @@ func (sa *staticAnalyzer) checkVpctByDuplicates(sel *sqlparse.Select) {
 }
 
 // staticGroupingSets resolves a ROLLUP/CUBE/GROUPING SETS clause textually —
-// no schema, no diagnostics — so static checks can report per lattice node.
-// It mirrors resolveGroupingSets' expansion. Unresolvable keys are skipped,
-// and an over-sized lattice returns nil, in which case callers fall back to
-// the statement-level finding.
+// no schema, no diagnostics — and expands it as resolveGroupingSets does
+// (latticeSets), so static checks can report per lattice node. Unresolvable
+// keys are skipped, and an over-sized lattice returns nil, in which case
+// callers fall back to the statement-level finding.
 func staticGroupingSets(sel *sqlparse.Select) [][]string {
 	spec := sel.GroupSets
 	if spec == nil {
 		return nil
 	}
-	keyName := func(g sqlparse.GroupKey) string {
+	add := func(dst []string, g sqlparse.GroupKey) []string {
+		name := g.Column
 		if g.Position > 0 {
 			if g.Position > len(sel.Items) {
-				return ""
+				return dst
 			}
 			ref, ok := sel.Items[g.Position-1].Expr.(*expr.ColumnRef)
 			if !ok {
-				return ""
+				return dst
 			}
-			return ref.Name
+			name = ref.Name
 		}
-		return g.Column
+		if name == "" || containsFold(dst, name) {
+			return dst
+		}
+		return append(dst, name)
 	}
-	var sets [][]string
-	switch spec.Kind {
-	case sqlparse.GroupRollup, sqlparse.GroupCube:
-		var dims []string
-		for _, g := range spec.Dims {
-			if name := keyName(g); name != "" && !containsFold(dims, name) {
-				dims = append(dims, name)
-			}
-		}
-		k := len(dims)
-		if spec.Kind == sqlparse.GroupRollup {
-			for j := k; j >= 0; j-- {
-				sets = append(sets, append([]string{}, dims[:j]...))
-			}
-		} else {
-			if k > 8 { // 2^k would exceed maxLatticeNodes
-				return nil
-			}
-			for mask := (1 << k) - 1; mask >= 0; mask-- {
-				set := []string{}
-				for i := 0; i < k; i++ {
-					if mask&(1<<(k-1-i)) != 0 {
-						set = append(set, dims[i])
-					}
-				}
-				sets = append(sets, set)
-			}
-		}
-	case sqlparse.GroupSetsList:
-		for _, rawSet := range spec.Sets {
-			set := []string{}
-			for _, g := range rawSet {
-				if name := keyName(g); name != "" && !containsFold(set, name) {
-					set = append(set, name)
-				}
-			}
-			dup := false
-			for _, prev := range sets {
-				if sameColumnSet(prev, set) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				sets = append(sets, set)
-			}
+	var dims []string
+	for _, g := range spec.Dims {
+		dims = add(dims, g)
+	}
+	lists := make([][]string, len(spec.Sets))
+	for i, rawSet := range spec.Sets {
+		lists[i] = []string{}
+		for _, g := range rawSet {
+			lists[i] = add(lists[i], g)
 		}
 	}
+	sets := latticeSets(spec.Kind, dims, lists, func(int) {})
 	if len(sets) > maxLatticeNodes {
 		return nil
 	}

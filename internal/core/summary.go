@@ -29,7 +29,7 @@ func sumOf(arg expr.Expr) *expr.AggCall { return &expr.AggCall{Fn: expr.AggSum, 
 // and its delta metadata, and materialize is the only place that builds or
 // reuses one.
 type summary struct {
-	what  string // "Fk", "Fj", "FS", "node summary": names the cache steps and the drop
+	what  string // "Fk", "Fj", "FS", "node summary": names the cache steps
 	table string // a fresh temp name, or the cached table after a hit
 	group []string
 	vals  []vcol
@@ -232,7 +232,7 @@ func (p *Planner) materialize(plan *Plan, a *analysis, s *summary, key, create, 
 		plan.cacheRegs = append(plan.cacheRegs, reg)
 		plan.Steps = append(plan.Steps, p.cacheCaptureStep(reg, a.table))
 	default:
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop " + s.what, SQL: "DROP TABLE IF EXISTS " + s.table})
+		plan.owns(s.table)
 	}
 	plan.Steps = append(plan.Steps,
 		Step{Purpose: create, SQL: fmt.Sprintf("CREATE TABLE %s (%s)", s.table, strings.Join(s.defs(a), ", "))},

@@ -262,8 +262,7 @@ func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 			})
 		}
 	} else {
-		fv = p.temp("fv")
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop FV", SQL: "DROP TABLE IF EXISTS " + fv})
+		fv = plan.owns(p.temp("fv"))
 		plan.Steps = append(plan.Steps,
 			Step{Purpose: "create FV", SQL: fmt.Sprintf("CREATE TABLE %s (%s)", fv, a.resultDefs(outNames))},
 			Step{Purpose: "compute FV: join Fk with Fj on the common subkey and divide",
@@ -331,10 +330,7 @@ func limitClause(a *analysis) string {
 // cleanup drops all three. side names the one of the two tables that holds a
 // grouping column.
 func (p *Planner) missingFrame(plan *Plan, a *analysis, t *vterm, third string) (sup, comb, extra string, side func(string) string) {
-	sup, comb, extra = p.temp("sup"), p.temp("comb"), p.temp(third)
-	for _, tmp := range []string{sup, comb, extra} {
-		plan.Cleanup = append(plan.Cleanup, Step{Purpose: "drop missing-rows temp", SQL: "DROP TABLE IF EXISTS " + tmp})
-	}
+	sup, comb, extra = plan.owns(p.temp("sup")), plan.owns(p.temp("comb")), plan.owns(p.temp(third))
 	plan.Steps = append(plan.Steps,
 		distinctStep(a, "distinct super-groups D1..Dj", sup, t.totals),
 		distinctStep(a, "distinct BY combinations Dj+1..Dk", comb, t.call.By))

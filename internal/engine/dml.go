@@ -52,11 +52,7 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 		return nil, errVirtualReadOnly("DROP TABLE", dt.Name)
 	}
 	if dt.IfExists {
-		existed := e.cat.Has(dt.Name)
-		e.cat.DropIfExists(dt.Name)
-		if existed {
-			e.notifyMutate(dt.Name, nil)
-		}
+		e.DropIfExists(dt.Name)
 		return &Result{}, nil
 	}
 	if err := e.cat.Drop(dt.Name); err != nil {
@@ -64,6 +60,18 @@ func (e *Engine) execDropTable(dt *sqlparse.DropTable) (*Result, error) {
 	}
 	e.notifyMutate(dt.Name, nil)
 	return &Result{}, nil
+}
+
+// DropIfExists removes the named stored table if present and, when it was,
+// tells the DML hook, as DROP TABLE IF EXISTS does — but as no statement: no
+// text, no parse, no lifecycle and no introspection record. The planner drops
+// its temporaries and the summary cache its tables through it; the hook still
+// hears of every drop, so a summary over a table the planner named (a user
+// may put one in FROM) is invalidated as it was when cleanup ran SQL.
+func (e *Engine) DropIfExists(name string) {
+	if e.cat.DropIfExists(name) {
+		e.notifyMutate(name, nil)
+	}
 }
 
 // insertSink appends what is pushed into it to the INSERT's target table —

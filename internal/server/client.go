@@ -1,24 +1,20 @@
 // The client end of the wire: Client pipelines requests over one connection
 // and matches responses by ID on a single reader goroutine, which reads each
-// response frame with its own codec. A frame's body is read as its bytes
-// arrive, bounded as readFrame bounds a request, and parsed by a small
-// recursive-descent parser (parser) that accepts what encoding/json accepts
-// for a response and boxes each cell once, into one slab the rows are carved
-// from. A REAL, or an INTEGER outside 0–255, costs one allocation; a string
+// response frame with the frame reader the server reads requests with
+// (frameReader) and parses it with a small recursive-descent parser (parser)
+// that accepts what encoding/json accepts for a response and boxes each cell
+// once, into one slab the rows are carved from. A REAL, or an INTEGER outside 0–255, costs one allocation; a string
 // costs none when the parser met it lately, and two when it did not.
 
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,7 +39,7 @@ type Client struct {
 	nextID  int64
 	err     error
 
-	rr         *respReader // the reader goroutine's own
+	fr         *frameReader // the reader goroutine's own
 	readerDone chan struct{}
 }
 
@@ -86,14 +82,14 @@ func Dial(addr, tenant string) (*Client, error) {
 		tenant:     tenant,
 		pending:    make(map[int64]chan *response),
 		nextID:     1,
-		rr:         newRespReader(conn),
+		fr:         newFrameReader(conn),
 		readerDone: make(chan struct{}),
 	}
 	if err := writeFrame(conn, &request{ID: 1, Op: opHello, Tenant: tenant}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	resp, err := c.rr.read()
+	resp, err := c.fr.response()
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -113,7 +109,7 @@ func Dial(addr, tenant string) (*Client, error) {
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
-		resp, err := c.rr.read()
+		resp, err := c.fr.response()
 		if err == nil && resp.ID == 0 {
 			err = remoteError(resp.Err)
 		}
@@ -250,65 +246,12 @@ func toResult(resp *response) (*Result, error) {
 	return &Result{Columns: resp.Columns, Rows: resp.Rows, Affected: resp.Affected}, nil
 }
 
-// respReader reads response frames off one connection. Between frames it
-// keeps a body buffer of up to maxPooledFrame bytes and the parser's string
-// cache.
-type respReader struct {
-	r    *bufio.Reader
-	hdr  [4]byte
-	body []byte
-	p    parser
-}
-
-func newRespReader(r io.Reader) *respReader {
-	return &respReader{r: bufio.NewReader(r)}
-}
-
-// read reads and parses the next response frame.
-func (rr *respReader) read() (*response, error) {
-	if _, err := io.ReadFull(rr.r, rr.hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(rr.hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
-	}
-	body, err := readBody(rr.r, rr.body[:0], int(n))
-	rr.body = nil
-	if cap(body) <= maxPooledFrame {
-		rr.body = body
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rr.p.response(body)
-}
-
-// readBody reads an n-byte frame body into buf as its bytes arrive. buf grows
-// by doubling, from 512 bytes, so growing it never allocates more than twice
-// what came.
-func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
-	for len(buf) < n {
-		if len(buf) == cap(buf) {
-			buf = slices.Grow(buf, min(max(len(buf), 512), n-len(buf)))
-		}
-		k, err := r.Read(buf[len(buf):min(cap(buf), n)])
-		buf = buf[:len(buf)+k]
-		if err != nil && len(buf) < n {
-			if err == io.EOF {
-				err = fmt.Errorf("server: frame body ended %d bytes short of its %d-byte length: %w", n-len(buf), n, io.ErrUnexpectedEOF)
-			}
-			return buf, err
-		}
-	}
-	return buf, nil
-}
-
 // maxDepth is how deep encoding/json lets a value nest.
 const maxDepth = 10000
 
-// parser reads one response body by recursive descent. It takes what
-// encoding/json takes when it decodes the body into a response: one value
+// parser reads one frame body by recursive descent. It takes what
+// encoding/json takes when it decodes the body into a response or a request:
+// one value
 // after optional whitespace, the rest of the body ignored; null for the whole
 // response; field names matched as encoding/json matches them, exactly or
 // under Unicode case folding; a repeated field's last value winning, and an
@@ -338,36 +281,70 @@ var (
 	errorFields    = []string{"code", "message", "retryable", "backoff_ms"}
 )
 
-func (p *parser) response(body []byte) (*response, error) {
+// frame parses body, a frame's, as an object or null, calling member with
+// each member's decoded name to read its value.
+func (p *parser) frame(body []byte, member func(key []byte) error) error {
 	p.b, p.i, p.depth = body, 0, 0
 	defer func() { p.b = nil }()
-	resp := new(response)
 	p.ws()
-	err := p.null(func() error {
-		return p.members(func(key []byte) error {
-			switch field(key, responseFields) {
-			case 0:
-				return p.int(&resp.ID)
-			case 1:
-				return p.bool(&resp.OK)
-			case 2:
-				return p.int(&resp.SessionID)
-			case 3:
-				return p.columns(&resp.Columns)
-			case 4:
-				return p.rows(&resp.Rows)
-			case 5:
-				return p.int(&resp.Affected)
-			case 6:
-				return p.wireError(&resp.Err)
-			}
-			return p.skip()
-		})
+	return p.null(func() error { return p.members(member) })
+}
+
+func (p *parser) response(body []byte) (*response, error) {
+	resp := new(response)
+	err := p.frame(body, func(key []byte) error {
+		switch field(key, responseFields) {
+		case 0:
+			return p.int(&resp.ID)
+		case 1:
+			return p.bool(&resp.OK)
+		case 2:
+			return p.int(&resp.SessionID)
+		case 3:
+			return p.columns(&resp.Columns)
+		case 4:
+			return p.rows(&resp.Rows)
+		case 5:
+			return p.int(&resp.Affected)
+		case 6:
+			return p.wireError(&resp.Err)
+		}
+		return p.skip()
 	})
 	if err != nil {
 		return nil, err
 	}
 	return resp, nil
+}
+
+var requestFields = []string{"id", "op", "tenant", "sql"}
+
+// request parses a request body as encoding/json decodes one into a request
+// (see parser). An op is interned: the few there are cost nothing after the
+// first.
+func (p *parser) request(body []byte) (request, error) {
+	var req request
+	err := p.frame(body, func(key []byte) error {
+		switch field(key, requestFields) {
+		case 0:
+			return p.int(&req.ID)
+		case 1:
+			return p.null(func() error {
+				s, err := p.str()
+				req.Op, _ = p.intern(s)
+				return err
+			})
+		case 2:
+			return p.text(&req.Tenant)
+		case 3:
+			return p.text(&req.SQL)
+		}
+		return p.skip()
+	})
+	if err != nil {
+		return request{}, err
+	}
+	return req, nil
 }
 
 // field returns the index of the name key matches, or -1. The names differ
@@ -383,9 +360,9 @@ func field(key []byte, names []string) int {
 
 func (p *parser) fail(what string) error {
 	if p.i >= len(p.b) {
-		return fmt.Errorf("server: response frame ends inside its JSON value: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("server: frame ends inside its JSON value: %w", io.ErrUnexpectedEOF)
 	}
-	return fmt.Errorf("server: response frame: %s at byte %d", what, p.i)
+	return fmt.Errorf("server: frame: %s at byte %d", what, p.i)
 }
 
 // peek returns the next byte, or 0 at the end of the body.

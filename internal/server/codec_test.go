@@ -186,13 +186,39 @@ func oldAppendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
+// jsonFrame reads one length-prefixed frame into v with encoding/json, as the
+// server read requests before it had a frame reader: a json.Decoder over the
+// body, numbers bound for an any-typed field as json.Number, and the rest of
+// the frame after the value discarded.
+func jsonFrame(r io.Reader, v any) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > maxFrame {
+		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+	}
+	body := &io.LimitedReader{R: r, N: int64(n)}
+	dec := json.NewDecoder(body)
+	dec.UseNumber()
+	err := dec.Decode(v)
+	if err == nil {
+		_, err = io.Copy(io.Discard, body)
+	}
+	if body.N > 0 && (err == nil || err == io.EOF) {
+		err = fmt.Errorf("server: frame body ended %d bytes short of its %d-byte length: %w", body.N, n, io.ErrUnexpectedEOF)
+	}
+	return err
+}
+
 // oldRead is the decoder the codec replaced: encoding/json into a response,
 // numbers as json.Number, then each number cell read back as an INTEGER or a
 // REAL. ok is false when a cell is an array or an object, which the oracle
 // keeps as decoded and no server writes.
 func oldRead(data []byte) (resp *response, ok bool, err error) {
 	resp = new(response)
-	if err := readFrame(bytes.NewReader(data), resp); err != nil {
+	if err := jsonFrame(bytes.NewReader(data), resp); err != nil {
 		return nil, false, err
 	}
 	for _, row := range resp.Rows {
@@ -383,8 +409,8 @@ func TestResponseCodecAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(20, func() { buf, _ = appendResponse(buf[:0], resp) }); a > 0 {
 		t.Errorf("encode: %.0f allocations, want none", a)
 	}
-	rr := newRespReader(&loop{frame: frame})
-	got, err := rr.read()
+	rr := newFrameReader(&loop{frame: frame})
+	got, err := rr.response()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +418,7 @@ func TestResponseCodecAllocs(t *testing.T) {
 		t.Fatal("decoded rows differ")
 	}
 	const fixed = 8
-	if a := testing.AllocsPerRun(20, func() { rr.read() }); a > float64(boxes+fixed) {
+	if a := testing.AllocsPerRun(20, func() { rr.response() }); a > float64(boxes+fixed) {
 		t.Errorf("decode: %.0f allocations, want at most %d boxes + %d", a, boxes, fixed)
 	}
 }
@@ -445,10 +471,10 @@ func FuzzResponseDecode(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rr := newRespReader(bytes.NewReader(data))
+		rr := newFrameReader(bytes.NewReader(data))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := rr.read()
+		got, err := rr.response()
 		runtime.ReadMemStats(&after)
 		if err == nil && got == nil {
 			t.Fatal("no error and no response")
@@ -475,7 +501,7 @@ func FuzzResponseDecode(f *testing.F) {
 // oracle with the errors spelled out, so a divergence names its input.
 func TestResponseDecodeSeeds(t *testing.T) {
 	for _, data := range responseSeeds(t) {
-		got, err := newRespReader(bytes.NewReader(data)).read()
+		got, err := newFrameReader(bytes.NewReader(data)).response()
 		want, scalar, wantErr := oldRead(data)
 		if wantErr != nil || !scalar {
 			if !scalar && err == nil {
@@ -491,7 +517,7 @@ func TestResponseDecodeSeeds(t *testing.T) {
 			t.Errorf("%q: %s", data, d)
 		}
 	}
-	if _, err := newRespReader(bytes.NewReader([]byte{0, 0, 0, 9, '{'})).read(); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, err := newFrameReader(bytes.NewReader([]byte{0, 0, 0, 9, '{'})).response(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("short body: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -518,11 +544,11 @@ func BenchmarkResponseCodec(b *testing.B) {
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
-		rr := newRespReader(&loop{frame: frame})
+		rr := newFrameReader(&loop{frame: frame})
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := rr.read(); err != nil {
+			if _, err := rr.response(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -10,21 +10,23 @@
 // queue full, tenant cap, draining — is a typed, retryable PCT21x error
 // carrying a backoff hint, never a dropped connection.
 //
-// Request frames are small, and encoding/json writes and reads them at both
-// ends. A response frame can carry a whole result, so each end has a codec of
-// its own for it: the server appends the frame into one buffer straight from
-// the result's typed vectors (appendResponse), and the client parses it with
-// a small recursive-descent parser that boxes each cell once (client.go).
-// The bytes are the ones json.Marshal writes for the response struct below,
-// so either end reads a peer that still uses encoding/json.
+// Both ends read frames with one resumable reader (frameReader) and parse the
+// body with one small recursive-descent parser (client.go). Request frames
+// are small, and the client writes them with encoding/json. A response frame
+// can carry a whole result, so the server appends it into one buffer straight
+// from the result's typed vectors (appendResponse), and the parser boxes each
+// cell once. The bytes are the ones json.Marshal writes for the structs
+// below, so either end reads a peer that still uses encoding/json.
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -309,31 +311,92 @@ func appendString(b []byte, s string, cell bool) []byte {
 	return append(b, '"')
 }
 
-// readFrame reads one length-prefixed request frame into v. The body is
-// decoded as it arrives: what the frame allocates grows with the bytes that
-// came, never with what the header claims, so a peer cannot make the reader
-// hold maxFrame bytes by sending four. A number bound for an any-typed field
-// decodes as a json.Number, its digits kept.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// frameReader reads the frames of one connection — requests at the server,
+// responses at the client — each body as its bytes arrive: what a frame
+// allocates grows with the bytes that came, never with what the header
+// claims, so a peer cannot make the reader hold maxFrame bytes by sending
+// four. A read that fails keeps the header or body bytes read so far, and the
+// next call resumes the frame where it stopped: a server that wakes on its
+// idle deadline mid-frame reads on without losing its place in the stream.
+// Between frames it keeps a body buffer of up to maxPooledFrame bytes and the
+// parser's string cache.
+type frameReader struct {
+	r    *bufio.Reader
+	hdr  [4]byte
+	nhdr int    // header bytes read so far; 0 once a frame is whole
+	body []byte // body bytes read so far
+	p    parser
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
+}
+
+// next reads the rest of the current frame and returns its body, valid until
+// the next call.
+func (fr *frameReader) next() ([]byte, error) {
+	if fr.nhdr == 0 {
+		fr.body = fr.body[:0]
+		if cap(fr.body) > maxPooledFrame {
+			fr.body = nil
+		}
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	for fr.nhdr < len(fr.hdr) {
+		k, err := fr.r.Read(fr.hdr[fr.nhdr:])
+		fr.nhdr += k
+		if err != nil && fr.nhdr < len(fr.hdr) {
+			if err == io.EOF && fr.nhdr > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n > maxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
+		return nil, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte cap", n, maxFrame)
 	}
-	body := &io.LimitedReader{R: r, N: int64(n)}
-	dec := json.NewDecoder(body)
-	dec.UseNumber()
-	err := dec.Decode(v)
-	if err == nil {
-		// The value may end before the frame does: the rest of the frame is
-		// consumed, so the next header is read where it begins.
-		_, err = io.Copy(io.Discard, body)
+	body, err := readBody(fr.r, fr.body, int(n))
+	if fr.body = body; err != nil {
+		return nil, err
 	}
-	if body.N > 0 && (err == nil || err == io.EOF) {
-		err = fmt.Errorf("server: frame body ended %d bytes short of its %d-byte length: %w", body.N, n, io.ErrUnexpectedEOF)
+	fr.nhdr = 0
+	return body, nil
+}
+
+// readBody reads the rest of an n-byte frame body into buf, which holds what
+// came so far, as its bytes arrive. buf grows by doubling, from 512 bytes, so
+// growing it never allocates more than twice what came.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(max(len(buf), 512), n-len(buf)))
+		}
+		k, err := r.Read(buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil && len(buf) < n {
+			if err == io.EOF {
+				err = fmt.Errorf("server: frame body ended %d bytes short of its %d-byte length: %w", n-len(buf), n, io.ErrUnexpectedEOF)
+			}
+			return buf, err
+		}
 	}
-	return err
+	return buf, nil
+}
+
+// request reads and parses the next request frame.
+func (fr *frameReader) request() (request, error) {
+	body, err := fr.next()
+	if err != nil {
+		return request{}, err
+	}
+	return fr.p.request(body)
+}
+
+// response reads and parses the next response frame.
+func (fr *frameReader) response() (*response, error) {
+	body, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return fr.p.response(body)
 }

@@ -10,12 +10,14 @@ import (
 	"io"
 	"math"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/diag"
+	"repro/internal/leakcheck"
 )
 
 // frame encodes v as one wire frame.
@@ -36,8 +38,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	binary.BigEndian.PutUint32(hdr[:], maxFrame)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	var req request
-	err := readFrame(bytes.NewReader(hdr[:]), &req)
+	_, err := newFrameReader(bytes.NewReader(hdr[:])).request()
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("header alone: err = %v, want a short-body error", err)
@@ -56,23 +57,44 @@ func TestReadFrameKeepsFramesApart(t *testing.T) {
 	binary.Write(&in, binary.BigEndian, uint32(len(padded)))
 	in.Write(padded)
 	in.Write(frame(t, request{ID: 2, Op: opQuery, SQL: "SELECT 1"}))
-	var a, b request
-	if err := readFrame(&in, &a); err != nil || a.ID != 1 {
+	fr := newFrameReader(&in)
+	if a, err := fr.request(); err != nil || a.ID != 1 {
 		t.Fatalf("padded frame: %+v, %v", a, err)
 	}
-	if err := readFrame(&in, &b); err != nil || b.ID != 2 || b.SQL != "SELECT 1" {
+	if b, err := fr.request(); err != nil || b.ID != 2 || b.SQL != "SELECT 1" {
 		t.Fatalf("frame after a padded one: %+v, %v", b, err)
 	}
 	whole := frame(t, request{ID: 3, Op: opPing})
-	var c request
-	if err := readFrame(bytes.NewReader(whole[:len(whole)-2]), &c); err == nil {
+	if c, err := newFrameReader(bytes.NewReader(whole[:len(whole)-2])).request(); err == nil {
 		t.Fatalf("truncated frame decoded: %+v", c)
 	}
 }
 
+// chunked delivers data size bytes at a time with a deadline error before
+// each chunk, as a connection does whose read deadline keeps passing
+// mid-frame.
+type chunked struct {
+	data []byte
+	size int
+	wait bool
+}
+
+func (c *chunked) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	if c.wait = !c.wait; c.wait {
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := copy(p[:min(len(p), c.size)], c.data)
+	c.data = c.data[n:]
+	return n, nil
+}
+
 // FuzzFrameDecode feeds arbitrary bytes to the frame reader. It must not
-// panic; it returns an error or a request; and a request it returns survives
-// writeFrame → readFrame unchanged.
+// panic; it returns an error or a request; a request it returns survives
+// writeFrame → read unchanged; and the bytes delivered in chunks, a deadline
+// error between each two, read as they do whole.
 func FuzzFrameDecode(f *testing.F) {
 	for _, req := range []request{
 		{ID: 1, Op: opHello, Tenant: "alpha"},
@@ -90,12 +112,22 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append([]byte{0, 0, 0, 6}, `[1, 2]`...))        // JSON, not an object
 	f.Add(append([]byte{0, 0, 0, 12}, `{"id":"x"}  `...)) // wrong field type
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req request
-		if err := readFrame(bytes.NewReader(data), &req); err != nil {
+		req, err := newFrameReader(bytes.NewReader(data)).request()
+		for _, size := range []int{1, 3, 7} {
+			fr := newFrameReader(&chunked{data: data, size: size})
+			got, gerr := fr.request()
+			for errors.Is(gerr, os.ErrDeadlineExceeded) {
+				got, gerr = fr.request()
+			}
+			if (gerr == nil) != (err == nil) || got != req {
+				t.Fatalf("in %d-byte chunks: %+v, %v; whole: %+v, %v", size, got, gerr, req, err)
+			}
+		}
+		if err != nil {
 			return
 		}
-		var again request
-		if err := readFrame(bytes.NewReader(frame(t, req)), &again); err != nil {
+		again, err := newFrameReader(bytes.NewReader(frame(t, req))).request()
+		if err != nil {
 			t.Fatalf("re-encoded %+v does not decode: %v", req, err)
 		}
 		if again != req {
@@ -120,9 +152,10 @@ func TestOversizeResponseKeepsSession(t *testing.T) {
 		}
 		done <- err
 	}()
+	fr := newFrameReader(b)
 	for _, want := range []response{{ID: 7, Err: &wireError{Code: diag.CodeUnencodable}}, {ID: 8, OK: true}} {
-		var got response
-		if err := readFrame(b, &got); err != nil {
+		got, err := fr.response()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got.ID != want.ID || got.OK != want.OK || (got.Err == nil) != (want.Err == nil) || got.Err != nil && got.Err.Code != want.Err.Code {
@@ -153,5 +186,58 @@ func TestWireRowsJSON(t *testing.T) {
 		if _, err := appendRows(nil, resultOf([]string{"x"}, [][]any{{f}}), maxFrame); err == nil {
 			t.Errorf("%v marshalled", f)
 		}
+	}
+}
+
+// TestRequestFrameSurvivesIdleTimeout: a request frame that straddles the
+// session's idle deadline while a statement is in flight is read whole once
+// the rest of it arrives. The session is neither reset nor out of step: the
+// held statement and the new one are both answered.
+func TestRequestFrameSurvivesIdleTimeout(t *testing.T) {
+	defer leakcheck.Check(t)()
+	h := newDrainHarness(t, Config{SessionTimeout: 50 * time.Millisecond})
+	defer h.srv.Close()
+	conn, err := net.Dial("tcp", h.srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := newFrameReader(conn)
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(frame(t, request{ID: 1, Op: opHello, Tenant: "a"}))
+	if hello, err := fr.response(); err != nil || !hello.OK {
+		t.Fatalf("hello: %+v, %v", hello, err)
+	}
+	send(frame(t, request{ID: 2, Op: opQuery, SQL: "SELECT count(*) FROM sales"}))
+	h.gate.WaitInFlight(t, 1)
+
+	// The header and two body bytes, then the rest after three idle
+	// deadlines have passed.
+	q := frame(t, request{ID: 3, Op: opQuery, SQL: "SELECT count(*) FROM daily"})
+	send(q[:6])
+	time.Sleep(175 * time.Millisecond)
+	send(q[6:])
+	h.gate.WaitInFlight(t, 2)
+	h.gate.Release()
+
+	answered := map[int64]bool{}
+	for len(answered) < 2 {
+		resp, err := fr.response()
+		if err != nil {
+			t.Fatalf("answers so far %v: %v", answered, err)
+		}
+		if !resp.OK || resp.Err != nil || len(resp.Rows) != 1 {
+			t.Fatalf("response %d: %+v (err %+v)", resp.ID, resp, resp.Err)
+		}
+		answered[resp.ID] = true
+	}
+	if !answered[2] || !answered[3] {
+		t.Errorf("answered %v, want requests 2 and 3", answered)
 	}
 }

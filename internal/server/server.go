@@ -276,8 +276,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var hello request
-	if err := readFrame(conn, &hello); err != nil {
+	fr := newFrameReader(conn)
+	hello, err := fr.request()
+	if err != nil {
 		return
 	}
 	if hello.Op != opHello {
@@ -317,21 +318,23 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := sess.write(&response{ID: hello.ID, OK: true, SessionID: sess.id}); err != nil {
 		return
 	}
-	s.readLoop(sess)
+	s.readLoop(sess, fr)
 }
 
 // readLoop decodes request frames until the client leaves, the connection
 // breaks, or the session idles out (PCT213). Queries are dispatched onto
-// their own goroutines, so clients may pipeline.
-func (s *Server) readLoop(sess *session) {
+// their own goroutines, so clients may pipeline. An idle deadline that passes
+// while statements are in flight is no idle timeout: the loop reads on, and
+// fr resumes a frame the deadline cut.
+func (s *Server) readLoop(sess *session, fr *frameReader) {
 	for {
 		if to := s.cfg.SessionTimeout; to > 0 {
 			sess.conn.SetReadDeadline(time.Now().Add(to))
 		} else {
 			sess.conn.SetReadDeadline(time.Time{})
 		}
-		var req request
-		if err := readFrame(sess.conn, &req); err != nil {
+		req, err := fr.request()
+		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				if sess.inflight.Load() > 0 {

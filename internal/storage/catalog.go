@@ -78,11 +78,14 @@ func (c *Catalog) Drop(name string) error {
 	return nil
 }
 
-// DropIfExists removes the named table if present.
-func (c *Catalog) DropIfExists(name string) {
+// DropIfExists removes the named table if present and reports whether it was.
+func (c *Catalog) DropIfExists(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.tables, strings.ToLower(name))
+	key := strings.ToLower(name)
+	_, ok := c.tables[key]
+	delete(c.tables, key)
+	return ok
 }
 
 // Names returns the table names in sorted order.

@@ -324,7 +324,7 @@ func (r rewriter) Explain(ctx context.Context, ex *sqlparse.Explain, par int, pa
 		return nil, err
 	}
 	if !ex.Analyze {
-		defer r.db.planner.CleanupPlanCtx(ctx, plan)
+		defer r.db.planner.CleanupPlan(plan)
 		return engine.PlanResult(strings.Split(strings.TrimRight(plan.SQL(), "\n"), "\n")), nil
 	}
 	res, trace, err := r.db.planner.ExecuteTyped(ctx, plan, true)
