@@ -145,7 +145,7 @@ type summaryEntry struct {
 	delta     *deltaMeta
 
 	built   bool // the table exists and holds the summary
-	invalid bool // DML outran the delta path; discard on next lookup
+	invalid bool // DML outran the delta path; its table is retired, and the next lookup rebuilds
 
 	epoch    int64 // base epoch the summary reflects
 	baseRows int   // base row count the summary reflects
@@ -163,30 +163,56 @@ type summaryEntry struct {
 	// not be in the result, so the entry must not claim to cover it.
 	gen int64
 
-	// capGen/capEpoch/capRows are the snapshot taken by the capture step
-	// before a from-scratch build scans the base table.
-	capGen, capEpoch int64
-	capRows          int
+	// busy is closed when the lookup that builds or refreshes the entry is
+	// done; nil while none is. A lookup of a busy entry waits for it.
+	busy chan struct{}
 }
 
-// cacheMode classifies a plan-time cache lookup.
+// cacheMode says how the cache answered a summary at plan time.
 type cacheMode int
 
 const (
-	cacheOff      cacheMode = iota // sharing disabled: plain temp table
-	cacheMiss                      // build from scratch, then publish
-	cacheHitClean                  // cached table is current: use it as is
-	cacheHitDelta                  // refresh incrementally into a new table
+	cacheOff       cacheMode = iota // not cached: the plan builds a private table
+	cacheReused                     // the cached table was current
+	cacheRefreshed                  // the lookup folded pending changes in (or rebuilt it)
+	cacheBuilt                      // the lookup built and published it
 )
+
+// hit reports whether the cache served the summary, as is or refreshed.
+func (m cacheMode) hit() bool { return m == cacheReused || m == cacheRefreshed }
+
+// marker is the comment step a plan keeps for a summary the cache answered.
+func (m cacheMode) marker(s *summary) Step {
+	verb := [...]string{cacheReused: "reuse", cacheRefreshed: "refresh", cacheBuilt: "build"}[m]
+	return Step{Purpose: "cache: " + verb + " shared " + s.what + " summary " + s.table}
+}
 
 // cacheDMLHook feeds committed DML into the planner's summary cache. It is
 // installed on the engine by ShareSummaries(true).
 type cacheDMLHook struct{ p *Planner }
 
+// OnInsert records a committed append [from, to) against every summary over
+// the table: deltable entries extend their pending range, the rest are
+// invalidated.
 func (h *cacheDMLHook) OnInsert(table string, from, to int, preEp, postEp int64) {
-	h.p.cacheOnInsert(table, from, to, preEp, postEp)
+	h.p.cacheTouch(table, func(e *summaryEntry) bool {
+		if covEpoch, covRows := e.covered(); e.delta.rollup == "" || preEp != covEpoch || from != covRows {
+			return false
+		}
+		if e.pendTo == e.pendFrom {
+			e.pendFrom = from
+		}
+		e.pendTo, e.pendEpoch = to, postEp
+		return true
+	})
 }
-func (h *cacheDMLHook) OnMutate(table string, m *engine.Mutation) { h.p.cacheOnMutate(table, m) }
+
+// OnMutate tells every summary over a table that was updated, deleted from
+// or dropped. m describes a bounded in-place UPDATE; an entry takes it by the
+// table heading this file. Everything else (m nil) invalidates.
+func (h *cacheDMLHook) OnMutate(table string, m *engine.Mutation) {
+	h.p.cacheTouch(table, func(e *summaryEntry) bool { return m != nil && e.absorb(m) })
+}
 
 // pending reports whether tracked changes wait to be folded in.
 func (e *summaryEntry) pending() bool { return e.pendTo > e.pendFrom || len(e.signed) > 0 }
@@ -217,49 +243,20 @@ func (e *summaryEntry) restamp(epoch int64) {
 	}
 }
 
-// cacheOnInsert records a committed append [from, to) against every summary
-// over the table: deltable entries extend their pending range, the rest are
-// invalidated. Runs on the writer's goroutine, post-commit.
-func (p *Planner) cacheOnInsert(table string, from, to int, preEp, postEp int64) {
+// cacheTouch counts committed DML on table against every summary over it
+// (gen) and hands each built, valid one to keep, invalidating it when keep
+// says it is no longer a true account of the table. Runs on the writer's
+// goroutine, post-commit.
+func (p *Planner) cacheTouch(table string, keep func(e *summaryEntry) bool) {
 	lower := strings.ToLower(table)
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	defer p.unlock()
 	for _, e := range p.summaries {
 		if e.baseTable != lower {
 			continue
 		}
 		e.gen++
-		if !e.built || e.invalid {
-			continue
-		}
-		if covEpoch, covRows := e.covered(); e.delta.rollup == "" || preEp != covEpoch || from != covRows {
-			p.invalidateLocked(e)
-			continue
-		}
-		if e.pendTo == e.pendFrom {
-			e.pendFrom = from
-		}
-		e.pendTo = to
-		e.pendEpoch = postEp
-	}
-}
-
-// cacheOnMutate tells every summary over a table that was updated, deleted
-// from or dropped. m describes a bounded in-place UPDATE; an entry takes it
-// by the table heading this file. Everything else (m nil) invalidates.
-func (p *Planner) cacheOnMutate(table string, m *engine.Mutation) {
-	lower := strings.ToLower(table)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, e := range p.summaries {
-		if e.baseTable != lower {
-			continue
-		}
-		e.gen++
-		if !e.built || e.invalid {
-			continue
-		}
-		if m == nil || !e.absorb(m) {
+		if e.built && !e.invalid && !keep(e) {
 			p.invalidateLocked(e)
 		}
 	}
@@ -311,166 +308,175 @@ func identical(a, b value.Value) bool {
 	return a == b
 }
 
+// invalidateLocked marks the entry invalid and retires its table.
 func (p *Planner) invalidateLocked(e *summaryEntry) {
 	e.invalid = true
 	e.pendFrom, e.pendTo, e.signed, e.pendEpoch = 0, 0, nil, 0
+	p.retireLocked(e.table)
 	p.cstats.Invalidations++
 	mCacheInvalidations.Inc()
 }
 
-// cacheLookup consults the cache at plan time for summary s of a: s.table is
-// the temp-table name the plan would use if it has to build, and only a miss
-// renders the summary's maintenance metadata.
-// On cacheMiss the returned entry is provisionally registered — the plan
-// must run a capture step before and a publish step after the build, and
-// cleanup abandons unpublished registrations (an EXPLAINed or failed plan
-// must not poison the cache). On cacheHitDelta the returned entry is the
-// live one; the plan refreshes it into fresh via cacheDeltaStep.
-func (p *Planner) cacheLookup(key string, s *summary, a *analysis) (string, cacheMode, *summaryEntry) {
-	fresh, base := s.table, a.table
-	// Read the base epoch before taking p.mu: the DML hook takes p.mu while
-	// never holding the catalog lock, and this ordering keeps it that way.
-	var cur int64
-	haveEpoch := false
-	if t, err := p.Eng.Catalog().Get(base); err == nil {
-		cur, haveEpoch = t.Epoch(), true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.shareSummaries {
-		return fresh, cacheOff, nil
-	}
-	if e, ok := p.summaries[key]; ok {
-		if e.built && !e.invalid && haveEpoch {
-			if cur == e.epoch {
-				p.cstats.Hits++
-				mCacheHits.Inc()
-				return e.table, cacheHitClean, e
-			}
-			if e.delta.rollup != "" && e.pending() && cur == e.pendEpoch {
-				p.cstats.Hits++
-				mCacheHits.Inc()
-				return fresh, cacheHitDelta, e
-			}
-			// Stale beyond what the delta covers (a write bypassed the
-			// engine, or raced the lookup).
-			p.invalidateLocked(e)
-		}
-		// Discard: unbuilt leftovers from a plan that never executed, or
-		// invalidated entries. Their tables stay on the flush list.
-		delete(p.summaries, key)
-	}
-	p.cstats.Misses++
-	mCacheMisses.Inc()
-	ne := &summaryEntry{key: key, table: fresh, baseTable: strings.ToLower(base), delta: s.meta(a)}
-	p.summaries[key] = ne
-	p.summaryDrops = append(p.summaryDrops, fresh)
-	return fresh, cacheMiss, ne
-}
-
-// cacheAbandon forgets every provisional registration the plan never
-// published: EXPLAIN plans and failed builds must not leave entries that a
-// later plan would trust. Runs from plan cleanup.
-func (p *Planner) cacheAbandon(plan *Plan) {
-	if len(plan.cacheRegs) == 0 {
+// retireLocked gives up a cache table no entry serves any more: it is
+// dropped at the next unlock, or, while a plan or a lookup binds it, when the
+// last of them releases it.
+func (p *Planner) retireLocked(table string) {
+	if p.pins[table] > 0 {
+		p.retired[table] = true
 		return
 	}
-	regs := plan.cacheRegs
-	plan.cacheRegs = nil
-	var drops []string
-	p.mu.Lock()
-	for _, e := range regs {
-		if e.built {
-			continue
-		}
-		if cur, ok := p.summaries[e.key]; ok && cur == e {
-			delete(p.summaries, e.key)
-		}
-		drops = append(drops, e.table)
+	p.unbound = append(p.unbound, table)
+}
+
+// releaseLocked releases one binding of a cache table (p.pins), dropping
+// the table once the last is gone if it was retired while bound.
+func (p *Planner) releaseLocked(table string) {
+	if p.pins[table]--; p.pins[table] > 0 {
+		return
 	}
+	delete(p.pins, table)
+	if p.retired[table] {
+		delete(p.retired, table)
+		p.unbound = append(p.unbound, table)
+	}
+}
+
+// unlock releases p.mu, then drops the retired tables nothing binds. A drop
+// runs the DML hook, which takes p.mu, so no drop may run under it.
+func (p *Planner) unlock() {
+	drops := p.unbound
+	p.unbound = nil
 	p.mu.Unlock()
 	for _, t := range drops {
 		p.Eng.DropIfExists(t)
 	}
 }
 
-// cacheCaptureStep snapshots the base table's epoch, row count, and the
-// entry's hook generation before a from-scratch build scans it. The publish
-// step compares generations: if DML touched the entry mid-build, the result
-// may or may not contain those rows, so it publishes as invalid.
-func (p *Planner) cacheCaptureStep(e *summaryEntry, base string) Step {
-	return Step{
-		Purpose: "cache: snapshot base-table epoch",
-		native: func(_ context.Context, eng *engine.Engine, _ int, _ *obs.Span) error {
-			p.mu.Lock()
-			gen := e.gen
-			p.mu.Unlock()
-			t, err := eng.Catalog().Get(base)
-			if err != nil {
-				return err
+// cacheLookup answers summary s of a from the cache while the plan is
+// generated, under the statement's context: a current entry is reused as it
+// is, a pending one is refreshed (applyCacheDelta), and a missing or invalid
+// one is built by query and published — all before the lookup returns, so
+// the plan only reads s.table, which stays bound to it until its cleanup.
+// One lookup at a time works on a key; a concurrent lookup of it waits, then
+// reads what that one left. The work is one unit of plan work
+// (engine.Contain): its statements nest under the plan's span as generated
+// ones, the limits' deadline applies, and a panic comes back as PCT206 with
+// the entry untouched, since publishing comes last. A failed lookup records
+// its error on the plan and answers cacheOff, as every later one does. A plan
+// for display changes nothing: it renders a cached entry, current or
+// pending, and answers cacheOff for a missing one, whose build the caller
+// renders privately. s.table is the fresh name a build or refresh writes.
+func (p *Planner) cacheLookup(ctx context.Context, plan *Plan, key string, s *summary, a *analysis, query func() string) cacheMode {
+	if plan.err != nil {
+		return cacheOff
+	}
+	var e *summaryEntry
+	var mode cacheMode
+	for {
+		// Read the base epoch before taking p.mu: the DML hook takes p.mu while
+		// never holding the catalog lock, and this ordering keeps it that way.
+		t, err := p.Eng.Catalog().Get(a.table)
+		p.mu.Lock()
+		e = p.summaries[key]
+		mode = cacheBuilt // missing, invalid, or stale beyond what the delta covers
+		switch {
+		case !p.shareSummaries:
+			mode = cacheOff
+		case e == nil || !e.built || e.invalid || err != nil:
+		case t.Epoch() == e.epoch:
+			mode = cacheReused
+		case e.delta.rollup != "" && e.pending() && t.Epoch() == e.pendEpoch:
+			mode = cacheRefreshed
+		}
+		if mode == cacheOff || plan.display || e == nil || e.busy == nil {
+			break
+		}
+		busy := e.busy
+		p.mu.Unlock()
+		select {
+		case <-busy:
+		case <-ctx.Done():
+			plan.err = engine.CheckCtx(ctx)
+			return cacheOff
+		}
+	}
+	if plan.display && mode == cacheBuilt {
+		mode = cacheOff // a missing summary renders as a private build
+	}
+	if mode == cacheReused || plan.display && mode != cacheOff {
+		s.table = e.table
+	}
+	if mode == cacheOff || plan.display {
+		p.mu.Unlock()
+		return mode
+	}
+	if mode == cacheBuilt {
+		if e != nil && e.built && !e.invalid {
+			// Stale beyond what the delta covers: a write bypassed the engine,
+			// or raced the lookup.
+			p.invalidateLocked(e)
+		}
+		e = &summaryEntry{key: key, table: s.table, baseTable: strings.ToLower(a.table), delta: s.meta(a)}
+		p.summaries[key] = e
+	}
+	plan.pins = append(plan.pins, s.table)
+	p.pins[s.table]++
+	if mode != cacheReused {
+		e.busy = make(chan struct{})
+		old := e.table
+		p.pins[old]++ // a refresh reads it: a concurrent invalidation must not drop it
+		p.unlock()
+		var sp *obs.Span
+		if plan.span != nil {
+			sp = plan.span.NewChild(mode.marker(s).Purpose)
+		}
+		err := p.Eng.Contain(engine.Generated(ctx), "cache lookup", sp, func(ctx context.Context, _ engine.Limits) error {
+			if mode == cacheRefreshed {
+				return p.applyCacheDelta(ctx, plan.Parallelism, sp, e, s)
 			}
-			ep, rows := t.Epoch(), t.NumRows()
-			p.mu.Lock()
-			e.capGen, e.capEpoch, e.capRows = gen, ep, rows
-			p.mu.Unlock()
-			return nil
-		},
-	}
-}
-
-// cachePublishStep marks a freshly built summary live.
-func (p *Planner) cachePublishStep(e *summaryEntry, what string) Step {
-	return Step{
-		Purpose: "cache: publish " + what + " summary",
-		native: func(_ context.Context, _ *engine.Engine, _ int, _ *obs.Span) error {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			e.built = true
-			e.epoch = e.capEpoch
-			e.baseRows = e.capRows
-			if e.gen != e.capGen {
-				// DML raced the build scan; don't trust the snapshot.
-				p.invalidateLocked(e)
+			return p.cacheRebuild(ctx, plan.Parallelism, sp, e, s, query(), s.from)
+		})
+		sp.End()
+		p.mu.Lock()
+		close(e.busy)
+		e.busy = nil
+		p.releaseLocked(old)
+		if err != nil {
+			if p.summaries[key] == e && !e.built {
+				delete(p.summaries, key)
 			}
-			return nil
-		},
+			p.retireLocked(s.table) // unpublished: dropped when the failed plan lets go
+			p.unlock()
+			plan.err = err
+			return cacheOff
+		}
 	}
+	s.epoch = -1 // unknown, unless the entry serves the table
+	if p.summaries[key] == e && e.table == s.table && !e.invalid {
+		s.epoch = e.epoch
+	}
+	if mode == cacheBuilt {
+		p.cstats.Misses++
+		plan.cacheMisses++
+		mCacheMisses.Inc()
+	} else {
+		p.cstats.Hits++
+		plan.cacheHits++
+		mCacheHits.Inc()
+	}
+	p.unlock()
+	return mode
 }
 
-// cacheHitStep is the no-op marker step a clean cache hit leaves in the
-// plan, so EXPLAIN and traces show where a summary was reused.
-func cacheHitStep(what, table string) Step {
-	return Step{
-		Purpose: "cache: reuse shared " + what + " summary " + table,
-		native: func(context.Context, *engine.Engine, int, *obs.Span) error {
-			return nil
-		},
-	}
-}
-
-// cacheDeltaStep refreshes a cached summary into newT: incrementally when
-// the pending delta still applies at execution time, by copy when another
-// plan already refreshed it, by rebuild otherwise. Either way the step ends
-// with newT holding a correct summary for this plan's later steps, and the
-// entry republished to point at it.
-func (p *Planner) cacheDeltaStep(e *summaryEntry, newT, what string) Step {
-	return Step{
-		Purpose: "cache: refresh " + what + " summary incrementally",
-		native: func(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span) error {
-			return p.applyCacheDelta(ctx, eng, parallelism, sp, e, newT)
-		},
-	}
-}
-
-// cacheStride mirrors the engine's governor stride: native cache loops
-// check cancellation once per this many rows.
+// cacheStride mirrors the engine's governor stride: the delta snapshot's
+// loops check cancellation once per this many rows.
 const cacheStride = 1024
 
-// publish modes for cachePublishReplace.
+// How cachePublishReplace publishes a table.
 const (
-	pubPreserve = iota // keep the entry's invalid flag as is
-	pubValid           // mark valid (rebuild that saw no racing DML)
-	pubInvalid         // mark invalid (rebuild raced DML)
+	pubMerged = iota // a delta merge: the entry stays as valid as it was
+	pubBuilt         // a build no DML raced: the entry is valid
+	pubRaced         // a build that DML raced: the entry is invalid
 )
 
 // cachePublishReplace points the entry at newT, which reflects the base
@@ -478,22 +484,26 @@ const (
 // appended rows below rows, signed images stamped at or before epoch. When
 // nothing is left pending, statements tracked since that touched nothing the
 // summary reads have only moved pendEpoch, and the entry is current at it.
-// The replaced table is not dropped here — concurrently executing plans may
-// still reference it; FlushSummaries drops everything it ever registered.
-func (p *Planner) cachePublishReplace(e *summaryEntry, newT string, epoch int64, rows int, mode int, applied bool) {
+// The replaced table is retired: the plans that bound it keep it until their
+// cleanup. newT itself is retired when the entry is invalid — the plan that
+// built it still reads it — or was flushed while it was built.
+func (p *Planner) cachePublishReplace(e *summaryEntry, newT string, epoch int64, rows int, how int) {
 	p.mu.Lock()
-	if p.summaries[e.key] == e {
-		e.built = true
-		e.table = newT
-		e.epoch = epoch
-		e.baseRows = rows
-		switch mode {
-		case pubValid:
+	switch {
+	case p.summaries[e.key] != e:
+		p.retireLocked(newT)
+	default:
+		if e.table != newT && !e.invalid {
+			p.retireLocked(e.table)
+		}
+		e.built, e.table, e.epoch, e.baseRows = true, newT, epoch, rows
+		switch {
+		case how == pubBuilt:
 			e.invalid = false
-		case pubInvalid:
-			if !e.invalid {
-				p.invalidateLocked(e)
-			}
+		case e.invalid:
+			p.retireLocked(newT)
+		case how == pubRaced:
+			p.invalidateLocked(e)
 		}
 		if e.pendTo <= rows {
 			e.pendFrom, e.pendTo = 0, 0
@@ -507,49 +517,30 @@ func (p *Planner) cachePublishReplace(e *summaryEntry, newT string, epoch int64,
 			e.epoch, e.pendEpoch = max(epoch, e.pendEpoch), 0
 		}
 	}
-	p.summaryDrops = append(p.summaryDrops, newT)
-	if applied {
+	if how == pubMerged {
 		p.cstats.DeltaApplied++
-	}
-	p.mu.Unlock()
-	if applied {
 		mCacheDeltaApplied.Inc()
 	}
+	p.unlock()
 }
 
-// cacheSnap is an immutable view of an entry taken under p.mu.
-type cacheSnap struct {
-	table     string
-	epoch     int64
-	baseRows  int
-	from, to  int
-	signed    []signedRow
-	pendEpoch int64
-	live      bool
-}
-
-func (p *Planner) applyCacheDelta(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, newT string) error {
+// applyCacheDelta refreshes the entry into s.table: by the delta merge when
+// the pending changes still apply, by a rebuild from the base table otherwise
+// or after a fault mid-delta.
+func (p *Planner) applyCacheDelta(ctx context.Context, parallelism int, sp *obs.Span, e *summaryEntry, s *summary) error {
 	p.mu.Lock()
-	meta := e.delta
-	st := cacheSnap{
-		table: e.table, epoch: e.epoch, baseRows: e.baseRows,
-		from: e.pendFrom, to: e.pendTo, signed: e.signed, pendEpoch: e.pendEpoch,
-		live: e.built && !e.invalid,
-	}
+	st := *e // a snapshot: the DML hook goes on changing e
 	p.mu.Unlock()
-	base, err := eng.Catalog().Get(meta.base)
+	meta := st.delta
+	base, err := p.Eng.Catalog().Get(meta.base)
 	if err != nil {
 		return err
 	}
 	cur, curRows := base.Epoch(), base.NumRows()
 
-	if st.live && cur == st.epoch {
-		// Another plan already refreshed the entry; copy its table.
-		return p.cacheCopy(ctx, eng, parallelism, sp, e, meta, st, newT)
-	}
-	appended, signed := st.to > st.from, len(st.signed) > 0
-	if st.live && (appended || signed) && (!appended || st.from == st.baseRows) && cur == st.pendEpoch && st.to <= curRows {
-		err := p.cacheDeltaMerge(ctx, eng, parallelism, sp, e, meta, st, newT)
+	appended, signed := st.pendTo > st.pendFrom, len(st.signed) > 0
+	if st.built && !st.invalid && (appended || signed) && (!appended || st.pendFrom == st.baseRows) && cur == st.pendEpoch && st.pendTo <= curRows {
+		err := p.cacheDeltaMerge(ctx, parallelism, sp, e, meta, &st, s)
 		if err == nil {
 			return nil
 		}
@@ -567,42 +558,43 @@ func (p *Planner) applyCacheDelta(ctx context.Context, eng *engine.Engine, paral
 			sp.Attr("cache.fallback", err.Error())
 		}
 	}
-	return p.cacheRebuild(ctx, eng, parallelism, sp, e, meta, newT)
+	return p.cacheRebuild(ctx, parallelism, sp, e, s, fmt.Sprintf("SELECT %s FROM %s%s%s", meta.selects, meta.base, meta.where, meta.groupBy), nil)
 }
 
-// cacheBuild creates newT with the summary's columns and fills it with the
-// rows of query, dropping it again on any failure.
-func (p *Planner) cacheBuild(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, meta *deltaMeta, newT, query string) error {
+// cacheBuild creates s.table with the summary's columns, fills it with the
+// rows of query and, when asked, declares its index on its group columns (as
+// CREATE INDEX does, without the statement), dropping it again on any
+// failure. No plan reads the table before the lookup that builds it is done,
+// so the index is declared while nothing else can read it.
+func (p *Planner) cacheBuild(ctx context.Context, parallelism int, sp *obs.Span, meta *deltaMeta, s *summary, query string) error {
 	ok := false
 	defer func() {
 		if !ok {
-			eng.DropIfExists(newT)
+			p.Eng.DropIfExists(s.table)
 		}
 	}()
-	if _, err := eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", newT, meta.colDefs), 1, sp); err != nil {
+	if _, err := p.Eng.ExecSQLCtxIn(ctx, fmt.Sprintf("CREATE TABLE %s (%s)", s.table, meta.colDefs), 1, sp); err != nil {
 		return err
 	}
-	if _, err := eng.ExecSQLCtxIn(ctx, "INSERT INTO "+newT+" "+query, parallelism, sp); err != nil {
+	if _, err := p.Eng.ExecSQLCtxIn(ctx, "INSERT INTO "+s.table+" "+query, parallelism, sp); err != nil {
 		return err
+	}
+	if s.indexed {
+		t, err := p.Eng.Catalog().Get(s.table)
+		if err != nil {
+			return err
+		}
+		if _, err := t.CreateIndex(p.temp("ixj"), s.group); err != nil {
+			return err
+		}
 	}
 	ok = true
 	return nil
 }
 
-// cacheCopy materializes newT as a row-order copy of the current cache
-// table. Row order is preserved, so results are identical to reusing the
-// table directly.
-func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
-	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, "SELECT * FROM "+st.table); err != nil {
-		return err
-	}
-	p.cachePublishReplace(e, newT, st.epoch, st.baseRows, pubPreserve, false)
-	return nil
-}
-
 // cacheDeltaMerge refreshes the summary incrementally: snapshot what is
 // pending into two scratch tables shaped like the base — the old image of
-// each changed row; its new image and then the appended rows [st.from, st.to)
+// each changed row; its new image and then the appended rows [pendFrom, pendTo)
 // — append to another the cached rows and then each snapshot's roll-up — the
 // summary's own build statement, negated over the old images, the scratch
 // table aliased as the base so WHERE and select references resolve — and
@@ -611,7 +603,8 @@ func (p *Planner) cacheCopy(ctx context.Context, eng *engine.Engine, parallelism
 // stays in its group, so existing groups keep their positions and brand-new
 // groups append in the appended rows' order: the result is byte-identical to
 // a cold aggregation over the full table.
-func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st cacheSnap, newT string) error {
+func (p *Planner) cacheDeltaMerge(ctx context.Context, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, st *summaryEntry, s *summary) error {
+	eng := p.Eng
 	base, err := eng.Catalog().Get(meta.base)
 	if err != nil {
 		return err
@@ -663,8 +656,8 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	}
 	var rowBuf []value.Value
 	if err == nil {
-		err = fill(delta, st.to-st.from, func(i int) []value.Value {
-			rowBuf = base.Row(st.from+i, rowBuf)
+		err = fill(delta, st.pendTo-st.pendFrom, func(i int) []value.Value {
+			rowBuf = base.Row(st.pendFrom+i, rowBuf)
 			return rowBuf
 		})
 	}
@@ -673,9 +666,8 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	}
 
 	// 2. The cached rows, then each snapshot re-aggregated, governed like any
-	// statement, in one table reserved for all. Copy-on-write keeps
-	// concurrent plans that hold the old table name safe; the old table is
-	// dropped at flush.
+	// statement, in one table reserved for all. The cached table is left as it
+	// is: the plans that bound it read it until their cleanup.
 	old, err := eng.Catalog().Get(st.table)
 	if err != nil {
 		return err
@@ -695,13 +687,14 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	if err := chaos.Hit(chaos.CacheMerge); err != nil {
 		return err
 	}
-	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, fmt.Sprintf("SELECT %s FROM %s%s", meta.rollup, unionT, meta.groupBy)); err != nil {
+	if err := p.cacheBuild(ctx, parallelism, sp, meta, s, fmt.Sprintf("SELECT %s FROM %s%s", meta.rollup, unionT, meta.groupBy)); err != nil {
 		return err
 	}
 
-	// 4. Publish. newT reflects the base at the captured pending epoch;
-	// statements that landed during the merge stay pending and chain off it.
-	p.cachePublishReplace(e, newT, st.pendEpoch, max(st.to, st.baseRows), pubPreserve, true)
+	// 4. Publish. The new table reflects the base at the captured pending
+	// epoch; statements that landed during the merge stay pending and chain
+	// off it.
+	p.cachePublishReplace(e, s.table, st.pendEpoch, max(st.pendTo, st.baseRows), pubMerged)
 	if sp != nil {
 		sp.AttrInt("cache.delta_rows", int64(rows))
 		sp.AttrInt("cache.merged_groups", int64(union.NumRows()-old.NumRows()))
@@ -709,31 +702,34 @@ func (p *Planner) cacheDeltaMerge(ctx context.Context, eng *engine.Engine, paral
 	return nil
 }
 
-// cacheRebuild recomputes the summary from the live base table — the
-// degradation path for everything the table heading this file marks invalid,
-// writes that bypassed the hook, and faults mid-delta.
-func (p *Planner) cacheRebuild(ctx context.Context, eng *engine.Engine, parallelism int, sp *obs.Span, e *summaryEntry, meta *deltaMeta, newT string) error {
+// cacheRebuild builds the summary into s.table by query and publishes it — a
+// missing summary's build, and the degradation path for everything the
+// table heading this file marks invalid, writes that bypassed the hook, and
+// faults mid-delta. It reflects the base table as read before the scan: a
+// write the hook reports meanwhile publishes the entry invalid, and so does a
+// query over another cached summary, from, that reflects another state.
+func (p *Planner) cacheRebuild(ctx context.Context, parallelism int, sp *obs.Span, e *summaryEntry, s *summary, query string, from *summary) error {
 	p.mu.Lock()
 	gen0 := e.gen
 	p.mu.Unlock()
-	base, err := eng.Catalog().Get(meta.base)
+	base, err := p.Eng.Catalog().Get(e.delta.base)
 	if err != nil {
 		return err
 	}
-	preEpoch, preRows := base.Epoch(), base.NumRows()
-	if err := p.cacheBuild(ctx, eng, parallelism, sp, meta, newT, fmt.Sprintf("SELECT %s FROM %s%s%s", meta.selects, meta.base, meta.where, meta.groupBy)); err != nil {
+	epoch, rows := base.Epoch(), base.NumRows()
+	if err := p.cacheBuild(ctx, parallelism, sp, e.delta, s, query); err != nil {
 		return err
 	}
-	mode := pubValid
+	// DML that landed while the build scanned, or before the summary it
+	// reads was taken, leaves a result correct for this plan that may not
+	// match the stamped epoch.
+	how := pubBuilt
 	p.mu.Lock()
-	raced := e.gen != gen0
-	p.mu.Unlock()
-	if raced {
-		// DML landed while the rebuild scanned; the result is correct for
-		// this plan but may not match the stamped epoch.
-		mode = pubInvalid
+	if e.gen != gen0 || from != nil && from.epoch != epoch {
+		how = pubRaced
 	}
-	p.cachePublishReplace(e, newT, preEpoch, preRows, mode, false)
+	p.mu.Unlock()
+	p.cachePublishReplace(e, s.table, epoch, rows, how)
 	return nil
 }
 

@@ -27,6 +27,21 @@ var cleanupQueries = []struct {
 	{"cube_3d", "SELECT state, city, RID, Vpct(salesAmt), GROUPING(state, city, RID) FROM sales GROUP BY CUBE(state, city, RID)", DefaultOptions()},
 }
 
+// cancelOnInsert is a DML hook that cancels when an INSERT into table
+// commits.
+type cancelOnInsert struct {
+	table  string
+	cancel context.CancelFunc
+}
+
+func (h cancelOnInsert) OnInsert(table string, _, _ int, _, _ int64) {
+	if table == h.table {
+		h.cancel()
+	}
+}
+
+func (cancelOnInsert) OnMutate(string, *engine.Mutation) {}
+
 // plannerTables lists the catalog's tables the planner named.
 func plannerTables(p *Planner) []string {
 	var out []string
@@ -90,29 +105,32 @@ func TestCleanupRunsNoStatement(t *testing.T) {
 				t.Errorf("after a failing step: %v left", left)
 			}
 
-			// A cancel halfway through the steps.
+			// A cancel halfway through the steps: the DML hook hears the
+			// middle temporary's INSERT commit, and the next step stops.
 			plan, err = p.PlanSQL(q.sql, q.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			half := len(plan.Steps) / 2
-			plan.Steps = append(plan.Steps[:half:half], append([]Step{{Purpose: "cancel", native: func(context.Context, *engine.Engine, int, *obs.Span) error {
-				cancel()
-				return nil
-			}}}, plan.Steps[half:]...)...)
-			if _, err := p.ExecuteCtx(ctx, plan); !errors.As(err, new(*engine.CancelledError)) {
+			p.Eng.SetDMLHook(cancelOnInsert{table: plan.Cleanup[len(plan.Cleanup)/2], cancel: cancel})
+			_, err = p.ExecuteCtx(ctx, plan)
+			p.Eng.SetDMLHook(nil)
+			if !errors.As(err, new(*engine.CancelledError)) {
 				t.Fatalf("err = %v, want a cancellation", err)
 			}
 			if left := plannerTables(p); len(left) > 0 {
 				t.Errorf("after a cancel: %v left", left)
 			}
 
-			// EXPLAIN: planned and cleaned up, never run — with the summary
-			// cache on, so cleanup abandons its registrations too.
+			// EXPLAIN: planned for display and never run — with the summary
+			// cache on, which display planning reads and leaves alone.
 			p.ShareSummaries(true)
-			plan, err = p.PlanSQL(q.sql, q.opts)
+			sel, err := parseSelect(q.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err = p.PlanDisplay(context.Background(), sel, q.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,14 +15,13 @@ import (
 // CASE expressions — and SPJ — one filtered aggregate table per combination
 // assembled with left outer joins. Each runs either directly from F or
 // indirectly from the vertical pre-aggregate FV.
-func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggOptions) (*Plan, error) {
-	plan := &Plan{Class: ClassHorizontalAgg}
+func (p *Planner) planHorizontalAgg(ctx context.Context, plan *Plan, a *analysis, opts HaggOptions) error {
 	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(hl.terms) == 0 {
-		return nil, fmt.Errorf("core: horizontal-aggregation plan without BY terms")
+		return fmt.Errorf("core: horizontal-aggregation plan without BY terms")
 	}
 
 	// Source relation: F directly, or the vertical pre-aggregate FV. extraSel
@@ -31,7 +30,7 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 	var extraSel []string
 	if opts.FromFV {
 		if err := a.fromFVError(); err != nil {
-			return nil, err
+			return err
 		}
 		source, extraSel = p.emitHaggFV(plan, a, hl)
 		sourceWhere = ""
@@ -44,7 +43,7 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 	switch opts.Method {
 	case HaggCASE:
 		if err := hl.fit(p.MaxColumns); err != nil {
-			return nil, err
+			return err
 		}
 		var vals, extraVals []hvalue
 		for _, t := range hl.terms {
@@ -62,11 +61,11 @@ func (p *Planner) planHorizontalAgg(ctx context.Context, a *analysis, opts HaggO
 		}
 		holder := p.emitHorizontalInserts(plan, a, hl, source, sourceWhere, purpose, vals, extraVals)
 		p.finishHorizontalPlan(plan, a, hl, holder)
-		return plan, nil
+		return nil
 	case HaggSPJ:
 		return p.planHaggSPJ(plan, a, hl, source, sourceWhere, extraSel)
 	default:
-		return nil, fmt.Errorf("core: unknown horizontal-aggregation method %v", opts.Method)
+		return fmt.Errorf("core: unknown horizontal-aggregation method %v", opts.Method)
 	}
 }
 
@@ -146,10 +145,10 @@ func plainAggSQL(call *expr.AggCall) string {
 // F0 holding every D1..Dj combination, one filtered aggregate table FI per
 // (term, combination), and left outer joins assembling FH. An empty GROUP
 // BY uses a constant grouping key, as the companion paper suggests.
-func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sourceWhere string, extraSel []string) (*Plan, error) {
+func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sourceWhere string, extraSel []string) error {
 	width := len(hl.groupNames) + len(hl.valueNames) + len(hl.extraNames)
 	if p.MaxColumns > 0 && width > p.MaxColumns {
-		return nil, fmt.Errorf("core: SPJ result needs %d columns, above MaxColumns=%d; use the CASE strategy, which partitions vertically", width, p.MaxColumns)
+		return fmt.Errorf("core: SPJ result needs %d columns, above MaxColumns=%d; use the CASE strategy, which partitions vertically", width, p.MaxColumns)
 	}
 	constKey := len(a.groupCols) == 0
 	keyNames, keyDefs, keySel := hl.groupNames, a.colDefs(a.groupCols, hl.groupNames), joinIdents(a.groupCols)
@@ -236,5 +235,5 @@ func (p *Planner) planHaggSPJ(plan *Plan, a *analysis, hl *hlayout, source, sour
 			SQL: "INSERT INTO " + fh + " " + selectSQL(fhSel, from)},
 	)
 	p.finishHorizontalPlan(plan, a, hl, nil)
-	return plan, nil
+	return nil
 }

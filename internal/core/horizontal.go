@@ -13,23 +13,22 @@ import (
 // first and transposing it. Either way the plan starts with the feedback
 // process the paper describes: reading the distinct BY combinations to
 // define FH's columns.
-func (p *Planner) planHorizontalPct(ctx context.Context, a *analysis, opts HpctOptions) (*Plan, error) {
-	plan := &Plan{Class: ClassHorizontalPct}
+func (p *Planner) planHorizontalPct(ctx context.Context, plan *Plan, a *analysis, opts HpctOptions) error {
 	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(hl.terms) == 0 {
-		return nil, fmt.Errorf("core: horizontal plan without Hpct terms")
+		return fmt.Errorf("core: horizontal plan without Hpct terms")
 	}
 	if err := hl.fit(p.MaxColumns); err != nil {
-		return nil, err
+		return err
 	}
 	if opts.FromFV {
 		if err := a.fromFVError(); err != nil {
-			return nil, err
+			return err
 		}
-		return p.planHpctFromFV(plan, a, hl)
+		return p.planHpctFromFV(ctx, plan, a, hl)
 	}
 
 	// Direct strategy: one scan of F.
@@ -46,12 +45,12 @@ func (p *Planner) planHorizontalPct(ctx context.Context, a *analysis, opts HpctO
 	}
 	holder := p.emitHorizontalInserts(plan, a, hl, a.table, a.whereSQL(), "compute FH directly from F in one scan", vals, extraVals)
 	p.finishHorizontalPlan(plan, a, hl, holder)
-	return plan, nil
+	return nil
 }
 
 // planHpctFromFV generates the indirect strategy: run the full vertical
 // percentage process into FV, then transpose FV by summing CASE terms.
-func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout) (*Plan, error) {
+func (p *Planner) planHpctFromFV(ctx context.Context, plan *Plan, a *analysis, hl *hlayout) error {
 	call, combos := hl.terms[0].call, hl.terms[0].combos
 	pctAlias := p.temp("pv")
 	// Embedded vertical query: group by D1..Dj plus the BY columns, with
@@ -73,12 +72,20 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout) (*Plan, e
 		cols := p.carry(a, x, pa, "xp", &sel, nil)
 		extraVals = append(extraVals, hvalue{name: hl.extraNames[n], typ: aggResultType(x, a.schema), sel: pa.reagg(cols, nil)})
 	}
-	sub, err := p.PlanSQL(selectSQL(sel, a.table, a.whereSQL(), " GROUP BY "+joinIdents(fineGroup)), DefaultOptions())
-	if err != nil {
-		return nil, fmt.Errorf("core: embedded vertical plan: %w", err)
+	// The embedded plan's steps, temporaries and cached tables are this plan's.
+	subSel, err := parseSelect(selectSQL(sel, a.table, a.whereSQL(), " GROUP BY "+joinIdents(fineGroup)))
+	var sub *analysis
+	if err == nil {
+		sub, err = p.analyze(subSel)
 	}
-	plan.Steps = append(plan.Steps, sub.Steps...)
-	plan.Cleanup = append(plan.Cleanup, sub.Cleanup...)
+	if err == nil {
+		err = p.planVertical(ctx, plan, sub, DefaultOptions().Vpct)
+	}
+	if err != nil {
+		return fmt.Errorf("core: embedded vertical plan: %w", err)
+	}
+	fv := plan.ResultTable
+	plan.ResultTables = nil // FH's, from here on
 
 	// Transpose FV: one CASE term per combination picks that row's
 	// percentage; missing combinations contribute 0%. A group whose total is
@@ -92,7 +99,7 @@ func (p *Planner) planHpctFromFV(plan *Plan, a *analysis, hl *hlayout) (*Plan, e
 			sel: fmt.Sprintf("CASE WHEN count(%s) > 0 THEN sum(CASE WHEN %s THEN %s ELSE 0 END) ELSE NULL END",
 				pv, comboCond("", call.By, c.vals), pv)})
 	}
-	holder := p.emitHorizontalInserts(plan, a, hl, sub.ResultTable, "", "transpose FV into FH", vals, extraVals)
+	holder := p.emitHorizontalInserts(plan, a, hl, fv, "", "transpose FV into FH", vals, extraVals)
 	p.finishHorizontalPlan(plan, a, hl, holder)
-	return plan, nil
+	return nil
 }

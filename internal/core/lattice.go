@@ -66,14 +66,13 @@ func checkLattice(a *analysis, opts Options) error {
 // Rows land in a cross-tab table FC node by node, finest first, with NULL
 // filling the dimensions a node rolled away and GROUPING(d1, …) markers
 // materialized as integer literals per node.
-func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*Plan, error) {
+func (p *Planner) planLattice(ctx context.Context, plan *Plan, a *analysis, opts Options) error {
 	if err := checkLattice(a, opts); err != nil {
-		return nil, err
+		return err
 	}
-	plan := &Plan{Class: a.class}
 	hl, err := p.horizontalLayout(ctx, a)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// FS: the finest summary, the lattice's only base-table scan. Virtual
@@ -86,7 +85,7 @@ func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*
 	if p.shareSummaries && len(fsGroup) > 0 && !p.Eng.IsVirtualTable(a.table) {
 		key = fs.key(a)
 	}
-	reused := p.materialize(plan, a, fs, key, "create FS",
+	reused := p.materialize(ctx, plan, a, fs, key, "create FS",
 		"compute finest summary FS from F (the lattice's only base-table scan)", fs.fromF(a)).hit()
 	p.mu.Lock()
 	p.cstats.LatticePlans++
@@ -124,7 +123,7 @@ func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*
 	}
 	flat = uniqueNames(flat)
 	if p.MaxColumns > 0 && len(flat) > p.MaxColumns {
-		return nil, fmt.Errorf("core: result needs %d columns but MaxColumns is %d; grouping-set results cannot be partitioned",
+		return fmt.Errorf("core: result needs %d columns but MaxColumns is %d; grouping-set results cannot be partitioned",
 			len(flat), p.MaxColumns)
 	}
 	fcCols := make([]string, len(flat))
@@ -143,7 +142,7 @@ func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*
 		if len(hl.terms) > 0 {
 			rows = p.horizontalNode(plan, a, hl, fs, col, set, label)
 		} else {
-			rows = p.verticalNode(plan, a, fs, col, set, label)
+			rows = p.verticalNode(ctx, plan, a, fs, col, set, label)
 		}
 		plan.Steps = append(plan.Steps, Step{
 			Purpose: fmt.Sprintf("lattice node %d %s: append cross-tab rows to FC", ni+1, label),
@@ -155,22 +154,22 @@ func (p *Planner) planLattice(ctx context.Context, a *analysis, opts Options) (*
 	// interleave the blocks. The user's ORDER BY still applies.
 	plan.ResultTable, plan.ResultTables = fc, []string{fc}
 	plan.FinalSelect = selectSQL(quoteIdents(flat), fc, orderBySQL(a, nil), limitClause(a))
-	return plan, nil
+	return nil
 }
 
 // verticalNode derives one vertical or standard lattice node and returns the
 // query of its rows: the totals-and-divide node over FS itself for the finest
 // set, over a roll-up of FS for a coarser one — the paper's Section 3.1 with
 // the node's set standing in for GROUP BY.
-func (p *Planner) verticalNode(plan *Plan, a *analysis, fs *summary, col map[int]string, set []string, label string) string {
+func (p *Planner) verticalNode(ctx context.Context, plan *Plan, a *analysis, fs *summary, col map[int]string, set []string, label string) string {
 	node := fs
 	if !sameColumnSet(set, fs.group) {
 		node = &summary{what: "node summary", table: p.temp("nfk"), group: set, vals: fs.vals}
-		p.materialize(plan, a, node, "", "create summary for lattice node "+label, "lattice node "+label+": roll up from FS",
+		plan.build(a, node, "create summary for lattice node "+label, "lattice node "+label+": roll up from FS",
 			func() string { return selectSQL(fs.rollup(set), fs.table, groupByClause(set)) })
 	}
 	d := newDivide(a, node, set, col)
-	p.emitTotals(plan, a, d, totalsOpts{node: label})
+	p.emitTotals(ctx, plan, a, d, totalsOpts{node: label})
 	return "SELECT " + strings.Join(d.project(a, set), ", ") + d.join()
 }
 
@@ -194,7 +193,7 @@ func (p *Planner) horizontalNode(plan *Plan, a *analysis, hl *hlayout, fs *summa
 		v := fs.val(col[idx])
 		nh.vals = append(nh.vals, vcol{name: v.name, typ: v.typ, sel: v.fold})
 	}
-	p.materialize(plan, a, nh, "", "create summary for lattice node "+label, "lattice node "+label+": pivot from FS",
+	plan.build(a, nh, "create summary for lattice node "+label, "lattice node "+label+": pivot from FS",
 		func() string { return selectSQL(nh.selects(), fs.table, groupByClause(set)) })
 	return selectSQL(projectItems(a, set, col, quoteIdent, func(idx int) []string { return cells[idx] }), nh.table)
 }

@@ -16,29 +16,23 @@ import (
 	"repro/internal/value"
 )
 
-// Plan-level metrics (see internal/obs). Steps count both SQL and native
-// steps; the per-statement engine metrics accumulate underneath.
+// Plan-level metrics (see internal/obs). Steps count the SQL steps plans
+// run; the per-statement engine metrics accumulate underneath.
 var (
 	mPlanExecutions = obs.Default.Counter("core.plans")
 	mPlanSteps      = obs.Default.Counter("core.steps")
 )
 
 // Step is one statement of a generated plan — the script the paper's code
-// generator writes. Most steps are SQL text; summary-cache maintenance runs
-// as native steps because it cannot be expressed in standard SQL. Dropping
-// the plan's temporaries afterwards is no step (see Plan.Cleanup).
+// generator writes. A step without SQL is a comment: the marker a summary the
+// cache answered leaves in the plan (the cache lookup did that work while
+// planning). Dropping the plan's temporaries afterwards is no step (see
+// Plan.Cleanup).
 type Step struct {
 	// Purpose says what the step does, for EXPLAIN-style display.
 	Purpose string
-	// SQL is the statement text; empty for native steps.
+	// SQL is the statement text; empty for a comment-only marker.
 	SQL string
-	// native, when set, runs instead of SQL. It receives the execution
-	// context (cancellation and Limits flow through it exactly as they do
-	// for SQL statements), the plan's parallelism so native steps can
-	// partition their scans the same way the engine's aggregation path does,
-	// and the step's trace span (nil when the plan runs untraced) to hang
-	// stage spans from.
-	native func(ctx context.Context, eng *engine.Engine, parallelism int, span *obs.Span) error
 }
 
 // Plan is a generated evaluation plan for a percentage/horizontal query.
@@ -71,14 +65,21 @@ type Plan struct {
 	// Options.Limits. The zero value defers to the engine-wide defaults
 	// (engine.SetLimits); a non-zero value overrides them for this plan.
 	Limits engine.Limits
-	// cacheRegs are summary-cache entries this plan registered
-	// provisionally at plan time; cleanup abandons any it never published
-	// (see cacheAbandon).
-	cacheRegs []*summaryEntry
-	// cacheHits counts summary-cache entries this plan reused (clean or
-	// delta-maintained) instead of recomputing — the per-statement signal
+	// cacheHits and cacheMisses count the summaries the plan's cache lookups
+	// reused (as they were or refreshed) and built — the per-statement signal
 	// the introspection catalog surfaces in pct_stat_statements.
-	cacheHits int
+	cacheHits, cacheMisses int
+	// pins are the cached tables the plan reads, bound from the lookup to the
+	// plan's cleanup: a summary retired meanwhile is dropped when the last
+	// plan that bound it lets go.
+	pins []string
+	// display, span and err serve while the plan is generated: a plan for
+	// display reads the cache and changes nothing (PlanDisplay), span is where
+	// the cache lookups' statements nest, nil when untraced, and err is the
+	// first failed lookup's error, which planning returns.
+	display bool
+	span    *obs.Span
+	err     error
 }
 
 // CacheHits reports how many summaries the plan reused from the cache.
@@ -86,7 +87,7 @@ func (p *Plan) CacheHits() int { return p.cacheHits }
 
 // CacheMisses reports how many summaries the plan had to compute and
 // register (shareable aggregates that were not cached yet).
-func (p *Plan) CacheMisses() int { return len(p.cacheRegs) }
+func (p *Plan) CacheMisses() int { return p.cacheMisses }
 
 // SQL renders every build step as a script.
 func (p *Plan) SQL() string {
@@ -96,7 +97,6 @@ func (p *Plan) SQL() string {
 		sb.WriteString(s.Purpose)
 		sb.WriteString("\n")
 		if s.SQL == "" {
-			sb.WriteString("-- (native step)\n")
 			continue
 		}
 		sb.WriteString(s.SQL)
@@ -133,11 +133,14 @@ type Planner struct {
 	// are computed once and reused across plans. Entries are stamped with
 	// the base table's modification epoch and maintained through the
 	// engine's DML hook — appends refresh distributive summaries
-	// incrementally, everything else invalidates (see cache.go). Cache
-	// tables are dropped by FlushSummaries, not by per-plan cleanup.
+	// incrementally, everything else invalidates (see cache.go). A cache
+	// table is dropped when it is retired — replaced by a refresh,
+	// invalidated, flushed — and no unfinished plan has bound it.
 	shareSummaries bool
 	summaries      map[string]*summaryEntry // structural key → entry
-	summaryDrops   []string
+	pins           map[string]int           // cache table → plans and lookups that bound it
+	retired        map[string]bool          // retired tables still bound
+	unbound        []string                 // retired tables nothing binds, dropped by unlock
 	cstats         CacheStats
 }
 
@@ -147,18 +150,20 @@ func NewPlanner(eng *engine.Engine) *Planner {
 }
 
 // ShareSummaries toggles the materialized summary cache. While enabled,
-// plans reference cached Fk/Fj tables where a structurally identical one
-// was already built by an earlier executed plan, and a DML hook installed
-// on the engine keeps entries honest: appended rows are folded in
+// a plan reads a cached Fk/Fj table where a structurally identical summary
+// is cached — the lookup refreshes or builds it first — and a DML hook
+// installed on the engine keeps entries honest: appended rows are folded in
 // incrementally (distributive aggregates only), any other mutation forces
 // a rebuild — a cached summary is never served stale. Call FlushSummaries
-// when the query batch is done. A plan's cache hit is bound at plan time:
-// only one planner's cache may be live per engine.
+// when the query batch is done. Only one planner's cache may be live per
+// engine.
 func (p *Planner) ShareSummaries(on bool) {
 	p.mu.Lock()
 	p.shareSummaries = on
 	if on && p.summaries == nil {
 		p.summaries = make(map[string]*summaryEntry)
+		p.pins = make(map[string]int)
+		p.retired = make(map[string]bool)
 	}
 	p.mu.Unlock()
 	if p.Eng != nil {
@@ -178,17 +183,16 @@ func (p *Planner) SharesSummaries() bool {
 	return p.shareSummaries
 }
 
-// FlushSummaries drops every table the summary cache ever registered —
-// live entries and the retired copies incremental refreshes replaced.
+// FlushSummaries empties the summary cache and retires every table it
+// holds: each is dropped now, or by the cleanup of the last unfinished plan
+// that bound it.
 func (p *Planner) FlushSummaries() {
 	p.mu.Lock()
-	drops := p.summaryDrops
-	p.summaryDrops = nil
-	p.summaries = map[string]*summaryEntry{}
-	p.mu.Unlock()
-	for _, t := range drops {
-		p.Eng.DropIfExists(t)
+	for _, e := range p.summaries {
+		p.retireLocked(e.table) // again, for an invalid one: a drop of no table is nothing
 	}
+	p.summaries = map[string]*summaryEntry{}
+	p.unlock()
 }
 
 // temp returns a fresh temporary table name. Safe for concurrent planning
@@ -317,54 +321,87 @@ func (p *Planner) Plan(sel *sqlparse.Select, opts Options) (*Plan, error) {
 }
 
 // PlanCtx is Plan under a context: the feedback scans horizontal planning
-// runs over F stop on ctx's cancellation or deadline with the typed
-// lifecycle errors, obey opts.Limits, and nest in the statement ctx belongs
-// to, exactly as the plan's steps do under ExecuteCtx.
+// runs over F and the statements of the summary cache's lookups stop on
+// ctx's cancellation or deadline with the typed lifecycle errors, obey
+// opts.Limits, and nest in the statement ctx belongs to, exactly as the
+// plan's steps do under ExecuteCtx.
 func (p *Planner) PlanCtx(ctx context.Context, sel *sqlparse.Select, opts Options) (*Plan, error) {
+	return p.planIn(ctx, sel, opts, nil, false)
+}
+
+// PlanIn is PlanCtx traced: the statements the summary cache's lookups run
+// while planning nest under span.
+func (p *Planner) PlanIn(ctx context.Context, sel *sqlparse.Select, opts Options, span *obs.Span) (*Plan, error) {
+	return p.planIn(ctx, sel, opts, span, false)
+}
+
+// PlanDisplay plans sel to be shown, not run — EXPLAIN without ANALYZE. It
+// reads the summary cache and changes nothing: a summary the cache holds,
+// current or pending, renders as its marker, and a missing one as the CREATE
+// and INSERT of a private build. The plan creates no table and binds none,
+// so it needs no cleanup; it must not be executed.
+func (p *Planner) PlanDisplay(ctx context.Context, sel *sqlparse.Select, opts Options) (*Plan, error) {
+	return p.planIn(ctx, sel, opts, nil, true)
+}
+
+// planIn is the one way a plan is generated. A plan that fails is cleaned
+// up: it releases the cached tables its lookups bound.
+func (p *Planner) planIn(ctx context.Context, sel *sqlparse.Select, opts Options, span *obs.Span, display bool) (*Plan, error) {
 	a, err := p.analyze(sel)
 	if err != nil {
 		return nil, err
 	}
 	ctx = limitsCtx(ctx, opts.Limits)
-	var plan *Plan
+	// Parallelism and Limits apply to every class and never alter the
+	// generated SQL, only how the plan (and its cache lookups) execute.
+	plan := &Plan{Class: a.class, Parallelism: opts.Parallelism, Limits: opts.Limits, display: display, span: span}
 	switch {
 	case a.hasSets:
 		// ROLLUP/CUBE/GROUPING SETS plan the whole lattice from one finest
 		// summary, whatever the aggregate class.
-		plan, err = p.planLattice(ctx, a, opts)
+		err = p.planLattice(ctx, plan, a, opts)
 	case a.class == ClassStandard:
-		plan = &Plan{Class: ClassStandard, FinalSelect: sel.String()}
+		plan.FinalSelect = sel.String()
 	case a.class == ClassVertical:
-		plan, err = p.planVertical(a, opts.Vpct)
+		err = p.planVertical(ctx, plan, a, opts.Vpct)
 	case a.class == ClassHorizontalPct:
-		plan, err = p.planHorizontalPct(ctx, a, opts.Hpct)
+		err = p.planHorizontalPct(ctx, plan, a, opts.Hpct)
 	case a.class == ClassHorizontalAgg:
-		plan, err = p.planHorizontalAgg(ctx, a, opts.Hagg)
+		err = p.planHorizontalAgg(ctx, plan, a, opts.Hagg)
 	default:
-		return nil, fmt.Errorf("core: unplannable class %v", a.class)
+		err = fmt.Errorf("core: unplannable class %v", a.class)
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Parallelism and Limits are stamped centrally: they apply to every
-	// class and never alter the generated SQL, only how the plan executes.
-	plan.Parallelism = opts.Parallelism
-	plan.Limits = opts.Limits
 	// The pivot-width cap is the one limit checkable before execution: the
 	// feedback pass has already counted the result columns, so an oversized
 	// layout fails here instead of mid-evaluation.
-	if lim := opts.Limits; lim.MaxPivotColumns > 0 && plan.N > lim.MaxPivotColumns {
-		return nil, &engine.LimitError{
+	if lim := opts.Limits; err == nil && lim.MaxPivotColumns > 0 && plan.N > lim.MaxPivotColumns {
+		err = &engine.LimitError{
 			PCTCode:  diag.CodePivotLimit,
 			Resource: "pivot-column",
 			Limit:    int64(lim.MaxPivotColumns),
 		}
+	}
+	if err == nil {
+		err = plan.err
+	}
+	if err != nil {
+		p.CleanupPlan(plan)
+		return nil, err
 	}
 	return plan, nil
 }
 
 // PlanSQL parses one SELECT and plans it.
 func (p *Planner) PlanSQL(sql string, opts Options) (*Plan, error) {
+	sel, err := parseSelect(sql)
+	if err != nil {
+		return nil, err
+	}
+	return p.Plan(sel, opts)
+}
+
+// parseSelect parses one SELECT.
+func parseSelect(sql string) (*sqlparse.Select, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -373,7 +410,7 @@ func (p *Planner) PlanSQL(sql string, opts Options) (*Plan, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: expected a SELECT, got %T", stmt)
 	}
-	return p.Plan(sel, opts)
+	return sel, nil
 }
 
 // ExecuteCtx runs the plan's build steps and final select, then drops the
@@ -422,7 +459,7 @@ func (p *Planner) ExecuteTyped(ctx context.Context, plan *Plan, traced bool) (*e
 }
 
 // limitsCtx attaches a plan's Limits to ctx when set, so every statement the
-// plan runs — its feedback scans, its SQL and native steps — resolves the
+// plan runs — its feedback scans, its cache lookups, its steps — resolves the
 // same effective budget.
 func limitsCtx(ctx context.Context, lim engine.Limits) context.Context {
 	if lim != (engine.Limits{}) {
@@ -465,22 +502,14 @@ func (p *Planner) ExecuteStepsCtx(ctx context.Context, plan *Plan) (*engine.Resu
 func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {
 	mPlanExecutions.Inc()
 	var last *engine.Result
-	for i := range plan.Steps {
-		s := &plan.Steps[i]
+	for _, s := range plan.Steps {
+		if s.SQL == "" {
+			continue // a marker: its cache lookup ran while planning
+		}
 		mPlanSteps.Inc()
 		var sp *obs.Span
 		if root != nil {
 			sp = root.NewChild("step: " + s.Purpose)
-		}
-		if s.native != nil {
-			err := runNative(ctx, s, p.Eng, plan.Parallelism, sp)
-			sp.End()
-			if err != nil {
-				sp.Attr("error", err.Error())
-				return nil, fmt.Errorf("core: step %q: %w", s.Purpose, err)
-			}
-			last = &engine.Result{}
-			continue
 		}
 		res, err := p.Eng.ExecSQLCtxIn(ctx, s.SQL, plan.Parallelism, sp)
 		sp.End()
@@ -493,26 +522,23 @@ func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span
 	return last, nil
 }
 
-// runNative runs one native step under the same lifecycle a SQL statement
-// gets from the engine (engine.Contain): the per-statement deadline from the
-// effective Limits, and panic containment into a typed PCT206 error so a
-// poisoned native step cannot kill concurrent plan executions.
-func runNative(ctx context.Context, s *Step, eng *engine.Engine, parallelism int, sp *obs.Span) error {
-	return eng.Contain(ctx, "step "+s.Purpose, sp, func(ctx context.Context, _ engine.Limits) error {
-		return s.native(ctx, eng, parallelism, sp)
-	})
-}
-
-// CleanupPlan drops the plan's temporary tables, and forgets the summary-cache
-// registrations it never published. A failed plan may not have created all
-// of them; a missing table is no error.
+// CleanupPlan drops the plan's temporary tables and releases the cached
+// tables it bound. A failed plan may not have created all of them; a missing
+// table is no error.
 func (p *Planner) CleanupPlan(plan *Plan) { p.cleanupIn(plan, nil) }
 
 // cleanupIn is CleanupPlan under the plan's trace span, nil when untraced:
 // its cleanup child counts the tables dropped. No statement runs, so a
 // cancelled or timed-out plan drops what it created all the same.
 func (p *Planner) cleanupIn(plan *Plan, root *obs.Span) {
-	p.cacheAbandon(plan)
+	if len(plan.pins) > 0 {
+		p.mu.Lock()
+		for _, t := range plan.pins {
+			p.releaseLocked(t)
+		}
+		plan.pins = nil
+		p.unlock()
+	}
 	if len(plan.Cleanup) == 0 {
 		return
 	}

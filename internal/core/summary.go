@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -27,15 +28,23 @@ func sumOf(arg expr.Expr) *expr.AggCall { return &expr.AggCall{Fn: expr.AggSum, 
 // a lattice node's roll-up: the group columns, then the aggregate columns.
 // It is the only place that knows a summary's column layout, its cache key
 // and its delta metadata, and materialize is the only place that builds or
-// reuses one.
+// reuses one (build, when the plan keeps it private).
 type summary struct {
-	what  string // "Fk", "Fj", "FS", "node summary": names the cache steps
-	table string // a fresh temp name, or the cached table after a hit
+	what  string // "Fk", "Fj", "FS", "node summary": names the cache markers
+	table string // a fresh temp name, or the cached table the lookup answered
 	group []string
 	vals  []vcol
 	// via holds the group columns of the summary this one is computed from,
 	// when it is: a REAL sum's rounding depends on that grouping too.
 	via []string
+	// indexed asks the lookup that builds or refreshes a cached summary to
+	// index it on its group columns: a totals table Fj, the build side of the
+	// division's join on the common subkey.
+	indexed bool
+	// from is the cached summary this one's build reads, nil when it reads
+	// F; epoch is the base epoch the cached table reflects, -1 when unknown.
+	from  *summary
+	epoch int64
 
 	// Rendered once by defs and selects: the cache key, the delta metadata
 	// and the build statements all read them, on the plan path of every hit.
@@ -205,43 +214,29 @@ func retraction(call *expr.AggCall, schema storage.Schema) string {
 	return ""
 }
 
-// materialize appends the steps that leave s.table holding the summary,
-// computed by query (rendered only when the summary has to be built: a hit
-// is the hot plan path), and reports how the cache answered. With an empty key
-// the table is private to the plan and dropped by its cleanup. Otherwise the
-// summary cache is consulted: a clean hit reuses the cached table as is, a
-// hit with pending appends refreshes it incrementally into s.table, and a
-// miss builds it between a capture and a publish step (cleanup abandons the
-// registration of a plan that never ran them).
-func (p *Planner) materialize(plan *Plan, a *analysis, s *summary, key, create, compute string, query func() string) cacheMode {
-	mode := cacheOff
-	var reg *summaryEntry
+// materialize leaves s.table holding the summary and reports how the cache
+// answered. With a key the summary cache is asked first: when it answers,
+// its lookup has already reused, refreshed or built s.table, and the plan
+// keeps one comment-only marker for it. Otherwise — no key, the cache off, or
+// a summary missing from the cache while planning for display — the table is
+// private to the plan: CREATE and INSERT compute it by query (rendered only
+// then: a hit is the hot plan path), and the plan's cleanup drops it.
+func (p *Planner) materialize(ctx context.Context, plan *Plan, a *analysis, s *summary, key, create, compute string, query func() string) cacheMode {
 	if key != "" {
-		s.table, mode, reg = p.cacheLookup(key, s, a)
+		if mode := p.cacheLookup(ctx, plan, key, s, a, query); mode != cacheOff {
+			plan.Steps = append(plan.Steps, mode.marker(s))
+			return mode
+		}
 	}
-	switch mode {
-	case cacheHitClean:
-		plan.cacheHits++
-		plan.Steps = append(plan.Steps, cacheHitStep(s.what, s.table))
-		return mode
-	case cacheHitDelta:
-		plan.cacheHits++
-		plan.Steps = append(plan.Steps, p.cacheDeltaStep(reg, s.table, s.what))
-		return mode
-	case cacheMiss:
-		plan.cacheRegs = append(plan.cacheRegs, reg)
-		plan.Steps = append(plan.Steps, p.cacheCaptureStep(reg, a.table))
-	default:
-		plan.owns(s.table)
-	}
+	plan.build(a, s, create, compute, query)
+	return cacheOff
+}
+
+// build appends the CREATE and INSERT that compute s by query into a table
+// private to the plan, which its cleanup drops.
+func (plan *Plan) build(a *analysis, s *summary, create, compute string, query func() string) {
+	plan.owns(s.table)
 	plan.Steps = append(plan.Steps,
 		Step{Purpose: create, SQL: fmt.Sprintf("CREATE TABLE %s (%s)", s.table, strings.Join(s.defs(a), ", "))},
 		Step{Purpose: compute, SQL: "INSERT INTO " + s.table + " " + query()})
-	if mode == cacheMiss {
-		plan.Steps = append(plan.Steps, p.cachePublishStep(reg, s.what))
-	}
-	return mode
 }
-
-// hit reports whether the cache served the summary, as is or refreshed.
-func (m cacheMode) hit() bool { return m == cacheHitClean || m == cacheHitDelta }

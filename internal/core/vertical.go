@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -57,11 +58,14 @@ type totalsOpts struct {
 // summary — the bottom-up partial aggregation the paper's future work likens
 // to association mining — else the fine summary, else F (per strategy). A
 // lattice node always aggregates its own summary.
-func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
+func (p *Planner) emitTotals(ctx context.Context, plan *Plan, a *analysis, d *divide, o totalsOpts) {
 	for ti, t := range d.terms {
 		mSQL := t.call.Arg.String()
 		t.fjCol = measureName(t.totals)
-		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, via: d.fine.group, vals: []vcol{
+		// A build from the fine summary or a finer Fj reflects F as the fine
+		// summary does (from): the finer Fj was answered after it, so it
+		// reflects no older state. A cached Fj is indexed on the common subkey.
+		fj := &summary{what: "Fj", table: p.temp("fj"), group: t.totals, via: d.fine.group, from: d.fine, indexed: o.indexes && len(t.totals) > 0, vals: []vcol{
 			{name: t.fjCol, typ: storage.TypeFloat, sel: "sum(" + mSQL + ")", fold: "sum(" + quoteIdent(t.fjCol) + ")", call: sumOf(t.call.Arg)}}}
 		source, measure, where := d.fine.table, "sum("+quoteIdent(t.measureCol)+")", ""
 		create := fmt.Sprintf("create Fj for term %d", ti+1)
@@ -70,7 +74,7 @@ func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 			create = fmt.Sprintf("create Fj for lattice node %s (term %d)", o.node, ti+1)
 			compute = fmt.Sprintf("lattice node %s: totals Fj from the node summary (term %d)", o.node, ti+1)
 		} else if o.fromF {
-			source, measure, where = a.table, fj.vals[0].sel, a.whereSQL()
+			source, measure, where, fj.from = a.table, fj.vals[0].sel, a.whereSQL(), nil
 			compute = fmt.Sprintf("compute coarse totals Fj from F (term %d)", ti+1)
 		} else if best := finerFj(d.terms[:ti], t); best >= 0 {
 			source, measure = d.terms[best].fj, "sum("+quoteIdent(d.terms[best].fjCol)+")"
@@ -83,14 +87,11 @@ func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 		if o.key != "" {
 			key = fmt.Sprintf("fj|%s|%s|%s|%s|%v", o.key, joinIdents(t.totals), mSQL, measure, o.fromF)
 		}
-		mode := p.materialize(plan, a, fj, key, create, compute, func() string {
+		mode := p.materialize(ctx, plan, a, fj, key, create, compute, func() string {
 			return selectSQL(append(quoteIdents(t.totals), measure), source, where, groupByClause(t.totals))
 		})
 		t.fj = fj.table
-		if mode.hit() {
-			continue
-		}
-		if mode == cacheMiss && o.mode.hit() && source == d.fine.table {
+		if mode == cacheBuilt && o.mode.hit() && source == d.fine.table {
 			// The paper's Fj-from-Fk derivation applied across statements: a
 			// fresh Fj rolled up from a cached Fk.
 			p.mu.Lock()
@@ -99,15 +100,17 @@ func (p *Planner) emitTotals(plan *Plan, a *analysis, d *divide, o totalsOpts) {
 			mCacheFjRollups.Inc()
 		}
 		if o.indexes && len(t.totals) > 0 {
-			// A clean-hit Fk already carries its subkey index from the plan
-			// that built it; re-indexing it every query would pile up
-			// duplicates.
-			if o.mode != cacheHitClean {
+			// The division's join builds on Fj: a cached Fj was indexed by the
+			// lookup that built or refreshed it, before any plan could read it,
+			// and a cached Fk, the probe side, is not indexed.
+			if o.mode == cacheOff {
 				plan.Steps = append(plan.Steps, Step{Purpose: "index Fk on the common subkey",
 					SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixk"), d.fine.table, joinIdents(t.totals))})
 			}
-			plan.Steps = append(plan.Steps, Step{Purpose: "index Fj on the common subkey",
-				SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixj"), t.fj, joinIdents(t.totals))})
+			if mode == cacheOff {
+				plan.Steps = append(plan.Steps, Step{Purpose: "index Fj on the common subkey",
+					SQL: fmt.Sprintf("CREATE INDEX %s ON %s (%s)", p.temp("ixj"), t.fj, joinIdents(t.totals))})
+			}
 		}
 	}
 }
@@ -203,29 +206,28 @@ func projectItems(a *analysis, set []string, col map[int]string, ref func(string
 //
 // With m Vpct terms, m+1 aggregations are computed (one Fk, one Fj per
 // term), as the paper prescribes.
-func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
-	plan := &Plan{Class: ClassVertical}
+func (p *Planner) planVertical(ctx context.Context, plan *Plan, a *analysis, opts VpctOptions) error {
 	fk, col := fineSummary(a, "Fk", a.groupCols, opts.UseUpdate)
 	d := newDivide(a, fk, a.groupCols, col)
 	if len(d.terms) == 0 {
-		return nil, fmt.Errorf("core: vertical plan without Vpct terms")
+		return fmt.Errorf("core: vertical plan without Vpct terms")
 	}
 	if opts.MissingRows != MissingNone {
 		if len(d.terms) != 1 {
-			return nil, fmt.Errorf("core: missing-row handling supports a single Vpct term")
+			return fmt.Errorf("core: missing-row handling supports a single Vpct term")
 		}
 		if len(col) > len(d.terms) { // col also maps the plain aggregates
-			return nil, fmt.Errorf("core: missing-row handling cannot be combined with other aggregate terms")
+			return fmt.Errorf("core: missing-row handling cannot be combined with other aggregate terms")
 		}
 		if len(d.terms[0].totals) == 0 {
-			return nil, fmt.Errorf("core: missing-row handling requires a BY clause (totals grouping)")
+			return fmt.Errorf("core: missing-row handling requires a BY clause (totals grouping)")
 		}
 	}
 	// Optional pre-processing: insert zero-measure rows into F for missing
 	// (D1..Dj) × (Dj+1..Dk) combinations before aggregating.
 	if opts.MissingRows == MissingPre {
 		if err := p.addMissingPreSteps(plan, a, d.terms[0]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -238,8 +240,8 @@ func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 	if p.shareSummaries && !opts.UseUpdate && !p.Eng.IsVirtualTable(a.table) {
 		key = fk.key(a)
 	}
-	mode := p.materialize(plan, a, fk, key, "create Fk", "compute fine aggregate Fk from F", fk.fromF(a))
-	p.emitTotals(plan, a, d, totalsOpts{fromF: opts.FjFromF, indexes: opts.SubkeyIndexes, key: key, mode: mode})
+	mode := p.materialize(ctx, plan, a, fk, key, "create Fk", "compute fine aggregate Fk from F", fk.fromF(a))
+	p.emitTotals(ctx, plan, a, d, totalsOpts{fromF: opts.FjFromF, indexes: opts.SubkeyIndexes, key: key, mode: mode})
 
 	outNames := make([]string, len(a.items))
 	for idx, it := range a.items {
@@ -285,7 +287,7 @@ func (p *Planner) planVertical(a *analysis, opts VpctOptions) (*Plan, error) {
 		}
 	}
 	plan.FinalSelect = selectSQL(finalCols, fv, orderBySQL(a, defaultOrder(a, outNames)), limitClause(a))
-	return plan, nil
+	return nil
 }
 
 // defaultOrder is the GROUP BY order the paper prescribes for displaying

@@ -84,7 +84,8 @@ func (e *Engine) effectiveLimits(ctx context.Context) Limits {
 }
 
 // Contain runs fn under the two guards every unit of plan work gets — a
-// statement here (runStatement), a native plan step in the core package: the
+// statement here (runStatement), a summary-cache lookup's build or refresh in
+// the core package: the
 // effective Limits' per-statement deadline applied to ctx, and panic
 // containment into a typed PCT206 error naming point, so one poisoned
 // statement cannot kill concurrent submitters. fn receives the deadline
@@ -107,8 +108,8 @@ func (e *Engine) Contain(ctx context.Context, point string, sp *obs.Span, fn fun
 }
 
 // CheckCtx returns the typed CancelledError when ctx is already cancelled or
-// past its deadline, nil otherwise. Exported for the core package's native
-// plan steps, which stride-check their scans with it so a cancelled plan
+// past its deadline, nil otherwise. Exported for the core package's summary
+// cache, which stride-checks its delta snapshot with it so a cancelled plan
 // carries the same PCT200/PCT201 codes as a cancelled statement.
 func CheckCtx(ctx context.Context) error {
 	if ctx == nil {
@@ -168,11 +169,11 @@ func (e *LimitError) Error() string {
 func (e *LimitError) Code() string { return e.PCTCode }
 
 // PanicError is a panic recovered inside statement execution — a worker
-// goroutine, a native plan step, or the dispatch itself — contained into an
+// goroutine, a summary-cache lookup, or the dispatch itself — contained into an
 // error so one poisoned statement cannot kill concurrent submitters.
 type PanicError struct {
 	// Point says where the panic was recovered ("statement dispatch",
-	// "partition worker 2/4", "step ...").
+	// "partition worker 2/4", "cache lookup").
 	Point string
 	// Value is the recovered panic value.
 	Value any
@@ -192,7 +193,7 @@ func (e *PanicError) Code() string { return diag.CodePanic }
 // capturing the current stack and counting it in engine.panics. Exported for
 // the server's connection handlers, which recover on their own goroutines.
 // Construction is the single counting site, so every containment path —
-// Contain (dispatch, native step), partition worker, connection — bumps the
+// Contain (dispatch, cache lookup), partition worker, connection — bumps the
 // metric exactly once.
 func NewPanicError(point string, v any) *PanicError {
 	mPanics.Inc()

@@ -37,6 +37,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lint"
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -281,31 +282,40 @@ func convert[T int64 | float64 | bool](dst []any, w int, cells []T, nulls storag
 // in it and bound by its deadline.
 type rewriter struct{ db *DB }
 
-// plan resolves the effective options — the advisor's pick under
-// AutoStrategy, the configured strategies otherwise, with the statement's
-// parallelism stamped on either (it is orthogonal to strategy choice and the
-// advisor never sets it) — and plans sel under a "plan" span.
-func (r rewriter) plan(ctx context.Context, sel *sqlparse.Select, par int, parent *Span) (*core.Plan, error) {
-	sp := parent.NewChild("plan")
-	defer sp.End()
-	opts := r.db.strat.coreOptions()
-	if r.db.auto {
+// options resolves the options a statement plans with: the advisor's pick
+// under AutoStrategy, the configured strategies otherwise, with the
+// statement's parallelism and the database-wide limits stamped on either.
+// The advisor sets neither; the limits are stamped so plan-time checks
+// (MaxPivotColumns) see them, and per-step enforcement resolves the same
+// limits either way.
+func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int) (core.Options, error) {
+	opts := db.strat.coreOptions()
+	if db.auto {
 		var err error
-		if opts, err = r.db.planner.AdviseCtx(ctx, sel); err != nil {
-			return nil, err
+		if opts, err = db.planner.AdviseCtx(ctx, sel); err != nil {
+			return opts, err
 		}
 	}
 	opts.Parallelism = par
-	// The database-wide limits are stamped on the plan so plan-time checks
-	// (MaxPivotColumns) see them; per-step enforcement resolves the same
-	// limits either way.
-	opts.Limits = r.db.eng.Limits()
-	return r.db.planner.PlanCtx(ctx, sel, opts)
+	opts.Limits = db.eng.Limits()
+	return opts, nil
+}
+
+// plan plans sel with the statement's options under sp, where the
+// statements of its summary-cache lookups nest (nil: untraced).
+func (r rewriter) plan(ctx context.Context, sel *sqlparse.Select, par int, sp *Span) (*core.Plan, error) {
+	opts, err := r.db.options(ctx, sel, par)
+	if err != nil {
+		return nil, err
+	}
+	return r.db.planner.PlanIn(ctx, sel, opts, sp)
 }
 
 // Select evaluates sel through its plan, whose trace nests under parent.
 func (r rewriter) Select(ctx context.Context, sel *sqlparse.Select, par int, parent *Span) (*engine.Result, int, int, error) {
-	plan, err := r.plan(ctx, sel, par, parent)
+	sp := parent.NewChild("plan")
+	plan, err := r.plan(ctx, sel, par, sp)
+	sp.End()
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -319,32 +329,62 @@ func (r rewriter) Select(ctx context.Context, sel *sqlparse.Select, par int, par
 // code-generator output), or — under EXPLAIN ANALYZE — the execution trace of
 // actually running the plan, one span per line with actual rows and times.
 func (r rewriter) Explain(ctx context.Context, ex *sqlparse.Explain, par int, parent *Span) (*engine.Result, error) {
-	plan, err := r.plan(ctx, ex.Query, par, parent)
+	if !ex.Analyze {
+		script, err := r.db.explain(ctx, ex.Query, par)
+		if err != nil {
+			return nil, err
+		}
+		return engine.PlanResult(strings.Split(strings.TrimRight(script, "\n"), "\n")), nil
+	}
+	// The plan span holds the statements the summary cache's lookups ran
+	// while planning; it leads the rendering when there are any.
+	sp := obs.NewSpan("plan")
+	parent.AddChild(sp)
+	plan, err := r.plan(ctx, ex.Query, par, sp)
+	sp.End()
 	if err != nil {
 		return nil, err
-	}
-	if !ex.Analyze {
-		defer r.db.planner.CleanupPlan(plan)
-		return engine.PlanResult(strings.Split(strings.TrimRight(plan.SQL(), "\n"), "\n")), nil
 	}
 	res, trace, err := r.db.planner.ExecuteTyped(ctx, plan, true)
 	parent.AddChild(trace)
 	if err != nil {
 		return nil, err
 	}
-	lines := strings.Split(strings.TrimRight(trace.Format(), "\n"), "\n")
+	text := trace.Format()
+	if len(sp.Children) > 0 {
+		text = sp.Format() + text
+	}
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 	return engine.PlanResult(append(lines, fmt.Sprintf("Execution: rows=%d time=%s", res.Len(), trace.Duration))), nil
 }
 
 // Explain returns the standard-SQL plan the query rewriter generates for a
-// percentage/horizontal query under the configured strategies — the output
-// of the paper's code generator. Standard queries return themselves.
+// percentage/horizontal query — the output of the paper's code generator —
+// planned exactly as Query plans it (strategies or the advisor, limits), but
+// for display: it reads the summary cache and changes nothing. Standard
+// queries return themselves.
 func (db *DB) Explain(sql string) (string, error) {
-	plan, err := db.planner.PlanSQL(sql, db.strat.coreOptions())
+	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return "", err
 	}
-	defer db.planner.CleanupPlan(plan)
+	sel, ok := stmt.(*sqlparse.Select)
+	if !ok {
+		return "", fmt.Errorf("pctagg: Explain needs a SELECT, got %T", stmt)
+	}
+	return db.explain(context.Background(), sel, db.par)
+}
+
+// explain renders sel's plan for display (core.Planner.PlanDisplay).
+func (db *DB) explain(ctx context.Context, sel *sqlparse.Select, par int) (string, error) {
+	opts, err := db.options(ctx, sel, par)
+	if err != nil {
+		return "", err
+	}
+	plan, err := db.planner.PlanDisplay(ctx, sel, opts)
+	if err != nil {
+		return "", err
+	}
 	return plan.SQL(), nil
 }
 
@@ -466,7 +506,8 @@ type CacheStats = core.CacheStats
 // SummaryCacheStats returns a snapshot of the summary cache's counters.
 func (db *DB) SummaryCacheStats() CacheStats { return db.planner.CacheStats() }
 
-// FlushSummaries drops every cached shared summary.
+// FlushSummaries empties the summary cache and drops its tables; a table a
+// query in flight still reads goes when that query finishes.
 func (db *DB) FlushSummaries() { db.planner.FlushSummaries() }
 
 // MaxColumns reports the configured per-table column limit used to decide
