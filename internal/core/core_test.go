@@ -530,8 +530,8 @@ func TestHaggCountDistinctDirect(t *testing.T) {
 
 // TestPlanningRunsUnderTheStatementContext: the feedback scan of F is a
 // statement of the query being planned. A cancelled context stops it with the
-// typed error before it reads a row, and Options.Limits govern it as they
-// govern the plan's steps.
+// typed error before it reads a row, and the context's limits govern it as
+// they govern the plan's steps.
 func TestPlanningRunsUnderTheStatementContext(t *testing.T) {
 	p := newSalesPlanner(t)
 	sel, err := parseSelect(hpctDaily)
@@ -554,10 +554,9 @@ func TestPlanningRunsUnderTheStatementContext(t *testing.T) {
 	}
 
 	// daily has seven dweek values: the feedback scan needs seven groups.
-	opts := DefaultOptions()
-	opts.Limits = engine.Limits{MaxGroups: 3}
+	limited := engine.WithLimits(context.Background(), engine.Limits{MaxGroups: 3})
 	var coded interface{ Code() string }
-	if _, err := p.Plan(sel, opts); !errors.As(err, &coded) || coded.Code() != diag.CodeGroupLimit {
+	if _, err := p.PlanCtx(limited, sel, DefaultOptions()); !errors.As(err, &coded) || coded.Code() != diag.CodeGroupLimit {
 		t.Errorf("Plan under MaxGroups=3: err = %v, want %s from the feedback scan", err, diag.CodeGroupLimit)
 	}
 }

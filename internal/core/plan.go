@@ -61,10 +61,6 @@ type Plan struct {
 	// sequential, n > 1 = n workers). It never changes the generated SQL —
 	// only how the engine folds each aggregation.
 	Parallelism int
-	// Limits is the resource budget every step executes under, stamped from
-	// Options.Limits. The zero value defers to the engine-wide defaults
-	// (engine.SetLimits); a non-zero value overrides them for this plan.
-	Limits engine.Limits
 	// cacheHits and cacheMisses count the summaries the plan's cache lookups
 	// reused (as they were or refreshed) and built — the per-statement signal
 	// the introspection catalog surfaces in pct_stat_statements.
@@ -213,7 +209,9 @@ func (plan *Plan) owns(table string) string {
 	return table
 }
 
-// Options selects evaluation strategies per query class.
+// Options selects evaluation strategies per query class, and the plan's
+// parallelism. Limits are not an option: the statements a plan runs resolve
+// theirs from the context it runs under (engine.EffectiveLimits).
 type Options struct {
 	Vpct VpctOptions
 	Hpct HpctOptions
@@ -226,11 +224,6 @@ type Options struct {
 	// per-worker accumulators in pinned partition order, reproducing the
 	// sequential group order exactly (see internal/difftest).
 	Parallelism int
-	// Limits bounds what the plan's execution may consume (see
-	// engine.Limits). MaxPivotColumns is additionally enforced at plan time,
-	// before any step runs: a horizontal layout wider than the cap fails
-	// planning with PCT204 instead of building an oversized CREATE TABLE.
-	Limits engine.Limits
 }
 
 // DefaultOptions returns the strategies the paper's evaluation found best
@@ -322,9 +315,11 @@ func (p *Planner) Plan(sel *sqlparse.Select, opts Options) (*Plan, error) {
 
 // PlanCtx is Plan under a context: the feedback scans horizontal planning
 // runs over F and the statements of the summary cache's lookups stop on
-// ctx's cancellation or deadline with the typed lifecycle errors, obey
-// opts.Limits, and nest in the statement ctx belongs to, exactly as the
-// plan's steps do under ExecuteCtx.
+// ctx's cancellation or deadline with the typed lifecycle errors, obey the
+// limits ctx resolves to (engine.EffectiveLimits), and nest in the statement
+// ctx belongs to, exactly as the plan's steps do under ExecuteCtx. A
+// horizontal layout wider than those limits' MaxPivotColumns fails planning
+// with PCT204, before any step runs.
 func (p *Planner) PlanCtx(ctx context.Context, sel *sqlparse.Select, opts Options) (*Plan, error) {
 	return p.planIn(ctx, sel, opts, nil, false)
 }
@@ -351,10 +346,9 @@ func (p *Planner) planIn(ctx context.Context, sel *sqlparse.Select, opts Options
 	if err != nil {
 		return nil, err
 	}
-	ctx = limitsCtx(ctx, opts.Limits)
-	// Parallelism and Limits apply to every class and never alter the
-	// generated SQL, only how the plan (and its cache lookups) execute.
-	plan := &Plan{Class: a.class, Parallelism: opts.Parallelism, Limits: opts.Limits, display: display, span: span}
+	// Parallelism applies to every class and never alters the generated SQL,
+	// only how the plan (and its cache lookups) execute.
+	plan := &Plan{Class: a.class, Parallelism: opts.Parallelism, display: display, span: span}
 	switch {
 	case a.hasSets:
 		// ROLLUP/CUBE/GROUPING SETS plan the whole lattice from one finest
@@ -374,7 +368,7 @@ func (p *Planner) planIn(ctx context.Context, sel *sqlparse.Select, opts Options
 	// The pivot-width cap is the one limit checkable before execution: the
 	// feedback pass has already counted the result columns, so an oversized
 	// layout fails here instead of mid-evaluation.
-	if lim := opts.Limits; err == nil && lim.MaxPivotColumns > 0 && plan.N > lim.MaxPivotColumns {
+	if lim := p.Eng.EffectiveLimits(ctx); err == nil && lim.MaxPivotColumns > 0 && plan.N > lim.MaxPivotColumns {
 		err = &engine.LimitError{
 			PCTCode:  diag.CodePivotLimit,
 			Resource: "pivot-column",
@@ -416,8 +410,9 @@ func parseSelect(sql string) (*sqlparse.Select, error) {
 // ExecuteCtx runs the plan's build steps and final select, then drops the
 // plan's temporary tables. The returned result is the user-facing relation,
 // its Rows boxed. Cancelling ctx stops the running step cooperatively with a
-// typed CancelledError, and the plan's Limits (or the engine-wide defaults)
-// are enforced on every step. Cleanup of the plan's temporary tables still
+// typed CancelledError, and every step runs under the limits ctx resolves to
+// (engine.EffectiveLimits) — a generated statement's are exactly those of
+// the statement that generated it. Cleanup of the plan's temporary tables still
 // runs after a cancelled step — a cancelled plan must not strand its temp
 // tables.
 func (p *Planner) ExecuteCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
@@ -458,20 +453,10 @@ func (p *Planner) ExecuteTyped(ctx context.Context, plan *Plan, traced bool) (*e
 	return res, root, err
 }
 
-// limitsCtx attaches a plan's Limits to ctx when set, so every statement the
-// plan runs — its feedback scans, its cache lookups, its steps — resolves the
-// same effective budget.
-func limitsCtx(ctx context.Context, lim engine.Limits) context.Context {
-	if lim != (engine.Limits{}) {
-		return engine.WithLimits(ctx, lim)
-	}
-	return ctx
-}
-
 // executeIn runs the plan's statements as generated ones (engine.Generated):
 // nested in the statement ctx belongs to, if any, and never top-level.
 func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {
-	ctx = limitsCtx(engine.Generated(ctx), plan.Limits)
+	ctx = engine.Generated(ctx)
 	res, err := p.executeStepsIn(ctx, plan, root)
 	if err != nil {
 		p.cleanupIn(plan, root)
@@ -493,10 +478,10 @@ func (p *Planner) executeIn(ctx context.Context, plan *Plan, root *obs.Span) (*e
 }
 
 // ExecuteStepsCtx runs only the build steps (what the paper times) and
-// leaves the temporary tables in place, under a context (see ExecuteCtx).
-// Callers must CleanupPlan afterwards.
+// leaves the temporary tables in place, under a context whose limits every
+// step runs under (see ExecuteCtx). Callers must CleanupPlan afterwards.
 func (p *Planner) ExecuteStepsCtx(ctx context.Context, plan *Plan) (*engine.Result, error) {
-	return p.executeStepsIn(limitsCtx(engine.Generated(ctx), plan.Limits), plan, nil)
+	return p.executeStepsIn(engine.Generated(ctx), plan, nil)
 }
 
 func (p *Planner) executeStepsIn(ctx context.Context, plan *Plan, root *obs.Span) (*engine.Result, error) {

@@ -74,9 +74,12 @@ func WithLimits(ctx context.Context, l Limits) context.Context {
 	return context.WithValue(ctx, limitsKey{}, l)
 }
 
-// effectiveLimits resolves the limits for one statement: context override
-// first, engine default otherwise.
-func (e *Engine) effectiveLimits(ctx context.Context) Limits {
+// EffectiveLimits resolves the limits of the statement ctx belongs to: the
+// context's own (WithLimits) first, the engine-wide ones otherwise. It is the
+// one place a statement's limits are decided: every statement resolves them
+// here, a generated one under the context of the statement that generated
+// it, and the core planner reads MaxPivotColumns through it at plan time.
+func (e *Engine) EffectiveLimits(ctx context.Context) Limits {
 	if l, ok := ctx.Value(limitsKey{}).(Limits); ok {
 		return l
 	}
@@ -92,7 +95,7 @@ func (e *Engine) effectiveLimits(ctx context.Context) Limits {
 // context and the limits it was derived from. The spans under sp that the
 // unwind skipped past are closed, so the trace stays well-formed.
 func (e *Engine) Contain(ctx context.Context, point string, sp *obs.Span, fn func(context.Context, Limits) error) (err error) {
-	lim := e.effectiveLimits(ctx)
+	lim := e.EffectiveLimits(ctx)
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, lim.Timeout)

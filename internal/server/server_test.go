@@ -437,6 +437,68 @@ func TestSharedBytePoolClampsTenantBudget(t *testing.T) {
 	}
 }
 
+// TestTenantLimitsGovernGeneratedStatements: a tenant's limits, the byte
+// pool's clamp included, govern a percentage query's plan and every statement
+// it generates, on a DB whose engine-wide limits are looser.
+func TestTenantLimitsGovernGeneratedStatements(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := demoDB(t)
+	db.SetLimits(pctagg.Limits{MaxRows: 1 << 40, MaxBytes: 1 << 40, MaxPivotColumns: 100})
+	srv := startServer(t, db, server.Config{
+		SharedBytes: 128,
+		Tenants: []server.TenantProfile{
+			{Name: "narrow", Limits: pctagg.Limits{MaxPivotColumns: 3}},
+			{Name: "tiny", Limits: pctagg.Limits{MaxRows: 2}},
+			{Name: "hog", Limits: pctagg.Limits{MaxBytes: 1 << 30}},
+		},
+	})
+	defer srv.Close()
+	const vpct = "SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city"
+	for _, c := range []struct {
+		tenant, sql, code string
+		generated         bool // the error names the generated step it stopped
+	}{
+		{"narrow", "SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store", diag.CodePivotLimit, false},
+		{"tiny", vpct, diag.CodeRowLimit, true},
+		{"hog", vpct, diag.CodeByteBudget, true},
+	} {
+		c1 := dial(t, srv, c.tenant)
+		_, err := c1.Do(context.Background(), c.sql)
+		c1.Close()
+		if code := diag.CodeOf(err); code != c.code {
+			t.Errorf("%s: %s: err = %v (code %q), want %s", c.tenant, c.sql, err, code, c.code)
+		} else if c.generated && !strings.Contains(err.Error(), `step "`) {
+			t.Errorf("%s: %s: err = %v, want it from a generated step", c.tenant, c.sql, err)
+		}
+	}
+}
+
+// TestTenantWithoutLimitsRunsGeneratedStatementsUnlimited pins the rule a
+// generated statement follows — it runs under exactly the limits of the
+// statement that generated it — where it shows: a tenant whose profile sets
+// no limits runs a Vpct's steps without limits, as it runs its plain SELECT,
+// though the DB's engine-wide limits would stop both.
+func TestTenantWithoutLimitsRunsGeneratedStatementsUnlimited(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := demoDB(t)
+	db.SetLimits(pctagg.Limits{MaxRows: 2})
+	srv := startServer(t, db, server.Config{Tenants: []server.TenantProfile{{Name: "free"}}})
+	defer srv.Close()
+	c := dial(t, srv, "free")
+	defer c.Close()
+	for _, sql := range []string{
+		"SELECT RID, state FROM sales",
+		"SELECT state, city, Vpct(salesAmt BY city) FROM sales GROUP BY state, city",
+	} {
+		if _, err := c.Do(context.Background(), sql); err != nil {
+			t.Errorf("%s: %v", sql, err)
+		}
+	}
+	if _, err := db.Query("SELECT RID, state FROM sales"); diag.CodeOf(err) != diag.CodeRowLimit {
+		t.Errorf("in process, under the engine-wide MaxRows=2: err = %v, want %s", err, diag.CodeRowLimit)
+	}
+}
+
 // TestSessionsLedgerReconcilesUnderLoad is the load reconciliation: two
 // tenants × three sessions × eight statements against admission knobs tight
 // enough (one running, one queued) that a tenant's third session is refused.

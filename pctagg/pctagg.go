@@ -50,7 +50,6 @@ type DB struct {
 	planner *core.Planner
 	strat   Strategies
 	auto    bool
-	par     int
 	// sink is the per-query trace sink (see SetTraceSink), boxed in an
 	// atomic pointer so attaching or detaching it races safely with queries
 	// in flight — the same discipline the engine uses for its slow-query log.
@@ -73,35 +72,37 @@ func Open() *DB {
 // installs the DB's rewriter on the engine: from then on the engine evaluates
 // percentage queries however they reach it.
 func newDB(eng *engine.Engine, planner *core.Planner) *DB {
-	db := &DB{eng: eng, planner: planner, strat: DefaultStrategies(), par: eng.Parallelism()}
+	db := &DB{eng: eng, planner: planner, strat: DefaultStrategies()}
 	eng.SetRewriter(rewriter{db})
 	return db
 }
 
-// SetParallelism sets the aggregation worker count for subsequent queries:
-// 0 (the default) uses one worker per CPU on large inputs, 1 forces the
-// sequential path, n > 1 forces exactly n workers. Results are identical
-// across settings — the parallel path's deterministic merge reproduces the
-// sequential output exactly.
-func (db *DB) SetParallelism(p int) {
-	db.par = p
-	db.eng.SetParallelism(p)
-}
+// SetParallelism sets the aggregation worker count of every subsequent
+// statement, a percentage query's generated ones included: 0 (the default)
+// uses one worker per CPU on large inputs, 1 forces the sequential path,
+// n > 1 forces exactly n workers. It is the engine's setting
+// (Engine().SetParallelism sets the same one), safe to change while queries
+// run. Results are identical across settings — the parallel path's
+// deterministic merge reproduces the sequential output exactly.
+func (db *DB) SetParallelism(p int) { db.eng.SetParallelism(p) }
 
-// Parallelism returns the configured aggregation parallelism.
-func (db *DB) Parallelism() int { return db.par }
+// Parallelism returns the engine's aggregation parallelism, the one every
+// statement runs with.
+func (db *DB) Parallelism() int { return db.eng.Parallelism() }
 
 // Limits bounds the resources one statement may consume; the zero value
 // means unlimited. See engine.Limits for the per-field semantics.
 type Limits = engine.Limits
 
-// SetLimits installs database-wide resource limits enforced on every
-// subsequent statement: row/group/byte budgets fail the statement with a
-// typed PCT2xx error instead of exhausting memory, MaxPivotColumns rejects
-// oversized horizontal layouts at plan time, and Timeout is the deadline of
-// each statement sent — a percentage query's generated steps all run under
-// it, while the budgets apply to each generated statement on its own. The
-// zero value removes all limits.
+// SetLimits installs database-wide resource limits, enforced on every
+// subsequent statement whose context carries none of its own
+// (engine.WithLimits, which the server stamps for each tenant): row, group
+// and byte budgets fail the statement with a typed PCT2xx error instead of
+// exhausting memory, MaxPivotColumns rejects oversized horizontal layouts at
+// plan time, and Timeout is the deadline of each statement sent. A
+// percentage query's generated statements run under exactly the limits of
+// the statement that generated it: all within its deadline, each held to
+// the budgets on its own. The zero value removes all limits.
 func (db *DB) SetLimits(l Limits) { db.eng.SetLimits(l) }
 
 // Limits returns the database-wide resource limits.
@@ -153,8 +154,9 @@ func (db *DB) Query(sql string) (*Rows, error) {
 // QueryCtx is Query under a context: cancelling ctx stops the in-flight
 // query cooperatively — scans, joins, folds, and parallel workers all check
 // it — and returns a typed cancellation error (PCT200, or PCT201 past a
-// deadline). Resource limits installed with SetLimits are enforced the same
-// way.
+// deadline). Resource limits are enforced the same way: ctx's own
+// (engine.WithLimits), else those SetLimits installed, on the query and on
+// every statement it generates.
 func (db *DB) QueryCtx(ctx context.Context, sql string) (*Rows, error) {
 	res, err := db.QueryTypedCtx(ctx, sql)
 	if err != nil {
@@ -203,7 +205,7 @@ func (db *DB) query(ctx context.Context, sql string, root *Span) (*engine.Result
 	default:
 		return nil, fmt.Errorf("pctagg: Query needs a SELECT; use Exec for %T", stmt)
 	}
-	res, err := db.eng.ExecuteCtxIn(ctx, stmt, db.par, root)
+	res, err := db.eng.ExecuteCtxIn(ctx, stmt, db.eng.Parallelism(), root)
 	if err != nil {
 		countQueryError(err)
 		return nil, err
@@ -284,10 +286,8 @@ type rewriter struct{ db *DB }
 
 // options resolves the options a statement plans with: the advisor's pick
 // under AutoStrategy, the configured strategies otherwise, with the
-// statement's parallelism and the database-wide limits stamped on either.
-// The advisor sets neither; the limits are stamped so plan-time checks
-// (MaxPivotColumns) see them, and per-step enforcement resolves the same
-// limits either way.
+// statement's parallelism stamped on either. Limits are no option: the plan
+// resolves them from ctx, as every statement it runs does.
 func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int) (core.Options, error) {
 	opts := db.strat.coreOptions()
 	if db.auto {
@@ -297,7 +297,6 @@ func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int) (core.
 		}
 	}
 	opts.Parallelism = par
-	opts.Limits = db.eng.Limits()
 	return opts, nil
 }
 
@@ -372,7 +371,7 @@ func (db *DB) Explain(sql string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("pctagg: Explain needs a SELECT, got %T", stmt)
 	}
-	return db.explain(context.Background(), sel, db.par)
+	return db.explain(context.Background(), sel, db.eng.Parallelism())
 }
 
 // explain renders sel's plan for display (core.Planner.PlanDisplay).
