@@ -171,14 +171,17 @@ func writeJSON(path, scale string, cfg bench.Config, tables []*bench.Table) erro
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
-// markdown renders a bench table as a markdown table.
+// markdown renders a bench table as a markdown table, times in milliseconds
+// to the microsecond, so a small-scale cell still reads. A row label's "|",
+// which separates its by and totals columns, is escaped: it is not a cell
+// boundary.
 func markdown(t *bench.Table) string {
 	var sb strings.Builder
 	sb.WriteString("### " + t.Title + "\n\n")
 	if t.Note != "" {
 		sb.WriteString(t.Note + "\n\n")
 	}
-	sb.WriteString("| query |")
+	sb.WriteString("| query (ms) |")
 	for _, h := range t.Header {
 		sb.WriteString(" " + h + " |")
 	}
@@ -188,9 +191,9 @@ func markdown(t *bench.Table) string {
 	}
 	sb.WriteString("\n")
 	for _, r := range t.Rows {
-		sb.WriteString("| " + r.Label + " |")
+		sb.WriteString("| " + strings.ReplaceAll(r.Label, "|", `\|`) + " |")
 		for _, d := range r.Times {
-			sb.WriteString(fmt.Sprintf(" %.3f |", d.Seconds()))
+			fmt.Fprintf(&sb, " %.3f |", float64(d.Nanoseconds())/1e6)
 		}
 		sb.WriteString("\n")
 	}

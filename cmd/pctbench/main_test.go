@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 )
@@ -111,5 +112,23 @@ func TestUnknownTable(t *testing.T) {
 		if code, _, errOut := runCLI(t, gone, "x"); code != 2 || !strings.Contains(errOut, gone) {
 			t.Errorf("%s: exit %d, stderr %q; the flag is gone", gone, code, errOut)
 		}
+	}
+}
+
+// TestMarkdownCells renders a table as -md does: every row has as many cells
+// as the header — the "|" inside a label is escaped — and a sub-millisecond
+// time reads in milliseconds, not as 0.000.
+func TestMarkdownCells(t *testing.T) {
+	tab := &bench.Table{Title: "T", Header: []string{"a", "b"}, Rows: []bench.Row{
+		{Label: "employee gender | -", Times: []time.Duration{420 * time.Microsecond, 3 * time.Second}},
+	}}
+	cells := func(line string) int { return strings.Count(strings.ReplaceAll(line, `\|`, ""), "|") - 1 }
+	lines := strings.Split(strings.TrimSpace(markdown(tab)), "\n")
+	header, row := lines[len(lines)-3], lines[len(lines)-1]
+	if cells(row) != cells(header) {
+		t.Errorf("row %q has %d cells under a header of %d (%q)", row, cells(row), cells(header), header)
+	}
+	if want := "| employee gender \\| - | 0.420 | 3000.000 |"; row != want {
+		t.Errorf("row = %q, want %q", row, want)
 	}
 }

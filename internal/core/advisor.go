@@ -56,7 +56,7 @@ func (p *Planner) AdviseCtx(ctx context.Context, sel *sqlparse.Select) (Options,
 		if err != nil {
 			return Options{}, err
 		}
-		fk, err := p.feedbackCombos(ctx, a.table, a.fineGroup(), a.whereSQL())
+		fk, err := p.feedbackCombos(ctx, a.table, a.fineGroup(), a.whereSQL(), p.Eng.Parallelism(), nil)
 		if err != nil {
 			return Options{}, err
 		}

@@ -87,7 +87,7 @@ func (p *Planner) CountDistinct(table string, cols []string, whereSQL string) (i
 	if len(cols) == 0 {
 		return 1, nil
 	}
-	combos, err := p.feedbackCombos(context.Background(), table, cols, whereSQL)
+	combos, err := p.feedbackCombos(context.Background(), table, cols, whereSQL, p.Eng.Parallelism(), nil)
 	if err != nil {
 		return 0, err
 	}

@@ -16,7 +16,7 @@ import (
 // assembled with left outer joins. Each runs either directly from F or
 // indirectly from the vertical pre-aggregate FV.
 func (p *Planner) planHorizontalAgg(ctx context.Context, plan *Plan, a *analysis, opts HaggOptions) error {
-	hl, err := p.horizontalLayout(ctx, a)
+	hl, err := p.horizontalLayout(ctx, plan, a)
 	if err != nil {
 		return err
 	}

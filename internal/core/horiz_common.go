@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/expr"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/value"
 )
@@ -21,14 +22,19 @@ type combo struct {
 // feedbackCombos runs the feedback query the paper requires to lay out FH:
 // SELECT DISTINCT Dj+1..Dk FROM F, ordered for deterministic column order. It
 // is a statement generated for the query being planned, so it runs under that
-// query's context.
-func (p *Planner) feedbackCombos(ctx context.Context, table string, byCols []string, whereSQL string) ([]combo, error) {
+// query's context with its parallelism, and its trace nests under span (nil:
+// untraced). The fold behind the DISTINCT stops reading F once it has seen
+// every combination the BY columns' bounds allow (DESIGN.md, "Early stop").
+func (p *Planner) feedbackCombos(ctx context.Context, table string, byCols []string, whereSQL string, par int, span *obs.Span) ([]combo, error) {
 	sql := fmt.Sprintf("SELECT DISTINCT %s FROM %s%s ORDER BY %s",
 		joinIdents(byCols), table, whereSQL, joinIdents(byCols))
-	res, err := p.Eng.ExecSQLCtx(engine.Generated(ctx), sql)
+	sp := span.NewChild("feedback: distinct " + strings.Join(byCols, ", "))
+	res, err := p.Eng.ExecSQLCtxIn(engine.Generated(ctx), sql, par, sp)
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: feedback query failed: %w", err)
 	}
+	res.Box()
 	out := make([]combo, 0, res.Len())
 	// pctvet:ok O(1) copy per row of a result the feedback statement already governed
 	for _, row := range res.Rows {
@@ -125,14 +131,14 @@ type hlayout struct {
 // with the feedback process the paper describes — reading each term's
 // distinct BY combinations to define the result columns — and names every
 // column.
-func (p *Planner) horizontalLayout(ctx context.Context, a *analysis) (*hlayout, error) {
+func (p *Planner) horizontalLayout(ctx context.Context, plan *Plan, a *analysis) (*hlayout, error) {
 	hl := &hlayout{}
 	for idx, it := range a.items {
 		switch {
 		case it.kind == itemVertAgg:
 			hl.extras = append(hl.extras, idx)
 		case it.horizontal():
-			combos, err := p.feedbackCombos(ctx, a.table, it.agg.By, a.whereSQL())
+			combos, err := p.feedbackCombos(ctx, a.table, it.agg.By, a.whereSQL(), plan.Parallelism, plan.span)
 			if err != nil {
 				return nil, err
 			}

@@ -14,7 +14,7 @@ import (
 // process the paper describes: reading the distinct BY combinations to
 // define FH's columns.
 func (p *Planner) planHorizontalPct(ctx context.Context, plan *Plan, a *analysis, opts HpctOptions) error {
-	hl, err := p.horizontalLayout(ctx, a)
+	hl, err := p.horizontalLayout(ctx, plan, a)
 	if err != nil {
 		return err
 	}

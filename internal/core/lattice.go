@@ -70,7 +70,7 @@ func (p *Planner) planLattice(ctx context.Context, plan *Plan, a *analysis, opts
 	if err := checkLattice(a, opts); err != nil {
 		return err
 	}
-	hl, err := p.horizontalLayout(ctx, a)
+	hl, err := p.horizontalLayout(ctx, plan, a)
 	if err != nil {
 		return err
 	}

@@ -1070,3 +1070,121 @@ func TestDifferentialBatchMetamorphicHpct(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialBatchFullDirectory covers the early stop of a fold with no
+// aggregate (foldOp.saturation): DISTINCT and GROUP BY without aggregates
+// agree with the reference at every parallelism, row for row and error for
+// error, and read less than the table only where the stop is allowed — a
+// key of bare NULL-free columns, plain or under a kernel filter, an INTEGER,
+// a dictionary-coded VARCHAR or a BOOLEAN. A key holding a NULL, a computed
+// key, a LEFT JOIN and a filter that can raise read every row, and the filter
+// still raises at the table's last row. Rows appended after the fold was
+// planned are folded, whatever the directory held.
+func TestDifferentialBatchFullDirectory(t *testing.T) {
+	const n = 5000
+	cat := storage.NewCatalog()
+	tab, err := cat.Create("t", storage.Schema{
+		{Name: "a", Type: storage.TypeInt}, {Name: "b", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString},
+		{Name: "c", Type: storage.TypeBool}, {Name: "nl", Type: storage.TypeInt}, {Name: "z", Type: storage.TypeInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		nl, z := value.NewInt(int64(i%4)), value.NewInt(1)
+		if i%11 == 10 {
+			nl = value.Null
+		}
+		if i == n-1 {
+			z = value.NewInt(0)
+		}
+		row := []value.Value{value.NewInt(int64(i % 7)), value.NewInt(int64(i % 3)), value.NewString(fmt.Sprint("s", i%5)), value.NewBool(i%2 == 0), nl, z}
+		if _, err := tab.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, err := cat.Create("u", storage.Schema{{Name: "a", Type: storage.TypeInt}, {Name: "d", Type: storage.TypeInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := u.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i * 10))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := core.NewPlanner(engine.New(cat))
+	scanned := obs.Default.Counter("engine.rows.scanned")
+	for _, tc := range []struct {
+		sql   string
+		stops bool
+	}{
+		{"SELECT DISTINCT a, b FROM t", true},
+		{"SELECT a, b FROM t GROUP BY a, b", true},
+		{"SELECT DISTINCT b, a FROM t ORDER BY a DESC, b", true},
+		{"SELECT DISTINCT s FROM t", true},
+		{"SELECT DISTINCT c, s FROM t", true},
+		{"SELECT DISTINCT a FROM t WHERE b = 1", true},
+		{"SELECT a FROM t WHERE s = 's2' AND c IS NOT NULL GROUP BY a HAVING a > 2", true},
+		{"SELECT DISTINCT nl FROM t", false},
+		{"SELECT DISTINCT a, nl FROM t", false},
+		{"SELECT DISTINCT a + 1 FROM t", false},
+		{"SELECT DISTINCT a FROM t WHERE 10 / z > 0", false},
+		{"SELECT a FROM t WHERE b = 1 AND 10 / z > 0 GROUP BY a", false},
+		{"SELECT DISTINCT t.a, u.d FROM t LEFT JOIN u ON t.a = u.a", false},
+		{"SELECT DISTINCT t.a FROM t LEFT JOIN u ON t.a = u.a", false},
+		{"SELECT a, count(*) FROM t GROUP BY a", false},
+	} {
+		if err := CompareBatch(p, tc.sql, core.Options{}, difftest.Parallelisms); err != nil {
+			t.Error(err)
+		}
+		for _, par := range []int{1, 2} {
+			before := scanned.Value()
+			_, err := p.Eng.ExecSQLCtxP(context.Background(), tc.sql, par)
+			if read := scanned.Value() - before; err == nil && (read < n) != tc.stops {
+				t.Errorf("%s at P=%d scanned %d of %d rows; want a stop: %v", tc.sql, par, read, n, tc.stops)
+			}
+		}
+	}
+
+	// Appended after planning: an out-of-bounds a, a new string and a NULL,
+	// each in the rows past what the plan saw.
+	for _, par := range difftest.Parallelisms {
+		name := fmt.Sprint("w", par)
+		w, err := cat.Create(name, storage.Schema{{Name: "a", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := w.AppendRow([]value.Value{value.NewInt(int64(i % 3)), value.NewString(fmt.Sprint("s", i%2))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, read, err := engine.DistinctAfter(p.Eng, name, []string{"a", "s"}, par, func() error {
+			for _, row := range [][]value.Value{
+				{value.NewInt(9), value.NewString("s0")},
+				{value.NewInt(1), value.NewString("late")},
+				{value.Null, value.NewString("s1")},
+			} {
+				if _, err := w.AppendRow(row); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.UseReference(p.Eng, true)
+		want, err := p.Eng.ExecSQL("SELECT DISTINCT a, s FROM " + name)
+		engine.UseReference(p.Eng, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want.Rows) {
+			t.Errorf("P=%d, rows appended after planning: %v, want %v", par, got, want.Rows)
+		}
+		if par < 8 && read >= n {
+			t.Errorf("P=%d: the fold read %d rows; the covered ones should have stopped it", par, read)
+		}
+	}
+}

@@ -64,7 +64,10 @@ const fuzzManyGroups = 3500
 // time), a dispatched Hpct shape and REAL sums, minima and maxima, a HAVING
 // and a computed item that raise at a group past the first batch of groups,
 // and the cut of a fold's batch: a computed key that raises at row 1500, and
-// an arm and a plain spec that both raise there, the arm first.
+// an arm and a plain spec that both raise there, the arm first. The last three
+// fill their directory (foldOp.saturation): a DISTINCT that may stop once it
+// has met all 3 500 ids, a BOOLEAN key under a kernel filter, and a BOOLEAN
+// key behind a filter that raises at row 1500, which must still raise.
 var fuzzFoldQueries = append([]string{
 	"SELECT d1, sum(a), count(*) FROM f GROUP BY d1",
 	"SELECT d1, d3, min(a), max(b), count(a) FROM f GROUP BY d1, d3",
@@ -133,6 +136,9 @@ var fuzzManyGroupQueries = []string{
 	"SELECT id, count(*) FROM f GROUP BY id HAVING CASE WHEN id > 2000 THEN min(d3) + 1 ELSE 1 END > 0",
 	"SELECT CASE WHEN id >= 1500 THEN s + 1 ELSE id END, count(*) FROM f GROUP BY 1",
 	"SELECT id, sum(CASE WHEN id = 1500 THEN s ELSE 0 END), count(10 / (id - 1500)) FROM f GROUP BY id",
+	"SELECT DISTINCT id FROM f",
+	"SELECT c FROM f WHERE d2 = 1 GROUP BY c",
+	"SELECT DISTINCT c FROM f WHERE 10 / (id - 1500) > -100",
 }
 
 func fuzzFoldRow(rng *rand.Rand, i int) []value.Value {

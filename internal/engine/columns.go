@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -224,6 +225,10 @@ type tupleSink interface {
 	consume(b *tupleBatch) error
 }
 
+// errSaturated is what a sink returns to end its run early: it holds all it
+// can, so no tuple the run has not handed on can change it (foldWorker.consume).
+var errSaturated = errors.New("engine: sink saturated")
+
 // sinkFunc is a function as a tupleSink.
 type sinkFunc func(b *tupleBatch) error
 
@@ -317,7 +322,8 @@ func (r *pipeRun) finish() {
 	}
 }
 
-// run drives source rows [lo, hi) through the stages into the sink.
+// run drives source rows [lo, hi) through the stages into the sink, or up to
+// the batch after which the sink says it is saturated.
 func (r *pipeRun) run(lo, hi int) error {
 	p := r.p
 	for base := lo; base < hi; base += batchSize {
@@ -337,12 +343,16 @@ func (r *pipeRun) run(lo, hi int) error {
 		r.src.n = bn
 		r.srcNs += time.Since(t0)
 		err := r.stage(0)
+		saturated := errors.Is(err, errSaturated)
+		if saturated {
+			err = nil
+		}
 		if r.read += int64(bn); err == nil && p.scan != nil {
 			err = r.gov.addScanned(int64(bn))
 		} else if err == nil {
 			err = r.gov.check()
 		}
-		if err != nil {
+		if err != nil || saturated {
 			return err
 		}
 	}

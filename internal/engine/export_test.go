@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/value"
 )
 
 // UseReference runs every SELECT of e on the row-at-a-time reference engine
@@ -33,25 +34,83 @@ var CASEFanoutSQL = caseFanoutSQL
 // plans it — the fold itself runs on the reference — and returns the key
 // route, direct or hash, of each arm family those plans hold, in plan order.
 func FamilyRoutes(e *Engine, fn func() error) ([]string, error) {
-	rec := &routeRecorder{}
-	var r reference = rec
-	e.ref.Store(&r)
-	defer e.ref.Store(nil)
-	err := fn()
+	rec, err := recordFolds(e, fn)
 	return rec.routes, err
 }
 
-type routeRecorder struct {
+// ProjectedOps runs fn with every fold of e on the reference and returns, per
+// fold whose groups a projector takes, the column op each item compiled to:
+// "gather", "divide" or "eval".
+func ProjectedOps(e *Engine, fn func() error) ([][]string, error) {
+	rec, err := recordFolds(e, fn)
+	return rec.ops, err
+}
+
+// DistinctAfter runs SELECT DISTINCT cols FROM table on the fold operator at
+// parallelism par, with between run once the fold is planned and before it
+// runs, as a writer racing the statement would: the key columns are read
+// afresh, so the rows between appends are read by a fold whose bounds, NULL
+// checks and covered rows never saw them. It returns the distinct keys in
+// first-appearance order and the source rows the fold read.
+func DistinctAfter(e *Engine, table string, cols []string, par int, between func() error) ([][]value.Value, int64, error) {
+	tab, err := e.ResolveTable(table)
+	if err != nil {
+		return nil, 0, err
+	}
+	scan := newTableScan(tab, table)
+	keys := make([]expr.Expr, len(cols))
+	for i, c := range cols {
+		if keys[i], err = bindExpr(expr.Col(c), scan.sch); err != nil {
+			return nil, 0, err
+		}
+	}
+	op := planFold(newPipeline(scan), keys, nil)
+	if err := between(); err != nil {
+		return nil, 0, err
+	}
+	for i := range op.keys.cols {
+		c := &op.keys.cols[i]
+		c.vec = *tab.Column(c.col)
+		c.vec.Nulls = c.vec.Nulls.Trim()
+	}
+	part, err := op.fold(execCtx{par: par})
+	if err != nil {
+		return nil, 0, err
+	}
+	out := &collector{}
+	if _, err := op.emit(part, nil, out); err != nil {
+		return nil, 0, err
+	}
+	return out.boxedRows(), part.consumed, nil
+}
+
+func recordFolds(e *Engine, fn func() error) (*foldRecorder, error) {
+	rec := &foldRecorder{}
+	var r reference = rec
+	e.ref.Store(&r)
+	defer e.ref.Store(nil)
+	return rec, fn()
+}
+
+type foldRecorder struct {
 	oracle
 	mu     sync.Mutex
 	routes []string
+	ops    [][]string
 }
 
-func (r *routeRecorder) fold(in planNode, keys []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
+func (r *foldRecorder) fold(in planNode, keys []expr.Expr, specs []aggSpec, ec execCtx, out rowSink) (int, error) {
 	op := planFold(newPipeline(in), keys, specs)
 	r.mu.Lock()
 	for _, f := range op.families {
 		r.routes = append(r.routes, f.tab.route())
+	}
+	if p, ok := out.(*projector); ok {
+		names := make([]string, len(p.ops))
+		for i, o := range p.ops {
+			names[i] = [...]string{opEval: "eval", opGather: "gather", opDivide: "divide"}[o.kind]
+		}
+		r.ops = append(r.ops, names)
 	}
 	r.mu.Unlock()
 	return r.oracle.fold(in, keys, specs, ec, out)

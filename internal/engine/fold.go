@@ -70,6 +70,15 @@ import (
 // aggregation").
 // Nothing is copied to fan out: workers read disjoint ranges of the first
 // table's immutable vectors, and a join's workers share its build side.
+//
+// Early stop. A fold with no aggregate — SELECT DISTINCT, GROUP BY without
+// one: the Hpct feedback query, the advisor's fine-group scan, CountDistinct
+// — produces nothing but its groups, so a partition whose directory holds
+// every cell its key can take, ∏(span − 1) when no key column held a NULL at
+// plan time, has its result: its worker ends the run there (errSaturated,
+// saturation). Only rows the plan's bounds and NULL checks covered are
+// skipped, and only where nothing between the scan and the fold can raise, so
+// the groups, their order and the first error are the full scan's.
 
 // Fold metrics: folds the operator ran and the source rows they read.
 var (
@@ -166,15 +175,15 @@ func foldPartitions(ctx context.Context, span *obs.Span, parallelism, n int, ope
 				if r := recover(); r != nil {
 					errs[w] = NewPanicError(fmt.Sprintf("partition worker %d/%d", w+1, workers), r)
 				}
-				groups := 0
+				read, groups := int64(hi-lo), 0
 				if errs[w] != nil {
 					ws.Attr("error", errs[w].Error())
 					cancel()
 				} else {
-					groups = parts[w].tab.len()
+					read, groups = parts[w].consumed, parts[w].tab.len()
 				}
 				ws.End()
-				ws.SetRows(int64(hi-lo), int64(groups))
+				ws.SetRows(read, int64(groups))
 			}()
 			if errs[w] = chaos.HitN(chaos.AggWorker, w+1); errs[w] == nil {
 				parts[w], errs[w] = fold(wctx, lo, hi)
@@ -293,17 +302,58 @@ type foldOp struct {
 	cells, accs, soles int
 	init               []int64
 	families           []*armFamily
+	// full is how many cells the key can take when a worker may stop once
+	// its partition holds them all (saturation), 0 when it may not; covered
+	// is the source rows the plan's bounds and NULL checks saw, the only
+	// rows such a stop skips.
+	full, covered int
 }
 
 // planFold binds a fold to its pipeline.
 func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
-	op := &foldOp{pipe: pipe, specs: specs}
+	// The rows counted before the key's NULL bitmaps and ranges are read are
+	// rows both cover.
+	op := &foldOp{pipe: pipe, specs: specs, covered: pipe.count()}
 	op.keys = op.keyCols(keyExprs)
 	op.bounds, _ = directBounds(&op.keys, pipe.tabs, pipe.count(), nil)
 	for i, arg := range op.planDispatch(pipe.sch) {
 		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
+	op.full = op.saturation()
 	return op
+}
+
+// saturation is the number of cells the key can take, ∏(span − 1), when a
+// partition that holds them all can skip the rest of its covered rows
+// without changing the result or its errors; 0 when it cannot. That takes a
+// fold with no aggregate — SELECT DISTINCT, or GROUP BY with none — over a
+// scan in storage order whose key takes the direct route and is all bare
+// columns that held no NULL at plan time: every covered row then lands in
+// one of those cells. And nothing between the scan and the fold may raise —
+// no join, and only filters the selection kernels take whole — so a skipped
+// row skips no error the reference would meet.
+func (op *foldOp) saturation() int {
+	p := op.pipe
+	if len(op.specs) > 0 || op.bounds.cells == 0 || p.scan == nil || p.scan.order != nil {
+		return 0
+	}
+	for i := range p.stages {
+		st := &p.stages[i]
+		if st.filter == nil || st.tables != 1 {
+			return 0
+		}
+		if _, rest := splitFilter(p.tabs[0], st.filter.pred); rest != nil {
+			return 0
+		}
+	}
+	full := 1
+	for c, col := range op.keys.cols {
+		if col.e != nil || col.outer || len(col.vec.Nulls) > 0 {
+			return 0
+		}
+		full *= int(op.bounds.span[c] - 1)
+	}
+	return full
 }
 
 // directBounds lays out the directory of a key of at most maxIntKeys
@@ -450,7 +500,12 @@ func foldAggregate(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec exe
 // runFold plans one fold over a pipeline, runs it and returns the merged
 // partition, the fold's spans attached under ec.span.
 func runFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec, ec execCtx) (*foldPart, error) {
-	op := planFold(pipe, keyExprs, specs)
+	return planFold(pipe, keyExprs, specs).fold(ec)
+}
+
+// fold runs the planned fold over its pipeline's source.
+func (op *foldOp) fold(ec execCtx) (*foldPart, error) {
+	pipe := op.pipe
 	var ctx context.Context
 	if ec.gov != nil {
 		ctx = ec.gov.ctx
@@ -686,6 +741,9 @@ type foldWorker struct {
 	// The tuples a typed kernel reads whose argument is not NULL, and their
 	// group ids (nonNull): taken at the first NULL-holding argument.
 	keepIds, keepGid []int32
+	// stop is set while the worker reads covered rows of a fold that may
+	// stop (foldOp.saturation).
+	stop bool
 }
 
 // run folds partition [lo, hi) of the op's source. Bound expression trees are
@@ -707,7 +765,16 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 		bufs[i] = w.feed.buffer()
 	}
 	w.gid, w.ents, w.byEnt.ids = w.feed.buffer(), bufs[:nf], bufs[nf:]
-	err := w.feed.run(lo, hi)
+	// A saturated partition stops within the covered rows; rows appended
+	// after planning, which the plan's bounds do not cover, are all folded.
+	mid := hi
+	if op.full > 0 {
+		mid, w.stop = min(max(op.covered, lo), hi), true
+	}
+	err := w.feed.run(lo, mid)
+	if w.stop = false; err == nil && mid < hi {
+		err = w.feed.run(mid, hi)
+	}
 	w.part.consumed, w.part.srcNs, w.part.stages = w.feed.read, w.feed.srcNs, w.feed.st
 	return w.part, err
 }
@@ -722,7 +789,8 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 // the tuples before k are resolved, and so is k's own group when an argument
 // raised — the reference makes it before it evaluates k's arguments, and it
 // may trip MaxGroups first — and then the error ends the fold, so nothing is
-// advanced.
+// advanced. A partition that holds every cell its key can take, while it
+// may stop, ends its run: no tuple it has not read can add a group.
 func (w *foldWorker) consume(b *tupleBatch) error {
 	op, n := w.op, b.rows()
 	for fi, f := range op.families {
@@ -741,7 +809,13 @@ func (w *foldWorker) consume(b *tupleBatch) error {
 			}
 		}
 	}
-	return w.advanceArms(b, n)
+	if err := w.advanceArms(b, n); err != nil {
+		return err
+	}
+	if w.stop && w.part.tab.dir != nil && w.part.tab.len() >= op.full {
+		return errSaturated
+	}
+	return nil
 }
 
 // cut evaluates each argument that can raise (planSlot) at the tuples of b

@@ -242,9 +242,13 @@ func TestDifferentialBatchPlainSelect(t *testing.T) {
 // TestDifferentialBatchGuardedDivision pins the divide op to value.Div cell by
 // cell: every pairing of INTEGER and REAL operands over NULL, both zeros, NaN,
 // the infinities and the extremes, through the column path and through Eval.
+// The grouped form divides sums over the same cells — one group a row, plus
+// groups whose sums are NULL-only, cancel to 0 or -0.0, or make a NaN — with
+// the projector's divide over the fold's group slots, which is what every
+// Hpct cell compiles to.
 func TestDifferentialBatchGuardedDivision(t *testing.T) {
 	e := engine.New(storage.NewCatalog())
-	difftest.MustExec(t, e, "CREATE TABLE q (ni INTEGER, nr REAL, di INTEGER, dr REAL)")
+	difftest.MustExec(t, e, "CREATE TABLE q (k INTEGER, ni INTEGER, nr REAL, di INTEGER, dr REAL)")
 	tab, _ := e.Catalog().Get("q")
 	ints := []value.Value{value.Null, value.NewInt(0), value.NewInt(-7), value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64)}
 	var reals []value.Value
@@ -252,16 +256,35 @@ func TestDifferentialBatchGuardedDivision(t *testing.T) {
 		reals = append(reals, value.NewFloat(f))
 	}
 	reals = append(reals, value.Null)
+	k := 0
+	add := func(row ...value.Value) {
+		t.Helper()
+		if _, err := tab.AppendRow(append([]value.Value{value.NewInt(int64(k))}, row...)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, ni := range ints {
 		for _, nr := range reals {
 			for _, di := range ints {
 				for _, dr := range reals {
-					if _, err := tab.AppendRow([]value.Value{ni, nr, di, dr}); err != nil {
-						t.Fatal(err)
-					}
+					add(ni, nr, di, dr)
+					k++
 				}
 			}
 		}
+	}
+	f := value.NewFloat
+	for _, pair := range [][2][4]value.Value{
+		{{value.Null, value.Null, value.Null, value.Null}, {value.Null, value.Null, value.Null, value.Null}},                                                  // NULL-only
+		{{value.NewInt(3), f(2.5), value.NewInt(3), f(2.5)}, {value.NewInt(-3), f(-2.5), value.NewInt(-3), f(-2.5)}},                                          // sums of 0
+		{{value.NewInt(1), f(math.Copysign(0, -1)), value.NewInt(1), f(math.Copysign(0, -1))}, {value.Null, value.Null, value.Null, f(math.Copysign(0, -1))}}, // -0.0
+		{{value.NewInt(5), f(math.Inf(1)), value.NewInt(2), f(math.Inf(1))}, {value.NewInt(1), f(math.Inf(-1)), value.Null, f(math.Inf(-1))}},                 // NaN
+		{{value.NewInt(5), f(1), value.NewInt(2), f(math.Inf(1))}, {value.NewInt(1), f(2), value.Null, f(3)}},                                                 // +Inf
+	} {
+		for _, row := range pair {
+			add(row[:]...)
+		}
+		k++
 	}
 	var items []string
 	for _, num := range []string{"ni", "nr"} {
@@ -269,27 +292,53 @@ func TestDifferentialBatchGuardedDivision(t *testing.T) {
 			items = append(items, fmt.Sprintf("CASE WHEN %s <> 0 THEN %s / %s ELSE NULL END", den, num, den))
 		}
 	}
-	sql := "SELECT " + strings.Join(items, ", ") + " FROM q"
-	engine.UseReference(e, true)
-	want, err := e.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.UseReference(e, false)
-	got, err := e.ExecSQL(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%d rows, want %d", len(got.Rows), len(want.Rows))
-	}
-	for r := range want.Rows {
-		for c, w := range want.Rows[r] {
-			g := got.Rows[r][c]
-			same := g.Kind() == w.Kind() && (w.IsNull() || math.Float64bits(g.Float()) == math.Float64bits(w.Float()))
-			if !same {
-				t.Fatalf("row %d item %d: divide gives %v (%v), Eval %v (%v)", r, c, g, g.Kind(), w, w.Kind())
+	grouped := strings.NewReplacer("ni", "sum(ni)", "nr", "sum(nr)", "di", "sum(di)", "dr", "sum(dr)").Replace(strings.Join(items, ", "))
+	for _, sql := range []string{
+		"SELECT " + strings.Join(items, ", ") + " FROM q",
+		"SELECT k, " + grouped + " FROM q GROUP BY k",
+	} {
+		engine.UseReference(e, true)
+		want, err := e.ExecSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.UseReference(e, false)
+		got, err := e.ExecSQL(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Rows) != len(want.Rows) {
+			t.Fatalf("%s: %d rows, want %d", sql, len(got.Rows), len(want.Rows))
+		}
+		for r := range want.Rows {
+			for c, w := range want.Rows[r] {
+				g := got.Rows[r][c]
+				same := g.Kind() == w.Kind() && (w.IsNull() || math.Float64bits(g.Float()) == math.Float64bits(w.Float()))
+				if !same {
+					t.Fatalf("%s: row %d item %d: divide gives %v (%v), Eval %v (%v)", sql, r, c, g, g.Kind(), w, w.Kind())
+				}
 			}
 		}
+	}
+	// Every guarded division over group slots compiles to the divide op: the
+	// four above and a 3-arm Hpct cell.
+	hpct := "SELECT k"
+	for v := range 3 {
+		hpct += fmt.Sprintf(", CASE WHEN sum(di) <> 0 THEN sum(CASE WHEN ni = %d THEN di ELSE 0 END) / sum(di) ELSE NULL END", v)
+	}
+	ops, err := engine.ProjectedOps(e, func() error {
+		for _, sql := range []string{"SELECT k, " + grouped + " FROM q GROUP BY k", hpct + " FROM q GROUP BY k"} {
+			if _, err := e.ExecSQL(sql); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{{"gather", "divide", "divide", "divide", "divide"}, {"gather", "divide", "divide", "divide"}}
+	if fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Errorf("projected ops %v, want %v", ops, want)
 	}
 }

@@ -530,9 +530,10 @@ func (e *Engine) execGroupSelect(sel *sqlparse.Select, items []sqlparse.SelectIt
 	}
 
 	// Rebind item expressions over the group-row layout:
-	// [key0..keyK-1, agg0..aggM-1].
+	// [key0..keyK-1, agg0..aggM-1], preparing what the projector compiles
+	// (newProjector): a guarded division over two slots is one typed loop.
 	rebind := func(root expr.Expr) (expr.Expr, error) {
-		return expr.Transform(root, func(n expr.Expr) (expr.Expr, error) {
+		return expr.Rebind(root, func(n expr.Expr) (expr.Expr, error) {
 			if call, ok := n.(*expr.AggCall); ok {
 				return &expr.SlotRef{Index: len(keyExprs) + slotOf[call], Label: call.String()}, nil
 			}

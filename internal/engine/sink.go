@@ -302,7 +302,7 @@ func (c *colCollector) emit(perm []int32, w int, sink rowSink, gov *governor) er
 const (
 	opEval   uint8 = iota // anything else: the tree walk, row by row
 	opGather              // the item only names input column a: the vector moves
-	opDivide              // the guarded division a / b (expr.Case.GuardedDiv): one typed loop
+	opDivide              // the guarded division a / b (expr.Case.GuardedDiv) over two columns or group slots: one typed loop
 )
 
 type colOp struct {
@@ -317,7 +317,9 @@ type colOp struct {
 // sink it projects what a fold emits: when every item only names a key or an
 // aggregate (moves) the vectors pass through untouched; otherwise HAVING
 // selects the groups, the ones that pass are gathered, and the ops run over
-// them.
+// them — a percentage cell, CASE WHEN sum(d) <> 0 THEN sum(n) / sum(d) ELSE
+// NULL END rebound over the group slots (execGroupSelect), divides the two
+// sums' typed vectors in one loop.
 type projector struct {
 	exprs  []expr.Expr
 	ops    []colOp

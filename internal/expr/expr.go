@@ -51,22 +51,37 @@ func SchemaResolver(names []string) Resolver {
 }
 
 // Bind is the one binder-time pass: it resolves every column reference in e
-// using r and prepares each column = constant comparison (BinaryOp.ColumnConst)
-// and each guarded division (Case.GuardedDiv) on the node it rebuilds,
-// returning a new tree. Aggregate calls are left in
-// place (the engine extracts them first); Bind inside an aggregate argument is
-// performed by the engine against the input schema.
+// using r and prepares each node it rebuilds (Rebind), returning a new tree.
+// Aggregate calls are left in place (the engine extracts them first); Bind
+// inside an aggregate argument is performed by the engine against the input
+// schema.
 func Bind(e Expr, r Resolver) (Expr, error) {
-	return Transform(e, func(n Expr) (Expr, error) {
-		switch n := n.(type) {
-		case *ColumnRef:
+	return Rebind(e, func(n Expr) (Expr, error) {
+		if n, ok := n.(*ColumnRef); ok {
 			idx, err := r(n.Qualifier, n.Name)
 			if err != nil {
 				return nil, err
 			}
 			return &ColumnRef{Qualifier: n.Qualifier, Name: n.Name, Index: idx, bound: true}, nil
+		}
+		return n, nil
+	})
+}
+
+// Rebind is Transform that prepares each node it rebuilds, its operands
+// already rewritten by f: a column = constant comparison (BinaryOp.ColumnConst)
+// and a guarded division (Case.GuardedDiv). Bind rebinds a tree over its input
+// columns, and the engine rebinds a grouped select's items over the fold's
+// group slots with it, so both find the same nodes.
+func Rebind(e Expr, f func(Expr) (Expr, error)) (Expr, error) {
+	return Transform(e, func(n Expr) (Expr, error) {
+		out, err := f(n)
+		if err != nil || out != n {
+			return out, err
+		}
+		switch n := n.(type) {
 		case *BinaryOp:
-			n.prepare() // n is Transform's fresh copy, its operands already bound
+			n.prepare() // n is Transform's fresh copy, its operands already rewritten
 		case *Case:
 			n.prepare()
 		}

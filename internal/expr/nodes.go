@@ -286,14 +286,17 @@ type When struct {
 type Case struct {
 	Whens []When
 	Else  Expr
-	// Set by Bind on the guarded division (GuardedDiv): the positions of the
-	// numerator and denominator columns. nil on every other node.
-	div *[2]int
+	// Set by Rebind on the guarded division (GuardedDiv): the positions of
+	// the numerator and denominator. Held in the node, so preparing one
+	// allocates nothing; isDiv is false on every other node.
+	div   [2]int
+	isDiv bool
 }
 
-// prepare recognizes CASE WHEN d <> 0 THEN n / d [ELSE NULL] END over bound
-// columns n and d — the division every percentage plan ends in. The arms stay
-// in the tree, so Eval and the rendered text do not change.
+// prepare recognizes CASE WHEN d <> 0 THEN n / d [ELSE NULL] END over slots n
+// and d — bound columns of the input, or a fold's group slots — the division
+// every percentage plan ends in. The arms stay in the tree, so Eval and the
+// rendered text do not change.
 func (c *Case) prepare() {
 	if len(c.Whens) != 1 {
 		return
@@ -308,23 +311,33 @@ func (c *Case) prepare() {
 	if cond == nil || quot == nil || cond.Op != "<>" || quot.Op != "/" {
 		return
 	}
-	d, _ := cond.Left.(*ColumnRef)
+	d, dok := slot(cond.Left)
 	zero := constant(cond.Right)
-	n, _ := quot.Left.(*ColumnRef)
-	over, _ := quot.Right.(*ColumnRef)
-	if d == nil || n == nil || over == nil || !d.bound || !n.bound || !over.bound || over.Index != d.Index ||
-		zero == nil || zero.Kind() != value.KindInt || zero.Int() != 0 {
+	n, nok := slot(quot.Left)
+	over, ook := slot(quot.Right)
+	if !dok || !nok || !ook || over != d || zero == nil || zero.Kind() != value.KindInt || zero.Int() != 0 {
 		return
 	}
-	c.div = &[2]int{n.Index, d.Index}
+	c.div, c.isDiv = [2]int{n, d}, true
 }
 
-// GuardedDiv reports the division Bind prepared on the node: the positions of
-// columns n and d of CASE WHEN d <> 0 THEN n / d ELSE NULL END. Over numeric
+// slot reports the row position e reads when it is a bound column or a slot.
+func slot(e Expr) (int, bool) {
+	switch n := e.(type) {
+	case *ColumnRef:
+		return n.Index, n.bound
+	case *SlotRef:
+		return n.Index, true
+	}
+	return 0, false
+}
+
+// GuardedDiv reports the division Rebind prepared on the node: the positions
+// of slots n and d of CASE WHEN d <> 0 THEN n / d ELSE NULL END. Over numeric
 // cells its value is value.Div(n, d) where d compares unequal to zero (a NaN
 // does not) and NULL everywhere else. ok is false for every other node.
 func (c *Case) GuardedDiv() (num, den int, ok bool) {
-	if c.div == nil {
+	if !c.isDiv {
 		return 0, 0, false
 	}
 	return c.div[0], c.div[1], true

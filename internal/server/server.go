@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -306,7 +307,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		ts:      ts,
 		srv:     s,
 		started: s.clock.Now(),
-		cancels: make(map[int64]context.CancelFunc),
 		ctx:     ctx,
 		stop:    stop,
 	}
@@ -372,13 +372,13 @@ func (s *Server) readLoop(sess *session, fr *frameReader) {
 // stop it through the same governor path.
 func (s *Server) dispatch(sess *session, req request) {
 	ctx, cancel := context.WithCancel(sess.ctx)
-	sess.addCancel(req.ID, cancel)
+	seq := sess.addCancel(req.ID, cancel)
 	s.inflightWG.Add(1)
 	sess.inflight.Add(1)
 	go func() {
 		defer s.inflightWG.Done()
 		defer sess.inflight.Add(-1)
-		defer sess.delCancel(req.ID)
+		defer sess.delCancel(seq)
 		defer cancel()
 		resp := s.runStatement(ctx, sess, req)
 		resp.ID = req.ID
@@ -495,8 +495,12 @@ type session struct {
 
 	writeMu sync.Mutex
 
+	// mu guards the cancels of the statements in flight, in dispatch order.
+	// Pipelined statements may share a request ID, so each carries a
+	// sequence number of its own, and a cancel reaches every one its ID names.
 	mu      sync.Mutex
-	cancels map[int64]context.CancelFunc
+	cancels []stmtCancel
+	seq     int64
 
 	inflight   atomic.Int64 // dispatched, not yet answered
 	queued     atomic.Int64 // waiting in admission
@@ -541,25 +545,38 @@ func (sess *session) write(resp *response) error {
 	return nil
 }
 
-func (sess *session) addCancel(id int64, cancel context.CancelFunc) {
-	sess.mu.Lock()
-	sess.cancels[id] = cancel
-	sess.mu.Unlock()
+// stmtCancel is the cancel func of one statement in flight: its request ID
+// and its session-unique sequence number.
+type stmtCancel struct {
+	id, seq int64
+	cancel  context.CancelFunc
 }
 
-func (sess *session) delCancel(id int64) {
+// addCancel registers the cancel of a statement dispatched under request ID
+// id and returns its sequence number, which delCancel takes.
+func (sess *session) addCancel(id int64, cancel context.CancelFunc) int64 {
 	sess.mu.Lock()
-	delete(sess.cancels, id)
-	sess.mu.Unlock()
+	defer sess.mu.Unlock()
+	sess.seq++
+	sess.cancels = append(sess.cancels, stmtCancel{id: id, seq: sess.seq, cancel: cancel})
+	return sess.seq
 }
 
-// cancelStatement cancels the in-flight statement with the given request
+// delCancel unregisters the statement of sequence number seq, and only it.
+func (sess *session) delCancel(seq int64) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.cancels = slices.DeleteFunc(sess.cancels, func(c stmtCancel) bool { return c.seq == seq })
+}
+
+// cancelStatement cancels every in-flight statement with the given request
 // ID; unknown IDs (already finished) are ignored.
 func (sess *session) cancelStatement(id int64) {
 	sess.mu.Lock()
-	cancel := sess.cancels[id]
-	sess.mu.Unlock()
-	if cancel != nil {
-		cancel()
+	defer sess.mu.Unlock()
+	for _, c := range sess.cancels {
+		if c.id == id {
+			c.cancel() // a CancelFunc returns at once; the statement stops on its own goroutine
+		}
 	}
 }

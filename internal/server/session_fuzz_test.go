@@ -47,13 +47,14 @@ func FuzzServerSession(f *testing.F) {
 		nil,
 		pipelined,
 		pipelined[:len(pipelined)-3], // truncated mid-frame
-		cat(req(5, opQuery, vpct), req(5, opQuery, hpct), req(5, opCancel, "")),              // duplicate IDs
-		cat(req(0, opQuery, vpct), req(0, opPing, ""), req(0, opCancel, "")),                 // zero IDs
-		cat(req(7, opCancel, ""), req(7, opQuery, vpct)),                                     // a cancel before its query
-		cat(req(8, opQuery, "INSERT INTO sales SELECT * FROM sales"), req(9, opQuery, vpct)), // DML beside a query
-		cat(req(1, opQuery, "SELEC 1"), req(2, "nope", ""), req(3, opHello, "")),             // bad SQL, unknown op, a second hello
-		cat(req(1, opPing, ""), []byte{0xff, 0xff, 0xff, 0xff}),                              // oversized header
-		cat(req(1, opPing, ""), []byte{0x01, 0x00, 0x00, 0x00}),                              // the cap, no body
+		cat(req(5, opQuery, vpct), req(5, opQuery, hpct), req(5, opCancel, "")),                       // duplicate IDs
+		cat(req(5, opQuery, vpct), req(5, opQuery, vpct), req(5, opCancel, ""), req(5, opCancel, "")), // a cancel for both of them
+		cat(req(0, opQuery, vpct), req(0, opPing, ""), req(0, opCancel, "")),                          // zero IDs
+		cat(req(7, opCancel, ""), req(7, opQuery, vpct)),                                              // a cancel before its query
+		cat(req(8, opQuery, "INSERT INTO sales SELECT * FROM sales"), req(9, opQuery, vpct)),          // DML beside a query
+		cat(req(1, opQuery, "SELEC 1"), req(2, "nope", ""), req(3, opHello, "")),                      // bad SQL, unknown op, a second hello
+		cat(req(1, opPing, ""), []byte{0xff, 0xff, 0xff, 0xff}),                                       // oversized header
+		cat(req(1, opPing, ""), []byte{0x01, 0x00, 0x00, 0x00}),                                       // the cap, no body
 		append([]byte{0, 0, 0, 9}, "not json!"...),
 		append([]byte{0, 0, 0, 6}, `[1, 2]`...),
 		append([]byte{0, 0, 0, 12}, `{"id":"x"}  `...),
@@ -172,6 +173,56 @@ func answers(data []byte) int {
 			return n + 1
 		case req.Op != opCancel:
 			n++
+		}
+	}
+}
+
+// TestCancelReachesDuplicateIDs pipelines two queries under one request ID,
+// both held in flight at the dispatch gate, and sends one cancel for the ID:
+// both must answer cancelled. A session that kept one cancel per ID cancelled
+// only the second, and the first stayed in the gate.
+func TestCancelReachesDuplicateIDs(t *testing.T) {
+	defer leakcheck.Check(t)()
+	db := pctagg.Open()
+	if _, err := db.Exec(workload.DemoSQL); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(db, Config{Addr: "127.0.0.1:0", DefaultTenant: TenantProfile{MaxConcurrent: 2, MaxQueue: 4}})
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	gate := NewGate(srv)
+	defer gate.Release()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fr := newFrameReader(conn)
+	send := func(req request) {
+		t.Helper()
+		if err := writeFrame(conn, &req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(request{ID: 1, Op: opHello, Tenant: "dup"})
+	if resp, err := fr.response(); err != nil || !resp.OK {
+		t.Fatalf("hello: %+v, %v", resp, err)
+	}
+	for n := int64(1); n <= 2; n++ {
+		send(request{ID: 5, Op: opQuery, SQL: "SELECT count(*) FROM sales"})
+		gate.WaitInFlight(t, n)
+	}
+	send(request{ID: 5, Op: opCancel})
+	for n := range 2 {
+		resp, err := fr.response()
+		if err != nil {
+			t.Fatalf("response %d of 2 after one cancel: %v", n+1, err)
+		}
+		if resp.ID != 5 || resp.Err == nil || resp.Err.Code != diag.CodeCancelled {
+			t.Fatalf("response %d: %+v (err %+v), want ID 5 cancelled with %s", n+1, resp, resp.Err, diag.CodeCancelled)
 		}
 	}
 }
