@@ -261,8 +261,8 @@ func Experiments() []Experiment {
 		// The condition under which the paper observed the UPDATE-based FV
 		// construction losing badly: grouping sales by its unique
 		// transactionId makes Fk as large as F, so the division phase —
-		// INSERT into a third table versus a bulk rewrite of Fk with
-		// journaling — dominates the plan.
+		// INSERT into a third table versus an in-place UPDATE of every Fk
+		// row — dominates the plan.
 		Key:   "update",
 		Title: "Ablation: INSERT vs UPDATE for FV when |FV| ~ |F| (Vpct grouped by the unique transactionId)",
 		Rows:  rowsOf([]Query{sales("dweek", "transactionId"), sales("dweek,monthNo", "transactionId")}),

@@ -266,12 +266,13 @@ func TestInsertSinkRollsBackStagedRows(t *testing.T) {
 	}
 }
 
-// TestUpdateStagingSwapAtomic pins the staging-then-swap contract for
-// UPDATE: a mid-rewrite failure publishes nothing.
+// TestUpdateStagingSwapAtomic pins UPDATE's atomicity under its budget: a
+// single-table UPDATE of every row, whose rows are charged against MaxRows
+// before its first write, fails on the limit and leaves the table as it was.
 func TestUpdateStagingSwapAtomic(t *testing.T) {
 	defer leakcheck.Check(t)()
 	db := chaosDB(t)
-	// MaxRows small enough to fail the staged rewrite partway through.
+	// MaxRows smaller than the rows the UPDATE changes.
 	db.SetLimits(pctagg.Limits{MaxRows: 4})
 	_, err := db.Exec("UPDATE sales SET salesAmt = salesAmt + 1")
 	db.SetLimits(pctagg.Limits{})

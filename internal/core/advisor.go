@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/obs"
 	"repro/internal/sqlparse"
 )
 
@@ -32,11 +33,13 @@ const fromFVRatio = 45
 //     for three or more BY columns or many result columns) priced N CASE
 //     arms per row, a cost the fold no longer has.
 func (p *Planner) Advise(sel *sqlparse.Select) (Options, error) {
-	return p.AdviseCtx(context.Background(), sel)
+	return p.AdviseIn(context.Background(), sel, p.Eng.Parallelism(), nil)
 }
 
-// AdviseCtx is Advise with its feedback scan under ctx (see PlanCtx).
-func (p *Planner) AdviseCtx(ctx context.Context, sel *sqlparse.Select) (Options, error) {
+// AdviseIn is Advise with its feedback scan a statement generated for the
+// query being advised: under ctx (see PlanCtx) at parallelism par, its trace
+// nested under span (nil: untraced), as the plan's own feedback scans are.
+func (p *Planner) AdviseIn(ctx context.Context, sel *sqlparse.Select, par int, span *obs.Span) (Options, error) {
 	a, err := p.analyze(sel)
 	if err != nil {
 		return Options{}, err
@@ -56,7 +59,7 @@ func (p *Planner) AdviseCtx(ctx context.Context, sel *sqlparse.Select) (Options,
 		if err != nil {
 			return Options{}, err
 		}
-		fk, err := p.feedbackCombos(ctx, a.table, a.fineGroup(), a.whereSQL(), p.Eng.Parallelism(), nil)
+		fk, err := p.feedbackCombos(ctx, a.table, a.fineGroup(), a.whereSQL(), par, span)
 		if err != nil {
 			return Options{}, err
 		}

@@ -546,8 +546,8 @@ func TestPlanningRunsUnderTheStatementContext(t *testing.T) {
 	if _, err := p.PlanCtx(ctx, sel, DefaultOptions()); !errors.As(err, &cancelled) {
 		t.Errorf("PlanCtx under a cancelled context: err = %v, want a CancelledError", err)
 	}
-	if _, err := p.AdviseCtx(ctx, sel); !errors.As(err, &cancelled) {
-		t.Errorf("AdviseCtx under a cancelled context: err = %v, want a CancelledError", err)
+	if _, err := p.AdviseIn(ctx, sel, p.Eng.Parallelism(), nil); !errors.As(err, &cancelled) {
+		t.Errorf("AdviseIn under a cancelled context: err = %v, want a CancelledError", err)
 	}
 	if d := scanned.Value() - before; d != 0 {
 		t.Errorf("planning under a cancelled context scanned %d rows of F", d)

@@ -1079,7 +1079,7 @@ func TestDifferentialBatchMetamorphicHpct(t *testing.T) {
 // a dictionary-coded VARCHAR or a BOOLEAN. A key holding a NULL, a computed
 // key, a LEFT JOIN and a filter that can raise read every row, and the filter
 // still raises at the table's last row. Rows appended after the fold was
-// planned are folded, whatever the directory held.
+// planned are not read: the fold reads the rows its plan counted.
 func TestDifferentialBatchFullDirectory(t *testing.T) {
 	const n = 5000
 	cat := storage.NewCatalog()
@@ -1147,7 +1147,7 @@ func TestDifferentialBatchFullDirectory(t *testing.T) {
 	}
 
 	// Appended after planning: an out-of-bounds a, a new string and a NULL,
-	// each in the rows past what the plan saw.
+	// none of which the fold may meet.
 	for _, par := range difftest.Parallelisms {
 		name := fmt.Sprint("w", par)
 		w, err := cat.Create(name, storage.Schema{{Name: "a", Type: storage.TypeInt}, {Name: "s", Type: storage.TypeString}})
@@ -1158,6 +1158,12 @@ func TestDifferentialBatchFullDirectory(t *testing.T) {
 			if _, err := w.AppendRow([]value.Value{value.NewInt(int64(i % 3)), value.NewString(fmt.Sprint("s", i%2))}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		engine.UseReference(p.Eng, true)
+		want, err := p.Eng.ExecSQL("SELECT DISTINCT a, s FROM " + name)
+		engine.UseReference(p.Eng, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		got, read, err := engine.DistinctAfter(p.Eng, name, []string{"a", "s"}, par, func() error {
 			for _, row := range [][]value.Value{
@@ -1174,17 +1180,14 @@ func TestDifferentialBatchFullDirectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		engine.UseReference(p.Eng, true)
-		want, err := p.Eng.ExecSQL("SELECT DISTINCT a, s FROM " + name)
-		engine.UseReference(p.Eng, false)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if fmt.Sprint(got) != fmt.Sprint(want.Rows) {
-			t.Errorf("P=%d, rows appended after planning: %v, want %v", par, got, want.Rows)
+			t.Errorf("P=%d, rows appended after planning: %v, want the first %d rows' %v", par, got, n, want.Rows)
+		}
+		if read > n {
+			t.Errorf("P=%d: the fold read %d rows; the plan counted %d", par, read, n)
 		}
 		if par < 8 && read >= n {
-			t.Errorf("P=%d: the fold read %d rows; the covered ones should have stopped it", par, read)
+			t.Errorf("P=%d: the fold read %d rows; its directory filling should have stopped it", par, read)
 		}
 	}
 }

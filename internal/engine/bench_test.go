@@ -86,20 +86,51 @@ func BenchmarkWindowAggregate(b *testing.B) {
 	benchQuery(b, e, "SELECT DISTINCT g1, sum(a) OVER (PARTITION BY g1) FROM f")
 }
 
-func BenchmarkBulkUpdateJoined(b *testing.B) {
+// joinedUpdateEngine holds the paper's UPDATE-based Vpct tables over 20 000
+// rows of f: Fk (fk, one row per (g1, g2), about 1 000) and Fj (tot, one per
+// g1); joinedUpdate divides each Fk row by its Fj total.
+func joinedUpdateEngine(b testing.TB) *Engine {
+	b.Helper()
 	e := benchEngine(b, 20_000)
-	if _, err := e.ExecSQL(`CREATE TABLE tot (g1 INTEGER, s REAL);
+	mustExec(b, e, `CREATE TABLE tot (g1 INTEGER, s REAL);
 		INSERT INTO tot SELECT g1, sum(a) FROM f GROUP BY g1;
 		CREATE TABLE fk (g1 INTEGER, g2 INTEGER, s REAL);
-		INSERT INTO fk SELECT g1, g2, sum(a) FROM f GROUP BY g1, g2`); err != nil {
-		b.Fatal(err)
-	}
+		INSERT INTO fk SELECT g1, g2, sum(a) FROM f GROUP BY g1, g2`)
+	return e
+}
+
+const joinedUpdate = "UPDATE fk FROM tot SET s = fk.s / tot.s WHERE fk.g1 = tot.g1"
+
+func BenchmarkBulkUpdateJoined(b *testing.B) {
+	e := joinedUpdateEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.ExecSQL("UPDATE fk FROM tot SET s = fk.s / tot.s WHERE fk.g1 = tot.g1"); err != nil {
+		if _, err := e.ExecSQL(joinedUpdate); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestBulkUpdateJoinedAllocBudget: UPDATE … FROM pairs each Fk row with its
+// Fj row through the join index and writes the new cells in place, so it
+// allocates for the statement, the pairs, the new values and the undo record
+// — a handful of growing slices — and nothing per row: 113 measured, the
+// budget 10 % above.
+func TestBulkUpdateJoinedAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := joinedUpdateEngine(t)
+	mustExec(t, e, joinedUpdate) // warm the join build and the pools
+	got := testing.AllocsPerRun(5, func() {
+		if r, err := e.ExecSQL(joinedUpdate); err != nil || r.Affected != 1000 {
+			t.Fatal(r, err)
+		}
+	})
+	if got > 124 {
+		t.Errorf("joined UPDATE of 1 000 rows made %.0f allocations, budget 124", got)
+	}
+	t.Logf("%.0f allocations", got)
 }
 
 // salesEngine is hot_mix's update target at scale: rows × 9 INTEGER columns,

@@ -618,7 +618,7 @@ func TestValuesErrorsKeepRowOrder(t *testing.T) {
 // hash join does — through buildSide.ensure — so the build is charged against
 // MaxRows, polls the context every stride and passes the join-build fault
 // point; a matching index skips it. However the statement dies, the target,
-// its index and its epoch are untouched: the rewrite publishes only on success.
+// its index and its epoch are untouched: it dies before its first write.
 func TestUpdateFromGoverned(t *testing.T) {
 	e := New(storage.NewCatalog())
 	mustExec(t, e, `CREATE TABLE tgt (g INTEGER, a REAL, PRIMARY KEY (g)); CREATE TABLE src (g INTEGER, w REAL);

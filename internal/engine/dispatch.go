@@ -150,7 +150,7 @@ func (op *foldOp) planDispatch(sch relSchema) []expr.Expr {
 		if op.pipe == nil {
 			break
 		}
-		if b, ok := directBounds(&f.keys, op.pipe.tabs, op.pipe.count(), &f.tab); ok {
+		if b, ok := directBounds(&f.keys, op.pipe.tabs, op.rows, &f.tab); ok {
 			f.tab.direct(&b)
 		}
 	}

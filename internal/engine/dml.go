@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -281,10 +282,10 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 	return false
 }
 
-// Single-table UPDATE and DELETE are select-then-apply: selectRows evaluates
-// the WHERE to row ids, then UPDATE writes the affected cells in place under
-// an undo record and DELETE swaps in a staging table gathered from the kept
-// rows. Either way a statement that affects no row changes nothing — no swap,
+// UPDATE and DELETE are select-then-apply: selectRows (or, for UPDATE …
+// FROM, joinedRows) evaluates the WHERE to row ids, then UPDATE writes the
+// affected cells in place under an undo record and DELETE swaps in a staging
+// table gathered from the kept rows. Either way a statement that affects no row changes nothing — no swap,
 // no epoch tick, no hook.
 
 // selectRows returns, ascending, the ids of t's rows that where admits (nil:
@@ -354,9 +355,9 @@ type boundSet struct {
 
 // execUpdate handles both the single-table form and the cross-table form
 // (UPDATE target FROM other SET … WHERE join), which the paper's
-// update-based Vpct strategy generates. The statement's shape picks the
-// path: the single-table form writes in place (updateInPlace), the joined
-// form is the journaled whole-table rewrite the paper prices (rewriteJoined).
+// update-based Vpct strategy generates. Either selects the rows it changes —
+// the joined form pairs each with its FROM row (joinedRows) — and writes them
+// in place (updateInPlace).
 func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 	if e.IsVirtualTable(u.Table) {
 		return nil, errVirtualReadOnly("UPDATE", u.Table)
@@ -365,11 +366,7 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	alias := u.Alias
-	if alias == "" {
-		alias = u.Table
-	}
-	targetSch := schemaOf(t, alias)
+	targetSch := schemaOf(t, cmp.Or(u.Alias, u.Table))
 	if len(u.From) > 1 {
 		return nil, fmt.Errorf("engine: UPDATE supports at most one FROM table, got %d", len(u.From))
 	}
@@ -412,37 +409,99 @@ func (e *Engine) execUpdate(u *sqlparse.Update, ec execCtx) (*Result, error) {
 			return nil, err
 		}
 	}
+	rows := tupleBatch{tabs: []*storage.Table{t}, ids: [][]int32{nil}}
 	if build != nil {
-		return e.rewriteJoined(t, u.Table, build, where, sets, ec.gov)
+		rows, err = joinedRows(t, build, where, ec.gov)
+	} else {
+		rows.ids[0], err = selectRows(t, where, ec.gov)
 	}
-	ids, err := selectRows(t, where, ec.gov)
 	if err != nil {
 		return nil, err
 	}
-	if len(ids) == 0 {
+	if rows.rows() == 0 {
 		return &Result{}, nil
 	}
-	return e.updateInPlace(t, u.Table, ids, sets, ec.gov)
+	return e.updateInPlace(t, u.Table, &rows, sets, build == nil, ec.gov)
 }
 
-// updateInPlace assigns sets to the rows ids of t, in place. Each row's
-// assignments are all evaluated against its pre-image — the pipeline's
-// tupleBatch over ids, positioned on the row — then written cell by cell
-// under an undo record (storage.Undo) that any exit without commit — error,
-// cancellation, contained panic, injected fault — replays, leaving every
-// cell, index and the epoch as the statement found them. The record is the
-// statement's materialized state: its rows are charged against MaxRows
-// before the first write. When a hook is installed and the rows are few
-// (MutationBound) it receives their images.
-func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets []boundSet, gov *governor) (*Result, error) {
+// joinedRows pairs each row of the target t, ascending, with its first match
+// in build — in the index's row order — at which the residual where holds,
+// and returns the pairs: t's row ids, then build's table's. A row without
+// such a match is in none.
+func joinedRows(t *storage.Table, build *buildSide, where expr.Expr, gov *governor) (tupleBatch, error) {
+	rows := tupleBatch{tabs: []*storage.Table{t, build.tab}, ids: make([][]int32, 2)}
+	if err := build.ensure(gov); err != nil {
+		return rows, err
+	}
+	build.probeKeys(rows.tabs[:1], func(int) bool { return false })
+	pair := tupleBatch{tabs: rows.tabs, ids: [][]int32{{0}, {0}}}
+	var w foldWorker
+	ids, probe := make([]int32, 2*batchSize), tupleBatch{ids: [][]int32{nil}}
+	for lo := 0; lo < t.NumRows(); lo += batchSize {
+		if err := gov.check(); err != nil {
+			return rows, err
+		}
+		probe.ids[0] = rowRange(ids[batchSize:], lo, min(batchSize, t.NumRows()-lo))
+		found := ids[:len(probe.ids[0])]
+		if err := build.lookup(&w, &probe, found); err != nil {
+			return rows, err
+		}
+		for k, id := range found {
+			for _, m := range build.ix.matches(id) {
+				pair.ids[0][0], pair.ids[1][0] = int32(lo+k), m
+				if where != nil {
+					if v, err := where.Eval(pair.row(0)); err != nil {
+						return rows, err
+					} else if !v.Truthy() {
+						continue
+					}
+				}
+				rows.ids[0], rows.ids[1] = append(rows.ids[0], int32(lo+k)), append(rows.ids[1], m)
+				break
+			}
+		}
+	}
+	return rows, nil
+}
+
+// updateInPlace assigns sets to the target rows of rows — rows.ids[0] of t,
+// ascending, each beside its FROM row in the joined form — in place. Every
+// assignment of every row is evaluated before the first write, so each reads
+// the table as the statement found it, the FROM row too when FROM names the
+// target. The cells are then written under an undo record (storage.Undo) that
+// any exit without commit — error, cancellation, contained panic, injected
+// fault — replays, leaving every cell, index and the epoch as the statement
+// found them. The rows are charged against MaxRows before the first
+// evaluation. When images is set, a hook is installed and the rows are few
+// (MutationBound), the hook receives their images.
+func (e *Engine) updateInPlace(t *storage.Table, name string, rows *tupleBatch, sets []boundSet, images bool, gov *governor) (*Result, error) {
+	ids := rows.ids[0]
 	if err := gov.addRows(int64(len(ids))); err != nil {
 		return nil, err
 	}
 	var m *Mutation
-	if e.dml.Load() != nil && len(ids) <= MutationBound {
+	if images && e.dml.Load() != nil && len(ids) <= MutationBound {
 		m = &Mutation{PreEpoch: t.Epoch()}
 		for _, s := range sets {
 			m.Cols = append(m.Cols, s.col)
+		}
+	}
+	vals := make([]value.Value, 0, len(ids)*len(sets))
+	for k, r := range ids {
+		if k%govStride == 0 {
+			if err := gov.check(); err != nil {
+				return nil, err
+			}
+		}
+		for _, s := range sets {
+			v, err := s.ex.Eval(rows.row(k))
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, v)
+		}
+		if m != nil {
+			m.Rows, m.Old = append(m.Rows, int(r)), append(m.Old, t.Row(int(r), nil))
 		}
 	}
 	undo := t.BeginUpdate()
@@ -452,32 +511,18 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets 
 			undo.Rollback()
 		}
 	}()
-	rows := tupleBatch{tabs: []*storage.Table{t}, ids: [][]int32{ids}}
-	vals := make([]value.Value, len(sets))
-	for k, r := range ids {
-		if k%govStride == 0 {
+	for j, v := range vals {
+		if j%govStride == 0 {
 			if err := gov.check(); err != nil {
 				return nil, err
 			}
 		}
-		for i, s := range sets {
-			v, err := s.ex.Eval(rows.row(k))
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
+		err := chaos.HitN(chaos.UpdateApply, j+1)
+		if err == nil {
+			err = undo.Set(int(ids[j/len(sets)]), sets[j%len(sets)].col, v)
 		}
-		if m != nil {
-			m.Rows, m.Old = append(m.Rows, int(r)), append(m.Old, t.Row(int(r), nil))
-		}
-		for i, s := range sets {
-			err := chaos.HitN(chaos.UpdateApply, k*len(sets)+i+1)
-			if err == nil {
-				err = undo.Set(int(r), s.col, vals[i])
-			}
-			if err != nil {
-				return nil, err
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
 	committed = true
@@ -489,86 +534,4 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, ids []int32, sets 
 	}
 	e.notifyMutate(name, m)
 	return &Result{Affected: len(ids)}, nil
-}
-
-// rewriteJoined runs UPDATE … FROM the way the paper's block-oriented MPP
-// system does: every row of t flows into a staging clone (indexes included) —
-// a row with a qualifying match in build as sets assign it, every other as it
-// is — that is swapped into the catalog only on success, so a mid-statement
-// failure leaves the live table, its indexes and its epoch untouched; the
-// staged rows are charged against MaxRows a stride at a time. The pre- and
-// post-image of each changed row is retained in a transient journal until the
-// statement completes (the recovery log every ACID engine writes). With the
-// table rewrite this is what makes the paper's UPDATE-based Vpct strategy pay
-// when |FV| is large, and why the paper recommends INSERT instead.
-func (e *Engine) rewriteJoined(t *storage.Table, name string, build *buildSide, where expr.Expr, sets []boundSet, gov *governor) (*Result, error) {
-	if err := build.ensure(gov); err != nil {
-		return nil, err
-	}
-	build.probeKeys([]*storage.Table{t}, func(int) bool { return false })
-	stage := t.EmptyClone()
-	n := 0
-	var row, comb []value.Value
-	var journal [][]value.Value
-	var box rowBox
-	var w foldWorker
-	newVals := make([]value.Value, len(sets))
-	ids := make([]int32, 2*batchSize)
-	probe := tupleBatch{ids: [][]int32{nil}}
-	for r := 0; r < t.NumRows(); r++ {
-		if (r+1)%govStride == 0 {
-			if err := gov.addRows(govStride); err != nil {
-				return nil, err
-			}
-		}
-		if r%batchSize == 0 {
-			probe.ids[0] = rowRange(ids[batchSize:], r, min(batchSize, t.NumRows()-r))
-			if err := build.lookup(&w, &probe, ids[:len(probe.ids[0])]); err != nil {
-				return nil, err
-			}
-		}
-		row = t.Row(r, row)
-		box.vals = row
-		for _, m := range build.ix.matches(ids[r%batchSize]) {
-			comb = append(comb[:0], row...)
-			for c := 0; c < build.tab.NumCols(); c++ {
-				comb = append(comb, build.tab.Get(int(m), c))
-			}
-			box.vals = comb
-			if where != nil {
-				if v, err := where.Eval(&box); err != nil {
-					return nil, err
-				} else if !v.Truthy() {
-					continue
-				}
-			}
-			// Every assignment is evaluated against the pre-update image, then
-			// applied; one qualifying match updates the row once.
-			for i, s := range sets {
-				v, err := s.ex.Eval(&box)
-				if err != nil {
-					return nil, err
-				}
-				newVals[i] = v
-			}
-			for i, s := range sets {
-				row[s.col] = newVals[i]
-			}
-			journal = append(journal, slices.Clone(comb[:len(row)]), slices.Clone(row))
-			n++
-			break
-		}
-		if _, err := stage.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	if err := gov.addRows(int64(t.NumRows() % govStride)); err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return &Result{}, nil
-	}
-	e.cat.Put(stage)
-	e.notifyMutate(name, nil)
-	return &Result{Affected: n}, nil
 }

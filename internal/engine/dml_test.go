@@ -15,15 +15,18 @@ import (
 )
 
 // dmlFixture is a 3 000-row table with a primary key (g), a second index (a)
-// and a VARCHAR the failing statements trip over.
+// and a VARCHAR the failing statements trip over, and src, a table of
+// 3 000 (g, w) rows that UPDATE … FROM joins to it on g.
 func dmlFixture(t testing.TB) *Engine {
 	t.Helper()
 	e := New(storage.NewCatalog())
 	mustExec(t, e, `CREATE TABLE dst (g INTEGER, a INTEGER, v VARCHAR, PRIMARY KEY (g)); CREATE INDEX dst_a ON dst (a);
-		INSERT INTO dst VALUES (-1, 0, 'x'), (-2, NULL, NULL)`)
+		INSERT INTO dst VALUES (-1, 0, 'x'), (-2, NULL, NULL); CREATE TABLE src (g INTEGER, w INTEGER)`)
 	dst, _ := e.Catalog().Get("dst")
+	src, _ := e.Catalog().Get("src")
 	for i := 0; i < 3000; i++ {
 		dst.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 13)), value.NewString("x")})
+		src.AppendRow([]value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 7))})
 	}
 	return e
 }
@@ -34,8 +37,9 @@ func rebuiltState(t *testing.T, e *Engine, name string) tableState {
 	t.Helper()
 	tab, _ := e.Catalog().Get(name)
 	c := New(storage.NewCatalog())
-	c.Catalog().Put(tab.EmptyClone())
-	fresh, _ := c.Catalog().Get(name)
+	fresh := tab.Without(nil)
+	fresh.Truncate()
+	c.Catalog().Put(fresh)
 	for r := 0; r < tab.NumRows(); r++ {
 		if _, err := fresh.AppendRow(tab.Row(r, nil)); err != nil {
 			t.Fatal(err)
@@ -44,13 +48,24 @@ func rebuiltState(t *testing.T, e *Engine, name string) tableState {
 	return stateOf(t, c, name)
 }
 
-// TestUpdateInPlaceFailureIsAtomic: every way a single-table UPDATE can die
-// after its first cell write — a late evaluation error, a value the column
-// cannot store, an injected fault between two cells of one row, a cancelled
-// context at the last check — and the budget that stops it before the first,
-// leave the target's cells, both indexes and the epoch exactly as they were.
+// TestUpdateInPlaceFailureIsAtomic: every way an UPDATE, single-table or
+// joined, can die — a value the column cannot store, an injected fault
+// between two cells of one row or at a late write, a cancelled context at the
+// last check, all after its first cell write; a late evaluation error and the
+// budget, before it — leaves the target's cells, both indexes, the epoch and
+// the table object exactly as they were.
 func TestUpdateInPlaceFailureIsAtomic(t *testing.T) {
 	const all = "UPDATE dst SET g = g + 10000, a = a + 1 WHERE g >= 0"
+	const joined = "UPDATE dst FROM src SET g = dst.g + 10000, a = src.w WHERE dst.g = src.g"
+	lastCheck := func(sql string) context.Context {
+		// (A context without a Done channel gets no governor; a limit does.)
+		unlimited := Limits{MaxRows: math.MaxInt64}
+		count := &countdownCtx{Context: context.Background(), after: math.MaxInt}
+		if _, err := dmlFixture(t).ExecSQLCtx(WithLimits(count, unlimited), sql); err != nil {
+			t.Fatal(err)
+		}
+		return WithLimits(&countdownCtx{Context: context.Background(), after: count.calls - 1}, unlimited)
+	}
 	failures := []struct {
 		name, sql string
 		ctx       func() context.Context
@@ -68,15 +83,12 @@ func TestUpdateInPlaceFailureIsAtomic(t *testing.T) {
 		{name: "MaxRows", sql: all, code: diag.CodeRowLimit, ctx: func() context.Context {
 			return WithLimits(context.Background(), Limits{MaxRows: 1500})
 		}},
-		{name: "cancelled at the last check", sql: all, code: diag.CodeCancelled, ctx: func() context.Context {
-			// (A context without a Done channel gets no governor; a limit does.)
-			unlimited := Limits{MaxRows: math.MaxInt64}
-			count := &countdownCtx{Context: context.Background(), after: math.MaxInt}
-			if _, err := dmlFixture(t).ExecSQLCtx(WithLimits(count, unlimited), all); err != nil {
-				t.Fatal(err)
-			}
-			return WithLimits(&countdownCtx{Context: context.Background(), after: count.calls - 1}, unlimited)
+		{name: "cancelled at the last check", sql: all, code: diag.CodeCancelled, ctx: func() context.Context { return lastCheck(all) }},
+		{name: "joined: fault before write 5801", sql: joined, arm: func() {
+			chaos.Arm(chaos.UpdateApply, chaos.Fault{Err: errors.New("injected apply fault"), After: 5800})
 		}},
+		{name: "joined: late evaluation error", sql: "UPDATE dst FROM src SET g = dst.g + 10000, a = CASE WHEN dst.g < 2990 THEN src.w ELSE dst.v / 2 END WHERE dst.g = src.g"},
+		{name: "joined: cancelled at the last check", sql: joined, code: diag.CodeCancelled, ctx: func() context.Context { return lastCheck(joined) }},
 	}
 	chaos.Enable()
 	defer chaos.Disable()
@@ -211,6 +223,60 @@ func TestFailedInsertKeepsIndexes(t *testing.T) {
 		UseReference(e, ref)
 		if got := renderRows(mustExec(t, e, join).Rows); got != want {
 			t.Errorf("reference=%v: the join through the primary key found\n%s\nwant\n%s", ref, got, want)
+		}
+	}
+}
+
+// TestUpdateFromSemantics pins what UPDATE … FROM assigns: each target row,
+// ascending, takes its first FROM row — in the join index's row order, which
+// is the FROM table's — at which the residual WHERE holds; a row with none is
+// left as it is, and only the rows assigned count as affected. Every
+// assignment reads the table as the statement found it: the target row's
+// other cells, and the FROM row, also when FROM names the target.
+func TestUpdateFromSemantics(t *testing.T) {
+	const setup = `CREATE TABLE a (k INTEGER, v INTEGER); CREATE TABLE b (k INTEGER, w INTEGER, ok BOOLEAN);
+		CREATE TABLE one (n INTEGER); CREATE TABLE s (k INTEGER, nxt INTEGER, v INTEGER);
+		INSERT INTO a VALUES (1, 0), (2, 0), (3, 0), (NULL, 0), (4, 0);
+		INSERT INTO b VALUES (1, 10, false), (1, 11, true), (2, 20, true), (NULL, 99, true), (3, 30, true), (3, 31, true);
+		INSERT INTO one VALUES (100); INSERT INTO s VALUES (1, 2, 10), (2, 3, 20), (3, NULL, 30)`
+	for _, c := range []struct {
+		name, sql, table, want string
+		affected               int
+	}{
+		{"first match wins", "UPDATE a FROM b SET v = b.w WHERE a.k = b.k",
+			"a", "[[1 10] [2 20] [3 30] [NULL 0] [4 0]]", 3},
+		{"residual rejects the first match", "UPDATE a FROM b SET v = b.w WHERE a.k = b.k AND b.ok",
+			"a", "[[1 11] [2 20] [3 30] [NULL 0] [4 0]]", 3},
+		{"residual rejects every match of some rows", "UPDATE a FROM b SET v = b.w WHERE b.k = a.k AND b.w > 25",
+			"a", "[[1 0] [2 0] [3 30] [NULL 0] [4 0]]", 1},
+		{"null-safe pair", "UPDATE a FROM b SET v = b.w WHERE a.k = b.k OR (a.k IS NULL AND b.k IS NULL)",
+			"a", "[[1 10] [2 20] [3 30] [NULL 99] [4 0]]", 4},
+		{"no equality pair: the single-row totals", "UPDATE a FROM one SET v = a.k * one.n",
+			"a", "[[1 100] [2 200] [3 300] [NULL NULL] [4 400]]", 5},
+		{"no equality pair, a residual", "UPDATE a FROM b SET v = b.w WHERE b.w > a.k * 10",
+			"a", "[[1 11] [2 99] [3 99] [NULL 0] [4 99]]", 4},
+		{"assignments read the pre-update row", "UPDATE a FROM b SET v = b.w, k = a.v + a.k + 100 WHERE a.k = b.k",
+			"a", "[[101 10] [102 20] [103 30] [NULL 0] [4 0]]", 3},
+		{"FROM names the target under an alias", "UPDATE s FROM s o SET v = o.v WHERE s.k = o.nxt",
+			"s", "[[1 2 10] [2 3 10] [3 NULL 20]]", 2},
+		{"aliased target", "UPDATE a t FROM b SET v = b.w + t.v WHERE t.k = b.k AND NOT b.ok",
+			"a", "[[1 10] [2 0] [3 0] [NULL 0] [4 0]]", 1},
+		{"no row matches", "UPDATE a FROM b SET v = 1 WHERE a.k = b.k AND b.w < 0",
+			"a", "[[1 0] [2 0] [3 0] [NULL 0] [4 0]]", 0},
+	} {
+		e := New(storage.NewCatalog())
+		mustExec(t, e, setup)
+		tab := tableOf(t, e, c.table)
+		epoch := tab.Epoch()
+		r, err := e.ExecSQL(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", c.name, c.sql, err)
+		}
+		if got := fmt.Sprint(mustExec(t, e, "SELECT * FROM "+c.table).Rows); got != c.want || r.Affected != c.affected {
+			t.Errorf("%s: %s left %s, %d affected; want %s, %d", c.name, c.sql, got, r.Affected, c.want, c.affected)
+		}
+		if c.affected == 0 && (tableOf(t, e, c.table) != tab || tab.Epoch() != epoch) {
+			t.Errorf("%s: an UPDATE that matched no row changed the table object or its epoch", c.name)
 		}
 	}
 }

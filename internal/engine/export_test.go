@@ -48,10 +48,8 @@ func ProjectedOps(e *Engine, fn func() error) ([][]string, error) {
 
 // DistinctAfter runs SELECT DISTINCT cols FROM table on the fold operator at
 // parallelism par, with between run once the fold is planned and before it
-// runs, as a writer racing the statement would: the key columns are read
-// afresh, so the rows between appends are read by a fold whose bounds, NULL
-// checks and covered rows never saw them. It returns the distinct keys in
-// first-appearance order and the source rows the fold read.
+// runs, as a writer racing the statement would. It returns the distinct keys
+// in first-appearance order and the source rows the fold read.
 func DistinctAfter(e *Engine, table string, cols []string, par int, between func() error) ([][]value.Value, int64, error) {
 	tab, err := e.ResolveTable(table)
 	if err != nil {
@@ -67,11 +65,6 @@ func DistinctAfter(e *Engine, table string, cols []string, par int, between func
 	op := planFold(newPipeline(scan), keys, nil)
 	if err := between(); err != nil {
 		return nil, 0, err
-	}
-	for i := range op.keys.cols {
-		c := &op.keys.cols[i]
-		c.vec = *tab.Column(c.col)
-		c.vec.Nulls = c.vec.Nulls.Trim()
 	}
 	part, err := op.fold(execCtx{par: par})
 	if err != nil {

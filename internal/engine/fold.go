@@ -76,9 +76,14 @@ import (
 // — produces nothing but its groups, so a partition whose directory holds
 // every cell its key can take, ∏(span − 1) when no key column held a NULL at
 // plan time, has its result: its worker ends the run there (errSaturated,
-// saturation). Only rows the plan's bounds and NULL checks covered are
-// skipped, and only where nothing between the scan and the fold can raise, so
-// the groups, their order and the first error are the full scan's.
+// saturation). It stops only where nothing between the scan and the fold can
+// raise, so the groups, their order and the first error are the full scan's.
+//
+// Snapshot. planFold counts the source rows once, and the fold reads exactly
+// those: the key's bounds, NULL checks and vectors are read at the same
+// moment, so every key it meets lies within its directory. Writers are
+// serialized against a statement's readers, so no row appears between the
+// two.
 
 // Fold metrics: folds the operator ran and the source rows they read.
 var (
@@ -303,19 +308,17 @@ type foldOp struct {
 	init               []int64
 	families           []*armFamily
 	// full is how many cells the key can take when a worker may stop once
-	// its partition holds them all (saturation), 0 when it may not; covered
-	// is the source rows the plan's bounds and NULL checks saw, the only
-	// rows such a stop skips.
-	full, covered int
+	// its partition holds them all (saturation), 0 when it may not.
+	full int
+	// rows is the source rows the fold reads, counted when it was planned.
+	rows int
 }
 
-// planFold binds a fold to its pipeline.
+// planFold binds a fold to its pipeline and the source rows it counts now.
 func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
-	// The rows counted before the key's NULL bitmaps and ranges are read are
-	// rows both cover.
-	op := &foldOp{pipe: pipe, specs: specs, covered: pipe.count()}
+	op := &foldOp{pipe: pipe, specs: specs, rows: pipe.count()}
 	op.keys = op.keyCols(keyExprs)
-	op.bounds, _ = directBounds(&op.keys, pipe.tabs, pipe.count(), nil)
+	op.bounds, _ = directBounds(&op.keys, pipe.tabs, op.rows, nil)
 	for i, arg := range op.planDispatch(pipe.sch) {
 		op.planSlot(&op.slots[i], specs[i].call, arg)
 	}
@@ -324,12 +327,12 @@ func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 }
 
 // saturation is the number of cells the key can take, ∏(span − 1), when a
-// partition that holds them all can skip the rest of its covered rows
-// without changing the result or its errors; 0 when it cannot. That takes a
+// partition that holds them all can skip the rest of its rows without
+// changing the result or its errors; 0 when it cannot. That takes a
 // fold with no aggregate — SELECT DISTINCT, or GROUP BY with none — over a
 // scan in storage order whose key takes the direct route and is all bare
-// columns that held no NULL at plan time: every covered row then lands in
-// one of those cells. And nothing between the scan and the fold may raise —
+// columns that held no NULL at plan time: every row then lands in one of
+// those cells. And nothing between the scan and the fold may raise —
 // no join, and only filters the selection kernels take whole — so a skipped
 // row skips no error the reference would meet.
 func (op *foldOp) saturation() int {
@@ -511,13 +514,12 @@ func (op *foldOp) fold(ec execCtx) (*foldPart, error) {
 		ctx = ec.gov.ctx
 	}
 	open := func() error { return pipe.open(ec.gov) }
-	part, stage, err := foldPartitions(ctx, ec.span, ec.par, pipe.count(), open, func(ctx context.Context, lo, hi int) (*foldPart, error) {
+	part, stage, err := foldPartitions(ctx, ec.span, ec.par, op.rows, open, func(ctx context.Context, lo, hi int) (*foldPart, error) {
 		return op.run(ec.gov.withCtx(ctx), lo, hi)
 	})
 	if stage != nil {
 		if err == nil {
-			// The merged table's: a partition forced off the direct route
-			// takes the merge with it. A global aggregate probes nothing.
+			// A global aggregate probes nothing.
 			route := "none"
 			if len(op.keys.cols) > 0 {
 				route = part.tab.route()
@@ -741,9 +743,6 @@ type foldWorker struct {
 	// The tuples a typed kernel reads whose argument is not NULL, and their
 	// group ids (nonNull): taken at the first NULL-holding argument.
 	keepIds, keepGid []int32
-	// stop is set while the worker reads covered rows of a fold that may
-	// stop (foldOp.saturation).
-	stop bool
 }
 
 // run folds partition [lo, hi) of the op's source. Bound expression trees are
@@ -765,16 +764,7 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 		bufs[i] = w.feed.buffer()
 	}
 	w.gid, w.ents, w.byEnt.ids = w.feed.buffer(), bufs[:nf], bufs[nf:]
-	// A saturated partition stops within the covered rows; rows appended
-	// after planning, which the plan's bounds do not cover, are all folded.
-	mid := hi
-	if op.full > 0 {
-		mid, w.stop = min(max(op.covered, lo), hi), true
-	}
-	err := w.feed.run(lo, mid)
-	if w.stop = false; err == nil && mid < hi {
-		err = w.feed.run(mid, hi)
-	}
+	err := w.feed.run(lo, hi)
 	w.part.consumed, w.part.srcNs, w.part.stages = w.feed.read, w.feed.srcNs, w.feed.st
 	return w.part, err
 }
@@ -789,8 +779,8 @@ func (op *foldOp) run(gov *governor, lo, hi int) (*foldPart, error) {
 // the tuples before k are resolved, and so is k's own group when an argument
 // raised — the reference makes it before it evaluates k's arguments, and it
 // may trip MaxGroups first — and then the error ends the fold, so nothing is
-// advanced. A partition that holds every cell its key can take, while it
-// may stop, ends its run: no tuple it has not read can add a group.
+// advanced. A partition that holds every cell its key can take, in a fold
+// that may stop, ends its run: no tuple it has not read can add a group.
 func (w *foldWorker) consume(b *tupleBatch) error {
 	op, n := w.op, b.rows()
 	for fi, f := range op.families {
@@ -812,7 +802,7 @@ func (w *foldWorker) consume(b *tupleBatch) error {
 	if err := w.advanceArms(b, n); err != nil {
 		return err
 	}
-	if w.stop && w.part.tab.dir != nil && w.part.tab.len() >= op.full {
+	if op.full > 0 && w.part.tab.len() >= op.full {
 		return errSaturated
 	}
 	return nil
@@ -913,10 +903,10 @@ func (w *foldWorker) advanceArms(b *tupleBatch, n int) error {
 // read one component at a time, through a loop typed for its vector
 // (keys.go). On the direct route that pass leaves each tuple's cell in ids,
 // until its id replaces it: a hit is one load, and a miss makes its group
-// from the cell. Only a key out of bounds — inserted, which moves t to the
-// hash route — is read whole: it and every later tuple go through
-// resolveHash. A computed component that raises at a tuple cuts the batch
-// there: the tuples before it are resolved, then its error returns.
+// from the cell. A key outside the bounds is found nowhere, and inserting one
+// is a bug (outOfBounds). A computed component that raises at a tuple
+// cuts the batch there: the tuples before it are resolved, then its error
+// returns.
 func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, n int, ids []int32, groups bool) error {
 	if len(kc.cols) == 0 && t.len() > 0 {
 		clear(ids[:n]) // the global aggregate's one group
@@ -930,7 +920,7 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, n int, i
 		n, cut = kc.materialize(b, n, w.mat)
 	}
 	if t.dir == nil {
-		return cmp.Or(w.resolveHash(kc, t, b, 0, n, ids, groups), cut)
+		return cmp.Or(w.resolveHash(kc, t, b, n, ids, groups), cut)
 	}
 	cells := ids[:n]
 	clear(cells)
@@ -946,23 +936,22 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, n int, i
 	}
 	dir := t.dir
 	for k := 0; k < n; k++ {
-		if cell := uint(ids[k]); cell < uint(len(dir)) {
-			if id := dir[cell]; id != 0 || !groups {
-				ids[k] = id - 1
-				continue
+		cell := uint(ids[k])
+		if cell >= uint(len(dir)) {
+			if groups {
+				panic(outOfBounds)
 			}
-			ids[k] = t.addCell(int(cell))
-			if err := w.charge(); err != nil {
-				return err
-			}
-			continue
-		}
-		if !groups {
 			ids[k] = -1
 			continue
 		}
-		t.migrate()
-		return cmp.Or(w.resolveHash(kc, t, b, k, n, ids, groups), cut)
+		if id := dir[cell]; id != 0 || !groups {
+			ids[k] = id - 1
+			continue
+		}
+		ids[k] = t.addCell(int(cell))
+		if err := w.charge(); err != nil {
+			return err
+		}
 	}
 	return cut
 }
@@ -971,14 +960,14 @@ func (w *foldWorker) resolve(kc *keyCols, t *groupTable, b *tupleBatch, n int, i
 // its frame.
 const hashChunk = 128
 
-// resolveHash is resolve on the hash route for tuples [from, n) of the
-// materialized [0, n): a chunk of tuples at a time, the keys read a
-// component at a time, then looked up tuple by tuple.
-func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, from, n int, ids []int32, groups bool) error {
+// resolveHash is resolve on the hash route for the materialized tuples
+// [0, n): a chunk of tuples at a time, the keys read a component at a time,
+// then looked up tuple by tuple.
+func (w *foldWorker) resolveHash(kc *keyCols, t *groupTable, b *tupleBatch, n int, ids []int32, groups bool) error {
 	var buf [hashChunk * (maxIntKeys + 2)]int64
 	keys, chunk := kc.chunk(buf[:])
 	stride := kc.stride
-	for base := from; base < n; base += chunk {
+	for base := 0; base < n; base += chunk {
 		m := min(n-base, chunk)
 		clear(keys[:m*stride])
 		for c := range kc.cols {

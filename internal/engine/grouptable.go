@@ -161,30 +161,29 @@ func (t *groupTable) cellOf(key []int64, mask uint8) (int, bool) {
 
 // lookupKey returns the id of a key in flight on whichever route t is on; an
 // absent key is appended under the next id when insert is set — fresh
-// reports it — and is id -1 otherwise.
+// reports it — and is id -1 otherwise. On the direct route a key outside the
+// bounds is on no row the fold's plan counted: a find of one is id -1, an
+// insert a bug (outOfBounds).
 func (t *groupTable) lookupKey(key []int64, insert bool) (id int32, fresh bool) {
-	if t.dir != nil {
-		return t.lookupCell(key, insert)
+	if t.dir == nil {
+		return t.lookupHash(t.hash(key), key, insert)
 	}
-	return t.lookupHash(t.hash(key), key, insert)
-}
-
-// lookupCell is lookupKey on the direct route. An inserted key outside the
-// bounds, which a writer racing the fold's readers alone can make, first
-// moves the table to the hash route, every id kept.
-func (t *groupTable) lookupCell(key []int64, insert bool) (id int32, fresh bool) {
 	cell, in := t.cellOf(key[:t.width], uint8(key[t.width]))
 	switch {
-	case in && (t.dir[cell] != 0 || !insert):
-		return t.dir[cell] - 1, false
-	case in:
-		return t.addCell(cell), true
-	case !insert:
+	case !in && insert:
+		panic(outOfBounds)
+	case !in:
 		return -1, false
+	case t.dir[cell] != 0 || !insert:
+		return t.dir[cell] - 1, false
 	}
-	t.migrate()
-	return t.lookupHash(t.hash(key), key, insert)
+	return t.addCell(cell), true
 }
+
+// outOfBounds is the invariant an insert outside a directory's bounds
+// breaks: the bounds cover every row the plan counted, and a fold reads no
+// other. The statement's recovery contains the panic (PCT206).
+const outOfBounds = "engine: key outside the group directory's bounds"
 
 // addCell gives the key of cell, absent from the directory, the next id.
 func (t *groupTable) addCell(cell int) int32 {
@@ -240,40 +239,27 @@ func (t *groupTable) direct(b *bounds) {
 	*t = d
 }
 
-// migrate moves a direct table to the hash route: each cell is decoded into
-// the slots the hash route stores, in id order, so every id stays.
-func (t *groupTable) migrate() {
-	cells := t.cell
-	t.dir, t.cell = nil, nil
-	for _, cell := range cells {
-		key := t.decode(cell)
-		t.lookupHash(t.hash(key), key, true)
-	}
-}
-
 // lookupFrom returns the id in t of key g of from — a table of the same
-// layout and bounds — inserting it if new: by from's cell, one load, when
-// both are on the direct route; with the hash from stored when both are on
-// the hash route; through lookupKey otherwise. A key with slots coded in
-// another dictionary is recoded into t's first, and hashed anew.
+// layout and bounds, so on the same route — inserting it if new: by from's
+// cell, one load, on the direct route; with the hash from stored on the hash
+// route, unless the key has slots coded in another dictionary: those are
+// recoded into t's first, and hashed anew.
 func (t *groupTable) lookupFrom(from *groupTable, g int) (id int32, fresh bool) {
-	if t.dir != nil && from.dir != nil {
+	if t.dir != nil {
 		cell := from.cell[g]
 		if id := t.dir[cell]; id != 0 {
 			return id - 1, false
 		}
 		return t.addCell(int(cell)), true
 	}
-	key := from.key(g)
-	switch {
-	case len(t.coded) > 0 && from.dict != t.dict:
+	key, h := from.key(g), from.hashes[g]
+	if len(t.coded) > 0 && from.dict != t.dict {
 		for _, s := range t.coded {
 			key[s] = t.dict.code(from.dict.vals[key[s]], true)
 		}
-	case t.dir == nil && from.dir == nil:
-		return t.lookupHash(from.hashes[g], key, true)
+		h = t.hash(key)
 	}
-	return t.lookupKey(key, true)
+	return t.lookupHash(h, key, true)
 }
 
 // The hash mixes a key in flight a word at a time — its first NULL mask

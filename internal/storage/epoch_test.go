@@ -72,8 +72,8 @@ func TestEpochStableAcrossReads(t *testing.T) {
 	}
 }
 
-// A staging swap (EmptyClone + Catalog.Put) must never alias the replaced
-// table's epoch: the clone draws a fresh, strictly newer tick from the
+// A staging swap (Without + Catalog.Put) must never alias the replaced
+// table's epoch: the staging table draws a fresh, strictly newer tick from the
 // global clock, so a cache entry stamped against the old table goes stale.
 func TestEpochGloballyMonotonicAcrossSwap(t *testing.T) {
 	cat := NewCatalog()
@@ -86,7 +86,7 @@ func TestEpochGloballyMonotonicAcrossSwap(t *testing.T) {
 	}
 	old := tab.Epoch()
 
-	stage := tab.EmptyClone()
+	stage := tab.Without([]int32{0})
 	cat.Put(stage)
 	cur, err := cat.Get("t")
 	if err != nil {

@@ -142,7 +142,7 @@ func NewTable(name string, schema Schema) (*Table, error) {
 
 // Epoch returns the table's last-modification tick on the global clock.
 // Two reads returning the same value bracket a span with no row mutations;
-// a table created later (including a staging clone swapped in under the
+// a table created later (including a staging table swapped in under the
 // same name) always reports a strictly greater epoch.
 func (t *Table) Epoch() int64 { return t.epoch.Load() }
 
@@ -240,35 +240,21 @@ func (t *Table) TruncateTo(n int) {
 	t.bumpRewrite()
 }
 
-// EmptyClone returns a new zero-row table with the same name, schema,
-// primary key, and index definitions. It is the staging half of the
-// engine's journaled table rewrite: build the new contents into the clone,
-// then publish it with Catalog.Put on success, so a mid-statement failure
-// leaves the live table untouched.
-func (t *Table) EmptyClone() *Table { return t.staged(nil, 0) }
-
 // Without returns a staging table holding t's rows less those listed,
-// ascending, in drop — the staging half of DELETE: each column vector is
-// gathered by typed copies of the kept runs (Vector.without).
+// ascending, in drop — the staging half of DELETE, which publishes it with
+// Catalog.Put — under t's name, schema, primary key and index definitions:
+// each column vector is gathered by typed copies of the kept runs
+// (Vector.without).
 func (t *Table) Without(drop []int32) *Table {
-	cols := make([]Vector, len(t.cols))
-	for i := range t.cols {
-		cols[i] = t.cols[i].without(drop)
-	}
-	return t.staged(cols, t.nrows-len(drop))
-}
-
-// staged returns a new table under t's name, schema, primary key and index
-// definitions over the given column vectors (nil: none, zero rows).
-func (t *Table) staged(cols []Vector, nrows int) *Table {
 	c, err := NewTable(t.name, t.schema)
 	if err != nil {
 		// t's schema was validated when t was created.
 		panic("storage: staging clone of invalid table: " + err.Error())
 	}
-	if cols != nil {
-		c.cols, c.nrows = cols, nrows
+	for i := range t.cols {
+		c.cols[i] = t.cols[i].without(drop)
 	}
+	c.nrows = t.nrows - len(drop)
 	c.primaryKey = append([]int(nil), t.primaryKey...)
 	for _, ix := range t.indexes {
 		c.indexes = append(c.indexes, &Index{name: ix.name, cols: ix.cols})

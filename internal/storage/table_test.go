@@ -246,8 +246,8 @@ func TestJoinIndexCache(t *testing.T) {
 	if got := readIndex(tb); got.n != 1 || !slices.Equal(lookup(tb, "CA"), []int{0}) {
 		t.Errorf("after a failed build: a build over %d rows, CA %v; want one over the table's row", got.n, lookup(tb, "CA"))
 	}
-	if c := tb.EmptyClone(); len(c.Indexes()) != 1 || c.Indexes()[0] == tb.Indexes()[0] || readIndex(c).n != 0 {
-		t.Error("a clone must declare the index afresh, with nothing built")
+	if c := tb.Without([]int32{0}); len(c.Indexes()) != 1 || c.Indexes()[0] == tb.Indexes()[0] || readIndex(c).n != 0 {
+		t.Error("a staging table must declare the index afresh, with nothing built")
 	}
 }
 

@@ -105,3 +105,35 @@ func TestExplainAnalyzeShowsCacheLookups(t *testing.T) {
 		t.Errorf("warm EXPLAIN ANALYZE ran cache lookup statements:\n%s", warm)
 	}
 }
+
+// TestExplainAnalyzeShowsAdvisorFeedback: under AutoStrategy the advisor's
+// feedback scan — SELECT DISTINCT over the fine group D1..Dk, which sizes Fk
+// — is a statement generated for the query, so EXPLAIN ANALYZE renders it
+// under the statement's plan span, beside the layout's feedback over the BY
+// columns alone.
+func TestExplainAnalyzeShowsAdvisorFeedback(t *testing.T) {
+	db := demoDB(t)
+	if _, err := db.Exec(`CREATE TABLE daily (store INTEGER, dweek VARCHAR, salesAmt INTEGER);
+		INSERT INTO daily VALUES (2,'Mo',7),(2,'Tu',6),(4,'Tu',9),(4,'We',9)`); err != nil {
+		t.Fatal(err)
+	}
+	db.AutoStrategy(true)
+	rows, err := db.Query("EXPLAIN ANALYZE SELECT store, Hpct(salesAmt BY dweek) FROM daily GROUP BY store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, r := range rows.Data {
+		lines = append(lines, normalizeExplain(r[0].(string)))
+	}
+	got := strings.Join(lines, "\n")
+	for _, want := range []string{
+		"plan (DUR)\n  feedback: distinct store, dweek (DUR)\n",
+		"    statement (DUR) out=4 sql=SELECT DISTINCT store, dweek FROM daily ORDER BY store, dweek\n",
+		"  feedback: distinct dweek (DUR)\n",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("EXPLAIN ANALYZE under AutoStrategy lacks %q:\n%s", want, got)
+		}
+	}
+}

@@ -285,14 +285,16 @@ func convert[T int64 | float64 | bool](dst []any, w int, cells []T, nulls storag
 type rewriter struct{ db *DB }
 
 // options resolves the options a statement plans with: the advisor's pick
-// under AutoStrategy, the configured strategies otherwise, with the
-// statement's parallelism stamped on either. Limits are no option: the plan
-// resolves them from ctx, as every statement it runs does.
-func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int) (core.Options, error) {
+// under AutoStrategy — its feedback scan run at the statement's parallelism
+// and traced under sp, the plan span (nil: untraced) — the configured
+// strategies otherwise, with the statement's parallelism stamped on either.
+// Limits are no option: the plan resolves them from ctx, as every statement
+// it runs does.
+func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int, sp *Span) (core.Options, error) {
 	opts := db.strat.coreOptions()
 	if db.auto {
 		var err error
-		if opts, err = db.planner.AdviseCtx(ctx, sel); err != nil {
+		if opts, err = db.planner.AdviseIn(ctx, sel, par, sp); err != nil {
 			return opts, err
 		}
 	}
@@ -301,9 +303,10 @@ func (db *DB) options(ctx context.Context, sel *sqlparse.Select, par int) (core.
 }
 
 // plan plans sel with the statement's options under sp, where the
-// statements of its summary-cache lookups nest (nil: untraced).
+// statements of the advisor's feedback scan and of its summary-cache lookups
+// nest (nil: untraced).
 func (r rewriter) plan(ctx context.Context, sel *sqlparse.Select, par int, sp *Span) (*core.Plan, error) {
-	opts, err := r.db.options(ctx, sel, par)
+	opts, err := r.db.options(ctx, sel, par, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +379,7 @@ func (db *DB) Explain(sql string) (string, error) {
 
 // explain renders sel's plan for display (core.Planner.PlanDisplay).
 func (db *DB) explain(ctx context.Context, sel *sqlparse.Select, par int) (string, error) {
-	opts, err := db.options(ctx, sel, par)
+	opts, err := db.options(ctx, sel, par, nil)
 	if err != nil {
 		return "", err
 	}
