@@ -113,9 +113,9 @@ func BenchmarkBulkUpdateJoined(b *testing.B) {
 
 // TestBulkUpdateJoinedAllocBudget: UPDATE … FROM pairs each Fk row with its
 // Fj row through the join index and writes the new cells in place, so it
-// allocates for the statement, the pairs, the new values and the undo record
-// — a handful of growing slices — and nothing per row: 113 measured, the
-// budget 10 % above.
+// allocates for the statement, the pairs, the new values and the undo record,
+// sized once — a handful of slices — and nothing per row: 103 measured (113
+// when the undo log grew a cell at a time), the budget 10 % above.
 func TestBulkUpdateJoinedAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -127,8 +127,8 @@ func TestBulkUpdateJoinedAllocBudget(t *testing.T) {
 			t.Fatal(r, err)
 		}
 	})
-	if got > 124 {
-		t.Errorf("joined UPDATE of 1 000 rows made %.0f allocations, budget 124", got)
+	if got > 113 {
+		t.Errorf("joined UPDATE of 1 000 rows made %.0f allocations, budget 113", got)
 	}
 	t.Logf("%.0f allocations", got)
 }
@@ -150,6 +150,29 @@ func salesEngine(b testing.TB, rows int) *Engine {
 		tab.AppendRow(row)
 	}
 	return e
+}
+
+// TestBulkUpdateAllocBudget: an in-place UPDATE of every one of 20 000 rows
+// evaluates all its new values into one slice and sizes its undo log once
+// from their count, so it allocates for the statement, the selected ids and
+// those two, and nothing per row or per cell: 48–51 measured (76 when the
+// undo log grew a cell at a time), the budget 10 % above.
+func TestBulkUpdateAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	e := salesEngine(t, 20_000)
+	const sql = "UPDATE sales SET amt = amt + 1 WHERE c1 >= 0"
+	mustExec(t, e, sql) // warm the selection pool
+	got := testing.AllocsPerRun(5, func() {
+		if r, err := e.ExecSQL(sql); err != nil || r.Affected != 20_000 {
+			t.Fatal(r, err)
+		}
+	})
+	if got > 56 {
+		t.Errorf("UPDATE of 20 000 rows made %.0f allocations, budget 56", got)
+	}
+	t.Logf("%.0f allocations", got)
 }
 
 // BenchmarkPointUpdate is hot_mix's update_sales: one cell of 300 000 rows,
@@ -180,9 +203,13 @@ func BenchmarkDeleteSelective(b *testing.B) {
 }
 
 // TestPointUpdateAllocBudget: a point UPDATE on a warm engine allocates for
-// the statement — lex, parse, bind, one row id, one undo cell, the row view —
+// the statement — lex, parse, bind, the selection's plan and pipeline, one
+// row id, the undo record and its cell, the row view and its column table —
 // and nothing per row scanned or per column vector, so a table four times as
-// long costs the same: 36 measured at both sizes, the budget 10 % above.
+// long costs the same: 38 measured at both sizes (36 before the batch
+// pipeline, the typed row view and the dictionary compaction each added one
+// or two; 40 until the selection's pipeline shared its plan's allocation and
+// the row view's column table was sized once), the budget what it was.
 func TestPointUpdateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -311,9 +338,11 @@ func TestInsertSelectGroupAllocBudget(t *testing.T) {
 
 // TestOrderedSelectAllocBudget is the budget of a generated plan's final
 // select: 20 k rows ordered by two of their columns. The row ids are sorted
-// by their packed keys, the columns gathered a batch at a time and only then
-// boxed, once, into one slab: a constant number of allocations besides that
-// slab — 57 measured, 20 059 before (one per row).
+// by their packed keys over the table's own columns, gathered once into the
+// result's vectors and only then boxed, once, into one slab: a constant
+// number of allocations besides that slab — 47–49 measured (57 when the
+// sorted ids streamed through per-column gather buffers first), 20 059
+// before (one per row).
 func TestOrderedSelectAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -324,16 +353,18 @@ func TestOrderedSelectAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 63 {
-		t.Errorf("ordered SELECT of 20k rows made %.0f allocations, budget 63", allocs)
+	if allocs > 54 {
+		t.Errorf("ordered SELECT of 20k rows made %.0f allocations, budget 54", allocs)
 	}
 	t.Logf("%.0f allocations", allocs)
 }
 
 // TestFilteredOrderByAllocBudget: the same select behind a WHERE sorts the
-// selected row ids — no hidden sort column, no boxed row before the result
-// slab — so its allocations are as constant: 71 measured for 2 000 of 20 000
-// rows, where collecting the passing rows made one per row.
+// selected row ids in the table's own columns — the hidden sort column is
+// the table's too, and no row is boxed before the result slab — so its
+// allocations are as constant: 58 measured for 2 000 of 20 000 rows (71
+// through per-column gather buffers), where collecting the passing rows made
+// one per row.
 func TestFilteredOrderByAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -344,8 +375,8 @@ func TestFilteredOrderByAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 78 {
-		t.Errorf("filtered ordered SELECT made %.0f allocations, budget 78", allocs)
+	if allocs > 64 {
+		t.Errorf("filtered ordered SELECT made %.0f allocations, budget 64", allocs)
 	}
 	t.Logf("%.0f allocations", allocs)
 }
@@ -646,8 +677,10 @@ func TestDivideJoinInsertAllocBudget(t *testing.T) {
 
 // TestOrderedFinalSelectAllocBudget is the budget of
 // BenchmarkOrderedFinalSelect's statement, the plan's final select: the row
-// ids, their packed keys and the radix sort's scratch, one gather buffer per column, one result slab —
-// a constant number of allocations whatever the row count: 82 measured.
+// ids, their packed keys and the radix sort's scratch, one result slab
+// gathered from the table's own columns — a constant number of allocations
+// whatever the row count: 70–71 measured (82 with a gather buffer per
+// column).
 func TestOrderedFinalSelectAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -659,8 +692,8 @@ func TestOrderedFinalSelectAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 90 {
-		t.Errorf("the ordered final select of 42 K rows made %.0f allocations, budget 90", allocs)
+	if allocs > 78 {
+		t.Errorf("the ordered final select of 42 K rows made %.0f allocations, budget 78", allocs)
 	}
 	t.Logf("%.0f allocations", allocs)
 }

@@ -12,17 +12,17 @@ import (
 
 // The batch pipeline: the one way a SELECT reads its FROM. A FROM compiles to
 // a source and stages that move batchSize id tuples at a time. The source is
-// a range of the first table's row ids (or a stretch of the sorted ones), the
-// one tuple of no table a FROM-less select reads, or tuples a window
-// collected. A filter narrows a batch — through the selection kernels where
-// splitFilter admits it, tuple by tuple otherwise — a hash join looks the
-// batch's keys up in its build side's index, and a nested loop pairs each
-// tuple with every row of its stored right table; a join hands on one id
-// vector per FROM table, -1 for the NULL extension of an outer join's
-// unmatched row. Three consumers take the tuples: the projector's column ops
-// gather, divide or evaluate them into the sink's batch (a plain select), the
-// fold worker folds them (fold.go), and a window collects them (select.go).
-// Nothing is boxed but the cells an expression reads.
+// a range of the first table's row ids, the one tuple of no table a FROM-less
+// select reads, or tuples a window collected. A filter narrows a batch —
+// through the selection kernels where splitFilter admits it, tuple by tuple
+// otherwise — a hash join looks the batch's keys up in its build side's
+// index, and a nested loop pairs each tuple with every row of its stored
+// right table; a join hands on one id vector per FROM table, -1 for the NULL
+// extension of an outer join's unmatched row. Three consumers take the
+// tuples: the projector's column ops gather, divide or evaluate them into the
+// sink's batch (a plain select), the fold worker folds them (fold.go), and a
+// window collects them (select.go). Nothing is boxed but the cells an
+// expression reads.
 //
 // Errors keep the order of a row-at-a-time evaluation, which finishes a row
 // before it starts the next: a stage that raises at some tuple hands the
@@ -67,8 +67,11 @@ type tupleSet struct {
 }
 
 // newPipeline compiles the plan in.
-func newPipeline(in planNode) *pipeline {
-	p := &pipeline{root: in, sch: in.schema()}
+func newPipeline(in planNode) *pipeline { return new(pipeline).init(in) }
+
+// init compiles the plan in into p, a zero pipeline, and returns p.
+func (p *pipeline) init(in planNode) *pipeline {
+	p.root, p.sch = in, in.schema()
 	p.stages, p.tabs = p.inlStages[:0], p.inlTabs[:0]
 	p.compile(in)
 	return p
@@ -168,7 +171,7 @@ func (p *pipeline) drain(gov *governor, sink tupleSink, gathers []colOp) error {
 	if err := r.run(0, p.count()); err != nil {
 		return err
 	}
-	if p.scan != nil && !p.scan.counted {
+	if p.scan != nil {
 		mRowsScanned.Add(r.read)
 	}
 	return nil
@@ -335,8 +338,6 @@ func (r *pipeRun) run(lo, hi int) error {
 				r.src.ids[t] = p.held.ids[t][base : base+bn]
 			}
 		case p.scan == nil:
-		case p.scan.order != nil:
-			r.src.ids[0] = append(r.sel[:0], p.scan.order[base:base+bn]...)
 		default:
 			r.src.ids[0] = rowRange(r.sel, base, bn)
 		}
@@ -548,8 +549,9 @@ func (b *tupleBatch) init(tabs []*storage.Table, ops []colOp) {
 func (b *tupleBatch) column(i int) *tupleCol {
 	if b.cols == nil {
 		for t, tab := range b.tabs {
+			b.cols = grown(b.cols, tab.NumCols())
 			for c := 0; c < tab.NumCols(); c++ {
-				b.cols = append(grown(b.cols, 1), tupleCol{tab: t, col: c})
+				b.cols = append(b.cols, tupleCol{tab: t, col: c})
 			}
 		}
 	}

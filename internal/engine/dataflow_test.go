@@ -203,11 +203,12 @@ func TestSortNaNOrderPinned(t *testing.T) {
 const nanPinned = "1|\n2|\n3|\n4|\n5|\n"
 
 // TestFilteredOrderBySortsIds: a plain select that filters one stored table
-// and orders by its columns sorts the selected row ids — on the column path
-// and on the reference path — and returns what collecting the passing rows
-// and sorting them returned: same rows, same order, NULLs first, DESC and
-// LIMIT honoured, under kernel and evaluated predicates alike, and a key
-// holding NaN ordered as the collected sort orders it.
+// and orders by its columns sorts the selected row ids in the table's own
+// vectors on the column path, and the rows it collected on the reference
+// path, and both return the stable sort of the passing rows: same rows, same
+// order, NULLs first, DESC and LIMIT honoured, under kernel and evaluated
+// predicates alike, and a key holding NaN ordered as the collected sort
+// orders it.
 func TestFilteredOrderBySortsIds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	e := sortFixture(t, rng, 2500, false)
@@ -286,6 +287,33 @@ func TestLimitZeroAndLimitPaths(t *testing.T) {
 	mustExec(t, e, "INSERT INTO o SELECT a FROM t LIMIT 0")
 	if n := len(mustExec(t, e, "SELECT * FROM o").Rows); n != 0 {
 		t.Errorf("INSERT … LIMIT 0 inserted %d rows", n)
+	}
+}
+
+// TestLimitCountsTheTableScanned: a plain select over one stored table reads
+// every row of it once, whatever cuts the result after — an ORDER BY … LIMIT,
+// filtered or not, and a bare LIMIT — so engine.rows.scanned grows by the
+// table's size for each.
+func TestLimitCountsTheTableScanned(t *testing.T) {
+	const n = 5000
+	e := New(storage.NewCatalog())
+	mustExec(t, e, "CREATE TABLE t (k INTEGER, v INTEGER)")
+	tab, _ := e.Catalog().Get("t")
+	for i := 0; i < n; i++ {
+		tab.AppendRow([]value.Value{value.NewInt(int64(n - i)), value.NewInt(int64(i % 10))})
+	}
+	for _, sql := range []string{
+		"SELECT k FROM t ORDER BY k LIMIT 10",
+		"SELECT k FROM t WHERE v >= 0 ORDER BY k LIMIT 10",
+		"SELECT k FROM t LIMIT 10",
+	} {
+		before := mRowsScanned.Value()
+		if r := mustExec(t, e, sql); len(r.Rows) != 10 {
+			t.Fatalf("%s: %d rows, want 10", sql, len(r.Rows))
+		}
+		if got := mRowsScanned.Value() - before; got != n {
+			t.Errorf("%s: engine.rows.scanned grew by %d, want %d", sql, got, n)
+		}
 	}
 }
 

@@ -291,9 +291,10 @@ func selectReads(sel *sqlparse.Select, table string) bool {
 // selectRows returns, ascending, the ids of t's rows that where admits (nil:
 // every row): the pipeline scans t through the filter.
 func selectRows(t *storage.Table, where expr.Expr, gov *governor) ([]int32, error) {
-	q := &struct { // one allocation for the plan and what it selects
+	q := &struct { // one allocation for the plan, its pipeline and what it selects
 		scan   tableScan
 		filter filterIter
+		pipe   pipeline
 		ids    idSink
 	}{scan: tableScan{tab: t}}
 	var in planNode = &q.scan
@@ -301,7 +302,7 @@ func selectRows(t *storage.Table, where expr.Expr, gov *governor) ([]int32, erro
 		q.filter = filterIter{child: in, pred: where}
 		in = &q.filter
 	}
-	err := newPipeline(in).drain(gov, &q.ids, nil)
+	err := q.pipe.init(in).drain(gov, &q.ids, nil)
 	return q.ids, err
 }
 
@@ -505,6 +506,7 @@ func (e *Engine) updateInPlace(t *storage.Table, name string, rows *tupleBatch, 
 		}
 	}
 	undo := t.BeginUpdate()
+	undo.Grow(len(vals))
 	committed := false
 	defer func() {
 		if !committed {

@@ -337,7 +337,7 @@ func planFold(pipe *pipeline, keyExprs []expr.Expr, specs []aggSpec) *foldOp {
 // row skips no error the reference would meet.
 func (op *foldOp) saturation() int {
 	p := op.pipe
-	if len(op.specs) > 0 || op.bounds.cells == 0 || p.scan == nil || p.scan.order != nil {
+	if len(op.specs) > 0 || op.bounds.cells == 0 || p.scan == nil {
 		return 0
 	}
 	for i := range p.stages {

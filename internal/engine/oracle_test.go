@@ -186,20 +186,14 @@ func (s *scanRows) next() ([]value.Value, bool, error) {
 func (s *scanRows) step() ([]value.Value, bool, error) {
 	n, r := s.node, s.pos
 	if r >= n.count() {
-		if !n.counted {
-			n.counted = true
-			mRowsScanned.Add(int64(s.pos))
-			s.gov.addScanned(int64(s.pos % govStride))
-		}
+		mRowsScanned.Add(int64(s.pos))
+		s.gov.addScanned(int64(s.pos % govStride))
 		return nil, false, nil
 	}
 	if s.pos > 0 && s.pos%govStride == 0 {
 		if err := s.gov.addScanned(govStride); err != nil {
 			return nil, false, err
 		}
-	}
-	if n.order != nil {
-		r = int(n.order[r])
 	}
 	s.buf = n.tab.Row(r, s.buf)
 	s.pos++

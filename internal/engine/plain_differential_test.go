@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/difftest"
 	"repro/internal/engine"
 	"repro/internal/leakcheck"
@@ -341,4 +342,120 @@ func TestDifferentialBatchGuardedDivision(t *testing.T) {
 	if fmt.Sprint(ops) != fmt.Sprint(want) {
 		t.Errorf("projected ops %v, want %v", ops, want)
 	}
+}
+
+// orderedTailShapes are the plain selects whose ORDER BY or LIMIT runs the
+// tail over positions: bare items of one stored table, filtered or not, which
+// the tail reads in the table's own vectors, and the shapes that collect
+// first — a computed item, an INSERT reading its own target.
+var orderedTailShapes = []string{
+	// Bare items, unfiltered and filtered, with and without LIMIT.
+	"SELECT id, i, s FROM t ORDER BY i, id",
+	"SELECT * FROM t ORDER BY z DESC, w, id",
+	"SELECT id, i FROM t ORDER BY i DESC, id LIMIT 10",
+	"SELECT id FROM t ORDER BY s LIMIT 0",
+	"SELECT id, s FROM t WHERE i = 3 ORDER BY s, id",
+	"SELECT id, r FROM t WHERE r > 0 ORDER BY r DESC, id LIMIT 25",
+	"SELECT id FROM t WHERE z = 1 ORDER BY b LIMIT 0",
+	"SELECT id FROM t WHERE 10 / z > 2 ORDER BY i, id LIMIT 7",
+	"SELECT id, s FROM t LIMIT 30",
+	"SELECT * FROM t WHERE b LIMIT 5",
+	// Hidden ORDER BY columns.
+	"SELECT id FROM t ORDER BY w, id",
+	"SELECT s FROM t WHERE i = 1 ORDER BY r DESC, id LIMIT 9",
+	// VARCHAR, BOOLEAN and REAL keys holding NULLs, ascending and DESC.
+	"SELECT id, s, b, r FROM t ORDER BY s DESC, b, r DESC, id",
+	"SELECT id FROM t ORDER BY b DESC, r, s DESC, id LIMIT 100",
+	"SELECT r, s FROM t WHERE b IS NOT NULL ORDER BY r, s, b DESC, id",
+	// A computed item is evaluated for every admitted row, so one that raises
+	// at a row the LIMIT cuts raises.
+	"SELECT id, CASE WHEN id = 1500 THEN 'x' + 1 ELSE id END FROM t ORDER BY id LIMIT 10",
+	"SELECT CASE WHEN id = 1500 THEN 'x' + 1 ELSE i END FROM t WHERE z = 1 OR id = 1500 ORDER BY id DESC LIMIT 0",
+	"SELECT CASE WHEN id = 1500 THEN 'x' + 1 ELSE id END FROM t LIMIT 10",
+	// INSERT … SELECT … ORDER BY into another table and into its own target.
+	"INSERT INTO o SELECT id, r, s FROM t ORDER BY s DESC, id LIMIT 50",
+	"INSERT INTO o (c, a) SELECT s, id FROM t WHERE i = 2 ORDER BY r, id",
+	"INSERT INTO o SELECT a, b, c FROM o ORDER BY a DESC",
+	"INSERT INTO o SELECT a + 10, b, c FROM o ORDER BY c, a LIMIT 1",
+}
+
+// TestDifferentialBatchOrderedTail proves the tail — over a stored table's
+// own vectors or over what it collected — equivalent to the oracle, which
+// collects every shape row by row: exact rows, target contents and error
+// text. A computed item that raises at row 1500 raises wherever the table
+// holds that row, whatever the LIMIT keeps.
+func TestDifferentialBatchOrderedTail(t *testing.T) {
+	for _, n := range []int{0, 1, 1023, 1025, 5000} {
+		e := plainFixture(t, n)
+		for _, sql := range orderedTailShapes {
+			engine.UseReference(e, true)
+			want := runPlain(t, e, sql, 1)
+			engine.UseReference(e, false)
+			if raises := strings.Contains(sql, "'x' + 1"); raises != (want.err != "") && n > 1500 {
+				t.Errorf("n=%d %s: rows error %q", n, sql, want.err)
+			}
+			for _, par := range []int{1, 2} {
+				got := runPlain(t, e, sql, par)
+				if got.err != want.err {
+					t.Errorf("n=%d P=%d %s:\n  batch error %q\n  rows error  %q", n, par, sql, got.err, want.err)
+					continue
+				}
+				if want.err == "" && want.res.Columns != nil {
+					if diff := difftest.Equal(want.res, got.res); diff != "" {
+						t.Errorf("n=%d P=%d %s: batch diverges from rows: %s", n, par, sql, diff)
+					}
+				} else if want.err == "" && got.res.Affected != want.res.Affected {
+					t.Errorf("n=%d P=%d %s: %d rows affected, rows path %d", n, par, sql, got.res.Affected, want.res.Affected)
+				}
+				if diff := difftest.Equal(want.target, got.target); diff != "" {
+					t.Errorf("n=%d P=%d %s: target diverges: %s", n, par, sql, diff)
+				}
+			}
+		}
+	}
+}
+
+// TestOrderedSelectMaxRows: an ordered select of a stored table's columns
+// charges the rows it returns, once, against MaxRows: m of them pass a limit
+// of m and trip PCT202 under m−1, on the pipeline and on the oracle, at P=1
+// and P=2. Behind a LIMIT the pipeline charges only the rows the LIMIT keeps.
+func TestOrderedSelectMaxRows(t *testing.T) {
+	e := plainFixture(t, 5000)
+	run := func(sql string, par int, limit int64) error {
+		_, err := e.ExecSQLCtxP(engine.WithLimits(context.Background(), engine.Limits{MaxRows: limit}), sql, par)
+		return err
+	}
+	for _, tc := range []struct {
+		sql  string
+		ref  bool // the oracle, which collects every admitted row, too
+		rows int64
+	}{
+		{"SELECT id, i, s, r FROM t ORDER BY i, s, id", true, 5000},
+		{"SELECT id, s FROM t WHERE z = 1 ORDER BY s DESC, id", true, 0},
+		{"SELECT id, i FROM t ORDER BY i, id LIMIT 1200", false, 1200},
+		{"SELECT id FROM t WHERE z = 1 ORDER BY w LIMIT 300", false, 300},
+	} {
+		if tc.rows == 0 {
+			res, err := e.ExecSQL(tc.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.rows = int64(len(res.Rows))
+		}
+		for _, ref := range []bool{false, true} {
+			if ref && !tc.ref {
+				continue
+			}
+			engine.UseReference(e, ref)
+			for _, par := range []int{1, 2} {
+				if err := run(tc.sql, par, tc.rows); err != nil {
+					t.Errorf("ref=%v P=%d %s under MaxRows %d: %v", ref, par, tc.sql, tc.rows, err)
+				}
+				if err := run(tc.sql, par, tc.rows-1); diag.CodeOf(err) != diag.CodeRowLimit {
+					t.Errorf("ref=%v P=%d %s under MaxRows %d: %v, want %s", ref, par, tc.sql, tc.rows-1, err, diag.CodeRowLimit)
+				}
+			}
+		}
+	}
+	engine.UseReference(e, false)
 }

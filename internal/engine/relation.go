@@ -79,19 +79,12 @@ type planNode interface {
 	schema() relSchema
 }
 
-// tableScan reads a base table. stats is non-nil only for traced statements
-// (see trace.go).
+// tableScan reads a base table, every row in storage order. stats is non-nil
+// only for traced statements (see trace.go).
 type tableScan struct {
-	tab *storage.Table
-	sch relSchema
-	// order, when set, is the row ids to visit in visiting order — an ORDER
-	// BY over the table's own columns sorts them before the scan starts
-	// (select.go); nil visits every row in storage order.
-	order []int32
-	// counted is set when the rows were counted as scanned already, by the
-	// filter pass that selected order.
-	counted bool
-	stats   *opStats
+	tab   *storage.Table
+	sch   relSchema
+	stats *opStats
 }
 
 func newTableScan(t *storage.Table, alias string) *tableScan {
@@ -101,12 +94,7 @@ func newTableScan(t *storage.Table, alias string) *tableScan {
 func (s *tableScan) schema() relSchema { return s.sch }
 
 // count is how many rows the scan visits in all.
-func (s *tableScan) count() int {
-	if s.order != nil {
-		return len(s.order)
-	}
-	return s.tab.NumRows()
-}
+func (s *tableScan) count() int { return s.tab.NumRows() }
 
 // filterIter keeps the rows whose predicate is truthy (not false or NULL).
 type filterIter struct {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/obs"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 )
 
 // execSelect runs a SELECT and collects its rows into the statement's result,
@@ -58,10 +59,14 @@ func rewriteError(sel *sqlparse.Select) error {
 
 // runSelect plans and runs a SELECT statement into sink, returning its column
 // names. The consumer stage pushes its rows straight into sink. Only when a
-// later stage needs them all — a dedupe of aggregate output, an ORDER BY that
-// could not be applied to the scan, the LIMIT behind either — or the caller
-// asks to hold them (an INSERT reading its own target) are they collected as
-// columns instead; the tail then hands sink the rows in final order.
+// later stage needs them all — a dedupe of aggregate output, an ORDER BY, the
+// LIMIT behind either — or the caller asks to hold them (an INSERT reading its
+// own target) does the tail run: it dedupes, sorts and cuts positions into
+// what it keeps, then hands sink the rows they name in final order. What it
+// keeps is the consumer's output collected as columns, or — for a plain
+// select over one stored table, bare or under one filter, whose every item is
+// a bare column of it — nothing: the positions are the rows the filter admits
+// and the columns the table's own (tableColumns).
 //
 // ec.par governs the aggregation path only (see fold.go); scans, joins,
 // windows, and sorts are unchanged by it. When ec.span is set the whole
@@ -123,24 +128,20 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink, hold 
 		}
 	}
 
-	// Sort-before-project: when a plain select reads one stored table, filtered
-	// or not, and orders by its columns, the projection stage sorts the row ids
-	// first (and cuts them to the LIMIT), so the hidden columns are not needed
-	// and the rows stream like any other scan's.
-	var byScan *scanOrder
 	ordered, limited, dedupe := len(sel.OrderBy) == 0, sel.Limit == nil, sel.Distinct && !isPlain
-	if scan, filter := scanUnderFilter(in); scan != nil && isPlain && !sel.Distinct && !ordered && orderErr == nil {
-		if keys := scanSortKeys(scan, items, sel.OrderBy, order); keys != nil {
-			byScan = &scanOrder{scan: scan, filter: filter, keys: keys, limit: sel.Limit}
-			items, names, ordered, limited = items[:visible], names[:visible], true, true
-		}
-	}
-
 	keep, target := (*colCollector)(nil), sink
 	if hold || dedupe || !ordered || !limited {
 		keep = newColCollector(len(items), ec.gov)
 		target = keep
 	}
+	// A tail over a stored table's own columns keeps nothing (tableColumns).
+	// The reference collects what it projects, row by row, whatever the shape,
+	// so it checks this tail against the collected one.
+	var scan *tableScan
+	if keep != nil && !hold && isPlain && !sel.Distinct && orderErr == nil && ec.ref == nil {
+		scan = tableColumns(in, items, keep.vecs)
+	}
+	var perm []int32 // the table's rows the tail reads, when it keeps nothing
 	var consumer *obs.Span
 	attachOps := true // fold paths attach the operator subtree themselves
 	stage := ec
@@ -165,39 +166,42 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink, hold 
 		if keys, err = bindItems(items, in.schema()); err == nil {
 			n, err = hashAggregate(in, keys, nil, stage, target)
 		}
+	case scan != nil:
+		// The positions are the ids of the rows the scan reads, or the filter
+		// over it admits.
+		consumer = ec.span.NewChild("project")
+		ids := make(idSink, 0, scan.count())
+		err = newPipeline(in).drain(ec.gov, &ids, nil)
+		perm, n = ids, len(ids)
 	default:
 		consumer = ec.span.NewChild("project")
-		n, err = e.execPlainSelect(items, in, ec, target, byScan)
+		n, err = e.execPlainSelect(items, in, ec, target)
 	}
 	if consumer != nil {
 		consumer.End()
-		// The appends of the INSERT this stage fed are the insert span's time,
-		// a sort of the scan's row ids the sort span's.
+		// The appends of the INSERT this stage fed are the insert span's time.
 		var others time.Duration
 		if ins, ok := target.(*insertSink); ok {
 			others = ins.elapsed
-		}
-		var sortSpan *obs.Span
-		if byScan != nil && byScan.span != nil {
-			sortSpan, others = byScan.span, others+byScan.span.Duration
 		}
 		consumer.SetDuration(max(consumer.Duration-others, 1))
 		consumer.SetRows(-1, int64(n))
 		if attachOps {
 			consumer.AddChild(operatorSpans(in))
 		}
-		ec.span.AddChild(sortSpan) // behind the project stage, where a collected sort's is
 	}
 	if err != nil || keep == nil {
 		return names, err
 	}
 
-	// The collected tail runs over positions: dedupe, sort and cut them, then
-	// gather the rows they name into sink.
+	// The tail runs over positions: dedupe, sort and cut them, then gather the
+	// rows they name into sink.
 	if err := keep.charge.settle(); err != nil {
 		return nil, err
 	}
-	perm, err := positions(keep.n)
+	if scan == nil {
+		perm, err = positions(keep.n)
+	}
 	if err == nil && dedupe {
 		// Aggregate and window output dedupes once it is all there, so the
 		// stage's own errors come first.
@@ -230,92 +234,43 @@ func (e *Engine) runSelect(sel *sqlparse.Select, ec execCtx, sink rowSink, hold 
 		perm = perm[:min(*sel.Limit, len(perm))]
 	}
 	if res, ok := sink.(*collector); ok {
-		// The result takes the rows whole; the tail charged them as it kept them.
+		// The result takes the rows whole. The tail charged the rows it
+		// collected as it kept them; the table's are charged as the result's.
 		res.take(keep.vecs[:visible], keep.out[:visible], perm)
-		return names[:visible], nil
+		if scan == nil {
+			return names[:visible], nil
+		}
+		cols := make([]*storage.Vector, visible)
+		for j := range cols {
+			cols[j] = &keep.out[j]
+		}
+		return names[:visible], res.charge.addCols(cols, len(perm), 0)
 	}
 	return names[:visible], keep.emit(perm, visible, sink, ec.gov)
 }
 
-// scanOrder is a sort-before-project: the scan whose row ids are sorted — the
-// ones filter admits, when there is one — the keys, the LIMIT, and the sort's
-// span once it ran.
-type scanOrder struct {
-	scan   *tableScan
-	filter *filterIter
-	keys   []sortKey
-	limit  *int
-	span   *obs.Span
-}
-
-// scanUnderFilter reports the scan in reads when in is a scan of a stored
-// table, bare or under one filter.
-func scanUnderFilter(in planNode) (*tableScan, *filterIter) {
-	filter, _ := in.(*filterIter)
-	if filter != nil {
+// tableColumns reports the scan in reads when in is a scan of a stored table,
+// bare or under one filter, and every item is a bare column of that table;
+// vecs then holds the items' columns, the table's own vectors, borrowed. It
+// reports nil, vecs untouched, otherwise.
+func tableColumns(in planNode, items []sqlparse.SelectItem, vecs []storage.Vector) *tableScan {
+	if filter, ok := in.(*filterIter); ok {
 		in = filter.child
 	}
-	if scan, ok := in.(*tableScan); ok {
-		return scan, filter
+	scan, ok := in.(*tableScan)
+	if !ok {
+		return nil
 	}
-	return nil, nil
-}
-
-// scanSortKeys returns the sort keys of an ORDER BY whose every key item is
-// a bare column of the table scan reads, read off the column vectors; nil
-// when some key is computed.
-func scanSortKeys(scan *tableScan, items []sqlparse.SelectItem, by []sqlparse.OrderKey, order []int) []sortKey {
-	keys := make([]sortKey, len(order))
-	for i, item := range order {
-		b, err := bindExpr(items[item].Expr, scan.sch)
+	for j, it := range items {
+		b, err := bindExpr(it.Expr, scan.sch)
 		cr, ok := b.(*expr.ColumnRef)
 		if err != nil || !ok {
+			clear(vecs)
 			return nil
 		}
-		keys[i] = columnKey(scan.tab.Column(cr.Index), by[i].Desc)
+		vecs[j] = *scan.tab.Column(cr.Index)
 	}
-	return keys
-}
-
-// sorted runs the sort: it selects the row ids the filter admits through the
-// selection kernels (selectRows), sorts them, cuts them to the LIMIT and
-// returns the scan that visits them in order. The filter's pass is the
-// statement's scan of the table; the ordered visit is not counted again.
-func (o *scanOrder) sorted(ec execCtx) (*tableScan, error) {
-	scan := o.scan
-	var ids []int32
-	var err error
-	if o.filter == nil {
-		ids, err = positions(scan.tab.NumRows())
-	} else {
-		t0 := time.Now()
-		ids, err = selectRows(scan.tab, o.filter.pred, ec.gov)
-		if err == nil && scan.stats != nil {
-			ns := time.Since(t0).Nanoseconds()
-			*scan.stats = opStats{ns: ns, rows: int64(scan.tab.NumRows())}
-			*o.filter.stats = opStats{ns: ns, rows: int64(len(ids))}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ec.span != nil {
-		o.span = obs.NewSpan("sort")
-	}
-	sortPerm(ids, o.keys)
-	o.span.End()
-	o.span.SetRows(int64(len(ids)), int64(len(ids)))
-	if o.limit != nil {
-		ids = ids[:min(*o.limit, len(ids))]
-	}
-	if o.filter == nil {
-		scan.order = ids
-		return scan, nil
-	}
-	if ids == nil {
-		ids = []int32{} // a selection of none: a nil order would visit every row
-	}
-	return &tableScan{tab: scan.tab, sch: scan.sch, order: ids, counted: true}, nil
+	return scan
 }
 
 // orderColumnIndex finds a named column in the output list, or -1.
@@ -468,18 +423,13 @@ func bindItems(items []sqlparse.SelectItem, sch relSchema) ([]expr.Expr, error) 
 }
 
 // execPlainSelect projects items over the tuples of in into sink and returns
-// the row count. byScan, when set, has the row ids sorted first.
-func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink, byScan *scanOrder) (int, error) {
+// the row count.
+func (e *Engine) execPlainSelect(items []sqlparse.SelectItem, in planNode, ec execCtx, sink rowSink) (int, error) {
 	bound, err := bindItems(items, in.schema())
 	if err != nil {
 		return 0, err
 	}
 	proj := newProjector(bound, nil, sink)
-	if byScan != nil {
-		if in, err = byScan.sorted(ec); err != nil {
-			return 0, err
-		}
-	}
 	if ec.ref != nil {
 		return ec.ref.project(in, proj, ec)
 	}

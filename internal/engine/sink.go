@@ -135,7 +135,8 @@ func (c *collector) pushCols(cols []*storage.Vector, n int) error {
 
 // take makes the result the rows of src at perm, gathered straight into the
 // vectors of dst, which the result keeps: the tail of a SELECT hands its
-// sorted, deduplicated or limited rows over whole.
+// sorted, deduplicated or limited rows over whole, in one gather a column,
+// from what it collected or from a stored table's own column vectors.
 func (c *collector) take(src, dst []storage.Vector, perm []int32) {
 	c.res.vecs = dst
 	like := func(j int) *storage.Vector { return &src[j] }
@@ -216,10 +217,12 @@ func carve[T any](slab, cells []T, room int) ([]T, []T) {
 }
 
 // colCollector keeps, as one vector per column, what a later stage needs
-// whole: the tail of a SELECT — a DISTINCT over produced rows, an ORDER BY
-// that is not a scan sort, the LIMIT behind either — and a window's group
-// results. A column stays typed while every batch agrees on its type and is
-// boxed otherwise (storage.Vector.Append). Every row is charged once, here.
+// whole: the tail of a SELECT — a DISTINCT over produced rows, an ORDER BY,
+// the LIMIT behind either — and a window's group results. A column stays
+// typed while every batch agrees on its type and is boxed otherwise
+// (storage.Vector.Append). Every row is charged once, here. A tail over a
+// stored table's own columns borrows them as vecs instead and collects
+// nothing (tableColumns); the rows it hands on are charged where they land.
 type colCollector struct {
 	vecs   []storage.Vector
 	out    []storage.Vector // emit's gather buffers

@@ -222,8 +222,8 @@ func BenchmarkSequentialFoldNoSink(b *testing.B) {
 // reads the same either way — EXPLAIN ANALYZE prints the same plan with the
 // same actual rows (times masked), the span tree has the same shape, no span
 // is left open, and sequential children never out-sum their parent: project
-// and insert still partition the loop they share, and a sort of the scan's
-// row ids keeps its own span.
+// and insert still partition the loop they share, and the tail's sort — of the
+// table's row ids, or of the rows the oracle collected — keeps its own span.
 func TestTracedPlainSelectSameOnBothPaths(t *testing.T) {
 	e := fkEngine(t)
 	masked := func(s string) string {

@@ -322,6 +322,10 @@ func (t *Table) BeginUpdate() *Undo {
 	return &Undo{t: t, epoch: t.Epoch()}
 }
 
+// Grow gives the record room for n more cells, so a statement that knows how
+// many it writes sizes the log once.
+func (u *Undo) Grow(n int) { u.cells = slices.Grow(u.cells, n) }
+
 // Set logs the cell at (row, col) and overwrites it with v. A value the
 // column cannot store is an error and leaves the cell as it was.
 func (u *Undo) Set(row, col int, v value.Value) error {
